@@ -69,10 +69,13 @@ OBS_SCHEMA = 1
 MAX_METRICS_OVERHEAD = 0.01
 MAX_TRACING_OVERHEAD = 0.05
 
-#: fused loop replay must keep this steady-state speedup over plain
-#: execution on the 16-trip benchmark workload (measured well above it;
-#: the floor only catches the fast path silently disabling itself)
-MIN_FUSED_REPLAY_SPEEDUP = 1.5
+#: fused loop replay must not be slower than plain execution on the
+#: 16-trip benchmark workload.  Since plans carry their lowered copies
+#: (PR 12) the plain path no longer redoes the index arithmetic replay
+#: used to hoist, and the two measure the same: 0.98-1.01x over five
+#: best-of-7 runs (was 5.4x against the slow plain path).  The floor sits
+#: below 1 by this host's run-to-run noise, like the verified fast path's.
+MIN_FUSED_REPLAY_SPEEDUP = 0.8
 
 
 def check_obs_snapshot(fresh: dict, name: str) -> list[str]:
@@ -174,15 +177,16 @@ def check_schedule(
             )
     fr = fresh.get("fused_replay")
     if fr is not None:
-        # absolute floor (the benchmark's headline claim, re-checked here
-        # so a weakened assertion cannot slip through): fused loop replay
-        # must keep a clear steady-state win over plain execution
+        # absolute floor (re-checked here so a weakened assertion in the
+        # benchmark cannot slip through): replay is not slower than plain
         if float(fr["speedup"]) < MIN_FUSED_REPLAY_SPEEDUP:
             problems.append(
-                f"schedule[fused-replay]: steady-state speedup "
-                f"{float(fr['speedup']):.2f}x fell below the "
-                f"{MIN_FUSED_REPLAY_SPEEDUP:g}x floor "
-                f"({fr['fused_us']:.0f}us fused vs {fr['unfused_us']:.0f}us)"
+                f"schedule[fused-replay]: fused replay is "
+                f"{1 / float(fr['speedup']):.2f}x SLOWER than plain execution "
+                f"(speedup {float(fr['speedup']):.2f}x fell below the "
+                f"{MIN_FUSED_REPLAY_SPEEDUP:g}x floor; measured 1.00x when the "
+                f"floor was set; {fr['fused_us']:.0f}us fused vs "
+                f"{fr['unfused_us']:.0f}us)"
             )
         base_fr = baseline.get("fused_replay")
         if base_fr is not None and (

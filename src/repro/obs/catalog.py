@@ -31,6 +31,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.schedule.plans_precompiled", c, "CommPlans precompiled by the schedule pass."),
         MetricSpec("repro.schedule.phases_planned", c, "Communication phases across precompiled plans."),
         MetricSpec("repro.schedule.messages_planned", c, "Messages across precompiled plans."),
+        MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to copy descriptors (first execution of a plan object)."),
         # -- service front door ----------------------------------------------
         MetricSpec("repro.service.requests_submitted", c, "Requests accepted by CompileService."),
         MetricSpec("repro.service.requests_completed", c, "Requests finished (including errors)."),

@@ -33,10 +33,14 @@ Any number of :class:`Executor` instances may run the *same*
   clocks/stats, and the communication-plan *overlay* (plan-table misses
   are built into ``self._plan_overlay``, never into the shared artifact's
   frozen :class:`~repro.spmd.schedule.CommPlanTable`, which is only ever
-  ``lookup``-ed);
+  ``lookup``-ed; unscheduled runs keep their redistribution schedules in
+  ``self._schedules`` the same way);
 * the artifact is treated strictly read-only (generated ops, version
   tables, construction results, resolved subroutines); session-cached
-  artifacts additionally *enforce* this by freezing.
+  artifacts additionally *enforce* this by freezing.  The one thing a
+  run writes through a shared plan is its memoized lowered form
+  (:class:`~repro.spmd.redistribution.LoweredOnce`): an idempotent
+  first-use write of an immutable value, the same from every thread.
 
 The two sharing hazards live outside the executor and are the caller's
 to respect: an :class:`ExecutionEnv` must not be shared across concurrent
@@ -80,26 +84,13 @@ from repro.remap.codegen import (
     RuntimeOp,
     SaveStatusOp,
 )
-from repro.runtime.fusion import (
-    FusionStats,
-    LoopTrace,
-    PreparedPlanRemap,
-    PreparedRedist,
-    PreparedRemap,
-    prepare_redist,
-    run_fused_loop,
-)
+from repro.runtime.fusion import FusionStats, LoopTrace, run_fused_loop
 from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.machine import Machine
-from repro.spmd.redistribution import build_schedule, execute_schedule
-from repro.spmd.schedule import (
-    CommPlanTable,
-    execute_comm_schedule,
-    execute_prepared_schedule,
-    prepare_comm_schedule,
-)
+from repro.spmd.redistribution import RedistSchedule, build_schedule, execute_schedule
+from repro.spmd.schedule import CommPlanTable, execute_comm_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +329,16 @@ class Executor:
         self._plan_overlay: CommPlanTable | None = (
             CommPlanTable(self.policy) if self.policy is not None else None
         )
+        # the unscheduled path's overlay: one redistribution schedule (and,
+        # owned by it, its lowered copy descriptors) per signature pair
+        self._schedules: dict[tuple, RedistSchedule] = {}
         # per-run predicted-vs-observed accounting for scheduled remaps
         self.drift = DriftMonitor()
-        # fused loop replay (repro.runtime.fusion): traces per Do statement,
-        # a capture slot the recorder arms around remap execution, and the
-        # run's record/replay/invalidation counters.  Disabled under a
-        # memory limit: eviction makes per-iteration state non-deterministic.
+        # fused loop replay (repro.runtime.fusion): traces per Do statement
+        # and the run's record/replay/invalidation counters.  Disabled under
+        # a memory limit: eviction makes per-iteration state non-deterministic.
         self.fusion = FusionStats()
         self._loop_traces: dict[int, LoopTrace] = {}
-        self._capture: list[PreparedRemap] | None = None
         self._fuse = self.env.fuse_loops and self.machine.memory_limit is None
 
     # -- memory ----------------------------------------------------------------
@@ -533,7 +525,6 @@ class Executor:
         dead_values: bool,
         check_status: bool,
         tag: str,
-        hints: dict[int, PreparedRemap] | None = None,
     ) -> None:
         stats = self.machine.stats
         if check_status:
@@ -560,13 +551,7 @@ class Executor:
                     # materialized at its first remapping (paper Sec. 5.2)
                     stats.remaps_dead_copy += 1
                 else:
-                    self._remap_copy(
-                        state,
-                        src,
-                        leaving,
-                        tag,
-                        prepared=hints.get(src) if hints else None,
-                    )
+                    self._remap_copy(state, src, leaving, tag)
                     stats.remaps_performed += 1
                 state.live[leaving] = True
             state.status = leaving
@@ -588,70 +573,30 @@ class Executor:
                 )
 
     def _remap_copy(
-        self,
-        state: ArrayRuntime,
-        src: int,
-        leaving: int,
-        tag: str,
-        prepared: PreparedRemap | None = None,
+        self, state: ArrayRuntime, src: int, leaving: int, tag: str
     ) -> None:
         """Move the data of one remapping copy, scheduled when opted in.
 
-        ``prepared`` is a fused-replay hint recorded for exactly this
-        (array, source version, target version) copy: its schedule/plan,
-        messages and cost numbers are memoized, so replaying it moves the
-        same data with the same machine accounting minus the construction
-        work (see :mod:`repro.runtime.fusion`).  When the recorder has
-        armed ``self._capture``, the freshly built schedule or plan is
-        captured as a new hint instead.
+        Either way the copy runs as "look the plan up, execute its lowered
+        form": the plan object owns its copy descriptors, so only the first
+        execution of a plan pays any index arithmetic.
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
+        src_mapping = state.versions[src]
+        dst_mapping = state.versions[leaving]
         if self.policy is None:
-            if isinstance(prepared, PreparedRedist):
-                prepared.execute(source, target, self.machine)
-                return
-            sched = build_schedule(source.layout, target.layout)
-            self._run_unscheduled(sched, source, target, tag)
-            if self._capture is not None:
-                itemsize = np.dtype(self.env.dtype).itemsize
-                self._capture.append(
-                    prepare_redist(
-                        src,
-                        sched,
-                        source.layout,
-                        target.layout,
-                        target.name,
-                        itemsize,
-                        tag,
-                    )
+            key = (src_mapping.signature, dst_mapping.signature)
+            sched = self._schedules.get(key)
+            if sched is None:
+                sched = self._schedules[key] = build_schedule(
+                    source.layout, target.layout
                 )
+            self._run_unscheduled(sched, source, target, tag)
             return
         assert self._plan_overlay is not None
         stats = self.machine.stats
         itemsize = np.dtype(self.env.dtype).itemsize
-        if isinstance(prepared, PreparedPlanRemap):
-            comm = prepared.comm
-            stats.plans_reused += 1
-            bytes_before = stats.bytes
-            messages_before = stats.messages
-            makespan_before = self.machine.phase_seconds
-            with _TRACER.span("remap.plan_replay", tag=tag, reused=True, fused=True):
-                execute_prepared_schedule(comm, source, target, self.machine)
-            self.drift.record(
-                DriftRecord(
-                    tag=tag,
-                    predicted_bytes=comm.predicted_bytes,
-                    observed_bytes=stats.bytes - bytes_before,
-                    predicted_messages=comm.predicted_messages,
-                    observed_messages=stats.messages - messages_before,
-                    predicted_makespan=comm.predicted_makespan,
-                    observed_makespan=self.machine.phase_seconds - makespan_before,
-                )
-            )
-            return
-        src_mapping = state.versions[src]
-        dst_mapping = state.versions[leaving]
         plan = self.plans.lookup(src_mapping, dst_mapping) if self.plans else None
         if plan is None:
             plan = self._plan_overlay.lookup(src_mapping, dst_mapping)
@@ -667,32 +612,18 @@ class Executor:
         makespan_before = self.machine.phase_seconds
         with _TRACER.span("remap.plan_replay", tag=tag, reused=reused):
             self._run_plan(plan, source, target, tag)
+        predicted = plan.lowered(source.layout, target.layout)
         self.drift.record(
             DriftRecord(
                 tag=tag,
-                predicted_bytes=plan.moved_bytes(itemsize),
+                predicted_bytes=predicted.moved_elements * itemsize,
                 observed_bytes=stats.bytes - bytes_before,
-                predicted_messages=plan.message_count,
+                predicted_messages=predicted.message_count,
                 observed_messages=stats.messages - messages_before,
-                predicted_makespan=plan.makespan(self.machine.cost, itemsize),
+                predicted_makespan=predicted.makespan(self.machine.cost, itemsize),
                 observed_makespan=self.machine.phase_seconds - makespan_before,
             )
         )
-        if self._capture is not None:
-            self._capture.append(
-                PreparedPlanRemap(
-                    src,
-                    prepare_comm_schedule(
-                        plan,
-                        source.layout,
-                        target.layout,
-                        target.name,
-                        itemsize,
-                        self.machine.cost,
-                        tag,
-                    ),
-                )
-            )
 
     # -- movement hooks (the mp backend overrides these two) ------------------
 

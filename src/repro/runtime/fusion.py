@@ -1,30 +1,25 @@
-"""Fused loop replay: record a loop body once, replay it as prepared plans.
+"""Fused loop replay: record a loop body once, replay it as a step list.
 
 The executor interprets a ``DO`` loop's body statement by statement: every
-iteration pays the generated-op table lookups, the remap decision chain,
-the communication-plan lookup (two mapping signatures), message
-construction and the cost-model phase arithmetic -- even though, at steady
-state, every iteration performs exactly the same remapping copies over the
-same mapping versions.  This module implements the trace-and-replay half
-of the ROADMAP's loop-execution item: the executor *records* the body's
-op/remap sequence while interpreting it, then *replays* the recording as
-one fused sequence of :class:`PreparedRemap` steps for the remaining
-trips.
+iteration pays the generated-op table lookups and the statement dispatch,
+even though, at steady state, every iteration runs the same ops in the
+same order.  This module implements the trace-and-replay half of the
+ROADMAP's loop-execution item: the executor *records* the body's op
+sequence while interpreting it, then *replays* the recording as one
+flat sequence of steps for the remaining trips.
 
 Semantics are preserved exactly -- bit-identical values, bytes, messages
 and traffic-stat accounting -- because a recorded step is never trusted
 beyond what is re-checked at replay time:
 
-* every remap step re-runs the full remap *decision* chain
-  (:meth:`Executor._exec_remap`) against the live runtime state; only the
-  expensive *derived* artifacts (the redistribution schedule or comm plan,
-  prebuilt messages, precomputed phase durations and drift predictions)
-  are memoized, keyed by the source version actually being copied from;
+* every generated op, remaps included, runs through the interpreter's own
+  :meth:`Executor._exec_ops` against the live runtime state, so a replayed
+  remapping copy takes the same decision chain, executes the same lowered
+  plan (:meth:`~repro.spmd.schedule.CommSchedule.lowered`) and emits the
+  same ``comm.phase`` spans as a live one;
 * branch steps re-evaluate their condition; a diverging outcome executes
   the actual arm through the ordinary interpreter and **invalidates** the
   trace (it is re-recorded on the next iteration);
-* a remap whose source version diverges from every memoized plan falls
-  back to the ordinary path and likewise invalidates the trace;
 * nested loops and calls are replayed through the ordinary interpreter
   (nested ``DO`` loops fuse independently with their own traces).
 
@@ -42,90 +37,11 @@ from typing import TYPE_CHECKING
 
 from repro.lang.ast_nodes import Block, Compute, Do, If, Kill, Realign, Redistribute
 from repro.obs.trace import TRACER as _TRACER
-from repro.remap.codegen import RemapOp, RuntimeOp
-from repro.spmd.message import Message
-from repro.spmd.redistribution import PreparedMove, RedistSchedule, prepare_move
-from repro.spmd.schedule import PreparedComm
+from repro.remap.codegen import RuntimeOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.lang.ast_nodes import Stmt
-    from repro.mapping.ownership import Layout
     from repro.runtime.executor import Executor, _Frame
-    from repro.spmd.darray import DistributedArray
-    from repro.spmd.machine import Machine
-
-
-# ---------------------------------------------------------------------------
-# prepared remapping copies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreparedRedist:
-    """An unscheduled remapping copy with schedule, positions and messages
-    prebuilt.
-
-    Replaying one skips :func:`~repro.spmd.redistribution.build_schedule`,
-    the per-transfer index arithmetic and the
-    :class:`~repro.spmd.message.Message` construction; the data movement
-    and machine accounting are identical to
-    :func:`~repro.spmd.redistribution.execute_schedule`.
-    """
-
-    src: int
-    schedule: RedistSchedule
-    moves: tuple[tuple[PreparedMove, Message], ...]
-
-    def execute(
-        self,
-        source: "DistributedArray",
-        target: "DistributedArray",
-        machine: "Machine",
-    ) -> None:
-        """Move the data and charge the machine, transfer by transfer."""
-        for pm, msg in self.moves:
-            pm.execute(source, target)
-            machine.transfer(msg)
-
-
-@dataclass(frozen=True)
-class PreparedPlanRemap:
-    """A scheduled remapping copy specialized down to its prepared phases."""
-
-    src: int
-    comm: PreparedComm
-
-
-PreparedRemap = PreparedRedist | PreparedPlanRemap
-"""Either flavour of memoized remapping copy (see the two dataclasses)."""
-
-
-def prepare_redist(
-    src: int,
-    schedule: RedistSchedule,
-    src_layout: "Layout",
-    dst_layout: "Layout",
-    array: str,
-    itemsize: int,
-    tag: str,
-) -> PreparedRedist:
-    """Prebuild the per-transfer moves and messages of an unscheduled copy."""
-    moves = tuple(
-        (
-            prepare_move(t, src_layout, dst_layout),
-            Message(
-                src=t.src_rank,
-                dst=t.dst_rank,
-                nbytes=t.elements * itemsize,
-                elements=t.elements,
-                array=array,
-                tag=tag,
-            ),
-        )
-        for t in schedule.transfers
-        if t.elements > 0
-    )
-    return PreparedRedist(src, schedule, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -135,53 +51,12 @@ def prepare_redist(
 
 @dataclass
 class _StepOps:
-    """A run of non-remap generated ops, replayed through ``_exec_ops``."""
+    """A statement's generated ops, replayed through ``_exec_ops``."""
 
     ops: tuple[RuntimeOp, ...]
 
     def replay(self, ex: "Executor", frame: "_Frame") -> bool:
         ex._exec_ops(frame, self.ops)
-        return True
-
-
-@dataclass
-class _StepRemap:
-    """One ``RemapOp`` with memoized plans keyed by observed source version.
-
-    The remap decision chain runs in full at replay; the hint only short-
-    circuits plan construction when the copy's source version matches one
-    recorded earlier.  A copy from an unseen source falls back to the
-    ordinary path and invalidates the trace (returning ``False``) so the
-    next recording captures the new steady state; hints survive
-    re-recording (:func:`record_iteration` inherits them), so loops that
-    alternate between a small set of mapping versions still converge to
-    fully-prepared replays.
-    """
-
-    op: RemapOp
-    hints: dict[int, PreparedRemap]
-
-    def replay(self, ex: "Executor", frame: "_Frame") -> bool:
-        cap: list[PreparedRemap] = []
-        ex._capture = cap
-        try:
-            ex._exec_remap(
-                frame,
-                frame.arrays[self.op.array],
-                leaving=self.op.leaving,
-                use=self.op.use,
-                keep=self.op.keep,
-                dead_values=self.op.dead_values,
-                check_status=self.op.check_status,
-                tag=self.op.label,
-                hints=self.hints,
-            )
-        finally:
-            ex._capture = None
-        if cap:  # a copy ran from a source no hint covered: learn + invalidate
-            self.hints[cap[0].src] = cap[0]
-            ex.fusion.fallback_remaps += 1
-            return False
         return True
 
 
@@ -239,18 +114,15 @@ class _StepDynamic:
         return True
 
 
-TraceStep = _StepOps | _StepRemap | _StepCompute | _StepIf | _StepDynamic
+TraceStep = _StepOps | _StepCompute | _StepIf | _StepDynamic
 """The step alphabet of a recorded loop iteration."""
 
 
 @dataclass
 class LoopTrace:
-    """One loop's recorded iteration: a step tree plus remap-hint memory."""
+    """One loop's recorded iteration as a step tree."""
 
     steps: list[TraceStep] = field(default_factory=list)
-    #: hints per RemapOp identity, inherited across re-recordings so plans
-    #: learned before an invalidation are not thrown away
-    remap_hints: dict[int, dict[int, PreparedRemap]] = field(default_factory=dict)
     #: a trace only replays once it has been recorded at steady state
     #: (i.e. re-recorded on the iteration after its first recording)
     warm: bool = False
@@ -263,7 +135,6 @@ class FusionStats:
     traces_recorded: int = 0
     replays: int = 0
     invalidations: int = 0
-    fallback_remaps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,56 +143,18 @@ class FusionStats:
 
 
 def _record_ops(
-    ex: "Executor",
-    frame: "_Frame",
-    ops: list[RuntimeOp],
-    sink: list[TraceStep],
-    trace: LoopTrace,
+    ex: "Executor", frame: "_Frame", ops: list[RuntimeOp], sink: list[TraceStep]
 ) -> None:
-    run: list[RuntimeOp] = []
-    for op in ops:
-        if isinstance(op, RemapOp):
-            if run:
-                ex._exec_ops(frame, run)
-                sink.append(_StepOps(tuple(run)))
-                run = []
-            hints = dict(trace.remap_hints.get(id(op), {}))
-            cap: list[PreparedRemap] = []
-            ex._capture = cap
-            try:
-                ex._exec_remap(
-                    frame,
-                    frame.arrays[op.array],
-                    leaving=op.leaving,
-                    use=op.use,
-                    keep=op.keep,
-                    dead_values=op.dead_values,
-                    check_status=op.check_status,
-                    tag=op.label,
-                    hints=hints,
-                )
-            finally:
-                ex._capture = None
-            if cap:
-                hints[cap[0].src] = cap[0]
-            trace.remap_hints[id(op)] = hints
-            sink.append(_StepRemap(op, hints))
-        else:
-            run.append(op)
-    if run:
-        ex._exec_ops(frame, run)
-        sink.append(_StepOps(tuple(run)))
+    if ops:
+        ex._exec_ops(frame, ops)
+        sink.append(_StepOps(tuple(ops)))
 
 
 def _record_stmt(
-    ex: "Executor",
-    frame: "_Frame",
-    stmt: "Stmt",
-    sink: list[TraceStep],
-    trace: LoopTrace,
+    ex: "Executor", frame: "_Frame", stmt: "Stmt", sink: list[TraceStep]
 ) -> None:
     code = frame.compiled.code
-    _record_ops(ex, frame, code.ops_for(stmt), sink, trace)
+    _record_ops(ex, frame, code.ops_for(stmt), sink)
     if isinstance(stmt, Compute):
         ex._exec_compute(frame, stmt)
         sink.append(_StepCompute(stmt))
@@ -330,40 +163,28 @@ def _record_stmt(
     elif isinstance(stmt, If):
         taken = ex.env.condition(stmt.cond)
         arm: list[TraceStep] = []
-        _record_block(ex, frame, stmt.then if taken else stmt.orelse, arm, trace)
+        _record_block(ex, frame, stmt.then if taken else stmt.orelse, arm)
         after: list[TraceStep] = []
-        _record_ops(ex, frame, code.ops_after(stmt), after, trace)
+        _record_ops(ex, frame, code.ops_after(stmt), after)
         sink.append(_StepIf(stmt, taken, arm, after))
         return  # join-point ops consumed by the branch step
     else:  # nested Do / Call: interpreted, not flattened
         ex._exec_stmt_core(frame, stmt)
         sink.append(_StepDynamic(stmt))
-    _record_ops(ex, frame, code.ops_after(stmt), sink, trace)
+    _record_ops(ex, frame, code.ops_after(stmt), sink)
 
 
 def _record_block(
-    ex: "Executor",
-    frame: "_Frame",
-    block: Block,
-    sink: list[TraceStep],
-    trace: LoopTrace,
+    ex: "Executor", frame: "_Frame", block: Block, sink: list[TraceStep]
 ) -> None:
     for stmt in block.stmts:
-        _record_stmt(ex, frame, stmt, sink, trace)
+        _record_stmt(ex, frame, stmt, sink)
 
 
-def record_iteration(
-    ex: "Executor", frame: "_Frame", body: Block, prev: LoopTrace | None
-) -> LoopTrace:
-    """Execute one loop iteration while recording it as a step tree.
-
-    ``prev`` is the trace being superseded (if any); its remap hints are
-    inherited so plans learned before an invalidation keep paying off.
-    """
+def record_iteration(ex: "Executor", frame: "_Frame", body: Block) -> LoopTrace:
+    """Execute one loop iteration while recording it as a step tree."""
     trace = LoopTrace()
-    if prev is not None:
-        trace.remap_hints = {k: dict(v) for k, v in prev.remap_hints.items()}
-    _record_block(ex, frame, body, trace.steps, trace)
+    _record_block(ex, frame, body, trace.steps)
     return trace
 
 
@@ -389,10 +210,9 @@ def run_fused_loop(
 
     Iteration 1 records cold, iteration 2 re-records (capturing the steady
     state the first iteration's bootstrap copies perturb), and iterations
-    3..t replay the warm trace.  A divergence -- branch outcome flip or a
-    remap copying from an unrecorded source version -- completes the
-    iteration correctly, invalidates the trace, and recording starts over
-    on the next iteration.
+    3..t replay the warm trace.  A divergence -- a branch outcome flip --
+    completes the iteration correctly, invalidates the trace, and
+    recording starts over on the next iteration.
     """
     traces = ex._loop_traces
     key = id(stmt)
@@ -408,7 +228,7 @@ def run_fused_loop(
                 del traces[key]
                 ex.fusion.invalidations += 1
             continue
-        new = record_iteration(ex, frame, stmt.body, trace)
+        new = record_iteration(ex, frame, stmt.body)
         new.warm = trace is not None
         traces[key] = new
         ex.fusion.traces_recorded += 1

@@ -12,11 +12,11 @@ in-process.
 
 Differential soundness is the design invariant, enforced three ways:
 
-* **values** -- workers gather/scatter with the same
-  :func:`~repro.spmd.darray.positions_in` + ``np.ix_`` arithmetic
-  :func:`~repro.spmd.redistribution.move_transfer` uses, over the same
-  blocks the parent verifies, so every executed program's results are
-  bit-identical to the simulator's;
+* **values** -- workers gather/scatter through the index tuples of the
+  same lowered copy descriptors
+  (:class:`~repro.spmd.redistribution.PreparedMove`) the simulator
+  executes, over the same blocks the parent verifies, so every executed
+  program's results are bit-identical to the simulator's;
 * **ledger** -- the modeled :class:`~repro.spmd.machine.Machine` is charged
   with *identical* :class:`~repro.spmd.message.Message` lists at identical
   points (``transfer`` per unscheduled message, ``run_phase`` per planned
@@ -34,26 +34,23 @@ costs composed by the same one-port formula the cost model uses
 ``benchmarks/bench_mp.py`` calibrates against
 :meth:`~repro.spmd.cost.CostModel.scheduled_time` predictions.
 
-Fused loop replay is disabled on this backend: a fused iteration replays
-prepared in-process moves, which would bypass the transport entirely;
-fusion is semantics-preserving (PR 9's invariant), so differentials
-against fused simulator runs still hold.
+Fused loop replay is off on this backend: what it saves is interpreter
+dispatch, which is noise next to a barrier per phase.  Fusion is
+semantics-preserving (PR 9's invariant), so differentials against fused
+simulator runs still hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import TransportError
 from repro.compiler.artifacts import CompiledProgram
 from repro.runtime.executor import ExecutionEnv, ExecutionResult, Executor
 from repro.runtime.memory import MemoryManager
-from repro.spmd.darray import positions_in
 from repro.spmd.machine import Machine
-from repro.spmd.message import Message
-from repro.spmd.redistribution import Transfer, move_transfer
+from repro.spmd.message import message_of
+from repro.spmd.redistribution import PreparedMove
 from repro.spmd.transport import (
     DEFAULT_ARENA_BYTES,
     ExchangeReport,
@@ -161,9 +158,7 @@ class MPExecutor(Executor):
         self.memory = MemoryManager(
             self.machine, self._eviction_candidates, array_factory=self._make_array
         )
-        # fused replay moves data in-process; the transport must carry
-        # every message, so this backend always interprets
-        self._fuse = False
+        self._fuse = False  # this backend always interprets
 
     def _make_array(self, name, mapping, machine, dtype) -> SharedDistributedArray:
         return SharedDistributedArray(name, mapping, machine, self.transport, dtype)
@@ -172,31 +167,18 @@ class MPExecutor(Executor):
 
     @staticmethod
     def _wire_part(
-        t: Transfer,
+        move: PreparedMove,
         source: SharedDistributedArray,
         target: SharedDistributedArray,
     ) -> WirePart:
-        """One rectangle's gather/scatter program, from the same layout
-        arithmetic :func:`~repro.spmd.redistribution.move_transfer` runs."""
-        src_lay, dst_lay = source.layout, target.layout
-        qs = src_lay.procs.coords(t.src_rank)
-        qd = dst_lay.procs.coords(t.dst_rank)
-        src_owned = src_lay.owned(qs)
-        dst_owned = dst_lay.owned(qd)
-        assert src_owned is not None and dst_owned is not None
-        src_pos = tuple(
-            positions_in(o, s) for o, s in zip(src_owned, t.index_sets)
-        )
-        dst_pos = tuple(
-            positions_in(o, s) for o, s in zip(dst_owned, t.index_sets)
-        )
+        """One descriptor's gather/scatter program over this run's blocks."""
         return WirePart(
-            src_block=source.block_ref(t.src_rank),
-            dst_block=target.block_ref(t.dst_rank),
-            src_ix=np.ix_(*src_pos),
-            dst_ix=np.ix_(*dst_pos),
-            shape=tuple(len(s) for s in t.index_sets),
-            nbytes=t.elements * source.itemsize,
+            src_block=source.block_ref(move.src_rank),
+            dst_block=target.block_ref(move.dst_rank),
+            src_ix=move.src_ix,
+            dst_ix=move.dst_ix,
+            shape=move.shape,
+            nbytes=move.elements * source.itemsize,
         )
 
     # -- movement hooks -----------------------------------------------------
@@ -205,81 +187,60 @@ class MPExecutor(Executor):
         """Unscheduled remap: locals in the parent, every real message over
         the transport as one unphased (contended-like) round, then the
         identical per-message ledger charges the simulator makes."""
-        itemsize = target.itemsize
-        remote: list[Transfer] = []
-        for t in sched.transfers:
-            if t.elements == 0:
-                continue
-            if t.is_local:
-                move_transfer(t, source, target)
-                self.machine.transfer(self._message(t, itemsize, target.name, tag))
+        itemsize, name = target.itemsize, target.name
+        remote: list[PreparedMove] = []
+        for move in sched.lowered(source.layout, target.layout):
+            if move.is_local:
+                move.execute(source, target)
+                self.machine.transfer(message_of(move, itemsize, name, tag))
             else:
-                remote.append(t)
+                remote.append(move)
         if remote:
             wire = tuple(
-                WireMessage(t.src_rank, t.dst_rank, (self._wire_part(t, source, target),))
-                for t in remote
+                WireMessage(
+                    move.src_rank, move.dst_rank, (self._wire_part(move, source, target),)
+                )
+                for move in remote
             )
             self.mp_report.add(
                 self.transport.exchange((TransferRound(wire, contended=True),))
             )
-            for t in remote:
-                self.machine.transfer(self._message(t, itemsize, target.name, tag))
+            for move in remote:
+                self.machine.transfer(message_of(move, itemsize, name, tag))
 
     def _run_plan(self, plan, source, target, tag: str) -> None:
         """Planned remap: locals in the parent, each phase as one barriered
         transport round, then ``machine.run_phase`` with the identical
         message lists the simulator charges (same one-port validation,
         same stats, same drift inputs)."""
-        itemsize = target.itemsize
-        for t in plan.local_transfers:
-            move_transfer(t, source, target)
-            self.machine.transfer(self._message(t, itemsize, target.name, tag))
-        if not plan.phases:
+        itemsize, name = target.itemsize, target.name
+        lowered = plan.lowered(source.layout, target.layout)
+        for move in lowered.local:
+            move.execute(source, target)
+            self.machine.transfer(message_of(move, itemsize, name, tag))
+        if not lowered.phases:
             return
-        rounds = []
-        ledger: list[list[Message]] = []
-        for phase in plan.phases:
-            wire = []
-            messages = []
-            for pt in phase.transfers:
-                wire.append(
+        rounds = tuple(
+            TransferRound(
+                tuple(
                     WireMessage(
-                        pt.src_rank,
-                        pt.dst_rank,
-                        tuple(self._wire_part(p, source, target) for p in pt.parts),
+                        msg.src_rank,
+                        msg.dst_rank,
+                        tuple(self._wire_part(m, source, target) for m in msg.parts),
                     )
-                )
-                messages.append(
-                    Message(
-                        src=pt.src_rank,
-                        dst=pt.dst_rank,
-                        nbytes=pt.nbytes(itemsize),
-                        elements=pt.elements,
-                        array=target.name,
-                        tag=tag,
-                    )
-                )
-            rounds.append(TransferRound(tuple(wire), contended=phase.contended))
-            ledger.append(messages)
-        self.mp_report.add(self.transport.exchange(tuple(rounds)))
-        for phase, messages in zip(plan.phases, ledger):
+                    for msg in phase.messages
+                ),
+                contended=phase.contended,
+            )
+            for phase in lowered.phases
+        )
+        self.mp_report.add(self.transport.exchange(rounds))
+        for phase in lowered.phases:
             self.machine.run_phase(
-                messages,
+                [message_of(msg, itemsize, name, tag) for msg in phase.messages],
                 contended=phase.contended,
                 verified=plan.statically_verified,
             )
-
-    @staticmethod
-    def _message(t: Transfer, itemsize: int, array: str, tag: str) -> Message:
-        return Message(
-            src=t.src_rank,
-            dst=t.dst_rank,
-            nbytes=t.elements * itemsize,
-            elements=t.elements,
-            array=array,
-            tag=tag,
-        )
 
 
 # ---------------------------------------------------------------------------

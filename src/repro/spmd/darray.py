@@ -46,6 +46,26 @@ def positions_in(owned: IntervalSet, subset: IntervalSet) -> np.ndarray:
     return cum[k] + (xs - starts[k])
 
 
+def block_index(positions: tuple[np.ndarray, ...]) -> tuple:
+    """An index selecting ``positions`` (one sorted vector per dimension).
+
+    A tuple of basic ``slice`` objects when every dimension's positions
+    form an arithmetic progression (always so for block and cyclic
+    ownership), the ``np.ix_`` open mesh of the vectors otherwise -- never
+    a mix, so an index is either all-basic (a view on read) or all-fancy.
+    """
+    slices = []
+    for pos in positions:
+        if len(pos) == 0:
+            slices.append(slice(0, 0))
+            continue
+        step = int(pos[1] - pos[0]) if len(pos) > 1 else 1
+        if len(pos) > 2 and np.any(np.diff(pos) != step):
+            return np.ix_(*positions)
+        slices.append(slice(int(pos[0]), int(pos[-1]) + 1, step))
+    return tuple(slices)
+
+
 class DistributedArray:
     """One statically mapped array version living on the machine."""
 
@@ -77,6 +97,7 @@ class DistributedArray:
             if account_memory:
                 machine.allocate(rank, block.nbytes)
         self._freed = False
+        self._indexers: list[tuple[int, tuple]] | None = None
 
     # -- storage hooks (subclasses may place blocks elsewhere) ----------------
 
@@ -119,26 +140,31 @@ class DistributedArray:
 
     # -- scatter / gather (bookkeeping, not counted as traffic) -----------------
 
-    def _holder_indexers(self, q: tuple[int, ...]):
-        owned = self.layout.owned(q)
-        assert owned is not None
-        return tuple(members_array(s) for s in owned)
+    def _holder_indexers(self) -> list[tuple[int, tuple]]:
+        """``(rank, index of the rank's owned elements in the global array)``
+        per holder, worked out once per instance (layouts are immutable)."""
+        if self._indexers is None:
+            layout = self.layout
+            self._indexers = [
+                (
+                    layout.procs.linear_rank(q),
+                    block_index(tuple(members_array(s) for s in layout.owned(q))),
+                )
+                for q in layout.holders()
+            ]
+        return self._indexers
 
     def scatter_from_global(self, arr: np.ndarray) -> None:
         if tuple(arr.shape) != self.shape:
             raise ShapeError(f"expected shape {self.shape}, got {arr.shape}")
-        for q in self.layout.holders():
-            rank = self.layout.procs.linear_rank(q)
-            idx = self._holder_indexers(q)
-            self.blocks[rank][...] = arr[np.ix_(*idx)] if idx else arr
+        for rank, idx in self._holder_indexers():
+            self.blocks[rank][...] = arr[idx]
         self._freed = False
 
     def gather_to_global(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.dtype)
-        for q in self.layout.holders():
-            rank = self.layout.procs.linear_rank(q)
-            idx = self._holder_indexers(q)
-            out[np.ix_(*idx)] = self.blocks[rank]
+        for rank, idx in self._holder_indexers():
+            out[idx] = self.blocks[rank]
         return out
 
     # -- element access ----------------------------------------------------------
@@ -183,12 +209,10 @@ class DistributedArray:
     def check_replicas_consistent(self) -> bool:
         """True iff all replicas of every element agree (test invariant)."""
         ref = self.gather_to_global()
-        for q in self.layout.holders():
-            rank = self.layout.procs.linear_rank(q)
-            idx = self._holder_indexers(q)
-            if not np.array_equal(ref[np.ix_(*idx)], self.blocks[rank]):
-                return False
-        return True
+        return all(
+            np.array_equal(ref[idx], self.blocks[rank])
+            for rank, idx in self._holder_indexers()
+        )
 
     def __repr__(self) -> str:
         return (

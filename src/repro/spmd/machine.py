@@ -104,7 +104,6 @@ class Machine:
         messages: Sequence[Message],
         contended: bool = False,
         verified: bool = False,
-        duration: float | None = None,
     ) -> float:
         """Run one bulk-synchronous communication round; returns its duration.
 
@@ -123,20 +122,14 @@ class Machine:
         (:func:`repro.analysis.commsafety.certify_plan` stamps such plans
         ``statically_verified``).  Phases from unverified plans always pay
         the runtime check.
-
-        ``duration`` lets a caller supply the phase time precomputed by the
-        *same* cost formula (fused loop replay prepares it once per plan,
-        see :func:`repro.spmd.schedule.execute_prepared_schedule`); the
-        clocks and stats advance identically either way.
         """
         if not messages:
             return 0.0
         if not contended and not verified:
             check_one_port((m.src, m.dst) for m in messages)
-        if duration is None:
-            duration = self.cost.phase_time(
-                [(m.src, m.dst, m.nbytes) for m in messages], contended
-            )
+        duration = self.cost.phase_time(
+            [(m.src, m.dst, m.nbytes) for m in messages], contended
+        )
         for msg in messages:
             self.stats.record_message(msg)
             if self.log_messages:

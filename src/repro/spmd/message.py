@@ -79,6 +79,14 @@ class Message:
     tag: str = ""
 
 
+def message_of(part, itemsize: int, array: str = "", tag: str = "") -> Message:
+    """The ledger entry of one lowered copy or packed message: anything with
+    ``src_rank``, ``dst_rank`` and a cached ``elements`` count."""
+    return Message(
+        part.src_rank, part.dst_rank, part.elements * itemsize, part.elements, array, tag
+    )
+
+
 @dataclass
 class TrafficStats:
     """Aggregate communication and remapping counters."""

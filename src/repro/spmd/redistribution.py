@@ -21,16 +21,19 @@ Properties the tests enforce:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ShapeError
 from repro.mapping.ownership import Layout
-from repro.spmd.darray import DistributedArray, positions_in
+from repro.obs.catalog import REGISTRY as _OBS
+from repro.obs.trace import TRACER as _TRACER
+from repro.spmd.darray import DistributedArray, block_index, positions_in
 from repro.spmd.machine import Machine
-from repro.spmd.message import Message
+from repro.spmd.message import message_of
 from repro.util.intervals import IntervalSet
+
+_M_LOWERED = _OBS.counter("repro.schedule.plans_lowered")
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,109 @@ class Transfer:
         return self.src_rank == self.dst_rank
 
 
+@dataclass(frozen=True, slots=True)
+class PreparedMove:
+    """One copy descriptor: a transfer lowered to block positions.
+
+    Everything about a remapping copy except the data is a pure function
+    of the (source, target) mapping pair; a descriptor is that function's
+    value for one rectangle, worked out once by :func:`prepare_move`.
+    :meth:`execute` -- one NumPy assignment -- is the only data-movement
+    primitive: the simulator (scheduled and unscheduled), fused loop replay
+    and the mp backend (local copies in the parent, wire parts in the
+    workers) all move data through it or through its two index tuples.
+
+    Each index is a tuple of basic ``slice`` objects when every
+    dimension's positions form an arithmetic progression (always for
+    block <-> cyclic), the ``np.ix_`` open mesh of position vectors
+    otherwise -- never a mix.
+    """
+
+    src_rank: int
+    dst_rank: int
+    src_ix: tuple
+    dst_ix: tuple
+    shape: tuple[int, ...]  # elements per dimension
+    elements: int
+
+    @property
+    def is_local(self) -> bool:
+        return self.src_rank == self.dst_rank
+
+    def execute(self, source: DistributedArray, target: DistributedArray) -> None:
+        target.blocks[self.dst_rank][self.dst_ix] = source.blocks[self.src_rank][
+            self.src_ix
+        ]
+
+
+def prepare_move(t: Transfer, src_lay: Layout, dst_lay: Layout) -> PreparedMove:
+    """Lower one non-empty transfer to its copy descriptor.
+
+    The only place block positions are worked out: the global index sets
+    are located inside the sender's and the receiver's owned sets by
+    :func:`~repro.spmd.darray.positions_in`, whose containment check
+    rejects a transfer the two layouts do not support.
+    """
+    src_owned = src_lay.owned(src_lay.procs.coords(t.src_rank))
+    dst_owned = dst_lay.owned(dst_lay.procs.coords(t.dst_rank))
+    assert src_owned is not None and dst_owned is not None
+    src_pos, dst_pos = (
+        tuple(positions_in(o, s) for o, s in zip(owned, t.index_sets))
+        for owned in (src_owned, dst_owned)
+    )
+    shape = tuple(len(pos) for pos in src_pos)
+    return PreparedMove(
+        t.src_rank,
+        t.dst_rank,
+        block_index(src_pos),
+        block_index(dst_pos),
+        shape,
+        math.prod(shape),
+    )
+
+
+class LoweredOnce:
+    """Mixin for plan objects that own their lowered (copy-descriptor) form.
+
+    The lowered form is derived state: computed on first execution from
+    the two layouts, kept on the plan object and gone with it.  It is not
+    a dataclass field, so ``==`` and ``repr`` never see it, and
+    :meth:`__getstate__` drops it, so neither do pickles or store digests.
+    Layouts are unique per mapping signature
+    (:func:`~repro.mapping.ownership.layout_of`), so identity tells
+    whether the memo was lowered for the pair at hand.  Two threads racing
+    on a frozen artifact both write the same immutable value.
+    """
+
+    _lowered: tuple | None = None
+
+    def _lower(self, src: Layout, dst: Layout):
+        raise NotImplementedError
+
+    def lowered(self, src: Layout, dst: Layout):
+        """The plan's copy descriptors for ``dst = src``, lowered at most once."""
+        memo = self._lowered
+        if memo is None or memo[0] is not src or memo[1] is not dst:
+            with _TRACER.span("remap.lower"):
+                memo = (src, dst, self._lower(src, dst))
+            object.__setattr__(self, "_lowered", memo)
+            _M_LOWERED.inc()
+        return memo[2]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_lowered", None)
+        return state
+
+
 @dataclass
-class RedistSchedule:
-    """The full message schedule of one remapping copy."""
+class RedistSchedule(LoweredOnce):
+    """The full message schedule of one remapping copy.
+
+    Lowers to one :class:`PreparedMove` per non-empty transfer, in
+    transfer order (local copies and messages interleaved, as the
+    unscheduled path charges them).
+    """
 
     transfers: list[Transfer]
 
@@ -72,6 +175,9 @@ class RedistSchedule:
 
     def moved_elements(self) -> int:
         return sum(t.elements for t in self.transfers if not t.is_local)
+
+    def _lower(self, src: Layout, dst: Layout) -> tuple[PreparedMove, ...]:
+        return tuple(prepare_move(t, src, dst) for t in self.transfers if t.elements)
 
 
 def build_schedule(src: Layout, dst: Layout) -> RedistSchedule:
@@ -116,65 +222,6 @@ def build_schedule(src: Layout, dst: Layout) -> RedistSchedule:
     return RedistSchedule(transfers)
 
 
-def move_transfer(
-    t: Transfer, source: DistributedArray, target: DistributedArray
-) -> None:
-    """Copy one transfer's index set from source to target storage.
-
-    The single data-movement primitive shared by :func:`execute_schedule`
-    and the phased executor (:mod:`repro.spmd.schedule`): the differential
-    bit-identical-values invariant holds because both paths move data
-    through exactly this function.
-    """
-    src_lay, dst_lay = source.layout, target.layout
-    qs = src_lay.procs.coords(t.src_rank)
-    qd = dst_lay.procs.coords(t.dst_rank)
-    src_owned = src_lay.owned(qs)
-    dst_owned = dst_lay.owned(qd)
-    assert src_owned is not None and dst_owned is not None
-    src_pos = tuple(positions_in(o, s) for o, s in zip(src_owned, t.index_sets))
-    dst_pos = tuple(positions_in(o, s) for o, s in zip(dst_owned, t.index_sets))
-    data = source.blocks[t.src_rank][np.ix_(*src_pos)]
-    target.blocks[t.dst_rank][np.ix_(*dst_pos)] = data
-
-
-@dataclass(frozen=True)
-class PreparedMove:
-    """:func:`move_transfer` with its index arithmetic hoisted out.
-
-    Built once by :func:`prepare_move` from the *same* layout coordinates
-    and :func:`~repro.spmd.darray.positions_in` arithmetic the live path
-    runs per call, then replayed as one numpy fancy-index assignment per
-    execution (fused loop replay, :mod:`repro.runtime.fusion`).  Positions
-    depend only on the two layouts, which are fixed per mapping version,
-    so a prepared move stays exact even when the destination storage is
-    freed and reallocated between iterations.
-    """
-
-    src_rank: int
-    dst_rank: int
-    src_ix: tuple[np.ndarray, ...]
-    dst_ix: tuple[np.ndarray, ...]
-
-    def execute(self, source: DistributedArray, target: DistributedArray) -> None:
-        """The same assignment :func:`move_transfer` performs."""
-        target.blocks[self.dst_rank][self.dst_ix] = source.blocks[self.src_rank][
-            self.src_ix
-        ]
-
-
-def prepare_move(t: Transfer, src_lay: Layout, dst_lay: Layout) -> PreparedMove:
-    """Precompute one transfer's block positions for fused replay."""
-    qs = src_lay.procs.coords(t.src_rank)
-    qd = dst_lay.procs.coords(t.dst_rank)
-    src_owned = src_lay.owned(qs)
-    dst_owned = dst_lay.owned(qd)
-    assert src_owned is not None and dst_owned is not None
-    src_pos = tuple(positions_in(o, s) for o, s in zip(src_owned, t.index_sets))
-    dst_pos = tuple(positions_in(o, s) for o, s in zip(dst_owned, t.index_sets))
-    return PreparedMove(t.src_rank, t.dst_rank, np.ix_(*src_pos), np.ix_(*dst_pos))
-
-
 def execute_schedule(
     schedule: RedistSchedule,
     source: DistributedArray,
@@ -184,21 +231,10 @@ def execute_schedule(
 ) -> None:
     """Move real data along the schedule and charge the cost model."""
     machine = machine or target.machine
-    itemsize = target.itemsize
-    for t in schedule.transfers:
-        if t.elements == 0:
-            continue
-        move_transfer(t, source, target)
-        machine.transfer(
-            Message(
-                src=t.src_rank,
-                dst=t.dst_rank,
-                nbytes=t.elements * itemsize,
-                elements=t.elements,
-                array=target.name,
-                tag=tag,
-            )
-        )
+    itemsize, name = target.itemsize, target.name
+    for move in schedule.lowered(source.layout, target.layout):
+        move.execute(source, target)
+        machine.transfer(message_of(move, itemsize, name, tag))
 
 
 def redistribute(

@@ -58,13 +58,13 @@ from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.cost import CostModel
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
-from repro.spmd.message import Message, check_one_port
+from repro.spmd.message import check_one_port, message_of
 from repro.spmd.redistribution import (
+    LoweredOnce,
     PreparedMove,
     RedistSchedule,
     Transfer,
     build_schedule,
-    move_transfer,
     prepare_move,
 )
 
@@ -143,13 +143,63 @@ class CommPhase:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class LoweredMessage:
+    """One message of a lowered phase: its copy descriptors and element count."""
+
+    src_rank: int
+    dst_rank: int
+    parts: tuple[PreparedMove, ...]
+    elements: int
+
+
 @dataclass(frozen=True)
-class CommSchedule:
+class LoweredPhase:
+    """One phase of a :class:`LoweredPlan`."""
+
+    messages: tuple[LoweredMessage, ...]
+    contended: bool
+    elements: int
+
+
+@dataclass(frozen=True)
+class LoweredPlan:
+    """A :class:`CommSchedule` lowered to copy descriptors.
+
+    What executing the plan needs and what does not depend on the data,
+    the element size or the array's name: the descriptors of the local
+    copies and of every message part, and the element counts the plan
+    would otherwise re-sum from its interval sets on every run.
+    """
+
+    local: tuple[PreparedMove, ...]
+    phases: tuple[LoweredPhase, ...]
+    message_count: int
+    moved_elements: int
+
+    def makespan(self, cost: CostModel, itemsize: int) -> float:
+        """:meth:`CommSchedule.makespan` from the cached element counts."""
+        return sum(
+            cost.phase_time(
+                [(m.src_rank, m.dst_rank, m.elements * itemsize) for m in ph.messages],
+                ph.contended,
+            )
+            for ph in self.phases
+        )
+
+
+@dataclass(frozen=True)
+class CommSchedule(LoweredOnce):
     """The full phased plan of one remapping copy (a ``CommPlan``).
 
     ``local_transfers`` are the src==dst copies (including replica-aware
     local copies); they never occupy a phase.  Phases carry only real
     messages, so a redistribution with nothing to send has no phases.
+
+    :meth:`lowered` (see :class:`~repro.spmd.redistribution.LoweredOnce`)
+    is the plan's :class:`LoweredPlan`, worked out on first execution and
+    shared by every later one -- and, through :class:`PlanMemo`, by every
+    instantiation of a symbolic template.
     """
 
     policy: str
@@ -201,6 +251,29 @@ class CommSchedule:
         return (
             f"{self.policy}: {self.message_count} message(s) in "
             f"{self.phase_count} phase(s), {self.local_count} local cop(ies)"
+        )
+
+    def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
+        phases = []
+        for phase in self.phases:
+            messages = []
+            for pt in phase.transfers:
+                parts = tuple(prepare_move(part, src, dst) for part in pt.parts)
+                messages.append(
+                    LoweredMessage(
+                        pt.src_rank, pt.dst_rank, parts, sum(p.elements for p in parts)
+                    )
+                )
+            phases.append(
+                LoweredPhase(
+                    tuple(messages), phase.contended, sum(m.elements for m in messages)
+                )
+            )
+        return LoweredPlan(
+            tuple(prepare_move(t, src, dst) for t in self.local_transfers),
+            tuple(phases),
+            sum(len(ph.messages) for ph in phases),
+            sum(ph.elements for ph in phases),
         )
 
 
@@ -311,136 +384,6 @@ def plan_redistribution(
 
 
 # ---------------------------------------------------------------------------
-# prepared execution (fused loop replay)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreparedPhase:
-    """One phase of a :class:`PreparedComm`: moves, messages and duration.
-
-    ``moves`` is the flattened move list (every rectangle of every packed
-    transfer, with index positions precomputed), ``messages`` the prebuilt
-    :class:`~repro.spmd.message.Message` objects the phase charges, and
-    ``duration`` the phase time the machine's own cost formula yields for
-    exactly those messages -- precomputed once so replaying the phase
-    skips the cost arithmetic.
-    """
-
-    moves: tuple[PreparedMove, ...]
-    messages: tuple[Message, ...]
-    contended: bool
-    duration: float
-
-
-@dataclass(frozen=True)
-class PreparedComm:
-    """A :class:`CommSchedule` specialized to one array and element size.
-
-    Built by :func:`prepare_comm_schedule` when the executor records a loop
-    iteration: message construction, byte counts and phase durations are
-    hoisted out of the loop so :func:`execute_prepared_schedule` only moves
-    data and charges precomputed numbers.  The one-port re-check is skipped
-    at replay -- the phases were validated when the plan first executed and
-    are immutable -- which mirrors the ``statically_verified`` fast path.
-    """
-
-    plan: CommSchedule
-    local_moves: tuple[tuple[PreparedMove, Message], ...]
-    phases: tuple[PreparedPhase, ...]
-    predicted_bytes: int
-    predicted_messages: int
-    predicted_makespan: float
-
-
-def prepare_comm_schedule(
-    plan: CommSchedule,
-    src_layout: "Layout",
-    dst_layout: "Layout",
-    array: str,
-    itemsize: int,
-    cost: CostModel,
-    tag: str = "",
-) -> PreparedComm:
-    """Specialize ``plan`` to one copy's layouts and element size.
-
-    Message construction, index positions, byte counts and phase durations
-    are all hoisted so :func:`execute_prepared_schedule` only moves data
-    and charges precomputed numbers.
-    """
-    local_moves = tuple(
-        (
-            prepare_move(t, src_layout, dst_layout),
-            Message(
-                src=t.src_rank,
-                dst=t.dst_rank,
-                nbytes=t.elements * itemsize,
-                elements=t.elements,
-                array=array,
-                tag=tag,
-            ),
-        )
-        for t in plan.local_transfers
-    )
-    phases = []
-    for phase in plan.phases:
-        moves = tuple(
-            prepare_move(part, src_layout, dst_layout)
-            for pt in phase.transfers
-            for part in pt.parts
-        )
-        messages = tuple(
-            Message(
-                src=pt.src_rank,
-                dst=pt.dst_rank,
-                nbytes=pt.nbytes(itemsize),
-                elements=pt.elements,
-                array=array,
-                tag=tag,
-            )
-            for pt in phase.transfers
-        )
-        phases.append(
-            PreparedPhase(
-                moves, messages, phase.contended, phase.duration(cost, itemsize)
-            )
-        )
-    return PreparedComm(
-        plan,
-        local_moves,
-        tuple(phases),
-        predicted_bytes=plan.moved_bytes(itemsize),
-        predicted_messages=plan.message_count,
-        predicted_makespan=plan.makespan(cost, itemsize),
-    )
-
-
-def execute_prepared_schedule(
-    prep: PreparedComm,
-    source: DistributedArray,
-    target: DistributedArray,
-    machine: Machine,
-) -> None:
-    """Replay a prepared plan: bit-identical to :func:`execute_comm_schedule`.
-
-    Same moves through :func:`~repro.spmd.redistribution.move_transfer`,
-    same messages recorded on the machine stats, same phase count and phase
-    seconds -- only the per-execution construction and cost arithmetic are
-    gone, plus the one-port re-check (the phases were already validated
-    when the plan was recorded).
-    """
-    for pm, msg in prep.local_moves:
-        pm.execute(source, target)
-        machine.transfer(msg)
-    for ph in prep.phases:
-        for pm in ph.moves:
-            pm.execute(source, target)
-        machine.run_phase(
-            ph.messages, contended=ph.contended, verified=True, duration=ph.duration
-        )
-
-
-# ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
 
@@ -459,42 +402,23 @@ def execute_comm_schedule(
     (and, under ``aggregate``, the message count) differs.
     """
     machine = machine or target.machine
-    itemsize = target.itemsize
-    for t in plan.local_transfers:
-        move_transfer(t, source, target)
-        machine.transfer(
-            Message(
-                src=t.src_rank,
-                dst=t.dst_rank,
-                nbytes=t.elements * itemsize,
-                elements=t.elements,
-                array=target.name,
-                tag=tag,
-            )
-        )
-    for i, phase in enumerate(plan.phases):
+    itemsize, name = target.itemsize, target.name
+    lowered = plan.lowered(source.layout, target.layout)
+    for move in lowered.local:
+        move.execute(source, target)
+        machine.transfer(message_of(move, itemsize, name, tag))
+    for i, phase in enumerate(lowered.phases):
         with _TRACER.span("comm.phase", index=i) as span:
-            messages = []
-            for pt in phase.transfers:
-                for part in pt.parts:
-                    move_transfer(part, source, target)
-                messages.append(
-                    Message(
-                        src=pt.src_rank,
-                        dst=pt.dst_rank,
-                        nbytes=pt.nbytes(itemsize),
-                        elements=pt.elements,
-                        array=target.name,
-                        tag=tag,
-                    )
-                )
+            for msg in phase.messages:
+                for move in msg.parts:
+                    move.execute(source, target)
             machine.run_phase(
-                messages,
+                [message_of(msg, itemsize, name, tag) for msg in phase.messages],
                 contended=phase.contended,
                 verified=plan.statically_verified,
             )
-            span.set_attr("messages", len(messages))
-            span.set_attr("bytes", sum(m.nbytes for m in messages))
+            span.set_attr("messages", len(phase.messages))
+            span.set_attr("bytes", phase.elements * itemsize)
 
 
 def scheduled_redistribute(

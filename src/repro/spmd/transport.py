@@ -150,8 +150,8 @@ class SharedDistributedArray(DistributedArray):
 
     Drop-in for :class:`~repro.spmd.darray.DistributedArray`: the parent
     reads and writes blocks exactly as the simulator does (scatter/gather,
-    kernels, :func:`~repro.spmd.redistribution.move_transfer` for local
-    copies), while the owning worker rank sees the same bytes through its
+    kernels, :meth:`~repro.spmd.redistribution.PreparedMove.execute` for
+    local copies), while the owning worker rank sees the same bytes through its
     arena -- which is what makes parent-side verification of worker-side
     communication meaningful.
     """
@@ -211,16 +211,17 @@ class SharedDistributedArray(DistributedArray):
 class WirePart:
     """One rectangle of a message: gather program + scatter program.
 
-    ``src_ix``/``dst_ix`` are the same open-mesh index tuples
-    :func:`~repro.spmd.redistribution.move_transfer` computes from the two
-    layouts, so the bytes a worker packs and scatters are bit-identical to
-    the simulator's single-process assignment.
+    ``src_ix``/``dst_ix`` are the index tuples (all slices or an open
+    mesh) of one lowered copy descriptor
+    (:class:`~repro.spmd.redistribution.PreparedMove`), so the bytes a
+    worker packs and scatters are bit-identical to the simulator's
+    single-process assignment.
     """
 
     src_block: tuple[int, tuple[int, ...], str]  # (offset, shape, dtype)
     dst_block: tuple[int, tuple[int, ...], str]
-    src_ix: tuple[np.ndarray, ...]
-    dst_ix: tuple[np.ndarray, ...]
+    src_ix: tuple
+    dst_ix: tuple
     shape: tuple[int, ...]  # payload rectangle shape
     nbytes: int
 

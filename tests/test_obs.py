@@ -45,7 +45,6 @@ from repro.obs import (
     CATALOG,
     REGISTRY,
     SCHEMA_VERSION,
-    TRACER,
     DriftMonitor,
     DriftRecord,
     Histogram,
@@ -64,17 +63,6 @@ from repro.service.service import ServiceStats
 from test_symbolic import CASES, FIG1, SCHEDULED, _fig1
 
 NPROCS = 4
-
-
-@pytest.fixture
-def tracer():
-    """Enable the global tracer for one test, restoring state afterwards."""
-    prev = TRACER.enabled
-    TRACER.enabled = True
-    TRACER.clear()
-    yield TRACER
-    TRACER.enabled = prev
-    TRACER.clear()
 
 
 def _deltas(before: dict, after: dict) -> dict:
