@@ -154,88 +154,6 @@ def _measure_verified_fast_path(nprocs: int, repeats: int = 30) -> dict:
     }
 
 
-#: the fused-replay workload: a 16-trip loop whose body remaps two
-#: arrays out to cyclic and back to block around two computes -- the
-#: steady state the executor's trace-and-replay fast path exists for
-FUSED_LOOP_SRC = """
-subroutine fused_bench()
-  integer n, t
-  real a(n), b(n), c(n)
-!hpf$ dynamic a, b, c
-!hpf$ distribute a(block)
-!hpf$ distribute b(block)
-!hpf$ distribute c(block)
-  compute defines a, b, c
-  do i = 1, t
-!hpf$   redistribute a(cyclic)
-!hpf$   redistribute b(cyclic)
-    compute writes c reads a, b
-!hpf$   redistribute a(block)
-!hpf$   redistribute b(block)
-    compute writes a, b reads c
-  enddo
-  compute reads a, b, c
-end
-"""
-
-
-def _measure_fused_replay(
-    trips: int = 16, nprocs: int = 4, best_of: int = 7
-) -> dict:
-    """Steady-state speedup of fused loop replay vs plain execution.
-
-    The same compiled artifact runs with ``fuse_loops`` on and off,
-    best-of-``best_of`` wall time each way; traffic and values must be
-    bit-identical (the fusion contract), and the fused run must prove it
-    took the fast path via its replay counters.
-    """
-    from repro import CompilerOptions, ExecutionEnv, Executor, compile_program
-
-    bindings = {"n": 16 * nprocs, "t": trips}
-    compiled = compile_program(
-        FUSED_LOOP_SRC,
-        bindings=bindings,
-        processors=nprocs,
-        options=CompilerOptions(level=3, schedule="round-robin"),
-    )
-
-    def once(fuse: bool):
-        env = ExecutionEnv(conditions={}, bindings=bindings, fuse_loops=fuse)
-        machine = Machine(compiled.processors)
-        t0 = time.perf_counter()
-        result = Executor(compiled, machine, env).run("fused_bench")
-        return time.perf_counter() - t0, result
-
-    once(True), once(False)  # warmup takes import/alloc noise out
-    fused_s = unfused_s = float("inf")
-    for _ in range(best_of):
-        dt, fused = once(True)
-        fused_s = min(fused_s, dt)
-        dt, unfused = once(False)
-        unfused_s = min(unfused_s, dt)
-
-    # the fusion contract: replay is invisible except in wall time
-    for name in ("a", "b", "c"):
-        assert np.array_equal(fused.value(name), unfused.value(name))
-    assert fused.stats.snapshot() == unfused.stats.snapshot()
-    # two recording passes, then every remaining trip replays
-    assert fused.fusion.traces_recorded == 2
-    assert fused.fusion.replays == trips - 2
-    assert unfused.fusion.replays == 0
-    snap = fused.stats.snapshot()
-    return {
-        "pattern": f"fused-loop@P{nprocs}",
-        "trips": trips,
-        "best_of": best_of,
-        "unfused_us": unfused_s * 1e6,
-        "fused_us": fused_s * 1e6,
-        "speedup": unfused_s / fused_s if fused_s > 0 else 1.0,
-        "replays": fused.fusion.replays,
-        "bytes": snap["bytes"],
-        "messages": snap["messages"],
-    }
-
-
 def test_schedule_policies_across_machine_sizes(benchmark, bench_json):
     results: dict[str, dict] = {}
     for nprocs in SIZES:
@@ -248,11 +166,6 @@ def test_schedule_policies_across_machine_sizes(benchmark, bench_json):
             assert r["aggregate"]["bytes"] == r["round-robin"]["bytes"]
 
     fast_path = _measure_verified_fast_path(max(SIZES))
-    fused = _measure_fused_replay()
-    # replay must not be slower than plain beyond noise (they measure the
-    # same since plans carry their lowered copies); re-gated by
-    # check_regression.py's MIN_FUSED_REPLAY_SPEEDUP
-    assert fused["speedup"] >= 0.8, fused
 
     path = bench_json("BENCH_schedule.json", {
         "experiment": "schedule-policies",
@@ -260,7 +173,6 @@ def test_schedule_policies_across_machine_sizes(benchmark, bench_json):
         "cost_model": {"alpha": COST.alpha, "beta": COST.beta},
         "results": results,
         "verified_fast_path": fast_path,
-        "fused_replay": fused,
     })
 
     # ratio summaries skip zero-traffic cases (P=1 sweeps are purely local)
@@ -285,6 +197,5 @@ def test_schedule_policies_across_machine_sizes(benchmark, bench_json):
             "rr_speedup_max": round(max(speedups), 3),
             "agg_msg_reduction_max": round(max(saved), 3),
             "verified_fast_path_speedup": round(fast_path["speedup"], 3),
-            "fused_replay_speedup": round(fused["speedup"], 3),
         }
     )

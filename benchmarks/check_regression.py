@@ -69,14 +69,6 @@ OBS_SCHEMA = 1
 MAX_METRICS_OVERHEAD = 0.01
 MAX_TRACING_OVERHEAD = 0.05
 
-#: fused loop replay must not be slower than plain execution on the
-#: 16-trip benchmark workload.  Since plans carry their lowered copies
-#: (PR 12) the plain path no longer redoes the index arithmetic replay
-#: used to hoist, and the two measure the same: 0.98-1.01x over five
-#: best-of-7 runs (was 5.4x against the slow plain path).  The floor sits
-#: below 1 by this host's run-to-run noise, like the verified fast path's.
-MIN_FUSED_REPLAY_SPEEDUP = 0.8
-
 
 def check_obs_snapshot(fresh: dict, name: str) -> list[str]:
     """Validate the registry snapshot a fresh BENCH json must embed.
@@ -174,36 +166,6 @@ def check_schedule(
                 "schedule[verified-fast-path]: traffic drifted from baseline "
                 f"(bytes {fp['bytes']} vs {base_fp['bytes']}, messages "
                 f"{fp['messages']} vs {base_fp['messages']})"
-            )
-    fr = fresh.get("fused_replay")
-    if fr is not None:
-        # absolute floor (re-checked here so a weakened assertion in the
-        # benchmark cannot slip through): replay is not slower than plain
-        if float(fr["speedup"]) < MIN_FUSED_REPLAY_SPEEDUP:
-            problems.append(
-                f"schedule[fused-replay]: fused replay is "
-                f"{1 / float(fr['speedup']):.2f}x SLOWER than plain execution "
-                f"(speedup {float(fr['speedup']):.2f}x fell below the "
-                f"{MIN_FUSED_REPLAY_SPEEDUP:g}x floor; measured 1.00x when the "
-                f"floor was set; {fr['fused_us']:.0f}us fused vs "
-                f"{fr['unfused_us']:.0f}us)"
-            )
-        base_fr = baseline.get("fused_replay")
-        if base_fr is not None and (
-            base_fr.get("pattern") != fr.get("pattern")
-            or base_fr.get("trips") != fr.get("trips")
-        ):
-            base_fr = None  # different workload shape: incomparable
-        if base_fr is not None and (
-            fr["bytes"] != base_fr["bytes"]
-            or fr["messages"] != base_fr["messages"]
-            or fr["replays"] != base_fr["replays"]
-        ):
-            problems.append(
-                "schedule[fused-replay]: traffic or replay accounting drifted "
-                f"from baseline (bytes {fr['bytes']} vs {base_fr['bytes']}, "
-                f"messages {fr['messages']} vs {base_fr['messages']}, "
-                f"replays {fr['replays']} vs {base_fr['replays']})"
             )
     for case in sorted(set(fresh_results) & set(base_results)):
         compared += 1

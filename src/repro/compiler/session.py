@@ -218,10 +218,6 @@ class CompilerSession:
         # misses served by instantiating a symbolic template (no pipeline
         # front end ran; only the cheap structural tail)
         self.instantiations = 0
-        # fused loop replay across this session's runs (repro.runtime.fusion)
-        self.loop_traces_recorded = 0
-        self.loop_replays = 0
-        self.loop_invalidations = 0
 
     # -- cache -------------------------------------------------------------
 
@@ -672,12 +668,6 @@ class CompilerSession:
                 # (subset of "misses"; only the structural tail ran)
                 "instantiations": self.instantiations,
                 "templates": len(self._templates),
-                # fused loop replay across this session's runs: iterations
-                # recorded, iterations replayed from a warm trace, and
-                # traces invalidated by branch/mapping divergence
-                "loop_traces_recorded": self.loop_traces_recorded,
-                "loop_replays": self.loop_replays,
-                "loop_invalidations": self.loop_invalidations,
             }
 
     # -- execution ---------------------------------------------------------
@@ -696,7 +686,6 @@ class CompilerSession:
         machine: "Machine | None" = None,
         check_invariants: bool = False,
         dtype=None,
-        fuse_loops: bool = True,
         backend: str = "sim",
     ) -> "ExecutionResult":
         """Compile (cached) and execute in one call.
@@ -704,12 +693,10 @@ class CompilerSession:
         ``bindings`` serve double duty, as compile-time extents and runtime
         loop bounds, matching the established harness convention.  The
         returned :class:`ExecutionResult` carries the machine (and its
-        traffic stats) used for the run.  ``fuse_loops`` opts the run out
-        of fused loop replay (:mod:`repro.runtime.fusion`) when ``False``;
-        the session's :attr:`stats` accumulate the fusion counters either
-        way.  ``backend="mp"`` executes across real forked worker ranks
-        (:mod:`repro.runtime.mpbackend`) instead of the simulator; the
-        result is bit-identical, plus a measured ``result.mp`` report.
+        traffic stats) used for the run.  ``backend="mp"`` executes across
+        real forked worker ranks (:mod:`repro.runtime.mpbackend`) instead
+        of the simulator; the result is bit-identical, plus a measured
+        ``result.mp`` report.
         """
         import numpy as np
 
@@ -727,16 +714,9 @@ class CompilerSession:
             inputs=inputs or {},
             check_invariants=check_invariants,
             dtype=np.float64 if dtype is None else dtype,
-            fuse_loops=fuse_loops,
         )
         if backend == "mp":
             from repro.runtime.mpbackend import execute_mp
 
-            result = execute_mp(compiled, entry=entry, machine=machine, env=env)
-        else:
-            result = execute(compiled, entry=entry, machine=machine, env=env)
-        with self._lock:
-            self.loop_traces_recorded += result.fusion.traces_recorded
-            self.loop_replays += result.fusion.replays
-            self.loop_invalidations += result.fusion.invalidations
-        return result
+            return execute_mp(compiled, entry=entry, machine=machine, env=env)
+        return execute(compiled, entry=entry, machine=machine, env=env)

@@ -15,7 +15,7 @@ the differential oracle needs to stress:
   to the generic recursive branches.
 * **nested loops with symbolic trip counts** -- bounds drawn from
   ``{0..3, "t", "u"}`` with runtime bindings, so zero-trip and
-  fused-replay paths are both exercised.
+  many-trip paths are both exercised.
 * **shape-symbolic extents** -- every array is declared ``(n,)`` so the
   same program compiles eagerly or through the ``symbolize`` pass.
 

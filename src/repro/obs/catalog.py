@@ -63,9 +63,6 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.runtime.remaps_skipped", c, "Remap statements skipped (dead/unneeded)."),
         MetricSpec("repro.runtime.plans_built", c, "CommPlans built at execution time (overlay misses)."),
         MetricSpec("repro.runtime.plans_reused", c, "CommPlans replayed from precompiled tables."),
-        MetricSpec("repro.runtime.loop_traces_recorded", c, "Loop iterations recorded for fused replay."),
-        MetricSpec("repro.runtime.loop_replays", c, "Loop iterations replayed from a fused trace."),
-        MetricSpec("repro.runtime.loop_invalidations", c, "Fused loop traces invalidated by divergence."),
         # -- multi-process transport -------------------------------------------
         MetricSpec("repro.mp.workers", g, "Live forked worker ranks of the mp transport."),
         MetricSpec("repro.mp.exchanges", c, "Remapping exchanges executed over the transport."),

@@ -1,12 +1,13 @@
 """Executor: interprets compiled programs on the simulated machine.
 
 The executor is the paper's generated SPMD program, folded into one
-interpreter: it walks the structured body, runs the generated runtime ops
-(status checks, guarded copies, liveness updates, cleanup), executes
-compute kernels against the *current version's* distributed storage, and
-performs caller-side argument remapping around calls with real storage
-handoff (the callee's dummy version 0 shares the caller's copy, matching
-"the argument is the only information the callee obtains from the caller").
+interpreter.  The walk itself -- the structured body, the generated runtime
+ops (status checks, guarded copies, liveness updates, cleanup), caller-side
+argument remapping around calls with storage handoff -- is the shared
+:class:`~repro.remap.walker.DescriptorWalker`; this module gives it real
+data: version storage through the :class:`~repro.runtime.memory.MemoryManager`,
+copies through communication plans on the simulated machine, and compute
+kernels running against the *current version's* distributed storage.
 
 Verification hooks:
 
@@ -53,38 +54,20 @@ user-supplied kernels must not close over state mutated across requests
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.errors import RuntimeRemapError
-from repro.compiler.artifacts import CompiledProgram, CompiledSubroutine
+from repro.compiler.artifacts import CompiledProgram
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.drift import DriftMonitor, DriftRecord
 from repro.obs.trace import TRACER as _TRACER
-from repro.ir.effects import Use
-from repro.lang.ast_nodes import (
-    Block,
-    Call,
-    Compute,
-    Do,
-    If,
-    Kill,
-    Realign,
-    Redistribute,
-    Stmt,
-)
-from repro.remap.codegen import (
-    EntryOp,
-    ExitOp,
-    PoisonOp,
-    RemapOp,
-    RestoreOp,
-    RuntimeOp,
-    SaveStatusOp,
-)
-from repro.runtime.fusion import FusionStats, LoopTrace, run_fused_loop
+from repro.lang.ast_nodes import Compute
+from repro.remap.walker import DEAD_COPY, PERFORMED, SKIPPED_LIVE
+from repro.remap.walker import DescriptorWalker, Frame, resolve_condition
 from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
@@ -101,7 +84,7 @@ from repro.spmd.schedule import CommPlanTable, execute_comm_schedule
 class KernelContext:
     """What a compute kernel sees: the referenced arrays' current copies."""
 
-    def __init__(self, executor: "Executor", frame: "_Frame", stmt: Compute):
+    def __init__(self, executor: "Executor", frame: Frame, stmt: Compute):
         self._ex = executor
         self._frame = frame
         self.stmt = stmt
@@ -110,7 +93,7 @@ class KernelContext:
     def darray(self, name: str):
         """The current version's distributed storage (for SPMD-local kernels)."""
         state = self._frame.arrays[name]
-        self._ex._ensure_instantiated(self._frame, state, state.status)
+        self._ex._ensure(state, state.status)
         return state.insts[state.status]
 
     def mapping(self, name: str):
@@ -120,12 +103,12 @@ class KernelContext:
     def value(self, name: str) -> np.ndarray:
         """Gathered global values of the array's current copy."""
         state = self._frame.arrays[name]
-        self._ex._ensure_instantiated(self._frame, state, state.status)
+        self._ex._ensure(state, state.status)
         return state.require_current_values().gather_to_global()
 
     def set_value(self, name: str, arr: np.ndarray) -> None:
         state = self._frame.arrays[name]
-        self._ex._ensure_instantiated(self._frame, state, state.status)
+        self._ex._ensure(state, state.status)
         state.insts[state.status].scatter_from_global(
             np.asarray(arr, dtype=self._ex.env.dtype)
         )
@@ -174,53 +157,33 @@ class ExecutionEnv:
     inputs: dict[str, np.ndarray] = field(default_factory=dict)
     check_invariants: bool = False
     dtype: np.dtype | type = np.float64
-    #: record-then-replay fused execution of DO loops (see
-    #: :mod:`repro.runtime.fusion`); semantics-preserving, on by default,
-    #: ignored when the machine enforces a memory limit
-    fuse_loops: bool = True
 
     def __post_init__(self) -> None:
+        # positions of the condition sequences: they belong to the env, so
+        # an env must not be shared across concurrent runs
         self._cond_iters: dict[str, Iterator] = {}
 
     def condition(self, name: str) -> bool:
-        if name not in self.conditions:
-            raise RuntimeRemapError(
-                f"no runtime value provided for condition {name!r} "
-                "(pass conditions={...} in ExecutionEnv)"
-            )
-        v = self.conditions[name]
-        if isinstance(v, bool):
-            return v
-        if callable(v):
-            return bool(v())
-        if isinstance(v, Sequence):
-            it = self._cond_iters.setdefault(name, iter(v))
-            try:
-                return bool(next(it))
-            except StopIteration:
-                raise RuntimeRemapError(
-                    f"condition sequence for {name!r} exhausted"
-                ) from None
-        raise RuntimeRemapError(f"bad condition value for {name!r}: {v!r}")
+        return resolve_condition(
+            self.conditions, self._cond_iters, name, RuntimeRemapError
+        )
 
 
 # ---------------------------------------------------------------------------
-# execution frames
+# results
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _Frame:
-    compiled: CompiledSubroutine
-    arrays: dict[str, ArrayRuntime]
-    slots: dict[str, int] = field(default_factory=dict)
-    loops: dict[str, int] = field(default_factory=dict)
+#: Fused loop replay is gone (it measured 1.00x over plain execution once
+#: plans carried their copies), but ``benchmarks/layers/probes.py`` still
+#: reads ``result.fusion.replays`` outside any probe guard, so results keep
+#: this one constant record until the benchmark-only follow-up drops the read.
+_NO_FUSION = SimpleNamespace(replays=0)
 
 
 class ExecutionResult:
     """Final machine state plus accessors for the top-level arrays."""
 
-    def __init__(self, executor: "Executor", frame: _Frame):
+    def __init__(self, executor: "Executor", frame: Frame):
         self._ex = executor
         self._frame = frame
         self.machine = executor.machine
@@ -228,9 +191,7 @@ class ExecutionResult:
         #: aggregate predicted-vs-observed drift over the run's scheduled
         #: remaps (see :mod:`repro.obs.drift`); clean when nothing drifted
         self.drift = executor.drift.stats
-        #: fused-loop record/replay counters for the run
-        #: (see :class:`repro.runtime.fusion.FusionStats`)
-        self.fusion = executor.fusion
+        self.fusion = _NO_FUSION
         #: measured multi-process transport report when the run executed on
         #: the mp backend (:mod:`repro.runtime.mpbackend`); ``None`` for
         #: simulated runs
@@ -238,7 +199,7 @@ class ExecutionResult:
 
     def value(self, name: str) -> np.ndarray:
         state = self._frame.arrays[name]
-        self._ex._ensure_instantiated(self._frame, state, state.status)
+        self._ex._ensure(state, state.status)
         return state.insts[state.status].gather_to_global()
 
     def status(self, name: str) -> int:
@@ -291,17 +252,23 @@ class ExecutionResult:
 # ---------------------------------------------------------------------------
 
 
-class Executor:
+class Executor(DescriptorWalker):
     """Interprets one compiled program on a simulated machine.
 
-    Walks the structured body, runs the generated runtime ops (status
-    checks, guarded copies, liveness updates, cleanup) and executes
-    compute kernels against the current version's distributed storage.
+    The shared :class:`~repro.remap.walker.DescriptorWalker` walks the
+    structured body and runs the generated runtime ops (status checks,
+    guarded copies, liveness updates, cleanup); this class supplies the
+    data plane: it allocates version storage, moves the values of every
+    performed copy and executes compute kernels against the current
+    version's distributed storage.
     One executor serves one run: instantiate a fresh one (with a fresh
     :class:`~repro.spmd.machine.Machine` and :class:`ExecutionEnv`) per
     execution -- the artifact itself may be shared across any number of
     concurrent executors (see the module docstring's concurrency
     contract)."""
+
+    error = RuntimeRemapError
+    descriptor = ArrayRuntime
 
     def __init__(
         self,
@@ -317,7 +284,15 @@ class Executor:
                 f"machine has {self.machine.processors.size}"
             )
         self.env = env or ExecutionEnv()
-        self._frames: list[_Frame] = []
+        subs = compiled.subroutines
+        super().__init__(
+            {name: cs.construction for name, cs in subs.items()},
+            {name: cs.code for name, cs in subs.items()},
+            self.env.bindings,
+            # the artifact's wrappers, not the shared constructions: they
+            # carry the current caller's runtime-only bindings
+            {name: cs.sub.bindings for name, cs in subs.items()},
+        )
         self.memory = MemoryManager(self.machine, self._eviction_candidates)
         # communication scheduling: with a policy, every remapping runs as
         # a phased plan.  Precompiled plans come from the artifact (the
@@ -334,12 +309,6 @@ class Executor:
         self._schedules: dict[tuple, RedistSchedule] = {}
         # per-run predicted-vs-observed accounting for scheduled remaps
         self.drift = DriftMonitor()
-        # fused loop replay (repro.runtime.fusion): traces per Do statement
-        # and the run's record/replay/invalidation counters.  Disabled under
-        # a memory limit: eviction makes per-iteration state non-deterministic.
-        self.fusion = FusionStats()
-        self._loop_traces: dict[int, LoopTrace] = {}
-        self._fuse = self.env.fuse_loops and self.machine.memory_limit is None
 
     # -- memory ----------------------------------------------------------------
 
@@ -349,42 +318,15 @@ class Executor:
                 for v in state.live_versions():
                     yield state, v
 
-    def _ensure_instantiated(
-        self, frame: _Frame, state: ArrayRuntime, version: int, poison: bool = False
-    ) -> None:
-        if state.insts[version] is None:
-            inst = self.memory.allocate(
-                f"{state.name}_{version}", state.versions[version], self.env.dtype
-            )
-            if poison:
-                for rank in inst.blocks:
-                    inst.blocks[rank].fill(np.nan)
-            state.insts[version] = inst
-        if not state.live[version]:
-            # an uninitialized (or regenerated-later) copy: it becomes live
-            # the moment it is the referenced current version
-            if version == state.status:
-                state.live[version] = True
-
     # -- public API ---------------------------------------------------------------
 
     def run(self, sub_name: str) -> ExecutionResult:
         """Execute one subroutine as the program entry point."""
-        compiled = self.compiled.get(sub_name)
         stats = self.machine.stats
         before = stats.snapshot()
-        fusion_before = (
-            self.fusion.traces_recorded,
-            self.fusion.replays,
-            self.fusion.invalidations,
-        )
         t0 = time.perf_counter()
         with _TRACER.span("executor.run", sub=sub_name):
-            frame = self._enter_frame(compiled, args=None, caller=None)
-            self._exec_ops(frame, compiled.code.entry_ops)
-            self._exec_block(frame, compiled.sub.body)
-            self._exec_ops(frame, compiled.code.exit_ops)
-            self._frames.pop()
+            frame = self.walk(sub_name)
         _OBS.counter("repro.runtime.runs").inc()
         _OBS.histogram("repro.runtime.run_seconds").observe(time.perf_counter() - t0)
         after = stats.snapshot()
@@ -403,169 +345,50 @@ class Executor:
         )
         if skipped:
             _OBS.counter("repro.runtime.remaps_skipped").inc(skipped)
-        fusion_after = (
-            self.fusion.traces_recorded,
-            self.fusion.replays,
-            self.fusion.invalidations,
-        )
-        for metric, b, a in zip(
-            (
-                "repro.runtime.loop_traces_recorded",
-                "repro.runtime.loop_replays",
-                "repro.runtime.loop_invalidations",
-            ),
-            fusion_before,
-            fusion_after,
-        ):
-            if a - b:
-                _OBS.counter(metric).inc(a - b)
         return ExecutionResult(self, frame)
 
-    # -- frames ----------------------------------------------------------------------
+    # -- what the walker asks for ------------------------------------------------
 
-    def _enter_frame(
-        self,
-        compiled: CompiledSubroutine,
-        args: dict[str, ArrayRuntime] | None,
-        caller: _Frame | None,
-    ) -> _Frame:
-        arrays: dict[str, ArrayRuntime] = {}
-        for name in compiled.sub.arrays:
-            versions = compiled.versions.versions(name)
-            state = ArrayRuntime(name, versions)
-            arrays[name] = state
-        frame = _Frame(compiled, arrays)
-        if args:
-            for dummy, caller_state in args.items():
-                state = arrays[dummy]
-                inst = caller_state.insts[caller_state.status]
-                state.insts[0] = inst
-                state.live[0] = caller_state.live[caller_state.status]
-                state.caller_owned.add(0)
-                state.poisoned = caller_state.poisoned
-        elif caller is None:
-            # top level: the harness acts as the caller, providing inputs
-            for name, state in arrays.items():
-                init = self.env.inputs.get(name)
-                if init is not None:
-                    inst = self.memory.allocate(
-                        f"{name}_0", state.versions[0], self.env.dtype
-                    )
-                    inst.scatter_from_global(np.asarray(init, dtype=self.env.dtype))
-                    state.insts[0] = inst
-                    state.live[0] = True
-                elif compiled.sub.arrays[name].is_dummy:
-                    inst = self.memory.allocate(
-                        f"{name}_0", state.versions[0], self.env.dtype
-                    )
-                    state.insts[0] = inst
-                    state.live[0] = True
-        self._frames.append(frame)
-        return frame
+    def _seed(self, state: ArrayRuntime) -> bool:
+        init = self.env.inputs.get(state.name)
+        if init is None:
+            return False
+        self._instantiate(state, 0).scatter_from_global(
+            np.asarray(init, dtype=self.env.dtype)
+        )
+        return True
 
-    # -- ops ---------------------------------------------------------------------------
+    def _allocate(self, state: ArrayRuntime, version: int, poison: bool):
+        inst = self.memory.allocate(
+            f"{state.name}_{version}", state.versions[version], self.env.dtype
+        )
+        if poison:
+            for rank in inst.blocks:
+                inst.blocks[rank].fill(np.nan)
+        return inst
 
-    def _exec_ops(self, frame: _Frame, ops: Sequence[RuntimeOp]) -> None:
-        for op in ops:
-            if isinstance(op, RemapOp):
-                self._exec_remap(
-                    frame,
-                    frame.arrays[op.array],
-                    leaving=op.leaving,
-                    use=op.use,
-                    keep=op.keep,
-                    dead_values=op.dead_values,
-                    check_status=op.check_status,
-                    tag=op.label,
-                )
-            elif isinstance(op, SaveStatusOp):
-                frame.slots[op.slot] = frame.arrays[op.array].status
-            elif isinstance(op, RestoreOp):
-                saved = frame.slots.get(op.slot)
-                if saved is None:
-                    raise RuntimeRemapError(f"restore without save: {op.slot}")
-                if saved not in op.possible:
-                    raise RuntimeRemapError(
-                        f"saved status {saved} not among statically possible "
-                        f"{sorted(op.possible)} for {op.array}"
-                    )
-                self._exec_remap(
-                    frame,
-                    frame.arrays[op.array],
-                    leaving=saved,
-                    use=op.use,
-                    keep=op.keep | frozenset({saved}),
-                    dead_values=False,
-                    check_status=op.check_status,
-                    tag=op.label,
-                )
-            elif isinstance(op, PoisonOp):
-                frame.arrays[op.array].poisoned = True
-            elif isinstance(op, EntryOp):
-                pass  # descriptors start all-dead by construction
-            elif isinstance(op, ExitOp):
-                if frame is self._frames[0]:
-                    continue  # the harness (caller) still reads the results
-                for name in op.arrays:
-                    state = frame.arrays[name]
-                    for v in range(len(state.versions)):
-                        if v in state.caller_owned:
-                            continue
-                        state.free_version(v)
-            else:  # pragma: no cover - defensive
-                raise TypeError(op)
+    def _status_check(self) -> None:
+        self.machine.status_check()
 
-    def _exec_remap(
-        self,
-        frame: _Frame,
-        state: ArrayRuntime,
-        leaving: int,
-        use: Use,
-        keep: frozenset[int],
-        dead_values: bool,
-        check_status: bool,
-        tag: str,
-    ) -> None:
+    def _condition(self, name: str) -> bool:
+        return self.env.condition(name)  # the env owns the sequence positions
+
+    def _compute(self, frame: Frame, stmt: Compute) -> None:
+        kernel = self.env.kernels.get(stmt.label, default_kernel)
+        kernel(KernelContext(self, frame, stmt))
+
+    def _remapped(self, state: ArrayRuntime, outcome: str) -> None:
+        """Count the remapping by outcome and, when asked, check that the
+        live copies it left agree."""
         stats = self.machine.stats
-        if check_status:
-            self.machine.status_check()
-        if not (check_status and state.status == leaving and state.live[leaving]):
-            if state.insts[leaving] is None:
-                inst = self.memory.allocate(
-                    f"{state.name}_{leaving}", state.versions[leaving], self.env.dtype
-                )
-                if dead_values or state.poisoned:
-                    for rank in inst.blocks:
-                        inst.blocks[rank].fill(np.nan)
-                state.insts[leaving] = inst
-            if check_status and state.live[leaving]:
-                # the kept copy is live: reuse without any communication
-                stats.remaps_skipped_live += 1
-            else:
-                src = state.status
-                if use is Use.D or dead_values or state.poisoned:
-                    # target values are dead on arrival: allocate only
-                    stats.remaps_dead_copy += 1
-                elif src == leaving or state.insts[src] is None or not state.live[src]:
-                    # nothing to copy from: a never-instantiated array is
-                    # materialized at its first remapping (paper Sec. 5.2)
-                    stats.remaps_dead_copy += 1
-                else:
-                    self._remap_copy(state, src, leaving, tag)
-                    stats.remaps_performed += 1
-                state.live[leaving] = True
-            state.status = leaving
+        if outcome == PERFORMED:
+            stats.remaps_performed += 1
+        elif outcome == DEAD_COPY:
+            stats.remaps_dead_copy += 1
+        elif outcome == SKIPPED_LIVE:
+            stats.remaps_skipped_live += 1
         else:
             stats.remaps_skipped_status += 1
-        # the leaving copy may be modified afterwards: siblings become stale
-        if use in (Use.W, Use.D):
-            state.mark_stale_siblings(leaving)
-        # cleanup: free copies not worth keeping (Appendix D's M set)
-        for v in range(len(state.versions)):
-            if v == state.status or v in keep:
-                continue
-            if state.live[v] or state.insts[v] is not None:
-                state.free_version(v)
         if self.env.check_invariants and not state.poisoned:
             if not state.check_live_copies_consistent():
                 raise RuntimeRemapError(
@@ -635,94 +458,6 @@ class Executor:
         """Move one planned remapping phase by phase (simulated here)."""
         execute_comm_schedule(plan, source, target, self.machine, tag=tag)
 
-    # -- statements -------------------------------------------------------------------------
-
-    def _exec_block(self, frame: _Frame, block: Block) -> None:
-        for stmt in block.stmts:
-            self._exec_stmt(frame, stmt)
-
-    def _resolve_extent(self, frame: _Frame, e) -> int:
-        if isinstance(e, int):
-            return e
-        for source in (frame.loops, self.env.bindings, frame.compiled.sub.bindings):
-            if e in source:
-                return int(source[e])
-        raise RuntimeRemapError(f"no runtime value for loop bound {e!r}")
-
-    def _exec_stmt(self, frame: _Frame, stmt: Stmt) -> None:
-        code = frame.compiled.code
-        self._exec_ops(frame, code.ops_for(stmt))
-        self._exec_stmt_core(frame, stmt)
-        self._exec_ops(frame, code.ops_after(stmt))
-
-    def _exec_stmt_core(self, frame: _Frame, stmt: Stmt) -> None:
-        """One statement without its surrounding generated ops.
-
-        Split out of :meth:`_exec_stmt` so fused loop replay
-        (:mod:`repro.runtime.fusion`) can record the ops separately and
-        still drive nested loops and calls through the interpreter.
-        """
-        if isinstance(stmt, Compute):
-            self._exec_compute(frame, stmt)
-        elif isinstance(stmt, (Realign, Redistribute, Kill)):
-            pass  # fully handled by the generated ops
-        elif isinstance(stmt, Call):
-            self._exec_call(frame, stmt)
-        elif isinstance(stmt, If):
-            if self.env.condition(stmt.cond):
-                self._exec_block(frame, stmt.then)
-            else:
-                self._exec_block(frame, stmt.orelse)
-        elif isinstance(stmt, Do):
-            lo = self._resolve_extent(frame, stmt.lo)
-            hi = self._resolve_extent(frame, stmt.hi)
-            # with >= 3 trips there is at least one replay after the two
-            # recording iterations, so fusion can pay off; shorter loops
-            # (and runs that opted out) take the plain interpreter
-            if self._fuse and hi - lo >= 2:
-                run_fused_loop(self, frame, stmt, lo, hi)
-            else:
-                for i in range(lo, hi + 1):
-                    frame.loops[stmt.var] = i
-                    self._exec_block(frame, stmt.body)
-        else:  # pragma: no cover - defensive
-            raise TypeError(stmt)
-
-    def _exec_compute(self, frame: _Frame, stmt: Compute) -> None:
-        ann = frame.compiled.stmt_versions.get(id(stmt), {})
-        for name, version in ann.items():
-            state = frame.arrays[name]
-            if state.status != version:
-                raise RuntimeRemapError(
-                    f"compiled reference expects {name}_{version} but runtime "
-                    f"status is {name}_{state.status} (compiler bug)"
-                )
-            self._ensure_instantiated(frame, state, version)
-        kernel = self.env.kernels.get(stmt.label, default_kernel)
-        kernel(KernelContext(self, frame, stmt))
-        for name in stmt.writes + stmt.defines:
-            if name in frame.arrays:
-                frame.arrays[name].poisoned = False
-
-    def _exec_call(self, frame: _Frame, stmt: Call) -> None:
-        node = frame.compiled.construction.cfg.node_of_stmt(stmt)
-        info = frame.compiled.calls.get(node.call_group or -1)
-        if info is None:
-            raise RuntimeRemapError(f"no call info for {stmt.callee}")
-        callee = self.compiled.get(stmt.callee)
-        args = {
-            dummy: frame.arrays[arg] for arg, dummy in zip(info.args, info.dummies)
-        }
-        callee_frame = self._enter_frame(callee, args=args, caller=frame)
-        self._exec_ops(callee_frame, callee.code.entry_ops)
-        self._exec_block(callee_frame, callee.sub.body)
-        self._exec_ops(callee_frame, callee.code.exit_ops)
-        self._frames.pop()
-        # poison propagates back through the shared dummy storage
-        for arg, dummy in zip(info.args, info.dummies):
-            if callee.sub.arrays[dummy].intent in ("out", "inout"):
-                frame.arrays[arg].poisoned = callee_frame.arrays[dummy].poisoned
-
 
 # ---------------------------------------------------------------------------
 # session-driven execution
@@ -747,5 +482,4 @@ def execute(
     """
     if entry is None:
         entry = next(iter(compiled.subroutines))
-    machine = machine or Machine(compiled.processors)
-    return Executor(compiled, machine, env or ExecutionEnv()).run(entry)
+    return Executor(compiled, machine, env).run(entry)

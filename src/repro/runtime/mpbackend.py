@@ -33,11 +33,6 @@ costs composed by the same one-port formula the cost model uses
 (:func:`~repro.spmd.transport.measured_phase_time`), which is what
 ``benchmarks/bench_mp.py`` calibrates against
 :meth:`~repro.spmd.cost.CostModel.scheduled_time` predictions.
-
-Fused loop replay is off on this backend: what it saves is interpreter
-dispatch, which is noise next to a barrier per phase.  Fusion is
-semantics-preserving (PR 9's invariant), so differentials against fused
-simulator runs still hold.
 """
 
 from __future__ import annotations
@@ -158,7 +153,6 @@ class MPExecutor(Executor):
         self.memory = MemoryManager(
             self.machine, self._eviction_candidates, array_factory=self._make_array
         )
-        self._fuse = False  # this backend always interprets
 
     def _make_array(self, name, mapping, machine, dtype) -> SharedDistributedArray:
         return SharedDistributedArray(name, mapping, machine, self.transport, dtype)

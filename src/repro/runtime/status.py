@@ -4,52 +4,27 @@
 information, namely the current status of the array (which array version is
 the current one and may be referenced) and the live copies."
 
-:class:`ArrayRuntime` is that descriptor: the status (a version id -- at run
-time the status is always concrete, ambiguity is a purely static notion),
-one live flag and one optional storage instance per version, the set of
-caller-owned versions (dummy-argument storage that must never be freed by
-the callee), and a poisoned flag implementing the observable side of the
-kill directive.
+The descriptor itself -- status, live flags, per-version storage handles,
+caller-owned versions, the poisoned flag -- is
+:class:`repro.remap.walker.ArrayDescriptor`, shared with every consumer of
+the runtime semantics.  :class:`ArrayRuntime` is that descriptor over real
+:class:`~repro.spmd.darray.DistributedArray` storage: freeing a version
+releases its blocks, and the values themselves can be checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import DeadCopyError
-from repro.mapping.mapping import Mapping
+from repro.remap.walker import ArrayDescriptor
 from repro.spmd.darray import DistributedArray
 
 
-@dataclass
-class ArrayRuntime:
-    """Runtime state of one (abstract) array: all its versions."""
-
-    name: str
-    versions: list[Mapping]
-    status: int = 0
-    live: list[bool] = field(default_factory=list)
-    insts: list[DistributedArray | None] = field(default_factory=list)
-    caller_owned: set[int] = field(default_factory=set)
-    poisoned: bool = False
-
-    def __post_init__(self) -> None:
-        n = len(self.versions)
-        if not self.live:
-            self.live = [False] * n
-        if not self.insts:
-            self.insts = [None] * n
+class ArrayRuntime(ArrayDescriptor):
+    """Runtime state of one (abstract) array: all its versions, with storage."""
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def current(self) -> DistributedArray | None:
-        return self.insts[self.status]
-
-    def live_versions(self) -> list[int]:
-        return [v for v, l in enumerate(self.live) if l]
 
     def check_live_copies_consistent(self) -> bool:
         """Invariant: every live copy holds the same values (test hook)."""
@@ -59,14 +34,6 @@ class ArrayRuntime:
             if self.insts[v] is not None
         ]
         return all(np.array_equal(refs[0], r, equal_nan=True) for r in refs[1:])
-
-    # -- mutation helpers ------------------------------------------------------
-
-    def mark_stale_siblings(self, keep_version: int) -> None:
-        """The current copy is about to be modified: others become stale."""
-        for v in range(len(self.versions)):
-            if v != keep_version:
-                self.live[v] = False
 
     def require_current_values(self) -> DistributedArray:
         inst = self.insts[self.status]
@@ -81,6 +48,8 @@ class ArrayRuntime:
                 "(the program violates its own kill assertion)"
             )
         return inst
+
+    # -- mutation helpers ------------------------------------------------------
 
     def free_version(self, v: int) -> int:
         """Free one version's storage (unless caller-owned); returns bytes freed."""

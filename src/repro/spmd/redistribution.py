@@ -64,9 +64,9 @@ class PreparedMove:
     of the (source, target) mapping pair; a descriptor is that function's
     value for one rectangle, worked out once by :func:`prepare_move`.
     :meth:`execute` -- one NumPy assignment -- is the only data-movement
-    primitive: the simulator (scheduled and unscheduled), fused loop replay
-    and the mp backend (local copies in the parent, wire parts in the
-    workers) all move data through it or through its two index tuples.
+    primitive: the simulator (scheduled and unscheduled) and the mp backend
+    (local copies in the parent, wire parts in the workers) both move data
+    through it or through its two index tuples.
 
     Each index is a tuple of basic ``slice`` objects when every
     dimension's positions form an arithmetic progression (always for

@@ -1,13 +1,14 @@
-"""Static traffic estimation: a data-free mirror of the runtime executor.
+"""Static traffic estimation: the runtime semantics run without any data.
 
 The simulated machine charges communication in exactly one place -- the
 remapping copies of :mod:`repro.spmd.redistribution` -- and the decision of
 whether a generated :class:`~repro.remap.codegen.RemapOp` communicates
 depends only on the runtime descriptors (status, liveness, poisoning), never
-on array *values*.  So a compile-time walk that maintains the descriptors
-abstractly and prices each performed copy by its exact message schedule
-predicts the executor's traffic **exactly**, given the same runtime inputs
-(branch outcomes, loop trip counts, which arrays hold input values).
+on array *values*.  So the same :class:`~repro.remap.walker.DescriptorWalker`
+the executor is built on, run over no storage at all and pricing each
+performed copy by its exact message schedule, predicts the executor's
+traffic **exactly**, given the same runtime inputs (branch outcomes, loop
+trip counts, which arrays hold input values).
 
 Three layers:
 
@@ -31,87 +32,71 @@ liveness diverge from the prediction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.errors import TrafficPredictionError
-from repro.ir.effects import Use
-from repro.lang.ast_nodes import (
-    Block,
-    Call,
-    Compute,
-    Do,
-    If,
-    Kill,
-    Realign,
-    Redistribute,
-    Stmt,
-)
+from repro.lang.ast_nodes import Compute
 from repro.mapping.ownership import layout_of
-from repro.remap.codegen import (
-    EntryOp,
-    ExitOp,
-    GeneratedCode,
-    PoisonOp,
-    RemapOp,
-    RestoreOp,
-    RuntimeOp,
-    SaveStatusOp,
-)
+from repro.remap.codegen import GeneratedCode
+from repro.remap.walker import ArrayDescriptor, DescriptorWalker, Frame, resolve_condition
 from repro.spmd.cost import CostModel, TrafficEstimate
 from repro.spmd.redistribution import build_schedule
-from repro.spmd.schedule import CommPlanTable, CommSchedule
-from repro.symbolic.scenarios import (
-    Scenario,
-    enumerate_scenarios,
-    reachable_subs,
-    runtime_unknowns,
-)
-
-# Pre-PR 7 private names, kept for callers that reached into the module.
-_reachable_subs = reachable_subs
-_runtime_unknowns = runtime_unknowns
+from repro.spmd.schedule import CommPlanTable
+from repro.symbolic.scenarios import Scenario, enumerate_scenarios
 
 if TYPE_CHECKING:
     from repro.remap.construction import ConstructionResult
 
 
 # ---------------------------------------------------------------------------
-# per-pair schedule costs (shared cache -- layouts are static)
+# what one copy costs (shared cache -- layouts are static)
 # ---------------------------------------------------------------------------
 
-#: (src signature, dst signature, itemsize) -> (bytes, messages, local_bytes,
-#: local_copies); schedules depend only on the two layouts.
-_SCHEDULE_COSTS: dict[tuple, tuple[int, int, int, int]] = {}
+#: (src signature, dst signature, policy or None, itemsize, cost model) ->
+#: what one performed copy adds to the estimate.  Schedules depend only on
+#: the two layouts.
+_COPY_PRICES: dict[tuple, TrafficEstimate] = {}
 
 #: one signature-keyed plan memo per policy (plans are element-based, so
 #: one plan serves every itemsize and cost model)
 _PLAN_TABLES: dict[str, CommPlanTable] = {}
 
 
-def _copy_cost(src_mapping, dst_mapping, itemsize: int) -> tuple[int, int, int, int]:
-    key = (src_mapping.signature, dst_mapping.signature, itemsize)
-    cached = _SCHEDULE_COSTS.get(key)
-    if cached is None:
-        schedule = build_schedule(layout_of(src_mapping), layout_of(dst_mapping))
-        moved = schedule.moved_elements()
-        local = schedule.total_elements() - moved
-        cached = (
-            moved * itemsize,
-            schedule.message_count,
-            local * itemsize,
-            schedule.local_count,
-        )
-        _SCHEDULE_COSTS[key] = cached
-    return cached
-
-
-def _copy_plan(src_mapping, dst_mapping, policy: str) -> CommSchedule:
-    table = _PLAN_TABLES.get(policy)
-    if table is None:
-        table = _PLAN_TABLES[policy] = CommPlanTable(policy)
-    return table.build(src_mapping, dst_mapping)
+def _copy_price(
+    src_mapping, dst_mapping, policy: str | None, itemsize: int, cost: CostModel
+) -> TrafficEstimate:
+    key = (src_mapping.signature, dst_mapping.signature, policy, itemsize, cost)
+    price = _COPY_PRICES.get(key)
+    if price is None:
+        if policy is None:
+            schedule = build_schedule(layout_of(src_mapping), layout_of(dst_mapping))
+            moved = schedule.moved_elements()
+            local = schedule.total_elements() - moved
+            price = TrafficEstimate(
+                bytes=moved * itemsize,
+                messages=schedule.message_count,
+                local_bytes=local * itemsize,
+                local_copies=schedule.local_count,
+            )
+        else:
+            # priced as a *scheduled* execution: the policy's phased plan
+            # determines message counts (aggregation coalesces pairs) and
+            # the phase/makespan quantities
+            table = _PLAN_TABLES.get(policy)
+            if table is None:
+                table = _PLAN_TABLES[policy] = CommPlanTable(policy)
+            plan = table.build(src_mapping, dst_mapping)
+            price = TrafficEstimate(
+                bytes=plan.moved_bytes(itemsize),
+                messages=plan.message_count,
+                local_bytes=plan.local_elements * itemsize,
+                local_copies=plan.local_count,
+                phases=plan.phase_count,
+                makespan=plan.makespan(cost, itemsize),
+            )
+        _COPY_PRICES[key] = price
+    return price
 
 
 # ---------------------------------------------------------------------------
@@ -119,42 +104,10 @@ def _copy_plan(src_mapping, dst_mapping, policy: str) -> CommSchedule:
 # ---------------------------------------------------------------------------
 
 
-class _SimArray:
-    """Abstract runtime descriptor: ArrayRuntime minus the storage."""
+class TrafficSimulator(DescriptorWalker):
+    """The runtime semantics over no storage: counts and prices, moves nothing."""
 
-    __slots__ = ("name", "n", "status", "live", "alloc", "caller_owned", "poisoned")
-
-    def __init__(self, name: str, n_versions: int):
-        self.name = name
-        self.n = n_versions
-        self.status = 0
-        self.live = [False] * n_versions
-        self.alloc = [False] * n_versions
-        self.caller_owned: set[int] = set()
-        self.poisoned = False
-
-    def free_version(self, v: int) -> None:
-        self.live[v] = False
-        if v not in self.caller_owned:
-            self.alloc[v] = False
-
-    def mark_stale_siblings(self, keep_version: int) -> None:
-        for v in range(self.n):
-            if v != keep_version:
-                self.live[v] = False
-
-
-@dataclass
-class _SimFrame:
-    construction: "ConstructionResult"
-    code: GeneratedCode
-    arrays: dict[str, _SimArray]
-    slots: dict[str, int] = field(default_factory=dict)
-    loops: dict[str, int] = field(default_factory=dict)
-
-
-class TrafficSimulator:
-    """Walks compiled subroutines mirroring the executor's descriptor logic."""
+    error = TrafficPredictionError
 
     def __init__(
         self,
@@ -164,281 +117,52 @@ class TrafficSimulator:
         policy: str | None = None,
         cost: CostModel | None = None,
     ):
-        self.constructions = constructions
-        self.codes = codes
+        sub_bindings = {name: res.sub.bindings for name, res in constructions.items()}
+        super().__init__(constructions, codes, scenario.bindings, sub_bindings)
         self.scenario = scenario
-        #: when set, copies are priced as *scheduled* executions: the
-        #: policy's phased plan determines message counts (aggregation
-        #: coalesces pairs) and the phase/makespan quantities
+        self._cond_iters: dict = {}  # positions of the condition sequences
+        #: when set, copies are priced as the policy's scheduled executions
         self.policy = policy
         self.cost = cost or CostModel()
-        self._frames: list[_SimFrame] = []
-        self._cond_iters: dict[str, Iterator] = {}
-        self.bytes = 0
-        self.messages = 0
-        self.local_bytes = 0
-        self.local_copies = 0
+        self.copies = TrafficEstimate.zero()  # summed prices of performed copies
         self.status_checks = 0
-        self.phases = 0
-        self.makespan = 0.0
-
-    # -- public -------------------------------------------------------------
 
     def run(self, entry: str) -> TrafficEstimate:
-        frame = self._enter_frame(entry, args=None)
-        self._sim_ops(frame, frame.code.entry_ops)
-        self._sim_block(frame, frame.construction.sub.body)
-        self._sim_ops(frame, frame.code.exit_ops)
-        self._frames.pop()
-        return TrafficEstimate(
-            bytes=self.bytes,
-            messages=self.messages,
-            local_bytes=self.local_bytes,
-            local_copies=self.local_copies,
-            status_checks=self.status_checks,
-            phases=self.phases,
-            makespan=self.makespan,
-        )
+        self.walk(entry)
+        return replace(self.copies, status_checks=self.status_checks)
 
-    # -- environment --------------------------------------------------------
+    # -- what the walker asks for ---------------------------------------------
+
+    def _seed(self, state: ArrayDescriptor) -> bool:
+        live = self.scenario.inputs
+        return live is None or state.name in live
+
+    def _allocate(self, state: ArrayDescriptor, version: int, poison: bool):
+        return True  # a version either has storage or not; there is no data
+
+    def _status_check(self) -> None:
+        self.status_checks += 1
+
+    def _remap_copy(
+        self, state: ArrayDescriptor, src: int, leaving: int, tag: str
+    ) -> None:
+        self.copies += _copy_price(
+            state.versions[src],
+            state.versions[leaving],
+            self.policy,
+            self.scenario.itemsize,
+            self.cost,
+        )
 
     def _condition(self, name: str) -> bool:
-        if name not in self.scenario.conditions:
-            raise TrafficPredictionError(
-                f"no scenario value for condition {name!r}"
-            )
-        v = self.scenario.conditions[name]
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, Sequence):
-            it = self._cond_iters.setdefault(name, iter(v))
-            try:
-                return bool(next(it))
-            except StopIteration:
-                raise TrafficPredictionError(
-                    f"condition sequence for {name!r} exhausted"
-                ) from None
-        raise TrafficPredictionError(
-            f"unsupported condition value for {name!r}: {v!r} "
-            "(the estimator supports bools and sequences)"
-        )
+        return resolve_condition(self.scenario.conditions, self._cond_iters, name, self.error)
 
-    def _resolve_extent(self, frame: _SimFrame, e) -> int:
-        if isinstance(e, int):
-            return e
-        for source in (frame.loops, self.scenario.bindings, frame.construction.sub.bindings):
-            if e in source:
-                return int(source[e])
-        raise TrafficPredictionError(f"no scenario value for loop bound {e!r}")
-
-    # -- frames -------------------------------------------------------------
-
-    def _enter_frame(
-        self, name: str, args: dict[str, _SimArray] | None
-    ) -> _SimFrame:
-        try:
-            res = self.constructions[name]
-            code = self.codes[name]
-        except KeyError:
-            raise TrafficPredictionError(f"no compiled subroutine {name!r}") from None
-        arrays = {
-            a: _SimArray(a, res.versions.count(a)) for a in res.sub.arrays
-        }
-        frame = _SimFrame(res, code, arrays)
-        if args:
-            for dummy, caller_state in args.items():
-                state = arrays[dummy]
-                state.alloc[0] = caller_state.alloc[caller_state.status]
-                state.live[0] = caller_state.live[caller_state.status]
-                state.caller_owned.add(0)
-                state.poisoned = caller_state.poisoned
-        else:
-            # top level: the harness acts as the caller, providing inputs
-            live = self.scenario.inputs
-            for a, state in arrays.items():
-                if live is None or a in live:
-                    state.alloc[0] = True
-                    state.live[0] = True
-                elif res.sub.arrays[a].is_dummy:
-                    state.alloc[0] = True
-                    state.live[0] = True
-        self._frames.append(frame)
-        return frame
-
-    # -- ops ----------------------------------------------------------------
-
-    def _ensure(self, state: _SimArray, version: int) -> None:
-        state.alloc[version] = True
-        if not state.live[version] and version == state.status:
-            state.live[version] = True
-
-    def _sim_ops(self, frame: _SimFrame, ops: list[RuntimeOp]) -> None:
-        for op in ops:
-            if isinstance(op, RemapOp):
-                self._sim_remap(
-                    frame.arrays[op.array],
-                    leaving=op.leaving,
-                    use=op.use,
-                    keep=op.keep,
-                    dead_values=op.dead_values,
-                    check_status=op.check_status,
-                )
-            elif isinstance(op, SaveStatusOp):
-                frame.slots[op.slot] = frame.arrays[op.array].status
-            elif isinstance(op, RestoreOp):
-                saved = frame.slots.get(op.slot)
-                if saved is None:
-                    raise TrafficPredictionError(f"restore without save: {op.slot}")
-                if saved not in op.possible:
-                    raise TrafficPredictionError(
-                        f"saved status {saved} not among statically possible "
-                        f"{sorted(op.possible)} for {op.array}"
-                    )
-                self._sim_remap(
-                    frame.arrays[op.array],
-                    leaving=saved,
-                    use=op.use,
-                    keep=op.keep | frozenset({saved}),
-                    dead_values=False,
-                    check_status=op.check_status,
-                )
-            elif isinstance(op, PoisonOp):
-                frame.arrays[op.array].poisoned = True
-            elif isinstance(op, EntryOp):
-                pass  # descriptors start all-dead by construction
-            elif isinstance(op, ExitOp):
-                if frame is self._frames[0]:
-                    continue  # the harness (caller) still reads the results
-                for a in op.arrays:
-                    state = frame.arrays[a]
-                    for v in range(state.n):
-                        if v in state.caller_owned:
-                            continue
-                        state.free_version(v)
-            else:  # pragma: no cover - defensive
-                raise TypeError(op)
-
-    def _sim_remap(
-        self,
-        state: _SimArray,
-        leaving: int,
-        use: Use,
-        keep: frozenset[int],
-        dead_values: bool,
-        check_status: bool,
-    ) -> None:
-        versions = self._frames[-1].construction.versions
-        if check_status:
-            self.status_checks += 1
-        if not (check_status and state.status == leaving and state.live[leaving]):
-            state.alloc[leaving] = True
-            if check_status and state.live[leaving]:
-                pass  # kept copy is live: reuse without any communication
-            else:
-                src = state.status
-                if use is Use.D or dead_values or state.poisoned:
-                    pass  # target values are dead on arrival: allocate only
-                elif src == leaving or not state.alloc[src] or not state.live[src]:
-                    pass  # nothing to copy from: materialized without traffic
-                else:
-                    src_mapping = versions.mapping_of(state.name, src)
-                    dst_mapping = versions.mapping_of(state.name, leaving)
-                    itemsize = self.scenario.itemsize
-                    if self.policy is None:
-                        b, m, lb, lc = _copy_cost(src_mapping, dst_mapping, itemsize)
-                        self.bytes += b
-                        self.messages += m
-                        self.local_bytes += lb
-                        self.local_copies += lc
-                    else:
-                        plan = _copy_plan(src_mapping, dst_mapping, self.policy)
-                        self.bytes += plan.moved_bytes(itemsize)
-                        self.messages += plan.message_count
-                        self.local_bytes += plan.local_elements * itemsize
-                        self.local_copies += plan.local_count
-                        self.phases += plan.phase_count
-                        self.makespan += plan.makespan(self.cost, itemsize)
-                state.live[leaving] = True
-            state.status = leaving
-        # the leaving copy may be modified afterwards: siblings become stale
-        if use in (Use.W, Use.D):
-            state.mark_stale_siblings(leaving)
-        # cleanup: free copies not worth keeping (Appendix D's M set)
-        for v in range(state.n):
-            if v == state.status or v in keep:
-                continue
-            if state.live[v] or state.alloc[v]:
-                state.free_version(v)
-
-    # -- statements ---------------------------------------------------------
-
-    def _sim_block(self, frame: _SimFrame, block: Block) -> None:
-        for stmt in block.stmts:
-            self._sim_stmt(frame, stmt)
-
-    def _sim_stmt(self, frame: _SimFrame, stmt: Stmt) -> None:
-        self._sim_ops(frame, frame.code.ops_for(stmt))
-        if isinstance(stmt, Compute):
-            self._sim_compute(frame, stmt)
-        elif isinstance(stmt, (Realign, Redistribute, Kill)):
-            pass  # fully handled by the generated ops
-        elif isinstance(stmt, Call):
-            self._sim_call(frame, stmt)
-        elif isinstance(stmt, If):
-            if self._condition(stmt.cond):
-                self._sim_block(frame, stmt.then)
-            else:
-                self._sim_block(frame, stmt.orelse)
-        elif isinstance(stmt, Do):
-            lo = self._resolve_extent(frame, stmt.lo)
-            hi = self._resolve_extent(frame, stmt.hi)
-            for i in range(lo, hi + 1):
-                frame.loops[stmt.var] = i
-                self._sim_block(frame, stmt.body)
-        else:  # pragma: no cover - defensive
-            raise TypeError(stmt)
-        self._sim_ops(frame, frame.code.ops_after(stmt))
-
-    def _sim_compute(self, frame: _SimFrame, stmt: Compute) -> None:
-        ann = frame.construction.stmt_versions.get(id(stmt), {})
-        for name, version in ann.items():
-            state = frame.arrays[name]
-            if state.status != version:
-                raise TrafficPredictionError(
-                    f"prediction diverged: compiled reference expects "
-                    f"{name}_{version} but simulated status is {state.status}"
-                )
-            self._ensure(state, version)
-        # default-kernel effects: referenced current copies become live,
-        # written/defined arrays lose their poison
+    def _compute(self, frame: Frame, stmt: Compute) -> None:
+        # default-kernel effects: referenced current copies become live
         for name in stmt.reads + stmt.writes + stmt.defines:
             state = frame.arrays.get(name)
-            if state is None:
-                continue
-            self._ensure(state, state.status)
-        for name in stmt.writes + stmt.defines:
-            state = frame.arrays.get(name)
             if state is not None:
-                state.poisoned = False
-
-    def _sim_call(self, frame: _SimFrame, stmt: Call) -> None:
-        node = frame.construction.cfg.node_of_stmt(stmt)
-        info = frame.construction.calls.get(node.call_group or -1)
-        if info is None:
-            raise TrafficPredictionError(f"no call info for {stmt.callee}")
-        args = {
-            dummy: frame.arrays[arg] for arg, dummy in zip(info.args, info.dummies)
-        }
-        callee_frame = self._enter_frame(stmt.callee, args=args)
-        self._sim_ops(callee_frame, callee_frame.code.entry_ops)
-        self._sim_block(callee_frame, callee_frame.construction.sub.body)
-        self._sim_ops(callee_frame, callee_frame.code.exit_ops)
-        self._frames.pop()
-        # poison propagates back through the shared dummy storage
-        callee_arrays = callee_frame.construction.sub.arrays
-        for arg, dummy in zip(info.args, info.dummies):
-            if callee_arrays[dummy].intent in ("out", "inout"):
-                frame.arrays[arg].poisoned = callee_frame.arrays[dummy].poisoned
+                self._ensure(state, state.status)
 
 
 def simulate_traffic(

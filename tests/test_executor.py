@@ -19,6 +19,8 @@ from repro import (
     compile_program,
 )
 from repro.errors import DeadCopyError
+from repro.spmd.schedule import POLICIES
+from test_schedule import FIG12
 
 
 def run(
@@ -31,10 +33,14 @@ def run(
     nprocs: int = 4,
     check_invariants: bool = True,
     kernels=None,
+    schedule=None,
 ):
     bindings = {"n": 16, **(bindings or {})}
     compiled = compile_program(
-        src, bindings=bindings, processors=nprocs, options=CompilerOptions(level=level)
+        src,
+        bindings=bindings,
+        processors=nprocs,
+        options=CompilerOptions(level=level, schedule=schedule),
     )
     name = sub or next(iter(compiled.subroutines))
     machine = Machine(compiled.processors)
@@ -496,6 +502,86 @@ def test_zero_trip_loop():
     # no iteration: the only dynamic remapping is the sunk one, which is a
     # status no-op (A is still block)
     assert m.stats.remaps_performed == 0
+
+
+BRANCHY_LOOP = """
+subroutine main()
+  integer n, t
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute defines A
+  do i = 1, t
+    if c1 then
+!hpf$   redistribute A(cyclic)
+    else
+!hpf$   redistribute A(cyclic(2))
+    endif
+!hpf$ redistribute A(block)
+    compute writes A reads A
+  enddo
+  compute reads A
+end
+"""
+
+NESTED = """
+subroutine main()
+  integer n, t, u
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute defines A
+  do i = 1, t
+    do j = 1, u
+!hpf$ redistribute A(cyclic)
+      compute writes A reads A
+!hpf$ redistribute A(block)
+      compute writes A reads A
+    enddo
+    compute reads A
+  enddo
+end
+"""
+
+#: name -> (source, run() keywords, naive remaps_performed counted by hand)
+LOOP_PROGRAMS = {
+    # the branch flips every trip: each trip copies out to one of the two
+    # cyclic mappings and back
+    "branchy-alternating": (
+        BRANCHY_LOOP,
+        dict(bindings={"t": 10}, conditions={"c1": [bool(i % 2) for i in range(10)]}),
+        2 * 10,
+    ),
+    "nested-zero-trip-inner": (NESTED, dict(bindings={"t": 6, "u": 0}), 0),
+    "nested": (NESTED, dict(bindings={"t": 5, "u": 4}), 2 * 5 * 4),
+    **{
+        # naive remaps the whole aligned family: A and B at the branch (C
+        # holds nothing yet), then A, B and C twice per trip
+        f"fig12-{policy or 'unscheduled'}": (
+            FIG12,
+            dict(
+                bindings={"n": 8, "m": 10},
+                conditions={"c1": True},
+                inputs={"a": np.linspace(0.0, 1.0, 64).reshape(8, 8)},
+                schedule=policy,
+            ),
+            2 + 2 * 3 * 10,
+        )
+        for policy in (None, *POLICIES)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+def test_loop_programs_optimized_matches_naive(name):
+    src, kw, naive_remaps = LOOP_PROGRAMS[name]
+    r0, m0, _ = run(src, level=0, **kw)  # run() checks live-copy invariants
+    r3, m3, _ = run(src, level=3, **kw)
+    assert np.array_equal(r0.value("a"), r3.value("a"))
+    assert m0.stats.remaps_performed == naive_remaps
+    assert m3.stats.bytes <= m0.stats.bytes
+    assert m3.stats.remaps_performed <= naive_remaps
+    assert r0.drift.clean and r3.drift.clean
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ and keeps them.  Pinned here:
 * **descriptor shape** -- slices where positions are arithmetic
   progressions, open-mesh vectors otherwise, never a mix;
 * **once** -- a warm ``session.run`` makes zero ``positions_in`` calls and
-  opens no ``remap.lower`` span, and a fused replay emits the same
-  ``comm.phase`` spans as a plain run;
+  opens no ``remap.lower`` span;
 * **derived state only** -- pickles, table digests and equality do not see
   the memo;
 * **first-use race** -- two threads first-executing one frozen artifact
@@ -239,23 +238,6 @@ def test_warm_run_makes_zero_positions_in_calls(counted_positions_in, tracer):
     assert "remap.lower" not in span_names(tracer)
     assert np.array_equal(warm.value("a"), cold.value("a"))
     assert warm.stats.snapshot() == cold.stats.snapshot()
-
-
-def test_fused_replay_emits_the_spans_of_a_plain_run(tracer):
-    session = CompilerSession(4, CompilerOptions(level=3, schedule="round-robin"))
-    kwargs = dict(bindings={"n": 64, "t": 6}, inputs={"a": np.arange(64.0)})
-    session.run(LOOP, **kwargs)  # lower the plans off the record
-    tracer.clear()
-
-    fused = session.run(LOOP, fuse_loops=True, **kwargs)
-    fused_spans = span_names(tracer)
-    plain = session.run(LOOP, fuse_loops=False, **kwargs)
-    plain_spans = span_names(tracer)
-
-    assert fused.fusion.replays > 0 and plain.fusion.replays == 0
-    assert fused.stats.phases == fused_spans.count("comm.phase") > 0
-    for name in ("comm.phase", "remap.plan_replay"):
-        assert fused_spans.count(name) == plain_spans.count(name)
 
 
 # ---------------------------------------------------------------------------

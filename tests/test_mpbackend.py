@@ -148,23 +148,6 @@ def test_workload_seeds_mp_matches_simulator(backend, mode):
             )
 
 
-def test_mp_runs_with_fused_simulator_reference(backend):
-    """The simulator reference may replay fused loop traces (PR 9); the mp
-    backend always interprets -- and the ledgers still agree, because
-    fusion is semantics-preserving."""
-    w = FIGURES["fig16"]
-    compiled = compile_program(
-        w["source"],
-        bindings=w["bindings"],
-        processors=4,
-        options=CompilerOptions(level=3, schedule="round-robin"),
-    )
-    sim_values, sim_stats = _run(compiled, w)  # fuse_loops defaults on
-    values, stats, result = _run_mp(backend, compiled, w)
-    assert result.fusion.replays == 0  # the transport carried every message
-    _assert_identical((values, stats), (sim_values, sim_stats), ("fig16", "fused-ref"))
-
-
 # ---------------------------------------------------------------------------
 # the measured report and the obs surface
 # ---------------------------------------------------------------------------

@@ -99,46 +99,6 @@ def test_schedule_makespan_drift_past_bound_fails():
     assert any("makespan regressed" in p for p in problems)
 
 
-def _fused(speedup=1.0, bytes_=12288, messages=1536, replays=14, trips=16):
-    return {
-        "pattern": "fused-loop@P4",
-        "trips": trips,
-        "best_of": 7,
-        "unfused_us": 130000.0,
-        "fused_us": 130000.0 / speedup,
-        "speedup": speedup,
-        "replays": replays,
-        "bytes": bytes_,
-        "messages": messages,
-    }
-
-
-def test_fused_replay_clean_and_floor():
-    fresh = {"results": {"a@P4": _case()}, "fused_replay": _fused()}
-    base = {"results": {"a@P4": _case()}, "fused_replay": _fused()}
-    problems, compared = check_schedule(fresh, base, 2.0)
-    assert problems == [] and compared == 1
-    fresh["fused_replay"] = _fused(speedup=0.7)
-    problems, _ = check_schedule(fresh, base, 2.0)
-    assert any("SLOWER than plain" in p and "fell below" in p for p in problems)
-
-
-def test_fused_replay_traffic_drift_fails():
-    base = {"results": {"a@P4": _case()}, "fused_replay": _fused()}
-    for bad in (_fused(bytes_=1), _fused(messages=1), _fused(replays=2)):
-        fresh = {"results": {"a@P4": _case()}, "fused_replay": bad}
-        problems, _ = check_schedule(fresh, base, 2.0)
-        assert any("drifted" in p for p in problems), bad
-
-
-def test_fused_replay_different_workload_skips_comparison():
-    # another trip count is incomparable on traffic; the floor still gates
-    fresh = {"results": {"a@P4": _case()}, "fused_replay": _fused(trips=8, bytes_=1)}
-    base = {"results": {"a@P4": _case()}, "fused_replay": _fused()}
-    problems, _ = check_schedule(fresh, base, 2.0)
-    assert problems == []
-
-
 def test_schedule_compares_only_overlapping_cases():
     fresh = {"results": {"a@P4": _case()}}
     base = {"results": {"a@P4": _case(), "b@P16": _case(rr_ms=0.001)}}

@@ -12,6 +12,7 @@ from repro import (
     Executor,
     Machine,
     compile_program,
+    execute,
 )
 from repro.apps.adi import adi_kernels, build_adi_program
 
@@ -80,6 +81,23 @@ def test_runtime_only_bindings_do_not_recompile():
     r5 = s.run(prog, bindings={"t": 5}, kernels=adi_kernels(0.1), inputs={"u": u0})
     assert not np.allclose(r2.value("u"), r5.value("u"))
     assert s.stats["misses"] == 1  # still the one cold compile
+
+
+def test_cache_hit_executes_with_its_own_callers_bound():
+    # executing the artifacts directly, with an env that carries no
+    # bindings: the loop bound comes from the artifact's wrapper, so the
+    # cache hit runs its own caller's 5 sweeps, not the cold compile's 2
+    s = CompilerSession(processors=4)
+    prog = build_adi_program(16)
+    cold = s.compile(prog, bindings={"t": 2})
+    warm = s.compile(prog, bindings={"t": 5})
+    assert warm.get("adi").construction is cold.get("adi").construction
+    performed = {}
+    for t, compiled in ((2, cold), (5, warm)):
+        env = ExecutionEnv(kernels=adi_kernels(0.1), inputs={"u": np.ones((16, 16))})
+        performed[t] = execute(compiled, env=env).stats.remaps_performed
+    # two copies a sweep, less the first iteration's status no-op
+    assert performed == {2: 3, 5: 9}
 
 
 def test_cache_key_sensitivity():
