@@ -13,8 +13,7 @@ import pytest
 
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.mapping.ownership import layout_of
-from repro.spmd import DistributedArray, Machine, build_schedule
-from repro.spmd.redistribution import redistribute
+from repro.spmd import DistributedArray, Machine, build_schedule, redistribute
 
 
 def _count_moving(n: int, src, dst, nprocs: int) -> int:

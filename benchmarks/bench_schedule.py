@@ -38,7 +38,7 @@ from repro.spmd import (
     Machine,
     build_comm_schedule,
     build_schedule,
-    scheduled_redistribute,
+    redistribute,
 )
 from repro.mapping.ownership import layout_of
 
@@ -91,7 +91,7 @@ def _measure(src: Mapping, dst: Mapping) -> dict:
         d = DistributedArray("A", dst, machine)
         data = np.arange(float(np.prod(src.shape))).reshape(src.shape)
         s.scatter_from_global(data)
-        scheduled_redistribute(s, d, machine, policy=policy, plan=plan)
+        redistribute(s, d, machine, policy=policy, plan=plan)
         values.append(d.gather_to_global())
         executed_bytes.add(machine.stats.bytes)
         out[policy] = {
@@ -131,7 +131,7 @@ def _measure_verified_fast_path(nprocs: int, repeats: int = 30) -> dict:
         s.scatter_from_global(data)
         t0 = time.perf_counter()
         for _ in range(repeats):
-            scheduled_redistribute(s, d, machine, policy="round-robin", plan=p)
+            redistribute(s, d, machine, policy="round-robin", plan=p)
         dt = time.perf_counter() - t0
         return dt, machine.stats.bytes, machine.stats.messages, d.gather_to_global()
 

@@ -353,7 +353,7 @@ def verify_plans(
     issues: list[VerificationIssue] = []
     if plans is None:
         return issues
-    if plans.policy not in POLICIES:
+    if plans.policy not in (None, *POLICIES):
         _issue(issues, "plans", f"unknown plan-table policy {plans.policy!r}", None)
     known = set()
     for res in constructions.values():

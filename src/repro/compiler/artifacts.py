@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: machinery): the persistent store (:mod:`repro.store`) mixes it into
 #: its schema fingerprint, so old on-disk entries become invisible
 #: instead of being unpickled into a mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 3
+ARTIFACT_SCHEMA_VERSION = 4
 
 #: Canonical pass order.  A pass set is always run in this order; custom
 #: pass lists are validated against each pass's declared inputs/outputs.
@@ -135,7 +135,8 @@ class CompilerOptions:
     clock, makes the cost guard and traffic estimator price the
     *scheduled* placement, and adds the ``schedule`` pass (which
     precompiles every reachable plan into the artifact) to the pass set.
-    ``None`` (the default) keeps the legacy unphased ledger accounting.
+    ``None`` (the default) runs every remapping as the degenerate plan:
+    no phases, each transfer charged on its own (the unphased ledger).
     Like ``cost``, it is compile-relevant and part of session cache keys.
     """
 
@@ -361,15 +362,18 @@ class CompiledProgram(_Freezable):
     (wall time and counters) and an aggregated :class:`CompileReport`
     (diagnostics, motion and removal summaries).  Both are ``None`` for
     artifacts built by other means, so direct construction keeps working.
-    ``plans`` holds the communication plans the ``schedule`` pass
-    precompiled (one phased :class:`~repro.spmd.schedule.CommSchedule` per
-    reachable version pair); warm session hits return the artifact --
-    plans included -- so repeated runs do zero scheduling work.
+    ``plans`` is the artifact's :class:`~repro.spmd.schedule.CommPlanTable`
+    for ``options.schedule`` (``None`` included): its entries are the plans
+    the ``schedule`` pass precompiled (one phased
+    :class:`~repro.spmd.schedule.CommSchedule` per reachable version pair,
+    none when the pass did not run), its memo serves every other pair and
+    lives as long as the artifact -- so warm session hits do zero
+    scheduling work.  Only artifacts assembled by hand carry ``None``.
 
     A cached (session-held) artifact is :meth:`frozen <freeze>`: it is
     shared by every thread that hits the cache, the executor treats it as
-    read-only (plan-table misses build into an executor-local overlay),
-    and attribute writes raise :class:`~repro.errors.ArtifactFrozenError`.
+    read-only (the plan table's memo is derived state, not content), and
+    attribute writes raise :class:`~repro.errors.ArtifactFrozenError`.
     """
 
     program: ResolvedProgram
@@ -386,8 +390,8 @@ class CompiledProgram(_Freezable):
         the artifact enters the cache.  Freezing is shallow but covers the
         surfaces concurrency exercises: the program/subroutine containers
         reject attribute writes and the attached
-        :class:`~repro.spmd.schedule.CommPlanTable` rejects ``build`` (the
-        executor keeps per-run plan misses in its own overlay).  Idempotent.
+        :class:`~repro.spmd.schedule.CommPlanTable` rejects ``build`` (pairs
+        outside its entries are served by its memo).  Idempotent.
         """
         for cs in self.subroutines.values():
             cs.freeze()

@@ -61,7 +61,7 @@ from repro.remap.graph import RemappingGraph
 from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import MotionReport, hoist_loop_invariant_remaps
 from repro.remap.optimize import remove_useless_remappings
-from repro.spmd.schedule import DEFAULT_POLICY, CommPlanTable
+from repro.spmd.schedule import CommPlanTable
 from repro.spmd.traffic import estimate_range
 from repro.symbolic.classify import classify_bindings
 
@@ -85,10 +85,15 @@ class PassContext:
     constructions: dict[str, ConstructionResult] = field(default_factory=dict)
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     status_checks: bool = False
-    plans: CommPlanTable | None = None
+    #: the artifact's plan table, for ``options.schedule`` (possibly
+    #: ``None``); the ``schedule`` pass fills and certifies its entries
+    plans: CommPlanTable = field(init=False)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
     ran: set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.plans = CommPlanTable(self.options.schedule)
 
     def graphs(self) -> dict[str, RemappingGraph]:
         return {name: c.graph for name, c in self.constructions.items()}
@@ -415,8 +420,8 @@ class SchedulePass:
     current status as the source, each :class:`RemapOp`'s leaving version
     (or a :class:`RestoreOp`'s possible saved statuses) as the target --
     build the phased :class:`~repro.spmd.schedule.CommSchedule` under the
-    options' policy and store it in a
-    :class:`~repro.spmd.schedule.CommPlanTable` attached to the artifact.
+    options' policy as an entry of the artifact's
+    :class:`~repro.spmd.schedule.CommPlanTable`.
     Plans are keyed by (source, target) mapping signature, so aligned
     families sharing mappings share plans.  Warm
     :class:`~repro.compiler.session.CompilerSession` hits return the
@@ -431,8 +436,7 @@ class SchedulePass:
     def run(self, ctx: PassContext) -> dict[str, int]:
         from repro.analysis.commsafety import certify_table
 
-        policy = ctx.options.schedule or DEFAULT_POLICY
-        table = CommPlanTable(policy)
+        table = ctx.plans
         pairs = 0
         built: list[tuple] = []
         for name, res in ctx.constructions.items():
@@ -444,7 +448,6 @@ class SchedulePass:
         # provable ones statically_verified: the machine skips the runtime
         # one-port re-check for their phases (repro.analysis.commsafety)
         verified = certify_table(table, built)
-        ctx.plans = table
         plans = table.plans()
         _OBS.counter("repro.schedule.plans_precompiled").inc(len(table))
         _OBS.counter("repro.schedule.phases_planned").inc(
@@ -553,7 +556,7 @@ class VerifyPass:
             )
         if issues:
             raise ArtifactVerificationError(issues)
-        checks = 4 * len(ctx.constructions) + (1 if ctx.plans is not None else 0)
+        checks = 4 * len(ctx.constructions) + (1 if "schedule" in ctx.ran else 0)
         return {"subroutines": len(ctx.constructions), "checks": checks, "issues": 0}
 
 

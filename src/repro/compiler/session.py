@@ -125,8 +125,14 @@ def source_digest(source: str | Program | Subroutine) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: Backward-compatible private alias (pre-service-layer name).
-_source_digest = source_digest
+def check_backend(backend: str) -> None:
+    """``ValueError`` unless ``backend`` names an execution backend.
+
+    The one validation behind :meth:`CompilerSession.run` and service
+    requests, made before any compile work is spent on the request.
+    """
+    if backend not in ("sim", "mp"):
+        raise ValueError(f"unknown backend {backend!r}; known: 'sim', 'mp'")
 
 
 def with_bindings(
@@ -702,8 +708,7 @@ class CompilerSession:
 
         from repro.runtime.executor import ExecutionEnv, execute
 
-        if backend not in ("sim", "mp"):
-            raise ValueError(f"unknown backend {backend!r}; known: 'sim', 'mp'")
+        check_backend(backend)
         compiled = self.compile(
             source, bindings=bindings, processors=processors, options=options
         )

@@ -17,13 +17,13 @@ mappings, rectangle sets, communication plans), a template keeps:
   resolver at two distinct shape assignments.  They are cross-check
   material for the verifier, never the instantiation hot path;
 * a shared :class:`~repro.spmd.schedule.PlanMemo` so every instantiation's
-  lazy plan table reuses schedules across repeated shapes.
+  plan table reuses schedules across repeated shapes.
 
 :meth:`SymbolicTemplate.instantiate` runs only the cheap structural tail
 of the pipeline (resolve through codegen) on the stored AST with concrete
-bindings -- no parsing, no motion, no eager scheduling -- and attaches an
-:class:`~repro.spmd.schedule.InstantiatingCommPlanTable` declaring exactly
-the pair set the eager ``schedule`` pass would have precompiled.  The
+bindings -- no parsing, no motion, no eager scheduling -- and attaches a
+:class:`~repro.spmd.schedule.CommPlanTable` with no entries behind which
+sits the template's memo, so plans are built on first use.  The
 result is a plain :class:`CompiledProgram`: executors, verifiers and the
 differential tests cannot tell it from a from-scratch compile (and the
 test suite proves they cannot, bit for bit).
@@ -43,7 +43,7 @@ from repro.errors import SymbolicBindingError
 from repro.lang.ast_nodes import Program
 from repro.mapping.ownership import dim_owned
 from repro.mapping.processors import ProcessorArrangement
-from repro.spmd.schedule import InstantiatingCommPlanTable, PlanMemo
+from repro.spmd.schedule import CommPlanTable, PlanMemo
 from repro.symbolic.affine import Const, Sym, SymExpr, ceil_div
 from repro.symbolic.classify import BindingClassification
 from repro.symbolic.ownership import (
@@ -70,7 +70,7 @@ _PROBE_STEP = 4
 
 #: Passes a template instantiation must *not* run: the front end and
 #: motion are baked into the stored AST, ``symbolize`` already happened,
-#: and eager plan building is replaced by the lazy table.
+#: and eager plan building is replaced by the template's memo.
 _SKIPPED_AT_INSTANTIATION = frozenset(
     {"parse", "motion", "symbolize", "schedule", "traffic-estimate"}
 )
@@ -206,7 +206,7 @@ class SymbolicTemplate(_Freezable):
     #: form; instantiation never needs them -- the verifier cross-checks
     #: instantiated layouts against the ones that exist)
     sym_rectangles: dict[str, dict[str, tuple]] = field(default_factory=dict)
-    #: schedule memo shared by every instantiation's lazy plan table
+    #: plan memo shared by every instantiation's plan table
     memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
 
     def freeze(self) -> None:
@@ -242,7 +242,8 @@ class SymbolicTemplate(_Freezable):
 
         Runs only the structural tail of the pipeline (resolve through
         codegen, plus ``verify`` when the template's options include it)
-        over the stored AST, then attaches the lazy plan table.  The
+        over the stored AST, then puts the template's memo behind the
+        (entry-less) plan table.  The
         caller freezes the result before sharing it, exactly as for an
         eager compile.
         """
@@ -267,18 +268,7 @@ class SymbolicTemplate(_Freezable):
         compiled = pipeline.compile(
             self.program, merged, processors, options=self.options
         )
-        if self.options.schedule is not None:
-            from repro.remap.codegen import reachable_plan_pairs
-
-            keys = set()
-            for cs in compiled.subroutines.values():
-                for src, dst in reachable_plan_pairs(cs.construction, cs.code):
-                    keys.add((src.signature, dst.signature))
-            compiled.plans = InstantiatingCommPlanTable(
-                self.options.schedule,
-                _pair_keys=frozenset(keys),
-                _memo=self.memo,
-            )
+        compiled.plans = CommPlanTable(self.options.schedule, memo=self.memo)
         return compiled
 
     # -- verification -------------------------------------------------------

@@ -61,8 +61,8 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.runtime.messages", c, "Remap messages between ranks."),
         MetricSpec("repro.runtime.remaps_performed", c, "Remap statements that moved data."),
         MetricSpec("repro.runtime.remaps_skipped", c, "Remap statements skipped (dead/unneeded)."),
-        MetricSpec("repro.runtime.plans_built", c, "CommPlans built at execution time (overlay misses)."),
-        MetricSpec("repro.runtime.plans_reused", c, "CommPlans replayed from precompiled tables."),
+        MetricSpec("repro.runtime.plans_built", c, "Performed copies whose plan was obtained on demand (plan-table memo, hit or miss)."),
+        MetricSpec("repro.runtime.plans_reused", c, "Performed copies whose plan is a precompiled plan-table entry."),
         # -- multi-process transport -------------------------------------------
         MetricSpec("repro.mp.workers", g, "Live forked worker ranks of the mp transport."),
         MetricSpec("repro.mp.exchanges", c, "Remapping exchanges executed over the transport."),

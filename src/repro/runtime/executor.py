@@ -31,17 +31,16 @@ Any number of :class:`Executor` instances may run the *same*
 * every piece of mutable run state is per-executor -- frames,
   :class:`~repro.runtime.status.ArrayRuntime` descriptors, the
   :class:`~repro.runtime.memory.MemoryManager`, the machine and its
-  clocks/stats, and the communication-plan *overlay* (plan-table misses
-  are built into ``self._plan_overlay``, never into the shared artifact's
-  frozen :class:`~repro.spmd.schedule.CommPlanTable`, which is only ever
-  ``lookup``-ed; unscheduled runs keep their redistribution schedules in
-  ``self._schedules`` the same way);
+  clocks/stats;
 * the artifact is treated strictly read-only (generated ops, version
-  tables, construction results, resolved subroutines); session-cached
-  artifacts additionally *enforce* this by freezing.  The one thing a
-  run writes through a shared plan is its memoized lowered form
-  (:class:`~repro.spmd.redistribution.LoweredOnce`): an idempotent
-  first-use write of an immutable value, the same from every thread.
+  tables, construction results, resolved subroutines, the entries of its
+  :class:`~repro.spmd.schedule.CommPlanTable`); session-cached artifacts
+  additionally *enforce* this by freezing.  What a run does write through
+  the shared artifact is derived state only: the table's lock-guarded
+  :class:`~repro.spmd.schedule.PlanMemo` (plans of pairs that are not
+  precompiled entries) and each plan's memoized lowered form
+  (:class:`~repro.spmd.redistribution.LoweredOnce`) -- idempotent
+  first-use writes of immutable values, the same from every thread.
 
 The two sharing hazards live outside the executor and are the caller's
 to respect: an :class:`ExecutionEnv` must not be shared across concurrent
@@ -72,7 +71,6 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.machine import Machine
-from repro.spmd.redistribution import RedistSchedule, build_schedule, execute_schedule
 from repro.spmd.schedule import CommPlanTable, execute_comm_schedule
 
 
@@ -294,20 +292,15 @@ class Executor(DescriptorWalker):
             {name: cs.sub.bindings for name, cs in subs.items()},
         )
         self.memory = MemoryManager(self.machine, self._eviction_candidates)
-        # communication scheduling: with a policy, every remapping runs as
-        # a phased plan.  Precompiled plans come from the artifact (the
-        # `schedule` pass); misses are built into an executor-local overlay
-        # so a session-cached artifact is never mutated (and plans_reused
-        # keeps meaning "precompiled by the pass or replayed this run")
-        self.policy = compiled.options.schedule
-        self.plans: CommPlanTable | None = compiled.plans
-        self._plan_overlay: CommPlanTable | None = (
-            CommPlanTable(self.policy) if self.policy is not None else None
+        # every remapping runs as a plan of the artifact's table (under the
+        # options' policy, possibly None); only an artifact assembled by
+        # hand without one gets a table that lasts for this run
+        self.plans: CommPlanTable = (
+            compiled.plans
+            if compiled.plans is not None
+            else CommPlanTable(compiled.options.schedule)
         )
-        # the unscheduled path's overlay: one redistribution schedule (and,
-        # owned by it, its lowered copy descriptors) per signature pair
-        self._schedules: dict[tuple, RedistSchedule] = {}
-        # per-run predicted-vs-observed accounting for scheduled remaps
+        # per-run predicted-vs-observed accounting of the planned copies
         self.drift = DriftMonitor()
 
     # -- memory ----------------------------------------------------------------
@@ -398,42 +391,27 @@ class Executor(DescriptorWalker):
     def _remap_copy(
         self, state: ArrayRuntime, src: int, leaving: int, tag: str
     ) -> None:
-        """Move the data of one remapping copy, scheduled when opted in.
+        """Move the data of one remapping copy: obtain its plan, run it.
 
-        Either way the copy runs as "look the plan up, execute its lowered
-        form": the plan object owns its copy descriptors, so only the first
-        execution of a plan pays any index arithmetic.
+        The plan object owns its copy descriptors and the artifact's table
+        owns the plan, so only the first execution of a plan over the
+        artifact's life pays any scheduling or index arithmetic.  The
+        ledger counts provenance, not cache warmth: ``plans_reused`` for a
+        precompiled entry, ``plans_built`` for a plan obtained on demand.
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
-        src_mapping = state.versions[src]
-        dst_mapping = state.versions[leaving]
-        if self.policy is None:
-            key = (src_mapping.signature, dst_mapping.signature)
-            sched = self._schedules.get(key)
-            if sched is None:
-                sched = self._schedules[key] = build_schedule(
-                    source.layout, target.layout
-                )
-            self._run_unscheduled(sched, source, target, tag)
-            return
-        assert self._plan_overlay is not None
         stats = self.machine.stats
         itemsize = np.dtype(self.env.dtype).itemsize
-        plan = self.plans.lookup(src_mapping, dst_mapping) if self.plans else None
-        if plan is None:
-            plan = self._plan_overlay.lookup(src_mapping, dst_mapping)
-        if plan is None:
-            plan = self._plan_overlay.build(src_mapping, dst_mapping)
-            stats.plans_built += 1
-            reused = False
-        else:
+        plan, precompiled = self.plans.obtain(state.versions[src], state.versions[leaving])
+        if precompiled:
             stats.plans_reused += 1
-            reused = True
+        else:
+            stats.plans_built += 1
         bytes_before = stats.bytes
         messages_before = stats.messages
         makespan_before = self.machine.phase_seconds
-        with _TRACER.span("remap.plan_replay", tag=tag, reused=reused):
+        with _TRACER.span("remap.plan_replay", tag=tag, reused=precompiled):
             self._run_plan(plan, source, target, tag)
         predicted = plan.lowered(source.layout, target.layout)
         self.drift.record(
@@ -448,14 +426,10 @@ class Executor(DescriptorWalker):
             )
         )
 
-    # -- movement hooks (the mp backend overrides these two) ------------------
-
-    def _run_unscheduled(self, sched, source, target, tag: str) -> None:
-        """Move one unscheduled remapping's transfers (simulated here)."""
-        execute_schedule(sched, source, target, self.machine, tag=tag)
+    # -- the movement hook (the mp backend overrides it) ----------------------
 
     def _run_plan(self, plan, source, target, tag: str) -> None:
-        """Move one planned remapping phase by phase (simulated here)."""
+        """Move one remapping copy's plan (simulated here)."""
         execute_comm_schedule(plan, source, target, self.machine, tag=tag)
 
 

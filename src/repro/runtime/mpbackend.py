@@ -3,10 +3,9 @@
 :class:`MPExecutor` is the simulator's :class:`~repro.runtime.executor.Executor`
 with exactly one thing changed: remapping bytes cross real process
 boundaries.  Distributed-array blocks are placed in the transport's shared
-arenas (:class:`~repro.spmd.transport.SharedDistributedArray`), and the two
-movement hooks -- :meth:`Executor._run_unscheduled` and
-:meth:`Executor._run_plan` -- are overridden to ship each remapping's
-transfers to the forked worker ranks as barriered
+arenas (:class:`~repro.spmd.transport.SharedDistributedArray`), and the one
+movement hook -- :meth:`Executor._run_plan` -- is overridden to ship each
+remapping's messages to the forked worker ranks as barriered
 :class:`~repro.spmd.transport.TransferRound` programs instead of copying
 in-process.
 
@@ -19,9 +18,9 @@ Differential soundness is the design invariant, enforced three ways:
   program's results are bit-identical to the simulator's;
 * **ledger** -- the modeled :class:`~repro.spmd.machine.Machine` is charged
   with *identical* :class:`~repro.spmd.message.Message` lists at identical
-  points (``transfer`` per unscheduled message, ``run_phase`` per planned
-  phase), so traffic stats, phase counts, drift records and the obs
-  counters they feed match the simulator exactly;
+  points (``transfer`` per unphased transfer, ``run_phase`` per phase), so
+  traffic stats, phase counts, drift records and the obs counters they
+  feed match the simulator exactly;
 * **discipline** -- the transport re-validates the one-port property of
   every contention-free round and cross-checks each worker's actually
   moved message/byte counts against the round's prescription.
@@ -175,46 +174,30 @@ class MPExecutor(Executor):
             nbytes=move.elements * source.itemsize,
         )
 
-    # -- movement hooks -----------------------------------------------------
-
-    def _run_unscheduled(self, sched, source, target, tag: str) -> None:
-        """Unscheduled remap: locals in the parent, every real message over
-        the transport as one unphased (contended-like) round, then the
-        identical per-message ledger charges the simulator makes."""
-        itemsize, name = target.itemsize, target.name
-        remote: list[PreparedMove] = []
-        for move in sched.lowered(source.layout, target.layout):
-            if move.is_local:
-                move.execute(source, target)
-                self.machine.transfer(message_of(move, itemsize, name, tag))
-            else:
-                remote.append(move)
-        if remote:
-            wire = tuple(
-                WireMessage(
-                    move.src_rank, move.dst_rank, (self._wire_part(move, source, target),)
-                )
-                for move in remote
-            )
-            self.mp_report.add(
-                self.transport.exchange((TransferRound(wire, contended=True),))
-            )
-            for move in remote:
-                self.machine.transfer(message_of(move, itemsize, name, tag))
+    # -- the movement hook ---------------------------------------------------
 
     def _run_plan(self, plan, source, target, tag: str) -> None:
-        """Planned remap: locals in the parent, each phase as one barriered
-        transport round, then ``machine.run_phase`` with the identical
-        message lists the simulator charges (same one-port validation,
-        same stats, same drift inputs)."""
+        """One remapping copy: local copies in the parent, the unphased
+        messages (all of a ``policy=None`` plan's) as one contended
+        transport round, each phase as one barriered round -- then the
+        identical ledger charges the simulator makes, in its order
+        (``machine.transfer`` per unphased transfer, ``machine.run_phase``
+        per phase: same one-port validation, same stats, same drift
+        inputs)."""
         itemsize, name = target.itemsize, target.name
         lowered = plan.lowered(source.layout, target.layout)
+        unphased: list[WireMessage] = []
         for move in lowered.local:
-            move.execute(source, target)
-            self.machine.transfer(message_of(move, itemsize, name, tag))
-        if not lowered.phases:
-            return
-        rounds = tuple(
+            if move.is_local:
+                move.execute(source, target)
+            else:
+                unphased.append(
+                    WireMessage(
+                        move.src_rank, move.dst_rank, (self._wire_part(move, source, target),)
+                    )
+                )
+        rounds = [TransferRound(tuple(unphased), contended=True)] if unphased else []
+        rounds += [
             TransferRound(
                 tuple(
                     WireMessage(
@@ -227,8 +210,11 @@ class MPExecutor(Executor):
                 contended=phase.contended,
             )
             for phase in lowered.phases
-        )
-        self.mp_report.add(self.transport.exchange(rounds))
+        ]
+        if rounds:
+            self.mp_report.add(self.transport.exchange(tuple(rounds)))
+        for move in lowered.local:
+            self.machine.transfer(message_of(move, itemsize, name, tag))
         for phase in lowered.phases:
             self.machine.run_phase(
                 [message_of(msg, itemsize, name, tag) for msg in phase.messages],

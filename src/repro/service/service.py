@@ -46,7 +46,7 @@ from typing import Mapping as TypingMapping
 import numpy as np
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
-from repro.compiler.session import source_digest, with_bindings
+from repro.compiler.session import check_backend, source_digest, with_bindings
 from repro.lang.ast_nodes import Program, Subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
@@ -169,14 +169,10 @@ class ServiceStats:
     failed before obtaining one count only in ``errors`` (the shard
     sessions still record their miss, so pool statistics additionally see
     failed compile attempts).
-
-    ``latency_window`` is accepted for backward compatibility; the
-    histogram is unbounded (fixed buckets), so nothing is ever dropped.
     """
 
-    def __init__(self, latency_window: int = 8192):
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.latency_window = latency_window
         self.submitted = 0
         self.completed = 0
         self.errors = 0
@@ -462,6 +458,7 @@ class CompileService:
         # a fresh trace id: the request's correlation id across every layer
         with _TRACER.span("service.request", index=index) as root:
             try:
+                check_backend(request.backend)  # before any work is spent
                 if request.io_seconds > 0:  # modeled request ingest
                     time.sleep(request.io_seconds / 2)
                 tc = time.perf_counter()
@@ -486,11 +483,6 @@ class CompileService:
                         check_invariants=request.check_invariants,
                         dtype=np.float64 if request.dtype is None else request.dtype,
                     )
-                    if request.backend not in ("sim", "mp"):
-                        raise ValueError(
-                            f"unknown backend {request.backend!r}; "
-                            "known: 'sim', 'mp'"
-                        )
                     with _TRACER.span("service.run", backend=request.backend):
                         if request.backend == "mp":
                             from repro.runtime.mpbackend import execute_mp

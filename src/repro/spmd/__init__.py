@@ -10,21 +10,24 @@ live at: *which remapping messages are exchanged and how large they are*.
 * :class:`~repro.spmd.darray.DistributedArray`: an array version's storage,
   one real NumPy block per holding processor, addressed through the exact
   ownership layout of its mapping.
-* :mod:`~repro.spmd.redistribution`: computes the exact message schedule of
-  a copy between two differently mapped versions (block-cyclic index-set
-  intersections, Prylli & Tourancheau style) and executes it, moving real
-  data and charging the cost model.
-* :mod:`~repro.spmd.schedule`: organizes a redistribution's transfers into
-  contention-managed phases (naive all-at-once, contention-free
-  round-robin, per-pair aggregation) executed on the machine's phase
-  clock, and memoizes precompiled plans per mapping-signature pair.
+* :mod:`~repro.spmd.redistribution`: enumerates the exact transfers of a
+  copy between two differently mapped versions (block-cyclic index-set
+  intersections, Prylli & Tourancheau style) and lowers each to a copy
+  descriptor, the one data-movement primitive.
+* :mod:`~repro.spmd.schedule`: turns the transfers into the copy's one
+  plan -- contention-managed phases under a policy (naive all-at-once,
+  contention-free round-robin, per-pair aggregation), or under ``None``
+  the degenerate plan that charges each transfer on its own -- executes
+  it (:func:`execute_comm_schedule`, moving real data and charging the
+  cost model), and keeps plans per mapping-signature pair
+  (:class:`CommPlanTable`: precompiled entries plus a memo).
 """
 
 from repro.spmd.cost import CostDecision, CostModel, TrafficEstimate
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.message import Message, TrafficStats
-from repro.spmd.redistribution import RedistSchedule, Transfer, build_schedule, execute_schedule
+from repro.spmd.redistribution import RedistSchedule, Transfer, build_schedule
 from repro.spmd.schedule import (
     DEFAULT_POLICY,
     POLICIES,
@@ -34,7 +37,7 @@ from repro.spmd.schedule import (
     build_comm_schedule,
     execute_comm_schedule,
     plan_redistribution,
-    scheduled_redistribute,
+    redistribute,
 )
 from repro.spmd.traffic import (
     Scenario,
@@ -65,9 +68,8 @@ __all__ = [
     "build_schedule",
     "enumerate_scenarios",
     "execute_comm_schedule",
-    "execute_schedule",
     "plan_redistribution",
     "predict_traffic",
-    "scheduled_redistribute",
+    "redistribute",
     "simulate_traffic",
 ]

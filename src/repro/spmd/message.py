@@ -9,10 +9,10 @@ the target is dead, ...).
 
 Per-array and per-tag breakdowns record where the bytes and messages went,
 and the scheduling counters (``phases``, ``plans_built``, ``plans_reused``)
-make the communication-schedule subsystem's effects observable: a scheduled
-run shows how many contention-managed rounds it executed and whether its
-plans came precompiled from the artifact cache or had to be built on the
-spot.
+make the communication-schedule subsystem's effects observable: a run
+shows how many contention-managed rounds it executed and whether each
+copy's plan was a precompiled entry of the artifact's table or obtained on
+demand (provenance, not cache warmth: the same cold or warm).
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class TrafficStats:
     frees: int = 0
     evictions: int = 0
     phases: int = 0  # communication phases run on the phase clock
-    plans_built: int = 0  # schedules built at run time (no precompiled plan)
-    plans_reused: int = 0  # remappings served by a precompiled CommPlan
+    plans_built: int = 0  # copies whose plan was obtained on demand (memo hit or miss)
+    plans_reused: int = 0  # copies whose plan is a precompiled table entry
     per_array_bytes: dict[str, int] = field(default_factory=dict)
     per_array_messages: dict[str, int] = field(default_factory=dict)
     per_tag_bytes: dict[str, int] = field(default_factory=dict)

@@ -29,8 +29,6 @@ from repro.mapping.ownership import Layout
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.darray import DistributedArray, block_index, positions_in
-from repro.spmd.machine import Machine
-from repro.spmd.message import message_of
 from repro.util.intervals import IntervalSet
 
 _M_LOWERED = _OBS.counter("repro.schedule.plans_lowered")
@@ -64,9 +62,9 @@ class PreparedMove:
     of the (source, target) mapping pair; a descriptor is that function's
     value for one rectangle, worked out once by :func:`prepare_move`.
     :meth:`execute` -- one NumPy assignment -- is the only data-movement
-    primitive: the simulator (scheduled and unscheduled) and the mp backend
-    (local copies in the parent, wire parts in the workers) both move data
-    through it or through its two index tuples.
+    primitive: the simulator (under every policy, ``None`` included) and
+    the mp backend (local copies in the parent, wire parts in the workers)
+    both move data through it or through its two index tuples.
 
     Each index is a tuple of basic ``slice`` objects when every
     dimension's positions form an arithmetic progression (always for
@@ -118,7 +116,8 @@ def prepare_move(t: Transfer, src_lay: Layout, dst_lay: Layout) -> PreparedMove:
 
 
 class LoweredOnce:
-    """Mixin for plan objects that own their lowered (copy-descriptor) form.
+    """Mixin for the plan object (:class:`~repro.spmd.schedule.CommSchedule`)
+    that owns its lowered (copy-descriptor) form.
 
     The lowered form is derived state: computed on first execution from
     the two layouts, kept on the plan object and gone with it.  It is not
@@ -152,12 +151,13 @@ class LoweredOnce:
 
 
 @dataclass
-class RedistSchedule(LoweredOnce):
-    """The full message schedule of one remapping copy.
+class RedistSchedule:
+    """The transfers of one remapping copy: a pure enumeration.
 
-    Lowers to one :class:`PreparedMove` per non-empty transfer, in
-    transfer order (local copies and messages interleaved, as the
-    unscheduled path charges them).
+    *Which* index sets move between *which* ranks, local copies and
+    messages interleaved in receiver order.  Executing them is a plan's
+    job (:func:`~repro.spmd.schedule.build_comm_schedule` turns the
+    enumeration into one, under a policy or under ``None``).
     """
 
     transfers: list[Transfer]
@@ -175,9 +175,6 @@ class RedistSchedule(LoweredOnce):
 
     def moved_elements(self) -> int:
         return sum(t.elements for t in self.transfers if not t.is_local)
-
-    def _lower(self, src: Layout, dst: Layout) -> tuple[PreparedMove, ...]:
-        return tuple(prepare_move(t, src, dst) for t in self.transfers if t.elements)
 
 
 def build_schedule(src: Layout, dst: Layout) -> RedistSchedule:
@@ -220,30 +217,3 @@ def build_schedule(src: Layout, dst: Layout) -> RedistSchedule:
                 Transfer(src.procs.linear_rank(sender), dst_rank, isect)
             )
     return RedistSchedule(transfers)
-
-
-def execute_schedule(
-    schedule: RedistSchedule,
-    source: DistributedArray,
-    target: DistributedArray,
-    machine: Machine | None = None,
-    tag: str = "",
-) -> None:
-    """Move real data along the schedule and charge the cost model."""
-    machine = machine or target.machine
-    itemsize, name = target.itemsize, target.name
-    for move in schedule.lowered(source.layout, target.layout):
-        move.execute(source, target)
-        machine.transfer(message_of(move, itemsize, name, tag))
-
-
-def redistribute(
-    source: DistributedArray,
-    target: DistributedArray,
-    machine: Machine | None = None,
-    tag: str = "",
-) -> RedistSchedule:
-    """Convenience: build and execute the schedule for ``target = source``."""
-    schedule = build_schedule(source.layout, target.layout)
-    execute_schedule(schedule, source, target, machine, tag)
-    return schedule

@@ -28,6 +28,13 @@ without buffer packing sends.  Three policies:
   Tourancheau's packing argument).  Aggregation never increases the
   message count and leaves the bytes untouched.
 
+A fourth, degenerate plan needs no policy at all: ``policy=None`` keeps
+every transfer -- local and remote, in the redistribution's own order, one
+message each, not split into rectangles -- outside any phase, charged one
+by one on the machine's per-endpoint clocks.  It is what an unscheduled
+compilation (``CompilerOptions.schedule is None``, the default) executes,
+through the same :func:`execute_comm_schedule` as every phased plan.
+
 Invariants (enforced by construction and property-tested):
 
 * every policy moves exactly the transfers of the underlying redistribution
@@ -37,12 +44,13 @@ Invariants (enforced by construction and property-tested):
 * a contention-free phase never has a rank sending or receiving twice
   (:exc:`~repro.errors.ScheduleError` otherwise -- the machine re-checks).
 
-:class:`CommPlanTable` memoizes built schedules per (source signature,
-target signature) so the opt-in ``schedule`` compiler pass can precompile
-every plan a program may need into the
-:class:`~repro.compiler.artifacts.CompiledProgram` artifact; warm
-:class:`~repro.compiler.session.CompilerSession` runs then replay the plans
-with zero scheduling work.
+:class:`CommPlanTable` is where an artifact keeps its plans, keyed by
+(source signature, target signature): the *entries* the opt-in ``schedule``
+compiler pass precompiled and certified into the
+:class:`~repro.compiler.artifacts.CompiledProgram`, plus a :class:`PlanMemo`
+that gets or builds every other pair on first use and lives as long as the
+artifact -- so warm :class:`~repro.compiler.session.CompilerSession` runs do
+zero scheduling work under every policy, ``None`` included.
 """
 
 from __future__ import annotations
@@ -75,8 +83,9 @@ POLICIES: tuple[str, ...] = ("naive", "round-robin", "aggregate")
 DEFAULT_POLICY = "round-robin"
 
 
-def check_policy(policy: str) -> str:
-    if policy not in POLICIES:
+def check_policy(policy: str | None) -> str | None:
+    """``policy`` if it names a phased policy or is ``None`` (unscheduled)."""
+    if policy is not None and policy not in POLICIES:
         raise ScheduleError(
             f"unknown scheduling policy {policy!r}; known: {list(POLICIES)}"
         )
@@ -167,9 +176,10 @@ class LoweredPlan:
     """A :class:`CommSchedule` lowered to copy descriptors.
 
     What executing the plan needs and what does not depend on the data,
-    the element size or the array's name: the descriptors of the local
-    copies and of every message part, and the element counts the plan
-    would otherwise re-sum from its interval sets on every run.
+    the element size or the array's name: the descriptors of the unphased
+    transfers (``local``, named after :attr:`CommSchedule.local_transfers`)
+    and of every message part, and the element counts the plan would
+    otherwise re-sum from its interval sets on every run.
     """
 
     local: tuple[PreparedMove, ...]
@@ -180,29 +190,37 @@ class LoweredPlan:
     def makespan(self, cost: CostModel, itemsize: int) -> float:
         """:meth:`CommSchedule.makespan` from the cached element counts."""
         return sum(
-            cost.phase_time(
-                [(m.src_rank, m.dst_rank, m.elements * itemsize) for m in ph.messages],
-                ph.contended,
-            )
-            for ph in self.phases
+            (
+                cost.phase_time(
+                    [(m.src_rank, m.dst_rank, m.elements * itemsize) for m in ph.messages],
+                    ph.contended,
+                )
+                for ph in self.phases
+            ),
+            0.0,
         )
 
 
 @dataclass(frozen=True)
 class CommSchedule(LoweredOnce):
-    """The full phased plan of one remapping copy (a ``CommPlan``).
+    """The full plan of one remapping copy (a ``CommPlan``).
 
-    ``local_transfers`` are the src==dst copies (including replica-aware
-    local copies); they never occupy a phase.  Phases carry only real
-    messages, so a redistribution with nothing to send has no phases.
+    ``local_transfers`` are the transfers that occupy no phase: each is
+    charged on its own through :meth:`~repro.spmd.machine.Machine.transfer`.
+    Under a phased policy these are exactly the src==dst copies (including
+    replica-aware local copies) and the phases carry every real message,
+    so a redistribution with nothing to send has no phases.  The degenerate
+    ``policy=None`` plan has no phases at all and keeps *every* non-empty
+    transfer here, messages included, in the order
+    :func:`~repro.spmd.redistribution.build_schedule` enumerates them.
 
     :meth:`lowered` (see :class:`~repro.spmd.redistribution.LoweredOnce`)
     is the plan's :class:`LoweredPlan`, worked out on first execution and
     shared by every later one -- and, through :class:`PlanMemo`, by every
-    instantiation of a symbolic template.
+    run of the artifact and every instantiation of a symbolic template.
     """
 
-    policy: str
+    policy: str | None
     phases: tuple[CommPhase, ...]
     local_transfers: tuple[Transfer, ...]
     #: Stamped ``True`` by :func:`repro.analysis.commsafety.certify_plan`
@@ -210,9 +228,12 @@ class CommSchedule(LoweredOnce):
     #: statically against the source/target mappings; the machine then
     #: skips the O(messages) runtime re-validation of each phase
     #: (:meth:`~repro.spmd.machine.Machine.run_phase`).  Plans built
-    #: outside the compiler (executor overlays, ad-hoc calls) stay
-    #: unstamped and keep the runtime check.
+    #: outside the compiler (ad-hoc calls) stay unstamped and keep the
+    #: runtime check; a ``policy=None`` plan has no phase to re-check.
     statically_verified: bool = False
+
+    def _unphased(self, local: bool) -> list[Transfer]:
+        return [t for t in self.local_transfers if t.is_local == local]
 
     @property
     def phase_count(self) -> int:
@@ -220,26 +241,28 @@ class CommSchedule(LoweredOnce):
 
     @property
     def message_count(self) -> int:
-        return sum(p.message_count for p in self.phases)
+        return sum(p.message_count for p in self.phases) + len(self._unphased(False))
 
     @property
     def moved_elements(self) -> int:
-        return sum(p.elements for p in self.phases)
+        return sum(p.elements for p in self.phases) + sum(
+            t.elements for t in self._unphased(False)
+        )
 
     @property
     def local_count(self) -> int:
-        return len(self.local_transfers)
+        return len(self._unphased(True))
 
     @property
     def local_elements(self) -> int:
-        return sum(t.elements for t in self.local_transfers)
+        return sum(t.elements for t in self._unphased(True))
 
     def moved_bytes(self, itemsize: int) -> int:
         return self.moved_elements * itemsize
 
     def makespan(self, cost: CostModel, itemsize: int) -> float:
         """Total phase-clock time: the sum of the phase durations."""
-        return sum(p.duration(cost, itemsize) for p in self.phases)
+        return sum((p.duration(cost, itemsize) for p in self.phases), 0.0)
 
     def validate(self) -> None:
         """Re-check the one-port property of every contention-free phase."""
@@ -249,7 +272,7 @@ class CommSchedule(LoweredOnce):
 
     def describe(self) -> str:
         return (
-            f"{self.policy}: {self.message_count} message(s) in "
+            f"{self.policy or 'unscheduled'}: {self.message_count} message(s) in "
             f"{self.phase_count} phase(s), {self.local_count} local cop(ies)"
         )
 
@@ -269,11 +292,13 @@ class CommSchedule(LoweredOnce):
                     tuple(messages), phase.contended, sum(m.elements for m in messages)
                 )
             )
+        unphased = tuple(prepare_move(t, src, dst) for t in self.local_transfers)
+        messages = [m for m in unphased if not m.is_local]
         return LoweredPlan(
-            tuple(prepare_move(t, src, dst) for t in self.local_transfers),
+            unphased,
             tuple(phases),
-            sum(len(ph.messages) for ph in phases),
-            sum(ph.elements for ph in phases),
+            sum(len(ph.messages) for ph in phases) + len(messages),
+            sum(ph.elements for ph in phases) + sum(m.elements for m in messages),
         )
 
 
@@ -352,18 +377,20 @@ def _round_robin_phases(packed: list[PackedTransfer]) -> tuple[CommPhase, ...]:
 
 
 def build_comm_schedule(
-    schedule: RedistSchedule, policy: str = DEFAULT_POLICY
+    schedule: RedistSchedule, policy: str | None = DEFAULT_POLICY
 ) -> CommSchedule:
-    """Organize a redistribution's transfers into phases under ``policy``."""
+    """Organize a redistribution's transfers into phases under ``policy``.
+
+    ``policy=None`` is the degenerate plan: no phases, every non-empty
+    transfer kept whole and in order (see :class:`CommSchedule`).
+    """
     check_policy(policy)
-    local: list[Transfer] = []
-    remote: list[Transfer] = []
-    for t in schedule.transfers:
-        if t.elements == 0:
-            continue  # zero-element transfers never occupy a phase
-        (local if t.is_local else remote).append(t)
-    if not remote:
-        return CommSchedule(policy, (), tuple(local))
+    # zero-element transfers never occupy a phase and are never charged
+    transfers = [t for t in schedule.transfers if t.elements]
+    remote = [t for t in transfers if not t.is_local]
+    if policy is None or not remote:
+        return CommSchedule(policy, (), tuple(transfers))
+    local = tuple(t for t in transfers if t.is_local)
     if policy == "naive":
         phases: tuple[CommPhase, ...] = (
             CommPhase(tuple(_pack(remote, aggregate=False)), contended=True),
@@ -371,13 +398,13 @@ def build_comm_schedule(
     else:
         packed = _pack(remote, aggregate=policy == "aggregate")
         phases = _round_robin_phases(packed)
-    return CommSchedule(policy, phases, tuple(local))
+    return CommSchedule(policy, phases, local)
 
 
 def plan_redistribution(
-    src: Mapping, dst: Mapping, policy: str = DEFAULT_POLICY
+    src: Mapping, dst: Mapping, policy: str | None = DEFAULT_POLICY
 ) -> CommSchedule:
-    """Build the phased plan for a copy ``dst = src`` from the mappings."""
+    """Build the plan for a copy ``dst = src`` from the mappings."""
     return build_comm_schedule(
         build_schedule(layout_of(src), layout_of(dst)), policy
     )
@@ -395,11 +422,13 @@ def execute_comm_schedule(
     machine: Machine | None = None,
     tag: str = "",
 ) -> None:
-    """Move real data phase by phase on the machine's phase clock.
+    """Move a plan's data on the simulator and charge the cost model.
 
-    Bit-identical to :func:`~repro.spmd.redistribution.execute_schedule`
-    in the values delivered and the total bytes moved; only the *timing*
-    (and, under ``aggregate``, the message count) differs.
+    Unphased transfers first, one :meth:`~repro.spmd.machine.Machine.transfer`
+    each (all there is to a ``policy=None`` plan), then phase by phase on
+    the machine's phase clock.  Every policy delivers bit-identical values
+    and the same total bytes; only the *timing* (and, under ``aggregate``,
+    the message count) differs.
     """
     machine = machine or target.machine
     itemsize, name = target.itemsize, target.name
@@ -421,11 +450,11 @@ def execute_comm_schedule(
             span.set_attr("bytes", phase.elements * itemsize)
 
 
-def scheduled_redistribute(
+def redistribute(
     source: DistributedArray,
     target: DistributedArray,
     machine: Machine | None = None,
-    policy: str = DEFAULT_POLICY,
+    policy: str | None = None,
     plan: CommSchedule | None = None,
     tag: str = "",
 ) -> CommSchedule:
@@ -437,33 +466,129 @@ def scheduled_redistribute(
 
 
 # ---------------------------------------------------------------------------
-# plan tables (the precompiled artifact)
+# plan homes: the memo (derived state) and the table (the artifact's entries)
 # ---------------------------------------------------------------------------
+
+#: Hard bound on a :class:`PlanMemo`'s entries.
+PLAN_MEMO_CAPACITY = 256
+
+
+class PlanMemo:
+    """Bounded, thread-safe get-or-build cache of plans: *the* home of every
+    plan that is not a precompiled :class:`CommPlanTable` entry.
+
+    One sits behind every table, so it lives as long as the artifact (and
+    is shared by the per-caller binding wrappers over it); a symbolic
+    template hands its own to the table of each instantiation, so repeated
+    shapes pay the scheduling cost once per template.
+
+    Keys are ``(policy or None, src signature, dst signature)`` --
+    signatures embed concrete extents and grid shapes, so plans for
+    distinct ``(n, P)`` instantiations can never cross-serve.
+    :data:`PLAN_MEMO_CAPACITY` is a hard bound: least-recently-used
+    entries are evicted and transparently rebuilt on the next request
+    (plans are pure functions of the mapping pair, so a rebuild is
+    bit-identical to the evicted plan).  Plans built under a phased policy
+    are certified (:func:`repro.analysis.commsafety.certify_plan`) like
+    the ``schedule`` pass's; a ``policy=None`` plan has no phase to prove.
+
+    Builds happen outside the lock; a lost insertion race returns the
+    winner's plan.  Pickling (an artifact or template heading to the
+    store) drops both the lock and the contents, so artifact bytes never
+    depend on what a session happened to run first.
+    """
+
+    def __init__(self) -> None:
+        self._plans: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._plans)
+
+    def get_or_build(
+        self, policy: str | None, src: Mapping, dst: Mapping
+    ) -> CommSchedule:
+        key = (policy, src.signature, dst.signature)
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self.hits += 1
+                return plan
+        # Build (and certify) outside the lock: scheduling is the expensive
+        # part and depends only on the two mappings.
+        built = plan_redistribution(src, dst, policy)
+        if policy is not None:
+            from repro.analysis.commsafety import certify_plan
+
+            built = certify_plan(src, dst, built)
+        with self._lock:
+            existing = self._plans.get(key)
+            if existing is not None:
+                self._plans.move_to_end(key)
+                self.hits += 1
+                return existing
+            self._plans[key] = built
+            self.misses += 1
+            while len(self._plans) > PLAN_MEMO_CAPACITY:
+                self._plans.popitem(last=False)
+                self.evictions += 1
+        return built
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "capacity": PLAN_MEMO_CAPACITY,
+                "entries": len(self._plans),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def __reduce__(self):
+        return (PlanMemo, ())  # pickles (and deep-copies) empty
 
 
 @dataclass
 class CommPlanTable:
-    """Memoized plans for one policy, keyed by (src, dst) mapping signature.
+    """An artifact's plans for one policy, keyed by (src, dst) mapping signature.
 
-    The ``schedule`` compiler pass prebuilds one entry per reachable
-    version pair and attaches the table to the compiled artifact;
-    the executor looks plans up at each remapping (building on demand only
-    when the pass was not run) and counts hits/builds in the machine's
-    :class:`~repro.spmd.message.TrafficStats`.
+    Two parts.  The **entries** are what the ``schedule`` compiler pass
+    precompiled and certified, one per reachable version pair: they are
+    the table's content -- what :meth:`build`, :meth:`replace`,
+    :meth:`entries`, :meth:`content_digest`, ``len()``, ``==`` and pickles
+    see.  The **memo** (:class:`PlanMemo`) gets or builds the plan of every
+    pair that is not an entry -- all of them when the pass did not run or
+    the policy is ``None``: derived state like a plan's lowered form,
+    lock-guarded, bounded, never pickled, invisible to equality and
+    digests.  :meth:`obtain` is the one question the executor asks.
 
     A table attached to a session-cached artifact is *frozen*
-    (:meth:`freeze`): concurrent executors may :meth:`lookup` freely but
-    :meth:`build` raises :class:`~repro.errors.ArtifactFrozenError` --
-    per-run plan misses belong in the executor's own overlay table, never
-    in the shared artifact.
+    (:meth:`freeze`): its entries reject :meth:`build` and :meth:`replace`
+    with :class:`~repro.errors.ArtifactFrozenError`; the memo keeps
+    serving, which is safe because plans are pure functions of the pair.
     """
 
-    policy: str = DEFAULT_POLICY
+    policy: str | None = DEFAULT_POLICY
     _plans: dict[tuple, CommSchedule] = field(default_factory=dict)
     _frozen: bool = field(default=False, repr=False, compare=False)
+    memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_policy(self.policy)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.memo = PlanMemo()
 
     def freeze(self) -> None:
         """Forbid further :meth:`build` calls (shared-artifact contract)."""
@@ -493,26 +618,36 @@ class CommPlanTable:
         return sorted(self._plans.items(), key=lambda kv: repr(kv[0]))
 
     def content_digest(self) -> str:
-        """A stable digest of the table's full content (policy + plans).
+        """A stable digest of the table's full content (policy + entries).
 
-        Two tables with the same policy and the same plans -- regardless
-        of insertion order or frozen state -- share a digest.  The store's
-        round-trip tests use it to prove that precompiled plans survive
-        serialization bit-for-bit at the schedule level (phasing,
-        packing, local copies), not merely by count."""
+        Two tables with the same policy and the same entries -- regardless
+        of insertion order, frozen state or what their memos hold -- share
+        a digest.  The store's round-trip tests use it to prove that
+        precompiled plans survive serialization bit-for-bit at the
+        schedule level (phasing, packing, local copies), not merely by
+        count."""
         import hashlib
 
-        h = hashlib.sha256(self.policy.encode())
+        h = hashlib.sha256(str(self.policy).encode())
         for key, plan in self.entries():
             h.update(repr(key).encode())
             h.update(repr(plan).encode())
         return h.hexdigest()
 
     def lookup(self, src: Mapping, dst: Mapping) -> CommSchedule | None:
+        """The precompiled entry for ``dst = src``, if there is one."""
         return self._plans.get(self._key(src, dst))
 
+    def obtain(self, src: Mapping, dst: Mapping) -> tuple[CommSchedule, bool]:
+        """The plan for ``dst = src`` and whether it is a precompiled entry
+        (otherwise it came, hit or miss, from the memo)."""
+        plan = self.lookup(src, dst)
+        if plan is not None:
+            return plan, True
+        return self.memo.get_or_build(self.policy, src, dst), False
+
     def build(self, src: Mapping, dst: Mapping) -> CommSchedule:
-        """Build (or return the already-built) plan for ``dst = src``."""
+        """Build (or return the already-built) entry for ``dst = src``."""
         key = self._key(src, dst)
         plan = self._plans.get(key)
         if plan is None:
@@ -520,7 +655,7 @@ class CommPlanTable:
                 raise ArtifactFrozenError(
                     "cannot build a plan into a frozen CommPlanTable: the "
                     "table belongs to a cached artifact shared across "
-                    "threads (build into an executor-local overlay instead)"
+                    "threads (pairs outside its entries are served by its memo)"
                 )
             plan = plan_redistribution(src, dst, self.policy)
             self._plans[key] = plan
@@ -544,126 +679,3 @@ class CommPlanTable:
                 "(source, target) signature pair"
             )
         self._plans[key] = plan
-
-
-# ---------------------------------------------------------------------------
-# lazy plan tables for symbolic templates
-# ---------------------------------------------------------------------------
-
-
-class PlanMemo:
-    """Bounded, thread-safe memo of certified plans, shared across every
-    concrete instantiation of one symbolic template.
-
-    Keys are ``(policy, src signature, dst signature)`` -- signatures
-    embed concrete extents and grid shapes, so plans for distinct
-    ``(n, P)`` instantiations can never cross-serve.  Capacity is a hard
-    bound: least-recently-used entries are evicted and transparently
-    rebuilt on the next request (plans are pure functions of the mapping
-    pair, so a rebuild is bit-identical to the evicted plan).
-
-    Builds happen outside the lock; a lost insertion race returns the
-    winner's plan.  Pickling (a template heading to the artifact store)
-    drops both the lock and the contents, so artifact bytes never depend
-    on which shapes a session happened to serve first.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ScheduleError(f"PlanMemo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._plans: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def get_or_build(self, policy: str, src: Mapping, dst: Mapping) -> CommSchedule:
-        key = (policy, src.signature, dst.signature)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-                return plan
-        # Build (and certify) outside the lock: scheduling is the expensive
-        # part and depends only on the two mappings.
-        from repro.analysis.commsafety import certify_plan
-
-        built = certify_plan(src, dst, plan_redistribution(src, dst, policy))
-        with self._lock:
-            existing = self._plans.get(key)
-            if existing is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-                return existing
-            self._plans[key] = built
-            self.misses += 1
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self.evictions += 1
-        return built
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._plans),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def __getstate__(self) -> dict:
-        return {"capacity": self.capacity}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["capacity"])
-
-
-@dataclass
-class InstantiatingCommPlanTable(CommPlanTable):
-    """Plan table of one symbolic-template instantiation: lazy within a
-    declared pair set, eager nowhere.
-
-    Where the eager ``schedule`` pass prebuilds every reachable plan into
-    the artifact, an instantiated program carries only the *keys* of its
-    reachable (source, target) signature pairs; :meth:`lookup` builds the
-    plan on first use through a :class:`PlanMemo` shared with every other
-    instantiation of the same template, so repeated shapes pay the
-    scheduling cost once per memo lifetime.
-
-    Deliberate deviation from the base frozen contract: :meth:`lookup`
-    get-or-builds through the memo even on a frozen table.  The memo has
-    its own lock and plans are pure functions of the signature pair, so
-    concurrent executors converge on identical plans; :meth:`build` and
-    :meth:`replace` keep the base class's frozen-artifact refusal.
-    """
-
-    _pair_keys: frozenset = field(default_factory=frozenset)
-    _memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
-
-    def __bool__(self) -> bool:
-        # The base table is truthy iff it holds plans (len); a lazy table
-        # holds *pair keys* instead and must stay truthy for the
-        # executor's "is there an artifact plan table?" check even though
-        # no plan has materialized yet.
-        return bool(self._pair_keys or self._plans)
-
-    def lookup(self, src: Mapping, dst: Mapping) -> CommSchedule | None:
-        key = self._key(src, dst)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        if key not in self._pair_keys:
-            return None
-        return self._memo.get_or_build(self.policy, src, dst)
-
-    @property
-    def pair_count(self) -> int:
-        """Declared reachable pairs (eager tables would hold this many plans)."""
-        return len(self._pair_keys)

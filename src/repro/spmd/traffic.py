@@ -37,12 +37,10 @@ from typing import TYPE_CHECKING
 
 from repro.errors import TrafficPredictionError
 from repro.lang.ast_nodes import Compute
-from repro.mapping.ownership import layout_of
 from repro.remap.codegen import GeneratedCode
 from repro.remap.walker import ArrayDescriptor, DescriptorWalker, Frame, resolve_condition
 from repro.spmd.cost import CostModel, TrafficEstimate
-from repro.spmd.redistribution import build_schedule
-from repro.spmd.schedule import CommPlanTable
+from repro.spmd.schedule import plan_redistribution
 from repro.symbolic.scenarios import Scenario, enumerate_scenarios
 
 if TYPE_CHECKING:
@@ -54,13 +52,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 #: (src signature, dst signature, policy or None, itemsize, cost model) ->
-#: what one performed copy adds to the estimate.  Schedules depend only on
-#: the two layouts.
+#: what one performed copy adds to the estimate.  Plans depend only on the
+#: two layouts and the policy; only the price is kept, never the plan.
 _COPY_PRICES: dict[tuple, TrafficEstimate] = {}
-
-#: one signature-keyed plan memo per policy (plans are element-based, so
-#: one plan serves every itemsize and cost model)
-_PLAN_TABLES: dict[str, CommPlanTable] = {}
 
 
 def _copy_price(
@@ -69,33 +63,18 @@ def _copy_price(
     key = (src_mapping.signature, dst_mapping.signature, policy, itemsize, cost)
     price = _COPY_PRICES.get(key)
     if price is None:
-        if policy is None:
-            schedule = build_schedule(layout_of(src_mapping), layout_of(dst_mapping))
-            moved = schedule.moved_elements()
-            local = schedule.total_elements() - moved
-            price = TrafficEstimate(
-                bytes=moved * itemsize,
-                messages=schedule.message_count,
-                local_bytes=local * itemsize,
-                local_copies=schedule.local_count,
-            )
-        else:
-            # priced as a *scheduled* execution: the policy's phased plan
-            # determines message counts (aggregation coalesces pairs) and
-            # the phase/makespan quantities
-            table = _PLAN_TABLES.get(policy)
-            if table is None:
-                table = _PLAN_TABLES[policy] = CommPlanTable(policy)
-            plan = table.build(src_mapping, dst_mapping)
-            price = TrafficEstimate(
-                bytes=plan.moved_bytes(itemsize),
-                messages=plan.message_count,
-                local_bytes=plan.local_elements * itemsize,
-                local_copies=plan.local_count,
-                phases=plan.phase_count,
-                makespan=plan.makespan(cost, itemsize),
-            )
-        _COPY_PRICES[key] = price
+        # priced as the executor runs it: the policy's plan determines the
+        # message count (aggregation coalesces pairs) and the phase and
+        # makespan quantities (none under ``None``)
+        plan = plan_redistribution(src_mapping, dst_mapping, policy)
+        price = _COPY_PRICES[key] = TrafficEstimate(
+            bytes=plan.moved_bytes(itemsize),
+            messages=plan.message_count,
+            local_bytes=plan.local_elements * itemsize,
+            local_copies=plan.local_count,
+            phases=plan.phase_count,
+            makespan=plan.makespan(cost, itemsize),
+        )
     return price
 
 

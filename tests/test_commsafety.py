@@ -19,7 +19,8 @@ from repro.analysis.commsafety import certify_plan, prove_plan
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.mapping.ownership import layout_of
-from repro.spmd import build_comm_schedule, build_schedule
+from repro.remap.codegen import reachable_plan_pairs
+from repro.spmd import CommPlanTable, build_comm_schedule, build_schedule
 
 SCHEDULED = ("naive", "round-robin", "aggregate")
 
@@ -104,6 +105,18 @@ def test_wrong_mapping_pair_fails_the_proof():
 # ---------------------------------------------------------------------------
 
 
+def _unstamped(compiled):
+    """The same artifact over plans nobody certified: every reachable pair
+    built into a fresh table and left as built."""
+    table = CommPlanTable(compiled.options.schedule)
+    for cs in compiled.subroutines.values():
+        for src, dst in reachable_plan_pairs(cs.construction, cs.code):
+            table.build(src, dst)
+    assert len(table) == len(compiled.plans)
+    assert not any(p.statically_verified for p in table.plans())
+    return dataclasses.replace(compiled, plans=table)
+
+
 FIG16 = """
 subroutine main(t)
   integer n, t
@@ -143,7 +156,7 @@ def test_schedule_pass_stamps_every_plan(policy):
 
 def test_verified_plans_skip_runtime_validation(monkeypatch):
     """The stamp is what gates the fast path: stamped plans never call the
-    one-port re-check, unstamped (runtime overlay) plans always do."""
+    one-port re-check, unstamped plans always do."""
     import repro.spmd.machine as machine_mod
 
     calls = {"n": 0}
@@ -165,9 +178,8 @@ def test_verified_plans_skip_runtime_validation(monkeypatch):
     stamped_values, stamped_stats = _run(compiled, W16)
     assert calls["n"] == 0, "stamped plans must skip the runtime re-check"
 
-    overlay = dataclasses.replace(compiled, plans=None)  # runtime-built plans
     calls["n"] = 0
-    overlay_values, overlay_stats = _run(overlay, W16)
+    overlay_values, overlay_stats = _run(_unstamped(compiled), W16)
     assert calls["n"] > 0, "unstamped plans must keep the runtime re-check"
 
     for a in stamped_values:
@@ -183,7 +195,7 @@ def test_verified_plans_skip_runtime_validation(monkeypatch):
 
 def test_workload_seeds_verified_equals_unverified():
     """Bit-identical values, bytes and messages between the stamped
-    precompiled plans and the unstamped runtime-overlay path."""
+    precompiled plans and the same plans left unstamped."""
     for seed in range(201):
         rng = np.random.default_rng(seed)
         program = random_legal_subroutine(rng, n_arrays=2, length=5, depth=1)
@@ -198,7 +210,7 @@ def test_workload_seeds_verified_equals_unverified():
             ]
             assert all(stamped), (seed, policy)
             v1, s1 = _run(compiled, w)
-            v2, s2 = _run(dataclasses.replace(compiled, plans=None), w)
+            v2, s2 = _run(_unstamped(compiled), w)
             for a in v1:
                 assert np.array_equal(v1[a], v2[a]), (seed, policy, a)
             assert s1.bytes == s2.bytes, (seed, policy)

@@ -1,9 +1,9 @@
 """Lowered copy descriptors: one lowering per plan, one data-movement primitive.
 
-A plan (:class:`~repro.spmd.redistribution.RedistSchedule` or
-:class:`~repro.spmd.schedule.CommSchedule`) lowers itself on first
-execution to :class:`~repro.spmd.redistribution.PreparedMove` descriptors
-and keeps them.  Pinned here:
+A plan (:class:`~repro.spmd.schedule.CommSchedule`, under a policy or the
+degenerate ``policy=None`` one) lowers itself on first execution to
+:class:`~repro.spmd.redistribution.PreparedMove` descriptors and keeps
+them.  Pinned here:
 
 * **values** -- lowered execution, unscheduled and under every policy,
   equals a reference built from ``gather_to_global`` ->
@@ -38,10 +38,11 @@ from repro.spmd import (
     DistributedArray,
     build_schedule,
     execute_comm_schedule,
-    execute_schedule,
     plan_redistribution,
 )
 from repro.spmd import redistribution
+from repro.spmd.message import message_of
+from repro.spmd.redistribution import prepare_move
 from repro.spmd.schedule import POLICIES
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
@@ -73,21 +74,8 @@ def mk(shape, fmts, nprocs):
     return Mapping.simple(shape, fmts, ProcessorArrangement("P", (nprocs,)))
 
 
-def plan_for(src, dst, way):
-    if way is None:
-        return build_schedule(layout_of(src), layout_of(dst))
-    return plan_redistribution(src, dst, way)
-
-
-def run_copy(plan, way, source, target, machine):
-    run = execute_schedule if way is None else execute_comm_schedule
-    run(plan, source, target, machine)
-
-
 def moves_of(lowered):
-    """Every descriptor of a lowered plan, whichever kind of plan it was."""
-    if isinstance(lowered, tuple):
-        return list(lowered)
+    """Every descriptor of a lowered plan."""
     return [*lowered.local, *(m for ph in lowered.phases for msg in ph.messages for m in msg.parts)]
 
 
@@ -128,8 +116,8 @@ def test_prop_lowered_execution_matches_gather_scatter(pair, nprocs, way):
     source.scatter_from_global(np.random.default_rng(3).normal(size=shape))
     expected.scatter_from_global(source.gather_to_global())
 
-    plan = plan_for(src, dst, way)
-    run_copy(plan, way, source, target, machine)
+    plan = plan_redistribution(src, dst, way)
+    execute_comm_schedule(plan, source, target, machine)
     for rank, block in expected.blocks.items():
         assert np.array_equal(target.blocks[rank], block)
 
@@ -137,11 +125,43 @@ def test_prop_lowered_execution_matches_gather_scatter(pair, nprocs, way):
     lowered = plan.lowered(source.layout, target.layout)
     assert plan.lowered(source.layout, target.layout) is lowered
     again = DistributedArray("A", dst, machine)
-    run_copy(plan, way, source, again, machine)
+    execute_comm_schedule(plan, source, again, machine)
     for rank, block in expected.blocks.items():
         assert np.array_equal(again.blocks[rank], block)
     moved = sum(m.elements for m in moves_of(lowered) if not m.is_local)
     assert machine.stats.bytes == 2 * moved * source.itemsize
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.one_of(pair_1d, pair_2d), nprocs=st.integers(1, 5))
+def test_prop_unscheduled_plan_charges_like_the_transfer_loop(pair, nprocs):
+    """The ``policy=None`` plan against the loop it replaced: each transfer
+    of ``build_schedule`` lowered, executed and charged on its own."""
+    shape, f_src, f_dst = pair
+    src, dst = mk(shape, f_src, nprocs), mk(shape, f_dst, nprocs)
+    data = np.random.default_rng(5).normal(size=shape)
+
+    def fresh():
+        machine = Machine(src.processors, log_messages=True)
+        source = DistributedArray("A", src, machine)
+        source.scatter_from_global(data)
+        return machine, source, DistributedArray("A", dst, machine)
+
+    ref_machine, source, ref_target = fresh()
+    for t in build_schedule(source.layout, ref_target.layout).transfers:
+        move = prepare_move(t, source.layout, ref_target.layout)
+        move.execute(source, ref_target)
+        ref_machine.transfer(message_of(move, ref_target.itemsize, "A", "tag"))
+
+    machine, source, target = fresh()
+    plan = plan_redistribution(src, dst, None)
+    execute_comm_schedule(plan, source, target, machine, tag="tag")
+    assert plan.phases == () and machine.phase_seconds == 0.0
+    assert machine.stats.snapshot() == ref_machine.stats.snapshot()
+    assert machine.elapsed == ref_machine.elapsed  # bit-equal, not approx
+    assert machine.message_log == ref_machine.message_log
+    for rank, block in ref_target.blocks.items():
+        assert np.array_equal(target.blocks[rank], block)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +171,7 @@ def test_prop_lowered_execution_matches_gather_scatter(pair, nprocs, way):
 
 def index_kinds(src, dst, way):
     """The set of element types over every index of every descriptor."""
-    lowered = plan_for(src, dst, way).lowered(layout_of(src), layout_of(dst))
+    lowered = plan_redistribution(src, dst, way).lowered(layout_of(src), layout_of(dst))
     kinds = set()
     for move in moves_of(lowered):
         for ix in (move.src_ix, move.dst_ix):
@@ -218,11 +238,33 @@ def span_names(tracer):
     return names
 
 
-def test_warm_run_makes_zero_positions_in_calls(counted_positions_in, tracer):
-    session = CompilerSession(4, CompilerOptions(level=3, schedule="round-robin"))
+@pytest.fixture
+def counted_build_schedule(monkeypatch):
+    calls = []
+    real = redistribution.build_schedule
+
+    def counting(src, dst):
+        calls.append(1)
+        return real(src, dst)
+
+    # plans are built through the schedule module's reference to it
+    monkeypatch.setattr("repro.spmd.schedule.build_schedule", counting)
+    return calls
+
+
+def test_warm_run_makes_zero_positions_in_calls(
+    counted_positions_in, counted_build_schedule, tracer
+):
+    for policy in (None, "round-robin"):
+        check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer)
+
+
+def check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer):
+    session = CompilerSession(4, CompilerOptions(level=3, schedule=policy))
     lowered = REGISTRY.counter("repro.schedule.plans_lowered")
     kwargs = dict(bindings={"n": 64, "t": 4}, inputs={"a": np.arange(64.0)})
 
+    del counted_positions_in[:]
     before = lowered.value
     cold = session.run(LOOP, **kwargs)
     assert cold.stats.remaps_performed == 8
@@ -230,14 +272,40 @@ def test_warm_run_makes_zero_positions_in_calls(counted_positions_in, tracer):
     assert lowered.value - before == 2  # block->cyclic and cyclic->block
     assert span_names(tracer).count("remap.lower") == 2
 
-    del counted_positions_in[:]
+    del counted_positions_in[:], counted_build_schedule[:]
     warm = session.run(LOOP, **kwargs)
-    assert warm.stats.plans_reused == warm.stats.remaps_performed == 8
-    assert counted_positions_in == []
+    if policy is None:  # provenance, not warmth: obtained on demand, both runs
+        assert warm.stats.plans_built == warm.stats.remaps_performed == 8
+    else:
+        assert warm.stats.plans_reused == warm.stats.remaps_performed == 8
+    assert counted_positions_in == [] and counted_build_schedule == []
     assert lowered.value - before == 2
     assert "remap.lower" not in span_names(tracer)
     assert np.array_equal(warm.value("a"), cold.value("a"))
     assert warm.stats.snapshot() == cold.stats.snapshot()
+
+
+def test_binding_wrappers_share_the_artifacts_plan_memo(
+    counted_positions_in, counted_build_schedule
+):
+    """A different runtime-only ``t`` is served by a ``with_bindings``
+    wrapper over the cached artifact: same plan table, same memo."""
+    from repro.service import CompileService
+
+    with CompileService(workers=1, processors=4) as svc:
+        first = svc.submit(LOOP, bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
+        first = first.result()
+        assert first.error is None and first.result.stats.plans_built == 4
+        assert counted_positions_in and counted_build_schedule
+
+        del counted_positions_in[:], counted_build_schedule[:]
+        other = svc.submit(LOOP, bindings={"n": 64, "t": 3}, inputs={"a": np.arange(64.0)})
+        other = other.result()
+        assert other.error is None and other.cache_source == "memory"
+        assert other.compiled is not first.compiled
+        assert other.compiled.plans is first.compiled.plans
+        assert other.result.stats.plans_built == other.result.stats.remaps_performed == 6
+        assert counted_positions_in == [] and counted_build_schedule == []
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +316,47 @@ def test_warm_run_makes_zero_positions_in_calls(counted_positions_in, tracer):
 @pytest.mark.parametrize("way", WAYS)
 def test_execution_leaves_pickle_digest_and_equality_alone(way):
     src, dst = mk((48,), (B,), 4), mk((48,), (C3,), 4)
-    table = CommPlanTable(way or "round-robin")
-    plan = table.build(src, dst) if way else plan_for(src, dst, None)
-    twin = plan_for(src, dst, way)
-    before = pickle.dumps(plan), repr(plan), table.content_digest()
+    table = CommPlanTable(way)
+    plan = table.build(src, dst)
+    twin = plan_redistribution(src, dst, way)
+    before = pickle.dumps(plan), repr(plan), table.content_digest(), pickle.dumps(table)
 
     machine = Machine(src.processors)
     source = DistributedArray("A", src, machine)
     target = DistributedArray("A", dst, machine)
-    run_copy(plan, way, source, target, machine)
+    execute_comm_schedule(plan, source, target, machine)
     assert plan._lowered is not None and twin._lowered is None
+    # ... and the table's memo is derived state too: a pair that is not an
+    # entry is served from it without touching the table's content
+    extra, precompiled = table.obtain(dst, src)
+    assert not precompiled and table.obtain(dst, src) == (extra, False)
+    assert table.obtain(src, dst) == (plan, True)
+    assert len(table) == 1 and len(table.memo) == 1 and table == CommPlanTable(way, {**table._plans})
 
-    assert (pickle.dumps(plan), repr(plan), table.content_digest()) == before
+    after = pickle.dumps(plan), repr(plan), table.content_digest(), pickle.dumps(table)
+    assert after == before
     assert plan == twin
     restored = pickle.loads(pickle.dumps(plan))
     assert restored == plan and restored._lowered is None
+    revived = pickle.loads(pickle.dumps(table))
+    assert revived == table and len(revived.memo) == 0
+
+
+@pytest.mark.parametrize("way", WAYS)
+def test_artifact_pickles_the_same_before_and_after_it_executed(way):
+    session = CompilerSession(4, CompilerOptions(level=3, schedule=way))
+    compiled = session.compile(LOOP, bindings={"n": 64, "t": 2})
+    # a Mapping keeps its normal form in its (pickled) __dict__ once asked;
+    # the schedule pass asks at compile time, an unscheduled run would here
+    versions = compiled.subroutines["remap"].versions
+    assert all(m.signature for m in versions.versions("a"))
+    before = pickle.dumps(compiled), compiled.plans.content_digest(), len(compiled.plans)
+    assert len(compiled.plans) == (0 if way is None else 2)
+    env = ExecutionEnv(bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
+    execute(compiled, env=env)
+    assert len(compiled.plans.memo) == (2 if way is None else 0)
+    after = pickle.dumps(compiled), compiled.plans.content_digest(), len(compiled.plans)
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +365,11 @@ def test_execution_leaves_pickle_digest_and_equality_alone(way):
 
 
 def test_concurrent_first_execution_of_a_frozen_artifact():
-    options = CompilerOptions(level=3, schedule="round-robin")
+    for policy in (None, "round-robin"):
+        check_concurrent_first_execution(CompilerOptions(level=3, schedule=policy))
+
+
+def check_concurrent_first_execution(options):
     data = np.arange(96.0)
 
     def run_once(compiled):

@@ -56,9 +56,9 @@ from repro.spmd import (
     build_comm_schedule,
     build_schedule,
     plan_redistribution,
-    scheduled_redistribute,
+    redistribute,
 )
-from repro.spmd.redistribution import RedistSchedule, Transfer, redistribute
+from repro.spmd.redistribution import RedistSchedule, Transfer
 from repro.util.intervals import IntervalSet
 
 COST = CostModel()
@@ -162,7 +162,7 @@ def test_replication_aware_local_copies_produce_no_phases():
         s = DistributedArray("A", src_m, mach)
         d = DistributedArray("A", dst_m, mach)
         s.scatter_from_global(np.arange(8.0))
-        scheduled_redistribute(s, d, mach, policy=policy, plan=plan)
+        redistribute(s, d, mach, policy=policy, plan=plan)
         assert np.array_equal(d.gather_to_global(), np.arange(8.0))
         assert mach.stats.messages == 0
         assert mach.stats.phases == 0
@@ -188,7 +188,7 @@ def test_pinned_mapping_scheduled_delivery():
         s = DistributedArray("A", src_m, mach)
         d = DistributedArray("A", dst_m, mach)
         s.scatter_from_global(data)
-        scheduled_redistribute(s, d, mach, policy=policy, plan=plan)
+        redistribute(s, d, mach, policy=policy, plan=plan)
         assert np.array_equal(d.gather_to_global(), data)
         assert mach.stats.phases == plan.phase_count
 
@@ -299,7 +299,7 @@ def test_prop_scheduled_execution_matches_unscheduled(
     s = DistributedArray("A", mk((n,), (f_src,), procs), mach)
     d = DistributedArray("A", mk((n,), (f_dst,), procs), mach)
     s.scatter_from_global(data)
-    scheduled_redistribute(s, d, mach, policy=policy)
+    redistribute(s, d, mach, policy=policy)
 
     assert np.array_equal(d.gather_to_global(), d0.gather_to_global())
     assert mach.stats.bytes == ref_mach.stats.bytes
@@ -625,7 +625,7 @@ def test_policies_never_share_cached_artifacts():
     assert session.misses == 3 and session.hits == 0
     assert a.plans.policy == "round-robin"
     assert b.plans.policy == "aggregate"
-    assert c.plans is None
+    assert c.plans.policy is None and len(c.plans) == 0
 
 
 def test_plan_table_is_signature_keyed(p4):

@@ -227,6 +227,21 @@ def test_closed_service_rejects_submits():
         svc.submit(FIG10, bindings={"n": 8, "m": 1})
 
 
+@pytest.mark.parametrize("run", [True, False])
+def test_unknown_backend_is_rejected_before_any_compile_work(run):
+    with CompileService(processors=4, workers=1) as svc:
+        bad = svc.submit(
+            FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True},
+            backend="bogus", run=run,
+        ).result()
+        assert isinstance(bad.error, ValueError) and "unknown backend" in str(bad.error)
+        assert bad.compiled is None and bad.result is None
+        assert svc.pool.stats["misses"] == 0 and svc.pool.stats["hits"] == 0
+        # the service is unharmed: the next request compiles and runs
+        ok = svc.submit(FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True}).result()
+        assert ok.ok and svc.pool.stats["misses"] == 1
+
+
 # ---------------------------------------------------------------------------
 # single-flight deduplication
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.spmd import (
     build_schedule,
 )
 from repro.spmd.darray import members_array, positions_in
-from repro.spmd.redistribution import redistribute
+from repro.spmd.schedule import redistribute
 from repro.util.intervals import IntervalSet
 
 

@@ -331,8 +331,9 @@ def _redist_pair(n, p):
     return src, dst
 
 
-def test_plan_memo_evicts_and_rebuilds_bit_identically():
-    memo = PlanMemo(capacity=2)
+def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
+    monkeypatch.setattr("repro.spmd.schedule.PLAN_MEMO_CAPACITY", 2)
+    memo = PlanMemo()
     first = memo.get_or_build("round-robin", *_redist_pair(16, 4))
     memo.get_or_build("round-robin", *_redist_pair(24, 4))
     memo.get_or_build("round-robin", *_redist_pair(32, 4))  # evicts (16, 4)
@@ -372,13 +373,6 @@ def test_plan_memo_insert_race_collapses_to_one_build():
         t.join()
     assert memo.stats()["misses"] == 1
     assert len({id(r) for r in results}) == 1
-
-
-def test_plan_memo_rejects_zero_capacity():
-    from repro.errors import ScheduleError
-
-    with pytest.raises(ScheduleError):
-        PlanMemo(capacity=0)
 
 
 # ---------------------------------------------------------------------------

@@ -156,23 +156,22 @@ def test_callable_condition_predicts_as_it_runs():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Wrap, the way the harness does, the executor module's references to
-    the copy functions and the mp executor's two movement hooks."""
-    calls: dict[str, int] = {}
+    """Wrap, the way the harness does, the executor module's reference to
+    the copy function and the mp executor's movement hook; each call is
+    logged with the policy of the plan it was handed."""
+    calls: dict[str, list] = {}
 
-    def wrap(owner, attr):
+    def wrap(owner, attr, plan_at):
         fn = getattr(owner, attr)
 
         def call(*args, **kwargs):
-            calls[attr] = calls.get(attr, 0) + 1
+            calls.setdefault(attr, []).append(args[plan_at].policy)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, call)
 
-    for attr in ("execute_comm_schedule", "execute_schedule", "build_schedule"):
-        wrap(executor_module, attr)
-    for attr in ("_run_plan", "_run_unscheduled"):
-        wrap(MPExecutor, attr)
+    wrap(executor_module, "execute_comm_schedule", 0)
+    wrap(MPExecutor, "_run_plan", 1)  # args[0] is the executor
     return calls
 
 
@@ -191,27 +190,23 @@ def run_fig16(policy, backend=None):
 
 
 def test_harness_wrappers_see_every_scheduled_copy(counted):
-    result = run_fig16("round-robin")
-    assert counted == {"execute_comm_schedule": result.stats.remaps_performed}
-    assert result.stats.remaps_performed == 10 and result.fusion.replays == 0
+    for policy in ("naive", "round-robin", "aggregate"):
+        counted.clear()
+        result = run_fig16(policy)
+        assert counted == {"execute_comm_schedule": [policy] * result.stats.remaps_performed}
+        assert result.stats.remaps_performed == 10 and result.fusion.replays == 0
 
 
 def test_harness_wrappers_see_every_unscheduled_copy(counted):
     result = run_fig16(None)
-    assert counted.pop("build_schedule") == 2  # block->cyclic and back, once each
-    assert counted == {"execute_schedule": result.stats.remaps_performed}
+    assert counted == {"execute_comm_schedule": [None] * result.stats.remaps_performed}
     assert result.stats.remaps_performed == 10 and result.fusion.replays == 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="mp transport requires fork")
 def test_harness_wrappers_see_every_mp_copy(counted):
+    policies = (None, "naive", "round-robin", "aggregate")
     with MPBackend(4) as backend:
-        planned = run_fig16("round-robin", backend)
-        unplanned = run_fig16(None, backend)
-    assert counted.pop("build_schedule") == 2
-    assert counted == {
-        "_run_plan": planned.stats.remaps_performed,
-        "_run_unscheduled": unplanned.stats.remaps_performed,
-    }
-    assert planned.stats.remaps_performed == unplanned.stats.remaps_performed == 10
-    assert planned.fusion.replays == unplanned.fusion.replays == 0
+        results = [run_fig16(policy, backend) for policy in policies]
+    assert all(r.stats.remaps_performed == 10 and r.fusion.replays == 0 for r in results)
+    assert counted == {"_run_plan": [p for p in policies for _ in range(10)]}
