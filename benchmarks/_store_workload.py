@@ -33,12 +33,12 @@ NPROCS = 4
 N = 40
 
 #: The compile configuration under benchmark: the full analysis pipeline
-#: a serving deployment runs -- level-3 optimization, the schedule pass
-#: (artifacts carry precompiled plan tables) and the traffic-estimate
-#: pass (per-subroutine best/worst traffic predictions over the scenario
-#: grid).  This is exactly the paper's premise at its sharpest: the
-#: derivation is expensive (scenario enumeration, plan building, cost
-#: guard), the replay is a verified unpickle.
+#: a serving deployment runs -- level-3 optimization under the round-robin
+#: policy (the cost guard prices scheduled placements) and the
+#: traffic-estimate pass (per-subroutine best/worst traffic predictions
+#: over the scenario grid).  The derivation is expensive (scenario
+#: enumeration, cost guard); the stored artifact is a verified unpickle.
+#: Plans are not stored: each process builds them on first use.
 OPTIONS = CompilerOptions(
     passes=(
         "parse",
@@ -49,7 +49,6 @@ OPTIONS = CompilerOptions(
         "live-copies",
         "status-checks",
         "codegen",
-        "schedule",
         "traffic-estimate",
     ),
     schedule="round-robin",
@@ -65,8 +64,8 @@ def mixed_workload() -> list[dict]:
     a0 = rng.normal(size=(N, N)) + N * np.eye(N)
     range_ref, azimuth_ref = chirp(N, rate=7.0), chirp(N, rate=3.0)
     raw = synthesize_raw(synthetic_scene(N, seed=0), range_ref, azimuth_ref)
-    # lu first: the costliest derivation leads, so "first-result latency"
-    # is measured where a restarted service hurts most
+    # lu first: the costliest derivation leads, so time to artifact and time
+    # to first result are measured where a restarted service hurts most
     return [
         dict(
             app="lu",

@@ -1,13 +1,13 @@
 """Perf-regression gate: fresh benchmark output vs committed baselines.
 
-CI's ``bench-smoke`` leg runs the schedule, service, symbolic and
+CI's ``bench-smoke`` leg runs the schedule, service, store, symbolic and
 mp-transport benchmarks, then invokes this script to compare the freshly
 produced ``BENCH_schedule.json`` / ``BENCH_service.json`` /
-``BENCH_symbolic.json`` / ``BENCH_mp.json`` against the committed
-baselines in ``benchmarks/baselines/``.  The perf trajectory is thereby
-*gated*, not merely uploaded.  When ``$GITHUB_STEP_SUMMARY`` is set the
-verdict is additionally appended there as markdown, so the run's summary
-page shows what was gated and what regressed.
+``BENCH_store.json`` / ``BENCH_symbolic.json`` / ``BENCH_mp.json`` against
+the committed baselines in ``benchmarks/baselines/``.  The perf trajectory
+is thereby *gated*, not merely uploaded.  When ``$GITHUB_STEP_SUMMARY`` is
+set the verdict is additionally appended there as markdown, so the run's
+summary page shows what was gated and what regressed.
 
 Tolerances are deliberately generous -- runners differ in cores, clock
 and load -- so only regressions that cannot be machine noise fail:
@@ -24,6 +24,10 @@ and load -- so only regressions that cannot be machine noise fail:
   worker count below half the committed baseline.  The warm sweep is
   I/O-modelled (the sleep dominates), which keeps it comparable across
   machines;
+* **store warm start (wall)**: a restarted process over a populated store
+  must reach its first artifact >= 2x faster than a cold compile and must
+  not be slower to its first result beyond 15%; time to artifact from
+  disk must stay within the slowdown bound of the committed baseline;
 * **symbolic-template floors**: the shape-diverse sweep must keep its
   >= 0.9 store hit rate, collapse to one shape-erased entry, and keep
   instantiation >= 20x cheaper than a concrete compile;
@@ -227,6 +231,48 @@ def check_service(
     return problems, compared
 
 
+#: the store benchmark's own floors (bench_store.py asserts the same)
+MIN_STORE_ARTIFACT_SPEEDUP = 2.0
+MAX_STORE_FIRST_RESULT_RATIO = 1.15
+
+
+def check_store(
+    fresh: dict, baseline: dict, max_slowdown: float
+) -> tuple[list[str], int]:
+    """Gate the cross-process warm start; every number here is wall clock
+    (see :func:`check_schedule` on why zero comparisons must not pass).
+
+    Two absolute floors, re-checked so a weakened assertion cannot slip
+    through -- time to artifact from disk vs cold compile, and time to
+    first result warm vs cold -- plus a relative bound on the disk load
+    itself vs the committed baseline.
+    """
+    problems: list[str] = []
+    compared = 1
+    speedup = float(fresh["artifact_speedup"])
+    if speedup < MIN_STORE_ARTIFACT_SPEEDUP:
+        problems.append(
+            f"store[time-to-artifact, wall]: warm start only {speedup:.2f}x faster "
+            f"than cold compile (asserted floor: {MIN_STORE_ARTIFACT_SPEEDUP:g}x)"
+        )
+    ratio = float(fresh["first_result_ratio"])
+    if ratio > MAX_STORE_FIRST_RESULT_RATIO:
+        problems.append(
+            f"store[time-to-first-result, wall]: warm start takes {ratio:.2f}x the "
+            f"cold process's time (ceiling: {MAX_STORE_FIRST_RESULT_RATIO:g}x)"
+        )
+    if fresh.get("apps") == baseline.get("apps"):
+        compared += 1
+        f_ms = float(fresh["warm"]["artifact_ms"])
+        b_ms = float(baseline["warm"]["artifact_ms"])
+        if b_ms > 0 and f_ms > max_slowdown * b_ms:
+            problems.append(
+                f"store[time-to-artifact, wall]: disk load regressed {f_ms:.2f}ms "
+                f"vs baseline {b_ms:.2f}ms (> {max_slowdown:g}x)"
+            )
+    return problems, compared
+
+
 def check_symbolic(
     fresh: dict, baseline: dict, max_slowdown: float
 ) -> tuple[list[str], int]:
@@ -397,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, check in (
         ("BENCH_schedule.json", check_schedule),
         ("BENCH_service.json", check_service),
+        ("BENCH_store.json", check_store),
         ("BENCH_symbolic.json", check_symbolic),
         ("BENCH_mp.json", check_mp),
     ):

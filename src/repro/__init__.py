@@ -32,7 +32,7 @@ Lower-level entry points: :func:`compile_program` (stable one-shot API) and
 :class:`~repro.compiler.pipeline.Pipeline`/:class:`~repro.compiler.pipeline.PassManager`
 for explicit control over the named passes (``parse``, ``motion``,
 ``resolve``, ``construction``, ``remove-useless``, ``live-copies``,
-``status-checks``, ``codegen``, ``schedule``, ``traffic-estimate``).
+``status-checks``, ``codegen``, ``traffic-estimate``).
 Every compiled artifact carries a per-pass :class:`PipelineTrace` and an
 aggregated :class:`CompileReport`.
 
@@ -40,8 +40,8 @@ aggregated :class:`CompileReport`.
 opts into the communication-schedule subsystem: remappings execute as
 contention-managed phases on the machine's phase clock, cost/traffic
 analyses price the scheduled placement (phase makespans instead of
-per-endpoint sums), and the ``schedule`` pass precompiles the phased
-plans into the artifact so warm session runs do zero scheduling work.
+per-endpoint sums), and the artifact's plan table builds and proves each
+phased plan on first use, so warm session runs do zero scheduling work.
 
 The ``motion`` pass is cost-guarded: candidate code motions are priced by
 an exact static traffic simulator under the machine's :class:`CostModel`

@@ -7,12 +7,12 @@ consumers added by the static-analysis extension:
 
 * :mod:`repro.analysis.verify` -- structural/semantic invariant checks
   over compiled artifacts (CFG shape, version def-before-use, remap-graph
-  consistency, statement-key maps, plan-table signatures); run by the
-  ``verify`` pass and on every artifact-store disk load.
-* :mod:`repro.analysis.commsafety` -- compile-time proofs that a
-  precompiled communication plan moves exactly the bytes the mapping
-  change requires and respects the one-port model; proven plans are
-  stamped ``statically_verified`` and skip runtime re-validation.
+  consistency, statement-key maps); run by the ``verify`` pass and on
+  every artifact-store disk load.
+* :mod:`repro.analysis.commsafety` -- static proofs that a communication
+  plan moves exactly the bytes the mapping change requires and respects
+  the one-port model; proven plans are stamped ``statically_verified``
+  when the plan table builds them and skip runtime re-validation.
 * :mod:`repro.analysis.lints` -- rule-coded diagnostics (RPR0xx) for the
   paper's Fig. 2 catalog of wasteful remappings, plus CFG hygiene and
   scenario-reachability checks, surfaced via ``python -m repro.lint``.

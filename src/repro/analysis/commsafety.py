@@ -1,10 +1,12 @@
-"""Static communication-safety proofs for precompiled plans.
+"""Static communication-safety proofs for communication plans.
 
 The machine's phase clock (:meth:`~repro.spmd.machine.Machine.run_phase`)
 re-validates the one-port property of every contention-free phase at run
-time -- an O(messages) check paid on *every* replay of a precompiled
+time -- an O(messages) check paid on *every* replay of a
 :class:`~repro.spmd.schedule.CommSchedule`.  This module moves that proof
-to compile time.  For a plan built for the copy ``dst = src`` it proves:
+to plan-build time (:meth:`~repro.spmd.schedule.CommPlanTable.obtain`
+certifies each phased plan once, before its first phase runs).  For a
+plan built for the copy ``dst = src`` it proves:
 
 * **exact cover** -- the plan's messages (phase transfers plus local
   copies) are exactly the maximal contiguous rectangles of the
@@ -33,14 +35,9 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.ownership import layout_of
 from repro.spmd.message import one_port_problems
 from repro.spmd.redistribution import Transfer, build_schedule
-from repro.spmd.schedule import (
-    POLICIES,
-    CommPlanTable,
-    CommSchedule,
-    rectangles,
-)
+from repro.spmd.schedule import POLICIES, CommSchedule, rectangles
 
-__all__ = ["prove_plan", "certify_plan", "certify_table"]
+__all__ = ["prove_plan", "certify_plan"]
 
 
 def _canonical(t: Transfer) -> tuple:
@@ -142,23 +139,3 @@ def certify_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> CommSchedule
     if prove_plan(src, dst, plan):
         return plan
     return replace(plan, statically_verified=True)
-
-
-def certify_table(table: CommPlanTable, pairs: list[tuple[Mapping, Mapping]]) -> int:
-    """Certify every listed (src, dst) plan of an unfrozen table in place.
-
-    Used by the ``schedule`` pass after prebuilding the artifact's plan
-    table; returns how many plans ended up stamped ``statically_verified``
-    (idempotent: already-stamped plans count but are not re-proved).
-    """
-    certified = 0
-    for src, dst in pairs:
-        plan = table.lookup(src, dst)
-        if plan is None:
-            continue
-        stamped = certify_plan(src, dst, plan)
-        if stamped is not plan:
-            table.replace(src, dst, stamped)
-        if stamped.statically_verified:
-            certified += 1
-    return certified

@@ -2,9 +2,9 @@
 
 A :class:`~repro.compiler.artifacts.CompiledProgram` is a graph of
 interlocking structures -- CFG, remapping graph ``G_R``, version table,
-statement-keyed annotation maps, generated op lists, precompiled plan
-table -- whose mutual consistency everything downstream assumes.  This
-module *checks* those assumptions instead of trusting them:
+statement-keyed annotation maps, generated op lists -- whose mutual
+consistency everything downstream assumes.  This module *checks* those
+assumptions instead of trusting them:
 
 * **CFG well-formedness** -- entry/exit exist, nodes are keyed by their
   own id, successor/predecessor adjacency is symmetric and closed;
@@ -16,10 +16,6 @@ module *checks* those assumptions instead of trusting them:
   existing vertices and are labelled only with arrays both endpoints
   remap, and every leaving/reaching/live version is live in the version
   table;
-* **plan-table consistency** -- plan signatures refer to mappings
-  interned by some subroutine's version table, policies agree, and a
-  plan stamped ``statically_verified`` actually satisfies the one-port
-  property it claims;
 * **statement-key bijectivity** -- the ``id(stmt)``-keyed maps
   (``cfg.stmt_nodes``, ``stmt_versions``, generated before/after op
   lists) correspond one-to-one with live CFG statements.  This is the
@@ -44,15 +40,12 @@ from typing import TYPE_CHECKING
 from repro.analysis.dataflow import Direction, solve
 from repro.errors import ArtifactVerificationError
 from repro.ir.cfg import CFG, NodeKind
-from repro.spmd.message import one_port_problems
-from repro.spmd.schedule import POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.artifacts import CompiledProgram
     from repro.compiler.template import SymbolicTemplate
     from repro.remap.codegen import GeneratedCode
     from repro.remap.construction import ConstructionResult
-    from repro.spmd.schedule import CommPlanTable
 
 __all__ = [
     "VerificationIssue",
@@ -60,7 +53,6 @@ __all__ = [
     "verify_graph",
     "verify_versions",
     "verify_stmt_keys",
-    "verify_plans",
     "verify_subroutine",
     "verify_artifact",
     "verify_template",
@@ -341,63 +333,6 @@ def verify_stmt_keys(
 
 
 # ---------------------------------------------------------------------------
-# plan-table consistency
-# ---------------------------------------------------------------------------
-
-
-def verify_plans(
-    plans: "CommPlanTable | None",
-    constructions: "dict[str, ConstructionResult]",
-) -> list[VerificationIssue]:
-    """Plan signatures must come from the remap set; stamps must hold."""
-    issues: list[VerificationIssue] = []
-    if plans is None:
-        return issues
-    if plans.policy not in (None, *POLICIES):
-        _issue(issues, "plans", f"unknown plan-table policy {plans.policy!r}", None)
-    known = set()
-    for res in constructions.values():
-        for a in res.versions.arrays():
-            for m in res.versions.versions(a):
-                known.add(m.signature)
-    for key, plan in plans.entries():
-        if not (isinstance(key, tuple) and len(key) == 2):
-            _issue(issues, "plans", f"malformed plan key {key!r}", None)
-            continue
-        for end, sig in zip(("source", "target"), key):
-            if sig not in known:
-                _issue(
-                    issues,
-                    "plans",
-                    f"plan {end} signature matches no version of the remap set",
-                    None,
-                )
-        if plan.policy != plans.policy:
-            _issue(
-                issues,
-                "plans",
-                f"plan policy {plan.policy!r} disagrees with the table's "
-                f"{plans.policy!r}",
-                None,
-            )
-        if plan.statically_verified:
-            for k, phase in enumerate(plan.phases):
-                if phase.contended:
-                    continue
-                for problem in one_port_problems(
-                    (t.src_rank, t.dst_rank) for t in phase.transfers
-                ):
-                    _issue(
-                        issues,
-                        "plans",
-                        f"plan stamped statically_verified but phase {k} "
-                        f"violates one-port: {problem}",
-                        None,
-                    )
-    return issues
-
-
-# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 
@@ -423,11 +358,8 @@ def verify_subroutine(
 def verify_artifact(cp: "CompiledProgram") -> list[VerificationIssue]:
     """Every invariant check over a compiled program; empty = verified."""
     issues: list[VerificationIssue] = []
-    constructions = {}
     for name, cs in cp.subroutines.items():
-        constructions[name] = cs.construction
         issues += verify_subroutine(cs.construction, cs.code, name)
-    issues += verify_plans(cp.plans, constructions)
     return issues
 
 
@@ -444,8 +376,8 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     * **probe instantiation** -- the template is instantiated at one small
       concrete geometry and the result passes the *full* concrete checker
       (:func:`verify_artifact`) plus the template's own closed-form
-      rectangle cross-check.  An entry whose stored AST, options or memo
-      were corrupted in a way that still unpickles will fail here and be
+      rectangle cross-check.  An entry whose stored AST or options were
+      corrupted in a way that still unpickles will fail here and be
       evicted by the store exactly like a corrupt concrete artifact.
     """
     issues: list[VerificationIssue] = []

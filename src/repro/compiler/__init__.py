@@ -13,11 +13,8 @@ The pipeline mirrors the paper, one named pass per phase (canonical order):
 6. ``live-copies`` -- dynamic live copies (Appendix D), level >= 2;
 7. ``status-checks`` -- runtime status guards on remappings, level >= 1;
 8. ``codegen`` / ``codegen-naive`` -- copy code generation (Fig. 19/20);
-9. ``schedule`` (opt-in, added by ``CompilerOptions(schedule=...)``) --
-   precompile every reachable remapping's phased communication plan
-   (:mod:`repro.spmd.schedule`) into the artifact;
-10. ``traffic-estimate`` (opt-in) -- per-subroutine predicted traffic
-    ranges over all branch/trip scenarios, recorded in the compile report.
+9. ``traffic-estimate`` (opt-in) -- per-subroutine predicted traffic
+   ranges over all branch/trip scenarios, recorded in the compile report.
 
 ``codegen-naive`` is level 0, the paper's baseline: every remapping
 directive is an unconditional copy with no status checks and no kept

@@ -19,7 +19,7 @@ from repro.remap.construction import CallInfo, ConstructionResult
 from repro.remap.graph import RemappingGraph, VersionTable
 from repro.remap.motion import MotionReport
 from repro.spmd.cost import CostModel
-from repro.spmd.schedule import DEFAULT_POLICY, POLICIES
+from repro.spmd.schedule import POLICIES
 
 if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
     from repro.compiler.diagnostics import CompileReport
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: machinery): the persistent store (:mod:`repro.store`) mixes it into
 #: its schema fingerprint, so old on-disk entries become invisible
 #: instead of being unpickled into a mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 4
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Canonical pass order.  A pass set is always run in this order; custom
 #: pass lists are validated against each pass's declared inputs/outputs.
@@ -52,7 +52,6 @@ PASS_ORDER: tuple[str, ...] = (
     "status-checks",
     "codegen",
     "codegen-naive",
-    "schedule",
     "traffic-estimate",
     "verify",
 )
@@ -75,7 +74,6 @@ PASS_ANCHORS: dict[str, str] = {
     "status-checks": "Fig. 20 (runtime status guard)",
     "codegen": "Fig. 19/20 (copy code generation)",
     "codegen-naive": "Sec. 4 (naive always-copy baseline)",
-    "schedule": "extension: PR 3 (Prylli & Tourancheau-style phases)",
     "traffic-estimate": "extension: PR 2 (static traffic oracle)",
     "verify": "extension: PR 6 (static artifact verifier)",
 }
@@ -132,12 +130,12 @@ class CompilerOptions:
     ``schedule`` opts into the communication-schedule subsystem: a policy
     name (``"naive"``, ``"round-robin"``, ``"aggregate"``) makes the
     executor run every remapping as a phased plan on the machine's phase
-    clock, makes the cost guard and traffic estimator price the
-    *scheduled* placement, and adds the ``schedule`` pass (which
-    precompiles every reachable plan into the artifact) to the pass set.
-    ``None`` (the default) runs every remapping as the degenerate plan:
-    no phases, each transfer charged on its own (the unphased ledger).
-    Like ``cost``, it is compile-relevant and part of session cache keys.
+    clock and makes the cost guard and traffic estimator price the
+    *scheduled* placement.  ``None`` (the default) runs every remapping as
+    the degenerate plan: no phases, each transfer charged on its own (the
+    unphased ledger).  It adds no pass -- plans are built on first use by
+    the artifact's :class:`~repro.spmd.schedule.CommPlanTable` -- but like
+    ``cost`` it is compile-relevant and part of session cache keys.
     """
 
     level: int = 3
@@ -167,12 +165,6 @@ class CompilerOptions:
                     "'status-checks' has no effect with 'codegen-naive' "
                     "(the naive baseline always copies unconditionally)"
                 )
-            # asking for the schedule pass implies the default policy, and
-            # naming a policy implies the pass: keep the two in sync
-            if "schedule" in names and self.schedule is None:
-                object.__setattr__(self, "schedule", DEFAULT_POLICY)
-            if self.schedule is not None:
-                names = names + ("schedule",)
             # normalize: canonical order, no duplicates (hash/eq friendly)
             object.__setattr__(
                 self, "passes", tuple(n for n in PASS_ORDER if n in set(names))
@@ -215,10 +207,7 @@ class CompilerOptions:
         """The effective pass set, whichever way it was specified."""
         if self.passes is not None:
             return self.passes
-        names = set(passes_for_level(self.level))
-        if self.schedule is not None:
-            names.add("schedule")
-        return tuple(n for n in PASS_ORDER if n in names)
+        return passes_for_level(self.level)
 
     # -- derived flags (backward-compatible surface) -------------------------
 
@@ -363,17 +352,16 @@ class CompiledProgram(_Freezable):
     (diagnostics, motion and removal summaries).  Both are ``None`` for
     artifacts built by other means, so direct construction keeps working.
     ``plans`` is the artifact's :class:`~repro.spmd.schedule.CommPlanTable`
-    for ``options.schedule`` (``None`` included): its entries are the plans
-    the ``schedule`` pass precompiled (one phased
-    :class:`~repro.spmd.schedule.CommSchedule` per reachable version pair,
-    none when the pass did not run), its memo serves every other pair and
-    lives as long as the artifact -- so warm session hits do zero
-    scheduling work.  Only artifacts assembled by hand carry ``None``.
+    for ``options.schedule`` (``None`` included): it gets or builds the
+    plan of every performed copy and lives as long as the artifact -- so
+    warm session hits do zero scheduling work -- but it is derived state,
+    not content: pickles carry its policy only.  Only artifacts assembled
+    by hand carry ``None``.
 
     A cached (session-held) artifact is :meth:`frozen <freeze>`: it is
     shared by every thread that hits the cache, the executor treats it as
-    read-only (the plan table's memo is derived state, not content), and
-    attribute writes raise :class:`~repro.errors.ArtifactFrozenError`.
+    read-only (the lock-guarded plan table is derived state, not content),
+    and attribute writes raise :class:`~repro.errors.ArtifactFrozenError`.
     """
 
     program: ResolvedProgram
@@ -384,19 +372,15 @@ class CompiledProgram(_Freezable):
     plans: "CommPlanTable | None" = None
 
     def freeze(self) -> None:
-        """Make the artifact (and its plan table) immutable for sharing.
+        """Make the artifact immutable for sharing.
 
         Called by :class:`~repro.compiler.session.CompilerSession` before
         the artifact enters the cache.  Freezing is shallow but covers the
         surfaces concurrency exercises: the program/subroutine containers
-        reject attribute writes and the attached
-        :class:`~repro.spmd.schedule.CommPlanTable` rejects ``build`` (pairs
-        outside its entries are served by its memo).  Idempotent.
+        reject attribute writes.  Idempotent.
         """
         for cs in self.subroutines.values():
             cs.freeze()
-        if self.plans is not None:
-            self.plans.freeze()
         self._freeze_self()
 
     def get(self, name: str) -> CompiledSubroutine:

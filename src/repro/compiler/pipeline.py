@@ -54,7 +54,7 @@ from repro.remap import construction as construction_mod
 from repro.remap import livecopies as livecopies_mod
 from repro.remap import motion as motion_mod
 from repro.remap import optimize as optimize_mod
-from repro.remap.codegen import GeneratedCode, generate_code, reachable_plan_pairs
+from repro.remap.codegen import GeneratedCode, generate_code
 from repro.remap.construction import ConstructionResult, build_remapping_graph
 from repro.remap.costguard import CostGuard, GuardFlags, ShapeGenericGuard
 from repro.remap.graph import RemappingGraph
@@ -85,8 +85,7 @@ class PassContext:
     constructions: dict[str, ConstructionResult] = field(default_factory=dict)
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     status_checks: bool = False
-    #: the artifact's plan table, for ``options.schedule`` (possibly
-    #: ``None``); the ``schedule`` pass fills and certifies its entries
+    #: the artifact's plan table, for ``options.schedule`` (possibly ``None``)
     plans: CommPlanTable = field(init=False)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
@@ -413,58 +412,6 @@ class CodegenPass:
         return {"ops": ops}
 
 
-class SchedulePass:
-    """Precompile the communication plans the compiled program may replay.
-
-    For every version pair a generated remapping can connect -- any
-    current status as the source, each :class:`RemapOp`'s leaving version
-    (or a :class:`RestoreOp`'s possible saved statuses) as the target --
-    build the phased :class:`~repro.spmd.schedule.CommSchedule` under the
-    options' policy as an entry of the artifact's
-    :class:`~repro.spmd.schedule.CommPlanTable`.
-    Plans are keyed by (source, target) mapping signature, so aligned
-    families sharing mappings share plans.  Warm
-    :class:`~repro.compiler.session.CompilerSession` hits return the
-    artifact with its plans: the executor replays them with zero
-    scheduling work (``plans_reused`` in the machine's traffic stats).
-    """
-
-    name = "schedule"
-    requires: tuple[str, ...] = ("graph", "code")
-    provides: tuple[str, ...] = ("plans",)
-
-    def run(self, ctx: PassContext) -> dict[str, int]:
-        from repro.analysis.commsafety import certify_table
-
-        table = ctx.plans
-        pairs = 0
-        built: list[tuple] = []
-        for name, res in ctx.constructions.items():
-            for src, dst in reachable_plan_pairs(res, ctx.codes[name]):
-                pairs += 1
-                table.build(src, dst)
-                built.append((src, dst))
-        # prove exact cover + one-port for every plan and stamp the
-        # provable ones statically_verified: the machine skips the runtime
-        # one-port re-check for their phases (repro.analysis.commsafety)
-        verified = certify_table(table, built)
-        plans = table.plans()
-        _OBS.counter("repro.schedule.plans_precompiled").inc(len(table))
-        _OBS.counter("repro.schedule.phases_planned").inc(
-            sum(p.phase_count for p in plans)
-        )
-        _OBS.counter("repro.schedule.messages_planned").inc(
-            sum(p.message_count for p in plans)
-        )
-        return {
-            "plans": len(table),
-            "pairs": pairs,
-            "verified": verified,
-            "phases": sum(p.phase_count for p in plans),
-            "messages": sum(p.message_count for p in plans),
-        }
-
-
 class TrafficEstimatePass:
     """Predict each subroutine's communication over its runtime unknowns.
 
@@ -524,9 +471,9 @@ class VerifyPass:
     Runs the full checker of :mod:`repro.analysis.verify` -- CFG
     well-formedness, mapping-version def-before-use (a forward dataflow on
     the generic solver), remapping-graph/version-table liveness,
-    plan-table signature consistency, statement-key bijectivity -- over
-    everything the pipeline built.  Issues are recorded as ``error``
-    diagnostics in the compile report and raised as
+    statement-key bijectivity -- over everything the pipeline built.
+    Issues are recorded as ``error`` diagnostics in the compile report and
+    raised as
     :class:`~repro.errors.ArtifactVerificationError`: a compile that asked
     for verification never hands out an artifact that fails it.  The same
     checks guard every :mod:`repro.store` disk load (where failures evict
@@ -546,7 +493,6 @@ class VerifyPass:
             issues.extend(
                 verify_mod.verify_subroutine(res, ctx.codes.get(name), name)
             )
-        issues.extend(verify_mod.verify_plans(ctx.plans, ctx.constructions))
         for issue in issues:
             ctx.report.add(
                 "error",
@@ -556,8 +502,11 @@ class VerifyPass:
             )
         if issues:
             raise ArtifactVerificationError(issues)
-        checks = 4 * len(ctx.constructions) + (1 if "schedule" in ctx.ran else 0)
-        return {"subroutines": len(ctx.constructions), "checks": checks, "issues": 0}
+        return {
+            "subroutines": len(ctx.constructions),
+            "checks": 4 * len(ctx.constructions),
+            "issues": 0,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +654,6 @@ class PassManager:
         "status-checks": StatusChecksPass,
         "codegen": lambda: CodegenPass(naive=False),
         "codegen-naive": lambda: CodegenPass(naive=True),
-        "schedule": SchedulePass,
         "traffic-estimate": TrafficEstimatePass,
         "verify": VerifyPass,
     }

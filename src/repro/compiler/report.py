@@ -78,12 +78,7 @@ def pass_reference_table() -> str:
             continue  # pragma: no cover - registry always covers PASS_ORDER
         p = PassManager.create(name)
         levels = [str(lv) for lv in sorted(level_sets) if name in level_sets[lv]]
-        if levels:
-            level_cell = ", ".join(levels)
-        elif name == "schedule":
-            level_cell = "opt-in (`schedule=...`)"
-        else:
-            level_cell = "opt-in (`passes=...`)"
+        level_cell = ", ".join(levels) if levels else "opt-in (`passes=...`)"
         rows.append(
             (
                 f"`{name}`",

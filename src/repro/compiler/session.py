@@ -98,7 +98,7 @@ _M_INSTANTIATIONS = _OBS.counter("repro.session.instantiations")
 #: cost model, schedule policy).  The cost model is compile-relevant: the
 #: motion pass makes different code-motion decisions under different machine
 #: parameters, so sessions must never serve an artifact compiled for another
-#: machine model.  The schedule policy likewise: two policies precompile
+#: machine model.  The schedule policy likewise: two policies run
 #: different communication plans (and guard motion differently), so their
 #: artifacts must not be shared.
 SessionKey = tuple[

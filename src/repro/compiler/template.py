@@ -16,17 +16,15 @@ mappings, rectangle sets, communication plans), a template keeps:
   (:func:`repro.symbolic.ownership.dim_region`), lifted by probing the
   resolver at two distinct shape assignments.  They are cross-check
   material for the verifier, never the instantiation hot path;
-* a shared :class:`~repro.spmd.schedule.PlanMemo` so every instantiation's
-  plan table reuses schedules across repeated shapes.
+* one :class:`~repro.spmd.schedule.CommPlanTable` shared by every
+  instantiation, so repeated shapes reuse their plans.
 
 :meth:`SymbolicTemplate.instantiate` runs only the cheap structural tail
 of the pipeline (resolve through codegen) on the stored AST with concrete
-bindings -- no parsing, no motion, no eager scheduling -- and attaches a
-:class:`~repro.spmd.schedule.CommPlanTable` with no entries behind which
-sits the template's memo, so plans are built on first use.  The
-result is a plain :class:`CompiledProgram`: executors, verifiers and the
-differential tests cannot tell it from a from-scratch compile (and the
-test suite proves they cannot, bit for bit).
+bindings -- no parsing, no motion -- and attaches the template's plan
+table.  The result is a plain :class:`CompiledProgram`: executors,
+verifiers and the differential tests cannot tell it from a from-scratch
+compile (and the test suite proves they cannot, bit for bit).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from repro.errors import SymbolicBindingError
 from repro.lang.ast_nodes import Program
 from repro.mapping.ownership import dim_owned
 from repro.mapping.processors import ProcessorArrangement
-from repro.spmd.schedule import CommPlanTable, PlanMemo
+from repro.spmd.schedule import CommPlanTable
 from repro.symbolic.affine import Const, Sym, SymExpr, ceil_div
 from repro.symbolic.classify import BindingClassification
 from repro.symbolic.ownership import (
@@ -69,10 +67,9 @@ _PROBE_BASES = (13, 29)
 _PROBE_STEP = 4
 
 #: Passes a template instantiation must *not* run: the front end and
-#: motion are baked into the stored AST, ``symbolize`` already happened,
-#: and eager plan building is replaced by the template's memo.
+#: motion are baked into the stored AST and ``symbolize`` already happened.
 _SKIPPED_AT_INSTANTIATION = frozenset(
-    {"parse", "motion", "symbolize", "schedule", "traffic-estimate"}
+    {"parse", "motion", "symbolize", "traffic-estimate"}
 )
 
 
@@ -206,12 +203,15 @@ class SymbolicTemplate(_Freezable):
     #: form; instantiation never needs them -- the verifier cross-checks
     #: instantiated layouts against the ones that exist)
     sym_rectangles: dict[str, dict[str, tuple]] = field(default_factory=dict)
-    #: plan memo shared by every instantiation's plan table
-    memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
+    #: the plan table every instantiation shares (derived state)
+    plans: CommPlanTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.plans = CommPlanTable(self.options.schedule)
 
     def freeze(self) -> None:
-        """Make the template immutable for cache sharing (the memo keeps
-        its own lock and stays live -- that is its whole point)."""
+        """Make the template immutable for cache sharing (the plan table
+        keeps its own lock and stays live -- that is its whole point)."""
         self._freeze_self()
 
     # -- derived ------------------------------------------------------------
@@ -242,10 +242,9 @@ class SymbolicTemplate(_Freezable):
 
         Runs only the structural tail of the pipeline (resolve through
         codegen, plus ``verify`` when the template's options include it)
-        over the stored AST, then puts the template's memo behind the
-        (entry-less) plan table.  The
-        caller freezes the result before sharing it, exactly as for an
-        eager compile.
+        over the stored AST, then attaches the template's plan table.
+        The caller freezes the result before sharing it, exactly as for
+        an eager compile.
         """
         from repro.compiler.pipeline import PassManager, Pipeline
 
@@ -268,7 +267,7 @@ class SymbolicTemplate(_Freezable):
         compiled = pipeline.compile(
             self.program, merged, processors, options=self.options
         )
-        compiled.plans = CommPlanTable(self.options.schedule, memo=self.memo)
+        compiled.plans = self.plans
         return compiled
 
     # -- verification -------------------------------------------------------

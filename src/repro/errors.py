@@ -65,10 +65,9 @@ class ArtifactFrozenError(ReproError):
 
     :class:`~repro.compiler.session.CompilerSession` freezes artifacts
     before inserting them into its cache: from then on the object may be
-    executed by any number of threads concurrently, so any in-place
-    mutation -- setting an attribute, building into the attached plan
-    table -- is a bug and raises immediately instead of corrupting
-    another request's run."""
+    executed by any number of threads concurrently, so an in-place
+    mutation (setting an attribute) is a bug and raises immediately
+    instead of corrupting another request's run."""
 
 
 # ---------------------------------------------------------------------------

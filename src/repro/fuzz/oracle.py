@@ -44,8 +44,8 @@ from repro.fuzz.generator import FuzzCase, runtime_conditions
 from repro.spmd.machine import Machine
 from repro.spmd.schedule import POLICIES
 
-#: Schedule policy axis: ``None`` is the unscheduled (build-at-runtime)
-#: path; the named policies precompile CommPlans.
+#: Schedule policy axis: ``None`` runs every copy as the degenerate
+#: unphased plan; the named policies run phased CommPlans.
 SCHEDULES: tuple[str | None, ...] = (None, *POLICIES)
 
 #: Every kind an :class:`OracleFinding` can carry; ``docs/FUZZING.md``

@@ -28,9 +28,6 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.session.instantiations", c, "Artifacts served by symbolic-template instantiation."),
         MetricSpec("repro.session.compile_seconds", h, "compile_traced wall time, labeled by serving tier.", ("tier",)),
         # -- schedule subsystem ----------------------------------------------
-        MetricSpec("repro.schedule.plans_precompiled", c, "CommPlans precompiled by the schedule pass."),
-        MetricSpec("repro.schedule.phases_planned", c, "Communication phases across precompiled plans."),
-        MetricSpec("repro.schedule.messages_planned", c, "Messages across precompiled plans."),
         MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to copy descriptors (first execution of a plan object)."),
         # -- service front door ----------------------------------------------
         MetricSpec("repro.service.requests_submitted", c, "Requests accepted by CompileService."),
@@ -61,8 +58,6 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.runtime.messages", c, "Remap messages between ranks."),
         MetricSpec("repro.runtime.remaps_performed", c, "Remap statements that moved data."),
         MetricSpec("repro.runtime.remaps_skipped", c, "Remap statements skipped (dead/unneeded)."),
-        MetricSpec("repro.runtime.plans_built", c, "Performed copies whose plan was obtained on demand (plan-table memo, hit or miss)."),
-        MetricSpec("repro.runtime.plans_reused", c, "Performed copies whose plan is a precompiled plan-table entry."),
         # -- multi-process transport -------------------------------------------
         MetricSpec("repro.mp.workers", g, "Live forked worker ranks of the mp transport."),
         MetricSpec("repro.mp.exchanges", c, "Remapping exchanges executed over the transport."),

@@ -137,45 +137,6 @@ class GeneratedCode:
 
 
 # ---------------------------------------------------------------------------
-# plan reachability
-# ---------------------------------------------------------------------------
-
-
-def plan_targets(code: GeneratedCode) -> dict[str, set[int]]:
-    """Per-array version indices the generated code can remap *to*.
-
-    Every :class:`RemapOp` names its leaving version; every
-    :class:`RestoreOp` may land on any of its possible saved statuses.
-    """
-    targets: dict[str, set[int]] = {}
-    for op in code.all_ops():
-        if isinstance(op, RemapOp):
-            targets.setdefault(op.array, set()).add(op.leaving)
-        elif isinstance(op, RestoreOp):
-            targets.setdefault(op.array, set()).update(op.possible)
-    return targets
-
-
-def reachable_plan_pairs(construction, code: GeneratedCode) -> list[tuple]:
-    """Every (source, target) mapping pair a run of ``code`` may redistribute.
-
-    Any current version can be the source; the targets come from
-    :func:`plan_targets`.  This is the exact pair set the ``schedule``
-    pass precompiles eagerly and a symbolic-template instantiation
-    declares for lazy building -- keeping them the same function is what
-    makes the two artifact forms replay identical plans.
-    """
-    pairs: list[tuple] = []
-    for array, leavings in sorted(plan_targets(code).items()):
-        versions = construction.versions.versions(array)
-        for j in sorted(leavings):
-            for i in range(len(versions)):
-                if i != j:
-                    pairs.append((versions[i], versions[j]))
-    return pairs
-
-
-# ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
 

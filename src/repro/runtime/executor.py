@@ -33,14 +33,14 @@ Any number of :class:`Executor` instances may run the *same*
   :class:`~repro.runtime.memory.MemoryManager`, the machine and its
   clocks/stats;
 * the artifact is treated strictly read-only (generated ops, version
-  tables, construction results, resolved subroutines, the entries of its
-  :class:`~repro.spmd.schedule.CommPlanTable`); session-cached artifacts
-  additionally *enforce* this by freezing.  What a run does write through
-  the shared artifact is derived state only: the table's lock-guarded
-  :class:`~repro.spmd.schedule.PlanMemo` (plans of pairs that are not
-  precompiled entries) and each plan's memoized lowered form
-  (:class:`~repro.spmd.redistribution.LoweredOnce`) -- idempotent
-  first-use writes of immutable values, the same from every thread.
+  tables, construction results, resolved subroutines); session-cached
+  artifacts additionally *enforce* this by freezing.  What a run does
+  write through the shared artifact is derived state only: its
+  lock-guarded :class:`~repro.spmd.schedule.CommPlanTable` (a lost
+  first-use race returns the winner's plan) and each plan's memoized
+  lowered form (:meth:`~repro.spmd.schedule.CommSchedule.lowered`) --
+  idempotent first-use writes of immutable values, the same from every
+  thread.
 
 The two sharing hazards live outside the executor and are the caller's
 to respect: an :class:`ExecutionEnv` must not be shared across concurrent
@@ -327,8 +327,6 @@ class Executor(DescriptorWalker):
             ("repro.runtime.bytes_moved", "bytes"),
             ("repro.runtime.messages", "messages"),
             ("repro.runtime.remaps_performed", "remaps_performed"),
-            ("repro.runtime.plans_built", "plans_built"),
-            ("repro.runtime.plans_reused", "plans_reused"),
         ):
             delta = after[key] - before[key]
             if delta:
@@ -395,23 +393,17 @@ class Executor(DescriptorWalker):
 
         The plan object owns its copy descriptors and the artifact's table
         owns the plan, so only the first execution of a plan over the
-        artifact's life pays any scheduling or index arithmetic.  The
-        ledger counts provenance, not cache warmth: ``plans_reused`` for a
-        precompiled entry, ``plans_built`` for a plan obtained on demand.
+        artifact's life pays any scheduling or index arithmetic.
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
         stats = self.machine.stats
         itemsize = np.dtype(self.env.dtype).itemsize
-        plan, precompiled = self.plans.obtain(state.versions[src], state.versions[leaving])
-        if precompiled:
-            stats.plans_reused += 1
-        else:
-            stats.plans_built += 1
+        plan = self.plans.obtain(state.versions[src], state.versions[leaving])
         bytes_before = stats.bytes
         messages_before = stats.messages
         makespan_before = self.machine.phase_seconds
-        with _TRACER.span("remap.plan_replay", tag=tag, reused=precompiled):
+        with _TRACER.span("remap.plan_replay", tag=tag):
             self._run_plan(plan, source, target, tag)
         predicted = plan.lowered(source.layout, target.layout)
         self.drift.record(

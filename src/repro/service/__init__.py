@@ -3,7 +3,7 @@
 The north-star deployment for this compiler is *request-time* compilation:
 sources arrive as traffic, and compile latency plus cache hit rate are the
 product.  This subpackage is that front door, built on the guarantees the
-rest of the repo establishes (frozen immutable artifacts, precompiled
+rest of the repo establishes (frozen immutable artifacts, per-artifact
 ``CommPlan`` replay, cost-keyed session caching):
 
 * :class:`~repro.service.pool.SessionPool` -- the artifact cache as N

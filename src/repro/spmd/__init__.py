@@ -20,7 +20,7 @@ live at: *which remapping messages are exchanged and how large they are*.
   the degenerate plan that charges each transfer on its own -- executes
   it (:func:`execute_comm_schedule`, moving real data and charging the
   cost model), and keeps plans per mapping-signature pair
-  (:class:`CommPlanTable`: precompiled entries plus a memo).
+  (:class:`CommPlanTable`: one get-or-build table per artifact).
 """
 
 from repro.spmd.cost import CostDecision, CostModel, TrafficEstimate

@@ -8,11 +8,8 @@ performed, skipped because the target copy was live, copies elided because
 the target is dead, ...).
 
 Per-array and per-tag breakdowns record where the bytes and messages went,
-and the scheduling counters (``phases``, ``plans_built``, ``plans_reused``)
-make the communication-schedule subsystem's effects observable: a run
-shows how many contention-managed rounds it executed and whether each
-copy's plan was a precompiled entry of the artifact's table or obtained on
-demand (provenance, not cache warmth: the same cold or warm).
+and ``phases`` makes the communication-schedule subsystem's effect
+observable: how many contention-managed rounds a run executed.
 """
 
 from __future__ import annotations
@@ -104,8 +101,6 @@ class TrafficStats:
     frees: int = 0
     evictions: int = 0
     phases: int = 0  # communication phases run on the phase clock
-    plans_built: int = 0  # copies whose plan was obtained on demand (memo hit or miss)
-    plans_reused: int = 0  # copies whose plan is a precompiled table entry
     per_array_bytes: dict[str, int] = field(default_factory=dict)
     per_array_messages: dict[str, int] = field(default_factory=dict)
     per_tag_bytes: dict[str, int] = field(default_factory=dict)
@@ -170,8 +165,10 @@ class TrafficStats:
             "frees": self.frees,
             "evictions": self.evictions,
             "phases": self.phases,
-            "plans_built": self.plans_built,
-            "plans_reused": self.plans_reused,
+            # derived, not counted: benchmarks/layers/probes.py still reads both
+            # keys (every performed copy obtains its plan from the table)
+            "plans_built": self.remaps_performed,
+            "plans_reused": 0,
         }
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:

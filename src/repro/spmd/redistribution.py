@@ -26,12 +26,8 @@ from dataclasses import dataclass
 
 from repro.errors import ShapeError
 from repro.mapping.ownership import Layout
-from repro.obs.catalog import REGISTRY as _OBS
-from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.darray import DistributedArray, block_index, positions_in
 from repro.util.intervals import IntervalSet
-
-_M_LOWERED = _OBS.counter("repro.schedule.plans_lowered")
 
 
 @dataclass(frozen=True)
@@ -113,41 +109,6 @@ def prepare_move(t: Transfer, src_lay: Layout, dst_lay: Layout) -> PreparedMove:
         shape,
         math.prod(shape),
     )
-
-
-class LoweredOnce:
-    """Mixin for the plan object (:class:`~repro.spmd.schedule.CommSchedule`)
-    that owns its lowered (copy-descriptor) form.
-
-    The lowered form is derived state: computed on first execution from
-    the two layouts, kept on the plan object and gone with it.  It is not
-    a dataclass field, so ``==`` and ``repr`` never see it, and
-    :meth:`__getstate__` drops it, so neither do pickles or store digests.
-    Layouts are unique per mapping signature
-    (:func:`~repro.mapping.ownership.layout_of`), so identity tells
-    whether the memo was lowered for the pair at hand.  Two threads racing
-    on a frozen artifact both write the same immutable value.
-    """
-
-    _lowered: tuple | None = None
-
-    def _lower(self, src: Layout, dst: Layout):
-        raise NotImplementedError
-
-    def lowered(self, src: Layout, dst: Layout):
-        """The plan's copy descriptors for ``dst = src``, lowered at most once."""
-        memo = self._lowered
-        if memo is None or memo[0] is not src or memo[1] is not dst:
-            with _TRACER.span("remap.lower"):
-                memo = (src, dst, self._lower(src, dst))
-            object.__setattr__(self, "_lowered", memo)
-            _M_LOWERED.inc()
-        return memo[2]
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_lowered", None)
-        return state
 
 
 @dataclass

@@ -44,37 +44,39 @@ Invariants (enforced by construction and property-tested):
 * a contention-free phase never has a rank sending or receiving twice
   (:exc:`~repro.errors.ScheduleError` otherwise -- the machine re-checks).
 
-:class:`CommPlanTable` is where an artifact keeps its plans, keyed by
-(source signature, target signature): the *entries* the opt-in ``schedule``
-compiler pass precompiled and certified into the
-:class:`~repro.compiler.artifacts.CompiledProgram`, plus a :class:`PlanMemo`
-that gets or builds every other pair on first use and lives as long as the
-artifact -- so warm :class:`~repro.compiler.session.CompilerSession` runs do
-zero scheduling work under every policy, ``None`` included.
+:class:`CommPlanTable` is where an artifact keeps its plans: one bounded,
+lock-guarded get-or-build table per artifact, keyed by (source signature,
+target signature).  A plan is a pure function of the mapping pair, so the
+table is derived state -- never serialized, rebuilt on first use -- and it
+lives as long as the artifact: warm
+:class:`~repro.compiler.session.CompilerSession` runs do zero scheduling
+work under every policy, ``None`` included.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ArtifactFrozenError, ScheduleError
+from repro.errors import ScheduleError
 from repro.mapping.mapping import Mapping
 from repro.mapping.ownership import Layout, layout_of
+from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.cost import CostModel
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.message import check_one_port, message_of
 from repro.spmd.redistribution import (
-    LoweredOnce,
     PreparedMove,
     RedistSchedule,
     Transfer,
     build_schedule,
     prepare_move,
 )
+
+_M_LOWERED = _OBS.counter("repro.schedule.plans_lowered")
 
 #: Recognized scheduling policies, cheapest machinery first.
 POLICIES: tuple[str, ...] = ("naive", "round-robin", "aggregate")
@@ -202,7 +204,7 @@ class LoweredPlan:
 
 
 @dataclass(frozen=True)
-class CommSchedule(LoweredOnce):
+class CommSchedule:
     """The full plan of one remapping copy (a ``CommPlan``).
 
     ``local_transfers`` are the transfers that occupy no phase: each is
@@ -214,10 +216,16 @@ class CommSchedule(LoweredOnce):
     transfer here, messages included, in the order
     :func:`~repro.spmd.redistribution.build_schedule` enumerates them.
 
-    :meth:`lowered` (see :class:`~repro.spmd.redistribution.LoweredOnce`)
-    is the plan's :class:`LoweredPlan`, worked out on first execution and
-    shared by every later one -- and, through :class:`PlanMemo`, by every
-    run of the artifact and every instantiation of a symbolic template.
+    :meth:`lowered` is the plan's :class:`LoweredPlan`, worked out on first
+    execution and shared by every later one -- and, through the artifact's
+    :class:`CommPlanTable`, by every run of the artifact and every
+    instantiation of a symbolic template.  It is derived state: kept on
+    the plan object and gone with it, not a dataclass field (``==`` and
+    ``repr`` never see it) and dropped by :meth:`__getstate__` (neither do
+    pickles).  Layouts are unique per mapping signature
+    (:func:`~repro.mapping.ownership.layout_of`), so identity tells whether
+    it was lowered for the pair at hand; two threads racing on a shared
+    artifact both write the same immutable value.
     """
 
     policy: str | None
@@ -231,6 +239,8 @@ class CommSchedule(LoweredOnce):
     #: outside the compiler (ad-hoc calls) stay unstamped and keep the
     #: runtime check; a ``policy=None`` plan has no phase to re-check.
     statically_verified: bool = False
+
+    _lowered = None  # (src, dst, LoweredPlan); unannotated, so not a field
 
     def _unphased(self, local: bool) -> list[Transfer]:
         return [t for t in self.local_transfers if t.is_local == local]
@@ -275,6 +285,21 @@ class CommSchedule(LoweredOnce):
             f"{self.policy or 'unscheduled'}: {self.message_count} message(s) in "
             f"{self.phase_count} phase(s), {self.local_count} local cop(ies)"
         )
+
+    def lowered(self, src: Layout, dst: Layout) -> LoweredPlan:
+        """The plan's copy descriptors for ``dst = src``, lowered at most once."""
+        memo = self._lowered
+        if memo is None or memo[0] is not src or memo[1] is not dst:
+            with _TRACER.span("remap.lower"):
+                memo = (src, dst, self._lower(src, dst))
+            object.__setattr__(self, "_lowered", memo)
+            _M_LOWERED.inc()
+        return memo[2]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_lowered", None)
+        return state
 
     def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
         phases = []
@@ -466,39 +491,39 @@ def redistribute(
 
 
 # ---------------------------------------------------------------------------
-# plan homes: the memo (derived state) and the table (the artifact's entries)
+# the plan table: where an artifact keeps its plans
 # ---------------------------------------------------------------------------
 
-#: Hard bound on a :class:`PlanMemo`'s entries.
-PLAN_MEMO_CAPACITY = 256
+#: Hard bound on a :class:`CommPlanTable`'s plans.
+PLAN_TABLE_CAPACITY = 256
 
 
-class PlanMemo:
-    """Bounded, thread-safe get-or-build cache of plans: *the* home of every
-    plan that is not a precompiled :class:`CommPlanTable` entry.
+class CommPlanTable:
+    """An artifact's plans under one policy: a bounded, thread-safe
+    get-or-build table keyed by (src, dst) mapping signature.
 
-    One sits behind every table, so it lives as long as the artifact (and
-    is shared by the per-caller binding wrappers over it); a symbolic
-    template hands its own to the table of each instantiation, so repeated
-    shapes pay the scheduling cost once per template.
+    A plan belongs to the mapping pair, never to the artifact: the table
+    is derived state like a plan's lowered form.  ``==``, ``repr`` and
+    pickles see the policy only, so artifact bytes never depend on what a
+    session happened to run first, and a table that went to the store
+    comes back empty and rebuilds on first use.  One sits behind every
+    artifact and lives as long as it does (the per-caller binding wrappers
+    over a cached artifact share it); a symbolic template hands its own
+    to each instantiation, so repeated shapes pay the scheduling cost once
+    per template.  Signatures embed concrete extents and grid shapes, so
+    plans for distinct ``(n, P)`` can never cross-serve.
 
-    Keys are ``(policy or None, src signature, dst signature)`` --
-    signatures embed concrete extents and grid shapes, so plans for
-    distinct ``(n, P)`` instantiations can never cross-serve.
-    :data:`PLAN_MEMO_CAPACITY` is a hard bound: least-recently-used
-    entries are evicted and transparently rebuilt on the next request
-    (plans are pure functions of the mapping pair, so a rebuild is
-    bit-identical to the evicted plan).  Plans built under a phased policy
-    are certified (:func:`repro.analysis.commsafety.certify_plan`) like
-    the ``schedule`` pass's; a ``policy=None`` plan has no phase to prove.
-
-    Builds happen outside the lock; a lost insertion race returns the
-    winner's plan.  Pickling (an artifact or template heading to the
-    store) drops both the lock and the contents, so artifact bytes never
-    depend on what a session happened to run first.
+    :data:`PLAN_TABLE_CAPACITY` is a hard bound: least-recently-used plans
+    are evicted and transparently rebuilt on the next request (a rebuild
+    is bit-identical to the evicted plan).  Plans built under a phased
+    policy are certified (:func:`repro.analysis.commsafety.certify_plan`)
+    before they are handed out; a ``policy=None`` plan has no phase to
+    prove.  Builds happen outside the lock; a lost insertion race returns
+    the winner's plan.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, policy: str | None = DEFAULT_POLICY) -> None:
+        self.policy = check_policy(policy)
         self._plans: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -509,10 +534,20 @@ class PlanMemo:
         with self._lock:
             return len(self._plans)
 
-    def get_or_build(
-        self, policy: str | None, src: Mapping, dst: Mapping
-    ) -> CommSchedule:
-        key = (policy, src.signature, dst.signature)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CommPlanTable):
+            return NotImplemented
+        return self.policy == other.policy
+
+    def __repr__(self) -> str:
+        return f"CommPlanTable(policy={self.policy!r})"
+
+    def __reduce__(self):
+        return (CommPlanTable, (self.policy,))  # pickles (and deep-copies) empty
+
+    def obtain(self, src: Mapping, dst: Mapping) -> CommSchedule:
+        """The plan for ``dst = src``: get it, or build, certify and keep it."""
+        key = (src.signature, dst.signature)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -521,161 +556,31 @@ class PlanMemo:
                 return plan
         # Build (and certify) outside the lock: scheduling is the expensive
         # part and depends only on the two mappings.
-        built = plan_redistribution(src, dst, policy)
-        if policy is not None:
+        built = plan_redistribution(src, dst, self.policy)
+        if self.policy is not None:
             from repro.analysis.commsafety import certify_plan
 
             built = certify_plan(src, dst, built)
         with self._lock:
+            self.misses += 1  # every build counts, a lost race included
             existing = self._plans.get(key)
             if existing is not None:
                 self._plans.move_to_end(key)
-                self.hits += 1
                 return existing
             self._plans[key] = built
-            self.misses += 1
-            while len(self._plans) > PLAN_MEMO_CAPACITY:
+            while len(self._plans) > PLAN_TABLE_CAPACITY:
                 self._plans.popitem(last=False)
                 self.evictions += 1
         return built
 
     def stats(self) -> dict[str, int]:
+        """``hits + misses`` is the number of :meth:`obtain` calls and
+        ``misses`` the number of plans built (scheduling work done)."""
         with self._lock:
             return {
-                "capacity": PLAN_MEMO_CAPACITY,
+                "capacity": PLAN_TABLE_CAPACITY,
                 "entries": len(self._plans),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-
-    def __reduce__(self):
-        return (PlanMemo, ())  # pickles (and deep-copies) empty
-
-
-@dataclass
-class CommPlanTable:
-    """An artifact's plans for one policy, keyed by (src, dst) mapping signature.
-
-    Two parts.  The **entries** are what the ``schedule`` compiler pass
-    precompiled and certified, one per reachable version pair: they are
-    the table's content -- what :meth:`build`, :meth:`replace`,
-    :meth:`entries`, :meth:`content_digest`, ``len()``, ``==`` and pickles
-    see.  The **memo** (:class:`PlanMemo`) gets or builds the plan of every
-    pair that is not an entry -- all of them when the pass did not run or
-    the policy is ``None``: derived state like a plan's lowered form,
-    lock-guarded, bounded, never pickled, invisible to equality and
-    digests.  :meth:`obtain` is the one question the executor asks.
-
-    A table attached to a session-cached artifact is *frozen*
-    (:meth:`freeze`): its entries reject :meth:`build` and :meth:`replace`
-    with :class:`~repro.errors.ArtifactFrozenError`; the memo keeps
-    serving, which is safe because plans are pure functions of the pair.
-    """
-
-    policy: str | None = DEFAULT_POLICY
-    _plans: dict[tuple, CommSchedule] = field(default_factory=dict)
-    _frozen: bool = field(default=False, repr=False, compare=False)
-    memo: PlanMemo = field(default_factory=PlanMemo, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_policy(self.policy)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["memo"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.memo = PlanMemo()
-
-    def freeze(self) -> None:
-        """Forbid further :meth:`build` calls (shared-artifact contract)."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @staticmethod
-    def _key(src: Mapping, dst: Mapping) -> tuple:
-        return (src.signature, dst.signature)
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def plans(self) -> list[CommSchedule]:
-        return list(self._plans.values())
-
-    def entries(self) -> list[tuple[tuple, CommSchedule]]:
-        """All (signature-pair key, plan) entries in deterministic order.
-
-        The canonical iteration for serialization and for comparing two
-        tables: a plan table that survived a disk round-trip
-        (:mod:`repro.store`) must yield exactly the entries of the table
-        that was written, independent of build order."""
-        return sorted(self._plans.items(), key=lambda kv: repr(kv[0]))
-
-    def content_digest(self) -> str:
-        """A stable digest of the table's full content (policy + entries).
-
-        Two tables with the same policy and the same entries -- regardless
-        of insertion order, frozen state or what their memos hold -- share
-        a digest.  The store's round-trip tests use it to prove that
-        precompiled plans survive serialization bit-for-bit at the
-        schedule level (phasing, packing, local copies), not merely by
-        count."""
-        import hashlib
-
-        h = hashlib.sha256(str(self.policy).encode())
-        for key, plan in self.entries():
-            h.update(repr(key).encode())
-            h.update(repr(plan).encode())
-        return h.hexdigest()
-
-    def lookup(self, src: Mapping, dst: Mapping) -> CommSchedule | None:
-        """The precompiled entry for ``dst = src``, if there is one."""
-        return self._plans.get(self._key(src, dst))
-
-    def obtain(self, src: Mapping, dst: Mapping) -> tuple[CommSchedule, bool]:
-        """The plan for ``dst = src`` and whether it is a precompiled entry
-        (otherwise it came, hit or miss, from the memo)."""
-        plan = self.lookup(src, dst)
-        if plan is not None:
-            return plan, True
-        return self.memo.get_or_build(self.policy, src, dst), False
-
-    def build(self, src: Mapping, dst: Mapping) -> CommSchedule:
-        """Build (or return the already-built) entry for ``dst = src``."""
-        key = self._key(src, dst)
-        plan = self._plans.get(key)
-        if plan is None:
-            if self._frozen:
-                raise ArtifactFrozenError(
-                    "cannot build a plan into a frozen CommPlanTable: the "
-                    "table belongs to a cached artifact shared across "
-                    "threads (pairs outside its entries are served by its memo)"
-                )
-            plan = plan_redistribution(src, dst, self.policy)
-            self._plans[key] = plan
-        return plan
-
-    def replace(self, src: Mapping, dst: Mapping, plan: CommSchedule) -> None:
-        """Swap in a new plan for an existing (src, dst) entry.
-
-        The hook :func:`repro.analysis.commsafety.certify_table` uses to
-        substitute a ``statically_verified`` copy after proving a freshly
-        built plan safe.  Like :meth:`build`, refuses on a frozen table
-        (a certified artifact is stamped *before* freezing)."""
-        key = self._key(src, dst)
-        if self._frozen:
-            raise ArtifactFrozenError(
-                "cannot replace a plan in a frozen CommPlanTable"
-            )
-        if key not in self._plans:
-            raise ScheduleError(
-                "CommPlanTable.replace: no existing plan for this "
-                "(source, target) signature pair"
-            )
-        self._plans[key] = plan

@@ -1,9 +1,9 @@
 """Persistent artifact store: disk-backed compile cache with warm start.
 
-:class:`ArtifactStore` serializes frozen compiled artifacts (precompiled
-communication-plan tables included) under the session cache key plus a
-schema fingerprint, with integrity-verified loads, bounded LRU size and
-safe concurrent multi-process access.  Plug one into
+:class:`ArtifactStore` serializes frozen compiled artifacts (without their
+communication plans, which are rebuilt on first use) under the session
+cache key plus a schema fingerprint, with integrity-verified loads,
+bounded LRU size and safe concurrent multi-process access.  Plug one into
 :class:`~repro.compiler.session.CompilerSession`,
 :class:`~repro.service.SessionPool` or
 :class:`~repro.service.CompileService` via their ``store=`` parameter and

@@ -1,15 +1,17 @@
 """The disk-backed, content-addressed compiled-artifact store.
 
-The paper's premise is that remapping plans are expensive to derive and
-cheap to replay.  The in-memory layers (session LRU, sharded pool,
-single-flight) exploit that within one process; :class:`ArtifactStore`
-extends it *across* processes: frozen
+Compiled remapping code is expensive to derive (analysis passes,
+cost-guarded motion) and cheap to replay.  The in-memory layers (session
+LRU, sharded pool, single-flight) exploit that within one process;
+:class:`ArtifactStore` extends it *across* processes: frozen
 :class:`~repro.compiler.artifacts.CompiledProgram` artifacts -- generated
-code, construction results and precompiled
-:class:`~repro.spmd.schedule.CommPlanTable`\\ s included -- are serialized
-to disk under the session cache key, so a restarted service (or a fresh
-CI runner with a restored cache directory) warm-starts instead of paying
-full cold-compile cost for identical sources.
+code and construction results -- are serialized to disk under the session
+cache key, so a restarted service (or a fresh CI runner with a restored
+cache directory) warm-starts instead of paying full cold-compile cost for
+identical sources.  Communication plans are *not* stored: a plan is a pure
+function of its mapping pair, so a loaded artifact's
+:class:`~repro.spmd.schedule.CommPlanTable` starts empty and rebuilds (and
+re-proves) each plan on first use.
 
 Design contract, enforced by construction and by ``tests/test_store.py``:
 

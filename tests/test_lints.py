@@ -319,14 +319,9 @@ def test_regression_gate_exit_codes(tmp_path):
     fresh["results"][case]["round-robin"]["makespan_us"] = (
         fresh["results"][case]["naive"]["makespan_us"] + 1000.0
     )
+    for name in ("service", "store", "symbolic", "mp"):
+        (tmp_path / f"BENCH_{name}.json").write_text(
+            (baselines / f"BENCH_{name}.json").read_text()
+        )
     (tmp_path / "BENCH_schedule.json").write_text(json.dumps(fresh))
-    (tmp_path / "BENCH_service.json").write_text(
-        (baselines / "BENCH_service.json").read_text()
-    )
-    (tmp_path / "BENCH_symbolic.json").write_text(
-        (baselines / "BENCH_symbolic.json").read_text()
-    )
-    (tmp_path / "BENCH_mp.json").write_text(
-        (baselines / "BENCH_mp.json").read_text()
-    )
     assert _invoke([gate, "--fresh-dir", str(tmp_path)]).returncode == 1

@@ -12,14 +12,15 @@ them.  Pinned here:
   progressions, open-mesh vectors otherwise, never a mix;
 * **once** -- a warm ``session.run`` makes zero ``positions_in`` calls and
   opens no ``remap.lower`` span;
-* **derived state only** -- pickles, table digests and equality do not see
-  the memo;
+* **derived state only** -- pickles, ``repr`` and equality see neither a
+  plan's lowered form nor a table's plans;
 * **first-use race** -- two threads first-executing one frozen artifact
   agree bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import sys
 import threading
@@ -255,7 +256,7 @@ def counted_build_schedule(monkeypatch):
 def test_warm_run_makes_zero_positions_in_calls(
     counted_positions_in, counted_build_schedule, tracer
 ):
-    for policy in (None, "round-robin"):
+    for policy in WAYS:
         check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer)
 
 
@@ -272,12 +273,12 @@ def check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer)
     assert lowered.value - before == 2  # block->cyclic and cyclic->block
     assert span_names(tracer).count("remap.lower") == 2
 
+    plans = session.compile(LOOP, bindings=kwargs["bindings"]).plans
+    assert plans.stats()["misses"] == 2
     del counted_positions_in[:], counted_build_schedule[:]
     warm = session.run(LOOP, **kwargs)
-    if policy is None:  # provenance, not warmth: obtained on demand, both runs
-        assert warm.stats.plans_built == warm.stats.remaps_performed == 8
-    else:
-        assert warm.stats.plans_reused == warm.stats.remaps_performed == 8
+    assert warm.stats.remaps_performed == 8
+    assert plans.stats()["misses"] == 2 and plans.stats()["hits"] == 14
     assert counted_positions_in == [] and counted_build_schedule == []
     assert lowered.value - before == 2
     assert "remap.lower" not in span_names(tracer)
@@ -289,13 +290,13 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
     counted_positions_in, counted_build_schedule
 ):
     """A different runtime-only ``t`` is served by a ``with_bindings``
-    wrapper over the cached artifact: same plan table, same memo."""
+    wrapper over the cached artifact: same plan table, same plans."""
     from repro.service import CompileService
 
     with CompileService(workers=1, processors=4) as svc:
         first = svc.submit(LOOP, bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
         first = first.result()
-        assert first.error is None and first.result.stats.plans_built == 4
+        assert first.error is None and first.result.stats.remaps_performed == 4
         assert counted_positions_in and counted_build_schedule
 
         del counted_positions_in[:], counted_build_schedule[:]
@@ -304,12 +305,14 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
         assert other.error is None and other.cache_source == "memory"
         assert other.compiled is not first.compiled
         assert other.compiled.plans is first.compiled.plans
-        assert other.result.stats.plans_built == other.result.stats.remaps_performed == 6
+        assert other.result.stats.remaps_performed == 6
+        assert other.compiled.plans.stats()["misses"] == 2
         assert counted_positions_in == [] and counted_build_schedule == []
 
 
 # ---------------------------------------------------------------------------
-# (d) the memo is derived state: invisible to pickles, digests and equality
+# (d) lowered forms and tables are derived state: invisible to pickles,
+#     repr and equality
 # ---------------------------------------------------------------------------
 
 
@@ -317,46 +320,46 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
 def test_execution_leaves_pickle_digest_and_equality_alone(way):
     src, dst = mk((48,), (B,), 4), mk((48,), (C3,), 4)
     table = CommPlanTable(way)
-    plan = table.build(src, dst)
+    empty = pickle.dumps(table), repr(table)
+    plan = table.obtain(src, dst)
     twin = plan_redistribution(src, dst, way)
-    before = pickle.dumps(plan), repr(plan), table.content_digest(), pickle.dumps(table)
+    before = pickle.dumps(plan), repr(plan)
 
     machine = Machine(src.processors)
     source = DistributedArray("A", src, machine)
     target = DistributedArray("A", dst, machine)
     execute_comm_schedule(plan, source, target, machine)
     assert plan._lowered is not None and twin._lowered is None
-    # ... and the table's memo is derived state too: a pair that is not an
-    # entry is served from it without touching the table's content
-    extra, precompiled = table.obtain(dst, src)
-    assert not precompiled and table.obtain(dst, src) == (extra, False)
-    assert table.obtain(src, dst) == (plan, True)
-    assert len(table) == 1 and len(table.memo) == 1 and table == CommPlanTable(way, {**table._plans})
-
-    after = pickle.dumps(plan), repr(plan), table.content_digest(), pickle.dumps(table)
-    assert after == before
-    assert plan == twin
+    assert (pickle.dumps(plan), repr(plan)) == before
+    assert plan.statically_verified == (way is not None and bool(plan.phases))
+    assert dataclasses.replace(plan, statically_verified=False) == twin
     restored = pickle.loads(pickle.dumps(plan))
     assert restored == plan and restored._lowered is None
+    # ... and so are the table's plans: its pickle, repr and equality see
+    # the policy only, whatever it has served
+    assert table.obtain(dst, src) is table.obtain(dst, src)
+    assert table.obtain(src, dst) is plan
+    assert len(table) == 2 and table == CommPlanTable(way)
+    assert table != CommPlanTable(None if way else "naive")
+    assert (pickle.dumps(table), repr(table)) == empty
     revived = pickle.loads(pickle.dumps(table))
-    assert revived == table and len(revived.memo) == 0
+    assert revived == table and len(revived) == 0 and revived.stats()["misses"] == 0
 
 
 @pytest.mark.parametrize("way", WAYS)
 def test_artifact_pickles_the_same_before_and_after_it_executed(way):
     session = CompilerSession(4, CompilerOptions(level=3, schedule=way))
     compiled = session.compile(LOOP, bindings={"n": 64, "t": 2})
-    # a Mapping keeps its normal form in its (pickled) __dict__ once asked;
-    # the schedule pass asks at compile time, an unscheduled run would here
+    # a Mapping keeps its normal form in its (pickled) __dict__ once asked,
+    # and the first run asks (the plan table keys by signature)
     versions = compiled.subroutines["remap"].versions
     assert all(m.signature for m in versions.versions("a"))
-    before = pickle.dumps(compiled), compiled.plans.content_digest(), len(compiled.plans)
-    assert len(compiled.plans) == (0 if way is None else 2)
+    before = pickle.dumps(compiled)
+    assert len(compiled.plans) == 0
     env = ExecutionEnv(bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
     execute(compiled, env=env)
-    assert len(compiled.plans.memo) == (2 if way is None else 0)
-    after = pickle.dumps(compiled), compiled.plans.content_digest(), len(compiled.plans)
-    assert after == before
+    assert len(compiled.plans) == 2
+    assert pickle.dumps(compiled) == before
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +367,30 @@ def test_artifact_pickles_the_same_before_and_after_it_executed(way):
 # ---------------------------------------------------------------------------
 
 
-def test_concurrent_first_execution_of_a_frozen_artifact():
+def test_concurrent_first_execution_of_a_frozen_artifact(monkeypatch):
+    obtained = []  # (table, pair, plan) of every obtain, from every thread
+    real = CommPlanTable.obtain
+
+    def recording(table, src, dst):
+        plan = real(table, src, dst)
+        obtained.append((table, (src.signature, dst.signature), plan))
+        return plan
+
+    monkeypatch.setattr(CommPlanTable, "obtain", recording)
     for policy in (None, "round-robin"):
-        check_concurrent_first_execution(CompilerOptions(level=3, schedule=policy))
+        check_concurrent_first_execution(
+            CompilerOptions(level=3, schedule=policy), obtained, monkeypatch
+        )
 
 
-def check_concurrent_first_execution(options):
+def check_concurrent_first_execution(options, obtained, monkeypatch):
     data = np.arange(96.0)
+    builds = []
+    real_plan = plan_redistribution
+
+    def counting(src, dst, policy):
+        builds.append(1)
+        return real_plan(src, dst, policy)
 
     def run_once(compiled):
         env = ExecutionEnv(bindings={"n": 96, "t": 3}, inputs={"a": data})
@@ -385,6 +405,10 @@ def check_concurrent_first_execution(options):
                 LOOP, bindings={"n": 96, "t": 3}
             )
             assert compiled.frozen
+            # from here on only the artifact's table builds plans (the cost
+            # guard priced its candidates during the compile above)
+            monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", counting)
+            del builds[:]
             gate = threading.Barrier(3)
             outcomes = [None] * 3
 
@@ -403,5 +427,13 @@ def check_concurrent_first_execution(options):
                 assert np.array_equal(value, serial[0])
                 assert stats == serial[1]
                 assert clean and serial[2]
+            # every thread got the same plan object per pair, and the table
+            # counted every build, the ones that lost the insertion race too
+            mine = [(pair, plan) for table, pair, plan in obtained if table is compiled.plans]
+            assert len({pair for pair, _ in mine}) == len({id(plan) for _, plan in mine}) == 2
+            table = compiled.plans.stats()
+            assert table["hits"] + table["misses"] == len(mine) == 4 * 6
+            assert table["misses"] == len(builds) >= 2
+            monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", real_plan)
     finally:
         sys.setswitchinterval(interval)

@@ -25,10 +25,33 @@ spec.loader.exec_module(check_regression)
 
 check_schedule = check_regression.check_schedule
 check_service = check_regression.check_service
+check_store = check_regression.check_store
 check_symbolic = check_regression.check_symbolic
 check_mp = check_regression.check_mp
 check_obs_snapshot = check_regression.check_obs_snapshot
 write_step_summary = check_regression.write_step_summary
+
+
+def _store(speedup=4.8, ratio=0.9, warm_ms=9.0, apps=("lu", "adi")):
+    return {
+        "apps": list(apps),
+        "artifact_speedup": speedup,
+        "first_result_ratio": ratio,
+        "warm": {"artifact_ms": warm_ms},
+    }
+
+
+def test_store_gate_floors_and_baseline_drift():
+    assert check_store(_store(warm_ms=15.0), _store(), 2.0) == ([], 2)
+    for bad, needle in (
+        (_store(speedup=1.5), "time-to-artifact, wall"),
+        (_store(ratio=1.3), "time-to-first-result, wall"),
+        (_store(warm_ms=20.0), "disk load regressed"),
+    ):
+        problems, _ = check_store(bad, _store(), 2.0)
+        assert len(problems) == 1 and needle in problems[0], problems
+    # another app mix is incomparable on latency; the floors still gate
+    assert check_store(_store(warm_ms=90.0, apps=("lu",)), _store(), 2.0) == ([], 1)
 
 
 def _symbolic(hit_rate=0.97, entries=1, speedup=36.0, inst_ms=1.0, pairs=32):
@@ -159,7 +182,12 @@ def test_main_exit_codes(tmp_path, capsys):
     svc = json.loads((base_dir / "BENCH_service.json").read_text())
     for r in svc["results"].values():
         r["warm_rps"] = float(r["warm_rps"]) / 10.0
-    for name in ("BENCH_schedule.json", "BENCH_symbolic.json", "BENCH_mp.json"):
+    for name in (
+        "BENCH_schedule.json",
+        "BENCH_store.json",
+        "BENCH_symbolic.json",
+        "BENCH_mp.json",
+    ):
         (tmp_path / name).write_text((base_dir / name).read_text())
     (tmp_path / "BENCH_service.json").write_text(json.dumps(svc))
     assert (
@@ -301,8 +329,10 @@ def test_gate_passes_on_committed_baselines_shape():
     svc = json.loads((base_dir / "BENCH_service.json").read_text())
     sym = json.loads((base_dir / "BENCH_symbolic.json").read_text())
     mp = json.loads((base_dir / "BENCH_mp.json").read_text())
+    store = json.loads((base_dir / "BENCH_store.json").read_text())
     assert check_schedule(sched, sched, 2.0)[0] == []
     assert check_service(svc, svc, 2.0)[0] == []
+    assert check_store(store, store, 2.0) == ([], 2)
     assert check_symbolic(sym, sym, 2.0)[0] == []
     assert check_mp(mp, mp, 2.0)[0] == []
 
@@ -421,6 +451,7 @@ def test_main_writes_step_summary_on_every_verdict(tmp_path, monkeypatch, capsys
     names = (
         "BENCH_schedule.json",
         "BENCH_service.json",
+        "BENCH_store.json",
         "BENCH_symbolic.json",
         "BENCH_mp.json",
     )
@@ -472,7 +503,12 @@ def test_missing_mp_json_is_infrastructure_failure(tmp_path, capsys):
     import pytest
 
     base_dir = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
-    for name in ("BENCH_schedule.json", "BENCH_service.json", "BENCH_symbolic.json"):
+    for name in (
+        "BENCH_schedule.json",
+        "BENCH_service.json",
+        "BENCH_store.json",
+        "BENCH_symbolic.json",
+    ):
         (tmp_path / name).write_text((base_dir / name).read_text())
     with pytest.raises(SystemExit) as exc:
         check_regression.main(

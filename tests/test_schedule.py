@@ -12,9 +12,9 @@ Four layers of guarantees:
   identical total bytes to the unscheduled executor, under every policy;
 * **performance shape** -- on the benchmarked redistribution patterns,
   round-robin makespan never exceeds the naive all-at-once makespan;
-* **plan caching** -- the ``schedule`` pass precompiles every plan into
-  the artifact, warm session hits replay them with zero scheduling work,
-  and different policies never share cached artifacts.
+* **plan caching** -- a policy adds no pass: the artifact's plan table
+  builds each plan on first use, warm session hits replay them with zero
+  scheduling work, and different policies never share cached artifacts.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro import (
     predict_traffic,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
+from repro.compiler.pipeline import PassManager
 from repro.errors import ScheduleError
 from repro.mapping import (
     Alignment,
@@ -437,15 +438,18 @@ def _with_policy(compiled, policy):
     return dataclasses.replace(compiled, options=options, plans=None)
 
 
-def _run(compiled, w):
-    machine = Machine(compiled.processors)
-    env = ExecutionEnv(
+def _env(w):
+    return ExecutionEnv(
         conditions=dict(w["conditions"]),
         bindings=dict(w["bindings"]),
         inputs={k: v.copy() for k, v in w["inputs"].items()},
     )
+
+
+def _run(compiled, w):
+    machine = Machine(compiled.processors)
     name = next(iter(compiled.subroutines))
-    result = Executor(compiled, machine, env).run(name)
+    result = Executor(compiled, machine, _env(w)).run(name)
     values = {a: result.value(a) for a in compiled.get(name).sub.arrays}
     return values, machine.stats
 
@@ -557,55 +561,69 @@ def test_scheduled_compile_is_sound_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# plan precompilation and session caching
+# the plan table and session caching
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_pass_precompiles_plans():
+def test_schedule_policy_adds_no_pass():
+    """A policy changes how copies run and what the cost guard prices; it is
+    not a pass, and there is no second switch that turns scheduling on."""
+    assert "schedule" not in PassManager.available()
+    with pytest.raises(ValueError, match="unknown pass name"):
+        CompilerOptions(passes=("parse", "resolve", "construction", "codegen", "schedule"))
     w = FIGURES["fig12-then"]
-    compiled = compile_program(
-        w["source"],
-        bindings=w["bindings"],
-        processors=4,
-        options=CompilerOptions(level=3, schedule="round-robin"),
-    )
-    assert "schedule" in compiled.options.pass_names
-    assert compiled.plans is not None and len(compiled.plans) > 0
-    assert compiled.trace.counter("schedule", "plans") == len(compiled.plans)
-    # every executed remapping replays a precompiled plan: zero built
-    _, stats = _run(compiled, w)
-    assert stats.plans_built == 0
-    assert stats.plans_reused == stats.remaps_performed > 0
+    for policy in SCHEDULED:
+        options = CompilerOptions(level=3, schedule=policy)
+        assert options.pass_names == CompilerOptions(level=3).pass_names
+        compiled = compile_program(
+            w["source"], bindings=w["bindings"], processors=4, options=options
+        )
+        # nothing is planned at compile time: the first run builds the plans
+        assert compiled.plans.policy == policy and len(compiled.plans) == 0
+        _, stats = _run(compiled, w)
+        table = compiled.plans.stats()
+        assert table["misses"] == table["entries"] > 0
+        assert table["hits"] + table["misses"] == stats.remaps_performed
 
 
 def test_executor_builds_plans_when_pass_not_run():
+    """A hand-assembled artifact (``plans=None``) gets a table for the run."""
     w = FIGURES["fig12-then"]
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3),
     )
-    _, stats = _run(_with_policy(compiled, "round-robin"), w)
-    assert stats.plans_built > 0
+    wrapped = _with_policy(compiled, "round-robin")
+    executor = Executor(wrapped, Machine(wrapped.processors), _env(w))
+    executor.run(next(iter(wrapped.subroutines)))
+    assert wrapped.plans is None and executor.plans.policy == "round-robin"
+    assert executor.plans.stats()["misses"] > 0
+    assert executor.machine.stats.phases > 0
 
 
 def test_warm_session_replays_plans_with_zero_scheduling_work():
     w = FIGURES["fig12-then"]
-    session = CompilerSession(
-        processors=4, options=CompilerOptions(level=3, schedule="aggregate")
-    )
-    kw = dict(
-        bindings=w["bindings"], conditions=w["conditions"], inputs=w["inputs"]
-    )
-    r1 = session.run(w["source"], **kw)
-    passes_after_cold = session.passes_run
-    assert session.misses == 1
-    r2 = session.run(w["source"], **kw)
-    # warm: artifact (plans included) served from cache, no pass ran
-    assert session.hits == 1
-    assert session.passes_run == passes_after_cold
-    assert r2.stats.plans_built == 0
-    assert r2.stats.plans_reused == r2.stats.remaps_performed > 0
-    assert r2.stats.bytes == r1.stats.bytes
+    for policy in (None, *SCHEDULED):
+        session = CompilerSession(
+            processors=4, options=CompilerOptions(level=3, schedule=policy)
+        )
+        kw = dict(
+            bindings=w["bindings"], conditions=w["conditions"], inputs=w["inputs"]
+        )
+        r1 = session.run(w["source"], **kw)
+        passes_after_cold = session.passes_run
+        assert session.misses == 1
+        plans = session.compile(w["source"], bindings=w["bindings"]).plans
+        built = plans.stats()["misses"]
+        assert built > 0
+        r2 = session.run(w["source"], **kw)
+        # warm: artifact (plan table included) served from cache, no pass
+        # ran and no plan was built
+        assert session.hits == 2
+        assert session.passes_run == passes_after_cold
+        assert plans.stats()["misses"] == built
+        assert r2.stats.remaps_performed > 0
+        assert r1.stats.snapshot() == r2.stats.snapshot()
 
 
 def test_policies_never_share_cached_artifacts():
@@ -632,13 +650,14 @@ def test_plan_table_is_signature_keyed(p4):
     table = CommPlanTable("round-robin")
     src = mk((16,), (DistFormat.block(),), p4)
     dst = mk((16,), (DistFormat.cyclic(),), p4, name="B")
-    assert table.lookup(src, dst) is None
-    plan = table.build(src, dst)
-    assert table.lookup(src, dst) is plan
+    assert len(table) == 0
+    plan = table.obtain(src, dst)
+    assert table.obtain(src, dst) is plan
     # a different array with the same layouts shares the plan
     src2 = mk((16,), (DistFormat.block(),), p4, name="C")
-    assert table.build(src2, dst) is plan
+    assert table.obtain(src2, dst) is plan
     assert len(table) == 1
+    assert table.stats()["misses"] == 1 and table.stats()["hits"] == 2
 
 
 # ---------------------------------------------------------------------------

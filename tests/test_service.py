@@ -38,7 +38,6 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.session import source_digest
 from repro.errors import ArtifactFrozenError
-from repro.spmd.schedule import CommPlanTable
 
 FIG10 = """
 subroutine remap(A, m)
@@ -358,19 +357,19 @@ def test_direct_compilation_stays_mutable():
     compiled.report = compiled.report  # plain attribute write still allowed
 
 
-def test_frozen_plan_table_rejects_build():
+def test_cached_artifacts_plan_table_serves_unseen_pairs():
+    """Freezing covers the artifact's content; its plan table is derived
+    state and keeps serving pairs it has never seen."""
     opts = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=opts)
     compiled = session.compile(FIG10, bindings={"n": 8, "m": 1})
-    assert compiled.plans is not None and compiled.plans.frozen
+    assert compiled.frozen and len(compiled.plans) == 0
     versions = compiled.get("remap").versions.versions("a")
-    # looking up precompiled plans is fine ...
-    assert compiled.plans.lookup(versions[0], versions[1]) is not None
-    # ... but building a novel pair into the shared table is not
-    fresh = CommPlanTable("round-robin")
-    fresh.freeze()
+    plan = compiled.plans.obtain(versions[0], versions[1])
+    assert plan.policy == "round-robin" and plan.statically_verified
+    assert compiled.plans.obtain(versions[0], versions[1]) is plan
     with pytest.raises(ArtifactFrozenError):
-        fresh.build(versions[0], versions[1])
+        compiled.plans = None
 
 
 def test_frozen_artifact_still_executes_with_binding_overlay():

@@ -11,6 +11,7 @@ be frozen exactly like memory-cached ones, and must execute bit-identically
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import PassManager
 from repro.errors import ArtifactFrozenError
+from repro.spmd import CommSchedule
 from repro.store.cli import main as store_cli
 
 REPO = Path(__file__).resolve().parent.parent
@@ -173,26 +175,41 @@ def test_round_trip_returns_equivalent_frozen_artifact(tmp_path):
         loaded.get("remap").code = None
 
 
-def test_plan_table_round_trips_bit_for_bit(tmp_path):
-    """Precompiled CommPlanTables survive the disk round trip exactly."""
-    w = FIGURES["fig12-then"]
-    fresh, loaded = _store_then_load(tmp_path, w, "aggregate")
-    assert fresh.plans is not None and loaded.plans is not None
-    assert len(loaded.plans) == len(fresh.plans) > 0
-    assert loaded.plans.policy == fresh.plans.policy
-    assert loaded.plans.content_digest() == fresh.plans.content_digest()
-    assert [k for k, _ in loaded.plans.entries()] == [
-        k for k, _ in fresh.plans.entries()
-    ]
-    # the loaded table is frozen: plan misses must not build into it
-    assert loaded.plans.frozen
-    from repro.mapping import DistFormat, Mapping, ProcessorArrangement
+def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
+    """Plans are derived state, never artifact content: no plan reaches a
+    pickle, executing an artifact leaves its bytes alone, and a disk-loaded
+    artifact rebuilds (and re-proves) exactly the pairs it performs."""
 
-    p = ProcessorArrangement("P", (4,))
-    src = Mapping.simple((8,), (DistFormat.block(),), p)
-    dst = Mapping.simple((8,), (DistFormat.cyclic(),), p)
-    with pytest.raises(ArtifactFrozenError):
-        loaded.plans.build(src, dst)
+    def refuse(self, protocol):
+        raise AssertionError("a CommSchedule reached a pickle")
+
+    w = FIGURES["fig12-then"]
+    for policy in POLICIES:
+        fresh, loaded = _store_then_load(tmp_path, w, policy, subdir=f"free-{policy}")
+        assert loaded.plans == fresh.plans and loaded.plans.policy == policy
+        assert len(fresh.plans) == len(loaded.plans) == 0
+        # a Mapping keeps its normal form in its (pickled) __dict__ once
+        # asked, and a run asks: ask first, so only plans could differ
+        for cs in fresh.subroutines.values():
+            for array in cs.versions.arrays():
+                assert all(m.signature for m in cs.versions.versions(array))
+        before = pickle.dumps(fresh)
+        ref_values, ref_stats = _run(fresh, w)
+        assert len(fresh.plans) > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(CommSchedule, "__reduce_ex__", refuse)
+            assert pickle.dumps(fresh) == before
+
+        values, stats = _run(loaded, w)
+        table = loaded.plans.stats()
+        assert table["misses"] == table["entries"] == len(fresh.plans)
+        assert table["hits"] + table["misses"] == stats.remaps_performed
+        rebuilt = list(loaded.plans._plans.values())
+        assert policy is None or all(p.statically_verified for p in rebuilt)
+        assert sorted(map(repr, rebuilt)) == sorted(map(repr, fresh.plans._plans.values()))
+        for a in ref_values:
+            assert np.array_equal(values[a], ref_values[a]), (policy, a)
+        assert stats.snapshot() == ref_stats.snapshot(), policy
 
 
 def test_differential_soundness_on_figures(tmp_path):

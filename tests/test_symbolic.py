@@ -14,9 +14,9 @@ The acceptance differential for the symbolic subsystem
   (literal extents degrade symbolize to the concrete path);
 * **level monotonicity** -- optimization levels stay byte-monotone under
   symbolic options (spot check of seeds 0..500);
-* **plan memo** -- the bounded, thread-safe :class:`PlanMemo` shared by
+* **plan table** -- the bounded, thread-safe :class:`CommPlanTable` shared by
   instantiations evicts and rebuilds bit-identically, collapses insert
-  races to one build, and pickles empty (artifact bytes never depend on
+  races to one kept plan, and pickles empty (artifact bytes never depend on
   traffic history);
 * **store integration** -- templates round-trip through the artifact
   store, pass ``verify --deep``, and upgrade legacy binding-name sidecars
@@ -44,7 +44,7 @@ from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.session import source_digest
 from repro.compiler.template import SymbolicTemplate
 from repro.mapping import ProcessorArrangement
-from repro.spmd.schedule import PlanMemo
+from repro.spmd.schedule import CommPlanTable
 from repro.store import ArtifactStore
 
 FIG1 = """
@@ -286,13 +286,26 @@ def test_template_closed_form_cross_check():
 
 def test_template_instantiation_is_deterministic():
     """Two instantiations at the same (n, P) are interchangeable: identical
-    values, bytes, messages and phases under execution."""
+    values, bytes, messages and phases under execution -- and they run the
+    same plan objects, the template's, so the second builds nothing.  An
+    eager compile of the same program and shape reads the same ledger."""
     _, template = _warm_template()
     w = _fig16(24)
     procs = ProcessorArrangement("P", (3,))
     a = template.instantiate({"n": 24}, procs)
     b = template.instantiate({"n": 24}, procs)
-    _assert_identical(_run(a, w), _run(b, w), ("determinism",))
+    assert a.plans is b.plans is template.plans
+    got_a = _run(a, w)
+    built = template.plans.stats()["misses"]
+    assert built == len(template.plans) > 0
+    got_b = _run(b, w)
+    assert template.plans.stats()["misses"] == built
+    _assert_identical(got_a, got_b, ("determinism",))
+    eager = compile_program(
+        w["source"], bindings=w["bindings"], processors=3,
+        options=CompilerOptions(level=3, schedule="round-robin"),
+    )
+    assert _run(eager, w)[1].snapshot() == got_a[1].snapshot() == got_b[1].snapshot()
 
 
 def test_template_rejects_missing_shapes():
@@ -303,14 +316,14 @@ def test_template_rejects_missing_shapes():
 
 def test_frozen_template_survives_pickle_with_empty_memo():
     """Artifact bytes must not depend on which shapes a session served:
-    pickling drops the memo contents, and the revived template still
-    instantiates correctly."""
+    pickling drops the plan table's contents, and the revived template
+    still instantiates correctly."""
     _, template = _warm_template()
-    # serve one shape so the memo is warm
-    template.instantiate({"n": 16}, ProcessorArrangement("P", (4,)))
+    # serve and run one shape so the plan table is warm
+    _run(template.instantiate({"n": 16}, ProcessorArrangement("P", (4,))), _fig16(16))
     revived = pickle.loads(pickle.dumps(template))
     assert isinstance(revived, SymbolicTemplate)
-    assert len(revived.memo) == 0
+    assert len(template.plans) > 0 and len(revived.plans) == 0
     w = _fig16(12)
     got = _run(revived.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
     ref = _run(template.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
@@ -318,7 +331,7 @@ def test_frozen_template_survives_pickle_with_empty_memo():
 
 
 # ---------------------------------------------------------------------------
-# the shared plan memo
+# the shared plan table
 # ---------------------------------------------------------------------------
 
 
@@ -332,46 +345,49 @@ def _redist_pair(n, p):
 
 
 def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
-    monkeypatch.setattr("repro.spmd.schedule.PLAN_MEMO_CAPACITY", 2)
-    memo = PlanMemo()
-    first = memo.get_or_build("round-robin", *_redist_pair(16, 4))
-    memo.get_or_build("round-robin", *_redist_pair(24, 4))
-    memo.get_or_build("round-robin", *_redist_pair(32, 4))  # evicts (16, 4)
-    assert memo.stats()["evictions"] == 1
-    assert len(memo) == 2
-    rebuilt = memo.get_or_build("round-robin", *_redist_pair(16, 4))
+    monkeypatch.setattr("repro.spmd.schedule.PLAN_TABLE_CAPACITY", 2)
+    table = CommPlanTable("round-robin")
+    first = table.obtain(*_redist_pair(16, 4))
+    table.obtain(*_redist_pair(24, 4))
+    table.obtain(*_redist_pair(32, 4))  # evicts (16, 4)
+    assert table.stats()["evictions"] == 1
+    assert len(table) == 2
+    rebuilt = table.obtain(*_redist_pair(16, 4))
     assert rebuilt is not first
-    assert rebuilt.phases == first.phases
-    assert rebuilt.local_transfers == first.local_transfers
-    assert memo.stats()["misses"] == 4
+    assert rebuilt == first and rebuilt.statically_verified
+    assert table.stats()["misses"] == 4
 
 
 def test_plan_memo_keys_embed_shape_and_grid():
-    """Distinct (n, P) must never cross-serve plans through the memo."""
-    memo = PlanMemo()
-    a = memo.get_or_build("naive", *_redist_pair(16, 4))
-    b = memo.get_or_build("naive", *_redist_pair(16, 2))
-    c = memo.get_or_build("naive", *_redist_pair(8, 4))
-    assert memo.stats()["misses"] == 3
+    """Distinct (n, P) must never cross-serve plans through the table."""
+    table = CommPlanTable("naive")
+    a = table.obtain(*_redist_pair(16, 4))
+    b = table.obtain(*_redist_pair(16, 2))
+    c = table.obtain(*_redist_pair(8, 4))
+    assert table.stats()["misses"] == 3
     assert len({id(x) for x in (a, b, c)}) == 3
 
 
 def test_plan_memo_insert_race_collapses_to_one_build():
-    memo = PlanMemo()
+    table = CommPlanTable("aggregate")
     src, dst = _redist_pair(32, 4)
     results = [None] * 8
     barrier = threading.Barrier(8)
 
     def worker(i):
-        barrier.wait()
-        results[i] = memo.get_or_build("aggregate", src, dst)
+        barrier.wait(10.0)
+        results[i] = table.obtain(src, dst)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert memo.stats()["misses"] == 1
+        t.join(30.0)
+        assert not t.is_alive()
+    stats = table.stats()
+    # however many racers built, one plan was kept and everyone got it
+    assert stats["entries"] == 1 and stats["misses"] >= 1
+    assert stats["hits"] + stats["misses"] == 8
     assert len({id(r) for r in results}) == 1
 
 

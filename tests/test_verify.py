@@ -101,7 +101,7 @@ def test_verify_pass_runs_in_pipeline():
     options = CompilerOptions(
         passes=(
             "parse", "resolve", "construction", "remove-useless",
-            "status-checks", "codegen", "schedule", "verify",
+            "status-checks", "codegen", "verify",
         ),
         schedule="round-robin",
     )
@@ -149,17 +149,6 @@ def test_impossible_version_annotation_is_caught():
     res.stmt_versions[sid] = {a: 9999 for a in vers}
     issues = verify_artifact(mutant)
     assert any(i.check in ("versions", "graph") for i in issues), issues
-
-
-def test_plan_signature_outside_remap_set_is_caught():
-    compiled = _compiled(schedule="round-robin")
-    mutant = copy.deepcopy(compiled)
-    assert mutant.plans is not None
-    (src_sig, dst_sig), plan = next(iter(mutant.plans._plans.items()))
-    del mutant.plans._plans[(src_sig, dst_sig)]
-    mutant.plans._plans[(("bogus",), dst_sig)] = plan
-    issues = verify_artifact(mutant)
-    assert any(i.check == "plans" for i in issues), issues
 
 
 # ---------------------------------------------------------------------------
