@@ -375,8 +375,7 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
       stored) and no fixed binding may shadow a shape symbol;
     * **probe instantiation** -- the template is instantiated at one small
       concrete geometry and the result passes the *full* concrete checker
-      (:func:`verify_artifact`) plus the template's own closed-form
-      rectangle cross-check.  An entry whose stored AST or options were
+      (:func:`verify_artifact`).  An entry whose stored AST or options were
       corrupted in a way that still unpickles will fail here and be
       evicted by the store exactly like a corrupt concrete artifact.
     """
@@ -418,10 +417,7 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     except Exception as exc:
         _issue(issues, "template", f"probe instantiation failed: {exc!r}", None)
         return issues
-    issues += verify_artifact(compiled)
-    for problem in template.verify_instantiation(compiled, bindings):
-        _issue(issues, "template", problem, None)
-    return issues
+    return verify_artifact(compiled)
 
 
 def assert_verified(cp: "CompiledProgram") -> "CompiledProgram":

@@ -6,7 +6,8 @@ with an LRU bound and hit/miss/eviction statistics.  With a persistent
 :class:`~repro.store.ArtifactStore` attached (``store=...``) the cache
 grows a disk tier: lookups go memory -> disk -> compile, fresh compiles
 are written back, and a *new process* sharing the store warm-starts from
-the artifacts (plans included) an earlier process compiled --
+the artifacts an earlier process compiled (plans are derived state, built
+on first use and never stored) --
 :meth:`CompilerSession.compile_traced` reports which tier served each
 call.
 
@@ -321,29 +322,7 @@ class CompilerSession:
         options: CompilerOptions | None = None,
     ) -> CompiledProgram:
         """Compile through the cache; a warm hit does no compilation work."""
-        return self.compile_cached(source, bindings, processors, options)[0]
-
-    def compile_cached(
-        self,
-        source: str | Program | Subroutine,
-        bindings: dict[str, int] | None = None,
-        processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
-    ) -> tuple[CompiledProgram, bool]:
-        """:meth:`compile`, additionally reporting whether it was a hit.
-
-        The boolean is the per-call truth the aggregate ``hits`` counter
-        cannot give a concurrent caller (another thread may advance the
-        counters between a call's start and end).  A hit is any serve
-        that ran no pipeline -- memory or disk; callers who need the
-        tier use :meth:`compile_traced`.
-        """
-        compiled, source_tier = self.compile_traced(
-            source, bindings, processors, options, digest=digest
-        )
-        return compiled, source_tier != "compiled"
+        return self.compile_traced(source, bindings, processors, options)[0]
 
     def _template_key(
         self,
@@ -546,8 +525,7 @@ class CompilerSession:
         )
         compiled.freeze()
         # for symbolized sources with shape-symbolic bindings, derive the
-        # shape-erased template from the pass-recorded classification --
-        # outside the lock (rectangle lifting runs probe pipelines)
+        # shape-erased template from the pass-recorded classification
         template = None
         sym = compiled.report.symbolic if compiled.report is not None else None
         if options.symbolize and sym is not None and sym.classification.shape_symbolic:

@@ -14,7 +14,7 @@ distributed-array storage build on.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 
 from repro.errors import ShapeError
 from repro.mapping.distribute import owned_cells
@@ -51,12 +51,9 @@ def affine_preimage(cells: IntervalSet, stride: int, offset: int, extent: int) -
 def dim_owned(m, coord: int) -> IntervalSet:
     """Owned array indices of one dimension for grid coordinate ``coord``.
 
-    The per-dimension primitive both :class:`Layout` and the symbolic
-    subsystem build on: the template cells of ``coord`` under the
-    dimension's block-cyclic format, pulled back through the alignment's
-    affine map.  :mod:`repro.symbolic.ownership` expresses the same set
-    as a closed form over symbolic extents (`dim_region`), and the
-    template verifier cross-checks the two.
+    The one ownership arithmetic every layout, plan and copy is built
+    from: the template cells of ``coord`` under the dimension's
+    block-cyclic format, pulled back through the alignment's affine map.
     """
     if m.proc_dim is None:
         return IntervalSet.range(0, m.extent)
@@ -76,6 +73,9 @@ class Layout:
         self.procs = mapping.processors
         self._replicated_dims: set[int] = set()
         self._pinned: dict[int, int] = {}
+        #: holder coords -> owned sets; on the instance (at most one entry
+        #: per grid coordinate) so a dropped layout takes its memo with it
+        self._owned: dict[tuple[int, ...], tuple[IntervalSet, ...]] = {}
         for c in mapping.grid_constraints:
             if c.kind is GridConstraintKind.REPLICATED:
                 self._replicated_dims.add(c.proc_dim)
@@ -142,14 +142,14 @@ class Layout:
         """Owned global indices per array dimension, or None if not a holder."""
         if not self.holds(coords):
             return None
-        return self._owned_cached(tuple(coords))
-
-    @lru_cache(maxsize=4096)
-    def _owned_cached(self, coords: tuple[int, ...]) -> tuple[IntervalSet, ...]:
-        return tuple(
-            dim_owned(m, coords[m.proc_dim] if m.proc_dim is not None else 0)
-            for m in self.mapping.dim_maps
-        )
+        coords = tuple(coords)
+        owned = self._owned.get(coords)
+        if owned is None:
+            owned = self._owned[coords] = tuple(
+                dim_owned(m, coords[m.proc_dim] if m.proc_dim is not None else 0)
+                for m in self.mapping.dim_maps
+            )
+        return owned
 
     def local_shape(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         owned = self.owned(coords)
@@ -235,14 +235,23 @@ class Layout:
         return n
 
 
-_LAYOUTS: dict[tuple, Layout] = {}
+#: Most layouts kept by :func:`layout_of`; the oldest is dropped first.
+_LAYOUTS_CAP = 1024
+
+_LAYOUTS: "OrderedDict[tuple, Layout]" = OrderedDict()
 
 
 def layout_of(mapping: Mapping) -> Layout:
-    """Shared per-signature layout cache."""
+    """Shared per-signature layout cache.
+
+    Bounded, and lock-free: a layout is a pure function of its signature,
+    so a rebuilt one answers every query identically (holders of the old
+    object keep it alive; identity memos simply re-derive).
+    """
     key = mapping.signature
     lay = _LAYOUTS.get(key)
     if lay is None:
-        lay = Layout(mapping)
-        _LAYOUTS[key] = lay
+        while len(_LAYOUTS) >= _LAYOUTS_CAP:
+            _LAYOUTS.popitem(last=False)
+        lay = _LAYOUTS[key] = Layout(mapping)
     return lay

@@ -135,23 +135,7 @@ class SessionPool:
         options: CompilerOptions | None = None,
     ) -> CompiledProgram:
         """Compile through the responsible shard's artifact cache."""
-        return self.compile_cached(source, bindings, processors, options)[0]
-
-    def compile_cached(
-        self,
-        source: str | Program | Subroutine,
-        bindings: dict[str, int] | None = None,
-        processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
-    ) -> tuple[CompiledProgram, bool]:
-        """:meth:`compile`, additionally reporting whether it was a hit."""
-        if digest is None:
-            digest = source_digest(source)
-        return self._shards[self.shard_index(digest)].compile_cached(
-            source, bindings, processors, options, digest=digest
-        )
+        return self.compile_traced(source, bindings, processors, options)[0]
 
     def compile_traced(
         self,

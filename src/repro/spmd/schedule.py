@@ -222,10 +222,11 @@ class CommSchedule:
     instantiation of a symbolic template.  It is derived state: kept on
     the plan object and gone with it, not a dataclass field (``==`` and
     ``repr`` never see it) and dropped by :meth:`__getstate__` (neither do
-    pickles).  Layouts are unique per mapping signature
+    pickles).  Layouts are shared per mapping signature
     (:func:`~repro.mapping.ownership.layout_of`), so identity tells whether
-    it was lowered for the pair at hand; two threads racing on a shared
-    artifact both write the same immutable value.
+    it was lowered for the pair at hand (a layout rebuilt after that cache
+    dropped it re-lowers, to the same descriptors); two threads racing on
+    a shared artifact both write the same immutable value.
     """
 
     policy: str | None

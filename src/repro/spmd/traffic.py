@@ -32,6 +32,7 @@ liveness diverge from the prediction.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -54,7 +55,9 @@ if TYPE_CHECKING:
 #: (src signature, dst signature, policy or None, itemsize, cost model) ->
 #: what one performed copy adds to the estimate.  Plans depend only on the
 #: two layouts and the policy; only the price is kept, never the plan.
-_COPY_PRICES: dict[tuple, TrafficEstimate] = {}
+#: Bounded, oldest dropped first; a dropped price is recomputed identically.
+_COPY_PRICES: "OrderedDict[tuple, TrafficEstimate]" = OrderedDict()
+_COPY_PRICES_CAP = 1024
 
 
 def _copy_price(
@@ -67,6 +70,8 @@ def _copy_price(
         # message count (aggregation coalesces pairs) and the phase and
         # makespan quantities (none under ``None``)
         plan = plan_redistribution(src_mapping, dst_mapping, policy)
+        while len(_COPY_PRICES) >= _COPY_PRICES_CAP:
+            _COPY_PRICES.popitem(last=False)
         price = _COPY_PRICES[key] = TrafficEstimate(
             bytes=plan.moved_bytes(itemsize),
             messages=plan.message_count,

@@ -1,18 +1,5 @@
-"""Shared symbolic-shape algebra (PR 7).
+"""What the compiler needs to treat shapes symbolically (PR 7).
 
-The compiler has always reasoned about shapes in two disconnected ways:
-the traffic estimator varies loop bounds symbolically over scenario
-grids, while ownership math works on concrete integers only.  This
-package promotes that reasoning into one shared substrate:
-
-* :mod:`repro.symbolic.affine` -- an exact integer expression algebra
-  over declared size symbols (``Const``/``Sym``/``Add``/``Mul``/
-  ``CeilDiv``/``Min``/``Max``), the vocabulary block-cyclic ownership
-  needs (``ceil(n/P)`` chunks, ``min((p+1)*b, n)`` clamps);
-* :mod:`repro.symbolic.ownership` -- symbolic closed forms of the
-  per-processor owned index sets (`SymRegion`), instantiable to the
-  exact :class:`~repro.util.intervals.IntervalSet` the concrete
-  :mod:`repro.mapping.ownership` layer computes;
 * :mod:`repro.symbolic.scenarios` -- the scenario machinery (branch /
   trip-count / input grids) promoted out of :mod:`repro.spmd.traffic`,
   where it had grown in PR 2;
@@ -20,36 +7,14 @@ package promotes that reasoning into one shared substrate:
   ``symbolize`` pipeline pass: which bindings are *shape-symbolic*
   (erasable from artifact keys) vs *compile-relevant*.
 
-Consumers: ``mapping/ownership.py`` (cross-validation of closed forms),
-``remap/codegen.py`` and ``spmd/schedule.py`` (lazily instantiated plan
-tables), and the ``symbolize`` pass in ``compiler/pipeline.py``.
+Consumers: the traffic estimator (``spmd/traffic.py``) walks the scenario
+grids; the ``symbolize`` pass in ``compiler/pipeline.py``, the template
+form in ``compiler/template.py`` and the shape lints use the classifier.
+Ownership itself has one spelling, on concrete integers:
+:func:`repro.mapping.ownership.dim_owned`.
 """
 
-from repro.symbolic.affine import (
-    Add,
-    CeilDiv,
-    Const,
-    Max,
-    Min,
-    Mul,
-    Sym,
-    SymExpr,
-    add,
-    as_expr,
-    ceil_div,
-    mul,
-    smax,
-    smin,
-)
 from repro.symbolic.classify import BindingClassification, classify_bindings
-from repro.symbolic.ownership import (
-    SymInterval,
-    SymIntervals,
-    SymRegion,
-    SymStridedRuns,
-    dim_region,
-    proc_coord,
-)
 from repro.symbolic.scenarios import (
     Scenario,
     enumerate_scenarios,
@@ -58,30 +23,10 @@ from repro.symbolic.scenarios import (
 )
 
 __all__ = [
-    "Add",
     "BindingClassification",
-    "CeilDiv",
-    "Const",
-    "Max",
-    "Min",
-    "Mul",
     "Scenario",
-    "Sym",
-    "SymExpr",
-    "SymInterval",
-    "SymIntervals",
-    "SymRegion",
-    "SymStridedRuns",
-    "add",
-    "as_expr",
-    "ceil_div",
     "classify_bindings",
-    "dim_region",
     "enumerate_scenarios",
-    "mul",
-    "proc_coord",
     "reachable_subs",
     "runtime_unknowns",
-    "smax",
-    "smin",
 ]

@@ -3,7 +3,9 @@
 Three enforced contracts:
 
 * ``docs/ARCHITECTURE.md`` mentions every module under ``src/repro/``
-  (a new module without a home in the architecture map fails CI);
+  (a new module without a home in the architecture map fails CI), and
+  names no ``repro.*`` module or attribute that does not exist (a
+  deleted module cannot linger in the map);
 * the pass table in ``docs/PASSES.md`` is byte-identical to what the
   live pass registry renders
   (:func:`repro.compiler.report.pass_reference_table`);
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -58,6 +61,29 @@ def test_architecture_mentions_every_module():
         "docs/ARCHITECTURE.md has no mention of: "
         + ", ".join(missing)
         + " -- add each module to the paper-to-code map or the package tour"
+    )
+
+
+def _resolves(dotted: str) -> bool:
+    """True iff ``dotted`` names an importable module or an attribute of one."""
+    try:
+        pkgutil.resolve_name(dotted)
+        return True
+    except (ImportError, AttributeError):
+        return False
+
+
+def test_architecture_names_only_what_exists():
+    """The converse of the test above.  Metric names share the ``repro.``
+    prefix and are held to the catalog instead."""
+    from repro.obs.catalog import CATALOG
+
+    text = (DOCS / "ARCHITECTURE.md").read_text()
+    tokens = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
+    stale = sorted(t for t in tokens - set(CATALOG) if not _resolves(t))
+    assert not stale, (
+        "docs/ARCHITECTURE.md names modules/attributes that do not exist: "
+        + ", ".join(stale)
     )
 
 

@@ -17,7 +17,8 @@ from repro.mapping import (
     ProcessorArrangement,
     Template,
 )
-from repro.mapping.ownership import affine_preimage, layout_of
+from repro.mapping.mapping import DimMap
+from repro.mapping.ownership import affine_preimage, dim_owned, layout_of
 from repro.util.intervals import IntervalSet
 
 
@@ -370,6 +371,42 @@ def test_prop_1d_ownership_partitions(extent, fmt, nprocs):
     # every index owned exactly once per holder count along other dims
     assert set(seen) == set(range(extent))
     assert len(set(seen.values())) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extent=st.integers(1, 24),
+    fmt=fmt_strategy,
+    nprocs=st.integers(1, 5),
+    stride=st.sampled_from([1, -1, 2, -2, 3, -3]),
+    pad_lo=st.integers(0, 4),
+    pad_hi=st.integers(0, 4),
+)
+def test_prop_dim_owned_matches_per_element_owner(
+    extent, fmt, nprocs, stride, pad_lo, pad_hi
+):
+    """The interval arithmetic of ``dim_owned`` against the per-element
+    formula, through every alignment stride and offset."""
+    if not fmt.is_distributed:
+        dm = DimMap(extent=extent)
+    else:
+        # the array's image, padded by ``pad_lo``/``pad_hi`` template cells
+        offset = pad_lo + (-stride * (extent - 1) if stride < 0 else 0)
+        t_extent = pad_lo + abs(stride) * (extent - 1) + 1 + pad_hi
+        dm = DimMap(
+            extent=extent,
+            proc_dim=0,
+            kind=fmt.kind,
+            block=fmt.resolve_block(t_extent, nprocs),
+            nprocs=nprocs,
+            stride=stride,
+            offset=offset,
+            template_extent=t_extent,
+        )
+    coords = range(nprocs) if dm.is_distributed else (None,)
+    for c in coords:
+        want = {i for i in range(extent) if dm.owner_coordinate(i) == c}
+        assert set(dim_owned(dm, c)) == want, (dm, c)
 
 
 @settings(max_examples=40, deadline=None)

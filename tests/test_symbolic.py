@@ -25,9 +25,11 @@ The acceptance differential for the symbolic subsystem
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -39,11 +41,13 @@ from repro import (
     Executor,
     Machine,
     compile_program,
+    predict_traffic,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.session import source_digest
 from repro.compiler.template import SymbolicTemplate
-from repro.mapping import ProcessorArrangement
+from repro.mapping import ProcessorArrangement, ownership
+from repro.spmd import traffic
 from repro.spmd.schedule import CommPlanTable
 from repro.store import ArtifactStore
 
@@ -273,17 +277,6 @@ def _warm_template(policy="round-robin"):
     return session, next(iter(session._templates.values()))
 
 
-def test_template_closed_form_cross_check():
-    """verify_instantiation re-derives every rectangle from the closed-form
-    symbolic regions; any disagreement with the instantiated artifact is a
-    soundness bug.  Clean across shapes and grids beyond the probe set."""
-    _, template = _warm_template()
-    for n, p in [(8, 2), (12, 3), (20, 5), (32, 4), (40, 8)]:
-        bindings = {"n": n}
-        compiled = template.instantiate(bindings, ProcessorArrangement("P", (p,)))
-        assert template.verify_instantiation(compiled, bindings) == [], (n, p)
-
-
 def test_template_instantiation_is_deterministic():
     """Two instantiations at the same (n, P) are interchangeable: identical
     values, bytes, messages and phases under execution -- and they run the
@@ -321,8 +314,15 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     _, template = _warm_template()
     # serve and run one shape so the plan table is warm
     _run(template.instantiate({"n": 16}, ProcessorArrangement("P", (4,))), _fig16(16))
-    revived = pickle.loads(pickle.dumps(template))
+    payload = pickle.dumps(template)
+    revived = pickle.loads(payload)
     assert isinstance(revived, SymbolicTemplate)
+    # a template carries exactly what instantiation uses, nothing else
+    assert set(vars(revived)) - {"_frozen"} == {
+        "program", "options", "classification", "fixed_bindings", "plans"
+    }
+    assert b"repro.symbolic.affine" not in payload
+    assert b"repro.symbolic.ownership" not in payload
     assert len(template.plans) > 0 and len(revived.plans) == 0
     w = _fig16(12)
     got = _run(revived.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
@@ -389,6 +389,56 @@ def test_plan_memo_insert_race_collapses_to_one_build():
     assert stats["entries"] == 1 and stats["misses"] >= 1
     assert stats["hits"] + stats["misses"] == 8
     assert len({id(r) for r in results}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the process-wide layout and copy-price caches stay bounded
+# ---------------------------------------------------------------------------
+
+
+def test_shape_sweep_leaves_process_caches_bounded():
+    """Shape-diverse traffic is what templates exist to serve, so nothing a
+    new shape touches may grow for the life of the process."""
+    _, template = _warm_template(None)
+    shapes = [(n, p) for n in range(8, 508) for p in range(1, 5)]
+    for i, (n, p) in enumerate(shapes):
+        compiled = template.instantiate({"n": n}, ProcessorArrangement("P", (p,)))
+        predict_traffic(compiled, bindings={"n": n, "t": 1})
+        if i == len(shapes) - 600:
+            # 1 200 layouts from the end: recently, but surely, evicted
+            versions = compiled.get("main").construction.versions
+            evicted = weakref.ref(ownership.layout_of(versions.versions("a")[0]))
+    assert 0 < len(ownership._LAYOUTS) <= ownership._LAYOUTS_CAP
+    assert 0 < len(traffic._COPY_PRICES) <= traffic._COPY_PRICES_CAP
+    del compiled, versions
+    gc.collect()
+    assert evicted() is None  # an evicted layout is collectable
+
+
+def test_run_straddling_cache_evictions_is_bit_identical(monkeypatch):
+    w = _fig16(16)
+    opts = CompilerOptions(level=3, schedule="aggregate")
+
+    def observe():
+        compiled = compile_program(
+            w["source"], bindings=w["bindings"], processors=4, options=opts
+        )
+        values, stats = _run(compiled, w)
+        return values, stats.snapshot(), predict_traffic(compiled, bindings=w["bindings"])
+
+    ref_values, ref_snapshot, ref_predicted = observe()
+    # one slot each, and Fig. 16 alternates two layouts and two copies: from
+    # empty caches every other lookup evicts what the run is still using
+    monkeypatch.setattr(ownership, "_LAYOUTS_CAP", 1)
+    monkeypatch.setattr(traffic, "_COPY_PRICES_CAP", 1)
+    ownership._LAYOUTS.clear()
+    traffic._COPY_PRICES.clear()
+    values, snapshot, predicted = observe()
+    assert len(ownership._LAYOUTS) == len(traffic._COPY_PRICES) == 1
+    for a in ref_values:
+        assert np.array_equal(values[a], ref_values[a]), a
+    assert snapshot == ref_snapshot
+    assert predicted == ref_predicted
 
 
 # ---------------------------------------------------------------------------
