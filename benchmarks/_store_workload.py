@@ -2,10 +2,9 @@
 
 One place defines the adi/fft2d/lu/sar request mix (the paper's Sec. 1
 application classes) so the cross-process benchmark driver
-(``bench_store.py``), its subprocess worker (``_store_worker.py``) and
-the CI smoke assertion (``store_smoke.py``) all measure *exactly* the
-same artifacts -- same sources, bindings, options and inputs, hence the
-same session cache keys and store entries.
+(``bench_store.py``) and its subprocess worker (``_store_worker.py``)
+measure *exactly* the same artifacts -- same sources, bindings, options
+and inputs, hence the same session cache keys and store entries.
 """
 
 from __future__ import annotations

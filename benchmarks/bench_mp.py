@@ -13,14 +13,12 @@ the benchmark records:
 * the **modeled prediction** for the same traffic
   (``machine.phase_seconds``, the phase clock the simulator charges --
   identical message lists by the backend's differential contract);
-* their quotient, the **calibration ratio**, which
-  ``check_regression.py`` gates against the committed
-  ``benchmarks/baselines/BENCH_mp.json``.
+* their quotient, the **calibration ratio** (asserted positive and
+  finite; ROADMAP item 4 narrows it to a band).
 
-The shape asserted at measurement time (and re-gated from the recorded
-numbers): round-robin's measured makespan never exceeds naive's on this
-contended family, aggregation never increases messages nor changes
-bytes, and all policies deliver bit-identical values.
+The shape asserted: round-robin's measured makespan never exceeds
+naive's on this contended family, aggregation never increases messages
+nor changes bytes, and all policies deliver bit-identical values.
 
 ``BENCH_MP_PROCS`` / ``BENCH_MP_N`` / ``BENCH_MP_TRIPS`` /
 ``BENCH_MP_REPS`` scale the experiment for CI smoke runs.
@@ -100,14 +98,14 @@ def _measure(backend: MPBackend, policy: str) -> dict:
 
 
 @pytest.mark.skipif(not fork_available(), reason="mp backend requires fork")
-def test_mp_transport_vs_cost_model(benchmark, bench_json):
+def test_mp_transport_vs_cost_model(bench_json):
     results: dict[str, dict] = {}
     values: dict[str, np.ndarray] = {}
     with MPBackend(NPROCS) as backend:
         for policy in POLICIES:
             results[policy], values[policy] = _measure(backend, policy)
 
-        path = bench_json("BENCH_mp.json", {
+        bench_json("BENCH_mp.json", {
             "experiment": "mp-transport",
             "pattern": f"block<->cyclic(3)@P{NPROCS}",
             "nprocs": NPROCS,
@@ -134,17 +132,3 @@ def test_mp_transport_vs_cost_model(benchmark, bench_json):
         for policy in POLICIES:
             r = results[policy]
             assert r["calibration"] > 0 and np.isfinite(r["calibration"]), policy
-
-        benchmark(lambda: _measure(backend, "round-robin"))
-    benchmark.extra_info.update(
-        {
-            "json_path": path,
-            "nprocs": NPROCS,
-            "rr_vs_naive_port": round(
-                results["naive"]["port_us"]
-                / max(results["round-robin"]["port_us"], 1e-12),
-                3,
-            ),
-            "rr_calibration": round(results["round-robin"]["calibration"], 3),
-        }
-    )

@@ -1,28 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared by the two wall-clock instruments kept beside ``layers/``.
 
-Every benchmark regenerates one experiment from DESIGN.md's index: it
-executes (or compiles) a program under different optimization levels,
-asserts the *shape* of the paper's claim (who wins, by what factor), and
-records the measured numbers in ``benchmark.extra_info`` so
-``pytest benchmarks/ --benchmark-only`` prints a complete reproduction
-record (transcribed into EXPERIMENTS.md).
-
-Benchmarks that track a perf trajectory additionally emit machine-readable
-results through the shared ``--json PATH`` flag (:func:`pytest_addoption`)
-and the ``bench_json`` fixture: each benchmark names a default output file
-(e.g. ``BENCH_schedule.json``) that ``--json`` overrides, so CI can collect
-the numbers as artifacts.
+``bench_store.py`` and ``bench_mp.py`` each name a default output file
+(``BENCH_store.json``, ``BENCH_mp.json``) that the ``--json PATH`` flag
+overrides, so CI can collect the numbers as artifacts.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro import CompilerOptions, ExecutionEnv, Executor, Machine, compile_program
 from repro.obs import REGISTRY
 
 
@@ -37,112 +25,22 @@ def pytest_addoption(parser):
     )
 
 
-def _publish_bench_values(bench: str, payload: dict) -> None:
-    """Mirror a payload's numeric leaves into the ``repro.bench.value`` gauge.
-
-    Top-level numeric scalars publish under ``case="-"``; entries of a
-    ``results`` mapping publish one case per key, with nested dicts
-    flattened to dotted metric names.  The registry snapshot embedded in
-    the JSON output therefore carries the same headline numbers the
-    payload does -- one schema for humans and machines.
-    """
-
-    def leaves(prefix: str, value, out: list[tuple[str, float]]) -> None:
-        if isinstance(value, bool):
-            return
-        if isinstance(value, (int, float)):
-            out.append((prefix, float(value)))
-        elif isinstance(value, dict):
-            for k, v in value.items():
-                leaves(f"{prefix}.{k}" if prefix else str(k), v, out)
-
-    def publish(case: str, tree) -> None:
-        flat: list[tuple[str, float]] = []
-        leaves("", tree, flat)
-        for metric, value in flat:
-            REGISTRY.gauge(
-                "repro.bench.value",
-                {"bench": bench, "case": case, "metric": metric},
-            ).set(value)
-
-    publish("-", {k: v for k, v in payload.items() if isinstance(v, (int, float))})
-    results = payload.get("results")
-    if isinstance(results, dict):
-        for case, tree in results.items():
-            publish(str(case), tree)
-
-
 @pytest.fixture
 def bench_json(request):
-    """Write one benchmark's results as JSON; returns the path written.
+    """Write one benchmark's results as JSON.
 
     ``bench_json(default_path, payload)`` honours ``--json PATH`` when
-    given, else writes to the benchmark's own default file.  Dict
-    payloads additionally publish their headline numbers through the
-    process-wide metrics registry (``repro.bench.value``) and embed a
-    full registry snapshot under the ``"obs"`` key, so every BENCH json
-    doubles as a metrics export.
+    given, else writes to the benchmark's own default file.  The payload
+    embeds a full metrics-registry snapshot under the ``"obs"`` key, so
+    every BENCH json doubles as a metrics export (``python -m repro.obs
+    snapshot FILE`` reads it).
     """
 
-    def _write(default_path: str, payload) -> str:
+    def _write(default_path: str, payload: dict) -> None:
         path = request.config.getoption("--json") or default_path
-        if isinstance(payload, dict):
-            _publish_bench_values(Path(default_path).stem, payload)
-            payload.setdefault("obs", REGISTRY.snapshot())
+        payload.setdefault("obs", REGISTRY.snapshot())
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
 
     return _write
-
-
-@pytest.fixture
-def run_program():
-    """Compile and execute a program; returns (result, machine, compiled)."""
-
-    def _run(
-        source,
-        level: int = 3,
-        sub: str | None = None,
-        bindings: dict | None = None,
-        conditions: dict | None = None,
-        inputs: dict | None = None,
-        kernels: dict | None = None,
-        nprocs: int = 4,
-        dtype=np.float64,
-        memory_limit: int | None = None,
-    ):
-        compiled = compile_program(
-            source,
-            bindings=bindings,
-            processors=nprocs,
-            options=CompilerOptions(level=level),
-        )
-        name = sub or next(iter(compiled.subroutines))
-        machine = Machine(compiled.processors, memory_limit=memory_limit)
-        env = ExecutionEnv(
-            conditions=conditions or {},
-            bindings=bindings or {},
-            inputs=inputs or {},
-            kernels=kernels or {},
-            dtype=dtype,
-        )
-        result = Executor(compiled, machine, env).run(name)
-        return result, machine, compiled
-
-    return _run
-
-
-@pytest.fixture
-def traffic(run_program):
-    """Run at several levels, return {level: stats-snapshot}."""
-
-    def _traffic(source, levels=(0, 3), **kw):
-        out = {}
-        for level in levels:
-            _, machine, _ = run_program(source, level=level, **kw)
-            out[level] = machine.stats.snapshot()
-        return out
-
-    return _traffic

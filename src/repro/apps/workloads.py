@@ -10,8 +10,8 @@ Two families:
   optimized traffic never larger.
 * :func:`chain_subroutine` / :func:`branchy_subroutine` -- parameterized
   program shapes (m remapping statements, p arrays, straight-line or
-  branchy) for the construction/optimization complexity benchmarks
-  (Appendix B's O(n*s*m^2*p^2) and Appendix C's O(m^2*p*q*r) bounds).
+  branchy): the shapes behind Appendix B's O(n*s*m^2*p^2) and Appendix
+  C's O(m^2*p*q*r) bounds, used by the soundness and traffic-oracle tests.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def random_environment(rng: np.random.Generator, n_arrays: int = 3):
 
 
 # ---------------------------------------------------------------------------
-# parameterized shapes for scaling benchmarks
+# parameterized shapes
 # ---------------------------------------------------------------------------
 
 
@@ -171,7 +171,7 @@ def branchy_subroutine(m: int, p: int, n: int = 16) -> Program:
 
 
 def loopy_subroutine(m: int, n: int = 16) -> Program:
-    """m nested-loop remap pairs (Fig. 16 shape), for motion benchmarks."""
+    """m nested-loop remap pairs (Fig. 16 shape), for motion tests."""
     b = SubroutineBuilder("loopy", params=("t",))
     b.scalar("t")
     b.array("a", (n,))

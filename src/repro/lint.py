@@ -16,7 +16,7 @@ their known, intentional lint hits).  ``--write-baseline`` records the
 current findings as the new expectation.
 
 Exit codes (shared with ``python -m repro.store`` and
-``benchmarks/check_regression.py``): 0 = clean (no unexpected
+``python -m repro.obs``): 0 = clean (no unexpected
 findings), 1 = findings, 2 = infrastructure error (unreadable source,
 compile failure, bad arguments).
 """

@@ -77,8 +77,6 @@ def _specs() -> tuple[MetricSpec, ...]:
         # -- tracing ----------------------------------------------------------
         MetricSpec("repro.trace.spans_recorded", c, "Finished spans retained in the trace buffer."),
         MetricSpec("repro.trace.spans_dropped", c, "Finished spans dropped by the buffer bound."),
-        # -- benchmarks -------------------------------------------------------
-        MetricSpec("repro.bench.value", g, "Benchmark headline measurements, labeled by bench/case/metric.", ("bench", "case", "metric")),
     )
 
 

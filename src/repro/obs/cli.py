@@ -13,7 +13,7 @@
   into total/self time by span name.
 
 Exit codes (shared with ``python -m repro.store`` and
-``benchmarks/check_regression.py``): 0 = ok, 2 = infrastructure error
+``python -m repro.lint``): 0 = ok, 2 = infrastructure error
 (unreadable or structurally invalid input).
 """
 

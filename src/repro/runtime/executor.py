@@ -174,7 +174,7 @@ class ExecutionEnv:
 #: Fused loop replay is gone (it measured 1.00x over plain execution once
 #: plans carried their copies), but ``benchmarks/layers/probes.py`` still
 #: reads ``result.fusion.replays`` outside any probe guard, so results keep
-#: this one constant record until the benchmark-only follow-up drops the read.
+#: this one constant record until a follow-up to the benchmark drops the read.
 _NO_FUSION = SimpleNamespace(replays=0)
 
 

@@ -28,9 +28,6 @@ Quickstart::
             [{"source": SOURCE, "bindings": {"n": 64}, "conditions": {"c1": True}}]
         )
         print(results[0].value("a"), svc.stats.snapshot())
-
-``benchmarks/bench_service.py`` records the serving trajectory
-(cold/warm throughput against worker count) in ``BENCH_service.json``.
 """
 
 from repro.service.pool import SessionPool

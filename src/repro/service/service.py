@@ -23,14 +23,6 @@ Three mechanisms make request-time compilation scale:
   number of workers execute the same artifact concurrently, each on its
   own simulated :class:`~repro.spmd.machine.Machine` (see the executor's
   audited concurrency contract).
-
-Since the machine this repo targets is *simulated*, the serving layer
-models its transport the same way: a request may carry ``io_seconds``,
-the modeled client/network transfer time, which the worker genuinely
-sleeps (half on ingest, half on respond).  Like socket I/O in a real
-server it releases the GIL and overlaps across workers -- this is what
-the service-level benchmark scales against on a single-core host, and it
-is recorded verbatim in ``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -74,11 +66,9 @@ class CompileRequest:
     compiled artifact (and hence the cache/single-flight identity);
     ``conditions``/``inputs``/``kernels``/``entry`` only affect the
     execution.  ``run=False`` requests compilation alone (cache warming).
-    ``io_seconds`` is the modeled request transport time -- see the
-    module docstring.  ``backend="mp"`` opts the execution onto real
-    forked worker ranks (:mod:`repro.runtime.mpbackend`); results are
-    bit-identical to the default simulator, plus a measured
-    ``result.mp`` transport report.
+    ``backend="mp"`` opts the execution onto real forked worker ranks
+    (:mod:`repro.runtime.mpbackend`); results are bit-identical to the
+    default simulator, plus a measured ``result.mp`` transport report.
     """
 
     source: str | Program | Subroutine
@@ -92,7 +82,6 @@ class CompileRequest:
     check_invariants: bool = False
     dtype: object = None
     run: bool = True
-    io_seconds: float = 0.0
     backend: str = "sim"
 
 
@@ -459,8 +448,6 @@ class CompileService:
         with _TRACER.span("service.request", index=index) as root:
             try:
                 check_backend(request.backend)  # before any work is spent
-                if request.io_seconds > 0:  # modeled request ingest
-                    time.sleep(request.io_seconds / 2)
                 tc = time.perf_counter()
                 with _TRACER.span("service.compile") as cspan:
                     compiled, res.cache_source, res.deduped = self.compile(
@@ -491,8 +478,6 @@ class CompileService:
                         else:
                             res.result = execute(compiled, entry=request.entry, env=env)
                     res.run_seconds = time.perf_counter() - tr
-                if request.io_seconds > 0:  # modeled response transfer
-                    time.sleep(request.io_seconds / 2)
             except BaseException as exc:
                 res.error = exc
                 root.set_attr("error", type(exc).__name__)

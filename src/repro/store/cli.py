@@ -15,7 +15,7 @@
   clean store.
 
 Exit codes (shared with ``python -m repro.lint`` and
-``benchmarks/check_regression.py``): 0 = clean, 1 = findings, 2 =
+``python -m repro.obs``): 0 = clean, 1 = findings, 2 =
 infrastructure error (no store at the given root).
 """
 

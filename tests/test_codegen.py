@@ -55,8 +55,16 @@ def test_fig20_generated_structure():
     assert op.reaching == {1, 2}
     assert op.use is Use.R
     text = "\n".join(render_op(op))
+    # Fig. 20's structure, version for version: status test, conditional
+    # allocation, liveness test, one guarded copy per reaching version,
+    # live flag and status updates
+    assert "if status(a) != 0" in text
+    assert "allocate a_0 if needed" in text
+    assert "if not live(a_0)" in text
     assert "if status(a) == 1: a_0 = a_1" in text
     assert "if status(a) == 2: a_0 = a_2" in text
+    assert "live(a_0) = true" in text
+    assert "status(a) = 0" in text
 
 
 def test_naive_ops_have_no_status_checks():
@@ -106,6 +114,31 @@ end
     # first remap removed (U=N); second survives but its reaching is {0}
     assert len(remaps) == 1
     assert remaps[0].leaving == 0 or remaps[0].reaching == frozenset({0})
+
+
+def test_dead_copy_generates_no_copy_statement():
+    """U = D (the array is fully redefined before any read): the target
+    version is allocated, never copied."""
+    src = """
+subroutine main()
+  integer n
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute reads A
+!hpf$ redistribute A(cyclic)
+  compute defines A
+  compute reads A
+end
+"""
+    compiled = compile_program(src, bindings={"n": 8}, processors=4)
+    remaps = [
+        op for op in compiled.get("main").code.all_ops() if isinstance(op, RemapOp)
+    ]
+    assert len(remaps) == 1
+    text = "\n".join(render_op(remaps[0]))
+    assert "no copy" in text
+    assert "a_1 = a_0" not in text
 
 
 def test_kill_generates_poison_op():

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.workloads import chain_subroutine
 from repro.errors import AmbiguousMappingError, MultipleLeavingMappingsError
 from repro.ir.cfg import NodeKind, build_cfg
 from repro.ir.effects import Use
 from repro.lang import parse_program, resolve_program
-from repro.mapping import ProcessorArrangement
+from repro.mapping import DistKind, ProcessorArrangement
 from repro.remap import build_remapping_graph
 
 P4 = ProcessorArrangement("P", (4,))
@@ -267,6 +268,37 @@ end
     res = construct(src)
     remaps = [v for v in res.graph.vertices.values() if v.kind is NodeKind.REMAP]
     assert all(not v.S for v in remaps) or not remaps
+
+
+def test_fig7_dynamic_array_becomes_static_versions():
+    """Fig. 7: a dynamically remapped array is versioned into statically
+    mapped copies, and every reference is rewritten to the right one."""
+    src = """
+subroutine s()
+  integer n
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(cyclic)
+  compute "one" reads A
+!hpf$ redistribute A(block)
+  compute "two" reads A
+end
+"""
+    res = construct(src)
+    assert res.versions.count("a") == 2
+    m0, m1 = res.versions.versions("a")
+    assert m0.dim_maps[0].kind is DistKind.CYCLIC
+    assert m1.dim_maps[0].kind is DistKind.BLOCK
+    assert sorted(v["a"] for v in res.stmt_versions.values()) == [0, 1]
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_chain_program_has_one_vertex_per_remapping_statement(m):
+    """Appendix B's shape: m remapping statements contract to m vertices
+    (+ v_c, v_0, v_e), however many arrays each one remaps."""
+    program = resolve_program(chain_subroutine(m=m, p=2), bindings={}, default_processors=P4)
+    res = build_remapping_graph(build_cfg(program.get("chain")), program)
+    assert len(res.graph.vertices) == m + 3
 
 
 # ---------------------------------------------------------------------------

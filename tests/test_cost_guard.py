@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.remap.costguard import CostGuard
-from repro.remap.motion import hoist_loop_invariant_remaps
+from repro.remap.motion import hoist_loop_invariant_remaps, transform_program
 from repro.lang.parser import parse_program
 from repro.spmd.cost import TrafficEstimate
 
@@ -69,6 +69,9 @@ def test_seed_2558_monotone_and_rejection_recorded():
     assert naive == 576  # the documented counter-example shape
     for level in (1, 2, 3):
         assert byte_counts[level] <= 576, byte_counts
+    # what the guard prevents: legality-only motion, then the level-2 passes
+    unguarded, _ = transform_program(program)
+    assert _run_bytes(unguarded, 2, conditions, inputs)[0] == 672
 
     # the guard recorded the rejected hoist with its estimated cost delta
     report = compiled3.report.motion["main"]

@@ -75,7 +75,9 @@ def _resolves(dotted: str) -> bool:
 
 def test_architecture_names_only_what_exists():
     """The converse of the test above.  Metric names share the ``repro.``
-    prefix and are held to the catalog instead."""
+    prefix and are held to the catalog instead.  Likewise every
+    ``benchmarks/``, ``tests/`` or ``docs/`` path the README or a doc
+    names (in prose or in a command) must be on disk; a ``*`` globs."""
     from repro.obs.catalog import CATALOG
 
     text = (DOCS / "ARCHITECTURE.md").read_text()
@@ -85,6 +87,15 @@ def test_architecture_names_only_what_exists():
         "docs/ARCHITECTURE.md names modules/attributes that do not exist: "
         + ", ".join(stale)
     )
+
+    path_token = re.compile(r"(?<![\w/.-])(?:benchmarks|tests|docs)/[\w./*-]*")
+    for doc in (REPO / "README.md", *sorted(DOCS.glob("*.md"))):
+        paths = {t.rstrip(".") for t in path_token.findall(doc.read_text())}
+        dangling = sorted(p for p in paths if not any(REPO.glob(p)))
+        assert not dangling, (
+            f"{doc.relative_to(REPO)} names paths that do not exist: "
+            + ", ".join(dangling)
+        )
 
 
 def test_fuzzing_doc_covers_kinds_and_profiles():
@@ -144,7 +155,6 @@ def test_ci_doc_covers_every_job():
     assert ".github/actions/setup-repro" in text
     assert "cancel-in-progress" in text
     assert "REPRO_MP_SEEDS" in text
-    assert "GITHUB_STEP_SUMMARY" in text
 
 
 def test_pass_table_matches_registry():

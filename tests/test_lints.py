@@ -1,9 +1,8 @@
 """The RPR0xx lint rules: loud on seeded defects, silent on real programs.
 
-Also pins the exit-code contract shared by the three command-line
-gates -- ``python -m repro.lint``, ``python -m repro.store`` and
-``benchmarks/check_regression.py``: 0 = clean, 1 = findings,
-2 = infrastructure error.
+Also pins the exit-code contract shared by the command-line gates --
+``python -m repro.lint`` and ``python -m repro.store``: 0 = clean,
+1 = findings, 2 = infrastructure error.
 """
 
 from __future__ import annotations
@@ -304,24 +303,3 @@ def test_lint_cli_exit_codes(tmp_path):
 def test_store_cli_exit_codes(tmp_path):
     # 2: no store at the given root
     assert _invoke(["-m", "repro.store", "stats", "--dir", str(tmp_path / "no")]).returncode == 2
-
-
-def test_regression_gate_exit_codes(tmp_path):
-    gate = str(REPO / "benchmarks" / "check_regression.py")
-    baselines = REPO / "benchmarks" / "baselines"
-    # 0: baselines compared against themselves are clean by definition
-    assert _invoke([gate, "--fresh-dir", str(baselines)]).returncode == 0
-    # 2: missing fresh results are an infrastructure error
-    assert _invoke([gate, "--fresh-dir", str(tmp_path)]).returncode == 2
-    # 1: a genuine regression (makespan ordering violated) in fresh output
-    fresh = json.loads((baselines / "BENCH_schedule.json").read_text())
-    case = next(iter(fresh["results"]))
-    fresh["results"][case]["round-robin"]["makespan_us"] = (
-        fresh["results"][case]["naive"]["makespan_us"] + 1000.0
-    )
-    for name in ("service", "store", "symbolic", "mp"):
-        (tmp_path / f"BENCH_{name}.json").write_text(
-            (baselines / f"BENCH_{name}.json").read_text()
-        )
-    (tmp_path / "BENCH_schedule.json").write_text(json.dumps(fresh))
-    assert _invoke([gate, "--fresh-dir", str(tmp_path)]).returncode == 1

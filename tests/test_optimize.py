@@ -127,6 +127,7 @@ end
     assert g.used_versions("a") == {0, 1, 2, 3}
     assert g.used_versions("b") == {0, 1}
     assert g.used_versions("c") == {0, 3}  # used at loop mappings only
+    assert g.removed_count() > 0  # so some instances are never instantiated
 
 
 def test_removal_transitive_closure_chain():

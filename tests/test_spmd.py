@@ -193,6 +193,9 @@ def test_block_to_cyclic_moves_data_correctly(p4, machine4):
     assert sched.local_count == 4
     assert sched.message_count == 12
     assert machine4.stats.messages == 12
+    # closed form: every element whose owner changes moves exactly once,
+    # the (P-1)/P fraction of the array
+    assert machine4.stats.bytes == 16 * 3 // 4 * 8
 
 
 def test_identity_redistribution_is_all_local(p4, machine4):
