@@ -1,29 +1,29 @@
 """Static communication-safety proofs for communication plans.
 
-The machine's phase clock (:meth:`~repro.spmd.machine.Machine.run_phase`)
-re-validates the one-port property of every contention-free phase at run
-time -- an O(messages) check paid on *every* replay of a
-:class:`~repro.spmd.schedule.CommSchedule`.  This module moves that proof
-to plan-build time (:meth:`~repro.spmd.schedule.CommPlanTable.obtain`
-certifies each phased plan once, before its first phase runs).  For a
-plan built for the copy ``dst = src`` it proves:
+A plan's ledger (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
+re-validates the one-port property of every contention-free phase of a
+plan nobody proved.  This module is the proof
+(:meth:`~repro.spmd.schedule.CommPlanTable.obtain` certifies each phased
+plan once, before its first phase runs).  For ``dst = src`` it proves:
 
 * **exact cover** -- the plan's messages (phase transfers plus local
   copies) are exactly the maximal contiguous rectangles of the
   redistribution schedule the mappings require
   (:func:`~repro.spmd.redistribution.build_schedule`): same multiset, so
-  every required element moves exactly once and nothing extra moves;
+  every required element moves exactly once and nothing extra moves; and
+  the plan's whole ``transfers`` -- what the simulator copies -- are
+  exactly that schedule's non-empty transfers;
 * **one-port** -- every contention-free phase has each rank sending at
   most once and receiving at most once, and carries no local (src == dst)
   or empty messages.
 
 A plan that passes is stamped ``statically_verified``
-(:func:`certify_plan` returns a stamped copy); the machine then skips the
-runtime re-check for its phases, and differential tests prove the skipped
-execution bit-identical.  Plans that fail any proof are simply left
-unstamped -- they stay correct under the runtime check, the compile does
-not abort -- but :func:`prove_plan` reports *why* so tests can assert on
-seeded defects (e.g. a hand-built double-send phase).
+(:func:`certify_plan` returns a stamped copy); its ledger then skips the
+re-check, and differential tests prove the skipped execution
+bit-identical.  Plans that fail any proof are simply left unstamped --
+they stay correct under the ledger's check, the compile does not abort --
+but :func:`prove_plan` reports *why* so tests can assert on seeded defects
+(e.g. a hand-built double-send phase).
 """
 
 from __future__ import annotations
@@ -58,22 +58,6 @@ def _count_rectangles(moved: Counter, t: Transfer) -> None:
     """
     for r in rectangles(t):
         moved[_canonical(r)] += 1
-
-
-def _required_rectangles(src: Mapping, dst: Mapping) -> Counter:
-    """The multiset of rectangles the copy ``dst = src`` must move.
-
-    Re-derives the redistribution schedule from the mappings (the trusted
-    base: pure layout arithmetic, property-tested elsewhere) and
-    decomposes each non-empty transfer into its maximal contiguous
-    rectangles -- the canonical granularity of the exact-cover proof.
-    """
-    required: Counter = Counter()
-    for t in build_schedule(layout_of(src), layout_of(dst)).transfers:
-        if t.elements == 0:
-            continue
-        _count_rectangles(required, t)
-    return required
 
 
 def prove_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> list[str]:
@@ -112,7 +96,14 @@ def prove_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> list[str]:
                 if s == d
             )
 
-    required = _required_rectangles(src, dst)
+    # the trusted base: the redistribution re-derived from the mappings (pure
+    # layout arithmetic, property-tested elsewhere)
+    needed = [t for t in build_schedule(layout_of(src), layout_of(dst)).transfers if t.elements]
+    if Counter(map(_canonical, plan.transfers)) != Counter(map(_canonical, needed)):
+        problems.append("exact-cover violation: whole transfers differ from the redistribution's")
+    required: Counter = Counter()
+    for t in needed:
+        _count_rectangles(required, t)
     for key, n in (moved - required).items():
         s, d, _ = key
         problems.append(
@@ -132,7 +123,7 @@ def certify_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> CommSchedule
 
     Returns ``plan`` itself (unstamped) when any proof fails or when the
     plan is already stamped; never raises on an unprovable plan -- the
-    runtime check remains as the safety net for unstamped plans.
+    ledger's check remains as the safety net for unstamped plans.
     """
     if plan.statically_verified:
         return plan

@@ -76,6 +76,7 @@ class Layout:
         #: holder coords -> owned sets; on the instance (at most one entry
         #: per grid coordinate) so a dropped layout takes its memo with it
         self._owned: dict[tuple[int, ...], tuple[IntervalSet, ...]] = {}
+        self._local_shapes: dict[tuple[int, ...], tuple[int, ...]] = {}
         for c in mapping.grid_constraints:
             if c.kind is GridConstraintKind.REPLICATED:
                 self._replicated_dims.add(c.proc_dim)
@@ -152,10 +153,12 @@ class Layout:
         return owned
 
     def local_shape(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        owned = self.owned(coords)
-        if owned is None:
-            return tuple(0 for _ in self.mapping.shape)
-        return tuple(len(s) for s in owned)
+        coords = tuple(coords)
+        shape = self._local_shapes.get(coords)
+        if shape is None:  # a non-holder owns nothing in any dimension
+            owned = self.owned(coords) or ((),) * len(self.mapping.shape)
+            shape = self._local_shapes[coords] = tuple(len(s) for s in owned)
+        return shape
 
     def owned_count(self, coords: tuple[int, ...]) -> int:
         n = 1

@@ -1,15 +1,15 @@
 """Predicted-vs-observed drift monitoring for executed remaps.
 
-Every scheduled remapping copy carries a static prediction — the plan's
-:meth:`~repro.spmd.schedule.CommSchedule.moved_bytes`,
-``message_count`` and ``makespan`` — and the machine ledger measures
-what actually happened.  The :class:`DriftMonitor` compares the two per
-executed remap and publishes relative-error histograms and mismatch
-counters into the metrics registry: an always-on, cheap runtime check
-of the cost-model invariants (bytes and messages must match *exactly*;
-makespan within a float tolerance, since prediction and machine clock
-evaluate the same ``cost.phase_time`` formula).  A future wall-clock
-backend reuses this monitor verbatim with a looser makespan tolerance.
+Every remapping copy carries a static prediction — the bytes, messages
+and makespan of its plan's :meth:`~repro.spmd.schedule.CommSchedule.ledger`
+delta — and the machine ledger measures what actually happened.  The
+:class:`DriftMonitor` compares the two per executed remap and publishes
+relative-error histograms and mismatch counters into the metrics registry:
+an always-on, cheap runtime check of the cost-model invariants (bytes and
+messages must match *exactly*; makespan within a float tolerance, since
+prediction and machine clock evaluate the same ``cost.phase_time``
+formula).  A future wall-clock backend reuses this monitor verbatim with
+a looser makespan tolerance.
 """
 
 from __future__ import annotations

@@ -195,18 +195,23 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        if not _ENABLED:
+        self.observe_many((value,))
+
+    def observe_many(self, values) -> None:
+        """Record every value of ``values``, in order, under one lock."""
+        values = [float(v) for v in values]
+        if not _ENABLED or not values:
             return
-        value = float(value)
-        idx = bisect_left(self.bounds, value)
+        indices = [bisect_left(self.bounds, v) for v in values]
         with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            for idx, value in zip(indices, values):
+                self._counts[idx] += 1
+                self._sum += value
+                if value < self._min:
+                    self._min = value
+                if value > self._max:
+                    self._max = value
+            self._count += len(values)
 
     @property
     def count(self) -> int:

@@ -38,7 +38,8 @@ Any number of :class:`Executor` instances may run the *same*
   write through the shared artifact is derived state only: its
   lock-guarded :class:`~repro.spmd.schedule.CommPlanTable` (a lost
   first-use race returns the winner's plan) and each plan's memoized
-  lowered form (:meth:`~repro.spmd.schedule.CommSchedule.lowered`) --
+  ledger delta and lowered forms
+  (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, ``lowered``, ``wire``) --
   idempotent first-use writes of immutable values, the same from every
   thread.
 
@@ -397,24 +398,31 @@ class Executor(DescriptorWalker):
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
-        stats = self.machine.stats
-        itemsize = np.dtype(self.env.dtype).itemsize
+        machine, stats = self.machine, self.machine.stats
         plan = self.plans.obtain(state.versions[src], state.versions[leaving])
+        # what the run is charged, and the drift record's prediction (an
+        # unprovable plan's bad phase raises here, before any data moves)
+        delta = plan.ledger(machine.cost, target.itemsize)
         bytes_before = stats.bytes
         messages_before = stats.messages
-        makespan_before = self.machine.phase_seconds
-        with _TRACER.span("remap.plan_replay", tag=tag):
+        makespan_before = machine.phase_seconds
+        with _TRACER.span(
+            "remap.plan_replay",
+            tag=tag,
+            phases=len(delta.durations),
+            messages=delta.messages,
+            bytes=delta.bytes,
+        ):
             self._run_plan(plan, source, target, tag)
-        predicted = plan.lowered(source.layout, target.layout)
         self.drift.record(
             DriftRecord(
                 tag=tag,
-                predicted_bytes=predicted.moved_elements * itemsize,
+                predicted_bytes=delta.bytes,
                 observed_bytes=stats.bytes - bytes_before,
-                predicted_messages=predicted.message_count,
+                predicted_messages=delta.messages,
                 observed_messages=stats.messages - messages_before,
-                predicted_makespan=predicted.makespan(self.machine.cost, itemsize),
-                observed_makespan=self.machine.phase_seconds - makespan_before,
+                predicted_makespan=delta.makespan,
+                observed_makespan=machine.phase_seconds - makespan_before,
             )
         )
 

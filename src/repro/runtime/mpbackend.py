@@ -17,10 +17,10 @@ Differential soundness is the design invariant, enforced three ways:
   executes, over the same blocks the parent verifies, so every executed
   program's results are bit-identical to the simulator's;
 * **ledger** -- the modeled :class:`~repro.spmd.machine.Machine` is charged
-  with *identical* :class:`~repro.spmd.message.Message` lists at identical
-  points (``transfer`` per unphased transfer, ``run_phase`` per phase), so
-  traffic stats, phase counts, drift records and the obs counters they
-  feed match the simulator exactly;
+  the *same* :class:`~repro.spmd.message.LedgerDelta` the simulator charges
+  (the plan's own, one ``charge`` per copy), so traffic stats, phase
+  counts, drift records and the obs counters they feed match the
+  simulator exactly;
 * **discipline** -- the transport re-validates the one-port property of
   every contention-free round and cross-checks each worker's actually
   moved message/byte counts against the round's prescription.
@@ -43,7 +43,6 @@ from repro.compiler.artifacts import CompiledProgram
 from repro.runtime.executor import ExecutionEnv, ExecutionResult, Executor
 from repro.runtime.memory import MemoryManager
 from repro.spmd.machine import Machine
-from repro.spmd.message import message_of
 from repro.spmd.redistribution import PreparedMove
 from repro.spmd.transport import (
     DEFAULT_ARENA_BYTES,
@@ -179,15 +178,14 @@ class MPExecutor(Executor):
     def _run_plan(self, plan, source, target, tag: str) -> None:
         """One remapping copy: local copies in the parent, the unphased
         messages (all of a ``policy=None`` plan's) as one contended
-        transport round, each phase as one barriered round -- then the
-        identical ledger charges the simulator makes, in its order
-        (``machine.transfer`` per unphased transfer, ``machine.run_phase``
-        per phase: same one-port validation, same stats, same drift
-        inputs)."""
-        itemsize, name = target.itemsize, target.name
-        lowered = plan.lowered(source.layout, target.layout)
+        transport round, each phase as one barriered round of its messages'
+        own parts -- then the simulator's ledger charge, the plan's one
+        delta (obtained first: an unprovable plan's bad phase raises before
+        anything is on the wire)."""
+        delta = plan.ledger(self.machine.cost, target.itemsize)
+        moves, phases = plan.wire(source.layout, target.layout)
         unphased: list[WireMessage] = []
-        for move in lowered.local:
+        for move in moves:
             if move.is_local:
                 move.execute(source, target)
             else:
@@ -201,26 +199,19 @@ class MPExecutor(Executor):
             TransferRound(
                 tuple(
                     WireMessage(
-                        msg.src_rank,
-                        msg.dst_rank,
-                        tuple(self._wire_part(m, source, target) for m in msg.parts),
+                        pt.src_rank,
+                        pt.dst_rank,
+                        tuple(self._wire_part(m, source, target) for m in parts),
                     )
-                    for msg in phase.messages
+                    for pt, parts in zip(phase.transfers, messages)
                 ),
                 contended=phase.contended,
             )
-            for phase in lowered.phases
+            for phase, messages in zip(plan.phases, phases)
         ]
         if rounds:
             self.mp_report.add(self.transport.exchange(tuple(rounds)))
-        for move in lowered.local:
-            self.machine.transfer(message_of(move, itemsize, name, tag))
-        for phase in lowered.phases:
-            self.machine.run_phase(
-                [message_of(msg, itemsize, name, tag) for msg in phase.messages],
-                contended=phase.contended,
-                verified=plan.statically_verified,
-            )
+        self.machine.charge(delta, target.name, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -207,14 +207,14 @@ class CostModel:
     ) -> float:
         """Duration of one communication phase of (src, dst, nbytes) messages.
 
-        The single shared formula behind both the machine's phase clock
-        (:meth:`~repro.spmd.machine.Machine.run_phase`) and the static
-        :meth:`~repro.spmd.schedule.CommPhase.duration` -- the
-        predicted==observed makespan oracle depends on the two never
-        diverging.  A contention-free phase (one-port property holds)
-        lasts as long as its largest message; a contended one serializes
-        each port and lasts as long as the busiest port's send+receive
-        work.
+        The single formula behind a plan's ledger delta
+        (:func:`~repro.spmd.message.ledger_delta`), which is both what the
+        machine's phase clock is charged and the static
+        :meth:`~repro.spmd.schedule.CommSchedule.makespan` -- predicted and
+        observed makespans cannot diverge.  A contention-free phase
+        (one-port property holds) lasts as long as its largest message; a
+        contended one serializes each port and lasts as long as the
+        busiest port's send+receive work.
         """
         if not messages:
             return 0.0

@@ -10,17 +10,20 @@ charges its cost to both endpoints' clocks, and :attr:`elapsed` is the
 maximum processor clock, so perfectly parallel all-to-all phases cost what
 the busiest processor pays, not the sum.
 
-:meth:`run_phase` adds the one-port phase clock the communication-schedule
-subsystem (:mod:`repro.spmd.schedule`) executes against: a phase is one
-bulk-synchronous round of messages.  A *contention-free* round (each rank
-sends at most once and receives at most once -- validated, a violation
-raises :exc:`~repro.errors.ScheduleError`) runs at full port speed and
-lasts as long as its largest message; a *contended* round (the naive
-all-at-once baseline) serializes each port and lasts as long as the
-busiest port.  Every processor's clock advances by the round's duration
-(the barrier), and :attr:`phase_seconds` accumulates the total phase-clock
-time so observed makespans are directly comparable with the static
-:meth:`~repro.spmd.schedule.CommSchedule.makespan` prediction.
+:meth:`charge` is the single entry: it applies a
+:class:`~repro.spmd.message.LedgerDelta`, what a whole plan adds to the
+ledger (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, worked out once
+per plan).  The delta's phases run on the one-port phase clock: a phase is
+one bulk-synchronous round of messages.  A *contention-free* round (each
+rank sends at most once and receives at most once -- validated when the
+ledger is built, a violation raises :exc:`~repro.errors.ScheduleError`)
+runs at full port speed and lasts as long as its largest message; a
+*contended* round (the naive all-at-once baseline) serializes each port
+and lasts as long as the busiest port.  Every processor's clock advances
+by the round's duration (the barrier), and :attr:`phase_seconds`
+accumulates the total phase-clock time, directly comparable with the
+static :meth:`~repro.spmd.schedule.CommSchedule.makespan`.
+:meth:`transfer` and :meth:`run_phase` charge an ad-hoc message or round.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from repro.errors import OutOfMemoryError
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.spmd.cost import CostModel
-from repro.spmd.message import Message, TrafficStats, check_one_port
+from repro.spmd.message import LedgerDelta, Message, TrafficStats, check_one_port, ledger_delta
 
-# module-cached registry handles: run_phase is the simulator's hottest path
+# module-cached registry handles: charge is the simulator's hottest path
 _M_PHASES = _OBS.counter("repro.machine.phases")
 _M_PHASE_SECONDS = _OBS.histogram("repro.machine.phase_seconds")
 
@@ -86,18 +89,32 @@ class Machine:
 
     # -- events --------------------------------------------------------------
 
-    def transfer(self, msg: Message) -> None:
-        """Account one point-to-point message (or a local copy if src==dst)."""
-        if msg.src == msg.dst:
-            self.stats.record_local_copy(msg.nbytes)
-            self._procs[msg.src].clock += self.cost.local_copy_cost(msg.nbytes)
-            return
-        self.stats.record_message(msg)
+    def charge(self, delta: LedgerDelta, array: str = "", tag: str = "") -> None:
+        """Add one delta to the ledger: the only writer of the traffic
+        counters, the clocks, :attr:`phase_seconds`, the message log and the
+        ``repro.machine.*`` metrics.  ``array`` and ``tag`` label the
+        delta's messages.  Every term is added on its own, in per-message
+        accounting's order (the unphased transfers', then each phase's
+        duration on every clock: the barrier), so clocks match it bit for bit.
+        """
+        self.stats.record(delta, array, tag)
         if self.log_messages:
-            self.message_log.append(msg)
-        c = self.cost.message_cost(msg.nbytes)
-        self._procs[msg.src].clock += c
-        self._procs[msg.dst].clock += c
+            self.message_log.extend(Message(*header, array, tag) for header in delta.headers)
+        for rank, terms in delta.rank_terms:
+            for seconds in terms:
+                self._procs[rank].clock += seconds
+        for seconds in delta.durations:
+            for proc in self._procs:
+                proc.clock += seconds
+            self.phase_seconds += seconds
+        if delta.durations:
+            _M_PHASES.inc(len(delta.durations))
+            _M_PHASE_SECONDS.observe_many(delta.durations)
+
+    def transfer(self, msg: Message) -> None:
+        """Charge one ad-hoc message (a local copy if src==dst) as a one-off delta."""
+        header = (msg.src, msg.dst, msg.nbytes, msg.elements)
+        self.charge(ledger_delta(self.cost, [header]), msg.array, msg.tag)
 
     def run_phase(
         self,
@@ -105,42 +122,22 @@ class Machine:
         contended: bool = False,
         verified: bool = False,
     ) -> float:
-        """Run one bulk-synchronous communication round; returns its duration.
+        """Charge one ad-hoc round as a one-off delta, filed under the first
+        message's array and tag; returns its duration.
 
-        A contention-free round must satisfy the one-port property: each
-        rank sends at most one of ``messages`` and receives at most one
-        (local copies never belong in a phase -- use :meth:`transfer`).
-        Its duration is the largest message's cost.  A contended round
-        (``contended=True``, the naive all-at-once baseline) allows
-        arbitrary message sets and lasts as long as the busiest port's
-        serialized send+receive work.  All processor clocks advance by the
-        duration: the phase is a global step with a barrier.
-
-        ``verified=True`` skips the O(messages) one-port re-check: the
-        caller promises the phase comes from a plan whose safety was
-        already *proved* at compile time
-        (:func:`repro.analysis.commsafety.certify_plan` stamps such plans
-        ``statically_verified``).  Phases from unverified plans always pay
-        the runtime check.
+        A contention-free round must satisfy the one-port property (local
+        copies never belong in a phase -- use :meth:`transfer`) unless
+        ``verified=True`` promises it does; a contended round
+        (``contended=True``) allows arbitrary message sets.
         """
         if not messages:
             return 0.0
         if not contended and not verified:
             check_one_port((m.src, m.dst) for m in messages)
-        duration = self.cost.phase_time(
-            [(m.src, m.dst, m.nbytes) for m in messages], contended
-        )
-        for msg in messages:
-            self.stats.record_message(msg)
-            if self.log_messages:
-                self.message_log.append(msg)
-        for p in self._procs:
-            p.clock += duration
-        self.stats.phases += 1
-        self.phase_seconds += duration
-        _M_PHASES.inc()
-        _M_PHASE_SECONDS.observe(duration)
-        return duration
+        headers = [(m.src, m.dst, m.nbytes, m.elements) for m in messages]
+        delta = ledger_delta(self.cost, phases=[(contended, headers)])
+        self.charge(delta, messages[0].array, messages[0].tag)
+        return delta.durations[0]
 
     def compute(self, rank: int, seconds: float) -> None:
         """Charge local computation time to one processor."""
@@ -174,15 +171,6 @@ class Machine:
         if self.memory_limit is None:
             return True
         return self._procs[rank].mem_used + nbytes <= self.memory_limit
-
-    # -- control ------------------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        self.stats = TrafficStats()
-        self.message_log.clear()
-        self.phase_seconds = 0.0
-        for p in self._procs:
-            p.clock = 0.0
 
     def __repr__(self) -> str:
         return f"Machine({self.processors}, elapsed={self.elapsed:.3e}s, stats={self.stats.snapshot()})"

@@ -56,8 +56,9 @@ def check_one_port(pairs: Iterable[tuple[int, int]]) -> None:
     """Enforce the one-port property of a contention-free phase.
 
     ``pairs`` are the (sender, receiver) ranks of one phase's messages;
-    the single shared authority both :meth:`Machine.run_phase` and
-    :meth:`~repro.spmd.schedule.CommPhase.check_one_port` delegate to.
+    the single shared authority a plan's ledger
+    (:meth:`~repro.spmd.schedule.CommSchedule.ledger`), the ad-hoc
+    :meth:`Machine.run_phase` and the mp transport all delegate to.
     """
     problems = one_port_problems(pairs)
     if problems:
@@ -78,9 +79,68 @@ class Message:
 
 def message_of(part, itemsize: int, array: str = "", tag: str = "") -> Message:
     """The ledger entry of one lowered copy or packed message: anything with
-    ``src_rank``, ``dst_rank`` and a cached ``elements`` count."""
+    ``src_rank``, ``dst_rank`` and an ``elements`` count (for ad-hoc
+    :meth:`Machine.transfer` callers; plans charge a :class:`LedgerDelta`)."""
     return Message(
         part.src_rank, part.dst_rank, part.elements * itemsize, part.elements, array, tag
+    )
+
+
+@dataclass(frozen=True)
+class LedgerDelta:
+    """Everything a set of messages adds to the machine's ledger: a pure
+    function of the messages, the cost model and the element size, so a
+    plan works it out once (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
+    and every run charges it in one :meth:`~repro.spmd.machine.Machine.charge`.
+    Clock terms are the ordered increments per-message accounting would
+    make, not their sums: applied in order they give bit-identical clocks.
+    """
+
+    messages: int
+    bytes: int
+    local_copies: int
+    local_bytes: int
+    durations: tuple[float, ...]  # one per non-empty phase; every clock advances by each
+    makespan: float  # their sum: total phase-clock time
+    #: (rank, its increments from the unphased transfers, in their order)
+    rank_terms: tuple[tuple[int, tuple[float, ...]], ...]
+    #: (src, dst, nbytes, elements) of every message, in log order
+    headers: tuple[tuple[int, int, int, int], ...]
+
+
+def ledger_delta(cost, unphased=(), phases=()) -> LedgerDelta:
+    """The delta of ``(src, dst, nbytes, elements)`` headers under ``cost``:
+    ``unphased`` ones charged one by one on their endpoints' clocks (``src ==
+    dst`` is a local copy, not a message), ``phases`` as ``(contended,
+    headers)`` rounds on the phase clock, each lasting
+    :meth:`~repro.spmd.cost.CostModel.phase_time` (an empty one is free)."""
+    terms: dict[int, list[float]] = {}
+    log: list[tuple[int, int, int, int]] = []
+    local_bytes = []
+    for header in unphased:
+        src, dst, nbytes, _ = header
+        if src == dst:
+            local_bytes.append(nbytes)
+            terms.setdefault(src, []).append(cost.local_copy_cost(nbytes))
+        else:
+            log.append(header)
+            seconds = cost.message_cost(nbytes)
+            terms.setdefault(src, []).append(seconds)
+            terms.setdefault(dst, []).append(seconds)
+    durations = []
+    for contended, headers in phases:
+        if headers:
+            log.extend(headers)
+            durations.append(cost.phase_time([h[:3] for h in headers], contended))
+    return LedgerDelta(
+        messages=len(log),
+        bytes=sum(h[2] for h in log),
+        local_copies=len(local_bytes),
+        local_bytes=sum(local_bytes),
+        durations=tuple(durations),
+        makespan=sum(durations, 0.0),
+        rank_terms=tuple((rank, tuple(ts)) for rank, ts in terms.items()),
+        headers=tuple(log),
     )
 
 
@@ -106,23 +166,21 @@ class TrafficStats:
     per_tag_bytes: dict[str, int] = field(default_factory=dict)
     per_tag_messages: dict[str, int] = field(default_factory=dict)
 
-    def record_message(self, msg: Message) -> None:
-        self.messages += 1
-        self.bytes += msg.nbytes
-        if msg.array:
-            self.per_array_bytes[msg.array] = (
-                self.per_array_bytes.get(msg.array, 0) + msg.nbytes
-            )
-            self.per_array_messages[msg.array] = (
-                self.per_array_messages.get(msg.array, 0) + 1
-            )
-        if msg.tag:
-            self.per_tag_bytes[msg.tag] = self.per_tag_bytes.get(msg.tag, 0) + msg.nbytes
-            self.per_tag_messages[msg.tag] = self.per_tag_messages.get(msg.tag, 0) + 1
-
-    def record_local_copy(self, nbytes: int) -> None:
-        self.local_copies += 1
-        self.local_bytes += nbytes
+    def record(self, delta: LedgerDelta, array: str = "", tag: str = "") -> None:
+        """Add one delta's traffic, its messages filed under ``array``/``tag``."""
+        self.local_copies += delta.local_copies
+        self.local_bytes += delta.local_bytes
+        self.phases += len(delta.durations)
+        if not delta.messages:
+            return
+        self.messages += delta.messages
+        self.bytes += delta.bytes
+        if array:
+            self.per_array_bytes[array] = self.per_array_bytes.get(array, 0) + delta.bytes
+            self.per_array_messages[array] = self.per_array_messages.get(array, 0) + delta.messages
+        if tag:
+            self.per_tag_bytes[tag] = self.per_tag_bytes.get(tag, 0) + delta.bytes
+            self.per_tag_messages[tag] = self.per_tag_messages.get(tag, 0) + delta.messages
 
     # -- breakdown accessors -------------------------------------------------
 

@@ -79,6 +79,11 @@ class PreparedMove:
     def is_local(self) -> bool:
         return self.src_rank == self.dst_rank
 
+    @property
+    def is_basic(self) -> bool:
+        """True when both indices are basic slices: one strided copy."""
+        return all(type(ix) is slice for ix in self.src_ix + self.dst_ix)
+
     def execute(self, source: DistributedArray, target: DistributedArray) -> None:
         target.blocks[self.dst_rank][self.dst_ix] = source.blocks[self.src_rank][
             self.src_ix

@@ -5,7 +5,7 @@ point transfers a remapping copy needs; this module decides *when* they
 happen.  A :class:`CommSchedule` arranges the non-local transfers of one
 :class:`~repro.spmd.redistribution.RedistSchedule` into an ordered sequence
 of :class:`CommPhase` rounds executed bulk-synchronously on the machine's
-phase clock (:meth:`~repro.spmd.machine.Machine.run_phase`), following the
+phase clock (:meth:`~repro.spmd.machine.Machine.charge`), following the
 contention-free round phasing of Prylli & Tourancheau's block-cyclic
 redistribution scheduling (Euro-Par'96, [19] in the paper).
 
@@ -42,7 +42,8 @@ Invariants (enforced by construction and property-tested):
 * empty (zero-element) transfers and purely local schedules produce **no**
   phases;
 * a contention-free phase never has a rank sending or receiving twice
-  (:exc:`~repro.errors.ScheduleError` otherwise -- the machine re-checks).
+  (:exc:`~repro.errors.ScheduleError` otherwise -- an unstamped plan's
+  :meth:`~CommSchedule.ledger` re-checks, once).
 
 :class:`CommPlanTable` is where an artifact keeps its plans: one bounded,
 lock-guarded get-or-build table per artifact, keyed by (source signature,
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import ScheduleError
 from repro.mapping.mapping import Mapping
@@ -67,7 +68,7 @@ from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.cost import CostModel
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
-from repro.spmd.message import check_one_port, message_of
+from repro.spmd.message import LedgerDelta, check_one_port, ledger_delta
 from repro.spmd.redistribution import (
     PreparedMove,
     RedistSchedule,
@@ -133,74 +134,20 @@ class CommPhase:
     transfers: tuple[PackedTransfer, ...]
     contended: bool = False
 
-    @property
-    def message_count(self) -> int:
-        return len(self.transfers)
-
-    @property
-    def elements(self) -> int:
-        return sum(t.elements for t in self.transfers)
-
-    def check_one_port(self) -> None:
-        check_one_port((t.src_rank, t.dst_rank) for t in self.transfers)
-
-    def duration(self, cost: CostModel, itemsize: int) -> float:
-        """Modelled phase time, by the machine clock's own formula
-        (:meth:`~repro.spmd.cost.CostModel.phase_time`), so predicted
-        makespans match observed ``phase_seconds`` exactly."""
-        return cost.phase_time(
-            [(t.src_rank, t.dst_rank, t.nbytes(itemsize)) for t in self.transfers],
-            self.contended,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class LoweredMessage:
-    """One message of a lowered phase: its copy descriptors and element count."""
-
-    src_rank: int
-    dst_rank: int
-    parts: tuple[PreparedMove, ...]
-    elements: int
-
-
-@dataclass(frozen=True)
-class LoweredPhase:
-    """One phase of a :class:`LoweredPlan`."""
-
-    messages: tuple[LoweredMessage, ...]
-    contended: bool
-    elements: int
-
 
 @dataclass(frozen=True)
 class LoweredPlan:
-    """A :class:`CommSchedule` lowered to copy descriptors.
+    """A :class:`CommSchedule` lowered to the copies the simulator makes.
 
-    What executing the plan needs and what does not depend on the data,
-    the element size or the array's name: the descriptors of the unphased
-    transfers (``local``, named after :attr:`CommSchedule.local_transfers`)
-    and of every message part, and the element counts the plan would
-    otherwise re-sum from its interval sets on every run.
+    One descriptor -- one strided NumPy assignment -- per whole transfer
+    whose index is an arithmetic progression in every dimension, however
+    many messages the pair exchanges; any other transfer keeps the parts
+    its policy sends: the contiguous runs of :func:`rectangles` under
+    ``naive``/``round-robin`` (a few run slices beat one large ``np.ix_``
+    mesh), the whole mesh under ``None``/``aggregate``.
     """
 
-    local: tuple[PreparedMove, ...]
-    phases: tuple[LoweredPhase, ...]
-    message_count: int
-    moved_elements: int
-
-    def makespan(self, cost: CostModel, itemsize: int) -> float:
-        """:meth:`CommSchedule.makespan` from the cached element counts."""
-        return sum(
-            (
-                cost.phase_time(
-                    [(m.src_rank, m.dst_rank, m.elements * itemsize) for m in ph.messages],
-                    ph.contended,
-                )
-                for ph in self.phases
-            ),
-            0.0,
-        )
+    moves: tuple[PreparedMove, ...]
 
 
 @dataclass(frozen=True)
@@ -208,43 +155,45 @@ class CommSchedule:
     """The full plan of one remapping copy (a ``CommPlan``).
 
     ``local_transfers`` are the transfers that occupy no phase: each is
-    charged on its own through :meth:`~repro.spmd.machine.Machine.transfer`.
+    charged on its own, on its endpoints' clocks.
     Under a phased policy these are exactly the src==dst copies (including
     replica-aware local copies) and the phases carry every real message,
     so a redistribution with nothing to send has no phases.  The degenerate
     ``policy=None`` plan has no phases at all and keeps *every* non-empty
     transfer here, messages included, in the order
     :func:`~repro.spmd.redistribution.build_schedule` enumerates them.
+    ``transfers`` are the redistribution's non-empty *whole* transfers in
+    that order -- what the simulator copies, whatever messages the policy
+    cut them into (without phases, the same tuple as ``local_transfers``).
 
-    :meth:`lowered` is the plan's :class:`LoweredPlan`, worked out on first
-    execution and shared by every later one -- and, through the artifact's
-    :class:`CommPlanTable`, by every run of the artifact and every
-    instantiation of a symbolic template.  It is derived state: kept on
-    the plan object and gone with it, not a dataclass field (``==`` and
-    ``repr`` never see it) and dropped by :meth:`__getstate__` (neither do
-    pickles).  Layouts are shared per mapping signature
+    :meth:`ledger`, :meth:`lowered` and :meth:`wire` are the plan's derived
+    forms, each worked out on first use and shared by every later one --
+    and, through the artifact's :class:`CommPlanTable`, by every run of
+    the artifact and every instantiation of a symbolic template.  They are
+    kept on the plan object and gone with it: not dataclass fields (``==``
+    and ``repr`` never see them) and dropped by :meth:`__getstate__`
+    (neither do pickles).  Layouts are shared per mapping signature
     (:func:`~repro.mapping.ownership.layout_of`), so identity tells whether
-    it was lowered for the pair at hand (a layout rebuilt after that cache
-    dropped it re-lowers, to the same descriptors); two threads racing on
-    a shared artifact both write the same immutable value.
+    a form was lowered for the pair at hand (a layout rebuilt after that
+    cache dropped it re-lowers, to the same descriptors); two threads
+    racing on a shared artifact both write the same immutable value.
     """
 
     policy: str | None
     phases: tuple[CommPhase, ...]
     local_transfers: tuple[Transfer, ...]
+    transfers: tuple[Transfer, ...]
     #: Stamped ``True`` by :func:`repro.analysis.commsafety.certify_plan`
     #: once the exact-cover and one-port properties have been *proved*
-    #: statically against the source/target mappings; the machine then
-    #: skips the O(messages) runtime re-validation of each phase
-    #: (:meth:`~repro.spmd.machine.Machine.run_phase`).  Plans built
-    #: outside the compiler (ad-hoc calls) stay unstamped and keep the
-    #: runtime check; a ``policy=None`` plan has no phase to re-check.
+    #: statically against the source/target mappings; :meth:`ledger` then
+    #: skips its O(messages) one-port check.  Plans built outside the
+    #: compiler (ad-hoc calls) stay unstamped and keep it.
     statically_verified: bool = False
 
-    _lowered = None  # (src, dst, LoweredPlan); unannotated, so not a field
-
-    def _unphased(self, local: bool) -> list[Transfer]:
-        return [t for t in self.local_transfers if t.is_local == local]
+    # the derived forms; unannotated, so not fields
+    _ledger = None  # (cost, itemsize, LedgerDelta)
+    _lowered = None  # (src, dst, LoweredPlan)
+    _wire = None  # (src, dst, (unphased moves, parts per phase per message))
 
     @property
     def phase_count(self) -> int:
@@ -252,79 +201,94 @@ class CommSchedule:
 
     @property
     def message_count(self) -> int:
-        return sum(p.message_count for p in self.phases) + len(self._unphased(False))
-
-    @property
-    def moved_elements(self) -> int:
-        return sum(p.elements for p in self.phases) + sum(
-            t.elements for t in self._unphased(False)
+        return sum(len(p.transfers) for p in self.phases) + sum(
+            not t.is_local for t in self.local_transfers
         )
 
     @property
-    def local_count(self) -> int:
-        return len(self._unphased(True))
+    def moved_elements(self) -> int:
+        return sum(t.elements for t in self.transfers if not t.is_local)
 
     @property
-    def local_elements(self) -> int:
-        return sum(t.elements for t in self._unphased(True))
+    def local_count(self) -> int:
+        return sum(t.is_local for t in self.local_transfers)
 
     def moved_bytes(self, itemsize: int) -> int:
         return self.moved_elements * itemsize
 
     def makespan(self, cost: CostModel, itemsize: int) -> float:
         """Total phase-clock time: the sum of the phase durations."""
-        return sum((p.duration(cost, itemsize) for p in self.phases), 0.0)
+        return self.ledger(cost, itemsize).makespan
 
     def validate(self) -> None:
         """Re-check the one-port property of every contention-free phase."""
         for p in self.phases:
             if not p.contended:
-                p.check_one_port()
+                check_one_port((t.src_rank, t.dst_rank) for t in p.transfers)
 
-    def describe(self) -> str:
-        return (
-            f"{self.policy or 'unscheduled'}: {self.message_count} message(s) in "
-            f"{self.phase_count} phase(s), {self.local_count} local cop(ies)"
-        )
+    def ledger(self, cost: CostModel, itemsize: int) -> LedgerDelta:
+        """What one execution adds to the machine's ledger: the unphased
+        transfers charged one by one, then each phase on the phase clock.
+        An unstamped plan is one-port checked here, once (a frozen plan
+        cannot change between runs), so a bad phase raises
+        :exc:`~repro.errors.ScheduleError` before anything is charged or moved.
+        """
+        memo = self._ledger
+        if memo is None or memo[0] != cost or memo[1] != itemsize:
+            if not self.statically_verified:
+                self.validate()
+
+            def header(t: Transfer | PackedTransfer) -> tuple[int, int, int, int]:
+                elements = t.elements
+                return t.src_rank, t.dst_rank, elements * itemsize, elements
+
+            unphased = [header(t) for t in self.local_transfers]
+            phases = [(p.contended, [header(pt) for pt in p.transfers]) for p in self.phases]
+            memo = (cost, itemsize, ledger_delta(cost, unphased, phases))
+            object.__setattr__(self, "_ledger", memo)
+        return memo[2]
 
     def lowered(self, src: Layout, dst: Layout) -> LoweredPlan:
-        """The plan's copy descriptors for ``dst = src``, lowered at most once."""
-        memo = self._lowered
+        """The simulator's copy descriptors for ``dst = src``."""
+        return self._lowered_once("_lowered", src, dst, self._lower)
+
+    def wire(self, src: Layout, dst: Layout) -> tuple[tuple, tuple]:
+        """The mp backend's descriptors, ``(unphased, phases)``: the unphased
+        transfers' moves and, per phase and per message, the message's own
+        parts (each rank must move exactly its messages' bytes, so whole
+        transfers will not do).  Lowered only when the backend asks."""
+        return self._lowered_once("_wire", src, dst, self._lower_wire)
+
+    def _lowered_once(self, slot: str, src: Layout, dst: Layout, lower):
+        memo = getattr(self, slot)
         if memo is None or memo[0] is not src or memo[1] is not dst:
             with _TRACER.span("remap.lower"):
-                memo = (src, dst, self._lower(src, dst))
-            object.__setattr__(self, "_lowered", memo)
+                memo = (src, dst, lower(src, dst))
+            object.__setattr__(self, slot, memo)
             _M_LOWERED.inc()
         return memo[2]
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_lowered", None)
-        return state
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
-        phases = []
-        for phase in self.phases:
-            messages = []
-            for pt in phase.transfers:
-                parts = tuple(prepare_move(part, src, dst) for part in pt.parts)
-                messages.append(
-                    LoweredMessage(
-                        pt.src_rank, pt.dst_rank, parts, sum(p.elements for p in parts)
-                    )
-                )
-            phases.append(
-                LoweredPhase(
-                    tuple(messages), phase.contended, sum(m.elements for m in messages)
-                )
-            )
-        unphased = tuple(prepare_move(t, src, dst) for t in self.local_transfers)
-        messages = [m for m in unphased if not m.is_local]
-        return LoweredPlan(
-            unphased,
-            tuple(phases),
-            sum(len(ph.messages) for ph in phases) + len(messages),
-            sum(ph.elements for ph in phases) + sum(m.elements for m in messages),
+        whole = self.policy is None or self.policy == "aggregate"
+        moves: list[PreparedMove] = []
+        for t in self.transfers:
+            move = prepare_move(t, src, dst)
+            if whole or t.is_local or move.is_basic:
+                moves.append(move)
+            else:
+                moves.extend(prepare_move(r, src, dst) for r in rectangles(t))
+        return LoweredPlan(tuple(moves))
+
+    def _lower_wire(self, src: Layout, dst: Layout) -> tuple[tuple, tuple]:
+        return (
+            tuple(prepare_move(t, src, dst) for t in self.local_transfers),
+            tuple(
+                tuple(tuple(prepare_move(r, src, dst) for r in pt.parts) for pt in phase.transfers)
+                for phase in self.phases
+            ),
         )
 
 
@@ -412,10 +376,10 @@ def build_comm_schedule(
     """
     check_policy(policy)
     # zero-element transfers never occupy a phase and are never charged
-    transfers = [t for t in schedule.transfers if t.elements]
+    transfers = tuple(t for t in schedule.transfers if t.elements)
     remote = [t for t in transfers if not t.is_local]
     if policy is None or not remote:
-        return CommSchedule(policy, (), tuple(transfers))
+        return CommSchedule(policy, (), transfers, transfers)
     local = tuple(t for t in transfers if t.is_local)
     if policy == "naive":
         phases: tuple[CommPhase, ...] = (
@@ -424,7 +388,7 @@ def build_comm_schedule(
     else:
         packed = _pack(remote, aggregate=policy == "aggregate")
         phases = _round_robin_phases(packed)
-    return CommSchedule(policy, phases, local)
+    return CommSchedule(policy, phases, local, transfers)
 
 
 def plan_redistribution(
@@ -450,30 +414,17 @@ def execute_comm_schedule(
 ) -> None:
     """Move a plan's data on the simulator and charge the cost model.
 
-    Unphased transfers first, one :meth:`~repro.spmd.machine.Machine.transfer`
-    each (all there is to a ``policy=None`` plan), then phase by phase on
-    the machine's phase clock.  Every policy delivers bit-identical values
-    and the same total bytes; only the *timing* (and, under ``aggregate``,
-    the message count) differs.
+    The ledger delta is obtained first (an unstamped plan's bad phase raises
+    with ``target`` untouched), then the lowered copies run and the delta
+    is charged in one :meth:`~repro.spmd.machine.Machine.charge`.  Every
+    policy delivers bit-identical values and the same total bytes; only
+    the *timing* (and, under ``aggregate``, the message count) differs.
     """
     machine = machine or target.machine
-    itemsize, name = target.itemsize, target.name
-    lowered = plan.lowered(source.layout, target.layout)
-    for move in lowered.local:
+    delta = plan.ledger(machine.cost, target.itemsize)
+    for move in plan.lowered(source.layout, target.layout).moves:
         move.execute(source, target)
-        machine.transfer(message_of(move, itemsize, name, tag))
-    for i, phase in enumerate(lowered.phases):
-        with _TRACER.span("comm.phase", index=i) as span:
-            for msg in phase.messages:
-                for move in msg.parts:
-                    move.execute(source, target)
-            machine.run_phase(
-                [message_of(msg, itemsize, name, tag) for msg in phase.messages],
-                contended=phase.contended,
-                verified=plan.statically_verified,
-            )
-            span.set_attr("messages", len(phase.messages))
-            span.set_attr("bytes", phase.elements * itemsize)
+    machine.charge(delta, target.name, tag)
 
 
 def redistribute(

@@ -66,19 +66,18 @@ def _copy_price(
     key = (src_mapping.signature, dst_mapping.signature, policy, itemsize, cost)
     price = _COPY_PRICES.get(key)
     if price is None:
-        # priced as the executor runs it: the policy's plan determines the
-        # message count (aggregation coalesces pairs) and the phase and
-        # makespan quantities (none under ``None``)
-        plan = plan_redistribution(src_mapping, dst_mapping, policy)
+        # priced as the executor is charged: by the ledger delta of the
+        # policy's plan (aggregation coalesces pairs; no phases under ``None``)
+        delta = plan_redistribution(src_mapping, dst_mapping, policy).ledger(cost, itemsize)
         while len(_COPY_PRICES) >= _COPY_PRICES_CAP:
             _COPY_PRICES.popitem(last=False)
         price = _COPY_PRICES[key] = TrafficEstimate(
-            bytes=plan.moved_bytes(itemsize),
-            messages=plan.message_count,
-            local_bytes=plan.local_elements * itemsize,
-            local_copies=plan.local_count,
-            phases=plan.phase_count,
-            makespan=plan.makespan(cost, itemsize),
+            bytes=delta.bytes,
+            messages=delta.messages,
+            local_bytes=delta.local_bytes,
+            local_copies=delta.local_copies,
+            phases=len(delta.durations),
+            makespan=delta.makespan,
         )
     return price
 

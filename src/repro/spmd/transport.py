@@ -13,9 +13,9 @@ parent ships each worker its per-round send/receive program (rectangle
 gathers out of its own arena, scatters into it), the workers exchange the
 payloads over per-ordered-pair OS pipes, and the parent waits for every
 worker's completion report before releasing the next round -- the same
-bulk-synchronous discipline :meth:`~repro.spmd.machine.Machine.run_phase`
+bulk-synchronous discipline :meth:`~repro.spmd.machine.Machine.charge`
 models.  A contention-free round is re-validated with the same
-:func:`~repro.spmd.message.check_one_port` authority the machine uses, and
+:func:`~repro.spmd.message.check_one_port` authority a plan's ledger uses, and
 every worker's actually-moved message and byte counts are checked against
 the round's prescription (:exc:`~repro.errors.TransportError` on any
 mismatch), so the send/recv-once discipline holds on the wire, not just in
@@ -646,7 +646,7 @@ class MPTransport:
 
         Each round is validated against its prescription: contention-free
         rounds must satisfy the one-port property (same
-        :func:`~repro.spmd.message.check_one_port` authority the machine
+        :func:`~repro.spmd.message.check_one_port` authority a plan's ledger
         applies), and every worker's reported sent/received message and
         byte counts must equal what the round prescribed.
         """

@@ -2,7 +2,7 @@
 
 The plan table proves exact-cover and one-port safety for every phased
 plan it builds (:mod:`repro.analysis.commsafety`) and stamps what it
-proves; the machine then skips the O(messages) runtime re-validation.
+proves; the plan's ledger then skips the O(messages) re-validation.
 The differential criterion: stamped plans execute bit-identically to
 unstamped ones, and only genuinely safe plans ever get the stamp.
 """
@@ -19,7 +19,14 @@ from repro.analysis.commsafety import certify_plan, prove_plan
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.mapping.ownership import layout_of
-from repro.spmd import CommPlanTable, build_comm_schedule, build_schedule
+from repro.errors import ScheduleError
+from repro.spmd import (
+    CommPlanTable,
+    DistributedArray,
+    build_comm_schedule,
+    build_schedule,
+    execute_comm_schedule,
+)
 
 SCHEDULED = ("naive", "round-robin", "aggregate")
 
@@ -104,7 +111,7 @@ def test_wrong_mapping_pair_fails_the_proof():
 # ---------------------------------------------------------------------------
 
 
-def _run_unstamped(compiled, w, monkeypatch):
+def _run_unstamped(compiled, w, monkeypatch, runs=1):
     """Run the same artifact over a fresh table whose proofs all fail:
     ``certify_plan`` leaves every plan unstamped, as for an unprovable one."""
     table = CommPlanTable(compiled.options.schedule)
@@ -112,7 +119,8 @@ def _run_unstamped(compiled, w, monkeypatch):
         patch.setattr(
             "repro.analysis.commsafety.prove_plan", lambda src, dst, plan: ["unproved"]
         )
-        out = _run(dataclasses.replace(compiled, plans=table), w)
+        for _ in range(runs):
+            out = _run(dataclasses.replace(compiled, plans=table), w)
     assert len(table) == len(compiled.plans) > 0
     assert not any(p.statically_verified for p in table._plans.values())
     return out
@@ -158,17 +166,18 @@ def test_schedule_pass_stamps_every_plan(policy):
 
 def test_verified_plans_skip_runtime_validation(monkeypatch):
     """The stamp is what gates the fast path: stamped plans never call the
-    one-port re-check, unstamped plans always do."""
-    import repro.spmd.machine as machine_mod
+    one-port re-check; unstamped plans call it when their ledger is built,
+    once per plan however often they run."""
+    import repro.spmd.schedule as schedule_mod
 
     calls = {"n": 0}
-    real = machine_mod.check_one_port
+    real = schedule_mod.check_one_port
 
     def counting(pairs):
         calls["n"] += 1
         return real(pairs)
 
-    monkeypatch.setattr(machine_mod, "check_one_port", counting)
+    monkeypatch.setattr(schedule_mod, "check_one_port", counting)
 
     compiled = compile_program(
         FIG16,
@@ -180,14 +189,37 @@ def test_verified_plans_skip_runtime_validation(monkeypatch):
     stamped_values, stamped_stats = _run(compiled, W16)
     assert calls["n"] == 0, "stamped plans must skip the runtime re-check"
 
-    calls["n"] = 0
-    overlay_values, overlay_stats = _run_unstamped(compiled, W16, monkeypatch)
-    assert calls["n"] > 0, "unstamped plans must keep the runtime re-check"
+    overlay_values, overlay_stats = _run_unstamped(compiled, W16, monkeypatch, runs=3)
+    phases = sum(len(p.phases) for p in compiled.plans._plans.values())
+    assert calls["n"] == phases > 0, "one check per phase per plan, not per run"
 
     for a in stamped_values:
         assert np.array_equal(stamped_values[a], overlay_values[a])
     assert stamped_stats.bytes == overlay_stats.bytes
     assert stamped_stats.messages == overlay_stats.messages
+
+
+def test_double_send_plan_raises_before_any_data_moves():
+    """A hand-built double-send plan is unprovable, so it stays unstamped and
+    its ledger re-checks it: ``ScheduleError``, the target untouched."""
+    src, dst = _pair()
+    plan = _plan(src, dst, "round-robin")
+    phase = plan.phases[0]
+    bad = dataclasses.replace(
+        plan,
+        phases=(dataclasses.replace(phase, transfers=phase.transfers * 2),) + plan.phases[1:],
+    )
+    bad = certify_plan(src, dst, bad)
+    assert not bad.statically_verified
+    machine = Machine(src.processors)
+    source = DistributedArray("A", src, machine)
+    target = DistributedArray("A", dst, machine)
+    source.scatter_from_global(np.arange(32.0))
+    target.scatter_from_global(np.full(32, -1.0))
+    with pytest.raises(ScheduleError, match="twice"):
+        execute_comm_schedule(bad, source, target, machine)
+    assert np.array_equal(target.gather_to_global(), np.full(32, -1.0))
+    assert machine.stats.messages == 0 and machine.elapsed == 0.0
 
 
 # ---------------------------------------------------------------------------

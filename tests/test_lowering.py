@@ -10,8 +10,11 @@ them.  Pinned here:
   ``scatter_from_global``, which never calls ``positions_in``;
 * **descriptor shape** -- slices where positions are arithmetic
   progressions, open-mesh vectors otherwise, never a mix;
-* **once** -- a warm ``session.run`` makes zero ``positions_in`` calls and
-  opens no ``remap.lower`` span;
+* **ledger** -- charging a plan's ledger delta equals, bit for bit, the
+  per-message accounting it replaced (a reference written out here);
+* **once** -- a warm ``session.run`` makes zero ``positions_in`` calls,
+  opens no ``remap.lower`` span, builds no ``Message`` and copies at most
+  once per whole transfer;
 * **derived state only** -- pickles, ``repr`` and equality see neither a
   plan's lowered form nor a table's plans;
 * **first-use race** -- two threads first-executing one frozen artifact
@@ -42,8 +45,8 @@ from repro.spmd import (
     plan_redistribution,
 )
 from repro.spmd import redistribution
-from repro.spmd.message import message_of
-from repro.spmd.redistribution import prepare_move
+from repro.spmd.message import Message, message_of
+from repro.spmd.redistribution import PreparedMove, prepare_move
 from repro.spmd.schedule import POLICIES
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
@@ -75,9 +78,12 @@ def mk(shape, fmts, nprocs):
     return Mapping.simple(shape, fmts, ProcessorArrangement("P", (nprocs,)))
 
 
-def moves_of(lowered):
-    """Every descriptor of a lowered plan."""
-    return [*lowered.local, *(m for ph in lowered.phases for msg in ph.messages for m in msg.parts)]
+def moves_of(plan, src, dst):
+    """Every descriptor of a plan: the simulator's copies, then the mp
+    backend's unphased moves and per-message wire parts."""
+    unphased, phases = plan.wire(src, dst)
+    wire = [*unphased, *(m for messages in phases for parts in messages for m in parts)]
+    return [*plan.lowered(src, dst).moves, *wire]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,7 @@ def test_prop_lowered_execution_matches_gather_scatter(pair, nprocs, way):
     execute_comm_schedule(plan, source, again, machine)
     for rank, block in expected.blocks.items():
         assert np.array_equal(again.blocks[rank], block)
-    moved = sum(m.elements for m in moves_of(lowered) if not m.is_local)
+    moved = sum(m.elements for m in lowered.moves if not m.is_local)
     assert machine.stats.bytes == 2 * moved * source.itemsize
 
 
@@ -165,6 +171,77 @@ def test_prop_unscheduled_plan_charges_like_the_transfer_loop(pair, nprocs):
         assert np.array_equal(target.blocks[rank], block)
 
 
+def reference_ledger(plan, nprocs, cost, itemsize, array, tag, times):
+    """The per-message accounting a plan's ledger delta replaced, written
+    out: each unphased transfer on its endpoints' clocks, then each phase's
+    messages recorded one by one and its duration added to every clock."""
+    clocks, log, phase_seconds = [0.0] * nprocs, [], 0.0
+    count = dict.fromkeys(("messages", "bytes", "local_copies", "local_bytes", "phases"), 0)
+
+    def message(m):  # a Transfer or a PackedTransfer; returns what it costs
+        nbytes = m.elements * itemsize
+        count["messages"] += 1
+        count["bytes"] += nbytes
+        log.append(Message(m.src_rank, m.dst_rank, nbytes, m.elements, array, tag))
+        return cost.alpha + cost.beta * nbytes
+
+    for _ in range(times):
+        for t in plan.local_transfers:
+            if t.is_local:
+                count["local_copies"] += 1
+                count["local_bytes"] += t.elements * itemsize
+                clocks[t.src_rank] += cost.gamma * (t.elements * itemsize)
+            else:
+                seconds = message(t)
+                clocks[t.src_rank] += seconds
+                clocks[t.dst_rank] += seconds
+        for phase in plan.phases:
+            costs = [(pt.src_rank, pt.dst_rank, message(pt)) for pt in phase.transfers]
+            port: dict[int, float] = {}
+            for src, dst, seconds in costs:
+                port[src] = port.get(src, 0.0) + seconds
+                port[dst] = port.get(dst, 0.0) + seconds
+            busiest, largest = max(port.values()), max(c for _, _, c in costs)
+            duration = busiest if phase.contended else largest
+            clocks = [clock + duration for clock in clocks]
+            phase_seconds += duration
+            count["phases"] += 1
+    return count, log, max(clocks), phase_seconds
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=st.one_of(pair_1d, pair_2d),
+    nprocs=st.integers(1, 5),
+    way=st.sampled_from(WAYS),
+)
+def test_prop_charged_ledger_equals_per_message_accounting(pair, nprocs, way):
+    """``charge(plan.ledger(...))`` -- twice, so it accumulates -- against
+    :func:`reference_ledger`: every counter, both breakdowns, the message
+    log and both clocks ``==``, floats included."""
+    shape, f_src, f_dst = pair
+    src, dst = mk(shape, f_src, nprocs), mk(shape, f_dst, nprocs)
+    plan = plan_redistribution(src, dst, way)
+    machine = Machine(src.processors, log_messages=True)
+    delta = plan.ledger(machine.cost, 8)
+    assert plan.ledger(machine.cost, 8) is delta  # worked out once
+    for _ in range(2):
+        machine.charge(delta, "A", "tag")
+
+    count, log, elapsed, phase_seconds = reference_ledger(
+        plan, nprocs, machine.cost, 8, "A", "tag", times=2
+    )
+    stats = machine.stats
+    assert {key: stats.snapshot()[key] for key in count} == count
+    assert (delta.messages, delta.bytes) == (plan.message_count, plan.moved_bytes(8))
+    filed = {"bytes": count["bytes"], "messages": count["messages"]}
+    assert stats.array_breakdown() == ({"A": filed} if log else {})
+    assert stats.tag_breakdown() == ({"tag": filed} if log else {})
+    assert machine.message_log == log
+    assert machine.elapsed == elapsed and machine.phase_seconds == phase_seconds
+    assert delta.makespan * 2 == pytest.approx(phase_seconds)
+
+
 # ---------------------------------------------------------------------------
 # (b) descriptor shape
 # ---------------------------------------------------------------------------
@@ -172,9 +249,8 @@ def test_prop_unscheduled_plan_charges_like_the_transfer_loop(pair, nprocs):
 
 def index_kinds(src, dst, way):
     """The set of element types over every index of every descriptor."""
-    lowered = plan_redistribution(src, dst, way).lowered(layout_of(src), layout_of(dst))
     kinds = set()
-    for move in moves_of(lowered):
+    for move in moves_of(plan_redistribution(src, dst, way), layout_of(src), layout_of(dst)):
         for ix in (move.src_ix, move.dst_ix):
             types = {type(part) for part in ix}
             assert len(types) == 1, "an index is all slices or all vectors"
@@ -207,12 +283,15 @@ def test_block_cyclic3_lowers_to_vectors(way):
 def test_unpacked_messages_always_lower_to_slices(policy):
     # an unpacked message is one contiguous run, contiguous in both blocks
     # (local copies are not split into runs and may still need vectors)
+    # -- on the wire and, the pair's whole index not being a progression,
+    # in the simulator too: run slices, never the pair's np.ix_ mesh
     src, dst = mk((64,), (B,), 4), mk((64,), (C3,), 4)
-    lowered = plan_redistribution(src, dst, policy).lowered(layout_of(src), layout_of(dst))
-    parts = [m for ph in lowered.phases for msg in ph.messages for m in msg.parts]
-    assert parts and all(
-        isinstance(part, slice) for m in parts for ix in (m.src_ix, m.dst_ix) for part in ix
-    )
+    plan = plan_redistribution(src, dst, policy)
+    _, phases = plan.wire(layout_of(src), layout_of(dst))
+    parts = [m for messages in phases for parts in messages for m in parts]
+    assert len(parts) == plan.message_count and all(m.is_basic for m in parts)
+    moves = [m for m in plan.lowered(layout_of(src), layout_of(dst)).moves if not m.is_local]
+    assert len(moves) > 12 and all(m.is_basic for m in moves)  # 12 pairs, some in runs
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +363,41 @@ def check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer)
     assert "remap.lower" not in span_names(tracer)
     assert np.array_equal(warm.value("a"), cold.value("a"))
     assert warm.stats.snapshot() == cold.stats.snapshot()
+
+
+def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
+    """Against the per-message loop coming back: a warm run of the
+    benchmark's ``remap_fine`` loop kind builds no ``Message``, re-checks no
+    phase and makes at most one NumPy assignment per whole transfer."""
+    session = CompilerSession(4, CompilerOptions(level=3, schedule="round-robin"))
+    kwargs = dict(bindings={"n": 256, "t": 16}, inputs={"a": np.arange(256.0)})
+    cold = session.run(LOOP, **kwargs)
+    compiled = session.compile(LOOP, bindings=kwargs["bindings"])
+    plans = list(compiled.plans._plans.values())
+    assert len(plans) == 2 and all(len(plan.transfers) == 16 for plan in plans)
+
+    made, checks, copies = [], [], []
+    for module in ("repro.spmd.machine", "repro.spmd.message"):
+        monkeypatch.setattr(
+            f"{module}.Message", lambda *a, **kw: made.append(1) or Message(*a, **kw)
+        )
+    monkeypatch.setattr("repro.spmd.schedule.check_one_port", checks.append)
+    real = PreparedMove.execute
+    monkeypatch.setattr(
+        PreparedMove, "execute", lambda move, src, dst: copies.append(1) or real(move, src, dst)
+    )
+    warm = session.run(LOOP, **kwargs)
+    assert warm.stats.remaps_performed == 32
+    assert warm.stats.snapshot() == cold.stats.snapshot()
+    assert warm.stats.messages == 32 * sum(p.message_count for p in plans) // 2 > 32 * 16
+    assert made == [] and checks == []
+    assert 0 < len(copies) <= 32 * 16
+
+    # the log is the one consumer of Message objects: one per message, on ask
+    machine = Machine(compiled.processors, log_messages=True)
+    logged = execute(compiled, machine=machine, env=ExecutionEnv(**kwargs))
+    assert len(made) == len(machine.message_log) == logged.stats.messages
+    assert np.array_equal(logged.value("a"), warm.value("a"))
 
 
 def test_binding_wrappers_share_the_artifacts_plan_memo(
