@@ -14,7 +14,13 @@ the benchmark records:
   (``machine.phase_seconds``, the phase clock the simulator charges --
   identical message lists by the backend's differential contract);
 * their quotient, the **calibration ratio** (asserted positive and
-  finite; ROADMAP item 4 narrows it to a band).
+  finite; ROADMAP item 4 narrows it to a band);
+* the raw **wall** of the same exchanges (``ExecutionResult.mp.wall_seconds``,
+  the parent's ship-to-last-report span of every remapping, median over the
+  same runs) and the naive/round-robin wall ratio -- recorded, labelled
+  wall, and asserted on nowhere: with more ranks than cores it measures
+  the OS scheduler as much as the schedule (ROADMAP item 4 keeps
+  "round-robin wall <= naive wall" open until it holds run after run).
 
 The shape asserted: round-robin's measured makespan never exceeds
 naive's on this contended family, aggregation never increases messages
@@ -116,6 +122,10 @@ def test_mp_transport_vs_cost_model(bench_json):
             "rr_vs_naive_port": (
                 results["naive"]["port_us"] / results["round-robin"]["port_us"]
                 if results["round-robin"]["port_us"] > 0 else 1.0
+            ),
+            "rr_vs_naive_wall": (
+                results["naive"]["wall_us"] / results["round-robin"]["wall_us"]
+                if results["round-robin"]["wall_us"] > 0 else 1.0
             ),
         })
 

@@ -61,10 +61,10 @@ def _specs() -> tuple[MetricSpec, ...]:
         # -- multi-process transport -------------------------------------------
         MetricSpec("repro.mp.workers", g, "Live forked worker ranks of the mp transport."),
         MetricSpec("repro.mp.exchanges", c, "Remapping exchanges executed over the transport."),
-        MetricSpec("repro.mp.phases", c, "Barriered transfer rounds executed by the workers."),
+        MetricSpec("repro.mp.phases", c, "Transfer rounds the worker ranks ran (every exchange's, summed)."),
         MetricSpec("repro.mp.messages", c, "Real inter-process messages carried over the pipes."),
         MetricSpec("repro.mp.bytes_moved", c, "Payload bytes carried between worker ranks."),
-        MetricSpec("repro.mp.phase_wall_seconds", h, "Barrier-to-barrier wall time of each round."),
+        MetricSpec("repro.mp.phase_wall_seconds", h, "Worker-clock span of each round: last participant's end minus first one's start."),
         MetricSpec("repro.mp.phase_port_seconds", h, "Measured one-port-clock duration of each round."),
         # -- drift monitor ----------------------------------------------------
         MetricSpec("repro.drift.remaps_checked", c, "Executed remaps compared against predictions."),

@@ -5,9 +5,9 @@ with exactly one thing changed: remapping bytes cross real process
 boundaries.  Distributed-array blocks are placed in the transport's shared
 arenas (:class:`~repro.spmd.transport.SharedDistributedArray`), and the one
 movement hook -- :meth:`Executor._run_plan` -- is overridden to ship each
-remapping's messages to the forked worker ranks as barriered
-:class:`~repro.spmd.transport.TransferRound` programs instead of copying
-in-process.
+remapping's messages to the forked worker ranks as one exchange of
+:class:`~repro.spmd.transport.TransferRound` programs, which the ranks run
+among themselves, instead of copying in-process.
 
 Differential soundness is the design invariant, enforced three ways:
 
@@ -42,6 +42,7 @@ from repro.errors import TransportError
 from repro.compiler.artifacts import CompiledProgram
 from repro.runtime.executor import ExecutionEnv, ExecutionResult, Executor
 from repro.runtime.memory import MemoryManager
+from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.redistribution import PreparedMove
 from repro.spmd.transport import (
@@ -66,8 +67,11 @@ class MPRunReport:
 
     ``port_seconds`` is the run's measured makespan on the one-port clock
     (per-message measured costs composed phase by phase with the cost
-    model's own formula); ``wall_seconds`` is the raw barrier-to-barrier
-    wall time of the same rounds.  On a time-sliced host with more ranks
+    model's own formula); ``wall_seconds`` is the raw wall time of the same
+    exchanges, each from shipping its control frames to reading its last
+    report (``phase_wall_seconds`` are the rounds' own spans on the workers'
+    clocks; rounds overlap across ranks, so they do not sum to it).  On a
+    time-sliced host with more ranks
     than cores the wall number mostly measures the OS scheduler, which is
     why the port-clock number is the one compared against
     :meth:`~repro.spmd.cost.CostModel.scheduled_time` predictions.
@@ -151,9 +155,27 @@ class MPExecutor(Executor):
         self.memory = MemoryManager(
             self.machine, self._eviction_candidates, array_factory=self._make_array
         )
+        #: every arena-backed array of this run; ``None`` once the run is over
+        self._shared: list[SharedDistributedArray] | None = []
 
-    def _make_array(self, name, mapping, machine, dtype) -> SharedDistributedArray:
-        return SharedDistributedArray(name, mapping, machine, self.transport, dtype)
+    def _make_array(self, name, mapping, machine, dtype) -> DistributedArray:
+        if self._shared is None:
+            # the run is over and the ranks may be serving someone else: a
+            # late ``ExecutionResult.value`` of a never-touched array takes
+            # nothing from the arena
+            return DistributedArray(name, mapping, machine, dtype)
+        array = SharedDistributedArray(name, mapping, machine, self.transport, dtype)
+        self._shared.append(array)
+        return array
+
+    def detach(self) -> None:
+        """End of the run: the result owns its bytes.  Every still-live
+        block moves out of the arena into private memory and its arena
+        storage is released, so the transport is whole again for the next
+        run and the values stay readable after it -- and after ``close``."""
+        shared, self._shared = self._shared, None
+        for array in shared or ():
+            array.detach()
 
     # -- wire-program construction ----------------------------------------
 
@@ -176,12 +198,12 @@ class MPExecutor(Executor):
     # -- the movement hook ---------------------------------------------------
 
     def _run_plan(self, plan, source, target, tag: str) -> None:
-        """One remapping copy: local copies in the parent, the unphased
-        messages (all of a ``policy=None`` plan's) as one contended
-        transport round, each phase as one barriered round of its messages'
-        own parts -- then the simulator's ledger charge, the plan's one
-        delta (obtained first: an unprovable plan's bad phase raises before
-        anything is on the wire)."""
+        """One remapping copy: local copies in the parent, then one exchange
+        on the ranks -- the unphased messages (all of a ``policy=None``
+        plan's) as one contended round, each phase as one round of its
+        messages' own parts -- then the simulator's ledger charge, the
+        plan's one delta (obtained first: an unprovable plan's bad phase
+        raises before anything is on the wire)."""
         delta = plan.ledger(self.machine.cost, target.itemsize)
         moves, phases = plan.wire(source.layout, target.layout)
         unphased: list[WireMessage] = []
@@ -226,7 +248,13 @@ class MPBackend:
     programs; forking P workers per run would dominate, so the backend
     owns one long-lived :class:`~repro.spmd.transport.MPTransport` and
     executes any number of compiled programs (of the matching processor
-    count) against it.  Context-manager friendly; :meth:`close` tears the
+    count) against it, one at a time (a transport is one conversation;
+    :class:`~repro.service.service.CompileService`, which keeps one backend
+    per processor count, runs each under a lock).  Every run ends --
+    success or failure -- with its arrays detached from the arenas
+    (:meth:`MPExecutor.detach`), so a result stays readable while later
+    runs reuse the ranks and after :meth:`close`, and every arena is fully
+    free between runs.  Context-manager friendly; :meth:`close` tears the
     workers down.
     """
 
@@ -267,7 +295,10 @@ class MPBackend:
         executor = MPExecutor(
             compiled, machine, env or ExecutionEnv(), self.transport
         )
-        return executor.run(entry)
+        try:
+            return executor.run(entry)
+        finally:
+            executor.detach()  # success or failure: every arena is free again
 
 
 def execute_mp(
@@ -278,8 +309,9 @@ def execute_mp(
     arena_bytes: int = DEFAULT_ARENA_BYTES,
 ) -> ExecutionResult:
     """Run one compiled program on a transient mp backend (forks, runs,
-    tears the workers down).  The result's array values stay readable
-    after close: gather runs parent-side over the still-mapped arenas.
+    tears the workers down) -- for callers with no ``close()`` to own
+    processes, such as :meth:`CompilerSession.run`.  The result owns its
+    bytes, like any :meth:`MPBackend.execute` result.
     """
     with MPBackend(compiled.processors.size, arena_bytes=arena_bytes) as backend:
         return backend.execute(compiled, entry=entry, machine=machine, env=env)

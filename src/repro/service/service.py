@@ -48,6 +48,7 @@ from repro.runtime.executor import ExecutionEnv, ExecutionResult, execute
 from repro.service.pool import SessionPool
 
 if TYPE_CHECKING:
+    from repro.runtime.mpbackend import MPBackend
     from repro.store import ArtifactStore
 
 __all__ = [
@@ -69,6 +70,10 @@ class CompileRequest:
     ``backend="mp"`` opts the execution onto real forked worker ranks
     (:mod:`repro.runtime.mpbackend`); results are bit-identical to the
     default simulator, plus a measured ``result.mp`` transport report.
+    The service owns those ranks: one pooled backend per processor count,
+    forked on the first mp request for it, replaced when a rank dies and
+    taken down by :meth:`CompileService.close`; a result owns its bytes,
+    so it stays readable while later requests run on the same ranks.
     """
 
     source: str | Program | Subroutine
@@ -280,6 +285,17 @@ class _InFlight:
     leader_span_id: str = ""
 
 
+@dataclass
+class _Ranks:
+    """One processor count's pooled mp backend and the lock its runs hold.
+
+    A transport is a single conversation between the parent and its ranks,
+    so checkout, run and (on a fault) replacement happen under ``lock``."""
+
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    backend: MPBackend | None = None
+
+
 def _copy_exception(exc: BaseException) -> BaseException:
     """A per-raiser copy of a shared exception (fresh traceback slot).
 
@@ -350,6 +366,11 @@ class CompileService:
         )
         self._inflight: dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
+        # the service owns its worker ranks: one started backend per
+        # processor count, forked on the first mp request for it, kept for
+        # the service's life; None once close() has taken them down
+        self._ranks: dict[int, _Ranks] | None = {}
+        self._ranks_lock = threading.Lock()
         self._closed = False
 
     # -- single-flight compile ---------------------------------------------
@@ -472,9 +493,7 @@ class CompileService:
                     )
                     with _TRACER.span("service.run", backend=request.backend):
                         if request.backend == "mp":
-                            from repro.runtime.mpbackend import execute_mp
-
-                            res.result = execute_mp(compiled, entry=request.entry, env=env)
+                            res.result = self._execute_mp(compiled, request.entry, env)
                         else:
                             res.result = execute(compiled, entry=request.entry, env=env)
                     res.run_seconds = time.perf_counter() - tr
@@ -484,6 +503,34 @@ class CompileService:
         res.seconds = time.perf_counter() - t0
         self.stats.record_done(res, time.perf_counter())
         return res
+
+    def _execute_mp(
+        self, compiled: CompiledProgram, entry: str | None, env: ExecutionEnv
+    ) -> ExecutionResult:
+        """Run on the pooled ranks of the artifact's processor count.
+
+        Checkout asks every rank's process whether it is alive (no round
+        trip) and replaces a backend that lost one -- a transport whose
+        exchange failed has already killed its ranks, so the faulted
+        request's error is stored only after they are gone and the next
+        request finds a fresh backend.
+        """
+        # imported on the first mp request: a service that never sees one
+        # pays neither multiprocessing's import (~18 ms) nor its ~1 MiB
+        from repro.runtime.mpbackend import MPBackend
+
+        size = compiled.processors.size
+        with self._ranks_lock:
+            if self._ranks is None:
+                raise RuntimeError("CompileService is closed")
+            ranks = self._ranks.setdefault(size, _Ranks())
+        with ranks.lock:
+            if ranks.backend is not None and not ranks.backend.transport.alive():
+                ranks.backend.transport.kill()
+                ranks.backend = None
+            if ranks.backend is None:
+                ranks.backend = MPBackend(size)
+            return ranks.backend.execute(compiled, entry=entry, env=env)
 
     def submit(
         self, request: CompileRequest | TypingMapping | str, /, **fields
@@ -530,9 +577,16 @@ class CompileService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the worker pool; further submits raise."""
+        """Shut down the worker pool and the mp ranks; further submits raise."""
         self._closed = True
         self._executor.shutdown(wait=wait)
+        with self._ranks_lock:
+            pooled, self._ranks = self._ranks or {}, None
+        for ranks in pooled.values():
+            with ranks.lock:  # a run still in flight finishes first
+                if ranks.backend is not None:
+                    ranks.backend.close()
+                    ranks.backend = None
 
     def __enter__(self) -> "CompileService":
         return self

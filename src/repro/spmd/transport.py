@@ -8,18 +8,21 @@ Distributed-array blocks live inside the arenas
 runs the interpreter, kernels and gather/scatter -- and the workers -- which
 move remapping bytes -- address the *same* pages.
 
-A remapping executes as a sequence of :class:`TransferRound` barriers: the
-parent ships each worker its per-round send/receive program (rectangle
-gathers out of its own arena, scatters into it), the workers exchange the
-payloads over per-ordered-pair OS pipes, and the parent waits for every
-worker's completion report before releasing the next round -- the same
-bulk-synchronous discipline :meth:`~repro.spmd.machine.Machine.charge`
-models.  A contention-free round is re-validated with the same
-:func:`~repro.spmd.message.check_one_port` authority a plan's ledger uses, and
-every worker's actually-moved message and byte counts are checked against
-the round's prescription (:exc:`~repro.errors.TransportError` on any
-mismatch), so the send/recv-once discipline holds on the wire, not just in
-the model.
+A remapping executes as one *exchange* of :class:`TransferRound` programs,
+and the ranks run it, not the parent: the parent ships each participating
+worker one control frame holding its sends and receives for *every* round
+(rectangle gathers out of its own arena, scatters into it), the workers
+run their rounds back to back over per-ordered-pair OS pipes -- FIFO pipes
+and one round at a time per rank make a global barrier unnecessary, see
+:func:`_run_worker_exchange` -- and each answers with one report for the
+whole remapping.  Exchange boundaries stay parent-synchronised, because the
+parent runs kernels on the arenas between remappings.  Before anything is
+shipped a contention-free round is re-validated with the same
+:func:`~repro.spmd.message.check_one_port` authority a plan's ledger uses,
+and afterwards every worker's actually-moved message and byte counts, round
+by round, are checked against the round's prescription
+(:exc:`~repro.errors.TransportError` on any mismatch), so the send/recv-once
+discipline holds on the wire, not just in the model.
 
 The worker engine is single-threaded and deadlock-free by construction:
 data pipes are non-blocking and a ``select`` loop interleaves partial
@@ -35,8 +38,10 @@ applies to modeled costs -- contention-free rounds last as long as their
 slowest message, contended rounds as long as their busiest port's
 serialized work.  This is how a one-port machine's clock would read the
 measured traffic, and it is deliberately reported *alongside* the raw
-wall-clock span of each round (which, on a time-sliced host with more
-ranks than cores, mostly measures the scheduler, not the network).
+wall-clock span of each round -- its last participant's end minus its
+first one's start, on the workers' own clocks -- which, on a time-sliced
+host with more ranks than cores, mostly measures the scheduler, not the
+network.
 """
 
 from __future__ import annotations
@@ -176,7 +181,18 @@ class SharedDistributedArray(DistributedArray):
         return view
 
     def _release_block(self, rank: int, block: np.ndarray) -> None:
-        self._transport.release_block(rank, self._offsets.pop(rank), block.nbytes)
+        offset = self._offsets.pop(rank, None)
+        if offset is not None:  # a detached block is private memory already
+            self._transport.release_block(rank, offset, block.nbytes)
+
+    def detach(self) -> None:
+        """Copy every still-live block out of the arena into private memory
+        and release its arena storage: the values stay readable for as long
+        as the array does, the arena is free for the next run."""
+        for rank, block in self.blocks.items():
+            if rank in self._offsets:
+                self.blocks[rank] = block.copy()
+                self._release_block(rank, block)
 
     def block_ref(self, rank: int) -> tuple[int, tuple[int, ...], str]:
         """The worker-side descriptor of one block: (offset, shape, dtype)."""
@@ -241,7 +257,7 @@ class WireMessage:
 
 @dataclass(frozen=True)
 class TransferRound:
-    """One barriered exchange round (the wire form of a ``CommPhase``)."""
+    """One round of an exchange (the wire form of a ``CommPhase``)."""
 
     messages: tuple[WireMessage, ...]
     contended: bool = False
@@ -254,7 +270,7 @@ class RoundReport:
     messages: int
     bytes: int
     contended: bool
-    wall_seconds: float  # parent barrier-to-barrier span
+    wall_seconds: float  # last participant's end minus first one's start (worker clocks)
     port_seconds: float  # measured per-message costs on the one-port clock
 
 
@@ -263,6 +279,9 @@ class ExchangeReport:
     """Accumulated reports of one exchange (one remapping's rounds)."""
 
     rounds: list[RoundReport] = field(default_factory=list)
+    #: the parent's span from shipping the first control frame to reading
+    #: the last report (rounds overlap across ranks, so not their sum)
+    wall_seconds: float = 0.0
 
     @property
     def messages(self) -> int:
@@ -271,10 +290,6 @@ class ExchangeReport:
     @property
     def bytes(self) -> int:
         return sum(r.bytes for r in self.rounds)
-
-    @property
-    def wall_seconds(self) -> float:
-        return sum(r.wall_seconds for r in self.rounds)
 
     @property
     def port_seconds(self) -> float:
@@ -436,11 +451,41 @@ def _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds):
                 in_q[src].popleft()
                 if not in_q[src]:
                     del in_q[src]
-    return {"sent": sent_log, "received": recv_log}
+    return sent_log, recv_log
+
+
+def _run_worker_exchange(rank, arena, program, in_fds, out_fds):
+    """One remapping on this rank: its rounds, back to back, no host between.
+
+    Why no global barrier is needed.  Source and target of a remapping are
+    distinct array versions, so the rounds of one exchange have no data
+    hazards among themselves.  Pipes are FIFO per ordered pair, so a pair's
+    messages arrive in round order, and a receiver never reads past the
+    message it expects.  Each rank still does one round at a time and
+    selects only on that round's fds, so no port ever carries two messages
+    at once -- the one-port discipline holds per rank, which is what a
+    rendezvous machine enforces.  And the rank at the lowest round number
+    can always progress: every peer is at that round or a later one, so it
+    has already written, or is reading, what the round needs -- deadlock
+    freedom by induction on the round number.  (Exchange boundaries stay
+    parent-synchronised: the parent runs kernels on the arenas between
+    remappings.)
+
+    Returns the per-round log ``(round index, start, end, sent, received)``
+    with start/end on ``time.perf_counter`` -- one system-wide monotonic
+    clock for forked processes on Linux, so the parent may compare ranks.
+    """
+    clock = time.perf_counter
+    log = []
+    for index, sends, recvs in program:
+        start = clock()
+        sent, received = _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds)
+        log.append((index, start, clock(), sent, received))
+    return log
 
 
 def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
-    """One worker rank's lifetime: close foreign fds, then serve rounds."""
+    """One worker rank's lifetime: close foreign fds, then serve exchanges."""
     for fd in close_fds:
         try:
             os.close(fd)
@@ -460,15 +505,13 @@ def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
         if cmd[0] == "ping":
             _write_obj(rep_w, ("pong", rank))
             continue
-        if cmd[0] == "round":
+        if cmd[0] == "exchange":
             try:
-                report = _run_worker_round(
-                    rank, arena, cmd[1], cmd[2], in_fds, out_fds
-                )
+                log = _run_worker_exchange(rank, arena, cmd[1], in_fds, out_fds)
             except BaseException as exc:  # report, then die loudly
                 _write_obj(rep_w, ("error", f"{type(exc).__name__}: {exc}"))
                 return
-            _write_obj(rep_w, ("done", report))
+            _write_obj(rep_w, ("done", log))
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +526,15 @@ def fork_available() -> bool:
 
 
 class MPTransport:
-    """N forked worker ranks, their arenas, and the barriered exchange API.
+    """N forked worker ranks, their arenas, and the exchange API.
 
     Lifecycle: construct (arenas exist, nothing forked), :meth:`start`
     (workers fork and are pinged), any number of :meth:`exchange` calls,
-    :meth:`close`.  Usable as a context manager.  One transport serves any
-    number of sequential runs -- blocks are placed and released through
-    :meth:`place_block`/:meth:`release_block` as arrays come and go.
+    :meth:`close` (or :meth:`kill`, which a failed exchange calls itself).
+    Usable as a context manager.  One transport is one conversation: it
+    serves any number of *sequential* runs -- blocks are placed and
+    released through :meth:`place_block`/:meth:`release_block` as arrays
+    come and go -- and callers that share it serialise their runs.
     """
 
     def __init__(
@@ -571,11 +616,11 @@ class MPTransport:
                     os.close(p[1])
         for rank in range(P):  # handshake: every worker is alive and serving
             _write_obj(self._ctl_w[rank], ("ping",))
-            kind, got = self._await(rank)
-            if kind != "pong" or got != rank:
-                raise TransportError(f"rank {rank} failed its handshake: {kind}")
+        for rank, frame in self._collect(range(P)).items():
+            if frame != ("pong", rank):
+                raise TransportError(f"rank {rank} failed its handshake: {frame[0]}")
         self._started = True
-        _OBS.gauge("repro.mp.workers").set(P)
+        _OBS.gauge("repro.mp.workers").inc(P)
         return self
 
     def __enter__(self) -> "MPTransport":
@@ -584,10 +629,19 @@ class MPTransport:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def alive(self) -> bool:
+        """True while the transport is started, not closed, and every rank's
+        process is running (a ``waitpid`` per rank, no round trip)."""
+        return (
+            self._started
+            and not self._closed
+            and all(proc.is_alive() for proc in self._procs)
+        )
+
     def close(self) -> None:
+        """Graceful teardown: every rank is told to quit and joined."""
         if self._closed:
             return
-        self._closed = True
         for fd in self._ctl_w:
             try:
                 _write_obj(fd, ("quit",))
@@ -595,9 +649,21 @@ class MPTransport:
                 pass
         for proc in self._procs:
             proc.join(timeout=5.0)
+        self.kill()  # whoever did not quit, then the fds and the arenas
+
+    def kill(self) -> None:
+        """Failure-path teardown: SIGKILL every rank still running and reap
+        it at once.  A rank wedged in ``select`` on a dead peer's pipe never
+        reads ``("quit",)``, so nothing here waits for a worker to cooperate.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for proc in self._procs:
             if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
+                proc.kill()
+        for proc in self._procs:
+            proc.join()
         for fd in self._ctl_w + self._rep_r:
             try:
                 os.close(fd)
@@ -606,7 +672,7 @@ class MPTransport:
         for arena in self.arenas:
             arena.close()
         if self._started:
-            _OBS.gauge("repro.mp.workers").set(0)
+            _OBS.gauge("repro.mp.workers").inc(-self.nprocs)
 
     # -- block placement ---------------------------------------------------
 
@@ -622,133 +688,185 @@ class MPTransport:
 
     # -- exchanges ---------------------------------------------------------
 
-    def _await(self, rank: int):
-        """Read one report frame from a worker, with liveness + timeout."""
+    def _collect(self, ranks) -> dict[int, tuple]:
+        """One report frame from each of ``ranks``, read as they come.
+
+        Waits on the report pipes and the process sentinels together, so a
+        rank that dies with nothing left to say is noticed when it dies,
+        not at the next poll; a worker's ``("error", ...)`` frame, a death
+        and the timeout all raise :exc:`~repro.errors.TransportError`.
+        """
+        pending = {self._rep_r[rank]: rank for rank in ranks}
+        sentinels = {self._procs[rank].sentinel: rank for rank in ranks}
         deadline = time.monotonic() + self.timeout
-        fd = self._rep_r[rank]
-        while True:
+        frames: dict[int, tuple] = {}
+        while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportError(
-                    f"rank {rank} did not report within {self.timeout}s"
+                    f"rank(s) {sorted(pending.values())} did not report "
+                    f"within {self.timeout}s"
                 )
-            ready, _, _ = select.select([fd], [], [], min(remaining, 0.5))
-            if ready:
-                msg = _read_obj(fd)
-                if msg[0] == "error":
-                    raise TransportError(f"rank {rank} failed: {msg[1]}")
-                return msg
-            if not self._procs[rank].is_alive():
-                raise TransportError(f"rank {rank} died mid-exchange")
+            ready, _, _ = select.select([*pending, *sentinels], [], [], remaining)
+            reports = [fd for fd in ready if fd in pending]
+            if ready and not reports:
+                # an exited worker's last frame would be readable by now
+                raise TransportError(f"rank {sentinels[ready[0]]} died mid-exchange")
+            for fd in reports:
+                rank = pending.pop(fd)
+                del sentinels[self._procs[rank].sentinel]
+                frame = _read_obj(fd)
+                if frame[0] == "error":
+                    raise TransportError(f"rank {rank} failed: {frame[1]}")
+                frames[rank] = frame
+        return frames
 
     def exchange(self, rounds) -> ExchangeReport:
-        """Run barriered rounds of real inter-process messages.
+        """Run one remapping's rounds of real inter-process messages.
 
-        Each round is validated against its prescription: contention-free
-        rounds must satisfy the one-port property (same
-        :func:`~repro.spmd.message.check_one_port` authority a plan's ledger
-        applies), and every worker's reported sent/received message and
-        byte counts must equal what the round prescribed.
+        Each participating rank gets *one* control frame -- its sends and
+        receives for every round -- runs the rounds back to back against
+        its peers (see :func:`_run_worker_exchange` for why that needs no
+        barrier) and answers with *one* report.  Before anything is
+        shipped, contention-free rounds must satisfy the one-port property
+        (same :func:`~repro.spmd.message.check_one_port` authority a plan's
+        ledger applies); afterwards every worker's reported sent/received
+        message and byte counts, round by round, must equal what the round
+        prescribed.  An exchange that fails once shipping began leaves the
+        conversation in an unknown state, so it takes the ranks down
+        (:meth:`kill`) before the error propagates.
         """
         if not self._started or self._closed:
             raise TransportError("transport is not running (call start())")
-        report = ExchangeReport()
-        with _TRACER.span("mp.exchange", rounds=len(rounds)):
-            for index, rnd in enumerate(rounds):
-                report.rounds.append(self._run_round(index, rnd))
+        rounds = tuple(rounds)
+        programs: dict[int, list] = {}  # rank -> [(round index, sends, recvs)]
+        for index, rnd in enumerate(rounds):
+            if not rnd.contended:
+                check_one_port((m.src, m.dst) for m in rnd.messages)
+            sends: dict[int, list] = {}
+            recvs: dict[int, list] = {}
+            for m in rnd.messages:
+                if m.src == m.dst:
+                    raise TransportError(
+                        f"local copy (rank {m.src}) prescribed as a wire message"
+                    )
+                sends.setdefault(m.src, []).append(
+                    (m.dst, [(p.src_block, p.src_ix) for p in m.parts])
+                )
+                recvs.setdefault(m.dst, []).append(
+                    (
+                        m.src,
+                        [
+                            (p.dst_block, p.dst_ix, p.shape, p.nbytes, p.src_block[2])
+                            for p in m.parts
+                        ],
+                        m.nbytes,
+                    )
+                )
+            for rank in sorted(set(sends) | set(recvs)):
+                programs.setdefault(rank, []).append(
+                    (index, sends.get(rank, []), recvs.get(rank, []))
+                )
+        with _TRACER.span("mp.exchange", rounds=len(rounds)) as span:
+            t0 = time.perf_counter()
+            try:
+                for rank, program in programs.items():
+                    try:
+                        _write_obj(self._ctl_w[rank], ("exchange", program))
+                    except OSError as exc:
+                        raise TransportError(
+                            f"rank {rank} is unreachable ({exc}); did the "
+                            "worker die?"
+                        ) from exc
+                frames = self._collect(programs)
+                wall = time.perf_counter() - t0
+                report = ExchangeReport(
+                    self._round_reports(rounds, programs, frames), wall
+                )
+            except BaseException:
+                self.kill()
+                raise
+            span.set_attr("messages", report.messages)
+            span.set_attr("bytes", report.bytes)
+            span.set_attr("wall_seconds", report.wall_seconds)
+            span.set_attr("port_seconds", report.port_seconds)
         _OBS.counter("repro.mp.exchanges").inc()
         if report.rounds:
             _OBS.counter("repro.mp.phases").inc(len(report.rounds))
             _OBS.counter("repro.mp.messages").inc(report.messages)
             _OBS.counter("repro.mp.bytes_moved").inc(report.bytes)
+            _OBS.histogram("repro.mp.phase_wall_seconds").observe_many(
+                [r.wall_seconds for r in report.rounds]
+            )
+            _OBS.histogram("repro.mp.phase_port_seconds").observe_many(
+                [r.port_seconds for r in report.rounds]
+            )
         return report
 
-    def _run_round(self, index: int, rnd: TransferRound) -> RoundReport:
-        if not rnd.contended:
-            check_one_port((m.src, m.dst) for m in rnd.messages)
-        sends: dict[int, list] = {}
-        recvs: dict[int, list] = {}
-        expect_sent: dict[int, tuple[int, int]] = {}  # rank -> (msgs, bytes)
-        expect_recv: dict[int, tuple[int, int]] = {}
-        for m in rnd.messages:
-            if m.src == m.dst:
+    @staticmethod
+    def _round_reports(rounds, programs, frames) -> list[RoundReport]:
+        """Check every rank's per-round log against the prescription
+        (send/recv-once on the wire: what moved must equal what was
+        prescribed) and compose each round's measured clocks."""
+        logs: dict[tuple[int, int], tuple] = {}  # (round index, rank) -> entry
+        for rank, program in programs.items():
+            log = frames[rank][1]
+            ran, shipped = [entry[0] for entry in log], [index for index, _, _ in program]
+            if ran != shipped:
                 raise TransportError(
-                    f"local copy (rank {m.src}) prescribed as a wire message"
+                    f"rank {rank} reported rounds {ran}; prescribed {shipped}"
                 )
-            sends.setdefault(m.src, []).append(
-                (m.dst, [(p.src_block, p.src_ix) for p in m.parts])
-            )
-            recvs.setdefault(m.dst, []).append(
+            for entry in log:
+                logs[entry[0], rank] = entry
+        reports = []
+        for index, rnd in enumerate(rounds):
+            expect_sent: dict[int, tuple[int, int]] = {}  # rank -> (msgs, bytes)
+            expect_recv: dict[int, tuple[int, int]] = {}
+            for m in rnd.messages:
+                s_msgs, s_bytes = expect_sent.get(m.src, (0, 0))
+                expect_sent[m.src] = (s_msgs + 1, s_bytes + m.nbytes)
+                r_msgs, r_bytes = expect_recv.get(m.dst, (0, 0))
+                expect_recv[m.dst] = (r_msgs + 1, r_bytes + m.nbytes)
+            sent_times: dict[tuple[int, int], deque[float]] = {}
+            recv_times: dict[tuple[int, int], deque[float]] = {}
+            starts, ends = [], []
+            for rank in sorted(set(expect_sent) | set(expect_recv)):
+                _, start, end, sent, received = logs[index, rank]
+                starts.append(start)
+                ends.append(end)
+                for what, got, want in (
+                    ("sent", sent, expect_sent.get(rank, (0, 0))),
+                    ("received", received, expect_recv.get(rank, (0, 0))),
+                ):
+                    moved = (len(got), sum(nb for _, nb, _ in got))
+                    if moved != want:
+                        raise TransportError(
+                            f"rank {rank} {what} {moved[0]} message(s)/"
+                            f"{moved[1]} byte(s); round {index} prescribed "
+                            f"{want[0]}/{want[1]}"
+                        )
+                for dst, _, secs in sent:
+                    sent_times.setdefault((rank, dst), deque()).append(secs)
+                for src, _, secs in received:
+                    recv_times.setdefault((src, rank), deque()).append(secs)
+            costs = [
                 (
                     m.src,
-                    [
-                        (p.dst_block, p.dst_ix, p.shape, p.nbytes, p.src_block[2])
-                        for p in m.parts
-                    ],
-                    m.nbytes,
+                    m.dst,
+                    max(
+                        sent_times[m.src, m.dst].popleft(),
+                        recv_times[m.src, m.dst].popleft(),
+                    ),
+                )
+                for m in rnd.messages
+            ]
+            reports.append(
+                RoundReport(
+                    messages=len(rnd.messages),
+                    bytes=sum(m.nbytes for m in rnd.messages),
+                    contended=rnd.contended,
+                    wall_seconds=max(ends) - min(starts) if starts else 0.0,
+                    port_seconds=measured_phase_time(costs, rnd.contended),
                 )
             )
-            s_msgs, s_bytes = expect_sent.get(m.src, (0, 0))
-            expect_sent[m.src] = (s_msgs + 1, s_bytes + m.nbytes)
-            r_msgs, r_bytes = expect_recv.get(m.dst, (0, 0))
-            expect_recv[m.dst] = (r_msgs + 1, r_bytes + m.nbytes)
-        participants = sorted(set(sends) | set(recvs))
-        with _TRACER.span("mp.phase", index=index, contended=rnd.contended) as span:
-            t0 = time.perf_counter()
-            for rank in participants:
-                try:
-                    _write_obj(
-                        self._ctl_w[rank],
-                        ("round", sends.get(rank, []), recvs.get(rank, [])),
-                    )
-                except OSError as exc:
-                    raise TransportError(
-                        f"rank {rank} is unreachable ({exc}); did the "
-                        "worker die?"
-                    ) from exc
-            results = {rank: self._await(rank)[1] for rank in participants}
-            wall = time.perf_counter() - t0
-            span.set_attr("messages", len(rnd.messages))
-            span.set_attr("bytes", sum(m.nbytes for m in rnd.messages))
-
-        # send/recv-once on the wire: what moved must equal the prescription
-        sent_times: dict[tuple[int, int], deque[float]] = {}
-        recv_times: dict[tuple[int, int], deque[float]] = {}
-        for rank in participants:
-            got = results[rank]
-            sent = [(dst, nb) for dst, nb, _ in got["sent"]]
-            s_msgs, s_bytes = expect_sent.get(rank, (0, 0))
-            if (len(sent), sum(nb for _, nb in sent)) != (s_msgs, s_bytes):
-                raise TransportError(
-                    f"rank {rank} sent {len(sent)} message(s)/"
-                    f"{sum(nb for _, nb in sent)} byte(s); round {index} "
-                    f"prescribed {s_msgs}/{s_bytes}"
-                )
-            r_msgs, r_bytes = expect_recv.get(rank, (0, 0))
-            got_recv = got["received"]
-            if (len(got_recv), sum(nb for _, nb, _ in got_recv)) != (r_msgs, r_bytes):
-                raise TransportError(
-                    f"rank {rank} received {len(got_recv)} message(s)/"
-                    f"{sum(nb for _, nb, _ in got_recv)} byte(s); round {index} "
-                    f"prescribed {r_msgs}/{r_bytes}"
-                )
-            for dst, _, secs in got["sent"]:
-                sent_times.setdefault((rank, dst), deque()).append(secs)
-            for src, _, secs in got_recv:
-                recv_times.setdefault((src, rank), deque()).append(secs)
-
-        costs: list[tuple[int, int, float]] = []
-        for m in rnd.messages:
-            s = sent_times[(m.src, m.dst)].popleft()
-            r = recv_times[(m.src, m.dst)].popleft()
-            costs.append((m.src, m.dst, max(s, r)))
-        port = measured_phase_time(costs, rnd.contended)
-        _OBS.histogram("repro.mp.phase_wall_seconds").observe(wall)
-        _OBS.histogram("repro.mp.phase_port_seconds").observe(port)
-        return RoundReport(
-            messages=len(rnd.messages),
-            bytes=sum(m.nbytes for m in rnd.messages),
-            contended=rnd.contended,
-            wall_seconds=wall,
-            port_seconds=port,
-        )
+        return reports

@@ -29,3 +29,30 @@ def tracer():
     yield TRACER
     TRACER.enabled = prev
     TRACER.clear()
+
+
+def _mp_ranks() -> set:
+    import multiprocessing
+
+    return {
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-mp-")
+    }
+
+
+@pytest.fixture(autouse=True)
+def no_orphan_ranks():
+    """Fail any test that leaves a live ``repro-mp-*`` worker rank behind.
+
+    Ranks alive before the test (a module- or session-scoped backend
+    fixture's) are that fixture's to close; whatever the test itself
+    started must be gone when it returns.
+    """
+    before = _mp_ranks()
+    yield
+    leaked = _mp_ranks() - before
+    for proc in leaked:  # do not let one leak fail every later test too
+        proc.kill()
+        proc.join()
+    assert not leaked, f"test left live mp worker ranks: {sorted(p.name for p in leaked)}"

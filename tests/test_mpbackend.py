@@ -17,13 +17,18 @@ ranks over pipes.  This suite is that claim's gate:
   :class:`~repro.errors.TransportError` instead of corrupting data;
 * **plumbing** -- arena allocation, backend reuse, ``ExecutionResult.mp``
   reporting, ``repro.mp.*`` metrics, and the opt-in ``backend="mp"``
-  paths through :meth:`CompilerSession.run` and the service.
+  paths through :meth:`CompilerSession.run` and the service;
+* **pooling** -- a finished run returns its blocks to the arenas, the
+  service's pooled ranks serve any number of requests whose results stay
+  readable afterwards, and a killed rank (between requests or mid-exchange)
+  ends in a typed error, a replaced backend and no orphan process.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -50,7 +55,7 @@ from repro.spmd.transport import (
     fork_available,
     measured_phase_time,
 )
-from test_schedule import FIGURES, _run, _with_policy
+from test_schedule import FIGURES, _run
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="mp transport requires the fork start method"
@@ -180,6 +185,31 @@ def test_execution_result_carries_mp_report(backend):
     assert np.isnan(report.calibration_ratio(0.0))
 
 
+def test_one_exchange_span_per_remapping(backend, tracer):
+    """One ``mp.exchange`` span per remapping carrying the exchange's own
+    totals; the ranks sequence the rounds, so there is no per-round span."""
+    w = FIGURES["fig16"]
+    compiled = compile_program(
+        w["source"],
+        bindings=w["bindings"],
+        processors=4,
+        options=CompilerOptions(level=3, schedule="round-robin"),
+    )
+    _, _, result = _run_mp(backend, compiled, w)
+    spans = tracer.finished_spans()
+    exchanges = [s for s in spans if s.name == "mp.exchange"]
+    assert len(exchanges) == result.mp.exchanges > 0
+    assert not [s for s in spans if s.name == "mp.phase"]
+    for key, total in (
+        ("rounds", result.mp.phases),
+        ("messages", result.mp.messages),
+        ("bytes", result.mp.bytes_moved),
+        ("wall_seconds", result.mp.wall_seconds),
+        ("port_seconds", result.mp.port_seconds),
+    ):
+        assert sum(s.attrs[key] for s in exchanges) == pytest.approx(total), key
+
+
 def test_simulator_result_has_no_mp_report():
     w = FIGURES["fig16"]
     compiled = compile_program(
@@ -292,6 +322,53 @@ def test_transport_moves_prescribed_bytes():
         assert untouched.sum() == 12  # nothing outside the rectangle moved
         t.release_block(0, src_off, src.nbytes)
         t.release_block(1, dst_off, dst.nbytes)
+
+
+def test_ranks_sequence_rounds_without_a_barrier():
+    """One control frame, many rounds: payloads larger than a pipe buffer,
+    ranks that sit rounds out (and so run ahead of their peers), and the
+    same ordered pair in consecutive rounds -- every rectangle arrives in
+    its own round's destination and every round is reported."""
+    n = 40_000  # 320 kB per message, five pipe buffers
+    pairs_by_round = [
+        [(0, 1)],
+        [(0, 1), (2, 3)],
+        [(1, 2), (3, 0)],
+        [(2, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+        [(1, 0), (3, 2)],
+    ]
+    with MPTransport(4, arena_bytes=1 << 22) as t:
+        sources = {}
+        for rank in range(4):
+            off, view = t.place_block(rank, (n,), np.float64)
+            view[...] = np.arange(n) + 1000.0 * rank
+            sources[rank] = (off, view)
+        rounds, landed = [], []
+        for pairs in pairs_by_round:
+            messages = []
+            for src, dst in pairs:
+                off, view = t.place_block(dst, (n,), np.float64)
+                view.fill(-1.0)
+                landed.append((src, view))
+                part = WirePart(
+                    src_block=(sources[src][0], (n,), "<f8"),
+                    dst_block=(off, (n,), "<f8"),
+                    src_ix=(slice(0, n),),
+                    dst_ix=(slice(0, n),),
+                    shape=(n,),
+                    nbytes=n * 8,
+                )
+                messages.append(WireMessage(src, dst, (part,)))
+            rounds.append(TransferRound(tuple(messages), contended=False))
+        report = t.exchange(rounds)
+        for src, view in landed:
+            assert np.array_equal(view, sources[src][1])
+        assert [r.messages for r in report.rounds] == [len(p) for p in pairs_by_round]
+        assert report.bytes == sum(len(p) for p in pairs_by_round) * n * 8
+        assert all(r.wall_seconds > 0.0 and r.port_seconds > 0.0 for r in report.rounds)
+        assert report.wall_seconds > 0.0
+        del landed, sources, view  # drop the arena views before close
 
 
 def _unit_part(t, src_rank, dst_rank):
@@ -421,6 +498,79 @@ def test_backend_reuse_and_transient_helper():
         assert np.array_equal(r3.value(a), ref_values[a])  # post-close reads
 
 
+#: the contended family of ``benchmarks/bench_mp.py`` and the layered
+#: benchmark's ``mp_exchange`` workload: block <-> cyclic(3), a write under
+#: each mapping so both remappings of a trip move data
+REMAP_SRC = """
+subroutine remap(t)
+  integer n, t
+  real a(n)
+!hpf$ dynamic a
+!hpf$ distribute a(block)
+  do i = 1, t
+!hpf$   redistribute a(cyclic(3))
+    compute "scale" writes a
+!hpf$   redistribute a(block)
+    compute "scale" writes a
+  enddo
+end
+"""
+
+
+def _scale(ctx) -> None:
+    for block in ctx.darray("a").blocks.values():
+        block *= 0.5
+        block += 1.0
+
+
+def _remap_request(policy, n, backend="mp", kernels=None, processors=4):
+    return CompileRequest(
+        REMAP_SRC,
+        bindings={"n": n, "t": 1},
+        inputs={"a": np.linspace(-1.0, 1.0, n)},
+        kernels=kernels or {"scale": _scale},
+        options=CompilerOptions(level=3, schedule=policy),
+        processors=processors,
+        backend=backend,
+    )
+
+
+def test_finished_runs_return_their_blocks_to_the_arena():
+    """A reused backend must not leak a finished run's blocks: 300 runs of
+    a program that needs 16 KiB per rank fit a 1 MiB arena only if every
+    run -- one that raised mid-way included -- ends with the arenas free."""
+    compiled = compile_program(
+        REMAP_SRC,
+        bindings={"n": 4096, "t": 1},
+        processors=4,
+        options=CompilerOptions(level=3, schedule="aggregate"),
+    )
+
+    def env(kernel):
+        return ExecutionEnv(
+            bindings={"n": 4096, "t": 1},
+            inputs={"a": np.linspace(-1.0, 1.0, 4096)},
+            kernels={"scale": kernel},
+        )
+
+    def boom(ctx):
+        raise RuntimeError("kernel failed mid-run")
+
+    with MPBackend(4, arena_bytes=1 << 20) as b:
+        arenas = b.transport.arenas
+        first = b.execute(compiled, env=env(_scale))
+        expected = first.value("a")
+        for _ in range(299):
+            last = b.execute(compiled, env=env(_scale))
+            assert all(a.free_bytes() == a.nbytes for a in arenas)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            b.execute(compiled, env=env(boom))
+        assert all(a.free_bytes() == a.nbytes for a in arenas)
+        # results own their bytes: the first one survived 300 later runs
+        assert np.array_equal(first.value("a"), expected)
+        assert np.array_equal(last.value("a"), expected)
+
+
 # ---------------------------------------------------------------------------
 # the opt-in front doors: session.run and the service
 # ---------------------------------------------------------------------------
@@ -460,3 +610,114 @@ def test_service_backend_mp_round_trip():
     assert mp.result.mp is not None and mp.result.mp.messages > 0
     assert np.array_equal(mp.result.value("a"), sim.result.value("a"))
     assert isinstance(bad.error, ValueError)  # contained, not leaked
+
+
+def _fig12_request(backend):
+    w = FIGURES["fig12-then"]
+    return CompileRequest(
+        w["source"],
+        bindings=dict(w["bindings"]),
+        conditions=dict(w["conditions"]),
+        inputs={k: v.copy() for k, v in w["inputs"].items()},
+        options=CompilerOptions(level=3, schedule="round-robin"),
+        processors=4,
+        backend=backend,
+    )
+
+
+def _assert_same_results(got, want, arrays, context):
+    assert got.error is None and want.error is None, (context, got.error, want.error)
+    for a in arrays:
+        assert np.array_equal(got.result.value(a), want.result.value(a)), (context, a)
+    assert got.result.stats.snapshot() == want.result.stats.snapshot(), context
+
+
+def test_service_pooled_ranks_results_read_after_the_last_request():
+    """The test a naive pool fails: every result is read only after all
+    requests have run on the same ranks, and must still be the simulator's."""
+
+    def requests(backend):
+        return [
+            _remap_request("round-robin", 384, backend),
+            _remap_request("aggregate", 4096, backend),
+            _remap_request("naive", 384, backend),
+            _fig12_request(backend),
+        ]
+
+    arrays = [("a",), ("a",), ("a",), ("a", "b", "c")]
+    workers_before = REGISTRY.gauge("repro.mp.workers").value
+    with CompileService(workers=1) as svc:
+        mp = [svc.run_batch([r])[0] for r in requests("mp") * 2]
+        sim = [svc.run_batch([r])[0] for r in requests("sim")]
+        pooled = svc._ranks[4].backend
+        assert REGISTRY.gauge("repro.mp.workers").value == workers_before + 4
+        assert all(a.free_bytes() == a.nbytes for a in pooled.transport.arenas)
+    for i, got in enumerate(mp):
+        assert got.result.mp is not None and got.result.mp.messages > 0
+        _assert_same_results(got, sim[i % 4], arrays[i % 4], i)
+    # close() took the ranks down (conftest's no_orphan_ranks checks the processes)
+    assert not pooled.transport.alive()
+    assert REGISTRY.gauge("repro.mp.workers").value == workers_before
+
+
+def test_service_concurrent_mp_and_sim_requests_match_serial():
+    """16 interleaved mp/sim requests over two processor counts on four
+    service workers: each backend is one conversation at a time, and every
+    result equals the serially executed simulator's."""
+    policies = ("round-robin", "aggregate", "naive", None)
+    batch = [
+        _remap_request(
+            policies[i % 4], 96 + 24 * (i % 3), "mp" if i % 2 else "sim", processors=4 - i // 8
+        )
+        for i in range(16)
+    ]
+    serial = [
+        _remap_request(r.options.schedule, r.bindings["n"], "sim", processors=r.processors)
+        for r in batch
+    ]
+    with CompileService(workers=1) as svc:
+        want = svc.run_batch(serial)
+    with CompileService(workers=4) as svc:
+        got = svc.run_batch(batch)
+        assert sorted(svc._ranks) == [3, 4]
+    for i, (g, w) in enumerate(zip(got, want)):
+        _assert_same_results(g, w, ("a",), i)
+
+
+def test_rank_killed_between_requests_is_replaced():
+    with CompileService(workers=1) as svc:
+        want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        first = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        old = svc._ranks[4].backend
+        victim = old.transport._procs[2]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        second = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        assert svc._ranks[4].backend is not old and not old.transport.alive()
+    _assert_same_results(first, want, ("a",), "before the kill")
+    _assert_same_results(second, want, ("a",), "after the kill")
+
+
+def test_rank_killed_mid_exchange_is_a_typed_error_and_the_pool_recovers():
+    """A kernel SIGKILLs rank 1 before the second remapping: that request
+    ends in a TransportError, promptly; the next one is served by fresh
+    ranks; close() does not wait on anything wedged."""
+    svc = CompileService(workers=1)
+    try:
+
+        def kill_rank_1(ctx):
+            os.kill(svc._ranks[4].backend.transport._procs[1].pid, signal.SIGKILL)
+
+        want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        t0 = time.perf_counter()
+        faulted = svc.run_batch(
+            [_remap_request("round-robin", 384, kernels={"scale": kill_rank_1})]
+        )[0]
+        assert time.perf_counter() - t0 < 2.0
+        assert isinstance(faulted.error, TransportError), faulted.error
+        after = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        _assert_same_results(after, want, ("a",), "after the fault")
+    finally:
+        t0 = time.perf_counter()
+        svc.close()
+        assert time.perf_counter() - t0 < 1.0
