@@ -54,10 +54,8 @@ truth.
 Observability (:mod:`repro.obs`, ``docs/OBSERVABILITY.md``): every
 subsystem publishes into one process-wide metrics registry
 (:data:`OBS_REGISTRY`, JSON/Prometheus exportable, browsable with
-``python -m repro.obs``), requests trace end to end through
-:data:`TRACER` (Chrome ``trace_event`` dumps), and every executed
-scheduled remap is drift-checked against its static prediction
-(``result.drift``, :class:`DriftMonitor`).
+``python -m repro.obs``) and requests trace end to end through
+:data:`TRACER` (Chrome ``trace_event`` dumps).
 """
 
 from repro.compiler import (
@@ -85,7 +83,7 @@ from repro.mapping import (
     Template,
 )
 from repro.obs import REGISTRY as OBS_REGISTRY
-from repro.obs import TRACER, DriftMonitor, DriftRecord, MetricsRegistry, Tracer
+from repro.obs import TRACER, MetricsRegistry, Tracer
 from repro.runtime import ExecutionEnv, ExecutionResult, Executor, execute
 from repro.service import (
     CompileRequest,
@@ -121,8 +119,6 @@ __all__ = [
     "DistFormat",
     "DistributedArray",
     "Distribution",
-    "DriftMonitor",
-    "DriftRecord",
     "ExecutionEnv",
     "ExecutionResult",
     "Executor",

@@ -4,7 +4,8 @@ The package closes the ROADMAP's scenario-fuzzing item: random—but legal
 by construction—mini-HPF programs (:mod:`~repro.fuzz.generator`) are run
 through the full compiler option matrix by a differential oracle
 (:mod:`~repro.fuzz.oracle`) asserting bit-identical values, level-monotone
-traffic, zero predicted/observed drift, and verifier/lint cleanliness.
+traffic, executed traffic equal to its static prediction, and
+verifier/lint cleanliness.
 Failures shrink to minimal programs (:mod:`~repro.fuzz.shrink`) and are
 pinned into a committed corpus (:mod:`~repro.fuzz.corpus`) replayed as
 regression tests, the way workload seed 2558 is pinned today.

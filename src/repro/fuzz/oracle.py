@@ -10,8 +10,11 @@ under an identical environment, and the results must agree:
 * **bytes** -- within each (policy, variant, provenance) column, moved
   bytes never increase as the optimization level rises (the contract the
   CostGuard exists to protect; seed 2558 is the historical violation);
-* **drift** -- every scheduled cell's predicted-vs-observed drift ledger
-  is clean;
+* **prediction** -- every cell's executed traffic equals what
+  :func:`~repro.spmd.traffic.predict_traffic` computes for the same
+  artifact and environment without touching any storage (the walker the
+  CostGuard's decisions rest on): counts exactly, makespan to float
+  summation order;
 * **verified** -- :func:`~repro.analysis.verify.verify_artifact` reports
   no issue for any compiled artifact;
 * **lint** -- :func:`~repro.analysis.lints.lint_program` reports no
@@ -30,6 +33,7 @@ it (see ``tests/test_fuzz.py``).
 
 from __future__ import annotations
 
+import math
 import tempfile
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -43,6 +47,7 @@ from repro.compiler.session import CompilerSession
 from repro.fuzz.generator import FuzzCase, runtime_conditions
 from repro.spmd.machine import Machine
 from repro.spmd.schedule import POLICIES
+from repro.spmd.traffic import predict_traffic
 
 #: Schedule policy axis: ``None`` runs every copy as the degenerate
 #: unphased plan; the named policies run phased CommPlans.
@@ -55,7 +60,7 @@ FINDING_KINDS = (
     "run-error",
     "store-miss",
     "verifier",
-    "drift",
+    "prediction",
     "value-mismatch",
     "bytes-not-monotone",
     "lint-error",
@@ -222,10 +227,28 @@ def run_oracle(case: FuzzCase, config: OracleConfig | None = None) -> list[Oracl
             except Exception as exc:  # noqa: BLE001 - any runtime failure is a finding
                 findings.append(OracleFinding("run-error", label, repr(exc)))
                 continue
-            if cell.schedule is not None and not result.drift.clean:
-                findings.append(
-                    OracleFinding("drift", label, str(result.drift.snapshot()))
-                )
+            try:
+                predicted = predict_traffic(
+                    compiled,
+                    case.program.subroutines[0].name,
+                    conditions=runtime_conditions(case.conditions),
+                    bindings=case.bindings,
+                    inputs=set(case.inputs),
+                ).snapshot()
+            except Exception as exc:  # noqa: BLE001 - a predictor crash is a finding
+                findings.append(OracleFinding("prediction", label, repr(exc)))
+            else:
+                observed = result.observed_traffic().snapshot()
+                detail = f"predicted {predicted}, observed {observed}"
+                # counts exactly; the makespans sum the same phase durations
+                # in a different order
+                if (
+                    not math.isclose(
+                        predicted.pop("makespan"), observed.pop("makespan"), rel_tol=1e-9
+                    )
+                    or predicted != observed
+                ):
+                    findings.append(OracleFinding("prediction", label, detail))
             res = _CellResult(cell)
             res.values = {a: result.value(a) for a in arrays}
             res.bytes = snap["bytes"]

@@ -1,4 +1,4 @@
-"""Unified observability: metrics registry, request tracing, drift monitor.
+"""Unified observability: metrics registry and request tracing.
 
 Everything the system knows about itself flows through this package
 under one ``repro.<subsystem>.<name>`` namespace:
@@ -16,16 +16,12 @@ under one ``repro.<subsystem>.<name>`` namespace:
   to their leader's span.  Off by default (``REPRO_TRACE=1`` or
   ``TRACER.enabled = True``); dumps self-contained Chrome
   ``trace_event`` JSON for flamegraph viewing.
-* :class:`DriftMonitor` (:mod:`repro.obs.drift`) -- per-remap
-  predicted-vs-observed bytes/messages/makespan comparison, exposed as
-  ``ExecutionResult.drift`` and drift histograms in the registry.
 
 ``python -m repro.obs`` (:mod:`repro.obs.cli`) prints snapshots, diffs
 two snapshots, and aggregates trace dumps into top-span tables.
 """
 
 from repro.obs.catalog import CATALOG, REGISTRY, metric_catalog_table
-from repro.obs.drift import DriftMonitor, DriftRecord, DriftStats
 from repro.obs.metrics import (
     SCHEMA_VERSION,
     Counter,
@@ -45,9 +41,6 @@ from repro.obs.trace import TRACER, Span, Tracer, top_spans, validate_spans
 __all__ = [
     "CATALOG",
     "Counter",
-    "DriftMonitor",
-    "DriftRecord",
-    "DriftStats",
     "Gauge",
     "Histogram",
     "MetricSpec",

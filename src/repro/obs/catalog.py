@@ -66,14 +66,6 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.mp.bytes_moved", c, "Payload bytes carried between worker ranks."),
         MetricSpec("repro.mp.phase_wall_seconds", h, "Worker-clock span of each round: last participant's end minus first one's start."),
         MetricSpec("repro.mp.phase_port_seconds", h, "Measured one-port-clock duration of each round."),
-        # -- drift monitor ----------------------------------------------------
-        MetricSpec("repro.drift.remaps_checked", c, "Executed remaps compared against predictions."),
-        MetricSpec("repro.drift.byte_mismatches", c, "Remaps whose observed bytes differed from predicted."),
-        MetricSpec("repro.drift.message_mismatches", c, "Remaps whose observed messages differed from predicted."),
-        MetricSpec("repro.drift.makespan_mismatches", c, "Remaps whose observed makespan drifted past tolerance."),
-        MetricSpec("repro.drift.bytes_rel_error", h, "Relative |observed-predicted|/predicted for bytes."),
-        MetricSpec("repro.drift.messages_rel_error", h, "Relative |observed-predicted|/predicted for messages."),
-        MetricSpec("repro.drift.makespan_rel_error", h, "Relative |observed-predicted|/predicted for makespan."),
         # -- tracing ----------------------------------------------------------
         MetricSpec("repro.trace.spans_recorded", c, "Finished spans retained in the trace buffer."),
         MetricSpec("repro.trace.spans_dropped", c, "Finished spans dropped by the buffer bound."),

@@ -72,11 +72,8 @@ def exponential_buckets(start: float, factor: float, count: int) -> tuple[float,
 
 # Default bucket families.  SECONDS spans 1 µs .. ~68 s in powers of two
 # (36 bounds), wide enough for pass timings and request latencies while
-# keeping quantiles within a 2x bucket width.  REL_ERROR spans 1e-12 ..
-# 10 in decades for drift ratios, whose interesting values are "exactly
-# zero" and "how many orders of magnitude off".
+# keeping quantiles within a 2x bucket width.
 SECONDS_BUCKETS = exponential_buckets(1e-6, 2.0, 36)
-REL_ERROR_BUCKETS = exponential_buckets(1e-12, 10.0, 14)
 BYTES_BUCKETS = exponential_buckets(64.0, 4.0, 16)
 
 

@@ -63,7 +63,6 @@ import numpy as np
 from repro.errors import RuntimeRemapError
 from repro.compiler.artifacts import CompiledProgram
 from repro.obs.catalog import REGISTRY as _OBS
-from repro.obs.drift import DriftMonitor, DriftRecord
 from repro.obs.trace import TRACER as _TRACER
 from repro.lang.ast_nodes import Compute
 from repro.remap.walker import DEAD_COPY, PERFORMED, SKIPPED_LIVE
@@ -187,9 +186,6 @@ class ExecutionResult:
         self._frame = frame
         self.machine = executor.machine
         self.stats = executor.machine.stats
-        #: aggregate predicted-vs-observed drift over the run's scheduled
-        #: remaps (see :mod:`repro.obs.drift`); clean when nothing drifted
-        self.drift = executor.drift.stats
         self.fusion = _NO_FUSION
         #: measured multi-process transport report when the run executed on
         #: the mp backend (:mod:`repro.runtime.mpbackend`); ``None`` for
@@ -301,8 +297,6 @@ class Executor(DescriptorWalker):
             if compiled.plans is not None
             else CommPlanTable(compiled.options.schedule)
         )
-        # per-run predicted-vs-observed accounting of the planned copies
-        self.drift = DriftMonitor()
 
     # -- memory ----------------------------------------------------------------
 
@@ -319,24 +313,22 @@ class Executor(DescriptorWalker):
         stats = self.machine.stats
         before = stats.snapshot()
         t0 = time.perf_counter()
-        with _TRACER.span("executor.run", sub=sub_name):
-            frame = self.walk(sub_name)
+        try:
+            with _TRACER.span("executor.run", sub=sub_name):
+                frame = self.walk(sub_name)
+        finally:
+            # a run that raises midway has still moved what it moved:
+            # Machine.charge already fed repro.machine.*, so mirror the
+            # same ledger here whether or not the walk returned
+            moved = stats.diff(before)
+            _OBS.counter("repro.runtime.bytes_moved").inc(moved["bytes"])
+            _OBS.counter("repro.runtime.messages").inc(moved["messages"])
+            _OBS.counter("repro.runtime.remaps_performed").inc(moved["remaps_performed"])
+            _OBS.counter("repro.runtime.remaps_skipped").inc(
+                moved["remaps_skipped_live"] + moved["remaps_skipped_status"]
+            )
         _OBS.counter("repro.runtime.runs").inc()
         _OBS.histogram("repro.runtime.run_seconds").observe(time.perf_counter() - t0)
-        after = stats.snapshot()
-        for metric, key in (
-            ("repro.runtime.bytes_moved", "bytes"),
-            ("repro.runtime.messages", "messages"),
-            ("repro.runtime.remaps_performed", "remaps_performed"),
-        ):
-            delta = after[key] - before[key]
-            if delta:
-                _OBS.counter(metric).inc(delta)
-        skipped = (after["remaps_skipped_live"] - before["remaps_skipped_live"]) + (
-            after["remaps_skipped_status"] - before["remaps_skipped_status"]
-        )
-        if skipped:
-            _OBS.counter("repro.runtime.remaps_skipped").inc(skipped)
         return ExecutionResult(self, frame)
 
     # -- what the walker asks for ------------------------------------------------
@@ -398,14 +390,10 @@ class Executor(DescriptorWalker):
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
-        machine, stats = self.machine, self.machine.stats
         plan = self.plans.obtain(state.versions[src], state.versions[leaving])
-        # what the run is charged, and the drift record's prediction (an
-        # unprovable plan's bad phase raises here, before any data moves)
-        delta = plan.ledger(machine.cost, target.itemsize)
-        bytes_before = stats.bytes
-        messages_before = stats.messages
-        makespan_before = machine.phase_seconds
+        # what the movement hook will charge the run (an unprovable plan's
+        # bad phase raises here, before any data moves)
+        delta = plan.ledger(self.machine.cost, target.itemsize)
         with _TRACER.span(
             "remap.plan_replay",
             tag=tag,
@@ -414,17 +402,6 @@ class Executor(DescriptorWalker):
             bytes=delta.bytes,
         ):
             self._run_plan(plan, source, target, tag)
-        self.drift.record(
-            DriftRecord(
-                tag=tag,
-                predicted_bytes=delta.bytes,
-                observed_bytes=stats.bytes - bytes_before,
-                predicted_messages=delta.messages,
-                observed_messages=stats.messages - messages_before,
-                predicted_makespan=delta.makespan,
-                observed_makespan=machine.phase_seconds - makespan_before,
-            )
-        )
 
     # -- the movement hook (the mp backend overrides it) ----------------------
 

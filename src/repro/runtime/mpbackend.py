@@ -19,8 +19,7 @@ Differential soundness is the design invariant, enforced three ways:
 * **ledger** -- the modeled :class:`~repro.spmd.machine.Machine` is charged
   the *same* :class:`~repro.spmd.message.LedgerDelta` the simulator charges
   (the plan's own, one ``charge`` per copy), so traffic stats, phase
-  counts, drift records and the obs counters they feed match the
-  simulator exactly;
+  counts and the obs counters they feed match the simulator exactly;
 * **discipline** -- the transport re-validates the one-port property of
   every contention-free round and cross-checks each worker's actually
   moved message/byte counts against the round's prescription.
@@ -98,17 +97,6 @@ class MPRunReport:
             self.phase_wall_seconds.append(rnd.wall_seconds)
             self.phase_port_seconds.append(rnd.port_seconds)
 
-    @property
-    def measured_makespan(self) -> float:
-        """The run's total measured port-clock communication time."""
-        return self.port_seconds
-
-    def calibration_ratio(self, predicted_seconds: float) -> float:
-        """Measured port-clock makespan over a modeled prediction."""
-        if predicted_seconds <= 0.0:
-            return float("nan")
-        return self.port_seconds / predicted_seconds
-
     def snapshot(self) -> dict[str, int | float]:
         return {
             "nprocs": self.nprocs,
@@ -131,7 +119,7 @@ class MPExecutor(Executor):
 
     Needs a *started* :class:`~repro.spmd.transport.MPTransport` whose rank
     count matches the machine; everything else (ops, kernels, status
-    machinery, drift, obs) is inherited unchanged.
+    machinery, obs) is inherited unchanged.
     """
 
     def __init__(

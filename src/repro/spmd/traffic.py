@@ -15,8 +15,9 @@ Three layers:
 * :class:`Scenario` / :func:`enumerate_scenarios` -- one concrete choice
   of runtime inputs, and the grid of them a placement decision must be
   validated against; since PR 7 these live in
-  :mod:`repro.symbolic.scenarios` (the shared symbolic subsystem) and
-  are re-exported here under their original names;
+  :mod:`repro.symbolic.scenarios` (the shared symbolic subsystem);
+  these two names are imported here, so they still resolve from this
+  module;
 * :func:`simulate_traffic` / :class:`TrafficSimulator` -- the dry-run
   executor, returning a :class:`~repro.spmd.cost.TrafficEstimate`;
 * :func:`predict_traffic` -- the user-facing oracle half: predict the

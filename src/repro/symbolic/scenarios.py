@@ -10,8 +10,9 @@ estimator consumes scenarios to price placements; the ``symbolize``
 pass's probe guard consumes them to prove a placement safe for *every*
 shape a template may later be instantiated at.
 
-:mod:`repro.spmd.traffic` re-exports everything here under its original
-names, so existing imports keep working.
+:mod:`repro.spmd.traffic` imports :class:`Scenario` and
+:func:`enumerate_scenarios`, so those two names still resolve there;
+:func:`reachable_subs` and :func:`runtime_unknowns` live here only.
 """
 
 from __future__ import annotations

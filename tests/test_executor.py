@@ -663,7 +663,6 @@ def test_loop_programs_optimized_matches_naive(name):
     assert m0.stats.remaps_performed == naive_remaps
     assert m3.stats.bytes <= m0.stats.bytes
     assert m3.stats.remaps_performed <= naive_remaps
-    assert r0.drift.clean and r3.drift.clean
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ The corpus *contents* are replayed in ``tests/test_fuzz_corpus.py``;
 this module tests the machinery that produced them.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -141,6 +142,44 @@ def test_unguarded_motion_switch_restores_the_guard():
     # a guarded compile after the teeth run must behave normally
     case = generate_case(0, FuzzSpec(length=4, depth=1))
     assert run_oracle(case, OracleConfig.smoke()) == []
+
+
+def test_prediction_axis_has_teeth(monkeypatch):
+    """A static predictor that overprices every copy by 8 bytes is caught
+    on exactly the cells that perform one -- the executor charges its own
+    plans' ledgers, the predictor walks no storage, so the two really are
+    two computations."""
+    from repro.fuzz import oracle
+    from repro.spmd import traffic
+
+    # the entry whose copies are all removable: only its level-0 cells move data
+    corpus = load_corpus(Path(__file__).parent / "fuzz_corpus")
+    (entry,) = [e for e in corpus if e.name == "fuzz-96faae7400a9"]
+    case = entry.to_case()
+    config = OracleConfig(lint=False)
+    performed = []  # remaps_performed per cell, in config.cells() order
+    real_run_cell = oracle._run_cell
+
+    def recording(case, compiled):
+        result, snap = real_run_cell(case, compiled)
+        performed.append(snap["remaps_performed"])
+        return result, snap
+
+    real_price = traffic._copy_price
+
+    def overpriced(*args):
+        price = real_price(*args)
+        return dataclasses.replace(price, bytes=price.bytes + 8)
+
+    monkeypatch.setattr(oracle, "_run_cell", recording)
+    monkeypatch.setattr(traffic, "_copy_price", overpriced)  # wraps the price cache too
+    findings = run_oracle(case, config)
+    copying = {c.label() for c, n in zip(config.cells(), performed, strict=True) if n}
+    assert 0 < len(copying) < len(performed)
+    assert {f.cell for f in findings if f.kind == "prediction"} == copying
+
+    monkeypatch.setattr(traffic, "_copy_price", real_price)
+    assert run_oracle(case, config) == []
 
 
 # ------------------------------------------------------------------ corpus

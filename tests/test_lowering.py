@@ -509,7 +509,7 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
     def run_once(compiled):
         env = ExecutionEnv(bindings={"n": 96, "t": 3}, inputs={"a": data})
         res = execute(compiled, machine=Machine(compiled.processors), env=env)
-        return res.value("a"), res.stats.snapshot(), res.drift.clean
+        return res.value("a"), res.stats.snapshot()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -537,10 +537,9 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
                 th.join(30.0)
                 assert not th.is_alive()
             serial = run_once(compiled)
-            for value, stats, clean in outcomes:
+            for value, stats in outcomes:
                 assert np.array_equal(value, serial[0])
                 assert stats == serial[1]
-                assert clean and serial[2]
             # every thread got the same plan object per pair, and the table
             # counted every build, the ones that lost the insertion race too
             mine = [(pair, plan) for table, pair, plan in obtained if table is compiled.plans]

@@ -2,9 +2,9 @@
 
 The mp backend (:mod:`repro.runtime.mpbackend` over
 :mod:`repro.spmd.transport`) claims to be *observationally identical* to
-the simulator -- same array values, same traffic ledger, same drift
-inputs -- while actually moving every remote byte between forked worker
-ranks over pipes.  This suite is that claim's gate:
+the simulator -- same array values, same traffic ledger -- while
+actually moving every remote byte between forked worker ranks over
+pipes.  This suite is that claim's gate:
 
 * **figures** -- Fig. 1 / 12 / 16 programs under every schedule policy
   (plus unscheduled), eager and symbolic options: bit-identical values
@@ -176,13 +176,11 @@ def test_execution_result_carries_mp_report(backend):
     assert len(report.phase_wall_seconds) == report.phases
     assert len(report.phase_port_seconds) == report.phases
     assert report.wall_seconds > 0.0 and report.port_seconds > 0.0
-    assert report.measured_makespan == report.port_seconds
     snap = report.snapshot()
     assert snap["messages"] == report.messages
     assert snap["nprocs"] == 4
-    ratio = report.calibration_ratio(1e-3)
-    assert ratio > 0.0 and np.isfinite(ratio)
-    assert np.isnan(report.calibration_ratio(0.0))
+    assert snap["port_seconds"] == report.port_seconds
+    assert snap["wall_seconds"] == report.wall_seconds
 
 
 def test_one_exchange_span_per_remapping(backend, tracer):

@@ -6,8 +6,9 @@ runtime ops over abstract array descriptors; the executor's
 default kernels and no memory limit the two must agree -- the contract
 asserted here is agreement within 10% on every quantity, and (stronger,
 because the simulator mirrors the executor's descriptor logic exactly)
-bit-equal byte and message counts on the paper figures and the three
-workload generators.
+bit-equal byte, message and phase counts, and makespans equal to
+summation order, on the paper figures and the three workload generators,
+unscheduled and under every schedule policy.
 """
 
 from __future__ import annotations
@@ -29,70 +30,16 @@ from repro.apps.workloads import (
     loopy_subroutine,
 )
 from repro.compiler.pipeline import PassManager
+from repro.spmd.schedule import POLICIES
 from repro.spmd.traffic import enumerate_scenarios, estimate_range
-
-# paper Fig. 1: realign+redistribute through an unused intermediate mapping
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-# paper Fig. 10/12: the running example (branches, loop, alignment family)
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
+from test_symbolic import CASES, FIG1, FIG12
 
 N = 16
 
+#: the paper's Fig. 1 / 12 (both branches) / 16 programs, then the three
+#: workload generators
 WORKLOADS = {
-    "fig1": dict(
-        source=FIG1,
-        bindings={"n": N},
-        conditions={},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N), "b": np.ones((N, N))},
-    ),
-    "fig12-then": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": True},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-    "fig12-else": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": False},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
+    **{name: case(N) for name, case in CASES.items()},
     "chain": dict(
         source=chain_subroutine(6, 3),
         bindings={},
@@ -114,12 +61,12 @@ WORKLOADS = {
 }
 
 
-def _observe(w, level):
+def _observe(w, level, schedule=None):
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"] or None,
         processors=4,
-        options=CompilerOptions(level=level),
+        options=CompilerOptions(level=level, schedule=schedule),
     )
     machine = Machine(compiled.processors)
     env = ExecutionEnv(
@@ -139,20 +86,40 @@ def _observe(w, level):
     return predicted, result.observed_traffic()
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_predicted_vs_observed_within_tolerance(workload, level):
-    predicted, observed = _observe(WORKLOADS[workload], level)
+#: workload x level x (unscheduled + every policy); the unscheduled ids
+#: stay ``workload-level``
+GRID = [
+    pytest.param(
+        workload,
+        level,
+        schedule,
+        id=f"{workload}-{level}" + (f"-{schedule}" if schedule else ""),
+    )
+    for workload in sorted(WORKLOADS)
+    for level in (0, 1, 2, 3)
+    for schedule in (None, *POLICIES)
+]
+
+
+@pytest.mark.parametrize("workload, level, schedule", GRID)
+def test_predicted_vs_observed_within_tolerance(workload, level, schedule):
+    predicted, observed = _observe(WORKLOADS[workload], level, schedule)
     for key in ("bytes", "messages", "local_bytes", "local_copies", "status_checks"):
         p, o = getattr(predicted, key), getattr(observed, key)
         assert abs(p - o) <= 0.1 * max(o, 1), (
-            f"{workload} level {level}: predicted {key}={p}, observed {o}"
+            f"{workload} level {level} {schedule}: predicted {key}={p}, observed {o}"
         )
     # stronger than the 10% contract: the simulator mirrors the executor's
-    # descriptor machinery, so these workloads predict exactly
+    # descriptor machinery and prices each copy by its plan's own ledger,
+    # so these workloads predict exactly, phased or not
     assert predicted.bytes == observed.bytes
     assert predicted.messages == observed.messages
     assert predicted.status_checks == observed.status_checks
+    assert predicted.phases == observed.phases
+    if schedule is not None and observed.messages:
+        assert observed.phases > 0
+    # the two sum the same phase durations in a different order
+    assert predicted.makespan == pytest.approx(observed.makespan, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
