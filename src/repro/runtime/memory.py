@@ -29,13 +29,7 @@ from repro.spmd.machine import Machine
 
 def blocks_needed(mapping: Mapping, machine: Machine, itemsize: int) -> dict[int, int]:
     """Bytes the mapping's storage needs on each linear rank."""
-    lay = layout_of(mapping)
-    out: dict[int, int] = {}
-    for q in lay.holders():
-        rank = lay.procs.linear_rank(q)
-        n = lay.owned_count(q)
-        out[rank] = out.get(rank, 0) + n * itemsize
-    return out
+    return {h.rank: h.elements * itemsize for h in layout_of(mapping).table}
 
 
 class MemoryManager:

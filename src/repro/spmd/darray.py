@@ -3,36 +3,53 @@
 A :class:`DistributedArray` is the runtime instance of one *array version*
 (one statically mapped copy in the paper's scheme).  Each holding processor
 stores exactly its owned elements, densely packed in the local numbering
-defined by the layout.  Scatter/gather against a global NumPy array are
-provided for initialization and verification; they are bookkeeping
-operations and deliberately do not touch the traffic statistics --
-only remapping copies (the paper's subject) are accounted as communication.
+defined by the layout.  Which ranks hold a block, of what shape and how
+many bytes, and where each block's elements sit in the global array
+(:func:`holder_index`) are read from the shared layout's holder table:
+an array version adds the storage, nothing else.  Scatter/gather against
+a global NumPy array are provided for initialization and verification;
+they are bookkeeping operations and deliberately do not touch the traffic
+statistics -- only remapping copies (the paper's subject) are accounted
+as communication.
+
+:func:`members_array`, :func:`positions_in` and :func:`block_index` are
+the general, member-enumerating index arithmetic: what ownership that is
+not an arithmetic progression needs, and the reference the closed forms
+of :mod:`repro.mapping.ownership` are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import OutOfMemoryError, RuntimeRemapError, ShapeError
 from repro.mapping.mapping import Mapping
-from repro.mapping.ownership import Layout, layout_of
+from repro.mapping.ownership import Holder, Layout, layout_of
 from repro.spmd.machine import Machine
 from repro.util.intervals import IntervalSet
 
 
 def members_array(s: IntervalSet) -> np.ndarray:
-    """All members of an interval set as an int64 vector (vectorized)."""
-    if not s:
+    """All members of an interval set as an int64 vector (vectorized: a
+    constant number of NumPy calls however many intervals)."""
+    ivs = s.intervals
+    if not ivs:
         return np.empty(0, dtype=np.int64)
-    parts = [np.arange(lo, hi, dtype=np.int64) for lo, hi in s.intervals]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(ivs) == 1:
+        return np.arange(*ivs[0], dtype=np.int64)
+    bounds = np.array(ivs, dtype=np.int64)
+    starts, lengths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    before = np.cumsum(lengths) - lengths  # members in earlier intervals
+    return np.arange(before[-1] + lengths[-1]) + np.repeat(starts - before, lengths)
 
 
 def positions_in(owned: IntervalSet, subset: IntervalSet) -> np.ndarray:
     """Local positions of every member of ``subset`` within ``owned``.
 
     ``subset`` must be contained in ``owned``.  Vectorized equivalent of
-    ``[owned.position(x) for x in subset]``.
+    ``[owned.position(x) for x in subset]``: the general path of
+    :func:`~repro.spmd.redistribution.prepare_move` and the reference its
+    closed forms are tested against.
     """
     if not subset:
         return np.empty(0, dtype=np.int64)
@@ -66,6 +83,28 @@ def block_index(positions: tuple[np.ndarray, ...]) -> tuple:
     return tuple(slices)
 
 
+def progression_slice(positions: range) -> slice:
+    """:func:`block_index`'s slice for positions known as a ``range``."""
+    if not positions:
+        return slice(0, 0)
+    return slice(positions[0], positions[-1] + 1, positions.step if len(positions) > 1 else 1)
+
+
+def holder_index(h: Holder) -> tuple:
+    """Index of a holder's owned elements in the global array, worked out
+    once per layout (memoised on the shared holder table): slices straight
+    from the progressions, the ``np.ix_`` mesh of the members only where
+    ownership is not a progression."""
+    index = h.indexer
+    if index is None:
+        if None in h.progressions:
+            index = block_index(tuple(members_array(s) for s in h.owned))
+        else:
+            index = tuple(progression_slice(p) for p in h.progressions)
+        h.indexer = index
+    return index
+
+
 class DistributedArray:
     """One statically mapped array version living on the machine."""
 
@@ -89,15 +128,23 @@ class DistributedArray:
         self.layout: Layout = layout_of(mapping)
         self._account = account_memory
         self.blocks: dict[int, np.ndarray] = {}
-        for q in self.layout.holders():
-            rank = mapping.processors.linear_rank(q)
-            shape = self.layout.local_shape(q)
-            block = self._new_block(rank, shape)
-            self.blocks[rank] = block
-            if account_memory:
-                machine.allocate(rank, block.nbytes)
         self._freed = False
-        self._indexers: list[tuple[int, tuple]] | None = None
+        table = self.layout.table
+        if account_memory:  # every rank must fit before anything is placed
+            for h in table:
+                if not machine.would_fit(h.rank, h.elements * self.itemsize):
+                    raise OutOfMemoryError(
+                        f"cannot place {name}: {h.elements * self.itemsize} bytes "
+                        f"exceed the memory limit on processor {h.rank}"
+                    )
+        try:
+            for h in table:
+                block = self.blocks[h.rank] = self._new_block(h.rank, h.local_shape)
+                if account_memory:
+                    machine.allocate(h.rank, block.nbytes)
+        except BaseException:  # a placement failed: give back what was placed
+            self.free()
+            raise
 
     # -- storage hooks (subclasses may place blocks elsewhere) ----------------
 
@@ -140,31 +187,22 @@ class DistributedArray:
 
     # -- scatter / gather (bookkeeping, not counted as traffic) -----------------
 
-    def _holder_indexers(self) -> list[tuple[int, tuple]]:
-        """``(rank, index of the rank's owned elements in the global array)``
-        per holder, worked out once per instance (layouts are immutable)."""
-        if self._indexers is None:
-            layout = self.layout
-            self._indexers = [
-                (
-                    layout.procs.linear_rank(q),
-                    block_index(tuple(members_array(s) for s in layout.owned(q))),
-                )
-                for q in layout.holders()
-            ]
-        return self._indexers
+    def _live_blocks(self) -> list[tuple[np.ndarray, tuple]]:
+        """``(block, index of its elements in the global array)`` per holder."""
+        if self._freed:
+            raise RuntimeRemapError(f"array {self.name} has been freed")
+        return [(self.blocks[h.rank], holder_index(h)) for h in self.layout.table]
 
     def scatter_from_global(self, arr: np.ndarray) -> None:
         if tuple(arr.shape) != self.shape:
             raise ShapeError(f"expected shape {self.shape}, got {arr.shape}")
-        for rank, idx in self._holder_indexers():
-            self.blocks[rank][...] = arr[idx]
-        self._freed = False
+        for block, idx in self._live_blocks():
+            block[...] = arr[idx]
 
     def gather_to_global(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.dtype)
-        for rank, idx in self._holder_indexers():
-            out[idx] = self.blocks[rank]
+        for block, idx in self._live_blocks():
+            out[idx] = block
         return out
 
     # -- element access ----------------------------------------------------------
@@ -209,10 +247,7 @@ class DistributedArray:
     def check_replicas_consistent(self) -> bool:
         """True iff all replicas of every element agree (test invariant)."""
         ref = self.gather_to_global()
-        return all(
-            np.array_equal(ref[idx], self.blocks[rank])
-            for rank, idx in self._holder_indexers()
-        )
+        return all(np.array_equal(ref[idx], block) for block, idx in self._live_blocks())
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,13 @@ Properties the tests enforce:
   transfer is a local copy (no message), so remapping to the *same* mapping
   generates zero messages;
 * **replication awareness** -- a receiver that already holds a source
-  replica copies locally instead of receiving a message.
+  replica copies locally instead of receiving a message;
+* **descriptor identity** -- :func:`prepare_move` lowers a transfer to
+  block positions by integer arithmetic on the two mappings wherever the
+  index sets and the ownership are intervals or progressions, and
+  by locating every member (:func:`~repro.spmd.darray.positions_in`)
+  elsewhere; both produce the same descriptor and reject the same
+  transfers.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ShapeError
-from repro.mapping.ownership import Layout
+from repro.mapping.ownership import Holder, Layout, dim_position
 from repro.spmd.darray import DistributedArray, block_index, positions_in
 from repro.util.intervals import IntervalSet
 
@@ -90,27 +96,68 @@ class PreparedMove:
         ]
 
 
+def _dim_slice(m, coord: int, own: range | None, sub: range | None) -> slice | None:
+    """One dimension of :func:`_located` by integer arithmetic: the slice
+    of index set ``sub`` inside the owned set (``own`` when that is a
+    progression), ``None`` where there is no closed form;
+    :exc:`~repro.errors.ShapeError` if ``sub`` is not owned."""
+    if sub is None or (own is None and sub.step > 1):
+        return None
+    if not sub:
+        return slice(0, 0)
+    try:
+        if own is not None:
+            first, last = own.index(sub[0]), own.index(sub[-1])
+            # both ends are members: so is everything between iff the steps nest
+            step = 1 if len(sub) == 1 else sub.step // own.step
+            contained = len(sub) == 1 or sub.step % own.step == 0
+        else:
+            first, last = dim_position(m, coord, sub[0]), dim_position(m, coord, sub[-1])
+            if first is None:
+                return None
+            # an interval, ends owned: all of it is iff the positions are as far apart
+            step, contained = 1, last - first == len(sub) - 1
+    except ValueError:
+        contained = False
+    if not contained:
+        raise ShapeError("subset not contained in owned index set")
+    return slice(first, last + 1, step)
+
+
+def _located(h: Holder, index_sets: tuple[IntervalSet, ...], subsets: tuple) -> tuple:
+    """Index of the ``index_sets`` (``subsets``: each as a progression, or
+    None) inside holder ``h``'s block: slices by :func:`_dim_slice` when
+    every dimension has a closed form, else the general path -- every
+    member located by :func:`~repro.spmd.darray.positions_in`.  The slices
+    are :func:`~repro.spmd.darray.block_index`'s whichever path built them.
+    """
+    slices = []
+    for (m, coord), own, sub in zip(h.dims, h.progressions, subsets):
+        located = _dim_slice(m, coord, own, sub)
+        if located is None:
+            return block_index(tuple(positions_in(o, s) for o, s in zip(h.owned, index_sets)))
+        slices.append(located)
+    return tuple(slices)
+
+
 def prepare_move(t: Transfer, src_lay: Layout, dst_lay: Layout) -> PreparedMove:
     """Lower one non-empty transfer to its copy descriptor.
 
     The only place block positions are worked out: the global index sets
-    are located inside the sender's and the receiver's owned sets by
-    :func:`~repro.spmd.darray.positions_in`, whose containment check
-    rejects a transfer the two layouts do not support.
+    are located inside the sender's and the receiver's owned sets (see
+    :func:`_located`), and a transfer the two layouts do not support is
+    rejected with :exc:`~repro.errors.ShapeError`.
     """
-    src_owned = src_lay.owned(src_lay.procs.coords(t.src_rank))
-    dst_owned = dst_lay.owned(dst_lay.procs.coords(t.dst_rank))
-    assert src_owned is not None and dst_owned is not None
-    src_pos, dst_pos = (
-        tuple(positions_in(o, s) for o, s in zip(owned, t.index_sets))
-        for owned in (src_owned, dst_owned)
-    )
-    shape = tuple(len(pos) for pos in src_pos)
+    src, dst = src_lay.holder(t.src_rank), dst_lay.holder(t.dst_rank)
+    if src is None or dst is None:
+        raise ShapeError(f"rank {t.src_rank if src is None else t.dst_rank} holds nothing to copy")
+    subsets = tuple(s.progression() for s in t.index_sets)
+    shape = tuple(len(s if p is None else p) for s, p in zip(t.index_sets, subsets))
     return PreparedMove(
         t.src_rank,
         t.dst_rank,
-        block_index(src_pos),
-        block_index(dst_pos),
+        _located(src, t.index_sets, subsets),
+        _located(dst, t.index_sets, subsets),
         shape,
         math.prod(shape),
     )
@@ -157,29 +204,22 @@ def build_schedule(src: Layout, dst: Layout) -> RedistSchedule:
 
     # distinct source ownership classes: key = coords along consumed dims
     classes: dict[tuple[int, ...], tuple[IntervalSet, ...]] = {}
-    for q in src.holders():
-        key = src.class_key(q)
+    for h in src.table:
+        key = src.class_key(h.coords)
         if key not in classes:
-            owned = src.owned(q)
-            assert owned is not None
-            classes[key] = owned
+            classes[key] = h.owned
 
     transfers: list[Transfer] = []
-    for qd in dst.holders():
-        dst_owned = dst.owned(qd)
-        assert dst_owned is not None
-        if any(len(s) == 0 for s in dst_owned):
+    for receiver in dst.table:
+        if not receiver.elements:
             continue
-        dst_rank = dst.procs.linear_rank(qd)
         # the receiver's identity viewed through the source grid, so that a
         # receiver already holding a source replica copies locally
-        qd_in_src = src.procs.coords(dst_rank)
+        qd_in_src = src.procs.coords(receiver.rank)
         for key, src_owned in classes.items():
-            isect = tuple(a & b for a, b in zip(src_owned, dst_owned))
+            isect = tuple(a & b for a, b in zip(src_owned, receiver.owned))
             if any(len(s) == 0 for s in isect):
                 continue
-            sender = src.sender_for(key, qd_in_src)
-            transfers.append(
-                Transfer(src.procs.linear_rank(sender), dst_rank, isect)
-            )
+            sender = src.holder_at(src.sender_for(key, qd_in_src))
+            transfers.append(Transfer(sender.rank, receiver.rank, isect))
     return RedistSchedule(transfers)

@@ -115,6 +115,21 @@ class IntervalSet:
             raise ValueError("empty IntervalSet has no min")
         return self._ivs[0][0]
 
+    def progression(self) -> range | None:
+        """The members as a ``range`` when they form one arithmetic
+        progression (one interval, or equally spaced single members), else
+        ``None``.  One pass over the intervals, no element enumerated."""
+        ivs = self._ivs
+        if not ivs:
+            return range(0)
+        if len(ivs) == 1:
+            return range(*ivs[0])
+        first = ivs[0][0]
+        step = ivs[1][0] - first
+        starts = range(first, first + len(ivs) * step, step)
+        ends = range(first + 1, first + 1 + len(ivs) * step, step)
+        return starts if ivs == tuple(zip(starts, ends)) else None
+
     def position(self, x: int) -> int:
         """Rank of ``x`` among the set's members in increasing order.
 

@@ -10,11 +10,15 @@ them.  Pinned here:
   ``scatter_from_global``, which never calls ``positions_in``;
 * **descriptor shape** -- slices where positions are arithmetic
   progressions, open-mesh vectors otherwise, never a mix;
+* **descriptor identity** -- ``prepare_move``'s integer arithmetic
+  produces the very descriptors of the ``positions_in`` + ``block_index``
+  reference (written out here), rejects what it rejects, and on a
+  progression layout calls no NumPy helper at all;
 * **ledger** -- charging a plan's ledger delta equals, bit for bit, the
   per-message accounting it replaced (a reference written out here);
-* **once** -- a warm ``session.run`` makes zero ``positions_in`` calls,
-  opens no ``remap.lower`` span, builds no ``Message`` and copies at most
-  once per whole transfer;
+* **once** -- a warm ``session.run`` makes zero ``prepare_move`` (and so
+  zero ``positions_in``) calls, opens no ``remap.lower`` span, builds no
+  ``Message`` and copies at most once per whole transfer;
 * **derived state only** -- pickles, ``repr`` and equality see neither a
   plan's lowered form nor a table's plans;
 * **first-use race** -- two threads first-executing one frozen artifact
@@ -24,6 +28,7 @@ them.  Pinned here:
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 import sys
 import threading
@@ -34,7 +39,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CompilerOptions, CompilerSession, ExecutionEnv, Machine, execute
-from repro.mapping import DistFormat, Mapping, ProcessorArrangement
+from repro.apps.adi import adi_kernels, build_adi_program
+from repro.apps.fft2d import build_fft2d_program, fft2d_kernels
+from repro.apps.lu import build_lu_program, lu_kernels
+from repro.apps.sar import build_sar_program, chirp, sar_kernels
+from repro.errors import ShapeError
+from repro.mapping import (
+    Alignment,
+    AxisAlign,
+    DistFormat,
+    Distribution,
+    Mapping,
+    ProcessorArrangement,
+    Template,
+)
 from repro.mapping.ownership import layout_of
 from repro.obs import REGISTRY
 from repro.spmd import (
@@ -44,10 +62,12 @@ from repro.spmd import (
     execute_comm_schedule,
     plan_redistribution,
 )
-from repro.spmd import redistribution
+from repro.spmd import darray, redistribution, schedule
+from repro.spmd.darray import block_index, positions_in
 from repro.spmd.message import Message, message_of
-from repro.spmd.redistribution import PreparedMove, prepare_move
+from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
 from repro.spmd.schedule import POLICIES
+from repro.util.intervals import IntervalSet
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
 
@@ -295,21 +315,179 @@ def test_unpacked_messages_always_lower_to_slices(policy):
 
 
 # ---------------------------------------------------------------------------
+# (b') descriptor identity: the closed forms against the general path
+# ---------------------------------------------------------------------------
+
+
+def reference_move(t, src_lay, dst_lay):
+    """``prepare_move`` by the general path alone: every member of every
+    index set located by ``positions_in``, the index canonicalised by
+    ``block_index``."""
+    src_ix, dst_ix = (
+        block_index(tuple(positions_in(o, s) for o, s in zip(h.owned, t.index_sets)))
+        for h in (src_lay.holder(t.src_rank), dst_lay.holder(t.dst_rank))
+    )
+    shape = tuple(len(s) for s in t.index_sets)
+    return PreparedMove(t.src_rank, t.dst_rank, src_ix, dst_ix, shape, math.prod(shape))
+
+
+def same_descriptor(a, b):
+    """``a == b``, with open-mesh vectors compared by value and dtype."""
+
+    def same_index(x, y):
+        return len(x) == len(y) and all(
+            type(p) is type(q)
+            and (p == q if type(p) is slice else p.dtype == q.dtype and p.shape == q.shape)
+            and np.array_equal(p, q)
+            for p, q in zip(x, y)
+        )
+
+    return (
+        (a.src_rank, a.dst_rank, a.shape, a.elements)
+        == (b.src_rank, b.dst_rank, b.shape, b.elements)
+        and same_index(a.src_ix, b.src_ix)
+        and same_index(a.dst_ix, b.dst_ix)
+    )
+
+
+def aligned(shape, axes, fmts, pshape, t_shape=None):
+    template = Template("T", t_shape or shape)
+    return Mapping(
+        Alignment(shape, template, axes),
+        Distribution(template, fmts, ProcessorArrangement("P", pshape)),
+    )
+
+
+def transposed(shape, f, nprocs):
+    """A(i, j) WITH T(j, i), the template's first dimension distributed."""
+    axes = (AxisAlign.dim(1), AxisAlign.dim(0))
+    return aligned(shape, axes, (f, STAR), (nprocs,), t_shape=shape[::-1])
+
+
+def strided(n, f, nprocs, stride):
+    """A(i) WITH T(stride*i + 1) (reversed for a negative stride)."""
+    span = abs(stride) * (n - 1)
+    axes = (AxisAlign.dim(0, stride, 1 + (span if stride < 0 else 0)),)
+    return aligned((n,), axes, (f,), (nprocs,), t_shape=(span + 3,))
+
+
+extent = st.integers(1, 40)
+mapping_pairs = st.one_of(
+    st.tuples(st.one_of(pair_1d, pair_2d), st.integers(1, 5)).map(
+        lambda a: (mk(a[0][0], a[0][1], a[1]), mk(a[0][0], a[0][2], a[1]))
+    ),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), fmt, fmt, st.integers(1, 4)).map(
+        lambda a: (mk(a[:2], (a[2], STAR), a[4]), transposed(a[:2], a[3], a[4]))
+    ),
+    st.tuples(extent, fmt, fmt, st.integers(1, 5), st.sampled_from([1, -1, 2, -3])).map(
+        lambda a: (strided(a[0], a[1], a[3], a[4]), mk((a[0],), (a[2],), a[3]))
+    ),
+    st.tuples(extent, fmt, st.booleans()).map(  # fully replicated on a 2x2 grid
+        lambda a: (
+            Mapping.replicated((a[0],), ProcessorArrangement("P", (2, 2))),
+            mk((a[0],), (a[1],), 4),
+        )[:: -1 if a[2] else 1]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=mapping_pairs, way=st.sampled_from(WAYS))
+def test_prop_descriptors_equal_the_positions_in_reference(pair, way):
+    """Every move of ``lowered()`` and every part of ``wire()`` is the
+    descriptor the general path builds -- same slices, same vectors."""
+    src, dst = pair
+    plan, reference = plan_redistribution(src, dst, way), plan_redistribution(src, dst, way)
+    got = moves_of(plan, layout_of(src), layout_of(dst))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schedule, "prepare_move", reference_move)
+        want = moves_of(reference, layout_of(src), layout_of(dst))
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert same_descriptor(a, b), (a, b)
+
+
+def test_transfer_outside_the_layouts_raises_on_every_path():
+    block, cyclic, cyclic3 = (layout_of(mk((64,), (f,), 4)) for f in (B, C1, C3))
+
+    def refused(index_set, src, dst):
+        t = Transfer(0, 0, (index_set,))
+        for move in (prepare_move, reference_move):
+            with pytest.raises(ShapeError, match="not contained"):
+                move(t, src, dst)
+
+    # one interval: it crosses the first block's end / holds an unowned cell
+    refused(IntervalSet([(10, 20)]), block, block)
+    refused(IntervalSet([(3, 4)]), cyclic3, cyclic3)
+    refused(IntervalSet([(1, 4)]), cyclic3, cyclic3)
+    # ... or has both ends owned and a gap between them
+    refused(IntervalSet([(1, 14)]), cyclic3, cyclic3)
+    refused(IntervalSet([(0, 5)]), cyclic, cyclic)
+    # a progression: off the owner's by one, then a step the owner's does not divide
+    refused(IntervalSet.from_indices(range(1, 16, 4)), block, cyclic)
+    refused(IntervalSet.from_indices(range(0, 16, 6)), block, cyclic)
+    # neither: runs of the cyclic(3) owner plus one cell of its neighbour
+    refused(IntervalSet([(0, 4), (12, 15)]), block, cyclic3)
+    # a rank that holds nothing has nothing to copy
+    with pytest.raises(ShapeError):
+        prepare_move(Transfer(0, 7, (IntervalSet([(0, 1)]),)), block, block)
+
+
+def test_progression_layouts_lower_and_index_without_numpy_helpers(monkeypatch):
+    """On a progression layout neither the holder table, nor the
+    scatter/gather indexers, nor ``prepare_move`` (whole transfers, run
+    rectangles and wire parts alike) enumerates a member."""
+    calls = [
+        counted(monkeypatch, module, name)
+        for module, name in (
+            (darray, "members_array"),
+            (redistribution, "positions_in"),
+            (redistribution, "block_index"),
+            (darray, "block_index"),
+        )
+    ]
+    n = 4096
+    src, dst = mk((n,), (B,), 4), mk((n,), (C1,), 4)
+    machine = Machine(src.processors)
+    source, target = DistributedArray("A", src, machine), DistributedArray("A", dst, machine)
+    source.scatter_from_global(np.arange(float(n)))
+    for way in WAYS:
+        plan = plan_redistribution(src, dst, way)
+        assert all(m.is_basic for m in moves_of(plan, source.layout, target.layout))
+        execute_comm_schedule(plan, source, target, machine)
+        assert np.array_equal(target.gather_to_global(), np.arange(float(n)))
+    assert calls == [[], [], [], []]
+    # ... and under cyclic(3), whose whole transfers take the general path,
+    # every run rectangle is still located by dim_position alone
+    cyclic3 = mk((n,), (C3,), 4)
+    plan = plan_redistribution(src, cyclic3, None)
+    rects = [r for t in plan.transfers for r in schedule.rectangles(t)]
+    assert len(rects) > n // 4
+    assert all(prepare_move(r, source.layout, layout_of(cyclic3)).is_basic for r in rects)
+    assert calls == [[], [], [], []]
+
+
+# ---------------------------------------------------------------------------
 # (c) lowered once: warm runs do no index arithmetic
 # ---------------------------------------------------------------------------
 
 
+def counted(monkeypatch, module, name):
+    """The list every call of ``module.name`` appends to from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 @pytest.fixture
 def counted_positions_in(monkeypatch):
-    calls = []
-    real = redistribution.positions_in
+    return counted(monkeypatch, redistribution, "positions_in")
 
-    def counting(owned, subset):
-        calls.append(1)
-        return real(owned, subset)
 
-    monkeypatch.setattr(redistribution, "positions_in", counting)
-    return calls
+@pytest.fixture
+def counted_prepare_move(monkeypatch):
+    # the lowering entry point, called through the schedule module's reference
+    return counted(monkeypatch, schedule, "prepare_move")
 
 
 def span_names(tracer):
@@ -320,49 +498,79 @@ def span_names(tracer):
 
 @pytest.fixture
 def counted_build_schedule(monkeypatch):
-    calls = []
-    real = redistribution.build_schedule
-
-    def counting(src, dst):
-        calls.append(1)
-        return real(src, dst)
-
     # plans are built through the schedule module's reference to it
-    monkeypatch.setattr("repro.spmd.schedule.build_schedule", counting)
-    return calls
+    return counted(monkeypatch, schedule, "build_schedule")
 
 
 def test_warm_run_makes_zero_positions_in_calls(
-    counted_positions_in, counted_build_schedule, tracer
+    counted_positions_in, counted_prepare_move, counted_build_schedule, tracer
 ):
     for policy in WAYS:
-        check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer)
+        check_warm_run(policy, counted_prepare_move, counted_build_schedule, tracer)
+    # block <-> cyclic lowers in closed form: no member was ever enumerated
+    assert counted_positions_in == []
 
 
-def check_warm_run(policy, counted_positions_in, counted_build_schedule, tracer):
+def check_warm_run(policy, counted_prepare_move, counted_build_schedule, tracer):
     session = CompilerSession(4, CompilerOptions(level=3, schedule=policy))
     lowered = REGISTRY.counter("repro.schedule.plans_lowered")
     kwargs = dict(bindings={"n": 64, "t": 4}, inputs={"a": np.arange(64.0)})
 
-    del counted_positions_in[:]
+    del counted_prepare_move[:]
     before = lowered.value
     cold = session.run(LOOP, **kwargs)
     assert cold.stats.remaps_performed == 8
-    assert len(counted_positions_in) > 0
+    assert len(counted_prepare_move) > 0
     assert lowered.value - before == 2  # block->cyclic and cyclic->block
     assert span_names(tracer).count("remap.lower") == 2
 
     plans = session.compile(LOOP, bindings=kwargs["bindings"]).plans
     assert plans.stats()["misses"] == 2
-    del counted_positions_in[:], counted_build_schedule[:]
+    del counted_prepare_move[:], counted_build_schedule[:]
     warm = session.run(LOOP, **kwargs)
     assert warm.stats.remaps_performed == 8
     assert plans.stats()["misses"] == 2 and plans.stats()["hits"] == 14
-    assert counted_positions_in == [] and counted_build_schedule == []
+    assert counted_prepare_move == [] and counted_build_schedule == []
     assert lowered.value - before == 2
     assert "remap.lower" not in span_names(tracer)
     assert np.array_equal(warm.value("a"), cold.value("a"))
     assert warm.stats.snapshot() == cold.stats.snapshot()
+
+
+def app_requests(n):
+    lu_prog, steps = build_lu_program(n, block=8)
+    rng = np.random.default_rng(0)
+    real, cplx = rng.normal(size=(n, n)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return {
+        "adi": dict(source=build_adi_program(n), bindings={"t": 2}, kernels=adi_kernels(alpha=0.1),
+                    inputs={"u": real}),
+        "fft2d": dict(source=build_fft2d_program(n), kernels=fft2d_kernels(), inputs={"x": cplx},
+                      dtype=np.complex128),
+        "lu": dict(source=lu_prog, bindings={"steps": steps}, kernels=lu_kernels(n, block=8),
+                   inputs={"a": real + n * np.eye(n)}),
+        "sar": dict(source=build_sar_program(n), bindings={"looks": 1},
+                    kernels=sar_kernels(chirp(n, 7.0), chirp(n, 3.0)), inputs={"img": cplx},
+                    dtype=np.complex128),
+    }  # fmt: skip
+
+
+def test_app_runs_cold_without_positions_in_and_warm_without_any_geometry(
+    monkeypatch, counted_positions_in, counted_prepare_move
+):
+    """The four applications remap between progression layouts: the first
+    run lowers every plan in closed form, the second finds plans lowered
+    and layouts indexed -- no ``prepare_move``, no ``members_array``."""
+    members = counted(monkeypatch, darray, "members_array")
+    for name, request in app_requests(64).items():
+        session = CompilerSession(4)
+        cold = session.run(**request)
+        assert cold.stats.remaps_performed > 0 and counted_prepare_move, name
+        del counted_prepare_move[:]
+        warm = session.run(**request)
+        assert warm.stats.snapshot() == cold.stats.snapshot()
+        array = next(iter(request["inputs"]))
+        assert np.array_equal(warm.value(array), cold.value(array))
+        assert counted_prepare_move == [] and counted_positions_in == [] and members == [], name
 
 
 def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
@@ -401,7 +609,7 @@ def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
 
 
 def test_binding_wrappers_share_the_artifacts_plan_memo(
-    counted_positions_in, counted_build_schedule
+    counted_prepare_move, counted_build_schedule
 ):
     """A different runtime-only ``t`` is served by a ``with_bindings``
     wrapper over the cached artifact: same plan table, same plans."""
@@ -411,9 +619,9 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
         first = svc.submit(LOOP, bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
         first = first.result()
         assert first.error is None and first.result.stats.remaps_performed == 4
-        assert counted_positions_in and counted_build_schedule
+        assert counted_prepare_move and counted_build_schedule
 
-        del counted_positions_in[:], counted_build_schedule[:]
+        del counted_prepare_move[:], counted_build_schedule[:]
         other = svc.submit(LOOP, bindings={"n": 64, "t": 3}, inputs={"a": np.arange(64.0)})
         other = other.result()
         assert other.error is None and other.cache_source == "memory"
@@ -421,7 +629,7 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
         assert other.compiled.plans is first.compiled.plans
         assert other.result.stats.remaps_performed == 6
         assert other.compiled.plans.stats()["misses"] == 2
-        assert counted_positions_in == [] and counted_build_schedule == []
+        assert counted_prepare_move == [] and counted_build_schedule == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,16 @@ from repro.mapping import (
     ProcessorArrangement,
     Template,
 )
-from repro.mapping.mapping import DimMap
-from repro.mapping.ownership import affine_preimage, dim_owned, layout_of
+from repro.mapping import ownership
+from repro.mapping.mapping import DimMap, GridConstraint, GridConstraintKind
+from repro.mapping.ownership import (
+    Layout,
+    affine_preimage,
+    dim_owned,
+    dim_position,
+    dim_progression,
+    layout_of,
+)
 from repro.util.intervals import IntervalSet
 
 
@@ -435,3 +445,158 @@ def test_prop_2d_every_element_has_primary_owner(n0, n1, f0, f1, p0, p1):
             owned = lay.owned(q)
             assert owned is not None
             assert i in owned[0] and j in owned[1]
+
+
+# ---------------------------------------------------------------------------
+# property-based: the closed forms and the holder table against dim_owned
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dim_maps(draw):
+    """A ``DimMap`` of any kind whose affine image stays inside its template
+    (what a validated alignment guarantees), padded on both sides."""
+    extent = draw(st.integers(0, 24))
+    if draw(st.integers(0, 5)) == 0:
+        return DimMap(extent=extent)
+    fmt = draw(
+        st.one_of(
+            st.builds(DistFormat.cyclic, st.one_of(st.none(), st.integers(1, 4))),
+            st.builds(DistFormat.block, st.one_of(st.none(), st.integers(20, 40))),
+        )
+    )
+    nprocs = draw(st.integers(1, 8))
+    stride = draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+    pad_lo, pad_hi = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    span = abs(stride) * max(extent - 1, 0)
+    t_extent = pad_lo + span + 1 + pad_hi
+    if fmt.kind is DistKind.BLOCK and fmt.block is not None and fmt.block * nprocs < t_extent:
+        fmt = DistFormat.block()
+    return DimMap(
+        extent=extent,
+        proc_dim=0,
+        kind=fmt.kind,
+        block=fmt.resolve_block(t_extent, nprocs),
+        nprocs=nprocs,
+        stride=stride,
+        offset=pad_lo + (span if stride < 0 else 0),
+        template_extent=t_extent,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(dm=dim_maps())
+def test_prop_closed_forms_match_dim_owned(dm):
+    """``dim_progression`` is ``None`` or has exactly ``dim_owned``'s members;
+    ``dim_position`` is ``IntervalSet.position`` on owned indices and refuses
+    the others; both agree with the per-element ``owner_coordinate``."""
+    for c in range(dm.nprocs):
+        owned = dim_owned(dm, c)
+        own = dim_progression(dm, c)
+        if own is not None:
+            assert list(own) == list(owned), (dm, c)
+        else:  # several runs of a block-cyclic format meet the image, nothing less
+            assert dm.kind is DistKind.CYCLIC and dm.block > 1 and dm.nprocs > 1
+            assert abs(dm.stride) > 1 or len(owned.intervals) > 1
+        for i in range(-1, dm.extent + 1):
+            mine = 0 <= i < dm.extent and dm.owner_coordinate(i) in (c, None)
+            assert mine == (i in owned)
+            if own is None and abs(dm.stride) > 1:
+                assert dim_position(dm, c, i) is None
+            elif mine:
+                assert dim_position(dm, c, i) == owned.position(i), (dm, c, i)
+            else:
+                with pytest.raises(ValueError):
+                    dim_position(dm, c, i)
+
+
+def replicated_pinned(n, cell, pshape=(2, 3)):
+    """A(i) WITH T(*, cell): replicated along grid dim 0, pinned along dim 1."""
+    t = Template("T", (4, 6))
+    dist = Distribution(
+        t, (DistFormat.block(), DistFormat.cyclic()), ProcessorArrangement("P", pshape)
+    )
+    align = Alignment((n,), t, (AxisAlign.replicate(), AxisAlign.const(cell)))
+    return Mapping(align, dist)
+
+
+def contradictory_pins():
+    """Two constants pinning one grid dimension differently: held nowhere.
+    (No directive spells this; the layout models it as an empty pin.)"""
+    m = replicated_pinned(5, 2)
+    vars(m)["grid_constraints"] = (
+        GridConstraint(1, GridConstraintKind.PINNED, 0),
+        GridConstraint(1, GridConstraintKind.PINNED, 2),
+    )
+    return m
+
+
+def two_dim(n0, n1, f0, f1, p0, p1, transpose):
+    """A 2-D array on a 1- or 2-D grid, identity- or transpose-aligned."""
+    template = Template("T", (n1, n0) if transpose else (n0, n1))
+    axes = (AxisAlign.dim(1), AxisAlign.dim(0)) if transpose else (AxisAlign.dim(0), AxisAlign.dim(1))
+    pshape = tuple(p for f, p in ((f0, p0), (f1, p1)) if f.is_distributed)
+    return Mapping(
+        Alignment((n0, n1), template, axes),
+        Distribution(template, (f0, f1), ProcessorArrangement("P", pshape)),
+    )
+
+
+table_mappings = st.one_of(
+    st.builds(
+        two_dim,
+        st.integers(1, 12),
+        st.integers(1, 12),
+        fmt_strategy.filter(lambda f: f.is_distributed),
+        fmt_strategy,
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+    ),
+    st.builds(replicated_pinned, st.integers(1, 9), st.integers(0, 5)),
+    st.builds(
+        lambda n: Mapping.replicated((n,), ProcessorArrangement("P", (2, 2))), st.integers(1, 9)
+    ),
+    st.builds(contradictory_pins),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=table_mappings)
+def test_prop_holder_table_matches_layout_queries(m):
+    """The holder table against the per-coordinate arithmetic it replaced."""
+    lay = Layout(m)  # a fresh one: nothing answered from an earlier example's memo
+    procs = m.processors
+    holding = [q for q in procs.all_coords() if lay.holds(q)]
+    assert lay.holders() == holding == [h.coords for h in lay.table]
+    for q in procs.all_coords():
+        h = lay.holder_at(q)
+        assert lay.holder(procs.linear_rank(q)) is h
+        if q not in holding:
+            assert h is None and lay.owned(q) is None
+            assert lay.local_shape(q) == (0,) * len(m.shape) and lay.owned_count(q) == 0
+            continue
+        owned = tuple(
+            dim_owned(dm, 0 if dm.proc_dim is None else q[dm.proc_dim]) for dm in m.dim_maps
+        )
+        assert (h.coords, h.rank, h.owned) == (q, procs.linear_rank(q), owned)
+        assert h.local_shape == lay.local_shape(q) == tuple(len(s) for s in owned)
+        assert h.elements == lay.owned_count(q) == prod(h.local_shape)
+        assert lay.owned(q) is h.owned
+        for own, s in zip(h.progressions, owned):
+            assert own is None or list(own) == list(s)
+    if not holding:
+        assert lay.table == () and lay.holder(0) is None
+
+
+def test_layout_touched_again_survives_a_cap_full_of_insertions():
+    """``layout_of`` refreshes an entry on a hit: the layouts every request
+    uses are not the first dropped at the cap."""
+    hot = mk_simple((7,), (DistFormat.block(),))
+    cold = mk_simple((7,), (DistFormat.cyclic(),))
+    kept, dropped = layout_of(hot), layout_of(cold)
+    for n in range(8, 8 + ownership._LAYOUTS_CAP):
+        layout_of(mk_simple((n,), (DistFormat.block(),)))
+        assert layout_of(hot) is kept
+    assert len(ownership._LAYOUTS) <= ownership._LAYOUTS_CAP
+    assert layout_of(cold) is not dropped

@@ -42,6 +42,7 @@ from repro import (
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ScheduleError, TransportError
+from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.obs import REGISTRY
 from repro.runtime.mpbackend import MPBackend, MPExecutor, execute_mp
 from repro.service import CompileRequest, CompileService
@@ -49,6 +50,7 @@ from repro.spmd.cost import CostModel
 from repro.spmd.transport import (
     MPTransport,
     SharedArena,
+    SharedDistributedArray,
     TransferRound,
     WireMessage,
     WirePart,
@@ -279,6 +281,29 @@ def test_arena_exhaustion_raises():
     arena.close()
     with pytest.raises(TransportError):
         SharedArena(0)
+
+
+def test_failed_shared_array_construction_returns_its_blocks():
+    """An arena one block too small on rank 2: the blocks already placed
+    on ranks 0-1 go back, memory accounting included."""
+    procs = ProcessorArrangement("P", (4,))
+    mapping = Mapping.simple((512,), (DistFormat.block(),), procs)  # 1 KiB a rank
+    transport = MPTransport(4, arena_bytes=1 << 10)
+    try:
+        machine = Machine(procs)
+        taken = transport.arenas[2].allocate(64)
+        with pytest.raises(TransportError, match="arena exhausted"):
+            SharedDistributedArray("A", mapping, machine, transport)
+        assert [a.free_bytes() for a in transport.arenas] == [1 << 10, 1 << 10, (1 << 10) - 64, 1 << 10]
+        assert [machine.mem_used(r) for r in range(4)] == [0] * 4
+        assert machine.stats.allocations == machine.stats.frees == 2
+        transport.arenas[2].release(taken, 64)
+        whole = SharedDistributedArray("A", mapping, machine, transport)
+        assert all(a.free_bytes() == 0 for a in transport.arenas)
+        whole.free()
+        assert all(a.free_bytes() == a.nbytes for a in transport.arenas)
+    finally:
+        transport.close()
 
 
 def test_measured_phase_time_mirrors_cost_model():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OutOfMemoryError, ShapeError
+from repro.errors import OutOfMemoryError, RuntimeRemapError, ShapeError
 from repro.mapping import (
     Alignment,
     AxisAlign,
@@ -158,6 +158,27 @@ def test_memory_accounted_per_holder(p4):
     assert all(mach.mem_used(r) == 0 for r in range(4))
     a.free()  # idempotent
     assert mach.stats.frees == 4
+
+
+def test_failed_construction_leaves_the_machine_as_it_was(p4):
+    """A block that does not fit on rank 2 is found before ranks 0-1 are
+    charged, not after."""
+    mach = Machine(p4, memory_limit=200)
+    mach.allocate(2, 100)
+    before = mach.stats.snapshot()
+    with pytest.raises(OutOfMemoryError):
+        DistributedArray("A", mk((64,), (DistFormat.block(),), p4), mach)
+    assert [mach.mem_used(r) for r in range(4)] == [0, 0, 100, 0]
+    assert mach.stats.snapshot() == before  # allocations 1, frees 0
+
+
+def test_freed_array_refuses_scatter_and_gather(p4, machine4):
+    a = DistributedArray("A", mk((8,), (DistFormat.block(),), p4), machine4)
+    a.free()
+    for use in (lambda: a.scatter_from_global(np.zeros(8)), a.gather_to_global):
+        with pytest.raises(RuntimeRemapError, match="A has been freed"):
+            use()
+    assert a.freed and a.blocks == {}
 
 
 def test_apply_along_local_dim_requires_local(p4, machine4):
