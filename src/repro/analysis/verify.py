@@ -27,9 +27,12 @@ assumptions instead of trusting them:
 :func:`assert_verified` raises
 :class:`~repro.errors.ArtifactVerificationError` instead.  The ``verify``
 pipeline pass runs these checks at compile time, and the persistent
-store (:mod:`repro.store`) runs them on every disk load, evicting
-artifacts that fail -- a hash-valid but semantically corrupt entry
-degrades to a recompile, never an execution.
+store (:mod:`repro.store`) runs them on every disk load of a concrete
+artifact, evicting artifacts that fail -- a hash-valid but semantically
+corrupt entry degrades to a recompile, never an execution.  A stored
+*template* is checked as the artifact it serves: structurally on load
+(:func:`verify_template_structure`), and by :func:`verify_artifact` on
+the first artifact a session instantiates from it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "verify_stmt_keys",
     "verify_subroutine",
     "verify_artifact",
+    "verify_template_structure",
     "verify_template",
     "assert_verified",
 ]
@@ -363,21 +367,17 @@ def verify_artifact(cp: "CompiledProgram") -> list[VerificationIssue]:
     return issues
 
 
-def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
-    """Every invariant check over a symbolic template; empty = verified.
+def verify_template_structure(template: "SymbolicTemplate") -> list[VerificationIssue]:
+    """The checks a template admits without a geometry; empty = sound.
 
-    A template cannot be checked directly the way a concrete artifact can
-    -- its geometry is parameterized -- so verification has two parts:
-
-    * **structural** -- the binding classification must partition (no name
-      both shape-symbolic and compile-relevant), at least one name must be
-      shape-symbolic (otherwise a concrete artifact should have been
-      stored) and no fixed binding may shadow a shape symbol;
-    * **probe instantiation** -- the template is instantiated at one small
-      concrete geometry and the result passes the *full* concrete checker
-      (:func:`verify_artifact`).  An entry whose stored AST or options were
-      corrupted in a way that still unpickles will fail here and be
-      evicted by the store exactly like a corrupt concrete artifact.
+    The binding classification must partition (no name both shape-symbolic
+    and compile-relevant), at least one name must be shape-symbolic
+    (otherwise a concrete artifact should have been stored) and no fixed
+    binding may shadow a shape symbol.  This is all a store load runs on a
+    template: what the stored AST *means* is checked on the artifact a
+    request instantiates from it
+    (:meth:`repro.compiler.session.CompilerSession._instantiate`), at the
+    request's own geometry, not on a probe beside it.
     """
     issues: list[VerificationIssue] = []
     cls = template.classification
@@ -405,12 +405,35 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
             f"fixed bindings shadow shape symbol(s) {sorted(shadowed)}",
             None,
         )
+    return issues
+
+
+def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
+    """Every invariant check over a symbolic template; empty = verified.
+
+    A template cannot be checked directly the way a concrete artifact can
+    -- its geometry is parameterized -- so verification has two parts:
+
+    * **structural** -- :func:`verify_template_structure`;
+    * **probe instantiation** -- the template is instantiated at one small
+      concrete geometry and the result passes the *full* concrete checker
+      (:func:`verify_artifact`).  An entry whose stored AST or options were
+      corrupted in a way that still unpickles fails here.
+
+    The probe is the offline check (``python -m repro.store verify --deep``,
+    :meth:`repro.store.ArtifactStore.verify` with ``deep=True``), where no
+    request supplies a geometry.  On the request path the session verifies
+    the first artifact it instantiates from a loaded template instead, so
+    a load instantiates nothing.
+    """
+    issues = verify_template_structure(template)
     if issues:
         return issues  # probe instantiation needs a sane classification
     from repro.mapping.processors import ProcessorArrangement
 
     bindings = {
-        name: 8 + 4 * i for i, name in enumerate(sorted(cls.shape_symbolic))
+        name: 8 + 4 * i
+        for i, name in enumerate(sorted(template.classification.shape_symbolic))
     }
     try:
         compiled = template.instantiate(bindings, ProcessorArrangement("P", (2,)))

@@ -585,13 +585,21 @@ class CompilerSession:
     ) -> CompiledProgram | None:
         """Serve one request by instantiating a symbolic template, if any.
 
-        Checks the in-memory template cache, then the store (a loaded
-        template joins the memory tier).  ``None`` -- no template known
-        for this source/options, or the request lacks a shape binding --
-        sends the caller on to the remaining tiers.  The instantiated
-        concrete artifact joins the ordinary memory cache, so repeats of
-        the same ``(n, P)`` are plain ``"memory"`` hits.
+        Checks the in-memory template cache, then the store.  ``None`` --
+        no template known for this source/options, or the request lacks a
+        shape binding -- sends the caller on to the remaining tiers.  The
+        instantiated concrete artifact joins the ordinary memory cache, so
+        repeats of the same ``(n, P)`` are plain ``"memory"`` hits.
+
+        A template loaded from the store is verified as the artifact it
+        serves: the first artifact instantiated from it must pass
+        :func:`~repro.analysis.verify.verify_artifact` before the template
+        joins the memory tier.  If that instantiation raises or fails, the
+        entry is evicted through the store (``semantic_evicted``), the
+        template is dropped and the request falls through to a clean
+        compile, which rewrites the entry.
         """
+        from repro.analysis.verify import verify_artifact
         from repro.compiler.template import SymbolicTemplate
 
         with self._lock:
@@ -599,22 +607,35 @@ class CompilerSession:
             template = self._templates.get(tkey) if tkey is not None else None
             if template is not None:
                 self._templates.move_to_end(tkey)
+        unserved = False
         if template is None and tkey is not None and self.store is not None:
             loaded = self.store.load(tkey)
             if isinstance(loaded, SymbolicTemplate):
                 template = loaded
-                _M_STORE_HITS.inc()
-                with self._lock:
-                    self.store_hits += 1
-                    self._insert_template(tkey, template)
+                unserved = True
         if template is None or template.missing_shapes(bindings):
             return None
         with _TRACER.span("template.instantiate"):
-            compiled = template.instantiate(bindings, processors)
+            if unserved:
+                try:
+                    compiled = template.instantiate(bindings, processors)
+                    sound = not verify_artifact(compiled)
+                except Exception:  # a mangled AST can raise anything; degrade
+                    sound = False
+                if not sound:
+                    self.store.reject(tkey)
+                    return None
+            else:
+                compiled = template.instantiate(bindings, processors)
         compiled.freeze()
         _M_INSTANTIATIONS.inc()
+        if unserved:
+            _M_STORE_HITS.inc()
         with self._lock:
             self.instantiations += 1
+            if unserved:
+                self.store_hits += 1
+                self._insert_template(tkey, template)
             key = self._key(digest, bindings, processors, options)
             self._insert(key, compiled)
         return with_bindings(compiled, bindings)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import ScheduleError
 from repro.mapping.mapping import Mapping
@@ -270,6 +270,15 @@ class CommSchedule:
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def stamped(self) -> "CommSchedule":
+        """A ``statically_verified`` copy that keeps the derived forms:
+        :func:`dataclasses.replace` copies fields only, and the lowering the
+        proof read is the one execution must reuse."""
+        twin = replace(self, statically_verified=True)
+        for slot in ("_ledger", "_lowered", "_wire"):
+            object.__setattr__(twin, slot, getattr(self, slot))
+        return twin
 
     def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
         whole = self.policy is None or self.policy == "aggregate"
@@ -508,11 +517,15 @@ class CommPlanTable:
                 return plan
         # Build (and certify) outside the lock: scheduling is the expensive
         # part and depends only on the two mappings.
-        built = plan_redistribution(src, dst, self.policy)
+        with _TRACER.span("remap.plan_build"):
+            built = plan_redistribution(src, dst, self.policy)
         if self.policy is not None:
             from repro.analysis.commsafety import certify_plan
 
-            built = certify_plan(src, dst, built)
+            # the proof lowers the plan (a remap.lower child span) and the
+            # stamped plan keeps that lowering for its first execution
+            with _TRACER.span("remap.prove"):
+                built = certify_plan(src, dst, built)
         with self._lock:
             self.misses += 1  # every build counts, a lost race included
             existing = self._plans.get(key)

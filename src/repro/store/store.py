@@ -361,14 +361,21 @@ class ArtifactStore:
         unpickling; any mismatch -- truncation, tampering, a header that
         is not valid JSON -- evicts the entry and reports a miss, so a
         corrupt store degrades to cold-compile behavior.  A decoded
-        artifact is then *deeply* verified -- the full static invariant
-        checker (:func:`repro.analysis.verify.verify_artifact`) runs over
-        its CFGs, remapping graphs, version annotations, plan table and
+        *concrete* artifact is then deeply verified -- the full static
+        invariant checker (:func:`repro.analysis.verify.verify_artifact`)
+        runs over its CFGs, remapping graphs, version annotations and
         statement-keyed maps -- so a hash-valid but semantically corrupt
         entry is also evicted (``semantic_evicted``) and recompiled, never
-        executed.  A verified load refreshes the entry's mtime (the LRU
-        recency the size bound evicts by) and returns the artifact
-        re-frozen.
+        executed.  That pass stays on every concrete load because it is
+        the only check of the ``id(stmt)``-keyed maps after unpickling
+        rebased them, and it costs well under a millisecond.  A decoded
+        *template* gets its structural checks only
+        (:func:`~repro.analysis.verify.verify_template_structure`) and is
+        never instantiated here: the session verifies the first artifact
+        it instantiates from the template for a request and hands a
+        failure back through :meth:`reject`.  A verified load refreshes
+        the entry's mtime (the LRU recency the size bound evicts by) and
+        returns the artifact re-frozen.
 
         Each call opens a ``store.load`` span recording hit kind or miss.
         """
@@ -398,12 +405,10 @@ class ArtifactStore:
             with self._lock:
                 self.misses += 1
             return None
-        if self._invariant_issues(artifact):
-            self._evict_entry(path, corrupt=True)
-            _M_SEMANTIC.inc()
+        if self._invariant_issues(artifact, deep=False):
+            self._evict_semantic(path)
             _M_MISSES.inc()
             with self._lock:
-                self.semantic_evicted += 1
                 self.misses += 1
             return None
         with contextlib.suppress(OSError):
@@ -417,24 +422,28 @@ class ArtifactStore:
         return artifact
 
     @classmethod
-    def _invariant_issues(cls, artifact: "CompiledProgram | SymbolicTemplate") -> list:
-        """Deep semantic verification; a non-empty list disqualifies.
+    def _invariant_issues(
+        cls, artifact: "CompiledProgram | SymbolicTemplate", deep: bool
+    ) -> list:
+        """Semantic verification; a non-empty list disqualifies.
 
-        Dispatches on artifact kind: concrete programs get the full
-        static checker, symbolic templates get the structural checks plus
-        a verified probe instantiation (:func:`repro.analysis.verify.
-        verify_template`).  Never raises: a checker crash on a mangled
-        object graph counts as one issue (the load path must degrade,
-        not propagate)."""
+        Concrete programs get the full static checker either way.  A
+        symbolic template gets its structural checks, and under ``deep``
+        (:meth:`verify`, where no request will ever instantiate it) also a
+        verified probe instantiation (:func:`repro.analysis.verify.
+        verify_template`); a load passes ``deep=False`` and instantiates
+        nothing.  Never raises: a checker crash on a mangled object graph
+        counts as one issue (the load path must degrade, not propagate)."""
         from repro.analysis.verify import (
             VerificationIssue,
             verify_artifact,
             verify_template,
+            verify_template_structure,
         )
 
         try:
             if cls._artifact_kind(artifact) == "template":
-                return verify_template(artifact)
+                return (verify_template if deep else verify_template_structure)(artifact)
             return verify_artifact(artifact)
         except Exception as exc:  # pragma: no cover - defensive
             return [
@@ -483,6 +492,19 @@ class ArtifactStore:
                 self.corrupt_evicted += 1
             else:
                 self.lru_evicted += 1
+
+    def _evict_semantic(self, path: Path) -> None:
+        """Evict a hash-valid entry that failed semantic verification."""
+        self._evict_entry(path, corrupt=True)
+        _M_SEMANTIC.inc()
+        with self._lock:
+            self.semantic_evicted += 1
+
+    def reject(self, key: object) -> None:
+        """Evict ``key``'s entry on a reader's finding (``semantic_evicted``):
+        a loaded template whose first served instantiation raised or failed
+        :func:`~repro.analysis.verify.verify_artifact`."""
+        self._evict_semantic(self.entry_path(key))
 
     # -- binding-name sidecars ---------------------------------------------
 
@@ -709,8 +731,10 @@ class ArtifactStore:
         Each entry is decoded exactly as a load would decode it (header,
         length, digest, unpickle); with ``deep=True`` decoded artifacts
         additionally pass the full static invariant checker
-        (:func:`repro.analysis.verify.verify_artifact`), catching
-        hash-valid but semantically corrupt entries.  Defective entries
+        (:func:`repro.analysis.verify.verify_artifact`; a template is
+        probe-instantiated first, :func:`~repro.analysis.verify.
+        verify_template`), catching hash-valid but semantically corrupt
+        entries.  Defective entries
         are evicted unless ``evict=False`` (dry run).  The entry mtimes
         are left untouched, so verification does not perturb LRU order.
         """
@@ -727,13 +751,10 @@ class ArtifactStore:
                 corrupt += 1
                 if evict:
                     self._evict_entry(path, corrupt=True)
-            elif deep and self._invariant_issues(artifact):
+            elif deep and self._invariant_issues(artifact, deep=True):
                 invalid += 1
                 if evict:
-                    self._evict_entry(path, corrupt=True)
-                    _M_SEMANTIC.inc()
-                    with self._lock:
-                        self.semantic_evicted += 1
+                    self._evict_semantic(path)
             else:
                 ok += 1
                 with contextlib.suppress(OSError):

@@ -10,6 +10,7 @@ be frozen exactly like memory-cached ones, and must execute bit-identically
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import subprocess
@@ -31,9 +32,12 @@ from repro import (
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import PassManager
+from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError
+from repro.lang.ast_nodes import ArrayDecl
 from repro.spmd import CommSchedule
 from repro.store.cli import main as store_cli
+from test_lowering import counted
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -297,6 +301,123 @@ def test_garbage_header_degrades_to_recompile(tmp_path):
     path.write_bytes(b"\x80\x05not a header\n" + b"\x00" * 64)
     assert store.load(key) is None
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# a stored template is verified as the artifact it serves
+# ---------------------------------------------------------------------------
+
+SYMBOLIC = CompilerOptions.symbolic(level=3, schedule="aggregate")
+
+
+def _seed_template(tmp_path):
+    """A store holding Fig. 16's template, written by a compile at a shape
+    no later request asks for; returns (store, template key, template)."""
+    store = ArtifactStore(tmp_path / "tpl")
+    writer = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = writer.compile_traced(FIG16, bindings={"n": 64, "t": 5}, processors=4)
+    assert tier == "compiled" and store.stats["entries_template"] == 1
+    ((tkey, template),) = writer._templates.items()
+    assert store.entry_path(tkey).is_file()
+    return store, tkey, template
+
+
+def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
+    """A hash-valid template whose AST lost its array declaration: the load
+    has nothing to say against it, the first request's instantiation does,
+    and the request is served by a clean compile that rewrites the entry."""
+    store, tkey, template = _seed_template(tmp_path)
+    (main,) = template.program.subroutines
+    broken = dataclasses.replace(
+        main, decls=tuple(d for d in main.decls if not isinstance(d, ArrayDecl))
+    )
+    mutant = SymbolicTemplate(
+        program=dataclasses.replace(template.program, subroutines=(broken,)),
+        options=template.options,
+        classification=template.classification,
+        fixed_bindings=dict(template.fixed_bindings),
+    )
+    assert store.store(tkey, mutant)  # the store's own writer: digest valid
+
+    assert isinstance(store.load(tkey), SymbolicTemplate)
+    assert store.stats["semantic_evicted"] == 0
+    root = str(tmp_path / "tpl")
+    assert store_cli(["verify", "--deep", "--keep", "--dir", root]) == 1
+    assert json.loads(capsys.readouterr().out)["invariant_violations"] == 1
+    assert store.entry_path(tkey).is_file()
+
+    w = FIGURES["fig16"]
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "compiled"
+    assert store.stats["semantic_evicted"] == 1
+    assert reader.stats["instantiations"] == 0
+    values, stats = _run(compiled, w)
+    ref_values, ref_stats = _run(
+        PassManager.pipeline_for(SYMBOLIC).compile(
+            w["source"], bindings=w["bindings"], processors=4, options=SYMBOLIC
+        ),
+        w,
+    )
+    assert np.array_equal(values["a"], ref_values["a"])
+    assert stats.snapshot() == ref_stats.snapshot()
+
+    # the compile rewrote the entry; the next restarted process is served by it
+    again = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = again.compile_traced(w["source"], bindings={"n": 24, "t": 5}, processors=3)
+    assert tier == "instantiated"
+    assert store.stats["semantic_evicted"] == 1
+    assert store_cli(["verify", "--deep", "--dir", root]) == 0
+    capsys.readouterr()
+
+
+def test_template_failing_verification_of_its_first_artifact_is_evicted(tmp_path, monkeypatch):
+    """The other way a first instantiation fails: it returns an artifact the
+    static checker rejects.  Only the first artifact from a loaded template
+    is checked; one that passed is not checked again."""
+    import repro.analysis.verify as verify_mod
+
+    store, tkey, _ = _seed_template(tmp_path)
+    w = FIGURES["fig16"]
+    checked = counted(monkeypatch, verify_mod, "verify_artifact")
+    session = CompilerSession(store=store, options=SYMBOLIC)
+    for n, p in ((16, 4), (24, 3)):
+        _, tier = session.compile_traced(w["source"], bindings={"n": n, "t": 5}, processors=p)
+        assert tier == "instantiated"
+    assert len(checked) == 1 and store.stats["semantic_evicted"] == 0
+
+    issue = verify_mod.VerificationIssue("graph", "seeded")
+    monkeypatch.setattr(verify_mod, "verify_artifact", lambda compiled: [issue])
+    restarted = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = restarted.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "compiled"
+    assert store.stats["semantic_evicted"] == 1 and restarted.stats["instantiations"] == 0
+    assert store.entry_path(tkey).is_file(), "the compile writes the template back"
+
+
+def test_load_instantiates_nothing_and_the_first_request_once(tmp_path, monkeypatch):
+    store, tkey, _ = _seed_template(tmp_path)
+    instantiated = counted(monkeypatch, SymbolicTemplate, "instantiate")
+    assert isinstance(store.load(tkey), SymbolicTemplate)
+    assert instantiated == []
+    w = FIGURES["fig16"]
+    restarted = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = restarted.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "instantiated" and len(instantiated) == 1
+    assert store.verify(deep=True)["ok"] == 1 and len(instantiated) == 2  # the offline probe
+
+
+def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):
+    """Proving a plan no longer rebuilds its schedule: one ``RedistSchedule``
+    (whoever imported ``build_schedule``) per plan the run obtains."""
+    import repro.spmd.redistribution as redistribution
+
+    w = FIGURES["fig12-then"]
+    _, loaded = _store_then_load(tmp_path, w, "round-robin")
+    built = counted(monkeypatch, redistribution, "RedistSchedule")
+    _run(loaded, w)
+    assert len(built) == loaded.plans.stats()["misses"] > 0
+    assert all(p.statically_verified for p in loaded.plans._plans.values())
 
 
 def test_pass_registry_change_invalidates_old_entries(tmp_path):
