@@ -77,6 +77,26 @@ SECONDS_BUCKETS = exponential_buckets(1e-6, 2.0, 36)
 BYTES_BUCKETS = exponential_buckets(64.0, 4.0, 16)
 
 
+def _bucket(bounds: tuple[float, ...], value: float) -> int:
+    """The one definition of "which bucket": the first whose upper bound is
+    >= ``value``; ``len(bounds)`` is the overflow (``+inf``) bucket."""
+    return bisect_left(bounds, value)
+
+
+@dataclass(frozen=True)
+class Binned:
+    """Observations already sorted into a histogram's buckets
+    (:meth:`Histogram.bin`): what a caller that records the same values over
+    and over works out once and then adds with :meth:`Histogram.add`."""
+
+    bounds: tuple[float, ...]  # the binning histogram's, checked by ``add``
+    buckets: tuple[tuple[int, int], ...]  # (bucket index, observations), non-empty ones
+    sum: float
+    count: int
+    min: float
+    max: float
+
+
 class Counter:
     """Monotonically increasing counter."""
 
@@ -196,10 +216,13 @@ class Histogram:
 
     def observe_many(self, values) -> None:
         """Record every value of ``values``, in order, under one lock."""
-        values = [float(v) for v in values]
-        if not _ENABLED or not values:
+        if not _ENABLED:
             return
-        indices = [bisect_left(self.bounds, v) for v in values]
+        values = [float(v) for v in values]
+        if not values:
+            return
+        bounds = self.bounds
+        indices = [_bucket(bounds, v) for v in values]
         with self._lock:
             for idx, value in zip(indices, values):
                 self._counts[idx] += 1
@@ -209,6 +232,42 @@ class Histogram:
                 if value > self._max:
                     self._max = value
             self._count += len(values)
+
+    def bin(self, values) -> Binned:
+        """``values`` sorted into this histogram's buckets, recorded nowhere:
+        :meth:`add` of the result leaves the buckets, ``count``, ``min`` and
+        ``max`` that :meth:`observe_many` of the values would, and ``sum``
+        up to the rounding of adding their total in one step."""
+        values = [float(v) for v in values]
+        counts: dict[int, int] = {}
+        for value in values:
+            idx = _bucket(self.bounds, value)
+            counts[idx] = counts.get(idx, 0) + 1
+        return Binned(
+            bounds=self.bounds,
+            buckets=tuple(sorted(counts.items())),
+            sum=sum(values, 0.0),
+            count=len(values),
+            min=min(values, default=_INF),
+            max=max(values, default=-_INF),
+        )
+
+    def add(self, binned: Binned) -> None:
+        """Record pre-binned observations: one locked update however many."""
+        if not _ENABLED or not binned.count:
+            return
+        if binned.bounds is not self.bounds and binned.bounds != self.bounds:
+            raise ValueError(f"histogram {self.name}: binned under other bucket bounds")
+        with self._lock:
+            counts = self._counts
+            for idx, n in binned.buckets:
+                counts[idx] += n
+            self._sum += binned.sum
+            self._count += binned.count
+            if binned.min < self._min:
+                self._min = binned.min
+            if binned.max > self._max:
+                self._max = binned.max
 
     @property
     def count(self) -> int:

@@ -24,7 +24,7 @@ notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
@@ -131,20 +131,45 @@ class RemappingGraph:
     # -- topology ------------------------------------------------------------
 
     def add_edge(self, src: int, dst: int, array: str) -> None:
-        self.edges.setdefault((src, dst), set()).add(array)
+        """The only writer of ``edges`` (and so of the adjacency index)."""
+        succ, pred = self._adjacency()
+        arrays = self.edges.get((src, dst))
+        if arrays is None:
+            arrays = self.edges[(src, dst)] = set()
+            succ.setdefault(src, []).append((dst, arrays))
+            pred.setdefault(dst, []).append((src, arrays))
+        arrays.add(array)
+
+    def _adjacency(self) -> tuple[dict, dict]:
+        """``vertex -> [(neighbour, the edge's array set)]`` out and in, in
+        ``edges`` order.  Derived state: an instance attribute, not a field,
+        so it never reaches ``==``, ``repr`` or a pickle; rebuilt from
+        ``edges`` by the first query of a copy that arrived without it."""
+        adjacency = self.__dict__.get("_adj")
+        if adjacency is None:
+            succ: dict[int, list] = {}
+            pred: dict[int, list] = {}
+            for (s, d), arrays in self.edges.items():
+                succ.setdefault(s, []).append((d, arrays))
+                pred.setdefault(d, []).append((s, arrays))
+            adjacency = self._adj = (succ, pred)
+        return adjacency
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def succs(self, v: int, array: str | None = None) -> list[int]:
         return [
             d
-            for (s, d), arrays in self.edges.items()
-            if s == v and (array is None or array in arrays)
+            for d, arrays in self._adjacency()[0].get(v, ())
+            if array is None or array in arrays
         ]
 
     def preds(self, v: int, array: str | None = None) -> list[int]:
         return [
             s
-            for (s, d), arrays in self.edges.items()
-            if d == v and (array is None or array in arrays)
+            for s, arrays in self._adjacency()[1].get(v, ())
+            if array is None or array in arrays
         ]
 
     def vertex_ids(self) -> list[int]:

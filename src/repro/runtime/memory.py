@@ -6,8 +6,9 @@ and to change the corresponding liveness status.  If required later on the
 copy will be regenerated."
 
 Allocation first checks whether the new version's per-processor blocks fit
-under the machine's memory limit; if not, live non-current copies are
-evicted (largest first) until it does.  The evicted copy's live flag flips
+under the machine's memory limit (a machine without one has nothing to
+check, so the per-rank map is not even built); if not, live non-current
+copies are evicted (largest first) until it does.  The evicted copy's live flag flips
 to false, so a later remapping back to it simply regenerates it with
 communication -- the generated code already handles that case because it
 never assumes a kept copy is live (Fig. 19's ``liveA`` tests).
@@ -79,11 +80,12 @@ class MemoryManager:
     def allocate(
         self, name: str, mapping: Mapping, dtype=np.float64
     ) -> DistributedArray:
-        needed = blocks_needed(mapping, self.machine, np.dtype(dtype).itemsize)
-        while not self._fits(needed):
-            if not self._evict_one():
-                raise OutOfMemoryError(
-                    f"cannot allocate {name}: memory limit reached and no live "
-                    "copy is evictable"
-                )
+        if self.machine.memory_limit is not None:  # else everything fits
+            needed = blocks_needed(mapping, self.machine, np.dtype(dtype).itemsize)
+            while not self._fits(needed):
+                if not self._evict_one():
+                    raise OutOfMemoryError(
+                        f"cannot allocate {name}: memory limit reached and no live "
+                        "copy is evictable"
+                    )
         return self._factory(name, mapping, self.machine, dtype)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import OutOfMemoryError, RuntimeRemapError, ShapeError
+from repro.errors import RuntimeRemapError, ShapeError
 from repro.mapping.mapping import Mapping
 from repro.mapping.ownership import Holder, Layout, layout_of
 from repro.spmd.machine import Machine
@@ -126,22 +126,19 @@ class DistributedArray:
         self.machine = machine
         self.dtype = np.dtype(dtype)
         self.layout: Layout = layout_of(mapping)
-        self._account = account_memory
         self.blocks: dict[int, np.ndarray] = {}
         self._freed = False
         table = self.layout.table
-        if account_memory:  # every rank must fit before anything is placed
-            for h in table:
-                if not machine.would_fit(h.rank, h.elements * self.itemsize):
-                    raise OutOfMemoryError(
-                        f"cannot place {name}: {h.elements * self.itemsize} bytes "
-                        f"exceed the memory limit on processor {h.rank}"
-                    )
+        #: the ``(rank, nbytes)`` set the machine accounts for this version
+        self._accounted: tuple[tuple[int, int], ...] = ()
+        if account_memory:  # all ranks or none: nothing is placed unless every rank fits
+            itemsize = self.dtype.itemsize
+            blocks = tuple((h.rank, h.elements * itemsize) for h in table)
+            machine.allocate_set(name, blocks)
+            self._accounted = blocks
         try:
             for h in table:
-                block = self.blocks[h.rank] = self._new_block(h.rank, h.local_shape)
-                if account_memory:
-                    machine.allocate(h.rank, block.nbytes)
+                self.blocks[h.rank] = self._new_block(h.rank, h.local_shape)
         except BaseException:  # a placement failed: give back what was placed
             self.free()
             raise
@@ -171,9 +168,8 @@ class DistributedArray:
         """Release storage and memory accounting (idempotent)."""
         if self._freed:
             return
+        self.machine.free_set(self._accounted)
         for rank, block in self.blocks.items():
-            if self._account:
-                self.machine.free(rank, block.nbytes)
             self._release_block(rank, block)
         self.blocks.clear()
         self._freed = True

@@ -24,6 +24,12 @@ by the round's duration (the barrier), and :attr:`phase_seconds`
 accumulates the total phase-clock time, directly comparable with the
 static :meth:`~repro.spmd.schedule.CommSchedule.makespan`.
 :meth:`transfer` and :meth:`run_phase` charge an ad-hoc message or round.
+
+Clocks and :attr:`phase_seconds` are *modeled* values.  A delta carries
+one summed increment per rank and one makespan, worked out where it is
+built, so a charged plan equals adding its messages one at a time to
+relative 1e-12, not bit for bit; every integral count (the traffic
+statistics, the message log, the histogram's buckets) is exact.
 """
 
 from __future__ import annotations
@@ -35,11 +41,17 @@ from repro.errors import OutOfMemoryError
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.spmd.cost import CostModel
-from repro.spmd.message import LedgerDelta, Message, TrafficStats, check_one_port, ledger_delta
+from repro.spmd.message import (
+    PHASE_SECONDS as _M_PHASE_SECONDS,
+    LedgerDelta,
+    Message,
+    TrafficStats,
+    check_one_port,
+    ledger_delta,
+)
 
-# module-cached registry handles: charge is the simulator's hottest path
+# module-cached registry handle: charge is the simulator's hottest path
 _M_PHASES = _OBS.counter("repro.machine.phases")
-_M_PHASE_SECONDS = _OBS.histogram("repro.machine.phase_seconds")
 
 
 @dataclass
@@ -93,23 +105,23 @@ class Machine:
         """Add one delta to the ledger: the only writer of the traffic
         counters, the clocks, :attr:`phase_seconds`, the message log and the
         ``repro.machine.*`` metrics.  ``array`` and ``tag`` label the
-        delta's messages.  Every term is added on its own, in per-message
-        accounting's order (the unphased transfers', then each phase's
-        duration on every clock: the barrier), so clocks match it bit for bit.
+        delta's messages.  Nothing is derived here: each rank's unphased
+        seconds are one sum, the phases advance every clock by the delta's
+        makespan (the barrier) and reach the histogram already binned.
         """
         self.stats.record(delta, array, tag)
         if self.log_messages:
             self.message_log.extend(Message(*header, array, tag) for header in delta.headers)
-        for rank, terms in delta.rank_terms:
-            for seconds in terms:
-                self._procs[rank].clock += seconds
-        for seconds in delta.durations:
-            for proc in self._procs:
-                proc.clock += seconds
-            self.phase_seconds += seconds
+        procs = self._procs
+        for rank, seconds in delta.rank_seconds:
+            procs[rank].clock += seconds
         if delta.durations:
+            makespan = delta.makespan
+            for proc in procs:
+                proc.clock += makespan
+            self.phase_seconds += makespan
             _M_PHASES.inc(len(delta.durations))
-            _M_PHASE_SECONDS.observe_many(delta.durations)
+            _M_PHASE_SECONDS.add(delta.binned)
 
     def transfer(self, msg: Message) -> None:
         """Charge one ad-hoc message (a local copy if src==dst) as a one-off delta."""
@@ -151,21 +163,39 @@ class Machine:
 
     # -- memory accounting ------------------------------------------------------
 
+    def allocate_set(self, name: str, blocks: Sequence[tuple[int, int]]) -> None:
+        """Account one array version's ``(rank, nbytes)`` blocks as a set:
+        every rank must fit under the limit before any is charged, so a
+        version that does not fit leaves the ledger as it was."""
+        procs = self._procs
+        limit = self.memory_limit
+        if limit is not None:
+            for rank, nbytes in blocks:
+                if procs[rank].mem_used + nbytes > limit:
+                    raise OutOfMemoryError(
+                        f"cannot place {name}: processor {rank}: "
+                        f"{procs[rank].mem_used} + {nbytes} exceeds limit {limit}"
+                    )
+        for rank, nbytes in blocks:
+            p = procs[rank]
+            p.mem_used += nbytes
+            if p.mem_used > p.mem_peak:
+                p.mem_peak = p.mem_used
+        self.stats.allocations += len(blocks)
+
+    def free_set(self, blocks: Sequence[tuple[int, int]]) -> None:
+        """Give back what :meth:`allocate_set` accounted."""
+        procs = self._procs
+        for rank, nbytes in blocks:
+            p = procs[rank]
+            p.mem_used = max(0, p.mem_used - nbytes)
+        self.stats.frees += len(blocks)
+
     def allocate(self, rank: int, nbytes: int) -> None:
-        p = self._procs[rank]
-        if self.memory_limit is not None and p.mem_used + nbytes > self.memory_limit:
-            raise OutOfMemoryError(
-                f"processor {rank}: {p.mem_used} + {nbytes} exceeds limit "
-                f"{self.memory_limit}"
-            )
-        p.mem_used += nbytes
-        p.mem_peak = max(p.mem_peak, p.mem_used)
-        self.stats.allocations += 1
+        self.allocate_set(f"{nbytes} bytes", ((rank, nbytes),))
 
     def free(self, rank: int, nbytes: int) -> None:
-        p = self._procs[rank]
-        p.mem_used = max(0, p.mem_used - nbytes)
-        self.stats.frees += 1
+        self.free_set(((rank, nbytes),))
 
     def would_fit(self, rank: int, nbytes: int) -> bool:
         if self.memory_limit is None:

@@ -18,6 +18,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
+from repro.obs.catalog import REGISTRY as _OBS
+from repro.obs.metrics import Binned
+
+#: the histogram a delta's phase durations are binned for, when the delta is
+#: built; :meth:`~repro.spmd.machine.Machine.charge` is what adds them
+PHASE_SECONDS = _OBS.histogram("repro.machine.phase_seconds")
 
 
 def one_port_problems(pairs: Iterable[tuple[int, int]]) -> list[str]:
@@ -92,18 +98,24 @@ class LedgerDelta:
     function of the messages, the cost model and the element size, so a
     plan works it out once (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
     and every run charges it in one :meth:`~repro.spmd.machine.Machine.charge`.
-    Clock terms are the ordered increments per-message accounting would
-    make, not their sums: applied in order they give bit-identical clocks.
+    Everything ``charge`` would derive from the messages is derived here,
+    once: each rank's clock increment is one sum, the barrier is
+    ``makespan``, and the phase durations are already binned for the
+    ``repro.machine.phase_seconds`` histogram.  Clocks and
+    ``phase_seconds`` are *modeled* values: charged as sums they equal
+    per-message accounting to relative 1e-12, not bit for bit; every
+    integral count is exact.
     """
 
     messages: int
     bytes: int
     local_copies: int
     local_bytes: int
-    durations: tuple[float, ...]  # one per non-empty phase; every clock advances by each
-    makespan: float  # their sum: total phase-clock time
-    #: (rank, its increments from the unphased transfers, in their order)
-    rank_terms: tuple[tuple[int, tuple[float, ...]], ...]
+    durations: tuple[float, ...]  # one per non-empty phase
+    makespan: float  # their sum: total phase-clock time, what every clock advances by
+    binned: Binned  # ``durations`` in :data:`PHASE_SECONDS`' buckets
+    #: (rank, the sum of its increments from the unphased transfers)
+    rank_seconds: tuple[tuple[int, float], ...]
     #: (src, dst, nbytes, elements) of every message, in log order
     headers: tuple[tuple[int, int, int, int], ...]
 
@@ -114,19 +126,19 @@ def ledger_delta(cost, unphased=(), phases=()) -> LedgerDelta:
     dst`` is a local copy, not a message), ``phases`` as ``(contended,
     headers)`` rounds on the phase clock, each lasting
     :meth:`~repro.spmd.cost.CostModel.phase_time` (an empty one is free)."""
-    terms: dict[int, list[float]] = {}
+    seconds_of: dict[int, float] = {}
     log: list[tuple[int, int, int, int]] = []
     local_bytes = []
     for header in unphased:
         src, dst, nbytes, _ = header
         if src == dst:
             local_bytes.append(nbytes)
-            terms.setdefault(src, []).append(cost.local_copy_cost(nbytes))
+            seconds_of[src] = seconds_of.get(src, 0.0) + cost.local_copy_cost(nbytes)
         else:
             log.append(header)
             seconds = cost.message_cost(nbytes)
-            terms.setdefault(src, []).append(seconds)
-            terms.setdefault(dst, []).append(seconds)
+            seconds_of[src] = seconds_of.get(src, 0.0) + seconds
+            seconds_of[dst] = seconds_of.get(dst, 0.0) + seconds
     durations = []
     for contended, headers in phases:
         if headers:
@@ -139,7 +151,8 @@ def ledger_delta(cost, unphased=(), phases=()) -> LedgerDelta:
         local_bytes=sum(local_bytes),
         durations=tuple(durations),
         makespan=sum(durations, 0.0),
-        rank_terms=tuple((rank, tuple(ts)) for rank, ts in terms.items()),
+        binned=PHASE_SECONDS.bin(durations),
+        rank_seconds=tuple(seconds_of.items()),
         headers=tuple(log),
     )
 

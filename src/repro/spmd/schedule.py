@@ -358,20 +358,19 @@ def _round_robin_phases(packed: list[PackedTransfer]) -> tuple[CommPhase, ...]:
         packed, key=lambda t: (-t.elements, t.src_rank, t.dst_rank)
     )
     phases: list[list[PackedTransfer]] = []
-    sending: list[set[int]] = []
-    receiving: list[set[int]] = []
+    # per port, the set of phases it is busy in, as a bitset: a message's
+    # earliest free phase is the lowest clear bit of its two ports' union
+    sending: dict[int, int] = {}
+    receiving: dict[int, int] = {}
     for t in order:
-        for k in range(len(phases)):
-            if t.src_rank not in sending[k] and t.dst_rank not in receiving[k]:
-                break
-        else:
-            k = len(phases)
+        busy = sending.get(t.src_rank, 0) | receiving.get(t.dst_rank, 0)
+        bit = ~busy & (busy + 1)
+        k = bit.bit_length() - 1
+        if k == len(phases):
             phases.append([])
-            sending.append(set())
-            receiving.append(set())
         phases[k].append(t)
-        sending[k].add(t.src_rank)
-        receiving[k].add(t.dst_rank)
+        sending[t.src_rank] = sending.get(t.src_rank, 0) | bit
+        receiving[t.dst_rank] = receiving.get(t.dst_rank, 0) | bit
     return tuple(CommPhase(tuple(msgs), contended=False) for msgs in phases)
 
 

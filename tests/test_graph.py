@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
@@ -74,6 +76,37 @@ def test_edges_and_neighbors():
     assert g.preds(2, "a") == [1]
     assert g.succs(1, "other") == []
     assert g.vertex_ids() == [1, 2]
+
+
+def test_adjacency_index_is_derived_state():
+    """``preds``/``succs`` answer from an index ``add_edge`` keeps; the index
+    is not a field: it reaches neither ``==``, ``repr`` nor a pickle, and a
+    copy that arrives without it rebuilds it from ``edges``."""
+    g, _, _ = mk_graph()
+    g.add_edge(1, 2, "b")
+    g.add_edge(2, 1, "a")
+    g.add_edge(1, 1, "b")
+    fresh = RemappingGraph(g.versions, dict(g.vertices))
+    for src, dst, array in [(1, 2, "a"), (1, 2, "b"), (2, 1, "a"), (1, 1, "b")]:
+        fresh.edges.setdefault((src, dst), set()).add(array)  # no index kept
+    assert g == fresh and repr(g) == repr(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    assert "_adj" not in pickle.loads(pickle.dumps(g)).__dict__
+
+    def scan(graph, v, array, end):
+        return [
+            pair[1 - end]
+            for pair, arrays in graph.edges.items()
+            if pair[end] == v and (array is None or array in arrays)
+        ]
+
+    loaded = pickle.loads(pickle.dumps(g))
+    loaded.add_edge(2, 2, "a")  # the rebuilt index stays current
+    for graph in (g, fresh, loaded):
+        for v in (1, 2, 3):
+            for array in (None, "a", "b", "other"):
+                assert graph.succs(v, array) == scan(graph, v, array, 0)
+                assert graph.preds(v, array) == scan(graph, v, array, 1)
 
 
 def test_leaving_set_states():

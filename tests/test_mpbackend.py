@@ -39,6 +39,7 @@ from repro import (
     ExecutionEnv,
     Machine,
     compile_program,
+    execute,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ScheduleError, TransportError
@@ -57,7 +58,7 @@ from repro.spmd.transport import (
     fork_available,
     measured_phase_time,
 )
-from test_schedule import FIGURES, _run
+from test_schedule import FIGURES, _env, _run
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="mp transport requires the fork start method"
@@ -132,6 +133,48 @@ def test_figures_mp_matches_simulator_symbolic(backend, name, policy):
     )
     values, stats, _ = _run_mp(backend, compiled, w)
     _assert_identical((values, stats), _run(compiled, w), (name, policy, "symbolic"))
+
+
+def test_figures_phase_metrics_equal_one_observe_each(backend, monkeypatch):
+    """``repro.machine.phases`` / ``phase_seconds`` are fed pre-binned, one
+    locked add per charged plan; after every figure x policy on both backends
+    they hold what feeding every phase duration through ``observe`` one at a
+    time leaves: buckets, count, min and max ``==``, the sum to rel 1e-12."""
+    from repro.obs.metrics import Counter, Histogram
+    from repro.spmd import machine as machine_module
+
+    phases = Counter("repro.machine.phases")
+    seconds = Histogram("repro.machine.phase_seconds")
+    monkeypatch.setattr(machine_module, "_M_PHASES", phases)
+    monkeypatch.setattr(machine_module, "_M_PHASE_SECONDS", seconds)
+    durations = []
+    real_charge = Machine.charge
+
+    def charge(machine, delta, *labels):
+        durations.extend(delta.durations)
+        real_charge(machine, delta, *labels)
+
+    monkeypatch.setattr(Machine, "charge", charge)
+    modeled = 0.0
+    for name, w in sorted(FIGURES.items()):
+        for policy in POLICIES:
+            compiled = compile_program(
+                w["source"], bindings=w["bindings"], processors=4,
+                options=CompilerOptions(level=3, schedule=policy),
+            )  # fmt: skip
+            _, _, result = _run_mp(backend, compiled, w)
+            modeled += result.machine.phase_seconds
+            machine = Machine(compiled.processors)
+            execute(compiled, machine=machine, env=_env(w))
+            modeled += machine.phase_seconds
+    one_by_one = Histogram("repro.machine.phase_seconds")
+    for d in durations:
+        one_by_one.observe(d)
+    want, got = one_by_one._snapshot(), seconds._snapshot()
+    assert phases.value == got["count"] == len(durations) > 100
+    assert got["sum"] == pytest.approx(want.pop("sum"), rel=1e-12, abs=0)
+    assert {k: v for k, v in got.items() if k != "sum"} == want
+    assert modeled == pytest.approx(got["sum"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("mode", ["eager", "symbolic"])
@@ -285,7 +328,11 @@ def test_arena_exhaustion_raises():
 
 def test_failed_shared_array_construction_returns_its_blocks():
     """An arena one block too small on rank 2: the blocks already placed
-    on ranks 0-1 go back, memory accounting included."""
+    on ranks 0-1 go back, memory accounting included.  The machine accounts
+    a version's blocks as one set before any storage is placed (all ranks
+    or none), so the failed construction counts all four blocks allocated
+    and all four freed -- not the two whose arena placement had succeeded,
+    as it did when each block was accounted after its own placement."""
     procs = ProcessorArrangement("P", (4,))
     mapping = Mapping.simple((512,), (DistFormat.block(),), procs)  # 1 KiB a rank
     transport = MPTransport(4, arena_bytes=1 << 10)
@@ -296,7 +343,7 @@ def test_failed_shared_array_construction_returns_its_blocks():
             SharedDistributedArray("A", mapping, machine, transport)
         assert [a.free_bytes() for a in transport.arenas] == [1 << 10, 1 << 10, (1 << 10) - 64, 1 << 10]
         assert [machine.mem_used(r) for r in range(4)] == [0] * 4
-        assert machine.stats.allocations == machine.stats.frees == 2
+        assert machine.stats.allocations == machine.stats.frees == 4
         transport.arenas[2].release(taken, 64)
         whole = SharedDistributedArray("A", mapping, machine, transport)
         assert all(a.free_bytes() == 0 for a in transport.arenas)

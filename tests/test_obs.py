@@ -126,18 +126,54 @@ def test_histogram_tail_never_underweighted():
 def test_histogram_observe_many_equals_one_observe_each():
     """One lock acquisition, the very state N ``observe`` calls leave: same
     buckets, count, min, max and -- the floats summed in the same order --
-    bit-equal sum."""
+    bit-equal sum.  The pre-binned ``add(bin(values))`` goes through the same
+    bucketing and leaves the same buckets, count, min and max; its sum adds
+    each chunk's total in one step, so it agrees to rel 1e-12, not bit for bit."""
     values = [0.1 * 3.0**-k for k in range(40)] + [5e9, 1e-12, 0.1]
-    one_by_one, batched = Histogram("lat"), Histogram("lat")
+    one_by_one, batched, prebinned = Histogram("lat"), Histogram("lat"), Histogram("lat")
     for chunk in (values[:7], (), values[7:]):
         for v in chunk:
             one_by_one.observe(v)
         batched.observe_many(chunk)
+        binned = prebinned.bin(chunk)
+        assert binned.count == len(chunk) and sum(n for _, n in binned.buckets) == len(chunk)
+        prebinned.add(binned)
     assert batched._snapshot() == one_by_one._snapshot()
     assert batched.count == len(values) and batched.sum == one_by_one.sum
+    want, got = one_by_one._snapshot(), prebinned._snapshot()
+    assert got["sum"] == pytest.approx(want.pop("sum"), rel=1e-12, abs=0)
+    assert {k: v for k, v in got.items() if k != "sum"} == want  # counts, count, min, max
     with metrics_disabled():
         batched.observe_many([1.0, 2.0])
+        prebinned.add(prebinned.bin([1.0, 2.0]))
     assert batched._snapshot() == one_by_one._snapshot()
+    assert prebinned._snapshot() == got
+
+
+def test_histogram_add_rejects_values_binned_under_other_bounds():
+    coarse, fine = Histogram("lat", buckets=(1.0, 10.0)), Histogram("lat")
+    with pytest.raises(ValueError, match="other bucket bounds"):
+        fine.add(coarse.bin([0.5, 3.0]))
+    assert fine.count == 0
+    # equal bounds need not be the same tuple object
+    Histogram("lat", buckets=(1.0, 10.0)).add(coarse.bin([0.5, 3.0]))
+
+
+def test_disabled_metrics_record_nothing_and_convert_nothing():
+    """A disabled registry must not pay for its arguments either: the flag
+    is tested before any value is converted to ``float`` or bucketed."""
+
+    class Unconvertible:
+        def __float__(self):
+            raise AssertionError("converted although metrics are disabled")
+
+    h = Histogram("lat")
+    with metrics_disabled():
+        h.observe_many([Unconvertible(), Unconvertible()])
+        h.observe(Unconvertible())
+    assert h._snapshot() == Histogram("lat")._snapshot()
+    with pytest.raises(AssertionError, match="converted"):
+        h.observe(Unconvertible())
 
 
 def test_histogram_single_value_clamps_to_observed_range():

@@ -107,11 +107,14 @@ def test_blocks_needed_per_rank():
     assert needed == {0: 32, 1: 32, 2: 32, 3: 32}
 
 
-def test_allocate_without_limit():
+def test_allocate_without_limit(monkeypatch):
+    # no limit to test a budget against: the per-rank ``needed`` map is not built
+    monkeypatch.setattr("repro.runtime.memory.blocks_needed", None)
     machine = Machine(P4)
     mm = MemoryManager(machine)
     inst = mm.allocate("a_0", mk_mapping())
     assert inst.total_local_bytes() == 16 * 8
+    assert [machine.mem_used(r) for r in range(4)] == [32] * 4
 
 
 def test_allocate_evicts_largest_candidate():

@@ -60,6 +60,7 @@ from repro.spmd import (
     redistribute,
 )
 from repro.spmd.redistribution import RedistSchedule, Transfer
+from repro.spmd.schedule import CommPhase, _pack, _round_robin_phases
 from repro.util.intervals import IntervalSet
 
 COST = CostModel()
@@ -305,6 +306,52 @@ def test_prop_scheduled_execution_matches_unscheduled(
     assert np.array_equal(d.gather_to_global(), d0.gather_to_global())
     assert mach.stats.bytes == ref_mach.stats.bytes
     assert mach.stats.local_bytes == ref_mach.stats.local_bytes
+
+
+def first_fit_by_scanning(packed):
+    """The phasing oracle: largest-first first-fit that looks at every open
+    phase for every message (what ``_round_robin_phases`` did before it kept
+    a busy-phase bitset per port; quadratic in the message count)."""
+    order = sorted(packed, key=lambda t: (-t.elements, t.src_rank, t.dst_rank))
+    phases, sending, receiving = [], [], []
+    for t in order:
+        for k in range(len(phases)):
+            if t.src_rank not in sending[k] and t.dst_rank not in receiving[k]:
+                break
+        else:
+            k = len(phases)
+            phases.append([])
+            sending.append(set())
+            receiving.append(set())
+        phases[k].append(t)
+        sending[k].add(t.src_rank)
+        receiving[k].add(t.dst_rank)
+    return tuple(CommPhase(tuple(msgs), contended=False) for msgs in phases)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    f_src=fmt_1d,
+    f_dst=fmt_1d,
+    nprocs=st.integers(1, 5),
+    aggregate=st.booleans(),
+)
+def test_prop_round_robin_phases_equal_the_scanning_first_fit(
+    n, f_src, f_dst, nprocs, aggregate
+):
+    """The lowest clear bit of the two ports' busy sets *is* the first phase
+    a scan would find free: same messages, same phases, same order."""
+    procs = ProcessorArrangement("P", (nprocs,))
+    redist = build_schedule(
+        layout_of(mk((n,), (f_src,), procs)), layout_of(mk((n,), (f_dst,), procs))
+    )
+    remote = [t for t in redist.transfers if t.elements and not t.is_local]
+    packed = _pack(remote, aggregate=aggregate)
+    assert _round_robin_phases(packed) == first_fit_by_scanning(packed)
+    policy = "aggregate" if aggregate else "round-robin"
+    if remote:
+        assert build_comm_schedule(redist, policy).phases == first_fit_by_scanning(packed)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ def test_memory_accounting_and_limit(p4):
     assert m.mem_peak() == 60
 
 
+def test_one_rank_over_the_limit_places_nothing(p4):
+    """A version's blocks are accounted as one set: rank 2 is over the limit,
+    so no rank's memory moves and nothing is counted allocated."""
+    m = Machine(p4, memory_limit=100)
+    m.allocate_set("seed", [(2, 60)])
+    before = m.stats.snapshot()
+    with pytest.raises(OutOfMemoryError, match="cannot place A: processor 2: 60 \\+ 50"):
+        m.allocate_set("A", [(0, 50), (1, 50), (2, 50), (3, 50)])
+    assert [m.mem_used(r) for r in range(4)] == [0, 0, 60, 0]
+    assert m.stats.snapshot() == before and m.mem_peak() == 60
+    m.allocate_set("A", [(0, 50), (1, 50), (2, 40), (3, 50)])
+    assert [m.mem_used(r) for r in range(4)] == [50, 50, 100, 50]
+    assert m.stats.allocations == 5 and m.mem_peak() == 100
+    m.free_set([(0, 50), (1, 50), (2, 40), (3, 50)])
+    assert [m.mem_used(r) for r in range(4)] == [0, 0, 60, 0]
+    assert m.stats.frees == 4 and m.mem_peak() == 100
+
+
 def test_stats_snapshot_diff(machine4):
     before = machine4.stats.snapshot()
     machine4.transfer(Message(src=0, dst=1, nbytes=8, elements=1))
