@@ -1,16 +1,18 @@
-"""Where a warm request's time goes: one workload of the layered benchmark
-under cProfile.
+"""Where a round's time goes: one workload of the layered benchmark under
+cProfile.
 
     python3 benchmarks/profile_request.py --workload remap_fine [--rounds N] [--top K]
 
 Builds the workload exactly as ``benchmarks/layers/run.py`` does (programs,
 inputs and three warm-up rounds through the front door), then serves
-``--rounds`` more rounds by calling ``CompileService._handle`` on this
-thread with the profiler on -- the worker pool would hide the request from
-it -- checks every result against the workload's reference, and prints the
-cumulative table followed by the shares of the remapping walk
-(``remap/walker.py::_remap``) spent in the copy (``PreparedMove.execute``)
-and in the ledger (``Machine.charge``).
+``--rounds`` more rounds through ``workload.serve`` -- what ``run.py`` times,
+so ``shape_tiers`` restarts its service every round and its requests are
+store loads and template instantiations, not memory hits -- with the
+profiler on and every service's requests run inline on this thread (a worker
+thread would hide them from it), checks every result against the workload's
+reference, and prints the cumulative table, the serving-tier counts and the
+shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
+(``PreparedMove.execute``) and in the ledger (``Machine.charge``).
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -25,12 +27,16 @@ import cProfile
 import pstats
 import sys
 import tempfile
+from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
+
+from repro.service import service as service_module  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
@@ -55,35 +61,59 @@ def cumulative(stats: pstats.Stats, frame: tuple[str, str]) -> float:
     return hits[0]
 
 
-def profile(workload: workloads.Workload, rounds: int) -> pstats.Stats:
-    """Serve ``rounds`` warm rounds on this thread under the profiler."""
+class InlineExecutor:
+    """The service's worker pool, run on the submitting (profiled) thread."""
+
+    def __init__(self, **_):
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # what a pool thread would have stored
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+
+def profile(workload: workloads.Workload, rounds: int) -> tuple[pstats.Stats, Counter]:
+    """Serve ``rounds`` rounds as ``run.py`` does, under the profiler; also
+    the count of requests each tier served."""
     profiler = cProfile.Profile()
+    tiers: Counter = Counter()
     for r in range(rounds):
         kinds = workload.round_kinds(r)
         profiler.enable()
-        results = [workload.service._handle(kind.request, 0) for kind in kinds]
+        results, _ = workload.serve(kinds)
         profiler.disable()
         failed = [k.name for k, res in zip(kinds, results) if workloads.request_failed(k, res)]
         if failed:
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
-    return pstats.Stats(profiler)
+        tiers.update(res.cache_source for res in results)
+    return pstats.Stats(profiler), tiers
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, default=200)
-    parser.add_argument("--top", type=int, default=30, help="rows of the cumulative table")
+    parser.add_argument("--top", type=int, default=50, help="rows of the cumulative table")
     args = parser.parse_args(argv)
 
+    # every service the workload opens (a restart included) serves inline
+    service_module.ThreadPoolExecutor = InlineExecutor
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats = profile(workload, args.rounds)
+            stats, tiers = profile(workload, args.rounds)
         finally:
             workload.close()
 
     stats.sort_stats("cumulative").print_stats(args.top)
+    print("tiers: " + "  ".join(f"{tier} {n}" for tier, n in tiers.most_common()))
     remap = cumulative(stats, REMAP)
     print(f"_remap: {remap:.3f} s cumulative over {args.rounds} rounds of {args.workload}")
     for label, frame in SHARES.items():

@@ -72,9 +72,6 @@ class CompileReport:
     #: space, filled by the ``traffic-estimate`` pass when it runs
     traffic: dict[str, "TrafficRange"] = field(default_factory=dict)
     trace: "PipelineTrace | None" = None
-    #: binding names the *compilation* depends on (see
-    #: :func:`compile_time_binding_names`); ``None`` = unknown, assume all
-    binding_names: frozenset[str] | None = None
     #: filled by the opt-in ``symbolize`` pass: the shape-symbolic vs
     #: compile-relevant split plus the post-motion program, from which the
     #: session builds a :class:`~repro.compiler.template.SymbolicTemplate`
@@ -130,25 +127,6 @@ class CompileReport:
         if self.trace is not None:
             lines.append(self.trace.summary())
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# compile-time binding dependence
-# ---------------------------------------------------------------------------
-
-
-def compile_time_binding_names(program: Program) -> frozenset[str]:
-    """Binding names the compiled artifact can depend on.
-
-    Resolution consumes bindings as *declaration extents* (arrays,
-    templates, processor arrangements), and an undeclared symbolic loop
-    bound is legal only when a binding supplies it (its value also seeds
-    the executor's fallback).  Everything else in ``bindings`` is
-    runtime-only, so artifact caches may ignore it.
-    """
-    from repro.symbolic.classify import classify_bindings
-
-    return classify_bindings(program).all_compile_time
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from repro.compiler.artifacts import (
 from repro.compiler.diagnostics import (
     CompileReport,
     SymbolicInfo,
-    compile_time_binding_names,
     frontend_warnings,
 )
 from repro.errors import PipelineError
@@ -313,7 +312,6 @@ class ResolvePass:
         )
         warnings = frontend_warnings(ctx.program)
         ctx.report.diagnostics.extend(warnings)
-        ctx.report.binding_names = compile_time_binding_names(ctx.program)
         return {"subroutines": len(ctx.resolved.subroutines), "warnings": len(warnings)}
 
 

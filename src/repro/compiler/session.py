@@ -19,18 +19,26 @@ the processor arrangement dropped), so a request for a never-seen
 ``"instantiated"``) instead of compiling from scratch.  On disk the
 template is the *only* entry written for such a source -- shape-diverse
 traffic collapses to one store entry per (source, compile-relevant
-bindings, options) rather than one per shape.  After the first compile of a
-source the session learns which binding names the compilation actually
-depends on (declaration extents; see
-:func:`~repro.compiler.diagnostics.compile_time_binding_names`), so
-runtime-only bindings -- loop bounds of declared scalars -- stop forcing
-recompiles.  A hit whose runtime-only bindings differ from the cached
-artifact's is served as a cheap wrapper with the caller's bindings (the
-expensive products are shared), so the ``compile_program`` contract --
-bindings given at compile time reach the executor's fallback -- holds.  A warm compile does *zero* parse
-or construction work -- the cached artifact is returned as-is, which the
-session's ``passes_run`` counter (it only advances on misses) and the
-artifact's :class:`~repro.compiler.pipeline.PipelineTrace` make verifiable.
+bindings, options) rather than one per shape.
+
+Which bindings a compilation can depend on -- symbolic declaration extents
+and undeclared loop bounds -- is a syntactic property of the source, so a
+source is classified where its digest is first met
+(:func:`~repro.symbolic.classify.classify_bindings`; a text source is
+parsed there, once, and the parsed program is what a cold compile hands to
+the pipeline).  Both keys are pure functions of that classification: a
+request's key is the same before and after its first compile, in this
+process and in any other, and runtime-only bindings -- loop bounds of
+declared scalars -- never force a recompile.  A source that does not parse
+has no key: its ``ParseError`` is raised at first contact, before any tier
+is consulted or counted.  A hit whose runtime-only bindings differ from the
+cached artifact's is served as a cheap wrapper with the caller's bindings
+(the expensive products are shared), so the ``compile_program`` contract --
+bindings given at compile time reach the executor's fallback -- holds.  A
+warm compile does *zero* parse or construction work -- the cached artifact
+is returned as-is, which the session's ``passes_run`` counter (it only
+advances on misses) and the artifact's
+:class:`~repro.compiler.pipeline.PipelineTrace` make verifiable.
 
 ``session.run(...)`` additionally wires the simulated machine and executor,
 so the whole quickstart is three lines::
@@ -43,8 +51,8 @@ Thread safety
 -------------
 
 Sessions are safe to share across threads.  A lock guards the cache and
-its statistics, but is *never* held across a pipeline run: a miss
-compiles outside the lock, so concurrent compiles of distinct sources
+its statistics, but is *never* held across a parse or a pipeline run: a
+miss compiles outside the lock, so concurrent compiles of distinct sources
 proceed in parallel.  Two threads missing the *same* key may both run the
 pipeline (last insert wins -- artifacts are interchangeable by
 construction); callers who want exactly-one-compile semantics should go
@@ -74,10 +82,12 @@ from typing import TYPE_CHECKING
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
 from repro.compiler.pipeline import PassManager
 from repro.lang.ast_nodes import Program, Subroutine
+from repro.lang.parser import parse_program
 from repro.lang.printer import print_program, print_subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
+from repro.symbolic.classify import BindingClassification, classify_bindings
 
 if TYPE_CHECKING:
     from repro.compiler.template import SymbolicTemplate
@@ -112,8 +122,7 @@ def source_digest(source: str | Program | Subroutine) -> str:
 
     This is the sharding key of the service layer: requests for the same
     source always land on the same :class:`~repro.service.SessionPool`
-    shard, so a shard sees every version of "its" sources and the learned
-    runtime-only-binding exclusion stays shard-local.
+    shard, so a shard sees every version of "its" sources.
     """
     if isinstance(source, str):
         text = source
@@ -198,21 +207,15 @@ class CompilerSession:
         # shape bindings and the processor arrangement dropped; one
         # template serves every (n, P) of its source
         self._templates: "OrderedDict[tuple, SymbolicTemplate]" = OrderedDict()
-        # digests whose store binding-names sidecar was already consulted
-        # (memoizes misses; a learned digest never re-reads the sidecar)
-        self._names_checked: set[str] = set()
-        # per-source-digest: binding names the compilation depends on;
-        # runtime-only bindings (loop bounds etc.) are excluded from keys
-        # once the first compile of a source has taught us which is which
-        self._binding_names: dict[str, frozenset[str]] = {}
-        # per-source-digest: the shape-symbolic subset of those names
-        # (learned from the symbolize pass or the store's sidecar); needed
-        # to erase shape values from template keys.  An empty set is a
-        # positive fact -- "classified, nothing symbolic" -- distinct from
-        # an absent entry ("never classified")
-        self._shape_names: dict[str, frozenset[str]] = {}
-        # guards _cache, _binding_names and the counters; never held while
-        # a pipeline runs, so distinct-source compiles overlap freely
+        # source digest -> (classification, parsed program), computed where
+        # the digest is first met; LRU-bounded like the cache -- dropping
+        # an entry is harmless, it is recomputed from the source
+        self._sources: OrderedDict[
+            str, tuple[BindingClassification, Program]
+        ] = OrderedDict()
+        # guards _cache, _templates, _sources and the counters; never held
+        # while a source is parsed or a pipeline runs, so distinct-source
+        # compiles overlap freely
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -228,26 +231,51 @@ class CompilerSession:
 
     # -- cache -------------------------------------------------------------
 
+    def _classify(
+        self, source: str | Program | Subroutine, digest: str
+    ) -> tuple[BindingClassification, Program]:
+        """The source's binding classification and program, computed once
+        per digest: first contact parses a text source (outside the lock,
+        under a ``session.classify`` span) and raises its ``ParseError``."""
+        with self._lock:
+            known = self._sources.get(digest)
+            if known is not None:
+                self._sources.move_to_end(digest)
+                return known
+        with _TRACER.span("session.classify"):
+            if isinstance(source, str):
+                program = parse_program(source)
+            elif isinstance(source, Subroutine):
+                program = Program((source,))
+            else:
+                program = source
+            known = (classify_bindings(program), program)
+        with self._lock:
+            self._sources[digest] = known
+            while len(self._sources) > self.max_entries:
+                self._sources.popitem(last=False)
+        return known
+
+    @staticmethod
     def _key(
-        self,
         digest: str,
+        names: BindingClassification,
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
         options: CompilerOptions,
     ) -> SessionKey:
+        """The artifact key: runtime-only bindings (everything outside the
+        classification) are excluded."""
         if isinstance(processors, int):
             proc_key: object = ("P", (processors,))
         elif isinstance(processors, ProcessorArrangement):
             proc_key = (processors.name, processors.shape)
         else:
             proc_key = None
-        items = (bindings or {}).items()
-        relevant = self._binding_names.get(digest)
-        if relevant is not None:
-            items = ((k, v) for k, v in items if k in relevant)
+        relevant = names.all_compile_time
         return (
             digest,
-            tuple(sorted(items)),
+            tuple(sorted((k, v) for k, v in (bindings or {}).items() if k in relevant)),
             proc_key,
             options.pass_names,
             options.cost,
@@ -266,20 +294,18 @@ class CompilerSession:
         """The full artifact cache key a compile of these inputs would use.
 
         Public so cache front-ends (the service layer's single-flight
-        table) can deduplicate on artifact identity.  The key reflects the
-        session's *current* learned binding knowledge for the source: it
-        may refine after the first compile of a digest, which only splits
-        keys (never merges distinct artifacts onto one key).  ``digest``
-        lets a front-end that already hashed the source skip the rehash.
+        table) can deduplicate on artifact identity.  A pure function of
+        the inputs: the same before and after the source's first compile.
+        ``digest`` lets a front-end that already hashed the source skip
+        the rehash.
         """
         options = options or self.options
         if processors is None:
             processors = self.processors
         if digest is None:
             digest = source_digest(source)
-        with self._lock:
-            self._maybe_adopt_names(digest, options.symbolize)
-            return self._key(digest, bindings, processors, options)
+        names, _ = self._classify(source, digest)
+        return self._key(digest, names, bindings, processors, options)
 
     def lookup(
         self,
@@ -303,9 +329,9 @@ class CompilerSession:
             processors = self.processors
         if digest is None:
             digest = source_digest(source)
+        names, _ = self._classify(source, digest)
+        key = self._key(digest, names, bindings, processors, options)
         with self._lock:
-            self._maybe_adopt_names(digest, options.symbolize)
-            key = self._key(digest, bindings, processors, options)
             cached = self._cache.get(key)
             if cached is None:
                 return None
@@ -324,30 +350,28 @@ class CompilerSession:
         """Compile through the cache; a warm hit does no compilation work."""
         return self.compile_traced(source, bindings, processors, options)[0]
 
+    @staticmethod
     def _template_key(
-        self,
         digest: str,
+        names: BindingClassification,
         bindings: dict[str, int] | None,
         options: CompilerOptions,
     ) -> tuple | None:
-        """The shape-erased key a symbolic template lives under (under lock).
+        """The shape-erased key a symbolic template lives under.
 
         Shape-symbolic binding values and the processor arrangement are
         dropped -- one template serves every ``(n, P)`` -- while the
         compile-relevant binding values stay (they are baked into the
-        template).  ``None`` when the source has no recorded shape
-        classification yet (fresh process, sidecar absent) or nothing is
-        shape-symbolic: both mean "no template can exist for this key".
+        template).  ``None`` when nothing is shape-symbolic: no template
+        can exist for the source.
         """
-        shapes = self._shape_names.get(digest)
-        if not shapes:
+        if not names.shape_symbolic:
             return None
-        relevant = self._binding_names.get(digest) or frozenset()
         items = tuple(
             sorted(
                 (k, v)
                 for k, v in (bindings or {}).items()
-                if k in relevant and k not in shapes
+                if k in names.compile_relevant
             )
         )
         return (
@@ -360,79 +384,22 @@ class CompilerSession:
             "template",
         )
 
-    def _learn_names(self, digest: str, names: frozenset[str] | None) -> None:
-        """Record a source's compile-relevant binding names (under lock)."""
-        if names is not None and digest not in self._binding_names:
-            self._binding_names[digest] = names
-
-    def _learn_shapes(self, digest: str, shapes: frozenset[str] | None) -> None:
-        """Record a source's shape-symbolic binding names (under lock)."""
-        if shapes is not None and digest not in self._shape_names:
-            self._shape_names[digest] = shapes
-
-    def _maybe_adopt_names(self, digest: str, symbolize: bool = False) -> None:
-        """Adopt the store's recorded binding names for a source (under lock).
-
-        Another process may have compiled this source already; adopting
-        the names it recorded makes this session's keys refine exactly the
-        same way, so runtime-only binding variants are disk hits instead
-        of misses -- and adopting the recorded *shape* split makes this
-        session compute the same shape-erased template key, so its first
-        contact with a symbolized source is a template instantiation, not
-        a cold compile.  Called from every key-computing entry point
-        (:meth:`cache_key`, :meth:`lookup`, :meth:`compile_traced`) so the
-        keys they report agree.  A sidecar miss is memoized: steady-state
-        compiles of never-stored sources pay no disk reads.
-
-        ``symbolize`` requests re-read the *shape* sidecar even after the
-        memoized first check: a source first seen through a non-symbolic
-        compile adopts names before any shape classification exists, and
-        without the re-read a later symbolized request of the same digest
-        would compute no template key and cold-compile past a perfectly
-        servable stored template (found by the differential fuzzer's
-        store-round-trip cells).  The extra read only happens while the
-        digest has no known shapes, i.e. at most once per eventual hit.
-        """
-        if self.store is None:
-            return
-        if digest not in self._binding_names and digest not in self._names_checked:
-            self._names_checked.add(digest)
-            self._learn_names(digest, self.store.binding_names(digest))
-            self._learn_shapes(digest, self.store.shape_names(digest))
-        elif symbolize and digest not in self._shape_names:
-            self._learn_shapes(digest, self.store.shape_names(digest))
-
-    def _forget_if_unreferenced(self, digest: str) -> None:
-        """Drop a digest's learned names once its last artifact is gone
-        (under lock), keeping the name maps bounded -- and un-memoize the
-        sidecar check with them: a later compile of this source must be
-        allowed to re-adopt the names, else its unrefined key would miss
-        a perfectly servable disk entry."""
-        if not any(k[0] == digest for k in self._cache) and not any(
-            k[0] == digest for k in self._templates
-        ):
-            self._binding_names.pop(digest, None)
-            self._shape_names.pop(digest, None)
-            self._names_checked.discard(digest)
-
     def _insert(self, key: SessionKey, compiled: CompiledProgram) -> None:
         """Insert one frozen artifact and apply the LRU bound (under lock)."""
         self._cache[key] = compiled
         while len(self._cache) > self.max_entries:
-            evicted_key, _ = self._cache.popitem(last=False)
+            self._cache.popitem(last=False)
             self.evictions += 1
             _M_EVICTIONS.inc()
-            self._forget_if_unreferenced(evicted_key[0])
 
     def _insert_template(self, tkey: tuple, template: "SymbolicTemplate") -> None:
         """Insert one frozen template and apply the LRU bound (under lock)."""
         self._templates[tkey] = template
         self._templates.move_to_end(tkey)
         while len(self._templates) > self.max_entries:
-            evicted_key, _ = self._templates.popitem(last=False)
+            self._templates.popitem(last=False)
             self.evictions += 1
             _M_EVICTIONS.inc()
-            self._forget_if_unreferenced(evicted_key[0])
 
     def compile_traced(
         self,
@@ -485,9 +452,9 @@ class CompilerSession:
             processors = self.processors
         if digest is None:
             digest = source_digest(source)
+        names, program = self._classify(source, digest)
+        key = self._key(digest, names, bindings, processors, options)
         with self._lock:
-            self._maybe_adopt_names(digest, options.symbolize)
-            key = self._key(digest, bindings, processors, options)
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)
@@ -500,8 +467,13 @@ class CompilerSession:
         if cached is not None:
             # outside the lock: wrapper construction is pure
             return with_bindings(cached, bindings), "memory"
-        if options.symbolize:
-            served = self._instantiate(digest, bindings, processors, options)
+        tkey = (
+            self._template_key(digest, names, bindings, options)
+            if options.symbolize
+            else None
+        )
+        if tkey is not None:
+            served = self._instantiate(key, tkey, bindings, processors)
             if served is not None:
                 return served, "instantiated"
         if self.store is not None:
@@ -512,25 +484,23 @@ class CompilerSession:
                 _M_STORE_HITS.inc()
                 with self._lock:
                     self.store_hits += 1
-                    if loaded.report is not None:
-                        self._learn_names(digest, loaded.report.binding_names)
-                    key = self._key(digest, bindings, processors, options)
                     self._insert(key, loaded)
                 return with_bindings(loaded, bindings), "disk"
-        # the pipeline runs unlocked; concurrent misses for the same key
-        # both compile (benign: artifacts are interchangeable, last insert
-        # wins) -- the service layer's single-flight prevents the repeat
+        # the pipeline runs unlocked, on the program first contact parsed;
+        # concurrent misses for the same key both compile (benign:
+        # artifacts are interchangeable, last insert wins) -- the service
+        # layer's single-flight prevents the repeat
         compiled = PassManager.pipeline_for(options).compile(
-            source, bindings=bindings, processors=processors, options=options
+            program, bindings=bindings, processors=processors, options=options
         )
         compiled.freeze()
-        # for symbolized sources with shape-symbolic bindings, derive the
-        # shape-erased template from the pass-recorded classification
+        # a symbolized source with shape-symbolic bindings also yields the
+        # shape-erased template, from the pass-recorded post-motion AST
         template = None
-        sym = compiled.report.symbolic if compiled.report is not None else None
-        if options.symbolize and sym is not None and sym.classification.shape_symbolic:
+        if tkey is not None:
             from repro.compiler.template import build_template
 
+            sym = compiled.report.symbolic
             template = build_template(
                 sym.program, options, sym.classification, bindings
             )
@@ -538,38 +508,18 @@ class CompilerSession:
         with self._lock:
             if compiled.trace is not None:
                 self.passes_run += len(compiled.trace.records)
-            # learn which bindings this source actually compiles against,
-            # then store under the refined key so runtime-only bindings
-            # don't miss; the key is recomputed unconditionally because a
-            # concurrent miss may have taught the session the binding
-            # names since this call computed its key -- inserting under
-            # the stale unrefined key would leave a dead LRU entry
-            if compiled.report is not None:
-                self._learn_names(digest, compiled.report.binding_names)
-            if sym is not None:
-                self._learn_shapes(digest, sym.classification.shape_symbolic)
-            key = self._key(digest, bindings, processors, options)
             self._insert(key, compiled)
-            tkey = None
             if template is not None:
-                tkey = self._template_key(digest, bindings, options)
-                if tkey is not None:
-                    self._insert_template(tkey, template)
-            names = self._binding_names.get(digest)
-            shapes = self._shape_names.get(digest)
+                self._insert_template(tkey, template)
         if self.store is not None:
             # write-back outside the lock: serialization is pure and the
             # store's own locking covers concurrent writers.  A symbolized
             # source writes its *template* only: one shape-erased disk
             # entry serves every (n, P), which is the whole point
-            if tkey is not None:
-                wrote = self.store.store(
-                    tkey, template, binding_names=names, shape_names=shapes
-                )
+            if template is not None:
+                wrote = self.store.store(tkey, template)
             else:
-                wrote = self.store.store(
-                    key, compiled, binding_names=names, shape_names=shapes
-                )
+                wrote = self.store.store(key, compiled)
             if wrote:
                 _M_STORE_WRITES.inc()
                 with self._lock:
@@ -578,18 +528,19 @@ class CompilerSession:
 
     def _instantiate(
         self,
-        digest: str,
+        key: SessionKey,
+        tkey: tuple,
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
-        options: CompilerOptions,
     ) -> CompiledProgram | None:
-        """Serve one request by instantiating a symbolic template, if any.
+        """Serve one request by instantiating the template at ``tkey``, if any.
 
         Checks the in-memory template cache, then the store.  ``None`` --
         no template known for this source/options, or the request lacks a
         shape binding -- sends the caller on to the remaining tiers.  The
-        instantiated concrete artifact joins the ordinary memory cache, so
-        repeats of the same ``(n, P)`` are plain ``"memory"`` hits.
+        instantiated concrete artifact joins the ordinary memory cache
+        (under ``key``), so repeats of the same ``(n, P)`` are plain
+        ``"memory"`` hits.
 
         A template loaded from the store is verified as the artifact it
         serves: the first artifact instantiated from it must pass
@@ -603,12 +554,11 @@ class CompilerSession:
         from repro.compiler.template import SymbolicTemplate
 
         with self._lock:
-            tkey = self._template_key(digest, bindings, options)
-            template = self._templates.get(tkey) if tkey is not None else None
+            template = self._templates.get(tkey)
             if template is not None:
                 self._templates.move_to_end(tkey)
         unserved = False
-        if template is None and tkey is not None and self.store is not None:
+        if template is None and self.store is not None:
             loaded = self.store.load(tkey)
             if isinstance(loaded, SymbolicTemplate):
                 template = loaded
@@ -636,7 +586,6 @@ class CompilerSession:
             if unserved:
                 self.store_hits += 1
                 self._insert_template(tkey, template)
-            key = self._key(digest, bindings, processors, options)
             self._insert(key, compiled)
         return with_bindings(compiled, bindings)
 
@@ -644,9 +593,7 @@ class CompilerSession:
         with self._lock:
             self._cache.clear()
             self._templates.clear()
-            self._binding_names.clear()
-            self._shape_names.clear()
-            self._names_checked.clear()
+            self._sources.clear()
 
     @property
     def cache_size(self) -> int:

@@ -29,44 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.artifacts import (
-    PASS_ORDER,
-    CompiledProgram,
-    CompilerOptions,
-    _Freezable,
-)
+from repro.compiler.artifacts import CompiledProgram, CompilerOptions, _Freezable
 from repro.errors import SymbolicBindingError
 from repro.lang.ast_nodes import Program
 from repro.mapping.processors import ProcessorArrangement
 from repro.spmd.schedule import CommPlanTable
 from repro.symbolic.classify import BindingClassification
 
-#: Passes a template instantiation must *not* run: the front end and
-#: motion are baked into the stored AST and ``symbolize`` already happened.
-_SKIPPED_AT_INSTANTIATION = frozenset(
-    {"parse", "motion", "symbolize", "traffic-estimate"}
-)
-
-
-class _InjectAst:
-    """A ``parse``-slot pass that installs an already-built AST.
-
-    Templates store the post-motion program; re-parsing (or worse,
-    re-running motion) at instantiation time would both waste the work
-    and risk diverging from the decisions the template was certified
-    with.
-    """
-
-    name = "parse"
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ("ast",)
-
-    def __init__(self, program: Program):
-        self._program = program
-
-    def run(self, ctx) -> dict[str, int]:
-        ctx.program = self._program
-        return {"subroutines": len(self._program.subroutines)}
+#: Passes a template instantiation must *not* run: motion is baked into the
+#: stored AST (re-running it could diverge from the decisions the template
+#: was certified with) and ``symbolize`` already happened.  ``parse`` runs,
+#: but handed a ``Program`` it only installs it.
+_SKIPPED_AT_INSTANTIATION = frozenset({"motion", "symbolize", "traffic-estimate"})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +105,7 @@ class SymbolicTemplate(_Freezable):
         The caller freezes the result before sharing it, exactly as for
         an eager compile.
         """
-        from repro.compiler.pipeline import PassManager, Pipeline
+        from repro.compiler.pipeline import PassManager
 
         missing = self.missing_shapes(bindings)
         if missing:
@@ -141,14 +115,7 @@ class SymbolicTemplate(_Freezable):
             )
         merged = dict(self.fixed_bindings)
         merged.update(bindings or {})
-        order = {n: i for i, n in enumerate(PASS_ORDER)}
-        tail = sorted(
-            (n for n in self.instantiation_pass_names() if n != "parse"),
-            key=order.__getitem__,
-        )
-        pipeline = Pipeline(
-            [_InjectAst(self.program)] + [PassManager.create(n) for n in tail]
-        )
+        pipeline = PassManager.build(self.instantiation_pass_names())
         compiled = pipeline.compile(
             self.program, merged, processors, options=self.options
         )

@@ -12,7 +12,7 @@ Fortran-flavoured conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -28,8 +28,7 @@ EOF = "EOF"
 _PUNCT_CHARS = set("(),=*+-:")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int

@@ -5,9 +5,10 @@ every concurrent compile contend on a single cache lock and a single LRU
 list.  A :class:`SessionPool` splits the artifact cache into N
 independently locked shards (each a full ``CompilerSession``), routed by
 the *source digest*: requests for the same source always land on the same
-shard (so its learned runtime-only-binding knowledge and LRU locality
-stay intact), while compiles of distinct sources almost always land on
-different shards and never contend.
+shard (so one shard parses and classifies it, once, and its LRU locality
+stays intact), while compiles of distinct sources almost always land on
+different shards and never contend.  Routing protects nothing else: a key
+is a pure function of the request, the same on whichever shard computes it.
 
 The pool is a pure cache fabric -- request admission, single-flight
 deduplication and worker scheduling live one layer up in
@@ -162,7 +163,7 @@ class SessionPool:
     # -- maintenance / observability ---------------------------------------
 
     def cache_clear(self) -> None:
-        """Drop every shard's cached artifacts and learned binding names."""
+        """Drop every shard's cached artifacts and source classifications."""
         for s in self._shards:
             s.cache_clear()
 

@@ -160,9 +160,10 @@ class ServiceStats:
     ``instantiations`` (a symbolic template instantiated at the request's
     shape) / ``store_hits`` (served from the persistent disk store) /
     ``compile_misses`` (a pipeline ran) / ``dedup_saves``; requests that
-    failed before obtaining one count only in ``errors`` (the shard
-    sessions still record their miss, so pool statistics additionally see
-    failed compile attempts).
+    failed before obtaining one count only in ``errors`` (a source that
+    does not parse fails at first contact, before any shard counts it; a
+    compile that fails later is still a shard miss, so pool statistics
+    additionally see those attempts).
     """
 
     def __init__(self) -> None:

@@ -22,7 +22,10 @@ Design contract, enforced by construction and by ``tests/test_store.py``:
   version and the pickle protocol.  Any code change (a bug fix inside an
   existing pass included), a new registered pass, a reshaped artifact
   dataclass or a version bump makes *all* old entries invisible rather
-  than serving compilations of code that no longer exists;
+  than serving compilations of code that no longer exists.  A generation
+  directory holds ``*.art`` entries and their ``*.lock`` files, nothing
+  else (a writer's ``*.tmp`` lives until its rename): a key is a pure
+  function of the request, so no per-source side data is kept;
 * **integrity-verified loads** -- every entry carries the SHA-256 of its
   payload in a JSON header; a load re-checks length and digest before
   unpickling.  Truncated, tampered or otherwise undecodable entries are
@@ -256,12 +259,9 @@ class ArtifactStore:
         """Where this key's artifact lives (whether or not it exists)."""
         return self._dir / f"{self.key_digest(key)}.art"
 
-    def _names_path(self, source_digest: str) -> Path:
-        return self._dir / f"names-{source_digest}.json"
-
     @contextlib.contextmanager
     def _entry_lock(self, path: Path) -> Iterator[None]:
-        """Per-entry advisory write lock (``<entry>.lock`` sidecar)."""
+        """Per-entry advisory write lock (``<entry>.lock`` beside it)."""
         lock_path = path.with_suffix(".lock")
         with open(lock_path, "a+b") as fh:
             _flock(fh)
@@ -279,11 +279,7 @@ class ArtifactStore:
         return "template" if isinstance(artifact, SymbolicTemplate) else "concrete"
 
     def store(
-        self,
-        key: object,
-        artifact: "CompiledProgram | SymbolicTemplate",
-        binding_names: frozenset[str] | None = None,
-        shape_names: frozenset[str] | None = None,
+        self, key: object, artifact: "CompiledProgram | SymbolicTemplate"
     ) -> bool:
         """Serialize one artifact under ``key``; returns success.
 
@@ -293,16 +289,10 @@ class ArtifactStore:
         the entry header records which (``kind``).  The write is
         crash-safe and race-safe: payload and header go to a
         process-unique temp file (fsynced), then one atomic ``os.replace``
-        publishes the entry.  ``binding_names`` -- the compile-relevant
-        binding names the session learned for the artifact's source -- is
-        persisted in a per-source sidecar so a *fresh process* can refine
-        its cache key the same way the writing process did (without it,
-        runtime-only bindings would make cross-process lookups miss).
-        ``shape_names`` -- the shape-symbolic subset -- rides in the same
-        sidecar so a fresh process can also compute the *shape-erased*
-        template key on first contact with a source.  I/O failures are
-        contained: a ``False`` return means the caller simply keeps its
-        in-memory artifact.
+        publishes the entry.  Nothing else is written: a key is a pure
+        function of the request, so a fresh process computes the same one.
+        I/O failures are contained: a ``False`` return means the caller
+        simply keeps its in-memory artifact.
         """
         path = self.entry_path(key)
         kind = self._artifact_kind(artifact)
@@ -320,9 +310,6 @@ class ArtifactStore:
                     "sha256": hashlib.sha256(payload).hexdigest(),
                     "payload_bytes": len(payload),
                     "kind": kind,
-                    # the source digest (first key element) lets gc tell
-                    # which binding-names sidecars still have live entries
-                    "source": str(key[0]) if isinstance(key, tuple) and key else None,
                     "written_at": time.time(),
                 },
                 sort_keys=True,
@@ -344,9 +331,6 @@ class ArtifactStore:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
-        if binding_names is not None and isinstance(key, tuple) and key:
-            with contextlib.suppress(OSError):
-                self._store_names(str(key[0]), binding_names, shape_names)
         _M_WRITES.inc()
         with self._lock:
             self.stores += 1
@@ -506,87 +490,6 @@ class ArtifactStore:
         :func:`~repro.analysis.verify.verify_artifact`."""
         self._evict_semantic(self.entry_path(key))
 
-    # -- binding-name sidecars ---------------------------------------------
-
-    def _store_names(
-        self,
-        source_digest: str,
-        names: frozenset[str],
-        shapes: frozenset[str] | None = None,
-    ) -> None:
-        path = self._names_path(source_digest)
-        if path.exists():
-            # First writer wins -- names are per-source stable -- EXCEPT
-            # when the existing sidecar predates shape classification and
-            # this writer carries it.  Without the upgrade, a fresh
-            # process adopting a pre-symbolize sidecar could never compute
-            # the shape-erased template key for a source it has not
-            # compiled itself, so cross-process template hits would
-            # silently degrade to cold compiles.
-            if shapes is None:
-                return
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, ValueError):
-                existing = None
-            if isinstance(existing, dict) and "shape_symbolic" in existing:
-                return
-        payload: dict[str, list[str]] = {"binding_names": sorted(names)}
-        if shapes is not None:
-            payload["shape_symbolic"] = sorted(shapes)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-
-    def _read_names(self, source_digest: str) -> dict | None:
-        """The decoded sidecar as a dict, upgrading the legacy bare-list
-        format (pre-PR 7 writers) to ``{"binding_names": [...]}``."""
-        try:
-            data = json.loads(self._names_path(source_digest).read_text())
-        except (OSError, ValueError):
-            return None
-        if isinstance(data, list):  # legacy format: a bare name list
-            data = {"binding_names": data}
-        if not isinstance(data, dict):
-            return None
-        names = data.get("binding_names")
-        if not isinstance(names, list) or not all(
-            isinstance(n, str) for n in names
-        ):
-            return None
-        return data
-
-    def binding_names(self, source_digest: str) -> frozenset[str] | None:
-        """The compile-relevant binding names recorded for a source.
-
-        ``None`` means no writer has recorded any (or the sidecar is
-        unreadable) -- callers fall back to the unrefined key, exactly as
-        a session that has not compiled the source yet would.
-        """
-        data = self._read_names(source_digest)
-        if data is None:
-            return None
-        return frozenset(data["binding_names"])
-
-    def shape_names(self, source_digest: str) -> frozenset[str] | None:
-        """The shape-symbolic binding names recorded for a source.
-
-        ``None`` means the sidecar is absent, unreadable or predates
-        shape classification -- callers must not guess: without the
-        recorded split they cannot compute the shape-erased template key
-        and fall back to concrete lookups.
-        """
-        data = self._read_names(source_digest)
-        if data is None:
-            return None
-        shapes = data.get("shape_symbolic")
-        if not isinstance(shapes, list) or not all(
-            isinstance(n, str) for n in shapes
-        ):
-            return None
-        return frozenset(shapes)
-
     # -- maintenance -------------------------------------------------------
 
     def _entries(self) -> list[os.DirEntry]:
@@ -644,37 +547,22 @@ class ArtifactStore:
         with self._lock:
             self._size_estimate = total
 
-    def _live_source_digests(self) -> set[str]:
-        """Source digests with at least one live entry (header line only)."""
-        sources: set[str] = set()
-        for e in self._entries():
-            try:
-                with open(e.path, "rb") as fh:
-                    header = json.loads(fh.readline())
-            except (OSError, ValueError, UnicodeDecodeError):
-                continue
-            if isinstance(header, dict) and header.get("source"):
-                sources.add(str(header["source"]))
-        return sources
-
     def gc(self, drop_stale: bool = True) -> dict[str, int]:
         """Enforce the size budget and sweep debris; returns what was done.
 
         Debris the load/store hot paths deliberately never pay to clean:
         sibling fingerprint directories (entries written under an older
         repro version / pass registry / schema -- unreachable by
-        construction), orphaned temp files from crashed writers, lock
-        files whose entry is gone, and binding-names sidecars for sources
-        with no surviving entries.  ``drop_stale=False`` limits the pass
+        construction), orphaned temp files from crashed writers and lock
+        files whose entry is gone.  ``drop_stale=False`` limits the pass
         to the size budget.  Without gc the store would grow one tiny
-        lock/sidecar file per key/source ever written.
+        lock file per key ever written.
         """
         before = len(self._entries())
         self._enforce_budget()
         stale_dirs = 0
         tmp_swept = 0
         locks_swept = 0
-        sidecars_swept = 0
         if drop_stale:
             try:
                 with os.scandir(self.root) as it:
@@ -709,20 +597,12 @@ class ArtifactStore:
                     with contextlib.suppress(OSError):
                         lock.unlink()
                         locks_swept += 1
-            live = self._live_source_digests()
-            for sidecar in self._dir.glob("names-*.json"):
-                digest = sidecar.name[len("names-") : -len(".json")]
-                if digest not in live:
-                    with contextlib.suppress(OSError):
-                        sidecar.unlink()
-                        sidecars_swept += 1
         return {
             "entries_before": before,
             "entries_after": len(self._entries()),
             "stale_fingerprints_removed": stale_dirs,
             "tmp_files_removed": tmp_swept,
             "lock_files_removed": locks_swept,
-            "sidecars_removed": sidecars_swept,
         }
 
     def verify(self, evict: bool = True, deep: bool = False) -> dict[str, int]:

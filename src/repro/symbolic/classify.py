@@ -1,8 +1,12 @@
 """Binding classification: shape-symbolic vs compile-relevant.
 
-The ``symbolize`` pass splits the compile-time binding names of a
-program (see :func:`repro.compiler.diagnostics.compile_time_binding_names`,
-which delegates here) into two classes:
+Which bindings a compilation can depend on is a syntactic property of the
+program: symbolic declaration extents (resolution consumes them) plus
+undeclared symbolic loop bounds (legal only when a binding supplies them).
+Everything else in a request's ``bindings`` is runtime-only.  This is the
+one place that decides it -- the session keys its caches on it at first
+contact with a source, the ``symbolize`` pass records it for the template
+-- and it splits those compile-time names into two classes:
 
 * **shape-symbolic** -- names that appear as symbolic extents of arrays
   or templates but *not* of processor arrangements.  These parameterize
@@ -70,11 +74,10 @@ class BindingClassification:
 def classify_bindings(program: Program) -> BindingClassification:
     """Classify a program's compile-time binding names.
 
-    The compile-time set mirrors
-    :func:`repro.compiler.diagnostics.compile_time_binding_names`:
-    symbolic declaration extents plus undeclared symbolic loop bounds.
-    Shape symbols are the array/template extents that are not also
-    processor extents; the rest is compile-relevant.
+    The compile-time set is the symbolic declaration extents plus the
+    undeclared symbolic loop bounds.  Shape symbols are the
+    array/template extents that are not also processor extents; the rest
+    is compile-relevant.
     """
     shape: set[str] = set()
     proc: set[str] = set()

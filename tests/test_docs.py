@@ -155,6 +155,12 @@ def test_ci_doc_covers_every_job():
     assert ".github/actions/setup-repro" in text
     assert "cancel-in-progress" in text
     assert "REPRO_MP_SEEDS" in text
+    # the profile-recipe steps are documented as they are run
+    ci = (workflows / "ci.yml").read_text()
+    recipes = re.findall(r"run: (python3 benchmarks/profile_request\.py .+)", ci)
+    assert len(recipes) == 2
+    undocumented = [cmd for cmd in recipes if f"`{cmd}`" not in text]
+    assert not undocumented, f"docs/CI.md does not quote: {undocumented}"
 
 
 def test_pass_table_matches_registry():

@@ -262,11 +262,12 @@ def test_cli_pins_counter_examples(tmp_path, capsys):
 
 
 def test_store_round_trip_serves_symbolic_after_eager_adoption(tmp_path):
-    """Found by the fuzzer's store cells: a reader session that first
-    touches a source through an *eager* request used to memoize the
-    binding-name adoption and never read the shape-name sidecar, so a
-    later *symbolic* request for the same source fell through to a cold
-    compile instead of instantiating the stored template."""
+    """Found by the fuzzer's store cells, when keys were still learned: a
+    reader session that first touched a source through an *eager* request
+    never learned its shape names, so a later *symbolic* request for the
+    same source fell through to a cold compile instead of instantiating
+    the stored template.  A key is now a pure function of the request;
+    the tiers stay pinned."""
     case = generate_case(2, FuzzSpec(length=4, depth=1))
     eager = CompilerOptions(level=3)
     symbolic = CompilerOptions.symbolic(level=3)

@@ -6,8 +6,8 @@ The properties asserted here are the service's contract:
   distinct sources spread over a worker pool produces bit-identical
   values to running the same requests serially;
 * cache statistics stay consistent under concurrency (shard hits + misses
-  == compile calls that reached a shard; service hits + misses + dedup
-  saves == completed requests);
+  == compile calls that reached a shard; service hits + instantiations +
+  store hits + misses + dedup saves == completed requests);
 * single-flight deduplication is observable: concurrent misses for one
   artifact key run the pipeline once;
 * cached artifacts are frozen -- mutation raises instead of corrupting a
@@ -37,7 +37,8 @@ from repro import (
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.session import source_digest
-from repro.errors import ArtifactFrozenError
+from repro.errors import ArtifactFrozenError, ParseError
+from repro.lang.parser import parse_program
 
 FIG10 = """
 subroutine remap(A, m)
@@ -117,6 +118,28 @@ def test_pool_rejects_bad_shard_count():
 # ---------------------------------------------------------------------------
 
 
+def _assert_accounting_invariant(svc, n_requests):
+    """``ServiceStats``: every completed request that obtained an artifact is
+    exactly one of the five outcomes, and the shards saw the rest's traffic."""
+    snap = svc.stats.snapshot()
+    assert snap["completed"] == snap["submitted"] == n_requests
+    assert snap["errors"] == 0
+    assert (
+        snap["compile_hits"]
+        + snap["instantiations"]
+        + snap["store_hits"]
+        + snap["compile_misses"]
+        + snap["dedup_saves"]
+        == n_requests
+    )
+    # shard counters agree with the service's view of who reached a shard
+    pool = svc.pool.stats
+    assert pool["hits"] + pool["misses"] == n_requests - snap["dedup_saves"]
+    assert pool["hits"] == snap["compile_hits"]
+    assert pool["misses"] == snap["compile_misses"]
+    return snap
+
+
 def test_run_batch_results_in_order_and_consistent_stats():
     with CompileService(processors=4, workers=4, shards=4) as svc:
         n_requests = 12
@@ -131,23 +154,33 @@ def test_run_batch_results_in_order_and_consistent_stats():
         results = svc.run_batch(reqs)
         assert [r.index for r in results] == list(range(n_requests))
         assert all(r.ok for r in results)
-        snap = svc.stats.snapshot()
-        assert snap["completed"] == snap["submitted"] == n_requests
-        assert snap["errors"] == 0
-        # every completed request is exactly one of: shard hit, shard miss,
-        # single-flight save
-        assert (
-            snap["compile_hits"] + snap["compile_misses"] + snap["dedup_saves"]
-            == n_requests
-        )
-        # shard counters agree with the service's view of who reached a shard
-        pool = svc.pool.stats
-        assert pool["hits"] + pool["misses"] == n_requests - snap["dedup_saves"]
-        assert pool["hits"] == snap["compile_hits"]
-        assert pool["misses"] == snap["compile_misses"]
+        snap = _assert_accounting_invariant(svc, n_requests)
         assert snap["queue_depth"] == 0
         assert snap["throughput_rps"] > 0
         assert snap["p99_latency_ms"] >= snap["p50_latency_ms"] > 0
+
+
+def test_accounting_invariant_holds_with_dedup_saves(monkeypatch):
+    """The same invariant with single-flight followers in the mix: the
+    compile is slowed, so each source's second request waits on its first."""
+    svc = CompileService(processors=4, workers=4, shards=4)
+    real = svc.pool.compile_traced
+
+    def slow_compile(*args, **kwargs):
+        time.sleep(0.25)  # hold the flight open while the follower arrives
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(svc.pool, "compile_traced", slow_compile)
+    reqs = [
+        CompileRequest(_variant(i % 2), bindings={"n": 8, "m": 2}, conditions={"c1": True})
+        for i in range(4)
+    ]
+    with svc:
+        cold = svc.run_batch(reqs)  # two flights, one follower each
+        warm = svc.run_batch(reqs)  # four memory hits
+    assert all(r.ok for r in cold + warm)
+    snap = _assert_accounting_invariant(svc, 8)
+    assert (snap["dedup_saves"], snap["compile_misses"], snap["compile_hits"]) == (2, 2, 4)
 
 
 def test_submit_accepts_source_mapping_and_request():
@@ -215,8 +248,21 @@ def test_errors_are_contained_per_request():
         assert not results[1].ok and results[1].error is not None
         with pytest.raises(Exception):
             results[1].value("a")
+        # the front end's own error, raised at first contact: no shard
+        # counted a miss for the source that has no key
+        with pytest.raises(ParseError) as direct:
+            parse_program("subroutine broken(\n")
+        assert type(results[1].error) is ParseError
+        assert str(results[1].error) == str(direct.value)
+        assert svc.pool.stats["misses"] == 1
         snap = svc.stats.snapshot()
         assert snap["errors"] == 1 and snap["completed"] == 2
+        # and the service is unharmed: the next request succeeds
+        (after,) = svc.run_batch(
+            [{"source": FIG10, "bindings": {"n": 8, "m": 3}, "conditions": {"c1": True}}]
+        )
+        assert after.ok and after.cache_source == "memory"
+        assert svc.stats.snapshot()["errors"] == 1
 
 
 def test_closed_service_rejects_submits():
@@ -280,16 +326,12 @@ def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
 def test_single_flight_follower_gets_own_bindings(monkeypatch):
     """A follower's artifact must carry the follower's runtime-only bindings.
 
-    Setup: the shard has *learned* that ``m`` is runtime-only (from a
-    level-3 compile), so a level-2 compile of the same source keys
-    without ``m`` -- two concurrent level-2 requests with different ``m``
+    ``m`` is runtime-only -- known from the source at first contact, so two
+    concurrent requests for a never-seen source that differ only in ``m``
     share one flight.  The follower must not inherit the leader's ``m``
     baked into the artifact's resolved subroutines.
     """
     svc = CompileService(processors=4, workers=4, shards=2)
-    # teach the shard session m is runtime-only (binding names are
-    # learned per source digest, across options)
-    svc.pool.compile(FIG10, bindings={"n": 8, "m": 1})
     real = svc.pool.compile_traced
 
     def slow_compile(*args, **kwargs):
@@ -307,6 +349,7 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
         results = [f.result() for f in futures]
     assert all(r.ok for r in results)
     assert sum(r.deduped for r in results) == 1
+    assert svc.pool.stats["misses"] == 1  # one compile, not one per m
     for r, m in zip(results, (3, 4)):
         sub = r.compiled.get("remap").sub
         assert sub.bindings.get("m") == m, (

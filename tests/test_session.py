@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CompilerOptions,
@@ -15,6 +17,15 @@ from repro import (
     execute,
 )
 from repro.apps.adi import adi_kernels, build_adi_program
+from repro.apps.workloads import random_legal_subroutine
+from repro.compiler import session as session_mod
+from repro.compiler.session import source_digest
+from repro.errors import ParseError
+from repro.fuzz.generator import generate_case
+from repro.lang.parser import parse_program
+from repro.lang.printer import print_program
+from repro.symbolic.classify import classify_bindings
+from test_lowering import counted
 
 SRC = """
 subroutine main()
@@ -26,6 +37,23 @@ subroutine main()
 !hpf$ redistribute A(cyclic)
   compute writes A reads A
 !hpf$ redistribute A(block)
+  compute reads A
+end
+"""
+
+#: ``n`` is a shape-symbolic extent, ``t`` (a declared scalar) runtime-only
+LOOP = """
+subroutine main(t)
+  integer n, t
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute writes A
+  do i = 1, t
+!hpf$   redistribute A(cyclic)
+    compute writes A reads A
+!hpf$   redistribute A(block)
+  enddo
   compute reads A
 end
 """
@@ -59,9 +87,8 @@ def test_warm_compile_hits_cache_with_zero_pass_work():
 
 
 def test_runtime_only_bindings_do_not_recompile():
-    # `t` is a declared scalar (a runtime loop bound): after the cold
-    # compile teaches the session that only extents matter, varying `t`
-    # re-serves the same artifact
+    # `t` is a declared scalar (a runtime loop bound): only extents are in
+    # the key, so varying `t` re-serves the same artifact
     s = CompilerSession(processors=4)
     prog = build_adi_program(16)
     cold = s.compile(prog, bindings={"t": 2})
@@ -245,3 +272,86 @@ end
     )
     via_session_default = s2.compile(src, bindings={"n": 16})
     assert via_session_default.report.motion["main"].count == 1
+
+
+# ---------------------------------------------------------------------------
+# first contact: a source is classified where its digest is first met
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), fuzz=st.booleans())
+def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
+    """What the session keys on at first contact (the classification of the
+    parsed text, before any pass ran) is what the ``symbolize`` pass records
+    from the post-motion AST -- on generated workloads and fuzz cases."""
+    if fuzz:
+        case = generate_case(seed)
+        program, bindings = case.program, case.bindings
+    else:
+        rng = np.random.default_rng(seed)
+        program = random_legal_subroutine(rng, n_arrays=3, length=6, depth=2)
+        bindings = None
+    text = print_program(program)
+    session = CompilerSession(processors=4, options=CompilerOptions.symbolic(level=3))
+    compiled = session.compile(text, bindings=bindings)
+    (first_contact, _), = session._sources.values()
+    assert first_contact == classify_bindings(parse_program(text))
+    assert first_contact == compiled.report.symbolic.classification
+
+
+def test_cache_key_is_the_same_before_and_after_the_first_compile():
+    s = CompilerSession(processors=4, max_entries=1)
+    before = s.cache_key(LOOP, bindings={"n": 16, "t": 3})
+    assert before == s.cache_key(LOOP, bindings={"n": 16, "t": 9})  # t: runtime-only
+    assert before != s.cache_key(LOOP, bindings={"n": 24, "t": 3})  # n: an extent
+    cold = s.compile(LOOP, bindings={"n": 16, "t": 3})
+    assert s.cache_key(LOOP, bindings={"n": 16, "t": 3}) == before
+    assert s.compile(LOOP, bindings={"n": 16, "t": 9}).get("main").code is cold.get("main").code
+    assert s.stats["misses"] == 1 and s.stats["hits"] == 1
+    # another source evicts LOOP's artifact and its classification
+    s.compile(SRC2, bindings={"n": 16})
+    assert s.cache_size == 1 and list(s._sources) == [source_digest(SRC2)]
+    assert s.cache_key(LOOP, bindings={"n": 16, "t": 7}) == before
+
+
+def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monkeypatch):
+    parses = counted(monkeypatch, session_mod, "parse_program")
+    eager = CompilerOptions(level=3)
+    symbolic = CompilerOptions.symbolic(level=3)
+    writer = CompilerSession(processors=4, store=tmp_path)
+    for options in (eager, symbolic):
+        assert writer.compile_traced(LOOP, {"n": 16, "t": 2}, options=options)[1] == "compiled"
+    assert len(parses) == 1  # the second cold compile reused the parsed program
+    assert writer.compile_traced(LOOP, {"n": 16, "t": 5}, options=eager)[1] == "memory"
+    assert writer.lookup(LOOP, {"n": 16, "t": 7}, options=symbolic) is not None
+    assert len(parses) == 1
+    # a fresh session over the same store: one parse per first contact,
+    # whichever tier ends up serving it
+    for options, bindings, tier in (
+        (eager, {"n": 16, "t": 4}, "disk"),
+        (symbolic, {"n": 40, "t": 4}, "instantiated"),
+    ):
+        del parses[:]
+        reader = CompilerSession(processors=4, store=tmp_path)
+        assert reader.compile_traced(LOOP, bindings, options=options)[1] == tier
+        assert reader.compile_traced(LOOP, bindings, options=options)[1] == "memory"
+        assert len(parses) == 1 and reader.stats["passes_run"] == 0
+    # a Program source is classified as it is
+    del parses[:]
+    s = CompilerSession(processors=4)
+    assert s.compile_traced(parse_program(LOOP), {"n": 16, "t": 2})[1] == "compiled"
+    assert s.compile_traced(parse_program(LOOP), {"n": 16, "t": 3})[1] == "memory"
+    assert parses == []
+
+
+def test_unparsable_source_has_no_key_and_counts_nothing():
+    s = CompilerSession(processors=4)
+    bad = "subroutine broken(\n"
+    with pytest.raises(ParseError) as direct:
+        parse_program(bad)
+    for call in (s.cache_key, s.lookup, s.compile):
+        with pytest.raises(ParseError) as raised:
+            call(bad)
+        assert str(raised.value) == str(direct.value)
+    assert s.stats["misses"] == 0 and s.stats["hits"] == 0 and not s._sources

@@ -500,33 +500,29 @@ def test_fingerprint_covers_package_source(tmp_path):
     assert schema_fingerprint() == baseline
 
 
-def test_gc_sweeps_orphan_locks_and_sidecars(tmp_path):
-    """Per-entry lock files and binding-names sidecars whose entries are
-    gone are debris: gc removes them, so the store directory is bounded
-    by its *live* content, not by everything ever written."""
+def test_gc_sweeps_orphan_locks(tmp_path):
+    """Per-entry lock files whose entries are gone are debris: gc removes
+    them, so the store directory is bounded by its *live* content, not by
+    everything ever written."""
     store, key, path, _ = _populate(tmp_path, subdir="gcdebris")
     lock = path.with_suffix(".lock")
     assert lock.exists()
-    sidecars = list(path.parent.glob("names-*.json"))
-    assert sidecars, "populate should have recorded binding names"
-    # while the entry lives, gc keeps its lock and sidecar
+    # while the entry lives, gc keeps its lock
     report = store.gc()
     assert report["lock_files_removed"] == 0
-    assert report["sidecars_removed"] == 0
+    assert "sidecars_removed" not in report
     # drop the entry (as corruption eviction would); the debris follows
     path.unlink()
     (path.parent / "gc.lock").touch()  # the eviction guard, once created
     report = store.gc()
     assert report["lock_files_removed"] == 1
-    assert report["sidecars_removed"] == len(sidecars)
     assert not lock.exists()
-    assert not list(path.parent.glob("names-*.json"))
     # the gc guard lock itself is never swept
     assert (path.parent / "gc.lock").exists()
 
 
 # ---------------------------------------------------------------------------
-# cross-process: binding-name sidecars and racing writers
+# cross-process: one key in every process, and racing writers
 # ---------------------------------------------------------------------------
 
 _WORKER = r"""
@@ -572,7 +568,7 @@ def test_two_processes_racing_on_one_key(tmp_path):
         # memory hit (the processes share no memory)
         assert tier in ("compiled", "disk")
         # the runtime-only binding `t` is excluded from the key, so the
-        # sidecar-refined key matches across binding variants
+        # key matches across binding variants
         assert keys_equal == "True"
     store = ArtifactStore(tmp_path / "xproc")
     assert store.verify(evict=False)["corrupt"] == 0
@@ -594,9 +590,10 @@ def test_two_processes_racing_on_one_key(tmp_path):
     assert stats.bytes == ref_stats.bytes
 
 
-def test_fresh_process_refines_keys_from_sidecar(tmp_path):
-    """A fresh session adopts recorded binding names before its first
-    lookup, so runtime-only binding variants are disk hits, not misses."""
+def test_fresh_process_computes_the_writers_key(tmp_path):
+    """A fresh session classifies the source at first contact exactly as
+    the writing process did, so runtime-only binding variants are disk
+    hits, not misses."""
     p = _spawn_worker(tmp_path)
     out, err = p.communicate(timeout=120)
     assert p.returncode == 0, err
@@ -636,25 +633,55 @@ def test_session_tier_order_memory_disk_compile(tmp_path):
     assert s2.stats["passes_run"] == 0
 
 
-def test_evicted_source_can_readopt_sidecar_names(tmp_path):
+def test_evicted_source_is_served_from_disk(tmp_path):
     """LRU eviction must not wedge the disk tier: after a source's memory
-    entry (and learned binding names) are evicted, the next compile
-    re-reads the sidecar, refines its key, and is served from disk."""
+    entry (and its memoized classification) are evicted, the next compile
+    computes the same key again and is served from disk."""
     store = ArtifactStore(tmp_path / "evict")
     session = CompilerSession(
         processors=4, options=_options(None), store=store, max_entries=1
     )
     w16, w1 = FIGURES["fig16"], FIGURES["fig1"]
     assert session.compile_traced(w16["source"], bindings=w16["bindings"])[1] == "compiled"
-    # distinct source evicts fig16's entry and its learned binding names
+    # distinct source evicts fig16's entry and its classification
     assert session.compile_traced(w1["source"], bindings=w1["bindings"])[1] == "compiled"
     assert session.cache_size == 1
     # same source, different runtime-only trip count: must be a disk hit
-    # (the sidecar-refined key excludes "t"), not a full recompile
+    # (the key excludes "t"), not a full recompile
     bindings = dict(w16["bindings"], t=9)
     compiled, tier = session.compile_traced(w16["source"], bindings=bindings)
     assert tier == "disk"
     assert compiled.get("main").sub.bindings.get("t") == 9
+
+
+def test_generation_directory_holds_entries_and_locks_only(tmp_path):
+    """Nothing but ``*.art`` entries and their ``*.lock`` files is ever
+    written, and the entries alone are the whole disk tier: a fresh
+    session over a copy of just them is served without a single pass."""
+    store = ArtifactStore(tmp_path / "full")
+    eager, symbolic = _options("aggregate"), CompilerOptions.symbolic(level=3)
+    writer = CompilerSession(processors=4, store=store)
+    for name in ("fig16", "fig12-then"):
+        w = FIGURES[name]
+        for options in (eager, symbolic):
+            _, tier = writer.compile_traced(w["source"], w["bindings"], options=options)
+            assert tier == "compiled"
+    store.gc()  # creates the eviction guard lock; sweeps nothing live
+    generation = store.root / store.fingerprint
+    names = sorted(p.name for p in generation.iterdir())
+    assert names and {Path(n).suffix for n in names} == {".art", ".lock"}
+    assert len([n for n in names if n.endswith(".art")]) == 4
+
+    bare = ArtifactStore(tmp_path / "bare")
+    for art in generation.glob("*.art"):
+        (bare.root / bare.fingerprint / art.name).write_bytes(art.read_bytes())
+    reader = CompilerSession(processors=4, store=bare)
+    for name in ("fig16", "fig12-then"):
+        w = FIGURES[name]
+        shape = dict(w["bindings"], n=24)  # a shape the writer never compiled
+        assert reader.compile_traced(w["source"], w["bindings"], options=eager)[1] == "disk"
+        assert reader.compile_traced(w["source"], shape, options=symbolic)[1] == "instantiated"
+    assert reader.stats["passes_run"] == 0 and reader.stats["store_hits"] == 4
 
 
 def test_service_warm_starts_from_store(tmp_path):

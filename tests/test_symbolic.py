@@ -19,14 +19,13 @@ The acceptance differential for the symbolic subsystem
   races to one kept plan, and pickles empty (artifact bytes never depend on
   traffic history);
 * **store integration** -- templates round-trip through the artifact
-  store, pass ``verify --deep``, and upgrade legacy binding-name sidecars
-  so fresh processes instantiate on first contact.
+  store and pass ``verify --deep``; a fresh process instantiates on first
+  contact.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import pickle
 import threading
 import weakref
@@ -44,7 +43,6 @@ from repro import (
     predict_traffic,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
-from repro.compiler.session import source_digest
 from repro.compiler.template import SymbolicTemplate
 from repro.mapping import ProcessorArrangement, ownership
 from repro.spmd import traffic
@@ -481,34 +479,6 @@ def test_template_roundtrips_through_store_and_deep_verify(tmp_path):
     )
     assert store.stats["hits_template"] >= 1
     assert store.stats["shape_reuse_ratio"] == 1.0
-
-
-def test_legacy_sidecar_upgraded_by_template_write(tmp_path):
-    """A pre-PR-7 sidecar (bare binding-name list, no shape classification)
-    must not pin the store to concrete keying forever: the first symbolized
-    compile upgrades it, and fresh processes then instantiate on first
-    contact."""
-    store = ArtifactStore(tmp_path / "store")
-    digest = source_digest(FIG16)
-    store._names_path(digest).write_text(json.dumps(["n", "t"]))
-    assert store.binding_names(digest) == frozenset({"n", "t"})
-    assert store.shape_names(digest) is None  # legacy: unclassified
-
-    opts = CompilerOptions.symbolic(level=3, schedule="round-robin")
-    s1 = CompilerSession(store=store, options=opts)
-    w = _fig16(16)
-    _, tier = s1.compile_traced(w["source"], bindings=w["bindings"], processors=4)
-    assert tier == "compiled"
-    assert store.shape_names(digest) == frozenset({"n"})
-
-    s2 = CompilerSession(store=store, options=opts)
-    w2 = _fig16(40)
-    compiled, tier2 = s2.compile_traced(
-        w2["source"], bindings=w2["bindings"], processors=5
-    )
-    assert tier2 == "instantiated"
-    values, _ = _run(compiled, w2)
-    assert values["a"].shape == (40,)
 
 
 def test_shape_diverse_traffic_collapses_to_one_disk_entry(tmp_path):
