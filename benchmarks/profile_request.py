@@ -10,9 +10,12 @@ so ``shape_tiers`` restarts its service every round and its requests are
 store loads and template instantiations, not memory hits -- with the
 profiler on and every service's requests run inline on this thread (a worker
 thread would hide them from it), checks every result against the workload's
-reference, and prints the cumulative table, the serving-tier counts and the
+reference, and prints the cumulative table, the serving-tier counts, the
 shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
-(``PreparedMove.execute``) and in the ledger (``Machine.charge``).
+(``PreparedMove.execute``) and in the ledger (``Machine.charge``), and the
+share of request handling (``CompileService._handle``) spent in the motion
+cost guard (``CostGuard.evaluate``; zero where every request is served
+without compiling).
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -36,29 +39,27 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
+from repro.remap.costguard import CostGuard  # noqa: E402
+from repro.remap.walker import DescriptorWalker  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
+from repro.spmd.machine import Machine  # noqa: E402
+from repro.spmd.redistribution import PreparedMove  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
-#: (file suffix, function) of the three frames whose ratio is reported
-REMAP = ("remap/walker.py", "_remap")
+#: the shares reported: part -> (label, whole it is a share of)
 SHARES = {
-    "PreparedMove.execute": ("spmd/redistribution.py", "execute"),
-    "Machine.charge": ("spmd/machine.py", "charge"),
+    PreparedMove.execute: ("PreparedMove.execute", DescriptorWalker._remap),
+    Machine.charge: ("Machine.charge", DescriptorWalker._remap),
+    CostGuard.evaluate: ("CostGuard.evaluate", service_module.CompileService._handle),
 }
 
 
-def cumulative(stats: pstats.Stats, frame: tuple[str, str]) -> float:
-    """Cumulative seconds of the one profiled function ``frame`` names."""
-    suffix, name = frame
-    hits = [
-        row[3]
-        for (path, _, func), row in stats.stats.items()
-        if func == name and path.replace("\\", "/").endswith(suffix)
-    ]
-    if len(hits) != 1:
-        raise SystemExit(f"profile_request: {len(hits)} profiled functions match {suffix}::{name}")
-    return hits[0]
+def cumulative(stats: pstats.Stats, fn) -> float:
+    """Cumulative seconds of the function ``fn`` (0 if it never ran)."""
+    code = fn.__code__
+    row = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+    return row[3] if row else 0.0
 
 
 class InlineExecutor:
@@ -114,11 +115,13 @@ def main(argv: list[str] | None = None) -> int:
 
     stats.sort_stats("cumulative").print_stats(args.top)
     print("tiers: " + "  ".join(f"{tier} {n}" for tier, n in tiers.most_common()))
-    remap = cumulative(stats, REMAP)
-    print(f"_remap: {remap:.3f} s cumulative over {args.rounds} rounds of {args.workload}")
-    for label, frame in SHARES.items():
-        seconds = cumulative(stats, frame)
-        print(f"  {label}: {seconds:.3f} s = {seconds / remap:.1%} of _remap")
+    for part, (label, whole) in SHARES.items():
+        seconds, total = cumulative(stats, part), cumulative(stats, whole)
+        share = f"{seconds / total:.1%}" if total else "-"
+        print(
+            f"{label}: {seconds:.3f} s = {share} of {whole.__qualname__} "
+            f"({total:.3f} s cumulative over {args.rounds} rounds of {args.workload})"
+        )
     return 0
 
 

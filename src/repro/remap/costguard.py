@@ -11,11 +11,11 @@ counter-example tracked in ROADMAP.md).
 :class:`CostGuard` closes the hole by construction.  For every candidate
 sink it compiles both placements through the downstream passes the active
 pipeline will actually run, then prices both with the exact static traffic
-simulator (:mod:`repro.spmd.traffic`) over the whole runtime-unknown
-scenario space -- every branch-outcome assignment, zero/one/many trip
-counts for every *symbolic* loop bound (even ones this compile's bindings
-pin: compiled artifacts are cached and reused across runtime bound values,
-so the decision must hold for all of them), inputs present or absent.
+simulator (:mod:`repro.spmd.traffic`) over the runtime-unknown scenario
+space -- every branch-outcome assignment, zero/one/many trip counts for
+every *symbolic* loop bound (even ones this compile's bindings pin:
+compiled artifacts are cached and reused across runtime bound values, so
+the decision must hold for all of them), inputs present or absent.
 Constant loop bounds are simulated exactly.  The sink is accepted only if
 
 * it never moves more message bytes than the unmoved placement in *any*
@@ -26,21 +26,70 @@ Constant loop bounds are simulated exactly.  The sink is accepted only if
   so a machine with expensive status checks simply keeps the naive
   placement ("pay only when the status check can pay off").
 
+Only the moved family is priced.  A placement's traffic in one scenario is
+a sum over alignment families:
+
+* every runtime op of the descriptor walker (remap, save, restore, poison)
+  touches exactly one array's descriptor, and a compute statement touches
+  the descriptors of the arrays it names, each on its own; copies and
+  status checks are charged per remap op;
+* the ops of one array come from that array's own dataflow problems
+  (Appendices B-D are per array), and the statements that reach them are
+  the ones naming the array or remapping its family -- a ``redistribute``
+  remaps exactly its target's alignment family (Fig. 3), so its effect
+  stays inside that family;
+* ``realign`` moves arrays between families at run time, which would void
+  the argument; it never reaches the guard, because the motion pass leaves
+  a subroutine that has one untouched.
+
+So :meth:`CostGuard.evaluate` finds the families on which the two
+placements differ (for a sink, the moved remapping's family), then prices
+both placements :func:`project`-ed onto those families: their computes and
+kills restricted to the family's names, their redistributes of it, the
+``if`` statements left with a non-empty arm, every ``do`` loop (an empty
+one too, so both placements keep one trip grid), every ``call`` whole (the
+callee's walk is a term both placements share) and the declarations these
+need.  Every term the projection drops is common to both placements and
+cancels in the per-scenario byte check and in the aggregate, both linear;
+a condition axis whose every ``if`` was dropped repeats each priced
+scenario twice in the whole grid, so the aggregate is the whole program's
+scaled by ``2**-k`` for ``k`` dropped axes -- same sign, same decision.
+
 Scope of the proof: branch outcomes are priced as fixed per run (the
 soundness property space; the runtime's per-iteration condition
 *sequences* are not enumerated -- that space is unbounded), symbolic trip
-counts are sampled at the structural zero/one/many cases, and a scenario
+counts are sampled at the structural zero/one/many cases, and a priced
 grid too large to enumerate exhaustively rejects the sink rather than
-checking a fraction of it.  Constant-bound, fixed-outcome programs -- the
-entire generated-workload space -- are priced exactly.
+checking a fraction of it.  The cap applies to the priced (projected)
+grid: branches that touch only other families do not count against it.
+Constant-bound, fixed-outcome programs -- the entire generated-workload
+space -- are priced exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ReproError
-from repro.lang.ast_nodes import Call, Program, Subroutine, walk_statements
+from repro.lang.ast_nodes import (
+    AlignDecl,
+    ArrayDecl,
+    Block,
+    Call,
+    Compute,
+    DistributeDecl,
+    Do,
+    DynamicDecl,
+    If,
+    IntentDecl,
+    Kill,
+    Program,
+    Redistribute,
+    Stmt,
+    Subroutine,
+    TemplateDecl,
+    walk_statements,
+)
 from repro.lang.printer import print_subroutine
 from repro.lang.semantics import resolve_program
 from repro.ir.cfg import build_cfg
@@ -48,9 +97,135 @@ from repro.mapping.processors import ProcessorArrangement
 from repro.remap.codegen import GeneratedCode, generate_code, pin_live_sets_to_leaving
 from repro.remap.construction import ConstructionResult, build_remapping_graph
 from repro.remap.livecopies import compute_live_copies
+from repro.remap.motion import alignment_families
 from repro.remap.optimize import remove_useless_remappings
 from repro.spmd.cost import CostModel, TrafficEstimate
 from repro.spmd.traffic import Scenario, enumerate_scenarios, simulate_traffic
+
+
+# -- projection onto alignment families ---------------------------------------
+
+
+def family_index(sub: Subroutine) -> dict[str, frozenset[str]]:
+    """Each array and template ``sub`` declares -> its alignment family."""
+    index = {n: fam for fam in alignment_families(sub).values() for n in fam}
+    for d in sub.decls:
+        if isinstance(d, (ArrayDecl, TemplateDecl)):
+            index.setdefault(d.name, frozenset({d.name}))
+    return index
+
+
+def project(sub: Subroutine, names: frozenset[str]) -> Subroutine:
+    """``sub`` as the arrays and templates in ``names`` (whole families) see it.
+
+    Computes and kills keep only those names (a compute left with no effect
+    is dropped), a ``redistribute`` stays only if its target is one of them,
+    an ``if`` stays unless both arms are now empty, and every ``do`` loop and
+    every ``call`` stays whole.  Declarations are kept for ``names`` and for
+    the families of the parameters and of the arrays a call passes.
+    """
+    index = family_index(sub)
+    declared = set(names)
+    passed = [a for s in walk_statements(sub.body) if isinstance(s, Call) for a in s.args]
+    for n in (*sub.params, *passed):
+        declared.update(index.get(n, ()))
+
+    def kept(n: str) -> bool:
+        return n in declared or n not in index  # scalars are never dropped
+
+    decls = []
+    for d in sub.decls:
+        if isinstance(d, (ArrayDecl, TemplateDecl)):
+            if d.name in declared:
+                decls.append(d)
+        elif isinstance(d, AlignDecl):
+            if d.alignee in declared:
+                decls.append(d)
+        elif isinstance(d, DistributeDecl):
+            if d.target in declared:
+                decls.append(d)
+        elif isinstance(d, (DynamicDecl, IntentDecl)):
+            kept_names = tuple(filter(kept, d.names))
+            if kept_names:
+                decls.append(replace(d, names=kept_names))
+        else:
+            decls.append(d)
+    return Subroutine(sub.name, sub.params, tuple(decls), _project_block(sub.body, names))
+
+
+def _project_block(block: Block, names: frozenset[str]) -> Block:
+    keep = names.__contains__
+    out: list[Stmt] = []
+    for s in block.stmts:
+        kind = type(s)
+        if kind is Compute:
+            effects = (
+                tuple(filter(keep, s.reads)),
+                tuple(filter(keep, s.writes)),
+                tuple(filter(keep, s.defines)),
+            )
+            if any(effects):
+                out.append(Compute(s.label, *effects))
+        elif kind is Kill:
+            killed = tuple(filter(keep, s.names))
+            if killed:
+                out.append(Kill(killed))
+        elif kind is Redistribute:
+            if s.target in names:
+                out.append(s)
+        elif kind is If:
+            then = _project_block(s.then, names)
+            orelse = _project_block(s.orelse, names)
+            if then.stmts or orelse.stmts:
+                out.append(If(s.cond, then, orelse))
+        elif kind is Do:
+            out.append(Do(s.var, s.lo, s.hi, _project_block(s.body, names)))
+        else:  # a call stays whole
+            out.append(s)
+    return Block(tuple(out))
+
+
+def _moved_families(base_sub: Subroutine, candidate_sub: Subroutine) -> frozenset[str]:
+    """The union of the families on which the two placements differ.
+
+    Two placements with the same declarations project to the same
+    declarations on every family, so comparing the projected bodies is
+    comparing the projections -- and only where the bodies differ.
+    """
+    index = family_index(base_sub)
+    if (base_sub.params, base_sub.decls) != (candidate_sub.params, candidate_sub.decls):
+        return frozenset(index) | frozenset(family_index(candidate_sub))
+    base, candidate = _differing_runs(base_sub.body.stmts, candidate_sub.body.stmts)
+    moved: frozenset[str] = frozenset()
+    for fam in set(index.values()):
+        if _project_block(base, fam) != _project_block(candidate, fam):
+            moved |= fam
+    return moved
+
+
+def _differing_runs(a: tuple[Stmt, ...], b: tuple[Stmt, ...]) -> tuple[Block, Block]:
+    """The runs of statements where two bodies differ.
+
+    A projection maps statement by statement, so equal leading and trailing
+    statements project equally; a loop (or branch) that differs only inside
+    one body (or arm) projects differently exactly where that body does.
+    """
+    lo = 0
+    while lo < min(len(a), len(b)) and a[lo] == b[lo]:
+        lo += 1
+    hi_a, hi_b = len(a), len(b)
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a, hi_b = hi_a - 1, hi_b - 1
+    if hi_a - lo == hi_b - lo == 1:
+        x, y = a[lo], b[lo]
+        if type(x) is type(y) is Do and (x.var, x.lo, x.hi) == (y.var, y.lo, y.hi):
+            return _differing_runs(x.body.stmts, y.body.stmts)
+        if type(x) is type(y) is If and x.cond == y.cond:
+            if x.then == y.then:
+                return _differing_runs(x.orelse.stmts, y.orelse.stmts)
+            if x.orelse == y.orelse:
+                return _differing_runs(x.then.stmts, y.then.stmts)
+    return Block(a[lo:hi_a]), Block(b[lo:hi_b])
 
 
 @dataclass(frozen=True)
@@ -65,7 +240,12 @@ class GuardFlags:
 
 @dataclass(frozen=True)
 class GuardDecision:
-    """One guarded motion decision, with its estimated cost delta."""
+    """One guarded motion decision, with its estimated cost delta.
+
+    The deltas sum the moved families' traffic only, over the priced
+    (projected) grid of ``scenarios`` scenarios: the terms both placements
+    share are not in them.
+    """
 
     hoist: bool
     delta_bytes: int  # aggregate over scenarios; negative = the sink saves
@@ -113,9 +293,10 @@ class CostGuard:
         #: instead of per-endpoint sums) so the decision reflects what the
         #: contention-managed machine actually delivers
         self.schedule = schedule
-        # placement pricing memo: across the accept/reject iteration the
-        # "current" variant of one sink is the "candidate" of the previous,
-        # so each variant is compiled and simulated exactly once
+        # placement pricing memo, keyed by the projected text: across the
+        # accept/reject iteration the projected "current" placement of one
+        # sink is the projected "candidate" of an earlier sink of the same
+        # family, so each such variant is compiled and simulated once
         self._pricing: dict[str, "_Pricing"] = {}
         self._program_ref: Program | None = None
 
@@ -173,7 +354,7 @@ class CostGuard:
     # -- pricing ------------------------------------------------------------
 
     def _price(self, program: Program, sub: Subroutine) -> "_Pricing":
-        """Compile one placement and simulate it over the full scenario grid.
+        """Compile one placement and simulate it over its whole scenario grid.
 
         ``require_exhaustive``: a subsampled grid cannot *prove* a placement
         safe, so an oversized scenario space rejects the motion instead of
@@ -223,34 +404,41 @@ class CostGuard:
     ) -> GuardDecision:
         """Compare the candidate (one more sink) against the current state.
 
-        Any failure to compile, enumerate exhaustively, or simulate a
-        variant rejects the candidate: the guard only moves code it can
-        prove does not pay more.  Programming errors are not swallowed --
-        only the package's own :class:`~repro.errors.ReproError` family
-        counts as "cannot price this".
+        Both placements are priced projected onto the families on which
+        they differ (see the module docstring).  Any failure to compile,
+        enumerate exhaustively, or simulate a variant rejects the
+        candidate: the guard only moves code it can prove does not pay
+        more.  Programming errors are not swallowed -- only the package's
+        own :class:`~repro.errors.ReproError` family counts as "cannot
+        price this".
         """
         if self._program_ref is not program:
             self._pricing.clear()
             self._program_ref = program
+        moved = _moved_families(base_sub, candidate_sub)
         try:
-            base = self._price(program, base_sub)
-            cand = self._price(program, candidate_sub)
-            if len(base.scenarios) != len(cand.scenarios):  # pragma: no cover
-                raise ReproError(
-                    "scenario grids of the two placements diverged "
-                    f"({len(base.scenarios)} vs {len(cand.scenarios)})"
-                )
-            for sc, b, c in zip(base.scenarios, base.estimates, cand.estimates):
-                if c.bytes > b.bytes:
-                    return GuardDecision(
-                        False,
-                        c.bytes - b.bytes,
-                        self.cost.time(c) - self.cost.time(b),
-                        len(base.scenarios),
-                        f"loses to the unmoved placement on {sc.describe()}",
-                    )
+            base = self._price(program, project(base_sub, moved))
+            cand = self._price(program, project(candidate_sub, moved))
         except ReproError as exc:  # cannot price it: keep the naive placement
             return GuardDecision(False, 0, 0.0, 0, f"not estimable: {exc}")
+        return self._decide(base, cand)
+
+    def _decide(self, base: "_Pricing", cand: "_Pricing") -> GuardDecision:
+        """The decision between two placements priced over one grid."""
+        if base.scenarios != cand.scenarios:
+            return GuardDecision(
+                False, 0, 0.0, 0,
+                "not estimable: the two placements' scenario grids differ",
+            )
+        for sc, b, c in zip(base.scenarios, base.estimates, cand.estimates):
+            if c.bytes > b.bytes:
+                return GuardDecision(
+                    False,
+                    c.bytes - b.bytes,
+                    self.cost.time(c) - self.cost.time(b),
+                    len(base.scenarios),
+                    f"loses to the unmoved placement on {sc.describe()}",
+                )
         decision = self.cost.compare(
             base.total, cand.total, scheduled=self.schedule is not None
         )

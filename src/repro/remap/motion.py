@@ -36,8 +36,11 @@ supplied (any object with ``evaluate(program, base_sub, candidate_sub,
 description) -> decision``; see :class:`repro.remap.costguard.CostGuard`),
 each candidate sink is priced against the unmoved placement and performed
 only if it never pays more; rejected candidates are recorded in
-:attr:`MotionReport.rejected` with their estimated cost delta.  Without a
-guard the pass keeps its legacy legality-only behaviour.
+:attr:`MotionReport.rejected` with their estimated cost delta.  A sink
+moves one remapping of one alignment family, so the guard prices both
+placements on that family alone -- the rest of the subroutine is a term
+they share.  Without a guard the pass keeps its legacy legality-only
+behaviour.
 """
 
 from __future__ import annotations
@@ -108,7 +111,11 @@ def _references(s: Stmt, names: frozenset[str]) -> bool:
 
 @dataclass(frozen=True)
 class RejectedHoist:
-    """A legal sink the cost guard refused, with its estimated delta."""
+    """A legal sink the cost guard refused, with its estimated delta.
+
+    The deltas are the guard's: sums of the moved family's traffic alone
+    over the grid it priced, not whole-program totals.
+    """
 
     description: str
     delta_bytes: int  # estimated candidate bytes - unmoved bytes

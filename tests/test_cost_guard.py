@@ -242,6 +242,38 @@ def test_guard_rejects_when_scenario_grid_is_not_exhaustive():
     assert "not estimable" in report.rejected[0].reason
 
 
+BRANCH_ON = """
+subroutine main()
+  integer n
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute writes A
+  if {cond} then
+    compute reads A
+  endif
+end
+"""
+
+
+def test_guard_rejects_placements_priced_over_different_grids():
+    """Two grids of one length are not one grid.
+
+    A base branching on ``c1`` and a candidate branching on ``c2`` have four
+    scenarios each; paired by index, ``c1=False`` would stand for
+    ``c2=False`` and the byte-equal pair would be accepted.
+    """
+    program = parse_program(BRANCH_ON.format(cond="c1"))
+    base = program.subroutines[0]
+    candidate = parse_program(BRANCH_ON.format(cond="c2")).subroutines[0]
+    guard = CostGuard(bindings={"n": 16}, processors=4)
+    assert len(guard._price(program, base).scenarios) == 4
+    assert len(guard._price(program, candidate).scenarios) == 4
+    decision = guard.evaluate(program, base, candidate, "c1 -> c2")
+    assert not decision.hoist
+    assert decision.reason == "not estimable: the two placements' scenario grids differ"
+
+
 def test_guard_rejects_unestimable_programs():
     """A variant the guard cannot compile or simulate keeps naive placement."""
     program = parse_program(FIG16)
