@@ -13,9 +13,10 @@ thread would hide them from it), checks every result against the workload's
 reference, and prints the cumulative table, the serving-tier counts, the
 shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
 (``PreparedMove.execute``) and in the ledger (``Machine.charge``), and the
-share of request handling (``CompileService._handle``) spent in the motion
-cost guard (``CostGuard.evaluate``; zero where every request is served
-without compiling).
+shares of request handling (``CompileService._handle``) spent in the motion
+cost guard (``CostGuard.evaluate``) and in remapping-graph construction
+(``build_remapping_graph``, the pipeline's and every guard variant's; both
+zero where every request is served without compiling).
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -39,6 +40,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
+from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
@@ -52,6 +54,7 @@ SHARES = {
     PreparedMove.execute: ("PreparedMove.execute", DescriptorWalker._remap),
     Machine.charge: ("Machine.charge", DescriptorWalker._remap),
     CostGuard.evaluate: ("CostGuard.evaluate", service_module.CompileService._handle),
+    build_remapping_graph: ("build_remapping_graph", service_module.CompileService._handle),
 }
 
 

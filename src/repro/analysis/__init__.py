@@ -1,9 +1,10 @@
 """Static analysis: the dataflow solver, verifier, prover and lints.
 
 Every analysis in the paper (Appendix B, C and D) is a "standard dataflow
-problem" in its words; :mod:`repro.analysis.dataflow` provides the shared
-iterative worklist solver they all instantiate.  On top of it sit three
-consumers added by the static-analysis extension:
+problem" in its words; :mod:`repro.analysis.dataflow` provides the
+iterative worklist solver that Appendix B's construction instantiates
+(Appendices C and D run as hand-written loops over G_R).  On top of it sit
+three consumers added by the static-analysis extension:
 
 * :mod:`repro.analysis.verify` -- structural/semantic invariant checks
   over compiled artifacts (CFG shape, version def-before-use, remap-graph

@@ -2,17 +2,22 @@
 
 Problems provide a join over predecessor/successor states and a transfer
 function; the solver iterates to a fixpoint.  It works on any graph given as
-node ids plus ``preds``/``succs`` callables, so the same engine solves:
+node ids plus ``preds``/``succs`` callables.  Its callers:
 
-* mapping propagation over the CFG (may-forward, Appendix B);
-* effect summarization over the CFG (may-backward, Appendix B);
-* ``RemappedAfter`` contraction over the CFG (may-backward, Appendix B);
-* reaching-copy recomputation over G_R (may-forward, Appendix C);
-* may-live copies over G_R (may-backward, Appendix D).
+* :mod:`repro.remap.construction`'s three solves over the CFG (Appendix B):
+  mapping propagation (may-forward), effect summarization fused with
+  ``RemappedAfter`` contraction (one may-backward gen/kill problem), and
+  the kill analysis (forward);
+* :mod:`repro.analysis.verify`'s version def-before-use check;
+* :mod:`repro.analysis.lints`' redundant-kill rule (RPR003).
 
-All the paper's lattices are finite powersets, so termination is by
-monotonicity; the solver nevertheless guards against non-monotone transfer
-bugs with an iteration bound and raises
+Appendix C's reaching-copy recomputation and Appendix D's may-live copies
+run over G_R as hand-written loops in :mod:`repro.remap.optimize` and
+:mod:`repro.remap.livecopies`, not through this solver.
+
+The lattices are finite powersets, so termination is by monotonicity; the
+solver nevertheless guards against non-monotone transfer bugs with an
+iteration bound and raises
 :class:`~repro.errors.DataflowDivergenceError` when it is hit, so a broken
 problem statement is diagnosable instead of a silently wrong fixpoint.
 """
@@ -88,8 +93,5 @@ def solve(
                 if s not in on_list:
                     heapq.heappush(worklist, (prio[s], s))
                     on_list.add(s)
-    # ensure every node has an in-state even if never popped with preds ready
-    for n in nodes:
-        if n not in into:
-            into[n] = join(n, [out[p] for p in flow_in(n)])
+    # every node started on the worklist, so every node has an in-state
     return into, out

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: machinery): the persistent store (:mod:`repro.store`) mixes it into
 #: its schema fingerprint, so old on-disk entries become invisible
 #: instead of being unpickled into a mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 5
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: Canonical pass order.  A pass set is always run in this order; custom
 #: pass lists are validated against each pass's declared inputs/outputs.

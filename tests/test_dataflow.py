@@ -137,6 +137,34 @@ def test_single_node_self_loop_converges():
     assert out[0] == {"x"}
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        ({}, {}),  # empty
+        ({0: [0]}, {0: [0]}),  # self-loop
+        (diamond()[0], diamond()[1]),
+        (loop()[0], loop()[1]),
+    ],
+    ids=["empty", "self-loop", "diamond", "loop"],
+)
+@pytest.mark.parametrize("direction", list(Direction))
+def test_every_node_gets_an_in_state(graph, direction):
+    """Every node starts on the worklist and is popped at least once, so
+    both state maps cover every node without a fill-in pass."""
+    succs, preds = graph
+    into, out = solve(
+        list(succs),
+        preds=lambda n: preds[n],
+        succs=lambda n: succs[n],
+        direction=direction,
+        boundary=lambda n: frozenset(),
+        transfer=lambda n, s: s,
+        join=lambda n, states: frozenset().union(*states),
+        equal=lambda a, b: a == b,
+    )
+    assert set(into) == set(out) == set(succs)
+
+
 def test_deterministic_order_is_priority_based():
     """Nodes are processed in the given order first, so side effects in the
     transfer (version interning!) happen in textual order."""
