@@ -16,7 +16,11 @@ shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
 shares of request handling (``CompileService._handle``) spent in the motion
 cost guard (``CostGuard.evaluate``) and in remapping-graph construction
 (``build_remapping_graph``, the pipeline's and every guard variant's; both
-zero where every request is served without compiling).
+zero where every request is served without compiling), and what the
+process's plan table (``repro.spmd.schedule.PLANS``) did over the profiled
+rounds: plans obtained, built, served as hits and evicted, and the entries
+it gained -- after the warm-up rounds, a workload that performs no new
+mapping pair builds nothing.
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -46,6 +50,7 @@ from repro.remap.walker import DescriptorWalker  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
+from repro.spmd.schedule import PLANS  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
@@ -83,11 +88,15 @@ class InlineExecutor:
         pass
 
 
-def profile(workload: workloads.Workload, rounds: int) -> tuple[pstats.Stats, Counter]:
+def profile(
+    workload: workloads.Workload, rounds: int
+) -> tuple[pstats.Stats, Counter, dict[str, int]]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler; also
-    the count of requests each tier served."""
+    the count of requests each tier served and what :data:`PLANS` counted
+    over the rounds."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
+    start = PLANS.stats()
     for r in range(rounds):
         kinds = workload.round_kinds(r)
         profiler.enable()
@@ -97,7 +106,8 @@ def profile(workload: workloads.Workload, rounds: int) -> tuple[pstats.Stats, Co
         if failed:
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
         tiers.update(res.cache_source for res in results)
-    return pstats.Stats(profiler), tiers
+    plans = {k: v - start[k] for k, v in PLANS.stats().items()}
+    return pstats.Stats(profiler), tiers, plans
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,12 +122,17 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers = profile(workload, args.rounds)
+            stats, tiers, plans = profile(workload, args.rounds)
         finally:
             workload.close()
 
     stats.sort_stats("cumulative").print_stats(args.top)
     print("tiers: " + "  ".join(f"{tier} {n}" for tier, n in tiers.most_common()))
+    print(
+        f"plans: obtains {plans['hits'] + plans['misses']}  builds {plans['misses']}  "
+        f"hits {plans['hits']}  evictions {plans['evictions']}  entries {plans['entries']:+d} "
+        f"({len(PLANS)} held) over {args.rounds} rounds"
+    )
     for part, (label, whole) in SHARES.items():
         seconds, total = cumulative(stats, part), cumulative(stats, whole)
         share = f"{seconds / total:.1%}" if total else "-"

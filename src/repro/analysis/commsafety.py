@@ -4,7 +4,7 @@ A plan's ledger (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
 re-validates the one-port property of every contention-free phase of a
 plan nobody proved.  This module is the proof
 (:meth:`~repro.spmd.schedule.CommPlanTable.obtain` certifies each phased
-plan once, before its first phase runs).  For ``dst = src`` it proves:
+plan the process builds once, before its first phase runs).  For ``dst = src`` it proves:
 
 * **exact cover** -- on every destination holder, the plan's lowered
   copies (:meth:`~repro.spmd.schedule.CommSchedule.lowered`: the

@@ -24,7 +24,6 @@ from repro.spmd.schedule import POLICIES
 if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
     from repro.compiler.diagnostics import CompileReport
     from repro.compiler.pipeline import PipelineTrace
-    from repro.spmd.schedule import CommPlanTable
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +32,11 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 
 #: Serialized-artifact schema version.  Bump whenever the *shape* of the
 #: pickled :class:`CompiledProgram` graph changes (fields added/removed/
-#: re-typed on any artifact dataclass, plan-table layout, freeze
-#: machinery): the persistent store (:mod:`repro.store`) mixes it into
-#: its schema fingerprint, so old on-disk entries become invisible
-#: instead of being unpickled into a mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 6
+#: re-typed on any artifact dataclass, freeze machinery): the persistent
+#: store (:mod:`repro.store`) mixes it into its schema fingerprint, so old
+#: on-disk entries become invisible instead of being unpickled into a
+#: mismatched object graph.
+ARTIFACT_SCHEMA_VERSION = 7
 
 #: Canonical pass order.  A pass set is always run in this order; custom
 #: pass lists are validated against each pass's declared inputs/outputs.
@@ -134,8 +133,8 @@ class CompilerOptions:
     *scheduled* placement.  ``None`` (the default) runs every remapping as
     the degenerate plan: no phases, each transfer charged on its own (the
     unphased ledger).  It adds no pass -- plans are built on first use by
-    the artifact's :class:`~repro.spmd.schedule.CommPlanTable` -- but like
-    ``cost`` it is compile-relevant and part of session cache keys.
+    the process's :data:`~repro.spmd.schedule.PLANS` -- but like ``cost``
+    it is compile-relevant and part of session cache keys.
     """
 
     level: int = 3
@@ -351,17 +350,11 @@ class CompiledProgram(_Freezable):
     (wall time and counters) and an aggregated :class:`CompileReport`
     (diagnostics, motion and removal summaries).  Both are ``None`` for
     artifacts built by other means, so direct construction keeps working.
-    ``plans`` is the artifact's :class:`~repro.spmd.schedule.CommPlanTable`
-    for ``options.schedule`` (``None`` included): it gets or builds the
-    plan of every performed copy and lives as long as the artifact -- so
-    warm session hits do zero scheduling work -- but it is derived state,
-    not content: pickles carry its policy only.  Only artifacts assembled
-    by hand carry ``None``.
 
     A cached (session-held) artifact is :meth:`frozen <freeze>`: it is
     shared by every thread that hits the cache, the executor treats it as
-    read-only (the lock-guarded plan table is derived state, not content),
-    and attribute writes raise :class:`~repro.errors.ArtifactFrozenError`.
+    read-only, and attribute writes raise
+    :class:`~repro.errors.ArtifactFrozenError`.
     """
 
     program: ResolvedProgram
@@ -369,7 +362,6 @@ class CompiledProgram(_Freezable):
     options: CompilerOptions = field(default_factory=CompilerOptions)
     trace: "PipelineTrace | None" = None
     report: "CompileReport | None" = None
-    plans: "CommPlanTable | None" = None
 
     def freeze(self) -> None:
         """Make the artifact immutable for sharing.

@@ -60,7 +60,6 @@ from repro.remap.graph import RemappingGraph
 from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import MotionReport, hoist_loop_invariant_remaps
 from repro.remap.optimize import remove_useless_remappings
-from repro.spmd.schedule import CommPlanTable
 from repro.spmd.traffic import estimate_range
 from repro.symbolic.classify import classify_bindings
 
@@ -84,14 +83,9 @@ class PassContext:
     constructions: dict[str, ConstructionResult] = field(default_factory=dict)
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     status_checks: bool = False
-    #: the artifact's plan table, for ``options.schedule`` (possibly ``None``)
-    plans: CommPlanTable = field(init=False)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
     ran: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.plans = CommPlanTable(self.options.schedule)
 
     def graphs(self) -> dict[str, RemappingGraph]:
         return {name: c.graph for name, c in self.constructions.items()}
@@ -629,7 +623,6 @@ class Pipeline:
             ctx.options,
             trace=ctx.report.trace,
             report=ctx.report,
-            plans=ctx.plans,
         )
 
 

@@ -13,16 +13,16 @@ instantiation uses:
   (erased from the artifact key, re-supplied per request) and which are
   compile-relevant (part of the key);
 * the **fixed bindings** -- the compile-relevant values the template was
-  built under (shape-symbolic values are erased);
-* one :class:`~repro.spmd.schedule.CommPlanTable` shared by every
-  instantiation, so repeated shapes reuse their plans.
+  built under (shape-symbolic values are erased).
 
 :meth:`SymbolicTemplate.instantiate` runs only the cheap structural tail
 of the pipeline (resolve through codegen) on the stored AST with concrete
-bindings -- no parsing, no motion -- and attaches the template's plan
-table.  The result is a plain :class:`CompiledProgram`: executors,
-verifiers and the differential tests cannot tell it from a from-scratch
-compile (and the test suite proves they cannot, bit for bit).
+bindings -- no parsing, no motion.  The result is a plain
+:class:`CompiledProgram`: executors, verifiers and the differential tests
+cannot tell it from a from-scratch compile (and the test suite proves they
+cannot, bit for bit).  It runs its copies on the process's plans
+(:data:`~repro.spmd.schedule.PLANS`), so a repeated shape -- or an eager
+compile of the same shape -- reuses them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.compiler.artifacts import CompiledProgram, CompilerOptions, _Freezabl
 from repro.errors import SymbolicBindingError
 from repro.lang.ast_nodes import Program
 from repro.mapping.processors import ProcessorArrangement
-from repro.spmd.schedule import CommPlanTable
 from repro.symbolic.classify import BindingClassification
 
 #: Passes a template instantiation must *not* run: motion is baked into the
@@ -62,15 +61,9 @@ class SymbolicTemplate(_Freezable):
     #: compile-relevant binding values baked into the template (part of
     #: its identity; shape-symbolic names are deliberately absent)
     fixed_bindings: dict[str, int] = field(default_factory=dict)
-    #: the plan table every instantiation shares (derived state)
-    plans: CommPlanTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.plans = CommPlanTable(self.options.schedule)
 
     def freeze(self) -> None:
-        """Make the template immutable for cache sharing (the plan table
-        keeps its own lock and stays live -- that is its whole point)."""
+        """Make the template immutable for cache sharing."""
         self._freeze_self()
 
     # -- derived ------------------------------------------------------------
@@ -101,9 +94,8 @@ class SymbolicTemplate(_Freezable):
 
         Runs only the structural tail of the pipeline (resolve through
         codegen, plus ``verify`` when the template's options include it)
-        over the stored AST, then attaches the template's plan table.
-        The caller freezes the result before sharing it, exactly as for
-        an eager compile.
+        over the stored AST.  The caller freezes the result before sharing
+        it, exactly as for an eager compile.
         """
         from repro.compiler.pipeline import PassManager
 
@@ -116,11 +108,7 @@ class SymbolicTemplate(_Freezable):
         merged = dict(self.fixed_bindings)
         merged.update(bindings or {})
         pipeline = PassManager.build(self.instantiation_pass_names())
-        compiled = pipeline.compile(
-            self.program, merged, processors, options=self.options
-        )
-        compiled.plans = self.plans
-        return compiled
+        return pipeline.compile(self.program, merged, processors, options=self.options)
 
 
 def build_template(

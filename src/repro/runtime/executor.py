@@ -35,10 +35,10 @@ Any number of :class:`Executor` instances may run the *same*
 * the artifact is treated strictly read-only (generated ops, version
   tables, construction results, resolved subroutines); session-cached
   artifacts additionally *enforce* this by freezing.  What a run does
-  write through the shared artifact is derived state only: its
-  lock-guarded :class:`~repro.spmd.schedule.CommPlanTable` (a lost
-  first-use race returns the winner's plan) and each plan's memoized
-  ledger delta and lowered forms
+  write outside itself is derived state only, and none of it lives on the
+  artifact: the process's lock-guarded plan table
+  :data:`~repro.spmd.schedule.PLANS` (a lost first-use race returns the
+  winner's plan) and each plan's memoized ledger delta and lowered forms
   (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, ``lowered``, ``wire``) --
   idempotent first-use writes of immutable values, the same from every
   thread.
@@ -71,7 +71,7 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.machine import Machine
-from repro.spmd.schedule import CommPlanTable, execute_comm_schedule
+from repro.spmd.schedule import PLANS, execute_comm_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +289,6 @@ class Executor(DescriptorWalker):
             {name: cs.sub.bindings for name, cs in subs.items()},
         )
         self.memory = MemoryManager(self.machine, self._eviction_candidates)
-        # every remapping runs as a plan of the artifact's table (under the
-        # options' policy, possibly None); only an artifact assembled by
-        # hand without one gets a table that lasts for this run
-        self.plans: CommPlanTable = (
-            compiled.plans
-            if compiled.plans is not None
-            else CommPlanTable(compiled.options.schedule)
-        )
 
     # -- memory ----------------------------------------------------------------
 
@@ -384,13 +376,15 @@ class Executor(DescriptorWalker):
     ) -> None:
         """Move the data of one remapping copy: obtain its plan, run it.
 
-        The plan object owns its copy descriptors and the artifact's table
-        owns the plan, so only the first execution of a plan over the
-        artifact's life pays any scheduling or index arithmetic.
+        The plan object owns its copy descriptors and the process's table
+        owns the plan, so only the first copy of a pair under a policy in
+        the process pays any scheduling or index arithmetic.
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
-        plan = self.plans.obtain(state.versions[src], state.versions[leaving])
+        plan = PLANS.obtain(
+            self.compiled.options.schedule, state.versions[src], state.versions[leaving]
+        )
         # what the movement hook will charge the run (an unprovable plan's
         # bad phase raises here, before any data moves)
         delta = plan.ledger(self.machine.cost, target.itemsize)

@@ -19,8 +19,8 @@ live at: *which remapping messages are exchanged and how large they are*.
   contention-free round-robin, per-pair aggregation), or under ``None``
   the degenerate plan that charges each transfer on its own -- executes
   it (:func:`execute_comm_schedule`, moving real data and charging the
-  cost model), and keeps plans per mapping-signature pair
-  (:class:`CommPlanTable`: one get-or-build table per artifact).
+  cost model), and keeps plans per (policy, mapping-signature pair)
+  (:data:`~repro.spmd.schedule.PLANS`: one get-or-build table per process).
 """
 
 from repro.spmd.cost import CostDecision, CostModel, TrafficEstimate

@@ -45,13 +45,14 @@ Invariants (enforced by construction and property-tested):
   (:exc:`~repro.errors.ScheduleError` otherwise -- an unstamped plan's
   :meth:`~CommSchedule.ledger` re-checks, once).
 
-:class:`CommPlanTable` is where an artifact keeps its plans: one bounded,
-lock-guarded get-or-build table per artifact, keyed by (source signature,
-target signature).  A plan is a pure function of the mapping pair, so the
-table is derived state -- never serialized, rebuilt on first use -- and it
-lives as long as the artifact: warm
-:class:`~repro.compiler.session.CompilerSession` runs do zero scheduling
-work under every policy, ``None`` included.
+:data:`PLANS` is where the process keeps its plans: one bounded,
+lock-guarded get-or-build :class:`CommPlanTable` keyed by (policy, source
+signature, target signature).  A plan is a pure function of that key, so
+no artifact owns one -- nothing is serialized, a plan is built on the
+first copy of its pair anywhere in the process and served to every later
+one, whichever artifact, template instantiation or session performs it:
+warm :class:`~repro.compiler.session.CompilerSession` runs do zero
+scheduling work under every policy, ``None`` included.
 """
 
 from __future__ import annotations
@@ -168,15 +169,15 @@ class CommSchedule:
 
     :meth:`ledger`, :meth:`lowered` and :meth:`wire` are the plan's derived
     forms, each worked out on first use and shared by every later one --
-    and, through the artifact's :class:`CommPlanTable`, by every run of
-    the artifact and every instantiation of a symbolic template.  They are
+    and, through :data:`PLANS`, by every copy of the same pair under the
+    same policy anywhere in the process.  They are
     kept on the plan object and gone with it: not dataclass fields (``==``
     and ``repr`` never see them) and dropped by :meth:`__getstate__`
     (neither do pickles).  Layouts are shared per mapping signature
     (:func:`~repro.mapping.ownership.layout_of`), so identity tells whether
     a form was lowered for the pair at hand (a layout rebuilt after that
     cache dropped it re-lowers, to the same descriptors); two threads
-    racing on a shared artifact both write the same immutable value.
+    racing on a shared plan both write the same immutable value.
     """
 
     policy: str | None
@@ -451,7 +452,7 @@ def redistribute(
 
 
 # ---------------------------------------------------------------------------
-# the plan table: where an artifact keeps its plans
+# the plan table: where the process keeps its plans
 # ---------------------------------------------------------------------------
 
 #: Hard bound on a :class:`CommPlanTable`'s plans.
@@ -459,19 +460,14 @@ PLAN_TABLE_CAPACITY = 256
 
 
 class CommPlanTable:
-    """An artifact's plans under one policy: a bounded, thread-safe
-    get-or-build table keyed by (src, dst) mapping signature.
+    """A bounded, thread-safe get-or-build table of plans keyed by
+    (policy, src signature, dst signature).
 
-    A plan belongs to the mapping pair, never to the artifact: the table
-    is derived state like a plan's lowered form.  ``==``, ``repr`` and
-    pickles see the policy only, so artifact bytes never depend on what a
-    session happened to run first, and a table that went to the store
-    comes back empty and rebuilds on first use.  One sits behind every
-    artifact and lives as long as it does (the per-caller binding wrappers
-    over a cached artifact share it); a symbolic template hands its own
-    to each instantiation, so repeated shapes pay the scheduling cost once
-    per template.  Signatures embed concrete extents and grid shapes, so
-    plans for distinct ``(n, P)`` can never cross-serve.
+    A plan belongs to its policy and its two layouts, never to an artifact,
+    so the process keeps one table, :data:`PLANS`, and every executor asks
+    it.  Signatures embed concrete extents and grid shapes, so plans for
+    distinct ``(n, P)`` can never cross-serve, and the policy is part of
+    the key, so neither can plans for distinct policies.
 
     :data:`PLAN_TABLE_CAPACITY` is a hard bound: least-recently-used plans
     are evicted and transparently rebuilt on the next request (a rebuild
@@ -482,8 +478,7 @@ class CommPlanTable:
     the winner's plan.
     """
 
-    def __init__(self, policy: str | None = DEFAULT_POLICY) -> None:
-        self.policy = check_policy(policy)
+    def __init__(self) -> None:
         self._plans: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -494,20 +489,10 @@ class CommPlanTable:
         with self._lock:
             return len(self._plans)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommPlanTable):
-            return NotImplemented
-        return self.policy == other.policy
-
-    def __repr__(self) -> str:
-        return f"CommPlanTable(policy={self.policy!r})"
-
-    def __reduce__(self):
-        return (CommPlanTable, (self.policy,))  # pickles (and deep-copies) empty
-
-    def obtain(self, src: Mapping, dst: Mapping) -> CommSchedule:
-        """The plan for ``dst = src``: get it, or build, certify and keep it."""
-        key = (src.signature, dst.signature)
+    def obtain(self, policy: str | None, src: Mapping, dst: Mapping) -> CommSchedule:
+        """The plan for ``dst = src`` under ``policy``: get it, or build,
+        certify and keep it."""
+        key = (policy, src.signature, dst.signature)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -515,10 +500,10 @@ class CommPlanTable:
                 self.hits += 1
                 return plan
         # Build (and certify) outside the lock: scheduling is the expensive
-        # part and depends only on the two mappings.
+        # part and depends only on the policy and the two mappings.
         with _TRACER.span("remap.plan_build"):
-            built = plan_redistribution(src, dst, self.policy)
-        if self.policy is not None:
+            built = plan_redistribution(src, dst, policy)
+        if policy is not None:
             from repro.analysis.commsafety import certify_plan
 
             # the proof lowers the plan (a remap.lower child span) and the
@@ -548,3 +533,13 @@ class CommPlanTable:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+    def clear(self) -> None:
+        """Forget every plan and every count, as a restarted process has."""
+        with self._lock:
+            self._plans.clear()
+            self.hits = self.misses = self.evictions = 0
+
+
+#: The process's plans: every executor gets its copies' plans here.
+PLANS = CommPlanTable()

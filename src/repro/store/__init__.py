@@ -1,7 +1,7 @@
 """Persistent artifact store: disk-backed compile cache with warm start.
 
-:class:`ArtifactStore` serializes frozen compiled artifacts (without their
-communication plans, which are rebuilt on first use) under the session
+:class:`ArtifactStore` serializes frozen compiled artifacts (which carry no
+communication plans: the process builds those on first use) under the session
 cache key plus a schema fingerprint, with integrity-verified loads,
 bounded LRU size and safe concurrent multi-process access.  Plug one into
 :class:`~repro.compiler.session.CompilerSession`,

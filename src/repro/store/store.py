@@ -8,9 +8,10 @@ LRU, sharded pool, single-flight) exploit that within one process;
 code and construction results -- are serialized to disk under the session
 cache key, so a restarted service (or a fresh CI runner with a restored
 cache directory) warm-starts instead of paying full cold-compile cost for
-identical sources.  Communication plans are *not* stored: a plan is a pure
-function of its mapping pair, so a loaded artifact's
-:class:`~repro.spmd.schedule.CommPlanTable` starts empty and rebuilds (and
+identical sources.  Communication plans are *not* stored, and no artifact
+carries any: a plan is a pure function of its policy and mapping pair, so
+a loaded artifact runs on the process's plans
+(:data:`~repro.spmd.schedule.PLANS`), and a restarted process builds (and
 re-proves) each plan on first use.
 
 Design contract, enforced by construction and by ``tests/test_store.py``:

@@ -16,8 +16,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz.profiles import load_profile_from_env
 from repro.obs import TRACER
+from repro.spmd.schedule import PLANS
 
 load_profile_from_env()
+
+
+@pytest.fixture(autouse=True)
+def fresh_plans():
+    """Start every test with the process's plan table empty, as a
+    restarted process has it, so no test is served a plan an earlier
+    one built."""
+    PLANS.clear()
 
 
 @pytest.fixture

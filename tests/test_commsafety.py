@@ -42,7 +42,7 @@ from repro.spmd import (
     plan_redistribution,
 )
 from repro.spmd.redistribution import Transfer
-from repro.spmd.schedule import CommPhase, PackedTransfer, rectangles
+from repro.spmd.schedule import PLANS, CommPhase, PackedTransfer, rectangles
 from repro.util.intervals import IntervalSet
 from test_lowering import counted
 from test_schedule import fmt_1d, mk
@@ -203,7 +203,7 @@ def test_schedule_that_drops_a_transfer_fails_the_proof(policy, monkeypatch):
         "first at global index (3,)"
     ]
     assert reference_is_clean(src, dst, plan), "the old proof did not see it"
-    assert not CommPlanTable(policy).obtain(src, dst).statically_verified
+    assert not CommPlanTable().obtain(policy, src, dst).statically_verified
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
@@ -293,6 +293,7 @@ def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
     every plan a run obtains is stamped, and proves clean on its own."""
     for n, p in PAIRS:
         w = CASES[name](n)
+        PLANS.clear()  # the plans of this shape only
         compiled = compile_program(
             w["source"],
             bindings=w["bindings"],
@@ -300,9 +301,9 @@ def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
             options=CompilerOptions(level=3, schedule=policy),
         )
         _run(compiled, w)
-        plans = compiled.plans._plans
+        plans = PLANS._plans
         assert plans and all(plan.statically_verified for plan in plans.values())
-        for (src_sig, dst_sig), plan in plans.items():
+        for (_, src_sig, dst_sig), plan in plans.items():
             unstamped = dataclasses.replace(plan, statically_verified=False)
             src, dst = _mappings_of(compiled, src_sig, dst_sig)
             assert prove_plan(src, dst, unstamped) == [], (name, policy, n, p)
@@ -400,15 +401,17 @@ def test_prop_proof_agrees_with_the_rederiving_oracle(n, f_src, f_dst, nprocs, p
 
 def _run_unstamped(compiled, w, monkeypatch, runs=1):
     """Run the same artifact over a fresh table whose proofs all fail:
-    ``certify_plan`` leaves every plan unstamped, as for an unprovable one."""
-    table = CommPlanTable(compiled.options.schedule)
+    ``certify_plan`` leaves every plan unstamped, as for an unprovable one.
+    The stamped run before it obtained the same pairs from :data:`PLANS`."""
+    table = CommPlanTable()
     with monkeypatch.context() as patch:
         patch.setattr(
             "repro.analysis.commsafety.prove_plan", lambda src, dst, plan: ["unproved"]
         )
+        patch.setattr("repro.runtime.executor.PLANS", table)
         for _ in range(runs):
-            out = _run(dataclasses.replace(compiled, plans=table), w)
-    assert len(table) == len(compiled.plans) > 0
+            out = _run(compiled, w)
+    assert len(table) > 0 and table._plans.keys() <= PLANS._plans.keys()
     assert not any(p.statically_verified for p in table._plans.values())
     return out
 
@@ -444,9 +447,9 @@ def test_schedule_pass_stamps_every_plan(policy):
         processors=4,
         options=CompilerOptions(level=3, schedule=policy),
     )
-    assert len(compiled.plans) == 0  # nothing is planned before the first run
+    assert len(PLANS) == 0  # nothing is planned before the first run
     _run(compiled, W16)
-    plans = list(compiled.plans._plans.values())
+    plans = list(PLANS._plans.values())
     assert plans, "fig16 must perform at least one copy"
     assert all(p.statically_verified for p in plans)
 
@@ -478,7 +481,7 @@ def test_stamp_keeps_the_lowering_the_proof_paid_for(policy, monkeypatch):
     before = lowered.value
     _run(compiled, W16)
     proved_calls = len(calls)
-    assert len(compiled.plans) == 2 and lowered.value - before == 2
+    assert len(PLANS) == 2 and lowered.value - before == 2
     del calls[:]
     _run(compiled, W16)
     assert calls == [] and lowered.value - before == 2
@@ -493,16 +496,16 @@ def test_first_use_of_a_plan_is_three_spans_and_a_hit_is_none(tracer):
     unscheduled table proves nothing, a disabled tracer records nothing."""
     src, dst = _pair()
 
-    def obtained(table):
+    def obtained(table, policy="round-robin"):
         tracer.clear()
         with tracer.span("caller") as caller:
-            table.obtain(src, dst)
+            table.obtain(policy, src, dst)
         spans = {s.name: s for s in tracer.finished_spans()}
         assert len(spans) == len(tracer.finished_spans())
         del spans["caller"]
         return caller, spans
 
-    table = CommPlanTable("round-robin")
+    table = CommPlanTable()
     caller, spans = obtained(table)
     assert sorted(spans) == ["remap.lower", "remap.plan_build", "remap.prove"]
     assert spans["remap.plan_build"].parent_id == caller.span_id
@@ -510,11 +513,11 @@ def test_first_use_of_a_plan_is_three_spans_and_a_hit_is_none(tracer):
     assert spans["remap.lower"].parent_id == spans["remap.prove"].span_id
     assert obtained(table)[1] == {}
 
-    assert sorted(obtained(CommPlanTable(None))[1]) == ["remap.plan_build"]
+    assert sorted(obtained(table, None)[1]) == ["remap.plan_build"]
 
     tracer.enabled = False
     tracer.clear()
-    CommPlanTable("naive").obtain(src, dst)
+    table.obtain("naive", src, dst)
     assert tracer.finished_spans() == []
 
 
@@ -544,7 +547,7 @@ def test_verified_plans_skip_runtime_validation(monkeypatch):
     assert calls["n"] == 0, "stamped plans must skip the runtime re-check"
 
     overlay_values, overlay_stats = _run_unstamped(compiled, W16, monkeypatch, runs=3)
-    phases = sum(len(p.phases) for p in compiled.plans._plans.values())
+    phases = sum(len(p.phases) for p in PLANS._plans.values())
     assert calls["n"] == phases > 0, "one check per phase per plan, not per run"
 
     for a in stamped_values:
@@ -593,10 +596,9 @@ def test_workload_seeds_verified_equals_unverified(monkeypatch):
             compiled = compile_program(
                 program, processors=4, options=CompilerOptions(level=3, schedule=policy)
             )
+            PLANS.clear()  # the plans of this run only
             v1, s1 = _run(compiled, w)
-            stamped = [
-                p.statically_verified for p in compiled.plans._plans.values()
-            ]
+            stamped = [p.statically_verified for p in PLANS._plans.values()]
             assert all(stamped), (seed, policy)
             if not stamped:
                 continue  # no copy performed: nothing to compare

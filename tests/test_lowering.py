@@ -19,8 +19,8 @@ them.  Pinned here:
 * **once** -- a warm ``session.run`` makes zero ``prepare_move`` (and so
   zero ``positions_in``) calls, opens no ``remap.lower`` span, builds no
   ``Message`` and copies at most once per whole transfer;
-* **derived state only** -- pickles, ``repr`` and equality see neither a
-  plan's lowered form nor a table's plans;
+* **derived state only** -- pickles, ``repr`` and equality never see a
+  plan's lowered form, and no artifact carries a plan;
 * **first-use race** -- two threads first-executing one frozen artifact
   agree bit for bit.
 """
@@ -66,7 +66,7 @@ from repro.spmd import darray, redistribution, schedule
 from repro.spmd.darray import block_index, positions_in
 from repro.spmd.message import Message, message_of
 from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
-from repro.spmd.schedule import POLICIES
+from repro.spmd.schedule import PLANS, POLICIES
 from repro.util.intervals import IntervalSet
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
@@ -522,18 +522,22 @@ def check_warm_run(policy, counted_prepare_move, counted_build_schedule, tracer)
 
     del counted_prepare_move[:]
     before = lowered.value
+    start = PLANS.stats()
     cold = session.run(LOOP, **kwargs)
     assert cold.stats.remaps_performed == 8
     assert len(counted_prepare_move) > 0
     assert lowered.value - before == 2  # block->cyclic and cyclic->block
     assert span_names(tracer).count("remap.lower") == 2
 
-    plans = session.compile(LOOP, bindings=kwargs["bindings"]).plans
-    assert plans.stats()["misses"] == 2
+    def built():
+        now = PLANS.stats()
+        return now["misses"] - start["misses"], now["hits"] - start["hits"]
+
+    assert built()[0] == 2
     del counted_prepare_move[:], counted_build_schedule[:]
     warm = session.run(LOOP, **kwargs)
     assert warm.stats.remaps_performed == 8
-    assert plans.stats()["misses"] == 2 and plans.stats()["hits"] == 14
+    assert built() == (2, 14)
     assert counted_prepare_move == [] and counted_build_schedule == []
     assert lowered.value - before == 2
     assert "remap.lower" not in span_names(tracer)
@@ -566,6 +570,7 @@ def test_app_runs_cold_without_positions_in_and_warm_without_any_geometry(
     and layouts indexed -- no ``prepare_move``, no ``members_array``."""
     members = counted(monkeypatch, darray, "members_array")
     for name, request in app_requests(64).items():
+        PLANS.clear()  # each application cold, as in a fresh process
         session = CompilerSession(4)
         cold = session.run(**request)
         assert cold.stats.remaps_performed > 0 and counted_prepare_move, name
@@ -585,7 +590,7 @@ def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
     kwargs = dict(bindings={"n": 256, "t": 16}, inputs={"a": np.arange(256.0)})
     cold = session.run(LOOP, **kwargs)
     compiled = session.compile(LOOP, bindings=kwargs["bindings"])
-    plans = list(compiled.plans._plans.values())
+    plans = list(PLANS._plans.values())
     assert len(plans) == 2 and all(len(plan.transfers) == 16 for plan in plans)
 
     made, checks, copies = [], [], []
@@ -659,7 +664,8 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
     counted_prepare_move, counted_build_schedule
 ):
     """A different runtime-only ``t`` is served by a ``with_bindings``
-    wrapper over the cached artifact: same plan table, same plans."""
+    wrapper over the cached artifact: it builds no plan, it runs the
+    first request's."""
     from repro.service import CompileService
 
     with CompileService(workers=1, processors=4) as svc:
@@ -668,29 +674,28 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
         assert first.error is None and first.result.stats.remaps_performed == 4
         assert counted_prepare_move and counted_build_schedule
 
+        assert PLANS.stats()["misses"] == 2
         del counted_prepare_move[:], counted_build_schedule[:]
         other = svc.submit(LOOP, bindings={"n": 64, "t": 3}, inputs={"a": np.arange(64.0)})
         other = other.result()
         assert other.error is None and other.cache_source == "memory"
         assert other.compiled is not first.compiled
-        assert other.compiled.plans is first.compiled.plans
         assert other.result.stats.remaps_performed == 6
-        assert other.compiled.plans.stats()["misses"] == 2
+        assert PLANS.stats()["misses"] == 2
         assert counted_prepare_move == [] and counted_build_schedule == []
 
 
 # ---------------------------------------------------------------------------
-# (d) lowered forms and tables are derived state: invisible to pickles,
-#     repr and equality
+# (d) lowered forms are derived state, invisible to pickles, repr and
+#     equality; artifacts carry no plans
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("way", WAYS)
 def test_execution_leaves_pickle_digest_and_equality_alone(way):
     src, dst = mk((48,), (B,), 4), mk((48,), (C3,), 4)
-    table = CommPlanTable(way)
-    empty = pickle.dumps(table), repr(table)
-    plan = table.obtain(src, dst)
+    table = CommPlanTable()
+    plan = table.obtain(way, src, dst)
     twin = plan_redistribution(src, dst, way)
     before = pickle.dumps(plan), repr(plan)
 
@@ -704,15 +709,10 @@ def test_execution_leaves_pickle_digest_and_equality_alone(way):
     assert dataclasses.replace(plan, statically_verified=False) == twin
     restored = pickle.loads(pickle.dumps(plan))
     assert restored == plan and restored._lowered is None
-    # ... and so are the table's plans: its pickle, repr and equality see
-    # the policy only, whatever it has served
-    assert table.obtain(dst, src) is table.obtain(dst, src)
-    assert table.obtain(src, dst) is plan
-    assert len(table) == 2 and table == CommPlanTable(way)
-    assert table != CommPlanTable(None if way else "naive")
-    assert (pickle.dumps(table), repr(table)) == empty
-    revived = pickle.loads(pickle.dumps(table))
-    assert revived == table and len(revived) == 0 and revived.stats()["misses"] == 0
+    # the table serves the plan it built, lowering and all
+    assert table.obtain(way, dst, src) is table.obtain(way, dst, src)
+    assert table.obtain(way, src, dst) is plan
+    assert len(table) == 2 and table.stats()["misses"] == 2
 
 
 @pytest.mark.parametrize("way", WAYS)
@@ -724,10 +724,10 @@ def test_artifact_pickles_the_same_before_and_after_it_executed(way):
     versions = compiled.subroutines["remap"].versions
     assert all(m.signature for m in versions.versions("a"))
     before = pickle.dumps(compiled)
-    assert len(compiled.plans) == 0
+    assert len(PLANS) == 0
     env = ExecutionEnv(bindings={"n": 64, "t": 2}, inputs={"a": np.arange(64.0)})
     execute(compiled, env=env)
-    assert len(compiled.plans) == 2
+    assert len(PLANS) == 2
     assert pickle.dumps(compiled) == before
 
 
@@ -740,8 +740,8 @@ def test_concurrent_first_execution_of_a_frozen_artifact(monkeypatch):
     obtained = []  # (table, pair, plan) of every obtain, from every thread
     real = CommPlanTable.obtain
 
-    def recording(table, src, dst):
-        plan = real(table, src, dst)
+    def recording(table, policy, src, dst):
+        plan = real(table, policy, src, dst)
         obtained.append((table, (src.signature, dst.signature), plan))
         return plan
 
@@ -774,10 +774,12 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
                 LOOP, bindings={"n": 96, "t": 3}
             )
             assert compiled.frozen
-            # from here on only the artifact's table builds plans (the cost
-            # guard priced its candidates during the compile above)
+            # from here on only the process's table builds plans (the cost
+            # guard priced its candidates during the compile above), and it
+            # starts empty, so all three threads race on the first use
+            PLANS.clear()
             monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", counting)
-            del builds[:]
+            del builds[:], obtained[:]
             gate = threading.Barrier(3)
             outcomes = [None] * 3
 
@@ -797,9 +799,9 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
                 assert stats == serial[1]
             # every thread got the same plan object per pair, and the table
             # counted every build, the ones that lost the insertion race too
-            mine = [(pair, plan) for table, pair, plan in obtained if table is compiled.plans]
+            mine = [(pair, plan) for table, pair, plan in obtained if table is PLANS]
             assert len({pair for pair, _ in mine}) == len({id(plan) for _, plan in mine}) == 2
-            table = compiled.plans.stats()
+            table = PLANS.stats()
             assert table["hits"] + table["misses"] == len(mine) == 4 * 6
             assert table["misses"] == len(builds) >= 2
             monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", real_plan)

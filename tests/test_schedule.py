@@ -12,9 +12,11 @@ Four layers of guarantees:
   identical total bytes to the unscheduled executor, under every policy;
 * **performance shape** -- on the benchmarked redistribution patterns,
   round-robin makespan never exceeds the naive all-at-once makespan;
-* **plan caching** -- a policy adds no pass: the artifact's plan table
-  builds each plan on first use, warm session hits replay them with zero
-  scheduling work, and different policies never share cached artifacts.
+* **plan caching** -- a policy adds no pass: the process's plan table
+  (:data:`~repro.spmd.schedule.PLANS`) builds each plan on first use,
+  warm session hits replay them with zero scheduling work, any artifact
+  performing the same pair under the same policy runs the same plan, and
+  different policies never share cached artifacts or plans.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    CompiledProgram,
     CompilerOptions,
     CompilerSession,
     CostModel,
@@ -60,7 +63,7 @@ from repro.spmd import (
     redistribute,
 )
 from repro.spmd.redistribution import RedistSchedule, Transfer
-from repro.spmd.schedule import CommPhase, _pack, _round_robin_phases
+from repro.spmd.schedule import PLANS, CommPhase, _pack, _round_robin_phases
 from repro.util.intervals import IntervalSet
 
 COST = CostModel()
@@ -482,7 +485,7 @@ def _with_policy(compiled, policy):
     soundness criterion compares.
     """
     options = dataclasses.replace(compiled.options, schedule=policy)
-    return dataclasses.replace(compiled, options=options, plans=None)
+    return dataclasses.replace(compiled, options=options)
 
 
 def _env(w):
@@ -622,30 +625,93 @@ def test_schedule_policy_adds_no_pass():
     for policy in SCHEDULED:
         options = CompilerOptions(level=3, schedule=policy)
         assert options.pass_names == CompilerOptions(level=3).pass_names
+        start = PLANS.stats()
         compiled = compile_program(
             w["source"], bindings=w["bindings"], processors=4, options=options
         )
         # nothing is planned at compile time: the first run builds the plans
-        assert compiled.plans.policy == policy and len(compiled.plans) == 0
+        assert PLANS.stats() == start
         _, stats = _run(compiled, w)
-        table = compiled.plans.stats()
+        table = _delta(start)
         assert table["misses"] == table["entries"] > 0
         assert table["hits"] + table["misses"] == stats.remaps_performed
 
 
-def test_executor_builds_plans_when_pass_not_run():
-    """A hand-assembled artifact (``plans=None``) gets a table for the run."""
+def _delta(start):
+    """What :data:`PLANS` counted since ``start`` (a ``stats()`` reading)."""
+    return {k: v - start[k] for k, v in PLANS.stats().items()}
+
+
+def ran_plans(monkeypatch):
+    """The plan objects every executor runs from now on, in order."""
+    ran = []
+    real = Executor._run_plan
+
+    def recording(executor, plan, source, target, tag):
+        ran.append(plan)
+        return real(executor, plan, source, target, tag)
+
+    monkeypatch.setattr(Executor, "_run_plan", recording)
+    return ran
+
+
+def test_hand_assembled_artifact_runs_on_the_process_plans():
+    """An artifact assembled by hand carries no plan table and needs none:
+    its copies run on the process's plans, phased under its policy."""
+    assert "plans" not in {f.name for f in dataclasses.fields(CompiledProgram)}
     w = FIGURES["fig12-then"]
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3),
     )
-    wrapped = _with_policy(compiled, "round-robin")
-    executor = Executor(wrapped, Machine(wrapped.processors), _env(w))
-    executor.run(next(iter(wrapped.subroutines)))
-    assert wrapped.plans is None and executor.plans.policy == "round-robin"
-    assert executor.plans.stats()["misses"] > 0
+    options = dataclasses.replace(compiled.options, schedule="round-robin")
+    by_hand = CompiledProgram(compiled.program, compiled.subroutines, options)
+    executor = Executor(by_hand, Machine(by_hand.processors), _env(w))
+    executor.run(next(iter(by_hand.subroutines)))
+    assert not hasattr(executor, "plans")
+    assert PLANS.stats()["misses"] == len(PLANS) > 0
+    assert all(policy == "round-robin" for policy, _, _ in PLANS._plans)
     assert executor.machine.stats.phases > 0
+
+
+def test_artifacts_of_different_sources_share_a_pairs_plan(monkeypatch):
+    """Two never-seen sources that perform the same mapping pair -- the
+    renamed-subroutine pattern of a cold-compile stream -- are two
+    artifacts and one plan: the second run builds nothing and runs the
+    first run's plan objects."""
+    w = FIGURES["fig16"]
+    renamed = w["source"].replace("subroutine main", "subroutine other")
+    session = CompilerSession(4, CompilerOptions(level=3, schedule="round-robin"))
+    ran = ran_plans(monkeypatch)
+    kw = dict(bindings=w["bindings"], conditions=w["conditions"], inputs=w["inputs"])
+    first = session.run(w["source"], **kw)
+    first_plans, built = list(ran), PLANS.stats()["misses"]
+    del ran[:]
+    start = PLANS.stats()
+    second = session.run(renamed, **kw)
+    assert session.misses == 2  # two artifacts
+    assert built > 0 and _delta(start)["misses"] == 0
+    assert _delta(start)["hits"] == second.stats.remaps_performed > 0
+    assert len(ran) == len(first_plans)
+    assert all(a is b for a, b in zip(ran, first_plans))
+    assert second.stats.snapshot() == first.stats.snapshot()
+
+
+def test_one_pair_under_two_policies_is_two_plans(p4):
+    """The policy is part of a plan's key: neither policy's plan is ever
+    served for the other, in the process's table or a private one."""
+    src = mk((16,), (DistFormat.block(),), p4)
+    dst = mk((16,), (DistFormat.cyclic(),), p4)
+    for table in (PLANS, CommPlanTable()):
+        naive = table.obtain("naive", src, dst)
+        aggregate = table.obtain("aggregate", src, dst)
+        unscheduled = table.obtain(None, src, dst)
+        assert (naive.policy, aggregate.policy, unscheduled.policy) == ("naive", "aggregate", None)
+        assert len({id(naive), id(aggregate), id(unscheduled)}) == 3
+        assert table.obtain("naive", src, dst) is naive
+        assert table.obtain("aggregate", src, dst) is aggregate
+        assert table.obtain(None, src, dst) is unscheduled
+        assert table.stats()["misses"] == len(table) == 3
 
 
 def test_warm_session_replays_plans_with_zero_scheduling_work():
@@ -657,18 +723,18 @@ def test_warm_session_replays_plans_with_zero_scheduling_work():
         kw = dict(
             bindings=w["bindings"], conditions=w["conditions"], inputs=w["inputs"]
         )
+        start = PLANS.stats()
         r1 = session.run(w["source"], **kw)
         passes_after_cold = session.passes_run
         assert session.misses == 1
-        plans = session.compile(w["source"], bindings=w["bindings"]).plans
-        built = plans.stats()["misses"]
+        session.compile(w["source"], bindings=w["bindings"])
+        built = _delta(start)["misses"]
         assert built > 0
         r2 = session.run(w["source"], **kw)
-        # warm: artifact (plan table included) served from cache, no pass
-        # ran and no plan was built
+        # warm: artifact served from cache, no pass ran and no plan was built
         assert session.hits == 2
         assert session.passes_run == passes_after_cold
-        assert plans.stats()["misses"] == built
+        assert _delta(start)["misses"] == built
         assert r2.stats.remaps_performed > 0
         assert r1.stats.snapshot() == r2.stats.snapshot()
 
@@ -688,21 +754,21 @@ def test_policies_never_share_cached_artifacts():
         w["source"], bindings=w["bindings"], options=CompilerOptions(level=3)
     )
     assert session.misses == 3 and session.hits == 0
-    assert a.plans.policy == "round-robin"
-    assert b.plans.policy == "aggregate"
-    assert c.plans.policy is None and len(c.plans) == 0
+    assert a.options.schedule == "round-robin"
+    assert b.options.schedule == "aggregate"
+    assert c.options.schedule is None and len(PLANS) == 0
 
 
 def test_plan_table_is_signature_keyed(p4):
-    table = CommPlanTable("round-robin")
+    table = CommPlanTable()
     src = mk((16,), (DistFormat.block(),), p4)
     dst = mk((16,), (DistFormat.cyclic(),), p4, name="B")
     assert len(table) == 0
-    plan = table.obtain(src, dst)
-    assert table.obtain(src, dst) is plan
+    plan = table.obtain("round-robin", src, dst)
+    assert table.obtain("round-robin", src, dst) is plan
     # a different array with the same layouts shares the plan
     src2 = mk((16,), (DistFormat.block(),), p4, name="C")
-    assert table.obtain(src2, dst) is plan
+    assert table.obtain("round-robin", src2, dst) is plan
     assert len(table) == 1
     assert table.stats()["misses"] == 1 and table.stats()["hits"] == 2
 

@@ -401,18 +401,21 @@ def test_direct_compilation_stays_mutable():
 
 
 def test_cached_artifacts_plan_table_serves_unseen_pairs():
-    """Freezing covers the artifact's content; its plan table is derived
-    state and keeps serving pairs it has never seen."""
+    """Freezing covers the artifact's content; the plans of its copies live
+    in the process's table, outside it, which keeps serving pairs it has
+    never seen."""
+    from repro.spmd.schedule import PLANS
+
     opts = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=opts)
     compiled = session.compile(FIG10, bindings={"n": 8, "m": 1})
-    assert compiled.frozen and len(compiled.plans) == 0
+    assert compiled.frozen and len(PLANS) == 0
     versions = compiled.get("remap").versions.versions("a")
-    plan = compiled.plans.obtain(versions[0], versions[1])
+    plan = PLANS.obtain(opts.schedule, versions[0], versions[1])
     assert plan.policy == "round-robin" and plan.statically_verified
-    assert compiled.plans.obtain(versions[0], versions[1]) is plan
+    assert PLANS.obtain(opts.schedule, versions[0], versions[1]) is plan
     with pytest.raises(ArtifactFrozenError):
-        compiled.plans = None
+        compiled.options = opts
 
 
 def test_frozen_artifact_still_executes_with_binding_overlay():

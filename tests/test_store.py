@@ -35,7 +35,8 @@ from repro.compiler.pipeline import PassManager
 from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError
 from repro.lang.ast_nodes import ArrayDecl
-from repro.spmd import CommSchedule
+from repro.spmd import CommPlanTable, CommSchedule
+from repro.spmd.schedule import PLANS
 from repro.store.cli import main as store_cli
 from test_lowering import counted
 
@@ -180,37 +181,47 @@ def test_round_trip_returns_equivalent_frozen_artifact(tmp_path):
 
 
 def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
-    """Plans are derived state, never artifact content: no plan reaches a
-    pickle, executing an artifact leaves its bytes alone, and a disk-loaded
-    artifact rebuilds (and re-proves) exactly the pairs it performs."""
+    """Plans are derived state, never artifact content: no plan and no plan
+    table reaches a pickle, executing an artifact leaves its bytes alone,
+    and a disk-loaded artifact builds (and proves) exactly the pairs it
+    performs in a restarted process, at most those in a warm one."""
 
     def refuse(self, protocol):
-        raise AssertionError("a CommSchedule reached a pickle")
+        raise AssertionError(f"a {type(self).__name__} reached a pickle")
 
     w = FIGURES["fig12-then"]
     for policy in POLICIES:
         fresh, loaded = _store_then_load(tmp_path, w, policy, subdir=f"free-{policy}")
-        assert loaded.plans == fresh.plans and loaded.plans.policy == policy
-        assert len(fresh.plans) == len(loaded.plans) == 0
         # a Mapping keeps its normal form in its (pickled) __dict__ once
         # asked, and a run asks: ask first, so only plans could differ
         for cs in fresh.subroutines.values():
             for array in cs.versions.arrays():
                 assert all(m.signature for m in cs.versions.versions(array))
         before = pickle.dumps(fresh)
+        PLANS.clear()
         ref_values, ref_stats = _run(fresh, w)
-        assert len(fresh.plans) > 0
+        performed = dict(PLANS._plans)
+        assert performed
         with monkeypatch.context() as patch:
             patch.setattr(CommSchedule, "__reduce_ex__", refuse)
+            patch.setattr(CommPlanTable, "__reduce_ex__", refuse)
             assert pickle.dumps(fresh) == before
+            pickle.dumps(loaded)
 
+        warm = PLANS.stats()["misses"]
         values, stats = _run(loaded, w)
-        table = loaded.plans.stats()
-        assert table["misses"] == table["entries"] == len(fresh.plans)
+        assert PLANS.stats()["misses"] == warm  # at most the pairs: none new
+        assert stats.snapshot() == ref_stats.snapshot(), policy
+
+        PLANS.clear()  # a restarted process
+        values, stats = _run(loaded, w)
+        table = PLANS.stats()
+        assert table["misses"] == table["entries"] == len(performed)
         assert table["hits"] + table["misses"] == stats.remaps_performed
-        rebuilt = list(loaded.plans._plans.values())
+        assert PLANS._plans.keys() == performed.keys()
+        rebuilt = list(PLANS._plans.values())
         assert policy is None or all(p.statically_verified for p in rebuilt)
-        assert sorted(map(repr, rebuilt)) == sorted(map(repr, fresh.plans._plans.values()))
+        assert sorted(map(repr, rebuilt)) == sorted(map(repr, performed.values()))
         for a in ref_values:
             assert np.array_equal(values[a], ref_values[a]), (policy, a)
         assert stats.snapshot() == ref_stats.snapshot(), policy
@@ -409,15 +420,20 @@ def test_load_instantiates_nothing_and_the_first_request_once(tmp_path, monkeypa
 
 def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):
     """Proving a plan no longer rebuilds its schedule: one ``RedistSchedule``
-    (whoever imported ``build_schedule``) per plan the run obtains."""
+    (whoever imported ``build_schedule``) per plan the run obtains -- every
+    pair it performs in a restarted process, none once the process has them."""
     import repro.spmd.redistribution as redistribution
 
     w = FIGURES["fig12-then"]
     _, loaded = _store_then_load(tmp_path, w, "round-robin")
     built = counted(monkeypatch, redistribution, "RedistSchedule")
+    PLANS.clear()  # a restarted process
     _run(loaded, w)
-    assert len(built) == loaded.plans.stats()["misses"] > 0
-    assert all(p.statically_verified for p in loaded.plans._plans.values())
+    assert len(built) == PLANS.stats()["misses"] == len(PLANS) > 0
+    assert all(p.statically_verified for p in PLANS._plans.values())
+    del built[:]
+    _run(loaded, w)
+    assert built == [] and PLANS.stats()["misses"] == len(PLANS)
 
 
 def test_pass_registry_change_invalidates_old_entries(tmp_path):

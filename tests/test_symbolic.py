@@ -14,10 +14,12 @@ The acceptance differential for the symbolic subsystem
   (literal extents degrade symbolize to the concrete path);
 * **level monotonicity** -- optimization levels stay byte-monotone under
   symbolic options (spot check of seeds 0..500);
-* **plan table** -- the bounded, thread-safe :class:`CommPlanTable` shared by
-  instantiations evicts and rebuilds bit-identically, collapses insert
-  races to one kept plan, and pickles empty (artifact bytes never depend on
-  traffic history);
+* **plan table** -- instantiations run on the process's plans
+  (:data:`~repro.spmd.schedule.PLANS`), shared with eager compiles of the
+  same shape; the bounded, thread-safe :class:`CommPlanTable` evicts and
+  rebuilds bit-identically and collapses insert races to one kept plan, and
+  a template carries no plan (artifact bytes never depend on traffic
+  history);
 * **store integration** -- templates round-trip through the artifact
   store and pass ``verify --deep``; a fresh process instantiates on first
   contact.
@@ -46,7 +48,7 @@ from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.template import SymbolicTemplate
 from repro.mapping import ProcessorArrangement, ownership
 from repro.spmd import traffic
-from repro.spmd.schedule import CommPlanTable
+from repro.spmd.schedule import PLANS, CommPlanTable
 from repro.store import ArtifactStore
 
 FIG1 = """
@@ -278,25 +280,48 @@ def _warm_template(policy="round-robin"):
 def test_template_instantiation_is_deterministic():
     """Two instantiations at the same (n, P) are interchangeable: identical
     values, bytes, messages and phases under execution -- and they run the
-    same plan objects, the template's, so the second builds nothing.  An
+    same plan objects, the process's, so the second builds nothing.  An
     eager compile of the same program and shape reads the same ledger."""
     _, template = _warm_template()
     w = _fig16(24)
     procs = ProcessorArrangement("P", (3,))
     a = template.instantiate({"n": 24}, procs)
     b = template.instantiate({"n": 24}, procs)
-    assert a.plans is b.plans is template.plans
     got_a = _run(a, w)
-    built = template.plans.stats()["misses"]
-    assert built == len(template.plans) > 0
+    built = PLANS.stats()["misses"]
+    assert built == len(PLANS) > 0
     got_b = _run(b, w)
-    assert template.plans.stats()["misses"] == built
+    assert PLANS.stats()["misses"] == built
     _assert_identical(got_a, got_b, ("determinism",))
     eager = compile_program(
         w["source"], bindings=w["bindings"], processors=3,
         options=CompilerOptions(level=3, schedule="round-robin"),
     )
     assert _run(eager, w)[1].snapshot() == got_a[1].snapshot() == got_b[1].snapshot()
+
+
+def test_eager_compile_and_instantiation_share_plans(monkeypatch):
+    """A plan belongs to its policy and its two layouts: an eager compile
+    and a template instantiation at the same ``(n, P)`` and policy run the
+    same plan objects, whichever runs first builds them and the other
+    builds nothing."""
+    from test_schedule import ran_plans
+
+    ran = ran_plans(monkeypatch)
+    _, template = _warm_template()
+    w = _fig16(24)
+    eager = compile_program(
+        w["source"], bindings=w["bindings"], processors=3,
+        options=CompilerOptions(level=3, schedule="round-robin"),
+    )
+    got_eager = _run(eager, w)
+    eager_plans, built = list(ran), PLANS.stats()["misses"]
+    assert built == len(PLANS) > 0
+    del ran[:]
+    got = _run(template.instantiate({"n": 24}, ProcessorArrangement("P", (3,))), w)
+    assert PLANS.stats()["misses"] == built
+    assert len(ran) == len(eager_plans) and all(a is b for a, b in zip(ran, eager_plans))
+    _assert_identical(got, got_eager, ("shared plans",))
 
 
 def test_template_rejects_missing_shapes():
@@ -306,22 +331,25 @@ def test_template_rejects_missing_shapes():
 
 
 def test_frozen_template_survives_pickle_with_empty_memo():
-    """Artifact bytes must not depend on which shapes a session served:
-    pickling drops the plan table's contents, and the revived template
-    still instantiates correctly."""
+    """Artifact bytes must not depend on which shapes a session served: a
+    template carries no plan, so serving a shape leaves its pickle alone,
+    and the revived template still instantiates correctly."""
     _, template = _warm_template()
-    # serve and run one shape so the plan table is warm
+    unserved = pickle.dumps(template)
+    # serve and run one shape so the process's plans are warm
     _run(template.instantiate({"n": 16}, ProcessorArrangement("P", (4,))), _fig16(16))
+    assert len(PLANS) > 0
     payload = pickle.dumps(template)
+    assert payload == unserved
     revived = pickle.loads(payload)
     assert isinstance(revived, SymbolicTemplate)
     # a template carries exactly what instantiation uses, nothing else
     assert set(vars(revived)) - {"_frozen"} == {
-        "program", "options", "classification", "fixed_bindings", "plans"
+        "program", "options", "classification", "fixed_bindings"
     }
     assert b"repro.symbolic.affine" not in payload
     assert b"repro.symbolic.ownership" not in payload
-    assert len(template.plans) > 0 and len(revived.plans) == 0
+    assert b"CommPlanTable" not in payload and b"CommSchedule" not in payload
     w = _fig16(12)
     got = _run(revived.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
     ref = _run(template.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
@@ -344,13 +372,13 @@ def _redist_pair(n, p):
 
 def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
     monkeypatch.setattr("repro.spmd.schedule.PLAN_TABLE_CAPACITY", 2)
-    table = CommPlanTable("round-robin")
-    first = table.obtain(*_redist_pair(16, 4))
-    table.obtain(*_redist_pair(24, 4))
-    table.obtain(*_redist_pair(32, 4))  # evicts (16, 4)
+    table = CommPlanTable()
+    first = table.obtain("round-robin", *_redist_pair(16, 4))
+    table.obtain("round-robin", *_redist_pair(24, 4))
+    table.obtain("round-robin", *_redist_pair(32, 4))  # evicts (16, 4)
     assert table.stats()["evictions"] == 1
     assert len(table) == 2
-    rebuilt = table.obtain(*_redist_pair(16, 4))
+    rebuilt = table.obtain("round-robin", *_redist_pair(16, 4))
     assert rebuilt is not first
     assert rebuilt == first and rebuilt.statically_verified
     assert table.stats()["misses"] == 4
@@ -358,23 +386,23 @@ def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
 
 def test_plan_memo_keys_embed_shape_and_grid():
     """Distinct (n, P) must never cross-serve plans through the table."""
-    table = CommPlanTable("naive")
-    a = table.obtain(*_redist_pair(16, 4))
-    b = table.obtain(*_redist_pair(16, 2))
-    c = table.obtain(*_redist_pair(8, 4))
+    table = CommPlanTable()
+    a = table.obtain("naive", *_redist_pair(16, 4))
+    b = table.obtain("naive", *_redist_pair(16, 2))
+    c = table.obtain("naive", *_redist_pair(8, 4))
     assert table.stats()["misses"] == 3
     assert len({id(x) for x in (a, b, c)}) == 3
 
 
 def test_plan_memo_insert_race_collapses_to_one_build():
-    table = CommPlanTable("aggregate")
+    table = CommPlanTable()
     src, dst = _redist_pair(32, 4)
     results = [None] * 8
     barrier = threading.Barrier(8)
 
     def worker(i):
         barrier.wait(10.0)
-        results[i] = table.obtain(src, dst)
+        results[i] = table.obtain("aggregate", src, dst)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for t in threads:
