@@ -14,13 +14,17 @@ reference, and prints the cumulative table, the serving-tier counts, the
 shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
 (``PreparedMove.execute``) and in the ledger (``Machine.charge``), and the
 shares of request handling (``CompileService._handle``) spent in the motion
-cost guard (``CostGuard.evaluate``) and in remapping-graph construction
-(``build_remapping_graph``, the pipeline's and every guard variant's; both
-zero where every request is served without compiling), and what the
-process's plan table (``repro.spmd.schedule.PLANS``) did over the profiled
-rounds: plans obtained, built, served as hits and evicted, and the entries
-it gained -- after the warm-up rounds, a workload that performs no new
-mapping pair builds nothing.
+cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
+(``simulate_grid``) and in remapping-graph construction
+(``build_remapping_graph``, the pipeline's and every guard variant's; all
+zero where every request is served without compiling), what the guard's
+grid walks did over the profiled rounds (scenarios priced, the statement
+runs the grids made, and scenarios x statements -- what walking each
+scenario on its own would have made), and what the process's plan table
+(``repro.spmd.schedule.PLANS``) did over the profiled rounds: plans
+obtained, built, served as hits and evicted, and the entries it gained --
+after the warm-up rounds, a workload that performs no new mapping pair
+builds nothing.
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -44,6 +48,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
+from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
@@ -51,6 +56,7 @@ from repro.service import service as service_module  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
 from repro.spmd.schedule import PLANS  # noqa: E402
+from repro.spmd.traffic import simulate_grid  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
@@ -59,8 +65,26 @@ SHARES = {
     PreparedMove.execute: ("PreparedMove.execute", DescriptorWalker._remap),
     Machine.charge: ("Machine.charge", DescriptorWalker._remap),
     CostGuard.evaluate: ("CostGuard.evaluate", service_module.CompileService._handle),
+    simulate_grid: ("simulate_grid", service_module.CompileService._handle),
     build_remapping_graph: ("build_remapping_graph", service_module.CompileService._handle),
 }
+
+
+#: what the guard's grid walks did: scenarios priced, statement runs made,
+#: and scenarios x statements
+WALKS: Counter = Counter()
+
+
+def counted_grid(*args, **kwargs):
+    """The guard's ``simulate_grid``, counting what each walk did."""
+    walk = simulate_grid(*args, **kwargs)
+    scenarios = len(walk.estimates)
+    WALKS.update(
+        scenarios=scenarios,
+        executions=walk.executions,
+        one_by_one=scenarios * walk.statements,
+    )
+    return walk
 
 
 def cumulative(stats: pstats.Stats, fn) -> float:
@@ -90,13 +114,14 @@ class InlineExecutor:
 
 def profile(
     workload: workloads.Workload, rounds: int
-) -> tuple[pstats.Stats, Counter, dict[str, int]]:
+) -> tuple[pstats.Stats, Counter, dict[str, int], Counter]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler; also
-    the count of requests each tier served and what :data:`PLANS` counted
-    over the rounds."""
+    the count of requests each tier served, and what :data:`PLANS` and the
+    guard's grid walks counted over the rounds."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
     start = PLANS.stats()
+    walks_start = Counter(WALKS)
     for r in range(rounds):
         kinds = workload.round_kinds(r)
         profiler.enable()
@@ -107,7 +132,7 @@ def profile(
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
         tiers.update(res.cache_source for res in results)
     plans = {k: v - start[k] for k, v in PLANS.stats().items()}
-    return pstats.Stats(profiler), tiers, plans
+    return pstats.Stats(profiler), tiers, plans, WALKS - walks_start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,10 +144,11 @@ def main(argv: list[str] | None = None) -> int:
 
     # every service the workload opens (a restart included) serves inline
     service_module.ThreadPoolExecutor = InlineExecutor
+    costguard.simulate_grid = counted_grid
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, plans = profile(workload, args.rounds)
+            stats, tiers, plans, walks = profile(workload, args.rounds)
         finally:
             workload.close()
 
@@ -132,6 +158,11 @@ def main(argv: list[str] | None = None) -> int:
         f"plans: obtains {plans['hits'] + plans['misses']}  builds {plans['misses']}  "
         f"hits {plans['hits']}  evictions {plans['evictions']}  entries {plans['entries']:+d} "
         f"({len(PLANS)} held) over {args.rounds} rounds"
+    )
+    print(
+        f"walks: {walks['scenarios']} scenarios priced by the guard, "
+        f"{walks['executions']} grid statement runs "
+        f"(scenarios x statements {walks['one_by_one']}) over {args.rounds} rounds"
     )
     for part, (label, whole) in SHARES.items():
         seconds, total = cumulative(stats, part), cumulative(stats, whole)

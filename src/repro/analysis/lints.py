@@ -39,7 +39,6 @@ baseline comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any
 
 from repro.analysis.dataflow import Direction, solve
 from repro.compiler.diagnostics import CompileReport
@@ -60,7 +59,7 @@ from repro.lang.printer import print_stmt
 from repro.remap.codegen import GeneratedCode
 from repro.remap.construction import ConstructionResult
 from repro.remap.graph import GRVertex
-from repro.spmd.traffic import TrafficSimulator, enumerate_scenarios
+from repro.spmd.traffic import enumerate_scenarios, simulate_grid
 
 __all__ = ["Finding", "LINT_RULES", "lint_construction", "lint_program"]
 
@@ -311,19 +310,6 @@ def _lint_unreachable(res: ConstructionResult, name: str) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-class _RecordingSimulator(TrafficSimulator):
-    """The exact dry-run executor, additionally recording which branch
-    conditions were actually evaluated."""
-
-    def __init__(self, *args: Any, **kw: Any) -> None:
-        super().__init__(*args, **kw)
-        self.evaluated: set[str] = set()
-
-    def _condition(self, name: str) -> bool:
-        self.evaluated.add(name)
-        return super()._condition(name)
-
-
 def _lint_scenarios(
     constructions: dict[str, ConstructionResult],
     codes: dict[str, GeneratedCode],
@@ -345,14 +331,14 @@ def _lint_scenarios(
         )
     except ReproError:
         return []  # nothing provable without scenarios
+    walk = simulate_grid(constructions, codes, entry, scenarios)
     evaluated: set[str] = set()
-    for sc in scenarios:
-        sim = _RecordingSimulator(constructions, codes, sc)
-        try:
-            sim.run(entry)
-        except TrafficPredictionError:
+    for error, conds_read in zip(walk.errors, walk.evaluated):
+        if isinstance(error, TrafficPredictionError):
             continue  # an unsimulatable scenario proves nothing
-        evaluated |= sim.evaluated
+        if error is not None:
+            raise error
+        evaluated |= conds_read
     findings: list[Finding] = []
     for (cond, _sid), stmt in sorted(conds.items(), key=lambda kv: kv[0][0]):
         if cond in evaluated:

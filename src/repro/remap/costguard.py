@@ -100,7 +100,7 @@ from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import alignment_families
 from repro.remap.optimize import remove_useless_remappings
 from repro.spmd.cost import CostModel, TrafficEstimate
-from repro.spmd.traffic import Scenario, enumerate_scenarios, simulate_traffic
+from repro.spmd.traffic import Scenario, enumerate_scenarios, simulate_grid
 
 
 # -- projection onto alignment families ---------------------------------------
@@ -354,7 +354,7 @@ class CostGuard:
     # -- pricing ------------------------------------------------------------
 
     def _price(self, program: Program, sub: Subroutine) -> "_Pricing":
-        """Compile one placement and simulate it over its whole scenario grid.
+        """Compile one placement and walk its whole scenario grid once.
 
         ``require_exhaustive``: a subsampled grid cannot *prove* a placement
         safe, so an oversized scenario space rejects the motion instead of
@@ -379,13 +379,10 @@ class CostGuard:
             require_exhaustive=True,
             itemsize=self.itemsize,
         )
-        estimates = [
-            simulate_traffic(
-                constructions, codes, sub.name, sc,
-                policy=self.schedule, cost=self.cost,
-            )
-            for sc in scenarios
-        ]
+        estimates = simulate_grid(
+            constructions, codes, sub.name, scenarios,
+            policy=self.schedule, cost=self.cost,
+        ).checked()
         total = TrafficEstimate.zero()
         for est in estimates:
             total = total + est

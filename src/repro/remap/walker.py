@@ -12,8 +12,13 @@ every consumer that needs the semantics:
   on the simulated machine (and, through its movement hooks, on the
   multi-process backend);
 * :class:`~repro.spmd.traffic.TrafficSimulator` runs it over nothing at all
-  and prices each performed copy, which is what the cost guard, the lints
-  and :func:`~repro.spmd.traffic.predict_traffic` consume.
+  and prices each performed copy.  :func:`~repro.spmd.traffic.simulate_grid`
+  drives it over a whole scenario grid at once -- one top-level statement
+  at a time, once per group of scenarios that reach the statement in one
+  descriptor state and read equal branch outcomes and loop bounds there --
+  which is what the cost guard, the ``traffic-estimate`` pass, lint RPR005
+  and (as a one-scenario grid) :func:`~repro.spmd.traffic.predict_traffic`
+  consume.
 
 :class:`DescriptorWalker` owns everything the two share -- op dispatch, the
 Fig. 20 remap decision chain, frame entry and dummy-argument hand-off,

@@ -40,10 +40,12 @@ from repro.spmd.schedule import (
     redistribute,
 )
 from repro.spmd.traffic import (
+    GridWalk,
     Scenario,
     TrafficRange,
     enumerate_scenarios,
     predict_traffic,
+    simulate_grid,
     simulate_traffic,
 )
 
@@ -55,6 +57,7 @@ __all__ = [
     "CostModel",
     "DEFAULT_POLICY",
     "DistributedArray",
+    "GridWalk",
     "Machine",
     "Message",
     "POLICIES",
@@ -71,5 +74,6 @@ __all__ = [
     "plan_redistribution",
     "predict_traffic",
     "redistribute",
+    "simulate_grid",
     "simulate_traffic",
 ]
