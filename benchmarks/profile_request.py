@@ -17,14 +17,19 @@ shares of request handling (``CompileService._handle``) spent in the motion
 cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
 (``simulate_grid``) and in remapping-graph construction
 (``build_remapping_graph``, the pipeline's and every guard variant's; all
-zero where every request is served without compiling), what the guard's
-grid walks did over the profiled rounds (scenarios priced, the statement
-runs the grids made, and scenarios x statements -- what walking each
-scenario on its own would have made), and what the process's plan table
-(``repro.spmd.schedule.PLANS``) did over the profiled rounds: plans
-obtained, built, served as hits and evicted, and the entries it gained --
-after the warm-up rounds, a workload that performs no new mapping pair
-builds nothing.
+zero where every request is served without compiling), in the mp backend's
+wait on its ranks (``MPTransport._collect``) and in the rest of its
+movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
+``mp_exchange``), what the guard's grid walks did over the profiled rounds
+(scenarios priced, the statement runs the grids made, and scenarios x
+statements -- what walking each scenario on its own would have made), what
+crossed the mp control pipes over the profiled rounds (control frames and
+their bytes, and the per-rank wire programs shipped in them -- 0 after the
+warm-up rounds, since the ranks keep every program), and what the
+process's plan table (``repro.spmd.schedule.PLANS``) did over the profiled
+rounds: plans obtained, built, served as hits and evicted, and the entries
+it gained -- after the warm-up rounds, a workload that performs no new
+mapping pair builds nothing.
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -51,8 +56,11 @@ import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not ed
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard  # noqa: E402
+from repro.obs import REGISTRY  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
+from repro.runtime.mpbackend import MPExecutor  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
+from repro.spmd import transport  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
 from repro.spmd.schedule import PLANS  # noqa: E402
@@ -60,14 +68,24 @@ from repro.spmd.traffic import simulate_grid  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
-#: the shares reported: part -> (label, whole it is a share of)
-SHARES = {
-    PreparedMove.execute: ("PreparedMove.execute", DescriptorWalker._remap),
-    Machine.charge: ("Machine.charge", DescriptorWalker._remap),
-    CostGuard.evaluate: ("CostGuard.evaluate", service_module.CompileService._handle),
-    simulate_grid: ("simulate_grid", service_module.CompileService._handle),
-    build_remapping_graph: ("build_remapping_graph", service_module.CompileService._handle),
-}
+HANDLE = service_module.CompileService._handle
+
+#: the shares reported: (label, part, part of it left out or None, whole it
+#: is a share of)
+SHARES = (
+    ("PreparedMove.execute", PreparedMove.execute, None, DescriptorWalker._remap),
+    ("Machine.charge", Machine.charge, None, DescriptorWalker._remap),
+    ("CostGuard.evaluate", CostGuard.evaluate, None, HANDLE),
+    ("simulate_grid", simulate_grid, None, HANDLE),
+    ("build_remapping_graph", build_remapping_graph, None, HANDLE),
+    ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),
+    (
+        "MPExecutor._run_plan outside MPTransport._collect",
+        MPExecutor._run_plan,
+        transport.MPTransport._collect,
+        HANDLE,
+    ),
+)
 
 
 #: what the guard's grid walks did: scenarios priced, statement runs made,
@@ -85,6 +103,18 @@ def counted_grid(*args, **kwargs):
         one_by_one=scenarios * walk.statements,
     )
     return walk
+
+
+#: what the parent wrote on the mp control pipes: frames and their bytes
+FRAMES: Counter = Counter()
+_write_obj = transport._write_obj
+
+
+def counted_write(fd: int, obj) -> int:
+    """The transport's control-frame writer, counting what it wrote."""
+    size = _write_obj(fd, obj)
+    FRAMES.update(frames=1, bytes=size)
+    return size
 
 
 def cumulative(stats: pstats.Stats, fn) -> float:
@@ -114,14 +144,17 @@ class InlineExecutor:
 
 def profile(
     workload: workloads.Workload, rounds: int
-) -> tuple[pstats.Stats, Counter, dict[str, int], Counter]:
+) -> tuple[pstats.Stats, Counter, dict[str, int], Counter, Counter]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler; also
-    the count of requests each tier served, and what :data:`PLANS` and the
-    guard's grid walks counted over the rounds."""
+    the count of requests each tier served, and what :data:`PLANS`, the
+    guard's grid walks and the mp control pipes counted over the rounds."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
     start = PLANS.stats()
     walks_start = Counter(WALKS)
+    frames_start = Counter(FRAMES)
+    shipped = REGISTRY.counter("repro.mp.programs_shipped")
+    shipped_start = shipped.value
     for r in range(rounds):
         kinds = workload.round_kinds(r)
         profiler.enable()
@@ -132,7 +165,9 @@ def profile(
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
         tiers.update(res.cache_source for res in results)
     plans = {k: v - start[k] for k, v in PLANS.stats().items()}
-    return pstats.Stats(profiler), tiers, plans, WALKS - walks_start
+    frames = FRAMES - frames_start
+    frames["shipped"] = int(shipped.value - shipped_start)
+    return pstats.Stats(profiler), tiers, plans, WALKS - walks_start, frames
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,10 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     # every service the workload opens (a restart included) serves inline
     service_module.ThreadPoolExecutor = InlineExecutor
     costguard.simulate_grid = counted_grid
+    transport._write_obj = counted_write
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, plans, walks = profile(workload, args.rounds)
+            stats, tiers, plans, walks, frames = profile(workload, args.rounds)
         finally:
             workload.close()
 
@@ -164,8 +200,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{walks['executions']} grid statement runs "
         f"(scenarios x statements {walks['one_by_one']}) over {args.rounds} rounds"
     )
-    for part, (label, whole) in SHARES.items():
-        seconds, total = cumulative(stats, part), cumulative(stats, whole)
+    print(
+        f"frames: {frames['frames']} control frames, {frames['bytes']} control bytes, "
+        f"{frames['shipped']} programs shipped over {args.rounds} rounds"
+    )
+    for label, part, less, whole in SHARES:
+        seconds = cumulative(stats, part) - (cumulative(stats, less) if less else 0.0)
+        total = cumulative(stats, whole)
         share = f"{seconds / total:.1%}" if total else "-"
         print(
             f"{label}: {seconds:.3f} s = {share} of {whole.__qualname__} "

@@ -66,6 +66,8 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.mp.bytes_moved", c, "Payload bytes carried between worker ranks."),
         MetricSpec("repro.mp.phase_wall_seconds", h, "Worker-clock span of each round: last participant's end minus first one's start."),
         MetricSpec("repro.mp.phase_port_seconds", h, "Measured one-port-clock duration of each round."),
+        MetricSpec("repro.mp.control_bytes", c, "Control-frame bytes the parent wrote to the ranks for exchanges."),
+        MetricSpec("repro.mp.programs_shipped", c, "Per-rank wire programs shipped (a program's first exchange on a transport)."),
         # -- tracing ----------------------------------------------------------
         MetricSpec("repro.trace.spans_recorded", c, "Finished spans retained in the trace buffer."),
         MetricSpec("repro.trace.spans_dropped", c, "Finished spans dropped by the buffer bound."),

@@ -4,10 +4,11 @@
 with exactly one thing changed: remapping bytes cross real process
 boundaries.  Distributed-array blocks are placed in the transport's shared
 arenas (:class:`~repro.spmd.transport.SharedDistributedArray`), and the one
-movement hook -- :meth:`Executor._run_plan` -- is overridden to ship each
-remapping's messages to the forked worker ranks as one exchange of
-:class:`~repro.spmd.transport.TransferRound` programs, which the ranks run
-among themselves, instead of copying in-process.
+movement hook -- :meth:`Executor._run_plan` -- is overridden to run each
+remapping's messages on the forked worker ranks as one exchange of the
+plan's :class:`~repro.spmd.transport.WireProgram`, which the ranks keep
+from the plan's first copy on and run among themselves, instead of copying
+in-process.
 
 Differential soundness is the design invariant, enforced three ways:
 
@@ -21,8 +22,9 @@ Differential soundness is the design invariant, enforced three ways:
   (the plan's own, one ``charge`` per copy), so traffic stats, phase
   counts and the obs counters they feed match the simulator exactly;
 * **discipline** -- the transport re-validates the one-port property of
-  every contention-free round and cross-checks each worker's actually
-  moved message/byte counts against the round's prescription.
+  every contention-free round when it builds the program, and cross-checks
+  each worker's actually moved message/byte counts against the round's
+  prescription on every exchange.
 
 What the simulator cannot give -- wall time of real exchanges -- lands in
 :class:`MPRunReport` (reachable as ``ExecutionResult.mp``): per-round wall
@@ -165,63 +167,60 @@ class MPExecutor(Executor):
         for array in shared or ():
             array.detach()
 
-    # -- wire-program construction ----------------------------------------
-
-    @staticmethod
-    def _wire_part(
-        move: PreparedMove,
-        source: SharedDistributedArray,
-        target: SharedDistributedArray,
-    ) -> WirePart:
-        """One descriptor's gather/scatter program over this run's blocks."""
-        return WirePart(
-            src_block=source.block_ref(move.src_rank),
-            dst_block=target.block_ref(move.dst_rank),
-            src_ix=move.src_ix,
-            dst_ix=move.dst_ix,
-            shape=move.shape,
-            nbytes=move.elements * source.itemsize,
-        )
-
     # -- the movement hook ---------------------------------------------------
 
     def _run_plan(self, plan, source, target, tag: str) -> None:
         """One remapping copy: local copies in the parent, then one exchange
-        on the ranks -- the unphased messages (all of a ``policy=None``
-        plan's) as one contended round, each phase as one round of its
-        messages' own parts -- then the simulator's ledger charge, the
-        plan's one delta (obtained first: an unprovable plan's bad phase
-        raises before anything is on the wire)."""
+        of the plan's wire program on the ranks, then the simulator's ledger
+        charge -- the plan's one delta, obtained first, so an unprovable
+        plan's bad phase raises before anything is on the wire.  The program
+        is built from the plan on its first copy on this transport and kept
+        there; later copies ship two block offsets per rank."""
         delta = plan.ledger(self.machine.cost, target.itemsize)
-        moves, phases = plan.wire(source.layout, target.layout)
-        unphased: list[WireMessage] = []
+        moves, _ = plan.wire(source.layout, target.layout)
         for move in moves:
             if move.is_local:
                 move.execute(source, target)
-            else:
-                unphased.append(
-                    WireMessage(
-                        move.src_rank, move.dst_rank, (self._wire_part(move, source, target),)
-                    )
-                )
-        rounds = [TransferRound(tuple(unphased), contended=True)] if unphased else []
+        program = self.transport.program(
+            plan, target.dtype, lambda: self._wire_rounds(plan, source, target)
+        )
+        if program.rounds:
+            self.mp_report.add(
+                self.transport.exchange(program, source.offsets, target.offsets)
+            )
+        self.machine.charge(delta, target.name, tag)
+
+    @staticmethod
+    def _wire_rounds(plan, source, target):
+        """The plan's rounds over these arrays' blocks, as
+        :meth:`MPTransport.program` builds a program from them: the
+        unphased messages (all of a ``policy=None`` plan's) as one contended
+        round, then each phase as one round of its messages' own parts
+        (each rank must move exactly its messages' bytes, so whole transfers
+        will not do); and each rank's source and target block shape."""
+        moves, phases = plan.wire(source.layout, target.layout)
+        itemsize = source.itemsize
+
+        def part(move: PreparedMove) -> WirePart:
+            return WirePart(move.src_ix, move.dst_ix, move.shape, move.elements * itemsize)
+
+        unphased = tuple(
+            WireMessage(m.src_rank, m.dst_rank, (part(m),)) for m in moves if not m.is_local
+        )
+        rounds = [TransferRound(unphased, contended=True)] if unphased else []
         rounds += [
             TransferRound(
                 tuple(
-                    WireMessage(
-                        pt.src_rank,
-                        pt.dst_rank,
-                        tuple(self._wire_part(m, source, target) for m in parts),
-                    )
+                    WireMessage(pt.src_rank, pt.dst_rank, tuple(part(m) for m in parts))
                     for pt, parts in zip(phase.transfers, messages)
                 ),
                 contended=phase.contended,
             )
             for phase, messages in zip(plan.phases, phases)
         ]
-        if rounds:
-            self.mp_report.add(self.transport.exchange(tuple(rounds)))
-        self.machine.charge(delta, target.name, tag)
+        sources = {r: block.shape for r, block in source.blocks.items()}
+        targets = {r: block.shape for r, block in target.blocks.items()}
+        return rounds, sources, targets
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,31 @@ Distributed-array blocks live inside the arenas
 runs the interpreter, kernels and gather/scatter -- and the workers -- which
 move remapping bytes -- address the *same* pages.
 
-A remapping executes as one *exchange* of :class:`TransferRound` programs,
-and the ranks run it, not the parent: the parent ships each participating
-worker one control frame holding its sends and receives for *every* round
-(rectangle gathers out of its own arena, scatters into it), the workers
-run their rounds back to back over per-ordered-pair OS pipes -- FIFO pipes
-and one round at a time per rank make a global barrier unnecessary, see
-:func:`_run_worker_exchange` -- and each answers with one report for the
-whole remapping.  Exchange boundaries stay parent-synchronised, because the
-parent runs kernels on the arenas between remappings.  Before anything is
-shipped a contention-free round is re-validated with the same
-:func:`~repro.spmd.message.check_one_port` authority a plan's ledger uses,
-and afterwards every worker's actually-moved message and byte counts, round
-by round, are checked against the round's prescription
-(:exc:`~repro.errors.TransportError` on any mismatch), so the send/recv-once
-discipline holds on the wire, not just in the model.
+A remapping executes as one *exchange* of a :class:`WireProgram`, and the
+ranks keep the program and run it, not the parent.  A remapping's message
+pattern belongs to its two array versions' mappings, not to one execution,
+so the program is built once per transport (:meth:`MPTransport.program`,
+keyed by its owner -- the plan -- and dtype).  Its rounds
+(:class:`TransferRound`) are checked there -- a contention-free round with
+the same :func:`~repro.spmd.message.check_one_port` authority a plan's
+ledger uses, a local copy prescribed as a wire message rejected -- and
+split into what each participating rank keeps: its sends and receives for
+*every* round, indexed against "this rank's source block" and "this rank's
+target block" rather than arena offsets; the parent keeps the messages and
+bytes each rank must report per round.  The first exchange of a program
+ships each participating rank its part in the ordinary control frame under
+a small integer handle; every later one ships ``(handle, source offset,
+target offset)`` and nothing else (but any eviction notice: a transport
+keeps at most :data:`PROGRAM_CAP` programs, least recently used first
+out).  The ranks run their rounds back to back over per-ordered-pair OS
+pipes -- FIFO pipes and one round at a time per rank make a global barrier
+unnecessary, see :func:`_run_worker_exchange` -- and each answers with one
+report for the whole remapping, whose messages and bytes, round by round,
+are checked against the program's prescription on every exchange
+(:exc:`~repro.errors.TransportError` on any mismatch), so the
+send/recv-once discipline holds on the wire, not just in the model.
+Exchange boundaries stay parent-synchronised, because the parent runs
+kernels on the arenas between remappings.
 
 The worker engine is single-threaded and deadlock-free by construction:
 data pipes are non-blocking and a ``select`` loop interleaves partial
@@ -46,13 +56,14 @@ network.
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 import pickle
 import select
 import struct
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import multiprocessing as _mp
@@ -171,17 +182,18 @@ class SharedDistributedArray(DistributedArray):
         account_memory: bool = True,
     ):
         self._transport = transport
-        self._offsets: dict[int, int] = {}
+        #: rank -> arena offset of its block, while the block is in the arena
+        self.offsets: dict[int, int] = {}
         super().__init__(name, mapping, machine, dtype, account_memory)
 
     def _new_block(self, rank: int, shape: tuple[int, ...]) -> np.ndarray:
         offset, view = self._transport.place_block(rank, shape, self.dtype)
-        self._offsets[rank] = offset
+        self.offsets[rank] = offset
         view.fill(0)
         return view
 
     def _release_block(self, rank: int, block: np.ndarray) -> None:
-        offset = self._offsets.pop(rank, None)
+        offset = self.offsets.pop(rank, None)
         if offset is not None:  # a detached block is private memory already
             self._transport.release_block(rank, offset, block.nbytes)
 
@@ -190,14 +202,9 @@ class SharedDistributedArray(DistributedArray):
         and release its arena storage: the values stay readable for as long
         as the array does, the arena is free for the next run."""
         for rank, block in self.blocks.items():
-            if rank in self._offsets:
+            if rank in self.offsets:
                 self.blocks[rank] = block.copy()
                 self._release_block(rank, block)
-
-    def block_ref(self, rank: int) -> tuple[int, tuple[int, ...], str]:
-        """The worker-side descriptor of one block: (offset, shape, dtype)."""
-        block = self.blocks[rank]
-        return (self._offsets[rank], tuple(block.shape), block.dtype.str)
 
     def apply_along_local_dim(self, fn, axis: int) -> None:
         # the base class replaces blocks with fresh private arrays; a shared
@@ -219,23 +226,27 @@ class SharedDistributedArray(DistributedArray):
 
 
 # ---------------------------------------------------------------------------
-# wire programs: what one round tells each worker to do
+# wire programs: what one remapping tells each rank to do
 # ---------------------------------------------------------------------------
+
+#: How many wire programs one transport (and so each of its ranks) keeps.
+#: The least recently used beyond it is evicted; its ranks forget it when
+#: their next control frame says so, and its next use ships it again.
+PROGRAM_CAP = 64
 
 
 @dataclass(frozen=True)
 class WirePart:
     """One rectangle of a message: gather program + scatter program.
 
-    ``src_ix``/``dst_ix`` are the index tuples (all slices or an open
-    mesh) of one lowered copy descriptor
+    ``src_ix`` indexes the sender's source block and ``dst_ix`` the
+    receiver's target block; they are the index tuples (all slices or an
+    open mesh) of one lowered copy descriptor
     (:class:`~repro.spmd.redistribution.PreparedMove`), so the bytes a
     worker packs and scatters are bit-identical to the simulator's
     single-process assignment.
     """
 
-    src_block: tuple[int, tuple[int, ...], str]  # (offset, shape, dtype)
-    dst_block: tuple[int, tuple[int, ...], str]
     src_ix: tuple
     dst_ix: tuple
     shape: tuple[int, ...]  # payload rectangle shape
@@ -261,6 +272,129 @@ class TransferRound:
 
     messages: tuple[WireMessage, ...]
     contended: bool = False
+
+
+class WireProgram:
+    """One remapping's rounds as a transport keeps them.
+
+    Built by :meth:`MPTransport.program` on the first ask for its
+    ``(owner, dtype)``, which is where every check on the rounds is made,
+    before anything is shipped: a contention-free round must pass
+    :func:`~repro.spmd.message.check_one_port` (:exc:`ScheduleError`
+    otherwise), a message from a rank to itself is a local copy and
+    rejected, and a rank that sends (receives) must hold a source (target)
+    block.  The rounds are then split per participating rank into the part
+    that rank keeps -- ``(source block shape, target block shape, dtype,
+    rounds)``, each round ``(index, sends, receives)`` whose index tuples
+    address the rank's own source and target block -- and what the parent
+    keeps: the handle, and per rank the ``(round index, messages sent,
+    bytes sent, messages received, bytes received)`` its report must show,
+    round by round.  The per-rank parts are held only until the first
+    exchange ships them.
+    """
+
+    __slots__ = ("owner", "key", "handle", "rounds", "ranks", "_expect", "_parts")
+
+    def __init__(self, owner, key, handle: int, rounds, dtype, sources, targets):
+        self.owner = owner  # held, so ``id(owner)`` in ``key`` stays unique
+        self.key = key
+        self.handle = handle
+        dtype = np.dtype(dtype).str
+        parts: dict[int, list] = {}  # rank -> [(round index, sends, receives)]
+        expect: dict[int, list] = {}  # rank -> [(round index, sent, bytes, received, bytes)]
+        checked = []  # per round: (contended, messages, bytes, participants, slots)
+        for index, rnd in enumerate(rounds):
+            if not rnd.contended:
+                check_one_port((m.src, m.dst) for m in rnd.messages)
+            sends: dict[int, list] = {}
+            recvs: dict[int, list] = {}
+            sent: dict[int, int] = {}
+            received: dict[int, int] = {}
+            pairs = []  # per message: (src, its send position, dst, its receive position)
+            for m in rnd.messages:
+                if m.src == m.dst:
+                    raise TransportError(
+                        f"local copy (rank {m.src}) prescribed as a wire message"
+                    )
+                out = sends.setdefault(m.src, [])
+                inn = recvs.setdefault(m.dst, [])
+                pairs.append((m.src, len(out), m.dst, len(inn)))
+                nbytes = m.nbytes
+                out.append((m.dst, tuple(p.src_ix for p in m.parts)))
+                inn.append((m.src, tuple((p.dst_ix, p.shape, p.nbytes) for p in m.parts), nbytes))
+                sent[m.src] = sent.get(m.src, 0) + nbytes
+                received[m.dst] = received.get(m.dst, 0) + nbytes
+            # a rank reports its rounds in order, so this round is entry
+            # len(parts[rank]) of its log
+            at = {}
+            for rank in sorted(sends.keys() | recvs.keys()):
+                s, r = sends.get(rank, []), recvs.get(rank, [])
+                at[rank] = len(parts.setdefault(rank, []))
+                parts[rank].append((index, tuple(s), tuple(r)))
+                expect.setdefault(rank, []).append(
+                    (index, len(s), sent.get(rank, 0), len(r), received.get(rank, 0))
+                )
+            slots = tuple((s, at[s], a, d, at[d], b) for s, a, d, b in pairs)
+            checked.append(
+                (rnd.contended, len(rnd.messages), sum(sent.values()), tuple(at.items()), slots)
+            )
+        for rank, program in parts.items():
+            if any(s for _, s, _ in program) and rank not in sources:
+                raise TransportError(f"rank {rank} sends but holds no source block")
+            if any(r for _, _, r in program) and rank not in targets:
+                raise TransportError(f"rank {rank} receives but holds no target block")
+        self.rounds = tuple(checked)
+        self.ranks = tuple(sorted(parts))
+        self._expect = {rank: tuple(e) for rank, e in expect.items()}
+        self._parts: dict[int, tuple] | None = {
+            rank: (sources.get(rank), targets.get(rank), dtype, tuple(program))
+            for rank, program in parts.items()
+        }
+
+    def reports(self, frames: dict[int, tuple]) -> list["RoundReport"]:
+        """Check every rank's report against the prescription (send/recv-once
+        on the wire: the messages and bytes it moved, round by round, must
+        equal what the program prescribes) and compose each round's
+        measured clocks from the ranks' timings."""
+        for rank, expected in self._expect.items():
+            moved = frames[rank][1]
+            if moved != expected:
+                raise TransportError(self._mismatch(rank, moved, expected))
+        reports = []
+        for contended, messages, nbytes, at, slots in self.rounds:
+            timings = [frames[rank][2][k] for rank, k in at]  # (start, end, sent, received)
+            costs = [
+                (s, d, max(frames[s][2][ks][2][a], frames[d][2][kd][3][b]))
+                for s, ks, a, d, kd, b in slots
+            ]
+            reports.append(
+                RoundReport(
+                    messages=messages,
+                    bytes=nbytes,
+                    contended=contended,
+                    wall_seconds=(
+                        max(t[1] for t in timings) - min(t[0] for t in timings)
+                        if timings
+                        else 0.0
+                    ),
+                    port_seconds=measured_phase_time(costs, contended),
+                )
+            )
+        return reports
+
+    @staticmethod
+    def _mismatch(rank: int, moved, expected) -> str:
+        ran, shipped = [m[0] for m in moved], [e[0] for e in expected]
+        if ran != shipped:
+            return f"rank {rank} reported rounds {ran}; prescribed {shipped}"
+        for got, want in zip(moved, expected):
+            for what, i in (("sent", 1), ("received", 3)):
+                if got[i : i + 2] != want[i : i + 2]:
+                    return (
+                        f"rank {rank} {what} {got[i]} message(s)/{got[i + 1]} "
+                        f"byte(s); round {got[0]} prescribed {want[i]}/{want[i + 1]}"
+                    )
+        return f"rank {rank} reported {moved}; prescribed {expected}"
 
 
 @dataclass(frozen=True)
@@ -318,12 +452,15 @@ def measured_phase_time(
 # ---------------------------------------------------------------------------
 
 
-def _write_obj(fd: int, obj) -> None:
+def _write_obj(fd: int, obj) -> int:
+    """Write one frame; returns its size in bytes, header included."""
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     buf = memoryview(_LEN.pack(len(data)) + data)
+    size = len(buf)
     while buf:
         n = os.write(fd, buf)
         buf = buf[n:]
+    return size
 
 
 def _read_exact(fd: int, n: int) -> bytes:
@@ -348,10 +485,10 @@ def _read_obj(fd: int):
 
 
 class _OutMsg:
-    __slots__ = ("dst", "payload", "sent", "seconds", "nbytes")
+    __slots__ = ("pos", "payload", "sent", "seconds", "nbytes")
 
-    def __init__(self, dst: int, payload: memoryview, seconds: float):
-        self.dst = dst
+    def __init__(self, pos: int, payload: memoryview, seconds: float):
+        self.pos = pos  # position among the round's sends
         self.payload = payload
         self.sent = 0
         self.seconds = seconds  # starts at the pack time
@@ -359,10 +496,10 @@ class _OutMsg:
 
 
 class _InMsg:
-    __slots__ = ("src", "buf", "got", "seconds", "parts", "nbytes")
+    __slots__ = ("pos", "buf", "got", "seconds", "parts", "nbytes")
 
-    def __init__(self, src: int, parts, nbytes: int):
-        self.src = src
+    def __init__(self, pos: int, parts, nbytes: int):
+        self.pos = pos  # position among the round's receives
         self.buf = bytearray(nbytes)
         self.got = 0
         self.seconds = 0.0
@@ -370,35 +507,36 @@ class _InMsg:
         self.nbytes = nbytes
 
 
-def _block_view(arena: mmap.mmap, ref) -> np.ndarray:
-    offset, shape, dtype = ref
-    dt = np.dtype(dtype)
-    n = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-    return np.frombuffer(memoryview(arena)[offset : offset + n], dtype=dt).reshape(
+def _block_view(arena: mmap.mmap, offset: int, shape, dtype: np.dtype) -> np.ndarray:
+    n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    return np.frombuffer(memoryview(arena)[offset : offset + n], dtype=dtype).reshape(
         shape
     )
 
 
-def _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds):
-    """Execute one round's sends and receives without ever blocking on a
-    full pipe: partial non-blocking writes interleave with draining
-    whatever has arrived (single-threaded deadlock freedom)."""
+def _run_worker_round(rank, source, target, dtype, sends, recvs, in_fds, out_fds):
+    """Execute one round's sends (gathered out of ``source``) and receives
+    (scattered into ``target``) without ever blocking on a full pipe:
+    partial non-blocking writes interleave with draining whatever has
+    arrived (single-threaded deadlock freedom).  Returns the bytes sent,
+    the bytes received, and each send's and each receive's seconds, in the
+    program's order."""
     clock = time.perf_counter
     out_q: dict[int, deque[_OutMsg]] = {}
-    for dst, parts in sends:
+    for pos, (dst, ixs) in enumerate(sends):
         t0 = clock()
-        chunks = []
-        for src_block, src_ix in parts:
-            block = _block_view(arena, src_block)
-            chunks.append(np.ascontiguousarray(block[src_ix]).tobytes())
-        payload = memoryview(b"".join(chunks)) if len(chunks) != 1 else memoryview(chunks[0])
-        out_q.setdefault(dst, deque()).append(_OutMsg(dst, payload, clock() - t0))
+        if len(ixs) == 1:
+            payload = memoryview(source[ixs[0]].tobytes())
+        else:
+            payload = memoryview(b"".join(source[ix].tobytes() for ix in ixs))
+        out_q.setdefault(dst, deque()).append(_OutMsg(pos, payload, clock() - t0))
     in_q: dict[int, deque[_InMsg]] = {}
-    for src, parts, nbytes in recvs:
-        in_q.setdefault(src, deque()).append(_InMsg(src, parts, nbytes))
+    for pos, (src, parts, nbytes) in enumerate(recvs):
+        in_q.setdefault(src, deque()).append(_InMsg(pos, parts, nbytes))
 
-    sent_log: list[tuple[int, int, float]] = []  # (dst, nbytes, seconds)
-    recv_log: list[tuple[int, int, float]] = []  # (src, nbytes, seconds)
+    sent_secs = [0.0] * len(sends)
+    recv_secs = [0.0] * len(recvs)
+    sent_bytes = recv_bytes = 0
     fd_dst = {out_fds[d]: d for d in out_q}
     fd_src = {in_fds[s]: s for s in in_q}
     while out_q or in_q:
@@ -416,7 +554,8 @@ def _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds):
             msg.seconds += clock() - t0
             msg.sent += n
             if msg.sent == msg.nbytes:
-                sent_log.append((dst, msg.nbytes, msg.seconds))
+                sent_secs[msg.pos] = msg.seconds
+                sent_bytes += msg.sent
                 out_q[dst].popleft()
                 if not out_q[dst]:
                     del out_q[dst]
@@ -439,23 +578,23 @@ def _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds):
             if msg.got == msg.nbytes:
                 t0 = clock()
                 pos = 0
-                for dst_block, dst_ix, shape, nbytes, dtype in msg.parts:
-                    block = _block_view(arena, dst_block)
-                    data = np.frombuffer(
-                        msg.buf[pos : pos + nbytes], dtype=np.dtype(dtype)
+                for dst_ix, shape, nbytes in msg.parts:
+                    target[dst_ix] = np.frombuffer(
+                        msg.buf[pos : pos + nbytes], dtype=dtype
                     ).reshape(shape)
-                    block[dst_ix] = data
                     pos += nbytes
                 msg.seconds += clock() - t0
-                recv_log.append((src, msg.nbytes, msg.seconds))
+                recv_secs[msg.pos] = msg.seconds
+                recv_bytes += msg.got
                 in_q[src].popleft()
                 if not in_q[src]:
                     del in_q[src]
-    return sent_log, recv_log
+    return sent_bytes, recv_bytes, sent_secs, recv_secs
 
 
-def _run_worker_exchange(rank, arena, program, in_fds, out_fds):
-    """One remapping on this rank: its rounds, back to back, no host between.
+def _run_worker_exchange(rank, arena, program, src_offset, dst_offset, in_fds, out_fds):
+    """One remapping on this rank: its kept program's rounds, back to back,
+    no host between, over the source and target blocks at the two offsets.
 
     Why no global barrier is needed.  Source and target of a remapping are
     distinct array versions, so the rounds of one exchange have no data
@@ -471,21 +610,40 @@ def _run_worker_exchange(rank, arena, program, in_fds, out_fds):
     parent-synchronised: the parent runs kernels on the arenas between
     remappings.)
 
-    Returns the per-round log ``(round index, start, end, sent, received)``
-    with start/end on ``time.perf_counter`` -- one system-wide monotonic
-    clock for forked processes on Linux, so the parent may compare ranks.
+    Returns, round by round, what moved -- ``(round index, messages sent,
+    bytes sent, messages received, bytes received)`` -- and the timings --
+    ``(start, end, seconds per send, seconds per receive)``, start and end
+    on ``time.perf_counter``, one system-wide monotonic clock for forked
+    processes on Linux, so the parent may compare ranks.
     """
+    src_shape, dst_shape, dtype, rounds = program
+    dtype = np.dtype(dtype)
+    source = None if src_shape is None else _block_view(arena, src_offset, src_shape, dtype)
+    target = None if dst_shape is None else _block_view(arena, dst_offset, dst_shape, dtype)
     clock = time.perf_counter
-    log = []
-    for index, sends, recvs in program:
+    moved, timings = [], []
+    for index, sends, recvs in rounds:
         start = clock()
-        sent, received = _run_worker_round(rank, arena, sends, recvs, in_fds, out_fds)
-        log.append((index, start, clock(), sent, received))
-    return log
+        sent, received, sent_secs, recv_secs = _run_worker_round(
+            rank, source, target, dtype, sends, recvs, in_fds, out_fds
+        )
+        timings.append((start, clock(), sent_secs, recv_secs))
+        moved.append((index, len(sends), sent, len(recvs), received))
+    return tuple(moved), timings
 
 
 def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
-    """One worker rank's lifetime: close foreign fds, then serve exchanges."""
+    """One worker rank's lifetime: close foreign fds, then serve exchanges.
+
+    The rank keeps the wire programs it is shipped, by handle.  An exchange
+    frame is ``("run", handle, source offset, target offset, drops,
+    program)``: the handles in ``drops`` are forgotten first (evicted by the
+    parent), ``program`` is the rank's part on the program's first exchange
+    and ``None`` after it.  Anything the rank cannot serve -- a frame it
+    cannot read, a handle it does not hold, a round that fails -- is
+    reported as ``("error", why)``; after a torn frame or a failed round the
+    rank exits, since nothing after them can be trusted.
+    """
     for fd in close_fds:
         try:
             os.close(fd)
@@ -495,23 +653,38 @@ def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
         os.set_blocking(fd, False)
     for fd in out_fds.values():
         os.set_blocking(fd, False)
+    programs: dict[int, tuple] = {}
     while True:
         try:
             cmd = _read_obj(ctl_r)
         except TransportError:
             return  # parent went away
+        except Exception as exc:  # a torn frame: nothing after it can be trusted
+            _write_obj(rep_w, ("error", f"unreadable control frame ({type(exc).__name__}: {exc})"))
+            return
         if cmd[0] == "quit":
             return
         if cmd[0] == "ping":
-            _write_obj(rep_w, ("pong", rank))
+            _write_obj(rep_w, ("pong", rank, tuple(sorted(programs))))
             continue
-        if cmd[0] == "exchange":
+        if cmd[0] == "run":
+            _, handle, src_offset, dst_offset, drops, shipped = cmd
+            for old in drops:
+                programs.pop(old, None)
+            if shipped is not None:
+                programs[handle] = shipped
+            program = programs.get(handle)
+            if program is None:  # nothing ran: report it and keep serving
+                _write_obj(rep_w, ("error", f"holds no wire program under handle {handle}"))
+                continue
             try:
-                log = _run_worker_exchange(rank, arena, cmd[1], in_fds, out_fds)
+                moved, timings = _run_worker_exchange(
+                    rank, arena, program, src_offset, dst_offset, in_fds, out_fds
+                )
             except BaseException as exc:  # report, then die loudly
                 _write_obj(rep_w, ("error", f"{type(exc).__name__}: {exc}"))
                 return
-            _write_obj(rep_w, ("done", log))
+            _write_obj(rep_w, ("done", moved, timings))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +694,7 @@ def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
 
 def fork_available() -> bool:
     """True when the platform can fork workers (the only supported mode:
-    arenas and wire programs are inherited, never pickled)."""
+    the shared arenas are inherited, never pickled)."""
     return "fork" in _mp.get_all_start_methods()
 
 
@@ -534,7 +707,9 @@ class MPTransport:
     Usable as a context manager.  One transport is one conversation: it
     serves any number of *sequential* runs -- blocks are placed and
     released through :meth:`place_block`/:meth:`release_block` as arrays
-    come and go -- and callers that share it serialise their runs.
+    come and go, wire programs are kept through :meth:`program` -- and
+    callers that share it serialise their runs.  A new transport keeps no
+    program, so a replacement for a failed one ships each program again.
     """
 
     def __init__(
@@ -547,8 +722,8 @@ class MPTransport:
             raise TransportError(f"need at least one rank, got {nprocs}")
         if not fork_available():
             raise TransportError(
-                "the mp backend requires the 'fork' start method (shared "
-                "arenas and wire programs are inherited, never pickled); "
+                "the mp backend requires the 'fork' start method (the "
+                "shared arenas are inherited, never pickled); "
                 "this platform offers only "
                 f"{_mp.get_all_start_methods()}"
             )
@@ -558,6 +733,11 @@ class MPTransport:
         self._procs: list[_mp.Process] = []
         self._ctl_w: list[int] = []  # parent -> worker command pipes
         self._rep_r: list[int] = []  # worker -> parent report pipes
+        #: kept wire programs, least recently used first
+        self._programs: OrderedDict[tuple[int, str], WireProgram] = OrderedDict()
+        self._handles = itertools.count(1)
+        #: rank -> handles it still holds but must forget (told in its next frame)
+        self._drops: dict[int, list[int]] = {}
         self._started = False
         self._closed = False
 
@@ -617,7 +797,7 @@ class MPTransport:
         for rank in range(P):  # handshake: every worker is alive and serving
             _write_obj(self._ctl_w[rank], ("ping",))
         for rank, frame in self._collect(range(P)).items():
-            if frame != ("pong", rank):
+            if frame[:2] != ("pong", rank):
                 raise TransportError(f"rank {rank} failed its handshake: {frame[0]}")
         self._started = True
         _OBS.gauge("repro.mp.workers").inc(P)
@@ -721,76 +901,94 @@ class MPTransport:
                 frames[rank] = frame
         return frames
 
-    def exchange(self, rounds) -> ExchangeReport:
-        """Run one remapping's rounds of real inter-process messages.
+    def program(self, owner, dtype, build) -> WireProgram:
+        """The wire program this transport keeps for ``(owner, dtype)``.
 
-        Each participating rank gets *one* control frame -- its sends and
-        receives for every round -- runs the rounds back to back against
-        its peers (see :func:`_run_worker_exchange` for why that needs no
-        barrier) and answers with *one* report.  Before anything is
-        shipped, contention-free rounds must satisfy the one-port property
-        (same :func:`~repro.spmd.message.check_one_port` authority a plan's
-        ledger applies); afterwards every worker's reported sent/received
-        message and byte counts, round by round, must equal what the round
-        prescribed.  An exchange that fails once shipping began leaves the
-        conversation in an unknown state, so it takes the ranks down
-        (:meth:`kill`) before the error propagates.
+        On the first ask ``build()`` returns ``(rounds, sources, targets)``
+        -- the remapping's rounds (:class:`TransferRound`) and, per rank, the
+        shape of the source and the target block it holds -- and the
+        program is built from them (every check on the rounds raises here,
+        before anything is shipped) under a fresh handle; later asks return
+        it.  ``owner`` names the program by identity and is held as long as
+        the program is kept (the mp backend passes the plan).  Beyond
+        :data:`PROGRAM_CAP` programs the least recently used is evicted and
+        the ranks that hold it are told to forget it in their next frame.
+        """
+        key = (id(owner), np.dtype(dtype).str)
+        program = self._programs.get(key)
+        if program is not None:
+            self._programs.move_to_end(key)
+            return program
+        rounds, sources, targets = build()
+        program = WireProgram(owner, key, next(self._handles), rounds, dtype, sources, targets)
+        self._programs[key] = program
+        while len(self._programs) > PROGRAM_CAP:
+            _, old = self._programs.popitem(last=False)
+            if old._parts is None:  # shipped: its ranks hold it
+                for rank in old.ranks:
+                    self._drops.setdefault(rank, []).append(old.handle)
+        return program
+
+    def exchange(self, program: WireProgram, sources, targets) -> ExchangeReport:
+        """Run one remapping -- a kept :meth:`program` -- over real
+        inter-process messages; ``sources``/``targets`` map each rank to the
+        arena offset of its source/target block.
+
+        Each participating rank gets *one* control frame: the program's
+        handle, its two block offsets, any eviction notice, and -- on the
+        program's first exchange only -- its own part of the program.  It
+        runs its rounds back to back against its peers (see
+        :func:`_run_worker_exchange` for why that needs no barrier) and
+        answers with *one* report, whose sent/received message and byte
+        counts, round by round, must equal what the program prescribes.  An
+        exchange that fails once shipping began leaves the conversation in
+        an unknown state, so it takes the ranks down (:meth:`kill`) before
+        the error propagates.
         """
         if not self._started or self._closed:
             raise TransportError("transport is not running (call start())")
-        rounds = tuple(rounds)
-        programs: dict[int, list] = {}  # rank -> [(round index, sends, recvs)]
-        for index, rnd in enumerate(rounds):
-            if not rnd.contended:
-                check_one_port((m.src, m.dst) for m in rnd.messages)
-            sends: dict[int, list] = {}
-            recvs: dict[int, list] = {}
-            for m in rnd.messages:
-                if m.src == m.dst:
-                    raise TransportError(
-                        f"local copy (rank {m.src}) prescribed as a wire message"
-                    )
-                sends.setdefault(m.src, []).append(
-                    (m.dst, [(p.src_block, p.src_ix) for p in m.parts])
-                )
-                recvs.setdefault(m.dst, []).append(
-                    (
-                        m.src,
-                        [
-                            (p.dst_block, p.dst_ix, p.shape, p.nbytes, p.src_block[2])
-                            for p in m.parts
-                        ],
-                        m.nbytes,
-                    )
-                )
-            for rank in sorted(set(sends) | set(recvs)):
-                programs.setdefault(rank, []).append(
-                    (index, sends.get(rank, []), recvs.get(rank, []))
-                )
-        with _TRACER.span("mp.exchange", rounds=len(rounds)) as span:
+        if self._programs.get(program.key) is not program:
+            raise TransportError(
+                f"wire program {program.handle} is not kept by this transport"
+            )
+        parts, program._parts = program._parts, None
+        control = 0
+        with _TRACER.span("mp.exchange", rounds=len(program.rounds)) as span:
             t0 = time.perf_counter()
             try:
-                for rank, program in programs.items():
+                for rank in program.ranks:
+                    frame = (
+                        "run",
+                        program.handle,
+                        sources.get(rank),
+                        targets.get(rank),
+                        self._drops.pop(rank, ()),
+                        parts[rank] if parts else None,
+                    )
                     try:
-                        _write_obj(self._ctl_w[rank], ("exchange", program))
+                        control += _write_obj(self._ctl_w[rank], frame)
                     except OSError as exc:
                         raise TransportError(
                             f"rank {rank} is unreachable ({exc}); did the "
                             "worker die?"
                         ) from exc
-                frames = self._collect(programs)
+                frames = self._collect(program.ranks)
                 wall = time.perf_counter() - t0
-                report = ExchangeReport(
-                    self._round_reports(rounds, programs, frames), wall
-                )
+                report = ExchangeReport(program.reports(frames), wall)
             except BaseException:
                 self.kill()
                 raise
+            shipped = len(parts) if parts else 0
             span.set_attr("messages", report.messages)
             span.set_attr("bytes", report.bytes)
             span.set_attr("wall_seconds", report.wall_seconds)
             span.set_attr("port_seconds", report.port_seconds)
+            span.set_attr("control_bytes", control)
+            span.set_attr("shipped", shipped)
         _OBS.counter("repro.mp.exchanges").inc()
+        _OBS.counter("repro.mp.control_bytes").inc(control)
+        if shipped:
+            _OBS.counter("repro.mp.programs_shipped").inc(shipped)
         if report.rounds:
             _OBS.counter("repro.mp.phases").inc(len(report.rounds))
             _OBS.counter("repro.mp.messages").inc(report.messages)
@@ -802,71 +1000,3 @@ class MPTransport:
                 [r.port_seconds for r in report.rounds]
             )
         return report
-
-    @staticmethod
-    def _round_reports(rounds, programs, frames) -> list[RoundReport]:
-        """Check every rank's per-round log against the prescription
-        (send/recv-once on the wire: what moved must equal what was
-        prescribed) and compose each round's measured clocks."""
-        logs: dict[tuple[int, int], tuple] = {}  # (round index, rank) -> entry
-        for rank, program in programs.items():
-            log = frames[rank][1]
-            ran, shipped = [entry[0] for entry in log], [index for index, _, _ in program]
-            if ran != shipped:
-                raise TransportError(
-                    f"rank {rank} reported rounds {ran}; prescribed {shipped}"
-                )
-            for entry in log:
-                logs[entry[0], rank] = entry
-        reports = []
-        for index, rnd in enumerate(rounds):
-            expect_sent: dict[int, tuple[int, int]] = {}  # rank -> (msgs, bytes)
-            expect_recv: dict[int, tuple[int, int]] = {}
-            for m in rnd.messages:
-                s_msgs, s_bytes = expect_sent.get(m.src, (0, 0))
-                expect_sent[m.src] = (s_msgs + 1, s_bytes + m.nbytes)
-                r_msgs, r_bytes = expect_recv.get(m.dst, (0, 0))
-                expect_recv[m.dst] = (r_msgs + 1, r_bytes + m.nbytes)
-            sent_times: dict[tuple[int, int], deque[float]] = {}
-            recv_times: dict[tuple[int, int], deque[float]] = {}
-            starts, ends = [], []
-            for rank in sorted(set(expect_sent) | set(expect_recv)):
-                _, start, end, sent, received = logs[index, rank]
-                starts.append(start)
-                ends.append(end)
-                for what, got, want in (
-                    ("sent", sent, expect_sent.get(rank, (0, 0))),
-                    ("received", received, expect_recv.get(rank, (0, 0))),
-                ):
-                    moved = (len(got), sum(nb for _, nb, _ in got))
-                    if moved != want:
-                        raise TransportError(
-                            f"rank {rank} {what} {moved[0]} message(s)/"
-                            f"{moved[1]} byte(s); round {index} prescribed "
-                            f"{want[0]}/{want[1]}"
-                        )
-                for dst, _, secs in sent:
-                    sent_times.setdefault((rank, dst), deque()).append(secs)
-                for src, _, secs in received:
-                    recv_times.setdefault((src, rank), deque()).append(secs)
-            costs = [
-                (
-                    m.src,
-                    m.dst,
-                    max(
-                        sent_times[m.src, m.dst].popleft(),
-                        recv_times[m.src, m.dst].popleft(),
-                    ),
-                )
-                for m in rnd.messages
-            ]
-            reports.append(
-                RoundReport(
-                    messages=len(rnd.messages),
-                    bytes=sum(m.nbytes for m in rnd.messages),
-                    contended=rnd.contended,
-                    wall_seconds=max(ends) - min(starts) if starts else 0.0,
-                    port_seconds=measured_phase_time(costs, rnd.contended),
-                )
-            )
-        return reports

@@ -26,8 +26,10 @@ pipes.  This suite is that claim's gate:
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
+import struct
 import time
 
 import numpy as np
@@ -55,6 +57,7 @@ from repro.spmd.transport import (
     TransferRound,
     WireMessage,
     WirePart,
+    _write_obj,
     fork_available,
     measured_phase_time,
 )
@@ -230,7 +233,9 @@ def test_execution_result_carries_mp_report(backend):
 
 def test_one_exchange_span_per_remapping(backend, tracer):
     """One ``mp.exchange`` span per remapping carrying the exchange's own
-    totals; the ranks sequence the rounds, so there is no per-round span."""
+    totals; the ranks sequence the rounds, so there is no per-round span.
+    The first run ships each plan's wire program; in the second every
+    control frame is a handle and two offsets (no per-message content)."""
     w = FIGURES["fig16"]
     compiled = compile_program(
         w["source"],
@@ -238,19 +243,31 @@ def test_one_exchange_span_per_remapping(backend, tracer):
         processors=4,
         options=CompilerOptions(level=3, schedule="round-robin"),
     )
-    _, _, result = _run_mp(backend, compiled, w)
-    spans = tracer.finished_spans()
-    exchanges = [s for s in spans if s.name == "mp.exchange"]
-    assert len(exchanges) == result.mp.exchanges > 0
-    assert not [s for s in spans if s.name == "mp.phase"]
-    for key, total in (
-        ("rounds", result.mp.phases),
-        ("messages", result.mp.messages),
-        ("bytes", result.mp.bytes_moved),
-        ("wall_seconds", result.mp.wall_seconds),
-        ("port_seconds", result.mp.port_seconds),
-    ):
-        assert sum(s.attrs[key] for s in exchanges) == pytest.approx(total), key
+    counters = ("repro.mp.control_bytes", "repro.mp.programs_shipped")
+    for run in ("cold", "warm"):
+        before = [REGISTRY.counter(name).value for name in counters]
+        tracer.clear()
+        _, _, result = _run_mp(backend, compiled, w)
+        spans = tracer.finished_spans()
+        exchanges = [s for s in spans if s.name == "mp.exchange"]
+        assert len(exchanges) == result.mp.exchanges > 0
+        assert not [s for s in spans if s.name == "mp.phase"]
+        for key, total in (
+            ("rounds", result.mp.phases),
+            ("messages", result.mp.messages),
+            ("bytes", result.mp.bytes_moved),
+            ("wall_seconds", result.mp.wall_seconds),
+            ("port_seconds", result.mp.port_seconds),
+        ):
+            assert sum(s.attrs[key] for s in exchanges) == pytest.approx(total), key
+        for name, key, was in zip(counters, ("control_bytes", "shipped"), before):
+            assert REGISTRY.counter(name).value - was == sum(s.attrs[key] for s in exchanges)
+        shipped = [s.attrs["shipped"] for s in exchanges]
+        if run == "cold":
+            assert any(shipped)
+        else:
+            assert not any(shipped)
+            assert all(s.attrs["control_bytes"] <= 4 * 64 for s in exchanges)
 
 
 def test_simulator_result_has_no_mp_report():
@@ -366,6 +383,21 @@ def test_measured_phase_time_mirrors_cost_model():
     assert measured_phase_time([], True) == 0.0
 
 
+def _keep(t, rounds, sources, targets):
+    """Keep hand-built rounds as a wire program of ``t`` (a new owner, so a
+    new program, per call); ``sources``/``targets`` map each rank to the
+    shape of its source/target block."""
+    return t.program(object(), np.float64, lambda: (tuple(rounds), sources, targets))
+
+
+def _part(src_ix, dst_ix, shape) -> WirePart:
+    return WirePart(src_ix, dst_ix, shape, int(np.prod(shape)) * 8)
+
+
+def _control_bytes() -> int:
+    return REGISTRY.counter("repro.mp.control_bytes").value
+
+
 def test_transport_moves_prescribed_bytes():
     """A hand-built round moves exactly the prescribed rectangle between
     two ranks' arenas (parent and workers share the mapping)."""
@@ -375,17 +407,13 @@ def test_transport_moves_prescribed_bytes():
         src[...] = np.arange(16, dtype=np.float64).reshape(4, 4)
         dst.fill(-1.0)
         ix = np.ix_([1, 2], [0, 3])
-        part = WirePart(
-            src_block=(src_off, (4, 4), "<f8"),
-            dst_block=(dst_off, (4, 4), "<f8"),
-            src_ix=ix,
-            dst_ix=ix,
-            shape=(2, 2),
-            nbytes=4 * 8,
+        program = _keep(
+            t,
+            [TransferRound((WireMessage(0, 1, (_part(ix, ix, (2, 2)),)),))],
+            {0: (4, 4)},
+            {1: (4, 4)},
         )
-        report = t.exchange(
-            (TransferRound((WireMessage(0, 1, (part,)),), contended=False),)
-        )
+        report = t.exchange(program, {0: src_off}, {1: dst_off})
         assert report.messages == 1 and report.bytes == 32
         assert np.array_equal(dst[ix], src[ix])
         untouched = dst == -1.0
@@ -394,11 +422,42 @@ def test_transport_moves_prescribed_bytes():
         t.release_block(1, dst_off, dst.nbytes)
 
 
+def test_kept_program_runs_over_any_blocks(tracer):
+    """The ranks keep the program: its first exchange ships each rank its
+    part, every later one only a handle and two block offsets -- over other
+    blocks, at other offsets, the same rectangles move."""
+    with MPTransport(2, arena_bytes=1 << 16) as t:
+        ix = (slice(1, 3),)
+        program = _keep(
+            t,
+            [TransferRound((WireMessage(0, 1, (_part(ix, ix, (2,)),)),))],
+            {0: (4,)},
+            {1: (4,)},
+        )
+        for trial in range(3):
+            src_off, src = t.place_block(0, (4,), np.float64)
+            dst_off, dst = t.place_block(1, (4,), np.float64)
+            src[...] = np.arange(4) + 10.0 * trial
+            dst.fill(-1.0)
+            t.exchange(program, {0: src_off}, {1: dst_off})
+            assert dst.tolist() == [-1.0, 10.0 * trial + 1, 10.0 * trial + 2, -1.0]
+        spans = [s for s in tracer.finished_spans() if s.name == "mp.exchange"]
+        assert [s.attrs["shipped"] for s in spans] == [2, 0, 0]
+        assert all(s.attrs["control_bytes"] <= 2 * 64 for s in spans[1:])
+        assert spans[0].attrs["control_bytes"] > spans[1].attrs["control_bytes"]
+        # a program another transport kept is not this one's to run
+        with MPTransport(2, arena_bytes=1 << 12) as other:
+            with pytest.raises(TransportError, match="not kept by this transport"):
+                other.exchange(program, {0: 0}, {1: 0})
+        del src, dst  # drop the arena views before close
+
+
 def test_ranks_sequence_rounds_without_a_barrier():
     """One control frame, many rounds: payloads larger than a pipe buffer,
     ranks that sit rounds out (and so run ahead of their peers), and the
     same ordered pair in consecutive rounds -- every rectangle arrives in
-    its own round's destination and every round is reported."""
+    its own round's slot of the receiver's target block and every round is
+    reported."""
     n = 40_000  # 320 kB per message, five pipe buffers
     pairs_by_round = [
         [(0, 1)],
@@ -408,73 +467,92 @@ def test_ranks_sequence_rounds_without_a_barrier():
         [(0, 1), (1, 2), (2, 3), (3, 0)],
         [(1, 0), (3, 2)],
     ]
-    with MPTransport(4, arena_bytes=1 << 22) as t:
-        sources = {}
+    slots = {rank: 0 for rank in range(4)}  # messages each rank receives
+    rounds, landed = [], []  # landed: (src, dst, slot)
+    for pairs in pairs_by_round:
+        messages = []
+        for src, dst in pairs:
+            slot = slots[dst]
+            slots[dst] += 1
+            landed.append((src, dst, slot))
+            part = _part((slice(0, n),), (slice(slot * n, (slot + 1) * n),), (n,))
+            messages.append(WireMessage(src, dst, (part,)))
+        rounds.append(TransferRound(tuple(messages), contended=False))
+    with MPTransport(4, arena_bytes=1 << 23) as t:
+        sources, targets = {}, {}
         for rank in range(4):
             off, view = t.place_block(rank, (n,), np.float64)
             view[...] = np.arange(n) + 1000.0 * rank
             sources[rank] = (off, view)
-        rounds, landed = [], []
-        for pairs in pairs_by_round:
-            messages = []
-            for src, dst in pairs:
-                off, view = t.place_block(dst, (n,), np.float64)
-                view.fill(-1.0)
-                landed.append((src, view))
-                part = WirePart(
-                    src_block=(sources[src][0], (n,), "<f8"),
-                    dst_block=(off, (n,), "<f8"),
-                    src_ix=(slice(0, n),),
-                    dst_ix=(slice(0, n),),
-                    shape=(n,),
-                    nbytes=n * 8,
-                )
-                messages.append(WireMessage(src, dst, (part,)))
-            rounds.append(TransferRound(tuple(messages), contended=False))
-        report = t.exchange(rounds)
-        for src, view in landed:
-            assert np.array_equal(view, sources[src][1])
+            off, view = t.place_block(rank, (slots[rank] * n,), np.float64)
+            view.fill(-1.0)
+            targets[rank] = (off, view)
+        program = _keep(
+            t,
+            rounds,
+            {rank: (n,) for rank in range(4)},
+            {rank: (slots[rank] * n,) for rank in range(4)},
+        )
+        report = t.exchange(
+            program,
+            {rank: off for rank, (off, _) in sources.items()},
+            {rank: off for rank, (off, _) in targets.items()},
+        )
+        for src, dst, slot in landed:
+            got = targets[dst][1][slot * n : (slot + 1) * n]
+            assert np.array_equal(got, sources[src][1])
         assert [r.messages for r in report.rounds] == [len(p) for p in pairs_by_round]
         assert report.bytes == sum(len(p) for p in pairs_by_round) * n * 8
         assert all(r.wall_seconds > 0.0 and r.port_seconds > 0.0 for r in report.rounds)
         assert report.wall_seconds > 0.0
-        del landed, sources, view  # drop the arena views before close
+        del sources, targets, got  # drop the arena views before close
 
 
-def _unit_part(t, src_rank, dst_rank):
-    src_off, src = t.place_block(src_rank, (2,), np.float64)
-    dst_off, dst = t.place_block(dst_rank, (2,), np.float64)
-    ix = (np.array([0, 1]),)
-    return WirePart(
-        src_block=(src_off, (2,), "<f8"),
-        dst_block=(dst_off, (2,), "<f8"),
-        src_ix=ix,
-        dst_ix=ix,
-        shape=(2,),
-        nbytes=16,
-    )
+def _unit_blocks(t, nprocs):
+    """A 2-element source and a 4-element target block on every rank."""
+    sources = {r: t.place_block(r, (2,), np.float64)[0] for r in range(nprocs)}
+    targets = {r: t.place_block(r, (4,), np.float64)[0] for r in range(nprocs)}
+    return sources, targets
+
+
+def _unit_part(slot: int = 0) -> WirePart:
+    return _part((np.array([0, 1]),), (np.array([2 * slot, 2 * slot + 1]),), (2,))
 
 
 def test_contention_free_round_rejects_one_port_violation():
     """The transport applies the same one-port authority Machine.run_phase
-    does, so a violating round raises the same ScheduleError."""
+    does, so a violating round raises the same ScheduleError -- when the
+    program is built, before anything is shipped."""
     with MPTransport(3, arena_bytes=1 << 14) as t:
+        sources, targets = _unit_blocks(t, 3)
         messages = (
-            WireMessage(0, 2, (_unit_part(t, 0, 2),)),
-            WireMessage(1, 2, (_unit_part(t, 1, 2),)),  # rank 2 receives twice
+            WireMessage(0, 2, (_unit_part(0),)),
+            WireMessage(1, 2, (_unit_part(1),)),  # rank 2 receives twice
         )
+        shapes = ({0: (2,), 1: (2,)}, {2: (4,)})
+        before = _control_bytes()
         with pytest.raises(ScheduleError, match="receives twice"):
-            t.exchange((TransferRound(messages, contended=False),))
+            _keep(t, [TransferRound(messages, contended=False)], *shapes)
+        assert _control_bytes() == before and not t._programs
         # the same pair set is legal when declared contended
-        report = t.exchange((TransferRound(messages, contended=True),))
+        program = _keep(t, [TransferRound(messages, contended=True)], *shapes)
+        report = t.exchange(program, sources, targets)
         assert report.messages == 2
 
 
 def test_local_copy_on_the_wire_is_rejected():
     with MPTransport(2, arena_bytes=1 << 14) as t:
-        part = _unit_part(t, 0, 0)
+        before = _control_bytes()
         with pytest.raises(TransportError, match="local copy"):
-            t.exchange((TransferRound((WireMessage(0, 0, (part,)),), contended=True),))
+            _keep(
+                t,
+                [TransferRound((WireMessage(0, 0, (_unit_part(),)),), contended=True)],
+                {0: (2,)},
+                {0: (4,)},
+            )
+        assert _control_bytes() == before and not t._programs
+        with pytest.raises(TransportError, match="holds no target block"):
+            _keep(t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {})
 
 
 def test_worker_failure_surfaces_as_transport_error():
@@ -482,40 +560,58 @@ def test_worker_failure_surfaces_as_transport_error():
     match the destination rectangle) fails in the worker and surfaces as
     a TransportError, not as silent corruption."""
     with MPTransport(2, arena_bytes=1 << 14) as t:
-        good = _unit_part(t, 0, 1)
-        bad = WirePart(
-            src_block=good.src_block,
-            dst_block=good.dst_block,
-            src_ix=good.src_ix,
-            dst_ix=(np.array([0]),),  # 1 slot for a 2-element payload
-            shape=(2,),
-            nbytes=16,
+        sources, targets = _unit_blocks(t, 2)
+        bad = _part((np.array([0, 1]),), (np.array([0]),), (2,))  # 1 slot, 2 elements
+        program = _keep(
+            t, [TransferRound((WireMessage(0, 1, (bad,)),), contended=True)], {0: (2,)}, {1: (4,)}
         )
         with pytest.raises(TransportError, match="rank 1 failed"):
-            t.exchange((TransferRound((WireMessage(0, 1, (bad,)),), contended=True),))
+            t.exchange(program, sources, targets)
+
+
+def test_misreported_round_raises_on_every_exchange():
+    """The parent checks every report, not only the first program's: a
+    rank whose kept program moves other bytes than the parent's
+    prescription says fails the exchange it happens in."""
+    with MPTransport(2, arena_bytes=1 << 14) as t:
+        sources, targets = _unit_blocks(t, 2)
+        program = _keep(
+            t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {1: (4,)}
+        )
+        t.exchange(program, sources, targets)
+        t.exchange(program, sources, targets)
+        (index, msgs, nbytes, recv_msgs, recv_bytes), = program._expect[0]
+        program._expect[0] = ((index, msgs, nbytes + 8, recv_msgs, recv_bytes),)
+        with pytest.raises(TransportError, match=r"rank 0 sent 1 message\(s\)/16 byte"):
+            t.exchange(program, sources, targets)
+        assert not t.alive()
 
 
 def test_dead_worker_detected():
     t = MPTransport(2, arena_bytes=1 << 14)
     t.start()
     try:
-        part = _unit_part(t, 0, 1)
+        sources, targets = _unit_blocks(t, 2)
+        program = _keep(
+            t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {1: (4,)}
+        )
         os.kill(t._procs[1].pid, signal.SIGKILL)
         t._procs[1].join(timeout=5.0)
         with pytest.raises(TransportError):
-            t.exchange((TransferRound((WireMessage(0, 1, (part,)),), contended=True),))
+            t.exchange(program, sources, targets)
     finally:
         t.close()
 
 
 def test_closed_transport_rejects_exchanges():
     t = MPTransport(2, arena_bytes=1 << 14)
+    program = _keep(t, [], {}, {})
     with pytest.raises(TransportError, match="not running"):
-        t.exchange(())
+        t.exchange(program, {}, {})
     t.start()
     t.close()
     with pytest.raises(TransportError, match="not running"):
-        t.exchange(())
+        t.exchange(program, {}, {})
 
 
 def test_transport_rejects_bad_rank_count():
@@ -754,18 +850,160 @@ def test_service_concurrent_mp_and_sim_requests_match_serial():
         _assert_same_results(g, w, ("a",), i)
 
 
+def _shipped() -> int:
+    return REGISTRY.counter("repro.mp.programs_shipped").value
+
+
 def test_rank_killed_between_requests_is_replaced():
+    """The ranks keep the programs across requests; a replacement backend's
+    table starts empty, so it ships every program again."""
     with CompileService(workers=1) as svc:
         want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        before = _shipped()
         first = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        shipped = _shipped() - before
+        warm = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        assert _shipped() - before == shipped > 0
         old = svc._ranks[4].backend
         victim = old.transport._procs[2]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5.0)
         second = svc.run_batch([_remap_request("round-robin", 384)])[0]
         assert svc._ranks[4].backend is not old and not old.transport.alive()
+        assert _shipped() - before == 2 * shipped
     _assert_same_results(first, want, ("a",), "before the kill")
+    _assert_same_results(warm, want, ("a",), "warm")
     _assert_same_results(second, want, ("a",), "after the kill")
+
+
+def _remap_env(n: int = 384) -> ExecutionEnv:
+    return ExecutionEnv(
+        bindings={"n": n, "t": 1},
+        inputs={"a": np.linspace(-1.0, 1.0, n)},
+        kernels={"scale": _scale},
+    )
+
+
+def _remap_compiled(policy: str, n: int = 384):
+    return compile_program(
+        REMAP_SRC,
+        bindings={"n": n, "t": 1},
+        processors=4,
+        options=CompilerOptions(level=3, schedule=policy),
+    )
+
+
+def test_rank_killed_between_runs_of_one_plan_is_a_typed_error():
+    """A rank dies between two runs of the same plans on one backend: the
+    second run's first control frame finds no reader, so it ends in a
+    TransportError at once with every rank gone; a replacement backend
+    starts with no program, ships them again and reproduces the values."""
+    compiled = _remap_compiled("round-robin")
+    want = execute(compiled, env=_remap_env()).value("a")
+    with MPBackend(4) as b:
+        before = _shipped()
+        first = b.execute(compiled, env=_remap_env()).value("a")
+        shipped = _shipped() - before
+        victim = b.transport._procs[2]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        t0 = time.perf_counter()
+        with pytest.raises(TransportError):
+            b.execute(compiled, env=_remap_env())
+        assert time.perf_counter() - t0 < 2.0
+        assert not b.transport.alive()
+    with MPBackend(4) as fresh:
+        before = _shipped()
+        again = fresh.execute(compiled, env=_remap_env()).value("a")
+        assert _shipped() - before == shipped > 0
+    assert np.array_equal(first, want) and np.array_equal(again, want)
+
+
+def test_frame_naming_a_handle_the_rank_does_not_hold_is_a_typed_error():
+    """Rank 1 is told to forget its programs while the parent still counts
+    them as shipped: the next frame names a handle the rank does not hold,
+    the rank reports so (it does not die on a KeyError), the request ends in
+    a TransportError and the next one is bit-identical on fresh ranks."""
+    with CompileService(workers=1) as svc:
+        want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        first = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        transport = svc._ranks[4].backend.transport
+        for program in transport._programs.values():
+            if 1 in program.ranks:
+                transport._drops.setdefault(1, []).append(program.handle)
+        t0 = time.perf_counter()
+        faulted = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        assert time.perf_counter() - t0 < 2.0
+        assert isinstance(faulted.error, TransportError), faulted.error
+        assert "rank 1 failed: holds no wire program under handle" in str(faulted.error)
+        assert not transport.alive()
+        after = svc.run_batch([_remap_request("round-robin", 384)])[0]
+    _assert_same_results(first, want, ("a",), "before the fault")
+    _assert_same_results(after, want, ("a",), "after the fault")
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [
+        struct.pack("<Q", 1 << 20) + b"torn",  # the rank waits for the rest
+        struct.pack("<Q", 4) + b"torn",  # the rank cannot unpickle it
+    ],
+    ids=["short", "garbage"],
+)
+def test_torn_control_frame_is_a_typed_error(monkeypatch, torn):
+    """A torn frame lands on rank 1's control pipe between two remappings
+    of a request, on ranks with a 1 s timeout: the request ends in a
+    TransportError within the bound, and the next is bit-identical."""
+    from repro.runtime import mpbackend
+
+    monkeypatch.setattr(mpbackend, "MPBackend", functools.partial(MPBackend, timeout=1.0))
+    svc = CompileService(workers=1)
+    try:
+        torn_once = []
+
+        def tear(ctx):
+            if not torn_once:
+                torn_once.append(True)
+                os.write(svc._ranks[4].backend.transport._ctl_w[1], torn)
+            _scale(ctx)
+
+        want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        svc.run_batch([_remap_request("round-robin", 384)])  # the programs are kept
+        t0 = time.perf_counter()
+        faulted = svc.run_batch([_remap_request("round-robin", 384, kernels={"scale": tear})])[0]
+        assert time.perf_counter() - t0 < 3.0
+        assert isinstance(faulted.error, TransportError), faulted.error
+        after = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        _assert_same_results(after, want, ("a",), "after the fault")
+    finally:
+        svc.close()
+
+
+def test_more_programs_than_the_cap_evict_the_oldest(monkeypatch):
+    """Three requests of two plans each on a transport that keeps three
+    programs, then the first again: the least recently used program is
+    evicted, its ranks forget it (their next frame says so), it is shipped
+    again on its next use, and every value matches the simulator."""
+    from repro.spmd import transport as transport_module
+
+    monkeypatch.setattr(transport_module, "PROGRAM_CAP", 3)
+    compiled = {p: _remap_compiled(p) for p in ("round-robin", "aggregate", "naive")}
+    want = {p: execute(c, env=_remap_env()).value("a") for p, c in compiled.items()}
+    shipped = []
+    with MPBackend(4) as b:
+        t = b.transport
+        for policy in ("round-robin", "aggregate", "naive", "round-robin"):
+            before = _shipped()
+            got = b.execute(compiled[policy], env=_remap_env()).value("a")
+            shipped.append(_shipped() - before)
+            assert np.array_equal(got, want[policy]), policy
+            assert len(t._programs) == 3 if shipped[1:] else 2
+            for rank in range(4):
+                _write_obj(t._ctl_w[rank], ("ping",))
+            for rank, (_, _, held) in t._collect(range(4)).items():
+                kept = {p.handle for p in t._programs.values() if rank in p.ranks}
+                assert set(held) == kept, (policy, rank)
+    assert shipped[0] == shipped[3] == 8  # two programs, four ranks each
 
 
 def test_rank_killed_mid_exchange_is_a_typed_error_and_the_pool_recovers():
