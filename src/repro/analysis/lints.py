@@ -60,6 +60,7 @@ from repro.remap.codegen import GeneratedCode
 from repro.remap.construction import ConstructionResult
 from repro.remap.graph import GRVertex
 from repro.spmd.traffic import enumerate_scenarios, simulate_grid
+from repro.symbolic.scenarios import SCENARIO_CAP
 
 __all__ = ["Finding", "LINT_RULES", "lint_construction", "lint_program"]
 
@@ -425,7 +426,7 @@ def lint_program(
     source: str | Program,
     bindings: dict[str, int] | None = None,
     processors: int = 4,
-    max_scenarios: int = 96,
+    max_scenarios: int = SCENARIO_CAP,
     report: CompileReport | None = None,
     workload: list[dict[str, int]] | None = None,
 ) -> list[Finding]:

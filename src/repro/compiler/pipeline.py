@@ -55,7 +55,7 @@ from repro.remap import motion as motion_mod
 from repro.remap import optimize as optimize_mod
 from repro.remap.codegen import GeneratedCode, generate_code
 from repro.remap.construction import ConstructionResult, build_remapping_graph
-from repro.remap.costguard import CostGuard, GuardFlags, ShapeGenericGuard
+from repro.remap.costguard import CostGuard, ShapeGenericGuard
 from repro.remap.graph import RemappingGraph
 from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import MotionReport, hoist_loop_invariant_remaps
@@ -71,7 +71,8 @@ from repro.symbolic.classify import classify_bindings
 
 @dataclass
 class PassContext:
-    """Mutable state threaded through one pipeline run."""
+    """Mutable state threaded through one pipeline run (or through one
+    cost-guard variant compile, which runs the pipeline's passes on it)."""
 
     source: str | Program | Subroutine
     bindings: dict[str, int] | None
@@ -85,7 +86,6 @@ class PassContext:
     status_checks: bool = False
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
-    ran: set[str] = field(default_factory=set)
 
     def graphs(self) -> dict[str, RemappingGraph]:
         return {name: c.graph for name, c in self.constructions.items()}
@@ -122,14 +122,6 @@ class PipelineTrace:
             if r.name == pass_name and key in r.counters:
                 return r.counters[key]
         return default
-
-    def counters_total(self) -> dict[str, int]:
-        """All counters flattened as ``pass.key`` -- handy for assertions."""
-        out: dict[str, int] = {}
-        for r in self.records:
-            for k, v in r.counters.items():
-                out[f"{r.name}.{k}"] = out.get(f"{r.name}.{k}", 0) + v
-        return out
 
     def summary(self) -> str:
         lines = [f"pipeline: {len(self.records)} passes, {self.total_seconds * 1e3:.3f} ms"]
@@ -205,12 +197,6 @@ class MotionPass:
         codegen_able = "codegen" in names or "codegen-naive" in names
         if not ({"resolve", "construction"} <= names and codegen_able):
             return None  # partial pipeline: nothing executable to price
-        flags = GuardFlags(
-            remove_useless="remove-useless" in names,
-            live_copies="live-copies" in names,
-            status_checks="status-checks" in names,
-            naive="codegen-naive" in names,
-        )
         if "symbolize" in names:
             # Shape-erased compilation: motion decisions become part of a
             # SymbolicTemplate replayed at every (n, P), so the guard must
@@ -224,20 +210,8 @@ class MotionPass:
                 for k, v in (ctx.bindings or {}).items()
                 if k in info.all_compile_time
             }
-            return ShapeGenericGuard(
-                shape_names=info.shape_symbolic,
-                bindings=bindings,
-                flags=flags,
-                cost=ctx.options.cost,
-                schedule=ctx.options.schedule,
-            )
-        return CostGuard(
-            bindings=ctx.bindings,
-            processors=ctx.processors,
-            flags=flags,
-            cost=ctx.options.cost,
-            schedule=ctx.options.schedule,
-        )
+            return ShapeGenericGuard(info.shape_symbolic, bindings, ctx.options)
+        return CostGuard(ctx.options, ctx.bindings, ctx.processors)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
@@ -391,7 +365,7 @@ class CodegenPass:
             )
         ops = 0
         for name, res in ctx.constructions.items():
-            if "live-copies" not in ctx.ran:
+            if not ctx.options.live_copies:
                 codegen_mod.pin_live_sets_to_leaving(res.graph)
             code = generate_code(
                 res,
@@ -419,9 +393,6 @@ class TrafficEstimatePass:
     requires: tuple[str, ...] = ("graph", "code")
     provides: tuple[str, ...] = ("traffic",)
 
-    def __init__(self, max_scenarios: int = 96):
-        self.max_scenarios = max_scenarios
-
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
         # a range simulated from a subroutine already includes its callees'
@@ -440,7 +411,6 @@ class TrafficEstimatePass:
                 ctx.codes,
                 name,
                 bindings=ctx.bindings,
-                max_scenarios=self.max_scenarios,
                 policy=ctx.options.schedule,
                 cost=ctx.options.cost,
             )
@@ -564,11 +534,7 @@ class Pipeline:
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
         if options is None:
-            # custom-registered passes are not CompilerOptions names: the
-            # default options record only the built-in part of the pipeline
-            options = CompilerOptions.from_passes(
-                tuple(n for n in self.pass_names if n in PASS_ORDER)
-            )
+            options = CompilerOptions.from_passes(self.pass_names)
         ctx = PassContext(
             source=source,
             bindings=bindings,
@@ -583,7 +549,6 @@ class Pipeline:
                 counters = p.run(ctx) or {}
             seconds = time.perf_counter() - t0
             trace.record(p.name, seconds, counters)
-            ctx.ran.add(p.name)
             _OBS.counter("repro.compiler.passes_run", {"pass": p.name}).inc()
             _OBS.histogram("repro.compiler.pass_seconds", {"pass": p.name}).observe(
                 seconds
@@ -654,11 +619,6 @@ class PassManager:
         return tuple(n for n in PASS_ORDER if n in cls._registry)
 
     @classmethod
-    def register(cls, name: str, factory: Callable[[], Pass]) -> None:
-        """Extension hook: plug a custom pass factory under a new name."""
-        cls._registry[name] = factory
-
-    @classmethod
     def create(cls, name: str) -> Pass:
         try:
             return cls._registry[name]()
@@ -669,13 +629,7 @@ class PassManager:
 
     @classmethod
     def build(cls, names: Sequence[str]) -> Pipeline:
-        """A pipeline from explicit pass names, run in canonical order.
-
-        Built-in names are sorted canonically; names outside
-        :data:`PASS_ORDER` (custom registrations) keep their given
-        position, so a custom pass listed before ``codegen`` runs before
-        codegen.
-        """
+        """A pipeline from explicit pass names, run in canonical order."""
         names = list(names)
         missing = MANDATORY_PASSES - set(names)
         if missing:
@@ -683,9 +637,7 @@ class PassManager:
                 f"pass list {names} is missing mandatory passes {sorted(missing)}"
             )
         order = {n: i for i, n in enumerate(PASS_ORDER)}
-        builtin = iter(sorted((n for n in names if n in order), key=order.__getitem__))
-        names = [n if n not in order else next(builtin) for n in names]
-        return Pipeline([cls.create(n) for n in names])
+        return Pipeline(sorted((cls.create(n) for n in names), key=lambda p: order[p.name]))
 
     @classmethod
     def pipeline_for(cls, options: CompilerOptions) -> Pipeline:

@@ -192,10 +192,6 @@ class RuntimeRemapError(ReproError):
     """Base class for errors raised while executing compiled programs."""
 
 
-class AmbiguousReferenceError(RuntimeRemapError):
-    """The runtime caught a reference to an array in ambiguous status."""
-
-
 class DeadCopyError(RuntimeRemapError):
     """A non-live array version was referenced without re-instantiation."""
 

@@ -21,11 +21,7 @@ from collections.abc import Iterator
 
 from repro.fuzz.generator import FuzzCase
 from repro.fuzz.oracle import OracleConfig, run_oracle
-from repro.lang.ast_nodes import Block, Do, If, Stmt, Subroutine, walk_statements
-
-
-def _size(sub: Subroutine) -> int:
-    return sum(1 for _ in walk_statements(sub.body))
+from repro.lang.ast_nodes import Block, Do, If
 
 
 def _block_variants(block: Block) -> Iterator[Block]:

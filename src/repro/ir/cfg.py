@@ -118,9 +118,6 @@ class CFG:
     def node_of_stmt(self, stmt: Stmt) -> CFGNode:
         return self.nodes[self.stmt_nodes[id(stmt)]]
 
-    def remap_vertices(self) -> list[CFGNode]:
-        return [n for n in self.nodes.values() if n.is_remap_vertex]
-
     def rpo(self) -> list[int]:
         """Reverse postorder from the entry (forward-dataflow order)."""
         from repro.util.order import topo_order

@@ -28,6 +28,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro.symbolic.scenarios import SCENARIO_CAP
+
 __all__ = ["main"]
 
 #: default problem size for ``--apps`` (matches the benchmark defaults)
@@ -79,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-scenarios",
         type=int,
-        default=96,
+        default=SCENARIO_CAP,
         metavar="N",
         help="cap on enumerated scenarios for the RPR005 reachability rule",
     )

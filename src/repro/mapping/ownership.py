@@ -241,10 +241,6 @@ class Layout:
         return [h.coords for h in self.table]
 
     @property
-    def replicated_proc_dims(self) -> frozenset[int]:
-        return frozenset(self._replicated_dims)
-
-    @property
     def consumed_proc_dims(self) -> tuple[int, ...]:
         """Grid dimensions that array dimensions are actually distributed over."""
         return tuple(

@@ -9,13 +9,18 @@ make "optimized" traffic *exceed* the naive placement (the seed-2558
 counter-example tracked in ROADMAP.md).
 
 :class:`CostGuard` closes the hole by construction.  For every candidate
-sink it compiles both placements through the downstream passes the active
-pipeline will actually run, then prices both with the exact static traffic
-simulator (:mod:`repro.spmd.traffic`) over the runtime-unknown scenario
-space -- every branch-outcome assignment, zero/one/many trip counts for
-every *symbolic* loop bound (even ones this compile's bindings pin:
-compiled artifacts are cached and reused across runtime bound values, so
-the decision must hold for all of them), inputs present or absent.
+sink it compiles both placements with the pipeline's own pass objects:
+the passes of the request's :class:`~repro.compiler.artifacts.CompilerOptions`
+from ``resolve`` through codegen, in canonical order, run over a
+:class:`~repro.compiler.pipeline.PassContext` of the guard's own -- so a
+variant is the code the pipeline will generate after motion, with no
+second copy of that tail to keep in step.  It then prices both with the
+exact static traffic simulator (:mod:`repro.spmd.traffic`) over the
+runtime-unknown scenario space -- every branch-outcome assignment,
+zero/one/many trip counts for every *symbolic* loop bound (even ones this
+compile's bindings pin: compiled artifacts are cached and reused across
+runtime bound values, so the decision must hold for all of them), inputs
+present or absent.
 Constant loop bounds are simulated exactly.  The sink is accepted only if
 
 * it never moves more message bytes than the unmoved placement in *any*
@@ -69,6 +74,7 @@ space -- are priced exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.lang.ast_nodes import (
@@ -91,16 +97,14 @@ from repro.lang.ast_nodes import (
     walk_statements,
 )
 from repro.lang.printer import print_subroutine
-from repro.lang.semantics import resolve_program
-from repro.ir.cfg import build_cfg
 from repro.mapping.processors import ProcessorArrangement
-from repro.remap.codegen import GeneratedCode, generate_code, pin_live_sets_to_leaving
-from repro.remap.construction import ConstructionResult, build_remapping_graph
-from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import alignment_families
-from repro.remap.optimize import remove_useless_remappings
-from repro.spmd.cost import CostModel, TrafficEstimate
+from repro.spmd.cost import TrafficEstimate
 from repro.spmd.traffic import Scenario, enumerate_scenarios, simulate_grid
+
+if TYPE_CHECKING:  # cycle: the pipeline imports this module
+    from repro.compiler.artifacts import CompilerOptions
+    from repro.compiler.pipeline import PassContext
 
 
 # -- projection onto alignment families ---------------------------------------
@@ -229,16 +233,6 @@ def _differing_runs(a: tuple[Stmt, ...], b: tuple[Stmt, ...]) -> tuple[Block, Bl
 
 
 @dataclass(frozen=True)
-class GuardFlags:
-    """Which downstream passes the active pipeline runs after motion."""
-
-    remove_useless: bool = True
-    live_copies: bool = True
-    status_checks: bool = True
-    naive: bool = False
-
-
-@dataclass(frozen=True)
 class GuardDecision:
     """One guarded motion decision, with its estimated cost delta.
 
@@ -264,35 +258,34 @@ class GuardDecision:
 class CostGuard:
     """Decides candidate remapping motions with the communication cost model.
 
-    ``bindings``/``processors`` are the compile-time values the surrounding
-    pipeline resolves with; ``flags`` selects the downstream passes so the
-    comparison prices exactly the code that will be generated; ``cost`` is
-    the machine model consulted for the final decision.
+    ``options`` are the request's compiler options: a variant is compiled
+    by the pipeline's own passes that the options run from ``resolve``
+    through codegen, so the comparison prices exactly the code that will
+    be generated, and priced under the options' ``cost`` (the machine
+    model consulted for the final decision) and ``schedule`` (when set,
+    both placements are priced as *scheduled* executions -- phase
+    makespans instead of per-endpoint sums).  ``bindings``/``processors``
+    are the compile-time values the surrounding pipeline resolves with.
     """
 
     def __init__(
         self,
+        options: "CompilerOptions",
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
-        flags: GuardFlags | None = None,
-        cost: CostModel | None = None,
-        max_scenarios: int = 96,
-        itemsize: int = 8,
-        schedule: str | None = None,
     ):
+        from repro.compiler.artifacts import PASS_ORDER
+        from repro.compiler.pipeline import PassManager
+
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
+        self.options = options
         self.bindings = dict(bindings or {})
         self.processors = processors
-        self.flags = flags or GuardFlags()
-        self.cost = cost or CostModel()
-        self.max_scenarios = max_scenarios
-        self.itemsize = itemsize
-        #: scheduling policy of the surrounding pipeline: when set, both
-        #: placements are priced as *scheduled* executions (phase makespans
-        #: instead of per-endpoint sums) so the decision reflects what the
-        #: contention-managed machine actually delivers
-        self.schedule = schedule
+        self.cost = options.cost
+        self.schedule = options.schedule
+        tail = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("codegen-naive") + 1]
+        self._tail = [PassManager.create(n) for n in tail if n in options.pass_names]
         # placement pricing memo, keyed by the projected text: across the
         # accept/reject iteration the projected "current" placement of one
         # sink is the projected "candidate" of an earlier sink of the same
@@ -300,7 +293,7 @@ class CostGuard:
         self._pricing: dict[str, "_Pricing"] = {}
         self._program_ref: Program | None = None
 
-    # -- downstream compilation (mirrors the pipeline after motion) ---------
+    # -- downstream compilation (the pipeline's own passes after motion) ----
 
     @staticmethod
     def _reachable(program: Program, entry: str) -> set[str]:
@@ -321,35 +314,23 @@ class CostGuard:
             )
         return seen
 
-    def _compile_variant(
-        self, program: Program, entry: str
-    ) -> tuple[dict[str, ConstructionResult], dict[str, GeneratedCode]]:
-        resolved = resolve_program(
-            program, bindings=self.bindings, default_processors=self.processors
-        )
-        # graph construction and codegen are the expensive phases: run them
-        # only for subroutines the priced simulation can actually enter
+    def compile_variant(self, program: Program, entry: str) -> "PassContext":
+        """Compile ``program`` as the pipeline does after motion.
+
+        Runs the pipeline's pass objects from ``resolve`` through codegen
+        over a context of the guard's own, outside any pipeline run: no
+        trace record, ``pass:*`` span or pipeline counter is written.  Only
+        the subroutines the priced simulation can enter from ``entry`` are
+        compiled -- graph construction and codegen are the expensive phases.
+        """
+        from repro.compiler.pipeline import PassContext
+
         reachable = self._reachable(program, entry)
-        constructions: dict[str, ConstructionResult] = {}
-        codes: dict[str, GeneratedCode] = {}
-        for name, rsub in resolved.subroutines.items():
-            if name not in reachable:
-                continue
-            res = build_remapping_graph(build_cfg(rsub), resolved)
-            if self.flags.remove_useless:
-                remove_useless_remappings(res.graph)
-            if self.flags.live_copies:
-                compute_live_copies(res.graph)
-            else:
-                pin_live_sets_to_leaving(res.graph)
-            constructions[name] = res
-            codes[name] = generate_code(
-                res,
-                optimize=not self.flags.naive,
-                naive_always_copy=self.flags.naive,
-                status_checks=self.flags.status_checks and not self.flags.naive,
-            )
-        return constructions, codes
+        variant = Program(tuple(s for s in program.subroutines if s.name in reachable))
+        ctx = PassContext(variant, self.bindings, self.processors, self.options, program=variant)
+        for p in self._tail:
+            p.run(ctx)
+        return ctx
 
     # -- pricing ------------------------------------------------------------
 
@@ -367,20 +348,16 @@ class CostGuard:
         cached = self._pricing.get(key)
         if cached is not None:
             return cached
-        constructions, codes = self._compile_variant(
-            program.with_subroutine(sub), sub.name
-        )
+        ctx = self.compile_variant(program.with_subroutine(sub), sub.name)
         scenarios = enumerate_scenarios(
-            constructions,
+            ctx.constructions,
             sub.name,
             bindings=self.bindings,
             pin_bound_trips=False,
-            max_scenarios=self.max_scenarios,
             require_exhaustive=True,
-            itemsize=self.itemsize,
         )
         estimates = simulate_grid(
-            constructions, codes, sub.name, scenarios,
+            ctx.constructions, ctx.codes, sub.name, scenarios,
             policy=self.schedule, cost=self.cost,
         ).checked()
         total = TrafficEstimate.zero()
@@ -492,12 +469,8 @@ class ShapeGenericGuard:
     def __init__(
         self,
         shape_names: frozenset[str],
-        bindings: dict[str, int] | None = None,
-        flags: GuardFlags | None = None,
-        cost: CostModel | None = None,
-        max_scenarios: int = 96,
-        itemsize: int = 8,
-        schedule: str | None = None,
+        bindings: dict[str, int] | None,
+        options: "CompilerOptions",
     ):
         self.shape_names = frozenset(shape_names)
         base = {
@@ -510,18 +483,7 @@ class ShapeGenericGuard:
                 probe_bindings[name] = n
             for p in self.PROBE_PROCS:
                 self._probes.append(
-                    (
-                        (n, p),
-                        CostGuard(
-                            bindings=probe_bindings,
-                            processors=ProcessorArrangement("P", (p,)),
-                            flags=flags,
-                            cost=cost,
-                            max_scenarios=max_scenarios,
-                            itemsize=itemsize,
-                            schedule=schedule,
-                        ),
-                    )
+                    ((n, p), CostGuard(options, probe_bindings, ProcessorArrangement("P", (p,))))
                 )
 
     def evaluate(

@@ -102,10 +102,6 @@ class GRVertex:
         leaving = self.L.get(a)
         return frozenset() if leaving is None else frozenset({leaving})
 
-    @property
-    def is_boundary(self) -> bool:
-        return self.kind in (NodeKind.CALLV, NodeKind.ENTRY, NodeKind.EXIT)
-
     def describe(self, versions: VersionTable) -> str:
         parts = []
         for a in sorted(self.S):

@@ -50,11 +50,6 @@ class MemoryManager:
         # plain heap-backed DistributedArray
         self._factory = array_factory or DistributedArray
 
-    def set_candidates(
-        self, fn: Callable[[], Iterable[tuple[ArrayRuntime, int]]]
-    ) -> None:
-        self._candidates = fn
-
     def _fits(self, needed: dict[int, int]) -> bool:
         return all(self.machine.would_fit(rank, b) for rank, b in needed.items())
 

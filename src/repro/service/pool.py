@@ -75,11 +75,6 @@ class SessionPool:
 
     # -- routing -----------------------------------------------------------
 
-    @property
-    def shard_count(self) -> int:
-        """Number of independent session shards."""
-        return len(self._shards)
-
     def shard_index(self, digest: str) -> int:
         """The shard a source digest routes to (stable for the pool's life)."""
         return int(digest, 16) % len(self._shards)

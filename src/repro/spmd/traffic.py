@@ -62,7 +62,7 @@ from repro.remap.codegen import GeneratedCode
 from repro.remap.walker import ArrayDescriptor, DescriptorWalker, Frame, resolve_condition
 from repro.spmd.cost import CostModel, TrafficEstimate
 from repro.spmd.schedule import plan_redistribution
-from repro.symbolic.scenarios import Scenario, enumerate_scenarios
+from repro.symbolic.scenarios import SCENARIO_CAP, Scenario, enumerate_scenarios
 
 if TYPE_CHECKING:
     from repro.remap.construction import ConstructionResult
@@ -496,7 +496,7 @@ def estimate_range(
     codes: dict[str, GeneratedCode],
     entry: str,
     bindings: dict[str, int] | None = None,
-    max_scenarios: int = 96,
+    max_scenarios: int = SCENARIO_CAP,
     itemsize: int = 8,
     policy: str | None = None,
     cost: CostModel | None = None,

@@ -18,7 +18,6 @@ from repro.store.store import (
     STORE_FORMAT,
     ArtifactStore,
     default_store_dir,
-    registry_digest,
     schema_fingerprint,
     source_tree_digest,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "STORE_DIR_ENV",
     "STORE_FORMAT",
     "default_store_dir",
-    "registry_digest",
     "schema_fingerprint",
     "source_tree_digest",
 ]

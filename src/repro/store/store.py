@@ -19,10 +19,10 @@ Design contract, enforced by construction and by ``tests/test_store.py``:
 * **content-addressed + schema-fingerprinted** -- entries live under
   ``root/<schema_fingerprint>/<key-digest>.art`` where the fingerprint
   (:func:`schema_fingerprint`) mixes the repro version, a digest of the
-  package's own source tree, the live pass registry, the artifact schema
-  version and the pickle protocol.  Any code change (a bug fix inside an
-  existing pass included), a new registered pass, a reshaped artifact
-  dataclass or a version bump makes *all* old entries invisible rather
+  package's own source tree, the artifact schema version and the pickle
+  protocol.  Any code change (a bug fix inside an existing pass or a new
+  pass included), a reshaped artifact dataclass or a version bump makes
+  *all* old entries invisible rather
   than serving compilations of code that no longer exists.  A generation
   directory holds ``*.art`` entries and their ``*.lock`` files, nothing
   else (a writer's ``*.tmp`` lives until its rename): a key is a pure
@@ -114,19 +114,6 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 DEFAULT_STORE_DIR = ".repro-store"
 
 
-def registry_digest() -> str:
-    """A digest of the live pass registry (names of every known pass).
-
-    Registering a new pass -- or removing one -- changes what a pass set
-    means, so artifacts compiled under a different registry must never be
-    served: the digest is part of :func:`schema_fingerprint`.
-    """
-    from repro.compiler.pipeline import PassManager
-
-    names = ",".join(sorted(PassManager._registry))
-    return hashlib.sha256(names.encode()).hexdigest()[:12]
-
-
 _source_tree_digest_cache: str | None = None
 
 
@@ -167,10 +154,9 @@ def schema_fingerprint() -> str:
     source code (:func:`source_tree_digest` -- a bug fix inside a pass
     must orphan artifacts the old code compiled), the serialized artifact
     schema (:data:`~repro.compiler.artifacts.ARTIFACT_SCHEMA_VERSION`),
-    the on-disk entry format, the live pass registry and the pickle
-    protocol.  CI keys its cross-run store cache on this value, so a
-    source change cold-starts CI (correct) while doc-only commits stay
-    warm.
+    the on-disk entry format and the pickle protocol.  CI keys its
+    cross-run store cache on this value, so a source change cold-starts CI
+    (correct) while doc-only commits stay warm.
     """
     import repro
     from repro.compiler.artifacts import ARTIFACT_SCHEMA_VERSION
@@ -181,7 +167,6 @@ def schema_fingerprint() -> str:
             f"source={source_tree_digest()}",
             f"artifact-schema={ARTIFACT_SCHEMA_VERSION}",
             f"store-format={STORE_FORMAT}",
-            f"passes={registry_digest()}",
             f"pickle={pickle.HIGHEST_PROTOCOL}",
         )
     )
@@ -553,7 +538,7 @@ class ArtifactStore:
 
         Debris the load/store hot paths deliberately never pay to clean:
         sibling fingerprint directories (entries written under an older
-        repro version / pass registry / schema -- unreachable by
+        repro version / source tree / schema -- unreachable by
         construction), orphaned temp files from crashed writers and lock
         files whose entry is gone.  ``drop_stale=False`` limits the pass
         to the size budget.  Without gc the store would grow one tiny

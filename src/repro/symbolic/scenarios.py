@@ -28,11 +28,17 @@ if TYPE_CHECKING:
     from repro.remap.construction import ConstructionResult
 
 __all__ = [
+    "SCENARIO_CAP",
     "Scenario",
     "reachable_subs",
     "runtime_unknowns",
     "enumerate_scenarios",
 ]
+
+#: Default cap on an enumerated scenario grid: the cost guard rejects a
+#: sink whose grid is larger, and the traffic-estimate pass and lint RPR005
+#: subsample beyond it.
+SCENARIO_CAP = 96
 
 
 @dataclass
@@ -117,7 +123,7 @@ def enumerate_scenarios(
     trip_choices: Sequence[int] = (0, 1, 3),
     vary_inputs: bool = True,
     pin_bound_trips: bool = True,
-    max_scenarios: int = 96,
+    max_scenarios: int = SCENARIO_CAP,
     require_exhaustive: bool = False,
     itemsize: int = 8,
 ) -> list[Scenario]:

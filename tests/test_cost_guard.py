@@ -196,14 +196,14 @@ def test_guard_decision_depends_on_cost_model():
 def test_direct_guard_evaluate_matches_pipeline():
     program = parse_program(FIG16)
     sub = program.subroutines[0]
-    guard = CostGuard(bindings={"n": 16, "t": 4}, processors=4)
+    guard = CostGuard(CompilerOptions(), {"n": 16, "t": 4}, 4)
     moved, report = hoist_loop_invariant_remaps(sub, guard=guard, program=program)
     assert report.count == 1 and report.rejected_count == 0
     assert moved != sub
 
     zero_program = parse_program(CONST_ZERO_TRIP)
     zero_sub = zero_program.subroutines[0]
-    zero_guard = CostGuard(bindings={"n": 16}, processors=4)
+    zero_guard = CostGuard(CompilerOptions(), {"n": 16}, 4)
     kept, report = hoist_loop_invariant_remaps(
         zero_sub, guard=zero_guard, program=zero_program
     )
@@ -266,7 +266,7 @@ def test_guard_rejects_placements_priced_over_different_grids():
     program = parse_program(BRANCH_ON.format(cond="c1"))
     base = program.subroutines[0]
     candidate = parse_program(BRANCH_ON.format(cond="c2")).subroutines[0]
-    guard = CostGuard(bindings={"n": 16}, processors=4)
+    guard = CostGuard(CompilerOptions(), {"n": 16}, 4)
     assert len(guard._price(program, base).scenarios) == 4
     assert len(guard._price(program, candidate).scenarios) == 4
     decision = guard.evaluate(program, base, candidate, "c1 -> c2")
@@ -279,7 +279,7 @@ def test_guard_rejects_unestimable_programs():
     program = parse_program(FIG16)
     sub = program.subroutines[0]
     # no bindings and no processors: the trial resolve cannot succeed
-    guard = CostGuard(bindings={}, processors=None)
+    guard = CostGuard(CompilerOptions(), {}, None)
     kept, report = hoist_loop_invariant_remaps(sub, guard=guard, program=program)
     assert kept == sub
     assert report.count == 0

@@ -1,5 +1,11 @@
 """The cost guard prices a sink on the family it moves.
 
+The guard compiles a placement with the pipeline's own passes, so its
+variant of an unmoved program is the code ``compile_program`` generates with
+motion off: checked at every level under every scheduling choice on the
+figures, the apps, the corpus and workload seeds 0..200 (0..2000 in CI's
+random profile).
+
 Two claims carry :func:`repro.remap.costguard.project`:
 
 * traffic decomposes by alignment family -- in every scenario of the full
@@ -44,7 +50,9 @@ from repro.fuzz.oracle import OracleConfig, run_oracle
 from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_subroutine
+from repro.obs import REGISTRY, snapshot_diff
 from repro.remap import costguard
+from repro.remap.codegen import render_code
 from repro.remap.costguard import CostGuard, GuardDecision, family_index, project
 from repro.remap.motion import _apply_script
 from repro.spmd.cost import TrafficEstimate
@@ -155,6 +163,92 @@ def test_moved_families_are_the_families_whose_projections_differ(kind, seed):
 
 
 # ---------------------------------------------------------------------------
+# the guard compiles what the pipeline compiles
+# ---------------------------------------------------------------------------
+
+#: workload seeds of the compile-equivalence sweep
+TAIL_SEEDS = range(2001 if WIDE else 201)
+#: every level under every compile-time scheduling choice
+TAIL_OPTIONS = [
+    CompilerOptions(level=level, schedule=schedule)
+    for level in range(4)
+    for schedule in (None, "naive", "round-robin", "aggregate")
+]
+
+
+def _tail_programs():
+    yield "fig1", FIG1, {"n": 16}
+    yield "fig12", FIG12, {"n": 16, "m": 3}
+    yield "fig16", FIG16, {"n": 16, "t": 5}
+    yield "adi", build_adi_program(16), {"n": 16}
+    yield "fft2d", build_fft2d_program(16), {}
+    yield "lu", build_lu_program(16, 4)[0], {"steps": 4}
+    yield "sar", build_sar_program(16), {"looks": 1}
+    for entry in load_corpus(CORPUS):
+        yield entry.name, entry.to_case().program, entry.bindings
+    for seed in TAIL_SEEDS:
+        yield f"workload-{seed}", random_legal_subroutine(np.random.default_rng(seed)), {}
+
+
+def _assert_guard_compiles_as_pipeline(name, source, bindings, options) -> int:
+    """The guard's variant of the unmoved program == the motion-less compile
+    of it, subroutine by subroutine; returns the subroutines compared."""
+    program = parse_program(source) if isinstance(source, str) else source
+    unmoved = CompilerOptions(
+        passes=tuple(n for n in options.pass_names if n != "motion"),
+        cost=options.cost,
+        schedule=options.schedule,
+    )
+    compiled = compile_program(program, processors=4, options=unmoved, bindings=bindings)
+    guard = CostGuard(options, bindings, 4)
+    compared = 0
+    for entry in program.subroutines:
+        variant = guard.compile_variant(program, entry.name)
+        assert entry.name in variant.constructions
+        for sub, res in variant.constructions.items():
+            where = f"{name} {options.describe()}: {entry.name} -> {sub}"
+            want = compiled.subroutines[sub]
+            assert list(res.graph.vertices) == list(want.graph.vertices), where
+            assert res.graph.vertices == want.graph.vertices, where  # S, L, R, U, M, removed
+            assert variant.report.removal.get(sub) == compiled.report.removal.get(sub), where
+            assert render_code(variant.codes[sub]) == render_code(want.code), where
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("options", TAIL_OPTIONS, ids=lambda o: o.describe())
+def test_guard_compiles_what_the_pipeline_compiles(options):
+    compared = sum(
+        _assert_guard_compiles_as_pipeline(name, source, bindings, options)
+        for name, source, bindings in _tail_programs()
+    )
+    assert compared >= 3 + 4 + 14 + len(TAIL_SEEDS)
+
+
+def test_guard_variants_are_not_pipeline_runs():
+    """A compile whose guard prices a sink counts one pipeline run and one
+    construction pass, and its trace records the request's passes only."""
+    variants: list[str] = []
+    compile_variant = CostGuard.compile_variant
+
+    def counted(self, program, entry):
+        variants.append(entry)
+        return compile_variant(self, program, entry)
+
+    before = REGISTRY.snapshot()
+    with mock.patch.object(CostGuard, "compile_variant", counted):
+        compiled = compile_program(FIG16, processors=4, bindings={"n": 16, "t": 5})
+    delta = {
+        (d["name"], tuple(d["labels"].items())): d.get("delta")
+        for d in snapshot_diff(before, REGISTRY.snapshot())["diff"]
+    }
+    assert compiled.report.motion["main"].count == 1 and len(variants) >= 2
+    assert delta[("repro.compiler.pipelines_run", ())] == 1
+    assert delta[("repro.compiler.passes_run", (("pass", "construction"),))] == 1
+    assert compiled.trace.pass_names == CompilerOptions().pass_names
+
+
+# ---------------------------------------------------------------------------
 # traffic decomposes by family
 # ---------------------------------------------------------------------------
 
@@ -163,20 +257,24 @@ def _decomposition_checks(program: Program, bindings: dict, policy: str | None) 
     """Hold whole-program traffic to the sum of the family projections' in
     every scenario of the full grid; returns the number of scenarios."""
     sub = program.subroutines[0]
-    guard = CostGuard(bindings=bindings, processors=4, schedule=policy)
-    whole = guard._compile_variant(program, sub.name)
+    guard = CostGuard(CompilerOptions(schedule=policy), bindings, 4)
+    whole = guard.compile_variant(program, sub.name)
     parts = [
-        guard._compile_variant(program.with_subroutine(project(sub, fam)), sub.name)
+        guard.compile_variant(program.with_subroutine(project(sub, fam)), sub.name)
         for fam in set(family_index(sub).values())
     ]
     scenarios = enumerate_scenarios(
-        whole[0], sub.name, bindings=bindings, pin_bound_trips=False, max_scenarios=4096
+        whole.constructions, sub.name, bindings=bindings, pin_bound_trips=False, max_scenarios=4096
     )
     for sc in scenarios:
-        total = simulate_traffic(*whole, sub.name, sc, policy=policy, cost=guard.cost)
+        total = simulate_traffic(
+            whole.constructions, whole.codes, sub.name, sc, policy=policy, cost=guard.cost
+        )
         summed = TrafficEstimate.zero()
         for part in parts:
-            summed += simulate_traffic(*part, sub.name, sc, policy=policy, cost=guard.cost)
+            summed += simulate_traffic(
+                part.constructions, part.codes, sub.name, sc, policy=policy, cost=guard.cost
+            )
         where = f"{print_subroutine(sub)}\n{sc.describe()}"
         assert math.isclose(total.makespan, summed.makespan, rel_tol=1e-12), where
         assert total == TrafficEstimate(**{**vars(summed), "makespan": total.makespan}), where
@@ -399,7 +497,7 @@ def _executed_bytes(source, level, conditions, t):
 def test_branches_of_another_family_do_not_block_a_sink():
     program = parse_program(FOREIGN_BRANCHES)
     sub = program.subroutines[0]
-    guard = CostGuard(bindings={"n": 16, "t": 4}, processors=4)
+    guard = CostGuard(CompilerOptions(), {"n": 16, "t": 4}, 4)
     with pytest.raises(ReproError, match="exceeds the max_scenarios cap"):
         guard._price(program, sub)  # the whole program cannot be priced
     _, compiled = _executed_bytes(FOREIGN_BRANCHES, 3, {f"c{k}": False for k in range(6)}, 4)

@@ -201,36 +201,6 @@ def test_pipeline_validates_declared_inputs():
         )
 
 
-def test_custom_registered_pass_runs_and_traces():
-    class CountVerticesPass:
-        name = "count-vertices"
-        requires = ("graph",)
-        provides = ("vertex-count",)
-
-        def run(self, ctx):
-            return {
-                "total": sum(
-                    len(c.graph.vertices) for c in ctx.constructions.values()
-                )
-            }
-
-    PassManager.register("count-vertices", CountVerticesPass)
-    try:
-        # the custom pass keeps its given position (before codegen here)
-        pipeline = PassManager.build(
-            ["parse", "resolve", "construction", "count-vertices", "codegen"]
-        )
-        assert pipeline.pass_names == (
-            "parse", "resolve", "construction", "count-vertices", "codegen"
-        )
-        compiled = pipeline.compile(FIG1, bindings={"n": N}, processors=4)
-        assert compiled.trace.counter("count-vertices", "total") > 0
-        # the default options record the built-in part of the pipeline
-        assert "count-vertices" not in compiled.options.pass_names
-    finally:
-        del PassManager._registry["count-vertices"]
-
-
 def test_trace_records_every_pass_with_timings():
     compiled = compile_program(
         FIG10, bindings={"n": N}, processors=4, options=CompilerOptions(level=3)
