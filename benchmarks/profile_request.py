@@ -22,7 +22,9 @@ wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
 (scenarios priced, the statement runs the grids made, and scenarios x
-statements -- what walking each scenario on its own would have made), what
+statements -- what walking each scenario on its own would have made) and
+what the guard's windows cut (the top-level statements of the windows it
+priced, against those of the two family projections they were cut from), what
 crossed the mp control pipes over the profiled rounds (control frames and
 their bytes, and the per-rank wire programs shipped in them -- 0 after the
 warm-up rounds, since the ranks keep every program), and what the
@@ -55,7 +57,7 @@ import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not ed
 
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
-from repro.remap.costguard import CostGuard  # noqa: E402
+from repro.remap.costguard import CostGuard, project, window  # noqa: E402
 from repro.obs import REGISTRY  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
 from repro.runtime.mpbackend import MPExecutor  # noqa: E402
@@ -89,7 +91,8 @@ SHARES = (
 
 
 #: what the guard's grid walks did: scenarios priced, statement runs made,
-#: and scenarios x statements
+#: and scenarios x statements; and the top-level statements of its windows
+#: and of the family projections they were cut from
 WALKS: Counter = Counter()
 
 
@@ -103,6 +106,21 @@ def counted_grid(*args, **kwargs):
         one_by_one=scenarios * walk.statements,
     )
     return walk
+
+
+def counted_window(base_sub, candidate_sub, names):
+    """The guard's ``window``, counting the top-level statements it keeps."""
+    cut = window(base_sub, candidate_sub, names)
+    WALKS.update(priced=sum(len(sub.body.stmts) for sub in cut))
+    return cut
+
+
+def counted_project(sub, names):
+    """The guard's ``project``, counting the family projection's top-level
+    statements."""
+    projected = project(sub, names)
+    WALKS.update(projected=len(projected.body.stmts))
+    return projected
 
 
 #: what the parent wrote on the mp control pipes: frames and their bytes
@@ -180,6 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     # every service the workload opens (a restart included) serves inline
     service_module.ThreadPoolExecutor = InlineExecutor
     costguard.simulate_grid = counted_grid
+    costguard.window = counted_window
+    costguard.project = counted_project
     transport._write_obj = counted_write
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
@@ -198,7 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"walks: {walks['scenarios']} scenarios priced by the guard, "
         f"{walks['executions']} grid statement runs "
-        f"(scenarios x statements {walks['one_by_one']}) over {args.rounds} rounds"
+        f"(scenarios x statements {walks['one_by_one']}); top-level statements priced "
+        f"{walks['priced']} of {walks['projected']} in the family projections "
+        f"over {args.rounds} rounds"
     )
     print(
         f"frames: {frames['frames']} control frames, {frames['bytes']} control bytes, "

@@ -31,8 +31,8 @@ Constant loop bounds are simulated exactly.  The sink is accepted only if
   so a machine with expensive status checks simply keeps the naive
   placement ("pay only when the status check can pay off").
 
-Only the moved family is priced.  A placement's traffic in one scenario is
-a sum over alignment families:
+Only the moved family is priced, and only inside its window.  A
+placement's traffic in one scenario is a sum over alignment families:
 
 * every runtime op of the descriptor walker (remap, save, restore, poison)
   touches exactly one array's descriptor, and a compute statement touches
@@ -56,19 +56,42 @@ one too, so both placements keep one trip grid), every ``call`` whole (the
 callee's walk is a term both placements share) and the declarations these
 need.  Every term the projection drops is common to both placements and
 cancels in the per-scenario byte check and in the aggregate, both linear;
-a condition axis whose every ``if`` was dropped repeats each priced
-scenario twice in the whole grid, so the aggregate is the whole program's
-scaled by ``2**-k`` for ``k`` dropped axes -- same sign, same decision.
+an axis (a condition, a symbolic trip count) none of whose statements is
+priced repeats each priced scenario once per value in the whole grid, so
+the aggregate is the whole program's divided by the product of the dropped
+axes' sizes -- same sign, same decision.
+
+It then cuts each projection in time, to its :func:`window`.  An
+*F-barrier* is a top-level run of family F's projection made of a
+``redistribute`` of F's distributee, then statements with no
+``redistribute``, ``realign``, ``call`` or ``kill`` at any depth, then a
+``compute`` that writes or defines every array of F.  Its remapping is
+used W or D (the closing compute absorbs everything after it in the use
+lattice's ``seq``), so that remapping marks every other copy stale and
+keeps none, and the closing compute clears any poison: after it each array
+of F has one known mapping, one live copy and live values, in both
+placements and in every scenario; and no use, live-copy or removal fact
+crosses it, so the code on either side of it is the same in both
+placements.  The window therefore starts at the closing compute of the
+last barrier before the first top-level statement the projections differ
+in (F's ``distribute`` taking that barrier's formats, so the window's
+arrays start where the barrier left them -- skipped when F holds a dummy
+argument, whose initial mapping is the caller's), and ends with the
+closing compute of the first barrier at or after the differing run; and
+outside that run it drops the statements that do nothing at run time
+(empty loops, branches with empty arms).  What the window drops costs the
+same in both placements scenario by scenario and cancels as above.
 
 Scope of the proof: branch outcomes are priced as fixed per run (the
 soundness property space; the runtime's per-iteration condition
 *sequences* are not enumerated -- that space is unbounded), symbolic trip
 counts are sampled at the structural zero/one/many cases, and a priced
 grid too large to enumerate exhaustively rejects the sink rather than
-checking a fraction of it.  The cap applies to the priced (projected)
-grid: branches that touch only other families do not count against it.
-Constant-bound, fixed-outcome programs -- the entire generated-workload
-space -- are priced exactly.
+checking a fraction of it.  The cap applies to the priced grid, the
+window's: branches that touch only other families, or only statements
+outside the window, do not count against it.  Constant-bound,
+fixed-outcome programs -- the entire generated-workload space -- are
+priced exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +113,7 @@ from repro.lang.ast_nodes import (
     IntentDecl,
     Kill,
     Program,
+    Realign,
     Redistribute,
     Stmt,
     Subroutine,
@@ -232,13 +256,107 @@ def _differing_runs(a: tuple[Stmt, ...], b: tuple[Stmt, ...]) -> tuple[Block, Bl
     return Block(a[lo:hi_a]), Block(b[lo:hi_b])
 
 
+# -- the window: a family projection cut at its barriers ----------------------
+
+
+def window(
+    base_sub: Subroutine, candidate_sub: Subroutine, names: frozenset[str]
+) -> tuple[Subroutine, Subroutine]:
+    """Both placements :func:`project`-ed onto ``names``, cut to the
+    top-level statements whose cost can differ (see the module docstring).
+
+    The cut is at the last barrier closing before the first differing
+    statement and at the first one opening at or after the differing run;
+    outside that run, statements that can do nothing at run time go too.
+    """
+    base, cand = project(base_sub, names), project(candidate_sub, names)
+    a, b = base.body.stmts, cand.body.stmts
+    lo = 0
+    while lo < min(len(a), len(b)) and a[lo] == b[lo]:
+        lo += 1
+    tail = 0
+    while tail < min(len(a), len(b)) - lo and a[len(a) - 1 - tail] == b[len(b) - 1 - tail]:
+        tail += 1
+    prefix, suffix = a[:lo], a[len(a) - tail :]
+    decls = base.decls
+    family = _barrier_family(base, names)
+    if family is not None:
+        root, arrays = family
+        entry = _barriers(prefix, root, arrays)
+        if entry and not names.intersection(base.params):
+            opened, closed = entry[-1]
+            prefix = prefix[closed:]
+            redistribute = a[opened]
+            decls = tuple(
+                replace(d, formats=redistribute.formats, onto=redistribute.onto)
+                if isinstance(d, DistributeDecl) and d.target == root
+                else d
+                for d in decls
+            )
+        exit_ = _barriers(suffix, root, arrays)
+        if exit_:
+            suffix = suffix[: exit_[0][1] + 1]
+    prefix = tuple(filter(_acts, prefix))
+    suffix = tuple(filter(_acts, suffix))
+
+    def cut(sub: Subroutine, run: tuple[Stmt, ...]) -> Subroutine:
+        return Subroutine(sub.name, sub.params, decls, Block(prefix + run + suffix))
+
+    return cut(base, a[lo : len(a) - tail]), cut(cand, b[lo : len(b) - tail])
+
+
+def _barrier_family(
+    sub: Subroutine, names: frozenset[str]
+) -> tuple[str, frozenset[str]] | None:
+    """``names``' distributee and arrays, if ``names`` is one family that a
+    ``redistribute`` can remap (``None`` otherwise: no barrier exists)."""
+    index = family_index(sub)
+    if len({index.get(n) for n in names}) != 1:
+        return None
+    roots = [d.target for d in sub.decls if isinstance(d, DistributeDecl) and d.target in names]
+    arrays = frozenset(d.name for d in sub.decls if isinstance(d, ArrayDecl) and d.name in names)
+    if len(roots) != 1 or not arrays:
+        return None
+    return roots[0], arrays
+
+
+def _barriers(
+    stmts: tuple[Stmt, ...], root: str, arrays: frozenset[str]
+) -> list[tuple[int, int]]:
+    """Every barrier in ``stmts``, in order: (index of its ``redistribute``
+    of ``root``, index of a ``compute`` that writes or defines every array
+    of the family with nothing between that can remap, call or kill)."""
+    found: list[tuple[int, int]] = []
+    opened = None
+    for k, s in enumerate(stmts):
+        if type(s) is Redistribute and s.target == root:
+            opened = k
+        elif opened is not None and not _quiet(s):
+            opened = None
+        elif opened is not None and type(s) is Compute and arrays <= {*s.writes, *s.defines}:
+            found.append((opened, k))
+    return found
+
+
+def _quiet(s: Stmt) -> bool:
+    """No ``redistribute``, ``realign``, ``call`` or ``kill`` at any depth."""
+    return not any(
+        isinstance(x, (Redistribute, Realign, Call, Kill)) for x in walk_statements(Block((s,)))
+    )
+
+
+def _acts(s: Stmt) -> bool:
+    """Something at some depth can change or read a descriptor."""
+    return any(not isinstance(x, (Do, If)) for x in walk_statements(Block((s,))))
+
+
 @dataclass(frozen=True)
 class GuardDecision:
     """One guarded motion decision, with its estimated cost delta.
 
-    The deltas sum the moved families' traffic only, over the priced
-    (projected) grid of ``scenarios`` scenarios: the terms both placements
-    share are not in them.
+    The deltas sum the moved families' traffic inside the window only,
+    over the window's grid of ``scenarios`` scenarios: the terms both
+    placements share are not in them.
     """
 
     hoist: bool
@@ -379,7 +497,8 @@ class CostGuard:
         """Compare the candidate (one more sink) against the current state.
 
         Both placements are priced projected onto the families on which
-        they differ (see the module docstring).  Any failure to compile,
+        they differ and cut to the window where their costs can differ
+        (:func:`window`; see the module docstring).  Any failure to compile,
         enumerate exhaustively, or simulate a variant rejects the
         candidate: the guard only moves code it can prove does not pay
         more.  Programming errors are not swallowed -- only the package's
@@ -389,10 +508,12 @@ class CostGuard:
         if self._program_ref is not program:
             self._pricing.clear()
             self._program_ref = program
-        moved = _moved_families(base_sub, candidate_sub)
+        base_window, candidate_window = window(
+            base_sub, candidate_sub, _moved_families(base_sub, candidate_sub)
+        )
         try:
-            base = self._price(program, project(base_sub, moved))
-            cand = self._price(program, project(candidate_sub, moved))
+            base = self._price(program, base_window)
+            cand = self._price(program, candidate_window)
         except ReproError as exc:  # cannot price it: keep the naive placement
             return GuardDecision(False, 0, 0.0, 0, f"not estimable: {exc}")
         return self._decide(base, cand)

@@ -38,9 +38,10 @@ each candidate sink is priced against the unmoved placement and performed
 only if it never pays more; rejected candidates are recorded in
 :attr:`MotionReport.rejected` with their estimated cost delta.  A sink
 moves one remapping of one alignment family, so the guard prices both
-placements on that family alone -- the rest of the subroutine is a term
-they share.  Without a guard the pass keeps its legacy legality-only
-behaviour.
+placements on that family alone, and only between the points around the
+moved nest where the family's state is the same in both -- the rest of
+the subroutine is a term they share.  Without a guard the pass keeps its
+legacy legality-only behaviour.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _references(s: Stmt, names: frozenset[str]) -> bool:
 class RejectedHoist:
     """A legal sink the cost guard refused, with its estimated delta.
 
-    The deltas are the guard's: sums of the moved family's traffic alone
-    over the grid it priced, not whole-program totals.
+    The deltas are the guard's: sums of the moved family's traffic inside
+    the window it priced, over that window's grid, not whole-program totals.
     """
 
     description: str

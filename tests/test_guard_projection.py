@@ -1,4 +1,4 @@
-"""The cost guard prices a sink on the family it moves.
+"""The cost guard prices a sink on the family it moves, inside its window.
 
 The guard compiles a placement with the pipeline's own passes, so its
 variant of an unmoved program is the code ``compile_program`` generates with
@@ -6,7 +6,7 @@ motion off: checked at every level under every scheduling choice on the
 figures, the apps, the corpus and workload seeds 0..200 (0..2000 in CI's
 random profile).
 
-Two claims carry :func:`repro.remap.costguard.project`:
+Three claims carry :func:`repro.remap.costguard.window`:
 
 * traffic decomposes by alignment family -- in every scenario of the full
   grid, a program's simulated traffic is the sum of its projections' onto
@@ -17,11 +17,19 @@ Two claims carry :func:`repro.remap.costguard.project`:
   resolves, up to exact ties the whole program's float sums round away.
   In those three places the projection may turn a reject into a sink; one
   example of each is pinned and checked clean under the full differential
-  oracle.
+  oracle;
+* the window cancels -- in every scenario of a family projection's grid,
+  the sink's byte and message deltas are those of the window's scenario
+  with the same values on the window's axes, and the windowed decision is
+  the family-projected one (the guard's before windows, kept here as the
+  second oracle) wherever the family could be priced.  Where it could not
+  (a shape probe failing outside the window, a family grid over the cap
+  whose window fits) the window turned a reject into a sink; those fuzz
+  seeds are pinned and checked clean under the full differential oracle.
 
 The deterministic profile runs a few dozen programs; the CI
 ``tests-random`` leg (``HYPOTHESIS_PROFILE=random``) runs fresh, wider
-draws.
+draws and the window's wide seed sweep.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -142,6 +151,80 @@ def test_projection_keeps_loops_calls_and_the_family():
         "  call leaf(b)",
         "end",
     ])
+
+
+#: A's Fig. 16 loop between two A-barriers (a redistribute of A, then a
+#: compute that writes or defines A); B's loop is empty in A's projection
+BARRIERS = """
+subroutine main()
+  integer n, t
+  real A(n), B(n)
+!hpf$ dynamic A, B
+!hpf$ distribute A(block)
+!hpf$ distribute B(cyclic)
+  do i = 1, t
+    compute reads A
+  enddo
+!hpf$ redistribute A(cyclic)
+  compute reads A
+  compute writes A reads B
+  do j = 1, 3
+    compute writes B
+  enddo
+  do i = 1, t
+!hpf$   redistribute A(block)
+    compute writes A reads A
+!hpf$   redistribute A(cyclic)
+  enddo
+  compute reads A
+!hpf$ redistribute A(block)
+  compute defines A
+  compute reads A
+end
+"""
+
+
+def test_window_cuts_at_the_barriers_around_the_moved_nest():
+    sub = parse_program(BARRIERS).subroutines[0]
+    candidate, _, _ = _apply_script(sub, [], probe=True)
+    moved = costguard._moved_families(sub, candidate)
+    assert moved == frozenset({"a"})
+    head = [
+        "subroutine main()",
+        "  integer n, t",
+        "  real a(n)",
+        "!hpf$ dynamic a",
+    ]
+    loop = [
+        "  do i = 1, t",
+        "!hpf$ redistribute a(block)",
+        "    compute reads a writes a",
+    ]
+    exit_barrier = [
+        "  compute reads a",
+        "!hpf$ redistribute a(block)",
+        "  compute defines a",
+        "end",
+    ]
+    # the window opens at the entry barrier's closing compute, A distributed
+    # as that barrier left it, and closes with the exit barrier's
+    base, cand = costguard.window(sub, candidate, moved)
+    opening = ["!hpf$ distribute a(cyclic)", "  compute writes a"]
+    assert print_subroutine(base).split("\n") == [
+        *head, *opening, *loop, "!hpf$ redistribute a(cyclic)", "  enddo", *exit_barrier
+    ]
+    assert print_subroutine(cand).split("\n") == [
+        *head, *opening, *loop, "  enddo", "!hpf$ redistribute a(cyclic)", *exit_barrier
+    ]
+    # a dummy's initial mapping is the caller's: no entry cut
+    dummy = [replace(s, params=("a",)) for s in (sub, candidate)]
+    base, _ = costguard.window(*dummy, moved)
+    assert print_subroutine(base).split("\n")[4:8] == [
+        "!hpf$ distribute a(block)",
+        "  do i = 1, t",
+        "    compute reads a",
+        "  enddo",
+    ]
 
 
 @settings(max_examples=DECOMPOSITION_EXAMPLES, deadline=None)
@@ -324,23 +407,50 @@ class _WholeProgramOracle(CostGuard):
         return decision
 
 
+class _FamilyOracle(CostGuard):
+    """Decides as the guard does, and logs beside it the family-projected
+    decision on the same two placements -- the guard's pricing before
+    windows -- with both pricings of each, family and window (a pricing
+    that fails is its error)."""
+
+    log: list[tuple[str, GuardDecision, GuardDecision, list, list]] = []
+
+    def evaluate(self, program, base_sub, candidate_sub, description=""):
+        decision = super().evaluate(program, base_sub, candidate_sub, description)
+        moved = costguard._moved_families(base_sub, candidate_sub)
+        family = self._priced(program, [project(base_sub, moved), project(candidate_sub, moved)])
+        windowed = self._priced(program, costguard.window(base_sub, candidate_sub, moved))
+        if isinstance(family, ReproError):
+            family_decision = GuardDecision(False, 0, 0.0, 0, f"not estimable: {family}")
+        else:
+            family_decision = self._decide(*family)
+        self.log.append((description, decision, family_decision, family, windowed))
+        return decision
+
+    def _priced(self, program, subs):
+        try:
+            return [self._price(program, sub) for sub in subs]
+        except ReproError as exc:
+            return exc
+
+
 @contextmanager
-def _oracle_guards():
+def _oracle_guards(oracle=_WholeProgramOracle):
     """Every guard the pipeline builds (each shape probe's too) logs."""
     log: list = []
-    with mock.patch.object(_WholeProgramOracle, "log", log), mock.patch.object(
-        costguard, "CostGuard", _WholeProgramOracle
-    ), mock.patch.object(pipeline, "CostGuard", _WholeProgramOracle):
+    with mock.patch.object(oracle, "log", log), mock.patch.object(
+        costguard, "CostGuard", oracle
+    ), mock.patch.object(pipeline, "CostGuard", oracle):
         yield log
 
 
-def _compile_logged(source, bindings, schedule, variant):
+def _compile_logged(source, bindings, schedule, variant, oracle=_WholeProgramOracle):
     options = (
         CompilerOptions.symbolic(level=3, schedule=schedule)
         if variant == "symbolic"
         else CompilerOptions(level=3, schedule=schedule)
     )
-    with _oracle_guards() as log:
+    with _oracle_guards(oracle) as log:
         compiled = compile_program(source, processors=4, options=options, bindings=bindings)
     return compiled, log
 
@@ -437,6 +547,7 @@ def _named_programs():
     yield "fig16", FIG16, {"n": 16, "t": 5}
     yield "call-in-loop", CALL_IN_LOOP, {"n": 16, "t": 3}
     yield "emptied-loop", EMPTIED_LOOP, {"n": 16, "t": 3}
+    yield "barriers", BARRIERS, {"n": 16, "t": 3}
     for k, length in enumerate((8, 16, 24)):  # the compile_cold corpus
         rng = np.random.default_rng([1997, k])
         yield f"compile_cold-{k}", random_legal_subroutine(
@@ -449,6 +560,91 @@ def _named_programs():
 def test_decisions_match_whole_program_oracle_on_named_programs():
     pairs = sum(_assert_decisions_match(src, b) for _, src, b in _named_programs())
     assert pairs > 100
+
+
+# ---------------------------------------------------------------------------
+# the window cancels: against the family projection
+# ---------------------------------------------------------------------------
+
+#: the window property's seed sweep per generator (the random profile's is
+#: CI's wide one)
+WINDOW_SEEDS = {
+    "workload": range(2001) if WIDE else range(0, 2001, 50),
+    "compile_cold": range(201) if WIDE else range(0, 201, 25),
+    "fuzz": range(500) if WIDE else range(0, 500, 20),
+}
+
+
+def _assert_deltas_cancel(family: list, windowed: list, where: str) -> None:
+    """Every scenario of the family grid has the byte and message deltas
+    of the window's scenario with its values on the window's axes."""
+    (fb, fc), (wb, wc) = family, windowed
+    assert wb.scenarios == wc.scenarios and fb.scenarios == fc.scenarios, where
+    conds = sorted(wb.scenarios[0].conditions)
+    # a trip axis takes several values; a compile binding the window's
+    # loops do not read stays at its one value
+    binds = sorted(
+        k for k in wb.scenarios[0].bindings if len({sc.bindings[k] for sc in wb.scenarios}) > 1
+    )
+
+    def axes(sc):
+        return (
+            tuple(sc.conditions[c] for c in conds),
+            tuple(sc.bindings[b] for b in binds),
+            sc.inputs,
+            sc.itemsize,
+        )
+
+    window = {axes(sc): (b, c) for sc, b, c in zip(wb.scenarios, wb.estimates, wc.estimates)}
+    assert len(window) == len(wb.scenarios), where
+    for sc, b, c in zip(fb.scenarios, fb.estimates, fc.estimates):
+        w_b, w_c = window[axes(sc)]
+        assert (c.bytes - b.bytes, c.messages - b.messages) == (
+            w_c.bytes - w_b.bytes,
+            w_c.messages - w_b.messages,
+        ), f"{where}\n{sc.describe()}"
+
+
+def _assert_window_cancels(source, bindings) -> int:
+    """Hold every evaluation of every config to the family projection;
+    returns the evaluations the family could price."""
+    checked = 0
+    for schedule, variant in CONFIGS:
+        _, log = _compile_logged(source, bindings, schedule, variant, _FamilyOracle)
+        for description, decision, family_decision, family, windowed in log:
+            if isinstance(family, ReproError):
+                continue  # over the cap, or a probe that does not resolve
+            where = (
+                f"{schedule}/{variant} {description}: windowed {decision}, "
+                f"family {family_decision}"
+            )
+            assert not isinstance(windowed, ReproError), where
+            _assert_deltas_cancel(family, windowed, where)
+            assert decision.hoist == family_decision.hoist or (
+                _is_tie(decision) and _is_tie(family_decision)
+            ), where
+            checked += 1
+    return checked
+
+
+@settings(max_examples=DECISION_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["workload", "compile_cold", "fuzz"]),
+    seed=st.integers(0, 10_000),
+)
+def test_window_cancels(kind, seed):
+    _assert_window_cancels(*_generated(kind, seed))
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOW_SEEDS))
+def test_window_cancels_on_seed_sweep(kind):
+    checked = sum(_assert_window_cancels(*_generated(kind, seed)) for seed in WINDOW_SEEDS[kind])
+    assert checked >= len(WINDOW_SEEDS[kind])
+
+
+def test_window_cancels_on_named_programs():
+    checked = sum(_assert_window_cancels(src, b) for _, src, b in _named_programs())
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +708,34 @@ def test_branches_of_another_family_do_not_block_a_sink():
             assert optimized <= naive, (outcomes, t)
 
 
+CAP = "exceeds the max_scenarios cap of 96"
+PROBE = "BLOCK(4) cannot hold extent 16 on 2 processors"
+
+
 @pytest.mark.parametrize(
-    "seed, variant, whole_reason",
+    "seed, variant, reason, oracle",
     [
-        (41, "eager", "exceeds the max_scenarios cap of 96"),  # 144 scenarios
-        (40, "symbolic", "BLOCK(4) cannot hold extent 16 on 2 processors"),
+        # the family, where the whole program is not estimable
+        pytest.param(41, "eager", CAP, _WholeProgramOracle, id=f"41-eager-{CAP}"),  # 144
+        pytest.param(40, "symbolic", PROBE, _WholeProgramOracle, id=f"40-symbolic-{PROBE}"),
+        # the window, where the family is not estimable
+        pytest.param(6, "symbolic", PROBE, _FamilyOracle, id="window-6-symbolic-probe"),
+        pytest.param(264, "symbolic", PROBE, _FamilyOracle, id="window-264-symbolic-probe"),
+        pytest.param(482, "eager", CAP, _FamilyOracle, id="window-482-eager-cap"),  # 192
+        pytest.param(493, "eager", CAP, _FamilyOracle, id="window-493-eager-cap"),  # 144
     ],
 )
-def test_projection_prices_what_the_whole_program_could_not(seed, variant, whole_reason):
-    """Fuzz seeds where the whole program is not estimable -- its grid is
-    over the cap, or a shape probe fails on another family's mapping -- and
-    the moved family is: a reject became a sink, and the program stays
-    clean under the full differential oracle."""
+def test_projection_prices_what_the_whole_program_could_not(seed, variant, reason, oracle):
+    """Fuzz seeds where the oracle's pricing is not estimable -- its grid is
+    over the cap, or a shape probe fails outside what the guard prices --
+    and the guard's is: a reject became a sink, and the program stays clean
+    under the full differential oracle."""
     case = generate_case(seed)
-    _, log = _compile_logged(case.program, case.bindings, None, variant)
-    turned = [(d, w) for _, d, w in log if d.hoist != w.hoist]
+    _, log = _compile_logged(case.program, case.bindings, None, variant, oracle)
+    turned = [(d, ref) for _, d, ref, *_ in log if d.hoist != ref.hoist]
     assert turned
-    for decision, whole in turned:
-        assert decision.hoist and whole_reason in whole.reason
+    for decision, ref in turned:
+        assert decision.hoist and reason in ref.reason
     assert run_oracle(case, OracleConfig.full()) == []
 
 
