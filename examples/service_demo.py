@@ -6,15 +6,15 @@ Run::
 
 A :class:`~repro.service.CompileService` fronts the compiler for
 request-time traffic: a batch of mixed requests (two sources, repeated
-with different runtime inputs) executes on a bounded worker pool over a
-digest-sharded artifact cache.  The demo shows the three service
-mechanisms at work:
+with different runtime inputs) executes on a bounded worker pool over one
+:class:`~repro.compiler.session.CompilerSession`'s artifact cache.  The
+demo shows the three service mechanisms at work:
 
-* the first occurrence of each source compiles (shard miss), repeats hit;
+* the first occurrence of each source compiles (session miss), repeats hit;
 * identical requests arriving *concurrently* while the artifact is still
   compiling share one pipeline run (single-flight dedup);
 * the stats snapshot is the whole telemetry surface: throughput, p50/p99
-  latency, shard hit rates, dedup saves, queue depth.
+  latency, cache hits and misses, dedup saves, queue depth.
 """
 
 import numpy as np
@@ -65,7 +65,7 @@ end
 
 def main() -> None:
     n = 16
-    with CompileService(processors=4, workers=4, shards=8) as svc:
+    with CompileService(processors=4, workers=4) as svc:
         requests = []
         for i in range(12):
             if i % 3 == 0:
@@ -105,10 +105,10 @@ def main() -> None:
         for k, v in svc.stats.snapshot().items():
             print(f"  {k}: {v:.3f}" if isinstance(v, float) else f"  {k}: {v}")
 
-        print("\nsession pool (sharded artifact cache):")
-        pool = svc.pool.stats
-        for k in ("shards", "hits", "misses", "hit_rate", "shard_hit_rates"):
-            print(f"  {k}: {pool[k]}")
+        print("\nartifact cache (svc.session):")
+        cache = svc.session.stats
+        for k in ("hits", "misses", "hit_rate", "entries"):
+            print(f"  {k}: {cache[k]}")
 
         # the run results are ordinary ExecutionResults
         a = results[1].value("a")

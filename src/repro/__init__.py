@@ -16,17 +16,17 @@ Quickstart (the session API compiles with artifact caching and runs)::
 
 For concurrent traffic, :class:`CompileService` is the thread-safe front
 door: batches of ``(source, bindings, conditions)`` requests execute on a
-bounded worker pool over a digest-sharded session cache
-(:class:`SessionPool`), with single-flight dedup of identical in-flight
-compiles and a ``ServiceStats`` telemetry surface (throughput, p50/p99
-latency, shard hit rates, dedup saves, queue depth) -- see
-:mod:`repro.service` and ``docs/ARCHITECTURE.md``.
+bounded worker pool over one :class:`CompilerSession` (``svc.session``),
+with single-flight dedup of identical in-flight compiles and a
+``ServiceStats`` telemetry surface (throughput, p50/p99 latency, cache
+hits and misses, dedup saves, queue depth) -- see :mod:`repro.service`
+and ``docs/ARCHITECTURE.md``.
 
 Artifacts can outlive the process: an :class:`ArtifactStore`
-(:mod:`repro.store`, ``store=`` on sessions, pools and services) is a
+(:mod:`repro.store`, ``store=`` on sessions and services) is a
 disk-backed, schema-fingerprinted, integrity-verified compile cache --
-a restarted service warm-starts from what earlier processes compiled,
-plan tables included (``python -m repro.store`` manages it).
+a restarted service warm-starts from what earlier processes compiled
+(``python -m repro.store`` manages it).
 
 Lower-level entry points: :func:`compile_program` (stable one-shot API) and
 :class:`~repro.compiler.pipeline.Pipeline`/:class:`~repro.compiler.pipeline.PassManager`
@@ -90,7 +90,6 @@ from repro.service import (
     CompileService,
     ServiceResult,
     ServiceStats,
-    SessionPool,
 )
 from repro.spmd import (
     CostModel,
@@ -132,7 +131,6 @@ __all__ = [
     "ProcessorArrangement",
     "ServiceResult",
     "ServiceStats",
-    "SessionPool",
     "SubroutineBuilder",
     "TRACER",
     "Template",

@@ -63,10 +63,11 @@ so every thread sees an immutable object; cache hits with different
 runtime-only bindings are served as fresh unfrozen wrappers sharing the
 frozen artifact's expensive products.
 
-The key logic is public so cache front-ends can shard on it:
-:func:`source_digest` gives the content digest (the sharding key used by
-:class:`~repro.service.SessionPool`) and :meth:`CompilerSession.cache_key`
-the full artifact key.
+The key logic is public so cache front-ends can deduplicate on it:
+:func:`source_digest` gives the content digest (hashed once per service
+request and handed to every session call) and
+:meth:`CompilerSession.cache_key` the full artifact key (the service's
+single-flight key).
 """
 
 from __future__ import annotations
@@ -105,6 +106,14 @@ _M_STORE_HITS = _OBS.counter("repro.session.store_hits")
 _M_STORE_WRITES = _OBS.counter("repro.session.store_writes")
 _M_INSTANTIATIONS = _OBS.counter("repro.session.instantiations")
 
+
+def _compile_seconds(tier: str, t0: float) -> None:
+    """One ``repro.session.compile_seconds`` sample: a call served by ``tier``."""
+    _OBS.histogram("repro.session.compile_seconds", {"tier": tier}).observe(
+        time.perf_counter() - t0
+    )
+
+
 #: Cache key: (source digest, sorted bindings, processors, pass names,
 #: cost model, schedule policy).  The cost model is compile-relevant: the
 #: motion pass makes different code-motion decisions under different machine
@@ -120,9 +129,9 @@ SessionKey = tuple[
 def source_digest(source: str | Program | Subroutine) -> str:
     """A stable content digest, computed without parsing.
 
-    This is the sharding key of the service layer: requests for the same
-    source always land on the same :class:`~repro.service.SessionPool`
-    shard, so a shard sees every version of "its" sources.
+    The first component of every cache key: a source is classified once
+    per digest, and the service layer hashes a request's source once and
+    passes the digest to every session call it makes.
     """
     if isinstance(source, str):
         text = source
@@ -180,7 +189,7 @@ class CompilerSession:
     artifact cache (least-recently-used eviction).  ``store`` attaches a
     persistent :class:`~repro.store.ArtifactStore` as the tier behind the
     memory cache (a path string builds one with defaults); the store may
-    be shared with any number of other sessions, pools and processes.
+    be shared with any number of other sessions and processes.
     """
 
     def __init__(
@@ -319,11 +328,14 @@ class CompilerSession:
         """A pure cache peek: the artifact if cached, else ``None``.
 
         A hit counts (and refreshes LRU recency) exactly like a
-        :meth:`compile` hit; a peek miss counts nothing -- the caller may
-        go on to :meth:`compile` (which records the miss) or not.  This
-        is the fast path the service layer takes before entering its
-        single-flight table, so warm hits never touch a global lock.
+        :meth:`compile` hit, with the same ``session.compile`` span and
+        ``repro.session.compile_seconds`` sample under tier ``"memory"``;
+        a peek miss records nothing -- the caller may go on to
+        :meth:`compile` (which records the miss) or not.  This is the fast
+        path the service layer takes before entering its single-flight
+        table, so warm hits never touch the service's in-flight lock.
         """
+        t0 = time.perf_counter()
         options = options or self.options
         if processors is None:
             processors = self.processors
@@ -338,7 +350,10 @@ class CompilerSession:
             self._cache.move_to_end(key)
             self.hits += 1
         _M_HITS.inc()
-        return with_bindings(cached, bindings)
+        with _TRACER.span("session.compile", tier="memory"):
+            served = with_bindings(cached, bindings)
+        _compile_seconds("memory", t0)
+        return served
 
     def compile(
         self,
@@ -433,9 +448,7 @@ class CompilerSession:
                 source, bindings, processors, options, digest=digest
             )
             span.set_attr("tier", tier)
-        _OBS.histogram("repro.session.compile_seconds", {"tier": tier}).observe(
-            time.perf_counter() - t0
-        )
+        _compile_seconds(tier, t0)
         return compiled, tier
 
     def _compile_traced(
@@ -461,7 +474,7 @@ class CompilerSession:
                 self.hits += 1
             else:
                 # counted before the pipeline runs, so a compile that
-                # raises still shows up in the shard's miss statistics
+                # raises still shows up in the session's miss statistics
                 self.misses += 1
         (_M_HITS if cached is not None else _M_MISSES).inc()
         if cached is not None:

@@ -26,7 +26,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.session.store_hits", c, "Artifacts served from the persistent store."),
         MetricSpec("repro.session.store_writes", c, "Artifacts written back to the persistent store."),
         MetricSpec("repro.session.instantiations", c, "Artifacts served by symbolic-template instantiation."),
-        MetricSpec("repro.session.compile_seconds", h, "compile_traced wall time, labeled by serving tier.", ("tier",)),
+        MetricSpec("repro.session.compile_seconds", h, "Wall time of a session call that served an artifact (compile_traced, or a lookup hit), labeled by serving tier.", ("tier",)),
         # -- schedule subsystem ----------------------------------------------
         MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to copy descriptors (first execution of a plan object)."),
         # -- service front door ----------------------------------------------

@@ -1,23 +1,21 @@
 """Concurrent compile-and-run service layer.
 
-The north-star deployment for this compiler is *request-time* compilation:
-sources arrive as traffic, and compile latency plus cache hit rate are the
-product.  This subpackage is that front door, built on the guarantees the
-rest of the repo establishes (frozen immutable artifacts, per-artifact
-``CommPlan`` replay, cost-keyed session caching):
+A thin front door over one :class:`~repro.compiler.session.CompilerSession`:
+concurrent requests are served from the session's artifact cache and run
+to the same values, bit for bit, as the same requests served one at a
+time.  It rests on the guarantees the rest of the repo establishes
+(frozen immutable artifacts, plans shared from the process's table,
+cost-keyed session caching):
 
-* :class:`~repro.service.pool.SessionPool` -- the artifact cache as N
-  digest-sharded, individually locked LRU
-  :class:`~repro.compiler.session.CompilerSession` shards; concurrent
-  compiles of distinct sources never contend on one lock.
 * :class:`~repro.service.service.CompileService` -- accepts single
   requests (:meth:`~repro.service.service.CompileService.submit`) or
   batches (:meth:`~repro.service.service.CompileService.run_batch`) of
   ``(source, bindings, conditions, ...)``, deduplicates identical
   in-flight compiles (single-flight), and executes on a bounded worker
-  pool.
+  pool; its cache is ``svc.session``.
 * :class:`~repro.service.service.ServiceStats` -- throughput, p50/p99
-  latency, shard hit rates, dedup saves and queue depth, as one snapshot.
+  latency, cache hits and misses, dedup saves and queue depth, as one
+  snapshot.
 
 Quickstart::
 
@@ -30,7 +28,6 @@ Quickstart::
         print(results[0].value("a"), svc.stats.snapshot())
 """
 
-from repro.service.pool import SessionPool
 from repro.service.service import (
     CompileRequest,
     CompileService,
@@ -43,5 +40,4 @@ __all__ = [
     "CompileService",
     "ServiceResult",
     "ServiceStats",
-    "SessionPool",
 ]

@@ -6,14 +6,14 @@ conditions, ...)`` tuples -- are accepted individually (:meth:`submit`)
 or in batches (:meth:`run_batch`), executed on a bounded worker pool, and
 answered with per-request :class:`ServiceResult` objects plus an
 aggregate :class:`ServiceStats` surface (throughput, p50/p99 latency,
-shard hit rates, single-flight dedup saves, queue depth).
+cache hits and misses, single-flight dedup saves, queue depth).
 
-Three mechanisms make request-time compilation scale:
+Three mechanisms keep concurrent serving equal to serial serving:
 
-* **sharded caching** -- artifacts live in a
-  :class:`~repro.service.pool.SessionPool`: N digest-sharded,
-  individually locked LRU session shards, so concurrent compiles of
-  distinct sources never contend on one lock;
+* **one cache** -- artifacts live in one
+  :class:`~repro.compiler.session.CompilerSession` (memory, template and
+  disk tiers); its lock is never held across a parse or a pipeline run,
+  so compiles of distinct sources overlap;
 * **single-flight deduplication** -- concurrent cache *misses* for the
   same artifact key wait on one pipeline run instead of racing N
   identical compiles (the classic ``singleflight`` pattern); the leader
@@ -38,14 +38,19 @@ from typing import Mapping as TypingMapping
 import numpy as np
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
-from repro.compiler.session import check_backend, source_digest, with_bindings
+from repro.compiler.session import (
+    CompilerSession,
+    SessionKey,
+    check_backend,
+    source_digest,
+    with_bindings,
+)
 from repro.lang.ast_nodes import Program, Subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.metrics import SECONDS_BUCKETS, Histogram
 from repro.obs.trace import TRACER as _TRACER
 from repro.runtime.executor import ExecutionEnv, ExecutionResult, execute
-from repro.service.pool import SessionPool
 
 if TYPE_CHECKING:
     from repro.runtime.mpbackend import MPBackend
@@ -94,10 +99,10 @@ class CompileRequest:
 class ServiceResult:
     """Per-request outcome: the execution result or the contained error.
 
-    ``cache_source`` is the artifact's provenance: ``"memory"`` (shard
-    cache hit), ``"instantiated"`` (a shard's symbolic template was
+    ``cache_source`` is the artifact's provenance: ``"memory"`` (session
+    cache hit), ``"instantiated"`` (the session's symbolic template was
     instantiated at this request's shape -- no pipeline front end ran),
-    ``"disk"`` (served from the pool's persistent
+    ``"disk"`` (served from the session's persistent
     :class:`~repro.store.ArtifactStore` -- no pipeline ran) or
     ``"compiled"`` (a pipeline ran for this artifact); ``None`` until an
     artifact was obtained.  ``cached`` is the derived boolean (memory,
@@ -156,14 +161,14 @@ class ServiceStats:
     registry metrics.
 
     Accounting invariant: every completed request that *obtained an
-    artifact* is exactly one of ``compile_hits`` (shard memory hit) /
+    artifact* is exactly one of ``compile_hits`` (session memory hit) /
     ``instantiations`` (a symbolic template instantiated at the request's
     shape) / ``store_hits`` (served from the persistent disk store) /
     ``compile_misses`` (a pipeline ran) / ``dedup_saves``; requests that
     failed before obtaining one count only in ``errors`` (a source that
-    does not parse fails at first contact, before any shard counts it; a
-    compile that fails later is still a shard miss, so pool statistics
-    additionally see those attempts).
+    does not parse fails at first contact, before the session counts it;
+    a compile that fails later is still a session miss, so the session's
+    statistics additionally see those attempts).
     """
 
     def __init__(self) -> None:
@@ -220,7 +225,7 @@ class ServiceStats:
             if res.error is not None:
                 self.errors += 1
             # dedup followers are counted once as dedup_saves: they never
-            # touched a shard cache, so they are neither hits nor misses
+            # touched the session cache, so they are neither hits nor misses
             if res.compiled is not None and not res.deduped:
                 if res.cache_source == "memory":
                     self.compile_hits += 1
@@ -314,15 +319,16 @@ def _copy_exception(exc: BaseException) -> BaseException:
 
 
 class CompileService:
-    """Thread-safe compile-and-run service over a sharded session pool.
+    """Thread-safe compile-and-run service over one compiler session.
 
     ``workers`` bounds the worker pool (and therefore the number of
     in-flight requests); everything beyond it queues, which
-    :class:`ServiceStats` exposes as queue depth.  ``pool`` may be shared
-    between services; by default each service builds its own
-    :class:`~repro.service.pool.SessionPool` with ``shards`` shards and
-    the given session defaults.  ``store`` (an
-    :class:`~repro.store.ArtifactStore` or a path) gives that pool a
+    :class:`ServiceStats` exposes as queue depth.  The service serves
+    from ``self.session``, one
+    :class:`~repro.compiler.session.CompilerSession` with the given
+    ``processors``, ``options`` and ``store`` and the session's own
+    capacity.  ``store`` (an
+    :class:`~repro.store.ArtifactStore` or a path) gives that session a
     persistent disk tier: a restarted service warm-starts from the
     artifacts earlier processes compiled, visible per request as
     ``ServiceResult.cache_source == "disk"`` and in aggregate as
@@ -337,35 +343,29 @@ class CompileService:
 
     def __init__(
         self,
-        pool: SessionPool | None = None,
         *,
         workers: int = 4,
-        shards: int = 8,
         processors: ProcessorArrangement | int | None = None,
         options: CompilerOptions | None = None,
-        max_entries_per_shard: int = 64,
         store: "ArtifactStore | str | None" = None,
+        shards: int = 1,
+        max_entries_per_shard: int | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if pool is not None and store is not None:
-            raise ValueError(
-                "pass store= to the SessionPool when providing a pool "
-                "(a service-level store would silently not be used)"
-            )
-        self.pool = pool or SessionPool(
-            shards=shards,
-            processors=processors,
-            options=options,
-            max_entries_per_shard=max_entries_per_shard,
-            store=store,
-        )
+        # shards= / max_entries_per_shard= survive only because the layered
+        # benchmark sizes its cache with them (benchmarks/layers/workloads.py):
+        # one session of their product
+        sized = {}
+        if max_entries_per_shard is not None:
+            sized["max_entries"] = shards * max_entries_per_shard
+        self.session = CompilerSession(processors, options, store=store, **sized)
         self.workers = workers
         self.stats = ServiceStats()
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
-        self._inflight: dict[tuple, _InFlight] = {}
+        self._inflight: dict[SessionKey, _InFlight] = {}
         self._inflight_lock = threading.Lock()
         # the service owns its worker ranks: one started backend per
         # processor count, forked on the first mp request for it, kept for
@@ -388,11 +388,10 @@ class CompileService:
         The tier is the artifact's cache provenance -- ``"memory"`` /
         ``"instantiated"`` / ``"disk"`` / ``"compiled"`` (see
         ``ServiceResult.cache_source``).
-        Warm requests are answered by a shard-cache peek and never touch
-        the service-global in-flight table (the pool's sharded locks are
-        the only contention).  Concurrent calls that *miss* on the same
-        artifact key collapse onto one compile-or-disk-load: the first
-        caller (leader) goes through the pool (which checks the
+        Warm requests are answered by a session-cache peek and never touch
+        the in-flight table.  Concurrent calls that *miss* on the same
+        session key collapse onto one compile-or-disk-load: the first
+        caller (leader) goes through the session (which checks the
         persistent store before running a pipeline), the rest (followers)
         wait on the leader's event and share the frozen artifact --
         rebased onto their own bindings, exactly as a cache hit would be;
@@ -402,12 +401,14 @@ class CompileService:
         as dedup saves.
         """
         digest = source_digest(source)  # hashed once, threaded everywhere
-        cached_art = self.pool.lookup(
+        cached_art = self.session.lookup(
             source, bindings, processors, options, digest=digest
         )
         if cached_art is not None:
             return cached_art, "memory", False
-        key = self.pool.cache_key(source, bindings, processors, options, digest=digest)
+        key = self.session.cache_key(
+            source, bindings, processors, options, digest=digest
+        )
         with self._inflight_lock:
             flight = self._inflight.get(key)
             if flight is None:
@@ -435,7 +436,7 @@ class CompileService:
             # bindings; rebase onto this caller's, like any cache hit
             return with_bindings(flight.compiled, bindings), flight.source, True
         try:
-            compiled, tier = self.pool.compile_traced(
+            compiled, tier = self.session.compile_traced(
                 source, bindings, processors, options, digest=digest
             )
             flight.compiled, flight.source = compiled, tier
@@ -566,8 +567,7 @@ class CompileService:
         """Submit a batch and wait; results come back in request order.
 
         Identical in-flight compiles across the batch are deduplicated by
-        single-flight, distinct sources spread over the pool's shards, and
-        at most ``workers`` requests execute at once.
+        single-flight, and at most ``workers`` requests execute at once.
         """
         futures = [self.submit(r) for r in requests]  # submit coerces
         results = [f.result() for f in futures]

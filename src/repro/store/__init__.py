@@ -4,8 +4,7 @@
 communication plans: the process builds those on first use) under the session
 cache key plus a schema fingerprint, with integrity-verified loads,
 bounded LRU size and safe concurrent multi-process access.  Plug one into
-:class:`~repro.compiler.session.CompilerSession`,
-:class:`~repro.service.SessionPool` or
+:class:`~repro.compiler.session.CompilerSession` or
 :class:`~repro.service.CompileService` via their ``store=`` parameter and
 a restarted process warm-starts from disk (memory -> disk -> compile).
 ``python -m repro.store`` (:mod:`repro.store.cli`) manages a store from

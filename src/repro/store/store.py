@@ -2,7 +2,7 @@
 
 Compiled remapping code is expensive to derive (analysis passes,
 cost-guarded motion) and cheap to replay.  The in-memory layers (session
-LRU, sharded pool, single-flight) exploit that within one process;
+LRU, single-flight) exploit that within one process;
 :class:`ArtifactStore` extends it *across* processes: frozen
 :class:`~repro.compiler.artifacts.CompiledProgram` artifacts -- generated
 code and construction results -- are serialized to disk under the session
@@ -184,8 +184,8 @@ class ArtifactStore:
     ``root`` is shared by every schema generation; this store instance
     reads and writes only its own fingerprint subdirectory.  ``max_bytes``
     bounds that subdirectory (LRU eviction); ``None`` disables the bound.
-    Instances are thread-safe and may be shared across sessions, pool
-    shards and services; cross-process safety comes from the atomic
+    Instances are thread-safe and may be shared across sessions and
+    services; cross-process safety comes from the atomic
     write/rename protocol, not from any shared in-memory state.
     """
 

@@ -15,7 +15,8 @@ Three enforced contracts:
 * ``docs/CI.md`` documents every job of both GitHub workflows -- and
   no job that no longer exists;
 * every public name exported from ``repro`` and ``repro.service`` (and
-  every module) carries a docstring.
+  every module) carries a docstring;
+* every ``examples/*.py`` script runs to completion.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,6 +253,26 @@ def test_every_export_has_a_docstring(module):
     assert not undocumented, (
         f"exports of {module.__name__} without docstrings: {undocumented}"
     )
+
+
+@pytest.mark.parametrize(
+    "example", sorted((REPO / "examples").glob("*.py")), ids=lambda p: p.stem
+)
+def test_example_runs(example, tmp_path):
+    """Every example script runs to completion (each self-validates)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(example)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_readme_quickstart_is_complete_and_runs():

@@ -546,13 +546,11 @@ def _fig1_request(n: int, **overrides) -> CompileRequest:
 
 
 def test_service_publishes_registry_and_stats_views_agree():
-    """The tentpole's thin-view contract: ServiceStats / pool / executor
+    """The tentpole's thin-view contract: ServiceStats / session / executor
     counts and the global registry describe the same requests."""
     before = REGISTRY.snapshot()
     options = CompilerOptions(level=3, schedule="round-robin")
-    with CompileService(
-        processors=NPROCS, workers=1, shards=2, options=options
-    ) as svc:
+    with CompileService(processors=NPROCS, workers=1, options=options) as svc:
         results = svc.run_batch([_fig1_request(8) for _ in range(3)])
         snap = svc.stats.snapshot()
     assert all(r.ok for r in results)
@@ -578,6 +576,47 @@ def test_service_publishes_registry_and_stats_views_agree():
     assert delta("repro.runtime.runs") == 3
     assert delta("repro.machine.phases") > 0
     assert delta("repro.runtime.bytes_moved") > 0
+
+
+def test_every_serving_tier_is_traced_and_timed(tracer, tmp_path):
+    """A warm service request is served by ``CompilerSession.lookup``; it
+    opens one ``session.compile`` span and lands one
+    ``repro.session.compile_seconds`` sample under tier ``"memory"``, like
+    every other tier, so per-tier sample counts equal the session's own
+    counters."""
+    eager = CompilerOptions(level=3, schedule="round-robin")
+    symbolic = CompilerOptions.symbolic(level=3, schedule="round-robin")
+    store = tmp_path / "store"
+    with CompileService(processors=NPROCS, workers=1, store=store) as svc:
+        assert svc.run_batch([_fig1_request(8, options=eager)])[0].ok
+    before = REGISTRY.snapshot()
+    with CompileService(processors=NPROCS, workers=1, store=store) as svc:
+        batch = [
+            _fig1_request(8, options=eager),
+            _fig1_request(8, options=eager),
+            _fig1_request(8, options=symbolic),
+            _fig1_request(12, options=symbolic),
+        ]
+        results = svc.run_batch(batch)
+        tracer.clear()
+        (warm,) = svc.run_batch([_fig1_request(12, options=symbolic)])
+        session = svc.session.stats
+    assert all(r.ok for r in results) and warm.ok
+    tiers = [r.cache_source for r in results + [warm]]
+    assert tiers == ["disk", "memory", "compiled", "instantiated", "memory"]
+    (span,) = [s for s in tracer.finished_spans() if s.name == "session.compile"]
+    assert span.attrs["tier"] == "memory"
+    d = _deltas(before, REGISTRY.snapshot())
+
+    def samples(tier):
+        key = ("repro.session.compile_seconds", (("tier", tier),))
+        return d.get(key, {"count_delta": 0})["count_delta"]
+
+    assert samples("memory") == session["hits"] == 2
+    assert samples("instantiated") == session["instantiations"] == 1
+    assert samples("disk") == session["store_hits"] == 1
+    compiled = session["misses"] - session["instantiations"] - session["store_hits"]
+    assert samples("compiled") == compiled == 1
 
 
 RAISES_AFTER_ONE_REMAP = """
@@ -636,9 +675,7 @@ def test_warm_symbolic_request_single_correlated_trace(tracer):
     replay (one span per plan, its phases as attributes) -- under one
     trace ID."""
     options = CompilerOptions.symbolic(level=3, schedule="round-robin")
-    with CompileService(
-        processors=NPROCS, workers=2, shards=2, options=options
-    ) as svc:
+    with CompileService(processors=NPROCS, workers=2, options=options) as svc:
         (cold,) = svc.run_batch([_fig1_request(8)])
         assert cold.ok and cold.cache_source == "compiled"
         tracer.clear()  # keep only the warm request's spans
@@ -679,8 +716,8 @@ def test_dedup_followers_link_to_leader_span(tracer, monkeypatch):
     """Single-flight followers must not pretend to own the leader's
     compile: their spans carry a dedup-leader *link* to the leader's
     service.compile span in the leader's trace."""
-    svc = CompileService(processors=NPROCS, workers=4, shards=2)
-    real = svc.pool.compile_traced
+    svc = CompileService(processors=NPROCS, workers=4)
+    real = svc.session.compile_traced
     started = threading.Event()
 
     def slow_compile(*args, **kwargs):
@@ -688,7 +725,7 @@ def test_dedup_followers_link_to_leader_span(tracer, monkeypatch):
         time.sleep(0.25)  # hold the flight open while followers arrive
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.pool, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
     with svc:
         futures = [
             svc.submit(FIG1, bindings={"n": 8}, run=False) for _ in range(4)

@@ -1,12 +1,13 @@
-"""Service layer: sharded sessions, single-flight, concurrent cache safety.
+"""Service layer: one session cache, single-flight, concurrent cache safety.
 
 The properties asserted here are the service's contract:
 
 * concurrent execution is *differentially sound*: any mix of repeated and
   distinct sources spread over a worker pool produces bit-identical
   values to running the same requests serially;
-* cache statistics stay consistent under concurrency (shard hits + misses
-  == compile calls that reached a shard; service hits + instantiations +
+* cache statistics stay consistent under concurrency (session hits +
+  misses == compile calls that reached the session; service hits +
+  instantiations +
   store hits + misses + dedup saves == completed requests);
 * single-flight deduplication is observable: concurrent misses for one
   artifact key run the pipeline once;
@@ -31,12 +32,10 @@ from repro import (
     CompilerSession,
     ExecutionEnv,
     Machine,
-    SessionPool,
     compile_program,
     execute,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
-from repro.compiler.session import source_digest
 from repro.errors import ArtifactFrozenError, ParseError
 from repro.lang.parser import parse_program
 
@@ -72,55 +71,13 @@ def _variant(i: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pool: sharding and aggregate stats
-# ---------------------------------------------------------------------------
-
-
-def test_pool_routes_same_source_to_same_shard():
-    pool = SessionPool(shards=4, processors=4)
-    d = source_digest(FIG10)
-    idx = pool.shard_index(d)
-    assert pool.session_for(FIG10) is pool.shard(idx)
-    # bindings do not change the shard: the digest is the routing key
-    i1, _ = pool.cache_key(FIG10, bindings={"n": 8, "m": 1})
-    i2, _ = pool.cache_key(FIG10, bindings={"n": 16, "m": 2})
-    assert i1 == i2 == idx
-
-
-def test_pool_spreads_distinct_sources():
-    pool = SessionPool(shards=8, processors=4)
-    shards = {pool.shard_index(source_digest(_variant(i))) for i in range(32)}
-    assert len(shards) > 1  # sha256 routing actually spreads
-
-
-def test_pool_aggregate_stats_match_shards():
-    pool = SessionPool(shards=3, processors=4)
-    for i in range(4):
-        pool.compile(_variant(i), bindings={"n": 8, "m": 1})
-        pool.compile(_variant(i), bindings={"n": 8, "m": 1})
-    stats = pool.stats
-    assert stats["misses"] == 4
-    assert stats["hits"] == 4
-    assert stats["hits"] + stats["misses"] == 8
-    assert len(stats["shard_hit_rates"]) == 3
-    per_shard = [pool.shard(i).stats for i in range(3)]
-    assert sum(s["hits"] for s in per_shard) == stats["hits"]
-    assert sum(s["entries"] for s in per_shard) == stats["entries"]
-
-
-def test_pool_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        SessionPool(shards=0)
-
-
-# ---------------------------------------------------------------------------
 # service: batches, stats consistency, error containment
 # ---------------------------------------------------------------------------
 
 
 def _assert_accounting_invariant(svc, n_requests):
     """``ServiceStats``: every completed request that obtained an artifact is
-    exactly one of the five outcomes, and the shards saw the rest's traffic."""
+    exactly one of the five outcomes, and the session saw the rest's traffic."""
     snap = svc.stats.snapshot()
     assert snap["completed"] == snap["submitted"] == n_requests
     assert snap["errors"] == 0
@@ -132,16 +89,49 @@ def _assert_accounting_invariant(svc, n_requests):
         + snap["dedup_saves"]
         == n_requests
     )
-    # shard counters agree with the service's view of who reached a shard
-    pool = svc.pool.stats
-    assert pool["hits"] + pool["misses"] == n_requests - snap["dedup_saves"]
-    assert pool["hits"] == snap["compile_hits"]
-    assert pool["misses"] == snap["compile_misses"]
+    # session counters agree with the service's view of who reached it
+    cache = svc.session.stats
+    assert cache["hits"] + cache["misses"] == n_requests - snap["dedup_saves"]
+    assert cache["hits"] == snap["compile_hits"]
+    assert cache["misses"] == snap["compile_misses"]
     return snap
 
 
+def test_service_serves_from_one_session():
+    """The service's cache is one ``CompilerSession``: its counters are the
+    service's hits and misses, its capacity is the session's own default,
+    and the layered benchmark's ``shards=`` / ``max_entries_per_shard=``
+    spelling sizes it to their product."""
+    with CompileService(processors=4, workers=4) as svc:
+        assert isinstance(svc.session, CompilerSession)
+        assert svc.session.max_entries == CompilerSession().max_entries
+        svc.run_batch([CompileRequest(_variant(i), bindings={"n": 8, "m": 1}) for i in range(2)])
+        mixed = [
+            CompileRequest(
+                _variant(i % 4),
+                bindings={"n": 8, "m": 1 + i % 3},
+                conditions={"c1": i % 2 == 0},
+                run=i % 3 != 0,
+            )
+            for i in range(12)
+        ]
+        assert all(r.ok for r in svc.run_batch(mixed))
+        snap = svc.stats.snapshot()
+        assert svc.session.hits == snap["compile_hits"] >= 6
+        assert svc.session.misses == snap["compile_misses"] >= 2
+        assert snap["compile_hits"] + snap["compile_misses"] + snap["dedup_saves"] == 14
+
+    with CompileService(processors=4, workers=1, shards=1, max_entries_per_shard=8) as svc:
+        assert svc.session.max_entries == 8
+        svc.run_batch(
+            [CompileRequest(_variant(i), bindings={"n": 8, "m": 1}, run=False) for i in range(10)]
+        )
+        assert svc.session.stats["entries"] == 8
+        assert svc.session.stats["evictions"] == 2
+
+
 def test_run_batch_results_in_order_and_consistent_stats():
-    with CompileService(processors=4, workers=4, shards=4) as svc:
+    with CompileService(processors=4, workers=4) as svc:
         n_requests = 12
         reqs = [
             CompileRequest(
@@ -163,14 +153,14 @@ def test_run_batch_results_in_order_and_consistent_stats():
 def test_accounting_invariant_holds_with_dedup_saves(monkeypatch):
     """The same invariant with single-flight followers in the mix: the
     compile is slowed, so each source's second request waits on its first."""
-    svc = CompileService(processors=4, workers=4, shards=4)
-    real = svc.pool.compile_traced
+    svc = CompileService(processors=4, workers=4)
+    real = svc.session.compile_traced
 
     def slow_compile(*args, **kwargs):
         time.sleep(0.25)  # hold the flight open while the follower arrives
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.pool, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
     reqs = [
         CompileRequest(_variant(i % 2), bindings={"n": 8, "m": 2}, conditions={"c1": True})
         for i in range(4)
@@ -248,13 +238,13 @@ def test_errors_are_contained_per_request():
         assert not results[1].ok and results[1].error is not None
         with pytest.raises(Exception):
             results[1].value("a")
-        # the front end's own error, raised at first contact: no shard
-        # counted a miss for the source that has no key
+        # the front end's own error, raised at first contact: the session
+        # counted no miss for the source that has no key
         with pytest.raises(ParseError) as direct:
             parse_program("subroutine broken(\n")
         assert type(results[1].error) is ParseError
         assert str(results[1].error) == str(direct.value)
-        assert svc.pool.stats["misses"] == 1
+        assert svc.session.stats["misses"] == 1
         snap = svc.stats.snapshot()
         assert snap["errors"] == 1 and snap["completed"] == 2
         # and the service is unharmed: the next request succeeds
@@ -281,10 +271,10 @@ def test_unknown_backend_is_rejected_before_any_compile_work(run):
         ).result()
         assert isinstance(bad.error, ValueError) and "unknown backend" in str(bad.error)
         assert bad.compiled is None and bad.result is None
-        assert svc.pool.stats["misses"] == 0 and svc.pool.stats["hits"] == 0
+        assert svc.session.stats["misses"] == 0 and svc.session.stats["hits"] == 0
         # the service is unharmed: the next request compiles and runs
         ok = svc.submit(FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True}).result()
-        assert ok.ok and svc.pool.stats["misses"] == 1
+        assert ok.ok and svc.session.stats["misses"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +283,8 @@ def test_unknown_backend_is_rejected_before_any_compile_work(run):
 
 
 def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
-    svc = CompileService(processors=4, workers=4, shards=2)
-    real = svc.pool.compile_traced
+    svc = CompileService(processors=4, workers=4)
+    real = svc.session.compile_traced
     started = threading.Event()
 
     def slow_compile(*args, **kwargs):
@@ -302,7 +292,7 @@ def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
         time.sleep(0.25)  # hold the flight open while followers arrive
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.pool, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
     with svc:
         futures = [
             svc.submit(FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True})
@@ -312,9 +302,9 @@ def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
         results = [f.result() for f in futures]
     assert all(r.ok for r in results)
     assert sum(r.deduped for r in results) == 3
-    # the pipeline ran exactly once: one shard miss, zero hits
-    assert svc.pool.stats["misses"] == 1
-    assert svc.pool.stats["hits"] == 0
+    # the pipeline ran exactly once: one session miss, zero hits
+    assert svc.session.stats["misses"] == 1
+    assert svc.session.stats["hits"] == 0
     assert svc.stats.snapshot()["dedup_saves"] == 3
     # followers report the leader's provenance (nothing was cached yet)
     assert all(r.cache_source == "compiled" for r in results)
@@ -331,14 +321,14 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
     share one flight.  The follower must not inherit the leader's ``m``
     baked into the artifact's resolved subroutines.
     """
-    svc = CompileService(processors=4, workers=4, shards=2)
-    real = svc.pool.compile_traced
+    svc = CompileService(processors=4, workers=4)
+    real = svc.session.compile_traced
 
     def slow_compile(*args, **kwargs):
         time.sleep(0.25)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.pool, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
     opts = CompilerOptions(level=2)
     with svc:
         futures = [
@@ -349,7 +339,7 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
         results = [f.result() for f in futures]
     assert all(r.ok for r in results)
     assert sum(r.deduped for r in results) == 1
-    assert svc.pool.stats["misses"] == 1  # one compile, not one per m
+    assert svc.session.stats["misses"] == 1  # one compile, not one per m
     for r, m in zip(results, (3, 4)):
         sub = r.compiled.get("remap").sub
         assert sub.bindings.get("m") == m, (
@@ -376,7 +366,7 @@ def test_distinct_keys_do_not_dedup():
             ]
         )
     assert all(r.ok for r in results)
-    assert svc.pool.stats["misses"] == 2
+    assert svc.session.stats["misses"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +479,13 @@ def test_stress_random_mix_bit_identical_to_serial(seed):
         return {a: result.result.value(a) for a in arrays}
 
     # serial reference: same requests, one at a time, fresh cache
-    with CompileService(processors=4, workers=1, shards=4) as serial:
+    with CompileService(processors=4, workers=1) as serial:
         ref = [values_of(r) for r in serial.run_batch(
             [request(i) for i in range(len(picks))]
         )]
 
     # concurrent run on a fresh service
-    with CompileService(processors=4, workers=8, shards=4) as svc:
+    with CompileService(processors=4, workers=8) as svc:
         results = svc.run_batch([request(i) for i in range(len(picks))])
         assert all(r.ok for r in results), [r.error for r in results if not r.ok]
         for i, r in enumerate(results):
@@ -506,16 +496,16 @@ def test_stress_random_mix_bit_identical_to_serial(seed):
                     f"request {i} array {a} diverged from serial (seed {seed})"
                 )
         snap = svc.stats.snapshot()
-        pool = svc.pool.stats
+        cache = svc.session.stats
         # cache-stat consistency under concurrency
         assert snap["completed"] == len(picks)
         assert (
             snap["compile_hits"] + snap["compile_misses"] + snap["dedup_saves"]
             == len(picks)
         )
-        assert pool["hits"] + pool["misses"] == len(picks) - snap["dedup_saves"]
+        assert cache["hits"] + cache["misses"] == len(picks) - snap["dedup_saves"]
         # every distinct program compiled at least once, and repeats hit
-        assert pool["misses"] >= len(set(picks))
+        assert cache["misses"] >= len(set(picks))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +548,7 @@ def test_concurrent_shapes_share_one_template_and_never_cross_serve():
     from-scratch eager compile, and after the warming compile every serve
     must avoid the pipeline front end."""
     opts = CompilerOptions.symbolic(level=3, schedule="round-robin")
-    with CompileService(processors=2, workers=8, shards=2, options=opts) as svc:
+    with CompileService(processors=2, workers=8, options=opts) as svc:
         # warm: first request builds and caches the template
         warm = svc.run_batch([_symbolic_request(*_SYMBOLIC_PAIRS[0])])
         assert warm[0].ok and warm[0].cache_source == "compiled"
@@ -594,7 +584,7 @@ def test_concurrent_shapes_share_one_template_and_never_cross_serve():
             assert r.result.machine.stats.messages == want.machine.stats.messages
         snap = svc.stats.snapshot()
         assert snap["instantiations"] >= 1  # template tier visibly used
-        assert svc.pool.stats["instantiations"] >= 1
+        assert svc.session.stats["instantiations"] >= 1
         # accounting: every storm request is a hit, an instantiation or a
         # dedup save -- never a fresh pipeline compile
         assert snap["compile_misses"] == 1  # the warming request only

@@ -679,16 +679,12 @@ def test_service_warm_starts_from_store(tmp_path):
         "conditions": w["conditions"],
         "inputs": w["inputs"],
     }
-    with CompileService(
-        processors=4, workers=2, store=tmp_path / "svc"
-    ) as svc:
+    with CompileService(processors=4, workers=2, store=tmp_path / "svc") as svc:
         first = svc.run_batch([request, request])
         assert [r.cache_source for r in first if not r.deduped][0] == "compiled"
         ref = first[0].value("a")
-    # "restart": a new service over a new pool, same store directory
-    with CompileService(
-        processors=4, workers=2, store=tmp_path / "svc"
-    ) as svc2:
+    # "restart": a new service over a new session, same store directory
+    with CompileService(processors=4, workers=2, store=tmp_path / "svc") as svc2:
         second = svc2.run_batch([request])
         assert second[0].ok
         assert second[0].cache_source == "disk"
@@ -697,8 +693,8 @@ def test_service_warm_starts_from_store(tmp_path):
         snap = svc2.stats.snapshot()
         assert snap["store_hits"] == 1
         assert snap["compile_misses"] == 0
-        assert svc2.pool.stats["store_hits"] == 1
-        assert svc2.pool.stats["passes_run"] == 0
+        assert svc2.session.stats["store_hits"] == 1
+        assert svc2.session.stats["passes_run"] == 0
 
 
 def test_service_without_store_reports_sources(tmp_path):
@@ -718,13 +714,6 @@ def test_service_without_store_reports_sources(tmp_path):
             snap["compile_hits"] + snap["compile_misses"] + snap["dedup_saves"]
             == snap["completed"]
         )
-
-
-def test_service_rejects_store_with_explicit_pool(tmp_path):
-    from repro import SessionPool
-
-    with pytest.raises(ValueError):
-        CompileService(pool=SessionPool(shards=2), store=tmp_path / "x")
 
 
 # ---------------------------------------------------------------------------
