@@ -1,7 +1,7 @@
 """Where a round's time goes: one workload of the layered benchmark under
 cProfile.
 
-    python3 benchmarks/profile_request.py --workload remap_fine [--rounds N] [--top K]
+    python3 benchmarks/profile_request.py --workload remap_fine [--rounds N] [--top K] [--cold]
 
 Builds the workload exactly as ``benchmarks/layers/run.py`` does (programs,
 inputs and three warm-up rounds through the front door), then serves
@@ -27,11 +27,17 @@ what the guard's windows cut (the top-level statements of the windows it
 priced, against those of the two family projections they were cut from), what
 crossed the mp control pipes over the profiled rounds (control frames and
 their bytes, and the per-rank wire programs shipped in them -- 0 after the
-warm-up rounds, since the ranks keep every program), and what the
-process's plan table (``repro.spmd.schedule.PLANS``) did over the profiled
-rounds: plans obtained, built, served as hits and evicted, and the entries
-it gained -- after the warm-up rounds, a workload that performs no new
-mapping pair builds nothing.
+warm-up rounds, since the ranks keep every program), and, one line each,
+what the process-wide memos (``repro.util.memo.process_memo_stats``: the
+plans, ``repro.spmd.schedule.PLANS``, and the layouts) did over the
+profiled rounds: values obtained, built, served as hits and evicted, and
+the entries they gained -- after the warm-up rounds, a workload that
+performs no new mapping pair builds no plan.
+
+``--cold`` forgets every process-wide memo before each profiled round
+(``repro.util.memo.clear_process_memos``), as a restarted process has them:
+``shape_tiers`` restarts its service inside this process, and without
+``--cold`` the plans and layouts of earlier rounds survive that restart.
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
@@ -65,8 +71,8 @@ from repro.service import service as service_module  # noqa: E402
 from repro.spmd import transport  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
-from repro.spmd.schedule import PLANS  # noqa: E402
 from repro.spmd.traffic import simulate_grid  # noqa: E402
+from repro.util.memo import clear_process_memos, process_memo_stats  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
@@ -161,31 +167,38 @@ class InlineExecutor:
 
 
 def profile(
-    workload: workloads.Workload, rounds: int
-) -> tuple[pstats.Stats, Counter, dict[str, int], Counter, Counter]:
-    """Serve ``rounds`` rounds as ``run.py`` does, under the profiler; also
-    the count of requests each tier served, and what :data:`PLANS`, the
-    guard's grid walks and the mp control pipes counted over the rounds."""
+    workload: workloads.Workload, rounds: int, cold: bool = False
+) -> tuple[pstats.Stats, Counter, dict[str, Counter], Counter, Counter]:
+    """Serve ``rounds`` rounds as ``run.py`` does, under the profiler (each
+    from forgotten process memos if ``cold``); also the count of requests
+    each tier served, and what each process-wide memo, the guard's grid
+    walks and the mp control pipes counted over the rounds."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
-    start = PLANS.stats()
+    memos: dict[str, Counter] = {}
     walks_start = Counter(WALKS)
     frames_start = Counter(FRAMES)
     shipped = REGISTRY.counter("repro.mp.programs_shipped")
     shipped_start = shipped.value
     for r in range(rounds):
         kinds = workload.round_kinds(r)
+        if cold:
+            clear_process_memos()
+        start = process_memo_stats()
         profiler.enable()
         results, _ = workload.serve(kinds)
         profiler.disable()
+        for name, now in process_memo_stats().items():
+            memos.setdefault(name, Counter()).update(
+                {k: v - start[name][k] for k, v in now.items() if k != "capacity"}
+            )
         failed = [k.name for k, res in zip(kinds, results) if workloads.request_failed(k, res)]
         if failed:
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
         tiers.update(res.cache_source for res in results)
-    plans = {k: v - start[k] for k, v in PLANS.stats().items()}
     frames = FRAMES - frames_start
     frames["shipped"] = int(shipped.value - shipped_start)
-    return pstats.Stats(profiler), tiers, plans, WALKS - walks_start, frames
+    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,6 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--rounds", type=int, default=200)
     parser.add_argument("--top", type=int, default=50, help="rows of the cumulative table")
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="forget every process-wide memo before each profiled round",
+    )
     args = parser.parse_args(argv)
 
     # every service the workload opens (a restart included) serves inline
@@ -204,17 +221,20 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, plans, walks, frames = profile(workload, args.rounds)
+            stats, tiers, memos, walks, frames = profile(workload, args.rounds, args.cold)
         finally:
             workload.close()
 
     stats.sort_stats("cumulative").print_stats(args.top)
     print("tiers: " + "  ".join(f"{tier} {n}" for tier, n in tiers.most_common()))
-    print(
-        f"plans: obtains {plans['hits'] + plans['misses']}  builds {plans['misses']}  "
-        f"hits {plans['hits']}  evictions {plans['evictions']}  entries {plans['entries']:+d} "
-        f"({len(PLANS)} held) over {args.rounds} rounds"
-    )
+    held = process_memo_stats()
+    for name, memo in memos.items():
+        print(
+            f"{name}: obtains {memo['hits'] + memo['misses']}  builds {memo['misses']}  "
+            f"hits {memo['hits']}  evictions {memo['evictions']}  "
+            f"entries {memo['entries']:+d} ({held[name]['entries']} held) "
+            f"over {args.rounds} rounds"
+        )
     print(
         f"walks: {walks['scenarios']} scenarios priced by the guard, "
         f"{walks['executions']} grid statement runs "

@@ -40,7 +40,7 @@ aggregated :class:`CompileReport`.
 opts into the communication-schedule subsystem: remappings execute as
 contention-managed phases on the machine's phase clock, cost/traffic
 analyses price the scheduled placement (phase makespans instead of
-per-endpoint sums), and the artifact's plan table builds and proves each
+per-endpoint sums), and the process's plan memo builds and proves each
 phased plan on first use, so warm session runs do zero scheduling work.
 
 The ``motion`` pass is cost-guarded: candidate code motions are priced by

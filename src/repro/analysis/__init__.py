@@ -13,7 +13,7 @@ three consumers added by the static-analysis extension:
 * :mod:`repro.analysis.commsafety` -- static proofs that a communication
   plan moves exactly the bytes the mapping change requires and respects
   the one-port model; proven plans are stamped ``statically_verified``
-  when the plan table builds them and skip runtime re-validation.
+  when the plan memo builds them and skip runtime re-validation.
 * :mod:`repro.analysis.lints` -- rule-coded diagnostics (RPR0xx) for the
   paper's Fig. 2 catalog of wasteful remappings, plus CFG hygiene and
   scenario-reachability checks, surfaced via ``python -m repro.lint``.

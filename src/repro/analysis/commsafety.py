@@ -3,8 +3,9 @@
 A plan's ledger (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
 re-validates the one-port property of every contention-free phase of a
 plan nobody proved.  This module is the proof
-(:meth:`~repro.spmd.schedule.CommPlanTable.obtain` certifies each phased
-plan the process builds once, before its first phase runs).  For ``dst = src`` it proves:
+(:func:`~repro.spmd.schedule.obtain_plan` certifies each phased plan the
+process builds once, before it is priced or its first phase runs).  For
+``dst = src`` it proves:
 
 * **exact cover** -- on every destination holder, the plan's lowered
   copies (:meth:`~repro.spmd.schedule.CommSchedule.lowered`: the

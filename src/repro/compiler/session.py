@@ -76,7 +76,6 @@ import dataclasses
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from os import PathLike
 from typing import TYPE_CHECKING
 
@@ -89,6 +88,7 @@ from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.symbolic.classify import BindingClassification, classify_bindings
+from repro.util.memo import Memo
 
 if TYPE_CHECKING:
     from repro.compiler.template import SymbolicTemplate
@@ -105,6 +105,11 @@ _M_EVICTIONS = _OBS.counter("repro.session.evictions")
 _M_STORE_HITS = _OBS.counter("repro.session.store_hits")
 _M_STORE_WRITES = _OBS.counter("repro.session.store_writes")
 _M_INSTANTIATIONS = _OBS.counter("repro.session.instantiations")
+
+
+def _evicted(key: object, value: object) -> None:
+    """An artifact or a template left a session's memory tier."""
+    _M_EVICTIONS.inc()
 
 
 def _compile_seconds(tier: str, t0: float) -> None:
@@ -211,24 +216,18 @@ class CompilerSession:
 
             store = ArtifactStore(store)
         self.store = store
-        self._cache: OrderedDict[SessionKey, CompiledProgram] = OrderedDict()
+        self._cache: Memo[SessionKey, CompiledProgram] = Memo(max_entries, _evicted)
         # shape-erased symbolic templates, keyed like artifacts but with
         # shape bindings and the processor arrangement dropped; one
         # template serves every (n, P) of its source
-        self._templates: "OrderedDict[tuple, SymbolicTemplate]" = OrderedDict()
-        # source digest -> (classification, parsed program), computed where
-        # the digest is first met; LRU-bounded like the cache -- dropping
-        # an entry is harmless, it is recomputed from the source
-        self._sources: OrderedDict[
-            str, tuple[BindingClassification, Program]
-        ] = OrderedDict()
-        # guards _cache, _templates, _sources and the counters; never held
-        # while a source is parsed or a pipeline runs, so distinct-source
-        # compiles overlap freely
-        self._lock = threading.RLock()
+        self._templates: "Memo[tuple, SymbolicTemplate]" = Memo(max_entries, _evicted)
+        # source digest -> (classification, parsed program); a dropped
+        # entry is recomputed from the source
+        self._sources: Memo[str, tuple[BindingClassification, Program]] = Memo(max_entries)
+        # guards the counters, which count requests by serving tier
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.passes_run = 0  # total pipeline passes executed (misses only)
         # disk-tier traffic (zero unless a store is attached): memory
         # misses answered from the store, and artifacts written back
@@ -240,30 +239,38 @@ class CompilerSession:
 
     # -- cache -------------------------------------------------------------
 
-    def _classify(
-        self, source: str | Program | Subroutine, digest: str
-    ) -> tuple[BindingClassification, Program]:
-        """The source's binding classification and program, computed once
-        per digest: first contact parses a text source (outside the lock,
-        under a ``session.classify`` span) and raises its ``ParseError``."""
-        with self._lock:
-            known = self._sources.get(digest)
-            if known is not None:
-                self._sources.move_to_end(digest)
-                return known
-        with _TRACER.span("session.classify"):
-            if isinstance(source, str):
-                program = parse_program(source)
-            elif isinstance(source, Subroutine):
-                program = Program((source,))
-            else:
-                program = source
-            known = (classify_bindings(program), program)
-        with self._lock:
-            self._sources[digest] = known
-            while len(self._sources) > self.max_entries:
-                self._sources.popitem(last=False)
-        return known
+    def _resolve(
+        self,
+        source: str | Program | Subroutine,
+        bindings: dict[str, int] | None,
+        processors: ProcessorArrangement | int | None,
+        options: CompilerOptions | None,
+        digest: str | None,
+    ) -> tuple[
+        SessionKey, CompilerOptions, ProcessorArrangement | int | None, BindingClassification, Program
+    ]:
+        """Every keyed call's prologue: the defaults filled in, the source
+        digested and classified (first contact parses it under a
+        ``session.classify`` span) and the artifact key, returned first."""
+        options = options or self.options
+        if processors is None:
+            processors = self.processors
+        if digest is None:
+            digest = source_digest(source)
+
+        def first_contact() -> tuple[BindingClassification, Program]:
+            with _TRACER.span("session.classify"):
+                if isinstance(source, str):
+                    program = parse_program(source)
+                elif isinstance(source, Subroutine):
+                    program = Program((source,))
+                else:
+                    program = source
+                return classify_bindings(program), program
+
+        names, program = self._sources.obtain(digest, first_contact)
+        key = self._key(digest, names, bindings, processors, options)
+        return key, options, processors, names, program
 
     @staticmethod
     def _key(
@@ -308,13 +315,7 @@ class CompilerSession:
         ``digest`` lets a front-end that already hashed the source skip
         the rehash.
         """
-        options = options or self.options
-        if processors is None:
-            processors = self.processors
-        if digest is None:
-            digest = source_digest(source)
-        names, _ = self._classify(source, digest)
-        return self._key(digest, names, bindings, processors, options)
+        return self._resolve(source, bindings, processors, options, digest)[0]
 
     def lookup(
         self,
@@ -336,18 +337,11 @@ class CompilerSession:
         table, so warm hits never touch the service's in-flight lock.
         """
         t0 = time.perf_counter()
-        options = options or self.options
-        if processors is None:
-            processors = self.processors
-        if digest is None:
-            digest = source_digest(source)
-        names, _ = self._classify(source, digest)
-        key = self._key(digest, names, bindings, processors, options)
+        key = self._resolve(source, bindings, processors, options, digest)[0]
+        cached = self._cache.get(key)
+        if cached is None:
+            return None
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is None:
-                return None
-            self._cache.move_to_end(key)
             self.hits += 1
         _M_HITS.inc()
         with _TRACER.span("session.compile", tier="memory"):
@@ -399,23 +393,6 @@ class CompilerSession:
             "template",
         )
 
-    def _insert(self, key: SessionKey, compiled: CompiledProgram) -> None:
-        """Insert one frozen artifact and apply the LRU bound (under lock)."""
-        self._cache[key] = compiled
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-            _M_EVICTIONS.inc()
-
-    def _insert_template(self, tkey: tuple, template: "SymbolicTemplate") -> None:
-        """Insert one frozen template and apply the LRU bound (under lock)."""
-        self._templates[tkey] = template
-        self._templates.move_to_end(tkey)
-        while len(self._templates) > self.max_entries:
-            self._templates.popitem(last=False)
-            self.evictions += 1
-            _M_EVICTIONS.inc()
-
     def compile_traced(
         self,
         source: str | Program | Subroutine,
@@ -460,17 +437,12 @@ class CompilerSession:
         *,
         digest: str | None = None,
     ) -> tuple[CompiledProgram, str]:
-        options = options or self.options
-        if processors is None:
-            processors = self.processors
-        if digest is None:
-            digest = source_digest(source)
-        names, program = self._classify(source, digest)
-        key = self._key(digest, names, bindings, processors, options)
+        key, options, processors, names, program = self._resolve(
+            source, bindings, processors, options, digest
+        )
+        cached = self._cache.get(key)
         with self._lock:
-            cached = self._cache.get(key)
             if cached is not None:
-                self._cache.move_to_end(key)
                 self.hits += 1
             else:
                 # counted before the pipeline runs, so a compile that
@@ -481,7 +453,7 @@ class CompilerSession:
             # outside the lock: wrapper construction is pure
             return with_bindings(cached, bindings), "memory"
         tkey = (
-            self._template_key(digest, names, bindings, options)
+            self._template_key(key[0], names, bindings, options)
             if options.symbolize
             else None
         )
@@ -497,11 +469,11 @@ class CompilerSession:
                 _M_STORE_HITS.inc()
                 with self._lock:
                     self.store_hits += 1
-                    self._insert(key, loaded)
+                self._cache.put(key, loaded)
                 return with_bindings(loaded, bindings), "disk"
         # the pipeline runs unlocked, on the program first contact parsed;
         # concurrent misses for the same key both compile (benign:
-        # artifacts are interchangeable, last insert wins) -- the service
+        # artifacts are interchangeable, first insert wins) -- the service
         # layer's single-flight prevents the repeat
         compiled = PassManager.pipeline_for(options).compile(
             program, bindings=bindings, processors=processors, options=options
@@ -518,12 +490,12 @@ class CompilerSession:
                 sym.program, options, sym.classification, bindings
             )
             template.freeze()
-        with self._lock:
-            if compiled.trace is not None:
+        if compiled.trace is not None:
+            with self._lock:
                 self.passes_run += len(compiled.trace.records)
-            self._insert(key, compiled)
-            if template is not None:
-                self._insert_template(tkey, template)
+        self._cache.put(key, compiled)
+        if template is not None:
+            self._templates.put(tkey, template)
         if self.store is not None:
             # write-back outside the lock: serialization is pure and the
             # store's own locking covers concurrent writers.  A symbolized
@@ -566,10 +538,7 @@ class CompilerSession:
         from repro.analysis.verify import verify_artifact
         from repro.compiler.template import SymbolicTemplate
 
-        with self._lock:
-            template = self._templates.get(tkey)
-            if template is not None:
-                self._templates.move_to_end(tkey)
+        template = self._templates.get(tkey)
         unserved = False
         if template is None and self.store is not None:
             loaded = self.store.load(tkey)
@@ -598,29 +567,26 @@ class CompilerSession:
             self.instantiations += 1
             if unserved:
                 self.store_hits += 1
-                self._insert_template(tkey, template)
-            self._insert(key, compiled)
+        if unserved:
+            self._templates.put(tkey, template)
+        self._cache.put(key, compiled)
         return with_bindings(compiled, bindings)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._templates.clear()
-            self._sources.clear()
 
     @property
     def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 
     @property
     def stats(self) -> dict[str, object]:
+        """The session's counters: ``hits``/``misses`` count requests by
+        serving tier, and ``evictions`` the LRU evictions from the artifact
+        and template tables."""
         with self._lock:
             total = self.hits + self.misses
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
+                "evictions": self._cache.evictions + self._templates.evictions,
                 "entries": len(self._cache),
                 "passes_run": self.passes_run,
                 "hit_rate": (self.hits / total) if total else 0.0,

@@ -29,13 +29,13 @@ per array version.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from math import gcd, prod
 
 from repro.errors import ShapeError
 from repro.mapping.distribute import DistKind, owned_cells
 from repro.mapping.mapping import GridConstraintKind, Mapping
 from repro.util.intervals import IntervalSet
+from repro.util.memo import Memo, process_memo
 
 
 def _preimage(lo: int, hi: int, stride: int, offset: int, extent: int) -> tuple[int, int]:
@@ -178,9 +178,9 @@ class Layout:
     layout whose ownership is a progression in every dimension that is a
     handful of integers per holder; otherwise a holder also keeps its
     interval sets and one ``np.ix_`` position vector per dimension -- the
-    sum of the local extents x 8 bytes.  :data:`_LAYOUTS_CAP` bounds how many
-    layouts stay reachable from the shared cache.  Memo writes are
-    idempotent and lock-free: a lost race recomputes an equal value.
+    sum of the local extents x 8 bytes.  :data:`_LAYOUTS` bounds how many
+    stay reachable; lazy fields are written idempotently and lock-free (a
+    lost race recomputes an equal value).
     """
 
     def __init__(self, mapping: Mapping):
@@ -358,30 +358,12 @@ class Layout:
         return n
 
 
-#: Most layouts kept by :func:`layout_of`; the least recently used is dropped first.
-_LAYOUTS_CAP = 1024
-
-_LAYOUTS: "OrderedDict[tuple, Layout]" = OrderedDict()
+#: The layouts :func:`layout_of` keeps, at most 1 024.
+_LAYOUTS: "Memo[tuple, Layout]" = process_memo("layouts", 1024)
 
 
 def layout_of(mapping: Mapping) -> Layout:
-    """Shared per-signature layout cache.
-
-    Bounded, and lock-free: a layout is a pure function of its signature,
-    so a rebuilt one answers every query identically (holders of the old
-    object keep it alive; identity memos simply re-derive).  A hit
-    refreshes the entry -- a layout carries its holder table and indexers,
-    so the ones every request uses must not be the first dropped.
-    """
-    key = mapping.signature
-    lay = _LAYOUTS.get(key)
-    if lay is None:
-        while len(_LAYOUTS) >= _LAYOUTS_CAP:
-            _LAYOUTS.popitem(last=False)
-        lay = _LAYOUTS[key] = Layout(mapping)
-    else:
-        try:
-            _LAYOUTS.move_to_end(key)
-        except KeyError:  # dropped by another thread since the get
-            pass
-    return lay
+    """The shared layout of ``mapping``'s signature.  A rebuilt layout
+    answers every query as the evicted one did (identity memos re-derive);
+    a hit refreshes it, so the layouts every request uses stay."""
+    return _LAYOUTS.obtain(mapping.signature, lambda: Layout(mapping))

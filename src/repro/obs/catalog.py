@@ -22,7 +22,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         # -- session tiers ----------------------------------------------------
         MetricSpec("repro.session.hits", c, "In-memory artifact cache hits."),
         MetricSpec("repro.session.misses", c, "In-memory artifact cache misses."),
-        MetricSpec("repro.session.evictions", c, "LRU evictions from the in-memory artifact cache."),
+        MetricSpec("repro.session.evictions", c, "LRU evictions from the session's artifact and template tables."),
         MetricSpec("repro.session.store_hits", c, "Artifacts served from the persistent store."),
         MetricSpec("repro.session.store_writes", c, "Artifacts written back to the persistent store."),
         MetricSpec("repro.session.instantiations", c, "Artifacts served by symbolic-template instantiation."),

@@ -326,15 +326,3 @@ def hoist_loop_invariant_remaps(
             )
     return current, report
 
-
-def transform_program(
-    program: Program, guard=None
-) -> tuple[Program, MotionReport]:
-    total = MotionReport()
-    current = program
-    for s in program.subroutines:
-        new_sub, rep = hoist_loop_invariant_remaps(s, guard=guard, program=current)
-        total.sunk.extend(rep.sunk)
-        total.rejected.extend(rep.rejected)
-        current = current.with_subroutine(new_sub)
-    return current, total

@@ -36,7 +36,7 @@ Any number of :class:`Executor` instances may run the *same*
   tables, construction results, resolved subroutines); session-cached
   artifacts additionally *enforce* this by freezing.  What a run does
   write outside itself is derived state only, and none of it lives on the
-  artifact: the process's lock-guarded plan table
+  artifact: the process's thread-safe plan memo
   :data:`~repro.spmd.schedule.PLANS` (a lost first-use race returns the
   winner's plan) and each plan's memoized ledger delta and lowered forms
   (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, ``lowered``, ``wire``) --
@@ -71,7 +71,7 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.machine import Machine
-from repro.spmd.schedule import PLANS, execute_comm_schedule
+from repro.spmd.schedule import execute_comm_schedule, obtain_plan
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +376,13 @@ class Executor(DescriptorWalker):
     ) -> None:
         """Move the data of one remapping copy: obtain its plan, run it.
 
-        The plan object owns its copy descriptors and the process's table
+        The plan object owns its copy descriptors and the process's memo
         owns the plan, so only the first copy of a pair under a policy in
         the process pays any scheduling or index arithmetic.
         """
         source, target = state.insts[src], state.insts[leaving]
         assert source is not None and target is not None
-        plan = PLANS.obtain(
+        plan = obtain_plan(
             self.compiled.options.schedule, state.versions[src], state.versions[leaving]
         )
         # what the movement hook will charge the run (an unprovable plan's

@@ -20,7 +20,8 @@ live at: *which remapping messages are exchanged and how large they are*.
   the degenerate plan that charges each transfer on its own -- executes
   it (:func:`execute_comm_schedule`, moving real data and charging the
   cost model), and keeps plans per (policy, mapping-signature pair)
-  (:data:`~repro.spmd.schedule.PLANS`: one get-or-build table per process).
+  (:func:`~repro.spmd.schedule.obtain_plan`: one get-or-build memo per
+  process, asked by the executor and the traffic simulator alike).
 """
 
 from repro.spmd.cost import CostDecision, CostModel, TrafficEstimate
@@ -32,10 +33,10 @@ from repro.spmd.schedule import (
     DEFAULT_POLICY,
     POLICIES,
     CommPhase,
-    CommPlanTable,
     CommSchedule,
     build_comm_schedule,
     execute_comm_schedule,
+    obtain_plan,
     plan_redistribution,
     redistribute,
 )
@@ -51,7 +52,6 @@ from repro.spmd.traffic import (
 
 __all__ = [
     "CommPhase",
-    "CommPlanTable",
     "CommSchedule",
     "CostDecision",
     "CostModel",
@@ -71,6 +71,7 @@ __all__ = [
     "build_schedule",
     "enumerate_scenarios",
     "execute_comm_schedule",
+    "obtain_plan",
     "plan_redistribution",
     "predict_traffic",
     "redistribute",

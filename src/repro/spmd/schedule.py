@@ -45,20 +45,15 @@ Invariants (enforced by construction and property-tested):
   (:exc:`~repro.errors.ScheduleError` otherwise -- an unstamped plan's
   :meth:`~CommSchedule.ledger` re-checks, once).
 
-:data:`PLANS` is where the process keeps its plans: one bounded,
-lock-guarded get-or-build :class:`CommPlanTable` keyed by (policy, source
-signature, target signature).  A plan is a pure function of that key, so
-no artifact owns one -- nothing is serialized, a plan is built on the
-first copy of its pair anywhere in the process and served to every later
-one, whichever artifact, template instantiation or session performs it:
-warm :class:`~repro.compiler.session.CompilerSession` runs do zero
-scheduling work under every policy, ``None`` included.
+:data:`PLANS` is where the process keeps its plans, read through
+:func:`obtain_plan`.  A plan is a pure function of its key, so no artifact
+owns or serializes one: it is built on the first ask for its pair anywhere
+in the process (the cost guard pricing the copy, or a run performing it)
+and served to every later one, so warm runs do zero scheduling work.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ScheduleError
@@ -77,6 +72,7 @@ from repro.spmd.redistribution import (
     build_schedule,
     prepare_move,
 )
+from repro.util.memo import Memo, process_memo
 
 _M_LOWERED = _OBS.counter("repro.schedule.plans_lowered")
 
@@ -169,8 +165,8 @@ class CommSchedule:
 
     :meth:`ledger`, :meth:`lowered` and :meth:`wire` are the plan's derived
     forms, each worked out on first use and shared by every later one --
-    and, through :data:`PLANS`, by every copy of the same pair under the
-    same policy anywhere in the process.  They are
+    and, through :data:`PLANS`, by every copy and pricing of the pair
+    under the same policy anywhere in the process.  They are
     kept on the plan object and gone with it: not dataclass fields (``==``
     and ``repr`` never see them) and dropped by :meth:`__getstate__`
     (neither do pickles).  Layouts are shared per mapping signature
@@ -452,55 +448,24 @@ def redistribute(
 
 
 # ---------------------------------------------------------------------------
-# the plan table: where the process keeps its plans
+# the plan memo: where the process keeps its plans
 # ---------------------------------------------------------------------------
 
-#: Hard bound on a :class:`CommPlanTable`'s plans.
-PLAN_TABLE_CAPACITY = 256
+#: The process's plans, at most 256, keyed by (policy, src signature, dst signature).
+PLANS: "Memo[tuple, CommSchedule]" = process_memo("plans", 256)
 
 
-class CommPlanTable:
-    """A bounded, thread-safe get-or-build table of plans keyed by
-    (policy, src signature, dst signature).
+def obtain_plan(policy: str | None, src: Mapping, dst: Mapping) -> CommSchedule:
+    """The plan for ``dst = src`` under ``policy``, from :data:`PLANS`.
 
-    A plan belongs to its policy and its two layouts, never to an artifact,
-    so the process keeps one table, :data:`PLANS`, and every executor asks
-    it.  Signatures embed concrete extents and grid shapes, so plans for
-    distinct ``(n, P)`` can never cross-serve, and the policy is part of
-    the key, so neither can plans for distinct policies.
-
-    :data:`PLAN_TABLE_CAPACITY` is a hard bound: least-recently-used plans
-    are evicted and transparently rebuilt on the next request (a rebuild
-    is bit-identical to the evicted plan).  Plans built under a phased
-    policy are certified (:func:`repro.analysis.commsafety.certify_plan`)
-    before they are handed out; a ``policy=None`` plan has no phase to
-    prove.  Builds happen outside the lock; a lost insertion race returns
-    the winner's plan.
+    The executor, the mp backend and the traffic simulator all ask here, so
+    whichever asks first builds (outside the memo's lock) and, under a
+    phased policy, certifies (:func:`repro.analysis.commsafety.certify_plan`)
+    the plan.  Signatures embed extents and grid shapes and the policy is
+    in the key, so no plan is served for another ``(n, P)`` or policy.
     """
 
-    def __init__(self) -> None:
-        self._plans: "OrderedDict[tuple, CommSchedule]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def obtain(self, policy: str | None, src: Mapping, dst: Mapping) -> CommSchedule:
-        """The plan for ``dst = src`` under ``policy``: get it, or build,
-        certify and keep it."""
-        key = (policy, src.signature, dst.signature)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-                return plan
-        # Build (and certify) outside the lock: scheduling is the expensive
-        # part and depends only on the policy and the two mappings.
+    def build() -> CommSchedule:
         with _TRACER.span("remap.plan_build"):
             built = plan_redistribution(src, dst, policy)
         if policy is not None:
@@ -510,36 +475,6 @@ class CommPlanTable:
             # stamped plan keeps that lowering for its first execution
             with _TRACER.span("remap.prove"):
                 built = certify_plan(src, dst, built)
-        with self._lock:
-            self.misses += 1  # every build counts, a lost race included
-            existing = self._plans.get(key)
-            if existing is not None:
-                self._plans.move_to_end(key)
-                return existing
-            self._plans[key] = built
-            while len(self._plans) > PLAN_TABLE_CAPACITY:
-                self._plans.popitem(last=False)
-                self.evictions += 1
         return built
 
-    def stats(self) -> dict[str, int]:
-        """``hits + misses`` is the number of :meth:`obtain` calls and
-        ``misses`` the number of plans built (scheduling work done)."""
-        with self._lock:
-            return {
-                "capacity": PLAN_TABLE_CAPACITY,
-                "entries": len(self._plans),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def clear(self) -> None:
-        """Forget every plan and every count, as a restarted process has."""
-        with self._lock:
-            self._plans.clear()
-            self.hits = self.misses = self.evictions = 0
-
-
-#: The process's plans: every executor gets its copies' plans here.
-PLANS = CommPlanTable()
+    return PLANS.obtain((policy, src.signature, dst.signature), build)

@@ -51,7 +51,6 @@ liveness diverge from the prediction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -61,7 +60,7 @@ from repro.lang.ast_nodes import Block, Call, Compute, Do, If, Stmt, walk_statem
 from repro.remap.codegen import GeneratedCode
 from repro.remap.walker import ArrayDescriptor, DescriptorWalker, Frame, resolve_condition
 from repro.spmd.cost import CostModel, TrafficEstimate
-from repro.spmd.schedule import plan_redistribution
+from repro.spmd.schedule import obtain_plan
 from repro.symbolic.scenarios import SCENARIO_CAP, Scenario, enumerate_scenarios
 
 if TYPE_CHECKING:
@@ -69,37 +68,24 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# what one copy costs (shared cache -- layouts are static)
+# what one copy costs
 # ---------------------------------------------------------------------------
-
-#: (src signature, dst signature, policy or None, itemsize, cost model) ->
-#: what one performed copy adds to the estimate.  Plans depend only on the
-#: two layouts and the policy; only the price is kept, never the plan.
-#: Bounded, oldest dropped first; a dropped price is recomputed identically.
-_COPY_PRICES: "OrderedDict[tuple, TrafficEstimate]" = OrderedDict()
-_COPY_PRICES_CAP = 1024
 
 
 def _copy_price(
     src_mapping, dst_mapping, policy: str | None, itemsize: int, cost: CostModel
 ) -> TrafficEstimate:
-    key = (src_mapping.signature, dst_mapping.signature, policy, itemsize, cost)
-    price = _COPY_PRICES.get(key)
-    if price is None:
-        # priced as the executor is charged: by the ledger delta of the
-        # policy's plan (aggregation coalesces pairs; no phases under ``None``)
-        delta = plan_redistribution(src_mapping, dst_mapping, policy).ledger(cost, itemsize)
-        while len(_COPY_PRICES) >= _COPY_PRICES_CAP:
-            _COPY_PRICES.popitem(last=False)
-        price = _COPY_PRICES[key] = TrafficEstimate(
-            bytes=delta.bytes,
-            messages=delta.messages,
-            local_bytes=delta.local_bytes,
-            local_copies=delta.local_copies,
-            phases=len(delta.durations),
-            makespan=delta.makespan,
-        )
-    return price
+    """What one performed copy adds to an estimate: the ledger delta of the
+    plan the executor runs for the pair (:func:`obtain_plan`)."""
+    delta = obtain_plan(policy, src_mapping, dst_mapping).ledger(cost, itemsize)
+    return TrafficEstimate(
+        bytes=delta.bytes,
+        messages=delta.messages,
+        local_bytes=delta.local_bytes,
+        local_copies=delta.local_copies,
+        phases=len(delta.durations),
+        makespan=delta.makespan,
+    )
 
 
 # ---------------------------------------------------------------------------

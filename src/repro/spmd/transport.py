@@ -63,7 +63,7 @@ import pickle
 import select
 import struct
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import multiprocessing as _mp
@@ -77,6 +77,7 @@ from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.message import check_one_port
+from repro.util.memo import Memo
 
 #: Shared address space reserved per rank.  Pages are mapped lazily, so a
 #: generous default costs nothing until blocks actually touch it.
@@ -733,8 +734,8 @@ class MPTransport:
         self._procs: list[_mp.Process] = []
         self._ctl_w: list[int] = []  # parent -> worker command pipes
         self._rep_r: list[int] = []  # worker -> parent report pipes
-        #: kept wire programs, least recently used first
-        self._programs: OrderedDict[tuple[int, str], WireProgram] = OrderedDict()
+        #: kept wire programs; an evicted one is dropped by its ranks
+        self._programs: Memo[tuple[int, str], WireProgram] = Memo(PROGRAM_CAP, self._forget)
         self._handles = itertools.count(1)
         #: rank -> handles it still holds but must forget (told in its next frame)
         self._drops: dict[int, list[int]] = {}
@@ -915,19 +916,18 @@ class MPTransport:
         the ranks that hold it are told to forget it in their next frame.
         """
         key = (id(owner), np.dtype(dtype).str)
-        program = self._programs.get(key)
-        if program is not None:
-            self._programs.move_to_end(key)
-            return program
-        rounds, sources, targets = build()
-        program = WireProgram(owner, key, next(self._handles), rounds, dtype, sources, targets)
-        self._programs[key] = program
-        while len(self._programs) > PROGRAM_CAP:
-            _, old = self._programs.popitem(last=False)
-            if old._parts is None:  # shipped: its ranks hold it
-                for rank in old.ranks:
-                    self._drops.setdefault(rank, []).append(old.handle)
-        return program
+
+        def new_program() -> WireProgram:
+            rounds, sources, targets = build()
+            return WireProgram(owner, key, next(self._handles), rounds, dtype, sources, targets)
+
+        return self._programs.obtain(key, new_program)
+
+    def _forget(self, key: tuple[int, str], program: WireProgram) -> None:
+        """An evicted program: the ranks that hold it drop it in their next frame."""
+        if program._parts is None:  # shipped: its ranks hold it
+            for rank in program.ranks:
+                self._drops.setdefault(rank, []).append(program.handle)
 
     def exchange(self, program: WireProgram, sources, targets) -> ExchangeReport:
         """Run one remapping -- a kept :meth:`program` -- over real

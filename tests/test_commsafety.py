@@ -34,7 +34,6 @@ from repro.mapping.ownership import layout_of
 from repro.errors import ScheduleError
 from repro.obs import REGISTRY
 from repro.spmd import (
-    CommPlanTable,
     DistributedArray,
     build_comm_schedule,
     build_schedule,
@@ -42,8 +41,15 @@ from repro.spmd import (
     plan_redistribution,
 )
 from repro.spmd.redistribution import Transfer
-from repro.spmd.schedule import PLANS, CommPhase, PackedTransfer, rectangles
+from repro.spmd.schedule import (
+    PLANS,
+    CommPhase,
+    PackedTransfer,
+    obtain_plan,
+    rectangles,
+)
 from repro.util.intervals import IntervalSet
+from repro.util.memo import Memo
 from test_lowering import counted
 from test_schedule import fmt_1d, mk
 from test_symbolic import CASES, PAIRS
@@ -203,7 +209,7 @@ def test_schedule_that_drops_a_transfer_fails_the_proof(policy, monkeypatch):
         "first at global index (3,)"
     ]
     assert reference_is_clean(src, dst, plan), "the old proof did not see it"
-    assert not CommPlanTable().obtain(policy, src, dst).statically_verified
+    assert not obtain_plan(policy, src, dst).statically_verified
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
@@ -301,7 +307,7 @@ def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
             options=CompilerOptions(level=3, schedule=policy),
         )
         _run(compiled, w)
-        plans = PLANS._plans
+        plans = dict(PLANS._entries)
         assert plans and all(plan.statically_verified for plan in plans.values())
         for (_, src_sig, dst_sig), plan in plans.items():
             unstamped = dataclasses.replace(plan, statically_verified=False)
@@ -400,20 +406,21 @@ def test_prop_proof_agrees_with_the_rederiving_oracle(n, f_src, f_dst, nprocs, p
 
 
 def _run_unstamped(compiled, w, monkeypatch, runs=1):
-    """Run the same artifact over a fresh table whose proofs all fail:
+    """Run the same artifact over a fresh plan memo whose proofs all fail:
     ``certify_plan`` leaves every plan unstamped, as for an unprovable one.
-    The stamped run before it obtained the same pairs from :data:`PLANS`."""
-    table = CommPlanTable()
+    The stamped run before it obtained the same pairs from :data:`PLANS`.
+    Returns the last run's ``(values, stats)`` and the plans it ran."""
+    table = Memo(PLANS.cap)
     with monkeypatch.context() as patch:
         patch.setattr(
             "repro.analysis.commsafety.prove_plan", lambda src, dst, plan: ["unproved"]
         )
-        patch.setattr("repro.runtime.executor.PLANS", table)
+        patch.setattr("repro.spmd.schedule.PLANS", table)
         for _ in range(runs):
             out = _run(compiled, w)
-    assert len(table) > 0 and table._plans.keys() <= PLANS._plans.keys()
-    assert not any(p.statically_verified for p in table._plans.values())
-    return out
+    assert len(table) > 0 and table._entries.keys() <= PLANS._entries.keys()
+    assert not any(p.statically_verified for p in table._entries.values())
+    return out, list(table._entries.values())
 
 
 FIG16 = """
@@ -447,9 +454,10 @@ def test_schedule_pass_stamps_every_plan(policy):
         processors=4,
         options=CompilerOptions(level=3, schedule=policy),
     )
-    assert len(PLANS) == 0  # nothing is planned before the first run
+    # what the compile planned -- the pairs the cost guard priced -- is proved
+    assert all(p.statically_verified for p in PLANS._entries.values())
     _run(compiled, W16)
-    plans = list(PLANS._plans.values())
+    plans = list(PLANS._entries.values())
     assert plans, "fig16 must perform at least one copy"
     assert all(p.statically_verified for p in plans)
 
@@ -472,13 +480,14 @@ def test_stamp_keeps_the_lowering_the_proof_paid_for(policy, monkeypatch):
 
     calls = counted(monkeypatch, schedule_mod, "prepare_move")
     lowered = REGISTRY.counter("repro.schedule.plans_lowered")
+    before = lowered.value
+    # the cost guard prices the pairs it can, so their proofs run here
     compiled = compile_program(
         FIG16,
         bindings=W16["bindings"],
         processors=4,
         options=CompilerOptions(level=3, schedule=policy),
     )
-    before = lowered.value
     _run(compiled, W16)
     proved_calls = len(calls)
     assert len(PLANS) == 2 and lowered.value - before == 2
@@ -490,34 +499,33 @@ def test_stamp_keeps_the_lowering_the_proof_paid_for(policy, monkeypatch):
 
 
 def test_first_use_of_a_plan_is_three_spans_and_a_hit_is_none(tracer):
-    """A miss of the plan table shows in a trace as ``remap.plan_build`` and
+    """A miss of the plan memo shows in a trace as ``remap.plan_build`` and
     ``remap.prove`` under the caller's span, the proof's lowering as a
     ``remap.lower`` under ``remap.prove``; a hit opens nothing, an
-    unscheduled table proves nothing, a disabled tracer records nothing."""
+    unscheduled plan proves nothing, a disabled tracer records nothing."""
     src, dst = _pair()
 
-    def obtained(table, policy="round-robin"):
+    def obtained(policy="round-robin"):
         tracer.clear()
         with tracer.span("caller") as caller:
-            table.obtain(policy, src, dst)
+            obtain_plan(policy, src, dst)
         spans = {s.name: s for s in tracer.finished_spans()}
         assert len(spans) == len(tracer.finished_spans())
         del spans["caller"]
         return caller, spans
 
-    table = CommPlanTable()
-    caller, spans = obtained(table)
+    caller, spans = obtained()
     assert sorted(spans) == ["remap.lower", "remap.plan_build", "remap.prove"]
     assert spans["remap.plan_build"].parent_id == caller.span_id
     assert spans["remap.prove"].parent_id == caller.span_id
     assert spans["remap.lower"].parent_id == spans["remap.prove"].span_id
-    assert obtained(table)[1] == {}
+    assert obtained()[1] == {}
 
-    assert sorted(obtained(table, None)[1]) == ["remap.plan_build"]
+    assert sorted(obtained(None)[1]) == ["remap.plan_build"]
 
     tracer.enabled = False
     tracer.clear()
-    table.obtain("naive", src, dst)
+    obtain_plan("naive", src, dst)
     assert tracer.finished_spans() == []
 
 
@@ -546,8 +554,8 @@ def test_verified_plans_skip_runtime_validation(monkeypatch):
     stamped_values, stamped_stats = _run(compiled, W16)
     assert calls["n"] == 0, "stamped plans must skip the runtime re-check"
 
-    overlay_values, overlay_stats = _run_unstamped(compiled, W16, monkeypatch, runs=3)
-    phases = sum(len(p.phases) for p in PLANS._plans.values())
+    (overlay_values, overlay_stats), ran = _run_unstamped(compiled, W16, monkeypatch, runs=3)
+    phases = sum(len(p.phases) for p in ran)
     assert calls["n"] == phases > 0, "one check per phase per plan, not per run"
 
     for a in stamped_values:
@@ -598,11 +606,11 @@ def test_workload_seeds_verified_equals_unverified(monkeypatch):
             )
             PLANS.clear()  # the plans of this run only
             v1, s1 = _run(compiled, w)
-            stamped = [p.statically_verified for p in PLANS._plans.values()]
+            stamped = [p.statically_verified for p in PLANS._entries.values()]
             assert all(stamped), (seed, policy)
             if not stamped:
                 continue  # no copy performed: nothing to compare
-            v2, s2 = _run_unstamped(compiled, w, monkeypatch)
+            (v2, s2), _ = _run_unstamped(compiled, w, monkeypatch)
             for a in v1:
                 assert np.array_equal(v1[a], v2[a]), (seed, policy, a)
             assert s1.bytes == s2.bytes, (seed, policy)

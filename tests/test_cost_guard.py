@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.remap.costguard import CostGuard
-from repro.remap.motion import hoist_loop_invariant_remaps, transform_program
+from repro.remap.motion import hoist_loop_invariant_remaps
 from repro.lang.parser import parse_program
 from repro.spmd.cost import TrafficEstimate
 
@@ -70,7 +70,11 @@ def test_seed_2558_monotone_and_rejection_recorded():
     for level in (1, 2, 3):
         assert byte_counts[level] <= 576, byte_counts
     # what the guard prevents: legality-only motion, then the level-2 passes
-    unguarded, _ = transform_program(program)
+    unguarded = program
+    for sub in program.subroutines:
+        unguarded = unguarded.with_subroutine(
+            hoist_loop_invariant_remaps(sub, program=unguarded)[0]
+        )
     assert _run_bytes(unguarded, 2, conditions, inputs)[0] == 672
 
     # the guard recorded the rejected hoist with its estimated cost delta

@@ -56,7 +56,6 @@ from repro.mapping import (
 from repro.mapping.ownership import layout_of
 from repro.obs import REGISTRY
 from repro.spmd import (
-    CommPlanTable,
     DistributedArray,
     build_schedule,
     execute_comm_schedule,
@@ -66,7 +65,7 @@ from repro.spmd import darray, redistribution, schedule
 from repro.spmd.darray import block_index, positions_in
 from repro.spmd.message import Message, message_of
 from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
-from repro.spmd.schedule import PLANS, POLICIES
+from repro.spmd.schedule import PLANS, POLICIES, obtain_plan
 from repro.util.intervals import IntervalSet
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
@@ -590,7 +589,7 @@ def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
     kwargs = dict(bindings={"n": 256, "t": 16}, inputs={"a": np.arange(256.0)})
     cold = session.run(LOOP, **kwargs)
     compiled = session.compile(LOOP, bindings=kwargs["bindings"])
-    plans = list(PLANS._plans.values())
+    plans = list(PLANS._entries.values())
     assert len(plans) == 2 and all(len(plan.transfers) == 16 for plan in plans)
 
     made, checks, copies = [], [], []
@@ -694,8 +693,7 @@ def test_binding_wrappers_share_the_artifacts_plan_memo(
 @pytest.mark.parametrize("way", WAYS)
 def test_execution_leaves_pickle_digest_and_equality_alone(way):
     src, dst = mk((48,), (B,), 4), mk((48,), (C3,), 4)
-    table = CommPlanTable()
-    plan = table.obtain(way, src, dst)
+    plan = obtain_plan(way, src, dst)
     twin = plan_redistribution(src, dst, way)
     before = pickle.dumps(plan), repr(plan)
 
@@ -709,10 +707,10 @@ def test_execution_leaves_pickle_digest_and_equality_alone(way):
     assert dataclasses.replace(plan, statically_verified=False) == twin
     restored = pickle.loads(pickle.dumps(plan))
     assert restored == plan and restored._lowered is None
-    # the table serves the plan it built, lowering and all
-    assert table.obtain(way, dst, src) is table.obtain(way, dst, src)
-    assert table.obtain(way, src, dst) is plan
-    assert len(table) == 2 and table.stats()["misses"] == 2
+    # the memo serves the plan it built, lowering and all
+    assert obtain_plan(way, dst, src) is obtain_plan(way, dst, src)
+    assert obtain_plan(way, src, dst) is plan
+    assert len(PLANS) == 2 and PLANS.stats()["misses"] == 2
 
 
 @pytest.mark.parametrize("way", WAYS)
@@ -737,15 +735,14 @@ def test_artifact_pickles_the_same_before_and_after_it_executed(way):
 
 
 def test_concurrent_first_execution_of_a_frozen_artifact(monkeypatch):
-    obtained = []  # (table, pair, plan) of every obtain, from every thread
-    real = CommPlanTable.obtain
+    obtained = []  # (pair, plan) of every plan an executor obtains, from every thread
 
-    def recording(table, policy, src, dst):
-        plan = real(table, policy, src, dst)
-        obtained.append((table, (src.signature, dst.signature), plan))
+    def recording(policy, src, dst):
+        plan = obtain_plan(policy, src, dst)
+        obtained.append(((src.signature, dst.signature), plan))
         return plan
 
-    monkeypatch.setattr(CommPlanTable, "obtain", recording)
+    monkeypatch.setattr("repro.runtime.executor.obtain_plan", recording)
     for policy in (None, "round-robin"):
         check_concurrent_first_execution(
             CompilerOptions(level=3, schedule=policy), obtained, monkeypatch
@@ -774,9 +771,10 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
                 LOOP, bindings={"n": 96, "t": 3}
             )
             assert compiled.frozen
-            # from here on only the process's table builds plans (the cost
-            # guard priced its candidates during the compile above), and it
-            # starts empty, so all three threads race on the first use
+            # from here on only the executors obtain plans (the cost guard
+            # priced its candidates during the compile above), and the
+            # process's memo starts empty, so all three threads race on the
+            # first use
             PLANS.clear()
             monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", counting)
             del builds[:], obtained[:]
@@ -797,12 +795,12 @@ def check_concurrent_first_execution(options, obtained, monkeypatch):
             for value, stats in outcomes:
                 assert np.array_equal(value, serial[0])
                 assert stats == serial[1]
-            # every thread got the same plan object per pair, and the table
+            # every thread got the same plan object per pair, and the memo
             # counted every build, the ones that lost the insertion race too
-            mine = [(pair, plan) for table, pair, plan in obtained if table is PLANS]
-            assert len({pair for pair, _ in mine}) == len({id(plan) for _, plan in mine}) == 2
+            pairs = {pair for pair, _ in obtained}
+            assert len(pairs) == len({id(plan) for _, plan in obtained}) == 2
             table = PLANS.stats()
-            assert table["hits"] + table["misses"] == len(mine) == 4 * 6
+            assert table["hits"] + table["misses"] == len(obtained) == 4 * 6
             assert table["misses"] == len(builds) >= 2
             monkeypatch.setattr("repro.spmd.schedule.plan_redistribution", real_plan)
     finally:

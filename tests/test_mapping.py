@@ -595,8 +595,8 @@ def test_layout_touched_again_survives_a_cap_full_of_insertions():
     hot = mk_simple((7,), (DistFormat.block(),))
     cold = mk_simple((7,), (DistFormat.cyclic(),))
     kept, dropped = layout_of(hot), layout_of(cold)
-    for n in range(8, 8 + ownership._LAYOUTS_CAP):
+    for n in range(8, 8 + ownership._LAYOUTS.cap):
         layout_of(mk_simple((n,), (DistFormat.block(),)))
         assert layout_of(hot) is kept
-    assert len(ownership._LAYOUTS) <= ownership._LAYOUTS_CAP
+    assert len(ownership._LAYOUTS) <= ownership._LAYOUTS.cap
     assert layout_of(cold) is not dropped

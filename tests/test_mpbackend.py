@@ -928,7 +928,7 @@ def test_frame_naming_a_handle_the_rank_does_not_hold_is_a_typed_error():
         want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
         first = svc.run_batch([_remap_request("round-robin", 384)])[0]
         transport = svc._ranks[4].backend.transport
-        for program in transport._programs.values():
+        for program in transport._programs._entries.values():
             if 1 in program.ranks:
                 transport._drops.setdefault(1, []).append(program.handle)
         t0 = time.perf_counter()
@@ -984,14 +984,12 @@ def test_more_programs_than_the_cap_evict_the_oldest(monkeypatch):
     programs, then the first again: the least recently used program is
     evicted, its ranks forget it (their next frame says so), it is shipped
     again on its next use, and every value matches the simulator."""
-    from repro.spmd import transport as transport_module
-
-    monkeypatch.setattr(transport_module, "PROGRAM_CAP", 3)
     compiled = {p: _remap_compiled(p) for p in ("round-robin", "aggregate", "naive")}
     want = {p: execute(c, env=_remap_env()).value("a") for p, c in compiled.items()}
     shipped = []
     with MPBackend(4) as b:
         t = b.transport
+        monkeypatch.setattr(t._programs, "cap", 3)
         for policy in ("round-robin", "aggregate", "naive", "round-robin"):
             before = _shipped()
             got = b.execute(compiled[policy], env=_remap_env()).value("a")
@@ -1001,7 +999,7 @@ def test_more_programs_than_the_cap_evict_the_oldest(monkeypatch):
             for rank in range(4):
                 _write_obj(t._ctl_w[rank], ("ping",))
             for rank, (_, _, held) in t._collect(range(4)).items():
-                kept = {p.handle for p in t._programs.values() if rank in p.ranks}
+                kept = {p.handle for p in t._programs._entries.values() if rank in p.ranks}
                 assert set(held) == kept, (policy, rank)
     assert shipped[0] == shipped[3] == 8  # two programs, four ranks each
 

@@ -824,3 +824,23 @@ def test_cli_infrastructure_errors_exit_2(tmp_path, capsys):
     not_trace.write_text(json.dumps({"hello": 1}))
     assert obs_cli(["top-spans", str(not_trace)]) == 2
     capsys.readouterr()
+
+
+def test_session_evictions_count_artifacts_and_templates():
+    """``repro.session.evictions`` counts both tables a session bounds: a
+    one-entry symbolic session compiling two renamed Fig. 16 sources evicts
+    the first artifact and the first template."""
+    from repro import CompilerSession
+    from test_schedule import FIG16
+
+    assert "artifact and template tables" in CATALOG["repro.session.evictions"].help
+    before = REGISTRY.snapshot()
+    session = CompilerSession(NPROCS, CompilerOptions.symbolic(level=3), max_entries=1)
+    for name in ("first", "second"):
+        session.compile(FIG16.replace("subroutine main", f"subroutine {name}"),
+                        bindings={"n": 16, "t": 5})
+    stats = session.stats
+    assert stats["entries"] == stats["templates"] == 1
+    assert stats["evictions"] == 2
+    d = _deltas(before, REGISTRY.snapshot())
+    assert d[("repro.session.evictions", ())]["delta"] == 2

@@ -53,7 +53,6 @@ from repro.mapping import (
 )
 from repro.mapping.ownership import layout_of
 from repro.spmd import (
-    CommPlanTable,
     DistributedArray,
     Message,
     TrafficEstimate,
@@ -63,8 +62,16 @@ from repro.spmd import (
     redistribute,
 )
 from repro.spmd.redistribution import RedistSchedule, Transfer
-from repro.spmd.schedule import PLANS, CommPhase, _pack, _round_robin_phases
+from repro.spmd import schedule as schedule_mod
+from repro.spmd.schedule import (
+    PLANS,
+    CommPhase,
+    _pack,
+    _round_robin_phases,
+    obtain_plan,
+)
 from repro.util.intervals import IntervalSet
+from repro.util.memo import Memo
 
 COST = CostModel()
 SCHEDULED = ("naive", "round-robin", "aggregate")
@@ -611,30 +618,75 @@ def test_scheduled_compile_is_sound_end_to_end():
 
 
 # ---------------------------------------------------------------------------
-# the plan table and session caching
+# the plan memo and session caching
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_policy_adds_no_pass():
+def obtained_plans(monkeypatch, module):
+    """``(key, plan)`` of every plan ``module`` obtains from now on, in order."""
+    seen = []
+
+    def recording(policy, src, dst):
+        plan = obtain_plan(policy, src, dst)
+        seen.append(((policy, src.signature, dst.signature), plan))
+        return plan
+
+    monkeypatch.setattr(f"{module}.obtain_plan", recording)
+    return seen
+
+
+def test_schedule_policy_adds_no_pass(monkeypatch):
     """A policy changes how copies run and what the cost guard prices; it is
-    not a pass, and there is no second switch that turns scheduling on."""
+    not a pass, and there is no second switch that turns scheduling on.  A
+    compile plans exactly the pairs its guard priced, each built once; the
+    first run builds only the performed pairs not already held."""
     assert "schedule" not in PassManager.available()
     with pytest.raises(ValueError, match="unknown pass name"):
         CompilerOptions(passes=("parse", "resolve", "construction", "codegen", "schedule"))
-    w = FIGURES["fig12-then"]
-    for policy in SCHEDULED:
-        options = CompilerOptions(level=3, schedule=policy)
-        assert options.pass_names == CompilerOptions(level=3).pass_names
-        start = PLANS.stats()
-        compiled = compile_program(
-            w["source"], bindings=w["bindings"], processors=4, options=options
-        )
-        # nothing is planned at compile time: the first run builds the plans
-        assert PLANS.stats() == start
-        _, stats = _run(compiled, w)
-        table = _delta(start)
-        assert table["misses"] == table["entries"] > 0
-        assert table["hits"] + table["misses"] == stats.remaps_performed
+    priced = obtained_plans(monkeypatch, "repro.spmd.traffic")
+    performed = obtained_plans(monkeypatch, "repro.runtime.executor")
+    for name in ("fig12-then", "fig16"):
+        w = FIGURES[name]
+        for policy in SCHEDULED:
+            options = CompilerOptions(level=3, schedule=policy)
+            assert options.pass_names == CompilerOptions(level=3).pass_names
+            PLANS.clear()
+            del priced[:], performed[:]
+            compiled = compile_program(
+                w["source"], bindings=w["bindings"], processors=4, options=options
+            )
+            held = PLANS.stats()
+            assert PLANS._entries.keys() == {key for key, _ in priced}
+            assert held["misses"] == held["entries"]
+            assert held["hits"] + held["misses"] == len(priced)
+            _, stats = _run(compiled, w)
+            table = PLANS.stats()
+            new = {key for key, _ in performed} - {key for key, _ in priced}
+            assert table["misses"] - held["misses"] == len(new)
+            assert len(performed) == stats.remaps_performed > 0
+            assert table["hits"] + table["misses"] == len(priced) + stats.remaps_performed
+
+
+def test_the_run_performs_the_plan_the_guard_priced(monkeypatch):
+    """Pricing a copy and performing it read one plan: at level 3 under
+    round-robin the executor runs the very plan object the cost guard
+    priced the pair from, so the pair is built and proved once."""
+    w = FIGURES["fig16"]
+    priced = obtained_plans(monkeypatch, "repro.spmd.traffic")
+    performed = obtained_plans(monkeypatch, "repro.runtime.executor")
+    compiled = compile_program(
+        w["source"], bindings=w["bindings"], processors=4,
+        options=CompilerOptions(level=3, schedule="round-robin"),
+    )
+    assert priced, "the guard must price at least one pair"
+    built = PLANS.stats()["misses"]
+    _run(compiled, w)
+    by_key = dict(priced)
+    shared = [(key, plan) for key, plan in performed if key in by_key]
+    assert shared, "the run must perform a pair the guard priced"
+    assert all(plan is by_key[key] for key, plan in shared)
+    assert all(plan.statically_verified for _, plan in shared)
+    assert PLANS.stats()["misses"] - built == len({k for k, _ in performed} - by_key.keys())
 
 
 def _delta(start):
@@ -670,7 +722,7 @@ def test_hand_assembled_artifact_runs_on_the_process_plans():
     executor.run(next(iter(by_hand.subroutines)))
     assert not hasattr(executor, "plans")
     assert PLANS.stats()["misses"] == len(PLANS) > 0
-    assert all(policy == "round-robin" for policy, _, _ in PLANS._plans)
+    assert all(policy == "round-robin" for policy, _, _ in PLANS._entries)
     assert executor.machine.stats.phases > 0
 
 
@@ -687,30 +739,36 @@ def test_artifacts_of_different_sources_share_a_pairs_plan(monkeypatch):
     first = session.run(w["source"], **kw)
     first_plans, built = list(ran), PLANS.stats()["misses"]
     del ran[:]
+    priced = obtained_plans(monkeypatch, "repro.spmd.traffic")
     start = PLANS.stats()
     second = session.run(renamed, **kw)
     assert session.misses == 2  # two artifacts
     assert built > 0 and _delta(start)["misses"] == 0
-    assert _delta(start)["hits"] == second.stats.remaps_performed > 0
+    # the second compile's guard priced from the first's plans, too
+    assert _delta(start)["hits"] == len(priced) + second.stats.remaps_performed
+    assert second.stats.remaps_performed > 0
     assert len(ran) == len(first_plans)
     assert all(a is b for a, b in zip(ran, first_plans))
     assert second.stats.snapshot() == first.stats.snapshot()
 
 
-def test_one_pair_under_two_policies_is_two_plans(p4):
+def test_one_pair_under_two_policies_is_two_plans(p4, monkeypatch):
     """The policy is part of a plan's key: neither policy's plan is ever
-    served for the other, in the process's table or a private one."""
+    served for the other, from the process's memo or from a fresh one."""
     src = mk((16,), (DistFormat.block(),), p4)
     dst = mk((16,), (DistFormat.cyclic(),), p4)
-    for table in (PLANS, CommPlanTable()):
-        naive = table.obtain("naive", src, dst)
-        aggregate = table.obtain("aggregate", src, dst)
-        unscheduled = table.obtain(None, src, dst)
+    for fresh in (False, True):
+        if fresh:
+            monkeypatch.setattr(schedule_mod, "PLANS", Memo(PLANS.cap))
+        table = schedule_mod.PLANS
+        naive = obtain_plan("naive", src, dst)
+        aggregate = obtain_plan("aggregate", src, dst)
+        unscheduled = obtain_plan(None, src, dst)
         assert (naive.policy, aggregate.policy, unscheduled.policy) == ("naive", "aggregate", None)
         assert len({id(naive), id(aggregate), id(unscheduled)}) == 3
-        assert table.obtain("naive", src, dst) is naive
-        assert table.obtain("aggregate", src, dst) is aggregate
-        assert table.obtain(None, src, dst) is unscheduled
+        assert obtain_plan("naive", src, dst) is naive
+        assert obtain_plan("aggregate", src, dst) is aggregate
+        assert obtain_plan(None, src, dst) is unscheduled
         assert table.stats()["misses"] == len(table) == 3
 
 
@@ -760,17 +818,16 @@ def test_policies_never_share_cached_artifacts():
 
 
 def test_plan_table_is_signature_keyed(p4):
-    table = CommPlanTable()
     src = mk((16,), (DistFormat.block(),), p4)
     dst = mk((16,), (DistFormat.cyclic(),), p4, name="B")
-    assert len(table) == 0
-    plan = table.obtain("round-robin", src, dst)
-    assert table.obtain("round-robin", src, dst) is plan
+    assert len(PLANS) == 0
+    plan = obtain_plan("round-robin", src, dst)
+    assert obtain_plan("round-robin", src, dst) is plan
     # a different array with the same layouts shares the plan
     src2 = mk((16,), (DistFormat.block(),), p4, name="C")
-    assert table.obtain("round-robin", src2, dst) is plan
-    assert len(table) == 1
-    assert table.stats()["misses"] == 1 and table.stats()["hits"] == 2
+    assert obtain_plan("round-robin", src2, dst) is plan
+    assert len(PLANS) == 1
+    assert PLANS.stats()["misses"] == 1 and PLANS.stats()["hits"] == 2
 
 
 # ---------------------------------------------------------------------------

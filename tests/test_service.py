@@ -392,18 +392,18 @@ def test_direct_compilation_stays_mutable():
 
 def test_cached_artifacts_plan_table_serves_unseen_pairs():
     """Freezing covers the artifact's content; the plans of its copies live
-    in the process's table, outside it, which keeps serving pairs it has
+    in the process's memo, outside it, which keeps serving pairs it has
     never seen."""
-    from repro.spmd.schedule import PLANS
+    from repro.spmd.schedule import PLANS, obtain_plan
 
     opts = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=opts)
     compiled = session.compile(FIG10, bindings={"n": 8, "m": 1})
     assert compiled.frozen and len(PLANS) == 0
     versions = compiled.get("remap").versions.versions("a")
-    plan = PLANS.obtain(opts.schedule, versions[0], versions[1])
+    plan = obtain_plan(opts.schedule, versions[0], versions[1])
     assert plan.policy == "round-robin" and plan.statically_verified
-    assert PLANS.obtain(opts.schedule, versions[0], versions[1]) is plan
+    assert obtain_plan(opts.schedule, versions[0], versions[1]) is plan
     with pytest.raises(ArtifactFrozenError):
         compiled.options = opts
 

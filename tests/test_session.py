@@ -295,7 +295,7 @@ def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
     text = print_program(program)
     session = CompilerSession(processors=4, options=CompilerOptions.symbolic(level=3))
     compiled = session.compile(text, bindings=bindings)
-    (first_contact, _), = session._sources.values()
+    (first_contact, _), = session._sources._entries.values()
     assert first_contact == classify_bindings(parse_program(text))
     assert first_contact == compiled.report.symbolic.classification
 
@@ -311,7 +311,7 @@ def test_cache_key_is_the_same_before_and_after_the_first_compile():
     assert s.stats["misses"] == 1 and s.stats["hits"] == 1
     # another source evicts LOOP's artifact and its classification
     s.compile(SRC2, bindings={"n": 16})
-    assert s.cache_size == 1 and list(s._sources) == [source_digest(SRC2)]
+    assert s.cache_size == 1 and list(s._sources._entries) == [source_digest(SRC2)]
     assert s.cache_key(LOOP, bindings={"n": 16, "t": 7}) == before
 
 

@@ -35,9 +35,10 @@ from repro.compiler.pipeline import PassManager
 from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError
 from repro.lang.ast_nodes import ArrayDecl
-from repro.spmd import CommPlanTable, CommSchedule
+from repro.spmd import CommSchedule
 from repro.spmd.schedule import PLANS
 from repro.store.cli import main as store_cli
+from repro.util.memo import Memo
 from test_lowering import counted
 
 REPO = Path(__file__).resolve().parent.parent
@@ -200,11 +201,11 @@ def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
         before = pickle.dumps(fresh)
         PLANS.clear()
         ref_values, ref_stats = _run(fresh, w)
-        performed = dict(PLANS._plans)
+        performed = dict(PLANS._entries)
         assert performed
         with monkeypatch.context() as patch:
             patch.setattr(CommSchedule, "__reduce_ex__", refuse)
-            patch.setattr(CommPlanTable, "__reduce_ex__", refuse)
+            patch.setattr(Memo, "__reduce_ex__", refuse)
             assert pickle.dumps(fresh) == before
             pickle.dumps(loaded)
 
@@ -218,8 +219,8 @@ def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
         table = PLANS.stats()
         assert table["misses"] == table["entries"] == len(performed)
         assert table["hits"] + table["misses"] == stats.remaps_performed
-        assert PLANS._plans.keys() == performed.keys()
-        rebuilt = list(PLANS._plans.values())
+        assert PLANS._entries.keys() == performed.keys()
+        rebuilt = list(PLANS._entries.values())
         assert policy is None or all(p.statically_verified for p in rebuilt)
         assert sorted(map(repr, rebuilt)) == sorted(map(repr, performed.values()))
         for a in ref_values:
@@ -328,7 +329,7 @@ def _seed_template(tmp_path):
     writer = CompilerSession(store=store, options=SYMBOLIC)
     _, tier = writer.compile_traced(FIG16, bindings={"n": 64, "t": 5}, processors=4)
     assert tier == "compiled" and store.stats["entries_template"] == 1
-    ((tkey, template),) = writer._templates.items()
+    ((tkey, template),) = writer._templates._entries.items()
     assert store.entry_path(tkey).is_file()
     return store, tkey, template
 
@@ -430,7 +431,7 @@ def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):
     PLANS.clear()  # a restarted process
     _run(loaded, w)
     assert len(built) == PLANS.stats()["misses"] == len(PLANS) > 0
-    assert all(p.statically_verified for p in PLANS._plans.values())
+    assert all(p.statically_verified for p in PLANS._entries.values())
     del built[:]
     _run(loaded, w)
     assert built == [] and PLANS.stats()["misses"] == len(PLANS)

@@ -14,11 +14,11 @@ The acceptance differential for the symbolic subsystem
   (literal extents degrade symbolize to the concrete path);
 * **level monotonicity** -- optimization levels stay byte-monotone under
   symbolic options (spot check of seeds 0..500);
-* **plan table** -- instantiations run on the process's plans
+* **plan memo** -- instantiations run on the process's plans
   (:data:`~repro.spmd.schedule.PLANS`), shared with eager compiles of the
-  same shape; the bounded, thread-safe :class:`CommPlanTable` evicts and
-  rebuilds bit-identically and collapses insert races to one kept plan, and
-  a template carries no plan (artifact bytes never depend on traffic
+  same shape; the bounded, thread-safe memo evicts and rebuilds
+  bit-identically and collapses insert races to one kept plan, and a
+  template carries no plan (artifact bytes never depend on traffic
   history);
 * **store integration** -- templates round-trip through the artifact
   store and pass ``verify --deep``; a fresh process instantiates on first
@@ -47,9 +47,9 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.template import SymbolicTemplate
 from repro.mapping import ProcessorArrangement, ownership
-from repro.spmd import traffic
-from repro.spmd.schedule import PLANS, CommPlanTable
+from repro.spmd.schedule import PLANS, obtain_plan
 from repro.store import ArtifactStore
+from repro.util.memo import clear_process_memos
 
 FIG1 = """
 subroutine main()
@@ -274,7 +274,7 @@ def _warm_template(policy="round-robin"):
     w = _fig16(16)
     session.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert len(session._templates) == 1
-    return session, next(iter(session._templates.values()))
+    return session, next(iter(session._templates._entries.values()))
 
 
 def test_template_instantiation_is_deterministic():
@@ -349,7 +349,7 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     }
     assert b"repro.symbolic.affine" not in payload
     assert b"repro.symbolic.ownership" not in payload
-    assert b"CommPlanTable" not in payload and b"CommSchedule" not in payload
+    assert b"repro.util.memo" not in payload and b"CommSchedule" not in payload
     w = _fig16(12)
     got = _run(revived.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
     ref = _run(template.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
@@ -371,38 +371,35 @@ def _redist_pair(n, p):
 
 
 def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
-    monkeypatch.setattr("repro.spmd.schedule.PLAN_TABLE_CAPACITY", 2)
-    table = CommPlanTable()
-    first = table.obtain("round-robin", *_redist_pair(16, 4))
-    table.obtain("round-robin", *_redist_pair(24, 4))
-    table.obtain("round-robin", *_redist_pair(32, 4))  # evicts (16, 4)
-    assert table.stats()["evictions"] == 1
-    assert len(table) == 2
-    rebuilt = table.obtain("round-robin", *_redist_pair(16, 4))
+    monkeypatch.setattr(PLANS, "cap", 2)
+    first = obtain_plan("round-robin", *_redist_pair(16, 4))
+    obtain_plan("round-robin", *_redist_pair(24, 4))
+    obtain_plan("round-robin", *_redist_pair(32, 4))  # evicts (16, 4)
+    assert PLANS.stats()["evictions"] == 1
+    assert len(PLANS) == 2
+    rebuilt = obtain_plan("round-robin", *_redist_pair(16, 4))
     assert rebuilt is not first
     assert rebuilt == first and rebuilt.statically_verified
-    assert table.stats()["misses"] == 4
+    assert PLANS.stats()["misses"] == 4
 
 
 def test_plan_memo_keys_embed_shape_and_grid():
-    """Distinct (n, P) must never cross-serve plans through the table."""
-    table = CommPlanTable()
-    a = table.obtain("naive", *_redist_pair(16, 4))
-    b = table.obtain("naive", *_redist_pair(16, 2))
-    c = table.obtain("naive", *_redist_pair(8, 4))
-    assert table.stats()["misses"] == 3
+    """Distinct (n, P) must never cross-serve plans through the memo."""
+    a = obtain_plan("naive", *_redist_pair(16, 4))
+    b = obtain_plan("naive", *_redist_pair(16, 2))
+    c = obtain_plan("naive", *_redist_pair(8, 4))
+    assert PLANS.stats()["misses"] == 3
     assert len({id(x) for x in (a, b, c)}) == 3
 
 
 def test_plan_memo_insert_race_collapses_to_one_build():
-    table = CommPlanTable()
     src, dst = _redist_pair(32, 4)
     results = [None] * 8
     barrier = threading.Barrier(8)
 
     def worker(i):
         barrier.wait(10.0)
-        results[i] = table.obtain("aggregate", src, dst)
+        results[i] = obtain_plan("aggregate", src, dst)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for t in threads:
@@ -410,7 +407,7 @@ def test_plan_memo_insert_race_collapses_to_one_build():
     for t in threads:
         t.join(30.0)
         assert not t.is_alive()
-    stats = table.stats()
+    stats = PLANS.stats()
     # however many racers built, one plan was kept and everyone got it
     assert stats["entries"] == 1 and stats["misses"] >= 1
     assert stats["hits"] + stats["misses"] == 8
@@ -418,7 +415,7 @@ def test_plan_memo_insert_race_collapses_to_one_build():
 
 
 # ---------------------------------------------------------------------------
-# the process-wide layout and copy-price caches stay bounded
+# the process-wide layout and plan memos stay bounded
 # ---------------------------------------------------------------------------
 
 
@@ -434,8 +431,8 @@ def test_shape_sweep_leaves_process_caches_bounded():
             # 1 200 layouts from the end: recently, but surely, evicted
             versions = compiled.get("main").construction.versions
             evicted = weakref.ref(ownership.layout_of(versions.versions("a")[0]))
-    assert 0 < len(ownership._LAYOUTS) <= ownership._LAYOUTS_CAP
-    assert 0 < len(traffic._COPY_PRICES) <= traffic._COPY_PRICES_CAP
+    assert 0 < len(ownership._LAYOUTS) <= ownership._LAYOUTS.cap
+    assert 0 < len(PLANS) <= PLANS.cap
     del compiled, versions
     gc.collect()
     assert evicted() is None  # an evicted layout is collectable
@@ -455,12 +452,12 @@ def test_run_straddling_cache_evictions_is_bit_identical(monkeypatch):
     ref_values, ref_snapshot, ref_predicted = observe()
     # one slot each, and Fig. 16 alternates two layouts and two copies: from
     # empty caches every other lookup evicts what the run is still using
-    monkeypatch.setattr(ownership, "_LAYOUTS_CAP", 1)
-    monkeypatch.setattr(traffic, "_COPY_PRICES_CAP", 1)
-    ownership._LAYOUTS.clear()
-    traffic._COPY_PRICES.clear()
+    monkeypatch.setattr(ownership._LAYOUTS, "cap", 1)
+    monkeypatch.setattr(PLANS, "cap", 1)
+    clear_process_memos()
     values, snapshot, predicted = observe()
-    assert len(ownership._LAYOUTS) == len(traffic._COPY_PRICES) == 1
+    assert len(ownership._LAYOUTS) == len(PLANS) == 1
+    assert ownership._LAYOUTS.evictions > 0 and PLANS.evictions > 0
     for a in ref_values:
         assert np.array_equal(values[a], ref_values[a]), a
     assert snapshot == ref_snapshot
