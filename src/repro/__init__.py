@@ -29,10 +29,9 @@ a restarted service warm-starts from what earlier processes compiled
 (``python -m repro.store`` manages it).
 
 Lower-level entry points: :func:`compile_program` (stable one-shot API) and
-:class:`~repro.compiler.pipeline.Pipeline`/:class:`~repro.compiler.pipeline.PassManager`
-for explicit control over the named passes (``parse``, ``motion``,
-``resolve``, ``construction``, ``remove-useless``, ``live-copies``,
-``status-checks``, ``codegen``, ``traffic-estimate``).
+:class:`~repro.compiler.pipeline.Pipeline`, which runs the named passes a
+:class:`CompilerOptions` selects (all twelve are listed, in canonical
+order, in :data:`~repro.compiler.artifacts.PASS_ORDER`).
 Every compiled artifact carries a per-pass :class:`PipelineTrace` and an
 aggregated :class:`CompileReport`.
 
@@ -65,7 +64,6 @@ from repro.compiler import (
     CompilerOptions,
     CompilerSession,
     Diagnostic,
-    PassManager,
     Pipeline,
     PipelineTrace,
     compilation_report,
@@ -125,7 +123,6 @@ __all__ = [
     "Mapping",
     "MetricsRegistry",
     "OBS_REGISTRY",
-    "PassManager",
     "Pipeline",
     "PipelineTrace",
     "ProcessorArrangement",

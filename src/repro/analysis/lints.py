@@ -444,13 +444,12 @@ def lint_program(
     plumbing as ``warning`` diagnostics of the ``lint`` pass.
     """
     from repro.compiler.artifacts import CompilerOptions
-    from repro.compiler.pipeline import PassManager
+    from repro.compiler.pipeline import Pipeline
 
     options = CompilerOptions(
         passes=("parse", "resolve", "construction", "codegen"),
     )
-    pipeline = PassManager.pipeline_for(options)
-    ctx = pipeline.run_context(source, bindings or {}, processors, options)
+    ctx = Pipeline(options).run_context(source, bindings or {}, processors)
     findings: list[Finding] = []
     for name, res in ctx.constructions.items():
         findings.extend(lint_construction(res, name))

@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: mismatched object graph.
 ARTIFACT_SCHEMA_VERSION = 7
 
-#: Canonical pass order.  A pass set is always run in this order; custom
-#: pass lists are validated against each pass's declared inputs/outputs.
+#: Canonical pass order.  A pass set is always run in this order; which
+#: sets are legal is decided by :class:`CompilerOptions` alone.
 PASS_ORDER: tuple[str, ...] = (
     "parse",
     "motion",
@@ -54,9 +54,6 @@ PASS_ORDER: tuple[str, ...] = (
     "traffic-estimate",
     "verify",
 )
-
-#: Passes every complete compilation needs (front end through codegen).
-MANDATORY_PASSES: frozenset[str] = frozenset({"parse", "resolve", "construction"})
 
 #: Where each pass comes from in the paper (or which extension added it).
 #: Rendered into ``docs/PASSES.md`` by
@@ -117,7 +114,12 @@ class CompilerOptions:
     * ``3`` -- + loop-invariant remapping motion (Fig. 16/17).  Default.
 
     ``passes``, when given, overrides ``level`` entirely; the names must be
-    drawn from :data:`PASS_ORDER` and are run in canonical order.
+    drawn from :data:`PASS_ORDER` and are run in canonical order.  The
+    options are the one place that decides which pass sets are legal:
+    ``parse``, ``resolve`` and ``construction`` are mandatory, exactly one
+    of ``codegen``/``codegen-naive`` generates the code, and
+    ``status-checks`` cannot take effect under ``codegen-naive``.  Any
+    other set raises ``ValueError`` here.
 
     ``cost`` supplies the machine's communication cost model.  It is a
     *compile-relevant* knob: the motion pass consults it to decide whether
@@ -155,9 +157,12 @@ class CompilerOptions:
                 raise ValueError(
                     f"unknown pass name(s) {unknown}; known: {list(PASS_ORDER)}"
                 )
-            if "codegen" in names and "codegen-naive" in names:
+            missing = [n for n in ("parse", "resolve", "construction") if n not in names]
+            if missing:
+                raise ValueError(f"pass list {list(names)} is missing mandatory passes {missing}")
+            if ("codegen" in names) == ("codegen-naive" in names):
                 raise ValueError(
-                    "'codegen' and 'codegen-naive' are mutually exclusive"
+                    "exactly one of 'codegen' and 'codegen-naive' must generate the code"
                 )
             if "status-checks" in names and "codegen-naive" in names:
                 raise ValueError(
@@ -168,11 +173,6 @@ class CompilerOptions:
             object.__setattr__(
                 self, "passes", tuple(n for n in PASS_ORDER if n in set(names))
             )
-
-    @classmethod
-    def from_passes(cls, passes) -> "CompilerOptions":
-        """An options object for an explicit pass list (``level`` ignored)."""
-        return cls(passes=tuple(passes))
 
     @classmethod
     def symbolic(

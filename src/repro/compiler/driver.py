@@ -1,9 +1,9 @@
 """The stable one-shot compile entry point.
 
 ``compile_program`` is a thin backward-compatible wrapper over the pass
-pipeline (:mod:`repro.compiler.pipeline`): options desugar to a pass set,
-the :class:`~repro.compiler.pipeline.PassManager` assembles the pipeline,
-and the resulting :class:`~repro.compiler.artifacts.CompiledProgram`
+pipeline (:mod:`repro.compiler.pipeline`): the options name a pass set,
+the :class:`~repro.compiler.pipeline.Pipeline` runs those passes, and the
+resulting :class:`~repro.compiler.artifacts.CompiledProgram`
 carries the per-pass trace and the aggregated compile report.  Repeated
 compile traffic should prefer :class:`~repro.compiler.session.CompilerSession`,
 which memoizes these artifacts.
@@ -12,7 +12,7 @@ which memoizes these artifacts.
 from __future__ import annotations
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
-from repro.compiler.pipeline import PassManager
+from repro.compiler.pipeline import Pipeline
 from repro.lang.ast_nodes import Program, Subroutine
 from repro.mapping.processors import ProcessorArrangement
 
@@ -28,8 +28,4 @@ def compile_program(
     ``processors`` supplies the machine when the program declares none; an
     int means a 1-D arrangement of that many processors.
     """
-    options = options or CompilerOptions()
-    pipeline = PassManager.pipeline_for(options)
-    return pipeline.compile(
-        source, bindings=bindings, processors=processors, options=options
-    )
+    return Pipeline(options or CompilerOptions()).compile(source, bindings, processors)

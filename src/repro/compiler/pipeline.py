@@ -1,20 +1,22 @@
-"""The pass-pipeline compiler architecture.
+"""The compiler's pass pipeline.
 
-The paper's pass sequence (remapping-graph construction -> useless-remap
-removal (Appendix C) -> live copies (Appendix D) -> loop-invariant motion
-(Fig. 16/17) -> codegen) used to be hardwired in one driver function.  Here
-each phase is a named, ordered, individually-toggleable :class:`Pass` with
-declared inputs/outputs, assembled into a :class:`Pipeline` and run over a
-shared :class:`PassContext`.  Per-pass wall time and counters are recorded
-into a :class:`PipelineTrace` so compilations are inspectable and
-replayable; :class:`PassManager` is the registry that desugars optimization
-levels (or explicit pass-name lists) into pipelines.
+The paper's phases -- remapping-graph construction (Appendix B),
+useless-remapping removal (Appendix C), live copies (Appendix D),
+loop-invariant motion (Fig. 16/17) and copy code generation (Fig. 19/20)
+-- are named passes, run in the canonical order
+:data:`~repro.compiler.artifacts.PASS_ORDER` over one shared
+:class:`PassContext`.  :data:`PASSES` maps each name to its one stateless
+pass object.  A compile runs exactly the passes its
+:class:`~repro.compiler.artifacts.CompilerOptions` names, and the options
+are the one place that decides which pass sets are legal.  Per-pass wall
+time and counters are recorded into a :class:`PipelineTrace`, so
+compilations are inspectable.
 
 Typical explicit use::
 
-    from repro.compiler.pipeline import PassManager
+    from repro.compiler.pipeline import Pipeline
 
-    pipeline = PassManager.pipeline_for_level(2)          # or .build(names)
+    pipeline = Pipeline(CompilerOptions(level=2))
     compiled = pipeline.compile(SOURCE, bindings={"n": 64}, processors=4)
     print(compiled.trace.summary())
 
@@ -25,22 +27,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol
 
 from repro.compiler.artifacts import (
-    MANDATORY_PASSES,
-    PASS_ORDER,
     CompiledProgram,
     CompiledSubroutine,
     CompilerOptions,
-    passes_for_level,
 )
 from repro.compiler.diagnostics import (
     CompileReport,
     SymbolicInfo,
     frontend_warnings,
 )
-from repro.errors import PipelineError
 from repro.ir.cfg import build_cfg
 from repro.lang.ast_nodes import Call, Program, Subroutine, walk_statements
 from repro.lang.parser import parse_program
@@ -48,12 +46,7 @@ from repro.lang.semantics import ResolvedProgram, resolve_program
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
-from repro.remap import codegen as codegen_mod
-from repro.remap import construction as construction_mod
-from repro.remap import livecopies as livecopies_mod
-from repro.remap import motion as motion_mod
-from repro.remap import optimize as optimize_mod
-from repro.remap.codegen import GeneratedCode, generate_code
+from repro.remap.codegen import GeneratedCode, generate_code, pin_live_sets_to_leaving
 from repro.remap.construction import ConstructionResult, build_remapping_graph
 from repro.remap.costguard import CostGuard, ShapeGenericGuard
 from repro.remap.graph import RemappingGraph
@@ -83,7 +76,6 @@ class PassContext:
     resolved: ResolvedProgram | None = None
     constructions: dict[str, ConstructionResult] = field(default_factory=dict)
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
-    status_checks: bool = False
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
 
@@ -135,19 +127,11 @@ class PipelineTrace:
         return "\n".join(lines)
 
 
-@runtime_checkable
 class Pass(Protocol):
-    """One named compiler pass with declared inputs and outputs.
-
-    ``requires``/``provides`` name abstract facts ("ast", "graph", "code",
-    ...); :meth:`Pipeline.validate` checks that every pass's requirements
-    are provided by an earlier pass.  ``run`` mutates the context and
-    returns counters for the trace.
-    """
+    """One named compiler pass: ``run`` mutates the context and returns
+    counters for the trace."""
 
     name: str
-    requires: tuple[str, ...]
-    provides: tuple[str, ...]
 
     def run(self, ctx: PassContext) -> dict[str, int]: ...
 
@@ -157,47 +141,43 @@ class Pass(Protocol):
 # ---------------------------------------------------------------------------
 
 
+def as_program(source: str | Program | Subroutine) -> Program:
+    """Mini-HPF text (parsed), one subroutine or a whole program, as a Program."""
+    if isinstance(source, str):
+        return parse_program(source)
+    if isinstance(source, Subroutine):
+        return Program((source,))
+    if isinstance(source, Program):
+        return source
+    raise TypeError(f"cannot compile source of type {type(source)!r}")
+
+
 class ParsePass:
     """Front end: mini-HPF text (or an already-built AST) to a Program."""
 
     name = "parse"
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ("ast",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
-        if isinstance(ctx.source, str):
-            ctx.program = parse_program(ctx.source)
-        elif isinstance(ctx.source, Subroutine):
-            ctx.program = Program((ctx.source,))
-        elif isinstance(ctx.source, Program):
-            ctx.program = ctx.source
-        else:
-            raise TypeError(f"cannot compile source of type {type(ctx.source)!r}")
+        ctx.program = as_program(ctx.source)
         return {"subroutines": len(ctx.program.subroutines)}
 
 
 class MotionPass:
     """Loop-invariant remapping motion (paper Fig. 16/17), AST to AST.
 
-    Cost-guarded: when the surrounding pipeline can generate code, every
-    candidate sink is priced by :class:`~repro.remap.costguard.CostGuard`
-    against the unmoved placement under ``ctx.options.cost`` and performed
-    only if it never moves more bytes ("level 3 never loses to naive" is
-    enforced by construction, not hoped for).  Rejected candidates surface
+    Cost-guarded: every candidate sink is priced by
+    :class:`~repro.remap.costguard.CostGuard` against the unmoved placement
+    under ``ctx.options.cost`` and performed only if it never moves more
+    bytes ("level 3 never loses to naive" is enforced by construction, not
+    hoped for).  Rejected candidates surface
     as ``note`` diagnostics and in :attr:`MotionReport.rejected`.
     """
 
-    name = motion_mod.PASS_NAME
-    requires = motion_mod.PASS_REQUIRES
-    provides = motion_mod.PASS_PROVIDES
+    name = "motion"
 
     @staticmethod
-    def _guard(ctx: PassContext) -> "CostGuard | ShapeGenericGuard | None":
-        names = set(ctx.options.pass_names)
-        codegen_able = "codegen" in names or "codegen-naive" in names
-        if not ({"resolve", "construction"} <= names and codegen_able):
-            return None  # partial pipeline: nothing executable to price
-        if "symbolize" in names:
+    def _guard(ctx: PassContext) -> "CostGuard | ShapeGenericGuard":
+        if ctx.options.symbolize:
             # Shape-erased compilation: motion decisions become part of a
             # SymbolicTemplate replayed at every (n, P), so the guard must
             # not see this request's shape bindings or processor count --
@@ -253,8 +233,6 @@ class SymbolizePass:
     """
 
     name = "symbolize"
-    requires: tuple[str, ...] = ("ast",)
-    provides: tuple[str, ...] = ("symbolized",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
@@ -270,8 +248,6 @@ class ResolvePass:
     """Semantic resolution plus front-end lint warnings."""
 
     name = "resolve"
-    requires: tuple[str, ...] = ("ast",)
-    provides: tuple[str, ...] = ("resolved",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
@@ -286,9 +262,7 @@ class ResolvePass:
 class ConstructionPass:
     """CFG + remapping-graph construction (paper Appendix B)."""
 
-    name = construction_mod.PASS_NAME
-    requires = construction_mod.PASS_REQUIRES
-    provides = construction_mod.PASS_PROVIDES
+    name = "construction"
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.resolved is not None
@@ -303,9 +277,7 @@ class ConstructionPass:
 class RemoveUselessPass:
     """Useless remapping removal (paper Appendix C)."""
 
-    name = optimize_mod.PASS_NAME
-    requires = optimize_mod.PASS_REQUIRES
-    provides = optimize_mod.PASS_PROVIDES
+    name = "remove-useless"
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         removed = kept = 0
@@ -320,9 +292,7 @@ class RemoveUselessPass:
 class LiveCopiesPass:
     """Dynamic live copies M_A(v) (paper Appendix D)."""
 
-    name = livecopies_mod.PASS_NAME
-    requires = livecopies_mod.PASS_REQUIRES
-    provides = livecopies_mod.PASS_PROVIDES
+    name = "live-copies"
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         kept_slots = 0
@@ -335,14 +305,15 @@ class LiveCopiesPass:
 
 
 class StatusChecksPass:
-    """Enable the Fig. 20 runtime status guard on generated remappings."""
+    """The Fig. 20 runtime status guard on generated remappings.
+
+    A trace record only: codegen reads ``ctx.options.status_checks``, so
+    the guard is on exactly when the options name this pass.
+    """
 
     name = "status-checks"
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ("status-checks",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
-        ctx.status_checks = True
         return {}
 
 
@@ -350,28 +321,20 @@ class CodegenPass:
     """Copy code generation (paper Fig. 19/20); ``naive`` is the level-0
     baseline that always copies unconditionally and keeps nothing."""
 
-    requires = codegen_mod.PASS_REQUIRES
-    provides = codegen_mod.PASS_PROVIDES
-
     def __init__(self, naive: bool = False):
         self.naive = naive
-        self.name = "codegen-naive" if naive else codegen_mod.PASS_NAME
+        self.name = "codegen-naive" if naive else "codegen"
 
     def run(self, ctx: PassContext) -> dict[str, int]:
-        if self.naive and ctx.status_checks:
-            raise PipelineError(
-                "'status-checks' has no effect with 'codegen-naive' "
-                "(the naive baseline always copies unconditionally)"
-            )
         ops = 0
         for name, res in ctx.constructions.items():
             if not ctx.options.live_copies:
-                codegen_mod.pin_live_sets_to_leaving(res.graph)
+                pin_live_sets_to_leaving(res.graph)
             code = generate_code(
                 res,
                 optimize=not self.naive,
                 naive_always_copy=self.naive,
-                status_checks=ctx.status_checks and not self.naive,
+                status_checks=ctx.options.status_checks,
             )
             ctx.codes[name] = code
             ops += len(code.all_ops())
@@ -390,8 +353,6 @@ class TrafficEstimatePass:
     """
 
     name = "traffic-estimate"
-    requires: tuple[str, ...] = ("graph", "code")
-    provides: tuple[str, ...] = ("traffic",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
@@ -443,8 +404,6 @@ class VerifyPass:
     """
 
     name = "verify"
-    requires: tuple[str, ...] = ("graph",)
-    provides: tuple[str, ...] = ("verified",)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         from repro.analysis import verify as verify_mod
@@ -471,77 +430,60 @@ class VerifyPass:
         }
 
 
+#: The one stateless object of each pass, keyed by name in canonical order.
+PASSES: dict[str, Pass] = {
+    p.name: p
+    for p in (
+        ParsePass(),
+        MotionPass(),
+        SymbolizePass(),
+        ResolvePass(),
+        ConstructionPass(),
+        RemoveUselessPass(),
+        LiveCopiesPass(),
+        StatusChecksPass(),
+        CodegenPass(),
+        CodegenPass(naive=True),
+        TrafficEstimatePass(),
+        VerifyPass(),
+    )
+}
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
 
 class Pipeline:
-    """An ordered pass list, validated against declared inputs/outputs."""
+    """The passes one :class:`CompilerOptions` names, in canonical order.
 
-    def __init__(self, passes: Sequence[Pass]):
-        self.passes: list[Pass] = list(passes)
-        self.validate()
+    The options are validated when they are built, so every pipeline is a
+    legal pass set.  ``skip`` leaves named passes out of the run while the
+    context (and the artifact) keeps the full options -- a template
+    instantiation skips the passes whose work its stored AST already holds.
+    """
 
-    @property
-    def pass_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.passes)
-
-    def validate(self) -> None:
-        """Check declared inputs/outputs: every pass's ``requires`` must be
-        provided earlier, no fact may have two providers (e.g. ``codegen``
-        and ``codegen-naive`` are mutually exclusive), and built-in passes
-        must appear in canonical order (``status-checks`` placed after
-        ``codegen`` would silently not take effect)."""
-        have: set[str] = set()
-        seen: set[str] = set()
-        provider: dict[str, str] = {}
-        for p in self.passes:
-            if p.name in seen:
-                raise PipelineError(f"duplicate pass {p.name!r}")
-            seen.add(p.name)
-            missing = [r for r in p.requires if r not in have]
-            if missing:
-                raise PipelineError(
-                    f"pass {p.name!r} requires {missing} but earlier passes "
-                    f"only provide {sorted(have)}"
-                )
-            for fact in p.provides:
-                if fact in provider:
-                    raise PipelineError(
-                        f"passes {provider[fact]!r} and {p.name!r} both "
-                        f"provide {fact!r}: they are mutually exclusive"
-                    )
-                provider[fact] = p.name
-            have.update(p.provides)
-        order = {n: i for i, n in enumerate(PASS_ORDER)}
-        known = [p.name for p in self.passes if p.name in order]
-        if known != sorted(known, key=order.__getitem__):
-            raise PipelineError(
-                f"built-in passes {known} are out of canonical order "
-                f"{[n for n in PASS_ORDER if n in known]}"
-            )
+    def __init__(self, options: CompilerOptions, skip: frozenset[str] = frozenset()):
+        self.options = options
+        self.passes = [PASSES[n] for n in options.pass_names if n not in skip]
 
     def run_context(
         self,
         source: str | Program | Subroutine,
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
-        trace: PipelineTrace | None = None,
     ) -> PassContext:
-        """Run the passes over a fresh context (partial pipelines allowed)."""
+        """Run the passes over a fresh context, for inspection."""
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
-        if options is None:
-            options = CompilerOptions.from_passes(self.pass_names)
         ctx = PassContext(
             source=source,
             bindings=bindings,
             processors=processors,
-            options=options,
+            options=self.options,
         )
-        trace = trace if trace is not None else PipelineTrace()
+        trace = PipelineTrace()
         _OBS.counter("repro.compiler.pipelines_run").inc()
         for p in self.passes:
             t0 = time.perf_counter()
@@ -561,17 +503,9 @@ class Pipeline:
         source: str | Program | Subroutine,
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
     ) -> CompiledProgram:
-        """Run the full pipeline and assemble the compiled artifact."""
-        produced = set().union(*(p.provides for p in self.passes))
-        needed = {"ast", "resolved", "graph", "code"}
-        if not needed <= produced:
-            raise PipelineError(
-                f"pipeline {list(self.pass_names)} cannot produce a compiled "
-                f"program: missing {sorted(needed - produced)}"
-            )
-        ctx = self.run_context(source, bindings, processors, options)
+        """Run the passes and assemble the compiled artifact."""
+        ctx = self.run_context(source, bindings, processors)
         assert ctx.resolved is not None
         compiled: dict[str, CompiledSubroutine] = {}
         for name, rsub in ctx.resolved.subroutines.items():
@@ -589,60 +523,3 @@ class Pipeline:
             trace=ctx.report.trace,
             report=ctx.report,
         )
-
-
-# ---------------------------------------------------------------------------
-# pass manager / registry
-# ---------------------------------------------------------------------------
-
-
-class PassManager:
-    """Registry of named passes; desugars levels and name lists to pipelines."""
-
-    _registry: dict[str, Callable[[], Pass]] = {
-        "parse": ParsePass,
-        "motion": MotionPass,
-        "symbolize": SymbolizePass,
-        "resolve": ResolvePass,
-        "construction": ConstructionPass,
-        "remove-useless": RemoveUselessPass,
-        "live-copies": LiveCopiesPass,
-        "status-checks": StatusChecksPass,
-        "codegen": lambda: CodegenPass(naive=False),
-        "codegen-naive": lambda: CodegenPass(naive=True),
-        "traffic-estimate": TrafficEstimatePass,
-        "verify": VerifyPass,
-    }
-
-    @classmethod
-    def available(cls) -> tuple[str, ...]:
-        return tuple(n for n in PASS_ORDER if n in cls._registry)
-
-    @classmethod
-    def create(cls, name: str) -> Pass:
-        try:
-            return cls._registry[name]()
-        except KeyError:
-            raise PipelineError(
-                f"unknown pass {name!r}; available: {list(cls.available())}"
-            ) from None
-
-    @classmethod
-    def build(cls, names: Sequence[str]) -> Pipeline:
-        """A pipeline from explicit pass names, run in canonical order."""
-        names = list(names)
-        missing = MANDATORY_PASSES - set(names)
-        if missing:
-            raise PipelineError(
-                f"pass list {names} is missing mandatory passes {sorted(missing)}"
-            )
-        order = {n: i for i, n in enumerate(PASS_ORDER)}
-        return Pipeline(sorted((cls.create(n) for n in names), key=lambda p: order[p.name]))
-
-    @classmethod
-    def pipeline_for(cls, options: CompilerOptions) -> Pipeline:
-        return cls.build(options.pass_names)
-
-    @classmethod
-    def pipeline_for_level(cls, level: int) -> Pipeline:
-        return cls.build(passes_for_level(level))

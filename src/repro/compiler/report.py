@@ -6,21 +6,22 @@ its labels (Fig. 11/12), what the optimizations removed, and the generated
 copy code (Fig. 20).  Used by the quickstart example and handy when
 debugging programs.
 
-``pass_reference_table`` renders the live pass registry as the markdown
-reference table embedded in ``docs/PASSES.md``; ``tests/test_docs.py``
-diffs the doc against this function's output so the documentation cannot
-drift from the registry.
+``pass_reference_table`` renders the pass table
+(:data:`~repro.compiler.pipeline.PASSES`) as the markdown reference table
+embedded in ``docs/PASSES.md``; ``tests/test_docs.py`` diffs the doc
+against this function's output so the documentation cannot drift from
+the code.
 """
 
 from __future__ import annotations
 
 from repro.compiler.artifacts import (
     PASS_ANCHORS,
-    PASS_ORDER,
     CompiledProgram,
     CompiledSubroutine,
     passes_for_level,
 )
+from repro.compiler.pipeline import PASSES
 from repro.remap.codegen import render_code
 
 
@@ -59,36 +60,21 @@ def subroutine_report(cs: CompiledSubroutine) -> str:
 
 
 def pass_reference_table() -> str:
-    """The pass registry rendered as a markdown table (for docs/PASSES.md).
+    """The pass table rendered as markdown (for docs/PASSES.md).
 
-    One row per registered pass, in canonical order: declared inputs
-    (REQUIRES) and outputs (PROVIDES), which ``CompilerOptions(level=N)``
-    pass sets include it, and its anchor in the paper (or the extension
-    that introduced it).  Rendered from the *live* registry --
-    :class:`~repro.compiler.pipeline.PassManager` instances are created
-    and asked for their declarations -- so the table cannot silently
+    One row per pass of :data:`~repro.compiler.pipeline.PASSES`, in
+    canonical order: which ``CompilerOptions(level=N)`` pass sets include
+    it, and its anchor in the paper (or the extension that introduced
+    it).  Rendered from the table the pipeline runs, so it cannot silently
     disagree with the code.
     """
-    from repro.compiler.pipeline import PassManager  # cycle: pipeline imports us
-
     level_sets = {level: set(passes_for_level(level)) for level in range(4)}
     rows = []
-    for name in PASS_ORDER:
-        if name not in PassManager.available():
-            continue  # pragma: no cover - registry always covers PASS_ORDER
-        p = PassManager.create(name)
+    for name in PASSES:
         levels = [str(lv) for lv in sorted(level_sets) if name in level_sets[lv]]
         level_cell = ", ".join(levels) if levels else "opt-in (`passes=...`)"
-        rows.append(
-            (
-                f"`{name}`",
-                ", ".join(f"`{r}`" for r in p.requires) or "--",
-                ", ".join(f"`{r}`" for r in p.provides) or "--",
-                level_cell,
-                PASS_ANCHORS.get(name, "--"),
-            )
-        )
-    header = ("Pass", "Requires", "Provides", "Levels", "Paper anchor")
+        rows.append((f"`{name}`", level_cell, PASS_ANCHORS[name]))
+    header = ("Pass", "Levels", "Paper anchor")
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
     ]

@@ -80,9 +80,8 @@ from os import PathLike
 from typing import TYPE_CHECKING
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
-from repro.compiler.pipeline import PassManager
+from repro.compiler.pipeline import Pipeline, as_program
 from repro.lang.ast_nodes import Program, Subroutine
-from repro.lang.parser import parse_program
 from repro.lang.printer import print_program, print_subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
@@ -260,12 +259,7 @@ class CompilerSession:
 
         def first_contact() -> tuple[BindingClassification, Program]:
             with _TRACER.span("session.classify"):
-                if isinstance(source, str):
-                    program = parse_program(source)
-                elif isinstance(source, Subroutine):
-                    program = Program((source,))
-                else:
-                    program = source
+                program = as_program(source)
                 return classify_bindings(program), program
 
         names, program = self._sources.obtain(digest, first_contact)
@@ -475,9 +469,7 @@ class CompilerSession:
         # concurrent misses for the same key both compile (benign:
         # artifacts are interchangeable, first insert wins) -- the service
         # layer's single-flight prevents the repeat
-        compiled = PassManager.pipeline_for(options).compile(
-            program, bindings=bindings, processors=processors, options=options
-        )
+        compiled = Pipeline(options).compile(program, bindings, processors)
         compiled.freeze()
         # a symbolized source with shape-symbolic bindings also yields the
         # shape-erased template, from the pass-recorded post-motion AST

@@ -72,13 +72,6 @@ class SymbolicTemplate(_Freezable):
     def shape_names(self) -> frozenset[str]:
         return self.classification.shape_symbolic
 
-    def instantiation_pass_names(self) -> tuple[str, ...]:
-        return tuple(
-            n
-            for n in self.options.pass_names
-            if n not in _SKIPPED_AT_INSTANTIATION
-        )
-
     def missing_shapes(self, bindings: dict[str, int] | None) -> list[str]:
         got = set(bindings or {})
         return sorted(self.shape_names - got)
@@ -97,7 +90,7 @@ class SymbolicTemplate(_Freezable):
         over the stored AST.  The caller freezes the result before sharing
         it, exactly as for an eager compile.
         """
-        from repro.compiler.pipeline import PassManager
+        from repro.compiler.pipeline import Pipeline
 
         missing = self.missing_shapes(bindings)
         if missing:
@@ -107,8 +100,8 @@ class SymbolicTemplate(_Freezable):
             )
         merged = dict(self.fixed_bindings)
         merged.update(bindings or {})
-        pipeline = PassManager.build(self.instantiation_pass_names())
-        return pipeline.compile(self.program, merged, processors, options=self.options)
+        pipeline = Pipeline(self.options, skip=_SKIPPED_AT_INSTANTIATION)
+        return pipeline.compile(self.program, merged, processors)
 
 
 def build_template(

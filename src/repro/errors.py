@@ -44,10 +44,6 @@ class SemanticError(ReproError):
     """Raised on name-resolution or directive legality violations."""
 
 
-class PipelineError(ReproError):
-    """Raised on an ill-formed pass pipeline (unmet inputs, bad order)."""
-
-
 class ArtifactStoreError(ReproError):
     """The persistent artifact store is unusable (not a corrupt entry).
 

@@ -41,12 +41,6 @@ from repro.lang.ast_nodes import Call, Kill, Realign, Redistribute, Stmt
 from repro.remap.construction import ConstructionResult
 from repro.remap.graph import GRVertex
 
-# declared pipeline interface (consumed by repro.compiler.pipeline)
-PASS_NAME = "codegen"
-PASS_REQUIRES = ("graph",)
-PASS_PROVIDES = ("code",)
-
-
 # ---------------------------------------------------------------------------
 # runtime ops
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ from repro.mapping.distribute import Distribution
 from repro.mapping.mapping import Mapping
 from repro.remap.graph import GRVertex, RemappingGraph, VersionTable
 
-# declared pipeline interface (consumed by repro.compiler.pipeline)
-PASS_NAME = "construction"
-PASS_REQUIRES = ("resolved",)
-PASS_PROVIDES = ("graph",)
-
-
 # ---------------------------------------------------------------------------
 # bit encodings of the backward and kill problems (two bits per array)
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ class CostGuard:
         processors: ProcessorArrangement | int | None = None,
     ):
         from repro.compiler.artifacts import PASS_ORDER
-        from repro.compiler.pipeline import PassManager
+        from repro.compiler.pipeline import PASSES
 
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
@@ -403,7 +403,7 @@ class CostGuard:
         self.cost = options.cost
         self.schedule = options.schedule
         tail = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("codegen-naive") + 1]
-        self._tail = [PassManager.create(n) for n in tail if n in options.pass_names]
+        self._tail = [PASSES[n] for n in options.pass_names if n in tail]
         # placement pricing memo, keyed by the projected text: across the
         # accept/reject iteration the projected "current" placement of one
         # sink is the projected "candidate" of an earlier sink of the same

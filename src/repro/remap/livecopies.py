@@ -19,12 +19,6 @@ from __future__ import annotations
 from repro.ir.effects import Use
 from repro.remap.graph import RemappingGraph
 
-# declared pipeline interface (consumed by repro.compiler.pipeline)
-PASS_NAME = "live-copies"
-PASS_REQUIRES = ("graph",)
-PASS_PROVIDES = ("live-sets",)
-
-
 def compute_live_copies(graph: RemappingGraph) -> None:
     """Fill ``M_A(v)`` for every vertex/array of the graph (in place)."""
     # initialization: directly useful mappings (the vertex's leaving copies)

@@ -64,12 +64,6 @@ from repro.lang.ast_nodes import (
     walk_statements,
 )
 
-# declared pipeline interface (consumed by repro.compiler.pipeline)
-PASS_NAME = "motion"
-PASS_REQUIRES = ("ast",)
-PASS_PROVIDES = ("motion",)
-
-
 def alignment_families(sub: Subroutine) -> dict[str, frozenset[str]]:
     """Map each align-tree root (array or template name) to its whole family."""
     parent: dict[str, str] = {}

@@ -37,12 +37,6 @@ from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.remap.graph import RemappingGraph
 
-# declared pipeline interface (consumed by repro.compiler.pipeline)
-PASS_NAME = "remove-useless"
-PASS_REQUIRES = ("graph",)
-PASS_PROVIDES = ("graph-pruned",)
-
-
 @dataclass
 class RemovalReport:
     """What the optimization did -- consumed by tests and benchmarks."""

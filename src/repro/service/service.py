@@ -144,6 +144,16 @@ class ServiceResult:
         return self.result.value(name)
 
 
+#: Serving tier -> the :class:`ServiceStats` count it lands in, which is
+#: also the name of its ``repro.service.*`` registry counter.
+_TIER_COUNTS = {
+    "memory": "compile_hits",
+    "instantiated": "instantiations",
+    "disk": "store_hits",
+    "compiled": "compile_misses",
+}
+
+
 class ServiceStats:
     """Thread-safe service telemetry, a thin view over obs histograms.
 
@@ -219,35 +229,25 @@ class ServiceStats:
         _OBS.counter("repro.service.dedup_saves").inc()
 
     def record_done(self, res: ServiceResult, now: float) -> None:
-        mirror = "repro.service.requests_completed"
+        # dedup followers are counted once as dedup_saves: they never
+        # touched the session cache, so they are neither hits nor misses
+        tier = None
+        if res.compiled is not None and not res.deduped:
+            tier = _TIER_COUNTS[res.cache_source]
         with self._lock:
             self.completed += 1
             if res.error is not None:
                 self.errors += 1
-            # dedup followers are counted once as dedup_saves: they never
-            # touched the session cache, so they are neither hits nor misses
-            if res.compiled is not None and not res.deduped:
-                if res.cache_source == "memory":
-                    self.compile_hits += 1
-                elif res.cache_source == "instantiated":
-                    self.instantiations += 1
-                elif res.cache_source == "disk":
-                    self.store_hits += 1
-                else:
-                    self.compile_misses += 1
+            if tier is not None:
+                setattr(self, tier, getattr(self, tier) + 1)
             self._last_done = now
         self.latency.observe(res.seconds)
-        _OBS.counter(mirror).inc()
+        _OBS.counter("repro.service.requests_completed").inc()
         _OBS.histogram("repro.service.request_seconds").observe(res.seconds)
         if res.error is not None:
             _OBS.counter("repro.service.errors").inc()
-        if res.compiled is not None and not res.deduped:
-            tier_metric = {
-                "memory": "repro.service.compile_hits",
-                "instantiated": "repro.service.instantiations",
-                "disk": "repro.service.store_hits",
-            }.get(res.cache_source, "repro.service.compile_misses")
-            _OBS.counter(tier_metric).inc()
+        if tier is not None:
+            _OBS.counter(f"repro.service.{tier}").inc()
 
     # -- derived -----------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Documentation sync: the docs cannot drift from the code.
 
-Three enforced contracts:
+Enforced contracts:
 
 * ``docs/ARCHITECTURE.md`` mentions every module under ``src/repro/``
   (a new module without a home in the architecture map fails CI), and
-  names no ``repro.*`` module or attribute that does not exist (a
-  deleted module cannot linger in the map);
+  no doc -- the README, ``docs/*.md``, the verify skill -- names a
+  ``repro.*`` module or attribute that does not exist (a deleted name
+  cannot linger in any of them);
 * the pass table in ``docs/PASSES.md`` is byte-identical to what the
-  live pass registry renders
+  pass table renders
   (:func:`repro.compiler.report.pass_reference_table`);
 * the metric catalog table in ``docs/OBSERVABILITY.md`` is
   byte-identical to what the live metric catalog renders
@@ -16,7 +17,8 @@ Three enforced contracts:
   no job that no longer exists;
 * every public name exported from ``repro`` and ``repro.service`` (and
   every module) carries a docstring;
-* every ``examples/*.py`` script runs to completion.
+* every ``examples/*.py`` script runs to completion, and the README's
+  python blocks run in order in one namespace.
 """
 
 from __future__ import annotations
@@ -78,19 +80,22 @@ def _resolves(dotted: str) -> bool:
 
 
 def test_architecture_names_only_what_exists():
-    """The converse of the test above.  Metric names share the ``repro.``
-    prefix and are held to the catalog instead.  Likewise every
-    ``benchmarks/``, ``tests/`` or ``docs/`` path the README or a doc
+    """The converse of the test above, held for every doc: each
+    `` `repro.…` `` token in the README, any ``docs/*.md`` or the verify
+    skill must name an importable module or attribute.  Metric names share
+    the ``repro.`` prefix and are held to the catalog instead.  Likewise
+    every ``benchmarks/``, ``tests/`` or ``docs/`` path the README or a doc
     names (in prose or in a command) must be on disk; a ``*`` globs."""
     from repro.obs.catalog import CATALOG
 
-    text = (DOCS / "ARCHITECTURE.md").read_text()
-    tokens = set(re.findall(r"`(repro(?:\.\w+)+)`", text))
-    stale = sorted(t for t in tokens - set(CATALOG) if not _resolves(t))
-    assert not stale, (
-        "docs/ARCHITECTURE.md names modules/attributes that do not exist: "
-        + ", ".join(stale)
-    )
+    skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+    for doc in (REPO / "README.md", *sorted(DOCS.glob("*.md")), skill):
+        tokens = set(re.findall(r"`(repro(?:\.\w+)+)`", doc.read_text()))
+        stale = sorted(t for t in tokens - set(CATALOG) if not _resolves(t))
+        assert not stale, (
+            f"{doc.relative_to(REPO)} names modules/attributes that do not exist: "
+            + ", ".join(stale)
+        )
 
     path_token = re.compile(r"(?<![\w/.-])(?:benchmarks|tests|docs)/[\w./*-]*")
     for doc in (REPO / "README.md", *sorted(DOCS.glob("*.md"))):
@@ -178,7 +183,7 @@ def test_pass_table_matches_registry():
     embedded = text.split(begin, 1)[1].split(end, 1)[0].strip()
     rendered = pass_reference_table().strip()
     assert embedded == rendered, (
-        "docs/PASSES.md is out of sync with the live pass registry -- "
+        "docs/PASSES.md is out of sync with the pass table -- "
         "regenerate the table with "
         "`python -c \"from repro.compiler.report import pass_reference_table; "
         'print(pass_reference_table())"`'
@@ -275,8 +280,7 @@ def test_example_runs(example, tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-def test_readme_quickstart_is_complete_and_runs():
-    """The README quickstart must be copy-pasteable: it defines SOURCE."""
+def _readme_python_blocks() -> list[str]:
     text = (REPO / "README.md").read_text()
     blocks, in_block, current = [], False, []
     for line in text.splitlines():
@@ -287,9 +291,24 @@ def test_readme_quickstart_is_complete_and_runs():
             blocks.append("\n".join(current))
         elif in_block:
             current.append(line)
+    return blocks
+
+
+def test_readme_quickstart_is_complete_and_runs():
+    """The README quickstart must be copy-pasteable: it defines SOURCE."""
     quickstart = next(
-        (b for b in blocks if "CompilerSession" in b and "session.run" in b), None
+        (b for b in _readme_python_blocks() if "CompilerSession" in b and "session.run" in b),
+        None,
     )
     assert quickstart is not None, "README lost its session quickstart"
     assert "SOURCE = " in quickstart, "README quickstart must define SOURCE"
     exec(compile(quickstart, "<README quickstart>", "exec"), {})
+
+
+def test_readme_python_blocks_run_in_order(tmp_path, monkeypatch):
+    """Pasted into one REPL in order, every README example runs: each block
+    may use what an earlier one defined, and nothing else."""
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for i, block in enumerate(_readme_python_blocks(), 1):
+        exec(compile(block, f"<README python block {i}>", "exec"), namespace)

@@ -601,6 +601,7 @@ def test_every_serving_tier_is_traced_and_timed(tracer, tmp_path):
         tracer.clear()
         (warm,) = svc.run_batch([_fig1_request(12, options=symbolic)])
         session = svc.session.stats
+        served = svc.stats.snapshot()
     assert all(r.ok for r in results) and warm.ok
     tiers = [r.cache_source for r in results + [warm]]
     assert tiers == ["disk", "memory", "compiled", "instantiated", "memory"]
@@ -617,6 +618,15 @@ def test_every_serving_tier_is_traced_and_timed(tracer, tmp_path):
     assert samples("disk") == session["store_hits"] == 1
     compiled = session["misses"] - session["instantiations"] - session["store_hits"]
     assert samples("compiled") == compiled == 1
+    # the service counts every tier once, in its stats and in the registry
+    for tier, count in (
+        ("memory", "compile_hits"),
+        ("instantiated", "instantiations"),
+        ("disk", "store_hits"),
+        ("compiled", "compile_misses"),
+    ):
+        registry = d.get((f"repro.service.{count}", ()), {"delta": 0.0})["delta"]
+        assert registry == served[count] == samples(tier), tier
 
 
 RAISES_AFTER_ONE_REMAP = """

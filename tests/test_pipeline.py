@@ -1,8 +1,8 @@
-"""The pass-pipeline architecture: validation, traces, level equivalence.
+"""The pass-pipeline architecture: pass-set rules, traces, level equivalence.
 
 The level<->pass-set equivalence tests are the API-redesign contract: for
-every optimization level, the legacy ``compile_program(level=L)`` spelling
-and the equivalent explicit :class:`Pipeline` must produce identical
+every optimization level, the ``CompilerOptions(level=L)`` spelling and
+the equivalent explicit pass list must produce identical
 generated code (compared through the stable textual rendering -- op dicts
 are keyed by AST identity, so object equality across two compiles is
 meaningless) and identical machine traffic when executed.
@@ -18,19 +18,11 @@ from repro import (
     ExecutionEnv,
     Executor,
     Machine,
-    PassManager,
     Pipeline,
     compile_program,
     passes_for_level,
 )
-from repro.compiler.pipeline import (
-    CodegenPass,
-    ConstructionPass,
-    ParsePass,
-    ResolvePass,
-    StatusChecksPass,
-)
-from repro.errors import PipelineError
+from repro.compiler import PASS_ORDER, PASSES
 from repro.remap.codegen import RemapOp, RestoreOp, render_code
 
 # paper Fig. 1: realign+redistribute through an unused intermediate mapping
@@ -118,9 +110,13 @@ def test_level_pass_set_equivalence(level, workload):
         processors=4,
         options=CompilerOptions(level=level),
     )
-    pipeline = PassManager.pipeline_for_level(level)
-    assert pipeline.pass_names == passes_for_level(level)
-    new = pipeline.compile(w["source"], bindings=w["bindings"], processors=4)
+    new = compile_program(
+        w["source"],
+        bindings=w["bindings"],
+        processors=4,
+        options=CompilerOptions(passes=passes_for_level(level)),
+    )
+    assert new.trace.pass_names == old.trace.pass_names == passes_for_level(level)
 
     # identical generated code, subroutine by subroutine
     assert set(old.subroutines) == set(new.subroutines)
@@ -155,50 +151,27 @@ def test_custom_pass_list_is_first_class():
 def test_unknown_pass_name_rejected():
     with pytest.raises(ValueError):
         CompilerOptions(passes=("parse", "frobnicate"))
-    with pytest.raises(PipelineError):
-        PassManager.create("frobnicate")
 
 
-def test_pipeline_validates_declared_inputs():
-    # codegen requires the remapping graph: resolve alone cannot feed it
-    with pytest.raises(PipelineError):
-        Pipeline([ParsePass(), ResolvePass(), CodegenPass()])
-    # mandatory front-end passes cannot be dropped from a name list
-    with pytest.raises(PipelineError):
-        PassManager.build(["codegen"])
-    # duplicates are rejected
-    with pytest.raises(PipelineError):
-        Pipeline([ParsePass(), ParsePass()])
-    # the two codegen variants both provide "code": mutually exclusive
-    with pytest.raises(ValueError):
-        CompilerOptions(passes=passes_for_level(1) + ("codegen-naive",))
-    # status-checks cannot take effect under the naive baseline
-    with pytest.raises(ValueError):
-        CompilerOptions(
-            passes=("parse", "resolve", "construction", "status-checks", "codegen-naive")
-        )
-    with pytest.raises(PipelineError):
-        Pipeline(
-            [
-                ParsePass(),
-                ResolvePass(),
-                ConstructionPass(),
-                CodegenPass(),
-                CodegenPass(naive=True),
-            ]
-        )
-    # status-checks after codegen would silently not take effect:
-    # built-in passes must keep canonical order
-    with pytest.raises(PipelineError):
-        Pipeline(
-            [
-                ParsePass(),
-                ResolvePass(),
-                ConstructionPass(),
-                CodegenPass(),
-                StatusChecksPass(),
-            ]
-        )
+def test_options_reject_every_illegal_pass_set():
+    """The options are the one place a pass set is checked: every illegal
+    set fails at construction, before any pipeline exists."""
+    level1 = passes_for_level(1)
+    illegal = [
+        level1 + ("frobnicate",),
+        *(tuple(n for n in level1 if n != m) for m in ("parse", "resolve", "construction")),
+        ("parse", "resolve", "construction"),
+        level1 + ("codegen-naive",),
+        ("parse", "resolve", "construction", "status-checks", "codegen-naive"),
+    ]
+    for names in illegal:
+        with pytest.raises(ValueError):
+            CompilerOptions(passes=names)
+
+
+def test_pass_table_is_pass_order():
+    assert tuple(PASSES) == PASS_ORDER
+    assert all(p.name == name for name, p in PASSES.items())
 
 
 def test_trace_records_every_pass_with_timings():
@@ -320,33 +293,17 @@ def test_naive_codegen_never_checks_status():
     assert ops and all(not op.check_status for op in ops)
 
 
-def test_remap_modules_declare_pipeline_interface():
-    from repro.remap import codegen, construction, livecopies, motion, optimize
-
-    for mod, name in [
-        (construction, "construction"),
-        (optimize, "remove-useless"),
-        (livecopies, "live-copies"),
-        (motion, "motion"),
-        (codegen, "codegen"),
-    ]:
-        assert mod.PASS_NAME == name
-        assert isinstance(mod.PASS_REQUIRES, tuple)
-        assert isinstance(mod.PASS_PROVIDES, tuple)
-
-
 def test_partial_pipeline_run_context_for_inspection():
-    pipeline = Pipeline([ParsePass(), ResolvePass(), ConstructionPass()])
-    ctx = pipeline.run_context(FIG10, bindings={"n": N}, processors=4)
-    assert set(ctx.graphs()) == {"remap"}
-    with pytest.raises(PipelineError):
-        pipeline.compile(FIG10, bindings={"n": N}, processors=4)
+    options = CompilerOptions(level=3)
+    ctx = Pipeline(options).run_context(FIG10, bindings={"n": N}, processors=4)
+    assert set(ctx.graphs()) == set(ctx.codes) == {"remap"}
+    assert ctx.report.trace.pass_names == options.pass_names
 
 
 def test_status_checks_pass_alone_is_position_independent():
-    # status-checks has no data dependencies; building from names places it
-    # canonically and the result equals the level-1 pipeline
-    p = PassManager.build(
-        ["status-checks", "codegen", "remove-useless", "construction", "resolve", "parse"]
+    # status-checks has no data dependencies; options normalise any order of
+    # the names to the canonical one, which is the level-1 pass set
+    opts = CompilerOptions(
+        passes=("status-checks", "codegen", "remove-useless", "construction", "resolve", "parse")
     )
-    assert p.pass_names == passes_for_level(1)
+    assert opts.pass_names == passes_for_level(1)

@@ -40,7 +40,7 @@ from repro import (
     predict_traffic,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
-from repro.compiler.pipeline import PassManager
+from repro.compiler.pipeline import PASSES
 from repro.errors import ScheduleError
 from repro.mapping import (
     Alignment,
@@ -640,7 +640,7 @@ def test_schedule_policy_adds_no_pass(monkeypatch):
     not a pass, and there is no second switch that turns scheduling on.  A
     compile plans exactly the pairs its guard priced, each built once; the
     first run builds only the performed pairs not already held."""
-    assert "schedule" not in PassManager.available()
+    assert "schedule" not in PASSES
     with pytest.raises(ValueError, match="unknown pass name"):
         CompilerOptions(passes=("parse", "resolve", "construction", "codegen", "schedule"))
     priced = obtained_plans(monkeypatch, "repro.spmd.traffic")

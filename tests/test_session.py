@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.workloads import random_legal_subroutine
-from repro.compiler import session as session_mod
+from repro.compiler import pipeline as pipeline_mod
 from repro.compiler.session import source_digest
 from repro.errors import ParseError
 from repro.fuzz.generator import generate_case
@@ -316,7 +316,8 @@ def test_cache_key_is_the_same_before_and_after_the_first_compile():
 
 
 def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monkeypatch):
-    parses = counted(monkeypatch, session_mod, "parse_program")
+    # first contact converts a source with the pipeline's one helper
+    parses = counted(monkeypatch, pipeline_mod, "parse_program")
     eager = CompilerOptions(level=3)
     symbolic = CompilerOptions.symbolic(level=3)
     writer = CompilerSession(processors=4, store=tmp_path)

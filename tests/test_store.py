@@ -31,7 +31,7 @@ from repro import (
     schema_fingerprint,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
-from repro.compiler.pipeline import PassManager
+from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError
 from repro.lang.ast_nodes import ArrayDecl
@@ -366,9 +366,7 @@ def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
     assert reader.stats["instantiations"] == 0
     values, stats = _run(compiled, w)
     ref_values, ref_stats = _run(
-        PassManager.pipeline_for(SYMBOLIC).compile(
-            w["source"], bindings=w["bindings"], processors=4, options=SYMBOLIC
-        ),
+        Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=4),
         w,
     )
     assert np.array_equal(values["a"], ref_values["a"])

@@ -29,7 +29,6 @@ from repro.apps.workloads import (
     chain_subroutine,
     loopy_subroutine,
 )
-from repro.compiler.pipeline import PassManager
 from repro.spmd.schedule import POLICIES
 from repro.spmd.traffic import enumerate_scenarios, estimate_range
 from test_symbolic import CASES, FIG1, FIG12
@@ -128,20 +127,8 @@ def test_predicted_vs_observed_within_tolerance(workload, level, schedule):
 
 
 def test_traffic_estimate_pass_records_ranges_and_counters():
-    pipeline = PassManager.build(
-        [
-            "parse",
-            "motion",
-            "resolve",
-            "construction",
-            "remove-useless",
-            "live-copies",
-            "status-checks",
-            "codegen",
-            "traffic-estimate",
-        ]
-    )
-    compiled = pipeline.compile(FIG12, bindings={"n": N, "m": 3}, processors=4)
+    opts = CompilerOptions(passes=CompilerOptions(level=3).pass_names + ("traffic-estimate",))
+    compiled = compile_program(FIG12, bindings={"n": N, "m": 3}, processors=4, options=opts)
     rng = compiled.report.traffic["remap"]
     assert rng.scenarios >= 2  # both c1 outcomes at least
     assert rng.lo.dominated_by(rng.hi)
