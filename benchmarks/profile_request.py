@@ -28,11 +28,12 @@ priced, against those of the two family projections they were cut from), what
 crossed the mp control pipes over the profiled rounds (control frames and
 their bytes, and the per-rank wire programs shipped in them -- 0 after the
 warm-up rounds, since the ranks keep every program), and, one line each,
-what the process-wide memos (``repro.util.memo.process_memo_stats``: the
-plans, ``repro.spmd.schedule.PLANS``, and the layouts) did over the
-profiled rounds: values obtained, built, served as hits and evicted, and
-the entries they gained -- after the warm-up rounds, a workload that
-performs no new mapping pair builds no plan.
+what the process-wide memos (the plans, ``repro.spmd.schedule.PLANS``, and
+the layouts) did over the profiled rounds, read as ``snapshot_diff``s of
+their ``repro.memo.*`` series in ``REGISTRY``: values obtained, built,
+served as hits and evicted, and the entries they gained -- after the
+warm-up rounds, a workload that performs no new mapping pair builds no
+plan.
 
 ``--cold`` forgets every process-wide memo before each profiled round
 (``repro.util.memo.clear_process_memos``), as a restarted process has them:
@@ -64,7 +65,7 @@ import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not ed
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard, project, window  # noqa: E402
-from repro.obs import REGISTRY  # noqa: E402
+from repro.obs import REGISTRY, snapshot_diff  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
 from repro.runtime.mpbackend import MPExecutor  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
@@ -72,7 +73,7 @@ from repro.spmd import transport  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
 from repro.spmd.traffic import simulate_grid  # noqa: E402
-from repro.util.memo import clear_process_memos, process_memo_stats  # noqa: E402
+from repro.util.memo import clear_process_memos  # noqa: E402
 
 SEED = 1  # input values only; the traffic and the code path are the same for every seed
 
@@ -184,14 +185,14 @@ def profile(
         kinds = workload.round_kinds(r)
         if cold:
             clear_process_memos()
-        start = process_memo_stats()
+        start = REGISTRY.snapshot()
         profiler.enable()
         results, _ = workload.serve(kinds)
         profiler.disable()
-        for name, now in process_memo_stats().items():
-            memos.setdefault(name, Counter()).update(
-                {k: v - start[name][k] for k, v in now.items() if k != "capacity"}
-            )
+        for d in snapshot_diff(start, REGISTRY.snapshot())["diff"]:
+            if d["name"].startswith("repro.memo."):
+                count = d["name"].rsplit(".", 1)[1]
+                memos.setdefault(d["labels"]["memo"], Counter())[count] += int(d["delta"])
         failed = [k.name for k, res in zip(kinds, results) if workloads.request_failed(k, res)]
         if failed:
             raise SystemExit(f"profile_request: round {r}: wrong or failed requests {failed}")
@@ -227,12 +228,16 @@ def main(argv: list[str] | None = None) -> int:
 
     stats.sort_stats("cumulative").print_stats(args.top)
     print("tiers: " + "  ".join(f"{tier} {n}" for tier, n in tiers.most_common()))
-    held = process_memo_stats()
-    for name, memo in memos.items():
+    held = {
+        m["labels"]["memo"]: int(m["value"])
+        for m in REGISTRY.snapshot()["metrics"]
+        if m["name"] == "repro.memo.entries"
+    }
+    for name, memo in sorted(memos.items()):
         print(
             f"{name}: obtains {memo['hits'] + memo['misses']}  builds {memo['misses']}  "
             f"hits {memo['hits']}  evictions {memo['evictions']}  "
-            f"entries {memo['entries']:+d} ({held[name]['entries']} held) "
+            f"entries {memo['entries']:+d} ({held[name]} held) "
             f"over {args.rounds} rounds"
         )
     print(

@@ -95,20 +95,15 @@ if TYPE_CHECKING:
     from repro.spmd.machine import Machine
     from repro.store import ArtifactStore
 
-# Registry mirrors of the per-session counters: each session keeps its
-# own ints (per-instance stats stay exact) and folds every increment
-# into the process-wide repro.session.* aggregates.
-_M_HITS = _OBS.counter("repro.session.hits")
-_M_MISSES = _OBS.counter("repro.session.misses")
-_M_EVICTIONS = _OBS.counter("repro.session.evictions")
-_M_STORE_HITS = _OBS.counter("repro.session.store_hits")
-_M_STORE_WRITES = _OBS.counter("repro.session.store_writes")
-_M_INSTANTIATIONS = _OBS.counter("repro.session.instantiations")
 
-
-def _evicted(key: object, value: object) -> None:
-    """An artifact or a template left a session's memory tier."""
-    _M_EVICTIONS.inc()
+def _series(counts: dict[str, int], cache: Memo, templates: Memo):
+    """A session's counts as its ``repro.session.*`` families, read from its
+    parts and never from the session, so a collected session retires them."""
+    return lambda: {
+        "repro.session.hits": cache.hits,
+        "repro.session.evictions": cache.evictions + templates.evictions,
+        **{f"repro.session.{event}": n for event, n in counts.items()},
+    }
 
 
 def _compile_seconds(tier: str, t0: float) -> None:
@@ -215,26 +210,37 @@ class CompilerSession:
 
             store = ArtifactStore(store)
         self.store = store
-        self._cache: Memo[SessionKey, CompiledProgram] = Memo(max_entries, _evicted)
+        # its hits are the session's, its evictions and the templates' too
+        self._cache: Memo[SessionKey, CompiledProgram] = Memo(max_entries)
         # shape-erased symbolic templates, keyed like artifacts but with
         # shape bindings and the processor arrangement dropped; one
         # template serves every (n, P) of its source
-        self._templates: "Memo[tuple, SymbolicTemplate]" = Memo(max_entries, _evicted)
+        self._templates: "Memo[tuple, SymbolicTemplate]" = Memo(max_entries)
         # source digest -> (classification, parsed program); a dropped
         # entry is recomputed from the source
         self._sources: Memo[str, tuple[BindingClassification, Program]] = Memo(max_entries)
         # guards the counters, which count requests by serving tier
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.passes_run = 0  # total pipeline passes executed (misses only)
-        # disk-tier traffic (zero unless a store is attached): memory
-        # misses answered from the store, and artifacts written back
-        self.store_hits = 0
-        self.store_writes = 0
-        # misses served by instantiating a symbolic template (no pipeline
-        # front end ran; only the cheap structural tail)
-        self.instantiations = 0
+        # requests the memory tier missed, the ones of them the attached store
+        # or a symbolic template served, and artifacts written to the store
+        self._counts = dict.fromkeys(("misses", "store_hits", "instantiations", "store_writes"), 0)
+        _OBS.read(_series(self._counts, self._cache, self._templates), owner=self)
+
+    def _count(self, *events: str) -> None:
+        with self._lock:
+            for event in events:
+                self._counts[event] += 1
+
+    @property
+    def hits(self) -> int:
+        """Requests the memory tier served."""
+        return self._cache.hits
+
+    @property
+    def misses(self) -> int:
+        """Requests the memory tier missed (a :meth:`lookup` peek is none)."""
+        return self._counts["misses"]
 
     # -- cache -------------------------------------------------------------
 
@@ -335,9 +341,6 @@ class CompilerSession:
         cached = self._cache.get(key)
         if cached is None:
             return None
-        with self._lock:
-            self.hits += 1
-        _M_HITS.inc()
         with _TRACER.span("session.compile", tier="memory"):
             served = with_bindings(cached, bindings)
         _compile_seconds("memory", t0)
@@ -435,17 +438,11 @@ class CompilerSession:
             source, bindings, processors, options, digest
         )
         cached = self._cache.get(key)
-        with self._lock:
-            if cached is not None:
-                self.hits += 1
-            else:
-                # counted before the pipeline runs, so a compile that
-                # raises still shows up in the session's miss statistics
-                self.misses += 1
-        (_M_HITS if cached is not None else _M_MISSES).inc()
         if cached is not None:
-            # outside the lock: wrapper construction is pure
             return with_bindings(cached, bindings), "memory"
+        # counted before the pipeline runs, so a compile that raises still
+        # shows up in the session's miss statistics
+        self._count("misses")
         tkey = (
             self._template_key(key[0], names, bindings, options)
             if options.symbolize
@@ -460,9 +457,7 @@ class CompilerSession:
             # loaded artifact arrives frozen and joins the memory cache
             loaded = self.store.load(key)
             if loaded is not None:
-                _M_STORE_HITS.inc()
-                with self._lock:
-                    self.store_hits += 1
+                self._count("store_hits")
                 self._cache.put(key, loaded)
                 return with_bindings(loaded, bindings), "disk"
         # the pipeline runs unlocked, on the program first contact parsed;
@@ -498,9 +493,7 @@ class CompilerSession:
             else:
                 wrote = self.store.store(key, compiled)
             if wrote:
-                _M_STORE_WRITES.inc()
-                with self._lock:
-                    self.store_writes += 1
+                self._count("store_writes")
         return compiled, "compiled"
 
     def _instantiate(
@@ -552,15 +545,11 @@ class CompilerSession:
             else:
                 compiled = template.instantiate(bindings, processors)
         compiled.freeze()
-        _M_INSTANTIATIONS.inc()
         if unserved:
-            _M_STORE_HITS.inc()
-        with self._lock:
-            self.instantiations += 1
-            if unserved:
-                self.store_hits += 1
-        if unserved:
+            self._count("instantiations", "store_hits")
             self._templates.put(tkey, template)
+        else:
+            self._count("instantiations")
         self._cache.put(key, compiled)
         return with_bindings(compiled, bindings)
 
@@ -574,24 +563,18 @@ class CompilerSession:
         serving tier, and ``evictions`` the LRU evictions from the artifact
         and template tables."""
         with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self._cache.evictions + self._templates.evictions,
-                "entries": len(self._cache),
-                "passes_run": self.passes_run,
-                "hit_rate": (self.hits / total) if total else 0.0,
-                # disk tier: memory misses answered by the attached store
-                # (subset of "misses" -- zero pipeline passes ran for
-                # them) and artifacts written back for other processes
-                "store_hits": self.store_hits,
-                "store_writes": self.store_writes,
-                # misses served by instantiating a symbolic template
-                # (subset of "misses"; only the structural tail ran)
-                "instantiations": self.instantiations,
-                "templates": len(self._templates),
-            }
+            # misses; of those, store hits (zero pipeline passes ran) and
+            # instantiations (only the structural tail ran); write-backs
+            counts = dict(self._counts, passes_run=self.passes_run)
+        hits, total = self.hits, self.hits + counts["misses"]
+        return {
+            "hits": hits,
+            "evictions": self._cache.evictions + self._templates.evictions,
+            "entries": len(self._cache),
+            "hit_rate": (hits / total) if total else 0.0,
+            "templates": len(self._templates),
+            **counts,
+        }
 
     # -- execution ---------------------------------------------------------
 

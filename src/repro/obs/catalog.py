@@ -48,6 +48,11 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.store.corrupt_evicted", c, "Entries evicted on digest/unpickle failure."),
         MetricSpec("repro.store.semantic_evicted", c, "Entries evicted by semantic verification."),
         MetricSpec("repro.store.lru_evicted", c, "Entries evicted by the capacity bound."),
+        # -- process-wide memos ------------------------------------------------
+        MetricSpec("repro.memo.hits", c, "Process-memo lookups served from the memo, labeled by memo name.", ("memo",)),
+        MetricSpec("repro.memo.misses", c, "Process-memo lookups that found nothing (for an obtain, a build), labeled by memo name.", ("memo",)),
+        MetricSpec("repro.memo.evictions", c, "Least-recently-used evictions from a process memo, labeled by memo name.", ("memo",)),
+        MetricSpec("repro.memo.entries", g, "Entries a process memo holds, labeled by memo name.", ("memo",)),
         # -- simulated machine ------------------------------------------------
         MetricSpec("repro.machine.phases", c, "Communication phases executed on the phase clock."),
         MetricSpec("repro.machine.phase_seconds", h, "Modeled duration of each executed phase."),

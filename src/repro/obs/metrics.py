@@ -15,13 +15,18 @@ observes a torn histogram (``sum`` inconsistent with the bucket
 counts).  The module-level :data:`REGISTRY` is the default sink all
 repro subsystems publish into; :func:`metrics_disabled` turns
 publication into a no-op for overhead measurement.
+
+An object that already counts its events is read, not mirrored
+(:meth:`MetricsRegistry.read`).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import weakref
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -348,6 +353,35 @@ class MetricSpec:
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
+#: A family's key: its name and its sorted label items.
+MetricKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _plus(a: dict | None, b: dict) -> dict:
+    """Two snapshot entries of one family, added (``a`` may be ``None``)."""
+    if a is None:
+        return b
+    if b["kind"] != "histogram":
+        return {**b, "value": a["value"] + b["value"]}
+    count = a["count"] + b["count"]
+    ends = [m for e in (a, b) for m in (e["min"], e["max"]) if m is not None and count]
+    return {
+        **b,
+        "count": count,
+        "sum": a["sum"] + b["sum"],
+        "min": min(ends, default=None),
+        "max": max(ends, default=None),
+        "counts": [x + y for x, y in zip(a["counts"], b["counts"], strict=True)],
+    }
+
+
+def _negated(entry: dict) -> dict:
+    """The entry whose :func:`_plus` with ``entry`` is zero."""
+    if entry["kind"] != "histogram":
+        return {**entry, "value": -entry["value"]}
+    negated = {k: -entry[k] for k in ("count", "sum")}
+    return {**entry, **negated, "min": None, "max": None, "counts": [-c for c in entry["counts"]]}
+
 
 @dataclass
 class MetricsRegistry:
@@ -359,13 +393,18 @@ class MetricsRegistry:
     ``docs/OBSERVABILITY.md`` exhaustive.  ``reset()`` zeroes metrics in
     place, so instruments cached at module level in instrumented code
     stay valid across test isolation resets.
+
+    A family read from its owners (:meth:`read`) is their sum plus its
+    retired total, and appears in :meth:`snapshot` only.
     """
 
     catalog: dict[str, MetricSpec] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
-    _metrics: dict[tuple[str, tuple[tuple[str, str], ...]], object] = field(
-        default_factory=dict
-    )
+    _metrics: dict[MetricKey, object] = field(default_factory=dict)
+    # token -> an owner's reading (a collected owner's: its last one)
+    _readings: dict[object, object] = field(default_factory=dict)
+    _gone: deque = field(default_factory=deque)  # tokens of those, to fold
+    _retired: dict[MetricKey, dict] = field(default_factory=dict)
 
     def _get(self, cls, name: str, labels: dict[str, str] | None, **kwargs):
         label_items = tuple(sorted((labels or {}).items()))
@@ -417,22 +456,95 @@ class MetricsRegistry:
         """Get or create the histogram ``name`` with the given labels/buckets."""
         return self._get(Histogram, name, labels, buckets=buckets)
 
-    def reset(self) -> None:
-        """Zero every registered metric in place (instances stay valid)."""
+    # -- counts kept by their owners ----------------------------------------
+
+    def _entries(self, reading: dict) -> dict[MetricKey, dict]:
+        """A reading -- a family (a name, or ``(name, label items)``) to a
+        count or a :class:`Histogram` -- as snapshot entries by key."""
+        out = {}
+        for key, value in reading.items():
+            key = (key, ()) if isinstance(key, str) else key
+            if isinstance(value, Histogram):
+                out[key] = value._snapshot()
+            else:
+                spec = self.catalog.get(key[0])
+                out[key] = {"kind": spec.kind if spec else "counter", "value": float(value)}
+        return out
+
+    def read(self, reading, owner: object = None) -> None:
+        """Publish counts an object keeps itself, under its own lock.
+
+        ``reading()`` maps each family -- a name, or ``(name, label items)``
+        -- to the owner's count or :class:`Histogram`; every :meth:`snapshot`
+        adds it in.  When ``owner`` is collected its last reading joins the
+        retired totals (a gauge, a level, leaves with it), so ``reading`` must
+        not refer to ``owner``, and it takes no lock: it may be called where
+        the owner is collected.  :func:`metrics_disabled` stops no such count.
+        """
+        for (name, labels), entry in self._entries(reading()).items():
+            self._get(_KINDS[entry["kind"]], name, dict(labels))  # checked against the catalog
+        token = object()
         with self._lock:
-            metrics = list(self._metrics.values())
-        for m in metrics:
-            m._reset()
+            self._fold_gone()
+            self._readings[token] = reading
+        if owner is not None:
+            weakref.finalize(owner, self._owner_gone, token).atexit = False
+
+    def _owner_gone(self, token: object) -> None:
+        # may run inside any locked section (a collection is triggered
+        # there), so it takes no lock: a reading only reads ints, and
+        # replacing a value never resizes the dict a reader copies.  The
+        # last reading, which refers to nothing of the owner's but its counts
+        # and histograms, stands in for it until a locked section folds it.
+        last = self._readings[token]()
+        self._readings[token] = lambda: last
+        self._gone.append(token)
+
+    def _fold_gone(self) -> None:
+        while self._gone:
+            self._fold(self._entries(self._readings.pop(self._gone.popleft())()))
+
+    def retire(self, take) -> None:
+        """Fold the reading ``take()`` returns, counts their keeper is about
+        to forget, into the retired totals in one step with every snapshot."""
+        with self._lock:
+            self._fold(self._entries(take()))
+
+    def _fold(self, entries: dict[MetricKey, dict]) -> None:
+        for key, entry in entries.items():
+            if entry["kind"] != "gauge":
+                self._retired[key] = _plus(self._retired.get(key), entry)
+
+    def _read_live(self) -> dict[MetricKey, dict]:
+        """The live owners' readings summed (the caller holds the lock)."""
+        self._fold_gone()
+        live: dict[MetricKey, dict] = {}
+        for reading in list(self._readings.values()):
+            for key, entry in self._entries(reading()).items():
+                live[key] = _plus(live.get(key), entry)
+        return live
+
+    def reset(self) -> None:
+        """Zero every registered metric in place (instances stay valid).  A
+        read family's retired total becomes minus its live owners' counts:
+        it reads zero while they keep theirs.  A read gauge stays their level."""
+        with self._lock:
+            for m in self._metrics.values():
+                m._reset()
+            live = self._read_live()
+            self._retired = {k: _negated(e) for k, e in live.items() if e["kind"] != "gauge"}
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of every metric: ``{schema, metrics: [...]}``."""
         with self._lock:
-            items = sorted(self._metrics.items())
+            entries = {key: metric._snapshot() for key, metric in self._metrics.items()}
+            live = self._read_live()  # folds the collected owners' counts first
+            for part in (self._retired, live):
+                for key, entry in part.items():
+                    entries[key] = _plus(entries.get(key), entry)
         out = []
-        for (name, labels), metric in items:
-            entry = {"name": name, "labels": dict(labels)}
-            entry.update(metric._snapshot())
-            out.append(entry)
+        for (name, labels), entry in sorted(entries.items()):
+            out.append({"name": name, "labels": dict(labels), **entry})
         return {"schema": SCHEMA_VERSION, "metrics": out}
 
     def prometheus_text(self) -> str:

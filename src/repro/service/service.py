@@ -155,20 +155,18 @@ _TIER_COUNTS = {
 
 
 class ServiceStats:
-    """Thread-safe service telemetry, a thin view over obs histograms.
+    """Thread-safe service telemetry: the one count of each service event.
 
     Counters cover the request lifecycle (submitted / completed / errors),
     the cache interaction (hits, misses, single-flight dedup saves) and
-    the queue (current depth, high-water mark).  :meth:`snapshot` derives
-    throughput (completed requests per wall second between the first
-    submit and the last completion); p50/p99 latency come from a
-    fixed-bucket exponential :class:`~repro.obs.metrics.Histogram` --
-    every request lands in a deterministic bucket, so the quantiles are
-    within one bucket width of truth at *any* volume, unlike the bounded
-    reservoir this class used to keep (which under-weighted tail
-    latencies once requests outnumbered the window).  Every counter
-    increment is mirrored into the process-wide ``repro.service.*``
-    registry metrics.
+    the queue (current depth, high-water mark), each kept once, here, under
+    this object's lock; the metrics registry reads them (:meth:`series`) as
+    the ``repro.service.*`` families, save ``queue_depth_max``, its own
+    process-wide high-water.  :meth:`snapshot` derives throughput
+    (completed requests per wall second between the first submit and the
+    last completion); p50/p99 latency come from a fixed-bucket
+    :class:`~repro.obs.metrics.Histogram`, within one bucket width of truth
+    at any volume.
 
     Accounting invariant: every completed request that *obtained an
     artifact* is exactly one of ``compile_hits`` (session memory hit) /
@@ -207,26 +205,21 @@ class ServiceStats:
             if self._first_submit is None:
                 self._first_submit = now
             depth = self.queue_depth
-        _OBS.counter("repro.service.requests_submitted").inc()
-        _OBS.gauge("repro.service.queue_depth").inc()
         _OBS.gauge("repro.service.queue_depth_max").set_max(depth)
 
     def record_start(self) -> None:
         with self._lock:
             self.queue_depth -= 1
-        _OBS.gauge("repro.service.queue_depth").inc(-1)
 
     def record_submit_failed(self) -> None:
         """Undo one :meth:`record_submit` whose request never reached a worker."""
         with self._lock:
             self.submitted -= 1
             self.queue_depth -= 1
-        _OBS.gauge("repro.service.queue_depth").inc(-1)
 
     def record_dedup_save(self) -> None:
         with self._lock:
             self.dedup_saves += 1
-        _OBS.counter("repro.service.dedup_saves").inc()
 
     def record_done(self, res: ServiceResult, now: float) -> None:
         # dedup followers are counted once as dedup_saves: they never
@@ -242,12 +235,16 @@ class ServiceStats:
                 setattr(self, tier, getattr(self, tier) + 1)
             self._last_done = now
         self.latency.observe(res.seconds)
-        _OBS.counter("repro.service.requests_completed").inc()
-        _OBS.histogram("repro.service.request_seconds").observe(res.seconds)
-        if res.error is not None:
-            _OBS.counter("repro.service.errors").inc()
-        if tier is not None:
-            _OBS.counter(f"repro.service.{tier}").inc()
+
+    def series(self) -> dict:
+        """The counts as ``repro.service.*`` families (each read is one int)."""
+        counts = ("errors", "dedup_saves", "queue_depth", *_TIER_COUNTS.values())
+        return {
+            "repro.service.requests_submitted": self.submitted,
+            "repro.service.requests_completed": self.completed,
+            **{f"repro.service.{count}": getattr(self, count) for count in counts},
+            "repro.service.request_seconds": self.latency,
+        }
 
     # -- derived -----------------------------------------------------------
 
@@ -362,6 +359,7 @@ class CompileService:
         self.session = CompilerSession(processors, options, store=store, **sized)
         self.workers = workers
         self.stats = ServiceStats()
+        _OBS.read(self.stats.series, owner=self)
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )

@@ -62,13 +62,27 @@ from repro.errors import ArtifactStoreError
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 
-# Registry mirrors of the per-store counters (stores keep their own ints;
-# the process-wide repro.store.* aggregates fold every increment in).
-_M_MISSES = _OBS.counter("repro.store.misses")
-_M_WRITES = _OBS.counter("repro.store.writes")
-_M_CORRUPT = _OBS.counter("repro.store.corrupt_evicted")
-_M_SEMANTIC = _OBS.counter("repro.store.semantic_evicted")
-_M_LRU = _OBS.counter("repro.store.lru_evicted")
+#: What a store counts: ``ArtifactStore.stats`` reports it, and the registry
+#: reads it as ``repro.store.*`` (:func:`_series`).
+_EVENTS = (
+    "hits_concrete hits_template misses stores_concrete stores_template "
+    "store_errors corrupt_evicted semantic_evicted lru_evicted"
+).split()
+
+
+def _series(counts: dict[str, int]):
+    """A store's counts as its families, read from the counts alone so a
+    collected store retires them."""
+    return lambda: {
+        ("repro.store.hits", (("kind", "concrete"),)): counts["hits_concrete"],
+        ("repro.store.hits", (("kind", "template"),)): counts["hits_template"],
+        "repro.store.misses": counts["misses"],
+        "repro.store.writes": counts["stores_concrete"] + counts["stores_template"],
+        "repro.store.corrupt_evicted": counts["corrupt_evicted"],
+        "repro.store.semantic_evicted": counts["semantic_evicted"],
+        "repro.store.lru_evicted": counts["lru_evicted"],
+    }
+
 
 if TYPE_CHECKING:
     from repro.compiler.artifacts import CompiledProgram
@@ -215,18 +229,15 @@ class ArtifactStore:
         # running on-disk byte estimate; None until the first budget check
         # scans the directory (see _enforce_budget)
         self._size_estimate: int | None = None
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        # per-kind splits of hits/stores: concrete CompiledProgram entries
-        # vs shape-erased SymbolicTemplate entries (PR 7) -- the CLI's
-        # shape-reuse ratio is derived from these
-        self.hits_by_kind = {"concrete": 0, "template": 0}
-        self.stores_by_kind = {"concrete": 0, "template": 0}
-        self.store_errors = 0
-        self.corrupt_evicted = 0
-        self.semantic_evicted = 0
-        self.lru_evicted = 0
+        # hits and stores by kind: concrete CompiledProgram entries vs
+        # shape-erased SymbolicTemplate entries -- the CLI's shape-reuse
+        # ratio is derived from these
+        self._counts = dict.fromkeys(_EVENTS, 0)
+        _OBS.read(_series(self._counts), owner=self)
+
+    def _count(self, event: str) -> None:
+        with self._lock:
+            self._counts[event] += 1
 
     # -- paths and keys ----------------------------------------------------
 
@@ -285,8 +296,7 @@ class ArtifactStore:
         try:
             payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            with self._lock:
-                self.store_errors += 1
+            self._count("store_errors")
             return False
         header = (
             json.dumps(
@@ -312,15 +322,11 @@ class ArtifactStore:
                     os.fsync(fh.fileno())
                 os.replace(tmp, path)
         except OSError:
-            with self._lock:
-                self.store_errors += 1
+            self._count("store_errors")
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
-        _M_WRITES.inc()
-        with self._lock:
-            self.stores += 1
-            self.stores_by_kind[kind] += 1
+        self._count(f"stores_{kind}")
         self._enforce_budget(len(header) + len(payload))
         return True
 
@@ -364,30 +370,20 @@ class ArtifactStore:
         try:
             blob = path.read_bytes()
         except OSError:
-            _M_MISSES.inc()
-            with self._lock:
-                self.misses += 1
+            self._count("misses")
             return None
         artifact = self._decode(blob)
         if artifact is None:
             self._evict_entry(path, corrupt=True)
-            _M_MISSES.inc()
-            with self._lock:
-                self.misses += 1
+            self._count("misses")
             return None
         if self._invariant_issues(artifact, deep=False):
             self._evict_semantic(path)
-            _M_MISSES.inc()
-            with self._lock:
-                self.misses += 1
+            self._count("misses")
             return None
         with contextlib.suppress(OSError):
             os.utime(path)
-        kind = self._artifact_kind(artifact)
-        _OBS.counter("repro.store.hits", {"kind": kind}).inc()
-        with self._lock:
-            self.hits += 1
-            self.hits_by_kind[kind] += 1
+        self._count(f"hits_{self._artifact_kind(artifact)}")
         artifact.freeze()  # idempotent; pickling preserves frozen state
         return artifact
 
@@ -456,19 +452,12 @@ class ArtifactStore:
     def _evict_entry(self, path: Path, corrupt: bool = False) -> None:
         with contextlib.suppress(OSError):
             path.unlink()
-        (_M_CORRUPT if corrupt else _M_LRU).inc()
-        with self._lock:
-            if corrupt:
-                self.corrupt_evicted += 1
-            else:
-                self.lru_evicted += 1
+        self._count("corrupt_evicted" if corrupt else "lru_evicted")
 
     def _evict_semantic(self, path: Path) -> None:
         """Evict a hash-valid entry that failed semantic verification."""
         self._evict_entry(path, corrupt=True)
-        _M_SEMANTIC.inc()
-        with self._lock:
-            self.semantic_evicted += 1
+        self._count("semantic_evicted")
 
     def reject(self, key: object) -> None:
         """Evict ``key``'s entry on a reader's finding (``semantic_evicted``):
@@ -688,24 +677,15 @@ class ArtifactStore:
         ratio means shape-diverse traffic is collapsing as intended.
         """
         with self._lock:
-            hits_by_kind = dict(self.hits_by_kind)
-            counters = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "hits_concrete": hits_by_kind["concrete"],
-                "hits_template": hits_by_kind["template"],
-                "stores_concrete": self.stores_by_kind["concrete"],
-                "stores_template": self.stores_by_kind["template"],
-                "store_errors": self.store_errors,
-                "corrupt_evicted": self.corrupt_evicted,
-                "semantic_evicted": self.semantic_evicted,
-                "lru_evicted": self.lru_evicted,
-            }
-        kind_hits = hits_by_kind["concrete"] + hits_by_kind["template"]
-        counters["shape_reuse_ratio"] = (
-            hits_by_kind["template"] / kind_hits if kind_hits else 0.0
-        )
+            counts = dict(self._counts)
+        hits = counts["hits_concrete"] + counts["hits_template"]
+        counters: dict[str, object] = {
+            "hits": hits,
+            "misses": counts["misses"],
+            "stores": counts["stores_concrete"] + counts["stores_template"],
+            **{k: v for k, v in counts.items() if k != "misses"},
+            "shape_reuse_ratio": counts["hits_template"] / hits if hits else 0.0,
+        }
         by_kind = self.entries_by_kind()
         counters.update(
             {

@@ -1,7 +1,8 @@
 """The one bounded, thread-safe LRU type every cache of the package is.
 
 The process-wide memos (plans, layouts) are registered by name, so they are
-forgotten together, as a restarted process has them, and read together.
+forgotten together, as a restarted process has them, and read together --
+here and as the ``repro.memo.*`` series of every metrics snapshot.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from typing import Generic, TypeVar
+
+from repro.obs.catalog import REGISTRY as _OBS
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -25,6 +28,10 @@ class Memo(Generic[K, V]):
     value stored under a key wins, and every later :meth:`put` gets it.
     A value is never ``None`` (``None`` means absent).
     """
+
+    #: a process-wide memo's registered name (:func:`process_memo`), under
+    #: which the metrics registry reads its counts
+    name: str | None = None
 
     def __init__(self, cap: int, on_evict: Callable[[K, V], None] | None = None):
         if cap < 1:
@@ -76,19 +83,42 @@ class Memo(Generic[K, V]):
             counts = {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
             return {"capacity": self.cap, "entries": len(self._entries), **counts}
 
+    def _series(self) -> dict:
+        """The counts as ``repro.memo.*`` series (each read is one int)."""
+        labels = (("memo", self.name),)
+        return {
+            ("repro.memo.hits", labels): self.hits,
+            ("repro.memo.misses", labels): self.misses,
+            ("repro.memo.evictions", labels): self.evictions,
+            ("repro.memo.entries", labels): len(self._entries),
+        }
+
     def clear(self) -> None:
-        """Forget every entry and every count (no eviction callback)."""
+        """Forget every entry and every count (no eviction callback); a process
+        memo's counts join the registry's retired totals as they go."""
+        if self.name is None:
+            self._forget()
+        else:
+            _OBS.retire(self._forget)
+
+    def _forget(self) -> dict:
         with self._lock:
+            forgotten = self._series()
             self._entries.clear()
             self.hits = self.misses = self.evictions = 0
+        return forgotten
 
 
 _PROCESS: dict[str, Memo] = {}
 
 
 def process_memo(name: str, cap: int) -> Memo:
-    """A new process-wide memo, registered under ``name``."""
+    """A new process-wide memo, registered under ``name``: the metrics
+    registry reads its counts as the ``repro.memo.*`` series labelled
+    ``memo=name``."""
     memo = _PROCESS[name] = Memo(cap)
+    memo.name = name
+    _OBS.read(memo._series)
     return memo
 
 

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.mapping import ownership
+from repro.obs import REGISTRY
 from repro.spmd import schedule
 from repro.util.memo import Memo, clear_process_memos, process_memo_stats
 
@@ -120,14 +121,43 @@ def test_the_first_stored_value_wins_an_insertion_race():
     assert stats["hits"] + stats["misses"] == racers
 
 
-def test_the_process_memos_are_registered_and_cleared_together():
+def _memo_series(snapshot: dict) -> dict[str, dict[str, float]]:
+    """The ``repro.memo.*`` series of a registry snapshot, by memo name."""
+    out: dict[str, dict[str, float]] = {}
+    for m in snapshot["metrics"]:
+        if m["name"].startswith("repro.memo."):
+            out.setdefault(m["labels"]["memo"], {})[m["name"].rsplit(".", 1)[1]] = m["value"]
+    return out
+
+
+def test_the_process_memos_are_registered_and_cleared_together(monkeypatch):
     stats = process_memo_stats()
     assert stats["plans"]["capacity"] == schedule.PLANS.cap == 256
     assert stats["layouts"]["capacity"] == 1024
+    before = _memo_series(REGISTRY.snapshot())
     schedule.PLANS.put("k", "plan")
     ownership._LAYOUTS.put("k", "layout")
     schedule.PLANS.get("k")
+    assert schedule.PLANS.obtain("j", lambda: "other") == "other"
+    with monkeypatch.context() as patch:
+        patch.setattr(schedule.PLANS, "cap", 1)
+        schedule.PLANS.put("i", "evicts both")
+    assert ownership._LAYOUTS.get("absent") is None
+    # the registry reads the memos' own counts: its deltas are their stats
+    now = process_memo_stats()
+    assert now["plans"]["evictions"] == 2 and now["layouts"]["misses"] == 1
+    series = _memo_series(REGISTRY.snapshot())
+    assert set(series) == set(now) == {"plans", "layouts"}
+    for name, memo in now.items():
+        assert series[name]["entries"] == memo["entries"]
+        for count in ("hits", "misses", "evictions"):
+            assert series[name][count] - before[name][count] == memo[count], (name, count)
     clear_process_memos()
+    cleared = _memo_series(REGISTRY.snapshot())
+    for name in now:
+        assert cleared[name]["entries"] == 0
+        for count in ("hits", "misses", "evictions"):
+            assert cleared[name][count] == series[name][count], "a clear retires, never drops"
     for name in ("plans", "layouts"):
         assert process_memo_stats()[name] == {
             "capacity": stats[name]["capacity"],

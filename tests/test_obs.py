@@ -43,6 +43,7 @@ from repro.obs import (
     REGISTRY,
     SCHEMA_VERSION,
     Histogram,
+    MetricSpec,
     MetricsRegistry,
     Tracer,
     exponential_buckets,
@@ -321,6 +322,121 @@ def test_metrics_disabled_suppresses_writes():
     # set_metrics_enabled returns the previous state (restore discipline)
     assert set_metrics_enabled(False) is True
     assert set_metrics_enabled(True) is False
+
+
+def test_counts_an_owner_keeps_are_read_and_retire_with_it():
+    """A read family is its live owners' counts plus what collected owners
+    counted: it never goes down when an owner goes, a read gauge leaves with
+    its owner, ``reset()`` zeroes the family while the owner keeps its own
+    count, and ``metrics_disabled()`` does not touch an owner's count."""
+    import gc
+
+    class Owner:
+        pass
+
+    reg = MetricsRegistry(catalog={"test.level": MetricSpec("test.level", "gauge", "a level")})
+    gone, kept = Owner(), Owner()
+    counts = {"gone": 3, "kept": 0}
+
+    def series(name):
+        return lambda: {"test.events": counts[name], "test.level": counts[name]}
+
+    reg.read(series("gone"), owner=gone)
+    reg.read(series("kept"), owner=kept)
+
+    def read():
+        return {m["name"]: m["value"] for m in reg.snapshot()["metrics"]}
+
+    assert read() == {"test.events": 3.0, "test.level": 3.0}
+    del gone
+    gc.collect()
+    assert read() == {"test.events": 3.0, "test.level": 0.0}
+    assert len(reg._readings) == 1  # the collected owner's reading retired
+    with metrics_disabled():
+        counts["kept"] += 2
+    assert read() == {"test.events": 5.0, "test.level": 2.0}
+    reg.reset()
+    assert read() == {"test.events": 0.0, "test.level": 2.0}
+    counts["kept"] += 1
+    assert read() == {"test.events": 1.0, "test.level": 3.0}
+    with pytest.raises(KeyError, match="not in the catalog"):
+        MetricsRegistry(catalog=dict(CATALOG)).read(lambda: {"repro.nonsense": 1})
+
+
+def test_read_families_never_go_down_while_owners_come_and_go():
+    """Threads keep creating owners that count under their own locks and
+    drop them into reference cycles, so the collector retires them at any
+    allocation -- inside the registry's locked sections too -- while a
+    snapshotter watches: the family never goes down and ends exact."""
+    import gc
+    import sys
+
+    class Owner:
+        pass
+
+    reg = MetricsRegistry()
+    n_threads, owners_each, events = 6, 40, 25
+    stop, went_down = threading.Event(), []
+
+    def total():
+        return sum(m["value"] for m in reg.snapshot()["metrics"] if m["name"] == "test.events")
+
+    def snapshotter():
+        last = 0.0
+        while not stop.is_set():
+            now = total()
+            if now < last:
+                went_down.append((last, now))
+            last = now
+
+    def worker():
+        for _ in range(owners_each):
+            owner, counts, lock = Owner(), {"n": 0}, threading.Lock()
+            owner.cycle = owner  # collected by the cycle collector, not on del
+            reg.read(lambda counts=counts: {"test.events": counts["n"]}, owner=owner)
+            for _ in range(events):
+                with lock:
+                    counts["n"] += 1
+            del owner
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher = threading.Thread(target=snapshotter)
+        workers = [threading.Thread(target=worker) for _ in range(n_threads)]
+        watcher.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(60.0)
+            assert not t.is_alive()
+    finally:
+        stop.set()
+        watcher.join(60.0)
+        sys.setswitchinterval(interval)
+    assert not watcher.is_alive()
+    gc.collect()
+    assert not went_down, went_down[:3]
+    assert total() == n_threads * owners_each * events
+    assert reg._readings == {}
+
+
+def test_counting_owners_are_not_kept_alive_by_the_registry(tmp_path):
+    """What the registry reads refers to an owner's counts, never to the
+    owner: a dropped session, store or service is collected, and so is
+    what it cached, before the registry folds its counts."""
+    import gc
+    import weakref
+
+    from repro import CompilerSession
+
+    with CompileService(processors=NPROCS, workers=1, store=tmp_path / "s") as svc:
+        assert svc.run_batch([_fig1_request(8, run=False)])[0].ok
+    owners = [weakref.ref(o) for o in (svc, svc.session, svc.session.store, svc.session._cache)]
+    owners.append(weakref.ref(CompilerSession(NPROCS)))
+    del svc
+    gc.collect()
+    assert [ref() for ref in owners] == [None] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -854,3 +970,76 @@ def test_session_evictions_count_artifacts_and_templates():
     assert stats["evictions"] == 2
     d = _deltas(before, REGISTRY.snapshot())
     assert d[("repro.session.evictions", ())]["delta"] == 2
+
+
+def test_a_submit_close_raced_past_is_counted_nowhere(monkeypatch):
+    """A request the executor refused (``close()`` raced past the closed
+    check) leaves the service's stats, the registry and both queue depths
+    as if it had never been submitted."""
+    before = REGISTRY.snapshot()
+    with CompileService(processors=NPROCS, workers=1) as svc:
+        submit, refused = svc._executor.submit, []
+
+        def refuse_once(*args, **kwargs):
+            if not refused:
+                refused.append(args)
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(svc._executor, "submit", refuse_once)
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            svc.submit(_fig1_request(8))
+        assert svc.submit(_fig1_request(8)).result().ok
+        snap = svc.stats.snapshot()
+        after = REGISTRY.snapshot()
+    d = _deltas(before, after)
+    assert refused
+    assert d[("repro.service.requests_submitted", ())]["delta"] == snap["submitted"] == 1
+    assert d[("repro.service.requests_completed", ())]["delta"] == snap["completed"] == 1
+    assert snap["queue_depth"] == d[("repro.service.queue_depth", ())]["delta"] == 0
+
+
+def test_store_stats_and_registry_count_the_same_events(tmp_path):
+    """``ArtifactStore.stats`` and the ``repro.store.*`` deltas describe the
+    same store traffic: a concrete and a template hit, a miss, writes, a
+    corrupt entry, a reject and an LRU eviction."""
+    from repro import CompilerSession
+    from repro.compiler.template import SymbolicTemplate
+    from repro.store import ArtifactStore
+    from test_schedule import FIG16
+
+    bindings = {"n": 16, "t": 5}
+    concrete = CompilerSession(NPROCS, CompilerOptions(level=3)).compile(FIG16, bindings)
+    symbolic = CompilerSession(NPROCS, CompilerOptions.symbolic(level=3))
+    symbolic.compile(FIG16, bindings)
+    (template,) = symbolic._templates._entries.values()
+
+    before = REGISTRY.snapshot()
+    store = ArtifactStore(tmp_path / "store")
+    assert store.store("concrete", concrete) and store.store("template", template)
+    assert store.load("concrete") is not None
+    assert isinstance(store.load("template"), SymbolicTemplate)
+    assert store.load("absent") is None
+    path = store.entry_path("concrete")
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"\n") + 1] ^= 0xFF  # the first payload byte
+    path.write_bytes(bytes(blob))
+    assert store.load("concrete") is None
+    store.reject("template")
+    assert store.store("first", concrete)
+    store.max_bytes = int(store.entry_path("first").stat().st_size * 1.5)
+    assert store.store("second", concrete)
+    stats = store.stats
+    d = _deltas(before, REGISTRY.snapshot())
+
+    def delta(name, **labels):
+        return d[(f"repro.store.{name}", tuple(sorted(labels.items())))]["delta"]
+
+    assert delta("hits", kind="concrete") == stats["hits_concrete"] == 1
+    assert delta("hits", kind="template") == stats["hits_template"] == 1
+    assert delta("misses") == stats["misses"] == 2
+    assert delta("writes") == stats["stores"] == 4
+    assert delta("corrupt_evicted") == stats["corrupt_evicted"] == 2  # the reject too
+    assert delta("semantic_evicted") == stats["semantic_evicted"] == 1
+    assert delta("lru_evicted") == stats["lru_evicted"] == 1
+    assert stats["entries"] == 1
