@@ -17,7 +17,7 @@ Quickstart (the session API compiles with artifact caching and runs)::
 For concurrent traffic, :class:`CompileService` is the thread-safe front
 door: batches of ``(source, bindings, conditions)`` requests execute on a
 bounded worker pool over one :class:`CompilerSession` (``svc.session``),
-with single-flight dedup of identical in-flight compiles and a
+whose session serves a missed artifact key once, and a
 ``ServiceStats`` telemetry surface (throughput, p50/p99 latency, cache
 hits and misses, dedup saves, queue depth) -- see :mod:`repro.service`
 and ``docs/ARCHITECTURE.md``.

@@ -50,28 +50,27 @@ so the whole quickstart is three lines::
 Thread safety
 -------------
 
-Sessions are safe to share across threads.  A lock guards the cache and
-its statistics, but is *never* held across a parse or a pipeline run: a
-miss compiles outside the lock, so concurrent compiles of distinct sources
-proceed in parallel.  Two threads missing the *same* key may both run the
-pipeline (last insert wins -- artifacts are interchangeable by
-construction); callers who want exactly-one-compile semantics should go
-through :class:`~repro.service.CompileService`, whose single-flight table
-collapses concurrent identical misses onto one pipeline run.  Artifacts
-are frozen (:meth:`CompiledProgram.freeze`) before they enter the cache,
-so every thread sees an immutable object; cache hits with different
-runtime-only bindings are served as fresh unfrozen wrappers sharing the
-frozen artifact's expensive products.
+Sessions are safe to share across threads.  A lock guards the counters
+and the table of keys being served, but is *never* held across a parse or
+a pipeline run, so concurrent compiles of distinct sources proceed in
+parallel.  A missed key is served once: the first caller to miss it
+registers a *flight* and serves it (instantiate -> disk -> compile); every
+caller that misses the same key meanwhile waits on that flight and gets
+the served artifact rebased onto its own bindings, with the first
+caller's tier -- or, if serving failed, its own copy of the error.  A
+waiter is neither a hit nor a miss.  Artifacts are frozen
+(:meth:`CompiledProgram.freeze`) before they enter the cache, so every
+thread sees an immutable object; cache hits with different runtime-only
+bindings are served as fresh unfrozen wrappers sharing the frozen
+artifact's expensive products.
 
-The key logic is public so cache front-ends can deduplicate on it:
-:func:`source_digest` gives the content digest (hashed once per service
-request and handed to every session call) and
-:meth:`CompilerSession.cache_key` the full artifact key (the service's
-single-flight key).
+:meth:`CompilerSession.cache_key` gives the full artifact key, under which
+an attached store keeps the artifact.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import threading
@@ -86,6 +85,7 @@ from repro.lang.printer import print_program, print_subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
+from repro.obs.trace import Span
 from repro.symbolic.classify import BindingClassification, classify_bindings
 from repro.util.memo import Memo
 
@@ -129,8 +129,7 @@ def source_digest(source: str | Program | Subroutine) -> str:
     """A stable content digest, computed without parsing.
 
     The first component of every cache key: a source is classified once
-    per digest, and the service layer hashes a request's source once and
-    passes the digest to every session call it makes.
+    per digest.
     """
     if isinstance(source, str):
         text = source
@@ -162,10 +161,7 @@ def with_bindings(
     resolved subroutines (the executor falls back to them for loop bounds),
     so serving it verbatim would silently replay the *first* caller's
     values.  The expensive products (construction, generated code) are
-    shared; only the subroutine wrappers are re-created.  Public because
-    every front-end that shares artifacts across callers needs it -- the
-    service layer applies it to single-flight followers, whose bindings
-    the leader's artifact does not carry.
+    shared; only the subroutine wrappers are re-created.
     """
     bindings = dict(bindings or {})
     if all(cs.sub.bindings == bindings for cs in compiled.subroutines.values()):
@@ -178,6 +174,34 @@ def with_bindings(
         subs[name] = dataclasses.replace(cs, sub=new_sub)
     program = dataclasses.replace(compiled.program, subroutines=resolved_subs)
     return dataclasses.replace(compiled, program=program, subroutines=subs)
+
+
+@dataclasses.dataclass
+class _Flight:
+    """One missed key being served; callers missing it meanwhile wait here."""
+
+    # the serving caller's active span when it missed, which waiters link to
+    server: Span | None
+    done: threading.Event = dataclasses.field(default_factory=threading.Event)
+    compiled: CompiledProgram | None = None  # frozen, as the cache holds it
+    tier: str = "compiled"
+    error: BaseException | None = None
+
+
+def _copy_exception(exc: BaseException) -> BaseException:
+    """A per-raiser copy of a shared exception (fresh traceback slot).
+
+    Every waiter of a failed flight re-raises the serving caller's error;
+    raising the *same* instance from several threads would interleave their
+    tracebacks on one object.  Exotic exceptions that refuse to copy are
+    raised as-is (correctness over cosmetics)."""
+    try:
+        dup = copy.copy(exc)
+        dup.__traceback__ = None
+        dup.__cause__ = exc
+        return dup
+    except Exception:  # pragma: no cover - copy-resistant exception type
+        return exc
 
 
 class CompilerSession:
@@ -219,8 +243,10 @@ class CompilerSession:
         # source digest -> (classification, parsed program); a dropped
         # entry is recomputed from the source
         self._sources: Memo[str, tuple[BindingClassification, Program]] = Memo(max_entries)
-        # guards the counters, which count requests by serving tier
+        # guards the counters, which count requests by serving tier, and the
+        # flights: the missed keys being served, which later misses wait on
         self._lock = threading.Lock()
+        self._flights: dict[SessionKey, _Flight] = {}
         self.passes_run = 0  # total pipeline passes executed (misses only)
         # requests the memory tier missed, the ones of them the attached store
         # or a symbolic template served, and artifacts written to the store
@@ -239,7 +265,8 @@ class CompilerSession:
 
     @property
     def misses(self) -> int:
-        """Requests the memory tier missed (a :meth:`lookup` peek is none)."""
+        """Requests the memory tier missed and this caller served (a call
+        that waited on another's flight is none)."""
         return self._counts["misses"]
 
     # -- cache -------------------------------------------------------------
@@ -250,7 +277,6 @@ class CompilerSession:
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
         options: CompilerOptions | None,
-        digest: str | None,
     ) -> tuple[
         SessionKey, CompilerOptions, ProcessorArrangement | int | None, BindingClassification, Program
     ]:
@@ -260,8 +286,7 @@ class CompilerSession:
         options = options or self.options
         if processors is None:
             processors = self.processors
-        if digest is None:
-            digest = source_digest(source)
+        digest = source_digest(source)
 
         def first_contact() -> tuple[BindingClassification, Program]:
             with _TRACER.span("session.classify"):
@@ -304,47 +329,13 @@ class CompilerSession:
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
         options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
     ) -> SessionKey:
-        """The full artifact cache key a compile of these inputs would use.
-
-        Public so cache front-ends (the service layer's single-flight
-        table) can deduplicate on artifact identity.  A pure function of
-        the inputs: the same before and after the source's first compile.
-        ``digest`` lets a front-end that already hashed the source skip
-        the rehash.
+        """The full artifact cache key a compile of these inputs would use,
+        and the key an attached store keeps the artifact under.  A pure
+        function of the inputs: the same before and after the source's
+        first compile.
         """
-        return self._resolve(source, bindings, processors, options, digest)[0]
-
-    def lookup(
-        self,
-        source: str | Program | Subroutine,
-        bindings: dict[str, int] | None = None,
-        processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
-    ) -> CompiledProgram | None:
-        """A pure cache peek: the artifact if cached, else ``None``.
-
-        A hit counts (and refreshes LRU recency) exactly like a
-        :meth:`compile` hit, with the same ``session.compile`` span and
-        ``repro.session.compile_seconds`` sample under tier ``"memory"``;
-        a peek miss records nothing -- the caller may go on to
-        :meth:`compile` (which records the miss) or not.  This is the fast
-        path the service layer takes before entering its single-flight
-        table, so warm hits never touch the service's in-flight lock.
-        """
-        t0 = time.perf_counter()
-        key = self._resolve(source, bindings, processors, options, digest)[0]
-        cached = self._cache.get(key)
-        if cached is None:
-            return None
-        with _TRACER.span("session.compile", tier="memory"):
-            served = with_bindings(cached, bindings)
-        _compile_seconds("memory", t0)
-        return served
+        return self._resolve(source, bindings, processors, options)[0]
 
     def compile(
         self,
@@ -354,7 +345,7 @@ class CompilerSession:
         options: CompilerOptions | None = None,
     ) -> CompiledProgram:
         """Compile through the cache; a warm hit does no compilation work."""
-        return self.compile_traced(source, bindings, processors, options)[0]
+        return self.obtain(source, bindings, processors, options)[0]
 
     @staticmethod
     def _template_key(
@@ -396,8 +387,6 @@ class CompilerSession:
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
         options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
     ) -> tuple[CompiledProgram, str]:
         """Compile through every cache tier, reporting the serving tier.
 
@@ -411,38 +400,87 @@ class CompilerSession:
         artifact -- for symbolized sources, the shape-erased template
         instead -- is written back for other processes).  The service
         layer surfaces the tier as ``ServiceResult.cache_source``.
-
-        Each call opens a ``session.compile`` span (tier recorded on
-        exit) and lands in the ``repro.session.compile_seconds``
-        histogram under its tier label.
         """
-        t0 = time.perf_counter()
-        with _TRACER.span("session.compile") as span:
-            compiled, tier = self._compile_traced(
-                source, bindings, processors, options, digest=digest
-            )
-            span.set_attr("tier", tier)
-        _compile_seconds(tier, t0)
+        compiled, tier, _ = self.obtain(source, bindings, processors, options)
         return compiled, tier
 
-    def _compile_traced(
+    def obtain(
         self,
         source: str | Program | Subroutine,
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
         options: CompilerOptions | None = None,
-        *,
-        digest: str | None = None,
-    ) -> tuple[CompiledProgram, str]:
+    ) -> tuple[CompiledProgram, str, bool]:
+        """Serve one call: ``(artifact, tier, waited)``.
+
+        ``tier`` is as in :meth:`compile_traced`.  ``waited`` says this call
+        missed while another was serving the same key, and got that call's
+        artifact, rebased onto these bindings, and its tier (see *Thread
+        safety* in the module docstring).
+
+        A memory hit and a served miss each open one ``session.compile``
+        span (tier recorded on exit) and land one
+        ``repro.session.compile_seconds`` sample under their tier.  A
+        waiter opens no span: it links its active span to the one the
+        serving call was in when it missed (``kind="dedup-leader"``).
+        """
+        t0 = time.perf_counter()
         key, options, processors, names, program = self._resolve(
-            source, bindings, processors, options, digest
+            source, bindings, processors, options
         )
         cached = self._cache.get(key)
-        if cached is not None:
-            return with_bindings(cached, bindings), "memory"
-        # counted before the pipeline runs, so a compile that raises still
-        # shows up in the session's miss statistics
-        self._count("misses")
+        if cached is None:
+            with self._lock:
+                flight = self._flights.get(key)
+                waits = flight is not None
+                # re-read: a flight that ended since the read above cached its artifact
+                cached = None if waits else self._cache.get(key)
+                if cached is None and not waits:
+                    flight = self._flights[key] = _Flight(_TRACER.current_span())
+                    # counted before serving, so a compile that raises still
+                    # shows up in the session's miss statistics
+                    self._counts["misses"] += 1
+            if waits:
+                flight.done.wait()
+                if flight.error is not None:
+                    raise _copy_exception(flight.error)
+                cur, server = _TRACER.current_span(), flight.server
+                if cur is not None and server is not None:
+                    cur.link(server.trace_id, server.span_id, kind="dedup-leader")
+                return with_bindings(flight.compiled, bindings), flight.tier, True
+        with _TRACER.span("session.compile") as span:
+            if cached is not None:
+                compiled, tier = cached, "memory"
+            else:
+                try:
+                    compiled, tier = self._serve_miss(
+                        key, options, processors, names, program, bindings
+                    )
+                    flight.compiled, flight.tier = compiled, tier
+                except BaseException as exc:
+                    flight.error = exc
+                    raise
+                finally:
+                    with self._lock:
+                        del self._flights[key]
+                    flight.done.set()
+            span.set_attr("tier", tier)
+            served = with_bindings(compiled, bindings)
+        _compile_seconds(tier, t0)
+        return served, tier, False
+
+    def _serve_miss(
+        self,
+        key: SessionKey,
+        options: CompilerOptions,
+        processors: ProcessorArrangement | int | None,
+        names: BindingClassification,
+        program: Program,
+        bindings: dict[str, int] | None,
+    ) -> tuple[CompiledProgram, str]:
+        """Serve a missed key from the first tier that has it -- a symbolic
+        template, the attached store, the pipeline -- as ``(artifact,
+        tier)``; the artifact is frozen and cached under ``key``."""
         tkey = (
             self._template_key(key[0], names, bindings, options)
             if options.symbolize
@@ -459,11 +497,9 @@ class CompilerSession:
             if loaded is not None:
                 self._count("store_hits")
                 self._cache.put(key, loaded)
-                return with_bindings(loaded, bindings), "disk"
-        # the pipeline runs unlocked, on the program first contact parsed;
-        # concurrent misses for the same key both compile (benign:
-        # artifacts are interchangeable, first insert wins) -- the service
-        # layer's single-flight prevents the repeat
+                return loaded, "disk"
+        # the pipeline runs unlocked, on the program first contact parsed,
+        # while this call's flight holds other misses of the key waiting
         compiled = Pipeline(options).compile(program, bindings, processors)
         compiled.freeze()
         # a symbolized source with shape-symbolic bindings also yields the
@@ -551,7 +587,7 @@ class CompilerSession:
         else:
             self._count("instantiations")
         self._cache.put(key, compiled)
-        return with_bindings(compiled, bindings)
+        return compiled
 
     @property
     def cache_size(self) -> int:

@@ -26,7 +26,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.session.store_hits", c, "Artifacts served from the persistent store."),
         MetricSpec("repro.session.store_writes", c, "Artifacts written back to the persistent store."),
         MetricSpec("repro.session.instantiations", c, "Artifacts served by symbolic-template instantiation."),
-        MetricSpec("repro.session.compile_seconds", h, "Wall time of a session call that served an artifact (compile_traced, or a lookup hit), labeled by serving tier.", ("tier",)),
+        MetricSpec("repro.session.compile_seconds", h, "Wall time of a session call that served an artifact (a memory hit or a served miss; a call that waited on another's flight is none), labeled by serving tier.", ("tier",)),
         # -- schedule subsystem ----------------------------------------------
         MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to copy descriptors (first execution of a plan object)."),
         # -- service front door ----------------------------------------------
@@ -37,7 +37,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.service.compile_misses", c, "Requests that ran the full pipeline."),
         MetricSpec("repro.service.store_hits", c, "Requests served from the persistent store."),
         MetricSpec("repro.service.instantiations", c, "Requests served by template instantiation."),
-        MetricSpec("repro.service.dedup_saves", c, "Requests coalesced by single-flight dedup."),
+        MetricSpec("repro.service.dedup_saves", c, "Requests that waited on another request's flight in the session (single-flight dedup)."),
         MetricSpec("repro.service.queue_depth", g, "Requests currently in flight."),
         MetricSpec("repro.service.queue_depth_max", g, "High-water mark of in-flight requests."),
         MetricSpec("repro.service.request_seconds", h, "End-to-end request latency."),

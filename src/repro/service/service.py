@@ -8,16 +8,15 @@ answered with per-request :class:`ServiceResult` objects plus an
 aggregate :class:`ServiceStats` surface (throughput, p50/p99 latency,
 cache hits and misses, single-flight dedup saves, queue depth).
 
-Three mechanisms keep concurrent serving equal to serial serving:
+Two mechanisms keep concurrent serving equal to serial serving:
 
-* **one cache** -- artifacts live in one
+* **one cache, one flight** -- artifacts live in one
   :class:`~repro.compiler.session.CompilerSession` (memory, template and
-  disk tiers); its lock is never held across a parse or a pipeline run,
-  so compiles of distinct sources overlap;
-* **single-flight deduplication** -- concurrent cache *misses* for the
-  same artifact key wait on one pipeline run instead of racing N
-  identical compiles (the classic ``singleflight`` pattern); the leader
-  compiles, followers block on an event and share the frozen artifact;
+  disk tiers), which serves a missed key once: concurrent misses of the
+  same key wait on the first one's flight instead of racing N identical
+  compiles, while compiles of distinct sources overlap.  The service
+  calls the session once per request and reports a request that waited
+  as ``deduped``;
 * **immutable artifacts** -- cached programs are frozen
   (:meth:`~repro.compiler.artifacts.CompiledProgram.freeze`), so any
   number of workers execute the same artifact concurrently, each on its
@@ -27,7 +26,6 @@ Three mechanisms keep concurrent serving equal to serial serving:
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -38,13 +36,7 @@ from typing import Mapping as TypingMapping
 import numpy as np
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions
-from repro.compiler.session import (
-    CompilerSession,
-    SessionKey,
-    check_backend,
-    source_digest,
-    with_bindings,
-)
+from repro.compiler.session import CompilerSession, check_backend
 from repro.lang.ast_nodes import Program, Subroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.obs.catalog import REGISTRY as _OBS
@@ -106,10 +98,11 @@ class ServiceResult:
     :class:`~repro.store.ArtifactStore` -- no pipeline ran) or
     ``"compiled"`` (a pipeline ran for this artifact); ``None`` until an
     artifact was obtained.  ``cached`` is the derived boolean (memory,
-    instantiated or disk); ``deduped`` says this request waited on another request's
-    in-flight compile (a single-flight save -- the provenance is then the
-    leader's).  Workers never leak exceptions: a failed request resolves
-    with ``error`` set and ``result=None``.
+    instantiated or disk); ``deduped`` says this request missed while
+    another was serving the same artifact key, and waited for it (a dedup
+    save -- the provenance is then the other request's).  Workers never
+    leak exceptions: a failed request resolves with ``error`` set and
+    ``result=None``.
     """
 
     index: int
@@ -197,8 +190,10 @@ class ServiceStats:
 
     # -- lifecycle hooks (called by the service) ---------------------------
 
-    def record_submit(self, now: float) -> None:
+    def record_submit(self, now: float) -> int:
+        """Count one submit; return its index, the number of submits before it."""
         with self._lock:
+            index = self.submitted
             self.submitted += 1
             self.queue_depth += 1
             self.max_queue_depth = max(self.max_queue_depth, self.queue_depth)
@@ -206,6 +201,7 @@ class ServiceStats:
                 self._first_submit = now
             depth = self.queue_depth
         _OBS.gauge("repro.service.queue_depth_max").set_max(depth)
+        return index
 
     def record_start(self) -> None:
         with self._lock:
@@ -217,22 +213,18 @@ class ServiceStats:
             self.submitted -= 1
             self.queue_depth -= 1
 
-    def record_dedup_save(self) -> None:
-        with self._lock:
-            self.dedup_saves += 1
-
     def record_done(self, res: ServiceResult, now: float) -> None:
-        # dedup followers are counted once as dedup_saves: they never
-        # touched the session cache, so they are neither hits nor misses
-        tier = None
-        if res.compiled is not None and not res.deduped:
-            tier = _TIER_COUNTS[res.cache_source]
+        # a request that waited on another's flight is a dedup save: the
+        # session counted it neither a hit nor a miss
+        count = None
+        if res.compiled is not None:
+            count = "dedup_saves" if res.deduped else _TIER_COUNTS[res.cache_source]
         with self._lock:
             self.completed += 1
             if res.error is not None:
                 self.errors += 1
-            if tier is not None:
-                setattr(self, tier, getattr(self, tier) + 1)
+            if count is not None:
+                setattr(self, count, getattr(self, count) + 1)
             self._last_done = now
         self.latency.observe(res.seconds)
 
@@ -275,20 +267,6 @@ class ServiceStats:
 
 
 @dataclass
-class _InFlight:
-    """One in-progress compile other requests may wait on."""
-
-    done: threading.Event = field(default_factory=threading.Event)
-    compiled: CompiledProgram | None = None
-    source: str = "compiled"  # the leader's serving tier (cache provenance)
-    error: BaseException | None = None
-    # the leader's active span at flight creation, so follower traces can
-    # link to the trace that actually did the compile work
-    leader_trace_id: str = ""
-    leader_span_id: str = ""
-
-
-@dataclass
 class _Ranks:
     """One processor count's pooled mp backend and the lock its runs hold.
 
@@ -297,22 +275,6 @@ class _Ranks:
 
     lock: threading.Lock = field(default_factory=threading.Lock)
     backend: MPBackend | None = None
-
-
-def _copy_exception(exc: BaseException) -> BaseException:
-    """A per-raiser copy of a shared exception (fresh traceback slot).
-
-    Followers of a failed flight all re-raise the leader's error; raising
-    the *same* instance from several threads would interleave their
-    tracebacks on one object.  Exotic exceptions that refuse to copy are
-    raised as-is (correctness over cosmetics)."""
-    try:
-        dup = copy.copy(exc)
-        dup.__traceback__ = None
-        dup.__cause__ = exc
-        return dup
-    except Exception:  # pragma: no cover - copy-resistant exception type
-        return exc
 
 
 class CompileService:
@@ -363,8 +325,6 @@ class CompileService:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
-        self._inflight: dict[SessionKey, _InFlight] = {}
-        self._inflight_lock = threading.Lock()
         # the service owns its worker ranks: one started backend per
         # processor count, forked on the first mp request for it, kept for
         # the service's life; None once close() has taken them down
@@ -372,92 +332,17 @@ class CompileService:
         self._ranks_lock = threading.Lock()
         self._closed = False
 
-    # -- single-flight compile ---------------------------------------------
-
-    def compile(
-        self,
-        source: str | Program | Subroutine,
-        bindings: dict[str, int] | None = None,
-        processors: ProcessorArrangement | int | None = None,
-        options: CompilerOptions | None = None,
-    ) -> tuple[CompiledProgram, str, bool]:
-        """Compile with single-flight dedup; returns (artifact, tier, deduped).
-
-        The tier is the artifact's cache provenance -- ``"memory"`` /
-        ``"instantiated"`` / ``"disk"`` / ``"compiled"`` (see
-        ``ServiceResult.cache_source``).
-        Warm requests are answered by a session-cache peek and never touch
-        the in-flight table.  Concurrent calls that *miss* on the same
-        session key collapse onto one compile-or-disk-load: the first
-        caller (leader) goes through the session (which checks the
-        persistent store before running a pipeline), the rest (followers)
-        wait on the leader's event and share the frozen artifact --
-        rebased onto their own bindings, exactly as a cache hit would be;
-        a follower reports the leader's tier.  A leader's compile error
-        propagates to every follower of that flight (as a per-follower
-        copy, so tracebacks stay per-thread); only successful waits count
-        as dedup saves.
-        """
-        digest = source_digest(source)  # hashed once, threaded everywhere
-        cached_art = self.session.lookup(
-            source, bindings, processors, options, digest=digest
-        )
-        if cached_art is not None:
-            return cached_art, "memory", False
-        key = self.session.cache_key(
-            source, bindings, processors, options, digest=digest
-        )
-        with self._inflight_lock:
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _InFlight()
-                cur = _TRACER.current_span()
-                if cur is not None:
-                    flight.leader_trace_id = cur.trace_id
-                    flight.leader_span_id = cur.span_id
-                self._inflight[key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise _copy_exception(flight.error)
-            assert flight.compiled is not None
-            self.stats.record_dedup_save()
-            cur = _TRACER.current_span()
-            if cur is not None and flight.leader_span_id:
-                cur.link(
-                    flight.leader_trace_id, flight.leader_span_id, kind="dedup-leader"
-                )
-            # the leader's artifact carries the *leader's* runtime-only
-            # bindings; rebase onto this caller's, like any cache hit
-            return with_bindings(flight.compiled, bindings), flight.source, True
-        try:
-            compiled, tier = self.session.compile_traced(
-                source, bindings, processors, options, digest=digest
-            )
-            flight.compiled, flight.source = compiled, tier
-            return compiled, tier, False
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-            flight.done.set()
-
     # -- request handling --------------------------------------------------
 
     @staticmethod
-    def _coerce(request: CompileRequest | TypingMapping, index: int) -> CompileRequest:
+    def _coerce(request: CompileRequest | TypingMapping) -> CompileRequest:
         if isinstance(request, CompileRequest):
             return request
         if isinstance(request, TypingMapping):
             return CompileRequest(**request)
         raise TypeError(
-            f"request #{index} must be a CompileRequest or a mapping of its "
-            f"fields, not {type(request).__name__}"
+            "a request must be a CompileRequest or a mapping of its fields, "
+            f"not {type(request).__name__}"
         )
 
     def _handle(self, request: CompileRequest, index: int) -> ServiceResult:
@@ -471,11 +356,8 @@ class CompileService:
                 check_backend(request.backend)  # before any work is spent
                 tc = time.perf_counter()
                 with _TRACER.span("service.compile") as cspan:
-                    compiled, res.cache_source, res.deduped = self.compile(
-                        request.source,
-                        bindings=request.bindings,
-                        processors=request.processors,
-                        options=request.options,
+                    compiled, res.cache_source, res.deduped = self.session.obtain(
+                        request.source, request.bindings, request.processors, request.options
                     )
                     cspan.set_attr("tier", res.cache_source)
                     cspan.set_attr("deduped", res.deduped)
@@ -548,9 +430,8 @@ class CompileService:
             request = CompileRequest(source=request, **fields)
         elif fields:
             raise TypeError("keyword fields are only allowed with a bare source")
-        index = self.stats.submitted  # informational; racy order is fine
-        req = self._coerce(request, index)
-        self.stats.record_submit(time.perf_counter())
+        req = self._coerce(request)
+        index = self.stats.record_submit(time.perf_counter())
         try:
             return self._executor.submit(self._handle, req, index)
         except RuntimeError:
@@ -564,8 +445,9 @@ class CompileService:
     ) -> list[ServiceResult]:
         """Submit a batch and wait; results come back in request order.
 
-        Identical in-flight compiles across the batch are deduplicated by
-        single-flight, and at most ``workers`` requests execute at once.
+        Concurrent misses of one artifact key across the batch are served
+        once, by the session, and at most ``workers`` requests execute at
+        once.
         """
         futures = [self.submit(r) for r in requests]  # submit coerces
         results = [f.result() for f in futures]

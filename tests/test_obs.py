@@ -695,7 +695,7 @@ def test_service_publishes_registry_and_stats_views_agree():
 
 
 def test_every_serving_tier_is_traced_and_timed(tracer, tmp_path):
-    """A warm service request is served by ``CompilerSession.lookup``; it
+    """A warm service request is a session memory hit; it
     opens one ``session.compile`` span and lands one
     ``repro.session.compile_seconds`` sample under tier ``"memory"``, like
     every other tier, so per-tier sample counts equal the session's own
@@ -843,7 +843,7 @@ def test_dedup_followers_link_to_leader_span(tracer, monkeypatch):
     compile: their spans carry a dedup-leader *link* to the leader's
     service.compile span in the leader's trace."""
     svc = CompileService(processors=NPROCS, workers=4)
-    real = svc.session.compile_traced
+    real = svc.session._serve_miss
     started = threading.Event()
 
     def slow_compile(*args, **kwargs):
@@ -851,7 +851,7 @@ def test_dedup_followers_link_to_leader_span(tracer, monkeypatch):
         time.sleep(0.25)  # hold the flight open while followers arrive
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "_serve_miss", slow_compile)
     with svc:
         futures = [
             svc.submit(FIG1, bindings={"n": 8}, run=False) for _ in range(4)

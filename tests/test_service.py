@@ -18,6 +18,7 @@ The properties asserted here are the service's contract:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ from repro import (
     execute,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
-from repro.errors import ArtifactFrozenError, ParseError
+from repro.errors import ArtifactFrozenError, ParseError, SemanticError
 from repro.lang.parser import parse_program
 
 FIG10 = """
@@ -154,13 +155,13 @@ def test_accounting_invariant_holds_with_dedup_saves(monkeypatch):
     """The same invariant with single-flight followers in the mix: the
     compile is slowed, so each source's second request waits on its first."""
     svc = CompileService(processors=4, workers=4)
-    real = svc.session.compile_traced
+    real = svc.session._serve_miss
 
     def slow_compile(*args, **kwargs):
         time.sleep(0.25)  # hold the flight open while the follower arrives
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "_serve_miss", slow_compile)
     reqs = [
         CompileRequest(_variant(i % 2), bindings={"n": 8, "m": 2}, conditions={"c1": True})
         for i in range(4)
@@ -284,7 +285,7 @@ def test_unknown_backend_is_rejected_before_any_compile_work(run):
 
 def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
     svc = CompileService(processors=4, workers=4)
-    real = svc.session.compile_traced
+    real = svc.session._serve_miss
     started = threading.Event()
 
     def slow_compile(*args, **kwargs):
@@ -292,7 +293,7 @@ def test_single_flight_collapses_concurrent_identical_misses(monkeypatch):
         time.sleep(0.25)  # hold the flight open while followers arrive
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "_serve_miss", slow_compile)
     with svc:
         futures = [
             svc.submit(FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True})
@@ -322,13 +323,13 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
     baked into the artifact's resolved subroutines.
     """
     svc = CompileService(processors=4, workers=4)
-    real = svc.session.compile_traced
+    real = svc.session._serve_miss
 
     def slow_compile(*args, **kwargs):
         time.sleep(0.25)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(svc.session, "compile_traced", slow_compile)
+    monkeypatch.setattr(svc.session, "_serve_miss", slow_compile)
     opts = CompilerOptions(level=2)
     with svc:
         futures = [
@@ -347,11 +348,61 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
         )
 
 
-def test_single_flight_propagates_leader_error():
-    with CompileService(processors=4, workers=4) as svc:
-        bad = "subroutine nope(\n"
-        results = svc.run_batch([{"source": bad} for _ in range(4)])
-    assert all(not r.ok for r in results)
+def test_single_flight_propagates_leader_error(monkeypatch):
+    """A source that parses but fails in ``resolve`` fails inside the
+    flight: the first request's error reaches the three that waited, each
+    as its own copy, and the failed flight is not left behind."""
+    bad = FIG10.replace("compute writes C reads A", "compute writes Z reads A")
+    svc = CompileService(processors=4, workers=4)
+    real = svc.session._serve_miss
+    started = threading.Event()
+
+    def slow_compile(*args, **kwargs):
+        started.set()
+        time.sleep(0.25)  # hold the flight open while the others arrive
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(svc.session, "_serve_miss", slow_compile)
+    request = {"source": bad, "bindings": {"n": 8, "m": 1}, "conditions": {"c1": True}}
+    with svc:
+        futures = [svc.submit(request) for _ in range(4)]
+        assert started.wait(5.0)
+        results = [f.result(timeout=60) for f in futures]
+        assert svc.session.stats["misses"] == 1
+        errors = [r.error for r in results]
+        assert all(isinstance(e, SemanticError) for e in errors)
+        assert len({id(e) for e in errors}) == 4
+        (first,) = [e for e in errors if e.__cause__ is None]
+        assert sum(e.__cause__ is first for e in errors) == 3
+        snap = svc.stats.snapshot()
+        assert snap["dedup_saves"] == 0 and snap["errors"] == 4
+        assert not any(r.deduped for r in results)
+        # no flight left behind: the next request for the key serves it again
+        assert not svc.submit(request).result(timeout=60).ok
+        assert svc.session.stats["misses"] == 2
+
+
+def test_request_indices_are_distinct_under_concurrent_submits():
+    """Each submit's index is the count its own ``record_submit`` assigned,
+    so concurrent submitters never share one."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CompileService(processors=4, workers=2) as svc:
+            request = CompileRequest(FIG10, bindings={"n": 8, "m": 1}, run=False)
+            barrier = threading.Barrier(8, timeout=30)
+
+            def client():
+                barrier.wait()
+                return [svc.submit(request) for _ in range(25)]
+
+            with ThreadPoolExecutor(max_workers=8) as clients:
+                batches = [clients.submit(client) for _ in range(8)]
+                futures = [f for b in batches for f in b.result(timeout=60)]
+            indices = [f.result(timeout=60).index for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert sorted(indices) == list(range(200))
 
 
 def test_distinct_keys_do_not_dedup():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,7 +329,7 @@ def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monke
         assert writer.compile_traced(LOOP, {"n": 16, "t": 2}, options=options)[1] == "compiled"
     assert len(parses) == 1  # the second cold compile reused the parsed program
     assert writer.compile_traced(LOOP, {"n": 16, "t": 5}, options=eager)[1] == "memory"
-    assert writer.lookup(LOOP, {"n": 16, "t": 7}, options=symbolic) is not None
+    assert writer.compile_traced(LOOP, {"n": 16, "t": 7}, options=symbolic)[1] == "memory"
     assert len(parses) == 1
     # a fresh session over the same store: one parse per first contact,
     # whichever tier ends up serving it
@@ -351,8 +355,34 @@ def test_unparsable_source_has_no_key_and_counts_nothing():
     bad = "subroutine broken(\n"
     with pytest.raises(ParseError) as direct:
         parse_program(bad)
-    for call in (s.cache_key, s.lookup, s.compile):
+    for call in (s.cache_key, s.compile):
         with pytest.raises(ParseError) as raised:
             call(bad)
         assert str(raised.value) == str(direct.value)
     assert s.stats["misses"] == 0 and s.stats["hits"] == 0 and not s._sources
+
+
+def test_concurrent_misses_of_one_key_run_the_pipeline_once(monkeypatch):
+    """Four threads missing one never-seen key at once: the first serves it,
+    the other three wait on its flight and are neither hits nor misses."""
+    runs, real = [], pipeline_mod.Pipeline.compile
+
+    def slow_compile(self, *args, **kwargs):
+        runs.append(1)
+        time.sleep(0.25)  # hold the flight open while the others arrive
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod.Pipeline, "compile", slow_compile)
+    s = CompilerSession(processors=4)
+    barrier = threading.Barrier(4, timeout=30)
+
+    def call(t):
+        barrier.wait()
+        return s.compile(LOOP, bindings={"n": 16, "t": t})
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        served = list(pool.map(call, range(1, 5), timeout=60))
+    assert len(runs) == 1
+    assert s.stats["misses"] == 1 and s.stats["hits"] == 0
+    # each caller's artifact carries its own runtime-only bindings
+    assert [c.get("main").sub.bindings["t"] for c in served] == [1, 2, 3, 4]
