@@ -48,7 +48,7 @@ from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.remap.codegen import GeneratedCode, generate_code, pin_live_sets_to_leaving
 from repro.remap.construction import ConstructionResult, build_remapping_graph
-from repro.remap.costguard import CostGuard, ShapeGenericGuard
+from repro.remap.costguard import CostGuard
 from repro.remap.graph import RemappingGraph
 from repro.remap.livecopies import compute_live_copies
 from repro.remap.motion import MotionReport, hoist_loop_invariant_remaps
@@ -176,22 +176,16 @@ class MotionPass:
     name = "motion"
 
     @staticmethod
-    def _guard(ctx: PassContext) -> "CostGuard | ShapeGenericGuard":
+    def _guard(ctx: PassContext) -> CostGuard:
+        bindings, shape_names = ctx.bindings, frozenset()
         if ctx.options.symbolize:
-            # Shape-erased compilation: motion decisions become part of a
-            # SymbolicTemplate replayed at every (n, P), so the guard must
-            # not see this request's shape bindings or processor count --
-            # it prices candidates on a fixed probe grid instead, keeping
-            # only compile-time binding values (which are in the key).
+            # the guard prices at shape probes; only compile-time binding
+            # values (which are in the template key) may steer it
             assert ctx.program is not None
             info = classify_bindings(ctx.program)
-            bindings = {
-                k: v
-                for k, v in (ctx.bindings or {}).items()
-                if k in info.all_compile_time
-            }
-            return ShapeGenericGuard(info.shape_symbolic, bindings, ctx.options)
-        return CostGuard(ctx.options, ctx.bindings, ctx.processors)
+            bindings = {k: v for k, v in (bindings or {}).items() if k in info.all_compile_time}
+            shape_names = info.shape_symbolic
+        return CostGuard(ctx.options, bindings, ctx.processors, shape_names)
 
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None

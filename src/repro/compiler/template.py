@@ -6,9 +6,10 @@ CompiledProgram` bakes one concrete geometry into every structure (version
 mappings, remapping graph, generated code), a template keeps only what
 instantiation uses:
 
-* the **post-motion AST** -- motion already ran under the shape-generic
-  :class:`~repro.remap.costguard.ShapeGenericGuard`, so its decisions are
-  valid for every shape and must not be re-derived per instantiation;
+* the **post-motion AST** -- motion already ran under a
+  :class:`~repro.remap.costguard.CostGuard` priced at the shape probes, not
+  the request's shape, so its decisions are valid for every shape and must
+  not be re-derived per instantiation;
 * the **binding classification** -- which names are shape-symbolic
   (erased from the artifact key, re-supplied per request) and which are
   compile-relevant (part of the key);

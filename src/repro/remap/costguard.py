@@ -373,6 +373,22 @@ class GuardDecision:
         )
 
 
+#: the value every shape-symbolic binding takes at a symbolized compile's
+#: probes, and the linear processor counts probed (the default-grid slot
+#: only; a declared ``processors`` arrangement overrides it as usual)
+PROBE_SHAPES: tuple[int, ...] = (8, 16)
+PROBE_PROCS: tuple[int, ...] = (2, 4)
+
+
+@dataclass(frozen=True, eq=False)
+class Point:
+    """A ``(bindings, processors)`` pair a sink is priced at."""
+
+    label: str  # prefixes the reason of a rejection at this point
+    bindings: dict[str, int]
+    processors: ProcessorArrangement | None
+
+
 class CostGuard:
     """Decides candidate remapping motions with the communication cost model.
 
@@ -382,8 +398,14 @@ class CostGuard:
     be generated, and priced under the options' ``cost`` (the machine
     model consulted for the final decision) and ``schedule`` (when set,
     both placements are priced as *scheduled* executions -- phase
-    makespans instead of per-endpoint sums).  ``bindings``/``processors``
-    are the compile-time values the surrounding pipeline resolves with.
+    makespans instead of per-endpoint sums).
+
+    A sink is accepted only when each of :attr:`points` accepts it.  The
+    one point is the request's ``bindings``/``processors``; a symbolized
+    compile's motion is replayed at every shape, so its points are the
+    distinct (``bindings`` with each of ``shape_names`` set to n, P = p) for
+    n in :data:`PROBE_SHAPES`, p in :data:`PROBE_PROCS`, and ``bindings``
+    holds only compile-time names (they are in the template key).
     """
 
     def __init__(
@@ -391,6 +413,7 @@ class CostGuard:
         options: "CompilerOptions",
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
+        shape_names: frozenset[str] = frozenset(),
     ):
         from repro.compiler.artifacts import PASS_ORDER
         from repro.compiler.pipeline import PASSES
@@ -398,17 +421,25 @@ class CostGuard:
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
         self.options = options
-        self.bindings = dict(bindings or {})
-        self.processors = processors
-        self.cost = options.cost
-        self.schedule = options.schedule
+        points: list[Point] = []
+        if options.symbolize:
+            fixed = {k: v for k, v in (bindings or {}).items() if k not in shape_names}
+            for n in PROBE_SHAPES:
+                probe = {**fixed, **dict.fromkeys(shape_names, n)}
+                for p in PROBE_PROCS:
+                    grid = ProcessorArrangement("P", (p,))
+                    if all((q.bindings, q.processors) != (probe, grid) for q in points):
+                        points.append(Point(f"shape probe (n={n}, P={p}): ", probe, grid))
+        else:
+            points.append(Point("", dict(bindings or {}), processors))
+        self.points: tuple[Point, ...] = tuple(points)
         tail = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("codegen-naive") + 1]
         self._tail = [PASSES[n] for n in options.pass_names if n in tail]
-        # placement pricing memo, keyed by the projected text: across the
-        # accept/reject iteration the projected "current" placement of one
-        # sink is the projected "candidate" of an earlier sink of the same
-        # family, so each such variant is compiled and simulated once
-        self._pricing: dict[str, "_Pricing"] = {}
+        # placement pricing memo, keyed by point and projected text: across
+        # the accept/reject iteration the projected "current" placement of
+        # one sink is the projected "candidate" of an earlier sink of the
+        # same family, so each such variant is compiled and simulated once
+        self._pricing: dict[tuple[Point, str], "_Pricing"] = {}
         self._program_ref: Program | None = None
 
     # -- downstream compilation (the pipeline's own passes after motion) ----
@@ -432,8 +463,8 @@ class CostGuard:
             )
         return seen
 
-    def compile_variant(self, program: Program, entry: str) -> "PassContext":
-        """Compile ``program`` as the pipeline does after motion.
+    def compile_variant(self, point: Point, program: Program, entry: str) -> "PassContext":
+        """Compile ``program`` at ``point`` as the pipeline does after motion.
 
         Runs the pipeline's pass objects from ``resolve`` through codegen
         over a context of the guard's own, outside any pipeline run: no
@@ -445,15 +476,15 @@ class CostGuard:
 
         reachable = self._reachable(program, entry)
         variant = Program(tuple(s for s in program.subroutines if s.name in reachable))
-        ctx = PassContext(variant, self.bindings, self.processors, self.options, program=variant)
+        ctx = PassContext(variant, point.bindings, point.processors, self.options, program=variant)
         for p in self._tail:
             p.run(ctx)
         return ctx
 
     # -- pricing ------------------------------------------------------------
 
-    def _price(self, program: Program, sub: Subroutine) -> "_Pricing":
-        """Compile one placement and walk its whole scenario grid once.
+    def _price(self, point: Point, program: Program, sub: Subroutine) -> "_Pricing":
+        """Compile one placement at ``point`` and walk its whole scenario grid once.
 
         ``require_exhaustive``: a subsampled grid cannot *prove* a placement
         safe, so an oversized scenario space rejects the motion instead of
@@ -462,27 +493,25 @@ class CostGuard:
         artifacts outlive, so the decision must hold for any bound value,
         not just this compile's.
         """
-        key = print_subroutine(sub)
+        key = (point, print_subroutine(sub))
         cached = self._pricing.get(key)
         if cached is not None:
             return cached
-        ctx = self.compile_variant(program.with_subroutine(sub), sub.name)
+        ctx = self.compile_variant(point, program.with_subroutine(sub), sub.name)
         scenarios = enumerate_scenarios(
             ctx.constructions,
             sub.name,
-            bindings=self.bindings,
+            bindings=point.bindings,
             pin_bound_trips=False,
             require_exhaustive=True,
         )
         estimates = simulate_grid(
             ctx.constructions, ctx.codes, sub.name, scenarios,
-            policy=self.schedule, cost=self.cost,
+            policy=self.options.schedule, cost=self.options.cost,
         ).checked()
-        total = TrafficEstimate.zero()
-        for est in estimates:
-            total = total + est
-        pricing = _Pricing(scenarios, estimates, total)
-        self._pricing[key] = pricing
+        pricing = self._pricing[key] = _Pricing(
+            scenarios, estimates, sum(estimates, TrafficEstimate.zero())
+        )
         return pricing
 
     # -- the decision -------------------------------------------------------
@@ -498,28 +527,50 @@ class CostGuard:
 
         Both placements are priced projected onto the families on which
         they differ and cut to the window where their costs can differ
-        (:func:`window`; see the module docstring).  Any failure to compile,
-        enumerate exhaustively, or simulate a variant rejects the
-        candidate: the guard only moves code it can prove does not pay
-        more.  Programming errors are not swallowed -- only the package's
-        own :class:`~repro.errors.ReproError` family counts as "cannot
-        price this".
+        (:func:`window`; see the module docstring), at each point in turn.
+        The first point that rejects decides, its label prefixing the
+        reason; if all accept, the deltas and scenarios are their sums.
         """
         if self._program_ref is not program:
             self._pricing.clear()
             self._program_ref = program
-        base_window, candidate_window = window(
+        base, candidate = window(
             base_sub, candidate_sub, _moved_families(base_sub, candidate_sub)
         )
+        accepted = []
+        for point in self.points:
+            decision = self.evaluate_at(point, program, base, candidate)
+            if not decision.hoist:
+                return replace(decision, reason=point.label + decision.reason)
+            accepted.append(decision)
+        return GuardDecision(
+            True,
+            sum(d.delta_bytes for d in accepted),
+            sum(d.delta_time for d in accepted),
+            sum(d.scenarios for d in accepted),
+            accepted[0].reason if len(accepted) == 1 else "accepted at every shape probe",
+        )
+
+    def evaluate_at(
+        self, point: Point, program: Program, base: Subroutine, candidate: Subroutine
+    ) -> GuardDecision:
+        """The decision between two windowed placements at one point.
+
+        Any failure to compile, enumerate exhaustively, or simulate a
+        variant rejects the candidate: the guard only moves code it can
+        prove does not pay more.  Programming errors are not swallowed --
+        only the package's own :class:`~repro.errors.ReproError` family
+        counts as "cannot price this".
+        """
         try:
-            base = self._price(program, base_window)
-            cand = self._price(program, candidate_window)
+            priced = self._price(point, program, base), self._price(point, program, candidate)
         except ReproError as exc:  # cannot price it: keep the naive placement
             return GuardDecision(False, 0, 0.0, 0, f"not estimable: {exc}")
-        return self._decide(base, cand)
+        return self._decide(*priced)
 
     def _decide(self, base: "_Pricing", cand: "_Pricing") -> GuardDecision:
         """The decision between two placements priced over one grid."""
+        cost = self.options.cost
         if base.scenarios != cand.scenarios:
             return GuardDecision(
                 False, 0, 0.0, 0,
@@ -530,20 +581,12 @@ class CostGuard:
                 return GuardDecision(
                     False,
                     c.bytes - b.bytes,
-                    self.cost.time(c) - self.cost.time(b),
+                    cost.time(c) - cost.time(b),
                     len(base.scenarios),
                     f"loses to the unmoved placement on {sc.describe()}",
                 )
-        decision = self.cost.compare(
-            base.total, cand.total, scheduled=self.schedule is not None
-        )
-        return GuardDecision(
-            decision.hoist,
-            decision.delta_bytes,
-            decision.delta_time,
-            len(base.scenarios),
-            decision.reason,
-        )
+        d = cost.compare(base.total, cand.total, scheduled=self.options.schedule is not None)
+        return GuardDecision(d.hoist, d.delta_bytes, d.delta_time, len(base.scenarios), d.reason)
 
 
 @dataclass(frozen=True)
@@ -553,88 +596,3 @@ class _Pricing:
     scenarios: list[Scenario]
     estimates: list[TrafficEstimate]
     total: TrafficEstimate
-
-
-class ShapeGenericGuard:
-    """Cost guard for shape-erased compilations: a probe-grid conjunction.
-
-    A symbolic template's motion decisions are baked into the artifact and
-    replayed at *every* shape the template is later instantiated with, so
-    they must not depend on the shape bindings (or processor count) of the
-    request that happened to trigger the compile -- otherwise two requests
-    with the same shape-erased key would produce different templates.  This
-    guard therefore prices every candidate sink on a **fixed probe grid**
-    (:data:`PROBE_SHAPES` x :data:`PROBE_PROCS`), overriding each
-    shape-symbolic binding with the probe shape and the processor
-    arrangement with a probe-sized linear grid, and accepts only when
-    **every** probe's :class:`CostGuard` accepts.
-
-    Conservative by construction: the probes sample the shape space, but
-    each inner guard already prices the whole runtime-unknown scenario
-    space (including zero/one/many symbolic trip counts), and a rejection
-    at any probe keeps the naive placement -- the same "never lose"
-    posture as the concrete guard, quantified over shapes.
-
-    ``bindings`` must contain only compile-time names (the caller filters
-    runtime-only bindings out): compile-relevant values are part of the
-    template key and may steer decisions; anything else would leak
-    request-specific state into a shared artifact.
-    """
-
-    #: fixed shape values each shape-symbolic binding is probed at
-    PROBE_SHAPES: tuple[int, ...] = (8, 16)
-    #: fixed linear processor counts probed (the default-grid slot only;
-    #: a declared ``processors`` arrangement overrides it as usual)
-    PROBE_PROCS: tuple[int, ...] = (2, 4)
-
-    def __init__(
-        self,
-        shape_names: frozenset[str],
-        bindings: dict[str, int] | None,
-        options: "CompilerOptions",
-    ):
-        self.shape_names = frozenset(shape_names)
-        base = {
-            k: v for k, v in dict(bindings or {}).items() if k not in shape_names
-        }
-        self._probes: list[tuple[tuple[int, int], CostGuard]] = []
-        for n in self.PROBE_SHAPES:
-            probe_bindings = dict(base)
-            for name in self.shape_names:
-                probe_bindings[name] = n
-            for p in self.PROBE_PROCS:
-                self._probes.append(
-                    ((n, p), CostGuard(options, probe_bindings, ProcessorArrangement("P", (p,))))
-                )
-
-    def evaluate(
-        self,
-        program: Program,
-        base_sub: Subroutine,
-        candidate_sub: Subroutine,
-        description: str = "",
-    ) -> GuardDecision:
-        """Accept iff every probe accepts; first probe rejection wins."""
-        bytes_total = 0
-        time_total = 0.0
-        scenario_total = 0
-        for (n, p), guard in self._probes:
-            decision = guard.evaluate(program, base_sub, candidate_sub, description)
-            if not decision.hoist:
-                return GuardDecision(
-                    False,
-                    decision.delta_bytes,
-                    decision.delta_time,
-                    decision.scenarios,
-                    f"shape probe (n={n}, P={p}): {decision.reason}",
-                )
-            bytes_total += decision.delta_bytes
-            time_total += decision.delta_time
-            scenario_total += decision.scenarios
-        return GuardDecision(
-            True,
-            bytes_total,
-            time_total,
-            scenario_total,
-            f"accepted by all {len(self._probes)} shape probes",
-        )

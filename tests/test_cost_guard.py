@@ -271,8 +271,8 @@ def test_guard_rejects_placements_priced_over_different_grids():
     base = program.subroutines[0]
     candidate = parse_program(BRANCH_ON.format(cond="c2")).subroutines[0]
     guard = CostGuard(CompilerOptions(), {"n": 16}, 4)
-    assert len(guard._price(program, base).scenarios) == 4
-    assert len(guard._price(program, candidate).scenarios) == 4
+    assert len(guard._price(guard.points[0], program, base).scenarios) == 4
+    assert len(guard._price(guard.points[0], program, candidate).scenarios) == 4
     decision = guard.evaluate(program, base, candidate, "c1 -> c2")
     assert not decision.hoist
     assert decision.reason == "not estimable: the two placements' scenario grids differ"

@@ -1,5 +1,11 @@
 """The cost guard prices a sink on the family it moves, inside its window.
 
+The guard prices a sink at each of its points -- the request's
+``(bindings, processors)``, or the distinct shape probes of a symbolized
+compile -- and keeps it only if every point accepts.  A symbolized compile's
+motion is the same whatever request shape triggered it, and a probe grid
+with no shape-symbolic name prices each placement once per processor probe.
+
 The guard compiles a placement with the pipeline's own passes, so its
 variant of an unmoved program is the code ``compile_program`` generates with
 motion off: checked at every level under every scheduling choice on the
@@ -12,9 +18,9 @@ Three claims carry :func:`repro.remap.costguard.window`:
   grid, a program's simulated traffic is the sum of its projections' onto
   each of its families;
 * the projected decision is the whole-program one -- ``CostGuard._price``
-  on the *unprojected* subroutines, kept here (and only here) as the
-  oracle -- wherever the whole grid fits the cap and every shape probe
-  resolves, up to exact ties the whole program's float sums round away.
+  on the *unprojected* subroutines at the same point, kept here (and only
+  here) as the oracle, compared point by point -- wherever the whole grid
+  fits the cap and the point resolves, up to exact ties the whole program's float sums round away.
   In those three places the projection may turn a reject into a sink; one
   example of each is pinned and checked clean under the full differential
   oracle;
@@ -246,6 +252,77 @@ def test_moved_families_are_the_families_whose_projections_differ(kind, seed):
 
 
 # ---------------------------------------------------------------------------
+# the points a sink is priced at
+# ---------------------------------------------------------------------------
+
+
+def test_guard_points_are_the_request_or_the_distinct_shape_probes():
+    eager = CostGuard(CompilerOptions(), {"n": 16, "t": 4}, 4)
+    assert [(p.label, p.bindings, p.processors.shape) for p in eager.points] == [
+        ("", {"n": 16, "t": 4}, (4,))
+    ]
+    symbolic = CompilerOptions.symbolic(level=3)
+    probes = CostGuard(symbolic, {"n": 16, "t": 4}, 4, frozenset({"n"})).points
+    assert [(p.bindings, p.processors.shape) for p in probes] == [
+        ({"t": 4, "n": n}, (procs,))
+        for n in costguard.PROBE_SHAPES
+        for procs in costguard.PROBE_PROCS
+    ]
+    assert probes[1].label == "shape probe (n=8, P=4): "
+    # no shape-symbolic name: the shape probes collapse onto the processor ones
+    shapeless = CostGuard(symbolic, {"t": 4}, 4).points
+    assert [(p.label, p.processors.shape) for p in shapeless] == [
+        (f"shape probe (n=8, P={procs}): ", (procs,)) for procs in costguard.PROBE_PROCS
+    ]
+
+
+def test_a_shapeless_symbolized_compile_prices_each_placement_once_per_point():
+    """No name of the program is shape-symbolic, so its probe grid holds
+    two distinct points: each priced placement is compiled twice, once per
+    processor probe."""
+    program = random_legal_subroutine(np.random.default_rng(0))
+    compiled_placements: list[str] = []
+    compile_variant = CostGuard.compile_variant
+
+    def counted(self, *args):
+        program, entry = args[-2:]
+        compiled_placements.append(print_subroutine(program.get(entry)))
+        return compile_variant(self, *args)
+
+    with mock.patch.object(CostGuard, "compile_variant", counted):
+        compiled = compile_program(
+            program, processors=4, options=CompilerOptions.symbolic(level=3)
+        )
+    assert compiled.report.symbolic.classification.shape_symbolic == frozenset()
+    per_placement = {text: compiled_placements.count(text) for text in compiled_placements}
+    assert len(per_placement) == 2 and set(per_placement.values()) == {2}
+    report = compiled.report.motion["main"]
+    assert report.sunk == ["do i: sunk redistribute of a1"] and report.rejected == []
+
+
+@pytest.mark.parametrize("name, source, fixed", [
+    ("fig1", FIG1, {}),
+    ("fig12", FIG12, {"m": 3}),
+    ("fig16", FIG16, {"t": 5}),
+])
+def test_symbolized_motion_does_not_depend_on_the_request(name, source, fixed):
+    """A symbolized compile's motion is replayed at every shape, so every
+    request shape -- n = P and a P no probe uses among them -- must yield
+    the same post-motion program and the same motion reports."""
+    shapes = [(16, 4), (8, 8), (24, 3), (12, 6)]  # no probe has P = 3 or 6
+    results = []
+    for n, procs in shapes:
+        compiled = compile_program(
+            source,
+            processors=procs,
+            options=CompilerOptions.symbolic(level=3),
+            bindings={"n": n, **fixed},
+        )
+        results.append((compiled.report.symbolic.program, compiled.report.motion))
+    assert all(result == results[0] for result in results), name
+
+
+# ---------------------------------------------------------------------------
 # the guard compiles what the pipeline compiles
 # ---------------------------------------------------------------------------
 
@@ -286,7 +363,7 @@ def _assert_guard_compiles_as_pipeline(name, source, bindings, options) -> int:
     guard = CostGuard(options, bindings, 4)
     compared = 0
     for entry in program.subroutines:
-        variant = guard.compile_variant(program, entry.name)
+        variant = guard.compile_variant(guard.points[0], program, entry.name)
         assert entry.name in variant.constructions
         for sub, res in variant.constructions.items():
             where = f"{name} {options.describe()}: {entry.name} -> {sub}"
@@ -314,9 +391,9 @@ def test_guard_variants_are_not_pipeline_runs():
     variants: list[str] = []
     compile_variant = CostGuard.compile_variant
 
-    def counted(self, program, entry):
+    def counted(self, point, program, entry):
         variants.append(entry)
-        return compile_variant(self, program, entry)
+        return compile_variant(self, point, program, entry)
 
     before = REGISTRY.snapshot()
     with mock.patch.object(CostGuard, "compile_variant", counted):
@@ -341,9 +418,11 @@ def _decomposition_checks(program: Program, bindings: dict, policy: str | None) 
     every scenario of the full grid; returns the number of scenarios."""
     sub = program.subroutines[0]
     guard = CostGuard(CompilerOptions(schedule=policy), bindings, 4)
-    whole = guard.compile_variant(program, sub.name)
+    (point,) = guard.points
+    cost = guard.options.cost
+    whole = guard.compile_variant(point, program, sub.name)
     parts = [
-        guard.compile_variant(program.with_subroutine(project(sub, fam)), sub.name)
+        guard.compile_variant(point, program.with_subroutine(project(sub, fam)), sub.name)
         for fam in set(family_index(sub).values())
     ]
     scenarios = enumerate_scenarios(
@@ -351,12 +430,12 @@ def _decomposition_checks(program: Program, bindings: dict, policy: str | None) 
     )
     for sc in scenarios:
         total = simulate_traffic(
-            whole.constructions, whole.codes, sub.name, sc, policy=policy, cost=guard.cost
+            whole.constructions, whole.codes, sub.name, sc, policy=policy, cost=cost
         )
         summed = TrafficEstimate.zero()
         for part in parts:
             summed += simulate_traffic(
-                part.constructions, part.codes, sub.name, sc, policy=policy, cost=guard.cost
+                part.constructions, part.codes, sub.name, sc, policy=policy, cost=cost
             )
         where = f"{print_subroutine(sub)}\n{sc.describe()}"
         assert math.isclose(total.makespan, summed.makespan, rel_tol=1e-12), where
@@ -389,17 +468,27 @@ def test_traffic_decomposes_on_fixed_seeds(policy):
 # ---------------------------------------------------------------------------
 
 
-class _WholeProgramOracle(CostGuard):
-    """Decides as the guard does, and logs the whole-program decision on the
-    same two placements beside it."""
+class _Oracle(CostGuard):
+    """Decides as the guard does, remembering the unwindowed placements it
+    was asked about for the per-point oracle beside it."""
+
+    def evaluate(self, program, base_sub, candidate_sub, description=""):
+        self._asked = (base_sub, candidate_sub, description)
+        return super().evaluate(program, base_sub, candidate_sub, description)
+
+
+class _WholeProgramOracle(_Oracle):
+    """Logs beside each point's decision the whole-program decision on the
+    same two placements at that point."""
 
     log: list[tuple[str, GuardDecision, GuardDecision]] = []
 
-    def evaluate(self, program, base_sub, candidate_sub, description=""):
-        decision = super().evaluate(program, base_sub, candidate_sub, description)
+    def evaluate_at(self, point, program, base, candidate):
+        decision = super().evaluate_at(point, program, base, candidate)
+        base_sub, candidate_sub, description = self._asked
         try:
             whole = self._decide(
-                self._price(program, base_sub), self._price(program, candidate_sub)
+                self._price(point, program, base_sub), self._price(point, program, candidate_sub)
             )
         except ReproError as exc:
             whole = GuardDecision(False, 0, 0.0, 0, f"not estimable: {exc}")
@@ -407,19 +496,22 @@ class _WholeProgramOracle(CostGuard):
         return decision
 
 
-class _FamilyOracle(CostGuard):
-    """Decides as the guard does, and logs beside it the family-projected
-    decision on the same two placements -- the guard's pricing before
+class _FamilyOracle(_Oracle):
+    """Logs beside each point's decision the family-projected decision on
+    the same two placements at that point -- the guard's pricing before
     windows -- with both pricings of each, family and window (a pricing
     that fails is its error)."""
 
     log: list[tuple[str, GuardDecision, GuardDecision, list, list]] = []
 
-    def evaluate(self, program, base_sub, candidate_sub, description=""):
-        decision = super().evaluate(program, base_sub, candidate_sub, description)
+    def evaluate_at(self, point, program, base, candidate):
+        decision = super().evaluate_at(point, program, base, candidate)
+        base_sub, candidate_sub, description = self._asked
         moved = costguard._moved_families(base_sub, candidate_sub)
-        family = self._priced(program, [project(base_sub, moved), project(candidate_sub, moved)])
-        windowed = self._priced(program, costguard.window(base_sub, candidate_sub, moved))
+        family = self._priced(
+            point, program, [project(base_sub, moved), project(candidate_sub, moved)]
+        )
+        windowed = self._priced(point, program, [base, candidate])
         if isinstance(family, ReproError):
             family_decision = GuardDecision(False, 0, 0.0, 0, f"not estimable: {family}")
         else:
@@ -427,20 +519,18 @@ class _FamilyOracle(CostGuard):
         self.log.append((description, decision, family_decision, family, windowed))
         return decision
 
-    def _priced(self, program, subs):
+    def _priced(self, point, program, subs):
         try:
-            return [self._price(program, sub) for sub in subs]
+            return [self._price(point, program, sub) for sub in subs]
         except ReproError as exc:
             return exc
 
 
 @contextmanager
 def _oracle_guards(oracle=_WholeProgramOracle):
-    """Every guard the pipeline builds (each shape probe's too) logs."""
+    """Every guard the pipeline builds logs, at each point it prices."""
     log: list = []
-    with mock.patch.object(oracle, "log", log), mock.patch.object(
-        costguard, "CostGuard", oracle
-    ), mock.patch.object(pipeline, "CostGuard", oracle):
+    with mock.patch.object(oracle, "log", log), mock.patch.object(pipeline, "CostGuard", oracle):
         yield log
 
 
@@ -695,7 +785,7 @@ def test_branches_of_another_family_do_not_block_a_sink():
     sub = program.subroutines[0]
     guard = CostGuard(CompilerOptions(), {"n": 16, "t": 4}, 4)
     with pytest.raises(ReproError, match="exceeds the max_scenarios cap"):
-        guard._price(program, sub)  # the whole program cannot be priced
+        guard._price(guard.points[0], program, sub)  # the whole program cannot be priced
     _, compiled = _executed_bytes(FOREIGN_BRANCHES, 3, {f"c{k}": False for k in range(6)}, 4)
     report = compiled.report.motion["main"]
     assert report.sunk == ["do i: sunk redistribute of a"]
