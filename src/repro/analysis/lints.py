@@ -46,13 +46,13 @@ from repro.errors import ReproError, TrafficPredictionError
 from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.lang.ast_nodes import (
-    Call,
     Compute,
     If,
     Kill,
     Program,
     Realign,
     Stmt,
+    reachable,
     walk_statements,
 )
 from repro.lang.printer import print_stmt
@@ -456,12 +456,8 @@ def lint_program(
     # scenario reachability sums over entry subroutines only (a callee's
     # branches are exercised through its callers)
     assert ctx.program is not None
-    called = {
-        s.callee
-        for sub in ctx.program.subroutines
-        for s in walk_statements(sub.body)
-        if isinstance(s, Call)
-    }
+    bodies = ctx.program.bodies
+    called = {c for name in bodies for c in reachable(bodies, name)[1:]}
     for name in ctx.constructions:
         if name in called:
             continue

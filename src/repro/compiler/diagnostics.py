@@ -30,7 +30,6 @@ from repro.remap.optimize import RemovalReport
 if TYPE_CHECKING:
     from repro.compiler.pipeline import PipelineTrace
     from repro.spmd.traffic import TrafficRange
-    from repro.symbolic.classify import BindingClassification
 
 
 @dataclass(frozen=True)
@@ -47,20 +46,6 @@ class Diagnostic:
         return f"{self.severity}{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SymbolicInfo:
-    """What the ``symbolize`` pass learned about one compilation.
-
-    ``program`` is the post-motion AST -- the exact source a
-    :class:`~repro.compiler.template.SymbolicTemplate` re-resolves with
-    concrete shape bindings at instantiation time (motion must not run
-    again there: its cost-guard decisions are part of the template).
-    """
-
-    classification: "BindingClassification"
-    program: Program
-
-
 @dataclass
 class CompileReport:
     """Everything the compiler has to say about one compilation."""
@@ -72,10 +57,6 @@ class CompileReport:
     #: space, filled by the ``traffic-estimate`` pass when it runs
     traffic: dict[str, "TrafficRange"] = field(default_factory=dict)
     trace: "PipelineTrace | None" = None
-    #: filled by the opt-in ``symbolize`` pass: the shape-symbolic vs
-    #: compile-relevant split plus the post-motion program, from which the
-    #: session builds a :class:`~repro.compiler.template.SymbolicTemplate`
-    symbolic: "SymbolicInfo | None" = None
 
     # -- collection ----------------------------------------------------------
 

@@ -12,6 +12,17 @@ are the one place that decides which pass sets are legal.  Per-pass wall
 time and counters are recorded into a :class:`PipelineTrace`, so
 compilations are inspectable.
 
+This module is the one place that knows where the pass order splits:
+the **front** (:data:`FRONT`: ``parse``, ``motion``, ``symbolize``) decides
+everything a program's shape cannot change, the **code passes**
+(:data:`CODE_PASSES`: ``resolve`` through codegen) build one geometry's
+artifact, and the **analyses** (``traffic-estimate``, ``verify``) read what
+they built.  A symbolized compile pauses between the front and the code
+passes: the ``symbolize`` pass cuts the
+:class:`~repro.compiler.template.SymbolicTemplate` from the context, and the
+request is served by instantiating it (:meth:`Pipeline.resume` runs the
+rest), exactly as a later request for another shape is.
+
 Typical explicit use::
 
     from repro.compiler.pipeline import Pipeline
@@ -30,17 +41,15 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.compiler.artifacts import (
+    PASS_ORDER,
     CompiledProgram,
     CompiledSubroutine,
     CompilerOptions,
 )
-from repro.compiler.diagnostics import (
-    CompileReport,
-    SymbolicInfo,
-    frontend_warnings,
-)
+from repro.compiler.diagnostics import CompileReport, frontend_warnings
+from repro.compiler.template import SymbolicTemplate
 from repro.ir.cfg import build_cfg
-from repro.lang.ast_nodes import Call, Program, Subroutine, walk_statements
+from repro.lang.ast_nodes import Program, Subroutine, reachable
 from repro.lang.parser import parse_program
 from repro.lang.semantics import ResolvedProgram, resolve_program
 from repro.mapping.processors import ProcessorArrangement
@@ -78,6 +87,8 @@ class PassContext:
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
+    #: what the ``symbolize`` pass cut: the run pauses here
+    template: SymbolicTemplate | None = None
 
     def graphs(self) -> dict[str, RemappingGraph]:
         return {name: c.graph for name, c in self.constructions.items()}
@@ -212,18 +223,17 @@ class MotionPass:
 
 
 class SymbolizePass:
-    """Classify binding names and capture the template source (PR 7).
+    """End the front: cut the :class:`SymbolicTemplate` from the context.
 
     Runs right after motion: splits the program's compile-time binding
     names into *shape-symbolic* (array/template extents erasable from the
     artifact key) and *compile-relevant* (processor extents, non-shape
-    loop bounds), and records the post-motion AST in the report --
-    together they are everything
-    :class:`~repro.compiler.template.SymbolicTemplate` needs to
-    re-resolve the program at any concrete ``(n, P)`` without re-running
-    motion (whose shape-generic decisions are already baked into the
-    AST).  Purely analytical: touches no downstream facts, so the
-    concrete compilation proceeds unchanged.
+    loop bounds) and keeps, with that classification, the post-motion AST,
+    the compile-relevant binding values and the front's report (motion's
+    reports and notes).  That is everything the code passes need to build
+    the artifact at any concrete ``(n, P)`` without re-running motion,
+    whose shape-generic decisions are baked into the AST.  The run pauses
+    after it: the request is served by instantiating the template.
     """
 
     name = "symbolize"
@@ -231,7 +241,15 @@ class SymbolizePass:
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
         info = classify_bindings(ctx.program)
-        ctx.report.symbolic = SymbolicInfo(classification=info, program=ctx.program)
+        ctx.template = SymbolicTemplate(
+            program=ctx.program,
+            options=ctx.options,
+            classification=info,
+            fixed_bindings={
+                k: v for k, v in (ctx.bindings or {}).items() if k in info.compile_relevant
+            },
+            report=_front_report(ctx.report),
+        )
         return {
             "shape_symbolic": len(info.shape_symbolic),
             "compile_relevant": len(info.compile_relevant),
@@ -325,10 +343,7 @@ class CodegenPass:
             if not ctx.options.live_copies:
                 pin_live_sets_to_leaving(res.graph)
             code = generate_code(
-                res,
-                optimize=not self.naive,
-                naive_always_copy=self.naive,
-                status_checks=ctx.options.status_checks,
+                res, naive=self.naive, status_checks=ctx.options.status_checks
             )
             ctx.codes[name] = code
             ops += len(code.all_ops())
@@ -353,12 +368,8 @@ class TrafficEstimatePass:
         # a range simulated from a subroutine already includes its callees'
         # traffic, so the aggregate counters sum over *entry* subroutines
         # only (ones no other subroutine calls) to avoid double-counting
-        called = {
-            s.callee
-            for sub in ctx.program.subroutines
-            for s in walk_statements(sub.body)
-            if isinstance(s, Call)
-        }
+        bodies = ctx.program.bodies
+        called = {c for name in bodies for c in reachable(bodies, name)[1:]}
         bytes_hi = messages_hi = scenario_total = 0
         for name in ctx.constructions:
             rng = estimate_range(
@@ -449,37 +460,42 @@ PASSES: dict[str, Pass] = {
 # ---------------------------------------------------------------------------
 
 
+#: Where :data:`PASS_ORDER` splits.  The front decides what no shape can
+#: change and ends with ``symbolize``, where a symbolized compile pauses to
+#: cut its template; the code passes build one geometry's artifact; the
+#: analyses after them read what the code passes built.
+FRONT = PASS_ORDER[: PASS_ORDER.index("resolve")]
+CODE_PASSES = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("traffic-estimate")]
+
+
+def code_passes(options: CompilerOptions) -> list[Pass]:
+    """The code passes ``options`` name, in order (what a cost-guard variant runs)."""
+    return [PASSES[n] for n in options.pass_names if n in CODE_PASSES]
+
+
+def _front_report(report: CompileReport) -> CompileReport:
+    """What the front said -- motion's reports and notes -- in a report of its own."""
+    return CompileReport(diagnostics=list(report.diagnostics), motion=dict(report.motion))
+
+
 class Pipeline:
     """The passes one :class:`CompilerOptions` names, in canonical order.
 
     The options are validated when they are built, so every pipeline is a
-    legal pass set.  ``skip`` leaves named passes out of the run while the
-    context (and the artifact) keeps the full options -- a template
-    instantiation skips the passes whose work its stored AST already holds.
+    legal pass set.  An eager compile runs them all over one context.  A
+    symbolized compile runs the front, pauses where ``symbolize`` cut the
+    template, and serves the request by instantiating it: the run from
+    :meth:`resume` that an instantiation at any other shape makes.
     """
 
-    def __init__(self, options: CompilerOptions, skip: frozenset[str] = frozenset()):
+    def __init__(self, options: CompilerOptions):
         self.options = options
-        self.passes = [PASSES[n] for n in options.pass_names if n not in skip]
+        self.passes = [PASSES[n] for n in options.pass_names]
 
-    def run_context(
-        self,
-        source: str | Program | Subroutine,
-        bindings: dict[str, int] | None = None,
-        processors: ProcessorArrangement | int | None = None,
-    ) -> PassContext:
-        """Run the passes over a fresh context, for inspection."""
-        if isinstance(processors, int):
-            processors = ProcessorArrangement("P", (processors,))
-        ctx = PassContext(
-            source=source,
-            bindings=bindings,
-            processors=processors,
-            options=self.options,
-        )
+    def _run(self, ctx: PassContext, passes: list[Pass]) -> PassContext:
+        """Run ``passes`` over ``ctx``, tracing each into ``ctx.report.trace``."""
         trace = PipelineTrace()
-        _OBS.counter("repro.compiler.pipelines_run").inc()
-        for p in self.passes:
+        for p in passes:
             t0 = time.perf_counter()
             with _TRACER.span(f"pass:{p.name}"):
                 counters = p.run(ctx) or {}
@@ -492,6 +508,38 @@ class Pipeline:
         ctx.report.trace = trace
         return ctx
 
+    def run_context(
+        self,
+        source: str | Program | Subroutine,
+        bindings: dict[str, int] | None = None,
+        processors: ProcessorArrangement | int | None = None,
+    ) -> PassContext:
+        """Run the passes over a fresh context, for inspection.  A symbolized
+        run stops after the front, with the cut template in ``ctx.template``."""
+        ctx = PassContext(source, bindings, _arrangement(processors), self.options)
+        _OBS.counter("repro.compiler.pipelines_run").inc()
+        if self.options.symbolize:
+            return self._run(ctx, [p for p in self.passes if p.name in FRONT])
+        return self._run(ctx, self.passes)
+
+    def resume(
+        self,
+        template: SymbolicTemplate,
+        bindings: dict[str, int] | None,
+        processors: ProcessorArrangement | int | None,
+    ) -> CompiledProgram:
+        """The artifact at one ``(bindings, processors)``: the code passes and
+        analyses, run over a context seeded from ``template``."""
+        ctx = PassContext(
+            template.program,
+            bindings,
+            _arrangement(processors),
+            self.options,
+            program=template.program,
+            report=_front_report(template.report),
+        )
+        return _assemble(self._run(ctx, [p for p in self.passes if p.name not in FRONT]))
+
     def compile(
         self,
         source: str | Program | Subroutine,
@@ -499,21 +547,49 @@ class Pipeline:
         processors: ProcessorArrangement | int | None = None,
     ) -> CompiledProgram:
         """Run the passes and assemble the compiled artifact."""
+        return self.serve(source, bindings, processors)[0]
+
+    def serve(
+        self,
+        source: str | Program | Subroutine,
+        bindings: dict[str, int] | None = None,
+        processors: ProcessorArrangement | int | None = None,
+    ) -> tuple[CompiledProgram, SymbolicTemplate | None]:
+        """The compiled artifact and, for a symbolized compile, the template
+        it was instantiated from; the artifact's trace holds every pass
+        that ran, the front's first."""
         ctx = self.run_context(source, bindings, processors)
-        assert ctx.resolved is not None
-        compiled: dict[str, CompiledSubroutine] = {}
-        for name, rsub in ctx.resolved.subroutines.items():
-            compiled[name] = CompiledSubroutine(
-                name=name,
-                sub=rsub,
-                construction=ctx.constructions[name],
-                code=ctx.codes[name],
-                motion=ctx.report.motion.get(name, MotionReport()),
-            )
-        return CompiledProgram(
-            ctx.resolved,
-            compiled,
-            ctx.options,
-            trace=ctx.report.trace,
-            report=ctx.report,
+        template = ctx.template
+        if template is None:
+            return _assemble(ctx), None
+        compiled = template.instantiate(bindings, processors)
+        assert compiled.trace is not None and ctx.report.trace is not None
+        compiled.trace.records[:0] = ctx.report.trace.records
+        return compiled, template
+
+
+def _arrangement(processors: ProcessorArrangement | int | None) -> ProcessorArrangement | None:
+    if isinstance(processors, int):
+        return ProcessorArrangement("P", (processors,))
+    return processors
+
+
+def _assemble(ctx: PassContext) -> CompiledProgram:
+    """The artifact the code passes built in ``ctx``."""
+    assert ctx.resolved is not None
+    compiled: dict[str, CompiledSubroutine] = {}
+    for name, rsub in ctx.resolved.subroutines.items():
+        compiled[name] = CompiledSubroutine(
+            name=name,
+            sub=rsub,
+            construction=ctx.constructions[name],
+            code=ctx.codes[name],
+            motion=ctx.report.motion.get(name, MotionReport()),
         )
+    return CompiledProgram(
+        ctx.resolved,
+        compiled,
+        ctx.options,
+        trace=ctx.report.trace,
+        report=ctx.report,
+    )

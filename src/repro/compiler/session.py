@@ -16,10 +16,12 @@ the session keeps :class:`~repro.compiler.template.SymbolicTemplate`
 artifacts under a *shape-erased* key (shape-symbolic binding values and
 the processor arrangement dropped), so a request for a never-seen
 ``(n, P)`` is served by instantiating the template (tier
-``"instantiated"``) instead of compiling from scratch.  On disk the
-template is the *only* entry written for such a source -- shape-diverse
-traffic collapses to one store entry per (source, compile-relevant
-bindings, options) rather than one per shape.
+``"instantiated"``) instead of compiling from scratch.  The compile that
+cuts a template serves its own request by instantiating it too, so both
+tiers hand a request the same artifact.  On disk the template is the
+*only* entry written for such a source -- shape-diverse traffic collapses
+to one store entry per (source, compile-relevant bindings, options) rather
+than one per shape -- and the only one looked up.
 
 Which bindings a compilation can depend on -- symbolic declaration extents
 and undeclared loop bounds -- is a syntactic property of the source, so a
@@ -393,12 +395,14 @@ class CompilerSession:
         Returns ``(artifact, tier)`` with ``tier`` one of ``"memory"``
         (in-process cache hit), ``"instantiated"`` (a cached symbolic
         template was instantiated at this request's ``(bindings, P)`` --
-        only the cheap structural pipeline tail ran), ``"disk"`` (served
-        from the attached :class:`~repro.store.ArtifactStore` -- no
-        pipeline ran; the artifact is re-inserted into the memory cache)
-        or ``"compiled"`` (a pipeline ran; with a store attached the
-        artifact -- for symbolized sources, the shape-erased template
-        instead -- is written back for other processes).  The service
+        only the code passes and analyses ran), ``"disk"`` (served from
+        the attached :class:`~repro.store.ArtifactStore` -- no pipeline
+        ran; the artifact is re-inserted into the memory cache) or
+        ``"compiled"`` (a pipeline ran -- for a source with a template
+        key, the front, then the instantiation of the template it cut, so
+        the artifact is the one the ``"instantiated"`` tier serves; with a
+        store attached the artifact, or that template instead, is written
+        back for other processes).  The service
         layer surfaces the tier as ``ServiceResult.cache_source``.
         """
         compiled, tier, _ = self.obtain(source, bindings, processors, options)
@@ -490,41 +494,34 @@ class CompilerSession:
             served = self._instantiate(key, tkey, bindings, processors)
             if served is not None:
                 return served, "instantiated"
-        if self.store is not None:
+        elif self.store is not None:
             # disk tier: a verified load does zero pipeline work; the
-            # loaded artifact arrives frozen and joins the memory cache
+            # loaded artifact arrives frozen and joins the memory cache.  A
+            # source with a template key never has an entry here
             loaded = self.store.load(key)
             if loaded is not None:
                 self._count("store_hits")
                 self._cache.put(key, loaded)
                 return loaded, "disk"
         # the pipeline runs unlocked, on the program first contact parsed,
-        # while this call's flight holds other misses of the key waiting
-        compiled = Pipeline(options).compile(program, bindings, processors)
+        # while this call's flight holds other misses of the key waiting; a
+        # symbolized compile serves the request from the template it cuts
+        compiled, template = Pipeline(options).serve(program, bindings, processors)
         compiled.freeze()
-        # a symbolized source with shape-symbolic bindings also yields the
-        # shape-erased template, from the pass-recorded post-motion AST
-        template = None
-        if tkey is not None:
-            from repro.compiler.template import build_template
-
-            sym = compiled.report.symbolic
-            template = build_template(
-                sym.program, options, sym.classification, bindings
-            )
-            template.freeze()
         if compiled.trace is not None:
             with self._lock:
                 self.passes_run += len(compiled.trace.records)
         self._cache.put(key, compiled)
-        if template is not None:
+        if tkey is not None:
+            assert template is not None
+            template.freeze()
             self._templates.put(tkey, template)
         if self.store is not None:
             # write-back outside the lock: serialization is pure and the
-            # store's own locking covers concurrent writers.  A symbolized
-            # source writes its *template* only: one shape-erased disk
-            # entry serves every (n, P), which is the whole point
-            if template is not None:
+            # store's own locking covers concurrent writers.  A source with
+            # a template key writes its *template* only: one shape-erased
+            # disk entry serves every (n, P), which is the whole point
+            if tkey is not None:
                 wrote = self.store.store(tkey, template)
             else:
                 wrote = self.store.store(key, compiled)
@@ -600,7 +597,7 @@ class CompilerSession:
         and template tables."""
         with self._lock:
             # misses; of those, store hits (zero pipeline passes ran) and
-            # instantiations (only the structural tail ran); write-backs
+            # instantiations (the front did not run); write-backs
             counts = dict(self._counts, passes_run=self.passes_run)
         hits, total = self.hits, self.hits + counts["misses"]
         return {

@@ -1,10 +1,11 @@
 """Symbolic-shape templates: compile once, instantiate every ``(n, P)``.
 
-A :class:`SymbolicTemplate` is the shape-erased artifact form the opt-in
-``symbolize`` pass enables.  Where a :class:`~repro.compiler.artifacts.
-CompiledProgram` bakes one concrete geometry into every structure (version
-mappings, remapping graph, generated code), a template keeps only what
-instantiation uses:
+A :class:`SymbolicTemplate` is a symbolized compile paused after its
+front: the ``symbolize`` pass cuts it from the pipeline's context once
+``parse`` and ``motion`` have run.  Where a :class:`~repro.compiler.
+artifacts.CompiledProgram` bakes one concrete geometry into every
+structure (version mappings, remapping graph, generated code), a template
+keeps only what the rest of the pipeline reads:
 
 * the **post-motion AST** -- motion already ran under a
   :class:`~repro.remap.costguard.CostGuard` priced at the shape probes, not
@@ -14,16 +15,18 @@ instantiation uses:
   (erased from the artifact key, re-supplied per request) and which are
   compile-relevant (part of the key);
 * the **fixed bindings** -- the compile-relevant values the template was
-  built under (shape-symbolic values are erased).
+  built under (shape-symbolic values are erased);
+* the **front's report** -- motion's reports and the notes it added.
 
-:meth:`SymbolicTemplate.instantiate` runs only the cheap structural tail
-of the pipeline (resolve through codegen) on the stored AST with concrete
-bindings -- no parsing, no motion.  The result is a plain
-:class:`CompiledProgram`: executors, verifiers and the differential tests
-cannot tell it from a from-scratch compile (and the test suite proves they
-cannot, bit for bit).  It runs its copies on the process's plans
-(:data:`~repro.spmd.schedule.PLANS`), so a repeated shape -- or an eager
-compile of the same shape -- reuses them.
+:meth:`SymbolicTemplate.instantiate` resumes the pipeline there
+(:meth:`~repro.compiler.pipeline.Pipeline.resume`): the options' code
+passes and analyses over a context seeded from the template -- no parsing,
+no motion.  The compile that cut the template serves its own request the
+same way, so the artifact a request gets is the same whether it was
+compiled or instantiated: executors, verifiers and the differential tests
+cannot tell an instantiation from a from-scratch compile.  It runs its
+copies on the process's plans (:data:`~repro.spmd.schedule.PLANS`), so a
+repeated shape -- or an eager compile of the same shape -- reuses them.
 """
 
 from __future__ import annotations
@@ -31,21 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions, _Freezable
-from repro.errors import SymbolicBindingError
+from repro.compiler.diagnostics import CompileReport
 from repro.lang.ast_nodes import Program
 from repro.mapping.processors import ProcessorArrangement
 from repro.symbolic.classify import BindingClassification
-
-#: Passes a template instantiation must *not* run: motion is baked into the
-#: stored AST (re-running it could diverge from the decisions the template
-#: was certified with) and ``symbolize`` already happened.  ``parse`` runs,
-#: but handed a ``Program`` it only installs it.
-_SKIPPED_AT_INSTANTIATION = frozenset({"motion", "symbolize", "traffic-estimate"})
-
-
-# ---------------------------------------------------------------------------
-# the template artifact
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -62,12 +54,13 @@ class SymbolicTemplate(_Freezable):
     #: compile-relevant binding values baked into the template (part of
     #: its identity; shape-symbolic names are deliberately absent)
     fixed_bindings: dict[str, int] = field(default_factory=dict)
+    #: the front's report: motion's reports and notes, which every
+    #: instantiation reports as its own
+    report: CompileReport = field(default_factory=CompileReport)
 
     def freeze(self) -> None:
         """Make the template immutable for cache sharing."""
         self._freeze_self()
-
-    # -- derived ------------------------------------------------------------
 
     @property
     def shape_names(self) -> frozenset[str]:
@@ -77,8 +70,6 @@ class SymbolicTemplate(_Freezable):
         got = set(bindings or {})
         return sorted(self.shape_names - got)
 
-    # -- instantiation ------------------------------------------------------
-
     def instantiate(
         self,
         bindings: dict[str, int] | None = None,
@@ -86,47 +77,14 @@ class SymbolicTemplate(_Freezable):
     ) -> CompiledProgram:
         """A concrete :class:`CompiledProgram` for one ``(bindings, P)``.
 
-        Runs only the structural tail of the pipeline (resolve through
-        codegen, plus ``verify`` when the template's options include it)
-        over the stored AST.  The caller freezes the result before sharing
-        it, exactly as for an eager compile.
+        Runs the options' code passes and analyses over the stored AST.  A
+        request missing a shape binding raises the
+        :class:`~repro.errors.SemanticError` its compile would.  The caller
+        freezes the result before sharing it, exactly as for an eager
+        compile.
         """
         from repro.compiler.pipeline import Pipeline
 
-        missing = self.missing_shapes(bindings)
-        if missing:
-            raise SymbolicBindingError(
-                f"template instantiation is missing shape binding(s) {missing}: "
-                f"this template is parameterized over {sorted(self.shape_names)}"
-            )
         merged = dict(self.fixed_bindings)
         merged.update(bindings or {})
-        pipeline = Pipeline(self.options, skip=_SKIPPED_AT_INSTANTIATION)
-        return pipeline.compile(self.program, merged, processors)
-
-
-def build_template(
-    program: Program,
-    options: CompilerOptions,
-    classification: BindingClassification,
-    bindings: dict[str, int] | None = None,
-) -> SymbolicTemplate:
-    """Build a :class:`SymbolicTemplate` from a symbolized compilation.
-
-    ``program`` is the post-motion AST recorded by the ``symbolize`` pass;
-    ``bindings`` is the triggering request's binding dict, of which only
-    the compile-relevant values are kept (they are part of the template's
-    identity -- shape-symbolic values are erased, runtime-only ones
-    dropped).
-    """
-    fixed = {
-        k: v
-        for k, v in (bindings or {}).items()
-        if k in classification.compile_relevant
-    }
-    return SymbolicTemplate(
-        program=program,
-        options=options,
-        classification=classification,
-        fixed_bindings=fixed,
-    )
+        return Pipeline(self.options).resume(self, merged, processors)

@@ -155,18 +155,6 @@ class ArtifactVerificationError(AnalysisError):
 
 
 # ---------------------------------------------------------------------------
-# symbolic-shape errors
-# ---------------------------------------------------------------------------
-
-
-class SymbolicBindingError(ReproError):
-    """A symbolic expression or template was evaluated with a missing or
-    invalid binding (unknown size symbol, non-positive divisor, or an
-    instantiation request that does not supply every shape symbol the
-    template was parameterized over)."""
-
-
-# ---------------------------------------------------------------------------
 # runtime errors
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ resolved against user-supplied bindings during semantic resolution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 Extent = int | str  # literal or symbolic extent
@@ -221,6 +222,11 @@ class Program:
             tuple(sub if s.name == sub.name else s for s in self.subroutines)
         )
 
+    @property
+    def bodies(self) -> dict[str, Block]:
+        """Each subroutine's body by name: the call graph :func:`reachable` reads."""
+        return {s.name: s.body for s in self.subroutines}
+
 
 def walk_statements(block: Block):
     """Yield every statement in a block, recursing into structured bodies."""
@@ -231,3 +237,21 @@ def walk_statements(block: Block):
             yield from walk_statements(s.orelse)
         elif isinstance(s, Do):
             yield from walk_statements(s.body)
+
+
+def reachable(bodies: Mapping[str, Block], entry: str) -> list[str]:
+    """The names of ``bodies`` a run of ``entry`` can enter through calls.
+
+    ``entry`` first, then depth first, a body's last call explored first
+    (the order scenario axes are enumerated in); a callee with no body is
+    not listed.
+    """
+    seen: list[str] = []
+    work = [entry]
+    while work:
+        name = work.pop()
+        if name in seen or name not in bodies:
+            continue
+        seen.append(name)
+        work.extend(s.callee for s in walk_statements(bodies[name]) if isinstance(s, Call))
+    return seen

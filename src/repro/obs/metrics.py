@@ -128,10 +128,6 @@ class Counter:
         with self._lock:
             return self._value
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
     def _snapshot(self) -> dict:
         return {"kind": "counter", "value": self.value}
 
@@ -174,10 +170,6 @@ class Gauge:
         """Current value."""
         with self._lock:
             return self._value
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
     def _snapshot(self) -> dict:
         return {"kind": "gauge", "value": self.value}
@@ -316,14 +308,6 @@ class Histogram:
             seen += c
         return hi
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
-            self._min = _INF
-            self._max = -_INF
-
     def _snapshot(self) -> dict:
         with self._lock:
             counts = list(self._counts)
@@ -375,14 +359,6 @@ def _plus(a: dict | None, b: dict) -> dict:
     }
 
 
-def _negated(entry: dict) -> dict:
-    """The entry whose :func:`_plus` with ``entry`` is zero."""
-    if entry["kind"] != "histogram":
-        return {**entry, "value": -entry["value"]}
-    negated = {k: -entry[k] for k in ("count", "sum")}
-    return {**entry, **negated, "min": None, "max": None, "counts": [-c for c in entry["counts"]]}
-
-
 @dataclass
 class MetricsRegistry:
     """Process-wide, thread-safe get-or-create metric registry.
@@ -390,9 +366,9 @@ class MetricsRegistry:
     Metrics are keyed by ``(name, labels)``; ``repro.``-namespaced names
     must be declared in the catalog passed at construction (the default
     registry uses :data:`repro.obs.catalog.CATALOG`), which keeps
-    ``docs/OBSERVABILITY.md`` exhaustive.  ``reset()`` zeroes metrics in
-    place, so instruments cached at module level in instrumented code
-    stay valid across test isolation resets.
+    ``docs/OBSERVABILITY.md`` exhaustive.  An instrument is created once
+    and lives as long as the registry, so code may cache it at module
+    level.
 
     A family read from its owners (:meth:`read`) is their sum plus its
     retired total, and appears in :meth:`snapshot` only.
@@ -523,16 +499,6 @@ class MetricsRegistry:
             for key, entry in self._entries(reading()).items():
                 live[key] = _plus(live.get(key), entry)
         return live
-
-    def reset(self) -> None:
-        """Zero every registered metric in place (instances stay valid).  A
-        read family's retired total becomes minus its live owners' counts:
-        it reads zero while they keep theirs.  A read gauge stays their level."""
-        with self._lock:
-            for m in self._metrics.values():
-                m._reset()
-            live = self._read_live()
-            self._retired = {k: _negated(e) for k, e in live.items() if e["kind"] != "gauge"}
 
     def snapshot(self) -> dict:
         """JSON-able snapshot of every metric: ``{schema, metrics: [...]}``."""

@@ -135,9 +135,7 @@ class GeneratedCode:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_ops(
-    v: GRVertex, optimize: bool, naive_always_copy: bool, status_checks: bool = True
-) -> list[RuntimeOp]:
+def _vertex_ops(v: GRVertex, naive: bool, status_checks: bool) -> list[RuntimeOp]:
     """Fig. 19 inner loop: one RemapOp per remapped array with a leaving copy."""
     ops: list[RuntimeOp] = []
     for a in sorted(v.S):
@@ -150,8 +148,8 @@ def _vertex_ops(
             continue
         use = v.U.get(a, Use.W)
         keep = v.M.get(a, frozenset({leaving})) | frozenset({leaving})
-        if naive_always_copy:
-            use = Use.W if use is not Use.N else Use.W
+        if naive:
+            use = Use.W
             keep = frozenset({leaving})
         ops.append(
             RemapOp(
@@ -160,8 +158,8 @@ def _vertex_ops(
                 reaching=v.R.get(a, frozenset()),
                 use=use,
                 keep=keep,
-                dead_values=optimize and a in v.dead_source,
-                check_status=status_checks and not naive_always_copy,
+                dead_values=not naive and a in v.dead_source,
+                check_status=status_checks and not naive,
                 label=v.label,
             )
         )
@@ -180,16 +178,16 @@ def pin_live_sets_to_leaving(graph) -> None:
 
 
 def generate_code(
-    res: ConstructionResult,
-    optimize: bool = True,
-    naive_always_copy: bool = False,
-    status_checks: bool = True,
+    res: ConstructionResult, naive: bool = False, status_checks: bool = True
 ) -> GeneratedCode:
     """Generate the runtime ops for one compiled subroutine.
 
-    ``status_checks`` emits the Fig. 20 ``if status(A) != l`` guard; without
-    it every generated remapping copies unconditionally (the naive baseline
-    always disables it, matching ``CompilerOptions.status_checks``).
+    ``naive`` is the level-0 baseline: every remapping copies
+    unconditionally, keeps only its leaving copy and never discards dead
+    values.  ``status_checks`` emits the Fig. 20 ``if status(A) != l``
+    guard; without it every generated remapping copies unconditionally (the
+    naive baseline always disables it, matching
+    ``CompilerOptions.status_checks``).
     """
     code = GeneratedCode()
     graph = res.graph
@@ -205,12 +203,12 @@ def generate_code(
         if node.kind in (NodeKind.CALLV, NodeKind.ENTRY):
             continue
         if node.kind is NodeKind.EXIT:
-            code.exit_ops.extend(_vertex_ops(v, optimize, naive_always_copy, status_checks))
+            code.exit_ops.extend(_vertex_ops(v, naive, status_checks))
             continue
         if node.kind is NodeKind.REMAP:
             assert isinstance(node.stmt, (Realign, Redistribute))
             code.before.setdefault(id(node.stmt), []).extend(
-                _vertex_ops(v, optimize, naive_always_copy, status_checks)
+                _vertex_ops(v, naive, status_checks)
             )
             continue
         if node.kind is NodeKind.CALL_BEFORE:
@@ -223,7 +221,7 @@ def generate_code(
             for a in sorted(v.S):
                 if va is not None and a in va.restore and a not in va.removed:
                     ops.append(SaveStatusOp(a, slot=f"reaching_{a}_{info.group}"))
-            ops.extend(_vertex_ops(v, optimize, naive_always_copy, status_checks))
+            ops.extend(_vertex_ops(v, naive, status_checks))
             continue
         if node.kind is NodeKind.CALL_AFTER:
             assert isinstance(node.stmt, Call) and node.call_group is not None
@@ -233,7 +231,7 @@ def generate_code(
                 if a in v.restore and a not in v.removed:
                     use = v.U.get(a, Use.W)
                     keep = v.M.get(a, v.restore[a]) | v.restore[a]
-                    if naive_always_copy:
+                    if naive:
                         keep = v.restore[a]
                     ops.append(
                         RestoreOp(
@@ -242,11 +240,11 @@ def generate_code(
                             possible=v.restore[a],
                             use=use,
                             keep=keep,
-                            check_status=status_checks and not naive_always_copy,
+                            check_status=status_checks and not naive,
                             label=v.label,
                         )
                     )
-            ops.extend(_vertex_ops(v, optimize, naive_always_copy, status_checks))
+            ops.extend(_vertex_ops(v, naive, status_checks))
             continue
 
     # kill statements poison values at run time (verification hook)

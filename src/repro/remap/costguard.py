@@ -10,8 +10,9 @@ counter-example tracked in ROADMAP.md).
 
 :class:`CostGuard` closes the hole by construction.  For every candidate
 sink it compiles both placements with the pipeline's own pass objects:
-the passes of the request's :class:`~repro.compiler.artifacts.CompilerOptions`
-from ``resolve`` through codegen, in canonical order, run over a
+the code passes of the request's
+:class:`~repro.compiler.artifacts.CompilerOptions`
+(:func:`~repro.compiler.pipeline.code_passes`), run over a
 :class:`~repro.compiler.pipeline.PassContext` of the guard's own -- so a
 variant is the code the pipeline will generate after motion, with no
 second copy of that tail to keep in step.  It then prices both with the
@@ -118,6 +119,7 @@ from repro.lang.ast_nodes import (
     Stmt,
     Subroutine,
     TemplateDecl,
+    reachable,
     walk_statements,
 )
 from repro.lang.printer import print_subroutine
@@ -393,12 +395,12 @@ class CostGuard:
     """Decides candidate remapping motions with the communication cost model.
 
     ``options`` are the request's compiler options: a variant is compiled
-    by the pipeline's own passes that the options run from ``resolve``
-    through codegen, so the comparison prices exactly the code that will
-    be generated, and priced under the options' ``cost`` (the machine
-    model consulted for the final decision) and ``schedule`` (when set,
-    both placements are priced as *scheduled* executions -- phase
-    makespans instead of per-endpoint sums).
+    by the pipeline's own code passes that the options name, so the
+    comparison prices exactly the code that will be generated, and priced
+    under the options' ``cost`` (the machine model consulted for the final
+    decision) and ``schedule`` (when set, both placements are priced as
+    *scheduled* executions -- phase makespans instead of per-endpoint
+    sums).
 
     A sink is accepted only when each of :attr:`points` accepts it.  The
     one point is the request's ``bindings``/``processors``; a symbolized
@@ -415,8 +417,7 @@ class CostGuard:
         processors: ProcessorArrangement | int | None = None,
         shape_names: frozenset[str] = frozenset(),
     ):
-        from repro.compiler.artifacts import PASS_ORDER
-        from repro.compiler.pipeline import PASSES
+        from repro.compiler.pipeline import code_passes
 
         if isinstance(processors, int):
             processors = ProcessorArrangement("P", (processors,))
@@ -433,8 +434,7 @@ class CostGuard:
         else:
             points.append(Point("", dict(bindings or {}), processors))
         self.points: tuple[Point, ...] = tuple(points)
-        tail = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("codegen-naive") + 1]
-        self._tail = [PASSES[n] for n in options.pass_names if n in tail]
+        self._code_passes = code_passes(options)
         # placement pricing memo, keyed by point and projected text: across
         # the accept/reject iteration the projected "current" placement of
         # one sink is the projected "candidate" of an earlier sink of the
@@ -444,29 +444,10 @@ class CostGuard:
 
     # -- downstream compilation (the pipeline's own passes after motion) ----
 
-    @staticmethod
-    def _reachable(program: Program, entry: str) -> set[str]:
-        """Subroutines the simulation from ``entry`` can ever enter."""
-        seen: set[str] = set()
-        work = [entry]
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            try:
-                sub = program.get(name)
-            except KeyError:
-                continue
-            work.extend(
-                s.callee for s in walk_statements(sub.body) if isinstance(s, Call)
-            )
-        return seen
-
     def compile_variant(self, point: Point, program: Program, entry: str) -> "PassContext":
         """Compile ``program`` at ``point`` as the pipeline does after motion.
 
-        Runs the pipeline's pass objects from ``resolve`` through codegen
+        Runs the options' code passes (the pipeline's own pass objects)
         over a context of the guard's own, outside any pipeline run: no
         trace record, ``pass:*`` span or pipeline counter is written.  Only
         the subroutines the priced simulation can enter from ``entry`` are
@@ -474,10 +455,10 @@ class CostGuard:
         """
         from repro.compiler.pipeline import PassContext
 
-        reachable = self._reachable(program, entry)
-        variant = Program(tuple(s for s in program.subroutines if s.name in reachable))
+        entered = reachable(program.bodies, entry)
+        variant = Program(tuple(s for s in program.subroutines if s.name in entered))
         ctx = PassContext(variant, point.bindings, point.processors, self.options, program=variant)
-        for p in self._tail:
+        for p in self._code_passes:
             p.run(ctx)
         return ctx
 

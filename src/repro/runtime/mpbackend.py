@@ -29,8 +29,8 @@ Differential soundness is the design invariant, enforced three ways:
 What the simulator cannot give -- wall time of real exchanges -- lands in
 :class:`MPRunReport` (reachable as ``ExecutionResult.mp``): per-round wall
 spans plus the measured *port-clock* makespan, i.e. measured per-message
-costs composed by the same one-port formula the cost model uses
-(:func:`~repro.spmd.transport.measured_phase_time`), which is what
+costs composed by the one-port composer the cost model uses
+(:func:`~repro.spmd.cost.compose_phase`), which is what
 ``benchmarks/bench_mp.py`` calibrates against
 :meth:`~repro.spmd.cost.CostModel.scheduled_time` predictions.
 """

@@ -143,6 +143,27 @@ class TrafficEstimate:
 # ---------------------------------------------------------------------------
 
 
+def compose_phase(costs: "list[tuple[int, int, float]]", contended: bool) -> float:
+    """Duration of one phase of ``(src, dst, seconds)`` message costs.
+
+    The one composition of per-message costs into a phase, modeled
+    (:meth:`CostModel.phase_time`) or measured on real ranks
+    (:class:`~repro.spmd.transport.RoundReport`): a contention-free phase
+    lasts as long as its costliest message; a contended one serializes
+    each port, in message order, and lasts as long as the busiest port's
+    send+receive work.  An empty phase is free.
+    """
+    if not costs:
+        return 0.0
+    if not contended:
+        return max(c for _, _, c in costs)
+    load: dict[int, float] = {}
+    for src, dst, c in costs:
+        load[src] = load.get(src, 0.0) + c
+        load[dst] = load.get(dst, 0.0) + c
+    return max(load.values())
+
+
 @dataclass(frozen=True)
 class CostDecision:
     """Outcome of comparing a naive placement against a hoisted one."""
@@ -216,16 +237,7 @@ class CostModel:
         contended one serializes each port and lasts as long as the
         busiest port's send+receive work.
         """
-        if not messages:
-            return 0.0
-        if not contended:
-            return max(self.message_cost(n) for _, _, n in messages)
-        load: dict[int, float] = {}
-        for src, dst, nbytes in messages:
-            c = self.message_cost(nbytes)
-            load[src] = load.get(src, 0.0) + c
-            load[dst] = load.get(dst, 0.0) + c
-        return max(load.values())
+        return compose_phase([(s, d, self.message_cost(n)) for s, d, n in messages], contended)
 
     # -- aggregate costs and decisions ---------------------------------------
 

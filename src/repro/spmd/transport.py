@@ -43,8 +43,8 @@ Timing: each worker accumulates, per message, the wall time it actively
 spent packing/writing (sender side) and reading/scattering (receiver
 side).  The parent takes the max of the two endpoint times as the
 message's measured cost and composes the round's *port-clock duration*
-with the same formula :meth:`~repro.spmd.cost.CostModel.phase_time`
-applies to modeled costs -- contention-free rounds last as long as their
+with :func:`~repro.spmd.cost.compose_phase`, the composer
+:meth:`~repro.spmd.cost.CostModel.phase_time` hands modeled costs to -- contention-free rounds last as long as their
 slowest message, contended rounds as long as their busiest port's
 serialized work.  This is how a one-port machine's clock would read the
 measured traffic, and it is deliberately reported *alongside* the raw
@@ -74,6 +74,7 @@ from repro.errors import ShapeError, TransportError
 from repro.mapping.mapping import Mapping
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
+from repro.spmd.cost import compose_phase
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.message import check_one_port
@@ -378,7 +379,7 @@ class WireProgram:
                         if timings
                         else 0.0
                     ),
-                    port_seconds=measured_phase_time(costs, contended),
+                    port_seconds=compose_phase(costs, contended),
                 )
             )
         return reports
@@ -430,22 +431,6 @@ class ExchangeReport:
     def port_seconds(self) -> float:
         """Measured makespan: the sum of the rounds' port-clock durations."""
         return sum(r.port_seconds for r in self.rounds)
-
-
-def measured_phase_time(
-    costs: list[tuple[int, int, float]], contended: bool
-) -> float:
-    """Compose measured per-message costs exactly as
-    :meth:`~repro.spmd.cost.CostModel.phase_time` composes modeled ones."""
-    if not costs:
-        return 0.0
-    if not contended:
-        return max(s for _, _, s in costs)
-    load: dict[int, float] = {}
-    for src, dst, s in costs:
-        load[src] = load.get(src, 0.0) + s
-        load[dst] = load.get(dst, 0.0) + s
-    return max(load.values())
 
 
 # ---------------------------------------------------------------------------

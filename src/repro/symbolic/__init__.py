@@ -15,18 +15,12 @@ Ownership itself has one spelling, on concrete integers:
 """
 
 from repro.symbolic.classify import BindingClassification, classify_bindings
-from repro.symbolic.scenarios import (
-    Scenario,
-    enumerate_scenarios,
-    reachable_subs,
-    runtime_unknowns,
-)
+from repro.symbolic.scenarios import Scenario, enumerate_scenarios, runtime_unknowns
 
 __all__ = [
     "BindingClassification",
     "Scenario",
     "classify_bindings",
     "enumerate_scenarios",
-    "reachable_subs",
     "runtime_unknowns",
 ]

@@ -12,7 +12,7 @@ shape a template may later be instantiated at.
 
 :mod:`repro.spmd.traffic` imports :class:`Scenario` and
 :func:`enumerate_scenarios`, so those two names still resolve there;
-:func:`reachable_subs` and :func:`runtime_unknowns` live here only.
+:func:`runtime_unknowns` lives here only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import TrafficPredictionError
-from repro.lang.ast_nodes import Call, Do, If, walk_statements
+from repro.lang.ast_nodes import Do, If, reachable, walk_statements
 
 if TYPE_CHECKING:
     from repro.remap.construction import ConstructionResult
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCENARIO_CAP",
     "Scenario",
-    "reachable_subs",
     "runtime_unknowns",
     "enumerate_scenarios",
 ]
@@ -64,23 +63,6 @@ class Scenario:
         return f"conditions[{conds}] bindings[{binds}] inputs[{live}]"
 
 
-def reachable_subs(
-    constructions: dict[str, "ConstructionResult"], entry: str
-) -> list[str]:
-    """Subroutines reachable from ``entry`` through compiled calls."""
-    seen: list[str] = []
-    work = [entry]
-    while work:
-        name = work.pop()
-        if name in seen or name not in constructions:
-            continue
-        seen.append(name)
-        for s in walk_statements(constructions[name].sub.body):
-            if isinstance(s, Call):
-                work.append(s.callee)
-    return seen
-
-
 def runtime_unknowns(
     constructions: dict[str, "ConstructionResult"],
     entry: str,
@@ -97,7 +79,8 @@ def runtime_unknowns(
     """
     conds: list[str] = []
     free: list[str] = []
-    for name in reachable_subs(constructions, entry):
+    bodies = {name: c.sub.body for name, c in constructions.items()}
+    for name in reachable(bodies, entry):
         sub = constructions[name].sub
         loop_vars = {
             s.var for s in walk_statements(sub.body) if isinstance(s, Do)

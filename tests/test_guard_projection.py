@@ -290,10 +290,10 @@ def test_a_shapeless_symbolized_compile_prices_each_placement_once_per_point():
         return compile_variant(self, *args)
 
     with mock.patch.object(CostGuard, "compile_variant", counted):
-        compiled = compile_program(
-            program, processors=4, options=CompilerOptions.symbolic(level=3)
+        compiled, template = pipeline.Pipeline(CompilerOptions.symbolic(level=3)).serve(
+            program, processors=4
         )
-    assert compiled.report.symbolic.classification.shape_symbolic == frozenset()
+    assert template.classification.shape_symbolic == frozenset()
     per_placement = {text: compiled_placements.count(text) for text in compiled_placements}
     assert len(per_placement) == 2 and set(per_placement.values()) == {2}
     report = compiled.report.motion["main"]
@@ -312,13 +312,10 @@ def test_symbolized_motion_does_not_depend_on_the_request(name, source, fixed):
     shapes = [(16, 4), (8, 8), (24, 3), (12, 6)]  # no probe has P = 3 or 6
     results = []
     for n, procs in shapes:
-        compiled = compile_program(
-            source,
-            processors=procs,
-            options=CompilerOptions.symbolic(level=3),
-            bindings={"n": n, **fixed},
+        compiled, template = pipeline.Pipeline(CompilerOptions.symbolic(level=3)).serve(
+            source, {"n": n, **fixed}, procs
         )
-        results.append((compiled.report.symbolic.program, compiled.report.motion))
+        results.append((template.program, compiled.report.motion))
     assert all(result == results[0] for result in results), name
 
 

@@ -49,7 +49,7 @@ from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.obs import REGISTRY
 from repro.runtime.mpbackend import MPBackend, MPExecutor, execute_mp
 from repro.service import CompileRequest, CompileService
-from repro.spmd.cost import CostModel
+from repro.spmd.cost import CostModel, compose_phase
 from repro.spmd.transport import (
     MPTransport,
     SharedArena,
@@ -59,7 +59,6 @@ from repro.spmd.transport import (
     WirePart,
     _write_obj,
     fork_available,
-    measured_phase_time,
 )
 from test_schedule import FIGURES, _env, _run
 
@@ -372,15 +371,13 @@ def test_failed_shared_array_construction_returns_its_blocks():
 
 def test_measured_phase_time_mirrors_cost_model():
     """If the measured per-message costs equal the modeled ones, the
-    composed phase durations must agree exactly -- same formula."""
+    composed phase durations agree bit for bit -- one composer."""
     cost = CostModel()
     msgs = [(0, 1, 1000), (2, 3, 4000), (0, 3, 2000)]
     measured = [(s, d, cost.message_cost(n)) for s, d, n in msgs]
     for contended in (False, True):
-        assert measured_phase_time(measured, contended) == pytest.approx(
-            cost.phase_time(msgs, contended=contended)
-        )
-    assert measured_phase_time([], True) == 0.0
+        assert compose_phase(measured, contended) == cost.phase_time(msgs, contended=contended)
+    assert compose_phase([], True) == 0.0
 
 
 def _keep(t, rounds, sources, targets):

@@ -255,7 +255,7 @@ def test_concurrent_updates_no_lost_increments_no_torn_snapshots():
 
 
 # ---------------------------------------------------------------------------
-# registry: catalog enforcement, identity, reset-in-place, disable flag
+# registry: catalog enforcement, identity, disable flag
 # ---------------------------------------------------------------------------
 
 
@@ -287,22 +287,6 @@ def test_registry_get_or_create_identity():
     assert h1 is h2
 
 
-def test_reset_zeroes_in_place_keeping_cached_instances():
-    """Instrumented modules cache instrument objects at import time;
-    ``reset()`` must zero those same objects, not replace them."""
-    reg = MetricsRegistry()
-    c = reg.counter("test.c")
-    h = reg.histogram("test.h", buckets=(1.0, 2.0))
-    c.inc(5)
-    h.observe(1.5)
-    reg.reset()
-    assert c.value == 0 and h.count == 0 and h.sum == 0.0
-    assert reg.counter("test.c") is c
-    c.inc()
-    (entry,) = [m for m in reg.snapshot()["metrics"] if m["name"] == "test.c"]
-    assert entry["value"] == 1
-
-
 def test_metrics_disabled_suppresses_writes():
     reg = MetricsRegistry()
     c = reg.counter("test.c")
@@ -327,8 +311,7 @@ def test_metrics_disabled_suppresses_writes():
 def test_counts_an_owner_keeps_are_read_and_retire_with_it():
     """A read family is its live owners' counts plus what collected owners
     counted: it never goes down when an owner goes, a read gauge leaves with
-    its owner, ``reset()`` zeroes the family while the owner keeps its own
-    count, and ``metrics_disabled()`` does not touch an owner's count."""
+    its owner, and ``metrics_disabled()`` does not touch an owner's count."""
     import gc
 
     class Owner:
@@ -355,10 +338,8 @@ def test_counts_an_owner_keeps_are_read_and_retire_with_it():
     with metrics_disabled():
         counts["kept"] += 2
     assert read() == {"test.events": 5.0, "test.level": 2.0}
-    reg.reset()
-    assert read() == {"test.events": 0.0, "test.level": 2.0}
     counts["kept"] += 1
-    assert read() == {"test.events": 1.0, "test.level": 3.0}
+    assert read() == {"test.events": 6.0, "test.level": 3.0}
     with pytest.raises(KeyError, match="not in the catalog"):
         MetricsRegistry(catalog=dict(CATALOG)).read(lambda: {"repro.nonsense": 1})
 

@@ -287,8 +287,9 @@ end
 @given(seed=st.integers(0, 10_000), fuzz=st.booleans())
 def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
     """What the session keys on at first contact (the classification of the
-    parsed text, before any pass ran) is what the ``symbolize`` pass records
-    from the post-motion AST -- on generated workloads and fuzz cases."""
+    parsed text, before any pass ran) is what the ``symbolize`` pass cuts
+    into the template from the post-motion AST -- on generated workloads and
+    fuzz cases."""
     if fuzz:
         case = generate_case(seed)
         program, bindings = case.program, case.bindings
@@ -297,11 +298,13 @@ def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
         program = random_legal_subroutine(rng, n_arrays=3, length=6, depth=2)
         bindings = None
     text = print_program(program)
-    session = CompilerSession(processors=4, options=CompilerOptions.symbolic(level=3))
-    compiled = session.compile(text, bindings=bindings)
+    options = CompilerOptions.symbolic(level=3)
+    session = CompilerSession(processors=4, options=options)
+    session.compile(text, bindings=bindings)
     (first_contact, _), = session._sources._entries.values()
     assert first_contact == classify_bindings(parse_program(text))
-    assert first_contact == compiled.report.symbolic.classification
+    template = pipeline_mod.Pipeline(options).serve(text, bindings, 4)[1]
+    assert first_contact == template.classification
 
 
 def test_cache_key_is_the_same_before_and_after_the_first_compile():
@@ -365,14 +368,14 @@ def test_unparsable_source_has_no_key_and_counts_nothing():
 def test_concurrent_misses_of_one_key_run_the_pipeline_once(monkeypatch):
     """Four threads missing one never-seen key at once: the first serves it,
     the other three wait on its flight and are neither hits nor misses."""
-    runs, real = [], pipeline_mod.Pipeline.compile
+    runs, real = [], pipeline_mod.Pipeline.serve
 
-    def slow_compile(self, *args, **kwargs):
+    def slow_serve(self, *args, **kwargs):
         runs.append(1)
         time.sleep(0.25)  # hold the flight open while the others arrive
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod.Pipeline, "compile", slow_compile)
+    monkeypatch.setattr(pipeline_mod.Pipeline, "serve", slow_serve)
     s = CompilerSession(processors=4)
     barrier = threading.Barrier(4, timeout=30)
 

@@ -22,12 +22,19 @@ The acceptance differential for the symbolic subsystem
   history);
 * **store integration** -- templates round-trip through the artifact
   store and pass ``verify --deep``; a fresh process instantiates on first
-  contact.
+  contact;
+* **one artifact per request** -- a symbolized compile serves its request
+  by instantiating the template it cut, so the artifact a fresh session
+  compiles and the one a session holding the template instantiates have
+  the same motion report, diagnostics, traffic estimate and generated
+  code, and run bit-identically (figures and workload seeds made
+  shape-symbolic, four policies, four ``(n, P)`` including n = P).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import pickle
 import threading
 import weakref
@@ -45,8 +52,12 @@ from repro import (
     predict_traffic,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
+from repro.compiler.artifacts import passes_for_level
 from repro.compiler.template import SymbolicTemplate
+from repro.errors import SemanticError
+from repro.lang.printer import print_program
 from repro.mapping import ProcessorArrangement, ownership
+from repro.remap.codegen import render_code
 from repro.spmd.schedule import PLANS, obtain_plan
 from repro.store import ArtifactStore
 from repro.util.memo import clear_process_memos
@@ -345,7 +356,7 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     assert isinstance(revived, SymbolicTemplate)
     # a template carries exactly what instantiation uses, nothing else
     assert set(vars(revived)) - {"_frozen"} == {
-        "program", "options", "classification", "fixed_bindings"
+        "program", "options", "classification", "fixed_bindings", "report"
     }
     assert b"repro.symbolic.affine" not in payload
     assert b"repro.symbolic.ownership" not in payload
@@ -528,3 +539,117 @@ def test_shape_diverse_traffic_collapses_to_one_disk_entry(tmp_path):
     assert store.stats["shape_reuse_ratio"] == 1.0
     kinds = store.entries_by_kind()
     assert kinds == {"template": 1} or kinds.get("template") == 1
+
+
+# ---------------------------------------------------------------------------
+# one artifact per request, whichever tier serves it
+# ---------------------------------------------------------------------------
+
+def _estimating(policy):
+    """Symbolic level 3 plus the traffic estimate (``report.traffic``)."""
+    return CompilerOptions(
+        passes=passes_for_level(3) + ("symbolize", "traffic-estimate"), schedule=policy
+    )
+
+
+def _motion_notes(compiled):
+    return [d for d in compiled.report.diagnostics if d.pass_name == "motion"]
+
+
+def test_instantiation_reports_the_motion_of_the_compile_that_cut_it():
+    session = CompilerSession(processors=4, options=CompilerOptions.symbolic(level=3))
+    compiled, tier = session.compile_traced(FIG16, bindings={"n": 32, "t": 5})
+    assert tier == "compiled" and compiled.report.motion["main"].count == 1
+    instantiated, tier = session.compile_traced(FIG16, bindings={"n": 64, "t": 5})
+    assert tier == "instantiated"
+    assert instantiated.report.motion == compiled.report.motion
+    assert instantiated.get("main").motion == compiled.get("main").motion
+    assert _motion_notes(instantiated) == _motion_notes(compiled)
+    # the instantiation's trace holds what ran: no front pass
+    assert compiled.trace.pass_names[:3] == ("parse", "motion", "symbolize")
+    assert instantiated.trace.pass_names == compiled.trace.pass_names[3:]
+
+
+def test_instantiation_estimates_traffic_like_a_fresh_compile():
+    options = _estimating(None)
+    session = CompilerSession(processors=4, options=options)
+    assert session.compile_traced(FIG16, bindings={"n": 32, "t": 5})[1] == "compiled"
+    instantiated, tier = session.compile_traced(FIG16, bindings={"n": 64, "t": 5})
+    assert tier == "instantiated"
+    fresh = compile_program(FIG16, bindings={"n": 64, "t": 5}, processors=4, options=options)
+    assert instantiated.report.traffic and instantiated.report.traffic == fresh.report.traffic
+
+
+def test_first_symbolized_miss_probes_the_store_once(tmp_path):
+    """A source with a template key is never stored under its concrete key,
+    so its first miss looks up the template entry only."""
+    store = ArtifactStore(tmp_path / "store")
+    session = CompilerSession(processors=4, store=store, options=CompilerOptions.symbolic())
+    assert session.compile_traced(FIG16, bindings={"n": 32, "t": 5})[1] == "compiled"
+    assert store.stats["misses"] == 1 and store.stats["stores_template"] == 1
+
+
+def test_a_missing_shape_binding_raises_the_compiles_semantic_error():
+    session = CompilerSession(processors=4, options=CompilerOptions.symbolic())
+    session.compile(FIG16, bindings={"n": 32, "t": 5})
+    with pytest.raises(SemanticError, match="symbolic extent 'n' has no binding"):
+        session.compile(FIG16, bindings={"t": 5})
+
+
+def _workload(seed, n):
+    """Workload ``seed`` with its extents made shape-symbolic, at extent ``n``."""
+    rng = np.random.default_rng(seed)
+    text = print_program(random_legal_subroutine(rng))
+    source = text.replace("(16)", "(n)").replace("main()\n", "main()\n  integer n\n", 1)
+    conditions, _ = random_environment(rng)
+    inputs = {f"a{i}": np.random.default_rng(seed + i).normal(size=n) for i in range(3)}
+    return dict(source=source, bindings={"n": n}, conditions=conditions, inputs=inputs)
+
+
+#: (n, P) of the tier sweep: n = P among them; every workload extent is
+#: block(8)-coverable (n <= 8 P)
+TIER_PAIRS = [(4, 4), (8, 2), (12, 3), (16, 4)]
+#: workload seeds of the tier sweep (0..200 in CI's random profile)
+TIER_SEEDS = range(201) if os.environ.get("HYPOTHESIS_PROFILE") == "random" else range(0, 201, 20)
+
+
+def _tier_cases():
+    for name in ("fig1", "fig12-then", "fig16"):
+        yield name, CASES[name]
+    for seed in TIER_SEEDS:
+        yield f"workload-{seed}", lambda n, seed=seed: _workload(seed, n)
+
+
+def _assert_one_artifact(compiled, instantiated, w, context):
+    assert instantiated.report.motion == compiled.report.motion, context
+    assert instantiated.report.diagnostics == compiled.report.diagnostics, context
+    assert instantiated.report.traffic == compiled.report.traffic, context
+    assert compiled.report.traffic, context  # the estimate ran in both
+    for name, cs in compiled.subroutines.items():
+        assert render_code(instantiated.get(name).code) == render_code(cs.code), context
+    _assert_identical(_run(instantiated, w), _run(compiled, w), context)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p or "unscheduled")
+def test_compiled_and_instantiated_tiers_serve_one_artifact(policy):
+    """For each request, the artifact a fresh session compiles and the one a
+    session holding the template instantiates are the same artifact: equal
+    motion reports, diagnostics, traffic estimates and generated code, and
+    bit-identical runs."""
+    options = _estimating(policy)
+    compared = 0
+    for name, case in _tier_cases():
+        warm = CompilerSession(options=options)
+        w = case(24)
+        assert warm.compile_traced(w["source"], w["bindings"], 6)[1] == "compiled"
+        for n, p in TIER_PAIRS:
+            w = case(n)
+            compiled, tier = CompilerSession(options=options).compile_traced(
+                w["source"], w["bindings"], p
+            )
+            assert tier == "compiled", (name, n, p)
+            instantiated, tier = warm.compile_traced(w["source"], w["bindings"], p)
+            assert tier == "instantiated", (name, n, p)
+            _assert_one_artifact(compiled, instantiated, w, (name, policy, n, p))
+            compared += 1
+    assert compared == len(TIER_PAIRS) * (3 + len(TIER_SEEDS))
