@@ -8,8 +8,8 @@ inputs and three warm-up rounds through the front door), then serves
 ``--rounds`` more rounds through ``workload.serve`` -- what ``run.py`` times,
 so ``shape_tiers`` restarts its service every round and its requests are
 store loads and template instantiations, not memory hits -- with the
-profiler on and every service's requests run inline on this thread (a worker
-thread would hide them from it), checks every result against the workload's
+profiler on (a one-request ``run_batch`` runs its request on this thread, so
+the profiler sees it), checks every result against the workload's
 reference, and prints the cumulative table, the serving-tier counts, the
 shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
 (``PreparedMove.execute``) and in the ledger (``Machine.charge``), and the
@@ -33,7 +33,11 @@ the layouts) did over the profiled rounds, read as ``snapshot_diff``s of
 their ``repro.memo.*`` series in ``REGISTRY``: values obtained, built,
 served as hits and evicted, and the entries they gained -- after the
 warm-up rounds, a workload that performs no new mapping pair builds no
-plan.
+plan -- and a ``service:`` line, the service-queueing layer: per step of
+the cycle, the floor over the profiled rounds of the step's ``run_batch``
+wall minus its ``CompileService._handle`` wall (a step that serves no
+request, ``shape_tiers``' restart, is all outside ``_handle``), and their
+sum.
 
 ``--cold`` forgets every process-wide memo before each profiled round
 (``repro.util.memo.clear_process_memos``), as a restarted process has them:
@@ -42,7 +46,8 @@ plan.
 
 cProfile charges every Python call and no native work, so Python-heavy
 layers read larger than they are: the output is shares for finding what
-dominates, never milliseconds to claim.  Timings are claimed from
+dominates, never milliseconds to claim; the ``service:`` line is wall time
+under the profiler, for the same reading.  Timings are claimed from
 ``benchmarks/layers/run.py`` with the profiler off.
 """
 
@@ -53,8 +58,8 @@ import cProfile
 import pstats
 import sys
 import tempfile
+import time
 from collections import Counter
-from concurrent.futures import Future
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -149,34 +154,43 @@ def cumulative(stats: pstats.Stats, fn) -> float:
     return row[3] if row else 0.0
 
 
-class InlineExecutor:
-    """The service's worker pool, run on the submitting (profiled) thread."""
+#: the wall seconds of each ``CompileService._handle`` call, in call order
+HANDLED: list[float] = []
 
-    def __init__(self, **_):
-        pass
 
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # what a pool thread would have stored
-            future.set_exception(exc)
-        return future
+def timed_handle(self, request, index):
+    """The service's ``_handle``, recording its wall seconds."""
+    t0 = time.perf_counter()
+    try:
+        return HANDLE(self, request, index)
+    finally:
+        HANDLED.append(time.perf_counter() - t0)
 
-    def shutdown(self, wait: bool = True) -> None:
-        pass
+
+def outside_handle(kinds: list, step_seconds: list[float], handled: list[float]) -> dict:
+    """Each step's wall seconds outside ``_handle``, by step label: a step
+    is one one-request ``run_batch``, after the steps that serve no request
+    (``shape_tiers``' restart, its first)."""
+    if len(handled) != len(kinds):
+        raise SystemExit("profile_request: a step served other than one request")
+    bare = len(step_seconds) - len(kinds)
+    labels = ["restart"] * bare + [kind.name for kind in kinds]
+    inside = [0.0] * bare + handled
+    return {label: s - h for label, s, h in zip(labels, step_seconds, inside)}
 
 
 def profile(
     workload: workloads.Workload, rounds: int, cold: bool = False
-) -> tuple[pstats.Stats, Counter, dict[str, Counter], Counter, Counter]:
+) -> tuple[pstats.Stats, Counter, dict[str, Counter], Counter, Counter, dict[str, float]]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler (each
     from forgotten process memos if ``cold``); also the count of requests
-    each tier served, and what each process-wide memo, the guard's grid
-    walks and the mp control pipes counted over the rounds."""
+    each tier served, what each process-wide memo, the guard's grid walks
+    and the mp control pipes counted over the rounds, and each step's floor
+    of wall seconds outside ``_handle``."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
     memos: dict[str, Counter] = {}
+    floors: dict[str, float] = {}
     walks_start = Counter(WALKS)
     frames_start = Counter(FRAMES)
     shipped = REGISTRY.counter("repro.mp.programs_shipped")
@@ -186,9 +200,12 @@ def profile(
         if cold:
             clear_process_memos()
         start = REGISTRY.snapshot()
+        HANDLED.clear()
         profiler.enable()
-        results, _ = workload.serve(kinds)
+        results, step_seconds = workload.serve(kinds)
         profiler.disable()
+        for label, seconds in outside_handle(kinds, step_seconds, HANDLED).items():
+            floors[label] = min(seconds, floors.get(label, seconds))
         for d in snapshot_diff(start, REGISTRY.snapshot())["diff"]:
             if d["name"].startswith("repro.memo."):
                 count = d["name"].rsplit(".", 1)[1]
@@ -199,7 +216,7 @@ def profile(
         tiers.update(res.cache_source for res in results)
     frames = FRAMES - frames_start
     frames["shipped"] = int(shipped.value - shipped_start)
-    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames
+    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, floors
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,8 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # every service the workload opens (a restart included) serves inline
-    service_module.ThreadPoolExecutor = InlineExecutor
+    service_module.CompileService._handle = timed_handle
     costguard.simulate_grid = counted_grid
     costguard.window = counted_window
     costguard.project = counted_project
@@ -222,7 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, memos, walks, frames = profile(workload, args.rounds, args.cold)
+            stats, tiers, memos, walks, frames, floors = profile(
+                workload, args.rounds, args.cold
+            )
         finally:
             workload.close()
 
@@ -250,6 +268,12 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"frames: {frames['frames']} control frames, {frames['bytes']} control bytes, "
         f"{frames['shipped']} programs shipped over {args.rounds} rounds"
+    )
+    print(
+        "service: run_batch outside _handle, floor per step over "
+        f"{args.rounds} rounds (wall, under the profiler): "
+        + "  ".join(f"{label} {seconds * 1e3:.3f} ms" for label, seconds in floors.items())
+        + f"  sum {sum(floors.values()) * 1e3:.3f} ms"
     )
     for label, part, less, whole in SHARES:
         seconds = cumulative(stats, part) - (cumulative(stats, less) if less else 0.0)

@@ -15,8 +15,9 @@ Quickstart (the session API compiles with artifact caching and runs)::
     print(result.stats.snapshot(), result.value("a"))
 
 For concurrent traffic, :class:`CompileService` is the thread-safe front
-door: batches of ``(source, bindings, conditions)`` requests execute on a
-bounded worker pool over one :class:`CompilerSession` (``svc.session``),
+door: batches of ``(source, bindings, conditions)`` requests execute at
+most ``workers`` at once, a one-request batch on the calling thread, over
+one :class:`CompilerSession` (``svc.session``),
 whose session serves a missed artifact key once, and a
 ``ServiceStats`` telemetry surface (throughput, p50/p99 latency, cache
 hits and misses, dedup saves, queue depth) -- see :mod:`repro.service`

@@ -116,17 +116,17 @@ class Tracer:
 
     # -- span lifecycle ---------------------------------------------------
 
-    def span(self, name: str, trace_id: str | None = None, **attrs):
+    def span(self, name: str, *, root: bool = False, **attrs):
         """Open a span named ``name`` as a child of the current thread's
-        active span (or as a root, minting a fresh trace ID)."""
+        active span, or as a root minting a fresh trace ID when the thread
+        has none open or ``root`` is set (a request the caller's thread
+        runs is its own trace, whatever the caller has open)."""
         if not self.enabled:
             return _NULL
-        parent = self.current_span()
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else _new_id("t")
+        parent = None if root else self.current_span()
         return Span(
             name=name,
-            trace_id=trace_id,
+            trace_id=parent.trace_id if parent is not None else _new_id("t"),
             span_id=_new_id("s"),
             parent_id=parent.span_id if parent is not None else None,
             tracer=self,

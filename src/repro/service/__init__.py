@@ -10,9 +10,12 @@ cost-keyed session caching):
 * :class:`~repro.service.service.CompileService` -- accepts single
   requests (:meth:`~repro.service.service.CompileService.submit`) or
   batches (:meth:`~repro.service.service.CompileService.run_batch`) of
-  ``(source, bindings, conditions, ...)`` and executes them on a bounded
-  worker pool; its cache is ``svc.session``, which serves a missed
-  artifact key once however many requests miss it together.
+  ``(source, bindings, conditions, ...)`` and executes at most
+  ``workers`` of them at once, calling threads included: a one-request
+  batch runs on the calling thread, so it crosses no thread, and the rest
+  run on a worker pool; its cache is ``svc.session``,
+  which serves a missed artifact key once however many requests miss it
+  together.
 * :class:`~repro.service.service.ServiceStats` -- throughput, p50/p99
   latency, cache hits and misses, dedup saves and queue depth, as one
   snapshot.

@@ -3,10 +3,12 @@
 :class:`CompileService` turns the repo's single-threaded compile/execute
 machinery into a thread-safe service: requests -- ``(source, bindings,
 conditions, ...)`` tuples -- are accepted individually (:meth:`submit`)
-or in batches (:meth:`run_batch`), executed on a bounded worker pool, and
-answered with per-request :class:`ServiceResult` objects plus an
-aggregate :class:`ServiceStats` surface (throughput, p50/p99 latency,
-cache hits and misses, single-flight dedup saves, queue depth).
+or in batches (:meth:`run_batch`), executed with at most ``workers`` at
+once -- a one-request batch on the calling thread, everything else on a
+worker pool -- and answered with per-request :class:`ServiceResult`
+objects plus an aggregate :class:`ServiceStats` surface (throughput,
+p50/p99 latency, cache hits and misses, single-flight dedup saves, queue
+depth).
 
 Two mechanisms keep concurrent serving equal to serial serving:
 
@@ -19,7 +21,7 @@ Two mechanisms keep concurrent serving equal to serial serving:
   as ``deduped``;
 * **immutable artifacts** -- cached programs are frozen
   (:meth:`~repro.compiler.artifacts.CompiledProgram.freeze`), so any
-  number of workers execute the same artifact concurrently, each on its
+  number of threads execute the same artifact concurrently, each on its
   own simulated :class:`~repro.spmd.machine.Machine` (see the executor's
   audited concurrency contract).
 """
@@ -100,9 +102,9 @@ class ServiceResult:
     artifact was obtained.  ``cached`` is the derived boolean (memory,
     instantiated or disk); ``deduped`` says this request missed while
     another was serving the same artifact key, and waited for it (a dedup
-    save -- the provenance is then the other request's).  Workers never
-    leak exceptions: a failed request resolves with ``error`` set and
-    ``result=None``.
+    save -- the provenance is then the other request's).  Request handling
+    never leaks exceptions: a failed request resolves with ``error`` set
+    and ``result=None``.
     """
 
     index: int
@@ -280,9 +282,13 @@ class _Ranks:
 class CompileService:
     """Thread-safe compile-and-run service over one compiler session.
 
-    ``workers`` bounds the worker pool (and therefore the number of
-    in-flight requests); everything beyond it queues, which
-    :class:`ServiceStats` exposes as queue depth.  The service serves
+    ``workers`` is the number of requests executing at once, calling
+    threads included: a one-request :meth:`run_batch` runs on the calling
+    thread, :meth:`submit` and longer batches hand their requests to a
+    worker pool, and each execution holds one of ``workers`` slots.  A
+    request waiting for a slot is queued, which :class:`ServiceStats`
+    exposes as queue depth; a service used only through one-request
+    batches starts no thread.  The service serves
     from ``self.session``, one
     :class:`~repro.compiler.session.CompilerSession` with the given
     ``processors``, ``options`` and ``store`` and the session's own
@@ -294,7 +300,7 @@ class CompileService:
     ``store_hits`` in :class:`ServiceStats`.
 
     Use as a context manager (or call :meth:`close`) to shut the worker
-    pool down deterministically::
+    pool and the mp ranks down deterministically::
 
         with CompileService(processors=4, workers=4) as svc:
             results = svc.run_batch([{"source": SRC, "bindings": {"n": 16}}])
@@ -322,6 +328,10 @@ class CompileService:
         self.workers = workers
         self.stats = ServiceStats()
         _OBS.read(self.stats.series, owner=self)
+        # one slot per executing request, whichever thread runs it; the
+        # pool starts its threads on its first submit, not here
+        self._slots = threading.BoundedSemaphore(workers)
+        self._closing = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
@@ -335,7 +345,11 @@ class CompileService:
     # -- request handling --------------------------------------------------
 
     @staticmethod
-    def _coerce(request: CompileRequest | TypingMapping) -> CompileRequest:
+    def _coerce(request: CompileRequest | TypingMapping | str, **fields) -> CompileRequest:
+        if isinstance(request, (str, Program, Subroutine)):
+            return CompileRequest(source=request, **fields)
+        if fields:
+            raise TypeError("keyword fields are only allowed with a bare source")
         if isinstance(request, CompileRequest):
             return request
         if isinstance(request, TypingMapping):
@@ -349,9 +363,10 @@ class CompileService:
         self.stats.record_start()
         t0 = time.perf_counter()
         res = ServiceResult(index=index)
-        # worker threads have an empty span stack, so this root span mints
-        # a fresh trace id: the request's correlation id across every layer
-        with _TRACER.span("service.request", index=index) as root:
+        # a root span whatever the running thread has open (a caller running
+        # its own request may be inside a span): it mints a fresh trace id,
+        # the request's correlation id across every layer
+        with _TRACER.span("service.request", root=True, index=index) as root:
             try:
                 check_backend(request.backend)  # before any work is spent
                 tc = time.perf_counter()
@@ -385,6 +400,10 @@ class CompileService:
         res.seconds = time.perf_counter() - t0
         self.stats.record_done(res, time.perf_counter())
         return res
+
+    def _run_pooled(self, request: CompileRequest, index: int) -> ServiceResult:
+        with self._slots:
+            return self._handle(request, index)
 
     def _execute_mp(
         self, compiled: CompiledProgram, entry: str | None, env: ExecutionEnv
@@ -426,14 +445,10 @@ class CompileService:
         """
         if self._closed:
             raise RuntimeError("CompileService is closed")
-        if isinstance(request, (str, Program, Subroutine)):
-            request = CompileRequest(source=request, **fields)
-        elif fields:
-            raise TypeError("keyword fields are only allowed with a bare source")
-        req = self._coerce(request)
+        req = self._coerce(request, **fields)
         index = self.stats.record_submit(time.perf_counter())
         try:
-            return self._executor.submit(self._handle, req, index)
+            return self._executor.submit(self._run_pooled, req, index)
         except RuntimeError:
             # close() raced past the _closed check: the request will never
             # run, so take it back out of the submitted/queue gauges
@@ -441,26 +456,57 @@ class CompileService:
             raise
 
     def run_batch(
-        self, requests: "list[CompileRequest | TypingMapping]"
+        self, requests: "list[CompileRequest | TypingMapping | str]"
     ) -> list[ServiceResult]:
-        """Submit a batch and wait; results come back in request order.
+        """Run a batch and wait; results come back in request order.
 
-        Concurrent misses of one artifact key across the batch are served
-        once, by the session, and at most ``workers`` requests execute at
-        once.
+        A one-request batch runs on the calling thread, in one of the
+        ``workers`` slots, so it never crosses a thread; a longer batch is
+        submitted to the pool.  Concurrent misses of one artifact key across
+        the batch are served once, by the session, and at most ``workers``
+        requests execute at once.
         """
-        futures = [self.submit(r) for r in requests]  # submit coerces
-        results = [f.result() for f in futures]
+        if len(requests) != 1:
+            futures = [self.submit(r) for r in requests]  # submit coerces
+            results = [f.result() for f in futures]
+        else:
+            results = [self._run_here(self._coerce(requests[0]))]
         for i, r in enumerate(results):
             r.index = i  # batch position, authoritative over submit order
         return results
 
+    def _run_here(self, request: CompileRequest) -> ServiceResult:
+        """Run one request on the calling thread, in an execution slot."""
+        if self._closed:
+            raise RuntimeError("CompileService is closed")
+        index = self.stats.record_submit(time.perf_counter())
+        with self._slots:
+            if self._closed:  # close() began while this caller waited for a slot
+                self.stats.record_submit_failed()
+                raise RuntimeError("CompileService is closed")
+            res = self._handle(request, index)
+        if isinstance(res.error, (KeyboardInterrupt, SystemExit)):
+            raise res.error  # the caller's own interrupt, not a request failure
+        return res
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Shut down the worker pool and the mp ranks; further submits raise."""
+        """Shut down the worker pool and the mp ranks; further requests raise.
+
+        With ``wait`` it returns once no request executes on any thread --
+        the pool's queue drained and every slot free -- and only then takes
+        the ranks down.
+        """
         self._closed = True
         self._executor.shutdown(wait=wait)
+        if wait:
+            # all the slots at once, so two closers must not each hold some
+            with self._closing:
+                for _ in range(self.workers):
+                    self._slots.acquire()
+                for _ in range(self.workers):
+                    self._slots.release()
         with self._ranks_lock:
             pooled, self._ranks = self._ranks or {}, None
         for ranks in pooled.values():

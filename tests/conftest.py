@@ -40,6 +40,22 @@ def tracer():
     TRACER.clear()
 
 
+def _service_threads() -> set:
+    import threading
+
+    return {t for t in threading.enumerate() if t.name.startswith("repro-service")}
+
+
+@pytest.fixture(autouse=True)
+def no_orphan_service_threads():
+    """Fail any test that leaves a live ``repro-service*`` pool thread
+    behind: a service the test opened must be closed by its end."""
+    before = _service_threads()
+    yield
+    leaked = _service_threads() - before
+    assert not leaked, f"test left live service threads: {sorted(t.name for t in leaked)}"
+
+
 def _mp_ranks() -> set:
     import multiprocessing
 

@@ -819,6 +819,24 @@ def test_warm_symbolic_request_single_correlated_trace(tracer):
     assert validate_spans(tracer.chrome_trace()) == []
 
 
+def test_a_request_the_caller_runs_is_its_own_trace(tracer):
+    """The caller's thread runs a one-request batch inside whatever
+    span it has open, and the request is still a root with its own trace
+    id, its spans that trace's."""
+    with CompileService(processors=NPROCS, workers=1) as svc:
+        with tracer.span("client.loop") as outer:
+            (res,) = svc.run_batch([_fig1_request(8)])
+    assert res.ok
+    spans = tracer.finished_spans()
+    (root,) = [s for s in spans if s.name == "service.request"]
+    assert root.parent_id is None and root.trace_id != outer.trace_id
+    assert root.thread == threading.current_thread().name
+    inner = [s for s in spans if s is not outer]
+    assert {s.trace_id for s in inner} == {root.trace_id}
+    assert [s for s in spans if s.trace_id == outer.trace_id] == [outer]
+    assert validate_spans(tracer.chrome_trace()) == []
+
+
 def test_dedup_followers_link_to_leader_span(tracer, monkeypatch):
     """Single-flight followers must not pretend to own the leader's
     compile: their spans carry a dedup-leader *link* to the leader's

@@ -39,6 +39,7 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ArtifactFrozenError, ParseError, SemanticError
 from repro.lang.parser import parse_program
+from repro.runtime.executor import default_kernel
 
 FIG10 = """
 subroutine remap(A, m)
@@ -261,6 +262,198 @@ def test_closed_service_rejects_submits():
     svc.close()
     with pytest.raises(RuntimeError):
         svc.submit(FIG10, bindings={"n": 8, "m": 1})
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_closed_service_rejects_batches_and_counts_nothing(size):
+    svc = CompileService(processors=4, workers=2)
+    svc.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        svc.run_batch([{"source": FIG10, "bindings": {"n": 8, "m": 1}}] * size)
+    snap = svc.stats.snapshot()
+    assert snap["submitted"] == snap["queue_depth"] == snap["completed"] == 0
+    assert svc.session.stats["misses"] == 0
+
+
+FIXED = """
+subroutine fixed(A)
+  real A(8,8)
+  intent inout A
+!hpf$ dynamic A
+!hpf$ distribute A(block, *)
+  compute writes A reads A
+!hpf$ redistribute A(cyclic, *)
+  compute writes A reads A
+end
+"""
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_batches_accept_a_bare_source_as_submit_does(size):
+    with CompileService(processors=4, workers=2) as svc:
+        results = svc.run_batch([FIXED] * size)
+    assert [r.ok for r in results] == [True] * size
+
+
+# ---------------------------------------------------------------------------
+# execution slots: the caller runs a one-request batch
+# ---------------------------------------------------------------------------
+
+
+def _request_calling(kernel) -> CompileRequest:
+    """FIG10 with ``kernel(ctx)`` run as its ``init`` compute."""
+
+    def init(ctx):
+        kernel(ctx)
+        default_kernel(ctx)
+
+    return CompileRequest(
+        FIG10, bindings={"n": 8, "m": 1}, conditions={"c1": True}, kernels={"init": init}
+    )
+
+
+class _Overlap:
+    """A kernel that holds each request ``hold`` seconds and records the
+    most requests executing it at once, and the threads that ran it."""
+
+    def __init__(self, hold: float):
+        self.hold, self.lock = hold, threading.Lock()
+        self.running, self.peak, self.threads = 0, 0, set()
+
+    def __call__(self, ctx) -> None:
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+            self.threads.add(threading.get_ident())
+        time.sleep(self.hold)
+        with self.lock:
+            self.running -= 1
+
+
+def test_one_request_batch_runs_on_the_calling_thread(monkeypatch):
+    """A one-request batch runs on the caller's thread, so a fresh service
+    used this way -- and a close/reopen cycle of it -- starts no pool
+    thread and has none to join."""
+    started, real_start = [], threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    ran_on = []
+    for _ in range(2):  # a close/reopen cycle
+        with CompileService(processors=4, workers=1) as svc:
+            request = _request_calling(lambda ctx: ran_on.append(threading.get_ident()))
+            (res,) = svc.run_batch([request])
+            assert res.ok
+            assert not [t for t in threading.enumerate() if t.name.startswith("repro-service")]
+    assert ran_on == [threading.get_ident()] * 2
+    assert not [name for name in started if name.startswith("repro-service")]
+
+
+def test_at_most_workers_requests_execute_at_once_caller_included():
+    """Five submits on a two-thread pool and a one-request batch on the
+    caller's thread share the two slots: never more than two execute."""
+    overlap = _Overlap(hold=0.05)
+    with CompileService(processors=4, workers=2) as svc:
+        futures = [svc.submit(_request_calling(overlap)) for _ in range(5)]
+        (mine,) = svc.run_batch([_request_calling(overlap)])
+        results = [f.result() for f in futures] + [mine]
+        assert svc.stats.snapshot()["completed"] == 6
+    assert all(r.ok for r in results)
+    assert overlap.peak == 2
+    assert threading.get_ident() in overlap.threads
+
+
+def test_a_multi_request_batch_runs_on_the_pool():
+    overlap = _Overlap(hold=0.05)
+    with CompileService(processors=4, workers=2) as svc:
+        results = svc.run_batch([_request_calling(overlap) for _ in range(6)])
+    assert all(r.ok for r in results) and [r.index for r in results] == list(range(6))
+    assert overlap.peak == 2
+    assert threading.get_ident() not in overlap.threads
+
+
+def test_an_interrupt_of_a_request_the_caller_runs_propagates():
+    """A ``KeyboardInterrupt`` raised while the caller's thread runs its
+    request is the caller's, not a failed request: it propagates after the
+    request is counted and its slot freed."""
+
+    def interrupt(ctx):
+        raise KeyboardInterrupt
+
+    with CompileService(processors=4, workers=1) as svc:
+        with pytest.raises(KeyboardInterrupt):
+            svc.run_batch([_request_calling(interrupt)])
+        snap = svc.stats.snapshot()
+        assert snap["completed"] == snap["errors"] == 1 and snap["queue_depth"] == 0
+        (res,) = svc.run_batch([_request_calling(lambda ctx: None)])
+        assert res.ok  # the slot was given back
+
+
+def test_one_worker_batch_runs_in_request_order():
+    order = []
+    with CompileService(processors=4, workers=1) as svc:
+        results = svc.run_batch(
+            [_request_calling(lambda ctx, i=i: order.append(i)) for i in range(4)]
+        )
+        assert svc.stats.snapshot()["queue_depth"] == 0
+    assert all(r.ok for r in results)
+    assert order == [0, 1, 2, 3]
+
+
+def test_close_waits_for_a_request_the_caller_runs():
+    """``close()`` from another thread returns only after the request the
+    caller's thread is running has finished, and that request succeeds."""
+    entered, events = threading.Event(), []
+
+    def slow(ctx):
+        entered.set()
+        time.sleep(0.2)
+        events.append("request finished")
+
+    svc = CompileService(processors=4, workers=1)
+
+    def closer():
+        assert entered.wait(30)
+        svc.close()
+        events.append("close returned")
+
+    thread = threading.Thread(target=closer)
+    thread.start()
+    (res,) = svc.run_batch([_request_calling(slow)])
+    thread.join(30)
+    assert not thread.is_alive()
+    assert res.ok
+    assert events == ["request finished", "close returned"]
+
+
+def test_concurrent_callers_share_the_slots():
+    """Stress: four callers each run five one-request batches on their own
+    threads while the pool serves five submits, all on three slots (more
+    than this host's cores, switch interval shortened) -- never more than
+    three requests execute at once, and every submit is completed and
+    dequeued."""
+    overlap = _Overlap(hold=0.002)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CompileService(processors=4, workers=3) as svc:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                pooled = [svc.submit(_request_calling(overlap)) for _ in range(5)]
+                def caller():
+                    return [svc.run_batch([_request_calling(overlap)])[0] for _ in range(5)]
+
+                batches = [callers.submit(caller) for _ in range(4)]
+                results = [r for b in batches for r in b.result(timeout=120)]
+                results += [f.result(timeout=120) for f in pooled]
+            snap = svc.stats.snapshot()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 25 and all(r.ok for r in results)
+    assert 2 <= overlap.peak <= 3
+    assert snap["submitted"] == snap["completed"] == 25 and snap["queue_depth"] == 0
 
 
 @pytest.mark.parametrize("run", [True, False])
