@@ -17,7 +17,10 @@ shares of request handling (``CompileService._handle``) spent in the motion
 cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
 (``simulate_grid``) and in remapping-graph construction
 (``build_remapping_graph``, the pipeline's and every guard variant's; all
-zero where every request is served without compiling), in the mp backend's
+zero where every request is served without compiling), in the plan layer
+(``obtain_plan``: the plan memo's lookups and, on a miss, the plan's build
+and proof) and in the proof alone (``prove_plan``; both near zero once the
+memo holds every pair, so read them under ``--cold``), in the mp backend's
 wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
@@ -67,6 +70,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
+from repro.analysis.commsafety import prove_plan  # noqa: E402
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard, project, window  # noqa: E402
@@ -77,6 +81,7 @@ from repro.service import service as service_module  # noqa: E402
 from repro.spmd import transport  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.redistribution import PreparedMove  # noqa: E402
+from repro.spmd.schedule import obtain_plan  # noqa: E402
 from repro.spmd.traffic import simulate_grid  # noqa: E402
 from repro.util.memo import clear_process_memos  # noqa: E402
 
@@ -92,6 +97,8 @@ SHARES = (
     ("CostGuard.evaluate", CostGuard.evaluate, None, HANDLE),
     ("simulate_grid", simulate_grid, None, HANDLE),
     ("build_remapping_graph", build_remapping_graph, None, HANDLE),
+    ("obtain_plan", obtain_plan, None, HANDLE),
+    ("prove_plan", prove_plan, None, HANDLE),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),
     (
         "MPExecutor._run_plan outside MPTransport._collect",

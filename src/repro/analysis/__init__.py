@@ -12,8 +12,8 @@ three consumers added by the static-analysis extension:
   every artifact-store disk load.
 * :mod:`repro.analysis.commsafety` -- static proofs that a communication
   plan moves exactly the bytes the mapping change requires and respects
-  the one-port model; proven plans are stamped ``statically_verified``
-  when the plan memo builds them and skip runtime re-validation.
+  the one-port model; the plan memo proves every phased plan it builds
+  and refuses one that fails, so no unproved plan runs.
 * :mod:`repro.analysis.lints` -- rule-coded diagnostics (RPR0xx) for the
   paper's Fig. 2 catalog of wasteful remappings, plus CFG hygiene and
   scenario-reachability checks, surfaced via ``python -m repro.lint``.

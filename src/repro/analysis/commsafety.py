@@ -1,11 +1,9 @@
 """Static communication-safety proofs for communication plans.
 
-A plan's ledger (:meth:`~repro.spmd.schedule.CommSchedule.ledger`)
-re-validates the one-port property of every contention-free phase of a
-plan nobody proved.  This module is the proof
-(:func:`~repro.spmd.schedule.obtain_plan` certifies each phased plan the
-process builds once, before it is priced or its first phase runs).  For
-``dst = src`` it proves:
+:func:`~repro.spmd.schedule.obtain_plan` proves each phased plan the
+process builds with :func:`prove_plan`, once, before it is priced or its
+first phase runs, and refuses (:exc:`~repro.errors.ScheduleError`) a plan
+that fails.  For ``dst = src`` it proves:
 
 * **exact cover** -- on every destination holder, the plan's lowered
   copies (:meth:`~repro.spmd.schedule.CommSchedule.lowered`: the
@@ -34,13 +32,8 @@ that re-derived the schedule and compared the plan with the second copy
 passed all three; it survives as the oracle of
 ``tests/test_commsafety.py``).
 
-A plan that passes is stamped ``statically_verified``
-(:func:`certify_plan` returns a stamped copy); its ledger then skips the
-re-check, and differential tests prove the skipped execution
-bit-identical.  Plans that fail any proof are simply left unstamped --
-they stay correct under the ledger's check, the compile does not abort --
-but :func:`prove_plan` reports *why* so tests can assert on seeded defects
-(e.g. a hand-built double-send phase).
+The returned problem strings name each violated property, so tests can
+assert on seeded defects (e.g. a hand-built double-send phase).
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ from repro.spmd.message import one_port_problems
 from repro.spmd.redistribution import Transfer
 from repro.spmd.schedule import POLICIES, CommSchedule
 
-__all__ = ["prove_plan", "certify_plan"]
+__all__ = ["prove_plan"]
 
 
 def _rectangle_keys(t: Transfer):
@@ -178,19 +171,3 @@ def prove_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> list[str]:
     problems += _cover_problems(layout_of(src), layout_of(dst), plan)
     return problems
 
-
-def certify_plan(src: Mapping, dst: Mapping, plan: CommSchedule) -> CommSchedule:
-    """Return a ``statically_verified`` copy of ``plan`` if provable.
-
-    Returns ``plan`` itself (unstamped) when any proof fails or when the
-    plan is already stamped; never raises on an unprovable plan -- the
-    ledger's check remains as the safety net for unstamped plans.  The
-    stamped copy keeps the plan's derived forms
-    (:meth:`~repro.spmd.schedule.CommSchedule.stamped`): the lowering the
-    proof read is the one the first execution runs.
-    """
-    if plan.statically_verified:
-        return plan
-    if prove_plan(src, dst, plan):
-        return plan
-    return plan.stamped()

@@ -501,7 +501,6 @@ class Pipeline:
                 counters = p.run(ctx) or {}
             seconds = time.perf_counter() - t0
             trace.record(p.name, seconds, counters)
-            _OBS.counter("repro.compiler.passes_run", {"pass": p.name}).inc()
             _OBS.histogram("repro.compiler.pass_seconds", {"pass": p.name}).observe(
                 seconds
             )

@@ -17,7 +17,6 @@ def _specs() -> tuple[MetricSpec, ...]:
     return (
         # -- compiler pipeline ------------------------------------------------
         MetricSpec("repro.compiler.pipelines_run", c, "Pipeline.run_context invocations."),
-        MetricSpec("repro.compiler.passes_run", c, "Pass executions, labeled by pass name.", ("pass",)),
         MetricSpec("repro.compiler.pass_seconds", h, "Per-pass wall time, labeled by pass name.", ("pass",)),
         # -- session tiers ----------------------------------------------------
         MetricSpec("repro.session.hits", c, "In-memory artifact cache hits."),
@@ -28,7 +27,7 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.session.instantiations", c, "Artifacts served by symbolic-template instantiation."),
         MetricSpec("repro.session.compile_seconds", h, "Wall time of a session call that served an artifact (a memory hit or a served miss; a call that waited on another's flight is none), labeled by serving tier.", ("tier",)),
         # -- schedule subsystem ----------------------------------------------
-        MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to copy descriptors (first execution of a plan object)."),
+        MetricSpec("repro.schedule.plans_lowered", c, "Plans lowered to the simulator's copy descriptors (CommSchedule.lowered, once per plan object and layout pair)."),
         # -- service front door ----------------------------------------------
         MetricSpec("repro.service.requests_submitted", c, "Requests accepted by CompileService."),
         MetricSpec("repro.service.requests_completed", c, "Requests finished (including errors)."),
@@ -54,19 +53,16 @@ def _specs() -> tuple[MetricSpec, ...]:
         MetricSpec("repro.memo.evictions", c, "Least-recently-used evictions from a process memo, labeled by memo name.", ("memo",)),
         MetricSpec("repro.memo.entries", g, "Entries a process memo holds, labeled by memo name.", ("memo",)),
         # -- simulated machine ------------------------------------------------
-        MetricSpec("repro.machine.phases", c, "Communication phases executed on the phase clock."),
         MetricSpec("repro.machine.phase_seconds", h, "Modeled duration of each executed phase."),
         # -- runtime executor -------------------------------------------------
-        MetricSpec("repro.runtime.runs", c, "Executor.run invocations."),
         MetricSpec("repro.runtime.run_seconds", h, "Executor.run wall time."),
         MetricSpec("repro.runtime.bytes_moved", c, "Remap bytes moved between ranks."),
         MetricSpec("repro.runtime.messages", c, "Remap messages between ranks."),
         MetricSpec("repro.runtime.remaps_performed", c, "Remap statements that moved data."),
-        MetricSpec("repro.runtime.remaps_skipped", c, "Remap statements skipped (dead/unneeded)."),
+        MetricSpec("repro.runtime.remaps_skipped", c, "Remap statements that moved no data: live target, status already right, or dead on arrival."),
         # -- multi-process transport -------------------------------------------
         MetricSpec("repro.mp.workers", g, "Live forked worker ranks of the mp transport."),
         MetricSpec("repro.mp.exchanges", c, "Remapping exchanges executed over the transport."),
-        MetricSpec("repro.mp.phases", c, "Transfer rounds the worker ranks ran (every exchange's, summed)."),
         MetricSpec("repro.mp.messages", c, "Real inter-process messages carried over the pipes."),
         MetricSpec("repro.mp.bytes_moved", c, "Payload bytes carried between worker ranks."),
         MetricSpec("repro.mp.phase_wall_seconds", h, "Worker-clock span of each round: last participant's end minus first one's start."),

@@ -317,9 +317,10 @@ class Executor(DescriptorWalker):
             _OBS.counter("repro.runtime.messages").inc(moved["messages"])
             _OBS.counter("repro.runtime.remaps_performed").inc(moved["remaps_performed"])
             _OBS.counter("repro.runtime.remaps_skipped").inc(
-                moved["remaps_skipped_live"] + moved["remaps_skipped_status"]
+                moved["remaps_skipped_live"]
+                + moved["remaps_skipped_status"]
+                + moved["remaps_dead_copy"]
             )
-        _OBS.counter("repro.runtime.runs").inc()
         _OBS.histogram("repro.runtime.run_seconds").observe(time.perf_counter() - t0)
         return ExecutionResult(self, frame)
 

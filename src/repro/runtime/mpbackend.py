@@ -45,7 +45,7 @@ from repro.runtime.executor import ExecutionEnv, ExecutionResult, Executor
 from repro.runtime.memory import MemoryManager
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
-from repro.spmd.redistribution import PreparedMove
+from repro.spmd.redistribution import prepare_move
 from repro.spmd.transport import (
     DEFAULT_ARENA_BYTES,
     ExchangeReport,
@@ -172,13 +172,12 @@ class MPExecutor(Executor):
     def _run_plan(self, plan, source, target, tag: str) -> None:
         """One remapping copy: local copies in the parent, then one exchange
         of the plan's wire program on the ranks, then the simulator's ledger
-        charge -- the plan's one delta, obtained first, so an unprovable
-        plan's bad phase raises before anything is on the wire.  The program
-        is built from the plan on its first copy on this transport and kept
-        there; later copies ship two block offsets per rank."""
+        charge -- the plan's one delta, obtained first, so a bad phase
+        raises before anything is on the wire.  The program is built from
+        the plan on its first copy on this transport and kept there; later
+        copies ship two block offsets per rank."""
         delta = plan.ledger(self.machine.cost, target.itemsize)
-        moves, _ = plan.wire(source.layout, target.layout)
-        for move in moves:
+        for move in plan.lowered(source.layout, target.layout).moves:
             if move.is_local:
                 move.execute(source, target)
         program = self.transport.program(
@@ -197,26 +196,25 @@ class MPExecutor(Executor):
         unphased messages (all of a ``policy=None`` plan's) as one contended
         round, then each phase as one round of its messages' own parts
         (each rank must move exactly its messages' bytes, so whole transfers
-        will not do); and each rank's source and target block shape."""
-        moves, phases = plan.wire(source.layout, target.layout)
-        itemsize = source.itemsize
+        will not do), each part lowered here; and each rank's source and
+        target block shape."""
+        src, dst, itemsize = source.layout, target.layout, source.itemsize
 
-        def part(move: PreparedMove) -> WirePart:
-            return WirePart(move.src_ix, move.dst_ix, move.shape, move.elements * itemsize)
+        def message(src_rank: int, dst_rank: int, parts) -> WireMessage:
+            moves = (prepare_move(t, src, dst) for t in parts)
+            wire = (WirePart(m.src_ix, m.dst_ix, m.shape, m.elements * itemsize) for m in moves)
+            return WireMessage(src_rank, dst_rank, tuple(wire))
 
         unphased = tuple(
-            WireMessage(m.src_rank, m.dst_rank, (part(m),)) for m in moves if not m.is_local
+            message(t.src_rank, t.dst_rank, (t,)) for t in plan.local_transfers if not t.is_local
         )
         rounds = [TransferRound(unphased, contended=True)] if unphased else []
         rounds += [
             TransferRound(
-                tuple(
-                    WireMessage(pt.src_rank, pt.dst_rank, tuple(part(m) for m in parts))
-                    for pt, parts in zip(phase.transfers, messages)
-                ),
+                tuple(message(pt.src_rank, pt.dst_rank, pt.parts) for pt in phase.transfers),
                 contended=phase.contended,
             )
-            for phase, messages in zip(plan.phases, phases)
+            for phase in plan.phases
         ]
         sources = {r: block.shape for r, block in source.blocks.items()}
         targets = {r: block.shape for r, block in target.blocks.items()}

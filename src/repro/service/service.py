@@ -491,22 +491,21 @@ class CompileService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Shut down the worker pool and the mp ranks; further requests raise.
 
-        With ``wait`` it returns once no request executes on any thread --
-        the pool's queue drained and every slot free -- and only then takes
-        the ranks down.
+        It returns once no request executes on any thread -- the pool's
+        queue drained and every slot free -- and only then takes the ranks
+        down.
         """
         self._closed = True
-        self._executor.shutdown(wait=wait)
-        if wait:
-            # all the slots at once, so two closers must not each hold some
-            with self._closing:
-                for _ in range(self.workers):
-                    self._slots.acquire()
-                for _ in range(self.workers):
-                    self._slots.release()
+        self._executor.shutdown(wait=True)
+        # all the slots at once, so two closers must not each hold some
+        with self._closing:
+            for _ in range(self.workers):
+                self._slots.acquire()
+            for _ in range(self.workers):
+                self._slots.release()
         with self._ranks_lock:
             pooled, self._ranks = self._ranks or {}, None
         for ranks in pooled.values():

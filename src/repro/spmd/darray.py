@@ -114,7 +114,6 @@ class DistributedArray:
         mapping: Mapping,
         machine: Machine,
         dtype: np.dtype | type = np.float64,
-        account_memory: bool = True,
     ):
         if mapping.processors.size != machine.processors.size:
             raise ShapeError(
@@ -129,13 +128,11 @@ class DistributedArray:
         self.blocks: dict[int, np.ndarray] = {}
         self._freed = False
         table = self.layout.table
-        #: the ``(rank, nbytes)`` set the machine accounts for this version
-        self._accounted: tuple[tuple[int, int], ...] = ()
-        if account_memory:  # all ranks or none: nothing is placed unless every rank fits
-            itemsize = self.dtype.itemsize
-            blocks = tuple((h.rank, h.elements * itemsize) for h in table)
-            machine.allocate_set(name, blocks)
-            self._accounted = blocks
+        #: the ``(rank, nbytes)`` set the machine accounts for this version;
+        #: all ranks or none: nothing is placed unless every rank fits
+        itemsize = self.dtype.itemsize
+        self._accounted = tuple((h.rank, h.elements * itemsize) for h in table)
+        machine.allocate_set(name, self._accounted)
         try:
             for h in table:
                 self.blocks[h.rank] = self._new_block(h.rank, h.local_shape)

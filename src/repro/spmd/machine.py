@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError
 from repro.mapping.processors import ProcessorArrangement
-from repro.obs.catalog import REGISTRY as _OBS
 from repro.spmd.cost import CostModel
 from repro.spmd.message import (
     PHASE_SECONDS as _M_PHASE_SECONDS,
@@ -49,9 +48,6 @@ from repro.spmd.message import (
     check_one_port,
     ledger_delta,
 )
-
-# module-cached registry handle: charge is the simulator's hottest path
-_M_PHASES = _OBS.counter("repro.machine.phases")
 
 
 @dataclass
@@ -120,7 +116,6 @@ class Machine:
             for proc in procs:
                 proc.clock += makespan
             self.phase_seconds += makespan
-            _M_PHASES.inc(len(delta.durations))
             _M_PHASE_SECONDS.add(delta.binned)
 
     def transfer(self, msg: Message) -> None:

@@ -42,19 +42,20 @@ Invariants (enforced by construction and property-tested):
 * empty (zero-element) transfers and purely local schedules produce **no**
   phases;
 * a contention-free phase never has a rank sending or receiving twice
-  (:exc:`~repro.errors.ScheduleError` otherwise -- an unstamped plan's
-  :meth:`~CommSchedule.ledger` re-checks, once).
+  (:exc:`~repro.errors.ScheduleError` otherwise -- every plan's
+  :meth:`~CommSchedule.ledger` checks, once).
 
 :data:`PLANS` is where the process keeps its plans, read through
 :func:`obtain_plan`.  A plan is a pure function of its key, so no artifact
-owns or serializes one: it is built on the first ask for its pair anywhere
-in the process (the cost guard pricing the copy, or a run performing it)
-and served to every later one, so warm runs do zero scheduling work.
+owns or serializes one: it is built and, under a phased policy, proved on
+the first ask for its pair anywhere in the process (the cost guard pricing
+the copy, or a run performing it) and served to every later one, so warm
+runs do zero scheduling work.  A plan that fails its proof is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.errors import ScheduleError
 from repro.mapping.mapping import Mapping
@@ -163,34 +164,30 @@ class CommSchedule:
     that order -- what the simulator copies, whatever messages the policy
     cut them into (without phases, the same tuple as ``local_transfers``).
 
-    :meth:`ledger`, :meth:`lowered` and :meth:`wire` are the plan's derived
-    forms, each worked out on first use and shared by every later one --
-    and, through :data:`PLANS`, by every copy and pricing of the pair
-    under the same policy anywhere in the process.  They are
-    kept on the plan object and gone with it: not dataclass fields (``==``
-    and ``repr`` never see them) and dropped by :meth:`__getstate__`
-    (neither do pickles).  Layouts are shared per mapping signature
-    (:func:`~repro.mapping.ownership.layout_of`), so identity tells whether
-    a form was lowered for the pair at hand (a layout rebuilt after that
-    cache dropped it re-lowers, to the same descriptors); two threads
-    racing on a shared plan both write the same immutable value.
+    :meth:`ledger` and :meth:`lowered` are the plan's derived forms, each
+    worked out on first use and shared by every later one -- and, through
+    :data:`PLANS`, by every copy and pricing of the pair under the same
+    policy anywhere in the process.  They are kept on the plan object and
+    gone with it: not dataclass fields (``==`` and ``repr`` never see them)
+    and dropped by :meth:`__getstate__` (neither do pickles).  Layouts are
+    shared per mapping signature (:func:`~repro.mapping.ownership.layout_of`),
+    so identity tells whether the lowering was made for the pair at hand (a
+    layout rebuilt after that cache dropped it re-lowers, to the same
+    descriptors); two threads racing on a shared plan both write the same
+    immutable value.
     """
 
     policy: str | None
     phases: tuple[CommPhase, ...]
     local_transfers: tuple[Transfer, ...]
     transfers: tuple[Transfer, ...]
-    #: Stamped ``True`` by :func:`repro.analysis.commsafety.certify_plan`
-    #: once the exact-cover and one-port properties have been *proved*
-    #: statically against the source/target mappings; :meth:`ledger` then
-    #: skips its O(messages) one-port check.  Plans built outside the
-    #: compiler (ad-hoc calls) stay unstamped and keep it.
-    statically_verified: bool = False
+    #: A constant the frozen layered benchmark's accounting probe reads;
+    #: nothing skips a check on it.  Unannotated, so not a field.
+    statically_verified = False
 
     # the derived forms; unannotated, so not fields
     _ledger = None  # (cost, itemsize, LedgerDelta)
     _lowered = None  # (src, dst, LoweredPlan)
-    _wire = None  # (src, dst, (unphased moves, parts per phase per message))
 
     @property
     def phase_count(self) -> int:
@@ -226,14 +223,13 @@ class CommSchedule:
     def ledger(self, cost: CostModel, itemsize: int) -> LedgerDelta:
         """What one execution adds to the machine's ledger: the unphased
         transfers charged one by one, then each phase on the phase clock.
-        An unstamped plan is one-port checked here, once (a frozen plan
-        cannot change between runs), so a bad phase raises
+        The plan is one-port checked here, once per ``(cost, itemsize)`` (a
+        frozen plan cannot change between runs), so a bad phase raises
         :exc:`~repro.errors.ScheduleError` before anything is charged or moved.
         """
         memo = self._ledger
         if memo is None or memo[0] != cost or memo[1] != itemsize:
-            if not self.statically_verified:
-                self.validate()
+            self.validate()
 
             def header(t: Transfer | PackedTransfer) -> tuple[int, int, int, int]:
                 elements = t.elements
@@ -246,36 +242,18 @@ class CommSchedule:
         return memo[2]
 
     def lowered(self, src: Layout, dst: Layout) -> LoweredPlan:
-        """The simulator's copy descriptors for ``dst = src``."""
-        return self._lowered_once("_lowered", src, dst, self._lower)
-
-    def wire(self, src: Layout, dst: Layout) -> tuple[tuple, tuple]:
-        """The mp backend's descriptors, ``(unphased, phases)``: the unphased
-        transfers' moves and, per phase and per message, the message's own
-        parts (each rank must move exactly its messages' bytes, so whole
-        transfers will not do).  Lowered only when the backend asks."""
-        return self._lowered_once("_wire", src, dst, self._lower_wire)
-
-    def _lowered_once(self, slot: str, src: Layout, dst: Layout, lower):
-        memo = getattr(self, slot)
+        """The simulator's copy descriptors for ``dst = src``, lowered on the
+        first ask for the pair's layouts and kept."""
+        memo = self._lowered
         if memo is None or memo[0] is not src or memo[1] is not dst:
             with _TRACER.span("remap.lower"):
-                memo = (src, dst, lower(src, dst))
-            object.__setattr__(self, slot, memo)
+                memo = (src, dst, self._lower(src, dst))
+            object.__setattr__(self, "_lowered", memo)
             _M_LOWERED.inc()
         return memo[2]
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def stamped(self) -> "CommSchedule":
-        """A ``statically_verified`` copy that keeps the derived forms:
-        :func:`dataclasses.replace` copies fields only, and the lowering the
-        proof read is the one execution must reuse."""
-        twin = replace(self, statically_verified=True)
-        for slot in ("_ledger", "_lowered", "_wire"):
-            object.__setattr__(twin, slot, getattr(self, slot))
-        return twin
 
     def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
         whole = self.policy is None or self.policy == "aggregate"
@@ -287,15 +265,6 @@ class CommSchedule:
             else:
                 moves.extend(prepare_move(r, src, dst) for r in rectangles(t))
         return LoweredPlan(tuple(moves))
-
-    def _lower_wire(self, src: Layout, dst: Layout) -> tuple[tuple, tuple]:
-        return (
-            tuple(prepare_move(t, src, dst) for t in self.local_transfers),
-            tuple(
-                tuple(tuple(prepare_move(r, src, dst) for r in pt.parts) for pt in phase.transfers)
-                for phase in self.phases
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +388,8 @@ def execute_comm_schedule(
 ) -> None:
     """Move a plan's data on the simulator and charge the cost model.
 
-    The ledger delta is obtained first (an unstamped plan's bad phase raises
-    with ``target`` untouched), then the lowered copies run and the delta
+    The ledger delta is obtained first (a bad phase raises with ``target``
+    untouched), then the lowered copies run and the delta
     is charged in one :meth:`~repro.spmd.machine.Machine.charge`.  Every
     policy delivers bit-identical values and the same total bytes; only
     the *timing* (and, under ``aggregate``, the message count) differs.
@@ -460,21 +429,28 @@ def obtain_plan(policy: str | None, src: Mapping, dst: Mapping) -> CommSchedule:
 
     The executor, the mp backend and the traffic simulator all ask here, so
     whichever asks first builds (outside the memo's lock) and, under a
-    phased policy, certifies (:func:`repro.analysis.commsafety.certify_plan`)
-    the plan.  Signatures embed extents and grid shapes and the policy is
-    in the key, so no plan is served for another ``(n, P)`` or policy.
+    phased policy, proves (:func:`repro.analysis.commsafety.prove_plan`)
+    the plan.  A plan that fails its proof raises
+    :exc:`~repro.errors.ScheduleError` naming the problems and is not kept.
+    Signatures embed extents and grid shapes and the policy is in the key,
+    so no plan is served for another ``(n, P)`` or policy.
     """
 
     def build() -> CommSchedule:
         with _TRACER.span("remap.plan_build"):
             built = plan_redistribution(src, dst, policy)
         if policy is not None:
-            from repro.analysis.commsafety import certify_plan
+            from repro.analysis.commsafety import prove_plan
 
-            # the proof lowers the plan (a remap.lower child span) and the
-            # stamped plan keeps that lowering for its first execution
+            # the proof lowers the plan (a remap.lower child span), and the
+            # plan keeps that lowering for its first execution
             with _TRACER.span("remap.prove"):
-                built = certify_plan(src, dst, built)
+                problems = prove_plan(src, dst, built)
+            if problems:
+                raise ScheduleError(
+                    f"unprovable {policy} plan {src.short()} -> {dst.short()}: "
+                    + "; ".join(problems)
+                )
         return built
 
     return PLANS.obtain((policy, src.signature, dst.signature), build)

@@ -181,12 +181,11 @@ class SharedDistributedArray(DistributedArray):
         machine: Machine,
         transport: "MPTransport",
         dtype=np.float64,
-        account_memory: bool = True,
     ):
         self._transport = transport
         #: rank -> arena offset of its block, while the block is in the arena
         self.offsets: dict[int, int] = {}
-        super().__init__(name, mapping, machine, dtype, account_memory)
+        super().__init__(name, mapping, machine, dtype)
 
     def _new_block(self, rank: int, shape: tuple[int, ...]) -> np.ndarray:
         offset, view = self._transport.place_block(rank, shape, self.dtype)
@@ -975,7 +974,6 @@ class MPTransport:
         if shipped:
             _OBS.counter("repro.mp.programs_shipped").inc(shipped)
         if report.rounds:
-            _OBS.counter("repro.mp.phases").inc(len(report.rounds))
             _OBS.counter("repro.mp.messages").inc(report.messages)
             _OBS.counter("repro.mp.bytes_moved").inc(report.bytes)
             _OBS.histogram("repro.mp.phase_wall_seconds").observe_many(

@@ -207,14 +207,13 @@ class ArtifactStore:
         self,
         root: str | os.PathLike,
         max_bytes: int | None = DEFAULT_MAX_BYTES,
-        fingerprint: str | None = None,
         create: bool = True,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.fingerprint = fingerprint or schema_fingerprint()
+        self.fingerprint = schema_fingerprint()
         self._dir = self.root / self.fingerprint
         if create:
             try:
@@ -522,15 +521,14 @@ class ArtifactStore:
         with self._lock:
             self._size_estimate = total
 
-    def gc(self, drop_stale: bool = True) -> dict[str, int]:
+    def gc(self) -> dict[str, int]:
         """Enforce the size budget and sweep debris; returns what was done.
 
         Debris the load/store hot paths deliberately never pay to clean:
         sibling fingerprint directories (entries written under an older
         repro version / source tree / schema -- unreachable by
         construction), orphaned temp files from crashed writers and lock
-        files whose entry is gone.  ``drop_stale=False`` limits the pass
-        to the size budget.  Without gc the store would grow one tiny
+        files whose entry is gone.  Without gc the store would grow one tiny
         lock file per key ever written.
         """
         before = len(self._entries())
@@ -538,40 +536,39 @@ class ArtifactStore:
         stale_dirs = 0
         tmp_swept = 0
         locks_swept = 0
-        if drop_stale:
-            try:
-                with os.scandir(self.root) as it:
-                    # ONLY directories shaped like a schema fingerprint are
-                    # store generations; anything else under the (user-
-                    # supplied) root is not ours to delete
-                    siblings = [
-                        Path(e.path)
-                        for e in it
-                        if e.is_dir()
-                        and e.name != self.fingerprint
-                        and _FINGERPRINT_RE.fullmatch(e.name)
-                    ]
-            except OSError:
-                siblings = []
-            import shutil
+        try:
+            with os.scandir(self.root) as it:
+                # ONLY directories shaped like a schema fingerprint are
+                # store generations; anything else under the (user-
+                # supplied) root is not ours to delete
+                siblings = [
+                    Path(e.path)
+                    for e in it
+                    if e.is_dir()
+                    and e.name != self.fingerprint
+                    and _FINGERPRINT_RE.fullmatch(e.name)
+                ]
+        except OSError:
+            siblings = []
+        import shutil
 
-            for d in siblings:
+        for d in siblings:
+            with contextlib.suppress(OSError):
+                shutil.rmtree(d)
+                stale_dirs += 1
+        for tmp in self._dir.glob("*.tmp"):
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+                tmp_swept += 1
+        # lock files are keyed like their entry ("<key-digest>.lock");
+        # "gc.lock" guards eviction itself and always stays
+        for lock in self._dir.glob("*.lock"):
+            if lock.stem == "gc":
+                continue
+            if not lock.with_suffix(".art").exists():
                 with contextlib.suppress(OSError):
-                    shutil.rmtree(d)
-                    stale_dirs += 1
-            for tmp in self._dir.glob("*.tmp"):
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-                    tmp_swept += 1
-            # lock files are keyed like their entry ("<key-digest>.lock");
-            # "gc.lock" guards eviction itself and always stays
-            for lock in self._dir.glob("*.lock"):
-                if lock.stem == "gc":
-                    continue
-                if not lock.with_suffix(".art").exists():
-                    with contextlib.suppress(OSError):
-                        lock.unlink()
-                        locks_swept += 1
+                    lock.unlink()
+                    locks_swept += 1
         return {
             "entries_before": before,
             "entries_after": len(self._entries()),

@@ -103,8 +103,6 @@ def enumerate_scenarios(
     entry: str,
     bindings: dict[str, int] | None = None,
     inputs: frozenset[str] | None = None,
-    trip_choices: Sequence[int] = (0, 1, 3),
-    vary_inputs: bool = True,
     pin_bound_trips: bool = True,
     max_scenarios: int = SCENARIO_CAP,
     require_exhaustive: bool = False,
@@ -115,7 +113,7 @@ def enumerate_scenarios(
     Every branch condition takes both outcomes, every statically unknown
     loop bound takes a zero-trip, single-trip and multi-trip value, and the
     top-level arrays are tried both with and without initial input values
-    (``vary_inputs``; an explicit ``inputs`` set disables the variation).
+    (an explicit ``inputs`` set disables the variation).
     ``pin_bound_trips=False`` additionally varies bounds the bindings *do*
     supply (alongside the supplied value), so decisions generalize to any
     runtime bound -- the cost guard's setting, because compile bindings of
@@ -132,11 +130,11 @@ def enumerate_scenarios(
     for c in conds:
         axes.append(("cond:" + c, (False, True)))
     for f in free:
-        choices = list(trip_choices)
+        choices = [0, 1, 3]  # zero-, single- and multi-trip
         if f in bindings and bindings[f] not in choices:
             choices.append(bindings[f])  # keep the compile-time value too
         axes.append(("trip:" + f, tuple(choices)))
-    if inputs is None and vary_inputs:
+    if inputs is None:
         axes.append(("inputs", (None, frozenset())))
     else:
         axes.append(("inputs", (inputs,)))

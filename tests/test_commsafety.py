@@ -1,15 +1,16 @@
-"""Static communication-safety proofs and the verified-plan fast path.
+"""Static communication-safety proofs, and a plan refused when they fail.
 
 The plan table proves exact-cover and one-port safety for every phased
-plan it builds (:mod:`repro.analysis.commsafety`) and stamps what it
-proves; the plan's ledger then skips the O(messages) re-validation.
-The differential criterion: stamped plans execute bit-identically to
-unstamped ones, and only genuinely safe plans ever get the stamp.
+plan it builds (:mod:`repro.analysis.commsafety`) and refuses one that
+fails: :func:`~repro.spmd.schedule.obtain_plan` raises
+:exc:`~repro.errors.ScheduleError` naming the problems and keeps nothing.
+Every plan's ledger still checks its contention-free phases, once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import repro.spmd.schedule as schedule_mod
 from repro import CompilerOptions, ExecutionEnv, Executor, Machine, compile_program
-from repro.analysis.commsafety import certify_plan, prove_plan
+from repro.analysis.commsafety import prove_plan
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.mapping import (
     Alignment,
@@ -69,6 +70,20 @@ def _plan(src, dst, policy="round-robin"):
     return build_comm_schedule(build_schedule(layout_of(src), layout_of(dst)), policy)
 
 
+def _refused(src, dst, bad, monkeypatch, policy="round-robin"):
+    """``obtain_plan`` refuses ``bad`` as the plan for ``dst = src``: the
+    error names every problem the proof finds, and the memo keeps nothing."""
+    problems = prove_plan(src, dst, bad)
+    assert problems
+    with monkeypatch.context() as patch:
+        patch.setattr(schedule_mod, "plan_redistribution", lambda *args: bad)
+        with pytest.raises(ScheduleError) as raised:
+            obtain_plan(policy, src, dst)
+    assert all(p in str(raised.value) for p in problems), (problems, raised.value)
+    assert (policy, src.signature, dst.signature) not in PLANS._entries
+    return problems
+
+
 def _run(compiled, w):
     machine = Machine(compiled.processors)
     env = ExecutionEnv(
@@ -92,13 +107,10 @@ def test_honest_plans_prove_clean(policy):
     src, dst = _pair()
     plan = _plan(src, dst, policy)
     assert prove_plan(src, dst, plan) == []
-    certified = certify_plan(src, dst, plan)
-    assert certified.statically_verified
-    # idempotent: re-certification returns the already-stamped plan
-    assert certify_plan(src, dst, certified) is certified
+    assert obtain_plan(policy, src, dst) == plan
 
 
-def test_double_send_phase_fails_the_proof():
+def test_double_send_phase_fails_the_proof(monkeypatch):
     """Mutation: duplicating a message breaks one-port AND exact cover."""
     src, dst = _pair()
     plan = _plan(src, dst, "round-robin")
@@ -110,7 +122,7 @@ def test_double_send_phase_fails_the_proof():
     problems = prove_plan(src, dst, bad)
     assert problems, "double-send plan must not prove clean"
     assert any("twice" in p or "surplus" in p for p in problems), problems
-    assert not certify_plan(src, dst, bad).statically_verified
+    _refused(src, dst, bad, monkeypatch)
 
 
 def test_missing_transfer_fails_exact_cover():
@@ -123,13 +135,13 @@ def test_missing_transfer_fails_exact_cover():
     assert any("missing" in p for p in problems), problems
 
 
-def test_wrong_mapping_pair_fails_the_proof():
-    """A plan proved against the wrong (src, dst) must not certify."""
+def test_wrong_mapping_pair_fails_the_proof(monkeypatch):
+    """A plan proved against the wrong (src, dst) must not be served."""
     src, dst = _pair()
     other_src, other_dst = _pair(n=64)
     plan = _plan(src, dst)
     assert prove_plan(other_src, other_dst, plan) != []
-    assert not certify_plan(other_src, other_dst, plan).statically_verified
+    _refused(other_src, other_dst, plan, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +221,13 @@ def test_schedule_that_drops_a_transfer_fails_the_proof(policy, monkeypatch):
         "first at global index (3,)"
     ]
     assert reference_is_clean(src, dst, plan), "the old proof did not see it"
-    assert not obtain_plan(policy, src, dst).statically_verified
+    with pytest.raises(ScheduleError, match=re.escape(problems[0])):
+        obtain_plan(policy, src, dst)
+    assert len(PLANS) == 0
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
-def test_transfer_outside_its_senders_block_fails_the_proof(policy):
+def test_transfer_outside_its_senders_block_fails_the_proof(policy, monkeypatch):
     """Seeded defect (ii): the 0 -> 2 transfer {6, 7} shifted to {7, 8}.
     Rank 2 owns both in ``dst``; rank 0 does not own 8 in ``src``."""
     src, dst = _pair3()
@@ -228,11 +242,11 @@ def test_transfer_outside_its_senders_block_fails_the_proof(policy):
     problems = prove_plan(src, dst, bad)
     assert len(problems) == 1 and "leaves its sender's or receiver's block" in problems[0]
     assert not reference_is_clean(src, dst, bad)
-    assert not certify_plan(src, dst, bad).statically_verified
+    _refused(src, dst, bad, monkeypatch, policy)
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
-def test_duplicated_transfer_fails_the_proof(policy):
+def test_duplicated_transfer_fails_the_proof(policy, monkeypatch):
     """Seeded defect (iii): one whole transfer twice -- messages and whole
     transfers agree with each other, three positions are written twice."""
     src, dst = _pair3()
@@ -242,11 +256,11 @@ def test_duplicated_transfer_fails_the_proof(policy):
     problems = prove_plan(src, dst, bad)
     assert any("3 of rank 1's 9 owned element(s) written twice" in p for p in problems), problems
     assert not reference_is_clean(src, dst, bad)
-    assert not certify_plan(src, dst, bad).statically_verified
+    _refused(src, dst, bad, monkeypatch, policy)
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
-def test_sending_what_the_receiver_holds_fails_the_proof(policy):
+def test_sending_what_the_receiver_holds_fails_the_proof(policy, monkeypatch):
     """Seeded defect (iv): under a replicated source every receiver holds
     a replica and the honest plan is local copies only; one of them turned
     into a message from the other replica still covers exactly."""
@@ -275,7 +289,7 @@ def test_sending_what_the_receiver_holds_fails_the_proof(policy):
         f"replication violation: {replica}->{local.dst_rank} sends what rank "
         f"{local.dst_rank} already holds in the source mapping"
     ]
-    assert not certify_plan(src, dst, bad).statically_verified
+    _refused(src, dst, bad, monkeypatch, policy)
 
 
 def test_the_proof_never_rebuilds_the_schedule(monkeypatch):
@@ -285,7 +299,6 @@ def test_the_proof_never_rebuilds_the_schedule(monkeypatch):
         plan = plan_redistribution(src, dst, policy)
         del calls[:]
         assert prove_plan(src, dst, plan) == []
-        assert certify_plan(src, dst, plan).statically_verified
         assert calls == []
     import repro.analysis.commsafety as proof_mod
 
@@ -296,7 +309,7 @@ def test_the_proof_never_rebuilds_the_schedule(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
     """Fig. 1/12/16 over the (n, P) sweep of ``tests/test_symbolic.py``:
-    every plan a run obtains is stamped, and proves clean on its own."""
+    every plan a run obtains proves clean on its own, and by the oracle."""
     for n, p in PAIRS:
         w = CASES[name](n)
         PLANS.clear()  # the plans of this shape only
@@ -308,12 +321,11 @@ def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
         )
         _run(compiled, w)
         plans = dict(PLANS._entries)
-        assert plans and all(plan.statically_verified for plan in plans.values())
+        assert plans
         for (_, src_sig, dst_sig), plan in plans.items():
-            unstamped = dataclasses.replace(plan, statically_verified=False)
             src, dst = _mappings_of(compiled, src_sig, dst_sig)
-            assert prove_plan(src, dst, unstamped) == [], (name, policy, n, p)
-            assert reference_is_clean(src, dst, unstamped)
+            assert prove_plan(src, dst, plan) == [], (name, policy, n, p)
+            assert reference_is_clean(src, dst, plan)
 
 
 def _mappings_of(compiled, *signatures):
@@ -401,25 +413,23 @@ def test_prop_proof_agrees_with_the_rederiving_oracle(n, f_src, f_dst, nprocs, p
 
 
 # ---------------------------------------------------------------------------
-# runtime integration: the plans an artifact executes arrive stamped
+# runtime integration: a run performs proved plans only
 # ---------------------------------------------------------------------------
 
 
-def _run_unstamped(compiled, w, monkeypatch, runs=1):
-    """Run the same artifact over a fresh plan memo whose proofs all fail:
-    ``certify_plan`` leaves every plan unstamped, as for an unprovable one.
-    The stamped run before it obtained the same pairs from :data:`PLANS`.
-    Returns the last run's ``(values, stats)`` and the plans it ran."""
+def _run_unproved(compiled, w, monkeypatch, runs=1):
+    """Run the same artifact over a fresh plan memo that proves nothing:
+    each plan is built as before and kept unproved, so nothing lowers it
+    before its first execution.  The proved run before it obtained the same
+    pairs from :data:`PLANS`.  Returns the last run's ``(values, stats)``
+    and the plans it ran."""
     table = Memo(PLANS.cap)
     with monkeypatch.context() as patch:
-        patch.setattr(
-            "repro.analysis.commsafety.prove_plan", lambda src, dst, plan: ["unproved"]
-        )
+        patch.setattr("repro.analysis.commsafety.prove_plan", lambda src, dst, plan: [])
         patch.setattr("repro.spmd.schedule.PLANS", table)
         for _ in range(runs):
             out = _run(compiled, w)
     assert len(table) > 0 and table._entries.keys() <= PLANS._entries.keys()
-    assert not any(p.statically_verified for p in table._entries.values())
     return out, list(table._entries.values())
 
 
@@ -448,36 +458,27 @@ W16 = dict(
 
 @pytest.mark.parametrize("policy", SCHEDULED)
 def test_schedule_pass_stamps_every_plan(policy):
+    """Every plan the memo holds -- priced by the compile or obtained by
+    the run -- proves clean: the memo keeps no other."""
     compiled = compile_program(
         FIG16,
         bindings=W16["bindings"],
         processors=4,
         options=CompilerOptions(level=3, schedule=policy),
     )
-    # what the compile planned -- the pairs the cost guard priced -- is proved
-    assert all(p.statically_verified for p in PLANS._entries.values())
     _run(compiled, W16)
-    plans = list(PLANS._entries.values())
-    assert plans, "fig16 must perform at least one copy"
-    assert all(p.statically_verified for p in plans)
+    assert PLANS._entries, "fig16 must perform at least one copy"
+    for (_, src_sig, dst_sig), plan in PLANS._entries.items():
+        src, dst = _mappings_of(compiled, src_sig, dst_sig)
+        assert prove_plan(src, dst, plan) == [], policy
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
-def test_stamp_keeps_the_lowering_the_proof_paid_for(policy, monkeypatch):
-    """``dataclasses.replace`` copies fields only; the stamped copy must
-    carry the derived forms across.  A newly obtained plan is lowered
-    exactly once -- by its proof -- and its first execution lowers nothing:
-    the run makes the ``prepare_move`` calls of a run whose plans nobody
-    proved (one lowering per plan, at execution: the parent's count)."""
-    src, dst = _pair()
-    plan = _plan(src, dst, policy)
-    plan.ledger(Machine(src.processors).cost, 8)
-    plan.wire(layout_of(src), layout_of(dst))
-    stamped = certify_plan(src, dst, plan)
-    assert stamped is not plan and stamped.statically_verified
-    for slot in ("_ledger", "_lowered", "_wire"):
-        assert getattr(stamped, slot) is getattr(plan, slot) is not None, slot
-
+def test_the_proofs_lowering_is_the_one_the_run_executes(policy, monkeypatch):
+    """A newly obtained plan is lowered exactly once -- by its proof -- and
+    its first execution lowers nothing: the run makes the ``prepare_move``
+    calls of a run whose plans nobody proved (one lowering per plan, at
+    execution)."""
     calls = counted(monkeypatch, schedule_mod, "prepare_move")
     lowered = REGISTRY.counter("repro.schedule.plans_lowered")
     before = lowered.value
@@ -494,7 +495,7 @@ def test_stamp_keeps_the_lowering_the_proof_paid_for(policy, monkeypatch):
     del calls[:]
     _run(compiled, W16)
     assert calls == [] and lowered.value - before == 2
-    _run_unstamped(compiled, W16, monkeypatch)
+    _run_unproved(compiled, W16, monkeypatch)
     assert len(calls) == proved_calls > 0 and lowered.value - before == 4
 
 
@@ -529,44 +530,37 @@ def test_first_use_of_a_plan_is_three_spans_and_a_hit_is_none(tracer):
     assert tracer.finished_spans() == []
 
 
-def test_verified_plans_skip_runtime_validation(monkeypatch):
-    """The stamp is what gates the fast path: stamped plans never call the
-    one-port re-check; unstamped plans call it when their ledger is built,
-    once per plan however often they run."""
-    import repro.spmd.schedule as schedule_mod
-
-    calls = {"n": 0}
-    real = schedule_mod.check_one_port
-
-    def counting(pairs):
-        calls["n"] += 1
-        return real(pairs)
-
-    monkeypatch.setattr(schedule_mod, "check_one_port", counting)
-
+def test_every_ledger_checks_its_phases_once(monkeypatch):
+    """The ledger one-port checks every plan, proved or not, once per
+    ``(plan, cost, itemsize)``: the first run checks each contention-free
+    phase of each plan it performs, later runs check nothing -- and a
+    proved plan runs bit-identically to the same plan run unproved."""
+    calls = counted(monkeypatch, schedule_mod, "check_one_port")
     compiled = compile_program(
         FIG16,
         bindings=W16["bindings"],
         processors=4,
         options=CompilerOptions(level=3, schedule="round-robin"),
     )
-    calls["n"] = 0
-    stamped_values, stamped_stats = _run(compiled, W16)
-    assert calls["n"] == 0, "stamped plans must skip the runtime re-check"
+    PLANS.clear()  # no ledger the compile's pricing built
+    del calls[:]
+    for _ in range(3):
+        proved_values, proved_stats = _run(compiled, W16)
+    phases = sum(not p.contended for plan in PLANS._entries.values() for p in plan.phases)
+    assert len(calls) == phases > 0, "one check per phase per plan, not per run"
 
-    (overlay_values, overlay_stats), ran = _run_unstamped(compiled, W16, monkeypatch, runs=3)
-    phases = sum(len(p.phases) for p in ran)
-    assert calls["n"] == phases > 0, "one check per phase per plan, not per run"
-
-    for a in stamped_values:
-        assert np.array_equal(stamped_values[a], overlay_values[a])
-    assert stamped_stats.bytes == overlay_stats.bytes
-    assert stamped_stats.messages == overlay_stats.messages
+    del calls[:]
+    (unproved_values, unproved_stats), ran = _run_unproved(compiled, W16, monkeypatch, runs=3)
+    assert len(calls) == sum(len(p.phases) for p in ran) == phases
+    for a in proved_values:
+        assert np.array_equal(proved_values[a], unproved_values[a])
+    assert proved_stats.snapshot() == unproved_stats.snapshot()
 
 
-def test_double_send_plan_raises_before_any_data_moves():
-    """A hand-built double-send plan is unprovable, so it stays unstamped and
-    its ledger re-checks it: ``ScheduleError``, the target untouched."""
+def test_double_send_plan_raises_before_any_data_moves(monkeypatch):
+    """A double-send phase makes the ledger raise ``ScheduleError`` before
+    anything moves, the target untouched: on an ad-hoc plan and on one the
+    memo serves (here kept by a proof that passes everything) alike."""
     src, dst = _pair()
     plan = _plan(src, dst, "round-robin")
     phase = plan.phases[0]
@@ -574,27 +568,101 @@ def test_double_send_plan_raises_before_any_data_moves():
         plan,
         phases=(dataclasses.replace(phase, transfers=phase.transfers * 2),) + plan.phases[1:],
     )
-    bad = certify_plan(src, dst, bad)
-    assert not bad.statically_verified
-    machine = Machine(src.processors)
-    source = DistributedArray("A", src, machine)
-    target = DistributedArray("A", dst, machine)
-    source.scatter_from_global(np.arange(32.0))
-    target.scatter_from_global(np.full(32, -1.0))
-    with pytest.raises(ScheduleError, match="twice"):
-        execute_comm_schedule(bad, source, target, machine)
-    assert np.array_equal(target.gather_to_global(), np.full(32, -1.0))
-    assert machine.stats.messages == 0 and machine.elapsed == 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.analysis.commsafety.prove_plan", lambda *args: [])
+        patch.setattr(schedule_mod, "plan_redistribution", lambda *args: bad)
+        served = obtain_plan("round-robin", src, dst)
+    assert served is bad and PLANS._entries[("round-robin", src.signature, dst.signature)] is bad
+    for plan in (bad, dataclasses.replace(bad)):  # the served one, an ad-hoc twin
+        machine = Machine(src.processors)
+        source = DistributedArray("A", src, machine)
+        target = DistributedArray("A", dst, machine)
+        source.scatter_from_global(np.arange(32.0))
+        target.scatter_from_global(np.full(32, -1.0))
+        with pytest.raises(ScheduleError, match="twice"):
+            execute_comm_schedule(plan, source, target, machine)
+        assert np.array_equal(target.gather_to_global(), np.full(32, -1.0))
+        assert machine.stats.messages == 0 and machine.elapsed == 0.0
 
 
 # ---------------------------------------------------------------------------
-# the acceptance differential: seeds 0..200, every policy
+# the proof fails closed: a plan with a defect is refused, the next one runs
+# ---------------------------------------------------------------------------
+
+STRAIGHT = """
+subroutine main()
+  integer n
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute writes A
+!hpf$ redistribute A(cyclic(3))
+  compute writes A reads A
+end
+"""
+
+
+def _seed_defect(patch, defect):
+    """``drop``: ``build_schedule`` loses the 0 -> 1 transfer; ``duplicate``:
+    the first message carries its first rectangle twice."""
+    if defect == "drop":
+        honest = schedule_mod.build_schedule
+
+        def lossy(src_lay, dst_lay):
+            redist = honest(src_lay, dst_lay)
+            redist.transfers = [t for t in redist.transfers if (t.src_rank, t.dst_rank) != (0, 1)]
+            return redist
+
+        patch.setattr(schedule_mod, "build_schedule", lossy)
+    else:
+        honest_pack = schedule_mod._pack
+
+        def doubling(transfers, aggregate):
+            first, *rest = honest_pack(transfers, aggregate)
+            return [dataclasses.replace(first, parts=first.parts + first.parts[:1]), *rest]
+
+        patch.setattr(schedule_mod, "_pack", doubling)
+
+
+@pytest.mark.parametrize("defect", ["drop", "duplicate"])
+@pytest.mark.parametrize("policy", SCHEDULED)
+def test_an_unprovable_plan_is_refused_and_the_next_request_runs_clean(
+    policy, defect, monkeypatch
+):
+    from repro.service import CompileRequest, CompileService
+
+    src, dst = _pair3()
+    request = CompileRequest(STRAIGHT, bindings={"n": 32}, inputs={"a": np.arange(32.0)})
+    options = CompilerOptions(level=3, schedule=policy)
+    with CompileService(workers=1, processors=4, options=options) as svc:
+        with monkeypatch.context() as patch:
+            _seed_defect(patch, defect)
+            problems = prove_plan(src, dst, plan_redistribution(src, dst, policy))
+            assert problems and ("never written" if defect == "drop" else "surplus") in problems[0]
+            with pytest.raises(ScheduleError, match=re.escape(problems[0])):
+                obtain_plan(policy, src, dst)
+            assert (policy, src.signature, dst.signature) not in PLANS._entries
+            (failed,) = svc.run_batch([request])
+            assert isinstance(failed.error, ScheduleError) and failed.result is None
+            assert "unprovable" in str(failed.error)
+            assert len(PLANS) == 0
+        (healed,) = svc.run_batch([request])
+    with CompileService(workers=1, processors=4, options=options) as svc:
+        (clean,) = svc.run_batch([request])
+    assert healed.ok and clean.ok and len(PLANS) == 1
+    assert np.array_equal(healed.result.value("a"), clean.result.value("a"))
+    assert healed.result.stats.snapshot() == clean.result.stats.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# no plan real traffic obtains is refused: seeds 0..200, every policy
 # ---------------------------------------------------------------------------
 
 
 def test_workload_seeds_verified_equals_unverified(monkeypatch):
-    """Bit-identical values, bytes and messages between the stamped plans
-    and the same plans left unstamped."""
+    """Every plan a random legal workload obtains proves clean (a refused
+    one would raise), and its run is bit-identical -- values, bytes and
+    messages -- to the same plans run unproved."""
     for seed in range(201):
         rng = np.random.default_rng(seed)
         program = random_legal_subroutine(rng, n_arrays=2, length=5, depth=1)
@@ -606,11 +674,9 @@ def test_workload_seeds_verified_equals_unverified(monkeypatch):
             )
             PLANS.clear()  # the plans of this run only
             v1, s1 = _run(compiled, w)
-            stamped = [p.statically_verified for p in PLANS._entries.values()]
-            assert all(stamped), (seed, policy)
-            if not stamped:
+            if not PLANS:
                 continue  # no copy performed: nothing to compare
-            (v2, s2), _ = _run_unstamped(compiled, w, monkeypatch)
+            (v2, s2), _ = _run_unproved(compiled, w, monkeypatch)
             for a in v1:
                 assert np.array_equal(v1[a], v2[a]), (seed, policy, a)
             assert s1.bytes == s2.bytes, (seed, policy)

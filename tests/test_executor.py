@@ -19,6 +19,7 @@ from repro import (
     compile_program,
 )
 from repro.errors import DeadCopyError
+from repro.obs import REGISTRY, snapshot_diff
 from repro.spmd.schedule import POLICIES
 from test_schedule import FIG1, FIG12
 
@@ -491,6 +492,43 @@ end
     assert m_plain.stats.bytes > 0
     assert m_kill.stats.bytes == 0 and m_kill.stats.remaps_dead_copy == 1
     assert np.array_equal(r_plain.value("a"), r_kill.value("a"))
+
+
+def test_registry_counts_every_decided_remap_dead_ones_included(monkeypatch):
+    """``repro.runtime.remaps_performed + remaps_skipped`` is every
+    remapping the walker decides: a copy dead on arrival (``U = D``) is
+    skipped, not lost between the two."""
+    src = """
+subroutine main()
+  integer n
+  real A(n)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute reads A
+!hpf$ redistribute A(cyclic)
+  compute defines A
+!hpf$ redistribute A(block)
+  compute reads A
+end
+"""
+    decided = []
+    real = Executor._remapped
+
+    def counting(self, state, outcome):
+        decided.append(outcome)
+        real(self, state, outcome)
+
+    monkeypatch.setattr(Executor, "_remapped", counting)
+    before = REGISTRY.snapshot()
+    _, m, _ = run(src, inputs={"a": np.arange(16.0)})
+    delta = {
+        d["name"]: d["delta"]
+        for d in snapshot_diff(before, REGISTRY.snapshot())["diff"]
+        if d["name"].startswith("repro.runtime.remaps_")
+    }
+    assert m.stats.remaps_dead_copy == 1 and m.stats.remaps_performed == 1
+    performed = delta.get("repro.runtime.remaps_performed", 0)
+    assert performed + delta.get("repro.runtime.remaps_skipped", 0) == len(decided) == 2
 
 
 def test_read_after_kill_detected():

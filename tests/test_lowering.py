@@ -38,7 +38,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CompilerOptions, CompilerSession, ExecutionEnv, Machine, execute
+from repro import (
+    CompilerOptions,
+    CompilerSession,
+    ExecutionEnv,
+    Machine,
+    compile_program,
+    execute,
+)
 from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.fft2d import build_fft2d_program, fft2d_kernels
 from repro.apps.lu import build_lu_program, lu_kernels
@@ -55,6 +62,8 @@ from repro.mapping import (
 )
 from repro.mapping.ownership import layout_of
 from repro.obs import REGISTRY
+from repro.runtime import mpbackend
+from repro.runtime.mpbackend import MPExecutor
 from repro.spmd import (
     DistributedArray,
     build_schedule,
@@ -66,7 +75,10 @@ from repro.spmd.darray import block_index, positions_in
 from repro.spmd.message import Message, message_of
 from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
 from repro.spmd.schedule import PLANS, POLICIES, obtain_plan
+from repro.spmd.transport import TransferRound, WireMessage, WirePart
 from repro.util.intervals import IntervalSet
+from test_schedule import FIGURES
+from test_schedule import _run as run_figure
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
 
@@ -97,12 +109,29 @@ def mk(shape, fmts, nprocs):
     return Mapping.simple(shape, fmts, ProcessorArrangement("P", (nprocs,)))
 
 
+def arrays_of(src, dst):
+    """A source and a target array over two layouts, on one machine."""
+    machine = Machine(src.mapping.processors)
+    return DistributedArray("A", src.mapping, machine), DistributedArray("A", dst.mapping, machine)
+
+
+def wire_moves(plan, src, dst):
+    """Every part of the rounds the mp backend builds for a plan
+    (:meth:`MPExecutor._wire_rounds`), as the move its message makes."""
+    source, target = arrays_of(src, dst)
+    rounds, _, _ = MPExecutor._wire_rounds(plan, source, target)
+    return [
+        PreparedMove(msg.src, msg.dst, p.src_ix, p.dst_ix, p.shape, p.nbytes // source.itemsize)
+        for rnd in rounds
+        for msg in rnd.messages
+        for p in msg.parts
+    ]
+
+
 def moves_of(plan, src, dst):
-    """Every descriptor of a plan: the simulator's copies, then the mp
-    backend's unphased moves and per-message wire parts."""
-    unphased, phases = plan.wire(src, dst)
-    wire = [*unphased, *(m for messages in phases for parts in messages for m in parts)]
-    return [*plan.lowered(src, dst).moves, *wire]
+    """Every descriptor of a plan: the simulator's copies, then the parts
+    the mp backend puts on the wire."""
+    return [*plan.lowered(src, dst).moves, *wire_moves(plan, src, dst)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +339,7 @@ def test_unpacked_messages_always_lower_to_slices(policy):
     # in the simulator too: run slices, never the pair's np.ix_ mesh
     src, dst = mk((64,), (B,), 4), mk((64,), (C3,), 4)
     plan = plan_redistribution(src, dst, policy)
-    _, phases = plan.wire(layout_of(src), layout_of(dst))
-    parts = [m for messages in phases for parts in messages for m in parts]
+    parts = wire_moves(plan, layout_of(src), layout_of(dst))
     assert len(parts) == plan.message_count and all(m.is_basic for m in parts)
     moves = [m for m in plan.lowered(layout_of(src), layout_of(dst)).moves if not m.is_local]
     assert len(moves) > 12 and all(m.is_basic for m in moves)  # 12 pairs, some in runs
@@ -334,17 +362,19 @@ def reference_move(t, src_lay, dst_lay):
     return PreparedMove(t.src_rank, t.dst_rank, src_ix, dst_ix, shape, math.prod(shape))
 
 
+def same_index(x, y):
+    """Two index tuples are equal: slices by ``==``, open-mesh vectors by
+    value, dtype and shape."""
+    return len(x) == len(y) and all(
+        type(p) is type(q)
+        and (p == q if type(p) is slice else p.dtype == q.dtype and p.shape == q.shape)
+        and np.array_equal(p, q)
+        for p, q in zip(x, y)
+    )
+
+
 def same_descriptor(a, b):
     """``a == b``, with open-mesh vectors compared by value and dtype."""
-
-    def same_index(x, y):
-        return len(x) == len(y) and all(
-            type(p) is type(q)
-            and (p == q if type(p) is slice else p.dtype == q.dtype and p.shape == q.shape)
-            and np.array_equal(p, q)
-            for p, q in zip(x, y)
-        )
-
     return (
         (a.src_rank, a.dst_rank, a.shape, a.elements)
         == (b.src_rank, b.dst_rank, b.shape, b.elements)
@@ -397,13 +427,15 @@ mapping_pairs = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(pair=mapping_pairs, way=st.sampled_from(WAYS))
 def test_prop_descriptors_equal_the_positions_in_reference(pair, way):
-    """Every move of ``lowered()`` and every part of ``wire()`` is the
-    descriptor the general path builds -- same slices, same vectors."""
+    """Every move of ``lowered()`` and every part the mp backend puts on
+    the wire is the descriptor the general path builds -- same slices, same
+    vectors."""
     src, dst = pair
     plan, reference = plan_redistribution(src, dst, way), plan_redistribution(src, dst, way)
     got = moves_of(plan, layout_of(src), layout_of(dst))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schedule, "prepare_move", reference_move)
+        patch.setattr(mpbackend, "prepare_move", reference_move)
         want = moves_of(reference, layout_of(src), layout_of(dst))
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
@@ -468,6 +500,95 @@ def test_progression_layouts_lower_and_index_without_numpy_helpers(monkeypatch):
     assert len(rects) > n // 4
     assert all(prepare_move(r, source.layout, layout_of(cyclic3)).is_basic for r in rects)
     assert calls == [[], [], [], []]
+
+
+# ---------------------------------------------------------------------------
+# (b'') the wire parts: the mp backend's lowering against the plan-side one
+# ---------------------------------------------------------------------------
+
+
+def plan_side_wire_rounds(plan, source, target):
+    """The oracle: the rounds the mp backend built while plans lowered their
+    own wire form (``CommSchedule.wire``) -- that lowering and
+    ``_wire_rounds`` as they were, copied."""
+    src, dst, itemsize = source.layout, target.layout, source.itemsize
+    moves = tuple(prepare_move(t, src, dst) for t in plan.local_transfers)
+    phases = tuple(
+        tuple(tuple(prepare_move(r, src, dst) for r in pt.parts) for pt in phase.transfers)
+        for phase in plan.phases
+    )
+
+    def part(move):
+        return WirePart(move.src_ix, move.dst_ix, move.shape, move.elements * itemsize)
+
+    unphased = tuple(
+        WireMessage(m.src_rank, m.dst_rank, (part(m),)) for m in moves if not m.is_local
+    )
+    rounds = [TransferRound(unphased, contended=True)] if unphased else []
+    rounds += [
+        TransferRound(
+            tuple(
+                WireMessage(pt.src_rank, pt.dst_rank, tuple(part(m) for m in parts))
+                for pt, parts in zip(phase.transfers, messages)
+            ),
+            contended=phase.contended,
+        )
+        for phase, messages in zip(plan.phases, phases)
+    ]
+    sources = {r: block.shape for r, block in source.blocks.items()}
+    targets = {r: block.shape for r, block in target.blocks.items()}
+    return rounds, sources, targets
+
+
+def assert_same_rounds(plan, source, target):
+    """``MPExecutor._wire_rounds`` builds the oracle's rounds: the same
+    messages in the same order, each with the same parts in the same order
+    -- index tuples, shapes and byte counts."""
+    got, got_src, got_dst = MPExecutor._wire_rounds(plan, source, target)
+    want, want_src, want_dst = plan_side_wire_rounds(plan, source, target)
+    assert (got_src, got_dst) == (want_src, want_dst)
+    assert [(r.contended, len(r.messages)) for r in got] == [
+        (r.contended, len(r.messages)) for r in want
+    ]
+    for a, b in zip(got, want):
+        for m, n in zip(a.messages, b.messages):
+            assert (m.src, m.dst, len(m.parts)) == (n.src, n.dst, len(n.parts))
+            for p, q in zip(m.parts, n.parts):
+                assert (p.shape, p.nbytes) == (q.shape, q.nbytes)
+                assert same_index(p.src_ix, q.src_ix) and same_index(p.dst_ix, q.dst_ix)
+    return sum(len(m.parts) for r in got for m in r.messages)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=mapping_pairs, way=st.sampled_from(WAYS))
+def test_prop_wire_rounds_equal_the_plan_side_lowering(pair, way):
+    src, dst = pair
+    assert_same_rounds(plan_redistribution(src, dst, way), *arrays_of(layout_of(src), layout_of(dst)))
+
+
+@pytest.mark.parametrize("way", WAYS)
+def test_figure_wire_rounds_equal_the_plan_side_lowering(way, monkeypatch):
+    """Fig. 1/12/16: every pair a run performs puts the oracle's parts on the wire."""
+    performed = []
+
+    def recording(policy, src, dst):
+        plan = obtain_plan(policy, src, dst)
+        performed.append((plan, src, dst))
+        return plan
+
+    monkeypatch.setattr("repro.runtime.executor.obtain_plan", recording)
+    parts = 0
+    for name, w in sorted(FIGURES.items()):
+        compiled = compile_program(
+            w["source"], bindings=w["bindings"], processors=4,
+            options=CompilerOptions(level=3, schedule=way),
+        )  # fmt: skip
+        del performed[:]
+        run_figure(compiled, w)
+        assert performed, name
+        for plan, src, dst in performed:
+            parts += assert_same_rounds(plan, *arrays_of(layout_of(src), layout_of(dst)))
+    assert parts > 0
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +824,7 @@ def test_execution_leaves_pickle_digest_and_equality_alone(way):
     execute_comm_schedule(plan, source, target, machine)
     assert plan._lowered is not None and twin._lowered is None
     assert (pickle.dumps(plan), repr(plan)) == before
-    assert plan.statically_verified == (way is not None and bool(plan.phases))
-    assert dataclasses.replace(plan, statically_verified=False) == twin
+    assert plan == twin
     restored = pickle.loads(pickle.dumps(plan))
     assert restored == plan and restored._lowered is None
     # the memo serves the plan it built, lowering and all

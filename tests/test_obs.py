@@ -264,7 +264,7 @@ def test_registry_enforces_catalog():
     with pytest.raises(KeyError, match="not in the catalog"):
         reg.counter("repro.nonsense.metric")
     with pytest.raises(TypeError, match="cataloged as counter"):
-        reg.gauge("repro.machine.phases")
+        reg.gauge("repro.mp.exchanges")
     with pytest.raises(KeyError, match="labels"):
         reg.counter("repro.store.hits")  # catalog requires a 'kind' label
     ok = reg.counter("repro.store.hits", {"kind": "program"})
@@ -427,7 +427,7 @@ def test_counting_owners_are_not_kept_alive_by_the_registry(tmp_path):
 
 def test_snapshot_schema_and_prometheus_rendering():
     reg = MetricsRegistry(catalog=dict(CATALOG))
-    reg.counter("repro.machine.phases").inc(3)
+    reg.counter("repro.runtime.messages").inc(3)
     h = reg.histogram("repro.machine.phase_seconds")
     for v in (1e-5, 2e-5, 0.5):
         h.observe(v)
@@ -438,9 +438,9 @@ def test_snapshot_schema_and_prometheus_rendering():
             assert m["count"] == sum(m["counts"])
 
     text = reg.prometheus_text()
-    assert "# HELP repro_machine_phases" in text
-    assert "# TYPE repro_machine_phases counter" in text
-    assert "\nrepro_machine_phases 3\n" in text
+    assert "# HELP repro_runtime_messages" in text
+    assert "# TYPE repro_runtime_messages counter" in text
+    assert "\nrepro_runtime_messages 3\n" in text
     # labelled series: names outside ``repro.`` need no catalog entry
     private = MetricsRegistry()
     private.gauge("test.value", {"case": "c", "metric": "m"}).set(1.5)
@@ -656,6 +656,9 @@ def test_service_publishes_registry_and_stats_views_agree():
     def delta(name, **labels):
         return d.get((name, tuple(sorted(labels.items()))), {"delta": 0.0})["delta"]
 
+    def count(name, **labels):
+        return d.get((name, tuple(sorted(labels.items()))), {"count_delta": 0})["count_delta"]
+
     assert delta("repro.service.requests_submitted") == snap["submitted"] == 3
     assert delta("repro.service.requests_completed") == snap["completed"] == 3
     assert delta("repro.service.errors") == snap["errors"] == 0
@@ -667,11 +670,11 @@ def test_service_publishes_registry_and_stats_views_agree():
     # session tiers: one miss compiled, two served from memory
     assert delta("repro.session.misses") == 1
     assert delta("repro.session.hits") == 2
-    assert delta("repro.compiler.passes_run", **{"pass": "parse"}) == 1
+    assert count("repro.compiler.pass_seconds", **{"pass": "parse"}) == 1
     assert delta("repro.compiler.pipelines_run") == 1
     # executor and machine: three runs, scheduled phases on the clock
-    assert delta("repro.runtime.runs") == 3
-    assert delta("repro.machine.phases") > 0
+    assert count("repro.runtime.run_seconds") == 3
+    assert count("repro.machine.phase_seconds") > 0
     assert delta("repro.runtime.bytes_moved") > 0
 
 
@@ -767,13 +770,16 @@ def test_failed_run_leaves_runtime_and_machine_counters_agreeing():
     def delta(name):
         return d.get((name, ()), {"delta": 0.0})["delta"]
 
+    def count(name):
+        return d.get((name, ()), {"count_delta": 0})["count_delta"]
+
     stats = machine.stats
     assert stats.remaps_performed == 1 and stats.bytes > 0 and stats.phases > 0
-    assert delta("repro.machine.phases") == stats.phases
+    assert count("repro.machine.phase_seconds") == stats.phases
     assert delta("repro.runtime.bytes_moved") == stats.bytes
     assert delta("repro.runtime.messages") == stats.messages
     assert delta("repro.runtime.remaps_performed") == 1
-    assert delta("repro.runtime.runs") == 0  # it did not complete
+    assert count("repro.runtime.run_seconds") == 0  # it did not complete
 
 
 def test_warm_symbolic_request_single_correlated_trace(tracer):

@@ -685,7 +685,6 @@ def test_the_run_performs_the_plan_the_guard_priced(monkeypatch):
     shared = [(key, plan) for key, plan in performed if key in by_key]
     assert shared, "the run must perform a pair the guard priced"
     assert all(plan is by_key[key] for key, plan in shared)
-    assert all(plan.statically_verified for _, plan in shared)
     assert PLANS.stats()["misses"] - built == len({k for k, _ in performed} - by_key.keys())
 
 

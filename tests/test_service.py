@@ -646,7 +646,7 @@ def test_cached_artifacts_plan_table_serves_unseen_pairs():
     assert compiled.frozen and len(PLANS) == 0
     versions = compiled.get("remap").versions.versions("a")
     plan = obtain_plan(opts.schedule, versions[0], versions[1])
-    assert plan.policy == "round-robin" and plan.statically_verified
+    assert plan.policy == "round-robin"
     assert obtain_plan(opts.schedule, versions[0], versions[1]) is plan
     with pytest.raises(ArtifactFrozenError):
         compiled.options = opts

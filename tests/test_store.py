@@ -221,7 +221,6 @@ def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
         assert table["hits"] + table["misses"] == stats.remaps_performed
         assert PLANS._entries.keys() == performed.keys()
         rebuilt = list(PLANS._entries.values())
-        assert policy is None or all(p.statically_verified for p in rebuilt)
         assert sorted(map(repr, rebuilt)) == sorted(map(repr, performed.values()))
         for a in ref_values:
             assert np.array_equal(values[a], ref_values[a]), (policy, a)
@@ -429,7 +428,6 @@ def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):
     PLANS.clear()  # a restarted process
     _run(loaded, w)
     assert len(built) == PLANS.stats()["misses"] == len(PLANS) > 0
-    assert all(p.statically_verified for p in PLANS._entries.values())
     del built[:]
     _run(loaded, w)
     assert built == [] and PLANS.stats()["misses"] == len(PLANS)

@@ -390,7 +390,7 @@ def test_plan_memo_evicts_and_rebuilds_bit_identically(monkeypatch):
     assert len(PLANS) == 2
     rebuilt = obtain_plan("round-robin", *_redist_pair(16, 4))
     assert rebuilt is not first
-    assert rebuilt == first and rebuilt.statically_verified
+    assert rebuilt == first
     assert PLANS.stats()["misses"] == 4
 
 
