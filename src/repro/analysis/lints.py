@@ -47,13 +47,11 @@ from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.lang.ast_nodes import (
     Compute,
-    If,
     Kill,
     Program,
     Realign,
     Stmt,
     reachable,
-    walk_statements,
 )
 from repro.lang.printer import print_stmt
 from repro.remap.codegen import GeneratedCode
@@ -319,12 +317,8 @@ def _lint_scenarios(
     max_scenarios: int,
 ) -> list[Finding]:
     res = constructions[entry]
-    conds = {
-        (s.cond, id(s)): s
-        for s in walk_statements(res.sub.body)
-        if isinstance(s, If)
-    }
-    if not conds:
+    branches = [n for n in res.cfg.nodes.values() if n.kind is NodeKind.BRANCH]
+    if not branches:
         return []
     try:
         scenarios = enumerate_scenarios(
@@ -341,10 +335,10 @@ def _lint_scenarios(
             raise error
         evaluated |= conds_read
     findings: list[Finding] = []
-    for (cond, _sid), stmt in sorted(conds.items(), key=lambda kv: kv[0][0]):
+    for node in sorted(branches, key=lambda n: n.stmt.cond):
+        cond = node.stmt.cond
         if cond in evaluated:
             continue
-        nid = res.cfg.stmt_nodes.get(id(stmt))
         findings.append(
             Finding(
                 rule="RPR005",
@@ -355,8 +349,8 @@ def _lint_scenarios(
                     "scenario(s); the branch (and both arms) may be dead"
                 ),
                 subroutine=entry,
-                node=nid,
-                snippet=_snippet(stmt),
+                node=node.id,
+                snippet=_snippet(node.stmt),
             )
         )
     return findings

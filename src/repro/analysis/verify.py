@@ -2,7 +2,7 @@
 
 A :class:`~repro.compiler.artifacts.CompiledProgram` is a graph of
 interlocking structures -- CFG, remapping graph ``G_R``, version table,
-statement-keyed annotation maps, generated op lists -- whose mutual
+node-keyed annotation maps, generated op lists -- whose mutual
 consistency everything downstream assumes.  This module *checks* those
 assumptions instead of trusting them:
 
@@ -16,12 +16,11 @@ assumptions instead of trusting them:
   existing vertices and are labelled only with arrays both endpoints
   remap, and every leaving/reaching/live version is live in the version
   table;
-* **statement-key bijectivity** -- the ``id(stmt)``-keyed maps
-  (``cfg.stmt_nodes``, ``stmt_versions``, generated before/after op
-  lists) correspond one-to-one with live CFG statements.  This is the
-  static detector for the deserialization bug class where the maps go
-  stale (keys of dead pre-pickle objects): exactly the defect the
-  rebase in :mod:`repro.compiler.artifacts` exists to repair.
+* **statement keys** -- the node-keyed maps (``stmt_versions``,
+  generated before/after op lists) key only nodes of a kind they may
+  annotate.  They key by CFG node id, not by statement object, so a load
+  rebuilds nothing in them; the CFG rebuilds its own statement index
+  (``cfg.stmt_nodes``) from its nodes.
 
 :func:`verify_artifact` returns the full issue list (empty = verified);
 :func:`assert_verified` raises
@@ -63,9 +62,12 @@ __all__ = [
     "assert_verified",
 ]
 
-#: Node kinds whose statement is registered in ``cfg.stmt_nodes`` (the
-#: builder skips the synthetic before/after halves of a call group).
-_UNREGISTERED_KINDS = (NodeKind.CALL_BEFORE, NodeKind.CALL_AFTER)
+#: The node kinds each node-keyed map of an artifact may annotate.
+_ANNOTATED_KINDS = {
+    "stmt_versions": frozenset({NodeKind.COMPUTE, NodeKind.CALL}),
+    "code.before": frozenset({NodeKind.REMAP, NodeKind.KILL, NodeKind.CALL}),
+    "code.after": frozenset({NodeKind.CALL}),
+}
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def verify_versions(
     for nid, node in cfg.nodes.items():
         if node.kind is not NodeKind.COMPUTE or node.stmt is None:
             continue
-        ann = res.stmt_versions.get(id(node.stmt))
+        ann = res.stmt_versions.get(nid)
         if not ann:
             continue
         possible = into.get(nid, {})
@@ -271,7 +273,7 @@ def verify_versions(
 
 
 # ---------------------------------------------------------------------------
-# statement-key bijectivity (the PR 5 stale-map bug class, statically)
+# statement keys: every annotation sits on a node it may annotate
 # ---------------------------------------------------------------------------
 
 
@@ -280,59 +282,22 @@ def verify_stmt_keys(
     code: "GeneratedCode | None" = None,
     subroutine: str | None = None,
 ) -> list[VerificationIssue]:
-    """The ``id(stmt)``-keyed maps must be bijective with the CFG.
+    """Every key of the node-keyed maps names a node of a kind it may annotate.
 
-    Every key of ``cfg.stmt_nodes`` must be the live identity of its
-    node's statement (a key minted from an object that no longer exists --
-    the stale deserialization state the unpickle rebase repairs -- fails
-    here), the map must be injective, every registered statement must be
-    present, and the annotation/op maps may only key live statements.
+    Version annotations sit on computes and calls, ops before a statement
+    on remaps, kills and calls, ops after one on calls; a key absent from
+    the CFG, or on any other node, is an annotation no walk ever reads.
     """
     issues: list[VerificationIssue] = []
-    sub = subroutine
-    cfg = res.cfg
-    for key, nid in cfg.stmt_nodes.items():
-        node = cfg.nodes.get(nid)
-        if node is None:
-            _issue(issues, "stmt-keys", f"stmt_nodes points at missing node {nid}", sub)
-        elif node.stmt is None:
-            _issue(issues, "stmt-keys", f"stmt_nodes points at stmt-less node {nid}", sub)
-        elif id(node.stmt) != key:
-            _issue(
-                issues,
-                "stmt-keys",
-                f"stale stmt key for node {nid}: the map key is not the "
-                "identity of the node's statement (stale deserialized map?)",
-                sub,
-            )
-    mapped = list(cfg.stmt_nodes.values())
-    if len(set(mapped)) != len(mapped):
-        _issue(issues, "stmt-keys", "stmt_nodes maps two keys to one node", sub)
-    for nid, node in cfg.nodes.items():
-        if node.stmt is None or node.kind in _UNREGISTERED_KINDS:
-            continue
-        if cfg.stmt_nodes.get(id(node.stmt)) != nid:
-            _issue(
-                issues,
-                "stmt-keys",
-                f"statement of node {nid} is not registered in stmt_nodes",
-                sub,
-            )
-    live = set(cfg.stmt_nodes)
-    for name, keys in (
-        ("stmt_versions", res.stmt_versions.keys()),
-        ("code.before", code.before.keys() if code is not None else ()),
-        ("code.after", code.after.keys() if code is not None else ()),
-    ):
-        for key in keys:
-            if key not in live:
-                _issue(
-                    issues,
-                    "stmt-keys",
-                    f"{name} keyed by a statement no CFG node carries "
-                    "(stale deserialized map?)",
-                    sub,
-                )
+    maps = [("stmt_versions", res.stmt_versions)]
+    if code is not None:
+        maps += [("code.before", code.before), ("code.after", code.after)]
+    for name, keyed in maps:
+        for nid in keyed:
+            node = res.cfg.nodes.get(nid)
+            if node is None or node.kind not in _ANNOTATED_KINDS[name]:
+                what = "absent from the CFG" if node is None else f"a {node.kind.value} node"
+                _issue(issues, "stmt-keys", f"{name} keyed by node {nid}, {what}", subroutine)
     return issues
 
 

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: store (:mod:`repro.store`) mixes it into its schema fingerprint, so old
 #: on-disk entries become invisible instead of being unpickled into a
 #: mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 8
+ARTIFACT_SCHEMA_VERSION = 9
 
 #: Canonical pass order.  A pass set is always run in this order; which
 #: sets are legal is decided by :class:`CompilerOptions` alone.
@@ -274,36 +274,6 @@ class _Freezable:
         super().__setattr__(name, value)
 
 
-def _rebase_statement_keys(cs: "CompiledSubroutine") -> None:
-    """Re-key the ``id(stmt)``-addressed maps after deserialization.
-
-    Three artifact structures index by AST-statement *object identity*
-    (fast and unambiguous in the compiling process): the CFG's
-    ``stmt_nodes``, the construction's ``stmt_versions`` and the generated
-    code's before/after op lists.  Unpickling rebuilds the statement
-    objects with fresh ids, which would silently orphan every entry --
-    the executor would find no ops and run remapping-free.  The CFG
-    itself carries the cure: each keyed node references its statement
-    object, so ``old id -> node -> statement -> new id`` rebuilds the
-    association exactly.  Invoked from
-    :meth:`CompiledSubroutine.__setstate__`, i.e. on every unpickle
-    (:mod:`repro.store` loads included); keys already current map to
-    themselves, so the rebase is idempotent.
-    """
-    cfg = cs.construction.cfg
-    rebase: dict[int, int] = {}
-    for old_id, nid in cfg.stmt_nodes.items():
-        node = cfg.nodes.get(nid)
-        if node is not None and node.stmt is not None:
-            rebase[old_id] = id(node.stmt)
-    cfg.stmt_nodes = {rebase.get(k, k): v for k, v in cfg.stmt_nodes.items()}
-    cs.construction.stmt_versions = {
-        rebase.get(k, k): v for k, v in cs.construction.stmt_versions.items()
-    }
-    cs.code.before = {rebase.get(k, k): v for k, v in cs.code.before.items()}
-    cs.code.after = {rebase.get(k, k): v for k, v in cs.code.after.items()}
-
-
 @dataclass
 class CompiledSubroutine(_Freezable):
     """One subroutine after the full pass pipeline."""
@@ -317,13 +287,6 @@ class CompiledSubroutine(_Freezable):
     def freeze(self) -> None:
         """Make this subroutine immutable (see :class:`_Freezable`)."""
         self._freeze_self()
-
-    def __setstate__(self, state: dict) -> None:
-        # restore, then rebase identity-keyed maps (see the helper above);
-        # the direct __dict__ update also bypasses the freeze guard, so
-        # frozen artifacts deserialize frozen without tripping it
-        self.__dict__.update(state)
-        _rebase_statement_keys(self)
 
     @property
     def graph(self) -> RemappingGraph:

@@ -71,6 +71,10 @@ REMAP_KINDS = frozenset(
 )
 
 
+# the v_b / v_a halves of a call site: its CALL node carries the statement
+_CALL_HALVES = (NodeKind.CALL_BEFORE, NodeKind.CALL_AFTER)
+
+
 @dataclass
 class CFGNode:
     id: int
@@ -97,8 +101,11 @@ class CFG:
     preds: dict[int, list[int]] = field(default_factory=dict)
     entry: int = -1  # v_c
     exit: int = -1  # v_e
-    # AST statement object id -> CFG node id (used to annotate statements)
-    stmt_nodes: dict[int, int] = field(default_factory=dict)
+    # id of an AST statement object -> the node carrying it (a call's CALL
+    # node): the one place a statement object is named, so every
+    # per-statement map of an artifact keys by node id.  Not pickled: a
+    # load rebuilds it from ``nodes``.
+    stmt_nodes: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def add(self, kind: NodeKind, stmt: Stmt | None = None, **kw) -> CFGNode:
         nid = len(self.nodes)
@@ -106,9 +113,20 @@ class CFG:
         self.nodes[nid] = node
         self.succs[nid] = []
         self.preds[nid] = []
-        if stmt is not None and kind not in (NodeKind.CALL_BEFORE, NodeKind.CALL_AFTER):
-            self.stmt_nodes[id(stmt)] = nid
+        self._index(node)
         return node
+
+    def _index(self, node: CFGNode) -> None:
+        if node.stmt is not None and node.kind not in _CALL_HALVES:
+            self.stmt_nodes[id(node.stmt)] = node.id
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "stmt_nodes"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, stmt_nodes={})
+        for node in self.nodes.values():
+            self._index(node)
 
     def wire(self, frm: int, to: int) -> None:
         if to not in self.succs[frm]:

@@ -19,7 +19,7 @@ mapping propagation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import MissingInterfaceError, SemanticError
 from repro.lang.ast_nodes import (
@@ -34,6 +34,7 @@ from repro.lang.ast_nodes import (
     DynamicDecl,
     Extent,
     FormatSpec,
+    If,
     IntentDecl,
     Kill,
     ProcessorsDecl,
@@ -41,6 +42,7 @@ from repro.lang.ast_nodes import (
     Realign,
     Redistribute,
     ScalarDecl,
+    Stmt,
     Subroutine,
     TemplateDecl,
     walk_statements,
@@ -393,13 +395,45 @@ def _resolve_subroutine(
         scalars=scalars | set(p for p in sub.params if p not in arrays),
         templates=templates,
         processors=processors,
-        body=sub.body,
+        body=_distinct_occurrences(sub.body),
         bindings=dict(bindings),
         root_of=root_of,
         template_distributions={k: v for k, v in distributions.items() if v is not None},
     )
     _check_statements(rsub)
     return rsub
+
+
+def _distinct_occurrences(body: Block) -> Block:
+    """``body`` with every statement object at one position only.
+
+    The CFG finds a statement's node through the statement object, so one
+    object placed at two positions would run the ops of both at each.  A
+    repeated object becomes an equal copy -- the AST compares by value, so
+    the copy means the same program -- and an ``If``/``Do`` is rebuilt only
+    when something under it changed.
+    """
+    seen: set[int] = set()
+
+    def own_block(block: Block) -> Block:
+        stmts = tuple(own(x) for x in block.stmts)
+        return block if all(a is b for a, b in zip(stmts, block.stmts)) else Block(stmts)
+
+    def own(x: Stmt) -> Stmt:
+        if isinstance(x, If):
+            then, orelse = own_block(x.then), own_block(x.orelse)
+            if then is not x.then or orelse is not x.orelse:
+                x = replace(x, then=then, orelse=orelse)
+        elif isinstance(x, Do):
+            body = own_block(x.body)
+            if body is not x.body:
+                x = replace(x, body=body)
+        if id(x) in seen:
+            x = replace(x)
+        seen.add(id(x))
+        return x
+
+    return own_block(body)
 
 
 def _check_statements(sub: ResolvedSubroutine) -> None:

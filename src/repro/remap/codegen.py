@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
-from repro.lang.ast_nodes import Call, Kill, Realign, Redistribute, Stmt
+from repro.lang.ast_nodes import Call, Kill, Realign, Redistribute
 from repro.remap.construction import ConstructionResult
 from repro.remap.graph import GRVertex
 
@@ -107,18 +107,13 @@ RuntimeOp = RemapOp | SaveStatusOp | RestoreOp | PoisonOp | EntryOp | ExitOp
 
 @dataclass
 class GeneratedCode:
-    """Ops attached to the structured program, keyed by AST statement identity."""
+    """Ops attached to the structured program, keyed by the statement's CFG
+    node id (a call's ops by its ``CALL`` node)."""
 
     entry_ops: list[RuntimeOp] = field(default_factory=list)
     exit_ops: list[RuntimeOp] = field(default_factory=list)
-    before: dict[int, list[RuntimeOp]] = field(default_factory=dict)  # id(stmt)
+    before: dict[int, list[RuntimeOp]] = field(default_factory=dict)
     after: dict[int, list[RuntimeOp]] = field(default_factory=dict)
-
-    def ops_for(self, stmt: Stmt) -> list[RuntimeOp]:
-        return self.before.get(id(stmt), [])
-
-    def ops_after(self, stmt: Stmt) -> list[RuntimeOp]:
-        return self.after.get(id(stmt), [])
 
     def all_ops(self) -> list[RuntimeOp]:
         out = list(self.entry_ops)
@@ -207,17 +202,16 @@ def generate_code(
             continue
         if node.kind is NodeKind.REMAP:
             assert isinstance(node.stmt, (Realign, Redistribute))
-            code.before.setdefault(id(node.stmt), []).extend(
-                _vertex_ops(v, naive, status_checks)
-            )
+            code.before.setdefault(nid, []).extend(_vertex_ops(v, naive, status_checks))
             continue
         if node.kind is NodeKind.CALL_BEFORE:
             assert isinstance(node.stmt, Call) and node.call_group is not None
             info = res.calls[node.call_group]
-            ops = code.before.setdefault(id(node.stmt), [])
-            # save reaching statuses for arguments whose v_a must restore a
-            # flow-dependent mapping (Fig. 15/18)
-            va = _find_call_after(graph, cfg, node.call_group)
+            call = cfg.node_of_stmt(node.stmt).id
+            ops = code.before.setdefault(call, [])
+            # save reaching statuses for arguments whose v_a (the call's
+            # successor) must restore a flow-dependent mapping (Fig. 15/18)
+            va = graph.vertices.get(cfg.succs[call][0])
             for a in sorted(v.S):
                 if va is not None and a in va.restore and a not in va.removed:
                     ops.append(SaveStatusOp(a, slot=f"reaching_{a}_{info.group}"))
@@ -226,7 +220,7 @@ def generate_code(
         if node.kind is NodeKind.CALL_AFTER:
             assert isinstance(node.stmt, Call) and node.call_group is not None
             info = res.calls[node.call_group]
-            ops = code.after.setdefault(id(node.stmt), [])
+            ops = code.after.setdefault(cfg.node_of_stmt(node.stmt).id, [])
             for a in sorted(v.S):
                 if a in v.restore and a not in v.removed:
                     use = v.U.get(a, Use.W)
@@ -251,20 +245,10 @@ def generate_code(
     for node in cfg.nodes.values():
         if node.kind is NodeKind.KILL:
             assert isinstance(node.stmt, Kill)
-            code.before.setdefault(id(node.stmt), []).extend(
-                PoisonOp(a) for a in node.stmt.names
-            )
+            code.before.setdefault(node.id, []).extend(PoisonOp(a) for a in node.stmt.names)
 
     code.exit_ops.append(ExitOp(arrays))
     return code
-
-
-def _find_call_after(graph, cfg, group: int) -> GRVertex | None:
-    for nid, v in graph.vertices.items():
-        node = cfg.nodes[nid]
-        if node.kind is NodeKind.CALL_AFTER and node.call_group == group:
-            return v
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ class ConstructionResult:
     cfg: CFG
     graph: RemappingGraph
     versions: VersionTable
-    # id(stmt) -> {array -> version referenced}
+    # node id of a compute or call -> {array -> version referenced}
     stmt_versions: dict[int, dict[str, int]]
     # call group -> CallInfo
     calls: dict[int, CallInfo]
@@ -501,7 +501,7 @@ class _Builder:
                     )
                 ann[a] = self._version(bits)
             if ann:
-                out.setdefault(id(node.stmt), {}).update(ann)
+                out[nid] = ann
         return out
 
     # -- S / L / R per vertex ----------------------------------------------------------

@@ -385,14 +385,15 @@ class DescriptorWalker:
             self._run_stmt(frame, stmt)
 
     def _run_stmt(self, frame: Frame, stmt: Stmt) -> None:
+        node = frame.construction.cfg.node_of_stmt(stmt)
         code = frame.code
-        self._run_ops(frame, code.ops_for(stmt))
+        self._run_ops(frame, code.before.get(node.id, ()))
         if isinstance(stmt, Compute):
-            self._run_compute(frame, stmt)
+            self._run_compute(frame, stmt, node.id)
         elif isinstance(stmt, (Realign, Redistribute, Kill)):
             pass  # fully handled by the generated ops
         elif isinstance(stmt, Call):
-            self._run_call(frame, stmt)
+            self._run_call(frame, stmt, node.call_group)
         elif isinstance(stmt, If):
             if self._condition(stmt.cond):
                 self._run_block(frame, stmt.then)
@@ -406,12 +407,12 @@ class DescriptorWalker:
                 self._run_block(frame, stmt.body)
         else:  # pragma: no cover - defensive
             raise TypeError(stmt)
-        self._run_ops(frame, code.ops_after(stmt))
+        self._run_ops(frame, code.after.get(node.id, ()))
 
-    def _run_compute(self, frame: Frame, stmt: Compute) -> None:
+    def _run_compute(self, frame: Frame, stmt: Compute, nid: int) -> None:
         # every reference checks that the runtime status equals the
         # statically annotated version: a miscompiled program fails loudly
-        for name, version in frame.construction.stmt_versions.get(id(stmt), {}).items():
+        for name, version in frame.construction.stmt_versions.get(nid, {}).items():
             state = frame.arrays[name]
             if state.status != version:
                 raise self.error(
@@ -425,9 +426,8 @@ class DescriptorWalker:
             if state is not None:
                 state.poisoned = False
 
-    def _run_call(self, frame: Frame, stmt: Call) -> None:
-        node = frame.construction.cfg.node_of_stmt(stmt)
-        info = frame.construction.calls.get(node.call_group or -1)
+    def _run_call(self, frame: Frame, stmt: Call, group: int | None) -> None:
+        info = frame.construction.calls.get(group or -1)
         if info is None:
             raise self.error(f"no call info for {stmt.callee}")
         pairs = list(zip(info.args, info.dummies))

@@ -183,9 +183,6 @@ class RedistSchedule:
     def local_count(self) -> int:
         return sum(1 for t in self.transfers if t.is_local)
 
-    def total_elements(self) -> int:
-        return sum(t.elements for t in self.transfers)
-
     def moved_elements(self) -> int:
         return sum(t.elements for t in self.transfers if not t.is_local)
 

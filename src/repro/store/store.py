@@ -339,11 +339,12 @@ class ArtifactStore:
         *concrete* artifact is then deeply verified -- the full static
         invariant checker (:func:`repro.analysis.verify.verify_artifact`)
         runs over its CFGs, remapping graphs, version annotations and
-        statement-keyed maps -- so a hash-valid but semantically corrupt
+        node-keyed op lists -- so a hash-valid but semantically corrupt
         entry is also evicted (``semantic_evicted``) and recompiled, never
-        executed.  That pass stays on every concrete load because it is
-        the only check of the ``id(stmt)``-keyed maps after unpickling
-        rebased them, and it costs well under a millisecond.  A decoded
+        executed.  That pass stays on every concrete load: a digest proves
+        the bytes are the ones written, not that they describe an artifact
+        the compiler could have built, and it costs well under a
+        millisecond.  A decoded
         *template* gets its structural checks only
         (:func:`~repro.analysis.verify.verify_template_structure`) and is
         never instantiated here: the session verifies the first artifact

@@ -308,7 +308,7 @@ class _ReferenceBuilder:
                     )
                 ann[a] = next(iter(vers))
             if ann:
-                out.setdefault(id(node.stmt), {}).update(ann)
+                out.setdefault(nid, {}).update(ann)
         return out
 
     def vertex_labels(

@@ -10,6 +10,7 @@ be frozen exactly like memory-cached ones, and must execute bit-identically
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import pickle
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ArtifactStore,
@@ -28,6 +31,7 @@ from repro import (
     ExecutionEnv,
     Executor,
     Machine,
+    compile_program,
     schema_fingerprint,
 )
 from repro.apps.workloads import random_environment, random_legal_subroutine
@@ -35,6 +39,7 @@ from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError
 from repro.lang.ast_nodes import ArrayDecl
+from repro.lang.printer import print_program
 from repro.spmd import CommSchedule
 from repro.spmd.schedule import PLANS
 from repro.store.cli import main as store_cli
@@ -264,6 +269,36 @@ def test_differential_soundness_on_workload_seeds(tmp_path):
             for a in ref_values:
                 assert np.array_equal(values[a], ref_values[a]), (seed, policy, a)
             assert stats.bytes == ref_stats.bytes, (seed, policy)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 10_000), policy=st.sampled_from(POLICIES))
+def test_prop_artifacts_compare_by_value(seed, policy):
+    """A recompile from a fresh parse, a pickle round trip and a deep copy
+    of a compiled workload are ``==`` in generated code and version
+    annotations (both keyed by CFG node, never by statement object), and
+    each runs bit-identically."""
+    rng = np.random.default_rng(seed)
+    text = print_program(random_legal_subroutine(rng, n_arrays=2, length=5, depth=1))
+    conditions, inputs = random_environment(rng, n_arrays=2)
+    w = dict(bindings={}, conditions=conditions, inputs=inputs)
+    first = compile_program(text, processors=4, options=_options(policy))
+    ref_values, ref_stats = _run(first, w)
+    for other in (
+        compile_program(text, processors=4, options=_options(policy)),
+        pickle.loads(pickle.dumps(first)),
+        copy.deepcopy(first),
+    ):
+        for name, cs in first.subroutines.items():
+            assert other.get(name).code == cs.code, (seed, policy)
+            assert (
+                other.get(name).construction.stmt_versions
+                == cs.construction.stmt_versions
+            ), (seed, policy)
+        values, stats = _run(other, w)
+        for a in ref_values:
+            assert np.array_equal(values[a], ref_values[a], equal_nan=True), (seed, policy, a)
+        assert stats.snapshot() == ref_stats.snapshot(), (seed, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The static artifact verifier: clean on real compiles, loud on mutants.
 
 Positive controls are mutation-style: take a genuinely compiled artifact,
-break exactly one invariant the way a real bug would (stale ``id(stmt)``
-keys after deserialization, dangling remap-graph edges, impossible
-version annotations), and require the verifier to name the broken check.
+break exactly one invariant the way a real bug would (ops or version
+annotations keyed by a node that may not carry them, dangling remap-graph
+edges, impossible version annotations), and require the verifier to name
+the broken check.
 The negative control is silence over the paper figures and the four
 application kernels at every level and schedule option.
 """
@@ -30,6 +31,7 @@ from repro.apps.fft2d import build_fft2d_program
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.errors import ArtifactVerificationError
+from repro.ir.cfg import NodeKind
 from repro.store.cli import main as store_cli
 
 FIG12 = """
@@ -117,19 +119,35 @@ def test_verify_pass_runs_in_pipeline():
 # ---------------------------------------------------------------------------
 
 
-def test_stale_stmt_keys_are_caught():
-    """The PR-5 bug class: ``id(stmt)``-keyed maps drifting out of sync
-    with the CFG's statements (as after a careless deserialization)."""
-    mutant = copy.deepcopy(_compiled())
-    cfg = mutant.get("remap").construction.cfg
-    # shift every key: hash-valid data, semantically stale identities
-    cfg.stmt_nodes = {k + 1: v for k, v in cfg.stmt_nodes.items()}
-    issues = verify_artifact(mutant)
-    assert issues, "stale stmt_nodes must not verify"
-    assert any(i.check == "stmt-keys" for i in issues), issues
-    with pytest.raises(ArtifactVerificationError) as exc:
-        assert_verified(mutant)
-    assert exc.value.issues
+def _misplaced(where: str):
+    """A Fig. 12 artifact with one node-keyed annotation moved to a node it
+    may not annotate: ops onto a ``JOIN`` node (``"join"``) or onto an id
+    no CFG node has (``"absent"``), or a version annotation onto a
+    ``REMAP`` node (``"remap"``)."""
+    mutant = copy.deepcopy(_compiled(schedule="round-robin"))
+    cs = mutant.get("remap")
+    first: dict[NodeKind, int] = {}
+    for nid, node in cs.construction.cfg.nodes.items():
+        first.setdefault(node.kind, nid)
+    keyed, to = {
+        "join": (cs.code.before, first[NodeKind.JOIN]),
+        "absent": (cs.code.before, len(cs.construction.cfg.nodes) + 100),
+        "remap": (cs.construction.stmt_versions, first[NodeKind.REMAP]),
+    }[where]
+    keyed[to] = keyed.pop(next(iter(keyed)))
+    return mutant
+
+
+def test_misplaced_stmt_keys_are_caught():
+    """An annotation keyed by a node that may not carry it -- the node-keyed
+    form of the old stale-identity bug class -- is reported as ``stmt-keys``."""
+    for where in ("join", "absent", "remap"):
+        mutant = _misplaced(where)
+        issues = verify_artifact(mutant)
+        assert any(i.check == "stmt-keys" for i in issues), (where, issues)
+        with pytest.raises(ArtifactVerificationError) as exc:
+            assert_verified(mutant)
+        assert exc.value.issues
 
 
 def test_dangling_graph_edge_is_caught():
@@ -212,9 +230,7 @@ def test_store_cli_deep_verify_exit_codes(tmp_path, capsys):
     session.compile(FIG12, bindings=BINDINGS)
     key = session.cache_key(FIG12, bindings=BINDINGS)
 
-    mutant = copy.deepcopy(_compiled(schedule="round-robin"))
-    cfg = mutant.get("remap").construction.cfg
-    cfg.stmt_nodes = {k + 1: v for k, v in cfg.stmt_nodes.items()}
+    mutant = _misplaced("join")
     assert store.store(key, mutant)
 
     root = str(tmp_path / "cli")
