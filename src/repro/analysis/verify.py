@@ -64,7 +64,7 @@ __all__ = [
 
 #: The node kinds each node-keyed map of an artifact may annotate.
 _ANNOTATED_KINDS = {
-    "stmt_versions": frozenset({NodeKind.COMPUTE, NodeKind.CALL}),
+    "stmt_versions": frozenset({NodeKind.COMPUTE}),
     "code.before": frozenset({NodeKind.REMAP, NodeKind.KILL, NodeKind.CALL}),
     "code.after": frozenset({NodeKind.CALL}),
 }
@@ -284,7 +284,7 @@ def verify_stmt_keys(
 ) -> list[VerificationIssue]:
     """Every key of the node-keyed maps names a node of a kind it may annotate.
 
-    Version annotations sit on computes and calls, ops before a statement
+    Version annotations sit on computes, ops before a statement
     on remaps, kills and calls, ops after one on calls; a key absent from
     the CFG, or on any other node, is an annotation no walk ever reads.
     """

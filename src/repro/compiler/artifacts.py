@@ -9,15 +9,15 @@ itself lives in :mod:`repro.compiler.pipeline`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ArtifactFrozenError
-from repro.lang.semantics import ResolvedProgram, ResolvedSubroutine
+from repro.lang.semantics import ResolvedSubroutine
+from repro.mapping.processors import ProcessorArrangement
 from repro.remap.codegen import GeneratedCode
 from repro.remap.construction import CallInfo, ConstructionResult
 from repro.remap.graph import RemappingGraph, VersionTable
-from repro.remap.motion import MotionReport
 from repro.spmd.cost import CostModel
 from repro.spmd.schedule import POLICIES
 
@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: store (:mod:`repro.store`) mixes it into its schema fingerprint, so old
 #: on-disk entries become invisible instead of being unpickled into a
 #: mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 9
+ARTIFACT_SCHEMA_VERSION = 10
 
 #: Canonical pass order.  A pass set is always run in this order; which
 #: sets are legal is decided by :class:`CompilerOptions` alone.
@@ -279,14 +279,16 @@ class CompiledSubroutine(_Freezable):
     """One subroutine after the full pass pipeline."""
 
     name: str
-    sub: ResolvedSubroutine
     construction: ConstructionResult
     code: GeneratedCode
-    motion: MotionReport
 
     def freeze(self) -> None:
         """Make this subroutine immutable (see :class:`_Freezable`)."""
         self._freeze_self()
+
+    @property
+    def sub(self) -> ResolvedSubroutine:
+        return self.construction.sub
 
     @property
     def graph(self) -> RemappingGraph:
@@ -309,10 +311,12 @@ class CompiledSubroutine(_Freezable):
 class CompiledProgram(_Freezable):
     """All compiled subroutines plus shared metadata.
 
-    Pipeline compilations additionally attach a per-pass :class:`PipelineTrace`
-    (wall time and counters) and an aggregated :class:`CompileReport`
-    (diagnostics, motion and removal summaries).  Both are ``None`` for
-    artifacts built by other means, so direct construction keeps working.
+    ``report`` is the compile's :class:`CompileReport` (diagnostics,
+    motion and removal summaries, the per-pass :class:`PipelineTrace`).
+    ``bindings`` are the request's: the loop bounds the program text
+    leaves symbolic are read from them by the executor and by
+    :func:`~repro.spmd.traffic.predict_traffic` alike, and a session
+    serves another request's bindings by replacing this one field.
 
     A cached (session-held) artifact is :meth:`frozen <freeze>`: it is
     shared by every thread that hits the cache, the executor treats it as
@@ -320,19 +324,19 @@ class CompiledProgram(_Freezable):
     :class:`~repro.errors.ArtifactFrozenError`.
     """
 
-    program: ResolvedProgram
     subroutines: dict[str, CompiledSubroutine]
-    options: CompilerOptions = field(default_factory=CompilerOptions)
-    trace: "PipelineTrace | None" = None
-    report: "CompileReport | None" = None
+    options: CompilerOptions
+    report: "CompileReport"
+    bindings: dict[str, int]
+    processors: ProcessorArrangement
 
     def freeze(self) -> None:
         """Make the artifact immutable for sharing.
 
         Called by :class:`~repro.compiler.session.CompilerSession` before
         the artifact enters the cache.  Freezing is shallow but covers the
-        surfaces concurrency exercises: the program/subroutine containers
-        reject attribute writes.  Idempotent.
+        surfaces concurrency exercises: the artifact and its subroutine
+        containers reject attribute writes.  Idempotent.
         """
         for cs in self.subroutines.values():
             cs.freeze()
@@ -342,5 +346,5 @@ class CompiledProgram(_Freezable):
         return self.subroutines[name]
 
     @property
-    def processors(self):
-        return self.program.processors
+    def trace(self) -> "PipelineTrace":
+        return self.report.trace

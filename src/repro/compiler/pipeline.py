@@ -60,7 +60,7 @@ from repro.remap.construction import ConstructionResult, build_remapping_graph
 from repro.remap.costguard import CostGuard
 from repro.remap.graph import RemappingGraph
 from repro.remap.livecopies import compute_live_copies
-from repro.remap.motion import MotionReport, hoist_loop_invariant_remaps
+from repro.remap.motion import hoist_loop_invariant_remaps
 from repro.remap.optimize import remove_useless_remappings
 from repro.spmd.traffic import estimate_range
 from repro.symbolic.classify import classify_bindings
@@ -181,7 +181,7 @@ class MotionPass:
     under ``ctx.options.cost`` and performed only if it never moves more
     bytes ("level 3 never loses to naive" is enforced by construction, not
     hoped for).  Rejected candidates surface
-    as ``note`` diagnostics and in :attr:`MotionReport.rejected`.
+    as ``note`` diagnostics and in :attr:`~repro.remap.motion.MotionReport.rejected`.
     """
 
     name = "motion"
@@ -562,7 +562,6 @@ class Pipeline:
         if template is None:
             return _assemble(ctx), None
         compiled = template.instantiate(bindings, processors)
-        assert compiled.trace is not None and ctx.report.trace is not None
         compiled.trace.records[:0] = ctx.report.trace.records
         return compiled, template
 
@@ -576,19 +575,14 @@ def _arrangement(processors: ProcessorArrangement | int | None) -> ProcessorArra
 def _assemble(ctx: PassContext) -> CompiledProgram:
     """The artifact the code passes built in ``ctx``."""
     assert ctx.resolved is not None
-    compiled: dict[str, CompiledSubroutine] = {}
-    for name, rsub in ctx.resolved.subroutines.items():
-        compiled[name] = CompiledSubroutine(
-            name=name,
-            sub=rsub,
-            construction=ctx.constructions[name],
-            code=ctx.codes[name],
-            motion=ctx.report.motion.get(name, MotionReport()),
-        )
+    compiled = {
+        name: CompiledSubroutine(name, ctx.constructions[name], ctx.codes[name])
+        for name in ctx.resolved.subroutines
+    }
     return CompiledProgram(
-        ctx.resolved,
         compiled,
         ctx.options,
-        trace=ctx.report.trace,
-        report=ctx.report,
+        ctx.report,
+        dict(ctx.bindings or {}),
+        ctx.resolved.processors,
     )

@@ -23,9 +23,10 @@ from repro.compiler.artifacts import (
 )
 from repro.compiler.pipeline import PASSES
 from repro.remap.codegen import render_code
+from repro.remap.motion import MotionReport
 
 
-def subroutine_report(cs: CompiledSubroutine) -> str:
+def subroutine_report(cs: CompiledSubroutine, motion: MotionReport) -> str:
     lines: list[str] = [f"subroutine {cs.name}", "=" * (11 + len(cs.name))]
 
     lines.append("\narray versions (dynamic arrays translated to static copies):")
@@ -45,13 +46,13 @@ def subroutine_report(cs: CompiledSubroutine) -> str:
         f"\nuseless remappings removed: {len(removed)}"
         + ("" if not removed else "  " + ", ".join(f"#{vid}:{a}" for vid, a in removed))
     )
-    if cs.motion.count:
+    if motion.count:
         lines.append("loop-invariant remappings sunk:")
-        for s in cs.motion.sunk:
+        for s in motion.sunk:
             lines.append(f"  {s}")
-    if cs.motion.rejected_count:
+    if motion.rejected_count:
         lines.append("loop-invariant motion rejected by the cost guard:")
-        for r in cs.motion.rejected:
+        for r in motion.rejected:
             lines.append(f"  {r}")
 
     lines.append("\ngenerated copy code:")
@@ -98,17 +99,13 @@ def compilation_report(cp: CompiledProgram) -> str:
         f"compiled with {cp.options.describe()}",
         f"machine: {cp.processors}",
     ]
-    if cp.report is not None:
-        for d in cp.report.warnings:
-            header.append(str(d))
-    if cp.trace is not None:
-        header.append(
-            "passes: "
-            + ", ".join(
-                f"{r.name} ({r.seconds * 1e3:.2f} ms)" for r in cp.trace.records
-            )
-        )
+    header += [str(d) for d in cp.report.warnings]
+    header.append(
+        "passes: "
+        + ", ".join(f"{r.name} ({r.seconds * 1e3:.2f} ms)" for r in cp.trace.records)
+    )
     header.append("")
     return "\n".join(header) + "\n\n".join(
-        subroutine_report(cs) for cs in cp.subroutines.values()
+        subroutine_report(cs, cp.report.motion.get(name, MotionReport()))
+        for name, cs in cp.subroutines.items()
     )

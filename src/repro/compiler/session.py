@@ -34,9 +34,9 @@ process and in any other, and runtime-only bindings -- loop bounds of
 declared scalars -- never force a recompile.  A source that does not parse
 has no key: its ``ParseError`` is raised at first contact, before any tier
 is consulted or counted.  A hit whose runtime-only bindings differ from the
-cached artifact's is served as a cheap wrapper with the caller's bindings
-(the expensive products are shared), so the ``compile_program`` contract --
-bindings given at compile time reach the executor's fallback -- holds.  A
+cached artifact's is served as a copy of the artifact with the caller's
+bindings in its one ``bindings`` field (everything else shared), so the run
+and the traffic prediction read the caller's loop bounds.  A
 warm compile does *zero* parse or construction work -- the cached artifact
 is returned as-is, which the session's ``passes_run`` counter (it only
 advances on misses) and the artifact's
@@ -58,13 +58,13 @@ a pipeline run, so concurrent compiles of distinct sources proceed in
 parallel.  A missed key is served once: the first caller to miss it
 registers a *flight* and serves it (instantiate -> disk -> compile); every
 caller that misses the same key meanwhile waits on that flight and gets
-the served artifact rebased onto its own bindings, with the first
+the served artifact with its own bindings, with the first
 caller's tier -- or, if serving failed, its own copy of the error.  A
 waiter is neither a hit nor a miss.  Artifacts are frozen
 (:meth:`CompiledProgram.freeze`) before they enter the cache, so every
 thread sees an immutable object; cache hits with different runtime-only
-bindings are served as fresh unfrozen wrappers sharing the frozen
-artifact's expensive products.
+bindings are served as fresh unfrozen wrappers sharing everything of the
+frozen artifact but its ``bindings``.
 
 :meth:`CompilerSession.cache_key` gives the full artifact key, under which
 an attached store keeps the artifact.
@@ -159,23 +159,15 @@ def with_bindings(
 ) -> CompiledProgram:
     """The artifact as if compiled with ``bindings``.
 
-    A cache hit may have different runtime-only bindings baked into its
-    resolved subroutines (the executor falls back to them for loop bounds),
-    so serving it verbatim would silently replay the *first* caller's
-    values.  The expensive products (construction, generated code) are
-    shared; only the subroutine wrappers are re-created.
+    A cache hit may hold another caller's runtime-only bindings (the
+    loop bounds the executor and the traffic prediction read), so serving
+    it verbatim would silently replay the *first* caller's values.  The
+    wrapper shares everything else with the cached artifact.
     """
     bindings = dict(bindings or {})
-    if all(cs.sub.bindings == bindings for cs in compiled.subroutines.values()):
+    if compiled.bindings == bindings:
         return compiled
-    resolved_subs = {}
-    subs = {}
-    for name, cs in compiled.subroutines.items():
-        new_sub = dataclasses.replace(cs.sub, bindings=dict(bindings))
-        resolved_subs[name] = new_sub
-        subs[name] = dataclasses.replace(cs, sub=new_sub)
-    program = dataclasses.replace(compiled.program, subroutines=resolved_subs)
-    return dataclasses.replace(compiled, program=program, subroutines=subs)
+    return dataclasses.replace(compiled, bindings=bindings)
 
 
 @dataclasses.dataclass
@@ -419,7 +411,7 @@ class CompilerSession:
 
         ``tier`` is as in :meth:`compile_traced`.  ``waited`` says this call
         missed while another was serving the same key, and got that call's
-        artifact, rebased onto these bindings, and its tier (see *Thread
+        artifact, with these bindings, and its tier (see *Thread
         safety* in the module docstring).
 
         A memory hit and a served miss each open one ``session.compile``
@@ -508,9 +500,8 @@ class CompilerSession:
         # symbolized compile serves the request from the template it cuts
         compiled, template = Pipeline(options).serve(program, bindings, processors)
         compiled.freeze()
-        if compiled.trace is not None:
-            with self._lock:
-                self.passes_run += len(compiled.trace.records)
+        with self._lock:
+            self.passes_run += len(compiled.trace.records)
         self._cache.put(key, compiled)
         if tkey is not None:
             assert template is not None

@@ -78,7 +78,6 @@ class ResolvedSubroutine:
     templates: dict[str, Template]
     processors: ProcessorArrangement
     body: Block
-    bindings: dict[str, int] = field(default_factory=dict)
     # array name -> name of the template it roots (arrays with no align decl)
     root_of: dict[str, str] = field(default_factory=dict)
     # declared distribution per template name (initial tdist state)
@@ -396,11 +395,10 @@ def _resolve_subroutine(
         templates=templates,
         processors=processors,
         body=_distinct_occurrences(sub.body),
-        bindings=dict(bindings),
         root_of=root_of,
         template_distributions={k: v for k, v in distributions.items() if v is not None},
     )
-    _check_statements(rsub)
+    _check_statements(rsub, bindings)
     return rsub
 
 
@@ -436,7 +434,7 @@ def _distinct_occurrences(body: Block) -> Block:
     return own_block(body)
 
 
-def _check_statements(sub: ResolvedSubroutine) -> None:
+def _check_statements(sub: ResolvedSubroutine, bindings: dict[str, int]) -> None:
     ctx = f"subroutine {sub.name}"
     known = set(sub.arrays) | sub.scalars
     for s in walk_statements(sub.body):
@@ -463,7 +461,7 @@ def _check_statements(sub: ResolvedSubroutine) -> None:
                 )
         elif isinstance(s, Do):
             for e in (s.lo, s.hi):
-                if isinstance(e, str) and e not in sub.scalars and e not in sub.bindings:
+                if isinstance(e, str) and e not in sub.scalars and e not in bindings:
                     raise SemanticError(f"{ctx}: loop bound {e!r} undeclared")
 
 

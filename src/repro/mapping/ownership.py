@@ -351,12 +351,6 @@ class Layout:
         """True iff array dimension ``a`` is entirely local on each holder."""
         return not self.mapping.dim_maps[a].is_distributed
 
-    def total_elements(self) -> int:
-        n = 1
-        for e in self.mapping.shape:
-            n *= e
-        return n
-
 
 #: The layouts :func:`layout_of` keeps, at most 1 024.
 _LAYOUTS: "Memo[tuple, Layout]" = process_memo("layouts", 1024)

@@ -143,7 +143,7 @@ class ConstructionResult:
     cfg: CFG
     graph: RemappingGraph
     versions: VersionTable
-    # node id of a compute or call -> {array -> version referenced}
+    # node id of a compute -> {array -> version referenced}
     stmt_versions: dict[int, dict[str, int]]
     # call group -> CallInfo
     calls: dict[int, CallInfo]
@@ -479,6 +479,8 @@ class _Builder:
                     if n in self.sub.arrays
                 ]
             elif node.kind is NodeKind.CALL:
+                # checked (restriction 1) but not recorded: the walk reads
+                # ``calls``, and this in-state precedes the argument remaps
                 assert isinstance(node.stmt, Call) and node.call_group is not None
                 refs = list(self.calls[node.call_group].args)
             if not refs:
@@ -500,7 +502,7 @@ class _Builder:
                         f"with ambiguous mapping {names} (paper restriction 1, Fig. 5)"
                     )
                 ann[a] = self._version(bits)
-            if ann:
+            if node.kind is NodeKind.COMPUTE:
                 out[nid] = ann
         return out
 

@@ -147,7 +147,6 @@ class Frame:
     construction: "ConstructionResult"
     code: GeneratedCode
     arrays: dict[str, ArrayDescriptor]
-    bindings: dict[str, int]  # the subroutine's own: a loop bound's last resort
     slots: dict[str, int] = field(default_factory=dict)
     loops: dict[str, int] = field(default_factory=dict)
 
@@ -156,8 +155,7 @@ class DescriptorWalker:
     """Walks compiled subroutines maintaining the Sec. 5 runtime descriptors.
 
     One walker serves one walk.  ``bindings`` supplies the loop bounds the
-    program text leaves symbolic; ``sub_bindings`` holds each subroutine's
-    own recorded bindings, the last resort when the walk's have no value.
+    program text leaves symbolic.
     """
 
     #: the exception type a failed walk raises
@@ -171,12 +169,10 @@ class DescriptorWalker:
         constructions: dict[str, "ConstructionResult"],
         codes: dict[str, GeneratedCode],
         bindings: dict[str, int],
-        sub_bindings: dict[str, dict[str, int]],
     ):
         self.constructions = constructions
         self.codes = codes
         self.bindings = bindings
-        self.sub_bindings = sub_bindings
         self._frames: list[Frame] = []
 
     # -- what a subclass provides -------------------------------------------
@@ -231,7 +227,7 @@ class DescriptorWalker:
     def _resolve_extent(self, frame: Frame, e) -> int:
         if isinstance(e, int):
             return e
-        for source in (frame.loops, self.bindings, frame.bindings):
+        for source in (frame.loops, self.bindings):
             if e in source:
                 return int(source[e])
         raise self.error(f"no value provided for loop bound {e!r}")
@@ -249,7 +245,7 @@ class DescriptorWalker:
         arrays = {
             a: self.descriptor(a, res.versions.versions(a)) for a in res.sub.arrays
         }
-        frame = Frame(res, code, arrays, self.sub_bindings[name])
+        frame = Frame(res, code, arrays)
         if not self._frames:
             # top level: the harness acts as the caller, providing inputs
             for a, state in arrays.items():

@@ -39,7 +39,7 @@ Any number of :class:`Executor` instances may run the *same*
   artifact: the process's thread-safe plan memo
   :data:`~repro.spmd.schedule.PLANS` (a lost first-use race returns the
   winner's plan) and each plan's memoized ledger delta and lowered forms
-  (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, ``lowered``, ``wire``) --
+  (:meth:`~repro.spmd.schedule.CommSchedule.ledger`, ``lowered``) --
   idempotent first-use writes of immutable values, the same from every
   thread.
 
@@ -283,10 +283,7 @@ class Executor(DescriptorWalker):
         super().__init__(
             {name: cs.construction for name, cs in subs.items()},
             {name: cs.code for name, cs in subs.items()},
-            self.env.bindings,
-            # the artifact's wrappers, not the shared constructions: they
-            # carry the current caller's runtime-only bindings
-            {name: cs.sub.bindings for name, cs in subs.items()},
+            {**compiled.bindings, **self.env.bindings},
         )
         self.memory = MemoryManager(self.machine, self._eviction_candidates)
 

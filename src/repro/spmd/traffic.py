@@ -114,8 +114,7 @@ class TrafficSimulator(DescriptorWalker):
         policy: str | None = None,
         cost: CostModel | None = None,
     ):
-        sub_bindings = {name: res.sub.bindings for name, res in constructions.items()}
-        super().__init__(constructions, codes, scenario.bindings, sub_bindings)
+        super().__init__(constructions, codes, scenario.bindings)
         self.scenario = scenario
         self._cond_iters: dict = {}  # positions of the condition sequences
         #: when set, copies are priced as the policy's scheduled executions
@@ -269,8 +268,7 @@ def _clone(frame: Frame) -> Frame:
         for name, s in frame.arrays.items()
     }
     return Frame(
-        frame.construction, frame.code, arrays, frame.bindings,
-        dict(frame.slots), dict(frame.loops),
+        frame.construction, frame.code, arrays, dict(frame.slots), dict(frame.loops)
     )
 
 
@@ -520,8 +518,9 @@ def predict_traffic(
     """Predict the executor's traffic for one known environment.
 
     ``compiled`` is a :class:`~repro.compiler.artifacts.CompiledProgram`
-    (duck-typed: anything with per-subroutine ``construction`` and ``code``).
-    ``inputs`` names the arrays given initial values (``None`` = all, the
+    (duck-typed: per-subroutine ``construction`` and ``code``, and the
+    ``bindings`` the run reads, which ``bindings`` extends as the run's
+    environment does).  ``inputs`` names the arrays given initial values (``None`` = all, the
     harness convention).  With default kernels and no machine memory limit
     the prediction matches :class:`~repro.spmd.message.TrafficStats` exactly;
     the runtime oracle tests hold it to within 10%.  A program compiled
@@ -539,7 +538,7 @@ def predict_traffic(
         entry = next(iter(subs))
     scenario = Scenario(
         conditions=dict(conditions or {}),
-        bindings=dict(bindings or {}),
+        bindings={**compiled.bindings, **(bindings or {})},
         inputs=None if inputs is None else frozenset(inputs),
         itemsize=itemsize,
     )

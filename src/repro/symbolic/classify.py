@@ -18,7 +18,7 @@ contact with a source, the ``symbolize`` pass records it for the template
   symbolic processor-arrangement extents (they change the grid itself,
   and with it which ``symbolize``-guarded decisions are even legal) and
   undeclared loop bounds that are not also shape symbols (their values
-  are baked into the artifact as executor fallbacks).
+  reach the run through the artifact's ``bindings``).
 
 A name used both as an array extent and a loop bound (the ubiquitous
 ``real A(n)`` / ``do i = 1, n``) is shape-symbolic: instantiation always
@@ -59,16 +59,6 @@ class BindingClassification:
     def all_compile_time(self) -> frozenset[str]:
         """Every binding name the compilation can depend on."""
         return self.shape_symbolic | self.compile_relevant
-
-    def split(self, bindings: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
-        """Partition request ``bindings`` into (shape, non-shape) dicts.
-
-        Runtime-only names (neither class) stay with the non-shape part,
-        mirroring how concrete session keys filter them out separately.
-        """
-        shape = {k: v for k, v in bindings.items() if k in self.shape_symbolic}
-        rest = {k: v for k, v in bindings.items() if k not in self.shape_symbolic}
-        return shape, rest
 
 
 def classify_bindings(program: Program) -> BindingClassification:

@@ -92,7 +92,7 @@ def runtime_unknowns(
                 for e in (s.lo, s.hi):
                     if not isinstance(e, str) or e in loop_vars or e in free:
                         continue
-                    if pin_bound_trips and (e in bindings or e in sub.bindings):
+                    if pin_bound_trips and e in bindings:
                         continue
                     free.append(e)
     return conds, free

@@ -307,7 +307,7 @@ class _ReferenceBuilder:
                         f"with ambiguous mapping {names} (paper restriction 1, Fig. 5)"
                     )
                 ann[a] = next(iter(vers))
-            if ann:
+            if ann and node.kind is NodeKind.COMPUTE:
                 out.setdefault(nid, {}).update(ann)
         return out
 

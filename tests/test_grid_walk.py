@@ -75,8 +75,7 @@ class ReferenceWalk(DescriptorWalker):
     error = TrafficPredictionError
 
     def __init__(self, constructions, codes, scenario, policy, cost):
-        sub_bindings = {name: res.sub.bindings for name, res in constructions.items()}
-        super().__init__(constructions, codes, scenario.bindings, sub_bindings)
+        super().__init__(constructions, codes, scenario.bindings)
         self.scenario, self.policy, self.cost = scenario, policy, cost
         self.copies, self.checks = TrafficEstimate.zero(), 0
         self.evaluated: set[str] = set()

@@ -216,7 +216,7 @@ def test_report_aggregates_motion_and_removal():
     moved = compile_program(
         MOTION_SRC, bindings={"n": N}, processors=4, options=CompilerOptions(level=3)
     )
-    assert moved.report.motion_count == moved.get("sweep").motion.count == 1
+    assert moved.report.motion_count == moved.report.motion["sweep"].count == 1
     assert moved.trace.counter("motion", "sunk") == 1
 
 

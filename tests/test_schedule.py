@@ -707,8 +707,8 @@ def ran_plans(monkeypatch):
 
 
 def test_hand_assembled_artifact_runs_on_the_process_plans():
-    """An artifact assembled by hand carries no plan table and needs none:
-    its copies run on the process's plans, phased under its policy."""
+    """An artifact given another policy by hand carries no plan table and
+    needs none: its copies run on the process's plans, phased under it."""
     assert "plans" not in {f.name for f in dataclasses.fields(CompiledProgram)}
     w = FIGURES["fig12-then"]
     compiled = compile_program(
@@ -716,7 +716,7 @@ def test_hand_assembled_artifact_runs_on_the_process_plans():
         options=CompilerOptions(level=3),
     )
     options = dataclasses.replace(compiled.options, schedule="round-robin")
-    by_hand = CompiledProgram(compiled.program, compiled.subroutines, options)
+    by_hand = dataclasses.replace(compiled, options=options)
     executor = Executor(by_hand, Machine(by_hand.processors), _env(w))
     executor.run(next(iter(by_hand.subroutines)))
     assert not hasattr(executor, "plans")

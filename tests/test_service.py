@@ -535,9 +535,8 @@ def test_single_flight_follower_gets_own_bindings(monkeypatch):
     assert sum(r.deduped for r in results) == 1
     assert svc.session.stats["misses"] == 1  # one compile, not one per m
     for r, m in zip(results, (3, 4)):
-        sub = r.compiled.get("remap").sub
-        assert sub.bindings.get("m") == m, (
-            f"artifact for request m={m} carries bindings {sub.bindings}"
+        assert r.compiled.bindings.get("m") == m, (
+            f"artifact for request m={m} carries bindings {r.compiled.bindings}"
         )
 
 

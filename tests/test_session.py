@@ -19,6 +19,7 @@ from repro import (
     Machine,
     compile_program,
     execute,
+    predict_traffic,
 )
 from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.workloads import random_legal_subroutine
@@ -99,11 +100,12 @@ def test_runtime_only_bindings_do_not_recompile():
     warm = s.compile(prog, bindings={"t": 5})
     assert s.stats["hits"] == 1 and s.stats["misses"] == 1
     # the expensive products are shared; only the binding wrapper differs,
-    # carrying the *current* caller's bindings for the executor fallback
+    # carrying the *current* caller's bindings for the run to read
     assert warm.get("adi").code is cold.get("adi").code
     assert warm.get("adi").construction is cold.get("adi").construction
-    assert warm.get("adi").sub.bindings["t"] == 5
-    assert cold.get("adi").sub.bindings["t"] == 2
+    assert warm.subroutines is cold.subroutines and warm.report is cold.report
+    assert warm.bindings["t"] == 5
+    assert cold.bindings["t"] == 2
     assert s.compile(prog, bindings={"t": 2}) is cold  # exact match: verbatim
     assert s.stats["hits"] == 2 and s.stats["misses"] == 1
     # and the runs still honour the varying bound (2 vs 5 sweeps)
@@ -112,6 +114,47 @@ def test_runtime_only_bindings_do_not_recompile():
     r5 = s.run(prog, bindings={"t": 5}, kernels=adi_kernels(0.1), inputs={"u": u0})
     assert not np.allclose(r2.value("u"), r5.value("u"))
     assert s.stats["misses"] == 1  # still the one cold compile
+
+
+def test_served_artifact_predicts_what_it_runs():
+    """A hit served with another runtime-only bound predicts the traffic its
+    run moves: the run and the prediction read the artifact's one
+    ``bindings`` field, not the bindings of whoever compiled first."""
+    s = CompilerSession(processors=4, options=CompilerOptions(level=1))
+    s.compile(LOOP, bindings={"n": 16, "t": 3})
+    served = s.compile(LOOP, bindings={"n": 16, "t": 1})
+    assert s.stats["misses"] == 1 and s.stats["hits"] == 1
+    predicted = predict_traffic(served)
+    observed = execute(served).observed_traffic()
+    assert (predicted.bytes, predicted.messages) == (observed.bytes, observed.messages)
+    assert (observed.bytes, observed.messages) == (192, 24)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    first=st.integers(0, 4),
+    second=st.integers(0, 4),
+    level=st.integers(0, 3),
+    schedule=st.sampled_from((None, "round-robin", "aggregate")),
+    symbolic=st.booleans(),
+)
+def test_prop_served_artifact_predicts_its_run(first, second, level, schedule, symbolic):
+    """Two requests to one session differ only in a runtime-only loop bound:
+    the second is served from the first's artifact, and its prediction
+    equals its run in bytes and messages."""
+    options = (
+        CompilerOptions.symbolic(level=level, schedule=schedule)
+        if symbolic
+        else CompilerOptions(level=level, schedule=schedule)
+    )
+    s = CompilerSession(processors=4, options=options)
+    s.compile(LOOP, bindings={"n": 16, "t": first})
+    served = s.compile(LOOP, bindings={"n": 16, "t": second})
+    assert s.stats["misses"] == 1 and s.stats["hits"] == 1
+    assert served.bindings == {"n": 16, "t": second}
+    predicted = predict_traffic(served)
+    observed = execute(served).observed_traffic()
+    assert (predicted.bytes, predicted.messages) == (observed.bytes, observed.messages)
 
 
 def test_cache_hit_executes_with_its_own_callers_bound():
@@ -388,4 +431,4 @@ def test_concurrent_misses_of_one_key_run_the_pipeline_once(monkeypatch):
     assert len(runs) == 1
     assert s.stats["misses"] == 1 and s.stats["hits"] == 0
     # each caller's artifact carries its own runtime-only bindings
-    assert [c.get("main").sub.bindings["t"] for c in served] == [1, 2, 3, 4]
+    assert [c.bindings["t"] for c in served] == [1, 2, 3, 4]

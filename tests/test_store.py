@@ -181,7 +181,7 @@ def test_round_trip_returns_equivalent_frozen_artifact(tmp_path):
     assert loaded.options == fresh.options
     assert set(loaded.subroutines) == set(fresh.subroutines)
     with pytest.raises(ArtifactFrozenError):
-        loaded.program = None
+        loaded.bindings = {}
     with pytest.raises(ArtifactFrozenError):
         loaded.get("remap").code = None
 
@@ -625,7 +625,7 @@ def test_fresh_process_computes_the_writers_key(tmp_path):
     assert session.stats["store_hits"] == 1
     assert session.stats["passes_run"] == 0
     # the wrapper carries *this* caller's bindings
-    assert compiled.get("main").sub.bindings.get("t") == 11
+    assert compiled.bindings.get("t") == 11
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +667,7 @@ def test_evicted_source_is_served_from_disk(tmp_path):
     bindings = dict(w16["bindings"], t=9)
     compiled, tier = session.compile_traced(w16["source"], bindings=bindings)
     assert tier == "disk"
-    assert compiled.get("main").sub.bindings.get("t") == 9
+    assert compiled.bindings.get("t") == 9
 
 
 def test_generation_directory_holds_entries_and_locks_only(tmp_path):

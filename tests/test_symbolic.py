@@ -563,7 +563,7 @@ def test_instantiation_reports_the_motion_of_the_compile_that_cut_it():
     instantiated, tier = session.compile_traced(FIG16, bindings={"n": 64, "t": 5})
     assert tier == "instantiated"
     assert instantiated.report.motion == compiled.report.motion
-    assert instantiated.get("main").motion == compiled.get("main").motion
+    assert instantiated.report.motion["main"] == compiled.report.motion["main"]
     assert _motion_notes(instantiated) == _motion_notes(compiled)
     # the instantiation's trace holds what ran: no front pass
     assert compiled.trace.pass_names[:3] == ("parse", "motion", "symbolize")

@@ -150,6 +150,41 @@ def test_misplaced_stmt_keys_are_caught():
         assert exc.value.issues
 
 
+CALLS = """
+subroutine foo(X)
+  integer n
+  real X(n)
+  intent in X
+!hpf$ distribute X(cyclic)
+  compute reads X
+end
+
+subroutine main()
+  integer n
+  real Y(n)
+!hpf$ dynamic Y
+!hpf$ distribute Y(block)
+  compute writes Y
+  call foo(Y)
+  compute reads Y
+end
+"""
+
+
+def test_call_keyed_version_annotation_is_caught():
+    """Version annotations sit on computes only: a call runs from its
+    ``calls`` entry, so an annotation keyed by its ``CALL`` node is an
+    annotation no walk reads, reported as ``stmt-keys``."""
+    compiled = _compiled(source=CALLS, bindings={"n": 16})
+    res = compiled.get("main").construction
+    (call,) = [nid for nid, n in res.cfg.nodes.items() if n.kind is NodeKind.CALL]
+    assert call not in res.stmt_versions and not verify_artifact(compiled)
+    mutant = copy.deepcopy(compiled)
+    mutant.get("main").construction.stmt_versions[call] = {"y": 0}
+    issues = verify_artifact(mutant)
+    assert any(i.check == "stmt-keys" for i in issues), issues
+
+
 def test_dangling_graph_edge_is_caught():
     mutant = copy.deepcopy(_compiled())
     graph = mutant.get("remap").construction.graph
