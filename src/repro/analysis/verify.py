@@ -339,8 +339,8 @@ def verify_template_structure(template: "SymbolicTemplate") -> list[Verification
     and compile-relevant), at least one name must be shape-symbolic
     (otherwise a concrete artifact should have been stored) and no fixed
     binding may shadow a shape symbol.  This is all a store load runs on a
-    template: what the stored AST *means* is checked on the artifact a
-    request instantiates from it
+    template: what the stored AST and structure *mean* is checked on the
+    artifact a request instantiates from it
     (:meth:`repro.compiler.session.CompilerSession._instantiate`), at the
     request's own geometry, not on a probe beside it.
     """
@@ -382,8 +382,8 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     * **structural** -- :func:`verify_template_structure`;
     * **probe instantiation** -- the template is instantiated at one small
       concrete geometry and the result passes the *full* concrete checker
-      (:func:`verify_artifact`).  An entry whose stored AST or options were
-      corrupted in a way that still unpickles fails here.
+      (:func:`verify_artifact`).  An entry whose stored AST, structure or
+      options were corrupted in a way that still unpickles fails here.
 
     The probe is the offline check (``python -m repro.store verify --deep``,
     :meth:`repro.store.ArtifactStore.verify` with ``deep=True``), where no

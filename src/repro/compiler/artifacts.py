@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: store (:mod:`repro.store`) mixes it into its schema fingerprint, so old
 #: on-disk entries become invisible instead of being unpickled into a
 #: mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 10
+ARTIFACT_SCHEMA_VERSION = 11
 
 #: Canonical pass order.  A pass set is always run in this order; which
 #: sets are legal is decided by :class:`CompilerOptions` alone.
@@ -278,13 +278,16 @@ class _Freezable:
 class CompiledSubroutine(_Freezable):
     """One subroutine after the full pass pipeline."""
 
-    name: str
     construction: ConstructionResult
     code: GeneratedCode
 
     def freeze(self) -> None:
         """Make this subroutine immutable (see :class:`_Freezable`)."""
         self._freeze_self()
+
+    @property
+    def name(self) -> str:
+        return self.construction.sub.name
 
     @property
     def sub(self) -> ResolvedSubroutine:

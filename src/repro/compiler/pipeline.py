@@ -21,7 +21,10 @@ they built.  A symbolized compile pauses between the front and the code
 passes: the ``symbolize`` pass cuts the
 :class:`~repro.compiler.template.SymbolicTemplate` from the context, and the
 request is served by instantiating it (:meth:`Pipeline.resume` runs the
-rest), exactly as a later request for another shape is.
+rest), exactly as a later request for another shape is.  That first
+instantiation runs the code passes, and what they built becomes the
+template's :class:`~repro.compiler.template.TemplateStructure`; every later
+one runs the :class:`PatchStep` in their place.
 
 Typical explicit use::
 
@@ -47,7 +50,7 @@ from repro.compiler.artifacts import (
     CompilerOptions,
 )
 from repro.compiler.diagnostics import CompileReport, frontend_warnings
-from repro.compiler.template import SymbolicTemplate
+from repro.compiler.template import SymbolicTemplate, TemplateStructure
 from repro.ir.cfg import build_cfg
 from repro.lang.ast_nodes import Program, Subroutine, reachable
 from repro.lang.parser import parse_program
@@ -87,7 +90,8 @@ class PassContext:
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
-    #: what the ``symbolize`` pass cut: the run pauses here
+    #: what the ``symbolize`` pass cut (the run pauses there), or the
+    #: template a resumed run instantiates
     template: SymbolicTemplate | None = None
 
     def graphs(self) -> dict[str, RemappingGraph]:
@@ -350,6 +354,44 @@ class CodegenPass:
         return {"ops": ops}
 
 
+class PatchStep:
+    """Instantiate a template from the structure it carries.
+
+    Resolves the program at the request's shape, adds the carried
+    front-end warnings and patches each subroutine's version mappings
+    into the shared structure -- what a resumed run does in place of the
+    code passes.  Not a pass: no option names it, and only
+    :meth:`Pipeline.resume` runs it.  If versions merge at this shape it
+    leaves ``ctx.constructions`` empty, keeps what it resolved, and the
+    code passes after ``resolve`` build the artifact.
+    """
+
+    name = "patch"
+
+    def run(self, ctx: PassContext) -> dict[str, int]:
+        assert ctx.program is not None and ctx.template is not None
+        structure = ctx.template.structure
+        assert structure is not None
+        ctx.resolved = resolved = resolve_program(
+            ctx.program, bindings=ctx.bindings, default_processors=ctx.processors
+        )
+        ctx.report.diagnostics.extend(structure.warnings)
+        patched: dict[str, ConstructionResult] = {}
+        for name, sub in resolved.subroutines.items():
+            res = structure.subroutines[name].patch(sub, resolved)
+            if res is None:
+                return {"patched": 0}
+            patched[name] = res
+        for name, res in patched.items():
+            ctx.constructions[name] = res
+            ctx.codes[name] = structure.subroutines[name].code
+        ctx.report.removal.update(structure.removal)
+        return {
+            "patched": len(patched),
+            "holes": sum(len(r.holes) for r in patched.values()),
+        }
+
+
 class TrafficEstimatePass:
     """Predict each subroutine's communication over its runtime unknowns.
 
@@ -460,6 +502,8 @@ PASSES: dict[str, Pass] = {
 # ---------------------------------------------------------------------------
 
 
+_PATCH = PatchStep()
+
 #: Where :data:`PASS_ORDER` splits.  The front decides what no shape can
 #: change and ends with ``symbolize``, where a symbolized compile pauses to
 #: cut its template; the code passes build one geometry's artifact; the
@@ -494,7 +538,9 @@ class Pipeline:
 
     def _run(self, ctx: PassContext, passes: list[Pass]) -> PassContext:
         """Run ``passes`` over ``ctx``, tracing each into ``ctx.report.trace``."""
-        trace = PipelineTrace()
+        if ctx.report.trace is None:
+            ctx.report.trace = PipelineTrace()
+        trace = ctx.report.trace
         for p in passes:
             t0 = time.perf_counter()
             with _TRACER.span(f"pass:{p.name}"):
@@ -504,7 +550,6 @@ class Pipeline:
             _OBS.histogram("repro.compiler.pass_seconds", {"pass": p.name}).observe(
                 seconds
             )
-        ctx.report.trace = trace
         return ctx
 
     def run_context(
@@ -527,8 +572,10 @@ class Pipeline:
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
     ) -> CompiledProgram:
-        """The artifact at one ``(bindings, processors)``: the code passes and
-        analyses, run over a context seeded from ``template``."""
+        """The artifact at one ``(bindings, processors)``, over a context
+        seeded from ``template``: the :class:`PatchStep` where the template
+        carries its structure and the patch holds at this shape, the code
+        passes otherwise; then the analyses."""
         ctx = PassContext(
             template.program,
             bindings,
@@ -536,8 +583,15 @@ class Pipeline:
             self.options,
             program=template.program,
             report=_front_report(template.report),
+            template=template,
         )
-        return _assemble(self._run(ctx, [p for p in self.passes if p.name not in FRONT]))
+        rest = [p for p in self.passes if p.name not in FRONT]
+        if template.structure is not None:
+            self._run(ctx, [_PATCH])
+            # the patch resolved; where versions merged, the code passes build
+            done = CODE_PASSES if ctx.constructions else ("resolve",)
+            rest = [p for p in rest if p.name not in done]
+        return _assemble(self._run(ctx, rest))
 
     def compile(
         self,
@@ -555,13 +609,15 @@ class Pipeline:
         processors: ProcessorArrangement | int | None = None,
     ) -> tuple[CompiledProgram, SymbolicTemplate | None]:
         """The compiled artifact and, for a symbolized compile, the template
-        it was instantiated from; the artifact's trace holds every pass
-        that ran, the front's first."""
+        it was instantiated from, carrying the structure that instantiation's
+        code passes built; the artifact's trace holds every pass that ran,
+        the front's first."""
         ctx = self.run_context(source, bindings, processors)
         template = ctx.template
         if template is None:
             return _assemble(ctx), None
         compiled = template.instantiate(bindings, processors)
+        template.structure = TemplateStructure.of(compiled)
         compiled.trace.records[:0] = ctx.report.trace.records
         return compiled, template
 
@@ -576,7 +632,7 @@ def _assemble(ctx: PassContext) -> CompiledProgram:
     """The artifact the code passes built in ``ctx``."""
     assert ctx.resolved is not None
     compiled = {
-        name: CompiledSubroutine(name, ctx.constructions[name], ctx.codes[name])
+        name: CompiledSubroutine(ctx.constructions[name], ctx.codes[name])
         for name in ctx.resolved.subroutines
     }
     return CompiledProgram(

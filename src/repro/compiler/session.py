@@ -387,7 +387,7 @@ class CompilerSession:
         Returns ``(artifact, tier)`` with ``tier`` one of ``"memory"``
         (in-process cache hit), ``"instantiated"`` (a cached symbolic
         template was instantiated at this request's ``(bindings, P)`` --
-        only the code passes and analyses ran), ``"disk"`` (served from
+        its structure patched, then the analyses), ``"disk"`` (served from
         the attached :class:`~repro.store.ArtifactStore` -- no pipeline
         ran; the artifact is re-inserted into the memory cache) or
         ``"compiled"`` (a pipeline ran -- for a source with a template
@@ -561,7 +561,7 @@ class CompilerSession:
                 try:
                     compiled = template.instantiate(bindings, processors)
                     sound = not verify_artifact(compiled)
-                except Exception:  # a mangled AST can raise anything; degrade
+                except Exception:  # a mangled AST or structure can raise anything
                     sound = False
                 if not sound:
                     self.store.reject(tkey)

@@ -104,8 +104,12 @@ class CFG:
     # id of an AST statement object -> the node carrying it (a call's CALL
     # node): the one place a statement object is named, so every
     # per-statement map of an artifact keys by node id.  Not pickled: a
-    # load rebuilds it from ``nodes``.
+    # load, like a CFG built over existing nodes, rebuilds it from ``nodes``.
     stmt_nodes: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for node in self.nodes.values():
+            self._index(node)
 
     def add(self, kind: NodeKind, stmt: Stmt | None = None, **kw) -> CFGNode:
         nid = len(self.nodes)
@@ -125,8 +129,7 @@ class CFG:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, stmt_nodes={})
-        for node in self.nodes.values():
-            self._index(node)
+        self.__post_init__()
 
     def wire(self, frm: int, to: int) -> None:
         if to not in self.succs[frm]:

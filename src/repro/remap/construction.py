@@ -38,6 +38,20 @@ comparison is ``==`` and a copy costs nothing.
    live) needs no communication (``dead_source``).  A subroutine without a
    ``kill`` has no dead values and skips this solve.
 
+Only the first problem reads a geometry, and it reads it through the
+mappings it interns.  The builder records how it interned each one --
+its *hole* (:data:`Hole`): a declared mapping, a redistribution of an
+earlier version at a node, a realignment at a node against its target's
+version or distribution, a call dummy's declared mapping -- in the order
+it interned them, together with the distributions it built at
+``redistribute`` nodes.  :func:`patch_versions` evaluates the holes at
+another shape: the version table the construction would intern there,
+as long as no two of an array's versions coincide (interning would then
+have merged them).  Everything else the construction derives -- the
+graph, its labels, the version annotations, the call infos -- depends on
+the spellings and on which versions are equal, not on the shape, which
+is what lets a symbolic template carry it (:mod:`repro.compiler.template`).
+
 The CFG's reverse postorder and every node's proper effects are computed
 once per construction and shared by problems 3 and 4.
 """
@@ -117,6 +131,95 @@ def _gen_kill(table: dict[int, tuple[int, int]]):
 
 
 # ---------------------------------------------------------------------------
+# holes: how each version's mapping was made
+# ---------------------------------------------------------------------------
+
+#: One step of a construction's geometry, in the order the builder took it:
+#:
+#: * ``("distribution", k)`` -- the distribution the ``redistribute`` at
+#:   node ``k`` names (built once per construction and spelling);
+#: * ``("declared", A)`` -- a new version of ``A``: its declared mapping;
+#: * ``("dummy", A, callee, dummy)`` -- a new version of argument ``A``:
+#:   the callee's declared mapping of ``dummy``;
+#: * ``("redistribute", A, k, v)`` -- a new version of ``A``: version ``v``
+#:   moved to the distribution built at node ``k``;
+#: * ``("realign", A, k, src)`` -- a new version of ``A``: the ``realign``
+#:   at node ``k`` against its target array's version ``src`` (an ``int``)
+#:   or, for a template target, against the distribution ``src`` names:
+#:   ``("distribution", k')``, ``("template", T)`` (declared) or
+#:   ``("declared", B)`` (the distribution of ``B``'s declared mapping).
+Hole = tuple
+
+
+def _named_distribution(sub: ResolvedSubroutine, s: Redistribute) -> tuple[str, Distribution]:
+    """The template ``s`` redistributes and the distribution it names."""
+    tname = s.target if s.target in sub.templates else sub.root_of[s.target]
+    fmts = make_formats(s.formats)
+    arr = arrangement_for(sub.processors, fmts, s.onto, f"{sub.name}: redistribute {s.target}")
+    return tname, Distribution(sub.templates[tname], fmts, arr)
+
+
+def _realigned(sub: ResolvedSubroutine, s: Realign, target: Mapping | Distribution) -> Mapping:
+    """The alignee's mapping after ``s``, given its target's mapping (an
+    array target) or distribution (a template target)."""
+    shape = sub.arrays[s.alignee].shape
+    if isinstance(target, Distribution):
+        t = sub.templates[s.target]
+        axes = make_axes(s.dummies, s.subscripts, len(shape), t.rank, sub.name)
+        return Mapping(Alignment(shape, t, axes), target)
+    inner = make_axes(s.dummies, s.subscripts, len(shape), len(target.shape), sub.name)
+    return Mapping(target.alignment.compose(shape, inner), target.distribution)
+
+
+def patch_versions(
+    holes: tuple[Hole, ...],
+    nodes: dict[int, CFGNode],
+    sub: ResolvedSubroutine,
+    program: ResolvedProgram,
+) -> VersionTable | None:
+    """The version table a construction that took ``holes`` over ``nodes``
+    interns at ``sub``'s shape; ``None`` if two versions of an array
+    coincide there.
+
+    The holes are evaluated in the order the builder took them, so a
+    distribution or mapping the shape cannot hold raises the error the
+    construction would raise first.
+    """
+    versions: dict[str, list[Mapping]] = {}
+    built: dict[int, Distribution] = {}
+
+    def distribution(origin: Hole) -> Distribution:
+        kind, name = origin
+        if kind == "distribution":
+            return built[name]
+        if kind == "template":
+            return sub.template_distributions[name]
+        return sub.arrays[name].initial_mapping.distribution
+
+    for hole in holes:
+        kind = hole[0]
+        if kind == "distribution":
+            built[hole[1]] = _named_distribution(sub, cast(Redistribute, nodes[hole[1]].stmt))[1]
+            continue
+        array = hole[1]
+        if kind == "declared":
+            mapping = sub.arrays[array].initial_mapping
+        elif kind == "dummy":
+            mapping = program.get(hole[2]).arrays[hole[3]].initial_mapping
+        elif kind == "redistribute":
+            mapping = Mapping(versions[array][hole[3]].alignment, built[hole[2]])
+        else:
+            s, src = cast(Realign, nodes[hole[2]].stmt), hole[3]
+            target = versions[s.target][src] if isinstance(src, int) else distribution(src)
+            mapping = _realigned(sub, s, target)
+        known = versions.setdefault(array, [])
+        if mapping in known:  # equality, as interning decides
+            return None
+        known.append(mapping)
+    return VersionTable(versions)
+
+
+# ---------------------------------------------------------------------------
 # result container
 # ---------------------------------------------------------------------------
 
@@ -147,6 +250,8 @@ class ConstructionResult:
     stmt_versions: dict[int, dict[str, int]]
     # call group -> CallInfo
     calls: dict[int, CallInfo]
+    # how each version's mapping (and each redistribution) was made, in order
+    holes: tuple[Hole, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +265,10 @@ class _Builder:
         self.sub = sub = cfg.sub
         self.program = program
         self.versions = VersionTable()
+        self.holes: list[Hole] = []
         # seed version 0 = declared mapping for every array
         for name, info in sub.arrays.items():
-            self.versions.version_of(name, info.initial_mapping)
+            self._version_of(name, info.initial_mapping, ("declared", name))
         # node id -> arrays this vertex targets (computed during transfer)
         self.targets: dict[int, set[str]] = {}
         self.calls: dict[int, CallInfo] = {}
@@ -179,9 +285,11 @@ class _Builder:
         self._amask: dict[str, int] = {a: 0 for a in self.arrays}
         self._tmask: dict[str, int] = {}
         self._smask: dict[tuple[int, str], int] = {}
+        # distribution atom -> where its distribution came from (a hole)
+        self._origin: dict[int, Hole] = {}
         # redistribute statement -> (template, its new distribution, that
-        # atom), built once per spelling
-        self._redistributions: dict[Redistribute, tuple[str, Distribution, int]] = {}
+        # atom, the node it was built at), built once per spelling
+        self._redistributions: dict[Redistribute, tuple[str, Distribution, int, int]] = {}
         # (array, version, distribution atom) -> the version it is redistributed to
         self._moves: dict[tuple[str, int, int], int] = {}
         # per-node transfer tables: (node, input atoms of one array) -> output atoms
@@ -203,8 +311,19 @@ class _Builder:
     def _version_atom(self, array: str, version: int) -> int:
         return self._intern(("v", array, version), version, self._amask, array)
 
-    def _dist_atom(self, template: str, dist: Distribution) -> int:
-        return self._intern(("t", template, dist), dist, self._tmask, template)
+    def _version_of(self, array: str, mapping: Mapping, hole: Hole) -> int:
+        """Intern ``mapping`` as a version of ``array``, recording the hole
+        of a new one."""
+        fresh = self.versions.count(array)
+        version = self.versions.version_of(array, mapping)
+        if version == fresh:
+            self.holes.append(hole)
+        return version
+
+    def _dist_atom(self, template: str, dist: Distribution, origin: Hole) -> int:
+        bit = self._intern(("t", template, dist), dist, self._tmask, template)
+        self._origin.setdefault(bit, origin)
+        return bit
 
     def _saved_atom(self, group: int, array: str, version: int) -> int:
         return self._intern(("s", group, array, version), version, self._smask, (group, array))
@@ -263,44 +382,34 @@ class _Builder:
         key = (node.id, src)
         leaving = self._table.get(key)
         if leaving is None:
-            new = self._realigned(s, src)
-            leaving = self._table[key] = self._version_atom(a, self.versions.version_of(a, new))
+            target: Mapping | Distribution
+            origin: Hole | int
+            if s.target in sub.templates:
+                target = cast(Distribution, self._atoms[src.bit_length() - 1])
+                origin = self._origin[src]
+            else:
+                origin = self._version(src)
+                target = self.versions.mapping_of(s.target, origin)
+            new = _realigned(sub, s, target)
+            version = self._version_of(a, new, ("realign", a, node.id, origin))
+            leaving = self._table[key] = self._version_atom(a, version)
         self._target(node.id).add(a)
         return (state & ~self._amask[a]) | leaving
 
-    def _realigned(self, s: Realign, src: int) -> Mapping:
-        """The alignee's mapping after ``s``, given its target's one atom."""
-        sub = self.sub
-        shape = sub.arrays[s.alignee].shape
-        if s.target in sub.templates:
-            t = sub.templates[s.target]
-            dist = cast(Distribution, self._atoms[src.bit_length() - 1])
-            axes = make_axes(s.dummies, s.subscripts, len(shape), t.rank, sub.name)
-            return Mapping(Alignment(shape, t, axes), dist)
-        mb = self.versions.mapping_of(s.target, self._version(src))
-        inner = make_axes(s.dummies, s.subscripts, len(shape), len(mb.shape), sub.name)
-        return Mapping(mb.alignment.compose(shape, inner), mb.distribution)
-
-    def _redistribution(self, s: Redistribute) -> tuple[str, Distribution, int]:
+    def _redistribution(self, s: Redistribute, node: CFGNode) -> tuple[str, Distribution, int, int]:
         found = self._redistributions.get(s)
         if found is None:
-            sub = self.sub
-            if s.target in sub.templates:
-                tname = s.target
-            else:
-                tname = sub.root_of[s.target]
-            fmts = make_formats(s.formats)
-            arr = arrangement_for(
-                sub.processors, fmts, s.onto, f"{sub.name}: redistribute {s.target}"
-            )
-            dist = Distribution(sub.templates[tname], fmts, arr)
-            found = self._redistributions[s] = (tname, dist, self._dist_atom(tname, dist))
+            tname, dist = _named_distribution(self.sub, s)
+            origin = ("distribution", node.id)
+            self.holes.append(origin)
+            atom = self._dist_atom(tname, dist, origin)
+            found = self._redistributions[s] = (tname, dist, atom, node.id)
         return found
 
     def _impact_redistribute(self, s: Redistribute, state: int, node: CFGNode) -> int:
         nid = node.id
-        target = self._redistribution(s)
-        tname, _, dist_atom = target
+        target = self._redistribution(s, node)
+        tname, _, dist_atom, _ = target
         out = (state & ~self._tmask[tname]) | dist_atom
         for a in self.arrays:
             bits = state & self._amask[a]
@@ -321,13 +430,13 @@ class _Builder:
         self,
         a: str,
         bits: int,
-        target: tuple[str, Distribution, int],
+        target: tuple[str, Distribution, int, int],
         s: Redistribute,
         node: CFGNode,
     ) -> int:
         """The atom ``a`` leaves the redistribution ``target`` with, given
         the atoms reaching it; 0 when no reaching version changes."""
-        tname, dist, dist_atom = target
+        tname, dist, dist_atom, built_at = target
         new_set: set[int] = set()
         changed = False
         for v in self._members(bits):
@@ -336,8 +445,8 @@ class _Builder:
                 move = (a, v, dist_atom)
                 nv = self._moves.get(move)
                 if nv is None:
-                    nv = self._moves[move] = self.versions.version_of(
-                        a, Mapping(m.alignment, dist)
+                    nv = self._moves[move] = self._version_of(
+                        a, Mapping(m.alignment, dist), ("redistribute", a, built_at, v)
                     )
                 new_set.add(nv)
                 if nv != v:
@@ -363,7 +472,9 @@ class _Builder:
         args = tuple(a for a in stmt.args if a in self.sub.arrays)
         intents = tuple(callee.arrays[d].intent or "inout" for d in dummies)
         dummy_versions = tuple(
-            self.versions.version_of(arg, callee.arrays[d].initial_mapping)
+            self._version_of(
+                arg, callee.arrays[d].initial_mapping, ("dummy", arg, stmt.callee, d)
+            )
             for arg, d in zip(args, dummies)
         )
         info = CallInfo(group, stmt.callee, args, dummies, intents, dummy_versions)
@@ -426,18 +537,20 @@ class _Builder:
                 out = (out & ~self._amask[name]) | self._version_atom(name, 0)
                 m = sub.arrays[name].initial_mapping
                 tname = m.alignment.template.name
-                dist_atom = self._dist_atom(tname, m.distribution)
+                dist_atom = self._dist_atom(tname, m.distribution, ("declared", name))
                 out = (out & ~self._tmask[tname]) | dist_atom
             self._target(nid).update(sub.dummy_arrays)
             return out
         if kind is NodeKind.ENTRY:
             out = state
             for tname, dist in sub.template_distributions.items():
-                out |= self._dist_atom(tname, dist)
+                out |= self._dist_atom(tname, dist, ("template", tname))
             for name in self.locals:
                 out = (out & ~self._amask[name]) | self._version_atom(name, 0)
                 m = sub.arrays[name].initial_mapping
-                out |= self._dist_atom(m.alignment.template.name, m.distribution)
+                out |= self._dist_atom(
+                    m.alignment.template.name, m.distribution, ("declared", name)
+                )
             self._target(nid).update(self.locals)
             return out
         if kind is NodeKind.EXIT:
@@ -705,4 +818,5 @@ def build_remapping_graph(cfg: CFG, program: ResolvedProgram) -> ConstructionRes
         versions=b.versions,
         stmt_versions=stmt_versions,
         calls=b.calls,
+        holes=tuple(b.holes),
     )

@@ -43,12 +43,18 @@ class VersionTable:
     distinction is free communication-wise.
     """
 
-    def __init__(self) -> None:
-        self._versions: dict[str, list[Mapping]] = {}
+    def __init__(self, versions: dict[str, list[Mapping]] | None = None) -> None:
+        """A table holding ``versions`` (each array's pairwise distinct
+        mappings, in version order), empty by default."""
+        self._versions: dict[str, list[Mapping]] = versions if versions is not None else {}
+        # per array, mapping -> version; built by an array's first intern
         self._index: dict[str, dict[Mapping, int]] = {}
 
     def version_of(self, array: str, mapping: Mapping) -> int:
-        idx = self._index.setdefault(array, {})
+        idx = self._index.get(array)
+        if idx is None:
+            known = self._versions.get(array, ())
+            idx = self._index[array] = {m: v for v, m in enumerate(known)}
         v = idx.get(mapping)
         if v is None:
             v = len(self._versions.setdefault(array, []))

@@ -115,16 +115,21 @@ SHARED = {
     "branch": (_branch_with_one_block_for_both_arms, BRANCH),
 }
 
-MODES = ("eager", "symbolic", "store")
+MODES = ("eager", "symbolic", "patched", "store")
 
 
 def _serve(source, mode: str, c1: bool, store_dir):
     """Run ``source`` at n = 16 on 4 processors: eagerly compiled, through
-    a symbolized level-3 compile, or loaded from a store another session
-    wrote.  Returns the values and the traffic snapshot."""
-    options = CompilerOptions.symbolic(level=3) if mode == "symbolic" else CompilerOptions()
+    a symbolized level-3 compile, patched from the template a compile at
+    n = 8 cut, or loaded from a store another session wrote.  Returns the
+    values and the traffic snapshot."""
+    symbolic = mode in ("symbolic", "patched")
+    options = CompilerOptions.symbolic(level=3) if symbolic else CompilerOptions()
     request = dict(bindings={"n": 16})
     session = CompilerSession(processors=4, options=options)
+    if mode == "patched":
+        session.compile(source, bindings={"n": 8})
+        assert session.compile_traced(source, **request)[1] == "instantiated"
     if mode == "store":
         store = ArtifactStore(store_dir)
         CompilerSession(processors=4, options=options, store=store).compile(source, **request)

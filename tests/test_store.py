@@ -415,6 +415,43 @@ def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_template_with_a_mangled_structure_is_evicted_by_its_first_request(tmp_path):
+    """A hash-valid template whose carried structure lost the holes of the
+    versions its graph leaves with: the load has nothing to say against it,
+    the first request's patched artifact fails verification, and the
+    request is served by a clean compile that rewrites the entry."""
+    store, tkey, template = _seed_template(tmp_path)
+    structure = template.structure
+    main = structure.subroutines["main"]
+    holes = tuple(h for h in main.holes if h[0] != "redistribute")
+    assert len(holes) < len(main.holes)
+    mangled = dataclasses.replace(
+        structure, subroutines={"main": dataclasses.replace(main, holes=holes)}
+    )
+    assert store.store(tkey, dataclasses.replace(template, structure=mangled))
+    assert isinstance(store.load(tkey), SymbolicTemplate)
+    assert store.stats["semantic_evicted"] == 0
+
+    w = FIGURES["fig16"]
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "compiled"
+    assert store.stats["semantic_evicted"] == 1 and reader.stats["instantiations"] == 0
+    values, stats = _run(compiled, w)
+    ref_values, ref_stats = _run(
+        Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=4), w
+    )
+    assert np.array_equal(values["a"], ref_values["a"])
+    assert stats.snapshot() == ref_stats.snapshot()
+
+    again = CompilerSession(store=store, options=SYMBOLIC)
+    instantiated, tier = again.compile_traced(
+        w["source"], bindings={"n": 24, "t": 5}, processors=3
+    )
+    assert tier == "instantiated" and instantiated.trace.pass_names == ("patch",)
+    assert store.stats["semantic_evicted"] == 1
+
+
 def test_template_failing_verification_of_its_first_artifact_is_evicted(tmp_path, monkeypatch):
     """The other way a first instantiation fails: it returns an artifact the
     static checker rejects.  Only the first artifact from a loaded template

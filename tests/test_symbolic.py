@@ -354,10 +354,13 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     assert payload == unserved
     revived = pickle.loads(payload)
     assert isinstance(revived, SymbolicTemplate)
-    # a template carries exactly what instantiation uses, nothing else
+    # a template carries exactly what instantiation uses, nothing else: its
+    # structure holds no resolved subroutine, mapping or layout
     assert set(vars(revived)) - {"_frozen"} == {
-        "program", "options", "classification", "fixed_bindings", "report"
+        "program", "options", "classification", "fixed_bindings", "report", "structure"
     }
+    assert revived.structure is not None
+    assert b"ResolvedSubroutine" not in payload and b"repro.mapping" not in payload
     assert b"repro.symbolic.affine" not in payload
     assert b"repro.symbolic.ownership" not in payload
     assert b"repro.util.memo" not in payload and b"CommSchedule" not in payload
@@ -565,9 +568,11 @@ def test_instantiation_reports_the_motion_of_the_compile_that_cut_it():
     assert instantiated.report.motion == compiled.report.motion
     assert instantiated.report.motion["main"] == compiled.report.motion["main"]
     assert _motion_notes(instantiated) == _motion_notes(compiled)
-    # the instantiation's trace holds what ran: no front pass
+    # each trace holds what ran: the compile ran the front and the code
+    # passes, the instantiation patched the structure those built
     assert compiled.trace.pass_names[:3] == ("parse", "motion", "symbolize")
-    assert instantiated.trace.pass_names == compiled.trace.pass_names[3:]
+    assert compiled.trace.pass_names[3:] == passes_for_level(3)[2:]  # resolve .. codegen
+    assert instantiated.trace.pass_names == ("patch",)
 
 
 def test_instantiation_estimates_traffic_like_a_fresh_compile():

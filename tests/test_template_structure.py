@@ -1,26 +1,33 @@
-"""What a template's instantiations share across shapes (ROADMAP 13(a)).
+"""A patched instantiation is the artifact a fresh resume builds.
 
-A template's code passes reason about mapping spellings and control flow;
-``(n, P)`` only sizes the layouts.  These tests pin what that predicts and
-what holds today: instantiated at eight shapes -- n = P and n < P among them
--- every template of the paper's Fig. 1, 12 and 16, and of the fuzz
-programs, has the same remapping-graph vertices and edges, version
-annotations, generated code, live sets (M) and removed sets at every shape,
-under the unscheduled executor and each of the three policies.  Only the
-version *mappings* differ.  Everything compared is keyed by CFG node id,
-so instantiations built from one stored AST compare by value.
+A template carries what its code passes built once -- CFG, remapping
+graph, version annotations, call infos, generated code, removal reports,
+front-end warnings -- and the *holes* that say how construction made each
+version's mapping.  Instantiating it resolves the program at the
+request's ``(n, P)``, evaluates the holes and patches the mappings into
+the shared structure.  These tests hold that patch to
+:meth:`~repro.compiler.pipeline.Pipeline.resume` of the same template
+without its structure -- the code passes run from scratch at that shape:
+every structure compared, every version's ``Mapping`` compared, and the
+error a shape the spellings cannot hold raises compared by type and
+message.  The sweep covers the paper's Fig. 1, 12 and 16 under the
+unscheduled executor and each of the three policies at eight shapes --
+n = P and n < P among them -- and the fuzz programs, seeds 0..99.
 
 A fuzz program may distribute with a fixed ``block(k)``, which cannot hold
-an extent above ``k * P``: such shapes raise ``ShapeError`` and lie outside
-the program's domain, so they are counted apart, not compared.
+an extent above ``k * P``: such shapes raise ``ShapeError`` on both paths,
+from the hole of the version or distribution the spelling makes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import CompilerOptions
-from repro.compiler.pipeline import Pipeline
+from repro.analysis.verify import verify_artifact
+from repro.compiler.pipeline import CODE_PASSES, Pipeline
 from repro.errors import ShapeError
 from repro.fuzz.generator import generate_case
 from repro.lang.printer import print_program
@@ -40,61 +47,145 @@ FIGURES = {
 }
 
 
-def _structure(compiled) -> dict:
-    """Everything of an artifact but its version mappings, per subroutine."""
+def _facts(compiled) -> dict:
+    """Everything an artifact is made of, mappings included, per subroutine."""
     out = {}
     for name, cs in compiled.subroutines.items():
-        graph = cs.construction.graph
+        res, graph = cs.construction, cs.construction.graph
         out[name] = dict(
-            vertices=sorted(graph.vertices),
+            sub=res.sub,
+            cfg=(res.cfg.nodes, res.cfg.succs, res.cfg.preds, res.cfg.entry, res.cfg.exit),
+            vertices=graph.vertices,
             edges=graph.edges,
-            stmt_versions=cs.construction.stmt_versions,
+            boundary=(graph.v_c, graph.v_0, graph.v_e),
+            versions={a: res.versions.versions(a) for a in res.versions.arrays()},
+            stmt_versions=res.stmt_versions,
+            calls=res.calls,
+            holes=res.holes,
             code=cs.code,
-            live_sets={vid: v.M for vid, v in graph.vertices.items()},
-            removed={vid: v.removed for vid, v in graph.vertices.items()},
         )
+    report = compiled.report
+    out["report"] = (report.diagnostics, report.motion, report.removal, report.traffic)
+    out["request"] = (compiled.options, compiled.bindings, compiled.processors)
     return out
 
 
-def _sweep(text: str, bindings: dict, policy) -> tuple[list[dict], list[tuple]]:
-    """The structure of each in-domain instantiation, and the shapes that
-    raised ``ShapeError``."""
-    template = Pipeline(CompilerOptions.symbolic(level=3, schedule=policy)).serve(
-        text, bindings, 4
-    )[1]
-    assert template is not None
-    structures, outside = [], []
-    for n, p in SHAPES:
-        try:
-            compiled = template.instantiate({**bindings, "n": n}, ProcessorArrangement("P", (p,)))
-        except ShapeError:
-            outside.append((n, p))
-            continue
-        structures.append(_structure(compiled))
-    return structures, outside
+def _outcome(instantiate, bindings, processors):
+    """The artifact's facts, or the (type, message) of what it raised."""
+    try:
+        compiled = instantiate(bindings, processors)
+    except ShapeError as exc:
+        return type(exc), str(exc)
+    assert verify_artifact(compiled) == []
+    return _facts(compiled)
+
+
+def _resumed(template):
+    """``template`` without its structure: instantiating it runs the code passes."""
+    return dataclasses.replace(template, structure=None)
+
+
+def _check(template, bindings, shape) -> bool:
+    """Assert the patch at ``shape`` equals a fresh resume; True iff in domain."""
+    n, p = shape
+    args = ({**bindings, "n": n}, ProcessorArrangement("P", (p,)))
+    patched = _outcome(template.instantiate, *args)
+    assert patched == _outcome(_resumed(template).instantiate, *args), shape
+    return isinstance(patched, dict)
+
+
+def _template(text: str, bindings: dict, policy):
+    options = CompilerOptions.symbolic(level=3, schedule=policy)
+    template = Pipeline(options).serve(text, bindings, 4)[1]
+    assert template is not None and template.structure is not None
+    return template
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_figure_templates_keep_their_structure_at_every_shape(figure, policy):
+    """Each patch equals a fresh resume, and records that it patched."""
     text, bindings = FIGURES[figure]
-    structures, outside = _sweep(text, bindings, policy)
-    assert outside == []
-    for other in structures[1:]:
-        assert other == structures[0], (figure, policy)
+    template = _template(text, bindings, policy)
+    assert all(_check(template, bindings, shape) for shape in SHAPES)
+    instantiated = template.instantiate({**bindings, "n": 12}, 3)
+    assert instantiated.trace.pass_names == ("patch",)
 
 
 def test_fuzz_templates_keep_their_structure_inside_their_domain():
-    """Fuzz seeds 0..99, each under one of the four execution modes."""
+    """Fuzz seeds 0..99, each under one of the four execution modes: the
+    patch equals a fresh resume at every shape, and outside the program's
+    domain raises the resume's ``ShapeError``."""
     outside_counts = dict.fromkeys(SHAPES, 0)
     for seed in range(100):
         case = generate_case(seed)
         policy = POLICIES[seed % len(POLICIES)]
-        structures, outside = _sweep(print_program(case.program), case.bindings, policy)
+        template = _template(print_program(case.program), case.bindings, policy)
+        outside = [s for s in SHAPES if not _check(template, case.bindings, s)]
         assert set(outside) <= BLOCK_K_OVERFLOWS, seed
-        assert len(structures) >= len(SHAPES) - len(BLOCK_K_OVERFLOWS)
-        for other in structures[1:]:
-            assert other == structures[0], (seed, policy)
         for shape in outside:
             outside_counts[shape] += 1
     assert outside_counts[(20, 2)] > 0  # the domain limit is exercised
+
+
+def _with_holes(template, name: str, holes: tuple):
+    """``template`` with subroutine ``name``'s holes replaced."""
+    structure = template.structure
+    sub = dataclasses.replace(structure.subroutines[name], holes=holes)
+    subs = {**structure.subroutines, name: sub}
+    return dataclasses.replace(
+        template, structure=dataclasses.replace(structure, subroutines=subs)
+    )
+
+
+def _fig12_remap_moves(template) -> tuple[int, int, list]:
+    """Fig. 12's ``remap`` holes, its distributions first, and the positions
+    of two moves of ``a`` out of version 0 in them."""
+    holes = template.structure.subroutines["remap"].holes
+    holes = sorted(holes, key=lambda h: h[0] != "distribution")  # stable
+    moves = [i for i, h in enumerate(holes) if h[:2] == ("redistribute", "a") and h[3] == 0]
+    assert len(moves) == 2
+    return moves[0], moves[1], holes
+
+
+def test_swapped_holes_fail_the_check():
+    """Teeth: a template whose holes for two versions of one array are
+    swapped still verifies, but patches the two mappings into each other's
+    versions -- which the sweep's check catches.  Building every
+    distribution first, the swap aside, patches the same mappings."""
+    text, bindings = FIGURES["fig12"]
+    template = _template(text, bindings, None)
+    args = ({**bindings, "n": 16}, ProcessorArrangement("P", (4,)))
+
+    def versions(t):
+        return _facts(t.instantiate(*args))["remap"]["versions"]
+
+    fresh = versions(_resumed(template))
+    i, j, holes = _fig12_remap_moves(template)
+    assert versions(_with_holes(template, "remap", tuple(holes))) == fresh
+    holes[i], holes[j] = holes[j], holes[i]
+    mutant = _with_holes(template, "remap", tuple(holes))
+    assert verify_artifact(mutant.instantiate(*args)) == []
+    assert versions(mutant) != fresh
+    with pytest.raises(AssertionError):
+        _check(mutant, bindings, (16, 4))
+
+
+def test_versions_that_would_merge_fall_back_to_the_code_passes():
+    """A hole that evaluates to an earlier version's mapping would make
+    interning merge two versions: that instantiation runs the code passes
+    after its resolve, and returns what a fresh resume returns."""
+    text, bindings = FIGURES["fig12"]
+    template = _template(text, bindings, "aggregate")
+    i, _, holes = _fig12_remap_moves(template)
+    holes[i] = ("declared", "a")
+    mutant = _with_holes(template, "remap", tuple(holes))
+    args = ({**bindings, "n": 12}, ProcessorArrangement("P", (3,)))
+    compiled = mutant.instantiate(*args)
+    assert compiled.trace.pass_names[0] == "patch"
+    assert compiled.trace.counter("patch", "patched") == 0
+    options = template.options
+    assert compiled.trace.pass_names[1:] == tuple(
+        n for n in options.pass_names if n in CODE_PASSES and n != "resolve"
+    )
+    assert _facts(compiled) == _facts(_resumed(template).instantiate(*args))
