@@ -18,9 +18,7 @@ cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
 (``simulate_grid``) and in remapping-graph construction
 (``build_remapping_graph``, the pipeline's and every guard variant's; all
 zero where every request is served without compiling), in template
-instantiation (``SymbolicTemplate.instantiate``) and in the pipeline's
-resumption after the front (``Pipeline.resume``: every instantiation, and
-the one a symbolized compile makes of the template it cuts), in the plan layer
+instantiation (``SymbolicTemplate.instantiate``), in the plan layer
 (``obtain_plan``: the plan memo's lookups and, on a miss, the plan's build
 and proof) and in the proof alone (``prove_plan``; both near zero once the
 memo holds every pair, so read them under ``--cold``), in the mp backend's
@@ -74,7 +72,6 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
 from repro.analysis.commsafety import prove_plan  # noqa: E402
-from repro.compiler.pipeline import Pipeline  # noqa: E402
 from repro.compiler.template import SymbolicTemplate  # noqa: E402
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
@@ -103,7 +100,6 @@ SHARES = (
     ("simulate_grid", simulate_grid, None, HANDLE),
     ("build_remapping_graph", build_remapping_graph, None, HANDLE),
     ("SymbolicTemplate.instantiate", SymbolicTemplate.instantiate, None, HANDLE),
-    ("Pipeline.resume", Pipeline.resume, None, HANDLE),
     ("obtain_plan", obtain_plan, None, HANDLE),
     ("prove_plan", prove_plan, None, HANDLE),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.dataflow import Direction, solve
-from repro.errors import ArtifactVerificationError
+from repro.errors import ArtifactVerificationError, ShapeError
 from repro.ir.cfg import CFG, NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -383,7 +383,10 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     * **probe instantiation** -- the template is instantiated at one small
       concrete geometry and the result passes the *full* concrete checker
       (:func:`verify_artifact`).  An entry whose stored AST, structure or
-      options were corrupted in a way that still unpickles fails here.
+      options were corrupted in a way that still unpickles fails here.  A
+      template whose spellings cannot hold the probe's shape (a fixed
+      ``block(k)``) raises a ``ShapeError`` there, as its compile would:
+      that is the template's domain, not a defect, and leaves it sound.
 
     The probe is the offline check (``python -m repro.store verify --deep``,
     :meth:`repro.store.ArtifactStore.verify` with ``deep=True``), where no
@@ -402,6 +405,8 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     }
     try:
         compiled = template.instantiate(bindings, ProcessorArrangement("P", (2,)))
+    except ShapeError:
+        return issues  # the probe lies outside the template's domain
     except Exception as exc:
         _issue(issues, "template", f"probe instantiation failed: {exc!r}", None)
         return issues

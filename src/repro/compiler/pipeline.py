@@ -17,14 +17,13 @@ the **front** (:data:`FRONT`: ``parse``, ``motion``, ``symbolize``) decides
 everything a program's shape cannot change, the **code passes**
 (:data:`CODE_PASSES`: ``resolve`` through codegen) build one geometry's
 artifact, and the **analyses** (``traffic-estimate``, ``verify``) read what
-they built.  A symbolized compile pauses between the front and the code
-passes: the ``symbolize`` pass cuts the
-:class:`~repro.compiler.template.SymbolicTemplate` from the context, and the
-request is served by instantiating it (:meth:`Pipeline.resume` runs the
-rest), exactly as a later request for another shape is.  That first
-instantiation runs the code passes, and what they built becomes the
-template's :class:`~repro.compiler.template.TemplateStructure`; every later
-one runs the :class:`PatchStep` in their place.
+they built.  Every compile runs all the passes its options name over one
+context.  In a symbolized compile ``symbolize`` records where the front
+ends, and :meth:`Pipeline.serve` builds the
+:class:`~repro.compiler.template.SymbolicTemplate` from that cut and the
+:class:`~repro.compiler.template.TemplateStructure` of the artifact the
+code passes built.  An instantiation (:meth:`Pipeline.resume`) runs the
+:class:`PatchStep` in place of the code passes.
 
 Typical explicit use::
 
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol
 
 from repro.compiler.artifacts import (
@@ -51,7 +51,6 @@ from repro.compiler.artifacts import (
 )
 from repro.compiler.diagnostics import CompileReport, frontend_warnings
 from repro.compiler.template import SymbolicTemplate, TemplateStructure
-from repro.ir.cfg import build_cfg
 from repro.lang.ast_nodes import Program, Subroutine, reachable
 from repro.lang.parser import parse_program
 from repro.lang.semantics import ResolvedProgram, resolve_program
@@ -90,9 +89,8 @@ class PassContext:
     codes: dict[str, GeneratedCode] = field(default_factory=dict)
     #: single home for per-subroutine motion/removal reports and diagnostics
     report: CompileReport = field(default_factory=CompileReport)
-    #: what the ``symbolize`` pass cut (the run pauses there), or the
-    #: template a resumed run instantiates
-    template: SymbolicTemplate | None = None
+    #: what the ``symbolize`` pass cut: the template, but for its structure
+    cut: partial[SymbolicTemplate] | None = None
 
     def graphs(self) -> dict[str, RemappingGraph]:
         return {name: c.graph for name, c in self.constructions.items()}
@@ -236,8 +234,8 @@ class SymbolizePass:
     the compile-relevant binding values and the front's report (motion's
     reports and notes).  That is everything the code passes need to build
     the artifact at any concrete ``(n, P)`` without re-running motion,
-    whose shape-generic decisions are baked into the AST.  The run pauses
-    after it: the request is served by instantiating the template.
+    whose shape-generic decisions are baked into the AST.  The run goes
+    on: its code passes build the structure the template carries.
     """
 
     name = "symbolize"
@@ -245,7 +243,8 @@ class SymbolizePass:
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
         info = classify_bindings(ctx.program)
-        ctx.template = SymbolicTemplate(
+        ctx.cut = partial(
+            SymbolicTemplate,
             program=ctx.program,
             options=ctx.options,
             classification=info,
@@ -284,7 +283,7 @@ class ConstructionPass:
         assert ctx.resolved is not None
         vertices = 0
         for name, rsub in ctx.resolved.subroutines.items():
-            res = build_remapping_graph(build_cfg(rsub), ctx.resolved)
+            res = build_remapping_graph(rsub, ctx.resolved)
             ctx.constructions[name] = res
             vertices += len(res.graph.vertices)
         return {"subroutines": len(ctx.constructions), "vertices": vertices}
@@ -368,10 +367,12 @@ class PatchStep:
 
     name = "patch"
 
+    def __init__(self, structure: TemplateStructure):
+        self.structure = structure
+
     def run(self, ctx: PassContext) -> dict[str, int]:
-        assert ctx.program is not None and ctx.template is not None
-        structure = ctx.template.structure
-        assert structure is not None
+        assert ctx.program is not None
+        structure = self.structure
         ctx.resolved = resolved = resolve_program(
             ctx.program, bindings=ctx.bindings, default_processors=ctx.processors
         )
@@ -502,12 +503,10 @@ PASSES: dict[str, Pass] = {
 # ---------------------------------------------------------------------------
 
 
-_PATCH = PatchStep()
-
 #: Where :data:`PASS_ORDER` splits.  The front decides what no shape can
-#: change and ends with ``symbolize``, where a symbolized compile pauses to
-#: cut its template; the code passes build one geometry's artifact; the
-#: analyses after them read what the code passes built.
+#: change and ends with ``symbolize``, where a symbolized compile cuts its
+#: template; the code passes build one geometry's artifact; the analyses
+#: after them read what the code passes built.
 FRONT = PASS_ORDER[: PASS_ORDER.index("resolve")]
 CODE_PASSES = PASS_ORDER[PASS_ORDER.index("resolve") : PASS_ORDER.index("traffic-estimate")]
 
@@ -526,10 +525,8 @@ class Pipeline:
     """The passes one :class:`CompilerOptions` names, in canonical order.
 
     The options are validated when they are built, so every pipeline is a
-    legal pass set.  An eager compile runs them all over one context.  A
-    symbolized compile runs the front, pauses where ``symbolize`` cut the
-    template, and serves the request by instantiating it: the run from
-    :meth:`resume` that an instantiation at any other shape makes.
+    legal pass set.  A compile runs them all over one context;
+    :meth:`resume` instantiates a template that one cut.
     """
 
     def __init__(self, options: CompilerOptions):
@@ -558,12 +555,9 @@ class Pipeline:
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
     ) -> PassContext:
-        """Run the passes over a fresh context, for inspection.  A symbolized
-        run stops after the front, with the cut template in ``ctx.template``."""
+        """Run the passes over a fresh context, for inspection."""
         ctx = PassContext(source, bindings, _arrangement(processors), self.options)
         _OBS.counter("repro.compiler.pipelines_run").inc()
-        if self.options.symbolize:
-            return self._run(ctx, [p for p in self.passes if p.name in FRONT])
         return self._run(ctx, self.passes)
 
     def resume(
@@ -573,9 +567,9 @@ class Pipeline:
         processors: ProcessorArrangement | int | None,
     ) -> CompiledProgram:
         """The artifact at one ``(bindings, processors)``, over a context
-        seeded from ``template``: the :class:`PatchStep` where the template
-        carries its structure and the patch holds at this shape, the code
-        passes otherwise; then the analyses."""
+        seeded from ``template``: the :class:`PatchStep`, then the code
+        passes after ``resolve`` if versions merged at this shape, then the
+        analyses."""
         ctx = PassContext(
             template.program,
             bindings,
@@ -583,15 +577,10 @@ class Pipeline:
             self.options,
             program=template.program,
             report=_front_report(template.report),
-            template=template,
         )
-        rest = [p for p in self.passes if p.name not in FRONT]
-        if template.structure is not None:
-            self._run(ctx, [_PATCH])
-            # the patch resolved; where versions merged, the code passes build
-            done = CODE_PASSES if ctx.constructions else ("resolve",)
-            rest = [p for p in rest if p.name not in done]
-        return _assemble(self._run(ctx, rest))
+        self._run(ctx, [PatchStep(template.structure)])
+        done = FRONT + (CODE_PASSES if ctx.constructions else ("resolve",))
+        return _assemble(self._run(ctx, [p for p in self.passes if p.name not in done]))
 
     def compile(
         self,
@@ -609,17 +598,12 @@ class Pipeline:
         processors: ProcessorArrangement | int | None = None,
     ) -> tuple[CompiledProgram, SymbolicTemplate | None]:
         """The compiled artifact and, for a symbolized compile, the template
-        it was instantiated from, carrying the structure that instantiation's
-        code passes built; the artifact's trace holds every pass that ran,
-        the front's first."""
+        ``symbolize`` cut, carrying the structure of that artifact."""
         ctx = self.run_context(source, bindings, processors)
-        template = ctx.template
-        if template is None:
-            return _assemble(ctx), None
-        compiled = template.instantiate(bindings, processors)
-        template.structure = TemplateStructure.of(compiled)
-        compiled.trace.records[:0] = ctx.report.trace.records
-        return compiled, template
+        compiled = _assemble(ctx)
+        if ctx.cut is None:
+            return compiled, None
+        return compiled, ctx.cut(structure=TemplateStructure.of(compiled))
 
 
 def _arrangement(processors: ProcessorArrangement | int | None) -> ProcessorArrangement | None:

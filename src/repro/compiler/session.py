@@ -17,8 +17,9 @@ artifacts under a *shape-erased* key (shape-symbolic binding values and
 the processor arrangement dropped), so a request for a never-seen
 ``(n, P)`` is served by instantiating the template (tier
 ``"instantiated"``) instead of compiling from scratch.  The compile that
-cuts a template serves its own request by instantiating it too, so both
-tiers hand a request the same artifact.  On disk the template is the
+cuts a template serves its own request with the artifact that template
+patches at the request's shape, so both tiers hand a request the same
+artifact.  On disk the template is the
 *only* entry written for such a source -- shape-diverse traffic collapses
 to one store entry per (source, compile-relevant bindings, options) rather
 than one per shape -- and the only one looked up.
@@ -391,9 +392,9 @@ class CompilerSession:
         the attached :class:`~repro.store.ArtifactStore` -- no pipeline
         ran; the artifact is re-inserted into the memory cache) or
         ``"compiled"`` (a pipeline ran -- for a source with a template
-        key, the front, then the instantiation of the template it cut, so
-        the artifact is the one the ``"instantiated"`` tier serves; with a
-        store attached the artifact, or that template instead, is written
+        key, one that also cut the template, whose patch at this shape is
+        the artifact served, so the ``"instantiated"`` tier serves the
+        same one; with a store attached the artifact, or that template instead, is written
         back for other processes).  The service
         layer surfaces the tier as ``ServiceResult.cache_source``.
         """
@@ -497,7 +498,7 @@ class CompilerSession:
                 return loaded, "disk"
         # the pipeline runs unlocked, on the program first contact parsed,
         # while this call's flight holds other misses of the key waiting; a
-        # symbolized compile serves the request from the template it cuts
+        # symbolized compile also returns the template it cut
         compiled, template = Pipeline(options).serve(program, bindings, processors)
         compiled.freeze()
         with self._lock:

@@ -39,7 +39,6 @@ from repro.lang.ast_nodes import (
     Redistribute,
     Stmt,
 )
-from repro.lang.semantics import ResolvedSubroutine
 
 
 class NodeKind(enum.Enum):
@@ -95,7 +94,8 @@ class CFGNode:
 
 @dataclass
 class CFG:
-    sub: ResolvedSubroutine
+    #: the resolved body whose statement objects the nodes carry
+    body: Block
     nodes: dict[int, CFGNode] = field(default_factory=dict)
     succs: dict[int, list[int]] = field(default_factory=dict)
     preds: dict[int, list[int]] = field(default_factory=dict)
@@ -149,9 +149,9 @@ class CFG:
         return len(self.nodes)
 
 
-def build_cfg(sub: ResolvedSubroutine) -> CFG:
+def build_cfg(body: Block) -> CFG:
     """Lower a resolved subroutine's structured body into a CFG."""
-    cfg = CFG(sub)
+    cfg = CFG(body)
     v_c = cfg.add(NodeKind.CALLV, label="v_c")
     v_0 = cfg.add(NodeKind.ENTRY, label="v_0")
     cfg.entry = v_c.id
@@ -214,7 +214,7 @@ def build_cfg(sub: ResolvedSubroutine) -> CFG:
             return [head.id]  # fall-through: the loop may run zero times
         raise TypeError(f"cannot lower statement {s!r}")
 
-    tails = lower_block(sub.body, [v_0.id])
+    tails = lower_block(body, [v_0.id])
     v_e = cfg.add(NodeKind.EXIT, label="v_e")
     cfg.exit = v_e.id
     for t in tails:

@@ -36,7 +36,9 @@ class DistFormat:
     """One template dimension's distribution format."""
 
     kind: DistKind
-    block: int | None = None  # None = default (ceil(N/P) for BLOCK, 1 for CYCLIC)
+    #: the ``k`` of ``BLOCK(k)``/``CYCLIC(k)``; None = default (ceil(N/P)
+    #: for BLOCK, 1 for CYCLIC)
+    size: int | None = None
 
     @classmethod
     def block(cls, k: int | None = None) -> "DistFormat":
@@ -61,21 +63,21 @@ class DistFormat:
     def resolve_block(self, extent: int, procs: int) -> int:
         """Concrete chunk size for this format on ``extent`` cells / ``procs`` procs."""
         if self.kind is DistKind.BLOCK:
-            b = self.block if self.block is not None else -(-extent // procs)
+            b = self.size if self.size is not None else -(-extent // procs)
             if b * procs < extent:
                 raise ShapeError(
                     f"BLOCK({b}) cannot hold extent {extent} on {procs} processors"
                 )
             return b
         if self.kind is DistKind.CYCLIC:
-            return self.block if self.block is not None else 1
+            return self.size if self.size is not None else 1
         raise MappingError("'*' format has no block size")
 
     def __str__(self) -> str:
         if self.kind is DistKind.STAR:
             return "*"
         name = self.kind.value.upper()
-        return f"{name}({self.block})" if self.block is not None else name
+        return f"{name}({self.size})" if self.size is not None else name
 
 
 def owned_cells(

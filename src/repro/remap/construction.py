@@ -68,7 +68,7 @@ from repro.errors import (
     MultipleLeavingMappingsError,
     SemanticError,
 )
-from repro.ir.cfg import CFG, CFGNode, NodeKind
+from repro.ir.cfg import CFG, CFGNode, NodeKind, build_cfg
 from repro.ir.effects import (
     Use,
     intent_call_effect,
@@ -260,9 +260,9 @@ class ConstructionResult:
 
 
 class _Builder:
-    def __init__(self, cfg: CFG, program: ResolvedProgram):
+    def __init__(self, cfg: CFG, sub: ResolvedSubroutine, program: ResolvedProgram):
         self.cfg = cfg
-        self.sub = sub = cfg.sub
+        self.sub = sub
         self.program = program
         self.versions = VersionTable()
         self.holes: list[Hole] = []
@@ -791,9 +791,10 @@ class _Builder:
                     v.dead_source.add(a)
 
 
-def build_remapping_graph(cfg: CFG, program: ResolvedProgram) -> ConstructionResult:
+def build_remapping_graph(sub: ResolvedSubroutine, program: ResolvedProgram) -> ConstructionResult:
     """Run the full Appendix B construction for one subroutine."""
-    b = _Builder(cfg, program)
+    cfg = build_cfg(sub.body)
+    b = _Builder(cfg, sub, program)
     in_states, out_states = b.propagate()
     stmt_versions = b.annotate_references(in_states)
     vertices = b.vertex_labels(in_states, out_states)
@@ -801,7 +802,7 @@ def build_remapping_graph(cfg: CFG, program: ResolvedProgram) -> ConstructionRes
         nid: eff for nid, node in cfg.nodes.items() if (eff := b.effects_of(node))
     }
     rpo = cfg.rpo()
-    graph = RemappingGraph(b.versions, vertices, v_c=cfg.entry, v_0=cfg.entry + 1, v_e=cfg.exit)
+    graph = RemappingGraph(vertices, v_c=cfg.entry, v_0=cfg.entry + 1, v_e=cfg.exit)
     b.summarize_and_contract(vertices, graph, rpo)
     b.dead_values(vertices, rpo)
     # save reaching sets for call restores
@@ -812,7 +813,7 @@ def build_remapping_graph(cfg: CFG, program: ResolvedProgram) -> ConstructionRes
                 at_exit & b._smask.get((info.group, arg), 0)
             )
     return ConstructionResult(
-        sub=cfg.sub,
+        sub=sub,
         cfg=cfg,
         graph=graph,
         versions=b.versions,

@@ -108,11 +108,11 @@ class GRVertex:
         leaving = self.L.get(a)
         return frozenset() if leaving is None else frozenset({leaving})
 
-    def describe(self, versions: VersionTable) -> str:
+    def describe(self) -> str:
         parts = []
         for a in sorted(self.S):
             leaving = self.L.get(a)
-            lv = versions.name(a, leaving) if leaving is not None else "-"
+            lv = f"{a}_{leaving}" if leaving is not None else "-"
             rv = "{" + ",".join(str(x) for x in sorted(self.R.get(a, ()))) + "}"
             parts.append(f"{a}: {rv} --{self.U.get(a, Use.N)}--> {lv}")
         return f"[{self.label or self.kind.value}] " + "; ".join(parts)
@@ -120,9 +120,10 @@ class GRVertex:
 
 @dataclass
 class RemappingGraph:
-    """``G_R``: vertices indexed by CFG node id, labelled edges."""
+    """``G_R``: vertices indexed by CFG node id, labelled edges.  It names
+    versions by number only: their mappings live in the construction's
+    :class:`VersionTable`."""
 
-    versions: VersionTable
     vertices: dict[int, GRVertex] = field(default_factory=dict)
     # (src_cfg_id, dst_cfg_id) -> set of array names remapped at both ends
     edges: dict[tuple[int, int], set[str]] = field(default_factory=dict)
@@ -204,7 +205,7 @@ class RemappingGraph:
     def dump(self) -> str:
         lines = []
         for vid in self.vertex_ids():
-            lines.append(f"#{vid} " + self.vertices[vid].describe(self.versions))
+            lines.append(f"#{vid} " + self.vertices[vid].describe())
         for (s, d), arrays in sorted(self.edges.items()):
             lines.append(f"  #{s} -> #{d}  [{', '.join(sorted(arrays))}]")
         return "\n".join(lines)

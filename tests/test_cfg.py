@@ -13,7 +13,7 @@ P4 = ProcessorArrangement("P", (4,))
 def cfg_of(src: str, bindings=None):
     prog = resolve_program(parse_program(src), bindings or {"n": 8}, P4)
     sub = prog.get(next(iter(prog.subroutines)))
-    return build_cfg(sub)
+    return build_cfg(sub.body)
 
 
 def kinds(cfg):
@@ -121,7 +121,7 @@ end
         {"n": 8},
         P4,
     )
-    cfg = build_cfg(prog.get("s"))
+    cfg = build_cfg(prog.get("s").body)
     ks = kinds(cfg)
     i = ks.index(NodeKind.CALL_BEFORE)
     assert ks[i + 1] is NodeKind.CALL
@@ -178,6 +178,6 @@ end
 """
     prog = resolve_program(parse_program(src), {"n": 8}, P4)
     sub = prog.get("s")
-    cfg = build_cfg(sub)
+    cfg = build_cfg(sub.body)
     stmt = sub.body.stmts[0]
     assert cfg.node_of_stmt(stmt).kind is NodeKind.COMPUTE

@@ -11,7 +11,7 @@ import pytest
 
 from repro.apps.workloads import chain_subroutine
 from repro.errors import AmbiguousMappingError, MultipleLeavingMappingsError
-from repro.ir.cfg import NodeKind, build_cfg
+from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.lang import parse_program, resolve_program
 from repro.mapping import DistKind, ProcessorArrangement
@@ -26,7 +26,7 @@ def construct(src: str, bindings=None, procs=P4, sub_name: str | None = None):
     )
     name = sub_name or next(iter(prog.subroutines))
     sub = prog.get(name)
-    return build_remapping_graph(build_cfg(sub), prog)
+    return build_remapping_graph(sub, prog)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_chain_program_has_one_vertex_per_remapping_statement(m):
     """Appendix B's shape: m remapping statements contract to m vertices
     (+ v_c, v_0, v_e), however many arrays each one remaps."""
     program = resolve_program(chain_subroutine(m=m, p=2), bindings={}, default_processors=P4)
-    res = build_remapping_graph(build_cfg(program.get("chain")), program)
+    res = build_remapping_graph(program.get("chain"), program)
     assert len(res.graph.vertices) == m + 3
 
 

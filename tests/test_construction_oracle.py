@@ -57,7 +57,13 @@ from repro.ir.effects import (
 )
 from repro.lang import parse_program, resolve_program
 from repro.lang.ast_nodes import Call, Compute, Kill, Program, Realign, Redistribute
-from repro.lang.semantics import ResolvedProgram, arrangement_for, make_axes, make_formats
+from repro.lang.semantics import (
+    ResolvedProgram,
+    ResolvedSubroutine,
+    arrangement_for,
+    make_axes,
+    make_formats,
+)
 from repro.mapping import ProcessorArrangement
 from repro.mapping.align import Alignment
 from repro.mapping.distribute import Distribution
@@ -110,9 +116,9 @@ def _join_states(states: list[MapState]) -> MapState:
 
 
 class _ReferenceBuilder:
-    def __init__(self, cfg: CFG, program: ResolvedProgram):
+    def __init__(self, cfg: CFG, sub: ResolvedSubroutine, program: ResolvedProgram):
         self.cfg = cfg
-        self.sub = cfg.sub
+        self.sub = sub
         self.program = program
         self.versions = VersionTable()
         for name, info in self.sub.arrays.items():
@@ -484,13 +490,14 @@ def _old_kill_join(arrays: list[str], states: list[dict[str, int]]) -> dict[str,
     return out
 
 
-def reference_build(cfg: CFG, program: ResolvedProgram) -> ConstructionResult:
-    b = _ReferenceBuilder(cfg, program)
+def reference_build(sub: ResolvedSubroutine, program: ResolvedProgram) -> ConstructionResult:
+    cfg = build_cfg(sub.body)
+    b = _ReferenceBuilder(cfg, sub, program)
     in_states, out_states = b.propagate()
     stmt_versions = b.annotate_references(in_states)
     vertices = b.vertex_labels(in_states, out_states)
     b.summarize_effects(vertices)
-    graph = RemappingGraph(b.versions, vertices, v_c=cfg.entry, v_0=cfg.entry + 1, v_e=cfg.exit)
+    graph = RemappingGraph(vertices, v_c=cfg.entry, v_0=cfg.entry + 1, v_e=cfg.exit)
     b.contract(vertices, graph)
     b.dead_values(vertices)
     for info in b.calls.values():
@@ -498,7 +505,7 @@ def reference_build(cfg: CFG, program: ResolvedProgram) -> ConstructionResult:
             info.saved_reaching[arg] = out_states[cfg.exit].saved.get(
                 (info.group, arg), frozenset()
             )
-    return ConstructionResult(cfg.sub, cfg, graph, b.versions, stmt_versions, b.calls)
+    return ConstructionResult(sub, cfg, graph, b.versions, stmt_versions, b.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +515,7 @@ def reference_build(cfg: CFG, program: ResolvedProgram) -> ConstructionResult:
 
 def _outcome(build, rsub, resolved):
     try:
-        return build(build_cfg(rsub), resolved)
+        return build(rsub, resolved)
     except ReproError as exc:
         return type(exc), str(exc)
 
@@ -564,15 +571,15 @@ def _every_construction_checked():
     reference as it is built; yields the count."""
     seen = [0]
 
-    def checked(cfg: CFG, program: ResolvedProgram) -> ConstructionResult:
-        ref = _outcome(reference_build, cfg.sub, program)
+    def checked(sub: ResolvedSubroutine, program: ResolvedProgram) -> ConstructionResult:
+        ref = _outcome(reference_build, sub, program)
         seen[0] += 1
         try:
-            new = construction.build_remapping_graph(cfg, program)
+            new = construction.build_remapping_graph(sub, program)
         except ReproError as exc:
-            assert (type(exc), str(exc)) == ref, cfg.sub.name
+            assert (type(exc), str(exc)) == ref, sub.name
             raise
-        assert_same(new, ref, cfg.sub.name)
+        assert_same(new, ref, sub.name)
         return new
 
     # the cost guard compiles its variants with the pipeline's passes too
@@ -748,7 +755,7 @@ def test_redistribute_error_names_the_first_dummy():
     rsub = resolved.get("s")
     assert list(rsub.arrays) == ["y", "x"]  # declaration order puts the local first
     with pytest.raises(MultipleLeavingMappingsError, match="leaves array 'x'"):
-        build_remapping_graph(build_cfg(rsub), resolved)
+        build_remapping_graph(rsub, resolved)
 
 
 # ---------------------------------------------------------------------------

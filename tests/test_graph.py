@@ -57,10 +57,7 @@ def test_versions_are_per_array():
 
 
 def mk_graph():
-    vt = VersionTable()
-    vt.version_of("a", m(DistFormat.block()))
-    vt.version_of("a", m(DistFormat.cyclic()))
-    g = RemappingGraph(vt)
+    g = RemappingGraph()
     v1 = GRVertex(1, NodeKind.REMAP, "r1", S={"a"}, L={"a": 1}, R={"a": frozenset({0})})
     v1.U["a"] = Use.R
     v2 = GRVertex(2, NodeKind.REMAP, "r2", S={"a"}, L={"a": 0}, R={"a": frozenset({1})})
@@ -86,7 +83,7 @@ def test_adjacency_index_is_derived_state():
     g.add_edge(1, 2, "b")
     g.add_edge(2, 1, "a")
     g.add_edge(1, 1, "b")
-    fresh = RemappingGraph(g.versions, dict(g.vertices))
+    fresh = RemappingGraph(dict(g.vertices))
     for src, dst, array in [(1, 2, "a"), (1, 2, "b"), (2, 1, "a"), (1, 1, "b")]:
         fresh.edges.setdefault((src, dst), set()).add(array)  # no index kept
     assert g == fresh and repr(g) == repr(fresh)

@@ -150,6 +150,15 @@ def test_block_explicit_too_small_raises():
         f.resolve_block(10, 4)  # 2*4 < 10
 
 
+def test_format_size_is_a_field_not_the_factory():
+    """``size`` is the field; ``block`` is only the factory, so a ``*``
+    format's size is ``None`` and equals the one spelled out."""
+    assert DistFormat.star().size is None
+    assert DistFormat.star() == DistFormat(DistKind.STAR, None)
+    assert DistFormat.block() == DistFormat(DistKind.BLOCK, None)
+    assert DistFormat.cyclic(3).size == 3
+
+
 def test_cyclic_default_is_one():
     assert DistFormat.cyclic().resolve_block(10, 4) == 1
     assert DistFormat.cyclic(3).resolve_block(10, 4) == 3
@@ -470,7 +479,7 @@ def dim_maps(draw):
     pad_lo, pad_hi = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     span = abs(stride) * max(extent - 1, 0)
     t_extent = pad_lo + span + 1 + pad_hi
-    if fmt.kind is DistKind.BLOCK and fmt.block is not None and fmt.block * nprocs < t_extent:
+    if fmt.kind is DistKind.BLOCK and fmt.size is not None and fmt.size * nprocs < t_extent:
         fmt = DistFormat.block()
     return DimMap(
         extent=extent,

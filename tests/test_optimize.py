@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from repro.ir.cfg import NodeKind, build_cfg
+from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.lang import parse_program, parse_subroutine, resolve_program
 from repro.lang.ast_nodes import Do, Program, Redistribute
@@ -25,7 +25,7 @@ def construct(src: str, bindings=None, procs=P4, sub_name: str | None = None):
         parse_program(src), bindings=bindings or {"n": 16}, default_processors=procs
     )
     name = sub_name or next(iter(prog.subroutines))
-    return build_remapping_graph(build_cfg(prog.get(name)), prog)
+    return build_remapping_graph(prog.get(name), prog)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def test_fig16_motion_preserves_wellformedness():
     prog = resolve_program(
         Program((new_sub,)), bindings={"n": 16, "t": 3}, default_processors=P4
     )
-    res = build_remapping_graph(build_cfg(prog.get("s")), prog)
+    res = build_remapping_graph(prog.get("s"), prog)
     assert res.graph.remap_count() > 0
 
 

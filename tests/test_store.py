@@ -377,11 +377,8 @@ def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
     broken = dataclasses.replace(
         main, decls=tuple(d for d in main.decls if not isinstance(d, ArrayDecl))
     )
-    mutant = SymbolicTemplate(
-        program=dataclasses.replace(template.program, subroutines=(broken,)),
-        options=template.options,
-        classification=template.classification,
-        fixed_bindings=dict(template.fixed_bindings),
+    mutant = dataclasses.replace(
+        template, program=dataclasses.replace(template.program, subroutines=(broken,))
     )
     assert store.store(tkey, mutant)  # the store's own writer: digest valid
 
@@ -413,6 +410,24 @@ def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
     assert store.stats["semantic_evicted"] == 1
     assert store_cli(["verify", "--deep", "--dir", root]) == 0
     capsys.readouterr()
+
+
+def test_deep_verify_keeps_a_template_the_probe_shape_does_not_fit(tmp_path):
+    """A fixed ``block(2)`` cannot hold the probe's n = 8 on 2 processors:
+    the probe's ``ShapeError`` is the template's domain, not a defect, so
+    the offline check keeps the entry, and the template serves the shapes
+    it can hold."""
+    store = ArtifactStore(tmp_path / "tpl")
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    writer = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = writer.compile_traced(text, bindings={"n": 4, "t": 2}, processors=2)
+    assert tier == "compiled" and store.stats["entries_template"] == 1
+    report = store.verify(deep=True, evict=False)
+    assert report["invariant_violations"] == 0 and report["ok"] == 1
+    assert store_cli(["verify", "--deep", "--dir", str(tmp_path / "tpl")]) == 0
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = reader.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
+    assert tier == "instantiated"
 
 
 def test_template_with_a_mangled_structure_is_evicted_by_its_first_request(tmp_path):

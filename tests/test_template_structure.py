@@ -1,18 +1,19 @@
-"""A patched instantiation is the artifact a fresh resume builds.
+"""A patched instantiation is the artifact an eager compile builds.
 
 A template carries what its code passes built once -- CFG, remapping
 graph, version annotations, call infos, generated code, removal reports,
 front-end warnings -- and the *holes* that say how construction made each
 version's mapping.  Instantiating it resolves the program at the
 request's ``(n, P)``, evaluates the holes and patches the mappings into
-the shared structure.  These tests hold that patch to
-:meth:`~repro.compiler.pipeline.Pipeline.resume` of the same template
-without its structure -- the code passes run from scratch at that shape:
-every structure compared, every version's ``Mapping`` compared, and the
-error a shape the spellings cannot hold raises compared by type and
-message.  The sweep covers the paper's Fig. 1, 12 and 16 under the
-unscheduled executor and each of the three policies at eight shapes --
-n = P and n < P among them -- and the fuzz programs, seeds 0..99.
+the shared structure.  These tests hold that patch to an eager compile of
+the template's post-motion AST at that shape (``motion`` and
+``symbolize`` off, since motion already ran), reported under the
+template's options with the front's report first: every structure
+compared, every version's ``Mapping`` compared, and the error a shape
+the spellings cannot hold raises compared by type and message.  The
+sweep covers the paper's Fig. 1, 12 and 16 under the unscheduled
+executor and each of the three policies at eight shapes -- n = P and
+n < P among them -- and the fuzz programs, seeds 0..99.
 
 A fuzz program may distribute with a fixed ``block(k)``, which cannot hold
 an extent above ``k * P``: such shapes raise ``ShapeError`` on both paths,
@@ -22,6 +23,8 @@ from the hole of the version or distribution the spelling makes.
 from __future__ import annotations
 
 import dataclasses
+import io
+import pickle
 
 import pytest
 
@@ -31,7 +34,9 @@ from repro.compiler.pipeline import CODE_PASSES, Pipeline
 from repro.errors import ShapeError
 from repro.fuzz.generator import generate_case
 from repro.lang.printer import print_program
-from repro.mapping import ProcessorArrangement
+from repro.lang.semantics import ResolvedSubroutine
+from repro.mapping import Mapping, ProcessorArrangement
+from repro.remap.graph import VersionTable
 from test_store import FIG1, FIG12, FIG16, POLICIES
 
 #: (n, P): n = P at (4, 4), n < P at (3, 4)
@@ -51,13 +56,11 @@ def _facts(compiled) -> dict:
     """Everything an artifact is made of, mappings included, per subroutine."""
     out = {}
     for name, cs in compiled.subroutines.items():
-        res, graph = cs.construction, cs.construction.graph
+        res = cs.construction
         out[name] = dict(
             sub=res.sub,
-            cfg=(res.cfg.nodes, res.cfg.succs, res.cfg.preds, res.cfg.entry, res.cfg.exit),
-            vertices=graph.vertices,
-            edges=graph.edges,
-            boundary=(graph.v_c, graph.v_0, graph.v_e),
+            cfg=res.cfg,
+            graph=res.graph,
             versions={a: res.versions.versions(a) for a in res.versions.arrays()},
             stmt_versions=res.stmt_versions,
             calls=res.calls,
@@ -80,31 +83,47 @@ def _outcome(instantiate, bindings, processors):
     return _facts(compiled)
 
 
-def _resumed(template):
-    """``template`` without its structure: instantiating it runs the code passes."""
-    return dataclasses.replace(template, structure=None)
+def _eager(template):
+    """``template.instantiate`` done by an eager compile of its AST: the
+    code passes and analyses its options name, reported under its options
+    with the front's report first."""
+    options = dataclasses.replace(
+        template.options,
+        passes=tuple(
+            n for n in template.options.pass_names if n not in ("motion", "symbolize")
+        ),
+    )
+
+    def instantiate(bindings, processors):
+        merged = {**template.fixed_bindings, **bindings}
+        compiled = Pipeline(options).compile(template.program, merged, processors)
+        compiled.report.diagnostics[:0] = template.report.diagnostics
+        compiled.report.motion.update(template.report.motion)
+        return dataclasses.replace(compiled, options=template.options)
+
+    return instantiate
 
 
 def _check(template, bindings, shape) -> bool:
-    """Assert the patch at ``shape`` equals a fresh resume; True iff in domain."""
+    """Assert the patch at ``shape`` equals an eager compile; True iff in domain."""
     n, p = shape
     args = ({**bindings, "n": n}, ProcessorArrangement("P", (p,)))
     patched = _outcome(template.instantiate, *args)
-    assert patched == _outcome(_resumed(template).instantiate, *args), shape
+    assert patched == _outcome(_eager(template), *args), shape
     return isinstance(patched, dict)
 
 
 def _template(text: str, bindings: dict, policy):
     options = CompilerOptions.symbolic(level=3, schedule=policy)
     template = Pipeline(options).serve(text, bindings, 4)[1]
-    assert template is not None and template.structure is not None
+    assert template is not None
     return template
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_figure_templates_keep_their_structure_at_every_shape(figure, policy):
-    """Each patch equals a fresh resume, and records that it patched."""
+    """Each patch equals an eager compile, and records that it patched."""
     text, bindings = FIGURES[figure]
     template = _template(text, bindings, policy)
     assert all(_check(template, bindings, shape) for shape in SHAPES)
@@ -114,8 +133,8 @@ def test_figure_templates_keep_their_structure_at_every_shape(figure, policy):
 
 def test_fuzz_templates_keep_their_structure_inside_their_domain():
     """Fuzz seeds 0..99, each under one of the four execution modes: the
-    patch equals a fresh resume at every shape, and outside the program's
-    domain raises the resume's ``ShapeError``."""
+    patch equals an eager compile at every shape, and outside the
+    program's domain raises the compile's ``ShapeError``."""
     outside_counts = dict.fromkeys(SHAPES, 0)
     for seed in range(100):
         case = generate_case(seed)
@@ -157,16 +176,16 @@ def test_swapped_holes_fail_the_check():
     template = _template(text, bindings, None)
     args = ({**bindings, "n": 16}, ProcessorArrangement("P", (4,)))
 
-    def versions(t):
-        return _facts(t.instantiate(*args))["remap"]["versions"]
+    def versions(instantiate):
+        return _facts(instantiate(*args))["remap"]["versions"]
 
-    fresh = versions(_resumed(template))
+    fresh = versions(_eager(template))
     i, j, holes = _fig12_remap_moves(template)
-    assert versions(_with_holes(template, "remap", tuple(holes))) == fresh
+    assert versions(_with_holes(template, "remap", tuple(holes)).instantiate) == fresh
     holes[i], holes[j] = holes[j], holes[i]
     mutant = _with_holes(template, "remap", tuple(holes))
     assert verify_artifact(mutant.instantiate(*args)) == []
-    assert versions(mutant) != fresh
+    assert versions(mutant.instantiate) != fresh
     with pytest.raises(AssertionError):
         _check(mutant, bindings, (16, 4))
 
@@ -174,7 +193,7 @@ def test_swapped_holes_fail_the_check():
 def test_versions_that_would_merge_fall_back_to_the_code_passes():
     """A hole that evaluates to an earlier version's mapping would make
     interning merge two versions: that instantiation runs the code passes
-    after its resolve, and returns what a fresh resume returns."""
+    after its resolve, and returns what an eager compile returns."""
     text, bindings = FIGURES["fig12"]
     template = _template(text, bindings, "aggregate")
     i, _, holes = _fig12_remap_moves(template)
@@ -188,4 +207,47 @@ def test_versions_that_would_merge_fall_back_to_the_code_passes():
     assert compiled.trace.pass_names[1:] == tuple(
         n for n in options.pass_names if n in CODE_PASSES and n != "resolve"
     )
-    assert _facts(compiled) == _facts(_resumed(template).instantiate(*args))
+    assert _facts(compiled) == _facts(_eager(template)(*args))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_a_symbolized_compile_serves_the_patch_of_its_own_template(figure, policy):
+    """The compile that cuts a template returns the artifact the template
+    patches at the compile's own shape, and traces every pass it ran."""
+    text, bindings = FIGURES[figure]
+    options = CompilerOptions.symbolic(level=3, schedule=policy)
+    compiled, template = Pipeline(options).serve(text, bindings, 4)
+    assert _facts(compiled) == _facts(template.instantiate(bindings, 4))
+    assert compiled.trace.pass_names == options.pass_names
+
+
+def _pickled_types(obj) -> set[type]:
+    """The type of every object pickling ``obj`` writes."""
+    seen: set[type] = set()
+
+    class Scan(pickle.Pickler):
+        def persistent_id(self, o):
+            seen.add(type(o))
+            return None
+
+    Scan(io.BytesIO()).dump(obj)
+    return seen
+
+
+def test_cfg_and_graph_hold_no_geometry():
+    """An artifact's CFG and remapping graph hold no mapping, resolved
+    subroutine or version table: those live in its construction, beside
+    them, and are what an instantiation replaces."""
+    geometry = {Mapping, ResolvedSubroutine, VersionTable}
+    compiled = [
+        Pipeline(CompilerOptions.symbolic(level=3)).compile(text, bindings, 4)
+        for text, bindings in FIGURES.values()
+    ]
+    case = generate_case(0)
+    compiled.append(Pipeline(CompilerOptions()).compile(case.program, case.bindings, 4))
+    for artifact in compiled:
+        for cs in artifact.subroutines.values():
+            res = cs.construction
+            assert not _pickled_types((res.cfg, res.graph)) & geometry
+            assert geometry <= _pickled_types(res)  # the scan sees them
