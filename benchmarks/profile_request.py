@@ -18,7 +18,10 @@ cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
 (``simulate_grid``) and in remapping-graph construction
 (``build_remapping_graph``, the pipeline's and every guard variant's; all
 zero where every request is served without compiling), in template
-instantiation (``SymbolicTemplate.instantiate``), in the plan layer
+instantiation (``SymbolicTemplate.instantiate``), in the static checks of
+what a store load decodes (``verify_artifact``, a concrete artifact's, and
+``verify_template``, a template's, at no shape; no instantiation runs
+either), in the plan layer
 (``obtain_plan``: the plan memo's lookups and, on a miss, the plan's build
 and proof) and in the proof alone (``prove_plan``; both near zero once the
 memo holds every pair, so read them under ``--cold``), in the mp backend's
@@ -72,6 +75,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "layers")]
 import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not edited)
 
 from repro.analysis.commsafety import prove_plan  # noqa: E402
+from repro.analysis.verify import verify_artifact, verify_template  # noqa: E402
 from repro.compiler.template import SymbolicTemplate  # noqa: E402
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
@@ -100,6 +104,8 @@ SHARES = (
     ("simulate_grid", simulate_grid, None, HANDLE),
     ("build_remapping_graph", build_remapping_graph, None, HANDLE),
     ("SymbolicTemplate.instantiate", SymbolicTemplate.instantiate, None, HANDLE),
+    ("verify_artifact", verify_artifact, None, HANDLE),
+    ("verify_template", verify_template, None, HANDLE),
     ("obtain_plan", obtain_plan, None, HANDLE),
     ("prove_plan", prove_plan, None, HANDLE),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),

@@ -1,4 +1,4 @@
-"""Static invariant verification of compiled artifacts.
+"""Static invariant verification of compiled artifacts and templates.
 
 A :class:`~repro.compiler.artifacts.CompiledProgram` is a graph of
 interlocking structures -- CFG, remapping graph ``G_R``, version table,
@@ -14,38 +14,44 @@ assumptions instead of trusting them:
   statement is annotated to reference must be producible on some path;
 * **remapping-graph sanity** -- boundary vertices exist, edges connect
   existing vertices and are labelled only with arrays both endpoints
-  remap, and every leaving/reaching/live version is live in the version
-  table;
+  remap, and every leaving/reaching/live version is below its array's
+  version count;
 * **statement keys** -- the node-keyed maps (``stmt_versions``,
   generated before/after op lists) key only nodes of a kind they may
   annotate.  They key by CFG node id, not by statement object, so a load
   rebuilds nothing in them; the CFG rebuilds its own statement index
   (``cfg.stmt_nodes``) from its nodes.
 
+Of a geometry these checks read one fact, each array's version count.
+:func:`verify_artifact` reads it from an artifact's version tables and
+:func:`verify_template` from a template's holes (one version per hole),
+so a template is checked without a shape: every patch of it shares the
+template's CFGs, graphs, annotations and code, with one version per hole.
+
 :func:`verify_artifact` returns the full issue list (empty = verified);
 :func:`assert_verified` raises
 :class:`~repro.errors.ArtifactVerificationError` instead.  The ``verify``
 pipeline pass runs these checks at compile time, and the persistent
-store (:mod:`repro.store`) runs them on every disk load of a concrete
-artifact, evicting artifacts that fail -- a hash-valid but semantically
-corrupt entry degrades to a recompile, never an execution.  A stored
-*template* is checked as the artifact it serves: structurally on load
-(:func:`verify_template_structure`), and by :func:`verify_artifact` on
-the first artifact a session instantiates from it.
+store (:mod:`repro.store`) runs :func:`verify_artifact` or
+:func:`verify_template` on every disk load and in its offline ``verify``,
+evicting entries that fail -- a hash-valid but semantically corrupt entry
+degrades to a recompile, never an execution.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeAlias
 
 from repro.analysis.dataflow import Direction, solve
-from repro.errors import ArtifactVerificationError, ShapeError
+from repro.errors import ArtifactVerificationError
 from repro.ir.cfg import CFG, NodeKind
+from repro.lang.ast_nodes import ArrayDecl
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.artifacts import CompiledProgram
-    from repro.compiler.template import SymbolicTemplate
+    from repro.compiler.template import SubroutineStructure, SymbolicTemplate
     from repro.remap.codegen import GeneratedCode
     from repro.remap.construction import ConstructionResult
 
@@ -57,7 +63,6 @@ __all__ = [
     "verify_stmt_keys",
     "verify_subroutine",
     "verify_artifact",
-    "verify_template_structure",
     "verify_template",
     "assert_verified",
 ]
@@ -134,18 +139,25 @@ def verify_cfg(cfg: CFG, subroutine: str | None = None) -> list[VerificationIssu
 # ---------------------------------------------------------------------------
 
 
-def verify_graph(res: "ConstructionResult", subroutine: str | None = None) -> list[VerificationIssue]:
-    """Remapping-graph structure + version-table liveness of every label."""
+#: What the checks read of a subroutine: a ``ConstructionResult`` or a
+#: template's ``SubroutineStructure`` (``cfg``, ``graph``, ``stmt_versions``).
+Built: TypeAlias = "ConstructionResult | SubroutineStructure"
+
+
+def verify_graph(
+    res: Built, count: Callable[[str], int], subroutine: str | None = None
+) -> list[VerificationIssue]:
+    """Remapping-graph structure; every label is below ``count(array)``,
+    the array's version count."""
     issues: list[VerificationIssue] = []
     sub = subroutine
     g = res.graph
-    vt = res.versions
     for tag, vid in (("v_c", g.v_c), ("v_0", g.v_0), ("v_e", g.v_e)):
         if vid not in g.vertices:
             _issue(issues, "graph", f"boundary vertex {tag}={vid} missing", sub)
 
     def _live(a: str, ver: int) -> bool:
-        return 0 <= ver < vt.count(a)
+        return 0 <= ver < count(a)
 
     for vid, v in g.vertices.items():
         if v.cfg_id != vid:
@@ -159,7 +171,7 @@ def verify_graph(res: "ConstructionResult", subroutine: str | None = None) -> li
                     issues,
                     "graph",
                     f"vertex {vid}: leaving version {a}_{leaving} not in the "
-                    f"version table ({vt.count(a)} version(s))",
+                    f"version table ({count(a)} version(s))",
                     sub,
                 )
             for label, versions in (
@@ -198,9 +210,7 @@ def verify_graph(res: "ConstructionResult", subroutine: str | None = None) -> li
 # ---------------------------------------------------------------------------
 
 
-def verify_versions(
-    res: "ConstructionResult", subroutine: str | None = None
-) -> list[VerificationIssue]:
+def verify_versions(res: Built, subroutine: str | None = None) -> list[VerificationIssue]:
     """Prove every annotated reference version producible on some path.
 
     Recomputes, independently of the construction's own cached states, the
@@ -278,7 +288,7 @@ def verify_versions(
 
 
 def verify_stmt_keys(
-    res: "ConstructionResult",
+    res: Built,
     code: "GeneratedCode | None" = None,
     subroutine: str | None = None,
 ) -> list[VerificationIssue]:
@@ -307,20 +317,20 @@ def verify_stmt_keys(
 
 
 def verify_subroutine(
-    res: "ConstructionResult",
-    code: "GeneratedCode | None" = None,
-    subroutine: str | None = None,
+    res: Built,
+    count: Callable[[str], int],
+    code: "GeneratedCode | None",
+    subroutine: str,
 ) -> list[VerificationIssue]:
     """All per-subroutine checks (CFG, graph, versions, statement keys)."""
-    name = subroutine or res.sub.name
-    issues = verify_cfg(res.cfg, name)
-    issues += verify_graph(res, name)
-    issues += verify_stmt_keys(res, code, name)
+    issues = verify_cfg(res.cfg, subroutine)
+    issues += verify_graph(res, count, subroutine)
+    issues += verify_stmt_keys(res, code, subroutine)
     # def-before-use assumes a structurally sound CFG; skip it when the
     # structure is already known broken (avoids solver crashes on e.g.
     # dangling adjacency)
     if not any(i.check == "cfg" for i in issues):
-        issues += verify_versions(res, name)
+        issues += verify_versions(res, subroutine)
     return issues
 
 
@@ -328,89 +338,56 @@ def verify_artifact(cp: "CompiledProgram") -> list[VerificationIssue]:
     """Every invariant check over a compiled program; empty = verified."""
     issues: list[VerificationIssue] = []
     for name, cs in cp.subroutines.items():
-        issues += verify_subroutine(cs.construction, cs.code, name)
-    return issues
-
-
-def verify_template_structure(template: "SymbolicTemplate") -> list[VerificationIssue]:
-    """The checks a template admits without a geometry; empty = sound.
-
-    The binding classification must partition (no name both shape-symbolic
-    and compile-relevant), at least one name must be shape-symbolic
-    (otherwise a concrete artifact should have been stored) and no fixed
-    binding may shadow a shape symbol.  This is all a store load runs on a
-    template: what the stored AST and structure *mean* is checked on the
-    artifact a request instantiates from it
-    (:meth:`repro.compiler.session.CompilerSession._instantiate`), at the
-    request's own geometry, not on a probe beside it.
-    """
-    issues: list[VerificationIssue] = []
-    cls = template.classification
-    overlap = cls.shape_symbolic & cls.compile_relevant
-    if overlap:
-        _issue(
-            issues,
-            "template",
-            f"binding names {sorted(overlap)} classified both shape-symbolic "
-            "and compile-relevant",
-            None,
-        )
-    if not cls.shape_symbolic:
-        _issue(
-            issues,
-            "template",
-            "template has no shape-symbolic bindings (should be concrete)",
-            None,
-        )
-    shadowed = cls.shape_symbolic & set(template.fixed_bindings)
-    if shadowed:
-        _issue(
-            issues,
-            "template",
-            f"fixed bindings shadow shape symbol(s) {sorted(shadowed)}",
-            None,
-        )
+        res = cs.construction
+        issues += verify_subroutine(res, res.versions.count, cs.code, name)
     return issues
 
 
 def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
-    """Every invariant check over a symbolic template; empty = verified.
+    """Every check over a symbolic template, at no shape; empty = verified.
 
-    A template cannot be checked directly the way a concrete artifact can
-    -- its geometry is parameterized -- so verification has two parts:
-
-    * **structural** -- :func:`verify_template_structure`;
-    * **probe instantiation** -- the template is instantiated at one small
-      concrete geometry and the result passes the *full* concrete checker
-      (:func:`verify_artifact`).  An entry whose stored AST, structure or
-      options were corrupted in a way that still unpickles fails here.  A
-      template whose spellings cannot hold the probe's shape (a fixed
-      ``block(k)``) raises a ``ShapeError`` there, as its compile would:
-      that is the template's domain, not a defect, and leaves it sound.
-
-    The probe is the offline check (``python -m repro.store verify --deep``,
-    :meth:`repro.store.ArtifactStore.verify` with ``deep=True``), where no
-    request supplies a geometry.  On the request path the session verifies
-    the first artifact it instantiates from a loaded template instead, so
-    a load instantiates nothing.
+    Per subroutine, the checks :func:`verify_artifact` runs on any patch
+    of the template, over the structure every patch shares, with each
+    array's version count taken from its holes; then the stored AST
+    against that structure (the same subroutines, each body the one its
+    CFG was built over, each declared array seeded by a ``declared``
+    hole), and the bindings: a template has a shape-symbolic name, no
+    fixed binding shadows one, and every compile-relevant name has the
+    fixed binding its compile needed.
     """
-    issues = verify_template_structure(template)
-    if issues:
-        return issues  # probe instantiation needs a sane classification
-    from repro.mapping.processors import ProcessorArrangement
-
-    bindings = {
-        name: 8 + 4 * i
-        for i, name in enumerate(sorted(template.classification.shape_symbolic))
-    }
-    try:
-        compiled = template.instantiate(bindings, ProcessorArrangement("P", (2,)))
-    except ShapeError:
-        return issues  # the probe lies outside the template's domain
-    except Exception as exc:
-        _issue(issues, "template", f"probe instantiation failed: {exc!r}", None)
-        return issues
-    return verify_artifact(compiled)
+    issues: list[VerificationIssue] = []
+    structures = template.structure.subroutines
+    names = sorted(sub.name for sub in template.program.subroutines)
+    if names != sorted(structures):
+        found = f"the AST holds subroutines {names}, the structure {sorted(structures)}"
+        _issue(issues, "template", found, None)
+    for sub in template.program.subroutines:
+        built = structures.get(sub.name)
+        if built is None:
+            continue
+        counts = Counter(hole[1] for hole in built.holes if hole[0] != "distribution")
+        issues += verify_subroutine(built, counts.__getitem__, built.code, sub.name)
+        if sub.body != built.cfg.body:
+            _issue(issues, "template", "the AST body is not the one its CFG holds", sub.name)
+        declared = {d.name for d in sub.decls if isinstance(d, ArrayDecl)}
+        seeded = {hole[1] for hole in built.holes if hole[0] == "declared"}
+        if declared != seeded:
+            _issue(
+                issues,
+                "template",
+                f"declared arrays {sorted(declared)} but declared-mapping holes "
+                f"for {sorted(seeded)}",
+                sub.name,
+            )
+    cls = template.classification
+    fixed = set(template.fixed_bindings)
+    if not cls.shape_symbolic:
+        _issue(issues, "template", "no shape-symbolic bindings (should be concrete)", None)
+    if shadowed := sorted(cls.shape_symbolic & fixed):
+        _issue(issues, "template", f"fixed bindings shadow shape symbol(s) {shadowed}", None)
+    if unbound := sorted(cls.compile_relevant - fixed):
+        _issue(issues, "template", f"compile-relevant name(s) {unbound} have no fixed binding", None)
+    return issues
 
 
 def assert_verified(cp: "CompiledProgram") -> "CompiledProgram":

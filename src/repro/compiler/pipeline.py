@@ -230,9 +230,9 @@ class SymbolizePass:
     Runs right after motion: splits the program's compile-time binding
     names into *shape-symbolic* (array/template extents erasable from the
     artifact key) and *compile-relevant* (processor extents, non-shape
-    loop bounds) and keeps, with that classification, the post-motion AST,
-    the compile-relevant binding values and the front's report (motion's
-    reports and notes).  That is everything the code passes need to build
+    loop bounds) and keeps the post-motion AST (the classification is
+    read from it), the compile-relevant binding values and the front's
+    report (motion's reports and notes).  That is everything the code passes need to build
     the artifact at any concrete ``(n, P)`` without re-running motion,
     whose shape-generic decisions are baked into the AST.  The run goes
     on: its code passes build the structure the template carries.
@@ -247,7 +247,6 @@ class SymbolizePass:
             SymbolicTemplate,
             program=ctx.program,
             options=ctx.options,
-            classification=info,
             fixed_bindings={
                 k: v for k, v in (ctx.bindings or {}).items() if k in info.compile_relevant
             },
@@ -460,7 +459,7 @@ class VerifyPass:
         issues = []
         for name, res in ctx.constructions.items():
             issues.extend(
-                verify_mod.verify_subroutine(res, ctx.codes.get(name), name)
+                verify_mod.verify_subroutine(res, res.versions.count, ctx.codes.get(name), name)
             )
         for issue in issues:
             ctx.report.add(

@@ -22,7 +22,9 @@ patches at the request's shape, so both tiers hand a request the same
 artifact.  On disk the template is the
 *only* entry written for such a source -- shape-diverse traffic collapses
 to one store entry per (source, compile-relevant bindings, options) rather
-than one per shape -- and the only one looked up.
+than one per shape -- and the only one looked up.  The store checks a
+template where it loads it; the session runs no verifier, and evicts a
+loaded template only if a request its instantiation raised on compiles.
 
 Which bindings a compilation can depend on -- symbolic declaration extents
 and undeclared loop bounds -- is a syntactic property of the source, so a
@@ -483,8 +485,9 @@ class CompilerSession:
             if options.symbolize
             else None
         )
+        suspect = False
         if tkey is not None:
-            served = self._instantiate(key, tkey, bindings, processors)
+            served, suspect = self._instantiate(key, tkey, names, bindings, processors)
             if served is not None:
                 return served, "instantiated"
         elif self.store is not None:
@@ -500,6 +503,8 @@ class CompilerSession:
         # while this call's flight holds other misses of the key waiting; a
         # symbolized compile also returns the template it cut
         compiled, template = Pipeline(options).serve(program, bindings, processors)
+        if suspect:  # the source compiles where its loaded template raised
+            self.store.reject(tkey)
         compiled.freeze()
         with self._lock:
             self.passes_run += len(compiled.trace.records)
@@ -525,58 +530,52 @@ class CompilerSession:
         self,
         key: SessionKey,
         tkey: tuple,
+        names: BindingClassification,
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
-    ) -> CompiledProgram | None:
-        """Serve one request by instantiating the template at ``tkey``, if any.
+    ) -> tuple[CompiledProgram | None, bool]:
+        """Serve one request by instantiating the template at ``tkey``, if
+        any: ``(artifact, suspect)``.
 
-        Checks the in-memory template cache, then the store.  ``None`` --
-        no template known for this source/options, or the request lacks a
-        shape binding -- sends the caller on to the remaining tiers.  The
+        Checks the in-memory template cache, then the store.  No artifact
+        -- no template known for this source/options, or the request lacks
+        a shape binding -- sends the caller on to the remaining tiers.  The
         instantiated concrete artifact joins the ordinary memory cache
         (under ``key``), so repeats of the same ``(n, P)`` are plain
         ``"memory"`` hits.
 
-        A template loaded from the store is verified as the artifact it
-        serves: the first artifact instantiated from it must pass
-        :func:`~repro.analysis.verify.verify_artifact` before the template
-        joins the memory tier.  If that instantiation raises or fails, the
-        entry is evicted through the store (``semantic_evicted``), the
-        template is dropped and the request falls through to a clean
-        compile, which rewrites the entry.
+        A template from the store was checked by its load and is not
+        checked again.  If its instantiation raises, the request goes on
+        to a clean compile with ``suspect`` set: the caller rejects the
+        entry (``store.reject``) only if that compile succeeds, so a
+        request outside the template's domain raises the error its compile
+        raises and keeps the entry.
         """
-        from repro.analysis.verify import verify_artifact
         from repro.compiler.template import SymbolicTemplate
 
         template = self._templates.get(tkey)
-        unserved = False
+        loaded = False
         if template is None and self.store is not None:
-            loaded = self.store.load(tkey)
-            if isinstance(loaded, SymbolicTemplate):
-                template = loaded
-                unserved = True
-        if template is None or template.missing_shapes(bindings):
-            return None
+            found = self.store.load(tkey)
+            if isinstance(found, SymbolicTemplate):
+                template, loaded = found, True
+        if template is None or names.shape_symbolic - set(bindings or {}):
+            return None, False
         with _TRACER.span("template.instantiate"):
-            if unserved:
-                try:
-                    compiled = template.instantiate(bindings, processors)
-                    sound = not verify_artifact(compiled)
-                except Exception:  # a mangled AST or structure can raise anything
-                    sound = False
-                if not sound:
-                    self.store.reject(tkey)
-                    return None
-            else:
+            try:
                 compiled = template.instantiate(bindings, processors)
+            except Exception:  # a stored AST the load could not fault may raise anything
+                if not loaded:
+                    raise
+                return None, True
         compiled.freeze()
-        if unserved:
+        if loaded:
             self._count("instantiations", "store_hits")
             self._templates.put(tkey, template)
         else:
             self._count("instantiations")
         self._cache.put(key, compiled)
-        return compiled
+        return compiled, False
 
     @property
     def cache_size(self) -> int:

@@ -8,10 +8,10 @@ what no shape changes:
 * the **post-motion AST** -- motion already ran under a
   :class:`~repro.remap.costguard.CostGuard` priced at the shape probes, not
   the request's shape, so its decisions are valid for every shape and must
-  not be re-derived per instantiation;
-* the **binding classification** -- which names are shape-symbolic
-  (erased from the artifact key, re-supplied per request) and which are
-  compile-relevant (part of the key);
+  not be re-derived per instantiation.  The binding classification -- which
+  names are shape-symbolic (erased from the artifact key, re-supplied per
+  request) and which are compile-relevant (part of the key) -- is read
+  from it (:attr:`SymbolicTemplate.classification`), not stored;
 * the **fixed bindings** -- the compile-relevant values the template was
   built under (shape-symbolic values are erased);
 * the **front's report** -- motion's reports and the notes it added;
@@ -23,7 +23,7 @@ what no shape changes:
   the front-end warnings.  It holds no resolved subroutine, mapping,
   layout or plan.
 
-``symbolize`` records the first four where the front ends; the code
+``symbolize`` records the first three where the front ends; the code
 passes of the same run then build the compile's own artifact, and the
 template is built with that artifact's structure
 (:meth:`~repro.compiler.pipeline.Pipeline.serve`).  Every
@@ -42,6 +42,15 @@ compile at that shape builds, and its trace records what ran: ``patch``
 the analyses.  Instantiations run their copies on the process's plans
 (:data:`~repro.spmd.schedule.PLANS`), so a repeated shape -- or an eager
 compile of the same shape -- reuses them.
+
+A template is checked once, where stored bytes become one
+(:meth:`~repro.store.ArtifactStore.load` and the store's offline
+``verify``), by :func:`~repro.analysis.verify.verify_template`: every
+patch shares the structure's CFGs, graphs, annotations and code and has
+one version per hole, so the checks a patched artifact would pass are run
+on the structure, at no shape, and the stored AST is held to it.  No
+instantiation is checked again (unless its options name the ``verify``
+pass, as for any compile).
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from repro.remap.codegen import GeneratedCode
 from repro.remap.construction import CallInfo, ConstructionResult, Hole, patch_versions
 from repro.remap.graph import RemappingGraph
 from repro.remap.optimize import RemovalReport
-from repro.symbolic.classify import BindingClassification
+from repro.symbolic.classify import BindingClassification, classify_bindings
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,6 @@ class SymbolicTemplate(_Freezable):
     #: the originating options -- instantiations inherit them verbatim, so
     #: an instantiated artifact is indistinguishable from an eager compile
     options: CompilerOptions
-    #: shape-symbolic vs compile-relevant split of the binding names
-    classification: BindingClassification
     #: compile-relevant binding values baked into the template (part of
     #: its identity; shape-symbolic names are deliberately absent)
     fixed_bindings: dict[str, int]
@@ -135,6 +142,13 @@ class SymbolicTemplate(_Freezable):
     def freeze(self) -> None:
         """Make the template immutable for cache sharing."""
         self._freeze_self()
+
+    @property
+    def classification(self) -> BindingClassification:
+        """Shape-symbolic vs compile-relevant split of the binding names,
+        read from the AST (a session keys on the same split at first
+        contact, so its requests never ask for it)."""
+        return classify_bindings(self.program)
 
     @property
     def shape_names(self) -> frozenset[str]:

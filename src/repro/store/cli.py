@@ -6,13 +6,12 @@
 * ``stats``  -- print counters and the on-disk footprint as JSON;
 * ``gc``     -- enforce the size budget (LRU), drop stale schema
   generations and sweep orphaned temp files;
-* ``verify`` -- re-check every entry's integrity (header, length,
-  payload digest, unpickle); with ``--deep``, decoded artifacts also
-  pass the full static invariant checker
-  (:mod:`repro.analysis.verify`), catching hash-valid but semantically
-  corrupt entries.  Defective entries are evicted unless ``--keep`` is
-  given.  Exits non-zero when corruption was found, so CI can gate on a
-  clean store.
+* ``verify`` -- re-check every entry as a load does: integrity (header,
+  length, payload digest, unpickle), then the static invariant checks of
+  :mod:`repro.analysis.verify` (a concrete artifact's, or a template's at
+  no shape), catching hash-valid but semantically corrupt entries.
+  Defective entries are evicted unless ``--keep`` is given.  Exits
+  non-zero when corruption was found, so CI can gate on a clean store.
 
 Exit codes (shared with ``python -m repro.lint`` and
 ``python -m repro.obs``): 0 = clean, 1 = findings, 2 =
@@ -59,17 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "gc", parents=[common], help="enforce size budget, drop stale generations"
     )
     verify = sub.add_parser(
-        "verify", parents=[common], help="integrity-check every entry"
+        "verify", parents=[common], help="check every entry as a load does"
     )
     verify.add_argument(
         "--keep",
         action="store_true",
         help="report corrupt entries without evicting them (dry run)",
-    )
-    verify.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the static invariant checker over decoded artifacts",
     )
     return parser
 
@@ -95,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         report = dict(store.gc())
         report["entries_bytes"] = store.total_bytes
     else:  # verify
-        report = dict(store.verify(evict=not args.keep, deep=args.deep))
+        report = dict(store.verify(evict=not args.keep))
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.command == "verify" and (
         report.get("corrupt") or report.get("invariant_violations")

@@ -31,7 +31,10 @@ Design contract, enforced by construction and by ``tests/test_store.py``:
   payload in a JSON header; a load re-checks length and digest before
   unpickling.  Truncated, tampered or otherwise undecodable entries are
   evicted and reported as misses -- the load path degrades to a clean
-  recompile, it never raises and never serves a wrong artifact;
+  recompile, it never raises and never serves a wrong artifact.  A decoded
+  entry then runs the static checks of :mod:`repro.analysis.verify` --
+  a template its one check, at no shape, so no instantiation re-checks
+  it -- and one that fails is evicted the same way;
 * **safe concurrent access** -- writers serialize per entry via advisory
   file locks, write to a temp file and publish with one atomic
   ``os.replace``; readers need no lock (they either see a complete entry
@@ -335,23 +338,20 @@ class ArtifactStore:
         The stored digest is re-checked against the payload before
         unpickling; any mismatch -- truncation, tampering, a header that
         is not valid JSON -- evicts the entry and reports a miss, so a
-        corrupt store degrades to cold-compile behavior.  A decoded
-        *concrete* artifact is then deeply verified -- the full static
-        invariant checker (:func:`repro.analysis.verify.verify_artifact`)
-        runs over its CFGs, remapping graphs, version annotations and
-        node-keyed op lists -- so a hash-valid but semantically corrupt
-        entry is also evicted (``semantic_evicted``) and recompiled, never
-        executed.  That pass stays on every concrete load: a digest proves
-        the bytes are the ones written, not that they describe an artifact
-        the compiler could have built, and it costs well under a
-        millisecond.  A decoded
-        *template* gets its structural checks only
-        (:func:`~repro.analysis.verify.verify_template_structure`) and is
-        never instantiated here: the session verifies the first artifact
-        it instantiates from the template for a request and hands a
-        failure back through :meth:`reject`.  A verified load refreshes
-        the entry's mtime (the LRU recency the size bound evicts by) and
-        returns the artifact re-frozen.
+        corrupt store degrades to cold-compile behavior.  The decoded
+        artifact is then deeply verified -- a concrete one by the full
+        static invariant checker
+        (:func:`repro.analysis.verify.verify_artifact`) over its CFGs,
+        remapping graphs, version annotations and node-keyed op lists, a
+        template by :func:`~repro.analysis.verify.verify_template`, the
+        same checks over the structure every instantiation shares, at no
+        shape -- so a hash-valid but semantically corrupt entry is also
+        evicted (``semantic_evicted``) and recompiled, never executed.  A
+        digest proves the bytes are the ones written, not that they
+        describe an artifact the compiler could have built, and the check
+        costs well under a millisecond.  A load instantiates nothing.  A
+        verified load refreshes the entry's mtime (the LRU recency the
+        size bound evicts by) and returns the artifact re-frozen.
 
         Each call opens a ``store.load`` span recording hit kind or miss.
         """
@@ -377,7 +377,7 @@ class ArtifactStore:
             self._evict_entry(path, corrupt=True)
             self._count("misses")
             return None
-        if self._invariant_issues(artifact, deep=False):
+        if self._invariant_issues(artifact):
             self._evict_semantic(path)
             self._count("misses")
             return None
@@ -388,35 +388,17 @@ class ArtifactStore:
         return artifact
 
     @classmethod
-    def _invariant_issues(
-        cls, artifact: "CompiledProgram | SymbolicTemplate", deep: bool
-    ) -> list:
-        """Semantic verification; a non-empty list disqualifies.
+    def _invariant_issues(cls, artifact: "CompiledProgram | SymbolicTemplate") -> list:
+        """Semantic verification; a non-empty list disqualifies.  Never
+        raises: a checker crash on a mangled object graph counts as one
+        issue (the load path must degrade, not propagate)."""
+        from repro.analysis.verify import VerificationIssue, verify_artifact, verify_template
 
-        Concrete programs get the full static checker either way.  A
-        symbolic template gets its structural checks, and under ``deep``
-        (:meth:`verify`, where no request will ever instantiate it) also a
-        verified probe instantiation (:func:`repro.analysis.verify.
-        verify_template`); a load passes ``deep=False`` and instantiates
-        nothing.  Never raises: a checker crash on a mangled object graph
-        counts as one issue (the load path must degrade, not propagate)."""
-        from repro.analysis.verify import (
-            VerificationIssue,
-            verify_artifact,
-            verify_template,
-            verify_template_structure,
-        )
-
+        template = cls._artifact_kind(artifact) == "template"
         try:
-            if cls._artifact_kind(artifact) == "template":
-                return (verify_template if deep else verify_template_structure)(artifact)
-            return verify_artifact(artifact)
-        except Exception as exc:  # pragma: no cover - defensive
-            return [
-                VerificationIssue(
-                    check="crash", message=f"verifier crashed: {exc!r}"
-                )
-            ]
+            return (verify_template if template else verify_artifact)(artifact)
+        except Exception as exc:
+            return [VerificationIssue(check="crash", message=f"verifier crashed: {exc!r}")]
 
     def _decode(self, blob: bytes) -> "CompiledProgram | SymbolicTemplate | None":
         """Header-check, digest-check and unpickle; ``None`` on any defect."""
@@ -461,8 +443,8 @@ class ArtifactStore:
 
     def reject(self, key: object) -> None:
         """Evict ``key``'s entry on a reader's finding (``semantic_evicted``):
-        a loaded template whose first served instantiation raised or failed
-        :func:`~repro.analysis.verify.verify_artifact`."""
+        a loaded template whose instantiation raised for a request a clean
+        compile then served."""
         self._evict_semantic(self.entry_path(key))
 
     # -- maintenance -------------------------------------------------------
@@ -578,18 +560,17 @@ class ArtifactStore:
             "lock_files_removed": locks_swept,
         }
 
-    def verify(self, evict: bool = True, deep: bool = False) -> dict[str, int]:
-        """Re-check every entry's integrity; returns a scan report.
+    def verify(self, evict: bool = True) -> dict[str, int]:
+        """Re-check every entry the way a load does; returns a scan report.
 
         Each entry is decoded exactly as a load would decode it (header,
-        length, digest, unpickle); with ``deep=True`` decoded artifacts
-        additionally pass the full static invariant checker
-        (:func:`repro.analysis.verify.verify_artifact`; a template is
-        probe-instantiated first, :func:`~repro.analysis.verify.
-        verify_template`), catching hash-valid but semantically corrupt
-        entries.  Defective entries
-        are evicted unless ``evict=False`` (dry run).  The entry mtimes
-        are left untouched, so verification does not perturb LRU order.
+        length, digest, unpickle) and the decoded artifact runs the load's
+        checks (:func:`~repro.analysis.verify.verify_artifact`, or
+        :func:`~repro.analysis.verify.verify_template` for a template),
+        catching hash-valid but semantically corrupt entries.  Defective
+        entries are evicted unless ``evict=False`` (dry run).  The entry
+        mtimes are left untouched, so verification does not perturb LRU
+        order.
         """
         ok = corrupt = invalid = 0
         for e in self._entries():
@@ -604,7 +585,7 @@ class ArtifactStore:
                 corrupt += 1
                 if evict:
                     self._evict_entry(path, corrupt=True)
-            elif deep and self._invariant_issues(artifact, deep=True):
+            elif self._invariant_issues(artifact):
                 invalid += 1
                 if evict:
                     self._evict_semantic(path)

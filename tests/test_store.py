@@ -37,8 +37,8 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
-from repro.errors import ArtifactFrozenError
-from repro.lang.ast_nodes import ArrayDecl
+from repro.errors import ArtifactFrozenError, ShapeError
+from repro.lang.ast_nodes import ArrayDecl, DistributeDecl
 from repro.lang.printer import print_program
 from repro.spmd import CommSchedule
 from repro.spmd.schedule import PLANS
@@ -350,92 +350,41 @@ def test_garbage_header_degrades_to_recompile(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# a stored template is verified as the artifact it serves
+# a stored template is checked once, where it is loaded
 # ---------------------------------------------------------------------------
 
 SYMBOLIC = CompilerOptions.symbolic(level=3, schedule="aggregate")
 
 
-def _seed_template(tmp_path):
-    """A store holding Fig. 16's template, written by a compile at a shape
-    no later request asks for; returns (store, template key, template)."""
+def _seed_template(tmp_path, source=FIG16, bindings=None, processors=4):
+    """A store holding one template (by default Fig. 16's, written by a
+    compile at a shape no later request asks for); returns (store, template
+    key, template)."""
     store = ArtifactStore(tmp_path / "tpl")
     writer = CompilerSession(store=store, options=SYMBOLIC)
-    _, tier = writer.compile_traced(FIG16, bindings={"n": 64, "t": 5}, processors=4)
+    bindings = bindings or {"n": 64, "t": 5}
+    _, tier = writer.compile_traced(source, bindings=bindings, processors=processors)
     assert tier == "compiled" and store.stats["entries_template"] == 1
     ((tkey, template),) = writer._templates._entries.items()
     assert store.entry_path(tkey).is_file()
     return store, tkey, template
 
 
-def test_mutated_template_is_evicted_by_its_first_request(tmp_path, capsys):
-    """A hash-valid template whose AST lost its array declaration: the load
-    has nothing to say against it, the first request's instantiation does,
-    and the request is served by a clean compile that rewrites the entry."""
-    store, tkey, template = _seed_template(tmp_path)
+def _without_decl(template, kind):
+    """``template`` with its one subroutine's declarations of ``kind`` dropped."""
     (main,) = template.program.subroutines
     broken = dataclasses.replace(
-        main, decls=tuple(d for d in main.decls if not isinstance(d, ArrayDecl))
+        main, decls=tuple(d for d in main.decls if not isinstance(d, kind))
     )
-    mutant = dataclasses.replace(
+    assert broken != main
+    return dataclasses.replace(
         template, program=dataclasses.replace(template.program, subroutines=(broken,))
     )
-    assert store.store(tkey, mutant)  # the store's own writer: digest valid
-
-    assert isinstance(store.load(tkey), SymbolicTemplate)
-    assert store.stats["semantic_evicted"] == 0
-    root = str(tmp_path / "tpl")
-    assert store_cli(["verify", "--deep", "--keep", "--dir", root]) == 1
-    assert json.loads(capsys.readouterr().out)["invariant_violations"] == 1
-    assert store.entry_path(tkey).is_file()
-
-    w = FIGURES["fig16"]
-    reader = CompilerSession(store=store, options=SYMBOLIC)
-    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
-    assert tier == "compiled"
-    assert store.stats["semantic_evicted"] == 1
-    assert reader.stats["instantiations"] == 0
-    values, stats = _run(compiled, w)
-    ref_values, ref_stats = _run(
-        Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=4),
-        w,
-    )
-    assert np.array_equal(values["a"], ref_values["a"])
-    assert stats.snapshot() == ref_stats.snapshot()
-
-    # the compile rewrote the entry; the next restarted process is served by it
-    again = CompilerSession(store=store, options=SYMBOLIC)
-    _, tier = again.compile_traced(w["source"], bindings={"n": 24, "t": 5}, processors=3)
-    assert tier == "instantiated"
-    assert store.stats["semantic_evicted"] == 1
-    assert store_cli(["verify", "--deep", "--dir", root]) == 0
-    capsys.readouterr()
 
 
-def test_deep_verify_keeps_a_template_the_probe_shape_does_not_fit(tmp_path):
-    """A fixed ``block(2)`` cannot hold the probe's n = 8 on 2 processors:
-    the probe's ``ShapeError`` is the template's domain, not a defect, so
-    the offline check keeps the entry, and the template serves the shapes
-    it can hold."""
-    store = ArtifactStore(tmp_path / "tpl")
-    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
-    writer = CompilerSession(store=store, options=SYMBOLIC)
-    _, tier = writer.compile_traced(text, bindings={"n": 4, "t": 2}, processors=2)
-    assert tier == "compiled" and store.stats["entries_template"] == 1
-    report = store.verify(deep=True, evict=False)
-    assert report["invariant_violations"] == 0 and report["ok"] == 1
-    assert store_cli(["verify", "--deep", "--dir", str(tmp_path / "tpl")]) == 0
-    reader = CompilerSession(store=store, options=SYMBOLIC)
-    _, tier = reader.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
-    assert tier == "instantiated"
-
-
-def test_template_with_a_mangled_structure_is_evicted_by_its_first_request(tmp_path):
-    """A hash-valid template whose carried structure lost the holes of the
-    versions its graph leaves with: the load has nothing to say against it,
-    the first request's patched artifact fails verification, and the
-    request is served by a clean compile that rewrites the entry."""
-    store, tkey, template = _seed_template(tmp_path)
+def _without_redistribute_holes(template):
+    """``template`` whose carried structure lost the holes of the versions
+    its graph leaves with."""
     structure = template.structure
     main = structure.subroutines["main"]
     holes = tuple(h for h in main.holes if h[0] != "redistribute")
@@ -443,47 +392,149 @@ def test_template_with_a_mangled_structure_is_evicted_by_its_first_request(tmp_p
     mangled = dataclasses.replace(
         structure, subroutines={"main": dataclasses.replace(main, holes=holes)}
     )
-    assert store.store(tkey, dataclasses.replace(template, structure=mangled))
-    assert isinstance(store.load(tkey), SymbolicTemplate)
-    assert store.stats["semantic_evicted"] == 0
+    return dataclasses.replace(template, structure=mangled)
 
-    w = FIGURES["fig16"]
-    reader = CompilerSession(store=store, options=SYMBOLIC)
-    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
-    assert tier == "compiled"
-    assert store.stats["semantic_evicted"] == 1 and reader.stats["instantiations"] == 0
+
+def _served_as_a_fresh_compile(compiled, w):
     values, stats = _run(compiled, w)
     ref_values, ref_stats = _run(
         Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=4), w
     )
-    assert np.array_equal(values["a"], ref_values["a"])
+    for a in ref_values:
+        assert np.array_equal(values[a], ref_values[a]), a
     assert stats.snapshot() == ref_stats.snapshot()
 
+
+def _evicted_by_its_load_then_rewritten(store, tkey, capsys):
+    """The entry at ``tkey`` is flagged offline and by a load, a restarted
+    process is served by a clean compile that rewrites it, and the next one
+    instantiates."""
+    root = str(store.root)
+    assert store_cli(["verify", "--keep", "--dir", root]) == 1
+    assert json.loads(capsys.readouterr().out)["invariant_violations"] == 1
+    assert store.entry_path(tkey).is_file()
+    assert store.load(tkey) is None
+    assert store.stats["semantic_evicted"] == 1 and not store.entry_path(tkey).exists()
+
+    w = FIGURES["fig16"]
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "compiled" and reader.stats["instantiations"] == 0
+    _served_as_a_fresh_compile(compiled, w)
+
+    # the compile rewrote the entry; the next restarted process is served by it
     again = CompilerSession(store=store, options=SYMBOLIC)
     instantiated, tier = again.compile_traced(
         w["source"], bindings={"n": 24, "t": 5}, processors=3
     )
     assert tier == "instantiated" and instantiated.trace.pass_names == ("patch",)
     assert store.stats["semantic_evicted"] == 1
+    assert store_cli(["verify", "--dir", root]) == 0
+    capsys.readouterr()
 
 
-def test_template_failing_verification_of_its_first_artifact_is_evicted(tmp_path, monkeypatch):
-    """The other way a first instantiation fails: it returns an artifact the
-    static checker rejects.  Only the first artifact from a loaded template
-    is checked; one that passed is not checked again."""
+def test_template_missing_an_array_declaration_is_evicted_by_its_load(tmp_path, capsys):
+    """A hash-valid template whose AST lost its array declaration: no
+    ``declared`` hole is left without its declaration, so the load flags it."""
+    store, tkey, template = _seed_template(tmp_path)
+    assert store.store(tkey, _without_decl(template, ArrayDecl))  # digest valid
+    _evicted_by_its_load_then_rewritten(store, tkey, capsys)
+
+
+def test_template_with_a_mangled_structure_is_evicted_by_its_load(tmp_path, capsys):
+    """A hash-valid template whose structure lost the holes of the versions
+    its graph leaves with: the graph names versions the holes do not make."""
+    store, tkey, template = _seed_template(tmp_path)
+    assert store.store(tkey, _without_redistribute_holes(template))
+    _evicted_by_its_load_then_rewritten(store, tkey, capsys)
+
+
+def test_template_its_load_passes_is_evicted_by_a_failing_first_request(tmp_path):
+    """A template whose AST lost its ``distribute``: nothing the load reads
+    contradicts it, but its instantiation raises where the source compiles.
+    The request is served by that clean compile, bit-identical to a fresh
+    one, and only then is the entry evicted and rewritten."""
+    store, tkey, template = _seed_template(tmp_path)
+    assert store.store(tkey, _without_decl(template, DistributeDecl))
+    assert isinstance(store.load(tkey), SymbolicTemplate)
+    assert store.verify(evict=False)["invariant_violations"] == 0
+
+    w = dict(FIGURES["fig16"], bindings={"n": 32, "t": 5}, inputs={"a": np.arange(32.0)})
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
+    assert tier == "compiled"
+    assert store.stats["semantic_evicted"] == 1 and reader.stats["instantiations"] == 0
+    _served_as_a_fresh_compile(compiled, w)
+    again = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = again.compile_traced(w["source"], bindings={"n": 24, "t": 5}, processors=3)
+    assert tier == "instantiated" and store.stats["semantic_evicted"] == 1
+
+
+def test_deep_verify_keeps_a_template_the_probe_shape_does_not_fit(tmp_path):
+    """A fixed ``block(2)`` cannot hold n = 8 on 2 processors, the shape
+    the offline check once probed at.  ``verify`` checks the template at no
+    shape, keeps the sound entry, and the template serves the shapes it
+    can hold."""
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    store, _, _ = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    report = store.verify(evict=False)
+    assert report["invariant_violations"] == 0 and report["ok"] == 1
+    assert store_cli(["verify", "--dir", str(store.root)]) == 0
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = reader.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
+    assert tier == "instantiated"
+
+
+def test_a_request_outside_a_loaded_templates_domain_keeps_the_entry(tmp_path):
+    """A restarted process asking a ``block(2)`` template for a shape it
+    cannot hold gets the ``ShapeError`` a compile raises; the sound entry
+    is neither evicted nor counted corrupt, and the next restarted process
+    instantiates from it."""
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    store, tkey, _ = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    with pytest.raises(ShapeError):
+        CompilerSession(store=store, options=SYMBOLIC).compile(
+            text, bindings={"n": 8, "t": 2}, processors=2
+        )
+    assert store.stats["semantic_evicted"] == 0 and store.entry_path(tkey).is_file()
+    reader = CompilerSession(store=store, options=SYMBOLIC)
+    _, tier = reader.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
+    assert tier == "instantiated"
+
+
+def test_a_block_k_template_with_a_mangled_structure_is_flagged_offline(tmp_path):
+    """No shape is needed to check a template, so one whose fixed
+    ``block(k)`` holds few shapes is checked like any other."""
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    store, tkey, template = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    assert store.store(tkey, _without_redistribute_holes(template))
+    report = store.verify(evict=False)
+    assert report["invariant_violations"] == 1 and report["ok"] == 0
+    assert store_cli(["verify", "--dir", str(store.root)]) == 1
+    assert not store.entry_path(tkey).exists()
+
+
+def test_a_load_checks_its_template_once_and_no_instantiation_checks_it(
+    tmp_path, monkeypatch
+):
+    """One load runs ``verify_template`` once; the instantiations after it
+    run no verifier; a template that fails the check is evicted by the load
+    and the request is compiled."""
     import repro.analysis.verify as verify_mod
 
     store, tkey, _ = _seed_template(tmp_path)
     w = FIGURES["fig16"]
-    checked = counted(monkeypatch, verify_mod, "verify_artifact")
+    templates = counted(monkeypatch, verify_mod, "verify_template")
+    artifacts = counted(monkeypatch, verify_mod, "verify_artifact")
     session = CompilerSession(store=store, options=SYMBOLIC)
     for n, p in ((16, 4), (24, 3)):
         _, tier = session.compile_traced(w["source"], bindings={"n": n, "t": 5}, processors=p)
         assert tier == "instantiated"
-    assert len(checked) == 1 and store.stats["semantic_evicted"] == 0
+    assert len(templates) == 1 and artifacts == []
+    assert store.stats["semantic_evicted"] == 0
 
     issue = verify_mod.VerificationIssue("graph", "seeded")
-    monkeypatch.setattr(verify_mod, "verify_artifact", lambda compiled: [issue])
+    monkeypatch.setattr(verify_mod, "verify_template", lambda template: [issue])
     restarted = CompilerSession(store=store, options=SYMBOLIC)
     _, tier = restarted.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert tier == "compiled"
@@ -495,12 +546,12 @@ def test_load_instantiates_nothing_and_the_first_request_once(tmp_path, monkeypa
     store, tkey, _ = _seed_template(tmp_path)
     instantiated = counted(monkeypatch, SymbolicTemplate, "instantiate")
     assert isinstance(store.load(tkey), SymbolicTemplate)
-    assert instantiated == []
+    assert store.verify()["ok"] == 1
+    assert instantiated == []  # neither a load nor the offline check instantiates
     w = FIGURES["fig16"]
     restarted = CompilerSession(store=store, options=SYMBOLIC)
     _, tier = restarted.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert tier == "instantiated" and len(instantiated) == 1
-    assert store.verify(deep=True)["ok"] == 1 and len(instantiated) == 2  # the offline probe
 
 
 def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):

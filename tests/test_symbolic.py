@@ -21,7 +21,7 @@ The acceptance differential for the symbolic subsystem
   template carries no plan (artifact bytes never depend on traffic
   history);
 * **store integration** -- templates round-trip through the artifact
-  store and pass ``verify --deep``; a fresh process instantiates on first
+  store and pass its ``verify``; a fresh process instantiates on first
   contact;
 * **one artifact per request** -- a symbolized compile serves its request
   by instantiating the template it cut, so the artifact a fresh session
@@ -355,10 +355,12 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     revived = pickle.loads(payload)
     assert isinstance(revived, SymbolicTemplate)
     # a template carries exactly what instantiation uses, nothing else: its
-    # structure holds no resolved subroutine, mapping or layout
+    # structure holds no resolved subroutine, mapping or layout, and its
+    # binding classification is read from its AST
     assert set(vars(revived)) - {"_frozen"} == {
-        "program", "options", "classification", "fixed_bindings", "report", "structure"
+        "program", "options", "fixed_bindings", "report", "structure"
     }
+    assert revived.classification == template.classification
     assert revived.structure is not None
     assert b"ResolvedSubroutine" not in payload and b"repro.mapping" not in payload
     assert b"repro.symbolic.affine" not in payload
@@ -493,7 +495,7 @@ def test_template_roundtrips_through_store_and_deep_verify(tmp_path):
     # symbolized sources write the shape-erased template, not the concrete
     assert store.stats["entries_template"] == 1
     assert store.stats["entries_concrete"] == 0
-    report = store.verify(deep=True)
+    report = store.verify()
     assert report["ok"] == 1
     assert report["corrupt"] == 0
     assert report["invariant_violations"] == 0

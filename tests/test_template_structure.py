@@ -18,26 +18,37 @@ n < P among them -- and the fuzz programs, seeds 0..99.
 A fuzz program may distribute with a fixed ``block(k)``, which cannot hold
 an extent above ``k * P``: such shapes raise ``ShapeError`` on both paths,
 from the hole of the version or distribution the spelling makes.
+
+A stored template is checked once, at load, by ``verify_template``; the
+sweeps hold it silent wherever ``verify_artifact`` is silent on every
+patch, and the last tests hold it to name the check id the patches of a
+structure mutant fail, and to flag at least what the probe-instantiating
+offline check it replaced flagged on a sweep of AST mutants.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import io
 import pickle
 
+import numpy as np
 import pytest
 
-from repro import CompilerOptions
-from repro.analysis.verify import verify_artifact
+from repro import ArtifactStore, CompilerOptions, CompilerSession
+from repro.analysis.verify import verify_artifact, verify_template
 from repro.compiler.pipeline import CODE_PASSES, Pipeline
 from repro.errors import ShapeError
 from repro.fuzz.generator import generate_case
+from repro.ir.cfg import NodeKind
+from repro.lang.ast_nodes import Block
 from repro.lang.printer import print_program
 from repro.lang.semantics import ResolvedSubroutine
 from repro.mapping import Mapping, ProcessorArrangement
 from repro.remap.graph import VersionTable
-from test_store import FIG1, FIG12, FIG16, POLICIES
+from test_store import FIG1, FIG12, FIG16, POLICIES, _run
+from test_store import FIGURES as WORKLOADS
 
 #: (n, P): n = P at (4, 4), n < P at (3, 4)
 SHAPES = ((8, 2), (4, 4), (3, 4), (12, 3), (16, 4), (20, 2), (32, 4), (48, 8))
@@ -123,9 +134,12 @@ def _template(text: str, bindings: dict, policy):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("figure", sorted(FIGURES))
 def test_figure_templates_keep_their_structure_at_every_shape(figure, policy):
-    """Each patch equals an eager compile, and records that it patched."""
+    """Each patch equals an eager compile and passes ``verify_artifact``,
+    as the template passes the load's ``verify_template``, and records that
+    it patched."""
     text, bindings = FIGURES[figure]
     template = _template(text, bindings, policy)
+    assert verify_template(template) == []
     assert all(_check(template, bindings, shape) for shape in SHAPES)
     instantiated = template.instantiate({**bindings, "n": 12}, 3)
     assert instantiated.trace.pass_names == ("patch",)
@@ -133,13 +147,15 @@ def test_figure_templates_keep_their_structure_at_every_shape(figure, policy):
 
 def test_fuzz_templates_keep_their_structure_inside_their_domain():
     """Fuzz seeds 0..99, each under one of the four execution modes: the
-    patch equals an eager compile at every shape, and outside the
-    program's domain raises the compile's ``ShapeError``."""
+    template passes the load's check, the patch equals an eager compile at
+    every shape, and outside the program's domain raises the compile's
+    ``ShapeError``."""
     outside_counts = dict.fromkeys(SHAPES, 0)
     for seed in range(100):
         case = generate_case(seed)
         policy = POLICIES[seed % len(POLICIES)]
         template = _template(print_program(case.program), case.bindings, policy)
+        assert verify_template(template) == [], seed
         outside = [s for s in SHAPES if not _check(template, case.bindings, s)]
         assert set(outside) <= BLOCK_K_OVERFLOWS, seed
         for shape in outside:
@@ -251,3 +267,132 @@ def test_cfg_and_graph_hold_no_geometry():
             res = cs.construction
             assert not _pickled_types((res.cfg, res.graph)) & geometry
             assert geometry <= _pickled_types(res)  # the scan sees them
+
+
+# ---------------------------------------------------------------------------
+# the load sees what the first request saw
+# ---------------------------------------------------------------------------
+
+
+def _with_structure(template, name: str, **fields):
+    """``template`` with subroutine ``name``'s structure fields replaced."""
+    structure = template.structure
+    sub = dataclasses.replace(structure.subroutines[name], **fields)
+    subs = {**structure.subroutines, name: sub}
+    return dataclasses.replace(
+        template, structure=dataclasses.replace(structure, subroutines=subs)
+    )
+
+
+def _structure_mutants(template):
+    """Three ways to break a template's carried structure, each with the
+    check id it breaks."""
+    ((name, built),) = template.structure.subroutines.items()
+    holes = tuple(h for h in built.holes if h[0] != "redistribute")
+    remap = min(nid for nid, node in built.cfg.nodes.items() if node.kind is NodeKind.REMAP)
+    graph = copy.deepcopy(built.graph)
+    # a declared array where some target does not remap one (Fig. 16 has
+    # a single array, which every vertex remaps: a name no vertex remaps)
+    names = {h[1] for h in built.holes if h[0] == "declared"} | {"~ghost"}
+    stray, edge = min(
+        (a, edge) for edge in graph.edges for a in names if a not in graph.vertices[edge[1]].S
+    )
+    graph.edges[edge] = {*graph.edges[edge], stray}
+    return {
+        "holes": (_with_structure(template, name, holes=holes), "graph"),
+        "stmt-key": (
+            _with_structure(
+                template, name, stmt_versions={**built.stmt_versions, remap: {"a": 0}}
+            ),
+            "stmt-keys",
+        ),
+        "edge-label": (_with_structure(template, name, graph=graph), "graph"),
+    }
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_structure_mutants_fail_the_load_as_their_patches_fail_verification(
+    figure, tmp_path
+):
+    """Teeth: each structure mutant is evicted by ``store.load``, and its
+    instantiation, which still returns a patch, fails ``verify_artifact``
+    on the check the load named."""
+    text, bindings = FIGURES[figure]
+    store = ArtifactStore(tmp_path / "s")
+    for label, (mutant, check) in _structure_mutants(_template(text, bindings, None)).items():
+        assert check in {i.check for i in verify_template(mutant)}, label
+        assert store.store(("tkey", label), mutant)
+        assert store.load(("tkey", label)) is None, label
+        patch = mutant.instantiate({**bindings, "n": 16}, 4)
+        assert check in {i.check for i in verify_artifact(patch)}, label
+    assert store.stats["semantic_evicted"] == 3
+
+
+#: what the offline probe-instantiating check of the previous store layout
+#: flagged in the sweep below (Fig. 12's ``integer m, n, p`` unbinds the
+#: compile-relevant ``m``, each other one drops an array declaration)
+PROBE_FLAGGED = {
+    ("fig1", "decl", 1), ("fig1", "decl", 2),
+    ("fig12", "decl", 0), ("fig12", "decl", 1), ("fig12", "decl", 2), ("fig12", "decl", 3),
+    ("fig16", "decl", 1),
+}
+
+#: mutants the load passes whose template serves other traffic (not other
+#: values) than a fresh compile of the source, as the probe's store did: the
+#: AST lost the ``align`` that ties ``a`` to ``b``, nothing else records it
+SERVED_WITH_OTHER_TRAFFIC = {("fig1", "decl", 3)}
+
+
+def _ast_mutants(template):
+    """The template with each declaration, then each top-level statement,
+    of its one subroutine removed in turn."""
+    (main,) = template.program.subroutines
+    for part in ("decl", "stmt"):
+        items = main.decls if part == "decl" else main.body.stmts
+        for i in range(len(items)):
+            rest = items[:i] + items[i + 1 :]
+            sub = (
+                dataclasses.replace(main, decls=rest)
+                if part == "decl"
+                else dataclasses.replace(main, body=Block(rest))
+            )
+            program = dataclasses.replace(template.program, subroutines=(sub,))
+            yield (part, i), dataclasses.replace(template, program=program)
+
+
+def test_mutant_sweep_flags_what_the_offline_probe_flagged(tmp_path):
+    """Every declaration and top-level statement of Fig. 1, 12 and 16 is
+    removed in turn from a stored template.  The load flags every mutant
+    the probe flagged; a mutant it passes is either served like a fresh
+    compile (values and traffic) or evicted by its first request, which a
+    clean compile serves."""
+    options = CompilerOptions.symbolic(level=3, schedule="aggregate")
+    flagged = set()
+    for figure, workload in (("fig1", "fig1"), ("fig12", "fig12-then"), ("fig16", "fig16")):
+        w = WORKLOADS[workload]
+        store = ArtifactStore(tmp_path / figure)
+        writer = CompilerSession(store=store, options=options)
+        writer.compile(w["source"], bindings=dict(w["bindings"], n=64), processors=4)
+        ((tkey, template),) = writer._templates._entries.items()
+        ref_values, ref_stats = _run(
+            Pipeline(options).compile(w["source"], bindings=w["bindings"], processors=4), w
+        )
+        for (part, i), mutant in _ast_mutants(template):
+            label = (figure, part, i)
+            assert store.store(tkey, mutant)
+            if store.load(tkey) is None:
+                flagged.add(label)
+                continue
+            before = store.stats["semantic_evicted"]
+            reader = CompilerSession(store=store, options=options)
+            compiled, tier = reader.compile_traced(
+                w["source"], bindings=w["bindings"], processors=4
+            )
+            assert (tier == "compiled") == (store.stats["semantic_evicted"] == before + 1)
+            values, stats = _run(compiled, w)
+            for a in ref_values:
+                assert np.array_equal(values[a], ref_values[a]), (label, a)
+            if label not in SERVED_WITH_OTHER_TRAFFIC:
+                assert stats.snapshot() == ref_stats.snapshot(), label
+    assert PROBE_FLAGGED <= flagged
+    assert len(flagged) > len(PROBE_FLAGGED)  # every top-level statement, too

@@ -257,8 +257,9 @@ def test_semantically_corrupt_entry_evicted_never_executed(tmp_path):
 
 
 def test_store_cli_deep_verify_exit_codes(tmp_path, capsys):
-    """``verify --deep`` finds (and with eviction, removes) entries that
-    pass the shallow integrity check but fail the invariant checker."""
+    """``verify`` runs the load's invariant checks, not only the integrity
+    check: it finds (and with eviction, removes) an entry whose digest is
+    fine but whose artifact fails the checker."""
     store = ArtifactStore(tmp_path / "cli")
     options = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=options, store=store)
@@ -269,14 +270,12 @@ def test_store_cli_deep_verify_exit_codes(tmp_path, capsys):
     assert store.store(key, mutant)
 
     root = str(tmp_path / "cli")
-    # shallow verify: digest is fine, exit 0, entry stays
-    assert store_cli(["verify", "--keep", "--dir", root]) == 0
-    # deep verify (dry run): reported but kept
-    assert store_cli(["verify", "--deep", "--keep", "--dir", root]) == 1
+    # dry run: reported but kept
+    assert store_cli(["verify", "--keep", "--dir", root]) == 1
     assert store.entry_path(key).exists()
-    # deep verify with eviction: reported and removed
-    assert store_cli(["verify", "--deep", "--dir", root]) == 1
+    # with eviction: reported and removed
+    assert store_cli(["verify", "--dir", root]) == 1
     assert not store.entry_path(key).exists()
     # now clean
-    assert store_cli(["verify", "--deep", "--dir", root]) == 0
+    assert store_cli(["verify", "--dir", root]) == 0
     capsys.readouterr()
