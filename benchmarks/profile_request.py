@@ -10,9 +10,12 @@ so ``shape_tiers`` restarts its service every round and its requests are
 store loads and template instantiations, not memory hits -- with the
 profiler on (a one-request ``run_batch`` runs its request on this thread, so
 the profiler sees it), checks every result against the workload's
-reference, and prints the cumulative table, the serving-tier counts, the
-shares of the remapping walk (``remap/walker.py::_remap``) spent in the copy
-(``PreparedMove.execute``) and in the ledger (``Machine.charge``), and the
+reference, and prints the cumulative table, the serving-tier counts, a
+``copies:`` line (how many performed copies moved their data as one gather,
+move by move, or on the mp backend's wire), the shares of the remapping walk
+(``remap/walker.py::_remap``) spent in the simulator's data movement
+(``LoweredPlan.execute``: the plan's gather or its moves) and in the ledger
+(``Machine.charge``), and the
 shares of request handling (``CompileService._handle``) spent in the motion
 cost guard (``CostGuard.evaluate``), in the guard's scenario-grid walks
 (``simulate_grid``) and in remapping-graph construction
@@ -86,8 +89,7 @@ from repro.runtime.mpbackend import MPExecutor  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
 from repro.spmd import transport  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
-from repro.spmd.redistribution import PreparedMove  # noqa: E402
-from repro.spmd.schedule import obtain_plan  # noqa: E402
+from repro.spmd.schedule import LoweredPlan, obtain_plan  # noqa: E402
 from repro.spmd.traffic import simulate_grid  # noqa: E402
 from repro.util.memo import clear_process_memos  # noqa: E402
 
@@ -98,7 +100,7 @@ HANDLE = service_module.CompileService._handle
 #: the shares reported: (label, part, part of it left out or None, whole it
 #: is a share of)
 SHARES = (
-    ("PreparedMove.execute", PreparedMove.execute, None, DescriptorWalker._remap),
+    ("LoweredPlan.execute", LoweredPlan.execute, None, DescriptorWalker._remap),
     ("Machine.charge", Machine.charge, None, DescriptorWalker._remap),
     ("CostGuard.evaluate", CostGuard.evaluate, None, HANDLE),
     ("simulate_grid", simulate_grid, None, HANDLE),
@@ -163,6 +165,24 @@ def counted_write(fd: int, obj) -> int:
     return size
 
 
+#: how the performed copies moved their data: one gather, move by move, or
+#: on the mp backend's wire
+COPIES: Counter = Counter()
+_execute, _run_plan = LoweredPlan.execute, MPExecutor._run_plan
+
+
+def counted_execute(lowered, source, target) -> None:
+    """The simulator's data movement, counting the form each copy took."""
+    COPIES["gather" if lowered.gathers else "moves"] += 1
+    _execute(lowered, source, target)
+
+
+def counted_run_plan(self, plan, source, target, tag: str) -> None:
+    """The mp backend's movement hook, counting its copies."""
+    COPIES["wire"] += 1
+    _run_plan(self, plan, source, target, tag)
+
+
 def cumulative(stats: pstats.Stats, fn) -> float:
     """Cumulative seconds of the function ``fn`` (0 if it never ran)."""
     code = fn.__code__
@@ -197,18 +217,21 @@ def outside_handle(kinds: list, step_seconds: list[float], handled: list[float])
 
 def profile(
     workload: workloads.Workload, rounds: int, cold: bool = False
-) -> tuple[pstats.Stats, Counter, dict[str, Counter], Counter, Counter, dict[str, float]]:
+) -> tuple[
+    pstats.Stats, Counter, dict[str, Counter], Counter, Counter, Counter, dict[str, float]
+]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler (each
     from forgotten process memos if ``cold``); also the count of requests
-    each tier served, what each process-wide memo, the guard's grid walks
-    and the mp control pipes counted over the rounds, and each step's floor
-    of wall seconds outside ``_handle``."""
+    each tier served, what each process-wide memo, the guard's grid walks,
+    the mp control pipes and the performed copies counted over the rounds,
+    and each step's floor of wall seconds outside ``_handle``."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
     memos: dict[str, Counter] = {}
     floors: dict[str, float] = {}
     walks_start = Counter(WALKS)
     frames_start = Counter(FRAMES)
+    copies_start = Counter(COPIES)
     shipped = REGISTRY.counter("repro.mp.programs_shipped")
     shipped_start = shipped.value
     for r in range(rounds):
@@ -232,7 +255,8 @@ def profile(
         tiers.update(res.cache_source for res in results)
     frames = FRAMES - frames_start
     frames["shipped"] = int(shipped.value - shipped_start)
-    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, floors
+    copies = COPIES - copies_start
+    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, copies, floors
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,10 +275,12 @@ def main(argv: list[str] | None = None) -> int:
     costguard.window = counted_window
     costguard.project = counted_project
     transport._write_obj = counted_write
+    LoweredPlan.execute = counted_execute
+    MPExecutor._run_plan = counted_run_plan
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, memos, walks, frames, floors = profile(
+            stats, tiers, memos, walks, frames, copies, floors = profile(
                 workload, args.rounds, args.cold
             )
         finally:
@@ -284,6 +310,15 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"frames: {frames['frames']} control frames, {frames['bytes']} control bytes, "
         f"{frames['shipped']} programs shipped over {args.rounds} rounds"
+    )
+    performed = sum(copies.values())
+    print(
+        f"copies: {performed} performed, "
+        + "  ".join(
+            f"{form} {copies[form]} ({copies[form] / performed if performed else 0:.0%})"
+            for form in ("gather", "moves", "wire")
+        )
+        + f" over {args.rounds} rounds"
     )
     print(
         "service: run_batch outside _handle, floor per step over "

@@ -350,10 +350,11 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
     of the template, over the structure every patch shares, with each
     array's version count taken from its holes; then the stored AST
     against that structure (the same subroutines, each body the one its
-    CFG was built over, each declared array seeded by a ``declared``
-    hole), and the bindings: a template has a shape-symbolic name, no
-    fixed binding shadows one, and every compile-relevant name has the
-    fixed binding its compile needed.
+    CFG was built over, each subroutine's declarations the ones its
+    structure recorded at the cut, each declared array seeded
+    by a ``declared`` hole), and the bindings: a template has a
+    shape-symbolic name, no fixed binding shadows one, and every
+    compile-relevant name has the fixed binding its compile needed.
     """
     issues: list[VerificationIssue] = []
     structures = template.structure.subroutines
@@ -369,6 +370,9 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
         issues += verify_subroutine(built, counts.__getitem__, built.code, sub.name)
         if sub.body != built.cfg.body:
             _issue(issues, "template", "the AST body is not the one its CFG holds", sub.name)
+        if sub.decls != built.declarations:
+            found = "the AST declarations are not the ones its structure was built over"
+            _issue(issues, "template", found, sub.name)
         declared = {d.name for d in sub.decls if isinstance(d, ArrayDecl)}
         seeded = {hole[1] for hole in built.holes if hole[0] == "declared"}
         if declared != seeded:

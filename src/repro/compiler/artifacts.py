@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # avoid cycles: pipeline/diagnostics import this module
 #: store (:mod:`repro.store`) mixes it into its schema fingerprint, so old
 #: on-disk entries become invisible instead of being unpickled into a
 #: mismatched object graph.
-ARTIFACT_SCHEMA_VERSION = 13
+ARTIFACT_SCHEMA_VERSION = 14
 
 #: Canonical pass order.  A pass set is always run in this order; which
 #: sets are legal is decided by :class:`CompilerOptions` alone.

@@ -602,7 +602,7 @@ class Pipeline:
         compiled = _assemble(ctx)
         if ctx.cut is None:
             return compiled, None
-        return compiled, ctx.cut(structure=TemplateStructure.of(compiled))
+        return compiled, ctx.cut(structure=TemplateStructure.of(compiled, ctx.program))
 
 
 def _arrangement(processors: ProcessorArrangement | int | None) -> ProcessorArrangement | None:

@@ -237,6 +237,10 @@ class CompilerSession:
         # shape bindings and the processor arrangement dropped; one
         # template serves every (n, P) of its source
         self._templates: "Memo[tuple, SymbolicTemplate]" = Memo(max_entries)
+        # keys of loaded templates kept in memory though their instantiation
+        # raised (and the clean compile too): still unproven, so a later
+        # failure of theirs goes on to a clean compile as a load's would
+        self._unproven: set[tuple] = set()
         # source digest -> (classification, parsed program); a dropped
         # entry is recomputed from the source
         self._sources: Memo[str, tuple[BindingClassification, Program]] = Memo(max_entries)
@@ -485,7 +489,7 @@ class CompilerSession:
             if options.symbolize
             else None
         )
-        suspect = False
+        suspect = None
         if tkey is not None:
             served, suspect = self._instantiate(key, tkey, names, bindings, processors)
             if served is not None:
@@ -502,9 +506,19 @@ class CompilerSession:
         # the pipeline runs unlocked, on the program first contact parsed,
         # while this call's flight holds other misses of the key waiting; a
         # symbolized compile also returns the template it cut
-        compiled, template = Pipeline(options).serve(program, bindings, processors)
-        if suspect:  # the source compiles where its loaded template raised
+        try:
+            compiled, template = Pipeline(options).serve(program, bindings, processors)
+        except Exception:
+            if suspect is not None:
+                # outside the loaded template's domain, so far no fault of
+                # it: keep it in memory, so a repeat raises without a reload
+                self._templates.put(tkey, suspect)
+                with self._lock:
+                    self._unproven.add(tkey)
+            raise
+        if suspect is not None:  # the source compiles where its loaded template raised
             self.store.reject(tkey)
+            self._templates.drop(tkey, suspect)  # if kept unproven, the new one replaces it
         compiled.freeze()
         with self._lock:
             self.passes_run += len(compiled.trace.records)
@@ -513,6 +527,8 @@ class CompilerSession:
             assert template is not None
             template.freeze()
             self._templates.put(tkey, template)
+            with self._lock:
+                self._unproven.discard(tkey)
         if self.store is not None:
             # write-back outside the lock: serialization is pure and the
             # store's own locking covers concurrent writers.  A source with
@@ -533,7 +549,7 @@ class CompilerSession:
         names: BindingClassification,
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
-    ) -> tuple[CompiledProgram | None, bool]:
+    ) -> tuple[CompiledProgram | None, SymbolicTemplate | None]:
         """Serve one request by instantiating the template at ``tkey``, if
         any: ``(artifact, suspect)``.
 
@@ -546,36 +562,43 @@ class CompilerSession:
 
         A template from the store was checked by its load and is not
         checked again.  If its instantiation raises, the request goes on
-        to a clean compile with ``suspect`` set: the caller rejects the
-        entry (``store.reject``) only if that compile succeeds, so a
-        request outside the template's domain raises the error its compile
-        raises and keeps the entry.
+        to a clean compile with that template as ``suspect``: the caller
+        rejects the entry (``store.reject``) only if that compile succeeds,
+        so a request outside the template's domain raises the error its
+        compile raises, keeps the entry and puts the template in memory
+        still unproven: a repeat reads no store, and an instantiation of it
+        that raises goes on to a clean compile as a load's does, until one
+        succeeds.
         """
         from repro.compiler.template import SymbolicTemplate
 
         template = self._templates.get(tkey)
         loaded = False
+        with self._lock:
+            unproven = template is not None and tkey in self._unproven
         if template is None and self.store is not None:
             found = self.store.load(tkey)
             if isinstance(found, SymbolicTemplate):
                 template, loaded = found, True
         if template is None or names.shape_symbolic - set(bindings or {}):
-            return None, False
+            return None, None
         with _TRACER.span("template.instantiate"):
             try:
                 compiled = template.instantiate(bindings, processors)
             except Exception:  # a stored AST the load could not fault may raise anything
-                if not loaded:
+                if not (loaded or unproven):
                     raise
-                return None, True
+                return None, template
         compiled.freeze()
         if loaded:
             self._count("instantiations", "store_hits")
             self._templates.put(tkey, template)
         else:
             self._count("instantiations")
+        with self._lock:
+            self._unproven.discard(tkey)
         self._cache.put(key, compiled)
-        return compiled, False
+        return compiled, None
 
     @property
     def cache_size(self) -> int:

@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 from repro.compiler.artifacts import CompiledProgram, CompilerOptions, _Freezable
 from repro.compiler.diagnostics import CompileReport, Diagnostic
 from repro.ir.cfg import CFG
-from repro.lang.ast_nodes import Program
+from repro.lang.ast_nodes import Decl, Program, Subroutine
 from repro.lang.semantics import ResolvedProgram, ResolvedSubroutine
 from repro.mapping.processors import ProcessorArrangement
 from repro.remap.codegen import GeneratedCode
@@ -80,10 +80,16 @@ class SubroutineStructure:
     stmt_versions: dict[int, dict[str, int]]
     calls: dict[int, CallInfo]
     code: GeneratedCode
+    #: the declarations it was built over (the body it was built over is
+    #: the CFG's)
+    declarations: tuple[Decl, ...]
 
     @classmethod
-    def of(cls, res: ConstructionResult, code: GeneratedCode) -> "SubroutineStructure":
-        return cls(res.cfg, res.graph, res.holes, res.stmt_versions, res.calls, code)
+    def of(
+        cls, res: ConstructionResult, code: GeneratedCode, sub: Subroutine
+    ) -> "SubroutineStructure":
+        """The structure built as ``res`` and ``code`` over AST ``sub``."""
+        return cls(res.cfg, res.graph, res.holes, res.stmt_versions, res.calls, code, sub.decls)
 
     def patch(
         self, sub: ResolvedSubroutine, program: ResolvedProgram
@@ -109,11 +115,11 @@ class TemplateStructure:
     warnings: tuple[Diagnostic, ...]
 
     @classmethod
-    def of(cls, compiled: CompiledProgram) -> "TemplateStructure":
-        """The structure of an artifact the code passes built."""
+    def of(cls, compiled: CompiledProgram, program: Program) -> "TemplateStructure":
+        """The structure of an artifact the code passes built over ``program``."""
         return cls(
             {
-                name: SubroutineStructure.of(cs.construction, cs.code)
+                name: SubroutineStructure.of(cs.construction, cs.code, program.get(name))
                 for name, cs in compiled.subroutines.items()
             },
             dict(compiled.report.removal),
@@ -149,14 +155,6 @@ class SymbolicTemplate(_Freezable):
         read from the AST (a session keys on the same split at first
         contact, so its requests never ask for it)."""
         return classify_bindings(self.program)
-
-    @property
-    def shape_names(self) -> frozenset[str]:
-        return self.classification.shape_symbolic
-
-    def missing_shapes(self, bindings: dict[str, int] | None) -> list[str]:
-        got = set(bindings or {})
-        return sorted(self.shape_names - got)
 
     def instantiate(
         self,

@@ -136,7 +136,9 @@ class Holder:
     ``dims`` pairs each array dimension's ``DimMap`` with the holder's grid
     coordinate along it (0 for a local dimension); ``progressions`` are
     :func:`dim_progression` of each pair, ``local_shape``/``elements`` the
-    extent of the local block.  Everything but ``owned`` is worked out
+    extent of the local block, and ``offset`` where that block starts in
+    an array version's one buffer (the elements of the holders before it
+    in the table).  Everything but ``owned`` is worked out
     from the mapping's integers in time independent of the extent when
     every dimension is a progression; the owned *sets* (one interval per
     member under ``CYCLIC``) are built when first asked for.  ``indexer``
@@ -144,13 +146,15 @@ class Holder:
     """
 
     __slots__ = (
-        "coords", "rank", "dims", "progressions", "local_shape", "elements", "_owned", "indexer",
+        "coords", "rank", "dims", "progressions", "local_shape", "elements", "offset", "_owned",
+        "indexer",
     )  # fmt: skip
 
-    def __init__(self, coords: tuple[int, ...], rank: int, dims: tuple) -> None:
+    def __init__(self, coords: tuple[int, ...], rank: int, dims: tuple, offset: int) -> None:
         self.coords = coords
         self.rank = rank
         self.dims = dims
+        self.offset = offset
         self.progressions = tuple(dim_progression(m, c) for m, c in dims)
         self._owned: tuple[IntervalSet, ...] | None = None
         self.indexer: tuple | None = None
@@ -174,11 +178,12 @@ class Layout:
     everything that is a pure function of that signature, each worked out
     on first use and read from here by every array version, plan and copy:
     the holder table (:attr:`table`, one :class:`Holder` per holding
-    processor) and, on each holder, its scatter/gather indexer.  For a
-    layout whose ownership is a progression in every dimension that is a
-    handful of integers per holder; otherwise a holder also keeps its
-    interval sets and one ``np.ix_`` position vector per dimension -- the
-    sum of the local extents x 8 bytes.  :data:`_LAYOUTS` bounds how many
+    processor, with its block's offset in a version's buffer of
+    :attr:`size` elements) and, on each holder, its scatter/gather
+    indexer.  For a layout whose ownership is a progression in every
+    dimension that is a handful of integers per holder; otherwise a holder
+    also keeps its interval sets and one position vector per dimension --
+    the sum of the local extents x 8 bytes.  :data:`_LAYOUTS` bounds how many
     stay reachable; lazy fields are written idempotently and lock-free (a
     lost race recomputes an equal value).
     """
@@ -188,8 +193,8 @@ class Layout:
         self.procs = mapping.processors
         self._replicated_dims: set[int] = set()
         self._pinned: dict[int, int] = {}
-        #: (holders, the same by linear rank), built on first use
-        self._table: tuple[tuple[Holder, ...], dict[int, Holder]] | None = None
+        #: (holders, the same by linear rank, their elements), built on first use
+        self._table: tuple[tuple[Holder, ...], dict[int, Holder], int] | None = None
         for c in mapping.grid_constraints:
             if c.kind is GridConstraintKind.REPLICATED:
                 self._replicated_dims.add(c.proc_dim)
@@ -211,23 +216,30 @@ class Layout:
                 return False
         return True
 
-    def _holder_table(self) -> tuple[tuple[Holder, ...], dict[int, Holder]]:
+    def _holder_table(self) -> tuple[tuple[Holder, ...], dict[int, Holder], int]:
         table = self._table
         if table is None:
             dim_maps = self.mapping.dim_maps
+            holders: list[Holder] = []
+            size = 0
             # all_coords() is row-major, so a coordinate's place in it is its linear rank
-            holders = tuple(
-                Holder(q, rank, tuple((m, 0 if m.proc_dim is None else q[m.proc_dim]) for m in dim_maps))
-                for rank, q in enumerate(self.procs.all_coords())
-                if self.holds(q)
-            )
-            table = self._table = (holders, {h.rank: h for h in holders})
+            for rank, q in enumerate(self.procs.all_coords()):
+                if self.holds(q):
+                    dims = tuple((m, 0 if m.proc_dim is None else q[m.proc_dim]) for m in dim_maps)
+                    holders.append(Holder(q, rank, dims, size))
+                    size += holders[-1].elements
+            table = self._table = (tuple(holders), {h.rank: h for h in holders}, size)
         return table
 
     @property
     def table(self) -> tuple[Holder, ...]:
         """The holder table, in increasing linear rank."""
         return self._holder_table()[0]
+
+    @property
+    def size(self) -> int:
+        """Elements of one array version's buffer: every holder's block."""
+        return self._holder_table()[2]
 
     def holder(self, rank: int) -> Holder | None:
         """The table row of linear ``rank``, or None if it holds nothing."""

@@ -8,12 +8,14 @@ live at: *which remapping messages are exchanged and how large they are*.
 * :class:`~repro.spmd.machine.Machine`: P processors with private memories,
   per-processor clocks, and global traffic statistics.
 * :class:`~repro.spmd.darray.DistributedArray`: an array version's storage,
-  one real NumPy block per holding processor, addressed through the exact
-  ownership layout of its mapping.
+  one NumPy buffer whose holding processors' blocks are views at the
+  offsets of the exact ownership layout of its mapping.
 * :mod:`~repro.spmd.redistribution`: enumerates the exact transfers of a
   copy between two differently mapped versions (block-cyclic index-set
   intersections, Prylli & Tourancheau style) and lowers each to a copy
-  descriptor, the one data-movement primitive.
+  descriptor, whose index tuples are the one form data moves in (one
+  assignment per descriptor, or a fine-grained plan's descriptors as
+  one gather).
 * :mod:`~repro.spmd.schedule`: turns the transfers into the copy's one
   plan -- contention-managed phases under a policy (naive all-at-once,
   contention-free round-robin, per-pair aggregation), or under ``None``

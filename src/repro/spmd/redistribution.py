@@ -62,16 +62,18 @@ class PreparedMove:
 
     Everything about a remapping copy except the data is a pure function
     of the (source, target) mapping pair; a descriptor is that function's
-    value for one rectangle, worked out once by :func:`prepare_move`.
-    :meth:`execute` -- one NumPy assignment -- is the only data-movement
-    primitive: the simulator (under every policy, ``None`` included) and
-    the mp backend (local copies in the parent, wire parts in the workers)
-    both move data through it or through its two index tuples.
+    value for one rectangle, worked out once by :func:`prepare_move`.  Its
+    two index tuples are the only form data moves in: :meth:`execute`
+    (one NumPy assignment per descriptor), a fine-grained plan's gather
+    (the tuples of all its descriptors as positions in the two array
+    versions' buffers, :class:`~repro.spmd.schedule.LoweredPlan`), and the
+    mp backend's local copies in the parent and wire parts in the workers.
 
     Each index is a tuple of basic ``slice`` objects when every
     dimension's positions form an arithmetic progression (always for
-    block <-> cyclic), the ``np.ix_`` open mesh of position vectors
-    otherwise -- never a mix.
+    block <-> cyclic), else :func:`~repro.spmd.darray.block_index`'s: a
+    position vector in the one dimension that is not one, the ``np.ix_``
+    open mesh of position vectors where several are not.
     """
 
     src_rank: int

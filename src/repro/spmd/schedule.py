@@ -56,6 +56,9 @@ runs do zero scheduling work.  A plan that fails its proof is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import ScheduleError
 from repro.mapping.mapping import Mapping
@@ -133,19 +136,79 @@ class CommPhase:
     contended: bool = False
 
 
+#: Mean elements per move below which a lowered plan moves as one gather:
+#: under it, one fancy-indexed assignment of every element beats a NumPy
+#: assignment per move.  On a 2-core x86-64 host the two break even near
+#: 256 elements per move for a 1-D block <-> cyclic copy (strided slices)
+#: and near 360 for a 2-D transpose; a move that needs the ``np.ix_`` mesh
+#: loses to the gather well above both (sweep in CHANGES.md).
+GATHER_BELOW = 256
+
+
 @dataclass(frozen=True)
 class LoweredPlan:
     """A :class:`CommSchedule` lowered to the copies the simulator makes.
 
-    One descriptor -- one strided NumPy assignment -- per whole transfer
-    whose index is an arithmetic progression in every dimension, however
-    many messages the pair exchanges; any other transfer keeps the parts
-    its policy sends: the contiguous runs of :func:`rectangles` under
-    ``naive``/``round-robin`` (a few run slices beat one large ``np.ix_``
-    mesh), the whole mesh under ``None``/``aggregate``.
+    ``moves`` are one descriptor per whole transfer, under every policy
+    however many messages the policy cuts the transfer into: strided
+    slices where the pair's index is an arithmetic progression in every
+    dimension, a position vector in the one dimension where it is not,
+    the ``np.ix_`` mesh where several are not.  A fine-grained plan --
+    fewer than :data:`GATHER_BELOW` elements per move on average --
+    ``gathers``: it executes as one fancy-indexed assignment of
+    :attr:`gather`.  A coarse plan executes its moves: per move, a strided
+    copy of a large rectangle beats a gather of its elements.
     """
 
     moves: tuple[PreparedMove, ...]
+    #: the layouts the moves index: a gather's positions are in their buffers
+    src: Layout
+    dst: Layout
+    #: the crossover's pick: execute as one gather
+    gathers: bool
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The moves' positions in the two versions' buffers as two flat
+        index vectors, where the plan ``gathers``; worked out on the first
+        execute, so proving, pricing and the mp backend, which read the
+        moves alone, never pay for it."""
+        return _gather(self.moves, self.src, self.dst) if self.gathers else None
+
+    def execute(self, source: DistributedArray, target: DistributedArray) -> None:
+        """Move the plan's data between two simulator arrays: the gather
+        where the plan gathers, else each move."""
+        if self.gathers:
+            src, dst = self.gather
+            target.data[dst] = source.data[src]
+        else:
+            for move in self.moves:
+                move.execute(source, target)
+
+
+def _gather(moves: tuple[PreparedMove, ...], src: Layout, dst: Layout) -> tuple:
+    """The moves' positions in the source's and in the target's buffer,
+    move after move, each rectangle in C order on both sides (read-only:
+    the plan is shared by every thread that copies the pair)."""
+
+    def flat(layout: Layout, ends) -> np.ndarray:
+        numbered: dict[int, np.ndarray] = {}  # rank -> its block's buffer positions
+        parts = []
+        for rank, ix in ends:
+            local = numbered.get(rank)
+            if local is None:
+                h = layout.holder(rank)
+                local = np.arange(h.offset, h.offset + h.elements).reshape(h.local_shape)
+                numbered[rank] = local
+            parts.append(local[ix].ravel())
+        out = np.concatenate(parts)
+        out.flags.writeable = False
+        return out
+
+    return (
+        flat(src, ((m.src_rank, m.src_ix) for m in moves)),
+        flat(dst, ((m.dst_rank, m.dst_ix) for m in moves)),
+    )
 
 
 @dataclass(frozen=True)
@@ -256,15 +319,9 @@ class CommSchedule:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def _lower(self, src: Layout, dst: Layout) -> LoweredPlan:
-        whole = self.policy is None or self.policy == "aggregate"
-        moves: list[PreparedMove] = []
-        for t in self.transfers:
-            move = prepare_move(t, src, dst)
-            if whole or t.is_local or move.is_basic:
-                moves.append(move)
-            else:
-                moves.extend(prepare_move(r, src, dst) for r in rectangles(t))
-        return LoweredPlan(tuple(moves))
+        moves = tuple(prepare_move(t, src, dst) for t in self.transfers)
+        fine = bool(moves) and sum(m.elements for m in moves) < GATHER_BELOW * len(moves)
+        return LoweredPlan(moves, src, dst, fine)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +453,7 @@ def execute_comm_schedule(
     """
     machine = machine or target.machine
     delta = plan.ledger(machine.cost, target.itemsize)
-    for move in plan.lowered(source.layout, target.layout).moves:
-        move.execute(source, target)
+    plan.lowered(source.layout, target.layout).execute(source, target)
     machine.charge(delta, target.name, tag)
 
 

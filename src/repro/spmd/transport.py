@@ -70,8 +70,9 @@ import multiprocessing as _mp
 
 import numpy as np
 
-from repro.errors import ShapeError, TransportError
+from repro.errors import TransportError
 from repro.mapping.mapping import Mapping
+from repro.mapping.ownership import Holder
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.cost import compose_phase
@@ -171,7 +172,9 @@ class SharedDistributedArray(DistributedArray):
     kernels, :meth:`~repro.spmd.redistribution.PreparedMove.execute` for
     local copies), while the owning worker rank sees the same bytes through its
     arena -- which is what makes parent-side verification of worker-side
-    communication meaningful.
+    communication meaningful.  The blocks are in different ranks' arenas,
+    so the array has no one buffer (:attr:`data` is ``None``) until
+    :meth:`detach` copies them into one.
     """
 
     def __init__(
@@ -187,9 +190,12 @@ class SharedDistributedArray(DistributedArray):
         self.offsets: dict[int, int] = {}
         super().__init__(name, mapping, machine, dtype)
 
-    def _new_block(self, rank: int, shape: tuple[int, ...]) -> np.ndarray:
-        offset, view = self._transport.place_block(rank, shape, self.dtype)
-        self.offsets[rank] = offset
+    def _new_buffer(self) -> None:
+        return None  # each block is placed in its rank's arena instead
+
+    def _new_block(self, h: Holder) -> np.ndarray:
+        offset, view = self._transport.place_block(h.rank, h.local_shape, self.dtype)
+        self.offsets[h.rank] = offset
         view.fill(0)
         return view
 
@@ -199,31 +205,19 @@ class SharedDistributedArray(DistributedArray):
             self._transport.release_block(rank, offset, block.nbytes)
 
     def detach(self) -> None:
-        """Copy every still-live block out of the arena into private memory
-        and release its arena storage: the values stay readable for as long
-        as the array does, the arena is free for the next run."""
-        for rank, block in self.blocks.items():
-            if rank in self.offsets:
-                self.blocks[rank] = block.copy()
-                self._release_block(rank, block)
-
-    def apply_along_local_dim(self, fn, axis: int) -> None:
-        # the base class replaces blocks with fresh private arrays; a shared
-        # block must keep its arena placement, so write through instead
-        if not self.layout.dim_is_local(axis):
-            raise ShapeError(
-                f"dimension {axis} of {self.name} is distributed; remap first "
-                f"(this is what the paper's remappings are for)"
-            )
-        for rank, block in self.blocks.items():
-            if block.size:
-                out = np.asarray(fn(block, axis), dtype=self.dtype)
-                if out.shape != block.shape:
-                    raise ShapeError(
-                        f"kernel changed the local shape of {self.name} on rank "
-                        f"{rank}: {block.shape} -> {out.shape}"
-                    )
-                block[...] = out
+        """Copy every still-live block out of the arena into one private
+        buffer, laid out as a simulator array's, and release its arena
+        storage: the values stay readable for as long as the array does,
+        the arena is free for the next run."""
+        if not self.offsets:
+            return
+        self.data = np.empty(self.layout.size, dtype=self.dtype)
+        for h in self.layout.table:
+            block = self._blocks[h.rank]
+            # the simulator's block hook: h's view of the buffer
+            self._blocks[h.rank] = DistributedArray._new_block(self, h)
+            self._blocks[h.rank][...] = block
+            self._release_block(h.rank, block)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +235,8 @@ class WirePart:
     """One rectangle of a message: gather program + scatter program.
 
     ``src_ix`` indexes the sender's source block and ``dst_ix`` the
-    receiver's target block; they are the index tuples (all slices or an
-    open mesh) of one lowered copy descriptor
+    receiver's target block; they are the index tuples (slices, with at
+    most one position vector, or an open mesh) of one lowered copy descriptor
     (:class:`~repro.spmd.redistribution.PreparedMove`), so the bytes a
     worker packs and scatters are bit-identical to the simulator's
     single-process assignment.

@@ -9,7 +9,8 @@ them.  Pinned here:
   equals a reference built from ``gather_to_global`` ->
   ``scatter_from_global``, which never calls ``positions_in``;
 * **descriptor shape** -- slices where positions are arithmetic
-  progressions, open-mesh vectors otherwise, never a mix;
+  progressions, a position vector in the one dimension where they are
+  not, open-mesh vectors where several are not;
 * **descriptor identity** -- ``prepare_move``'s integer arithmetic
   produces the very descriptors of the ``positions_in`` + ``block_index``
   reference (written out here), rejects what it rejects, and on a
@@ -46,6 +47,7 @@ from repro import (
     compile_program,
     execute,
 )
+from repro.analysis.commsafety import prove_plan
 from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.fft2d import build_fft2d_program, fft2d_kernels
 from repro.apps.lu import build_lu_program, lu_kernels
@@ -74,7 +76,7 @@ from repro.spmd import darray, redistribution, schedule
 from repro.spmd.darray import block_index, positions_in
 from repro.spmd.message import Message, message_of
 from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
-from repro.spmd.schedule import PLANS, POLICIES, obtain_plan
+from repro.spmd.schedule import PLANS, POLICIES, LoweredPlan, obtain_plan
 from repro.spmd.transport import TransferRound, WireMessage, WirePart
 from repro.util.intervals import IntervalSet
 from test_schedule import FIGURES
@@ -304,9 +306,11 @@ def index_kinds(src, dst, way):
     kinds = set()
     for move in moves_of(plan_redistribution(src, dst, way), layout_of(src), layout_of(dst)):
         for ix in (move.src_ix, move.dst_ix):
-            types = {type(part) for part in ix}
-            assert len(types) == 1, "an index is all slices or all vectors"
-            kinds |= types
+            vectors = [part for part in ix if type(part) is not slice]
+            # all slices, one 1-D vector among slices, or the open mesh
+            assert len(vectors) <= 1 or len(vectors) == len(ix)
+            assert len(vectors) != 1 or vectors[0].ndim == 1
+            kinds |= {type(part) for part in ix}
     return kinds
 
 
@@ -331,18 +335,63 @@ def test_block_cyclic3_lowers_to_vectors(way):
     assert index_kinds(src, dst, way) == {slice, np.ndarray}
 
 
+@pytest.mark.parametrize("way", WAYS)
+def test_one_irregular_dimension_lowers_to_one_vector(way):
+    # (block, *) -> (cyclic(3), *): a pair's rows are runs of 3 in the
+    # block, its columns all of them -- a row vector beside a column slice,
+    # not a mesh over every column; on 2 x 2 ranks both dimensions are
+    # irregular and the index is the mesh
+    src, dst = mk((96, 8), (B, STAR), 4), mk((96, 8), (C3, STAR), 4)
+    for move in moves_of(plan_redistribution(src, dst, way), layout_of(src), layout_of(dst)):
+        for ix in (move.src_ix, move.dst_ix):
+            assert type(ix[1]) is slice and (type(ix[0]) is slice or ix[0].ndim == 1)
+    assert index_kinds(src, dst, way) == {slice, np.ndarray}
+    grid = ProcessorArrangement("P", (2, 2))
+    src, dst = (Mapping.simple((24, 24), (f, f), grid) for f in (B, C3))
+    meshes = [
+        ix
+        for move in moves_of(plan_redistribution(src, dst, way), layout_of(src), layout_of(dst))
+        for ix in (move.src_ix, move.dst_ix)
+        if type(ix[0]) is not slice
+    ]
+    assert meshes and all(part.ndim == 2 for ix in meshes for part in ix)
+
+
+def test_a_proof_builds_no_gather():
+    # the gather is the simulator's alone: proving a fine-grained plan
+    # reads its moves and leaves the gather unbuilt until an execute
+    src, dst = mk((64,), (B,), 4), mk((64,), (C3,), 4)
+    plan = plan_redistribution(src, dst, "naive")
+    assert prove_plan(src, dst, plan) == []
+    lowered = plan.lowered(layout_of(src), layout_of(dst))
+    assert lowered.gathers and "gather" not in vars(lowered)
+    machine = Machine(src.processors)
+    source, target = DistributedArray("A", src, machine), DistributedArray("A", dst, machine)
+    source.scatter_from_global(np.arange(64.0))
+    lowered.execute(source, target)
+    assert "gather" in vars(lowered)
+    assert np.array_equal(target.gather_to_global(), np.arange(64.0))
+
+
 @pytest.mark.parametrize("policy", ["naive", "round-robin"])
 def test_unpacked_messages_always_lower_to_slices(policy):
-    # an unpacked message is one contiguous run, contiguous in both blocks
-    # (local copies are not split into runs and may still need vectors)
-    # -- on the wire and, the pair's whole index not being a progression,
-    # in the simulator too: run slices, never the pair's np.ix_ mesh
+    # an unpacked message is one contiguous run, contiguous in both blocks:
+    # on the wire every part is a run slice.  The simulator copies whole
+    # transfers instead -- one move per pair, the pair's np.ix_ mesh where
+    # its index is not a progression -- and, the plan being fine-grained,
+    # moves all of them in one gather over the 64 elements
     src, dst = mk((64,), (B,), 4), mk((64,), (C3,), 4)
     plan = plan_redistribution(src, dst, policy)
     parts = wire_moves(plan, layout_of(src), layout_of(dst))
     assert len(parts) == plan.message_count and all(m.is_basic for m in parts)
-    moves = [m for m in plan.lowered(layout_of(src), layout_of(dst)).moves if not m.is_local]
-    assert len(moves) > 12 and all(m.is_basic for m in moves)  # 12 pairs, some in runs
+    lowered = plan.lowered(layout_of(src), layout_of(dst))
+    assert [(m.src_rank, m.dst_rank) for m in lowered.moves] == [
+        (t.src_rank, t.dst_rank) for t in plan.transfers
+    ]
+    remote = [m for m in lowered.moves if not m.is_local]
+    assert len(remote) == 12 and not all(m.is_basic for m in remote)
+    assert len(parts) > len(remote)
+    assert lowered.gathers and [len(ix) for ix in lowered.gather] == [64, 64]
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +549,60 @@ def test_progression_layouts_lower_and_index_without_numpy_helpers(monkeypatch):
     assert len(rects) > n // 4
     assert all(prepare_move(r, source.layout, layout_of(cyclic3)).is_basic for r in rects)
     assert calls == [[], [], [], []]
+
+
+# ---------------------------------------------------------------------------
+# (f) the gather: one fancy-indexed assignment for a fine-grained plan
+# ---------------------------------------------------------------------------
+
+block_k_pairs = st.tuples(extent, st.integers(1, 5), st.integers(0, 4), fmt).map(
+    # block(k) holds n on P ranks iff k * P >= n
+    lambda a: (
+        mk((a[0],), (DistFormat.block(-(-a[0] // a[1]) + a[2]),), a[1]),
+        mk((a[0],), (a[3],), a[1]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.one_of(mapping_pairs, block_k_pairs),
+    way=st.sampled_from(WAYS),
+    dtype=st.sampled_from([np.float64, np.complex128]),
+    flip=st.booleans(),
+)
+def test_prop_gather_and_moves_leave_bit_identical_targets(pair, way, dtype, flip):
+    """Whatever the crossover decides, a plan's gather and its moves leave
+    the same bytes in a fresh target, and the gather writes every position
+    of the target's buffer exactly once, from inside the source's."""
+    src, dst = pair[::-1] if flip else pair
+    src_lay, dst_lay = layout_of(src), layout_of(dst)
+    plan = plan_redistribution(src, dst, way)
+    lowered = plan.lowered(src_lay, dst_lay)
+    gather = schedule._gather(lowered.moves, src_lay, dst_lay)
+    elements = sum(m.elements for m in lowered.moves)
+    assert lowered.gathers == (elements < schedule.GATHER_BELOW * len(lowered.moves))
+    if lowered.gathers:
+        assert all(np.array_equal(a, b) for a, b in zip(lowered.gather, gather))
+
+    machine = Machine(src.processors)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=src.shape).astype(dtype)
+    if dtype is np.complex128:
+        values += 1j * rng.normal(size=src.shape)
+    source = DistributedArray("A", src, machine, dtype)
+    source.scatter_from_global(values)
+    by_moves, by_gather = (DistributedArray("A", dst, machine, dtype) for _ in range(2))
+    LoweredPlan(lowered.moves, src_lay, dst_lay, False).execute(source, by_moves)
+    LoweredPlan(lowered.moves, src_lay, dst_lay, True).execute(source, by_gather)
+    assert by_moves.data.tobytes() == by_gather.data.tobytes()
+    assert np.array_equal(by_gather.gather_to_global(), values)
+    assert by_gather.check_replicas_consistent()
+
+    src_pos, dst_pos = gather
+    assert len(src_pos) == len(dst_pos) == elements == dst_lay.size
+    assert np.array_equal(np.sort(dst_pos), np.arange(dst_lay.size))
+    assert 0 <= src_pos.min() and src_pos.max() < src_lay.size
 
 
 # ---------------------------------------------------------------------------
@@ -719,16 +822,19 @@ def test_warm_run_charges_plans_and_copies_transfers(monkeypatch):
             f"{module}.Message", lambda *a, **kw: made.append(1) or Message(*a, **kw)
         )
     monkeypatch.setattr("repro.spmd.schedule.check_one_port", checks.append)
-    real = PreparedMove.execute
-    monkeypatch.setattr(
-        PreparedMove, "execute", lambda move, src, dst: copies.append(1) or real(move, src, dst)
-    )
+    real = LoweredPlan.execute
+
+    def counting(lowered, source, target):  # NumPy assignments of one copy
+        copies.append(1 if lowered.gathers else len(lowered.moves))
+        real(lowered, source, target)
+
+    monkeypatch.setattr(LoweredPlan, "execute", counting)
     warm = session.run(LOOP, **kwargs)
     assert warm.stats.remaps_performed == 32
     assert warm.stats.snapshot() == cold.stats.snapshot()
     assert warm.stats.messages == 32 * sum(p.message_count for p in plans) // 2 > 32 * 16
     assert made == [] and checks == []
-    assert 0 < len(copies) <= 32 * 16
+    assert len(copies) == 32 and 0 < sum(copies) <= 32 * 16
 
     # the log is the one consumer of Message objects: one per message, on ask
     machine = Machine(compiled.processors, log_messages=True)

@@ -199,6 +199,67 @@ def test_freed_array_refuses_scatter_and_gather(p4, machine4):
     assert a.freed and a.blocks == {}
 
 
+def _array(kind, mapping, machine, transport, dtype=np.float64):
+    if kind == "shared":
+        from repro.spmd.transport import SharedDistributedArray
+
+        return SharedDistributedArray("A", mapping, machine, transport, dtype)
+    return DistributedArray("A", mapping, machine, dtype)
+
+
+def _views(a, base) -> bool:
+    """Every block of ``a`` is a view of ``base`` (a buffer or an arena)."""
+    return all(np.shares_memory(block, base) for block in a.blocks.values() if block.size)
+
+
+@pytest.mark.parametrize("kind", ["sim", "shared"])
+def test_blocks_are_views_a_kernel_writes_through_and_cannot_rebind(kind, p4):
+    """A simulator array's blocks are views of its one buffer, each at its
+    holder's offset; a shared array's are views of the ranks' arenas.  The
+    mapping cannot be assigned into, and a local sweep writes through, so
+    the blocks stay those views."""
+    from repro.spmd.transport import MPTransport
+
+    transport = MPTransport(4, arena_bytes=1 << 16)  # never started: arenas only
+    try:
+        machine = Machine(p4)
+        m = mk((8, 6), (DistFormat.block(), DistFormat.star()), p4)
+        a = _array(kind, m, machine, transport)
+        values = np.arange(48.0).reshape(8, 6)
+        a.scatter_from_global(values)
+        if kind == "sim":
+            assert a.data.shape == (a.layout.size,) == (48,)
+            for h in a.layout.table:
+                flat = a.data[h.offset : h.offset + h.elements]
+                assert np.shares_memory(a.blocks[h.rank], flat)
+                assert np.array_equal(a.blocks[h.rank].ravel(), flat)
+        else:
+            assert a.data is None
+            assert all(
+                np.shares_memory(a.blocks[r], np.frombuffer(transport.arenas[r].buf))
+                for r in range(4)
+            )
+        before = dict(a.blocks)
+        with pytest.raises(TypeError):
+            a.blocks[0] = np.zeros((2, 6))
+        a.apply_along_local_dim(lambda block, axis: np.cumsum(block, axis=axis), axis=1)
+        assert all(a.blocks[r] is before[r] for r in before)
+        if kind == "sim":
+            assert _views(a, a.data)
+        assert np.array_equal(a.gather_to_global(), np.cumsum(values, axis=1))
+        with pytest.raises(ShapeError, match="changed the local shape"):
+            a.apply_along_local_dim(lambda block, axis: block.sum(axis=axis), axis=1)
+        if kind == "shared":  # detaching lays the blocks out as a simulator array's
+            a.detach()
+            assert a.data is not None and _views(a, a.data)
+            assert np.array_equal(a.gather_to_global(), np.cumsum(values, axis=1))
+            assert all(arena.free_bytes() == arena.nbytes for arena in transport.arenas)
+        a.free()
+        assert a.data is None and a.blocks == {}
+    finally:
+        transport.close()
+
+
 def test_apply_along_local_dim_requires_local(p4, machine4):
     m = mk((8, 8), (DistFormat.block(), DistFormat.star()), p4)
     a = DistributedArray("A", m, machine4)

@@ -38,7 +38,8 @@ from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
 from repro.errors import ArtifactFrozenError, ShapeError
-from repro.lang.ast_nodes import ArrayDecl, DistributeDecl
+from repro.ir.cfg import NodeKind
+from repro.lang.ast_nodes import ArrayDecl
 from repro.lang.printer import print_program
 from repro.spmd import CommSchedule
 from repro.spmd.schedule import PLANS
@@ -382,6 +383,20 @@ def _without_decl(template, kind):
     )
 
 
+def _with_misplaced_distribution_hole(template):
+    """``template`` whose first ``distribution`` hole names a compute's CFG
+    node: the version counts the load checks are unchanged, but patching
+    it reads a distribution from a statement that names none."""
+    main = template.structure.subroutines["main"]
+    compute = min(nid for nid, node in main.cfg.nodes.items() if node.kind is NodeKind.COMPUTE)
+    k = next(i for i, hole in enumerate(main.holes) if hole[0] == "distribution")
+    holes = (*main.holes[:k], ("distribution", compute), *main.holes[k + 1 :])
+    mangled = dataclasses.replace(
+        template.structure, subroutines={"main": dataclasses.replace(main, holes=holes)}
+    )
+    return dataclasses.replace(template, structure=mangled)
+
+
 def _without_redistribute_holes(template):
     """``template`` whose carried structure lost the holes of the versions
     its graph leaves with."""
@@ -395,10 +410,10 @@ def _without_redistribute_holes(template):
     return dataclasses.replace(template, structure=mangled)
 
 
-def _served_as_a_fresh_compile(compiled, w):
+def _served_as_a_fresh_compile(compiled, w, processors=4):
     values, stats = _run(compiled, w)
     ref_values, ref_stats = _run(
-        Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=4), w
+        Pipeline(SYMBOLIC).compile(w["source"], bindings=w["bindings"], processors=processors), w
     )
     for a in ref_values:
         assert np.array_equal(values[a], ref_values[a]), a
@@ -450,12 +465,13 @@ def test_template_with_a_mangled_structure_is_evicted_by_its_load(tmp_path, caps
 
 
 def test_template_its_load_passes_is_evicted_by_a_failing_first_request(tmp_path):
-    """A template whose AST lost its ``distribute``: nothing the load reads
-    contradicts it, but its instantiation raises where the source compiles.
-    The request is served by that clean compile, bit-identical to a fresh
-    one, and only then is the entry evicted and rewritten."""
+    """A template whose structure's distribution hole names a compute:
+    nothing the load reads contradicts it, but its instantiation raises
+    where the source compiles.  The request is served by that clean
+    compile, bit-identical to a fresh one, and only then is the entry
+    evicted and rewritten."""
     store, tkey, template = _seed_template(tmp_path)
-    assert store.store(tkey, _without_decl(template, DistributeDecl))
+    assert store.store(tkey, _with_misplaced_distribution_hole(template))
     assert isinstance(store.load(tkey), SymbolicTemplate)
     assert store.verify(evict=False)["invariant_violations"] == 0
 
@@ -500,6 +516,49 @@ def test_a_request_outside_a_loaded_templates_domain_keeps_the_entry(tmp_path):
     reader = CompilerSession(store=store, options=SYMBOLIC)
     _, tier = reader.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
     assert tier == "instantiated"
+
+
+def test_repeated_requests_outside_a_templates_domain_load_it_once(tmp_path):
+    """Three ``block(2)`` requests the template cannot hold read the store
+    once: the first loads the template, fails its instantiation and its
+    clean compile, and keeps the template in memory; the repeats fail both
+    again without a load.  The entry stays, and an in-domain request is
+    then instantiated from memory with no further load."""
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    store, tkey, _ = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    session = CompilerSession(store=store, options=SYMBOLIC)
+    for _ in range(3):
+        with pytest.raises(ShapeError):
+            session.compile(text, bindings={"n": 8, "t": 2}, processors=2)
+    assert store.stats["hits_template"] == 1
+    assert store.stats["semantic_evicted"] == 0 and store.entry_path(tkey).is_file()
+    assert session.stats["templates"] == 1
+    before = dict(store.stats)
+    _, tier = session.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
+    assert tier == "instantiated"
+    assert store.stats == before  # served from memory: nothing read, missed or written
+
+
+def test_a_template_kept_after_an_out_of_domain_request_stays_unproven(tmp_path):
+    """A ``block(2)`` template its load passes but whose distribution hole
+    names a compute, kept in memory after an n = 8, P = 2 request it and
+    the source both fail: a later in-domain request its instantiation
+    fails is served by a clean compile, which rejects the entry, not by
+    the instantiation's error."""
+    text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
+    store, tkey, template = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    assert store.store(tkey, _with_misplaced_distribution_hole(template))
+    session = CompilerSession(store=store, options=SYMBOLIC)
+    with pytest.raises(ShapeError):
+        session.compile(text, bindings={"n": 8, "t": 2}, processors=2)
+    assert store.stats["semantic_evicted"] == 0 and session.stats["templates"] == 1
+    w = dict(FIGURES["fig16"], source=text, bindings={"n": 6, "t": 2}, inputs={"a": np.arange(6.0)})
+    compiled, tier = session.compile_traced(text, bindings=w["bindings"], processors=3)
+    assert tier == "compiled"
+    assert store.stats["semantic_evicted"] == 1 and session.stats["instantiations"] == 0
+    _served_as_a_fresh_compile(compiled, w, processors=3)
+    _, tier = session.compile_traced(text, bindings={"n": 8, "t": 2}, processors=4)
+    assert tier == "instantiated"  # from the clean compile's template
 
 
 def test_a_block_k_template_with_a_mangled_structure_is_flagged_offline(tmp_path):

@@ -60,6 +60,7 @@ from repro.mapping import ProcessorArrangement, ownership
 from repro.remap.codegen import render_code
 from repro.spmd.schedule import PLANS, obtain_plan
 from repro.store import ArtifactStore
+from repro.symbolic.classify import classify_bindings
 from repro.util.memo import clear_process_memos
 
 FIG1 = """
@@ -336,9 +337,13 @@ def test_eager_compile_and_instantiation_share_plans(monkeypatch):
 
 
 def test_template_rejects_missing_shapes():
+    """What a request must bind is read from the template's AST, as the
+    session reads it; a request without it raises resolve's error."""
     _, template = _warm_template()
-    assert template.missing_shapes({}) == ["n"]
-    assert template.missing_shapes({"n": 16}) == []
+    shapes = classify_bindings(template.program).shape_symbolic
+    assert sorted(shapes) == ["n"]
+    with pytest.raises(SemanticError):
+        template.instantiate({}, ProcessorArrangement("P", (4,)))
 
 
 def test_frozen_template_survives_pickle_with_empty_memo():

@@ -337,12 +337,6 @@ PROBE_FLAGGED = {
     ("fig16", "decl", 1),
 }
 
-#: mutants the load passes whose template serves other traffic (not other
-#: values) than a fresh compile of the source, as the probe's store did: the
-#: AST lost the ``align`` that ties ``a`` to ``b``, nothing else records it
-SERVED_WITH_OTHER_TRAFFIC = {("fig1", "decl", 3)}
-
-
 def _ast_mutants(template):
     """The template with each declaration, then each top-level statement,
     of its one subroutine removed in turn."""
@@ -363,11 +357,13 @@ def _ast_mutants(template):
 def test_mutant_sweep_flags_what_the_offline_probe_flagged(tmp_path):
     """Every declaration and top-level statement of Fig. 1, 12 and 16 is
     removed in turn from a stored template.  The load flags every mutant
-    the probe flagged; a mutant it passes is either served like a fresh
-    compile (values and traffic) or evicted by its first request, which a
-    clean compile serves."""
+    the probe flagged, and every declaration mutant: the structure records
+    the declarations it was built over (Fig. 1 without
+    ``align with B :: A`` served half the traffic before).  A mutant it
+    passes is either served like a fresh compile (values and traffic) or
+    evicted by its first request, which a clean compile serves."""
     options = CompilerOptions.symbolic(level=3, schedule="aggregate")
-    flagged = set()
+    flagged, declarations = set(), set()
     for figure, workload in (("fig1", "fig1"), ("fig12", "fig12-then"), ("fig16", "fig16")):
         w = WORKLOADS[workload]
         store = ArtifactStore(tmp_path / figure)
@@ -379,6 +375,8 @@ def test_mutant_sweep_flags_what_the_offline_probe_flagged(tmp_path):
         )
         for (part, i), mutant in _ast_mutants(template):
             label = (figure, part, i)
+            if part == "decl":
+                declarations.add(label)
             assert store.store(tkey, mutant)
             if store.load(tkey) is None:
                 flagged.add(label)
@@ -392,7 +390,6 @@ def test_mutant_sweep_flags_what_the_offline_probe_flagged(tmp_path):
             values, stats = _run(compiled, w)
             for a in ref_values:
                 assert np.array_equal(values[a], ref_values[a]), (label, a)
-            if label not in SERVED_WITH_OTHER_TRAFFIC:
-                assert stats.snapshot() == ref_stats.snapshot(), label
-    assert PROBE_FLAGGED <= flagged
+            assert stats.snapshot() == ref_stats.snapshot(), label
+    assert PROBE_FLAGGED <= flagged and declarations <= flagged
     assert len(flagged) > len(PROBE_FLAGGED)  # every top-level statement, too
