@@ -27,7 +27,9 @@ what a store load decodes (``verify_artifact``, a concrete artifact's, and
 either), in the plan layer
 (``obtain_plan``: the plan memo's lookups and, on a miss, the plan's build
 and proof) and in the proof alone (``prove_plan``; both near zero once the
-memo holds every pair, so read them under ``--cold``), in the mp backend's
+memo holds every pair, so read them under ``--cold``), in building array
+versions (``MemoryManager.allocate``: the machine's fit check, the buffer,
+its block views -- the simulator's heap or the mp backend's arena), in the mp backend's
 wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
@@ -85,6 +87,7 @@ from repro.remap.construction import build_remapping_graph  # noqa: E402
 from repro.remap.costguard import CostGuard, project, window  # noqa: E402
 from repro.obs import REGISTRY, snapshot_diff  # noqa: E402
 from repro.remap.walker import DescriptorWalker  # noqa: E402
+from repro.runtime.memory import MemoryManager  # noqa: E402
 from repro.runtime.mpbackend import MPExecutor  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
 from repro.spmd import transport  # noqa: E402
@@ -110,6 +113,7 @@ SHARES = (
     ("verify_template", verify_template, None, HANDLE),
     ("obtain_plan", obtain_plan, None, HANDLE),
     ("prove_plan", prove_plan, None, HANDLE),
+    ("MemoryManager.allocate", MemoryManager.allocate, None, HANDLE),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),
     (
         "MPExecutor._run_plan outside MPTransport._collect",

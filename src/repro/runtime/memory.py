@@ -5,10 +5,12 @@ runtime can decide to free a live copy if not enough memory is available
 and to change the corresponding liveness status.  If required later on the
 copy will be regenerated."
 
-Allocation first checks whether the new version's per-processor blocks fit
-under the machine's memory limit (a machine without one has nothing to
-check, so the per-rank map is not even built); if not, live non-current
-copies are evicted (largest first) until it does.  The evicted copy's live flag flips
+Allocation builds the new version; its one fit check is the machine's
+(:meth:`~repro.spmd.machine.Machine.allocate_set`, every rank's block
+accounted before any storage is placed).  When it raises
+:exc:`~repro.errors.OutOfMemoryError`, nothing was placed, so the largest
+live non-current copy is evicted and the allocation retried, until the
+version fits or nothing is left to evict.  The evicted copy's live flag flips
 to false, so a later remapping back to it simply regenerates it with
 communication -- the generated code already handles that case because it
 never assumes a kept copy is live (Fig. 19's ``liveA`` tests).
@@ -22,15 +24,9 @@ import numpy as np
 
 from repro.errors import OutOfMemoryError
 from repro.mapping.mapping import Mapping
-from repro.mapping.ownership import layout_of
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
-
-
-def blocks_needed(mapping: Mapping, machine: Machine, itemsize: int) -> dict[int, int]:
-    """Bytes the mapping's storage needs on each linear rank."""
-    return {h.rank: h.elements * itemsize for h in layout_of(mapping).table}
 
 
 class MemoryManager:
@@ -45,13 +41,9 @@ class MemoryManager:
         self.machine = machine
         # enumerate (descriptor, version) pairs that may be evicted
         self._candidates = candidates or (lambda: ())
-        # how to build storage once the budget check passes; the mp backend
-        # substitutes shared-arena arrays here, everything else gets the
-        # plain heap-backed DistributedArray
+        # how to build storage: the mp backend substitutes shared-arena
+        # arrays here, everything else gets the heap-backed DistributedArray
         self._factory = array_factory or DistributedArray
-
-    def _fits(self, needed: dict[int, int]) -> bool:
-        return all(self.machine.would_fit(rank, b) for rank, b in needed.items())
 
     def _evict_one(self) -> bool:
         best: tuple[ArrayRuntime, int] | None = None
@@ -75,12 +67,12 @@ class MemoryManager:
     def allocate(
         self, name: str, mapping: Mapping, dtype=np.float64
     ) -> DistributedArray:
-        if self.machine.memory_limit is not None:  # else everything fits
-            needed = blocks_needed(mapping, self.machine, np.dtype(dtype).itemsize)
-            while not self._fits(needed):
+        while True:
+            try:
+                return self._factory(name, mapping, self.machine, dtype)
+            except OutOfMemoryError as exc:
                 if not self._evict_one():
                     raise OutOfMemoryError(
                         f"cannot allocate {name}: memory limit reached and no live "
                         "copy is evictable"
-                    )
-        return self._factory(name, mapping, self.machine, dtype)
+                    ) from exc

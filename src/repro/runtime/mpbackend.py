@@ -2,8 +2,9 @@
 
 :class:`MPExecutor` is the simulator's :class:`~repro.runtime.executor.Executor`
 with exactly one thing changed: remapping bytes cross real process
-boundaries.  Distributed-array blocks are placed in the transport's shared
-arenas (:class:`~repro.spmd.transport.SharedDistributedArray`), and the one
+boundaries.  Each array version's one buffer is placed in the transport's
+shared arena (:class:`~repro.spmd.transport.SharedDistributedArray`), laid
+out as the simulator's, and the one
 movement hook -- :meth:`Executor._run_plan` -- is overridden to run each
 remapping's messages on the forked worker ranks as one exchange of the
 plan's :class:`~repro.spmd.transport.WireProgram`, which the ranks keep
@@ -47,7 +48,6 @@ from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.redistribution import prepare_move
 from repro.spmd.transport import (
-    DEFAULT_ARENA_BYTES,
     ExchangeReport,
     MPTransport,
     SharedDistributedArray,
@@ -141,7 +141,7 @@ class MPExecutor(Executor):
             )
         self.transport = transport
         self.mp_report = MPRunReport(nprocs=transport.nprocs)
-        # storage goes to the shared arenas so workers see the same bytes
+        # storage goes to the shared arena so workers see the same bytes
         self.memory = MemoryManager(
             self.machine, self._eviction_candidates, array_factory=self._make_array
         )
@@ -160,7 +160,7 @@ class MPExecutor(Executor):
 
     def detach(self) -> None:
         """End of the run: the result owns its bytes.  Every still-live
-        block moves out of the arena into private memory and its arena
+        buffer moves out of the arena into private memory and its arena
         storage is released, so the transport is whole again for the next
         run and the values stay readable after it -- and after ``close``."""
         shared, self._shared = self._shared, None
@@ -175,30 +175,29 @@ class MPExecutor(Executor):
         charge -- the plan's one delta, obtained first, so a bad phase
         raises before anything is on the wire.  The program is built from
         the plan on its first copy on this transport and kept there; later
-        copies ship two block offsets per rank."""
+        copies ship the two buffers' arena offsets."""
         delta = plan.ledger(self.machine.cost, target.itemsize)
         for move in plan.lowered(source.layout, target.layout).moves:
             if move.is_local:
                 move.execute(source, target)
         program = self.transport.program(
-            plan, target.dtype, lambda: self._wire_rounds(plan, source, target)
+            plan,
+            target.dtype,
+            lambda: self._wire_rounds(plan, source.layout, target.layout, target.itemsize),
         )
         if program.rounds:
-            self.mp_report.add(
-                self.transport.exchange(program, source.offsets, target.offsets)
-            )
+            self.mp_report.add(self.transport.exchange(program, source.offset, target.offset))
         self.machine.charge(delta, target.name, tag)
 
     @staticmethod
-    def _wire_rounds(plan, source, target):
-        """The plan's rounds over these arrays' blocks, as
+    def _wire_rounds(plan, src, dst, itemsize: int):
+        """The plan's rounds between the layouts ``src`` and ``dst``, as
         :meth:`MPTransport.program` builds a program from them: the
         unphased messages (all of a ``policy=None`` plan's) as one contended
         round, then each phase as one round of its messages' own parts
         (each rank must move exactly its messages' bytes, so whole transfers
         will not do), each part lowered here; and each rank's source and
-        target block shape."""
-        src, dst, itemsize = source.layout, target.layout, source.itemsize
+        target block as ``(holder offset, shape)``."""
 
         def message(src_rank: int, dst_rank: int, parts) -> WireMessage:
             moves = (prepare_move(t, src, dst) for t in parts)
@@ -216,8 +215,8 @@ class MPExecutor(Executor):
             )
             for phase in plan.phases
         ]
-        sources = {r: block.shape for r, block in source.blocks.items()}
-        targets = {r: block.shape for r, block in target.blocks.items()}
+        sources = {h.rank: (h.offset, h.local_shape) for h in src.table}
+        targets = {h.rank: (h.offset, h.local_shape) for h in dst.table}
         return rounds, sources, targets
 
 
@@ -236,20 +235,15 @@ class MPBackend:
     count) against it, one at a time (a transport is one conversation;
     :class:`~repro.service.service.CompileService`, which keeps one backend
     per processor count, runs each under a lock).  Every run ends --
-    success or failure -- with its arrays detached from the arenas
+    success or failure -- with its arrays detached from the arena
     (:meth:`MPExecutor.detach`), so a result stays readable while later
-    runs reuse the ranks and after :meth:`close`, and every arena is fully
+    runs reuse the ranks and after :meth:`close`, and the arena is fully
     free between runs.  Context-manager friendly; :meth:`close` tears the
     workers down.
     """
 
-    def __init__(
-        self,
-        processors: int,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
-        timeout: float = 120.0,
-    ):
-        self.transport = MPTransport(processors, arena_bytes, timeout)
+    def __init__(self, processors: int):
+        self.transport = MPTransport(processors)
 
     @property
     def nprocs(self) -> int:
@@ -283,7 +277,7 @@ class MPBackend:
         try:
             return executor.run(entry)
         finally:
-            executor.detach()  # success or failure: every arena is free again
+            executor.detach()  # success or failure: the arena is free again
 
 
 def execute_mp(
@@ -291,12 +285,11 @@ def execute_mp(
     entry: str | None = None,
     machine: Machine | None = None,
     env: ExecutionEnv | None = None,
-    arena_bytes: int = DEFAULT_ARENA_BYTES,
 ) -> ExecutionResult:
     """Run one compiled program on a transient mp backend (forks, runs,
     tears the workers down) -- for callers with no ``close()`` to own
     processes, such as :meth:`CompilerSession.run`.  The result owns its
     bytes, like any :meth:`MPBackend.execute` result.
     """
-    with MPBackend(compiled.processors.size, arena_bytes=arena_bytes) as backend:
+    with MPBackend(compiled.processors.size) as backend:
         return backend.execute(compiled, entry=entry, machine=machine, env=env)

@@ -5,7 +5,10 @@ A :class:`DistributedArray` is the runtime instance of one *array version*
 stores exactly its owned elements, densely packed in the local numbering
 defined by the layout, as one block of the version's buffer
 (:attr:`DistributedArray.data`): the holders' blocks back to back in the
-holder table's order, each at its holder's ``offset``.  ``blocks[rank]`` is
+holder table's order, each at its holder's ``offset`` -- on every
+backend: private heap memory here, one region of the transport's shared
+arena for :class:`~repro.spmd.transport.SharedDistributedArray`, which
+changes only where the buffer lives.  ``blocks[rank]`` is
 that block as a view, in a read-only mapping, so a kernel writes through
 it and cannot rebind it.  Which ranks hold a block, of what shape, where it
 starts in the buffer and where its elements sit in the global array
@@ -142,39 +145,36 @@ class DistributedArray:
         self._blocks: dict[int, np.ndarray] = {}
         #: rank -> its local block; read-only, so a block is written, never rebound
         self.blocks = MappingProxyType(self._blocks)
-        self._freed = False
-        table = self.layout.table
         #: the ``(rank, nbytes)`` set the machine accounts for this version;
-        #: all ranks or none: nothing is placed unless every rank fits
+        #: all ranks or none, before any storage is placed
         itemsize = self.dtype.itemsize
-        self._accounted = tuple((h.rank, h.elements * itemsize) for h in table)
+        self._accounted = tuple((h.rank, h.elements * itemsize) for h in self.layout.table)
         machine.allocate_set(name, self._accounted)
-        #: the version's one buffer, every holder's block at its offset
-        #: (``None`` where a subclass places the blocks elsewhere)
-        self.data: np.ndarray | None = None
         try:
-            self.data = self._new_buffer()
-            for h in table:
-                self._blocks[h.rank] = self._new_block(h)
-        except BaseException:  # an allocation failed: give back what was placed
-            self.free()
+            #: the version's one zeroed buffer, every holder's block at its
+            #: offset; ``None`` once :meth:`free` dropped it
+            self.data: np.ndarray | None = self._new_buffer()
+        except BaseException:  # nothing was placed: give the accounting back
+            machine.free_set(self._accounted)
             raise
+        self._view_blocks()
 
-    # -- storage hooks (subclasses may place blocks elsewhere) ----------------
+    def _view_blocks(self) -> None:
+        """Set every holder's block to its view of :attr:`data`."""
+        data = self.data
+        for h in self.layout.table:
+            self._blocks[h.rank] = data[h.offset : h.offset + h.elements].reshape(h.local_shape)
 
-    def _new_buffer(self) -> np.ndarray | None:
-        """The zeroed buffer the blocks view (private heap storage here;
-        :class:`~repro.spmd.transport.SharedDistributedArray` has none and
-        overrides the block hooks to place blocks in the transport's shared
-        arenas)."""
+    # -- storage hooks (a subclass may place the buffer elsewhere) -------------
+
+    def _new_buffer(self) -> np.ndarray:
+        """The zeroed buffer the blocks view: private heap storage here,
+        the transport's shared arena for
+        :class:`~repro.spmd.transport.SharedDistributedArray`."""
         return np.zeros(self.layout.size, dtype=self.dtype)
 
-    def _new_block(self, h: Holder) -> np.ndarray:
-        """Holder ``h``'s zeroed local block: its view of the buffer."""
-        return self.data[h.offset : h.offset + h.elements].reshape(h.local_shape)
-
-    def _release_block(self, rank: int, block: np.ndarray) -> None:
-        """Release whatever :meth:`_new_block` acquired (no-op for the heap)."""
+    def _release_buffer(self) -> None:
+        """Give back what :meth:`_new_buffer` acquired (nothing for the heap)."""
 
     # -- lifetime ------------------------------------------------------------
 
@@ -188,18 +188,16 @@ class DistributedArray:
 
     def free(self) -> None:
         """Release storage and memory accounting (idempotent)."""
-        if self._freed:
+        if self.data is None:
             return
         self.machine.free_set(self._accounted)
-        for rank, block in self._blocks.items():
-            self._release_block(rank, block)
+        self._release_buffer()
         self._blocks.clear()
         self.data = None
-        self._freed = True
 
     @property
     def freed(self) -> bool:
-        return self._freed
+        return self.data is None
 
     def total_local_bytes(self) -> int:
         return sum(b.nbytes for b in self.blocks.values())
@@ -208,7 +206,7 @@ class DistributedArray:
 
     def _live_blocks(self) -> list[tuple[np.ndarray, tuple]]:
         """``(block, index of its elements in the global array)`` per holder."""
-        if self._freed:
+        if self.data is None:
             raise RuntimeRemapError(f"array {self.name} has been freed")
         return [(self.blocks[h.rank], holder_index(h)) for h in self.layout.table]
 

@@ -161,7 +161,9 @@ class Machine:
     def allocate_set(self, name: str, blocks: Sequence[tuple[int, int]]) -> None:
         """Account one array version's ``(rank, nbytes)`` blocks as a set:
         every rank must fit under the limit before any is charged, so a
-        version that does not fit leaves the ledger as it was."""
+        version that does not fit leaves the ledger as it was.  This is the
+        one fit check: the memory manager evicts on its
+        :exc:`~repro.errors.OutOfMemoryError` and retries."""
         procs = self._procs
         limit = self.memory_limit
         if limit is not None:
@@ -185,17 +187,6 @@ class Machine:
             p = procs[rank]
             p.mem_used = max(0, p.mem_used - nbytes)
         self.stats.frees += len(blocks)
-
-    def allocate(self, rank: int, nbytes: int) -> None:
-        self.allocate_set(f"{nbytes} bytes", ((rank, nbytes),))
-
-    def free(self, rank: int, nbytes: int) -> None:
-        self.free_set(((rank, nbytes),))
-
-    def would_fit(self, rank: int, nbytes: int) -> bool:
-        if self.memory_limit is None:
-            return True
-        return self._procs[rank].mem_used + nbytes <= self.memory_limit
 
     def __repr__(self) -> str:
         return f"Machine({self.processors}, elapsed={self.elapsed:.3e}s, stats={self.stats.snapshot()})"

@@ -1,12 +1,14 @@
-"""Real multi-process transport: shared arenas, worker ranks, phased pipes.
+"""Real multi-process transport: one shared arena, worker ranks, phased pipes.
 
 Everything below this module is simulated; everything in it is real.  An
 :class:`MPTransport` owns N ``multiprocessing`` worker processes (forked,
-one per machine rank) and one shared-memory :class:`SharedArena` per rank.
-Distributed-array blocks live inside the arenas
-(:class:`SharedDistributedArray` places them there), so the parent -- which
-runs the interpreter, kernels and gather/scatter -- and the workers -- which
-move remapping bytes -- address the *same* pages.
+one per machine rank) and one shared-memory :class:`SharedArena` of
+``N x`` :data:`ARENA_BYTES_PER_RANK`, mapped before the fork, so every rank
+addresses all of it.  An array version's one buffer lives there
+(:class:`SharedDistributedArray` places it at one offset, laid out as a
+simulator array's), so the parent -- which runs the interpreter, kernels
+and gather/scatter -- and the workers -- which move remapping bytes --
+address the *same* pages.
 
 A remapping executes as one *exchange* of a :class:`WireProgram`, and the
 ranks keep the program and run it, not the parent.  A remapping's message
@@ -18,11 +20,12 @@ the same :func:`~repro.spmd.message.check_one_port` authority a plan's
 ledger uses, a local copy prescribed as a wire message rejected -- and
 split into what each participating rank keeps: its sends and receives for
 *every* round, indexed against "this rank's source block" and "this rank's
-target block" rather than arena offsets; the parent keeps the messages and
-bytes each rank must report per round.  The first exchange of a program
+target block", each block kept as its holder's offset and shape within its
+version's buffer (the plan's two layouts fix both); the parent keeps the
+messages and bytes each rank must report per round.  The first exchange of a program
 ships each participating rank its part in the ordinary control frame under
 a small integer handle; every later one ships ``(handle, source offset,
-target offset)`` and nothing else (but any eviction notice: a transport
+target offset)`` -- the two buffers' arena offsets -- and nothing else (but any eviction notice: a transport
 keeps at most :data:`PROGRAM_CAP` programs, least recently used first
 out).  The ranks run their rounds back to back over per-ordered-pair OS
 pipes -- FIFO pipes and one round at a time per rank make a global barrier
@@ -32,7 +35,7 @@ are checked against the program's prescription on every exchange
 (:exc:`~repro.errors.TransportError` on any mismatch), so the
 send/recv-once discipline holds on the wire, not just in the model.
 Exchange boundaries stay parent-synchronised, because the parent runs
-kernels on the arenas between remappings.
+kernels on the arena between remappings.
 
 The worker engine is single-threaded and deadlock-free by construction:
 data pipes are non-blocking and a ``select`` loop interleaves partial
@@ -72,7 +75,6 @@ import numpy as np
 
 from repro.errors import TransportError
 from repro.mapping.mapping import Mapping
-from repro.mapping.ownership import Holder
 from repro.obs.catalog import REGISTRY as _OBS
 from repro.obs.trace import TRACER as _TRACER
 from repro.spmd.cost import compose_phase
@@ -81,9 +83,12 @@ from repro.spmd.machine import Machine
 from repro.spmd.message import check_one_port
 from repro.util.memo import Memo
 
-#: Shared address space reserved per rank.  Pages are mapped lazily, so a
-#: generous default costs nothing until blocks actually touch it.
-DEFAULT_ARENA_BYTES = 1 << 26  # 64 MiB
+#: Shared address space a transport reserves per rank, in one arena.  Pages
+#: are mapped lazily, so a generous size costs nothing until buffers touch it.
+ARENA_BYTES_PER_RANK = 1 << 26  # 64 MiB
+
+#: Seconds the parent waits for the ranks' reports of one exchange.
+REPORT_TIMEOUT = 120.0
 
 _ALIGN = 64  # block alignment inside an arena
 _CHUNK = 1 << 16  # pipe read/write granularity
@@ -91,21 +96,20 @@ _LEN = struct.Struct("<Q")  # control-pipe frame header
 
 
 # ---------------------------------------------------------------------------
-# shared arenas and block placement
+# the shared arena and buffer placement
 # ---------------------------------------------------------------------------
 
 
 class SharedArena:
-    """One rank's block storage: an anonymous shared mapping + free list.
+    """The ranks' buffer storage: an anonymous shared mapping + free list.
 
-    Created in the parent *before* the workers fork, so both sides address
-    the same physical pages.  Allocation is parent-side only (first fit,
-    64-byte aligned, coalescing free list); workers receive plain
-    ``(offset, shape, dtype)`` descriptors and view the bytes through
-    :meth:`view`.
+    Created in the parent *before* the workers fork, so every side
+    addresses the same physical pages.  Allocation is parent-side only
+    (first fit, 64-byte aligned, coalescing free list); workers receive
+    plain offsets and view the bytes themselves.
     """
 
-    def __init__(self, nbytes: int = DEFAULT_ARENA_BYTES):
+    def __init__(self, nbytes: int):
         if nbytes <= 0:
             raise TransportError(f"arena size must be positive, got {nbytes}")
         self.nbytes = nbytes
@@ -130,7 +134,7 @@ class SharedArena:
         raise TransportError(
             f"shared arena exhausted: need {need} bytes, "
             f"{self.free_bytes()} free of {self.nbytes} "
-            "(raise arena_bytes on the transport)"
+            "(raise ARENA_BYTES_PER_RANK)"
         )
 
     def release(self, offset: int, nbytes: int) -> None:
@@ -150,7 +154,7 @@ class SharedArena:
         return sum(size for _, size in self._free)
 
     def view(self, offset: int, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A writable ndarray over the block's bytes (valid on both sides)."""
+        """A writable ndarray over the bytes at ``offset`` (valid on every side)."""
         dt = np.dtype(dtype)
         n = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
         return np.frombuffer(memoryview(self.buf)[offset : offset + n], dtype=dt).reshape(shape)
@@ -165,16 +169,16 @@ class SharedArena:
 
 
 class SharedDistributedArray(DistributedArray):
-    """A distributed array whose blocks live in the transport's arenas.
+    """A distributed array whose one buffer lives in the transport's arena.
 
-    Drop-in for :class:`~repro.spmd.darray.DistributedArray`: the parent
-    reads and writes blocks exactly as the simulator does (scatter/gather,
-    kernels, :meth:`~repro.spmd.redistribution.PreparedMove.execute` for
-    local copies), while the owning worker rank sees the same bytes through its
-    arena -- which is what makes parent-side verification of worker-side
-    communication meaningful.  The blocks are in different ranks' arenas,
-    so the array has no one buffer (:attr:`data` is ``None``) until
-    :meth:`detach` copies them into one.
+    Drop-in for :class:`~repro.spmd.darray.DistributedArray`, laid out as
+    one: :attr:`data` is one region of the shared arena, at :attr:`offset`,
+    every holder's block a view of it at the holder's offset.  The parent
+    reads and writes it exactly as the simulator does (scatter/gather,
+    kernels, local copies), while every worker rank sees the same bytes
+    through the arena it inherited -- which is what makes parent-side
+    verification of worker-side communication meaningful.  :meth:`detach`
+    moves the buffer out into private memory.
     """
 
     def __init__(
@@ -185,39 +189,33 @@ class SharedDistributedArray(DistributedArray):
         transport: "MPTransport",
         dtype=np.float64,
     ):
-        self._transport = transport
-        #: rank -> arena offset of its block, while the block is in the arena
-        self.offsets: dict[int, int] = {}
+        self._arena = transport.arena
+        #: where :attr:`data` starts in the arena, while it is there
+        self.offset: int | None = None
         super().__init__(name, mapping, machine, dtype)
 
-    def _new_buffer(self) -> None:
-        return None  # each block is placed in its rank's arena instead
+    def _new_buffer(self) -> np.ndarray:
+        size = self.layout.size
+        self.offset = self._arena.allocate(size * self.dtype.itemsize)
+        data = self._arena.view(self.offset, (size,), self.dtype)
+        data.fill(0)
+        return data
 
-    def _new_block(self, h: Holder) -> np.ndarray:
-        offset, view = self._transport.place_block(h.rank, h.local_shape, self.dtype)
-        self.offsets[h.rank] = offset
-        view.fill(0)
-        return view
-
-    def _release_block(self, rank: int, block: np.ndarray) -> None:
-        offset = self.offsets.pop(rank, None)
-        if offset is not None:  # a detached block is private memory already
-            self._transport.release_block(rank, offset, block.nbytes)
+    def _release_buffer(self) -> None:
+        if self.offset is not None:  # a detached buffer is private memory already
+            self._arena.release(self.offset, self.data.nbytes)
+            self.offset = None
 
     def detach(self) -> None:
-        """Copy every still-live block out of the arena into one private
-        buffer, laid out as a simulator array's, and release its arena
-        storage: the values stay readable for as long as the array does,
-        the arena is free for the next run."""
-        if not self.offsets:
+        """Copy the buffer out of the arena into private memory and release
+        its arena storage: the values stay readable for as long as the array
+        does, the arena is free for the next run."""
+        if self.offset is None:  # freed or detached already
             return
-        self.data = np.empty(self.layout.size, dtype=self.dtype)
-        for h in self.layout.table:
-            block = self._blocks[h.rank]
-            # the simulator's block hook: h's view of the buffer
-            self._blocks[h.rank] = DistributedArray._new_block(self, h)
-            self._blocks[h.rank][...] = block
-            self._release_block(h.rank, block)
+        data = self.data.copy()
+        self._release_buffer()
+        self.data = data
+        self._view_blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +277,11 @@ class WireProgram:
     otherwise), a message from a rank to itself is a local copy and
     rejected, and a rank that sends (receives) must hold a source (target)
     block.  The rounds are then split per participating rank into the part
-    that rank keeps -- ``(source block shape, target block shape, dtype,
-    rounds)``, each round ``(index, sends, receives)`` whose index tuples
-    address the rank's own source and target block -- and what the parent
+    that rank keeps -- ``(source block, target block, dtype, rounds)``, each
+    block as ``(holder offset, shape)`` within its array version's buffer
+    (``None`` where the rank holds none), each round ``(index, sends,
+    receives)`` whose index tuples address the rank's own source and target
+    block -- and what the parent
     keeps: the handle, and per rank the ``(round index, messages sent,
     bytes sent, messages received, bytes received)`` its report must show,
     round by round.  The per-rank parts are held only until the first
@@ -486,11 +486,12 @@ class _InMsg:
         self.nbytes = nbytes
 
 
-def _block_view(arena: mmap.mmap, offset: int, shape, dtype: np.dtype) -> np.ndarray:
-    n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    return np.frombuffer(memoryview(arena)[offset : offset + n], dtype=dtype).reshape(
-        shape
-    )
+def _block_view(arena: SharedArena, base: int, block, dtype: np.dtype) -> np.ndarray | None:
+    """A rank's block, ``(holder offset, shape)``, of the buffer at ``base``."""
+    if block is None:
+        return None
+    offset, shape = block
+    return arena.view(base + offset * dtype.itemsize, shape, dtype)
 
 
 def _run_worker_round(rank, source, target, dtype, sends, recvs, in_fds, out_fds):
@@ -573,7 +574,8 @@ def _run_worker_round(rank, source, target, dtype, sends, recvs, in_fds, out_fds
 
 def _run_worker_exchange(rank, arena, program, src_offset, dst_offset, in_fds, out_fds):
     """One remapping on this rank: its kept program's rounds, back to back,
-    no host between, over the source and target blocks at the two offsets.
+    no host between, over its blocks of the source and the target buffer
+    (at the two arena offsets).
 
     Why no global barrier is needed.  Source and target of a remapping are
     distinct array versions, so the rounds of one exchange have no data
@@ -586,7 +588,7 @@ def _run_worker_exchange(rank, arena, program, src_offset, dst_offset, in_fds, o
     can always progress: every peer is at that round or a later one, so it
     has already written, or is reading, what the round needs -- deadlock
     freedom by induction on the round number.  (Exchange boundaries stay
-    parent-synchronised: the parent runs kernels on the arenas between
+    parent-synchronised: the parent runs kernels on the arena between
     remappings.)
 
     Returns, round by round, what moved -- ``(round index, messages sent,
@@ -595,10 +597,10 @@ def _run_worker_exchange(rank, arena, program, src_offset, dst_offset, in_fds, o
     on ``time.perf_counter``, one system-wide monotonic clock for forked
     processes on Linux, so the parent may compare ranks.
     """
-    src_shape, dst_shape, dtype, rounds = program
+    src_block, dst_block, dtype, rounds = program
     dtype = np.dtype(dtype)
-    source = None if src_shape is None else _block_view(arena, src_offset, src_shape, dtype)
-    target = None if dst_shape is None else _block_view(arena, dst_offset, dst_shape, dtype)
+    source = _block_view(arena, src_offset, src_block, dtype)
+    target = _block_view(arena, dst_offset, dst_block, dtype)
     clock = time.perf_counter
     moved, timings = [], []
     for index, sends, recvs in rounds:
@@ -673,42 +675,36 @@ def _worker_main(rank, arena, ctl_r, rep_w, in_fds, out_fds, close_fds):
 
 def fork_available() -> bool:
     """True when the platform can fork workers (the only supported mode:
-    the shared arenas are inherited, never pickled)."""
+    the shared arena is inherited, never pickled)."""
     return "fork" in _mp.get_all_start_methods()
 
 
 class MPTransport:
-    """N forked worker ranks, their arenas, and the exchange API.
+    """N forked worker ranks, their one shared arena, and the exchange API.
 
-    Lifecycle: construct (arenas exist, nothing forked), :meth:`start`
+    Lifecycle: construct (the arena exists, nothing forked), :meth:`start`
     (workers fork and are pinged), any number of :meth:`exchange` calls,
     :meth:`close` (or :meth:`kill`, which a failed exchange calls itself).
     Usable as a context manager.  One transport is one conversation: it
-    serves any number of *sequential* runs -- blocks are placed and
-    released through :meth:`place_block`/:meth:`release_block` as arrays
-    come and go, wire programs are kept through :meth:`program` -- and
-    callers that share it serialise their runs.  A new transport keeps no
-    program, so a replacement for a failed one ships each program again.
+    serves any number of *sequential* runs -- array buffers are placed in
+    and released from :attr:`arena` as arrays come and go, wire programs are
+    kept through :meth:`program` -- and callers that share it serialise
+    their runs.  A new transport keeps no program, so a replacement for a
+    failed one ships each program again.
     """
 
-    def __init__(
-        self,
-        nprocs: int,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
-        timeout: float = 120.0,
-    ):
+    def __init__(self, nprocs: int):
         if nprocs < 1:
             raise TransportError(f"need at least one rank, got {nprocs}")
         if not fork_available():
             raise TransportError(
                 "the mp backend requires the 'fork' start method (the "
-                "shared arenas are inherited, never pickled); "
+                "shared arena is inherited, never pickled); "
                 "this platform offers only "
                 f"{_mp.get_all_start_methods()}"
             )
         self.nprocs = nprocs
-        self.timeout = timeout
-        self.arenas = [SharedArena(arena_bytes) for _ in range(nprocs)]
+        self.arena = SharedArena(nprocs * ARENA_BYTES_PER_RANK)
         self._procs: list[_mp.Process] = []
         self._ctl_w: list[int] = []  # parent -> worker command pipes
         self._rep_r: list[int] = []  # worker -> parent report pipes
@@ -750,7 +746,7 @@ class MPTransport:
                 target=_worker_main,
                 args=(
                     rank,
-                    self.arenas[rank].buf,
+                    self.arena,
                     ctl[rank][0],
                     rep[rank][1],
                     in_fds,
@@ -808,7 +804,7 @@ class MPTransport:
                 pass
         for proc in self._procs:
             proc.join(timeout=5.0)
-        self.kill()  # whoever did not quit, then the fds and the arenas
+        self.kill()  # whoever did not quit, then the fds and the arena
 
     def kill(self) -> None:
         """Failure-path teardown: SIGKILL every rank still running and reap
@@ -828,22 +824,9 @@ class MPTransport:
                 os.close(fd)
             except OSError:
                 pass
-        for arena in self.arenas:
-            arena.close()
+        self.arena.close()
         if self._started:
             _OBS.gauge("repro.mp.workers").inc(-self.nprocs)
-
-    # -- block placement ---------------------------------------------------
-
-    def place_block(self, rank: int, shape: tuple[int, ...], dtype):
-        """Allocate one block in ``rank``'s arena; returns (offset, view)."""
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        offset = self.arenas[rank].allocate(max(nbytes, 1))
-        return offset, self.arenas[rank].view(offset, shape, dt)
-
-    def release_block(self, rank: int, offset: int, nbytes: int) -> None:
-        self.arenas[rank].release(offset, max(nbytes, 1))
 
     # -- exchanges ---------------------------------------------------------
 
@@ -857,14 +840,14 @@ class MPTransport:
         """
         pending = {self._rep_r[rank]: rank for rank in ranks}
         sentinels = {self._procs[rank].sentinel: rank for rank in ranks}
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + REPORT_TIMEOUT
         frames: dict[int, tuple] = {}
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TransportError(
                     f"rank(s) {sorted(pending.values())} did not report "
-                    f"within {self.timeout}s"
+                    f"within {REPORT_TIMEOUT}s"
                 )
             ready, _, _ = select.select([*pending, *sentinels], [], [], remaining)
             reports = [fd for fd in ready if fd in pending]
@@ -884,8 +867,8 @@ class MPTransport:
         """The wire program this transport keeps for ``(owner, dtype)``.
 
         On the first ask ``build()`` returns ``(rounds, sources, targets)``
-        -- the remapping's rounds (:class:`TransferRound`) and, per rank, the
-        shape of the source and the target block it holds -- and the
+        -- the remapping's rounds (:class:`TransferRound`) and, per rank, its
+        source and its target block as ``(holder offset, shape)`` -- and the
         program is built from them (every check on the rounds raises here,
         before anything is shipped) under a fresh handle; later asks return
         it.  ``owner`` names the program by identity and is held as long as
@@ -907,13 +890,13 @@ class MPTransport:
             for rank in program.ranks:
                 self._drops.setdefault(rank, []).append(program.handle)
 
-    def exchange(self, program: WireProgram, sources, targets) -> ExchangeReport:
+    def exchange(self, program: WireProgram, source: int, target: int) -> ExchangeReport:
         """Run one remapping -- a kept :meth:`program` -- over real
-        inter-process messages; ``sources``/``targets`` map each rank to the
-        arena offset of its source/target block.
+        inter-process messages between the source and the target buffer, at
+        arena offsets ``source`` and ``target``.
 
         Each participating rank gets *one* control frame: the program's
-        handle, its two block offsets, any eviction notice, and -- on the
+        handle, the two buffer offsets, any eviction notice, and -- on the
         program's first exchange only -- its own part of the program.  It
         runs its rounds back to back against its peers (see
         :func:`_run_worker_exchange` for why that needs no barrier) and
@@ -938,8 +921,8 @@ class MPTransport:
                     frame = (
                         "run",
                         program.handle,
-                        sources.get(rank),
-                        targets.get(rank),
+                        source,
+                        target,
                         self._drops.pop(rank, ()),
                         parts[rank] if parts else None,
                     )

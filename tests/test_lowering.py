@@ -120,10 +120,9 @@ def arrays_of(src, dst):
 def wire_moves(plan, src, dst):
     """Every part of the rounds the mp backend builds for a plan
     (:meth:`MPExecutor._wire_rounds`), as the move its message makes."""
-    source, target = arrays_of(src, dst)
-    rounds, _, _ = MPExecutor._wire_rounds(plan, source, target)
+    rounds, _, _ = MPExecutor._wire_rounds(plan, src, dst, 8)
     return [
-        PreparedMove(msg.src, msg.dst, p.src_ix, p.dst_ix, p.shape, p.nbytes // source.itemsize)
+        PreparedMove(msg.src, msg.dst, p.src_ix, p.dst_ix, p.shape, p.nbytes // 8)
         for rnd in rounds
         for msg in rnd.messages
         for p in msg.parts
@@ -610,11 +609,11 @@ def test_prop_gather_and_moves_leave_bit_identical_targets(pair, way, dtype, fli
 # ---------------------------------------------------------------------------
 
 
-def plan_side_wire_rounds(plan, source, target):
+def plan_side_wire_rounds(plan, src, dst, itemsize):
     """The oracle: the rounds the mp backend built while plans lowered their
     own wire form (``CommSchedule.wire``) -- that lowering and
-    ``_wire_rounds`` as they were, copied."""
-    src, dst, itemsize = source.layout, target.layout, source.itemsize
+    ``_wire_rounds`` as they were, copied; each rank's block is read off an
+    array of its layout, as its position in the buffer and its shape."""
     moves = tuple(prepare_move(t, src, dst) for t in plan.local_transfers)
     phases = tuple(
         tuple(tuple(prepare_move(r, src, dst) for r in pt.parts) for pt in phase.transfers)
@@ -638,17 +637,24 @@ def plan_side_wire_rounds(plan, source, target):
         )
         for phase, messages in zip(plan.phases, phases)
     ]
-    sources = {r: block.shape for r, block in source.blocks.items()}
-    targets = {r: block.shape for r, block in target.blocks.items()}
-    return rounds, sources, targets
+    source, target = arrays_of(src, dst)
+
+    def blocks(array):  # back to back in the buffer, in the blocks' order
+        at, out = 0, {}
+        for r, block in array.blocks.items():
+            out[r] = (at, block.shape)
+            at += block.size
+        return out
+
+    return rounds, blocks(source), blocks(target)
 
 
-def assert_same_rounds(plan, source, target):
+def assert_same_rounds(plan, src, dst):
     """``MPExecutor._wire_rounds`` builds the oracle's rounds: the same
     messages in the same order, each with the same parts in the same order
     -- index tuples, shapes and byte counts."""
-    got, got_src, got_dst = MPExecutor._wire_rounds(plan, source, target)
-    want, want_src, want_dst = plan_side_wire_rounds(plan, source, target)
+    got, got_src, got_dst = MPExecutor._wire_rounds(plan, src, dst, 8)
+    want, want_src, want_dst = plan_side_wire_rounds(plan, src, dst, 8)
     assert (got_src, got_dst) == (want_src, want_dst)
     assert [(r.contended, len(r.messages)) for r in got] == [
         (r.contended, len(r.messages)) for r in want
@@ -666,7 +672,7 @@ def assert_same_rounds(plan, source, target):
 @given(pair=mapping_pairs, way=st.sampled_from(WAYS))
 def test_prop_wire_rounds_equal_the_plan_side_lowering(pair, way):
     src, dst = pair
-    assert_same_rounds(plan_redistribution(src, dst, way), *arrays_of(layout_of(src), layout_of(dst)))
+    assert_same_rounds(plan_redistribution(src, dst, way), layout_of(src), layout_of(dst))
 
 
 @pytest.mark.parametrize("way", WAYS)
@@ -690,7 +696,7 @@ def test_figure_wire_rounds_equal_the_plan_side_lowering(way, monkeypatch):
         run_figure(compiled, w)
         assert performed, name
         for plan, src, dst in performed:
-            parts += assert_same_rounds(plan, *arrays_of(layout_of(src), layout_of(dst)))
+            parts += assert_same_rounds(plan, layout_of(src), layout_of(dst))
     assert parts > 0
 
 

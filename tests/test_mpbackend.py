@@ -18,7 +18,7 @@ pipes.  This suite is that claim's gate:
 * **plumbing** -- arena allocation, backend reuse, ``ExecutionResult.mp``
   reporting, ``repro.mp.*`` metrics, and the opt-in ``backend="mp"``
   paths through :meth:`CompilerSession.run` and the service;
-* **pooling** -- a finished run returns its blocks to the arenas, the
+* **pooling** -- a finished run returns its buffers to the arena, the
   service's pooled ranks serve any number of requests whose results stay
   readable afterwards, and a killed rank (between requests or mid-exchange)
   ends in a typed error, a replaced backend and no orphan process.
@@ -26,7 +26,6 @@ pipes.  This suite is that claim's gate:
 
 from __future__ import annotations
 
-import functools
 import os
 import signal
 import struct
@@ -49,6 +48,7 @@ from repro.mapping import DistFormat, Mapping, ProcessorArrangement
 from repro.obs import REGISTRY
 from repro.runtime.mpbackend import MPBackend, MPExecutor, execute_mp
 from repro.service import CompileRequest, CompileService
+from repro.spmd import transport as transport_module
 from repro.spmd.cost import CostModel, compose_phase
 from repro.spmd.transport import (
     MPTransport,
@@ -316,7 +316,7 @@ def test_mp_metrics_published(backend):
 
 
 # ---------------------------------------------------------------------------
-# the transport itself: arenas, wire rounds, discipline
+# the transport itself: the arena, wire rounds, discipline
 # ---------------------------------------------------------------------------
 
 
@@ -345,29 +345,30 @@ def test_arena_exhaustion_raises():
         SharedArena(0)
 
 
-def test_failed_shared_array_construction_returns_its_blocks():
-    """An arena one block too small on rank 2: the blocks already placed
-    on ranks 0-1 go back, memory accounting included.  The machine accounts
-    a version's blocks as one set before any storage is placed (all ranks
-    or none), so the failed construction counts all four blocks allocated
-    and all four freed -- not the two whose arena placement had succeeded,
-    as it did when each block was accounted after its own placement."""
+def test_failed_shared_array_construction_returns_its_blocks(monkeypatch):
+    """An arena 64 bytes too small for the buffer: nothing is placed and the
+    memory accounting goes back.  The machine accounts a version's blocks
+    as one set before its buffer is placed (all ranks or none), so the
+    failed construction counts all four blocks allocated and all four
+    freed."""
+    monkeypatch.setattr(transport_module, "ARENA_BYTES_PER_RANK", 1 << 10)
     procs = ProcessorArrangement("P", (4,))
     mapping = Mapping.simple((512,), (DistFormat.block(),), procs)  # 1 KiB a rank
-    transport = MPTransport(4, arena_bytes=1 << 10)
+    transport = MPTransport(4)
+    arena = transport.arena
     try:
         machine = Machine(procs)
-        taken = transport.arenas[2].allocate(64)
+        taken = arena.allocate(64)
         with pytest.raises(TransportError, match="arena exhausted"):
             SharedDistributedArray("A", mapping, machine, transport)
-        assert [a.free_bytes() for a in transport.arenas] == [1 << 10, 1 << 10, (1 << 10) - 64, 1 << 10]
+        assert arena.free_bytes() == arena.nbytes - 64 == (4 << 10) - 64
         assert [machine.mem_used(r) for r in range(4)] == [0] * 4
         assert machine.stats.allocations == machine.stats.frees == 4
-        transport.arenas[2].release(taken, 64)
+        arena.release(taken, 64)
         whole = SharedDistributedArray("A", mapping, machine, transport)
-        assert all(a.free_bytes() == 0 for a in transport.arenas)
+        assert arena.free_bytes() == 0
         whole.free()
-        assert all(a.free_bytes() == a.nbytes for a in transport.arenas)
+        assert arena.free_bytes() == arena.nbytes
     finally:
         transport.close()
 
@@ -385,9 +386,16 @@ def test_measured_phase_time_mirrors_cost_model():
 
 def _keep(t, rounds, sources, targets):
     """Keep hand-built rounds as a wire program of ``t`` (a new owner, so a
-    new program, per call); ``sources``/``targets`` map each rank to the
-    shape of its source/target block."""
+    new program, per call); ``sources``/``targets`` map each rank to its
+    source/target block, ``(offset in its buffer, shape)``."""
     return t.program(object(), np.float64, lambda: (tuple(rounds), sources, targets))
+
+
+def _buffer(t, n: int):
+    """An ``n``-element float64 buffer placed in ``t``'s arena: its offset
+    and a view of it."""
+    offset = t.arena.allocate(n * 8)
+    return offset, t.arena.view(offset, (n,), np.float64)
 
 
 def _part(src_ix, dst_ix, shape) -> WirePart:
@@ -400,55 +408,58 @@ def _control_bytes() -> int:
 
 def test_transport_moves_prescribed_bytes():
     """A hand-built round moves exactly the prescribed rectangle between
-    two ranks' arenas (parent and workers share the mapping)."""
-    with MPTransport(2, arena_bytes=1 << 16) as t:
-        src_off, src = t.place_block(0, (4, 4), np.float64)
-        dst_off, dst = t.place_block(1, (4, 4), np.float64)
-        src[...] = np.arange(16, dtype=np.float64).reshape(4, 4)
+    two ranks' blocks in the arena (parent and workers share the mapping)."""
+    with MPTransport(2) as t:
+        src_off, src = _buffer(t, 20)  # rank 0's (4, 4) block at offset 4
+        dst_off, dst = _buffer(t, 16)  # rank 1's (4, 4) block at offset 0
+        src[4:] = np.arange(16, dtype=np.float64)
         dst.fill(-1.0)
         ix = np.ix_([1, 2], [0, 3])
         program = _keep(
             t,
             [TransferRound((WireMessage(0, 1, (_part(ix, ix, (2, 2)),)),))],
-            {0: (4, 4)},
-            {1: (4, 4)},
+            {0: (4, (4, 4))},
+            {1: (0, (4, 4))},
         )
-        report = t.exchange(program, {0: src_off}, {1: dst_off})
+        report = t.exchange(program, src_off, dst_off)
         assert report.messages == 1 and report.bytes == 32
-        assert np.array_equal(dst[ix], src[ix])
-        untouched = dst == -1.0
+        block = dst.reshape(4, 4)
+        assert np.array_equal(block[ix], src[4:].reshape(4, 4)[ix])
+        untouched = block == -1.0
         assert untouched.sum() == 12  # nothing outside the rectangle moved
-        t.release_block(0, src_off, src.nbytes)
-        t.release_block(1, dst_off, dst.nbytes)
+        t.arena.release(src_off, src.nbytes)
+        t.arena.release(dst_off, dst.nbytes)
+        assert t.arena.free_bytes() == t.arena.nbytes
+        del src, dst, block  # drop the arena views before close
 
 
 def test_kept_program_runs_over_any_blocks(tracer):
     """The ranks keep the program: its first exchange ships each rank its
-    part, every later one only a handle and two block offsets -- over other
-    blocks, at other offsets, the same rectangles move."""
-    with MPTransport(2, arena_bytes=1 << 16) as t:
+    part, every later one only a handle and two buffer offsets -- over other
+    buffers, at other offsets, the same rectangles move."""
+    with MPTransport(2) as t:
         ix = (slice(1, 3),)
         program = _keep(
             t,
             [TransferRound((WireMessage(0, 1, (_part(ix, ix, (2,)),)),))],
-            {0: (4,)},
-            {1: (4,)},
+            {0: (0, (4,))},
+            {1: (0, (4,))},
         )
         for trial in range(3):
-            src_off, src = t.place_block(0, (4,), np.float64)
-            dst_off, dst = t.place_block(1, (4,), np.float64)
+            src_off, src = _buffer(t, 4)
+            dst_off, dst = _buffer(t, 4)
             src[...] = np.arange(4) + 10.0 * trial
             dst.fill(-1.0)
-            t.exchange(program, {0: src_off}, {1: dst_off})
+            t.exchange(program, src_off, dst_off)
             assert dst.tolist() == [-1.0, 10.0 * trial + 1, 10.0 * trial + 2, -1.0]
         spans = [s for s in tracer.finished_spans() if s.name == "mp.exchange"]
         assert [s.attrs["shipped"] for s in spans] == [2, 0, 0]
         assert all(s.attrs["control_bytes"] <= 2 * 64 for s in spans[1:])
         assert spans[0].attrs["control_bytes"] > spans[1].attrs["control_bytes"]
         # a program another transport kept is not this one's to run
-        with MPTransport(2, arena_bytes=1 << 12) as other:
+        with MPTransport(2) as other:
             with pytest.raises(TransportError, match="not kept by this transport"):
-                other.exchange(program, {0: 0}, {1: 0})
+                other.exchange(program, 0, 0)
         del src, dst  # drop the arena views before close
 
 
@@ -478,41 +489,43 @@ def test_ranks_sequence_rounds_without_a_barrier():
             part = _part((slice(0, n),), (slice(slot * n, (slot + 1) * n),), (n,))
             messages.append(WireMessage(src, dst, (part,)))
         rounds.append(TransferRound(tuple(messages), contended=False))
-    with MPTransport(4, arena_bytes=1 << 23) as t:
-        sources, targets = {}, {}
-        for rank in range(4):
-            off, view = t.place_block(rank, (n,), np.float64)
-            view[...] = np.arange(n) + 1000.0 * rank
-            sources[rank] = (off, view)
-            off, view = t.place_block(rank, (slots[rank] * n,), np.float64)
-            view.fill(-1.0)
-            targets[rank] = (off, view)
+    with MPTransport(4) as t:
+        # every rank's blocks back to back in one source and one target buffer
+        at = np.cumsum([0] + [slots[rank] * n for rank in range(4)])
+        src_off, source = _buffer(t, 4 * n)
+        dst_off, target = _buffer(t, int(at[-1]))
+        source[...] = np.concatenate([np.arange(n) + 1000.0 * rank for rank in range(4)])
+        target.fill(-1.0)
         program = _keep(
             t,
             rounds,
-            {rank: (n,) for rank in range(4)},
-            {rank: (slots[rank] * n,) for rank in range(4)},
+            {rank: (rank * n, (n,)) for rank in range(4)},
+            {rank: (int(at[rank]), (slots[rank] * n,)) for rank in range(4)},
         )
-        report = t.exchange(
-            program,
-            {rank: off for rank, (off, _) in sources.items()},
-            {rank: off for rank, (off, _) in targets.items()},
-        )
+        report = t.exchange(program, src_off, dst_off)
         for src, dst, slot in landed:
-            got = targets[dst][1][slot * n : (slot + 1) * n]
-            assert np.array_equal(got, sources[src][1])
+            got = target[at[dst] + slot * n : at[dst] + (slot + 1) * n]
+            assert np.array_equal(got, source[src * n : (src + 1) * n])
         assert [r.messages for r in report.rounds] == [len(p) for p in pairs_by_round]
         assert report.bytes == sum(len(p) for p in pairs_by_round) * n * 8
         assert all(r.wall_seconds > 0.0 and r.port_seconds > 0.0 for r in report.rounds)
         assert report.wall_seconds > 0.0
-        del sources, targets, got  # drop the arena views before close
+        del source, target, got  # drop the arena views before close
 
 
-def _unit_blocks(t, nprocs):
-    """A 2-element source and a 4-element target block on every rank."""
-    sources = {r: t.place_block(r, (2,), np.float64)[0] for r in range(nprocs)}
-    targets = {r: t.place_block(r, (4,), np.float64)[0] for r in range(nprocs)}
-    return sources, targets
+def _unit_buffers(t, nprocs):
+    """The arena offsets of a source buffer of a 2-element block per rank
+    and a target buffer of a 4-element block per rank (see :func:`_src`,
+    :func:`_dst`)."""
+    return t.arena.allocate(nprocs * 2 * 8), t.arena.allocate(nprocs * 4 * 8)
+
+
+def _src(*ranks):
+    return {r: (2 * r, (2,)) for r in ranks}
+
+
+def _dst(*ranks):
+    return {r: (4 * r, (4,)) for r in ranks}
 
 
 def _unit_part(slot: int = 0) -> WirePart:
@@ -523,95 +536,91 @@ def test_contention_free_round_rejects_one_port_violation():
     """The transport applies the same one-port authority Machine.run_phase
     does, so a violating round raises the same ScheduleError -- when the
     program is built, before anything is shipped."""
-    with MPTransport(3, arena_bytes=1 << 14) as t:
-        sources, targets = _unit_blocks(t, 3)
+    with MPTransport(3) as t:
+        source, target = _unit_buffers(t, 3)
         messages = (
             WireMessage(0, 2, (_unit_part(0),)),
             WireMessage(1, 2, (_unit_part(1),)),  # rank 2 receives twice
         )
-        shapes = ({0: (2,), 1: (2,)}, {2: (4,)})
+        shapes = (_src(0, 1), _dst(2))
         before = _control_bytes()
         with pytest.raises(ScheduleError, match="receives twice"):
             _keep(t, [TransferRound(messages, contended=False)], *shapes)
         assert _control_bytes() == before and not t._programs
         # the same pair set is legal when declared contended
         program = _keep(t, [TransferRound(messages, contended=True)], *shapes)
-        report = t.exchange(program, sources, targets)
+        report = t.exchange(program, source, target)
         assert report.messages == 2
 
 
 def test_local_copy_on_the_wire_is_rejected():
-    with MPTransport(2, arena_bytes=1 << 14) as t:
+    with MPTransport(2) as t:
         before = _control_bytes()
         with pytest.raises(TransportError, match="local copy"):
             _keep(
                 t,
                 [TransferRound((WireMessage(0, 0, (_unit_part(),)),), contended=True)],
-                {0: (2,)},
-                {0: (4,)},
+                _src(0),
+                _dst(0),
             )
         assert _control_bytes() == before and not t._programs
         with pytest.raises(TransportError, match="holds no target block"):
-            _keep(t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {})
+            _keep(t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], _src(0), {})
 
 
 def test_worker_failure_surfaces_as_transport_error():
     """A prescription whose scatter cannot apply (payload shape does not
     match the destination rectangle) fails in the worker and surfaces as
     a TransportError, not as silent corruption."""
-    with MPTransport(2, arena_bytes=1 << 14) as t:
-        sources, targets = _unit_blocks(t, 2)
+    with MPTransport(2) as t:
+        source, target = _unit_buffers(t, 2)
         bad = _part((np.array([0, 1]),), (np.array([0]),), (2,))  # 1 slot, 2 elements
         program = _keep(
-            t, [TransferRound((WireMessage(0, 1, (bad,)),), contended=True)], {0: (2,)}, {1: (4,)}
+            t, [TransferRound((WireMessage(0, 1, (bad,)),), contended=True)], _src(0), _dst(1)
         )
         with pytest.raises(TransportError, match="rank 1 failed"):
-            t.exchange(program, sources, targets)
+            t.exchange(program, source, target)
 
 
 def test_misreported_round_raises_on_every_exchange():
     """The parent checks every report, not only the first program's: a
     rank whose kept program moves other bytes than the parent's
     prescription says fails the exchange it happens in."""
-    with MPTransport(2, arena_bytes=1 << 14) as t:
-        sources, targets = _unit_blocks(t, 2)
-        program = _keep(
-            t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {1: (4,)}
-        )
-        t.exchange(program, sources, targets)
-        t.exchange(program, sources, targets)
+    with MPTransport(2) as t:
+        source, target = _unit_buffers(t, 2)
+        program = _keep(t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], _src(0), _dst(1))
+        t.exchange(program, source, target)
+        t.exchange(program, source, target)
         (index, msgs, nbytes, recv_msgs, recv_bytes), = program._expect[0]
         program._expect[0] = ((index, msgs, nbytes + 8, recv_msgs, recv_bytes),)
         with pytest.raises(TransportError, match=r"rank 0 sent 1 message\(s\)/16 byte"):
-            t.exchange(program, sources, targets)
+            t.exchange(program, source, target)
         assert not t.alive()
 
 
 def test_dead_worker_detected():
-    t = MPTransport(2, arena_bytes=1 << 14)
+    t = MPTransport(2)
     t.start()
     try:
-        sources, targets = _unit_blocks(t, 2)
-        program = _keep(
-            t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], {0: (2,)}, {1: (4,)}
-        )
+        source, target = _unit_buffers(t, 2)
+        program = _keep(t, [TransferRound((WireMessage(0, 1, (_unit_part(),)),))], _src(0), _dst(1))
         os.kill(t._procs[1].pid, signal.SIGKILL)
         t._procs[1].join(timeout=5.0)
         with pytest.raises(TransportError):
-            t.exchange(program, sources, targets)
+            t.exchange(program, source, target)
     finally:
         t.close()
 
 
 def test_closed_transport_rejects_exchanges():
-    t = MPTransport(2, arena_bytes=1 << 14)
+    t = MPTransport(2)
     program = _keep(t, [], {}, {})
     with pytest.raises(TransportError, match="not running"):
-        t.exchange(program, {}, {})
+        t.exchange(program, 0, 0)
     t.start()
     t.close()
     with pytest.raises(TransportError, match="not running"):
-        t.exchange(program, {}, {})
+        t.exchange(program, 0, 0)
 
 
 def test_transport_rejects_bad_rank_count():
@@ -701,10 +710,11 @@ def _remap_request(policy, n, backend="mp", kernels=None, processors=4):
     )
 
 
-def test_finished_runs_return_their_blocks_to_the_arena():
-    """A reused backend must not leak a finished run's blocks: 300 runs of
-    a program that needs 16 KiB per rank fit a 1 MiB arena only if every
-    run -- one that raised mid-way included -- ends with the arenas free."""
+def test_finished_runs_return_their_blocks_to_the_arena(monkeypatch):
+    """A reused backend must not leak a finished run's buffers: 300 runs of
+    a program that needs 64 KiB fit a 4 MiB arena only if every run -- one
+    that raised mid-way included -- ends with the arena free."""
+    monkeypatch.setattr(transport_module, "ARENA_BYTES_PER_RANK", 1 << 20)
     compiled = compile_program(
         REMAP_SRC,
         bindings={"n": 4096, "t": 1},
@@ -722,16 +732,17 @@ def test_finished_runs_return_their_blocks_to_the_arena():
     def boom(ctx):
         raise RuntimeError("kernel failed mid-run")
 
-    with MPBackend(4, arena_bytes=1 << 20) as b:
-        arenas = b.transport.arenas
+    with MPBackend(4) as b:
+        arena = b.transport.arena
+        assert arena.nbytes == 4 << 20
         first = b.execute(compiled, env=env(_scale))
         expected = first.value("a")
         for _ in range(299):
             last = b.execute(compiled, env=env(_scale))
-            assert all(a.free_bytes() == a.nbytes for a in arenas)
+            assert arena.free_bytes() == arena.nbytes
         with pytest.raises(RuntimeError, match="mid-run"):
             b.execute(compiled, env=env(boom))
-        assert all(a.free_bytes() == a.nbytes for a in arenas)
+        assert arena.free_bytes() == arena.nbytes
         # results own their bytes: the first one survived 300 later runs
         assert np.array_equal(first.value("a"), expected)
         assert np.array_equal(last.value("a"), expected)
@@ -817,7 +828,7 @@ def test_service_pooled_ranks_results_read_after_the_last_request():
         sim = [svc.run_batch([r])[0] for r in requests("sim")]
         pooled = svc._ranks[4].backend
         assert REGISTRY.gauge("repro.mp.workers").value == workers_before + 4
-        assert all(a.free_bytes() == a.nbytes for a in pooled.transport.arenas)
+        assert pooled.transport.arena.free_bytes() == pooled.transport.arena.nbytes
     for i, got in enumerate(mp):
         assert got.result.mp is not None and got.result.mp.messages > 0
         _assert_same_results(got, sim[i % 4], arrays[i % 4], i)
@@ -954,9 +965,7 @@ def test_torn_control_frame_is_a_typed_error(monkeypatch, torn):
     """A torn frame lands on rank 1's control pipe between two remappings
     of a request, on ranks with a 1 s timeout: the request ends in a
     TransportError within the bound, and the next is bit-identical."""
-    from repro.runtime import mpbackend
-
-    monkeypatch.setattr(mpbackend, "MPBackend", functools.partial(MPBackend, timeout=1.0))
+    monkeypatch.setattr(transport_module, "REPORT_TIMEOUT", 1.0)
     svc = CompileService(workers=1)
     try:
         torn_once = []
@@ -1027,3 +1036,40 @@ def test_rank_killed_mid_exchange_is_a_typed_error_and_the_pool_recovers():
         t0 = time.perf_counter()
         svc.close()
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_request_that_exhausts_the_arena_is_a_typed_error(monkeypatch):
+    """A request whose buffers do not fit a 16 KiB arena (4 KiB a rank)
+    ends in a TransportError; nothing reached the wire, so the pooled ranks
+    stay (same pids), the arena is whole again, and the next request that
+    fits is bit-identical to the simulator."""
+    monkeypatch.setattr(transport_module, "ARENA_BYTES_PER_RANK", 1 << 12)
+    with CompileService(workers=1) as svc:
+        want = svc.run_batch([_remap_request("round-robin", 384, "sim")])[0]
+        first = svc.run_batch([_remap_request("round-robin", 384)])[0]
+        backend = svc._ranks[4].backend
+        pids = [proc.pid for proc in backend.transport._procs]
+        faulted = svc.run_batch([_remap_request("round-robin", 4096)])[0]
+        assert isinstance(faulted.error, TransportError), faulted.error
+        assert "arena exhausted" in str(faulted.error)
+        assert svc._ranks[4].backend is backend and backend.transport.alive()
+        assert [proc.pid for proc in backend.transport._procs] == pids
+        arena = backend.transport.arena
+        assert arena.nbytes == 16 << 10 and arena.free_bytes() == arena.nbytes
+        after = svc.run_batch([_remap_request("round-robin", 384)])[0]
+    # the pooled ranks are this test's only ones (conftest's no_orphan_ranks
+    # checks every repro-mp-* process besides)
+    assert not [p for p in backend.transport._procs if p.is_alive()]
+    _assert_same_results(first, want, ("a",), "before the fault")
+    _assert_same_results(after, want, ("a",), "after the fault")
+
+
+def test_close_unmaps_the_arena_while_results_live():
+    """Results own their bytes, so no view of the arena outlives a run:
+    with every result still referenced, close() unmaps the arena."""
+    compiled = _remap_compiled("aggregate")
+    want = execute(compiled, env=_remap_env()).value("a")
+    with MPBackend(4) as b:
+        results = [b.execute(compiled, env=_remap_env()) for _ in range(3)]
+    assert b.transport.arena.buf.closed
+    assert all(np.array_equal(r.value("a"), want) for r in results)

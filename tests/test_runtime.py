@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import DeadCopyError, OutOfMemoryError, RuntimeRemapError
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
-from repro.runtime.memory import MemoryManager, blocks_needed
+from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd import DistributedArray, Machine
 
@@ -102,14 +102,7 @@ def test_live_copies_consistency_check():
 # ---------------------------------------------------------------------------
 
 
-def test_blocks_needed_per_rank():
-    needed = blocks_needed(mk_mapping(), Machine(P4), 8)
-    assert needed == {0: 32, 1: 32, 2: 32, 3: 32}
-
-
-def test_allocate_without_limit(monkeypatch):
-    # no limit to test a budget against: the per-rank ``needed`` map is not built
-    monkeypatch.setattr("repro.runtime.memory.blocks_needed", None)
+def test_allocate_without_limit():
     machine = Machine(P4)
     mm = MemoryManager(machine)
     inst = mm.allocate("a_0", mk_mapping())

@@ -72,11 +72,11 @@ def test_local_transfer_is_not_a_message(machine4):
 
 def test_memory_accounting_and_limit(p4):
     m = Machine(p4, memory_limit=100)
-    m.allocate(0, 60)
+    m.allocate_set("A", [(0, 60)])
     assert m.mem_used(0) == 60
     with pytest.raises(OutOfMemoryError):
-        m.allocate(0, 50)
-    m.free(0, 60)
+        m.allocate_set("B", [(0, 50)])
+    m.free_set([(0, 60)])
     assert m.mem_used(0) == 0
     assert m.mem_peak() == 60
 
@@ -182,7 +182,7 @@ def test_failed_construction_leaves_the_machine_as_it_was(p4):
     """A block that does not fit on rank 2 is found before ranks 0-1 are
     charged, not after."""
     mach = Machine(p4, memory_limit=200)
-    mach.allocate(2, 100)
+    mach.allocate_set("seed", [(2, 100)])
     before = mach.stats.snapshot()
     with pytest.raises(OutOfMemoryError):
         DistributedArray("A", mk((64,), (DistFormat.block(),), p4), mach)
@@ -208,56 +208,104 @@ def _array(kind, mapping, machine, transport, dtype=np.float64):
 
 
 def _views(a, base) -> bool:
-    """Every block of ``a`` is a view of ``base`` (a buffer or an arena)."""
+    """Every block of ``a`` is a view of ``base``."""
     return all(np.shares_memory(block, base) for block in a.blocks.values() if block.size)
 
 
+@pytest.fixture
+def small_transport(monkeypatch):
+    """A never-started transport (its arena only) of 16 KiB a rank."""
+    from repro.spmd import transport as transport_module
+
+    monkeypatch.setattr(transport_module, "ARENA_BYTES_PER_RANK", 1 << 14)
+    transport = transport_module.MPTransport(4)
+    yield transport
+    transport.close()
+
+
+def _in_arena(a, arena) -> bool:
+    """``a.data`` is the view of ``arena`` at ``a.offset``."""
+    at = arena.view(a.offset, a.data.shape, a.dtype)
+    return a.data.ctypes.data == at.ctypes.data and np.shares_memory(a.data, at)
+
+
 @pytest.mark.parametrize("kind", ["sim", "shared"])
-def test_blocks_are_views_a_kernel_writes_through_and_cannot_rebind(kind, p4):
-    """A simulator array's blocks are views of its one buffer, each at its
-    holder's offset; a shared array's are views of the ranks' arenas.  The
+def test_blocks_are_views_a_kernel_writes_through_and_cannot_rebind(kind, p4, small_transport):
+    """An array's blocks are views of its one buffer, each at its holder's
+    offset; a shared array's buffer is a view of the transport's arena.  The
     mapping cannot be assigned into, and a local sweep writes through, so
     the blocks stay those views."""
-    from repro.spmd.transport import MPTransport
-
-    transport = MPTransport(4, arena_bytes=1 << 16)  # never started: arenas only
-    try:
-        machine = Machine(p4)
-        m = mk((8, 6), (DistFormat.block(), DistFormat.star()), p4)
-        a = _array(kind, m, machine, transport)
-        values = np.arange(48.0).reshape(8, 6)
-        a.scatter_from_global(values)
-        if kind == "sim":
-            assert a.data.shape == (a.layout.size,) == (48,)
-            for h in a.layout.table:
-                flat = a.data[h.offset : h.offset + h.elements]
-                assert np.shares_memory(a.blocks[h.rank], flat)
-                assert np.array_equal(a.blocks[h.rank].ravel(), flat)
-        else:
-            assert a.data is None
-            assert all(
-                np.shares_memory(a.blocks[r], np.frombuffer(transport.arenas[r].buf))
-                for r in range(4)
-            )
-        before = dict(a.blocks)
-        with pytest.raises(TypeError):
-            a.blocks[0] = np.zeros((2, 6))
-        a.apply_along_local_dim(lambda block, axis: np.cumsum(block, axis=axis), axis=1)
-        assert all(a.blocks[r] is before[r] for r in before)
-        if kind == "sim":
-            assert _views(a, a.data)
+    transport = small_transport
+    machine = Machine(p4)
+    m = mk((8, 6), (DistFormat.block(), DistFormat.star()), p4)
+    a = _array(kind, m, machine, transport)
+    values = np.arange(48.0).reshape(8, 6)
+    a.scatter_from_global(values)
+    assert a.data.shape == (a.layout.size,) == (48,)
+    for h in a.layout.table:
+        flat = a.data[h.offset : h.offset + h.elements]
+        assert np.shares_memory(a.blocks[h.rank], flat)
+        assert np.array_equal(a.blocks[h.rank].ravel(), flat)
+    if kind == "shared":
+        assert _in_arena(a, transport.arena)
+    before = dict(a.blocks)
+    with pytest.raises(TypeError):
+        a.blocks[0] = np.zeros((2, 6))
+    a.apply_along_local_dim(lambda block, axis: np.cumsum(block, axis=axis), axis=1)
+    assert all(a.blocks[r] is before[r] for r in before)
+    assert _views(a, a.data)
+    assert np.array_equal(a.gather_to_global(), np.cumsum(values, axis=1))
+    with pytest.raises(ShapeError, match="changed the local shape"):
+        a.apply_along_local_dim(lambda block, axis: block.sum(axis=axis), axis=1)
+    if kind == "shared":  # detaching moves the buffer into private memory
+        a.detach()
+        assert a.offset is None and _views(a, a.data)
+        assert not np.shares_memory(a.data, np.frombuffer(transport.arena.buf))
         assert np.array_equal(a.gather_to_global(), np.cumsum(values, axis=1))
-        with pytest.raises(ShapeError, match="changed the local shape"):
-            a.apply_along_local_dim(lambda block, axis: block.sum(axis=axis), axis=1)
-        if kind == "shared":  # detaching lays the blocks out as a simulator array's
-            a.detach()
-            assert a.data is not None and _views(a, a.data)
-            assert np.array_equal(a.gather_to_global(), np.cumsum(values, axis=1))
-            assert all(arena.free_bytes() == arena.nbytes for arena in transport.arenas)
-        a.free()
-        assert a.data is None and a.blocks == {}
-    finally:
-        transport.close()
+        assert transport.arena.free_bytes() == transport.arena.nbytes
+    a.free()
+    assert a.data is None and a.blocks == {}
+
+
+def _replicated_mapping():
+    t = Template("T", (8, 4))
+    dist = Distribution(t, (DistFormat.block(), DistFormat.block()), p4_2d())
+    return Mapping(Alignment((8,), t, (AxisAlign.dim(0), AxisAlign.replicate())), dist)
+
+
+ONE_LAYOUT_MAPPINGS = {
+    "block": lambda p4: mk((19,), (DistFormat.block(),), p4),
+    "cyclic": lambda p4: mk((19,), (DistFormat.cyclic(),), p4),
+    "cyclic(3)": lambda p4: mk((19,), (DistFormat.cyclic(3),), p4),
+    "block(6)": lambda p4: mk((19,), (DistFormat.block(6),), p4),
+    "(block,*)": lambda p4: mk((9, 5), (DistFormat.block(), DistFormat.star()), p4),
+    "(*,block)": lambda p4: mk((5, 9), (DistFormat.star(), DistFormat.block()), p4),
+    "(block,block)": lambda p4: mk((7, 6), (DistFormat.block(), DistFormat.block()), p4_2d()),
+    "replicated": lambda p4: _replicated_mapping(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LAYOUT_MAPPINGS))
+def test_shared_array_has_the_simulator_layout(name, p4, small_transport):
+    """One layout on every backend: after the same scatter a shared array's
+    buffer equals a simulator array's bit for bit, its blocks are views of
+    it and it is the arena's bytes at its offset; detaching keeps the values
+    and frees the arena."""
+    transport = small_transport
+    mapping = ONE_LAYOUT_MAPPINGS[name](p4)
+    machine = Machine(mapping.processors)
+    sim = DistributedArray("A", mapping, machine)
+    shared = _array("shared", mapping, machine, transport)
+    values = np.random.default_rng(7).standard_normal(mapping.shape)
+    sim.scatter_from_global(values)
+    shared.scatter_from_global(values)
+    assert shared.data.tobytes() == sim.data.tobytes()
+    assert _views(shared, shared.data) and _in_arena(shared, transport.arena)
+    assert transport.arena.free_bytes() < transport.arena.nbytes
+    shared.detach()
+    assert shared.data.tobytes() == sim.data.tobytes() and _views(shared, shared.data)
+    assert np.array_equal(shared.gather_to_global(), values)
+    assert transport.arena.free_bytes() == transport.arena.nbytes
 
 
 def test_apply_along_local_dim_requires_local(p4, machine4):
