@@ -12,7 +12,9 @@ profiler on (a one-request ``run_batch`` runs its request on this thread, so
 the profiler sees it), checks every result against the workload's
 reference, and prints the cumulative table, the serving-tier counts, a
 ``copies:`` line (how many performed copies moved their data as one gather,
-move by move, or on the mp backend's wire), the shares of the remapping walk
+move by move, or on the mp backend's wire), a ``versions:`` line (how many
+array versions the runs built anew and how many they revived from the
+spare a freed version of the same layout left), the shares of the remapping walk
 (``remap/walker.py::_remap``) spent in the simulator's data movement
 (``LoweredPlan.execute``: the plan's gather or its moves) and in the ledger
 (``Machine.charge``), and the
@@ -27,9 +29,10 @@ what a store load decodes (``verify_artifact``, a concrete artifact's, and
 either), in the plan layer
 (``obtain_plan``: the plan memo's lookups and, on a miss, the plan's build
 and proof) and in the proof alone (``prove_plan``; both near zero once the
-memo holds every pair, so read them under ``--cold``), in building array
-versions (``MemoryManager.allocate``: the machine's fit check, the buffer,
-its block views -- the simulator's heap or the mp backend's arena), in the mp backend's
+memo holds every pair, so read them under ``--cold``), in getting array
+versions (``MemoryManager.allocate``: the machine's fit check, then a new
+buffer and its block views -- the simulator's heap or the mp backend's
+arena -- or a spare's buffer refilled), in the mp backend's
 wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
@@ -91,6 +94,7 @@ from repro.runtime.memory import MemoryManager  # noqa: E402
 from repro.runtime.mpbackend import MPExecutor  # noqa: E402
 from repro.service import service as service_module  # noqa: E402
 from repro.spmd import transport  # noqa: E402
+from repro.spmd.darray import DistributedArray  # noqa: E402
 from repro.spmd.machine import Machine  # noqa: E402
 from repro.spmd.schedule import LoweredPlan, obtain_plan  # noqa: E402
 from repro.spmd.traffic import simulate_grid  # noqa: E402
@@ -181,10 +185,27 @@ def counted_execute(lowered, source, target) -> None:
     _execute(lowered, source, target)
 
 
-def counted_run_plan(self, plan, source, target, tag: str) -> None:
+def counted_run_plan(self, plan, source, target, tag: str, delta) -> None:
     """The mp backend's movement hook, counting its copies."""
     COPIES["wire"] += 1
-    _run_plan(self, plan, source, target, tag)
+    _run_plan(self, plan, source, target, tag, delta)
+
+
+#: how the runs got their array versions: built anew or revived from a spare
+VERSIONS: Counter = Counter()
+_init, _revive = DistributedArray.__init__, DistributedArray.revive
+
+
+def counted_init(self, *args, **kwargs) -> None:
+    """A version built anew (either backend's), counted once it stands."""
+    _init(self, *args, **kwargs)
+    VERSIONS["built"] += 1
+
+
+def counted_revive(self, *args) -> None:
+    """A spare revived as a new version, counted once it stands."""
+    _revive(self, *args)
+    VERSIONS["revived"] += 1
 
 
 def cumulative(stats: pstats.Stats, fn) -> float:
@@ -222,13 +243,21 @@ def outside_handle(kinds: list, step_seconds: list[float], handled: list[float])
 def profile(
     workload: workloads.Workload, rounds: int, cold: bool = False
 ) -> tuple[
-    pstats.Stats, Counter, dict[str, Counter], Counter, Counter, Counter, dict[str, float]
+    pstats.Stats,
+    Counter,
+    dict[str, Counter],
+    Counter,
+    Counter,
+    Counter,
+    Counter,
+    dict[str, float],
 ]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler (each
     from forgotten process memos if ``cold``); also the count of requests
     each tier served, what each process-wide memo, the guard's grid walks,
-    the mp control pipes and the performed copies counted over the rounds,
-    and each step's floor of wall seconds outside ``_handle``."""
+    the mp control pipes, the performed copies and the versions' origins
+    counted over the rounds, and each step's floor of wall seconds outside
+    ``_handle``."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
     memos: dict[str, Counter] = {}
@@ -236,6 +265,7 @@ def profile(
     walks_start = Counter(WALKS)
     frames_start = Counter(FRAMES)
     copies_start = Counter(COPIES)
+    versions_start = Counter(VERSIONS)
     shipped = REGISTRY.counter("repro.mp.programs_shipped")
     shipped_start = shipped.value
     for r in range(rounds):
@@ -260,7 +290,10 @@ def profile(
     frames = FRAMES - frames_start
     frames["shipped"] = int(shipped.value - shipped_start)
     copies = COPIES - copies_start
-    return pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, copies, floors
+    versions = VERSIONS - versions_start
+    return (
+        pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, copies, versions, floors
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,10 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     transport._write_obj = counted_write
     LoweredPlan.execute = counted_execute
     MPExecutor._run_plan = counted_run_plan
+    DistributedArray.__init__ = counted_init
+    DistributedArray.revive = counted_revive
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, memos, walks, frames, copies, floors = profile(
+            stats, tiers, memos, walks, frames, copies, versions, floors = profile(
                 workload, args.rounds, args.cold
             )
         finally:
@@ -323,6 +358,12 @@ def main(argv: list[str] | None = None) -> int:
             for form in ("gather", "moves", "wire")
         )
         + f" over {args.rounds} rounds"
+    )
+    got = versions["built"] + versions["revived"]
+    print(
+        f"versions: {got} obtained, built {versions['built']}  revived "
+        f"{versions['revived']} ({versions['revived'] / got if got else 0:.0%}) "
+        f"over {args.rounds} rounds"
     )
     print(
         "service: run_batch outside _handle, floor per step over "

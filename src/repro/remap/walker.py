@@ -36,7 +36,7 @@ module therefore imports neither NumPy nor anything of ``repro.spmd``,
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -160,9 +160,9 @@ class DescriptorWalker:
 
     #: the exception type a failed walk raises
     error: type[Exception]
-    #: the descriptor class of a frame's arrays (a subclass may add
-    #: storage-aware helpers)
-    descriptor: type[ArrayDescriptor] = ArrayDescriptor
+    #: builds a frame's descriptor of one array from its name and versions
+    #: (a subclass may add storage-aware helpers)
+    descriptor: Callable[..., ArrayDescriptor] = ArrayDescriptor
 
     def __init__(
         self,

@@ -71,6 +71,7 @@ from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.machine import Machine
+from repro.spmd.message import LedgerDelta
 from repro.spmd.schedule import execute_comm_schedule, obtain_plan
 
 
@@ -80,7 +81,14 @@ from repro.spmd.schedule import execute_comm_schedule, obtain_plan
 
 
 class KernelContext:
-    """What a compute kernel sees: the referenced arrays' current copies."""
+    """What a compute kernel sees: the referenced arrays' current copies.
+
+    The storage :meth:`darray` returns -- its ``data`` and its block views --
+    is valid only during the kernel call: a version the run frees later
+    keeps its buffer as the spare of its layout, and the run's next version
+    of that layout reuses it, so a block kept past the call may come to hold
+    another version's values.
+    """
 
     def __init__(self, executor: "Executor", frame: Frame, stmt: Compute):
         self._ex = executor
@@ -89,7 +97,8 @@ class KernelContext:
         self.machine = executor.machine
 
     def darray(self, name: str):
-        """The current version's distributed storage (for SPMD-local kernels)."""
+        """The current version's distributed storage (for SPMD-local
+        kernels), valid during this kernel call only."""
         state = self._frame.arrays[name]
         self._ex._ensure(state, state.status)
         return state.insts[state.status]
@@ -263,7 +272,6 @@ class Executor(DescriptorWalker):
     contract)."""
 
     error = RuntimeRemapError
-    descriptor = ArrayRuntime
 
     def __init__(
         self,
@@ -289,6 +297,11 @@ class Executor(DescriptorWalker):
 
     # -- memory ----------------------------------------------------------------
 
+    def descriptor(self, name: str, versions) -> ArrayRuntime:
+        """A frame's descriptor of one array, whose freed versions go back
+        to this run's memory manager."""
+        return ArrayRuntime(name, versions, memory=self.memory)
+
     def _eviction_candidates(self):
         for frame in self._frames:
             for state in frame.arrays.values():
@@ -306,6 +319,8 @@ class Executor(DescriptorWalker):
             with _TRACER.span("executor.run", sub=sub_name):
                 frame = self.walk(sub_name)
         finally:
+            # the spares' buffers go with the run, whether or not it returned
+            self.memory.drop_spares()
             # a run that raises midway has still moved what it moved:
             # Machine.charge already fed repro.machine.*, so mirror the
             # same ledger here whether or not the walk returned
@@ -333,13 +348,9 @@ class Executor(DescriptorWalker):
         return True
 
     def _allocate(self, state: ArrayRuntime, version: int, poison: bool):
-        inst = self.memory.allocate(
-            f"{state.name}_{version}", state.versions[version], self.env.dtype
+        return self.memory.allocate(
+            f"{state.name}_{version}", state.versions[version], self.env.dtype, poison
         )
-        if poison:
-            for rank in inst.blocks:
-                inst.blocks[rank].fill(np.nan)
-        return inst
 
     def _status_check(self) -> None:
         self.machine.status_check()
@@ -383,8 +394,8 @@ class Executor(DescriptorWalker):
         plan = obtain_plan(
             self.compiled.options.schedule, state.versions[src], state.versions[leaving]
         )
-        # what the movement hook will charge the run (an unprovable plan's
-        # bad phase raises here, before any data moves)
+        # what the movement hook charges the run (an unprovable plan's bad
+        # phase raises here, before any data moves)
         delta = plan.ledger(self.machine.cost, target.itemsize)
         with _TRACER.span(
             "remap.plan_replay",
@@ -393,13 +404,14 @@ class Executor(DescriptorWalker):
             messages=delta.messages,
             bytes=delta.bytes,
         ):
-            self._run_plan(plan, source, target, tag)
+            self._run_plan(plan, source, target, tag, delta)
 
     # -- the movement hook (the mp backend overrides it) ----------------------
 
-    def _run_plan(self, plan, source, target, tag: str) -> None:
-        """Move one remapping copy's plan (simulated here)."""
-        execute_comm_schedule(plan, source, target, self.machine, tag=tag)
+    def _run_plan(self, plan, source, target, tag: str, delta: LedgerDelta) -> None:
+        """Move one remapping copy's plan and charge its ledger ``delta``
+        (simulated here: the plan's lowered copy, one ledger charge)."""
+        execute_comm_schedule(plan, source, target, self.machine, tag, delta)
 
 
 # ---------------------------------------------------------------------------

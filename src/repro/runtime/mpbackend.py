@@ -38,6 +38,7 @@ costs composed by the one-port composer the cost model uses
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass, field
 
 from repro.errors import TransportError
@@ -169,14 +170,13 @@ class MPExecutor(Executor):
 
     # -- the movement hook ---------------------------------------------------
 
-    def _run_plan(self, plan, source, target, tag: str) -> None:
+    def _run_plan(self, plan, source, target, tag: str, delta) -> None:
         """One remapping copy: local copies in the parent, then one exchange
         of the plan's wire program on the ranks, then the simulator's ledger
-        charge -- the plan's one delta, obtained first, so a bad phase
-        raises before anything is on the wire.  The program is built from
-        the plan on its first copy on this transport and kept there; later
-        copies ship the two buffers' arena offsets."""
-        delta = plan.ledger(self.machine.cost, target.itemsize)
+        charge -- the plan's one ``delta``, taken before this hook runs, so
+        a bad phase raises before anything is on the wire.  The program is
+        built from the plan on its first copy on this transport and kept
+        there; later copies ship the two buffers' arena offsets."""
         for move in plan.lowered(source.layout, target.layout).moves:
             if move.is_local:
                 move.execute(source, target)
@@ -238,8 +238,9 @@ class MPBackend:
     success or failure -- with its arrays detached from the arena
     (:meth:`MPExecutor.detach`), so a result stays readable while later
     runs reuse the ranks and after :meth:`close`, and the arena is fully
-    free between runs.  Context-manager friendly; :meth:`close` tears the
-    workers down.
+    free between runs; a failed run's error leaves with its traceback's
+    frames cleared, so a caller that keeps it keeps no view of the arena.
+    Context-manager friendly; :meth:`close` tears the workers down.
     """
 
     def __init__(self, processors: int):
@@ -275,9 +276,16 @@ class MPBackend:
             compiled, machine, env or ExecutionEnv(), self.transport
         )
         try:
-            return executor.run(entry)
-        finally:
-            executor.detach()  # success or failure: the arena is free again
+            result = executor.run(entry)
+        except BaseException as exc:
+            executor.detach()  # the arena is free again
+            # a caller that keeps the error must not keep the arena mapped
+            # through its traceback's frames (a kernel's locals may hold a
+            # block view of it)
+            traceback.clear_frames(exc.__traceback__)
+            raise
+        executor.detach()  # the result owns its bytes
+        return result
 
 
 def execute_mp(

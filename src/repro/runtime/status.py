@@ -9,10 +9,15 @@ caller-owned versions, the poisoned flag -- is
 :class:`repro.remap.walker.ArrayDescriptor`, shared with every consumer of
 the runtime semantics.  :class:`ArrayRuntime` is that descriptor over real
 :class:`~repro.spmd.darray.DistributedArray` storage: freeing a version
-releases its blocks, and the values themselves can be checked.
+hands it to the run's memory manager (which keeps a heap version's storage
+as a spare for its layout) or, with none, frees it, and the values
+themselves can be checked.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,9 +25,16 @@ from repro.errors import DeadCopyError
 from repro.remap.walker import ArrayDescriptor
 from repro.spmd.darray import DistributedArray
 
+if TYPE_CHECKING:
+    from repro.runtime.memory import MemoryManager
 
+
+@dataclass(eq=False)
 class ArrayRuntime(ArrayDescriptor):
     """Runtime state of one (abstract) array: all its versions, with storage."""
+
+    #: the run's memory manager, which a freed version goes back to
+    memory: MemoryManager | None = field(default=None, repr=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -58,6 +70,9 @@ class ArrayRuntime(ArrayDescriptor):
         if inst is None or v in self.caller_owned:
             return 0
         nbytes = inst.total_local_bytes()
-        inst.free()
+        if self.memory is None:
+            inst.free()
+        else:
+            self.memory.release(inst)
         self.insts[v] = None
         return nbytes

@@ -1,4 +1,4 @@
-"""Distributed array storage: one zeroed buffer per array version.
+"""Distributed array storage: one buffer per array version.
 
 A :class:`DistributedArray` is the runtime instance of one *array version*
 (one statically mapped copy in the paper's scheme).  Each holding processor
@@ -10,7 +10,14 @@ backend: private heap memory here, one region of the transport's shared
 arena for :class:`~repro.spmd.transport.SharedDistributedArray`, which
 changes only where the buffer lives.  ``blocks[rank]`` is
 that block as a view, in a read-only mapping, so a kernel writes through
-it and cannot rebind it.  Which ranks hold a block, of what shape, where it
+it and cannot rebind it.  A new version's buffer is zeroed.  A heap
+version a run frees is retired instead (:meth:`~DistributedArray.retire`:
+the accounting goes back, the buffer and views stay) and revived
+(:meth:`~DistributedArray.revive`: accounted again and refilled) as the
+run's next version of the same layout and dtype --
+:class:`~repro.runtime.memory.MemoryManager` keeps one such spare per
+layout -- so a block view is valid only while its version lives.  Which
+ranks hold a block, of what shape, where it
 starts in the buffer and where its elements sit in the global array
 (:func:`holder_index`) are read from the shared layout's holder table: an
 array version adds the storage, nothing else.  Scatter/gather against
@@ -149,10 +156,12 @@ class DistributedArray:
         #: all ranks or none, before any storage is placed
         itemsize = self.dtype.itemsize
         self._accounted = tuple((h.rank, h.elements * itemsize) for h in self.layout.table)
+        self._nbytes = sum(nbytes for _, nbytes in self._accounted)
         machine.allocate_set(name, self._accounted)
         try:
-            #: the version's one zeroed buffer, every holder's block at its
-            #: offset; ``None`` once :meth:`free` dropped it
+            #: the version's one buffer, zeroed when new, every holder's block
+            #: at its offset; ``None`` once :meth:`free` dropped it or
+            #: :meth:`retire` took it
             self.data: np.ndarray | None = self._new_buffer()
         except BaseException:  # nothing was placed: give the accounting back
             machine.free_set(self._accounted)
@@ -168,7 +177,7 @@ class DistributedArray:
     # -- storage hooks (a subclass may place the buffer elsewhere) -------------
 
     def _new_buffer(self) -> np.ndarray:
-        """The zeroed buffer the blocks view: private heap storage here,
+        """A zeroed buffer for the blocks to view: private heap storage here,
         the transport's shared arena for
         :class:`~repro.spmd.transport.SharedDistributedArray`."""
         return np.zeros(self.layout.size, dtype=self.dtype)
@@ -188,19 +197,40 @@ class DistributedArray:
 
     def free(self) -> None:
         """Release storage and memory accounting (idempotent)."""
-        if self.data is None:
-            return
-        self.machine.free_set(self._accounted)
-        self._release_buffer()
-        self._blocks.clear()
-        self.data = None
+        if self.data is not None:
+            self._release_buffer()
+            self._blocks.clear()
+            self.retire()
+
+    def retire(self) -> np.ndarray | None:
+        """Free the version but keep its storage: the machine accounting
+        goes back and :attr:`data` reads ``None``, while the block views
+        stay.  Returns the buffer (``None`` if already freed), which
+        :meth:`revive` takes back."""
+        data = self.data
+        if data is not None:
+            self.machine.free_set(self._accounted)
+            self.data = None
+        return data
+
+    def revive(self, name: str, mapping: Mapping, data: np.ndarray, fill: float) -> None:
+        """Make this retired version ``name``, of ``mapping`` (same
+        signature), on its kept buffer ``data``, every element ``fill``.
+        The machine accounts it first -- the one fit check -- so an
+        :exc:`~repro.errors.OutOfMemoryError` leaves it retired."""
+        self.machine.allocate_set(name, self._accounted)
+        data.fill(fill)
+        self.name = name
+        self.mapping = mapping
+        self.data = data
 
     @property
     def freed(self) -> bool:
         return self.data is None
 
     def total_local_bytes(self) -> int:
-        return sum(b.nbytes for b in self.blocks.values())
+        """The bytes the machine accounts for this version, over all ranks."""
+        return self._nbytes
 
     # -- scatter / gather (bookkeeping, not counted as traffic) -----------------
 

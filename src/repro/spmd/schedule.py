@@ -442,17 +442,20 @@ def execute_comm_schedule(
     target: DistributedArray,
     machine: Machine | None = None,
     tag: str = "",
+    delta: LedgerDelta | None = None,
 ) -> None:
     """Move a plan's data on the simulator and charge the cost model.
 
-    The ledger delta is obtained first (a bad phase raises with ``target``
-    untouched), then the lowered copies run and the delta
+    The ledger delta is obtained first, unless the caller passes the one
+    it already took (a bad phase raises with ``target`` untouched), then
+    the lowered copies run and the delta
     is charged in one :meth:`~repro.spmd.machine.Machine.charge`.  Every
     policy delivers bit-identical values and the same total bytes; only
     the *timing* (and, under ``aggregate``, the message count) differs.
     """
     machine = machine or target.machine
-    delta = plan.ledger(machine.cost, target.itemsize)
+    if delta is None:
+        delta = plan.ledger(machine.cost, target.itemsize)
     plan.lowered(source.layout, target.layout).execute(source, target)
     machine.charge(delta, target.name, tag)
 

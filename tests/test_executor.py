@@ -8,6 +8,9 @@ calls, and the naive baseline always agrees numerically while paying more.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,11 @@ from repro import (
 )
 from repro.errors import DeadCopyError
 from repro.obs import REGISTRY, snapshot_diff
+from repro.runtime.executor import default_kernel
+from repro.runtime.memory import MemoryManager
+from repro.spmd import DistributedArray
 from repro.spmd.schedule import POLICIES
-from test_schedule import FIG1, FIG12
+from test_schedule import FIG1, FIG12, FIG16, FIGURES, _env
 
 
 def run(
@@ -785,8 +791,7 @@ def test_each_level_buys_something_on_the_mixed_program():
 # ---------------------------------------------------------------------------
 
 
-def test_memory_eviction_regenerates_copy():
-    src = """
+EVICTING_LOOP = """
 subroutine main(m)
   integer n, m
   real A(n)
@@ -803,9 +808,12 @@ subroutine main(m)
   enddo
 end
 """
+
+
+def test_memory_eviction_regenerates_copy():
     bindings = {"n": 16, "m": 3}
     compiled = compile_program(
-        src, bindings=bindings, processors=4, options=CompilerOptions(level=2)
+        EVICTING_LOOP, bindings=bindings, processors=4, options=CompilerOptions(level=2)
     )
     # three versions are worth keeping (read-only loop), but there is room
     # for just over two copies per processor (copy = 4 elements * 8B = 32B):
@@ -843,6 +851,168 @@ end
     machine = Machine(compiled.processors, memory_limit=100)  # < 2 arrays
     with pytest.raises(OutOfMemoryError):
         Executor(compiled, machine, ExecutionEnv()).run("main")
+
+
+# ---------------------------------------------------------------------------
+# array version recycling
+# ---------------------------------------------------------------------------
+
+SWAP_LOOP = """
+subroutine main(t)
+  integer n, m, t
+  real A(n), B(m)
+!hpf$ dynamic A, B
+!hpf$ distribute A(block)
+!hpf$ distribute B(cyclic)
+  compute writes A, B
+  do i = 1, t
+!hpf$   redistribute A(cyclic)
+!hpf$   redistribute B(block)
+    compute writes A, B reads A, B
+!hpf$   redistribute A(block)
+!hpf$   redistribute B(cyclic)
+    compute writes A, B reads A, B
+  enddo
+end
+"""
+
+def no_recycling(monkeypatch) -> None:
+    """Every freed version is simply freed, as before versions were recycled."""
+    monkeypatch.setattr(MemoryManager, "release", lambda self, inst: inst.free())
+
+
+def count_new_buffers(monkeypatch) -> list:
+    """Record the array and layout of every buffer a version builds."""
+    built: list = []
+    new_buffer = DistributedArray._new_buffer
+
+    def counted(self):
+        built.append((self.name.rsplit("_", 1)[0], self.mapping.signature))
+        return new_buffer(self)
+
+    monkeypatch.setattr(DistributedArray, "_new_buffer", counted)
+    return built
+
+
+def observed(compiled, env, machine=None):
+    machine = machine or Machine(compiled.processors)
+    name = next(iter(compiled.subroutines))
+    result = Executor(compiled, machine, env).run(name)
+    values = {a: result.value(a) for a in compiled.get(name).sub.arrays}
+    return values, machine.stats.snapshot(), machine.mem_peak()
+
+
+def assert_same_observations(got, want):
+    assert got[0].keys() == want[0].keys()
+    for a in want[0]:
+        assert np.array_equal(got[0][a], want[0][a], equal_nan=True), a
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+
+
+def test_a_remapping_loop_builds_one_buffer_per_layout(monkeypatch):
+    """16 trips of block <-> cyclic on two arrays perform 64 copies but
+    build at most one buffer per layout of each array: every later version
+    revives the spare its layout's last freed version left."""
+    bindings = {"n": 64, "m": 32, "t": 16}
+    compiled = compile_program(SWAP_LOOP, bindings=bindings, processors=4)
+    built = count_new_buffers(monkeypatch)
+    _, stats, _ = observed(compiled, ExecutionEnv(bindings=bindings))
+    assert stats["remaps_performed"] == 64
+    assert len(built) == len(set(built)) <= 4
+    # with recycling off, every remapping builds its target
+    no_recycling(monkeypatch)
+    del built[:]
+    observed(compiled, ExecutionEnv(bindings=bindings))
+    assert len(built) > 64
+
+
+@pytest.mark.parametrize("policy", [None, *POLICIES])
+@pytest.mark.parametrize("name", ["fig1", "fig12-then", "fig12-else", "fig16", "swap"])
+def test_recycling_changes_no_value_count_or_peak(monkeypatch, name, policy):
+    """Values, the traffic snapshot and the memory peak are those of a run
+    that builds every version anew."""
+    if name == "swap":
+        w = dict(
+            source=SWAP_LOOP,
+            bindings={"n": 16, "m": 8, "t": 4},
+            conditions={},
+            inputs={"a": np.arange(16.0), "b": np.arange(8.0)},
+        )
+    else:
+        w = FIGURES[name]
+    compiled = compile_program(
+        w["source"],
+        bindings=w["bindings"],
+        processors=4,
+        options=CompilerOptions(level=3, schedule=policy),
+    )
+    recycled = observed(compiled, _env(w))
+    no_recycling(monkeypatch)
+    assert_same_observations(recycled, observed(compiled, _env(w)))
+
+
+def test_recycling_keeps_the_evictions_under_a_memory_limit(monkeypatch):
+    """A revived version is fit-checked like a new one: under a limit that
+    forces evictions the run evicts, regenerates and peaks exactly as one
+    that builds every version anew."""
+    bindings = {"n": 16, "m": 3}
+    compiled = compile_program(
+        EVICTING_LOOP, bindings=bindings, processors=4, options=CompilerOptions(level=2)
+    )
+
+    def limited():
+        machine = Machine(compiled.processors, memory_limit=72)
+        env = ExecutionEnv(bindings=bindings, inputs={"a": np.arange(16.0)})
+        return observed(compiled, env, machine)
+
+    recycled = limited()
+    assert recycled[1]["evictions"] > 0 and recycled[2] <= 72
+    no_recycling(monkeypatch)
+    assert_same_observations(recycled, limited())
+
+
+def test_a_run_drops_its_spares_when_it_ends():
+    """Returning or raising, a run ends holding no spare, and a freed
+    version's buffer dies with the run, without a cyclic collection."""
+    compiled = compile_program(FIG16, bindings={"n": 16, "t": 3}, processors=4)
+    bufs = []
+
+    def keep_a_ref(ctx):
+        if "cyclic" in ctx.mapping("a").short():
+            bufs.append(weakref.ref(ctx.darray("a").data))
+        default_kernel(ctx)
+
+    env = ExecutionEnv(bindings={"n": 16, "t": 3}, kernels={"": keep_a_ref})
+    ex = Executor(compiled, Machine(compiled.processors), env)
+    gc.disable()
+    try:
+        result = ex.run("main")
+        assert ex.memory._spares == {}
+        assert bufs and all(ref() is None for ref in bufs)
+    finally:
+        gc.enable()
+    assert result.status("a") == 0
+
+    def fail_late(ctx):
+        if "cyclic" not in ctx.mapping("a").short():
+            bufs.append(weakref.ref(ctx.darray("a").data))
+        elif ctx.loop_index("i") == 3:
+            raise ValueError("kernel failed")
+        default_kernel(ctx)
+
+    # the block version is the spare when the last trip's kernel raises
+    del bufs[:]
+    env = ExecutionEnv(bindings={"n": 16, "t": 3}, kernels={"": fail_late})
+    ex = Executor(compiled, Machine(compiled.processors), env)
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match="kernel failed"):
+            ex.run("main")
+        assert ex.memory._spares == {}
+        assert bufs and all(ref() is None for ref in bufs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1064,6 +1064,30 @@ def test_request_that_exhausts_the_arena_is_a_typed_error(monkeypatch):
     _assert_same_results(after, want, ("a",), "after the fault")
 
 
+def test_a_kept_kernel_error_does_not_pin_the_arena():
+    """A kernel raises while it holds a block view of the arena, and the
+    caller keeps the error: the traceback's frames are cleared, so close()
+    still unmaps the arena, and a fresh backend's next request is the
+    simulator's, bit for bit."""
+    compiled = _remap_compiled("aggregate")
+    want = execute(compiled, env=_remap_env())
+
+    def failing(ctx):
+        for rank, block in ctx.darray("a").blocks.items():
+            raise ValueError(f"kernel failed on rank {rank} ({block.size} elements)")
+
+    env = _remap_env()
+    env.kernels = {"scale": failing}
+    with MPBackend(4) as b, pytest.raises(ValueError, match="kernel failed") as kept:
+        b.execute(compiled, env=env)
+    assert b.transport.arena.buf.closed
+    assert kept.value.__traceback__ is not None  # the error is still held
+    with MPBackend(4) as fresh:
+        got = fresh.execute(compiled, env=_remap_env())
+    assert np.array_equal(got.value("a"), want.value("a"))
+    assert got.stats.snapshot() == want.stats.snapshot()
+
+
 def test_close_unmaps_the_arena_while_results_live():
     """Results own their bytes, so no view of the arena outlives a run:
     with every result still referenced, close() unmaps the arena."""

@@ -138,6 +138,71 @@ def test_allocate_never_evicts_current_or_caller_owned():
         mm.allocate("a_1", state.versions[1])
 
 
+def test_a_released_version_is_revived_for_its_layout():
+    """A freed heap version gives its accounting back and stays as the spare
+    of its layout: the next version of that layout and dtype is the same
+    object on the same buffer, accounted again and refilled."""
+    machine = Machine(P4)
+    mm = MemoryManager(machine)
+    first = mm.allocate("a_0", mk_mapping())
+    first.data[:] = 7.0
+    buffer = first.data
+    mm.release(first)
+    assert first.freed and [machine.mem_used(r) for r in range(4)] == [0] * 4
+    # another layout, or another dtype, builds its own version
+    other = mm.allocate("a_1", mk_mapping(DistFormat.cyclic()))
+    wide = mm.allocate("a_2", mk_mapping(), np.float32)
+    assert first not in (other, wide)
+    again = mm.allocate("b_0", mk_mapping())
+    assert again is first and again.data is buffer and again.name == "b_0"
+    assert not again.freed and np.all(again.data == 0.0)
+    assert all(np.shares_memory(b, buffer) for b in again.blocks.values())
+    assert again.total_local_bytes() == 16 * 8
+    mm.release(again)
+    poisoned = mm.allocate("b_1", mk_mapping(), poison=True)
+    assert poisoned is first and np.all(np.isnan(poisoned.data))
+    assert np.all(np.isnan(mm.allocate("c_0", mk_mapping(), poison=True).data))
+    # a revived version is accounted exactly as a new one
+    assert machine.stats.allocations == 6 * 4 and machine.stats.frees == 2 * 4
+    assert [machine.mem_used(r) for r in range(4)] == [32 + 16 + 32 + 32] * 4
+    mm.drop_spares()
+    assert mm._spares == {}
+
+
+def test_a_revived_version_that_does_not_fit_evicts_and_retries():
+    machine = Machine(P4, memory_limit=64)
+    mm = MemoryManager(machine, lambda: [(state, v) for v in (0, 1)])
+    state = ArrayRuntime("a", [mk_mapping(), mk_mapping(DistFormat.cyclic())], memory=mm)
+    state.insts[0] = mm.allocate("a_0", state.versions[0])
+    state.insts[1] = mm.allocate("a_1", state.versions[1])
+    state.live[:] = [True, True]
+    state.status = 1
+    spare = mm.allocate("b_0", mk_mapping(DistFormat.cyclic(2)))
+    mm.release(spare)  # 32 + 32 on every rank: no room for its revival
+    revived = mm.allocate("b_1", mk_mapping(DistFormat.cyclic(2)))
+    assert revived is spare and revived.name == "b_1"
+    assert machine.stats.evictions == 1
+    assert state.insts[0] is None and not state.live[0]
+    assert [machine.mem_used(r) for r in range(4)] == [64] * 4
+
+
+def test_a_revived_version_without_room_is_an_error_that_keeps_the_spare():
+    machine = Machine(P4, memory_limit=40)
+    mm = MemoryManager(machine)
+    spare = mm.allocate("a_0", mk_mapping())
+    mm.release(spare)
+    assert [machine.mem_used(r) for r in range(4)] == [0] * 4
+    other = [(r, 16) for r in range(4)]
+    machine.allocate_set("other", other)
+    before = machine.stats.snapshot()
+    with pytest.raises(OutOfMemoryError, match="no live copy is evictable"):
+        mm.allocate("a_1", mk_mapping())
+    assert spare.freed and machine.stats.snapshot() == before
+    machine.free_set(other)
+    assert [machine.mem_used(r) for r in range(4)] == [0] * 4
+    assert mm.allocate("a_1", mk_mapping()) is spare
+
+
 def test_condition_sequences_and_callables():
     from repro.runtime.executor import ExecutionEnv
 

@@ -698,9 +698,9 @@ def ran_plans(monkeypatch):
     ran = []
     real = Executor._run_plan
 
-    def recording(executor, plan, source, target, tag):
+    def recording(executor, plan, *args):
         ran.append(plan)
-        return real(executor, plan, source, target, tag)
+        return real(executor, plan, *args)
 
     monkeypatch.setattr(Executor, "_run_plan", recording)
     return ran
