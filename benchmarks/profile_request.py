@@ -14,7 +14,10 @@ reference, and prints the cumulative table, the serving-tier counts, a
 ``copies:`` line (how many performed copies moved their data as one gather,
 move by move, or on the mp backend's wire), a ``versions:`` line (how many
 array versions the runs built anew and how many they revived from the
-spare a freed version of the same layout left), the shares of the remapping walk
+spare a freed version of the same layout left), a ``sweeps:`` line (the
+kernels' local sweeps, the kernel calls they made -- one per run of
+holders whose blocks have one shape, so one per sweep on ``apps_warm`` --
+and the holders' blocks those calls stacked), the shares of the remapping walk
 (``remap/walker.py::_remap``) spent in the simulator's data movement
 (``LoweredPlan.execute``: the plan's gather or its moves) and in the ledger
 (``Machine.charge``), and the
@@ -32,7 +35,9 @@ and proof) and in the proof alone (``prove_plan``; both near zero once the
 memo holds every pair, so read them under ``--cold``), in getting array
 versions (``MemoryManager.allocate``: the machine's fit check, then a new
 buffer and its block views -- the simulator's heap or the mp backend's
-arena -- or a spare's buffer refilled), in the mp backend's
+arena -- or a spare's buffer refilled), in the kernels' local sweeps
+(``DistributedArray.apply_along_local_dim``: the kernel layer; zero where
+no request runs a kernel), in the mp backend's
 wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
@@ -118,6 +123,12 @@ SHARES = (
     ("obtain_plan", obtain_plan, None, HANDLE),
     ("prove_plan", prove_plan, None, HANDLE),
     ("MemoryManager.allocate", MemoryManager.allocate, None, HANDLE),
+    (
+        "DistributedArray.apply_along_local_dim",
+        DistributedArray.apply_along_local_dim,
+        None,
+        HANDLE,
+    ),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),
     (
         "MPExecutor._run_plan outside MPTransport._collect",
@@ -208,6 +219,24 @@ def counted_revive(self, *args) -> None:
     VERSIONS["revived"] += 1
 
 
+#: what the kernels' local sweeps did: sweeps, kernel calls, and the
+#: holders' blocks those calls stacked
+SWEEPS: Counter = Counter()
+_sweep = DistributedArray.apply_along_local_dim
+
+
+def counted_sweep(self, fn, axis: int) -> None:
+    """A local sweep, counting it, its kernel calls and the blocks each
+    call stacks (the stack's leading axis)."""
+
+    def kernel(stack, stack_axis):
+        SWEEPS.update(calls=1, holders=len(stack))
+        return fn(stack, stack_axis)
+
+    SWEEPS["sweeps"] += 1
+    _sweep(self, kernel, axis)
+
+
 def cumulative(stats: pstats.Stats, fn) -> float:
     """Cumulative seconds of the function ``fn`` (0 if it never ran)."""
     code = fn.__code__
@@ -250,13 +279,14 @@ def profile(
     Counter,
     Counter,
     Counter,
+    Counter,
     dict[str, float],
 ]:
     """Serve ``rounds`` rounds as ``run.py`` does, under the profiler (each
     from forgotten process memos if ``cold``); also the count of requests
     each tier served, what each process-wide memo, the guard's grid walks,
-    the mp control pipes, the performed copies and the versions' origins
-    counted over the rounds, and each step's floor of wall seconds outside
+    the mp control pipes, the performed copies, the versions' origins and
+    the local sweeps counted over the rounds, and each step's floor of wall seconds outside
     ``_handle``."""
     profiler = cProfile.Profile()
     tiers: Counter = Counter()
@@ -266,6 +296,7 @@ def profile(
     frames_start = Counter(FRAMES)
     copies_start = Counter(COPIES)
     versions_start = Counter(VERSIONS)
+    sweeps_start = Counter(SWEEPS)
     shipped = REGISTRY.counter("repro.mp.programs_shipped")
     shipped_start = shipped.value
     for r in range(rounds):
@@ -291,8 +322,17 @@ def profile(
     frames["shipped"] = int(shipped.value - shipped_start)
     copies = COPIES - copies_start
     versions = VERSIONS - versions_start
+    sweeps = SWEEPS - sweeps_start
     return (
-        pstats.Stats(profiler), tiers, memos, WALKS - walks_start, frames, copies, versions, floors
+        pstats.Stats(profiler),
+        tiers,
+        memos,
+        WALKS - walks_start,
+        frames,
+        copies,
+        versions,
+        sweeps,
+        floors,
     )
 
 
@@ -316,10 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     MPExecutor._run_plan = counted_run_plan
     DistributedArray.__init__ = counted_init
     DistributedArray.revive = counted_revive
+    DistributedArray.apply_along_local_dim = counted_sweep
     with tempfile.TemporaryDirectory(prefix="profile-request-") as tmp:
         workload = workloads.build(args.workload, SEED, Path(tmp))
         try:
-            stats, tiers, memos, walks, frames, copies, versions, floors = profile(
+            stats, tiers, memos, walks, frames, copies, versions, sweeps, floors = profile(
                 workload, args.rounds, args.cold
             )
         finally:
@@ -364,6 +405,11 @@ def main(argv: list[str] | None = None) -> int:
         f"versions: {got} obtained, built {versions['built']}  revived "
         f"{versions['revived']} ({versions['revived'] / got if got else 0:.0%}) "
         f"over {args.rounds} rounds"
+    )
+    print(
+        f"sweeps: {sweeps['sweeps']} local sweeps, {sweeps['calls']} kernel calls "
+        f"({sweeps['calls'] / args.rounds:g} a round) covering {sweeps['holders']} "
+        f"holders' blocks over {args.rounds} rounds"
     )
     print(
         "service: run_batch outside _handle, floor per step over "

@@ -7,9 +7,12 @@ undistributed, so the array is remapped between ``(block, *)`` and
 example and of its loop-invariant-motion discussion (Fig. 16/17).
 
 The tridiagonal solves use the Thomas algorithm vectorized over the other
-dimension, executed independently on each processor's local block via
+dimension, on each processor's local block via
 :meth:`DistributedArray.apply_along_local_dim` -- genuinely local
-computation, which is the whole point of remapping.
+computation, which is the whole point of remapping.  All processors'
+sweeps run at once: the blocks are stacked along a leading holder axis
+and solved in one vectorized call, each processor's systems still
+independent of every other's.
 """
 
 from __future__ import annotations
@@ -73,12 +76,12 @@ def adi_kernels(alpha: float):
     def sweep_rows(ctx) -> None:
         # rows are swept along dim 1, local under (block, *)
         ctx.darray("u").apply_along_local_dim(
-            lambda block, axis: thomas_constant(block, axis, alpha), 1
+            lambda blocks, axis: thomas_constant(blocks, axis, alpha), 1
         )
 
     def sweep_cols(ctx) -> None:
         ctx.darray("u").apply_along_local_dim(
-            lambda block, axis: thomas_constant(block, axis, alpha), 0
+            lambda blocks, axis: thomas_constant(blocks, axis, alpha), 0
         )
 
     return {"sweep_rows": sweep_rows, "sweep_cols": sweep_cols}

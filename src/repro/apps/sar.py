@@ -70,17 +70,17 @@ def build_sar_program(n: int):
 def sar_kernels(range_ref: np.ndarray, azimuth_ref: np.ndarray):
     def range_compress(ctx) -> None:
         ctx.darray("img").apply_along_local_dim(
-            lambda block, axis: matched_filter(block, range_ref, axis), 1
+            lambda blocks, axis: matched_filter(blocks, range_ref, axis), 1
         )
 
     def azimuth_compress(ctx) -> None:
         ctx.darray("img").apply_along_local_dim(
-            lambda block, axis: matched_filter(block, azimuth_ref, axis), 0
+            lambda blocks, axis: matched_filter(blocks, azimuth_ref, axis), 0
         )
 
     def multilook(ctx) -> None:
         ctx.darray("img").apply_along_local_dim(
-            lambda block, axis: block * 0.5, 0
+            lambda blocks, axis: blocks * 0.5, 0
         )
 
     return {

@@ -179,13 +179,14 @@ class Layout:
     on first use and read from here by every array version, plan and copy:
     the holder table (:attr:`table`, one :class:`Holder` per holding
     processor, with its block's offset in a version's buffer of
-    :attr:`size` elements) and, on each holder, its scatter/gather
-    indexer.  For a layout whose ownership is a progression in every
-    dimension that is a handful of integers per holder; otherwise a holder
-    also keeps its interval sets and one position vector per dimension --
-    the sum of the local extents x 8 bytes.  :data:`_LAYOUTS` bounds how many
-    stay reachable; lazy fields are written idempotently and lock-free (a
-    lost race recomputes an equal value).
+    :attr:`size` elements), its cut into :attr:`runs` of one block shape
+    and, on each holder, its scatter/gather indexer.  For a layout whose
+    ownership is a progression in every dimension that is a handful of
+    integers per holder; otherwise a holder also keeps its interval sets
+    and one position vector per dimension -- the sum of the local extents
+    x 8 bytes.  :data:`_LAYOUTS` bounds how many stay reachable; lazy
+    fields are written idempotently and lock-free (a lost race recomputes
+    an equal value).
     """
 
     def __init__(self, mapping: Mapping):
@@ -195,6 +196,8 @@ class Layout:
         self._pinned: dict[int, int] = {}
         #: (holders, the same by linear rank, their elements), built on first use
         self._table: tuple[tuple[Holder, ...], dict[int, Holder], int] | None = None
+        #: (start, stop, stacked shape) per run of the table, built on first use
+        self._runs: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
         for c in mapping.grid_constraints:
             if c.kind is GridConstraintKind.REPLICATED:
                 self._replicated_dims.add(c.proc_dim)
@@ -240,6 +243,27 @@ class Layout:
     def size(self) -> int:
         """Elements of one array version's buffer: every holder's block."""
         return self._holder_table()[2]
+
+    @property
+    def runs(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The holder table cut into runs of consecutive holders whose blocks
+        have one shape, each ``(start, stop, (holders, *local_shape))``: the
+        run's elements of a version's buffer, adjacent because the offsets
+        are cumulative in table order, and the shape that stacks them.  One
+        run where every holder's block has one shape; worked out on first
+        use."""
+        runs = self._runs
+        if runs is None:
+            cut: list[list] = []
+            for h in self.table:
+                if cut and cut[-1][2] == h.local_shape:
+                    cut[-1][1] += 1
+                else:
+                    cut.append([h.offset, 1, h.local_shape])
+            runs = self._runs = tuple(
+                (start, start + k * prod(shape), (k, *shape)) for start, k, shape in cut
+            )
+        return runs
 
     def holder(self, rank: int) -> Holder | None:
         """The table row of linear ``rank``, or None if it holds nothing."""

@@ -98,7 +98,10 @@ class KernelContext:
 
     def darray(self, name: str):
         """The current version's distributed storage (for SPMD-local
-        kernels), valid during this kernel call only."""
+        kernels), valid during this kernel call only.  Its
+        :meth:`~repro.spmd.darray.DistributedArray.apply_along_local_dim`
+        sweeps every holder's block in one kernel call per run of equal
+        block shapes, the blocks stacked on a leading holder axis."""
         state = self._frame.arrays[name]
         self._ex._ensure(state, state.status)
         return state.insts[state.status]

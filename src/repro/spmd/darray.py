@@ -268,27 +268,43 @@ class DistributedArray:
     # -- computation helpers -------------------------------------------------------
 
     def apply_along_local_dim(self, fn, axis: int) -> None:
-        """Apply ``fn(block, axis=...)`` independently on every processor,
-        writing the result through into the block.
+        """Apply ``fn`` along array dimension ``axis`` of every holder's block,
+        writing the result through into the version's buffer.
 
         This is genuine SPMD-local computation: it requires the swept
         dimension to be local (undistributed), which is exactly the property
-        remappings exist to establish (e.g. ADI sweeps, FFT stages).
+        remappings exist to establish (e.g. ADI sweeps, FFT stages).  The
+        holders' blocks are stacked, not visited one by one: for each of the
+        layout's :attr:`~repro.mapping.ownership.Layout.runs` -- consecutive
+        holders whose blocks have one shape, adjacent in :attr:`data` -- one
+        call ``fn(stack, axis + 1)`` on the ``(holders, *local_shape)`` view
+        of the run, so a layout whose blocks all have one shape is one call
+        per sweep and a ragged one a call per run (an empty run, none).
+        ``fn(x, axis)`` must return an array of ``x``'s shape, acting along
+        ``axis`` and treating every other index -- the leading holder index
+        among them -- independently, as ``np.fft.fft`` and ``np.cumsum`` do:
+        each holder's block is then swept exactly as on its own.
         """
         if not self.layout.dim_is_local(axis):
             raise ShapeError(
                 f"dimension {axis} of {self.name} is distributed; remap first "
                 f"(this is what the paper's remappings are for)"
             )
-        for rank, block in self.blocks.items():
-            if block.size:
-                out = fn(block, axis)
-                if np.shape(out) != block.shape:
-                    raise ShapeError(
-                        f"kernel changed the local shape of {self.name} on rank "
-                        f"{rank}: {block.shape} -> {np.shape(out)}"
-                    )
-                block[...] = out
+        data = self.data
+        if data is None:
+            raise RuntimeRemapError(f"array {self.name} has been freed")
+        for start, stop, shape in self.layout.runs:
+            if start == stop:
+                continue
+            stack = data[start:stop].reshape(shape)
+            out = fn(stack, axis + 1)
+            if np.shape(out) != shape:
+                ranks = [h.rank for h in self.layout.table if start <= h.offset < stop]
+                raise ShapeError(
+                    f"kernel changed the local shape of {self.name} on ranks {ranks}: "
+                    f"{shape} -> {np.shape(out)}"
+                )
+            stack[...] = out
 
     def apply_global(self, fn) -> None:
         """Gather, apply ``fn(global_array) -> global_array``, scatter back.

@@ -167,7 +167,7 @@ def test_ci_doc_covers_every_job():
     # the profile-recipe steps are documented as they are run
     ci = (workflows / "ci.yml").read_text()
     recipes = re.findall(r"run: (python3 benchmarks/profile_request\.py .+)", ci)
-    assert len(recipes) == 5
+    assert len(recipes) == 6
     undocumented = [cmd for cmd in recipes if f"`{cmd}`" not in text]
     assert not undocumented, f"docs/CI.md does not quote: {undocumented}"
     # and so is the mp fault selection

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.adi import thomas_constant
 from repro.errors import OutOfMemoryError, RuntimeRemapError, ShapeError
 from repro.mapping import (
     Alignment,
@@ -316,6 +317,102 @@ def test_apply_along_local_dim_requires_local(p4, machine4):
     assert np.array_equal(a.gather_to_global()[0], np.arange(1, 9))
     with pytest.raises(ShapeError):
         a.apply_along_local_dim(lambda b, axis: b, 0)
+
+
+def p4_1d():
+    return ProcessorArrangement("P", (4,))
+
+
+def _rows(fmt):
+    """19 rows, which four ranks cannot share evenly, of 6 local columns."""
+    return mk((19, 6), (fmt, DistFormat.star()), p4_1d())
+
+
+def _replicated_rows_mapping():
+    """(8, 5) rows block over a 2x2 grid's first dimension, replicated
+    along its second: four holders of one (4, 5) block each."""
+    t = Template("T", (8, 4))
+    dist = Distribution(t, (DistFormat.block(), DistFormat.block()), p4_2d())
+    return Mapping(Alignment((8, 5), t, (AxisAlign.dim(0), AxisAlign.replicate())), dist)
+
+
+#: sweep kernels: each acts along ``axis`` and on every other index alone
+SWEEP_KERNELS = {
+    "cumsum": lambda x, axis: np.cumsum(x, axis=axis),
+    "thomas": lambda x, axis: thomas_constant(x, axis, 0.1),
+    "fft": lambda x, axis: np.fft.irfft(np.fft.rfft(x, axis=axis), n=x.shape[axis], axis=axis),
+}
+
+#: (mapping over four ranks, swept axis, kernel calls per sweep: one per
+#: run of equal block shapes, none for a run of empty blocks)
+SWEEP_MAPPINGS = {
+    "block": (lambda: _rows(DistFormat.block()), 1, 2),  # 5 5 5 4 rows
+    "cyclic": (lambda: _rows(DistFormat.cyclic()), 1, 2),  # 5 5 5 4
+    "cyclic(3)": (lambda: _rows(DistFormat.cyclic(3)), 1, 3),  # 6 6 4 3
+    "block(10)": (lambda: _rows(DistFormat.block(10)), 1, 2),  # 10 9 0 0
+    "(block,*)": (
+        lambda: mk((48, 50), (DistFormat.block(), DistFormat.star()), p4_1d()), 1, 1,
+    ),
+    "(*,block)": (
+        lambda: mk((48, 50), (DistFormat.star(), DistFormat.block()), p4_1d()), 0, 2,
+    ),  # 13 13 13 11 columns
+    "(cyclic(3),*)": (
+        lambda: mk((50, 48), (DistFormat.cyclic(3), DistFormat.star()), p4_1d()), 1, 2,
+    ),  # 14 12 12 12 rows
+    "replicated": (_replicated_rows_mapping, 1, 1),
+}  # fmt: skip
+
+
+def _counted(fn, calls: list):
+    def kernel(x, axis):
+        calls.append(x.shape[0])
+        return fn(x, axis)
+
+    return kernel
+
+
+@pytest.mark.parametrize("kind", ["sim", "shared"])
+@pytest.mark.parametrize("kernel", sorted(SWEEP_KERNELS))
+@pytest.mark.parametrize("name", sorted(SWEEP_MAPPINGS))
+def test_stacked_sweep_equals_each_block_swept_alone(name, kernel, kind, small_transport):
+    """A sweep stacks the holders' blocks, one kernel call per run of equal
+    block shapes; every block ends up bit for bit what the kernel makes of
+    a copy of that block alone, on heap and on shared arrays alike."""
+    build, axis, calls_per_sweep = SWEEP_MAPPINGS[name]
+    mapping = build()
+    a = _array(kind, mapping, Machine(mapping.processors), small_transport)
+    a.scatter_from_global(np.random.default_rng(3).standard_normal(mapping.shape))
+    fn = SWEEP_KERNELS[kernel]
+    want = {r: fn(b.copy(), axis) if b.size else b.copy() for r, b in a.blocks.items()}
+    calls: list[int] = []
+    a.apply_along_local_dim(_counted(fn, calls), axis)
+    assert len(calls) == calls_per_sweep
+    assert sum(calls) == sum(1 for block in a.blocks.values() if block.size)
+    for r, block in a.blocks.items():
+        assert block.tobytes() == want[r].tobytes(), r
+    a.free()
+
+
+def test_shape_changing_kernel_names_the_array_and_its_ranks():
+    a = DistributedArray("U", _rows(DistFormat.block()), Machine(p4_1d()))
+    with pytest.raises(ShapeError, match=r"changed the local shape of U on ranks \[0, 1, 2\]"):
+        a.apply_along_local_dim(lambda x, axis: x.sum(axis=axis), 1)
+
+
+@pytest.mark.parametrize("end", ["free", "retire"])
+def test_sweep_of_a_freed_or_retired_version_raises(end):
+    """A freed version has no buffer to sweep; a retired one keeps its
+    buffer and views for the run's next version of the layout, so a sweep
+    must not write into it either: both raise, and the kernel never runs."""
+    a = DistributedArray("A", _rows(DistFormat.block()), Machine(p4_1d()))
+    a.scatter_from_global(np.ones((19, 6)))
+    kept = getattr(a, end)()
+    calls: list[int] = []
+    with pytest.raises(RuntimeRemapError, match="A has been freed"):
+        a.apply_along_local_dim(_counted(SWEEP_KERNELS["cumsum"], calls), 1)
+    assert calls == []
+    if end == "retire":
+        assert np.array_equal(kept, np.ones(114)) and a.blocks
 
 
 def test_mapping_machine_mismatch(p4):
