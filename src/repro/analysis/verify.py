@@ -27,6 +27,10 @@ Of a geometry these checks read one fact, each array's version count.
 :func:`verify_template` from a template's holes (one version per hole),
 so a template is checked without a shape: every patch of it shares the
 template's CFGs, graphs, annotations and code, with one version per hole.
+The holes themselves -- how each patch makes its version table -- are
+held to the CFG nodes they name and the graph's labels
+(:func:`verify_holes`), so a template that passes is trusted at every
+shape.
 
 :func:`verify_artifact` returns the full issue list (empty = verified);
 :func:`assert_verified` raises
@@ -42,18 +46,28 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeAlias
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, TypeAlias
 
 from repro.analysis.dataflow import Direction, solve
 from repro.errors import ArtifactVerificationError
-from repro.ir.cfg import CFG, NodeKind
-from repro.lang.ast_nodes import ArrayDecl
+from repro.ir.cfg import CFG, CFGNode, NodeKind
+from repro.lang.ast_nodes import (
+    AlignDecl,
+    ArrayDecl,
+    Decl,
+    DistributeDecl,
+    Realign,
+    Redistribute,
+)
+from repro.lang.semantics import make_formats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.compiler.artifacts import CompiledProgram
     from repro.compiler.template import SubroutineStructure, SymbolicTemplate
     from repro.remap.codegen import GeneratedCode
-    from repro.remap.construction import ConstructionResult
+    from repro.remap.construction import ConstructionResult, Hole
+    from repro.remap.graph import GRVertex
 
 __all__ = [
     "VerificationIssue",
@@ -62,6 +76,7 @@ __all__ = [
     "verify_versions",
     "verify_stmt_keys",
     "verify_subroutine",
+    "verify_holes",
     "verify_artifact",
     "verify_template",
     "assert_verified",
@@ -210,6 +225,38 @@ def verify_graph(
 # ---------------------------------------------------------------------------
 
 
+#: a forward may-problem's state: per name (an array, a template), what may
+#: reach a point (versions, distribution spellings)
+_State: TypeAlias = dict[str, frozenset[Any]]
+
+
+def _reaching(cfg: CFG, transfer: Callable[[int, _State], _State]) -> dict[int, _State]:
+    """The state reaching each CFG node (unreachable ones too) of the forward
+    may-problem with ``transfer`` per node, empty at the entry, the union at
+    joins."""
+
+    def join(_n: int, states: list[_State]) -> _State:
+        merged: _State = {}
+        for st in states:
+            for name, values in st.items():
+                merged[name] = merged.get(name, frozenset()) | values
+        return merged
+
+    nodes = cfg.rpo()
+    nodes += sorted(set(cfg.nodes) - set(nodes))
+    into, _out = solve(
+        nodes,
+        preds=lambda n: cfg.preds[n],
+        succs=lambda n: cfg.succs[n],
+        direction=Direction.FORWARD,
+        boundary=lambda _n: {},
+        transfer=transfer,
+        join=join,
+        equal=lambda a, b: a == b,
+    )
+    return into
+
+
 def verify_versions(res: Built, subroutine: str | None = None) -> list[VerificationIssue]:
     """Prove every annotated reference version producible on some path.
 
@@ -226,12 +273,7 @@ def verify_versions(res: Built, subroutine: str | None = None) -> list[Verificat
     cfg = res.cfg
     g = res.graph
 
-    State = dict[str, frozenset[int]]
-
-    def boundary(_n: int) -> State:
-        return {}
-
-    def transfer(n: int, state: State) -> State:
+    def transfer(n: int, state: _State) -> _State:
         v = g.vertices.get(n)
         if v is None:
             return state
@@ -242,26 +284,7 @@ def verify_versions(res: Built, subroutine: str | None = None) -> list[Verificat
                 new[a] = leaving
         return new
 
-    def join(_n: int, states: list[State]) -> State:
-        merged: dict[str, frozenset[int]] = {}
-        for st in states:
-            for a, versions in st.items():
-                merged[a] = merged.get(a, frozenset()) | versions
-        return merged
-
-    nodes = cfg.rpo()
-    missing = set(cfg.nodes) - set(nodes)
-    nodes = nodes + sorted(missing)  # unreachable nodes still get states
-    into, _out = solve(
-        nodes,
-        preds=lambda n: cfg.preds[n],
-        succs=lambda n: cfg.succs[n],
-        direction=Direction.FORWARD,
-        boundary=boundary,
-        transfer=transfer,
-        join=join,
-        equal=lambda a, b: a == b,
-    )
+    into = _reaching(cfg, transfer)
     for nid, node in cfg.nodes.items():
         if node.kind is not NodeKind.COMPUTE or node.stmt is None:
             continue
@@ -312,6 +335,198 @@ def verify_stmt_keys(
 
 
 # ---------------------------------------------------------------------------
+# holes: each against the node it names and the graph's labels
+# ---------------------------------------------------------------------------
+
+#: a hole's fields after its kind: a name (s), an int (i), a CFG node (n)
+#: or a realign's source (r: an int, or a distribution's origin and name)
+_FIELDS = {
+    "distribution": "n", "declared": "s", "dummy": "sss", "redistribute": "sni", "realign": "snr"
+}
+_ORIGINS = {"distribution": "i", "template": "s", "declared": "s"}
+
+#: what each kind of hole must be, with *j* the version it makes: the count
+#: of the earlier holes of its array that are not ``distribution`` holes.
+#: What reaches a node is what reached it before removal, as construction
+#: saw it (removal rewrites the graph's reaching labels, not its leaving ones)
+_RULES = {
+    "distribution": "names a redistribute no earlier hole names",
+    "declared": "makes version 0",
+    "dummy": "makes the version j some call passes to that dummy",
+    "redistribute": "follows its node's distribution and moves an earlier version, left by "
+    "a predecessor (on an edge of its array) of a vertex of that statement leaving j",
+    "realign": "names a realign of its array whose vertex leaves j, from the target "
+    "array's version or the target template's distribution that reaches it, made before",
+}
+
+
+def _fits(x: object, field: str, nodes: dict[int, CFGNode]) -> bool:
+    if field == "s":
+        return isinstance(x, str)
+    if field == "r" and isinstance(x, tuple):
+        origin = _ORIGINS.get(x[0]) if len(x) == 2 and isinstance(x[0], str) else None
+        return origin is not None and _fits(x[1], origin, nodes)
+    return type(x) is int and (field != "n" or x in nodes)
+
+
+class _HoleRules:
+    """The rules of :data:`_RULES` over one subroutine's structure and
+    declarations."""
+
+    def __init__(self, built: "SubroutineStructure", decls: tuple[Decl, ...]) -> None:
+        self.built = built
+        self.decls = decls
+        self.declared = {d.name for d in decls if isinstance(d, ArrayDecl)}
+        self.aligned = {d.alignee: d.target for d in decls if isinstance(d, AlignDecl)}
+        # the graph's vertices by the statement of their node
+        self.vertices_of: dict[object, list[int]] = {}
+        for vid in built.graph.vertices:
+            node = built.cfg.nodes.get(vid)
+            if node is not None and node.stmt is not None:
+                self.vertices_of.setdefault(node.stmt, []).append(vid)
+
+    # -- what only a ``realign`` hole reads ------------------------------------
+
+    @cached_property
+    def spelled(self) -> dict[str, tuple]:
+        """Each template's declared distribution, as :meth:`spelling` has it."""
+        return {
+            self.root(d.target): (self.root(d.target), make_formats(d.formats))
+            for d in self.decls
+            if isinstance(d, DistributeDecl)
+        }
+
+    @cached_property
+    def redistributions(self) -> dict[int, tuple]:
+        """Each ``redistribute`` node's distribution, as :meth:`spelling` has it."""
+        return {
+            nid: self.spelling(node.stmt)
+            for nid, node in self.built.cfg.nodes.items()
+            if isinstance(node.stmt, Redistribute)
+        }
+
+    @cached_property
+    def into(self) -> dict[int, _State]:
+        """What reaches each node: each array's versions (the graph's leaving
+        labels) and each template's distributions; nothing over a broken
+        CFG, which the structure's own checks report."""
+        return {} if verify_cfg(self.built.cfg) else _reaching(self.built.cfg, self._transfer)
+
+    def root(self, name: str) -> str:
+        """The template ``name`` is aligned to (through at most every align):
+        an array aligned to nothing has its own, implicit one."""
+        for _ in self.aligned:
+            name = self.aligned.get(name, name)
+        return f"$T_{name}" if name in self.declared else name
+
+    def spelling(self, stmt: Redistribute) -> tuple:
+        """The distribution ``stmt`` builds, as construction tells two apart:
+        its template and formats (``onto`` names the one arrangement a valid
+        program could use without it)."""
+        return (self.root(stmt.target), make_formats(stmt.formats))
+
+    def _transfer(self, n: int, state: _State) -> _State:
+        v, spelled = self.built.graph.vertices.get(n), self.redistributions.get(n)
+        if n == self.built.cfg.entry:  # the declared distributions
+            state = {**{t: frozenset({s}) for t, s in self.spelled.items()}, **state}
+        elif v is None and spelled is None:
+            return state
+        new = dict(state)
+        for a in v.S if v is not None else ():
+            leaving = v.L.get(a)
+            made = v.restore.get(a) or frozenset(() if leaving is None else (leaving,))
+            if made:
+                new[a] = made
+        if spelled is not None:
+            new[spelled[0]] = frozenset({spelled})
+        return new
+
+    def follows(self, hole: "Hole", made: Counter[str], dists: set[int]) -> bool:
+        """Well-formed ``hole`` keeps its kind's rule after the holes that
+        made the versions ``made`` and the distributions ``dists``."""
+        built, nodes, graph = self.built, self.built.cfg.nodes, self.built.graph
+        kind, array, *rest = hole
+        if kind == "distribution":
+            return isinstance(nodes[array].stmt, Redistribute) and array not in dists
+        j = made[array]
+        if kind == "declared":
+            return j == 0
+        if kind == "dummy":
+            passed = (array, rest[1], j)
+            calls = [info for info in built.calls.values() if info.callee == rest[0]]
+            return any(passed in zip(i.args, i.dummies, i.dummy_versions) for i in calls)
+
+        def leaves_j(vid: int) -> bool:
+            v = graph.vertices.get(vid)
+            return v is not None and array in v.S and (
+                v.L.get(array) == j or array in v.removed
+            )
+
+        (k, src), stmt = rest, nodes[rest[0]].stmt
+        if kind == "redistribute":  # src leaves a predecessor of a vertex leaving j
+            return k in dists and 0 <= src < j and any(
+                leaves_j(vid)
+                and any(
+                    p is not None and (p.L.get(array) == src or src in p.restore.get(array, ()))
+                    for p in map(graph.vertices.get, graph.preds(vid, array))
+                )
+                for vid in self.vertices_of.get(stmt, ())
+            )
+        if not isinstance(stmt, Realign) or stmt.alignee != array or not leaves_j(k):
+            return False
+        reaching = self.into.get(k, {}).get(stmt.target, frozenset())
+        if isinstance(src, int):  # the target array's version that reaches k
+            made_before = stmt.target in self.declared and 0 <= src < made[stmt.target]
+            return made_before and src in reaching
+        # a distribution of the target template, spelled as the one that reaches k
+        origin, name = src
+        if origin == "distribution":
+            spelled = self.redistributions.get(name) if name in dists else None
+        elif origin == "template" or name in self.declared:
+            spelled = self.spelled.get(self.root(name))
+        else:
+            return False
+        return stmt.target not in self.declared and spelled is not None and spelled in reaching
+
+
+def verify_holes(
+    built: "SubroutineStructure", decls: tuple[Decl, ...], subroutine: str
+) -> tuple[list[VerificationIssue], Counter[str]]:
+    """Each hole against the CFG node it names and the remapping graph's
+    labels, in construction order (:data:`_RULES`), and each array's
+    version count, one per well-formed hole that is not a ``distribution``
+    hole; each array ``decls`` declares needs one ``declared`` hole.  A
+    malformed hole is an issue, never an exception.
+    """
+    rules = _HoleRules(built, decls)
+    issues: list[VerificationIssue] = []
+    made: Counter[str] = Counter()
+    dists: set[int] = set()
+    seeded: set[str] = set()
+    for i, hole in enumerate(built.holes):
+        kind = hole[0] if isinstance(hole, tuple) and hole else None
+        spec = _FIELDS.get(kind) if isinstance(kind, str) else None
+        if spec is None or len(hole) != 1 + len(spec) or not all(
+            _fits(x, field, built.cfg.nodes) for x, field in zip(hole[1:], spec)
+        ):
+            found = f"hole {i} {hole!r} is malformed (kind, arity, field type or node)"
+            _issue(issues, "holes", found, subroutine)
+            continue
+        if not rules.follows(hole, made, dists):
+            _issue(issues, "holes", f"hole {i} {hole!r}: a {kind} hole {_RULES[kind]}", subroutine)
+        if kind == "distribution":
+            dists.add(hole[1])
+        else:
+            made[hole[1]] += 1
+        if kind == "declared":
+            seeded.add(hole[1])
+    if rules.declared != seeded:
+        found = f"declared arrays {sorted(rules.declared)}, declared holes for {sorted(seeded)}"
+        _issue(issues, "template", found, subroutine)
+    return issues, made
+
+
+# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 
@@ -348,13 +563,13 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
 
     Per subroutine, the checks :func:`verify_artifact` runs on any patch
     of the template, over the structure every patch shares, with each
-    array's version count taken from its holes; then the stored AST
-    against that structure (the same subroutines, each body the one its
-    CFG was built over, each subroutine's declarations the ones its
-    structure recorded at the cut, each declared array seeded
-    by a ``declared`` hole), and the bindings: a template has a
-    shape-symbolic name, no fixed binding shadows one, and every
-    compile-relevant name has the fixed binding its compile needed.
+    array's version count taken from its holes, and :func:`verify_holes`;
+    then the stored AST against that structure (the same subroutines,
+    each body the one its CFG was built over, each subroutine's
+    declarations the ones its structure recorded at the cut), and the
+    bindings: a template has a shape-symbolic name, no fixed binding
+    shadows one, and every compile-relevant name has the fixed binding
+    its compile needed.
     """
     issues: list[VerificationIssue] = []
     structures = template.structure.subroutines
@@ -366,23 +581,14 @@ def verify_template(template: "SymbolicTemplate") -> list[VerificationIssue]:
         built = structures.get(sub.name)
         if built is None:
             continue
-        counts = Counter(hole[1] for hole in built.holes if hole[0] != "distribution")
+        found_in_holes, counts = verify_holes(built, sub.decls, sub.name)
         issues += verify_subroutine(built, counts.__getitem__, built.code, sub.name)
+        issues += found_in_holes
         if sub.body != built.cfg.body:
             _issue(issues, "template", "the AST body is not the one its CFG holds", sub.name)
         if sub.decls != built.declarations:
             found = "the AST declarations are not the ones its structure was built over"
             _issue(issues, "template", found, sub.name)
-        declared = {d.name for d in sub.decls if isinstance(d, ArrayDecl)}
-        seeded = {hole[1] for hole in built.holes if hole[0] == "declared"}
-        if declared != seeded:
-            _issue(
-                issues,
-                "template",
-                f"declared arrays {sorted(declared)} but declared-mapping holes "
-                f"for {sorted(seeded)}",
-                sub.name,
-            )
     cls = template.classification
     fixed = set(template.fixed_bindings)
     if not cls.shape_symbolic:

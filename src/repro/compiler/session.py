@@ -23,8 +23,8 @@ artifact.  On disk the template is the
 *only* entry written for such a source -- shape-diverse traffic collapses
 to one store entry per (source, compile-relevant bindings, options) rather
 than one per shape -- and the only one looked up.  The store checks a
-template where it loads it; the session runs no verifier, and evicts a
-loaded template only if a request its instantiation raised on compiles.
+template where it loads it; the session runs no verifier and trusts a
+loaded template as it trusts a compile.
 
 Which bindings a compilation can depend on -- symbolic declaration extents
 and undeclared loop bounds -- is a syntactic property of the source, so a
@@ -237,10 +237,6 @@ class CompilerSession:
         # shape bindings and the processor arrangement dropped; one
         # template serves every (n, P) of its source
         self._templates: "Memo[tuple, SymbolicTemplate]" = Memo(max_entries)
-        # keys of loaded templates kept in memory though their instantiation
-        # raised (and the clean compile too): still unproven, so a later
-        # failure of theirs goes on to a clean compile as a load's would
-        self._unproven: set[tuple] = set()
         # source digest -> (classification, parsed program); a dropped
         # entry is recomputed from the source
         self._sources: Memo[str, tuple[BindingClassification, Program]] = Memo(max_entries)
@@ -349,38 +345,19 @@ class CompilerSession:
         return self.obtain(source, bindings, processors, options)[0]
 
     @staticmethod
-    def _template_key(
-        digest: str,
-        names: BindingClassification,
-        bindings: dict[str, int] | None,
-        options: CompilerOptions,
-    ) -> tuple | None:
-        """The shape-erased key a symbolic template lives under.
-
-        Shape-symbolic binding values and the processor arrangement are
-        dropped -- one template serves every ``(n, P)`` -- while the
-        compile-relevant binding values stay (they are baked into the
-        template).  ``None`` when nothing is shape-symbolic: no template
-        can exist for the source.
+    def _template_key(key: SessionKey, names: BindingClassification) -> tuple | None:
+        """The shape-erased key a symbolic template lives under: the
+        artifact ``key`` with its shape-symbolic binding values and its
+        processor arrangement dropped -- one template serves every ``(n,
+        P)`` -- and the compile-relevant values kept (they are baked into
+        the template).  ``None`` when nothing is shape-symbolic: no
+        template can exist for the source.
         """
         if not names.shape_symbolic:
             return None
-        items = tuple(
-            sorted(
-                (k, v)
-                for k, v in (bindings or {}).items()
-                if k in names.compile_relevant
-            )
-        )
-        return (
-            digest,
-            items,
-            None,
-            options.pass_names,
-            options.cost,
-            options.schedule,
-            "template",
-        )
+        digest, items, _, *rest = key
+        kept = tuple((k, v) for k, v in items if k in names.compile_relevant)
+        return (digest, kept, None, *rest, "template")
 
     def compile_traced(
         self,
@@ -484,14 +461,9 @@ class CompilerSession:
         """Serve a missed key from the first tier that has it -- a symbolic
         template, the attached store, the pipeline -- as ``(artifact,
         tier)``; the artifact is frozen and cached under ``key``."""
-        tkey = (
-            self._template_key(key[0], names, bindings, options)
-            if options.symbolize
-            else None
-        )
-        suspect = None
+        tkey = self._template_key(key, names) if options.symbolize else None
         if tkey is not None:
-            served, suspect = self._instantiate(key, tkey, names, bindings, processors)
+            served = self._instantiate(key, tkey, bindings, processors)
             if served is not None:
                 return served, "instantiated"
         elif self.store is not None:
@@ -506,19 +478,7 @@ class CompilerSession:
         # the pipeline runs unlocked, on the program first contact parsed,
         # while this call's flight holds other misses of the key waiting; a
         # symbolized compile also returns the template it cut
-        try:
-            compiled, template = Pipeline(options).serve(program, bindings, processors)
-        except Exception:
-            if suspect is not None:
-                # outside the loaded template's domain, so far no fault of
-                # it: keep it in memory, so a repeat raises without a reload
-                self._templates.put(tkey, suspect)
-                with self._lock:
-                    self._unproven.add(tkey)
-            raise
-        if suspect is not None:  # the source compiles where its loaded template raised
-            self.store.reject(tkey)
-            self._templates.drop(tkey, suspect)  # if kept unproven, the new one replaces it
+        compiled, template = Pipeline(options).serve(program, bindings, processors)
         compiled.freeze()
         with self._lock:
             self.passes_run += len(compiled.trace.records)
@@ -527,8 +487,6 @@ class CompilerSession:
             assert template is not None
             template.freeze()
             self._templates.put(tkey, template)
-            with self._lock:
-                self._unproven.discard(tkey)
         if self.store is not None:
             # write-back outside the lock: serialization is pure and the
             # store's own locking covers concurrent writers.  A source with
@@ -546,59 +504,33 @@ class CompilerSession:
         self,
         key: SessionKey,
         tkey: tuple,
-        names: BindingClassification,
         bindings: dict[str, int] | None,
         processors: ProcessorArrangement | int | None,
-    ) -> tuple[CompiledProgram | None, SymbolicTemplate | None]:
-        """Serve one request by instantiating the template at ``tkey``, if
-        any: ``(artifact, suspect)``.
-
-        Checks the in-memory template cache, then the store.  No artifact
-        -- no template known for this source/options, or the request lacks
-        a shape binding -- sends the caller on to the remaining tiers.  The
-        instantiated concrete artifact joins the ordinary memory cache
-        (under ``key``), so repeats of the same ``(n, P)`` are plain
-        ``"memory"`` hits.
-
-        A template from the store was checked by its load and is not
-        checked again.  If its instantiation raises, the request goes on
-        to a clean compile with that template as ``suspect``: the caller
-        rejects the entry (``store.reject``) only if that compile succeeds,
-        so a request outside the template's domain raises the error its
-        compile raises, keeps the entry and puts the template in memory
-        still unproven: a repeat reads no store, and an instantiation of it
-        that raises goes on to a clean compile as a load's does, until one
-        succeeds.
+    ) -> CompiledProgram | None:
+        """Serve one request by instantiating the template at ``tkey``
+        (from memory, else from the store, whose load checked it; it joins
+        the memory tier first), or ``None`` if there is none.  What an
+        instantiation raises -- a shape outside a fixed ``block(k)``, a
+        missing shape binding -- is the error a compile raises, and the
+        request's answer.  The artifact joins the memory cache under
+        ``key``, so a repeat of the same ``(n, P)`` is a ``"memory"`` hit.
         """
         from repro.compiler.template import SymbolicTemplate
 
         template = self._templates.get(tkey)
         loaded = False
-        with self._lock:
-            unproven = template is not None and tkey in self._unproven
         if template is None and self.store is not None:
             found = self.store.load(tkey)
             if isinstance(found, SymbolicTemplate):
-                template, loaded = found, True
-        if template is None or names.shape_symbolic - set(bindings or {}):
-            return None, None
+                template, loaded = self._templates.put(tkey, found), True
+        if template is None:
+            return None
         with _TRACER.span("template.instantiate"):
-            try:
-                compiled = template.instantiate(bindings, processors)
-            except Exception:  # a stored AST the load could not fault may raise anything
-                if not (loaded or unproven):
-                    raise
-                return None, template
+            compiled = template.instantiate(bindings, processors)
         compiled.freeze()
-        if loaded:
-            self._count("instantiations", "store_hits")
-            self._templates.put(tkey, template)
-        else:
-            self._count("instantiations")
-        with self._lock:
-            self._unproven.discard(tkey)
+        self._count("instantiations", *(("store_hits",) if loaded else ()))
         self._cache.put(key, compiled)
-        return compiled, None
+        return compiled
 
     @property
     def cache_size(self) -> int:

@@ -48,9 +48,11 @@ A template is checked once, where stored bytes become one
 ``verify``), by :func:`~repro.analysis.verify.verify_template`: every
 patch shares the structure's CFGs, graphs, annotations and code and has
 one version per hole, so the checks a patched artifact would pass are run
-on the structure, at no shape, and the stored AST is held to it.  No
-instantiation is checked again (unless its options name the ``verify``
-pass, as for any compile).
+on the structure, at no shape; each hole is held to the CFG node it names
+and to the graph's labels, and the stored AST to the structure.  A
+template that passes is trusted like a compile: no instantiation is
+checked again (unless its options name the ``verify`` pass, as for any
+compile), and what one raises is the error a compile at that shape raises.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ Design contract, enforced by construction and by ``tests/test_store.py``:
   evicted and reported as misses -- the load path degrades to a clean
   recompile, it never raises and never serves a wrong artifact.  A decoded
   entry then runs the static checks of :mod:`repro.analysis.verify` --
-  a template its one check, at no shape, so no instantiation re-checks
-  it -- and one that fails is evicted the same way;
+  a template its one check, at no shape and holes included, so no
+  instantiation re-checks it -- and one that fails is evicted the same way;
 * **safe concurrent access** -- writers serialize per entry via advisory
   file locks, write to a temp file and publish with one atomic
   ``os.replace``; readers need no lock (they either see a complete entry
@@ -337,21 +337,18 @@ class ArtifactStore:
 
         The stored digest is re-checked against the payload before
         unpickling; any mismatch -- truncation, tampering, a header that
-        is not valid JSON -- evicts the entry and reports a miss, so a
-        corrupt store degrades to cold-compile behavior.  The decoded
-        artifact is then deeply verified -- a concrete one by the full
-        static invariant checker
-        (:func:`repro.analysis.verify.verify_artifact`) over its CFGs,
-        remapping graphs, version annotations and node-keyed op lists, a
-        template by :func:`~repro.analysis.verify.verify_template`, the
-        same checks over the structure every instantiation shares, at no
-        shape -- so a hash-valid but semantically corrupt entry is also
-        evicted (``semantic_evicted``) and recompiled, never executed.  A
-        digest proves the bytes are the ones written, not that they
-        describe an artifact the compiler could have built, and the check
-        costs well under a millisecond.  A load instantiates nothing.  A
-        verified load refreshes the entry's mtime (the LRU recency the
-        size bound evicts by) and returns the artifact re-frozen.
+        is not valid JSON -- evicts the entry and reports a miss.  A digest
+        proves the bytes are the ones written, not that they describe an
+        artifact the compiler could have built, so the decoded artifact is
+        then checked -- a concrete one by
+        :func:`~repro.analysis.verify.verify_artifact`, a template by
+        :func:`~repro.analysis.verify.verify_template`, at no shape, its
+        holes included -- and a hash-valid but semantically corrupt entry
+        is evicted too (``semantic_evicted``), never executed.  This load
+        is the one judge of a stored template: one it returns is trusted
+        like a compile.  A load instantiates nothing; a verified one
+        refreshes the entry's mtime (the LRU recency) and returns the
+        artifact re-frozen.
 
         Each call opens a ``store.load`` span recording hit kind or miss.
         """
@@ -440,12 +437,6 @@ class ArtifactStore:
         """Evict a hash-valid entry that failed semantic verification."""
         self._evict_entry(path, corrupt=True)
         self._count("semantic_evicted")
-
-    def reject(self, key: object) -> None:
-        """Evict ``key``'s entry on a reader's finding (``semantic_evicted``):
-        a loaded template whose instantiation raised for a request a clean
-        compile then served."""
-        self._evict_semantic(self.entry_path(key))
 
     # -- maintenance -------------------------------------------------------
 
@@ -561,16 +552,11 @@ class ArtifactStore:
         }
 
     def verify(self, evict: bool = True) -> dict[str, int]:
-        """Re-check every entry the way a load does; returns a scan report.
-
-        Each entry is decoded exactly as a load would decode it (header,
-        length, digest, unpickle) and the decoded artifact runs the load's
-        checks (:func:`~repro.analysis.verify.verify_artifact`, or
-        :func:`~repro.analysis.verify.verify_template` for a template),
-        catching hash-valid but semantically corrupt entries.  Defective
-        entries are evicted unless ``evict=False`` (dry run).  The entry
-        mtimes are left untouched, so verification does not perturb LRU
-        order.
+        """Re-check every entry exactly as a load does (decode, then
+        ``verify_artifact`` or ``verify_template``, holes included);
+        returns a scan report.  Defective entries are evicted unless
+        ``evict=False`` (dry run); mtimes, and so the LRU order, are left
+        untouched.
         """
         ok = corrupt = invalid = 0
         for e in self._entries():

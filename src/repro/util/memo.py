@@ -77,13 +77,6 @@ class Memo(Generic[K, V]):
                 self.on_evict(*old)
         return value
 
-    def drop(self, key: K, value: V) -> None:
-        """Forget ``value`` if it is the one kept under ``key`` (not an
-        eviction): a value found wrong makes room for its replacement."""
-        with self._lock:
-            if self._entries.get(key) is value:
-                del self._entries[key]
-
     def stats(self) -> dict[str, int]:
         """``hits + misses`` counts lookups; a miss of :meth:`obtain` is a build."""
         with self._lock:

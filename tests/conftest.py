@@ -14,6 +14,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.analysis.verify import verify_template
+from repro.compiler.pipeline import Pipeline
 from repro.fuzz.profiles import load_profile_from_env
 from repro.obs import TRACER
 from repro.util.memo import clear_process_memos
@@ -27,6 +29,23 @@ def fresh_plans():
     empty, as a restarted process has them, so no test is served a plan or
     a layout an earlier one built."""
     clear_process_memos()
+
+
+@pytest.fixture(autouse=True)
+def sound_templates(monkeypatch):
+    """Every template a compile cuts for a shape-symbolic source -- one a
+    session keeps and stores -- passes the check a store load runs on it:
+    no test's template would be evicted by its own load."""
+    serve = Pipeline.serve
+
+    def checked(self, *args, **kwargs):
+        compiled, template = serve(self, *args, **kwargs)
+        if template is not None and template.classification.shape_symbolic:
+            issues = verify_template(template)
+            assert issues == [], f"a sound template fails its load check: {issues}"
+        return compiled, template
+
+    monkeypatch.setattr(Pipeline, "serve", checked)
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ The acceptance differentials for :mod:`repro.obs`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -1007,7 +1008,7 @@ def test_a_submit_close_raced_past_is_counted_nowhere(monkeypatch):
 def test_store_stats_and_registry_count_the_same_events(tmp_path):
     """``ArtifactStore.stats`` and the ``repro.store.*`` deltas describe the
     same store traffic: a concrete and a template hit, a miss, writes, a
-    corrupt entry, a reject and an LRU eviction."""
+    corrupt entry, a template its load evicts and an LRU eviction."""
     from repro import CompilerSession
     from repro.compiler.template import SymbolicTemplate
     from repro.store import ArtifactStore
@@ -1030,7 +1031,12 @@ def test_store_stats_and_registry_count_the_same_events(tmp_path):
     blob[blob.index(b"\n") + 1] ^= 0xFF  # the first payload byte
     path.write_bytes(bytes(blob))
     assert store.load("concrete") is None
-    store.reject("template")
+    structure = template.structure
+    (main,) = structure.subroutines.values()
+    mangled = dataclasses.replace(main, holes=main.holes[1:])
+    mangled = dataclasses.replace(structure, subroutines={"main": mangled})
+    assert store.store("template", dataclasses.replace(template, structure=mangled))
+    assert store.load("template") is None
     assert store.store("first", concrete)
     store.max_bytes = int(store.entry_path("first").stat().st_size * 1.5)
     assert store.store("second", concrete)
@@ -1042,9 +1048,9 @@ def test_store_stats_and_registry_count_the_same_events(tmp_path):
 
     assert delta("hits", kind="concrete") == stats["hits_concrete"] == 1
     assert delta("hits", kind="template") == stats["hits_template"] == 1
-    assert delta("misses") == stats["misses"] == 2
-    assert delta("writes") == stats["stores"] == 4
-    assert delta("corrupt_evicted") == stats["corrupt_evicted"] == 2  # the reject too
+    assert delta("misses") == stats["misses"] == 3
+    assert delta("writes") == stats["stores"] == 5
+    assert delta("corrupt_evicted") == stats["corrupt_evicted"] == 2  # the mangled template too
     assert delta("semantic_evicted") == stats["semantic_evicted"] == 1
     assert delta("lru_evicted") == stats["lru_evicted"] == 1
     assert stats["entries"] == 1

@@ -37,7 +37,7 @@ from repro import (
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
-from repro.errors import ArtifactFrozenError, ShapeError
+from repro.errors import ArtifactFrozenError, SemanticError, ShapeError
 from repro.ir.cfg import NodeKind
 from repro.lang.ast_nodes import ArrayDecl
 from repro.lang.printer import print_program
@@ -385,8 +385,8 @@ def _without_decl(template, kind):
 
 def _with_misplaced_distribution_hole(template):
     """``template`` whose first ``distribution`` hole names a compute's CFG
-    node: the version counts the load checks are unchanged, but patching
-    it reads a distribution from a statement that names none."""
+    node: the version counts are unchanged, but patching it would read a
+    distribution from a statement that names none."""
     main = template.structure.subroutines["main"]
     compute = min(nid for nid, node in main.cfg.nodes.items() if node.kind is NodeKind.COMPUTE)
     k = next(i for i, hole in enumerate(main.holes) if hole[0] == "distribution")
@@ -464,26 +464,15 @@ def test_template_with_a_mangled_structure_is_evicted_by_its_load(tmp_path, caps
     _evicted_by_its_load_then_rewritten(store, tkey, capsys)
 
 
-def test_template_its_load_passes_is_evicted_by_a_failing_first_request(tmp_path):
-    """A template whose structure's distribution hole names a compute:
-    nothing the load reads contradicts it, but its instantiation raises
-    where the source compiles.  The request is served by that clean
-    compile, bit-identical to a fresh one, and only then is the entry
-    evicted and rewritten."""
+def test_template_with_a_misplaced_distribution_hole_is_evicted_by_its_load(
+    tmp_path, capsys
+):
+    """A template whose distribution hole names a compute: the version
+    counts agree with its graph, but the load checks the hole against the
+    node it names."""
     store, tkey, template = _seed_template(tmp_path)
     assert store.store(tkey, _with_misplaced_distribution_hole(template))
-    assert isinstance(store.load(tkey), SymbolicTemplate)
-    assert store.verify(evict=False)["invariant_violations"] == 0
-
-    w = dict(FIGURES["fig16"], bindings={"n": 32, "t": 5}, inputs={"a": np.arange(32.0)})
-    reader = CompilerSession(store=store, options=SYMBOLIC)
-    compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
-    assert tier == "compiled"
-    assert store.stats["semantic_evicted"] == 1 and reader.stats["instantiations"] == 0
-    _served_as_a_fresh_compile(compiled, w)
-    again = CompilerSession(store=store, options=SYMBOLIC)
-    _, tier = again.compile_traced(w["source"], bindings={"n": 24, "t": 5}, processors=3)
-    assert tier == "instantiated" and store.stats["semantic_evicted"] == 1
+    _evicted_by_its_load_then_rewritten(store, tkey, capsys)
 
 
 def test_deep_verify_keeps_a_template_the_probe_shape_does_not_fit(tmp_path):
@@ -518,47 +507,71 @@ def test_a_request_outside_a_loaded_templates_domain_keeps_the_entry(tmp_path):
     assert tier == "instantiated"
 
 
-def test_repeated_requests_outside_a_templates_domain_load_it_once(tmp_path):
-    """Three ``block(2)`` requests the template cannot hold read the store
-    once: the first loads the template, fails its instantiation and its
-    clean compile, and keeps the template in memory; the repeats fail both
-    again without a load.  The entry stays, and an in-domain request is
-    then instantiated from memory with no further load."""
+def _failing_requests_load_once_and_compile_nothing(monkeypatch, tmp_path, bindings):
+    """Three ``block(2)`` requests with ``bindings`` the template cannot
+    serve read the store once and run no pipeline: each raises the error a
+    compile raises, and the loaded template stays in memory.  The entry
+    stays, and an in-domain request is then instantiated from memory with
+    no further load."""
     text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
     store, tkey, _ = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    with pytest.raises(Exception) as compiled:
+        Pipeline(SYMBOLIC).compile(text, bindings=bindings, processors=2)
+    serves = counted(monkeypatch, Pipeline, "serve")
+    misses = store.stats["misses"]
     session = CompilerSession(store=store, options=SYMBOLIC)
     for _ in range(3):
-        with pytest.raises(ShapeError):
-            session.compile(text, bindings={"n": 8, "t": 2}, processors=2)
-    assert store.stats["hits_template"] == 1
+        with pytest.raises(Exception) as raised:
+            session.compile(text, bindings=bindings, processors=2)
+        assert (type(raised.value), str(raised.value)) == (
+            type(compiled.value),
+            str(compiled.value),
+        )
+    assert serves == [] and session.stats["misses"] == 3
+    assert store.stats["hits_template"] == 1 and store.stats["misses"] == misses
     assert store.stats["semantic_evicted"] == 0 and store.entry_path(tkey).is_file()
     assert session.stats["templates"] == 1
     before = dict(store.stats)
     _, tier = session.compile_traced(text, bindings={"n": 6, "t": 2}, processors=3)
     assert tier == "instantiated"
     assert store.stats == before  # served from memory: nothing read, missed or written
+    return compiled.value
 
 
-def test_a_template_kept_after_an_out_of_domain_request_stays_unproven(tmp_path):
-    """A ``block(2)`` template its load passes but whose distribution hole
-    names a compute, kept in memory after an n = 8, P = 2 request it and
-    the source both fail: a later in-domain request its instantiation
-    fails is served by a clean compile, which rejects the entry, not by
-    the instantiation's error."""
+def test_repeated_requests_outside_a_templates_domain_load_it_once(monkeypatch, tmp_path):
+    error = _failing_requests_load_once_and_compile_nothing(
+        monkeypatch, tmp_path, {"n": 8, "t": 2}
+    )
+    assert isinstance(error, ShapeError)
+
+
+def test_repeated_requests_missing_a_shape_binding_load_the_template_once(
+    monkeypatch, tmp_path
+):
+    error = _failing_requests_load_once_and_compile_nothing(monkeypatch, tmp_path, {"t": 2})
+    assert isinstance(error, SemanticError) and "'n' has no binding" in str(error)
+
+
+def test_service_counts_a_request_its_trusted_template_fails_as_an_error(tmp_path):
+    """A request the loaded template cannot serve ends as an error and in
+    no tier: every completed request is one tier count or one error, and
+    the entry is kept."""
     text = FIG16.replace("distribute A(block)", "distribute A(block(2))")
-    store, tkey, template = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
-    assert store.store(tkey, _with_misplaced_distribution_hole(template))
-    session = CompilerSession(store=store, options=SYMBOLIC)
-    with pytest.raises(ShapeError):
-        session.compile(text, bindings={"n": 8, "t": 2}, processors=2)
-    assert store.stats["semantic_evicted"] == 0 and session.stats["templates"] == 1
-    w = dict(FIGURES["fig16"], source=text, bindings={"n": 6, "t": 2}, inputs={"a": np.arange(6.0)})
-    compiled, tier = session.compile_traced(text, bindings=w["bindings"], processors=3)
-    assert tier == "compiled"
-    assert store.stats["semantic_evicted"] == 1 and session.stats["instantiations"] == 0
-    _served_as_a_fresh_compile(compiled, w, processors=3)
-    _, tier = session.compile_traced(text, bindings={"n": 8, "t": 2}, processors=4)
-    assert tier == "instantiated"  # from the clean compile's template
+    store, tkey, _ = _seed_template(tmp_path, text, {"n": 4, "t": 2}, processors=2)
+    asks = (({"n": 8, "t": 2}, 2), ({"t": 2}, 2), ({"n": 6, "t": 2}, 3), ({"n": 6, "t": 2}, 3))
+    requests = [{"source": text, "bindings": b, "processors": p} for b, p in asks]
+    with CompileService(workers=1, options=SYMBOLIC, store=store) as svc:
+        results = [svc.run_batch([request])[0] for request in requests * 2]
+        snap = svc.stats.snapshot()
+    assert [r.ok for r in results] == [False, False, True, True] * 2
+    assert isinstance(results[0].error, ShapeError)
+    assert isinstance(results[1].error, SemanticError)
+    assert [r.cache_source for r in results if r.ok] == ["instantiated"] + ["memory"] * 3
+    tiers = ("compile_hits", "instantiations", "store_hits", "compile_misses", "dedup_saves")
+    assert sum(snap[t] for t in tiers) + snap["errors"] == snap["completed"] == 8
+    assert snap["errors"] == 4 and snap["compile_misses"] == 0
+    assert store.stats["hits_template"] == 1 and store.stats["semantic_evicted"] == 0
+    assert store.entry_path(tkey).is_file()
 
 
 def test_a_block_k_template_with_a_mangled_structure_is_flagged_offline(tmp_path):
