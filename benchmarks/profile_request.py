@@ -14,7 +14,7 @@ reference, and prints the cumulative table, the serving-tier counts, a
 ``copies:`` line (how many performed copies moved their data as one gather,
 move by move, or on the mp backend's wire), a ``versions:`` line (how many
 array versions the runs built anew and how many they revived from the
-spare a freed version of the same layout left), a ``sweeps:`` line (the
+spares freed versions of the same layout left), a ``sweeps:`` line (the
 kernels' local sweeps, the kernel calls they made -- one per run of
 holders whose blocks have one shape, so one per sweep on ``apps_warm`` --
 and the holders' blocks those calls stacked), the shares of the remapping walk
@@ -37,7 +37,9 @@ versions (``MemoryManager.allocate``: the machine's fit check, then a new
 buffer and its block views -- the simulator's heap or the mp backend's
 arena -- or a spare's buffer refilled), in the kernels' local sweeps
 (``DistributedArray.apply_along_local_dim``: the kernel layer; zero where
-no request runs a kernel), in the mp backend's
+no request runs a kernel) and in ADI's tridiagonal solve within them
+(``ConstantTridiagonal.solve``: one product with the inverted system), in
+the mp backend's
 wait on its ranks (``MPTransport._collect``) and in the rest of its
 movement hook (``MPExecutor._run_plan`` outside that wait; both zero off
 ``mp_exchange``), what the guard's grid walks did over the profiled rounds
@@ -89,6 +91,7 @@ import workloads  # noqa: E402  (benchmarks/layers/workloads.py, imported not ed
 
 from repro.analysis.commsafety import prove_plan  # noqa: E402
 from repro.analysis.verify import verify_artifact, verify_template  # noqa: E402
+from repro.apps.adi import ConstantTridiagonal  # noqa: E402
 from repro.compiler.template import SymbolicTemplate  # noqa: E402
 from repro.remap import costguard  # noqa: E402
 from repro.remap.construction import build_remapping_graph  # noqa: E402
@@ -129,6 +132,7 @@ SHARES = (
         None,
         HANDLE,
     ),
+    ("ConstantTridiagonal.solve", ConstantTridiagonal.solve, None, HANDLE),
     ("MPTransport._collect", transport.MPTransport._collect, None, HANDLE),
     (
         "MPExecutor._run_plan outside MPTransport._collect",

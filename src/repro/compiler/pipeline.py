@@ -235,7 +235,10 @@ class SymbolizePass:
     report (motion's reports and notes).  That is everything the code passes need to build
     the artifact at any concrete ``(n, P)`` without re-running motion,
     whose shape-generic decisions are baked into the AST.  The run goes
-    on: its code passes build the structure the template carries.
+    on: its code passes build the structure the template carries.  A
+    source with no shape-symbolic name gets no template: it has one shape,
+    and its artifact is cached under its artifact key as an eager
+    compile's is.
     """
 
     name = "symbolize"
@@ -243,15 +246,16 @@ class SymbolizePass:
     def run(self, ctx: PassContext) -> dict[str, int]:
         assert ctx.program is not None
         info = classify_bindings(ctx.program)
-        ctx.cut = partial(
-            SymbolicTemplate,
-            program=ctx.program,
-            options=ctx.options,
-            fixed_bindings={
-                k: v for k, v in (ctx.bindings or {}).items() if k in info.compile_relevant
-            },
-            report=_front_report(ctx.report),
-        )
+        if info.shape_symbolic:  # else no template can serve another shape
+            ctx.cut = partial(
+                SymbolicTemplate,
+                program=ctx.program,
+                options=ctx.options,
+                fixed_bindings={
+                    k: v for k, v in (ctx.bindings or {}).items() if k in info.compile_relevant
+                },
+                report=_front_report(ctx.report),
+            )
         return {
             "shape_symbolic": len(info.shape_symbolic),
             "compile_relevant": len(info.compile_relevant),
@@ -596,8 +600,9 @@ class Pipeline:
         bindings: dict[str, int] | None = None,
         processors: ProcessorArrangement | int | None = None,
     ) -> tuple[CompiledProgram, SymbolicTemplate | None]:
-        """The compiled artifact and, for a symbolized compile, the template
-        ``symbolize`` cut, carrying the structure of that artifact."""
+        """The compiled artifact and, for a symbolized compile of a
+        shape-symbolic source, the template ``symbolize`` cut, carrying the
+        structure of that artifact."""
         ctx = self.run_context(source, bindings, processors)
         compiled = _assemble(ctx)
         if ctx.cut is None:

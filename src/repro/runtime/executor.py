@@ -85,8 +85,8 @@ class KernelContext:
 
     The storage :meth:`darray` returns -- its ``data`` and its block views --
     is valid only during the kernel call: a version the run frees later
-    keeps its buffer as the spare of its layout, and the run's next version
-    of that layout reuses it, so a block kept past the call may come to hold
+    keeps its buffer as a spare of its layout, and a later version of that
+    layout in the run reuses it, so a block kept past the call may come to hold
     another version's values.
     """
 

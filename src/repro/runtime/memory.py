@@ -17,10 +17,15 @@ never assumes a kept copy is live (Fig. 19's ``liveA`` tests).
 
 A remapping loop swaps each array between the same few layouts, so a
 freed heap version is not dropped: its accounting goes back to the machine
-(:meth:`MemoryManager.release`) and its buffer and block views stay as the
-run's one spare for its ``(mapping signature, dtype)``.  The next
-allocation of that key revives the spare -- the same fit check, eviction
-retry and error, the buffer refilled -- instead of building a version.
+(:meth:`MemoryManager.release`) and its buffer and block views stay as a
+spare of the run, stacked under its ``(mapping signature, dtype)``.  The
+next allocation of that key revives the latest spare -- the same fit
+check, eviction retry and error, the buffer refilled -- instead of
+building a version.  A stack of up to :data:`SPARES_PER_LAYOUT`, not one
+slot: two arrays of one extent that swap layouts in lockstep each leave a
+spare of the layout the other takes next.  A version freed onto a full
+stack is freed outright, so a phase that frees many versions of one layout
+leaves no more than that many buffers behind.
 The spares hold no reference back to the manager, and the executor drops
 them when its run ends (:meth:`MemoryManager.drop_spares`), so their
 buffers go with the run, not with a later cyclic collection.  The mp
@@ -39,6 +44,10 @@ from repro.runtime.status import ArrayRuntime
 from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 
+#: the most spares kept per ``(mapping signature, dtype)``: enough for two
+#: arrays swapping one pair of layouts in lockstep
+SPARES_PER_LAYOUT = 2
+
 
 class MemoryManager:
     """Allocates array versions on the machine, evicting live copies if needed."""
@@ -55,9 +64,10 @@ class MemoryManager:
         # how to build storage: the mp backend substitutes shared-arena
         # arrays here, everything else gets the heap-backed DistributedArray
         self._factory = array_factory or DistributedArray
-        #: (mapping signature, dtype) -> a retired heap version and its
-        #: buffer, the one spare of that layout; kept only for heap storage
-        self._spares: dict[tuple, tuple[DistributedArray, np.ndarray]] = {}
+        #: (mapping signature, dtype) -> the retired heap versions of that
+        #: layout and their buffers, the latest last; kept only for heap
+        #: storage
+        self._spares: dict[tuple, list[tuple[DistributedArray, np.ndarray]]] = {}
         self._recycles = array_factory is None
 
     def _evict_one(self) -> bool:
@@ -86,11 +96,12 @@ class MemoryManager:
         ``poison`` (its values are dead on arrival)."""
         dtype = np.dtype(dtype)
         fill = np.nan if poison else 0
-        spares = self._spares
         key = (mapping.signature, dtype)
         while True:
             try:
-                spare = spares.pop(key, None)
+                # read each try: an eviction may have left a spare of this key
+                spares = self._spares.get(key)
+                spare = spares.pop() if spares else None
                 if spare is None:
                     inst = self._factory(name, mapping, self.machine, dtype)
                     if poison:
@@ -100,7 +111,7 @@ class MemoryManager:
                 try:
                     inst.revive(name, mapping, data, fill)
                 except OutOfMemoryError:
-                    spares[key] = spare  # still retired: keep it
+                    spares.append(spare)  # still retired: keep it
                     raise
                 return inst
             except OutOfMemoryError as exc:
@@ -111,14 +122,16 @@ class MemoryManager:
                     ) from exc
 
     def release(self, inst: DistributedArray) -> None:
-        """Free one version; a heap version's storage stays as the spare of
-        its layout (replacing the one kept before)."""
-        if not self._recycles:
-            inst.free()
-            return
-        data = inst.retire()
-        if data is not None:
-            self._spares[inst.mapping.signature, inst.dtype] = (inst, data)
+        """Free one version; a heap version's storage goes on the spares of
+        its layout, unless :data:`SPARES_PER_LAYOUT` are kept already."""
+        if self._recycles:
+            spares = self._spares.setdefault((inst.mapping.signature, inst.dtype), [])
+            if len(spares) < SPARES_PER_LAYOUT:
+                data = inst.retire()
+                if data is not None:
+                    spares.append((inst, data))
+                return
+        inst.free()
 
     def drop_spares(self) -> None:
         """Let every spare go (the end of the run)."""

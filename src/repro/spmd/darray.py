@@ -15,8 +15,8 @@ version a run frees is retired instead (:meth:`~DistributedArray.retire`:
 the accounting goes back, the buffer and views stay) and revived
 (:meth:`~DistributedArray.revive`: accounted again and refilled) as the
 run's next version of the same layout and dtype --
-:class:`~repro.runtime.memory.MemoryManager` keeps one such spare per
-layout -- so a block view is valid only while its version lives.  Which
+:class:`~repro.runtime.memory.MemoryManager` keeps a stack of such
+spares per layout -- so a block view is valid only while its version lives.  Which
 ranks hold a block, of what shape, where it
 starts in the buffer and where its elements sit in the global array
 (:func:`holder_index`) are read from the shared layout's holder table: an

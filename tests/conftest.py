@@ -33,14 +33,14 @@ def fresh_plans():
 
 @pytest.fixture(autouse=True)
 def sound_templates(monkeypatch):
-    """Every template a compile cuts for a shape-symbolic source -- one a
-    session keeps and stores -- passes the check a store load runs on it:
-    no test's template would be evicted by its own load."""
+    """Every template a compile cuts -- one a session keeps and stores --
+    passes the check a store load runs on it: no test's template would be
+    evicted by its own load."""
     serve = Pipeline.serve
 
     def checked(self, *args, **kwargs):
         compiled, template = serve(self, *args, **kwargs)
-        if template is not None and template.classification.shape_symbolic:
+        if template is not None:
             issues = verify_template(template)
             assert issues == [], f"a sound template fails its load check: {issues}"
         return compiled, template

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.apps.adi import run_adi, thomas_constant
+from repro.apps import adi
+from repro.apps.adi import ConstantTridiagonal, run_adi, thomas_constant
 from repro.apps.fft2d import run_fft2d
 from repro.apps.lu import lu_reference, run_lu
 from repro.apps.sar import run_sar
@@ -34,6 +36,60 @@ def test_thomas_vectorized_matches_columnwise():
     full = thomas_constant(rhs, axis=0, alpha=0.2)
     for j in range(5):
         assert np.allclose(full[:, j], thomas_constant(rhs[:, j], 0, 0.2))
+
+
+def _dense_solve(rhs: np.ndarray, axis: int, alpha: float) -> np.ndarray:
+    n = rhs.shape[axis]
+    t = (
+        np.diag(np.full(n, 1 + 2 * alpha))
+        + np.diag(np.full(n - 1, -alpha), 1)
+        + np.diag(np.full(n - 1, -alpha), -1)
+    )
+    moved = np.moveaxis(rhs, axis, 0)
+    solved = np.linalg.solve(t, moved.reshape(n, -1)).reshape(moved.shape)
+    return np.moveaxis(solved, 0, axis)
+
+
+def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+#: the axes besides the solved one, of 1-, 2- and 3-D inputs
+OTHER_AXES = [(), (5,), (3, 4)]
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 10.0])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 97, 192])
+def test_inverted_solve_matches_thomas_and_a_dense_solve(n, alpha):
+    """Inverted once and applied as one product, the solve is the Thomas
+    algorithm's and a dense solve's to 1e-12, on every axis of 1-, 2- and
+    3-D inputs, and it only reads its input."""
+    solver = ConstantTridiagonal(n, alpha)
+    rng = np.random.default_rng(n)
+    for others in OTHER_AXES:
+        for axis in range(len(others) + 1):
+            rhs = rng.standard_normal((*others[:axis], n, *others[axis:]))
+            rhs.setflags(write=False)
+            got = solver.solve(rhs, axis)
+            assert got.shape == rhs.shape
+            assert _rel_error(got, thomas_constant(rhs, axis, alpha)) <= 1e-12
+            assert _rel_error(got, _dense_solve(rhs, axis, alpha)) <= 1e-12
+
+
+def test_one_kernel_set_inverts_once_per_extent(monkeypatch):
+    """An ADI run of four steps sweeps eight times at one extent through
+    one kernel set: the inverse is built on the first sweep only."""
+    built: list[int] = []
+
+    class Counted(ConstantTridiagonal):
+        def __init__(self, n, alpha):
+            built.append(n)
+            super().__init__(n, alpha)
+
+    monkeypatch.setattr(adi, "ConstantTridiagonal", Counted)
+    res = run_adi(n=48, steps=4, nprocs=4)
+    assert res.correct, f"max error {res.max_error}"
+    assert built == [48]
 
 
 def test_adi_runs_and_matches_reference():

@@ -24,7 +24,7 @@ from repro import (
 from repro.errors import DeadCopyError
 from repro.obs import REGISTRY, snapshot_diff
 from repro.runtime.executor import default_kernel
-from repro.runtime.memory import MemoryManager
+from repro.runtime.memory import SPARES_PER_LAYOUT, MemoryManager
 from repro.spmd import DistributedArray
 from repro.spmd.schedule import POLICIES
 from test_schedule import FIG1, FIG12, FIG16, FIGURES, _env
@@ -913,18 +913,68 @@ def assert_same_observations(got, want):
 def test_a_remapping_loop_builds_one_buffer_per_layout(monkeypatch):
     """16 trips of block <-> cyclic on two arrays perform 64 copies but
     build at most one buffer per layout of each array: every later version
-    revives the spare its layout's last freed version left."""
-    bindings = {"n": 64, "m": 32, "t": 16}
-    compiled = compile_program(SWAP_LOOP, bindings=bindings, processors=4)
+    revives a spare a freed version of its layout left -- also at ``n ==
+    m``, where the two arrays share their layouts and, swapping in
+    lockstep, each frees a version of the layout the other takes next."""
     built = count_new_buffers(monkeypatch)
-    _, stats, _ = observed(compiled, ExecutionEnv(bindings=bindings))
-    assert stats["remaps_performed"] == 64
-    assert len(built) == len(set(built)) <= 4
+    for m in (32, 64):
+        bindings = {"n": 64, "m": m, "t": 16}
+        compiled = compile_program(SWAP_LOOP, bindings=bindings, processors=4)
+        del built[:]
+        _, stats, _ = observed(compiled, ExecutionEnv(bindings=bindings))
+        assert stats["remaps_performed"] == 64
+        assert len(built) <= 4, m
+        if m == 32:  # four layouts, one buffer each
+            assert len(built) == len(set(built))
     # with recycling off, every remapping builds its target
     no_recycling(monkeypatch)
     del built[:]
     observed(compiled, ExecutionEnv(bindings=bindings))
     assert len(built) > 64
+
+
+PHASE_SWITCH = """
+subroutine main
+  integer n
+  real A(n), B(n), C(n), D(n)
+!hpf$ dynamic A, B, C, D
+!hpf$ distribute A(block)
+!hpf$ distribute B(block)
+!hpf$ distribute C(block)
+!hpf$ distribute D(block)
+  compute writes A, B, C, D
+!hpf$ redistribute A(cyclic)
+!hpf$ redistribute B(cyclic)
+!hpf$ redistribute C(cyclic)
+!hpf$ redistribute D(cyclic)
+  compute writes A, B, C, D reads A, B, C, D
+  compute writes A, B, C, D reads A, B, C, D
+end
+"""
+
+
+def test_a_phase_freeing_many_versions_of_a_layout_keeps_few_spares(monkeypatch):
+    """Four arrays leave one layout for good: four versions of it are
+    freed, and the run keeps at most ``SPARES_PER_LAYOUT`` of their
+    buffers, the others freed outright -- with the values, counts and
+    peak of a run that keeps none."""
+    kept_bytes: list[int] = []
+    release = MemoryManager.release
+
+    def counted(self, inst):
+        release(self, inst)
+        kept_bytes.append(
+            sum(spare.total_local_bytes() for stack in self._spares.values() for spare, _ in stack)
+        )
+
+    monkeypatch.setattr(MemoryManager, "release", counted)
+    bindings = {"n": 64}
+    compiled = compile_program(PHASE_SWITCH, bindings=bindings, processors=4)
+    recycled = observed(compiled, ExecutionEnv(bindings=bindings))
+    assert len(kept_bytes) == 4
+    assert max(kept_bytes) == SPARES_PER_LAYOUT * 64 * 8 < 4 * 64 * 8
+    no_recycling(monkeypatch)
+    assert_same_observations(recycled, observed(compiled, ExecutionEnv(bindings=bindings)))
 
 
 @pytest.mark.parametrize("policy", [None, *POLICIES])

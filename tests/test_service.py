@@ -36,6 +36,7 @@ from repro import (
     compile_program,
     execute,
 )
+from repro.apps.adi import adi_kernels, adi_reference, build_adi_program
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ArtifactFrozenError, ParseError, SemanticError
 from repro.lang.parser import parse_program
@@ -859,3 +860,32 @@ def test_instantiated_artifacts_evict_like_any_cache_entry():
     # no full pipeline ran for the re-serve: passes_run is untouched
     assert session.stats["passes_run"] == stats["passes_run"]
     assert session.stats["instantiations"] == stats["instantiations"] + 1
+
+
+def test_workers_share_one_adi_kernel_set_across_extents():
+    """Two workers serve ADI at n = 32 and n = 48 interleaved, every request
+    with the same kernel dict: its inverse is swapped whole, unlocked, by
+    whichever sweep meets the other extent, and a sweep solves with the
+    inverse it read, so every result is the sequential reference's."""
+    kernels = adi_kernels(0.1)
+    rng = np.random.default_rng(11)
+    requests, wants = [], []
+    for i in range(16):
+        n = (32, 48)[i % 2]
+        u0 = rng.standard_normal((n, n))
+        requests.append(
+            CompileRequest(
+                build_adi_program(n), bindings={"t": 4}, inputs={"u": u0}, kernels=kernels
+            )
+        )
+        wants.append(adi_reference(u0, 4, 0.1))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two sweeps' slot reads and swaps
+    try:
+        with CompileService(processors=4, workers=2) as svc:
+            results = svc.run_batch(requests)
+    finally:
+        sys.setswitchinterval(old)
+    for r, want in zip(results, wants):
+        assert r.ok, r.error
+        assert np.max(np.abs(r.result.value("u") - want)) <= 1e-8

@@ -25,6 +25,7 @@ from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.workloads import random_legal_subroutine
 from repro.compiler import pipeline as pipeline_mod
 from repro.compiler.session import source_digest
+from repro.compiler.template import TemplateStructure
 from repro.errors import ParseError
 from repro.fuzz.generator import generate_case
 from repro.lang.parser import parse_program
@@ -346,8 +347,10 @@ def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
     session.compile(text, bindings=bindings)
     (first_contact, _), = session._sources._entries.values()
     assert first_contact == classify_bindings(parse_program(text))
-    template = pipeline_mod.Pipeline(options).serve(text, bindings, 4)[1]
-    assert first_contact == template.classification
+    ctx = pipeline_mod.Pipeline(options).run_context(text, bindings, 4)
+    assert first_contact == classify_bindings(ctx.program)
+    # a template is cut exactly where the session keys one
+    assert (ctx.cut is not None) == bool(first_contact.shape_symbolic)
 
 
 def test_cache_key_is_the_same_before_and_after_the_first_compile():
@@ -406,6 +409,37 @@ def test_unparsable_source_has_no_key_and_counts_nothing():
             call(bad)
         assert str(raised.value) == str(direct.value)
     assert s.stats["misses"] == 0 and s.stats["hits"] == 0 and not s._sources
+
+
+#: every extent a literal: nothing is shape-symbolic
+LITERAL = """
+subroutine main()
+  real A(16)
+!hpf$ dynamic A
+!hpf$ distribute A(block)
+  compute writes A
+!hpf$ redistribute A(cyclic)
+  compute reads A
+end
+"""
+
+
+def test_a_literal_extent_source_cuts_no_template(tmp_path, monkeypatch):
+    """A symbolized compile of a source with no shape-symbolic name takes
+    no template structure and returns no template; its artifact is cached
+    and stored under its artifact key, as an eager compile's is."""
+    structures = counted(monkeypatch, TemplateStructure, "of")
+    options = CompilerOptions.symbolic(level=3)
+    compiled, template = pipeline_mod.Pipeline(options).serve(LITERAL, None, 4)
+    assert template is None and structures == []
+    assert compiled.trace.counter("symbolize", "shape_symbolic") == 0
+    writer = CompilerSession(processors=4, options=options, store=tmp_path)
+    assert writer.compile_traced(LITERAL)[1] == "compiled"
+    assert writer.compile_traced(LITERAL)[1] == "memory"
+    assert structures == [] and writer.cache_size == 1
+    reader = CompilerSession(processors=4, options=options, store=tmp_path)
+    assert reader.compile_traced(LITERAL)[1] == "disk"
+    assert reader.stats["passes_run"] == 0
 
 
 def test_concurrent_misses_of_one_key_run_the_pipeline_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.adi import thomas_constant
+from repro.apps.adi import ConstantTridiagonal, thomas_constant
 from repro.errors import OutOfMemoryError, RuntimeRemapError, ShapeError
 from repro.mapping import (
     Alignment,
@@ -340,6 +340,7 @@ def _replicated_rows_mapping():
 SWEEP_KERNELS = {
     "cumsum": lambda x, axis: np.cumsum(x, axis=axis),
     "thomas": lambda x, axis: thomas_constant(x, axis, 0.1),
+    "inverse": lambda x, axis: ConstantTridiagonal(x.shape[axis], 0.1).solve(x, axis),
     "fft": lambda x, axis: np.fft.irfft(np.fft.rfft(x, axis=axis), n=x.shape[axis], axis=axis),
 }
 
