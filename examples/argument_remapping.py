@@ -3,7 +3,9 @@
 Three consecutive calls pass a BLOCK-distributed array to subroutines whose
 dummies want CYCLIC.  A naive compiler remaps on every entry and exit (six
 copies); the paper's optimizations keep the argument CYCLIC across the call
-sequence and remap exactly twice.
+sequence and remap exactly twice.  The program is Fig. 4 with a compute
+that reads the argument in each callee (``FIG4_USE_X`` of
+:mod:`repro.apps.figures`).
 
 Run::
 
@@ -13,43 +15,14 @@ Run::
 import numpy as np
 
 from repro import CompilerOptions, ExecutionEnv, Executor, Machine, compile_program
-
-FIG4 = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-  compute "use_x" reads X
-end
-
-subroutine bla(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-  compute "use_x" reads X
-end
-
-subroutine main()
-  integer n
-  real Y(n)
-!hpf$ dynamic Y
-!hpf$ distribute Y(block)
-  compute writes Y
-  call foo(Y)
-  call foo(Y)
-  call bla(Y)
-  compute reads Y
-end
-"""
+from repro.apps.figures import FIG4_USE_X
 
 
 def main() -> None:
     n = 1024
     for level, label in [(0, "naive"), (3, "optimized")]:
         compiled = compile_program(
-            FIG4, bindings={"n": n}, processors=8, options=CompilerOptions(level=level)
+            FIG4_USE_X, bindings={"n": n}, processors=8, options=CompilerOptions(level=level)
         )
         machine = Machine(compiled.processors)
         env = ExecutionEnv(

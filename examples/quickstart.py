@@ -10,37 +10,15 @@ so the repeated runs below compile exactly once per optimization setting
 (see the cache stats it prints).  The full pipeline is still inspectable:
 mini-HPF source -> remapping graph (Fig. 11) -> dataflow optimizations
 (Fig. 12) -> generated copy code (Fig. 20 style) -> execution on a
-simulated 4-processor machine with message accounting.
+simulated 4-processor machine with message accounting.  The program's
+text is ``FIG10`` of :mod:`repro.apps.figures`, which holds each of the
+paper's figure programs once.
 """
 
 import numpy as np
 
 from repro import CompilerOptions, CompilerSession, compilation_report
-
-FIG10 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
+from repro.apps.figures import FIG10
 
 
 def main() -> None:

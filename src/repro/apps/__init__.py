@@ -16,7 +16,10 @@ reference:
 * :mod:`~repro.apps.sar` -- a synthetic-aperture-radar-style two-stage
   matched filtering pipeline with a corner turn (reference [17]);
 * :mod:`~repro.apps.workloads` -- random well-formed program generation
-  for the optimization-soundness property tests and scaling benchmarks.
+  for the optimization-soundness property tests and scaling benchmarks;
+* :mod:`~repro.apps.figures` -- the paper's figure programs, each text
+  once, and the standard runs the tests execute them at.  This package
+  does not import it: tests and examples import it directly.
 """
 
 from repro.apps.adi import run_adi

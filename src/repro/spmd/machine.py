@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.errors import OutOfMemoryError
+from repro.errors import OutOfMemoryError, RuntimeRemapError
 from repro.mapping.processors import ProcessorArrangement
 from repro.spmd.cost import CostModel
 from repro.spmd.message import (
@@ -181,11 +181,18 @@ class Machine:
         self.stats.allocations += len(blocks)
 
     def free_set(self, blocks: Sequence[tuple[int, int]]) -> None:
-        """Give back what :meth:`allocate_set` accounted."""
+        """Give back what :meth:`allocate_set` accounted.  A rank that holds
+        less than its block -- a double or wrongly sized free -- raises
+        :exc:`~repro.errors.RuntimeRemapError` before any rank is changed."""
         procs = self._procs
         for rank, nbytes in blocks:
-            p = procs[rank]
-            p.mem_used = max(0, p.mem_used - nbytes)
+            if procs[rank].mem_used < nbytes:
+                raise RuntimeRemapError(
+                    f"cannot free {nbytes} bytes on processor {rank}: "
+                    f"only {procs[rank].mem_used} are accounted"
+                )
+        for rank, nbytes in blocks:
+            procs[rank].mem_used -= nbytes
         self.stats.frees += len(blocks)
 
     def __repr__(self) -> str:

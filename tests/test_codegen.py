@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import CompilerOptions, compilation_report, compile_program
+from repro.apps.figures import FIG13, FIG15
 from repro.ir.effects import Use
 from repro.remap.codegen import (
     EntryOp,
@@ -16,25 +17,6 @@ from repro.remap.codegen import (
     render_code,
     render_op,
 )
-
-FIG13 = """
-subroutine main()
-  integer n
-  real A(n, n)
-!hpf$ dynamic A
-!hpf$ distribute A(block, *)
-  compute reads A
-  if c then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A
-  else
-!hpf$   redistribute A(cyclic(2), *)
-    compute reads A
-  endif
-!hpf$ redistribute A(block, *)
-  compute reads A
-end
-"""
 
 
 def compile_fig13(level=3):
@@ -158,32 +140,8 @@ end
 
 
 def test_naive_call_restore_uses_save_restore():
-    src = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent inout X
-!hpf$ distribute X(block(8))
-  compute writes X
-end
-
-subroutine main()
-  integer n
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(cyclic)
-  compute writes A
-  if c then
-!hpf$   redistribute A(cyclic(2))
-    compute reads A
-  endif
-  call foo(A)
-!hpf$ redistribute A(block)
-  compute reads A
-end
-"""
     compiled = compile_program(
-        src, bindings={"n": 16}, processors=4, options=CompilerOptions(level=0)
+        FIG15, bindings={"n": 16}, processors=4, options=CompilerOptions(level=0)
     )
     ops = compiled.get("main").code.all_ops()
     saves = [op for op in ops if isinstance(op, SaveStatusOp)]
@@ -197,32 +155,8 @@ end
 
 
 def test_optimized_removes_unused_ambiguous_restore():
-    src = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent inout X
-!hpf$ distribute X(block(8))
-  compute writes X
-end
-
-subroutine main()
-  integer n
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(cyclic)
-  compute writes A
-  if c then
-!hpf$   redistribute A(cyclic(2))
-    compute reads A
-  endif
-  call foo(A)
-!hpf$ redistribute A(block)
-  compute reads A
-end
-"""
     compiled = compile_program(
-        src, bindings={"n": 16}, processors=4, options=CompilerOptions(level=3)
+        FIG15, bindings={"n": 16}, processors=4, options=CompilerOptions(level=3)
     )
     ops = compiled.get("main").code.all_ops()
     assert not any(isinstance(op, (SaveStatusOp, RestoreOp)) for op in ops)

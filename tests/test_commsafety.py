@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.figures import FIG16, RUNS
 import repro.spmd.schedule as schedule_mod
 from repro import CompilerOptions, ExecutionEnv, Executor, Machine, compile_program
 from repro.analysis.commsafety import prove_plan
@@ -53,7 +54,7 @@ from repro.util.intervals import IntervalSet
 from repro.util.memo import Memo
 from test_lowering import counted
 from test_schedule import fmt_1d, mk
-from test_symbolic import CASES, PAIRS
+from test_symbolic import PAIRS
 
 SCHEDULED = ("naive", "round-robin", "aggregate")
 
@@ -306,12 +307,12 @@ def test_the_proof_never_rebuilds_the_schedule(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", SCHEDULED)
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_figure_plans_prove_clean_across_the_shape_sweep(name, policy):
     """Fig. 1/12/16 over the (n, P) sweep of ``tests/test_symbolic.py``:
     every plan a run obtains proves clean on its own, and by the oracle."""
     for n, p in PAIRS:
-        w = CASES[name](n)
+        w = RUNS[name](n)
         PLANS.clear()  # the plans of this shape only
         compiled = compile_program(
             w["source"],
@@ -432,22 +433,6 @@ def _run_unproved(compiled, w, monkeypatch, runs=1):
     assert len(table) > 0 and table._entries.keys() <= PLANS._entries.keys()
     return out, list(table._entries.values())
 
-
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
 
 W16 = dict(
     bindings={"n": 16, "t": 5},

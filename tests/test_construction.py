@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.figures import FIG2, FIG4, FIG10
 from repro.apps.workloads import chain_subroutine
 from repro.errors import AmbiguousMappingError, MultipleLeavingMappingsError
 from repro.ir.cfg import NodeKind
@@ -32,31 +33,6 @@ def construct(src: str, bindings=None, procs=P4, sub_name: str | None = None):
 # ---------------------------------------------------------------------------
 # Figure 10 / Figure 11: the running example
 # ---------------------------------------------------------------------------
-
-FIG10 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 
 @pytest.fixture(scope="module")
@@ -307,23 +283,7 @@ def test_chain_program_has_one_vertex_per_remapping_statement(m):
 
 
 def test_fig2_remap_back_creates_two_vertices():
-    src = """
-subroutine s()
-  integer n
-  real B(n, n), C(n, n)
-!hpf$ template T(n, n)
-!hpf$ align B with T
-!hpf$ align C(i, j) with T(j, i)
-!hpf$ dynamic B, C
-!hpf$ distribute T(block, *)
-  compute reads B, C
-!hpf$ redistribute T(cyclic, *)
-  compute reads B
-!hpf$ redistribute T(block, *)
-  compute reads B, C
-end
-"""
-    res = construct(src)
+    res = construct(FIG2)
     g = res.graph
     remaps = sorted(
         (v for v in g.vertices.values() if v.kind is NodeKind.REMAP),
@@ -340,34 +300,6 @@ end
 # ---------------------------------------------------------------------------
 # calls: figures 4, 8, 22, 23
 # ---------------------------------------------------------------------------
-
-FIG4 = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-end
-
-subroutine bla(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-end
-
-subroutine main()
-  integer n
-  real Y(n)
-!hpf$ dynamic Y
-!hpf$ distribute Y(block)
-  compute writes Y
-  call foo(Y)
-  call foo(Y)
-  call bla(Y)
-  compute reads Y
-end
-"""
 
 
 @pytest.fixture(scope="module")

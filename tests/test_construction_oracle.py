@@ -33,6 +33,7 @@ import pytest
 from repro import CompilerOptions, compile_program
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import FIG1, FIG4, FIG10, FIG16
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.apps.workloads import random_legal_subroutine
@@ -75,8 +76,6 @@ from repro.remap.graph import GRVertex, RemappingGraph, VersionTable
 from repro.remap.livecopies import compute_live_copies
 from repro.remap.optimize import remove_useless_remappings
 
-from test_construction import FIG4, FIG10
-from test_schedule import FIG1, FIG12, FIG16
 
 WIDE = os.environ.get("HYPOTHESIS_PROFILE") == "random"
 WORKLOAD_SEEDS = 2001 if WIDE else 201
@@ -785,7 +784,7 @@ def _named_programs():
     yield "fig1", FIG1, {"n": 16}
     yield "fig4", FIG4, {"n": 16}
     yield "fig10", FIG10, {"n": 16}
-    yield "fig12", FIG12, {"n": 16, "m": 3}
+    yield "fig12", FIG10, {"n": 16, "m": 3}
     yield "fig16", FIG16, {"n": 16, "t": 5}
     for entry in load_corpus(CORPUS):
         yield entry.name, entry.to_case().program, entry.bindings

@@ -21,6 +21,7 @@ from repro import (
     Machine,
     compile_program,
 )
+from repro.apps.figures import FIG16
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.remap.costguard import CostGuard
 from repro.remap.motion import hoist_loop_invariant_remaps
@@ -95,22 +96,6 @@ def test_seed_2558_monotone_and_rejection_recorded():
 # ---------------------------------------------------------------------------
 # the guard still performs the paper's profitable motion
 # ---------------------------------------------------------------------------
-
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
 
 
 def test_guard_accepts_fig16_win():

@@ -18,11 +18,14 @@ Enforced contracts:
 * every public name exported from ``repro`` and ``repro.service`` (and
   every module) carries a docstring;
 * every ``examples/*.py`` script runs to completion, and the README's
-  python blocks run in order in one namespace.
+  python blocks run in order in one namespace;
+* no test or example spells out a program of :mod:`repro.apps.figures`
+  again (the frozen ``benchmarks/layers/`` harness keeps its own copy).
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -278,6 +281,32 @@ def test_example_runs(example, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_figure_programs_are_written_once():
+    """A string literal under ``tests/`` or ``examples/`` that equals a
+    figure text of :mod:`repro.apps.figures`, whitespace aside, is a copy
+    that should import the figure instead."""
+    from repro.apps import figures
+
+    def norm(text: str) -> str:
+        return " ".join(text.split())
+
+    texts = {
+        norm(value): name
+        for name, value in vars(figures).items()
+        if name.startswith("FIG") and isinstance(value, str)
+    }
+    copies = [
+        f"{path.relative_to(REPO)}:{node.lineno} copies {texts[norm(node.value)]}"
+        for folder in ("tests", "examples")
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and norm(node.value) in texts
+    ]
+    assert not copies, copies
 
 
 def _readme_python_blocks() -> list[str]:

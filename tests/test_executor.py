@@ -16,18 +16,20 @@ import pytest
 
 from repro import (
     CompilerOptions,
+    CompilerSession,
     ExecutionEnv,
     Executor,
     Machine,
     compile_program,
 )
+from repro.apps.figures import FIG1, FIG2, FIG10, FIG13, FIG15, FIG16, FIG16_READ_ONLY, RUNS
 from repro.errors import DeadCopyError
 from repro.obs import REGISTRY, snapshot_diff
 from repro.runtime.executor import default_kernel
 from repro.runtime.memory import SPARES_PER_LAYOUT, MemoryManager
 from repro.spmd import DistributedArray
 from repro.spmd.schedule import POLICIES
-from test_schedule import FIG1, FIG12, FIG16, FIGURES, _env
+from test_schedule import _env
 
 
 def run(
@@ -94,24 +96,6 @@ def test_naive_and_optimized_agree_numerically():
     assert np.allclose(r0.value("a"), r3.value("a"))
     # the optimized version cannot move more data
     assert m3.stats.bytes <= m0.stats.bytes
-
-
-FIG2 = """
-subroutine main()
-  integer n
-  real B(n, n), C(n, n)
-!hpf$ template T(n, n)
-!hpf$ align B with T
-!hpf$ align C(i, j) with T(j, i)
-!hpf$ dynamic B, C
-!hpf$ distribute T(block, *)
-  compute reads B, C
-!hpf$ redistribute T(cyclic, *)
-  compute reads B
-!hpf$ redistribute T(block, *)
-  compute reads B, C
-end
-"""
 
 
 def test_useless_remap_costs_nothing_optimized():
@@ -204,31 +188,13 @@ end
 
 
 def test_flow_dependent_live_copy_fig13():
-    src = """
-subroutine main()
-  integer n
-  real A(n, n)
-!hpf$ dynamic A
-!hpf$ distribute A(block, *)
-  compute reads A
-  if c then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A
-  else
-!hpf$   redistribute A(cyclic(2), *)
-    compute reads A
-  endif
-!hpf$ redistribute A(block, *)
-  compute reads A
-end
-"""
     data = np.arange(256.0).reshape(16, 16)
     # else path: A only read under the temporary mapping; the original block
     # copy is still live, so the final remapping back is free
-    _, m_else, _ = run(src, level=2, conditions={"c": False}, inputs={"a": data})
+    _, m_else, _ = run(FIG13, level=2, conditions={"c": False}, inputs={"a": data})
     # then path: A written under the temporary mapping; copy 0 is stale and
     # the final remapping must communicate
-    _, m_then, _ = run(src, level=2, conditions={"c": True}, inputs={"a": data})
+    _, m_then, _ = run(FIG13, level=2, conditions={"c": True}, inputs={"a": data})
     assert m_else.stats.remaps_skipped_live == 1
     assert m_then.stats.remaps_skipped_live == 0
     assert m_then.stats.remaps_performed > m_else.stats.remaps_performed
@@ -236,24 +202,8 @@ end
 
 
 def test_fig13_numerics_match_naive_on_both_paths():
-    src = """
-subroutine main()
-  integer n
-  real A(n, n)
-!hpf$ dynamic A
-!hpf$ distribute A(block, *)
-  compute reads A
-  if c then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A
-  else
-!hpf$   redistribute A(cyclic(2), *)
-    compute reads A
-  endif
-!hpf$ redistribute A(block, *)
-  compute writes A reads A
-end
-"""
+    # A is written after the remapping back, so its values flow out
+    src = FIG13.replace("  compute reads A\nend", "  compute writes A reads A\nend")
     data = np.arange(256.0).reshape(16, 16)
     for c in (True, False):
         r0, _, _ = run(src, level=0, conditions={"c": c}, inputs={"a": data})
@@ -345,32 +295,6 @@ def test_fig4_no_traffic_between_consecutive_calls():
     assert m_opt.stats.remaps_performed == 1
     assert m_opt.stats.remaps_skipped_live == 1
     assert m_opt.stats.bytes * 6 == m_naive.stats.bytes
-
-
-FIG15 = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent inout X
-!hpf$ distribute X(block(8))
-  compute "touch" writes X
-end
-
-subroutine main()
-  integer n
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(cyclic)
-  compute writes A
-  if c then
-!hpf$   redistribute A(cyclic(2))
-    compute reads A
-  endif
-  call foo(A)
-!hpf$ redistribute A(block)
-  compute reads A
-end
-"""
 
 
 def test_restore_after_ambiguous_reaching_mapping_fig15_naive():
@@ -558,22 +482,6 @@ end
 # loops / motion
 # ---------------------------------------------------------------------------
 
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
-
 
 def test_fig16_motion_reduces_dynamic_remaps():
     t = 6
@@ -593,23 +501,8 @@ def test_fig16_motion_reduces_dynamic_remaps():
 
 
 def test_fig16_read_only_loop_remaps_twice_total():
-    src = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
     t = 6
-    _, m3, _ = run(src, level=3, bindings={"t": t}, inputs={"a": np.ones(16)})
+    _, m3, _ = run(FIG16_READ_ONLY, level=3, bindings={"t": t}, inputs={"a": np.ones(16)})
     # read-only body: after motion + live copies, iteration 1 pays one copy,
     # later iterations skip via status/liveness, the sunk restore is free
     assert m3.stats.remaps_performed == 1
@@ -625,7 +518,7 @@ def test_zero_trip_loop():
     # instantiation is delayed into the loop and never happens at zero trips
     inputs = {"a": np.ones((8, 8))}
     for m_trips, c_moves in ((0, False), (2, True)):
-        _, m, _ = run(FIG12, level=3, bindings={"n": 8, "m": m_trips},
+        _, m, _ = run(FIG10, level=3, bindings={"n": 8, "m": m_trips},
                       conditions={"c1": True}, inputs=inputs)
         assert any(k.startswith("c_") for k in m.stats.per_array_bytes) == c_moves
 
@@ -684,7 +577,7 @@ LOOP_PROGRAMS = {
         # naive remaps the whole aligned family: A and B at the branch (C
         # holds nothing yet), then A, B and C twice per trip
         f"fig12-{policy or 'unscheduled'}": (
-            FIG12,
+            FIG10,
             dict(
                 bindings={"n": 8, "m": 10},
                 conditions={"c1": True},
@@ -784,6 +677,39 @@ def test_each_level_buys_something_on_the_mixed_program():
     assert rows[3]["remaps_performed"] <= rows[2]["remaps_performed"]
     assert rows[3]["bytes"] <= rows[2]["bytes"]
     assert rows[3]["bytes"] < rows[0]["bytes"] / 2
+
+
+#: remaps performed and bytes moved at levels 0..3, P = 4, per standard run
+#: of :mod:`repro.apps.figures` (Fig. 1 at n = 16, Fig. 12 at n = 16, m = 3,
+#: Fig. 16 at n = 16, t = 5)
+WHAT_EACH_LEVEL_BUYS = {
+    "fig1": [(3, 4608), (2, 3072), (2, 3072), (2, 3072)],
+    "fig12-then": [(20, 30720), (13, 19968), (9, 13824), (9, 13824)],
+    "fig12-else": [(20, 29696), (12, 17920), (7, 10240), (7, 10240)],
+    "fig16": [(10, 960), (10, 960), (6, 576), (2, 192)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHAT_EACH_LEVEL_BUYS))
+def test_what_each_level_buys_on_the_figures(name):
+    """The paper's optimizations counted exactly on its own programs:
+    removal and status checks (level 1), live copies (level 2) and motion
+    (level 3) each cut what the previous level performed, and every level
+    computes the same values."""
+    rows, values = [], []
+    for level in (0, 1, 2, 3):
+        w = RUNS[name]()
+        session = CompilerSession(4, CompilerOptions(level=level))
+        result = session.run(
+            w["source"], bindings=w["bindings"], conditions=w["conditions"], inputs=w["inputs"]
+        )
+        snapshot = result.stats.snapshot()
+        rows.append((snapshot["remaps_performed"], snapshot["bytes"]))
+        values.append({a: result.value(a) for a in w["inputs"]})
+    assert rows == WHAT_EACH_LEVEL_BUYS[name]
+    for level in (1, 2, 3):
+        for a, value in values[0].items():
+            assert np.array_equal(values[level][a], value), (level, a)
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +916,7 @@ def test_recycling_changes_no_value_count_or_peak(monkeypatch, name, policy):
             inputs={"a": np.arange(16.0), "b": np.arange(8.0)},
         )
     else:
-        w = FIGURES[name]
+        w = RUNS[name]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],

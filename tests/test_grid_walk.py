@@ -33,6 +33,7 @@ from repro import CompilerOptions, compile_program
 from repro.analysis.lints import lint_program
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import FIG1, FIG4, FIG10, FIG16
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.apps.workloads import random_legal_subroutine
@@ -53,8 +54,6 @@ from repro.spmd.traffic import (
     simulate_grid,
 )
 
-from test_construction import FIG4, FIG10
-from test_schedule import FIG1, FIG12, FIG16
 
 WIDE = os.environ.get("HYPOTHESIS_PROFILE") == "random"
 WORKLOAD_SEEDS = 2001 if WIDE else 201
@@ -198,7 +197,7 @@ def _named_programs():
     yield "fig1", FIG1, {"n": 16}
     yield "fig4", FIG4, {"n": 16}
     yield "fig10", FIG10, {"n": 16}
-    yield "fig12", FIG12, {"n": 16, "m": 3}
+    yield "fig12", FIG10, {"n": 16, "m": 3}
     yield "fig16", FIG16, {"n": 16, "t": 5}
     for entry in load_corpus(CORPUS):
         yield entry.name, entry.to_case().program, entry.bindings
@@ -250,7 +249,7 @@ def test_fuzz_seeds_match_the_reference(start):
 
 def test_the_grid_walks_fewer_statements_than_the_scenarios_do():
     """A scenario grid shares its common prefixes and merges equal states."""
-    compiled = compile_program(FIG12, processors=4, bindings={"n": 16})
+    compiled = compile_program(FIG10, processors=4, bindings={"n": 16})
     constructions = {name: cs.construction for name, cs in compiled.subroutines.items()}
     codes = {name: cs.code for name, cs in compiled.subroutines.items()}
     scenarios = enumerate_scenarios(constructions, "remap", bindings={"n": 16})
@@ -331,7 +330,7 @@ def test_a_scenario_failing_partway_contributes_no_conditions():
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 @pytest.mark.parametrize(
     "source, bindings",
-    [(FIG12, {"n": 16}), (FIG16, {"n": 16}), (FIG1, {"n": 16})],
+    [(FIG10, {"n": 16}), (FIG16, {"n": 16}), (FIG1, {"n": 16})],
     ids=["fig12", "fig16", "fig1"],
 )
 def test_estimate_range_is_the_reference_range(source, bindings, policy):

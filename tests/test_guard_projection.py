@@ -54,6 +54,7 @@ from hypothesis import strategies as st
 from repro import CompilerOptions, ExecutionEnv, Executor, Machine, compile_program
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import FIG1, FIG10, FIG16
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.apps.workloads import random_environment, random_legal_subroutine
@@ -73,7 +74,6 @@ from repro.remap.motion import _apply_script
 from repro.spmd.cost import TrafficEstimate
 from repro.spmd.traffic import enumerate_scenarios, simulate_traffic
 
-from test_schedule import FIG1, FIG12, FIG16
 
 WIDE = os.environ.get("HYPOTHESIS_PROFILE") == "random"
 #: generated programs per property (the decision property compiles each six
@@ -302,7 +302,7 @@ def test_a_shapeless_symbolized_compile_prices_each_placement_once_per_point():
 
 @pytest.mark.parametrize("name, source, fixed", [
     ("fig1", FIG1, {}),
-    ("fig12", FIG12, {"m": 3}),
+    ("fig12", FIG10, {"m": 3}),
     ("fig16", FIG16, {"t": 5}),
 ])
 def test_symbolized_motion_does_not_depend_on_the_request(name, source, fixed):
@@ -335,7 +335,7 @@ TAIL_OPTIONS = [
 
 def _tail_programs():
     yield "fig1", FIG1, {"n": 16}
-    yield "fig12", FIG12, {"n": 16, "m": 3}
+    yield "fig12", FIG10, {"n": 16, "m": 3}
     yield "fig16", FIG16, {"n": 16, "t": 5}
     yield "adi", build_adi_program(16), {"n": 16}
     yield "fft2d", build_fft2d_program(16), {}
@@ -630,7 +630,7 @@ def _named_programs():
     yield "lu", build_lu_program(16, 4)[0], {"steps": 4}
     yield "sar", build_sar_program(16), {"looks": 1}
     yield "fig1", FIG1, {"n": 16}
-    yield "fig12", FIG12, {"n": 16, "m": 3}
+    yield "fig12", FIG10, {"n": 16, "m": 3}
     yield "fig16", FIG16, {"n": 16, "t": 5}
     yield "call-in-loop", CALL_IN_LOOP, {"n": 16, "t": 3}
     yield "emptied-loop", EMPTIED_LOOP, {"n": 16, "t": 3}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.figures import FIG10
 from repro.errors import MissingInterfaceError, ParseError, SemanticError
 from repro.lang import (
     parse_program,
@@ -85,31 +86,6 @@ def test_tokenize_newlines_collapsed_to_one_per_line():
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-FIG10 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 
 def test_parse_fig10_structure():

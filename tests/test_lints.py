@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.lints import LINT_RULES, Finding, lint_program
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import FIG1, FIG10, FIG16
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.compiler.diagnostics import CompileReport
@@ -28,60 +29,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 N = 16
 
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
-
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
 
 # Fig. 2's "useless remapping": remapped, never referenced again
 DEAD_END = """
@@ -217,7 +164,7 @@ def test_findings_surface_through_compile_report():
     "name,source,bindings",
     [
         ("fig1", FIG1, {"n": N}),
-        ("fig12", FIG12, {"n": N, "m": 3}),
+        ("fig12", FIG10, {"n": N, "m": 3}),
         ("fig16", FIG16, {"n": N, "t": 5}),
     ],
 )

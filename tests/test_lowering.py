@@ -50,6 +50,7 @@ from repro import (
 from repro.analysis.commsafety import prove_plan
 from repro.apps.adi import adi_kernels, build_adi_program
 from repro.apps.fft2d import build_fft2d_program, fft2d_kernels
+from repro.apps.figures import RUNS
 from repro.apps.lu import build_lu_program, lu_kernels
 from repro.apps.sar import build_sar_program, chirp, sar_kernels
 from repro.errors import ShapeError
@@ -79,7 +80,6 @@ from repro.spmd.redistribution import PreparedMove, Transfer, prepare_move
 from repro.spmd.schedule import PLANS, POLICIES, LoweredPlan, obtain_plan
 from repro.spmd.transport import TransferRound, WireMessage, WirePart
 from repro.util.intervals import IntervalSet
-from test_schedule import FIGURES
 from test_schedule import _run as run_figure
 
 WAYS = (None, *POLICIES)  # None: the unscheduled path
@@ -687,7 +687,8 @@ def test_figure_wire_rounds_equal_the_plan_side_lowering(way, monkeypatch):
 
     monkeypatch.setattr("repro.runtime.executor.obtain_plan", recording)
     parts = 0
-    for name, w in sorted(FIGURES.items()):
+    for name in sorted(RUNS):
+        w = RUNS[name]()
         compiled = compile_program(
             w["source"], bindings=w["bindings"], processors=4,
             options=CompilerOptions(level=3, schedule=way),
@@ -853,8 +854,6 @@ def test_warm_run_bins_and_sums_nothing_inside_charge(monkeypatch):
     """A delta is summed and binned where it is built: a warm run of Fig. 16
     makes no ``bisect_left`` call inside ``Machine.charge`` under any policy,
     and what it charges carries one float per rank, no per-message terms."""
-    from test_schedule import FIGURES
-
     from repro.obs import metrics
     from repro.spmd.message import LedgerDelta
 
@@ -874,7 +873,7 @@ def test_warm_run_bins_and_sums_nothing_inside_charge(monkeypatch):
         charged.append(delta)
 
     monkeypatch.setattr(Machine, "charge", charge)
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     for policy in WAYS:
         session = CompilerSession(4, CompilerOptions(level=3, schedule=policy))
         cold = session.run(w["source"], bindings=w["bindings"], inputs=w["inputs"])

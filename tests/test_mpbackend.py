@@ -43,6 +43,7 @@ from repro import (
     execute,
 )
 from repro.apps import adi, fft2d, sar
+from repro.apps.figures import RUNS
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ScheduleError, TransportError
 from repro.mapping import DistFormat, Mapping, ProcessorArrangement
@@ -61,7 +62,7 @@ from repro.spmd.transport import (
     _write_obj,
     fork_available,
 )
-from test_schedule import FIGURES, _env, _run
+from test_schedule import _env, _run
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="mp transport requires the fork start method"
@@ -109,9 +110,9 @@ def _assert_identical(mp, sim, context):
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p or "unscheduled")
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_figures_mp_matches_simulator(backend, name, policy):
-    w = FIGURES[name]
+    w = RUNS[name]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -123,11 +124,11 @@ def test_figures_mp_matches_simulator(backend, name, policy):
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p or "unscheduled")
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_figures_mp_matches_simulator_symbolic(backend, name, policy):
     """Same differential through the symbolic path: compile once at
     symbolic shape, execute the instantiated artifact on both backends."""
-    w = FIGURES[name]
+    w = RUNS[name]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -157,7 +158,8 @@ def test_figures_phase_metrics_equal_one_observe_each(backend, monkeypatch):
 
     monkeypatch.setattr(Machine, "charge", charge)
     modeled = 0.0
-    for name, w in sorted(FIGURES.items()):
+    for name in sorted(RUNS):
+        w = RUNS[name]()
         for policy in POLICIES:
             compiled = compile_program(
                 w["source"], bindings=w["bindings"], processors=4,
@@ -250,7 +252,7 @@ def test_app_sweeps_mp_match_simulator(backend, app):
 
 
 def test_execution_result_carries_mp_report(backend):
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -279,7 +281,7 @@ def test_one_exchange_span_per_remapping(backend, tracer):
     totals; the ranks sequence the rounds, so there is no per-round span.
     The first run ships each plan's wire program; in the second every
     control frame is a handle and two offsets (no per-message content)."""
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -314,7 +316,7 @@ def test_one_exchange_span_per_remapping(backend, tracer):
 
 
 def test_simulator_result_has_no_mp_report():
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3),
@@ -340,7 +342,7 @@ def _total(snapshot: dict, name: str) -> float:
 
 def test_mp_metrics_published(backend):
     before = REGISTRY.snapshot()
-    w = FIGURES["fig1"]
+    w = RUNS["fig1"]()
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3, schedule="aggregate"),
@@ -680,7 +682,7 @@ def test_transport_rejects_bad_rank_count():
 
 
 def test_mpexecutor_requires_matching_transport(backend):
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3),
@@ -698,7 +700,7 @@ def test_mpexecutor_requires_matching_transport(backend):
 def test_backend_reuse_and_transient_helper():
     """One backend survives many runs; execute_mp works standalone and
     its result's values stay readable after the workers are gone."""
-    w = FIGURES["fig1"]
+    w = RUNS["fig1"]()
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3, schedule="naive"),
@@ -800,7 +802,7 @@ def test_finished_runs_return_their_blocks_to_the_arena(monkeypatch):
 
 
 def test_session_run_backend_mp_matches_sim():
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     session = CompilerSession(options=CompilerOptions(level=3, schedule="round-robin"))
     kw = dict(
         bindings=dict(w["bindings"]),
@@ -818,7 +820,7 @@ def test_session_run_backend_mp_matches_sim():
 
 
 def test_service_backend_mp_round_trip():
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     with CompileService(processors=4, workers=1) as svc:
         req = dict(
             source=w["source"],
@@ -836,7 +838,7 @@ def test_service_backend_mp_round_trip():
 
 
 def _fig12_request(backend):
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     return CompileRequest(
         w["source"],
         bindings=dict(w["bindings"]),

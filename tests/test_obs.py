@@ -39,6 +39,7 @@ from repro import (
     Machine,
     compile_program,
 )
+from repro.apps.figures import FIG1, FIG16, RUNS
 from repro.obs import (
     CATALOG,
     REGISTRY,
@@ -57,7 +58,6 @@ from repro.obs import (
 )
 from repro.obs.cli import main as obs_cli
 from repro.service.service import ServiceStats
-from test_symbolic import FIG1, _fig1
 
 NPROCS = 4
 
@@ -633,7 +633,7 @@ def test_tracer_buffer_bound_drops_oldest():
 
 
 def _fig1_request(n: int, **overrides) -> CompileRequest:
-    w = _fig1(n)
+    w = RUNS["fig1"](n)
     return CompileRequest(
         source=w["source"],
         bindings=dict(w["bindings"]),
@@ -963,7 +963,6 @@ def test_session_evictions_count_artifacts_and_templates():
     one-entry symbolic session compiling two renamed Fig. 16 sources evicts
     the first artifact and the first template."""
     from repro import CompilerSession
-    from test_schedule import FIG16
 
     assert "artifact and template tables" in CATALOG["repro.session.evictions"].help
     before = REGISTRY.snapshot()
@@ -1012,7 +1011,6 @@ def test_store_stats_and_registry_count_the_same_events(tmp_path):
     from repro import CompilerSession
     from repro.compiler.template import SymbolicTemplate
     from repro.store import ArtifactStore
-    from test_schedule import FIG16
 
     bindings = {"n": 16, "t": 5}
     concrete = CompilerSession(NPROCS, CompilerOptions(level=3)).compile(FIG16, bindings)

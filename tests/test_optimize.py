@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 
+from repro.apps.figures import FIG1, FIG2, FIG4, FIG10, FIG13, FIG16_READ_ONLY
 from repro.ir.cfg import NodeKind
 from repro.ir.effects import Use
 from repro.lang import parse_program, parse_subroutine, resolve_program
@@ -35,23 +36,7 @@ def construct(src: str, bindings=None, procs=P4, sub_name: str | None = None):
 
 def test_fig2_useless_remaps_removed():
     """Figure 2: C is remapped away and back without any use: both removed."""
-    src = """
-subroutine s()
-  integer n
-  real B(n, n), C(n, n)
-!hpf$ template T(n, n)
-!hpf$ align B with T
-!hpf$ align C(i, j) with T(j, i)
-!hpf$ dynamic B, C
-!hpf$ distribute T(block, *)
-  compute reads B, C
-!hpf$ redistribute T(cyclic, *)
-  compute reads B
-!hpf$ redistribute T(block, *)
-  compute reads B, C
-end
-"""
-    res = construct(src)
+    res = construct(FIG2)
     g = res.graph
     report = remove_useless_remappings(g)
     removed_arrays = [a for (_, a) in report.removed]
@@ -97,31 +82,7 @@ end
 
 def test_fig12_used_version_sets():
     """Figure 12: A used with all four mappings, B only {0,1}, C only {2,3}."""
-    src = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
-    res = construct(src)
+    res = construct(FIG10)
     g = res.graph
     remove_useless_remappings(g)
     assert g.used_versions("a") == {0, 1, 2, 3}
@@ -163,20 +124,7 @@ end
 def test_fig1_direct_remapping_after_removal():
     """Figure 1: realign then redistribute; the intermediate mapping is unused,
     so after removal A goes directly from the initial to the final mapping."""
-    src = """
-subroutine s()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-    res = construct(src)
+    res = construct(FIG1)
     g = res.graph
     remove_useless_remappings(g)
     remaps = sorted(
@@ -193,34 +141,7 @@ end
 
 def test_fig4_interprocedural_removal():
     """Figure 4: restores between consecutive calls are removed."""
-    src = """
-subroutine foo(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-end
-
-subroutine bla(X)
-  integer n
-  real X(n)
-  intent in X
-!hpf$ distribute X(cyclic)
-end
-
-subroutine main()
-  integer n
-  real Y(n)
-!hpf$ dynamic Y
-!hpf$ distribute Y(block)
-  compute writes Y
-  call foo(Y)
-  call foo(Y)
-  call bla(Y)
-  compute reads Y
-end
-"""
-    res = construct(src, sub_name="main")
+    res = construct(FIG4, sub_name="main")
     g = res.graph
     report = remove_useless_remappings(g)
     vas = sorted(
@@ -283,25 +204,6 @@ end
 # ---------------------------------------------------------------------------
 # Appendix D: dynamic live copies
 # ---------------------------------------------------------------------------
-
-FIG13 = """
-subroutine s()
-  integer n
-  real A(n, n)
-!hpf$ dynamic A
-!hpf$ distribute A(block, *)
-  compute reads A
-  if c then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A
-  else
-!hpf$   redistribute A(cyclic(2), *)
-    compute reads A
-  endif
-!hpf$ redistribute A(block, *)
-  compute reads A
-end
-"""
 
 
 def test_fig13_live_copy_sets():
@@ -402,25 +304,9 @@ end
 # loop-invariant remapping motion (Fig. 16/17)
 # ---------------------------------------------------------------------------
 
-FIG16 = """
-subroutine s(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute reads A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
-
 
 def test_fig16_trailing_remap_sunk():
-    sub = parse_subroutine(FIG16)
+    sub = parse_subroutine(FIG16_READ_ONLY)
     new_sub, report = hoist_loop_invariant_remaps(sub)
     assert report.count == 1
     # the loop body now holds one redistribute; another follows the loop
@@ -433,12 +319,12 @@ def test_fig16_trailing_remap_sunk():
 
 
 def test_fig16_motion_preserves_wellformedness():
-    sub = parse_subroutine(FIG16)
+    sub = parse_subroutine(FIG16_READ_ONLY)
     new_sub, _ = hoist_loop_invariant_remaps(sub)
     prog = resolve_program(
         Program((new_sub,)), bindings={"n": 16, "t": 3}, default_processors=P4
     )
-    res = build_remapping_graph(prog.get("s"), prog)
+    res = build_remapping_graph(prog.get("main"), prog)
     assert res.graph.remap_count() > 0
 
 
@@ -531,7 +417,7 @@ end
 
 
 def test_motion_roundtrips_through_printer():
-    sub, _ = hoist_loop_invariant_remaps(parse_subroutine(FIG16))
+    sub, _ = hoist_loop_invariant_remaps(parse_subroutine(FIG16_READ_ONLY))
     text = print_program(Program((sub,)))
     assert parse_program(text) == Program((sub,))
 

@@ -10,7 +10,6 @@ meaningless) and identical machine traffic when executed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -22,49 +21,9 @@ from repro import (
     compile_program,
     passes_for_level,
 )
+from repro.apps.figures import FIG1, FIG10, RUNS
 from repro.compiler import PASS_ORDER, PASSES
 from repro.remap.codegen import RemapOp, RestoreOp, render_code
-
-# paper Fig. 1: realign+redistribute through an unused intermediate mapping
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-# paper Fig. 10/12: the running example (branches, loop, alignment family)
-FIG10 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 N = 16
 
@@ -81,23 +40,7 @@ def _run(compiled, source_kind, conditions=None, bindings=None, inputs=None):
     return machine.stats.snapshot()
 
 
-WORKLOADS = {
-    "fig1": dict(
-        source=FIG1,
-        bindings={"n": N},
-        conditions={},
-        inputs={
-            "a": np.arange(N * N, dtype=float).reshape(N, N),
-            "b": np.ones((N, N)),
-        },
-    ),
-    "fig12": dict(
-        source=FIG10,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": True},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-}
+WORKLOADS = {"fig1": RUNS["fig1"](), "fig12": RUNS["fig12-then"]()}
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])

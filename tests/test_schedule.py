@@ -39,6 +39,7 @@ from repro import (
     compile_program,
     predict_traffic,
 )
+from repro.apps.figures import RUNS
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import PASSES
 from repro.errors import ScheduleError
@@ -398,90 +399,6 @@ def test_round_robin_makespan_never_exceeds_naive(nprocs):
 # differential soundness: scheduled vs unscheduled execution
 # ---------------------------------------------------------------------------
 
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
-
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
-
-N = 16
-
-FIGURES = {
-    "fig1": dict(
-        source=FIG1,
-        bindings={"n": N},
-        conditions={},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N), "b": np.ones((N, N))},
-    ),
-    "fig12-then": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": True},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-    "fig12-else": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": False},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-    "fig16": dict(
-        source=FIG16,
-        bindings={"n": N, "t": 5},
-        conditions={},
-        inputs={"a": np.arange(float(N))},
-    ),
-}
-
 
 def _with_policy(compiled, policy):
     """The same artifact, executed under a scheduling policy.
@@ -511,10 +428,10 @@ def _run(compiled, w):
     return values, machine.stats
 
 
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 @pytest.mark.parametrize("level", [0, 3])
 def test_figures_scheduled_equals_unscheduled(name, level):
-    w = FIGURES[name]
+    w = RUNS[name]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -563,7 +480,7 @@ def test_workload_seeds_scheduled_equals_unscheduled():
 
 @pytest.mark.parametrize("policy", SCHEDULED)
 def test_scheduled_prediction_matches_observed(policy):
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
@@ -600,7 +517,7 @@ def test_scheduled_prediction_matches_observed(policy):
 def test_scheduled_compile_is_sound_end_to_end():
     """Full pipelines (guarded motion prices the scheduled placement)
     still produce level-0-identical values and monotone bytes."""
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     naive = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=0),
@@ -646,7 +563,7 @@ def test_schedule_policy_adds_no_pass(monkeypatch):
     priced = obtained_plans(monkeypatch, "repro.spmd.traffic")
     performed = obtained_plans(monkeypatch, "repro.runtime.executor")
     for name in ("fig12-then", "fig16"):
-        w = FIGURES[name]
+        w = RUNS[name]()
         for policy in SCHEDULED:
             options = CompilerOptions(level=3, schedule=policy)
             assert options.pass_names == CompilerOptions(level=3).pass_names
@@ -671,7 +588,7 @@ def test_the_run_performs_the_plan_the_guard_priced(monkeypatch):
     """Pricing a copy and performing it read one plan: at level 3 under
     round-robin the executor runs the very plan object the cost guard
     priced the pair from, so the pair is built and proved once."""
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     priced = obtained_plans(monkeypatch, "repro.spmd.traffic")
     performed = obtained_plans(monkeypatch, "repro.runtime.executor")
     compiled = compile_program(
@@ -710,7 +627,7 @@ def test_hand_assembled_artifact_runs_on_the_process_plans():
     """An artifact given another policy by hand carries no plan table and
     needs none: its copies run on the process's plans, phased under it."""
     assert "plans" not in {f.name for f in dataclasses.fields(CompiledProgram)}
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     compiled = compile_program(
         w["source"], bindings=w["bindings"], processors=4,
         options=CompilerOptions(level=3),
@@ -730,7 +647,7 @@ def test_artifacts_of_different_sources_share_a_pairs_plan(monkeypatch):
     renamed-subroutine pattern of a cold-compile stream -- are two
     artifacts and one plan: the second run builds nothing and runs the
     first run's plan objects."""
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     renamed = w["source"].replace("subroutine main", "subroutine other")
     session = CompilerSession(4, CompilerOptions(level=3, schedule="round-robin"))
     ran = ran_plans(monkeypatch)
@@ -772,7 +689,7 @@ def test_one_pair_under_two_policies_is_two_plans(p4, monkeypatch):
 
 
 def test_warm_session_replays_plans_with_zero_scheduling_work():
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     for policy in (None, *SCHEDULED):
         session = CompilerSession(
             processors=4, options=CompilerOptions(level=3, schedule=policy)
@@ -797,7 +714,7 @@ def test_warm_session_replays_plans_with_zero_scheduling_work():
 
 
 def test_policies_never_share_cached_artifacts():
-    w = FIGURES["fig1"]
+    w = RUNS["fig1"]()
     session = CompilerSession(processors=4)
     a = session.compile(
         w["source"], bindings=w["bindings"],

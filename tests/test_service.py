@@ -37,35 +37,11 @@ from repro import (
     execute,
 )
 from repro.apps.adi import adi_kernels, adi_reference, build_adi_program
+from repro.apps.figures import FIG10
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.errors import ArtifactFrozenError, ParseError, SemanticError
 from repro.lang.parser import parse_program
 from repro.runtime.executor import default_kernel
-
-FIG10 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 
 def _variant(i: int) -> str:

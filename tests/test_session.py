@@ -22,6 +22,7 @@ from repro import (
     predict_traffic,
 )
 from repro.apps.adi import adi_kernels, build_adi_program
+from repro.apps.figures import FIG16
 from repro.apps.workloads import random_legal_subroutine
 from repro.compiler import pipeline as pipeline_mod
 from repro.compiler.session import source_digest
@@ -47,22 +48,6 @@ subroutine main()
 end
 """
 
-#: ``n`` is a shape-symbolic extent, ``t`` (a declared scalar) runtime-only
-LOOP = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
 
 SRC2 = """
 subroutine other()
@@ -122,8 +107,8 @@ def test_served_artifact_predicts_what_it_runs():
     run moves: the run and the prediction read the artifact's one
     ``bindings`` field, not the bindings of whoever compiled first."""
     s = CompilerSession(processors=4, options=CompilerOptions(level=1))
-    s.compile(LOOP, bindings={"n": 16, "t": 3})
-    served = s.compile(LOOP, bindings={"n": 16, "t": 1})
+    s.compile(FIG16, bindings={"n": 16, "t": 3})
+    served = s.compile(FIG16, bindings={"n": 16, "t": 1})
     assert s.stats["misses"] == 1 and s.stats["hits"] == 1
     predicted = predict_traffic(served)
     observed = execute(served).observed_traffic()
@@ -149,8 +134,8 @@ def test_prop_served_artifact_predicts_its_run(first, second, level, schedule, s
         else CompilerOptions(level=level, schedule=schedule)
     )
     s = CompilerSession(processors=4, options=options)
-    s.compile(LOOP, bindings={"n": 16, "t": first})
-    served = s.compile(LOOP, bindings={"n": 16, "t": second})
+    s.compile(FIG16, bindings={"n": 16, "t": first})
+    served = s.compile(FIG16, bindings={"n": 16, "t": second})
     assert s.stats["misses"] == 1 and s.stats["hits"] == 1
     assert served.bindings == {"n": 16, "t": second}
     predicted = predict_traffic(served)
@@ -355,17 +340,17 @@ def test_prop_first_contact_classification_is_the_symbolize_passs(seed, fuzz):
 
 def test_cache_key_is_the_same_before_and_after_the_first_compile():
     s = CompilerSession(processors=4, max_entries=1)
-    before = s.cache_key(LOOP, bindings={"n": 16, "t": 3})
-    assert before == s.cache_key(LOOP, bindings={"n": 16, "t": 9})  # t: runtime-only
-    assert before != s.cache_key(LOOP, bindings={"n": 24, "t": 3})  # n: an extent
-    cold = s.compile(LOOP, bindings={"n": 16, "t": 3})
-    assert s.cache_key(LOOP, bindings={"n": 16, "t": 3}) == before
-    assert s.compile(LOOP, bindings={"n": 16, "t": 9}).get("main").code is cold.get("main").code
+    before = s.cache_key(FIG16, bindings={"n": 16, "t": 3})
+    assert before == s.cache_key(FIG16, bindings={"n": 16, "t": 9})  # t: runtime-only
+    assert before != s.cache_key(FIG16, bindings={"n": 24, "t": 3})  # n: an extent
+    cold = s.compile(FIG16, bindings={"n": 16, "t": 3})
+    assert s.cache_key(FIG16, bindings={"n": 16, "t": 3}) == before
+    assert s.compile(FIG16, bindings={"n": 16, "t": 9}).get("main").code is cold.get("main").code
     assert s.stats["misses"] == 1 and s.stats["hits"] == 1
-    # another source evicts LOOP's artifact and its classification
+    # another source evicts FIG16's artifact and its classification
     s.compile(SRC2, bindings={"n": 16})
     assert s.cache_size == 1 and list(s._sources._entries) == [source_digest(SRC2)]
-    assert s.cache_key(LOOP, bindings={"n": 16, "t": 7}) == before
+    assert s.cache_key(FIG16, bindings={"n": 16, "t": 7}) == before
 
 
 def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monkeypatch):
@@ -375,10 +360,10 @@ def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monke
     symbolic = CompilerOptions.symbolic(level=3)
     writer = CompilerSession(processors=4, store=tmp_path)
     for options in (eager, symbolic):
-        assert writer.compile_traced(LOOP, {"n": 16, "t": 2}, options=options)[1] == "compiled"
+        assert writer.compile_traced(FIG16, {"n": 16, "t": 2}, options=options)[1] == "compiled"
     assert len(parses) == 1  # the second cold compile reused the parsed program
-    assert writer.compile_traced(LOOP, {"n": 16, "t": 5}, options=eager)[1] == "memory"
-    assert writer.compile_traced(LOOP, {"n": 16, "t": 7}, options=symbolic)[1] == "memory"
+    assert writer.compile_traced(FIG16, {"n": 16, "t": 5}, options=eager)[1] == "memory"
+    assert writer.compile_traced(FIG16, {"n": 16, "t": 7}, options=symbolic)[1] == "memory"
     assert len(parses) == 1
     # a fresh session over the same store: one parse per first contact,
     # whichever tier ends up serving it
@@ -388,14 +373,14 @@ def test_text_is_parsed_once_at_first_contact_and_never_on_a_hit(tmp_path, monke
     ):
         del parses[:]
         reader = CompilerSession(processors=4, store=tmp_path)
-        assert reader.compile_traced(LOOP, bindings, options=options)[1] == tier
-        assert reader.compile_traced(LOOP, bindings, options=options)[1] == "memory"
+        assert reader.compile_traced(FIG16, bindings, options=options)[1] == tier
+        assert reader.compile_traced(FIG16, bindings, options=options)[1] == "memory"
         assert len(parses) == 1 and reader.stats["passes_run"] == 0
     # a Program source is classified as it is
     del parses[:]
     s = CompilerSession(processors=4)
-    assert s.compile_traced(parse_program(LOOP), {"n": 16, "t": 2})[1] == "compiled"
-    assert s.compile_traced(parse_program(LOOP), {"n": 16, "t": 3})[1] == "memory"
+    assert s.compile_traced(parse_program(FIG16), {"n": 16, "t": 2})[1] == "compiled"
+    assert s.compile_traced(parse_program(FIG16), {"n": 16, "t": 3})[1] == "memory"
     assert parses == []
 
 
@@ -458,7 +443,7 @@ def test_concurrent_misses_of_one_key_run_the_pipeline_once(monkeypatch):
 
     def call(t):
         barrier.wait()
-        return s.compile(LOOP, bindings={"n": 16, "t": t})
+        return s.compile(FIG16, bindings={"n": 16, "t": t})
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         served = list(pool.map(call, range(1, 5), timeout=60))

@@ -100,6 +100,22 @@ def test_one_rank_over_the_limit_places_nothing(p4):
     assert m.stats.frees == 4 and m.mem_peak() == 100
 
 
+def test_a_double_free_raises_and_changes_nothing(p4):
+    """Freeing one accounted set twice is an accounting underflow: rank 1
+    still holds a seed, rank 0 holds nothing, and the second free raises
+    before rank 1 moves, so the ledger stays as the first free left it."""
+    m = Machine(p4)
+    m.allocate_set("seed", [(1, 60)])
+    version = [(1, 50), (0, 50)]
+    m.allocate_set("A", version)
+    m.free_set(version)
+    after = m.stats.snapshot()
+    with pytest.raises(RuntimeRemapError, match="cannot free 50 bytes on processor 0: only 0"):
+        m.free_set(version)
+    assert [m.mem_used(r) for r in range(4)] == [0, 60, 0, 0]
+    assert m.stats.snapshot() == after and m.mem_peak() == 110
+
+
 def test_stats_snapshot_diff(machine4):
     before = machine4.stats.snapshot()
     machine4.transfer(Message(src=0, dst=1, nbytes=8, elements=1))

@@ -26,34 +26,11 @@ from repro import (
     Machine,
     compile_program,
 )
+from repro.apps.figures import FIG10
 from repro.ir.cfg import NodeKind
 from repro.lang.ast_nodes import Block, Program, walk_statements
 from repro.lang.parser import parse_program
 
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 # w; redistribute A(cyclic); r1; redistribute A(block); r2;
 # redistribute A(cyclic); r3
@@ -186,8 +163,8 @@ def _run(compiled, c1: bool):
 
 
 def test_fig12_artifacts_compare_by_value():
-    first = compile_program(FIG12, **FIG12_REQUEST)
-    again = compile_program(FIG12, **FIG12_REQUEST)  # a second parse
+    first = compile_program(FIG10, **FIG12_REQUEST)
+    again = compile_program(FIG10, **FIG12_REQUEST)  # a second parse
     loaded = pickle.loads(pickle.dumps(first))
     copied = copy.deepcopy(first)
     for other in (again, loaded, copied):

@@ -34,6 +34,7 @@ from repro import (
     compile_program,
     schema_fingerprint,
 )
+from repro.apps.figures import FIG16, RUNS
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.pipeline import Pipeline
 from repro.compiler.template import SymbolicTemplate
@@ -49,92 +50,6 @@ from test_lowering import counted
 
 REPO = Path(__file__).resolve().parent.parent
 
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
-
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
-
-N = 16
-
-FIGURES = {
-    "fig1": dict(
-        source=FIG1,
-        bindings={"n": N},
-        conditions={},
-        inputs={
-            "a": np.arange(N * N, dtype=float).reshape(N, N),
-            "b": np.ones((N, N)),
-        },
-    ),
-    "fig12-then": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": True},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-    "fig12-else": dict(
-        source=FIG12,
-        bindings={"n": N, "m": 3},
-        conditions={"c1": False},
-        inputs={"a": np.arange(N * N, dtype=float).reshape(N, N)},
-    ),
-    "fig16": dict(
-        source=FIG16,
-        bindings={"n": N, "t": 5},
-        conditions={},
-        inputs={"a": np.arange(float(N))},
-    ),
-}
 
 #: every execution mode: the legacy unphased executor plus each policy
 POLICIES = (None, "naive", "round-robin", "aggregate")
@@ -175,7 +90,7 @@ def _store_then_load(tmp_path, w, policy, subdir="s"):
 
 
 def test_round_trip_returns_equivalent_frozen_artifact(tmp_path):
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     fresh, loaded = _store_then_load(tmp_path, w, "round-robin")
     assert loaded is not fresh
     assert loaded.frozen
@@ -196,7 +111,7 @@ def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
     def refuse(self, protocol):
         raise AssertionError(f"a {type(self).__name__} reached a pickle")
 
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     for policy in POLICIES:
         fresh, loaded = _store_then_load(tmp_path, w, policy, subdir=f"free-{policy}")
         # a Mapping keeps its normal form in its (pickled) __dict__ once
@@ -235,7 +150,8 @@ def test_stored_artifacts_are_plan_free(tmp_path, monkeypatch):
 
 def test_differential_soundness_on_figures(tmp_path):
     """Disk-loaded artifacts execute bit-identically to fresh compiles."""
-    for name, w in sorted(FIGURES.items()):
+    for name in sorted(RUNS):
+        w = RUNS[name]()
         for policy in POLICIES:
             fresh, loaded = _store_then_load(
                 tmp_path, w, policy, subdir=f"{name}-{policy}"
@@ -310,7 +226,7 @@ def test_prop_artifacts_compare_by_value(seed, policy):
 def _populate(tmp_path, subdir="c"):
     store = ArtifactStore(tmp_path / subdir)
     session = CompilerSession(processors=4, options=_options(None), store=store)
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     session.compile(w["source"], bindings=w["bindings"])
     key = session.cache_key(w["source"], bindings=w["bindings"])
     path = store.entry_path(key)
@@ -431,7 +347,7 @@ def _evicted_by_its_load_then_rewritten(store, tkey, capsys):
     assert store.load(tkey) is None
     assert store.stats["semantic_evicted"] == 1 and not store.entry_path(tkey).exists()
 
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     reader = CompilerSession(store=store, options=SYMBOLIC)
     compiled, tier = reader.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert tier == "compiled" and reader.stats["instantiations"] == 0
@@ -595,7 +511,7 @@ def test_a_load_checks_its_template_once_and_no_instantiation_checks_it(
     import repro.analysis.verify as verify_mod
 
     store, tkey, _ = _seed_template(tmp_path)
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     templates = counted(monkeypatch, verify_mod, "verify_template")
     artifacts = counted(monkeypatch, verify_mod, "verify_artifact")
     session = CompilerSession(store=store, options=SYMBOLIC)
@@ -620,7 +536,7 @@ def test_load_instantiates_nothing_and_the_first_request_once(tmp_path, monkeypa
     assert isinstance(store.load(tkey), SymbolicTemplate)
     assert store.verify()["ok"] == 1
     assert instantiated == []  # neither a load nor the offline check instantiates
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     restarted = CompilerSession(store=store, options=SYMBOLIC)
     _, tier = restarted.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert tier == "instantiated" and len(instantiated) == 1
@@ -632,7 +548,7 @@ def test_disk_loaded_first_run_builds_each_plan_once(tmp_path, monkeypatch):
     pair it performs in a restarted process, none once the process has them."""
     import repro.spmd.redistribution as redistribution
 
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     _, loaded = _store_then_load(tmp_path, w, "round-robin")
     built = counted(monkeypatch, redistribution, "RedistSchedule")
     PLANS.clear()  # a restarted process
@@ -651,7 +567,7 @@ def test_lru_eviction_bounds_store_size(tmp_path):
     # holds at most one, so the older entry is evicted
     assert small.load(key) is not None
     session = CompilerSession(processors=4, options=_options(None), store=small)
-    w2 = FIGURES["fig1"]
+    w2 = RUNS["fig1"]()
     session.compile(w2["source"], bindings=w2["bindings"])
     assert small.entry_count == 1
     assert small.total_bytes <= small.max_bytes
@@ -720,8 +636,8 @@ _WORKER = r"""
 import sys, time
 sys.path.insert(0, {src!r})
 from repro import ArtifactStore, CompilerOptions, CompilerSession
+from repro.apps.figures import FIG16
 
-FIG16 = {fig16!r}
 store = ArtifactStore({root!r})
 session = CompilerSession(
     processors=4, options=CompilerOptions(level=3, schedule="round-robin"),
@@ -734,9 +650,7 @@ print(tier, session.cache_key(FIG16, bindings={{"n": 16, "t": 3}}) ==
 
 
 def _spawn_worker(tmp_path):
-    code = _WORKER.format(
-        src=str(REPO / "src"), fig16=FIG16, root=str(tmp_path / "xproc")
-    )
+    code = _WORKER.format(src=str(REPO / "src"), root=str(tmp_path / "xproc"))
     return subprocess.Popen(
         [sys.executable, "-c", code],
         stdout=subprocess.PIPE,
@@ -768,7 +682,7 @@ def test_two_processes_racing_on_one_key(tmp_path):
         options=CompilerOptions(level=3, schedule="round-robin"),
         store=store,
     )
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     loaded, tier = session.compile_traced(w["source"], bindings=w["bindings"])
     assert tier == "disk"
     fresh = CompilerSession(
@@ -810,7 +724,7 @@ def test_fresh_process_computes_the_writers_key(tmp_path):
 
 def test_session_tier_order_memory_disk_compile(tmp_path):
     store = ArtifactStore(tmp_path / "tiers")
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     s1 = CompilerSession(processors=4, options=_options(None), store=store)
     assert s1.compile_traced(w["source"], bindings=w["bindings"])[1] == "compiled"
     assert s1.compile_traced(w["source"], bindings=w["bindings"])[1] == "memory"
@@ -832,7 +746,7 @@ def test_evicted_source_is_served_from_disk(tmp_path):
     session = CompilerSession(
         processors=4, options=_options(None), store=store, max_entries=1
     )
-    w16, w1 = FIGURES["fig16"], FIGURES["fig1"]
+    w16, w1 = RUNS["fig16"](), RUNS["fig1"]()
     assert session.compile_traced(w16["source"], bindings=w16["bindings"])[1] == "compiled"
     # distinct source evicts fig16's entry and its classification
     assert session.compile_traced(w1["source"], bindings=w1["bindings"])[1] == "compiled"
@@ -853,7 +767,7 @@ def test_generation_directory_holds_entries_and_locks_only(tmp_path):
     eager, symbolic = _options("aggregate"), CompilerOptions.symbolic(level=3)
     writer = CompilerSession(processors=4, store=store)
     for name in ("fig16", "fig12-then"):
-        w = FIGURES[name]
+        w = RUNS[name]()
         for options in (eager, symbolic):
             _, tier = writer.compile_traced(w["source"], w["bindings"], options=options)
             assert tier == "compiled"
@@ -868,7 +782,7 @@ def test_generation_directory_holds_entries_and_locks_only(tmp_path):
         (bare.root / bare.fingerprint / art.name).write_bytes(art.read_bytes())
     reader = CompilerSession(processors=4, store=bare)
     for name in ("fig16", "fig12-then"):
-        w = FIGURES[name]
+        w = RUNS[name]()
         shape = dict(w["bindings"], n=24)  # a shape the writer never compiled
         assert reader.compile_traced(w["source"], w["bindings"], options=eager)[1] == "disk"
         assert reader.compile_traced(w["source"], shape, options=symbolic)[1] == "instantiated"
@@ -879,7 +793,7 @@ def test_service_warm_starts_from_store(tmp_path):
     """A restarted service serves identical requests from disk: cache
     provenance is per-request (`cache_source`) and aggregate
     (`store_hits`), and results match the first service's bit-for-bit."""
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     request = {
         "source": w["source"],
         "bindings": w["bindings"],
@@ -905,7 +819,7 @@ def test_service_warm_starts_from_store(tmp_path):
 
 
 def test_service_without_store_reports_sources(tmp_path):
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     request = {"source": w["source"], "bindings": w["bindings"]}
     with CompileService(processors=4, workers=2) as svc:
         results = svc.run_batch([request, request, request])

@@ -51,6 +51,7 @@ from repro import (
     compile_program,
     predict_traffic,
 )
+from repro.apps.figures import FIG16, RUNS
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.compiler.artifacts import passes_for_level
 from repro.compiler.template import SymbolicTemplate
@@ -63,104 +64,6 @@ from repro.store import ArtifactStore
 from repro.symbolic.classify import classify_bindings
 from repro.util.memo import clear_process_memos
 
-FIG1 = """
-subroutine main()
-  integer n
-  real A(n, n), B(n, n)
-!hpf$ align with B :: A
-!hpf$ dynamic A, B
-!hpf$ distribute B(block, *)
-  compute reads A, B
-!hpf$ realign A(i, j) with B(j, i)
-!hpf$ redistribute B(cyclic, *)
-  compute reads A, B
-end
-"""
-
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
-
-FIG16 = """
-subroutine main(t)
-  integer n, t
-  real A(n)
-!hpf$ dynamic A
-!hpf$ distribute A(block)
-  compute writes A
-  do i = 1, t
-!hpf$   redistribute A(cyclic)
-    compute writes A reads A
-!hpf$   redistribute A(block)
-  enddo
-  compute reads A
-end
-"""
-
-
-def _fig1(n):
-    return dict(
-        source=FIG1,
-        bindings={"n": n},
-        conditions={},
-        inputs={
-            "a": np.arange(n * n, dtype=float).reshape(n, n),
-            "b": np.ones((n, n)),
-        },
-    )
-
-
-def _fig12_then(n):
-    return dict(
-        source=FIG12,
-        bindings={"n": n, "m": 3},
-        conditions={"c1": True},
-        inputs={"a": np.arange(n * n, dtype=float).reshape(n, n)},
-    )
-
-
-def _fig12_else(n):
-    w = _fig12_then(n)
-    w["conditions"] = {"c1": False}
-    return w
-
-
-def _fig16(n):
-    return dict(
-        source=FIG16,
-        bindings={"n": n, "t": 5},
-        conditions={},
-        inputs={"a": np.arange(float(n))},
-    )
-
-
-CASES = {
-    "fig1": _fig1,
-    "fig12-then": _fig12_then,
-    "fig12-else": _fig12_else,
-    "fig16": _fig16,
-}
 
 #: the (n, P) sweep of the acceptance criterion: four distinct shapes,
 #: three distinct processor counts, none matching the template probes
@@ -201,7 +104,7 @@ def _assert_identical(got, ref, context):
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p or "unscheduled")
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_instantiated_bit_identical_to_from_scratch(name, policy):
     """One warm compile, then every other (n, P) is served by template
     instantiation -- and each instantiated artifact executes bit-identically
@@ -211,7 +114,7 @@ def test_instantiated_bit_identical_to_from_scratch(name, policy):
     opts = CompilerOptions.symbolic(level=3, schedule=policy)
     session = CompilerSession(options=opts)
     for i, (n, p) in enumerate(PAIRS):
-        w = CASES[name](n)
+        w = RUNS[name](n)
         compiled, tier = session.compile_traced(
             w["source"], bindings=w["bindings"], processors=p
         )
@@ -283,7 +186,7 @@ def _warm_template(policy="round-robin"):
     """Compile FIG16 once under symbolic options; return (session, template)."""
     opts = CompilerOptions.symbolic(level=3, schedule=policy)
     session = CompilerSession(options=opts)
-    w = _fig16(16)
+    w = RUNS["fig16"](16)
     session.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert len(session._templates) == 1
     return session, next(iter(session._templates._entries.values()))
@@ -295,7 +198,7 @@ def test_template_instantiation_is_deterministic():
     same plan objects, the process's, so the second builds nothing.  An
     eager compile of the same program and shape reads the same ledger."""
     _, template = _warm_template()
-    w = _fig16(24)
+    w = RUNS["fig16"](24)
     procs = ProcessorArrangement("P", (3,))
     a = template.instantiate({"n": 24}, procs)
     b = template.instantiate({"n": 24}, procs)
@@ -321,7 +224,7 @@ def test_eager_compile_and_instantiation_share_plans(monkeypatch):
 
     ran = ran_plans(monkeypatch)
     _, template = _warm_template()
-    w = _fig16(24)
+    w = RUNS["fig16"](24)
     eager = compile_program(
         w["source"], bindings=w["bindings"], processors=3,
         options=CompilerOptions(level=3, schedule="round-robin"),
@@ -353,7 +256,7 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     _, template = _warm_template()
     unserved = pickle.dumps(template)
     # serve and run one shape so the process's plans are warm
-    _run(template.instantiate({"n": 16}, ProcessorArrangement("P", (4,))), _fig16(16))
+    _run(template.instantiate({"n": 16}, ProcessorArrangement("P", (4,))), RUNS["fig16"](16))
     assert len(PLANS) > 0
     payload = pickle.dumps(template)
     assert payload == unserved
@@ -371,7 +274,7 @@ def test_frozen_template_survives_pickle_with_empty_memo():
     assert b"repro.symbolic.affine" not in payload
     assert b"repro.symbolic.ownership" not in payload
     assert b"repro.util.memo" not in payload and b"CommSchedule" not in payload
-    w = _fig16(12)
+    w = RUNS["fig16"](12)
     got = _run(revived.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
     ref = _run(template.instantiate({"n": 12}, ProcessorArrangement("P", (3,))), w)
     _assert_identical(got, ref, ("pickle",))
@@ -460,7 +363,7 @@ def test_shape_sweep_leaves_process_caches_bounded():
 
 
 def test_run_straddling_cache_evictions_is_bit_identical(monkeypatch):
-    w = _fig16(16)
+    w = RUNS["fig16"](16)
     opts = CompilerOptions(level=3, schedule="aggregate")
 
     def observe():
@@ -494,7 +397,7 @@ def test_template_roundtrips_through_store_and_deep_verify(tmp_path):
     opts = CompilerOptions.symbolic(level=3, schedule="aggregate")
     store = ArtifactStore(tmp_path / "store")
     s1 = CompilerSession(store=store, options=opts)
-    w = _fig16(16)
+    w = RUNS["fig16"](16)
     _, tier = s1.compile_traced(w["source"], bindings=w["bindings"], processors=4)
     assert tier == "compiled"
     # symbolized sources write the shape-erased template, not the concrete
@@ -508,7 +411,7 @@ def test_template_roundtrips_through_store_and_deep_verify(tmp_path):
     # a fresh session sharing only the directory instantiates on first
     # contact with a shape it has never compiled
     s2 = CompilerSession(store=store, options=opts)
-    w2 = _fig16(24)
+    w2 = RUNS["fig16"](24)
     compiled, tier2 = s2.compile_traced(
         w2["source"], bindings=w2["bindings"], processors=3
     )
@@ -537,7 +440,7 @@ def test_shape_diverse_traffic_collapses_to_one_disk_entry(tmp_path):
         # a fresh session per shape: every request after the first must be
         # answered by loading the one template from disk
         session = CompilerSession(store=store, options=opts)
-        w = _fig16(n)
+        w = RUNS["fig16"](n)
         _, tier = session.compile_traced(
             w["source"], bindings=w["bindings"], processors=p
         )
@@ -627,7 +530,7 @@ TIER_SEEDS = range(201) if os.environ.get("HYPOTHESIS_PROFILE") == "random" else
 
 def _tier_cases():
     for name in ("fig1", "fig12-then", "fig16"):
-        yield name, CASES[name]
+        yield name, RUNS[name]
     for seed in TIER_SEEDS:
         yield f"workload-{seed}", lambda n, seed=seed: _workload(seed, n)
 

@@ -35,6 +35,7 @@ import dataclasses
 import io
 import os
 import pickle
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro import ArtifactStore, CompilerOptions, CompilerSession
 from repro.analysis.verify import verify_artifact, verify_template
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import RUNS
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.compiler.pipeline import CODE_PASSES, Pipeline
@@ -56,8 +58,7 @@ from repro.lang.printer import print_program
 from repro.lang.semantics import ResolvedSubroutine
 from repro.mapping import Mapping, ProcessorArrangement
 from repro.remap.graph import VersionTable
-from test_store import FIG1, FIG12, FIG16, POLICIES, _run
-from test_store import FIGURES as WORKLOADS
+from test_store import POLICIES, _run
 
 #: (n, P): n = P at (4, 4), n < P at (3, 4)
 SHAPES = ((8, 2), (4, 4), (3, 4), (12, 3), (16, 4), (20, 2), (32, 4), (48, 8))
@@ -65,10 +66,12 @@ SHAPES = ((8, 2), (4, 4), (3, 4), (12, 3), (16, 4), (20, 2), (32, 4), (48, 8))
 #: the shapes a fixed ``block(4)`` or ``block(8)`` cannot hold
 BLOCK_K_OVERFLOWS = frozenset({(20, 2), (32, 4), (48, 8)})
 
+#: figure -> (source, bindings) of its standard run; Fig. 12's branch
+#: condition is runtime-only, so one template serves both of its runs
 FIGURES = {
-    "fig1": (FIG1, {"n": 16}),
-    "fig12": (FIG12, {"n": 16, "m": 3}),
-    "fig16": (FIG16, {"n": 16, "t": 5}),
+    name.removesuffix("-then"): itemgetter("source", "bindings")(run())
+    for name, run in RUNS.items()
+    if name != "fig12-else"
 }
 
 
@@ -378,7 +381,7 @@ def test_mutant_sweep_flags_what_the_offline_probe_flagged(tmp_path):
     options = CompilerOptions.symbolic(level=3, schedule="aggregate")
     flagged, declarations = set(), set()
     for figure, workload in (("fig1", "fig1"), ("fig12", "fig12-then"), ("fig16", "fig16")):
-        w = WORKLOADS[workload]
+        w = RUNS[workload]()
         store = ArtifactStore(tmp_path / figure)
         writer = CompilerSession(store=store, options=options)
         writer.compile(w["source"], bindings=dict(w["bindings"], n=64), processors=4)

@@ -24,6 +24,7 @@ from repro import (
     compile_program,
     predict_traffic,
 )
+from repro.apps.figures import FIG1, FIG10, RUNS
 from repro.apps.workloads import (
     branchy_subroutine,
     chain_subroutine,
@@ -31,14 +32,13 @@ from repro.apps.workloads import (
 )
 from repro.spmd.schedule import POLICIES
 from repro.spmd.traffic import enumerate_scenarios, estimate_range
-from test_symbolic import CASES, FIG1, FIG12
 
 N = 16
 
 #: the paper's Fig. 1 / 12 (both branches) / 16 programs, then the three
 #: workload generators
 WORKLOADS = {
-    **{name: case(N) for name, case in CASES.items()},
+    **{name: case(N) for name, case in RUNS.items()},
     "chain": dict(
         source=chain_subroutine(6, 3),
         bindings={},
@@ -128,7 +128,7 @@ def test_predicted_vs_observed_within_tolerance(workload, level, schedule):
 
 def test_traffic_estimate_pass_records_ranges_and_counters():
     opts = CompilerOptions(passes=CompilerOptions(level=3).pass_names + ("traffic-estimate",))
-    compiled = compile_program(FIG12, bindings={"n": N, "m": 3}, processors=4, options=opts)
+    compiled = compile_program(FIG10, bindings={"n": N, "m": 3}, processors=4, options=opts)
     rng = compiled.report.traffic["remap"]
     assert rng.scenarios >= 2  # both c1 outcomes at least
     assert rng.lo.dominated_by(rng.hi)
@@ -164,14 +164,14 @@ def _constructions(source, bindings):
 
 
 def test_enumerate_scenarios_covers_branches_and_trips():
-    cons = _constructions(FIG12, {"n": N, "m": 3})
+    cons = _constructions(FIG10, {"n": N, "m": 3})
     scenarios = enumerate_scenarios(cons, "remap", bindings={"n": N, "m": 3})
     # one condition (c1) x inputs-live variation, m is bound: 4 scenarios
     assert len(scenarios) == 4
     assert {s.conditions["c1"] for s in scenarios} == {False, True}
 
     # with m unbound at compile time, the trip axis adds zero/one/many choices
-    cons_free = _constructions(FIG12, {"n": N})
+    cons_free = _constructions(FIG10, {"n": N})
     scenarios = enumerate_scenarios(cons_free, "remap", bindings={"n": N})
     trips = {s.bindings["m"] for s in scenarios}
     assert trips == {0, 1, 3}
@@ -193,7 +193,7 @@ def test_enumerate_scenarios_caps_deterministically():
 
 
 def test_estimate_range_bounds_are_ordered():
-    compiled = compile_program(FIG12, bindings={"n": N, "m": 3}, processors=4)
+    compiled = compile_program(FIG10, bindings={"n": N, "m": 3}, processors=4)
     cons = {n: cs.construction for n, cs in compiled.subroutines.items()}
     codes = {n: cs.code for n, cs in compiled.subroutines.items()}
     rng = estimate_range(cons, codes, "remap", bindings={"n": N, "m": 3})

@@ -28,41 +28,18 @@ from repro import (
 from repro.analysis.verify import assert_verified, verify_artifact
 from repro.apps.adi import build_adi_program
 from repro.apps.fft2d import build_fft2d_program
+from repro.apps.figures import FIG10
 from repro.apps.lu import build_lu_program
 from repro.apps.sar import build_sar_program
 from repro.errors import ArtifactVerificationError
 from repro.ir.cfg import NodeKind
 from repro.store.cli import main as store_cli
 
-FIG12 = """
-subroutine remap(A, m)
-  integer m, n, p
-  real A(n,n), B(n,n), C(n,n)
-  intent inout A
-!hpf$ align with A :: B, C
-!hpf$ dynamic A, B, C
-!hpf$ distribute A(block, *)
-  compute "init" writes B reads A
-  if c1 then
-!hpf$   redistribute A(cyclic, *)
-    compute writes A, p reads A, B
-  else
-!hpf$   redistribute A(block, block)
-    compute writes p reads A
-  endif
-  do i = 1, m
-!hpf$   redistribute A(*, block)
-    compute writes C reads A
-!hpf$   redistribute A(block, *)
-    compute writes A reads A, C
-  enddo
-end
-"""
 
 BINDINGS = {"n": 16, "m": 3}
 
 
-def _compiled(schedule=None, level=3, source=FIG12, bindings=None):
+def _compiled(schedule=None, level=3, source=FIG10, bindings=None):
     return compile_program(
         source,
         bindings=BINDINGS if bindings is None else bindings,
@@ -107,7 +84,7 @@ def test_verify_pass_runs_in_pipeline():
         ),
         schedule="round-robin",
     )
-    compiled = compile_program(FIG12, bindings=BINDINGS, processors=4, options=options)
+    compiled = compile_program(FIG10, bindings=BINDINGS, processors=4, options=options)
     assert compiled.trace is not None
     assert compiled.trace.pass_names[-1] == "verify"
     assert compiled.trace.counter("verify", "issues") == 0
@@ -235,8 +212,8 @@ def test_semantically_corrupt_entry_evicted_never_executed(tmp_path):
     store = ArtifactStore(tmp_path / "sem")
     options = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=options, store=store)
-    session.compile(FIG12, bindings=BINDINGS)
-    key = session.cache_key(FIG12, bindings=BINDINGS)
+    session.compile(FIG10, bindings=BINDINGS)
+    key = session.cache_key(FIG10, bindings=BINDINGS)
 
     # overwrite with a mutant through the store's own writer: the entry on
     # disk is hash-valid (digest recomputed at write) but semantically bad
@@ -251,7 +228,7 @@ def test_semantically_corrupt_entry_evicted_never_executed(tmp_path):
 
     # a store-backed session degrades to a clean recompile and runs fine
     fresh_session = CompilerSession(processors=4, options=options, store=store)
-    compiled, tier = fresh_session.compile_traced(FIG12, bindings=BINDINGS)
+    compiled, tier = fresh_session.compile_traced(FIG10, bindings=BINDINGS)
     assert tier == "compiled"
     assert _run(compiled, W12)
 
@@ -263,8 +240,8 @@ def test_store_cli_deep_verify_exit_codes(tmp_path, capsys):
     store = ArtifactStore(tmp_path / "cli")
     options = CompilerOptions(level=3, schedule="round-robin")
     session = CompilerSession(processors=4, options=options, store=store)
-    session.compile(FIG12, bindings=BINDINGS)
-    key = session.cache_key(FIG12, bindings=BINDINGS)
+    session.compile(FIG10, bindings=BINDINGS)
+    key = session.cache_key(FIG10, bindings=BINDINGS)
 
     mutant = _misplaced("join")
     assert store.store(key, mutant)

@@ -31,12 +31,12 @@ from repro import (
     compile_program,
     predict_traffic,
 )
+from repro.apps.figures import RUNS
 from repro.apps.workloads import random_environment, random_legal_subroutine
 from repro.runtime import executor as executor_module
 from repro.runtime.mpbackend import MPBackend, MPExecutor
 from repro.spmd.traffic import Scenario, TrafficSimulator
 from repro.spmd.transport import fork_available
-from test_schedule import FIGURES
 
 
 class HookLog:
@@ -86,9 +86,9 @@ def hook_calls_both_ways(source, bindings, conditions, inputs, level):
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
-@pytest.mark.parametrize("name", sorted(FIGURES))
+@pytest.mark.parametrize("name", sorted(RUNS))
 def test_figures_same_hook_sequence_as_executor_and_simulator(name, level):
-    w = FIGURES[name]
+    w = RUNS[name]()
     as_executor, as_simulator = hook_calls_both_ways(
         w["source"], w["bindings"], w["conditions"], w["inputs"], level
     )
@@ -132,7 +132,7 @@ print(sorted(m for m in sys.modules if m.startswith(heavy)))
 
 
 def test_callable_condition_predicts_as_it_runs():
-    w = FIGURES["fig12-then"]
+    w = RUNS["fig12-then"]()
     compiled = compile_program(w["source"], bindings=w["bindings"], processors=4)
     flips = iter([True])
     predicted = predict_traffic(
@@ -176,7 +176,7 @@ def counted(monkeypatch):
 
 
 def run_fig16(policy, backend=None):
-    w = FIGURES["fig16"]
+    w = RUNS["fig16"]()
     compiled = compile_program(
         w["source"],
         bindings=w["bindings"],
